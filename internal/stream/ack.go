@@ -269,10 +269,12 @@ func (c *collector) newAckID() uint64 {
 
 // pushAckerMsg queues one acker update locally; updates ride to the acker
 // on the next transport flush (flushAll), or immediately when the local
-// buffer fills.
+// buffer fills — after the bolt's staged writes have landed, like every
+// path on which acks leave.
 func (c *collector) pushAckerMsg(m ackerMsg) {
 	c.ackBuf = append(c.ackBuf, m)
 	if len(c.ackBuf) >= ackerFlushLen {
+		c.flushBolt()
 		c.flushAcks()
 	}
 }

@@ -96,6 +96,32 @@ type Bolt interface {
 	Cleanup()
 }
 
+// BatchFlusher is an optional Bolt hook for write-behind state: a bolt
+// that stages the effects of Execute in memory implements it, and the
+// engine calls FlushBatch on the task's goroutine, between Execute calls,
+// at every point where the task's collector flushes — when the input
+// queue momentarily empties, after every 16 consecutive batches under
+// backlog, and before Cleanup on a restart or task exit.
+//
+// Ordering contract: FlushBatch returns before the tuples executed since
+// the previous flush are subtracted from the in-flight count and before
+// their acks leave for the acker. A drained topology (Quiesce, Rebalance,
+// shutdown) and an acked spout message therefore both imply that every
+// staged effect has been flushed — as long as no flush has failed. A
+// returned error is counted and reported like an Execute error; with
+// acking on, the acks still buffered — exactly the tuples staged since the
+// last successful flush — become fails, so their spout messages replay.
+// Without acking the tuples leave the in-flight count all the same, as a
+// tuple whose Execute failed does, and the engine does not call again
+// until the task has more input or retires (it owns no timer). The bolt
+// should therefore keep what it could not flush and retry on the next
+// call, and a caller that reads "drained" as "written" must also see the
+// component's error count unchanged. FlushBatch may be called with nothing
+// staged, never after Cleanup; tuples it emits are unanchored.
+type BatchFlusher interface {
+	FlushBatch() error
+}
+
 // OutputDeclarer lists the streams a component emits with their fields.
 // Components implement it so the engine can route by field name.
 type OutputDeclarer interface {

@@ -24,11 +24,14 @@ type metricsShard struct {
 	executed    atomic.Int64
 	errors      atomic.Int64
 	transferred atomic.Int64
+	// flushNanos is the time spent inside a BatchFlusher bolt's hook. It
+	// is kept apart from exec, whose samples are Execute calls only.
+	flushNanos atomic.Int64
 	// exec observes per-tuple Execute latency in nanoseconds, errored
 	// calls included. The histogram lives behind a pointer so the shard
 	// array stays one cache line per task.
 	exec *obsv.Histogram
-	_    [24]byte // pad 4×8 counter bytes + pointer up to a 64-byte line
+	_    [16]byte // pad 5×8 counter bytes + pointer up to a 64-byte line
 }
 
 // componentMetrics holds the per-task shards of one component plus the
@@ -47,6 +50,7 @@ type componentMetrics struct {
 	foldedExecuted    int64
 	foldedErrors      int64
 	foldedTransferred int64
+	foldedFlushNanos  int64
 	foldedExec        obsv.HistogramSnapshot
 	// ticksSkipped counts interval ticks dropped because a task queue
 	// was full. Written only by the component's ticker goroutine.
@@ -73,6 +77,7 @@ func (cm *componentMetrics) fold(n int) {
 		cm.foldedExecuted += sh.executed.Load()
 		cm.foldedErrors += sh.errors.Load()
 		cm.foldedTransferred += sh.transferred.Load()
+		cm.foldedFlushNanos += sh.flushNanos.Load()
 		cm.foldedExec.Merge(sh.exec.Snapshot())
 	}
 	cm.shards = make([]metricsShard, n)
@@ -152,6 +157,10 @@ type ComponentStats struct {
 	P50Execute time.Duration
 	P99Execute time.Duration
 	MaxExecute time.Duration
+	// FlushTime is the cumulative time the component's tasks spent in
+	// their BatchFlusher hook: busy time on top of Executed × AvgExecute.
+	// Zero for bolts without the hook.
+	FlushTime time.Duration
 	// TicksSkipped counts interval ticks dropped because the task's
 	// input queue was full at tick time.
 	TicksSkipped int64
@@ -195,12 +204,14 @@ func (m *Metrics) snapshot() *MetricsSnapshot {
 		st.Emitted = cm.foldedEmitted
 		st.Executed = cm.foldedExecuted
 		st.Errors = cm.foldedErrors
+		st.FlushTime = time.Duration(cm.foldedFlushNanos)
 		s.Transferred += cm.foldedTransferred
 		for i := range cm.shards {
 			sh := &cm.shards[i]
 			st.Emitted += sh.emitted.Load()
 			st.Executed += sh.executed.Load()
 			st.Errors += sh.errors.Load()
+			st.FlushTime += time.Duration(sh.flushNanos.Load())
 			s.Transferred += sh.transferred.Load()
 		}
 		cm.mu.RUnlock()

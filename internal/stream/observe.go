@@ -53,6 +53,14 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 			"Interval ticks dropped because a task queue was full.",
 			func() int64 { return cm.ticksSkipped.Load() },
 			"component", name)
+		r.CounterFunc("stream_flush_nanos_total",
+			"Cumulative nanoseconds spent in the component's write-behind flush hook.",
+			func() int64 {
+				return cm.sum(
+					func(c *componentMetrics) int64 { return c.foldedFlushNanos },
+					func(sh *metricsShard) int64 { return sh.flushNanos.Load() })
+			},
+			"component", name)
 		r.HistogramFunc("stream_execute_seconds",
 			"Per-tuple Execute latency, merged across the component's tasks.",
 			cm.execSnapshot,

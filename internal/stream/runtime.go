@@ -88,7 +88,9 @@ const DefaultLinger = time.Millisecond
 
 // metricsFlushBatches bounds how many input batches a saturated bolt may
 // process before folding its local counters into the shared metrics
-// shards, so snapshots stay fresh under sustained load.
+// shards, so snapshots stay fresh under sustained load. The same flush
+// runs a BatchFlusher bolt's hook, so it also bounds how much input such
+// a bolt can have staged: metricsFlushBatches × maxBatch tuples.
 const metricsFlushBatches = 16
 
 type ctrlMsg int
@@ -236,6 +238,10 @@ type collector struct {
 	curRoot  uint64
 	curXor   uint64
 	ackBuf   []ackerMsg
+
+	// flusher is the task's bolt when it stages writes (BatchFlusher);
+	// nil on spout collectors and for bolts without the hook.
+	flusher BatchFlusher
 
 	// Tracing state, mirroring the curRoot anchoring pattern: tracer is
 	// set on spout collectors only and samples new traces at emission;
@@ -435,13 +441,15 @@ func (c *collector) flushDest(eb *edgeBuf, i int) {
 	eb.a.tasks[i].in <- buf
 }
 
-// flushAll drains every destination buffer, folds the local metric
-// counters into the task's shard, and acknowledges executed input
-// tuples. The order matters: emissions enter downstream queues (pending
-// += n) before their causes are acknowledged (pending -= acked), so the
-// pending count can only reach zero when no tuple or its consequences
-// are anywhere in flight.
+// flushAll lands the bolt's staged writes, drains every destination
+// buffer, folds the local metric counters into the task's shard, and
+// acknowledges executed input tuples. The order matters: staged writes
+// land and emissions enter downstream queues (pending += n) before their
+// causes are acknowledged (pending -= acked, acks to the acker), so the
+// pending count can only reach zero — and a root can only complete — when
+// no tuple, consequence or unwritten effect is anywhere in flight.
 func (c *collector) flushAll() {
+	c.flushBolt()
 	if c.buffered > 0 {
 		for _, so := range c.list {
 			for _, eb := range so.edges {
@@ -477,6 +485,39 @@ func (c *collector) flushAll() {
 		c.flushAcks()
 	}
 	c.lastFlush = time.Now()
+}
+
+// flushBolt runs the bolt's BatchFlusher hook, if it has one. Every path
+// that releases executed tuples — flushAll's pending decrement, any
+// flushAcks — calls it first (see BatchFlusher for the contract). On an
+// error the buffered acks, which cover exactly the tuples staged since
+// the last successful flush, are turned into fails.
+func (c *collector) flushBolt() {
+	if c.flusher == nil {
+		return
+	}
+	start := obsv.Now()
+	err := c.flusher.FlushBatch()
+	c.sm.flushNanos.Add(obsv.Now() - start)
+	if err == nil {
+		return
+	}
+	c.errors++
+	c.rt.onError(c.task.component, err)
+	for i, m := range c.ackBuf {
+		if m.kind == ackerAck {
+			c.ackBuf[i] = ackerMsg{kind: ackerFail, root: m.root}
+		}
+	}
+}
+
+// retireBolt discards a bolt instance: its staged writes land through
+// the hook first — the one place a failed flush is reported and fails the
+// buffered acks, so Cleanup itself need not (and cannot usefully) flush.
+func (c *collector) retireBolt(b Bolt) {
+	c.flushBolt()
+	c.flusher = nil
+	b.Cleanup()
 }
 
 func newRuntime(t *Topology, onError func(string, error)) *runtime {
@@ -798,7 +839,7 @@ func (rt *runtime) drainInput(tk *task) {
 // batch still in the caller's hands would keep the topology from ever
 // quiescing.
 func (rt *runtime) restartBolt(decl *boltDecl, tk *task, col *collector, b Bolt) (Bolt, bool) {
-	b.Cleanup()
+	col.retireBolt(b)
 	nb := decl.factory()
 	tk.restarts.Add(1)
 	if err := nb.Prepare(rt.ctx(decl.name, tk.index, len(rt.taskList(decl.name))), col); err != nil {
@@ -806,6 +847,7 @@ func (rt *runtime) restartBolt(decl *boltDecl, tk *task, col *collector, b Bolt)
 		col.flushAll() // do not strand pre-crash emissions or acks
 		return nil, false
 	}
+	col.flusher, _ = nb.(BatchFlusher)
 	return nb, true
 }
 
@@ -824,9 +866,10 @@ func (rt *runtime) runBoltTask(decl *boltDecl, tk *task) {
 		rt.drainInput(tk)
 		return
 	}
+	col.flusher, _ = b.(BatchFlusher)
 	defer func() {
 		if b != nil { // nil after a failed restart; the old instance was cleaned up
-			b.Cleanup()
+			col.retireBolt(b)
 		}
 	}()
 	for {
@@ -1271,6 +1314,14 @@ func (h *RunningTopology) Restarts(component string, index int) int64 {
 	}
 	return tasks[index].restarts.Load()
 }
+
+// InFlight reports how many tuples (interval ticks included) are queued
+// or executing right now — the count waitQuiescent polls. Zero means every
+// emitted tuple has been executed, its staged writes flushed (or the
+// failed flush reported and counted in the component's errors; see
+// BatchFlusher) and its emissions executed in turn; it says nothing about
+// deltas a combiner bolt holds until its next tick.
+func (h *RunningTopology) InFlight() int64 { return h.rt.pending.Load() }
 
 // Metrics returns a point-in-time snapshot of the topology metrics.
 func (h *RunningTopology) Metrics() *MetricsSnapshot { return h.rt.metrics.snapshot() }

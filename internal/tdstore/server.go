@@ -1,10 +1,11 @@
 package tdstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -423,8 +424,12 @@ func (ds *DataServer) hostBatchPut(items []batchPutItem) error {
 	}
 	// Group items into contiguous per-instance runs. Batches are built
 	// key-by-key so instances interleave; a stable sort keeps per-key
-	// order within each instance.
-	sort.SliceStable(items, func(i, j int) bool { return items[i].inst < items[j].inst })
+	// order within each instance. A batch that is already grouped (one
+	// instance, most often) skips it.
+	byInst := func(a, b batchPutItem) int { return cmp.Compare(a.inst, b.inst) }
+	if !slices.IsSortedFunc(items, byInst) {
+		slices.SortStableFunc(items, byInst)
+	}
 	for start := 0; start < len(items); {
 		end := start + 1
 		for end < len(items) && items[end].inst == items[start].inst {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"time"
 )
 
 // The paper's first item of future work (§7): "the parallelism of the
@@ -47,15 +48,16 @@ func SuggestParallelism(sample []RawAction, p Params, feats Features, targetRate
 		return Parallelism{}, err
 	}
 
-	// Service demand of a unit per ingested action:
-	//   executed/action × avg execute time.
+	// Service demand of a unit per ingested action: its busy time —
+	// executed × avg execute time, plus what a write-behind unit spent
+	// flushing — over the sample.
 	tasksFor := func(unit string) int {
 		c, ok := m.Components[unit]
 		if !ok || c.Executed == 0 {
 			return 1
 		}
-		perAction := float64(c.Executed) / float64(len(sample))
-		demand := perAction * c.AvgExecute.Seconds() // CPU-seconds per action
+		busy := time.Duration(c.Executed)*c.AvgExecute + c.FlushTime
+		demand := busy.Seconds() / float64(len(sample)) // CPU-seconds per action
 		tasks := int(math.Ceil(targetRate * demand * autoParallelismSafety))
 		if tasks < 1 {
 			tasks = 1

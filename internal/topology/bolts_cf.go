@@ -964,27 +964,48 @@ func (b *FilterBolt) DeclareOutputFields() map[string]stream.Fields {
 // ResultStorageBolt persists computation results for the query path:
 // grouped by item, it owns the item's similar-items list in TDStore and
 // publishes the list's threshold for the pruning test.
+//
+// Writes are write-behind (stream.BatchFlusher): Execute merges a sim
+// tuple into the item's encoded frame in memory and marks the item dirty;
+// FlushBatch, which the engine calls whenever the task's input queue
+// empties (and at least every 16 batches), lands every dirty list and
+// threshold in one BatchPut. N updates to one item inside one drained
+// input run therefore cost one store write, the §5.3 combiner argument
+// applied to the last hop of Fig. 4. The engine flushes before it counts
+// the tuples as done or acks them, so a drained topology and an acked
+// message both still imply "written".
 type ResultStorageBolt struct {
 	p      Params
 	st     *taskState
 	prefix string // list key prefix (similar items or AR rules)
 	keys   *interner
-	// enc caches the encoded list frames for the items this task owns
-	// (fields grouping makes it the only writer), so a sim update merges
-	// into the stored bytes in place instead of decode → sort → encode
-	// per tuple. The cached slice is the same one handed to the task
-	// cache and store (which copy or never retain, per the State
-	// ownership contract), so an in-place patch plus re-put keeps every
-	// layer coherent. Bounded by clearing when full; restart safety
-	// comes from the store, not the cache.
-	enc    map[string][]byte
-	encCap int
-	// thrs caches each item's encoded threshold scalar so the publish
-	// path patches 8 bytes instead of allocating a fresh value.
-	thrs map[string][]byte
-	// kbuf/vbuf are the putBatch argument scratch.
-	kbuf [2]string
-	vbuf [2][]byte
+	// lists holds the encoded list frames of the items this task owns
+	// (fields grouping makes it the only writer): it is both the cache
+	// that lets a sim update merge into the stored bytes in place instead
+	// of decode → sort → encode per tuple, and the staging area between
+	// flushes. A frame is the same slice handed to the task cache and the
+	// store at flush; State.BatchPut must not retain it, so patching it in
+	// place afterwards cannot reach a reader. Bounded by flushing and
+	// clearing when full (with CacheSize <= 0, after every flush); restart
+	// safety comes from the store, not the cache.
+	lists    map[string]*stagedList
+	listsCap int
+	// dirty lists the frames merged since the last flush, in first-write
+	// order; fkeys/fvals are the putBatch argument scratch.
+	dirty []*stagedList
+	fkeys []string
+	fvals [][]byte
+}
+
+// stagedList is one item's cached list frame and top-K threshold.
+type stagedList struct {
+	item  string
+	frame []byte
+	thr   float64
+	// thrEnc is the threshold's encoded scalar, patched in place at flush
+	// (similar-items lists only).
+	thrEnc []byte
+	dirty  bool
 }
 
 // NewResultStorageBolt returns the bolt factory for similar-items lists.
@@ -1001,15 +1022,13 @@ func (b *ResultStorageBolt) Prepare(ctx stream.TopologyContext, _ stream.Collect
 	}
 	b.st = newTaskState(st, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
-	if b.encCap = b.p.CacheSize; b.encCap < 0 {
-		b.encCap = 0
-	}
-	b.enc = make(map[string][]byte)
-	b.thrs = make(map[string][]byte)
+	b.listsCap = max(b.p.CacheSize, 0)
+	b.lists = make(map[string]*stagedList)
 	return nil
 }
 
-// Execute implements stream.Bolt.
+// Execute implements stream.Bolt: it merges one sim tuple into the
+// item's staged frame. Nothing reaches the store before FlushBatch.
 func (b *ResultStorageBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return nil
@@ -1017,54 +1036,82 @@ func (b *ResultStorageBolt) Execute(t *stream.Tuple) error {
 	item := t.Value("item").(string)
 	other := t.Value("other").(string)
 	sim := t.Value("sim").(float64)
-	lkey := b.keys.key2(b.prefix, item)
-	raw, cached := b.enc[item]
-	if !cached {
-		var ok bool
-		var err error
-		raw, ok, err = b.st.Get(lkey)
+	e := b.lists[item]
+	if e == nil {
+		if b.listsCap > 0 && len(b.lists) >= b.listsCap {
+			// Full: land what is staged, then start over.
+			if err := b.FlushBatch(); err != nil {
+				return err
+			}
+			clear(b.lists)
+		}
+		raw, ok, err := b.st.Get(b.keys.key2(b.prefix, item))
 		if err != nil {
 			return err
 		}
 		if !ok {
 			raw = statecodec.EncodeList(nil)
 		}
+		e = &stagedList{item: item, frame: raw}
+		b.lists[item] = e
 	}
-	out, thr, ok := statecodec.MergeListEntry(raw, other, sim, b.p.TopK)
+	out, thr, ok := statecodec.MergeListEntry(e.frame, other, sim, b.p.TopK)
 	if !ok {
 		// Legacy JSON or oversized frame: full decode → update → encode.
-		list, err := decodeList(raw)
+		list, err := decodeList(e.frame)
 		if err != nil {
 			return err
 		}
 		list, thr = updateStoredList(list, other, sim, b.p.TopK)
 		out = encodeList(list)
 	}
-	if b.encCap > 0 {
-		if len(b.enc) >= b.encCap && !cached {
-			clear(b.enc) // full: start over
-			clear(b.thrs)
-		}
-		b.enc[item] = out
+	e.frame, e.thr = out, thr
+	if !e.dirty {
+		e.dirty = true
+		b.dirty = append(b.dirty, e)
 	}
-	if b.prefix == prefixSimilar {
-		// The list and its threshold land in one batched write: readers
-		// of the pruning test never observe a list without its threshold.
-		te, ok := b.thrs[item]
-		if !ok || !statecodec.PatchFloat(te, thr) {
-			te = encodeFloat(thr)
-			if b.encCap > 0 {
-				b.thrs[item] = te
-			}
-		}
-		b.kbuf[0], b.vbuf[0] = lkey, out
-		b.kbuf[1], b.vbuf[1] = b.keys.key2(prefixThreshold, item), te
-		err := b.st.putBatch(b.kbuf[:], b.vbuf[:])
-		b.vbuf[0], b.vbuf[1] = nil, nil
-		return err
-	}
-	return b.st.Put(lkey, out)
+	return nil
 }
 
-// Cleanup implements stream.Bolt.
+// FlushBatch implements stream.BatchFlusher: every list merged since the
+// last flush, and for similar-items lists its threshold beside it, lands
+// in one batched write — readers of the pruning test never observe a list
+// without its threshold. On an error the lists stay dirty and the next
+// flush retries them.
+func (b *ResultStorageBolt) FlushBatch() error {
+	if len(b.dirty) == 0 {
+		return nil
+	}
+	keys, vals := b.fkeys[:0], b.fvals[:0]
+	for _, e := range b.dirty {
+		keys = append(keys, b.keys.key2(b.prefix, e.item))
+		vals = append(vals, e.frame)
+		if b.prefix == prefixSimilar {
+			if !statecodec.PatchFloat(e.thrEnc, e.thr) {
+				e.thrEnc = encodeFloat(e.thr)
+			}
+			keys = append(keys, b.keys.key2(prefixThreshold, e.item))
+			vals = append(vals, e.thrEnc)
+		}
+	}
+	b.fkeys, b.fvals = keys, vals
+	err := b.st.putBatch(keys, vals)
+	clear(b.fvals) // drop value references; capacity stays
+	if err != nil {
+		return err
+	}
+	for _, e := range b.dirty {
+		e.dirty = false
+	}
+	clear(b.dirty)
+	b.dirty = b.dirty[:0]
+	if b.listsCap == 0 {
+		clear(b.lists) // cache disabled: frames live only until the flush
+	}
+	return nil
+}
+
+// Cleanup implements stream.Bolt. Nothing is staged by now: the engine
+// calls FlushBatch before it retires an instance (restart, rebalance,
+// shutdown), and reports a failure there.
 func (b *ResultStorageBolt) Cleanup() {}

@@ -308,21 +308,6 @@ func (ts *taskState) putBatch(keys []string, values [][]byte) error {
 	return ts.store.BatchPut(keys, values)
 }
 
-// getCounter loads a windowed counter, returning a fresh one when absent.
-func (ts *taskState) getCounter(key string, w int) (*window.Counter, error) {
-	raw, ok, err := ts.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	c := window.NewCounter(w)
-	if ok {
-		if err := c.UnmarshalBinary(raw); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
 // putCounter stores a windowed counter.
 func (ts *taskState) putCounter(key string, c *window.Counter) error {
 	raw, err := c.MarshalBinary()
@@ -387,54 +372,50 @@ func (ts *taskState) readCounterSum(key string, w int, session int64) (float64, 
 // combiner deltas in order is byte-identical to the key-by-key path.
 // A stateBatch belongs to one task and is not safe for concurrent use.
 type stateBatch struct {
-	ts    *taskState
-	vals  map[string][]byte
-	found map[string]bool
-	// known marks keys that were prefetched or written; reads of other
-	// keys fall back to single-key access.
-	known map[string]bool
-	// foreign marks keys that must never enter the task cache.
-	foreign map[string]bool
-	dirty   map[string]bool
-	order   []string
+	ts *taskState
+	// pos maps a key that was prefetched or written to its entry in ents;
+	// reads of other keys fall back to single-key access. One map of
+	// positions (not one map per attribute) keeps a staged read or write
+	// at a single string-map probe.
+	pos  map[string]int
+	ents []stagedKey
+	// order lists the dirty entries in first-write order.
+	order []int
 	// flushKeys/flushVals are the BatchPut argument scratch, reused
 	// across flushes (State.BatchPut must not retain them).
 	flushKeys []string
 	flushVals [][]byte
 }
 
-func (ts *taskState) newBatch() *stateBatch {
-	return &stateBatch{
-		ts:      ts,
-		vals:    make(map[string][]byte),
-		found:   make(map[string]bool),
-		known:   make(map[string]bool),
-		foreign: make(map[string]bool),
-		dirty:   make(map[string]bool),
-	}
+// stagedKey is one key's staged state.
+type stagedKey struct {
+	key   string
+	val   []byte
+	found bool
+	// foreign marks a key that must never enter the task cache.
+	foreign bool
+	dirty   bool
 }
 
 // batch returns the task's pooled stateBatch, reset for a new interval.
 // A task executes one tuple or one tick at a time, so a single reusable
-// instance suffices; pooling keeps a flush from reallocating five maps
-// per tick (or per tuple on the unbatched bolts).
+// instance suffices; pooling keeps a flush from reallocating the staging
+// map per tick (or per tuple on the unbatched bolts).
 func (ts *taskState) batch() *stateBatch {
 	if ts.pool == nil {
-		ts.pool = ts.newBatch()
+		ts.pool = &stateBatch{ts: ts, pos: make(map[string]int)}
 		return ts.pool
 	}
 	ts.pool.reset()
 	return ts.pool
 }
 
-// reset clears the staged view while keeping every map's buckets and
-// the slices' capacity.
+// reset clears the staged view while keeping the map's buckets and the
+// slices' capacity.
 func (sb *stateBatch) reset() {
-	clear(sb.vals)
-	clear(sb.found)
-	clear(sb.known)
-	clear(sb.foreign)
-	clear(sb.dirty)
+	clear(sb.pos)
+	clear(sb.ents) // drop key and value references
+	sb.ents = sb.ents[:0]
 	sb.order = sb.order[:0]
 }
 
@@ -442,19 +423,26 @@ func (sb *stateBatch) reset() {
 // through the cache (one batched store read for the misses); foreign
 // keys go straight to the store. Duplicate keys are deduplicated.
 func (sb *stateBatch) prefetch(owned, foreign []string) error {
-	owned = sb.dedupe(owned, false)
-	foreign = sb.dedupe(foreign, true)
+	// stage appends entries in key order, so each deduplicated slice maps
+	// onto a contiguous run of ents and the runs are adjacent.
+	first := len(sb.ents)
+	owned = sb.stage(owned, false)
+	foreign = sb.stage(foreign, true)
 	if sb.ts.cache != nil && len(owned) > 0 {
 		vals, found, err := sb.ts.cache.GetBatch(owned)
 		if err != nil {
 			return err
 		}
-		sb.fill(owned, vals, found)
+		sb.fill(first, vals, found)
+		first += len(owned)
 		owned = nil
 	}
 	// Cache disabled (or no owned keys): one combined store read covers
 	// both owned misses and foreign keys.
-	all := append(owned, foreign...)
+	all := foreign
+	if len(owned) > 0 {
+		all = append(owned, foreign...)
+	}
 	if len(all) == 0 {
 		return nil
 	}
@@ -462,31 +450,39 @@ func (sb *stateBatch) prefetch(owned, foreign []string) error {
 	if err != nil {
 		return err
 	}
-	sb.fill(all, vals, found)
+	sb.fill(first, vals, found)
 	return nil
 }
 
-// dedupe filters keys already known to the batch and marks the rest.
-func (sb *stateBatch) dedupe(keys []string, foreign bool) []string {
+// stage filters keys already known to the batch and gives each of the
+// rest an (absent, clean) entry, compacting keys in place.
+func (sb *stateBatch) stage(keys []string, foreign bool) []string {
 	out := keys[:0]
 	for _, k := range keys {
-		if sb.known[k] {
+		if _, ok := sb.pos[k]; ok {
 			continue
 		}
-		sb.known[k] = true
-		if foreign {
-			sb.foreign[k] = true
-		}
+		sb.add(k, foreign)
 		out = append(out, k)
 	}
 	return out
 }
 
-func (sb *stateBatch) fill(keys []string, vals [][]byte, found []bool) {
-	for i, k := range keys {
+// add appends an (absent, clean) entry for a key not yet in the batch and
+// returns its position.
+func (sb *stateBatch) add(key string, foreign bool) int {
+	i := len(sb.ents)
+	sb.pos[key] = i
+	sb.ents = append(sb.ents, stagedKey{key: key, foreign: foreign})
+	return i
+}
+
+// fill records fetched values for the run of entries starting at first.
+func (sb *stateBatch) fill(first int, vals [][]byte, found []bool) {
+	for i := range vals {
 		if found[i] {
-			sb.vals[k] = vals[i]
-			sb.found[k] = true
+			e := &sb.ents[first+i]
+			e.val, e.found = vals[i], true
 		}
 	}
 }
@@ -494,8 +490,8 @@ func (sb *stateBatch) fill(keys []string, vals [][]byte, found []bool) {
 // get reads an owned key from the staged view, falling back to the
 // task's cached single-key path for keys outside the prefetched set.
 func (sb *stateBatch) get(key string) ([]byte, bool, error) {
-	if sb.known[key] {
-		return sb.vals[key], sb.found[key], nil
+	if i, ok := sb.pos[key]; ok {
+		return sb.ents[i].val, sb.ents[i].found, nil
 	}
 	return sb.ts.Get(key)
 }
@@ -503,8 +499,8 @@ func (sb *stateBatch) get(key string) ([]byte, bool, error) {
 // getForeign reads a foreign key from the staged view, falling back to
 // the store-direct single-key path.
 func (sb *stateBatch) getForeign(key string) ([]byte, bool, error) {
-	if sb.known[key] {
-		return sb.vals[key], sb.found[key], nil
+	if i, ok := sb.pos[key]; ok {
+		return sb.ents[i].val, sb.ents[i].found, nil
 	}
 	return sb.ts.getForeign(key)
 }
@@ -513,15 +509,23 @@ func (sb *stateBatch) getForeign(key string) ([]byte, bool, error) {
 // write-through ordering as taskState.Put); the store write happens at
 // flush.
 func (sb *stateBatch) put(key string, value []byte) {
-	sb.vals[key] = value
-	sb.found[key] = true
-	sb.known[key] = true
-	if !sb.dirty[key] {
-		sb.dirty[key] = true
-		sb.order = append(sb.order, key)
+	i, ok := sb.pos[key]
+	if !ok {
+		i = sb.add(key, false)
 	}
-	if sb.ts.cache != nil && !sb.foreign[key] {
-		sb.ts.cache.Put(key, value)
+	sb.putAt(i, value)
+}
+
+// putAt is put for a key whose entry position is already in hand.
+func (sb *stateBatch) putAt(i int, value []byte) {
+	e := &sb.ents[i]
+	e.val, e.found = value, true
+	if !e.dirty {
+		e.dirty = true
+		sb.order = append(sb.order, i)
+	}
+	if sb.ts.cache != nil && !e.foreign {
+		sb.ts.cache.Put(e.key, value)
 	}
 }
 
@@ -534,31 +538,17 @@ func (sb *stateBatch) flush() error {
 	}
 	keys := sb.flushKeys[:0]
 	vals := sb.flushVals[:0]
-	for _, k := range sb.order {
-		keys = append(keys, k)
-		vals = append(vals, sb.vals[k])
+	for _, i := range sb.order {
+		e := &sb.ents[i]
+		e.dirty = false
+		keys = append(keys, e.key)
+		vals = append(vals, e.val)
 	}
 	sb.flushKeys, sb.flushVals = keys, vals
 	sb.order = sb.order[:0]
-	clear(sb.dirty)
 	err := sb.ts.store.BatchPut(keys, vals)
 	clear(sb.flushVals) // drop value references; capacity stays
 	return err
-}
-
-// getCounter loads a windowed counter from the batch view.
-func (sb *stateBatch) getCounter(key string, w int) (*window.Counter, error) {
-	raw, ok, err := sb.get(key)
-	if err != nil {
-		return nil, err
-	}
-	c := window.NewCounter(w)
-	if ok {
-		if err := c.UnmarshalBinary(raw); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
 }
 
 // addCounter applies a delta to a staged counter and returns the new
@@ -566,18 +556,26 @@ func (sb *stateBatch) getCounter(key string, w int) (*window.Counter, error) {
 // patched in place; the re-put keeps the staged view, cache and dirty
 // set coherent.
 func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64) (float64, error) {
-	raw, ok, err := sb.get(key)
-	if err != nil {
-		return 0, err
+	i, ok := sb.pos[key]
+	if !ok {
+		// Outside the prefetched set: read through the task's single-key
+		// path and stage the result.
+		raw, found, err := sb.ts.Get(key)
+		if err != nil {
+			return 0, err
+		}
+		i = sb.add(key, false)
+		sb.ents[i].val, sb.ents[i].found = raw, found
 	}
-	if ok {
+	raw, found := sb.ents[i].val, sb.ents[i].found
+	if found {
 		if sum, patched := window.AddEncoded(raw, session, delta); patched {
-			sb.put(key, raw)
+			sb.putAt(i, raw)
 			return sum, nil
 		}
 	}
 	c := window.NewCounter(w)
-	if ok {
+	if found {
 		if err := c.UnmarshalBinary(raw); err != nil {
 			return 0, err
 		}
@@ -587,7 +585,7 @@ func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64
 	if err != nil {
 		return 0, err
 	}
-	sb.put(key, enc)
+	sb.putAt(i, enc)
 	return c.Sum(session), nil
 }
 

@@ -1,0 +1,324 @@
+package topology
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tencentrec/internal/stream"
+)
+
+var simFields = stream.Fields{"item", "other", "sim"}
+
+func simTuple(item, other string, sim float64) *stream.Tuple {
+	return stream.NewTuple(UnitPairCount, StreamSim, simFields, stream.Values{item, other, sim})
+}
+
+// prepared returns a list-storage bolt from factory, prepared over st.
+func prepared(t *testing.T, factory stream.BoltFactory, st State) *ResultStorageBolt {
+	t.Helper()
+	b := factory().(*ResultStorageBolt)
+	if err := b.Prepare(stream.TopologyContext{Config: map[string]interface{}{"state": st}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// perTupleRef is the write path ResultStorage had before write-behind,
+// spelled with the plain codec: every sim tuple reads the list, applies
+// the update and writes the list (and, for similar-items lists, the
+// threshold) back.
+type perTupleRef struct {
+	prefix string
+	topK   int
+	kv     map[string][]byte
+}
+
+func (r *perTupleRef) apply(t *testing.T, item, other string, sim float64) {
+	t.Helper()
+	var list storedList
+	if raw, ok := r.kv[r.prefix+item]; ok {
+		var err error
+		if list, err = decodeList(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list, thr := updateStoredList(list, other, sim, r.topK)
+	r.kv[r.prefix+item] = encodeList(list)
+	if r.prefix == prefixSimilar {
+		r.kv[prefixThreshold+item] = encodeFloat(thr)
+	}
+}
+
+// sameAs fails unless st holds exactly the reference's keys and bytes.
+func (r *perTupleRef) sameAs(t *testing.T, st *MemState, when string) {
+	t.Helper()
+	if st.Len() != len(r.kv) {
+		t.Fatalf("%s: store holds %d keys, reference %d", when, st.Len(), len(r.kv))
+	}
+	for k, want := range r.kv {
+		got, ok, _ := st.Get(k)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s = %d bytes %.48x… (present %v), per-tuple reference %d bytes %.48x…", when, k, len(got), got, ok, len(want), want)
+		}
+	}
+}
+
+// TestWriteBehindMatchesPerTupleReference: wherever the flush points
+// fall in a stream of sim tuples, the store's list and threshold bytes
+// after a flush are the ones the per-tuple write path would have left —
+// through withdrawals (sim 0), top-K truncation, the cache-full clear and
+// with the cache off, for similar-items lists and AR rule lists alike.
+func TestWriteBehindMatchesPerTupleReference(t *testing.T) {
+	variants := []struct {
+		name    string
+		factory func(State, Params) stream.BoltFactory
+		prefix  string
+		cache   int
+	}{
+		{"similar", NewResultStorageBolt, prefixSimilar, 0},
+		{"similar/cache-full-clear", NewResultStorageBolt, prefixSimilar, 3},
+		{"similar/cache-off", NewResultStorageBolt, prefixSimilar, -1},
+		{"ar-rules", NewARListBolt, prefixARList, 0},
+		{"ar-rules/cache-full-clear", NewARListBolt, prefixARList, 3},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 5; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				p := Params{TopK: 5, CacheSize: v.cache}
+				st := NewMemState()
+				b := prepared(t, v.factory(st, p), st)
+				ref := &perTupleRef{prefix: v.prefix, topK: p.TopK, kv: make(map[string][]byte)}
+				for i := 0; i < 3000; i++ {
+					item := fmt.Sprintf("i%d", rng.Intn(8))
+					other := fmt.Sprintf("o%d", rng.Intn(12))
+					sim := 0.0 // a withdrawal, one time in five
+					if rng.Intn(5) > 0 {
+						sim = float64(1+rng.Intn(40)) / 40 // ties included
+					}
+					if err := b.Execute(simTuple(item, other, sim)); err != nil {
+						t.Fatal(err)
+					}
+					ref.apply(t, item, other, sim)
+					if rng.Intn(10) == 0 {
+						if err := b.FlushBatch(); err != nil {
+							t.Fatal(err)
+						}
+						ref.sameAs(t, st, fmt.Sprintf("seed %d, flush after tuple %d", seed, i))
+					}
+				}
+				// What the engine does when it retires an instance.
+				if err := b.FlushBatch(); err != nil {
+					t.Fatal(err)
+				}
+				b.Cleanup()
+				ref.sameAs(t, st, fmt.Sprintf("seed %d, after the retirement flush", seed))
+			}
+		})
+	}
+}
+
+// batchCountingState counts BatchPut calls on top of MemState's per-key
+// accounting.
+type batchCountingState struct {
+	*MemState
+	batchPuts atomic.Int64
+	putDelay  time.Duration
+}
+
+func (s *batchCountingState) BatchPut(keys []string, values [][]byte) error {
+	s.batchPuts.Add(1)
+	time.Sleep(s.putDelay)
+	return s.MemState.BatchPut(keys, values)
+}
+
+// TestWriteBehindOneWritePerDrainedRun is the §5.3 cost claim for the
+// last hop: N updates to one item's list between two flush points cost
+// one BatchPut of two keys (list and threshold), not N.
+func TestWriteBehindOneWritePerDrainedRun(t *testing.T) {
+	st := &batchCountingState{MemState: NewMemState()}
+	b := prepared(t, NewResultStorageBolt(st, Params{}), st)
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := b.Execute(simTuple("hot", fmt.Sprintf("o%d", i%30), float64(1+i%7)/8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, puts := st.Ops(); puts != 0 {
+		t.Fatalf("%d keys written before the flush point", puts)
+	}
+	if err := b.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if _, puts := st.Ops(); st.batchPuts.Load() != 1 || puts != 2 {
+		t.Fatalf("%d updates to one item cost %d BatchPut calls of %d keys, want 1 call of 2 keys", n, st.batchPuts.Load(), puts)
+	}
+	if err := b.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if st.batchPuts.Load() != 1 {
+		t.Fatal("a flush with nothing staged wrote to the store")
+	}
+}
+
+// simSpout emits sims[i] on StreamSim, one per NextTuple, and then
+// exhausts — or, with idle set, keeps the topology running.
+type simSpout struct {
+	sims []stream.Values
+	idle bool
+	next int
+	c    stream.SpoutCollector
+}
+
+func (s *simSpout) Open(_ stream.TopologyContext, c stream.SpoutCollector) error {
+	s.c = c
+	return nil
+}
+
+func (s *simSpout) NextTuple() bool {
+	if s.next == len(s.sims) {
+		if s.idle {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return s.idle
+	}
+	s.c.EmitTo(StreamSim, s.sims[s.next])
+	s.next++
+	return true
+}
+
+func (s *simSpout) Close() {}
+
+func (s *simSpout) DeclareOutputFields() map[string]stream.Fields {
+	return map[string]stream.Fields{StreamSim: simFields}
+}
+
+// TestWriteBehindSurvivesTaskRestart crash-restarts the resultStorage
+// task over and over while it works through a backlog (a slow store keeps
+// its queue full, so restarts land between batches with lists staged):
+// the engine flushes an instance before discarding it, so no staged list
+// is lost and the final store equals the per-tuple reference.
+func TestWriteBehindSurvivesTaskRestart(t *testing.T) {
+	const items, others = 40, 300
+	st := &batchCountingState{MemState: NewMemState(), putDelay: 500 * time.Microsecond}
+	p := Params{TopK: others} // no truncation: the final lists do not depend on arrival order
+	ref := &perTupleRef{prefix: prefixSimilar, topK: others, kv: make(map[string][]byte)}
+	var sims []stream.Values
+	for o := 0; o < others; o++ {
+		for i := 0; i < items; i++ {
+			item, other, sim := fmt.Sprintf("i%d", i), fmt.Sprintf("o%d", o), float64(1+o)/float64(others+1)
+			sims = append(sims, stream.Values{item, other, sim})
+			ref.apply(t, item, other, sim)
+		}
+	}
+	tb := stream.NewTopologyBuilder("restart-staged")
+	tb.SetConfig("state", State(st))
+	tb.SetSpout(UnitPairCount, func() stream.Spout { return &simSpout{sims: sims} }, 1)
+	tb.SetBolt(UnitResultStorage, NewResultStorageBolt(st, p), 1).FieldsOn(UnitPairCount, StreamSim, "item")
+	topo, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := topo.SubmitWithErrorHandler(func(c string, err error) { t.Errorf("component %s: %v", c, err) })
+	for {
+		select {
+		case <-h.Done():
+		case <-time.After(200 * time.Microsecond):
+			_ = h.RestartTask(UnitResultStorage, 0) // an error only means it already shut down
+			continue
+		}
+		break
+	}
+	if n := h.Restarts(UnitResultStorage, 0); n < 5 {
+		t.Fatalf("only %d restarts landed mid-run; the test did not exercise what it is for", n)
+	}
+	ref.sameAs(t, st.MemState, "after the run")
+	if calls := st.batchPuts.Load(); calls >= int64(len(sims)) {
+		t.Errorf("%d BatchPut calls for %d sim tuples: writes were not coalesced", calls, len(sims))
+	}
+}
+
+// TestWriteBehindFlushErrorKeepsListsDirty: a failed flush loses nothing —
+// the staged lists stay dirty and the next flush lands them.
+func TestWriteBehindFlushErrorKeepsListsDirty(t *testing.T) {
+	st := &failingPutState{MemState: NewMemState()}
+	b := prepared(t, NewResultStorageBolt(st, Params{CacheSize: -1}), st)
+	ref := &perTupleRef{prefix: prefixSimilar, topK: Params{}.withDefaults().TopK, kv: make(map[string][]byte)}
+	for i := 0; i < 10; i++ {
+		item, other, sim := fmt.Sprintf("i%d", i%3), fmt.Sprintf("o%d", i), float64(i+1)/16
+		if err := b.Execute(simTuple(item, other, sim)); err != nil {
+			t.Fatal(err)
+		}
+		ref.apply(t, item, other, sim)
+	}
+	st.fail = true
+	if err := b.FlushBatch(); err == nil {
+		t.Fatal("flush over a failing store reported success")
+	}
+	st.fail = false
+	// More input for a list that is still staged merges into it.
+	if err := b.Execute(simTuple("i0", "late", 0.99)); err != nil {
+		t.Fatal(err)
+	}
+	ref.apply(t, "i0", "late", 0.99)
+	if err := b.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	ref.sameAs(t, st.MemState, "after the retried flush")
+}
+
+type failingPutState struct {
+	*MemState
+	fail bool
+}
+
+func (s *failingPutState) BatchPut(keys []string, values [][]byte) error {
+	if s.fail {
+		return fmt.Errorf("store unavailable")
+	}
+	return s.MemState.BatchPut(keys, values)
+}
+
+// TestWriteBehindVisibleAtQuiesce ties the bolt to the engine's ordering
+// contract end to end: inside Quiesce (in-flight count zero) the store
+// holds what the per-tuple path would, with the topology still running —
+// the spout idles instead of exhausting, so no shutdown flush helps.
+func TestWriteBehindVisibleAtQuiesce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	st := NewMemState()
+	p := Params{TopK: 5}
+	ref := &perTupleRef{prefix: prefixSimilar, topK: p.TopK, kv: make(map[string][]byte)}
+	var sims []stream.Values
+	for i := 0; i < 20000; i++ {
+		item, other, sim := fmt.Sprintf("i%d", rng.Intn(50)), fmt.Sprintf("o%d", rng.Intn(30)), float64(rng.Intn(40))/40
+		sims = append(sims, stream.Values{item, other, sim})
+		ref.apply(t, item, other, sim)
+	}
+	tb := stream.NewTopologyBuilder("quiesce-lists")
+	tb.SetConfig("state", State(st))
+	tb.SetSpout(UnitPairCount, func() stream.Spout { return &simSpout{sims: sims, idle: true} }, 1)
+	tb.SetBolt(UnitResultStorage, NewResultStorageBolt(st, p), 2).FieldsOn(UnitPairCount, StreamSim, "item")
+	topo, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := topo.SubmitWithErrorHandler(func(c string, err error) { t.Errorf("component %s: %v", c, err) })
+	defer func() { h.Stop(); h.Wait() }()
+	deadline := time.Now().Add(20 * time.Second)
+	for h.Metrics().Components[UnitPairCount].Emitted < int64(len(sims)) {
+		if time.Now().After(deadline) {
+			t.Fatal("spout did not emit the fixture")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := h.Quiesce(func() error {
+		ref.sameAs(t, st, "inside Quiesce")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

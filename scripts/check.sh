@@ -16,14 +16,14 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== go test -race elastic parallelism (rebalance, backpressure, overflow, restart stress)"
-go test -race -run 'TestRebalance|TestBurst|TestBackpressure|TestOverflow|TestStressFieldsGroupingUnderRestarts' ./internal/stream/
+echo "== go test -race elastic parallelism (rebalance, backpressure, overflow, restart stress, write-behind flush hook)"
+go test -race -run 'TestRebalance|TestBurst|TestBackpressure|TestOverflow|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher' ./internal/stream/
 
 echo "== go test -race serving tier (singleflight, TTL, negative cache, hedged reads)"
 go test -race -run 'TestSingleflight|TestCoalesced|TestCache|TestNegativeCache|TestInvalidate|TestLRU|TestGetBatch|TestHedge|TestConcurrentMixedLoad' ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart)"
-go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak' \
+echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart) and write-behind result lists"
+go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestWriteBehind' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore, serving, obsv)"
@@ -31,6 +31,12 @@ go test -race ./internal/stream/... ./internal/topology/... ./internal/tdaccess/
 
 echo "== go test -race cluster runtime (wire codecs, planning, supervisor + 2 real worker processes, kill -9 soak)"
 go test -race ./internal/cluster/
+
+# The benchmark is its own module (benchmark/go.mod): the root go vet and
+# go test neither compile nor run it, and it measures the runtime above.
+echo "== benchmark module: vet, tests, smoke run of all four workloads"
+(cd benchmark && go vet ./... && go test ./...)
+bash benchmark/run.sh -smoke
 
 echo "== transport benchmarks (smoke)"
 go test -run=NONE -bench='BenchmarkEmitRoute|BenchmarkHashValues' -benchtime=100x ./internal/stream/

@@ -384,23 +384,38 @@ func (s *System) AddItem(id string, terms []string, published time.Time) error {
 	return topology.PutItemProfile(s.client, id, terms, published)
 }
 
-// Drain blocks until every published action has been consumed and
-// processed (including combiner flush intervals), or the timeout
-// elapses. Use it in tests and batch loads; live deployments simply
-// query whenever, accepting sub-second staleness.
+// Drain blocks until every published action has been consumed and fully
+// processed, or the timeout elapses: after it returns, queries see
+// everything published before the call. Use it in tests and batch loads;
+// live deployments simply query whenever, accepting sub-second staleness.
+//
+// "Processed" is the engine's in-flight count reading zero across two
+// consecutive flush intervals once the spout has consumed everything. A
+// zero count alone is not completion — the combiner bolts hold deltas
+// until their next tick, and a pair's similarity is recomputed once more
+// on the tick after that — but any window of two intervals contains both
+// ticks, and their consequences (sim tuples, write-behind list flushes)
+// hold the count above zero until they are done. A store write that
+// failed on the way is not waited for: it shows in the component's
+// errors column of Metrics, as it always has, and the bolt retries it
+// with its next input.
 func (s *System) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	flush := s.cfg.Params.FlushInterval
 	if flush <= 0 {
 		flush = 100 * time.Millisecond
 	}
+	quietFor := 2*flush + 30*time.Millisecond // the margin covers ticker jitter
+	var quietSince time.Time
 	for {
-		m := s.running.Metrics()
-		consumed := m.Components[topology.UnitSpout].Emitted
-		if consumed >= s.published.Load() {
-			// All raw messages are in the topology; give the combiners
-			// three flush intervals: combiner flush, similarity recheck, storage.
-			time.Sleep(3*flush + 30*time.Millisecond)
+		now := time.Now()
+		consumed := s.running.Metrics().Components[topology.UnitSpout].Emitted
+		switch {
+		case consumed < s.published.Load() || s.running.InFlight() != 0:
+			quietSince = time.Time{}
+		case quietSince.IsZero():
+			quietSince = now
+		case now.Sub(quietSince) >= quietFor:
 			s.cluster.WaitSync()
 			// Drained means "queries now see everything published", so the
 			// serving tier must not hand out results cached before the sync.
@@ -409,9 +424,9 @@ func (s *System) Drain(timeout time.Duration) error {
 			}
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("tencentrec: drain timed out with %d/%d consumed",
-				consumed, s.published.Load())
+		if now.After(deadline) {
+			return fmt.Errorf("tencentrec: drain timed out with %d/%d consumed, %d tuples in flight",
+				consumed, s.published.Load(), s.running.InFlight())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -317,3 +317,52 @@ func TestSystemARChain(t *testing.T) {
 		t.Fatalf("ARRecommend = %v, want butter", recs)
 	}
 }
+
+// TestDrainIsACompletionPoint holds Drain to its contract on a dense
+// burst (every user touches the same few items, so each action fans out
+// into pair deltas and the bolts run behind the spout): when it returns
+// nothing is in flight, nothing moves afterwards, and the lists a query
+// reads are the final ones.
+func TestDrainIsACompletionPoint(t *testing.T) {
+	s, err := Open(SystemConfig{
+		DataDir: t.TempDir(),
+		Params:  Params{FlushInterval: 20 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const users, items = 500, 40
+	for u := 0; u < users; u++ {
+		for i := 0; i < items; i++ {
+			a := RawAction{User: fmt.Sprintf("u%d", u), Item: fmt.Sprintf("v%d", (u+i)%items), Action: "play",
+				TS: t0.Add(time.Duration(u*items+i) * time.Second).UnixNano()}
+			if err := s.Publish(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Drain(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	at := s.Metrics()
+	sims, err := s.SimilarItems("v0", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sims) != 20 { // the default TopK
+		t.Fatalf("SimilarItems(v0) has %d entries right after Drain, want 20", len(sims))
+	}
+	time.Sleep(200 * time.Millisecond) // ten flush intervals
+	after := s.Metrics()
+	if after.Transferred != at.Transferred {
+		t.Errorf("%d tuple deliveries happened after Drain returned", after.Transferred-at.Transferred)
+	}
+	later, err := s.SimilarItems("v0", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(later) != fmt.Sprint(sims) {
+		t.Errorf("SimilarItems(v0) changed after Drain returned:\n at Drain %v\n later    %v", sims, later)
+	}
+}
