@@ -11,5 +11,6 @@ test:
 check:
 	sh scripts/check.sh
 
+# bench runs the repo benchmark declared in BENCHMARK.json.
 bench:
-	go test -run=NONE -bench=. -benchtime=10000x .
+	bash benchmark/run.sh

@@ -2,9 +2,10 @@ package tencentrec_test
 
 // The benchmark harness behind EXPERIMENTS.md: one bench per paper
 // table/figure (reporting the measured improvement as a custom metric)
-// plus the ablation benches DESIGN.md §6 calls out and the system
-// performance claims of §6.1 (sub-second event-to-update latency,
-// millisecond query serving).
+// plus the ablation benches DESIGN.md §6 calls out, the pipeline
+// throughput and scaling sweeps, and the serving mix scripts/profile.sh
+// profiles. Event-to-queryable latency and query latency are measured by
+// the repo benchmark (benchmark/, `make bench`).
 //
 // Run everything:   go test -bench=. -benchmem
 // One experiment:   go test -bench=BenchmarkFigure10News
@@ -12,7 +13,6 @@ package tencentrec_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -208,101 +208,6 @@ func BenchmarkPipelineThroughputAcked(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "actions/s")
 }
 
-// BenchmarkEventToQueryableLatency measures the paper's "<1 second"
-// claim: the wall time from publishing an action until its effect is
-// visible to queries (combiner flush included).
-func BenchmarkEventToQueryableLatency(b *testing.B) {
-	sys, err := tencentrec.Open(tencentrec.SystemConfig{
-		DataDir: b.TempDir(),
-		Params:  tencentrec.Params{FlushInterval: 20 * time.Millisecond},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts := benchStart.Add(time.Duration(i) * time.Second)
-		user := fmt.Sprintf("u%d", i)
-		sys.Publish(tencentrec.RawAction{User: user, Item: "a", Action: "play", TS: ts.UnixNano()})
-		sys.Publish(tencentrec.RawAction{User: user, Item: fmt.Sprintf("b%d", i), Action: "play", TS: ts.Add(time.Millisecond).UnixNano()})
-		if err := sys.Drain(10 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServingRecommend measures query latency against a populated
-// store — the paper's "response to users' queries in real-time, usually
-// in milliseconds".
-func BenchmarkServingRecommend(b *testing.B) {
-	actions := genBenchActions(20000, 200, 100)
-	st := topology.NewMemState()
-	p := topology.Params{FlushInterval: time.Hour}
-	topo, err := topology.NewBuilder("bench", topology.NewSliceSpout(actions), st, p).Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := topo.Run(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	srv := topology.NewServing(st, p)
-	now := time.Unix(0, actions[len(actions)-1].TS)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.RecommendCF(fmt.Sprintf("u%d", i%200), now, 10, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// newBenchSystem opens a small populated System with the HTTP front end
-// for serving-layer benches.
-func newBenchSystem(b *testing.B) (*tencentrec.System, *httptest.Server) {
-	b.Helper()
-	sys, err := tencentrec.Open(tencentrec.SystemConfig{
-		DataDir: b.TempDir(),
-		Params:  tencentrec.Params{FlushInterval: 20 * time.Millisecond},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := httptest.NewServer(sys.Handler())
-	b.Cleanup(func() {
-		srv.Close()
-		sys.Close()
-	})
-	for u := 0; u < 20; u++ {
-		user := fmt.Sprintf("u%d", u)
-		ts := benchStart.Add(time.Duration(u) * time.Minute)
-		sys.Publish(tencentrec.RawAction{User: user, Item: "a", Action: "play", TS: ts.UnixNano()})
-		sys.Publish(tencentrec.RawAction{User: user, Item: fmt.Sprintf("b%d", u%5), Action: "play", TS: ts.Add(time.Second).UnixNano()})
-	}
-	if err := sys.Drain(10 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	return sys, srv
-}
-
-// BenchmarkHTTPRecommend measures end-to-end serving latency through the
-// HTTP front end, including the per-endpoint request histogram.
-func BenchmarkHTTPRecommend(b *testing.B) {
-	_, srv := newBenchSystem(b)
-	url := srv.URL + "/recommend?user=u1&n=10"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Get(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("GET /recommend = %s", resp.Status)
-		}
-	}
-}
-
 // newMixSystem opens a System populated with enough users and items for
 // a realistic read mix. tier toggles the serving tier for ablation.
 func newMixSystem(b *testing.B, tier bool) *tencentrec.System {
@@ -412,30 +317,6 @@ func BenchmarkHTTPServingMix(b *testing.B) {
 // distinct deterministic seed.
 func atomicAdd(p *int64) int64 { return atomic.AddInt64(p, 1) }
 
-// BenchmarkHTTPMetricsPrometheus measures the cost of one full
-// Prometheus exposition over every registered family.
-func BenchmarkHTTPMetricsPrometheus(b *testing.B) {
-	sys, srv := newBenchSystem(b)
-	_ = sys
-	req, err := http.NewRequest("GET", srv.URL+"/metrics", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/plain; version=0.0.4")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("GET /metrics = %s", resp.Status)
-		}
-	}
-}
-
 // BenchmarkScalingParallelism sweeps the UserHistory/PairCount task
 // counts, the §3.1 linear-scalability requirement. Note: tasks are
 // goroutines, so throughput can only grow up to the machine's core
@@ -466,8 +347,7 @@ func BenchmarkScalingParallelism(b *testing.B) {
 	}
 }
 
-// --- Core engine micro-benches ---------------------------------------------
-
+// coreActions is the unclustered action stream of the ablation benches.
 func coreActions(n int) []core.Action {
 	rng := rand.New(rand.NewSource(7))
 	types := []core.ActionType{core.ActionBrowse, core.ActionClick, core.ActionRead, core.ActionPurchase}
@@ -481,27 +361,6 @@ func coreActions(n int) []core.Action {
 		}
 	}
 	return out
-}
-
-func BenchmarkCoreObserve(b *testing.B) {
-	actions := coreActions(b.N)
-	cf := core.NewItemCF(core.Config{LinkedTime: 6 * time.Hour})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cf.Observe(actions[i])
-	}
-}
-
-func BenchmarkCoreRecommend(b *testing.B) {
-	cf := core.NewItemCF(core.Config{LinkedTime: 6 * time.Hour})
-	for _, a := range coreActions(50000) {
-		cf.Observe(a)
-	}
-	now := benchStart.Add(50000 * time.Second)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cf.Recommend(fmt.Sprintf("u%d", i%500), now, core.RecommendOptions{N: 10})
-	}
 }
 
 // --- Ablation benches (DESIGN.md §6) ----------------------------------------

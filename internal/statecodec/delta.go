@@ -1,19 +1,17 @@
-// delta.go — in-place and append fast paths over the encoded binary
-// frames, so a hot-path update that touches one entry patches the
-// stored bytes instead of decode-all → mutate → re-encode-all.
+// delta.go — the write side of the codec: edits that touch one entry
+// patch the encoded frame instead of decode-all → mutate → re-encode-all.
 //
-// Every function here is a *fast path*: it returns ok=false (leaving
-// the buffer unchanged) whenever the value is legacy JSON, malformed,
-// or the edit would change the byte width of the uvarint entry count —
-// the caller then falls back to the full Decode/Encode pair, which
-// remains the source of truth for the format. The frames these
-// functions produce are ordinary version-1 frames: nothing here changes
-// the wire format, only who writes the bytes.
+// The edits are total over well-formed version-1 frames: at any entry
+// count (the payload shifts when the count's uvarint changes width), any
+// k and any id length. ok=false means exactly one thing — the frame is
+// malformed, i.e. DecodeHistory/DecodeList return an error for the same
+// bytes — and leaves the buffer unchanged. The frames produced are
+// ordinary version-1 frames.
 //
-// Equivalence contract (pinned by delta_test.go): a buffer produced by
-// a fast-path edit decodes to exactly the value the decode→mutate→
-// re-encode path would have produced, and for lists — whose encoder is
-// order-preserving — the bytes themselves are identical.
+// Equivalence contract (pinned by delta_test.go): an edited history
+// decodes to the value a map mutation would have produced, and an edited
+// list — whose encoder is order-preserving — is byte-identical to
+// decode → reference update → encode.
 package statecodec
 
 import (
@@ -21,17 +19,10 @@ import (
 	"math"
 )
 
-// maxFastEntries bounds in-place list edits to frames whose uvarint
-// entry count fits in one byte (and whose offsets fit the stack arrays
-// MergeListEntry scans into). Top-K lists are bounded at k ≤ 127 in any
-// realistic configuration; larger lists take the full re-encode path.
-const maxFastEntries = 127
-
-// maxHistEntries bounds history edits: counts up to two uvarint bytes
-// (the default MaxUserHistory of 200 sits in the two-byte range). Edits
-// that would cross a uvarint width boundary (127→128, 16383→16384)
-// fall back; that happens at most once per key per crossing.
-const maxHistEntries = 16383
+// stackEntries is the list size up to which MergeListEntry scans into
+// stack arrays; longer lists take their offset and score scratch from the
+// heap.
+const stackEntries = 127
 
 // ratingBytes is the fixed-width tail of a history entry: 8-byte
 // rating + 8-byte timestamp + 8-byte session.
@@ -58,28 +49,44 @@ func uvarintLen(n uint64) int {
 	return w
 }
 
-// histBody validates a binary history header and returns the entry
-// count and the payload offset (just past the count). ok=false for
-// legacy JSON, other types, unknown versions, or oversized counts.
-func histBody(b []byte) (n int, base int, ok bool) {
-	if len(b) < 4 || b[0] != tagBinary || b[1] != typeHistory || b[2] != version {
+// frameBody validates a binary header of the given type and returns the
+// entry count and the payload offset (just past the count). The count is
+// bounded by the payload like readCount's: every entry takes a byte.
+func frameBody(b []byte, typ byte) (n int, base int, ok bool) {
+	if len(b) < 4 || b[0] != tagBinary || b[1] != typ || b[2] != version {
 		return 0, 0, false
 	}
 	c, sz := binary.Uvarint(b[3:])
-	if sz <= 0 || c > maxHistEntries {
+	if sz <= 0 || c > uint64(len(b)-3-sz) {
 		return 0, 0, false
 	}
 	return int(c), 3 + sz, true
 }
 
-// setHistCount rewrites the count prefix in place. ok=false when the
-// new count needs a different uvarint width (the payload would shift).
-func setHistCount(b []byte, base, n int) bool {
-	if uvarintLen(uint64(n)) != base-3 {
-		return false
+// setCount rewrites the entry count of a frame whose payload starts at
+// base. Small enough to inline for the usual case, a one-byte count that
+// stays one byte.
+func setCount(b []byte, base, n int) []byte {
+	if n < 0x80 && base == 4 {
+		b[3] = byte(n)
+		return b
+	}
+	return resizeCount(b, base, n)
+}
+
+// resizeCount is setCount for a count whose uvarint width may change
+// (127↔128, 16383↔16384, or a non-minimal stored width): the payload
+// shifts by the difference.
+func resizeCount(b []byte, base, n int) []byte {
+	if d := 3 + uvarintLen(uint64(n)) - base; d > 0 {
+		b = append(b, make([]byte, d)...)
+		copy(b[base+d:], b[base:])
+	} else if d < 0 {
+		copy(b[base+d:], b[base:])
+		b = b[:len(b)+d]
 	}
 	binary.PutUvarint(b[3:], uint64(n))
-	return true
+	return b
 }
 
 // HistoryIter walks the entries of an encoded binary history without
@@ -93,10 +100,9 @@ type HistoryIter struct {
 }
 
 // IterHistory starts an iteration over an encoded binary history.
-// ok=false means the value is not an iterable binary history (legacy
-// JSON, wrong type, oversized) and the caller must DecodeHistory.
+// ok=false means the header is malformed.
 func IterHistory(b []byte) (HistoryIter, bool) {
-	n, base, ok := histBody(b)
+	n, base, ok := frameBody(b, typeHistory)
 	if !ok {
 		return HistoryIter{}, false
 	}
@@ -114,16 +120,16 @@ func (it *HistoryIter) Next() (item []byte, r Rating, ok bool) {
 		return nil, Rating{}, false
 	}
 	l, sz := binary.Uvarint(it.rest)
-	if sz <= 0 || uint64(len(it.rest)-sz) < l+ratingBytes {
+	if sz <= 0 || l > uint64(len(it.rest)-sz) || uint64(len(it.rest)-sz)-l < ratingBytes {
 		it.corrupt = true
 		return nil, Rating{}, false
 	}
 	item = it.rest[sz : sz+int(l)]
-	fixed := it.rest[sz+int(l):]
+	step := sz + int(l) + ratingBytes
+	fixed := it.rest[step-ratingBytes:]
 	r.Rating = math.Float64frombits(binary.LittleEndian.Uint64(fixed))
 	r.TS = int64(binary.LittleEndian.Uint64(fixed[8:]))
 	r.Session = int64(binary.LittleEndian.Uint64(fixed[16:]))
-	step := sz + int(l) + ratingBytes
 	it.rest = it.rest[step:]
 	it.off += step
 	it.i++
@@ -135,15 +141,15 @@ func (it *HistoryIter) Next() (item []byte, r Rating, ok bool) {
 func (it *HistoryIter) Corrupt() bool { return it.corrupt }
 
 // HistoryLen returns the entry count of an encoded binary history
-// without decoding it. ok=false for legacy/oversized frames.
+// without decoding it. ok=false means the header is malformed.
 func HistoryLen(b []byte) (int, bool) {
-	n, _, ok := histBody(b)
+	n, _, ok := frameBody(b, typeHistory)
 	return n, ok
 }
 
-// findHistoryEntry scans for item and returns the offset of its
-// fixed-width rating block within b. ok=false means the frame is not
-// patchable (including corrupt payloads discovered during the scan).
+// findHistoryEntry walks the whole frame looking for item and returns the
+// offset of its fixed-width rating block within b. ok=false means the
+// frame is malformed.
 func findHistoryEntry(b []byte, item string) (fixedOff int, r Rating, found bool, ok bool) {
 	it, ok := IterHistory(b)
 	if !ok {
@@ -159,14 +165,11 @@ func findHistoryEntry(b []byte, item string) (fixedOff int, r Rating, found bool
 			fixedOff = it.off - ratingBytes
 		}
 	}
-	if it.Corrupt() {
-		return 0, Rating{}, false, false
-	}
-	return fixedOff, r, found, true
+	return fixedOff, r, found, !it.Corrupt()
 }
 
 // FindHistoryEntry looks up one item in an encoded binary history
-// without decoding it. ok=false means the caller must DecodeHistory.
+// without decoding it. ok=false means the frame is malformed.
 func FindHistoryEntry(b []byte, item string) (r Rating, found bool, ok bool) {
 	_, r, found, ok = findHistoryEntry(b, item)
 	return r, found, ok
@@ -179,42 +182,34 @@ func putRating(b []byte, off int, r Rating) {
 	binary.LittleEndian.PutUint64(b[off+16:], uint64(r.Session))
 }
 
-// AppendHistoryEntry appends a new entry to an encoded binary history
-// and bumps the count. The caller asserts item is not already present
-// (use UpsertHistoryEntry otherwise). ok=false — buffer unchanged —
-// when the frame is not patchable, its payload is malformed, or the
-// count bump would change the uvarint width.
-func AppendHistoryEntry(b []byte, item string, r Rating) ([]byte, bool) {
-	n, base, ok := histBody(b)
-	if !ok || n+1 > maxHistEntries || uvarintLen(uint64(n+1)) != base-3 {
-		return b, false
-	}
-	// Verify the existing payload is well-formed before growing it:
-	// appending to a torn frame would compound the corruption.
-	rest := b[base:]
-	for i := 0; i < n; i++ {
-		l, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < l+ratingBytes {
-			return b, false
-		}
-		rest = rest[sz+int(l)+ratingBytes:]
-	}
-	if len(rest) != 0 {
-		return b, false
-	}
-	setHistCount(b, base, n+1)
+// appendHistoryEntry appends an entry to a frame findHistoryEntry has
+// walked and found well-formed.
+func appendHistoryEntry(b []byte, item string, r Rating) []byte {
+	n, base, _ := frameBody(b, typeHistory)
+	b = setCount(b, base, n+1)
 	b = appendString(b, item)
 	off := len(b)
 	b = append(b, make([]byte, ratingBytes)...)
 	putRating(b, off, r)
-	return b, true
+	return b
+}
+
+// AppendHistoryEntry appends a new entry to an encoded binary history
+// and bumps the count. The caller asserts item is not already present
+// (use UpsertHistoryEntry otherwise). ok=false — buffer unchanged — when
+// the frame is malformed: appending to a torn frame would compound the
+// corruption.
+func AppendHistoryEntry(b []byte, item string, r Rating) ([]byte, bool) {
+	if _, _, _, ok := findHistoryEntry(b, item); !ok {
+		return b, false
+	}
+	return appendHistoryEntry(b, item, r), true
 }
 
 // UpsertHistoryEntry sets item's rating in an encoded binary history:
 // an existing entry is patched in place (same bytes, new rating block),
-// a new one is appended. ok=false — buffer unchanged — when the frame
-// is not patchable; the caller falls back to decode → mutate →
-// re-encode.
+// a new one is appended. ok=false — buffer unchanged — when the frame is
+// malformed.
 func UpsertHistoryEntry(b []byte, item string, r Rating) ([]byte, bool) {
 	fixedOff, _, found, ok := findHistoryEntry(b, item)
 	if !ok {
@@ -224,20 +219,20 @@ func UpsertHistoryEntry(b []byte, item string, r Rating) ([]byte, bool) {
 		putRating(b, fixedOff, r)
 		return b, true
 	}
-	return AppendHistoryEntry(b, item, r)
+	return appendHistoryEntry(b, item, r), true
 }
 
 // EvictOldestHistoryEntry removes the entry with the smallest timestamp
 // whose item differs from keep (ties keep the first in encoded order),
-// splicing the bytes out and decrementing the count. ok=false — buffer
-// unchanged — when the frame is not patchable, no removable entry
-// exists, or the count decrement would change the uvarint width.
+// splicing the bytes out and decrementing the count; a history with no
+// such entry is returned as it is. ok=false — buffer unchanged — when the
+// frame is malformed.
 func EvictOldestHistoryEntry(b []byte, keep string) ([]byte, bool) {
-	n, base, ok := histBody(b)
-	if !ok || n == 0 || uvarintLen(uint64(n-1)) != base-3 {
+	it, ok := IterHistory(b)
+	if !ok {
 		return b, false
 	}
-	it, _ := IterHistory(b)
+	base := it.off
 	oldStart, oldEnd := -1, -1
 	var oldTS int64
 	for {
@@ -253,63 +248,55 @@ func EvictOldestHistoryEntry(b []byte, keep string) ([]byte, bool) {
 			oldStart, oldEnd, oldTS = start, it.off, r.TS
 		}
 	}
-	if it.Corrupt() || oldStart < 0 {
+	if it.Corrupt() {
 		return b, false
+	}
+	if oldStart < 0 {
+		return b, true
 	}
 	copy(b[oldStart:], b[oldEnd:])
 	b = b[:len(b)-(oldEnd-oldStart)]
-	setHistCount(b, base, n-1)
-	return b, true
+	return setCount(b, base, it.n-1), true
 }
-
-// listBody validates a binary list header with a single-byte count.
-func listBody(b []byte) (n int, base int, ok bool) {
-	if len(b) < 4 || b[0] != tagBinary || b[1] != typeList || b[2] != version {
-		return 0, 0, false
-	}
-	c := b[3]
-	if c > maxFastEntries {
-		return 0, 0, false
-	}
-	return int(c), 4, true
-}
-
-// maxMergeItem bounds the item length MergeListEntry handles in place
-// (the rotate scratch is a stack array). Longer ids fall back.
-const maxMergeItem = 240
 
 // MergeListEntry applies one (item, score) update to an encoded scored
 // list: any existing entry for item is removed, then — when score > 0 —
 // the entry is inserted at its rank (descending score, ties after
-// existing entries) and the list truncated to k (k must be >= 0). This
-// is the byte-level equivalent of DecodeList → updateStoredList →
-// EncodeList and produces identical bytes (the list encoder is
+// existing entries) and the list truncated to k (a negative k counts as
+// 0). This is the byte-level equivalent of DecodeList → reference update
+// → EncodeList and produces identical bytes (the list encoder is
 // order-preserving). threshold is the score of the k-th entry when the
 // list is full, else 0. ok=false — buffer unchanged — when the frame is
-// not patchable; the caller falls back to the full decode path.
+// malformed.
 func MergeListEntry(b []byte, item string, score float64, k int) (out []byte, threshold float64, ok bool) {
-	n, base, ok := listBody(b)
-	if !ok || k < 0 || len(item) > maxMergeItem {
+	n, base, ok := frameBody(b, typeList)
+	if !ok {
 		return b, 0, false
 	}
-	// Scan: absolute entry offsets (offs[i] .. offs[i+1]) and scores.
-	var offs [maxFastEntries + 2]int32
-	var scores [maxFastEntries + 1]float64
+	k = max(k, 0)
+	// Scan: absolute entry offsets (offs[i] .. offs[i+1]; int32, a stored
+	// value being far below 2 GiB) and scores, with room for the one entry
+	// an insert adds.
+	var offsArr [stackEntries + 2]int32
+	var scoresArr [stackEntries + 1]float64
+	offs, scores := offsArr[:], scoresArr[:]
+	if n > stackEntries {
+		offs, scores = make([]int32, n+2), make([]float64, n+1)
+	}
 	rest := b[base:]
 	off := base
 	foundIdx := -1
 	for i := 0; i < n; i++ {
 		offs[i] = int32(off)
 		l, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < l+8 {
+		if sz <= 0 || l > uint64(len(rest)-sz) || uint64(len(rest)-sz)-l < 8 {
 			return b, 0, false
 		}
-		name := rest[sz : sz+int(l)]
-		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[sz+int(l):]))
-		if foundIdx < 0 && string(name) == item {
+		step := sz + int(l) + 8
+		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[step-8:]))
+		if foundIdx < 0 && string(rest[sz:sz+int(l)]) == item {
 			foundIdx = i
 		}
-		step := sz + int(l) + 8
 		rest = rest[step:]
 		off += step
 	}
@@ -318,17 +305,13 @@ func MergeListEntry(b []byte, item string, score float64, k int) (out []byte, th
 	}
 	offs[n] = int32(off)
 
-	if score > 0 && n-boolInt(foundIdx >= 0)+1 > maxFastEntries {
-		return b, 0, false
-	}
-
 	// In-place fast case: the item is already present, keeps a positive
 	// score, the stored list is within bounds, and its rank is stable —
 	// overwrite the 8 score bytes and done. The rank test is strict
 	// against the successor: on a score tie the reference re-insert
 	// moves the entry after its equals, which only the general path
 	// reproduces.
-	if foundIdx >= 0 && score > 0 && k > 0 && n <= k &&
+	if foundIdx >= 0 && score > 0 && n <= k &&
 		(foundIdx == 0 || scores[foundIdx-1] >= score) &&
 		(foundIdx == n-1 || score > scores[foundIdx+1]) {
 		binary.LittleEndian.PutUint64(b[offs[foundIdx+1]-8:], math.Float64bits(score))
@@ -338,21 +321,19 @@ func MergeListEntry(b []byte, item string, score float64, k int) (out []byte, th
 		return b, threshold, true
 	}
 
-	// General path: splice out, splice in, truncate — bounded memmoves
-	// on a <=127-entry buffer, no allocation beyond append growth.
-	wantInsert := score > 0
+	// General path: splice out, splice in, truncate — memmoves on the
+	// frame, no allocation beyond append growth.
 	if foundIdx >= 0 {
 		s, e := offs[foundIdx], offs[foundIdx+1]
-		remLen := e - s
 		copy(b[s:], b[e:])
-		b = b[:int32(len(b))-remLen]
+		b = b[:len(b)-int(e-s)]
 		for i := foundIdx; i < n; i++ {
-			offs[i] = offs[i+1] - remLen
+			offs[i] = offs[i+1] - (e - s)
 			scores[i] = scores[i+1]
 		}
 		n--
 	}
-	if wantInsert {
+	if score > 0 {
 		pos := n
 		for i := 0; i < n; i++ {
 			if score > scores[i] {
@@ -363,26 +344,17 @@ func MergeListEntry(b []byte, item string, score float64, k int) (out []byte, th
 		// An insert at rank >= k is dropped by the truncate below; skip
 		// the splice (net effect: removal + truncate alone).
 		if pos < k {
-			// Encode the new entry at the tail, then rotate it into
-			// position through a bounded stack scratch.
-			insertAt := int(offs[pos])
-			pre := len(b)
-			b = binary.AppendUvarint(b, uint64(len(item)))
-			b = append(b, item...)
-			b = appendFloat(b, score)
-			entLen := len(b) - pre
-			var scratch [256]byte
-			copy(scratch[:], b[pre:])
-			copy(b[insertAt+entLen:], b[insertAt:pre])
-			copy(b[insertAt:], scratch[:entLen])
+			// Open a gap at the entry's rank and encode it there.
+			at := int(offs[pos])
+			entLen := uvarintLen(uint64(len(item))) + len(item) + 8
+			b = append(b, make([]byte, entLen)...)
+			copy(b[at+entLen:], b[at:])
+			w := binary.PutUvarint(b[at:], uint64(len(item)))
+			copy(b[at+w:], item)
+			binary.LittleEndian.PutUint64(b[at+entLen-8:], math.Float64bits(score))
 			for i := n; i >= pos; i-- {
 				offs[i+1] = offs[i] + int32(entLen)
-				if i > pos {
-					scores[i] = scores[i-1]
-				}
 			}
-			offs[pos] = int32(insertAt)
-			scores[pos] = score
 			n++
 		}
 		if n > k {
@@ -390,16 +362,9 @@ func MergeListEntry(b []byte, item string, score float64, k int) (out []byte, th
 			n = k
 		}
 	}
-	b[3] = byte(n)
-	if n >= k && k > 0 && n > 0 {
+	b = setCount(b, base, n)
+	if n >= k && k > 0 {
 		threshold = math.Float64frombits(binary.LittleEndian.Uint64(b[len(b)-8:]))
 	}
 	return b, threshold, true
-}
-
-func boolInt(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
 }

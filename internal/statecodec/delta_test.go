@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tencentrec/internal/core"
 )
 
-// refMergeList is the reference semantics the delta path must match
-// byte-for-byte: the decode→mutate→re-encode pipeline used before
-// MergeListEntry existed (mirrors topology.updateStoredList).
+// refMergeList is the reference semantics MergeListEntry must match
+// byte-for-byte: the update applied to a decoded list (the same function
+// as topology's updateStoredList reference).
 func refMergeList(l List, item string, score float64, k int) (List, float64) {
 	for i, sc := range l {
 		if sc.Item == item {
@@ -41,82 +42,134 @@ func refMergeList(l List, item string, score float64, k int) (List, float64) {
 	return l, threshold
 }
 
-func histEqual(a, b History) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+// refHistory is the map reference for the history edits, with the
+// encoded order beside it: eviction breaks timestamp ties by it.
+type refHistory struct {
+	h     History
+	order []string
 }
 
+// refHistoryOf reads the reference out of a frame, keeping its order.
+func refHistoryOf(t *testing.T, buf []byte) *refHistory {
+	t.Helper()
+	ref := &refHistory{h: History{}}
+	it, ok := IterHistory(buf)
+	if !ok {
+		t.Fatal("reference frame is malformed")
+	}
+	for {
+		item, r, more := it.Next()
+		if !more {
+			break
+		}
+		ref.h[string(item)] = r
+		ref.order = append(ref.order, string(item))
+	}
+	return ref
+}
+
+func (ref *refHistory) upsert(item string, r Rating) {
+	if _, had := ref.h[item]; !had {
+		ref.order = append(ref.order, item)
+	}
+	ref.h[item] = r
+}
+
+// evict drops the entry with the smallest TS other than keep, the first
+// in encoded order among equals, and names it.
+func (ref *refHistory) evict(keep string) string {
+	at := -1
+	for i, item := range ref.order {
+		if item != keep && (at < 0 || ref.h[item].TS < ref.h[ref.order[at]].TS) {
+			at = i
+		}
+	}
+	if at < 0 {
+		return ""
+	}
+	gone := ref.order[at]
+	delete(ref.h, gone)
+	ref.order = append(ref.order[:at], ref.order[at+1:]...)
+	return gone
+}
+
+// same fails unless buf decodes to exactly the reference.
+func (ref *refHistory) same(t *testing.T, buf []byte, when string) {
+	t.Helper()
+	got, err := DecodeHistory(buf)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", when, err)
+	}
+	if n, ok := HistoryLen(buf); !ok || n != len(ref.h) {
+		t.Fatalf("%s: HistoryLen = (%d,%v), want (%d,true)", when, n, ok, len(ref.h))
+	}
+	if len(got) != len(ref.h) {
+		t.Fatalf("%s: %d entries, reference %d", when, len(got), len(ref.h))
+	}
+	for k, v := range ref.h {
+		if got[k] != v {
+			t.Fatalf("%s: %q = %v, reference %v", when, k, got[k], v)
+		}
+	}
+}
+
+// listIDs returns n distinct ids; two of them are far longer than the
+// rest, with two- and three-byte length prefixes.
+func listIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = benchItemID(i)
+	}
+	ids[1] = strings.Repeat("x", 241)
+	ids[n/2] = strings.Repeat("y", 1000)
+	return ids
+}
+
+// TestMergeListEntryEquivalence: at every k, through fills, ties,
+// removals and a full drain (so the count crosses 127↔128 both ways for
+// k >= 128), every merge is byte-identical to decode → reference update
+// → encode, with the same threshold.
 func TestMergeListEntryEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	items := []string{"a", "b", "c", "dd", "eee", "ffff", "g", "hh", "iii", "jjjj", "k1", "k2"}
-	for trial := 0; trial < 400; trial++ {
-		k := rng.Intn(6) // 0..5; k=0 truncates to empty, matching updateStoredList
+	for _, k := range []int{0, 1, 2, 5, 127, 128, 300} {
+		rng := rand.New(rand.NewSource(int64(9 + k)))
+		ids := listIDs(max(2*k, 12))
 		buf := EncodeList(nil)
 		var ref List
-		for op := 0; op < 30; op++ {
-			item := items[rng.Intn(len(items))]
-			score := 0.0
-			switch rng.Intn(5) {
+		step := func(op int, item string, score float64) {
+			t.Helper()
+			out, thr, ok := MergeListEntry(buf, item, score, k)
+			if !ok {
+				t.Fatalf("k=%d op %d: merge declined a well-formed frame of %d entries", k, op, len(ref))
+			}
+			var refThr float64
+			ref, refThr = refMergeList(ref, item, score, k)
+			buf = out
+			if want := EncodeList(ref); !bytes.Equal(buf, want) {
+				t.Fatalf("k=%d op %d (%d-byte id, score=%v): merge bytes diverge at %d entries\n got %.64x\nwant %.64x",
+					k, op, len(item), score, len(ref), buf, want)
+			}
+			if thr != refThr {
+				t.Fatalf("k=%d op %d: threshold = %v, want %v", k, op, thr, refThr)
+			}
+		}
+		for op := 0; op < 6*len(ids); op++ {
+			score := math.Round(rng.Float64()*1000) / 1000
+			switch rng.Intn(6) {
 			case 0: // removal (non-positive score)
 				score = 0
 			case 1: // duplicate scores to exercise tie ordering
 				score = 0.5
-			default:
-				score = math.Round(rng.Float64()*1000) / 1000
 			}
-			out, thr, ok := MergeListEntry(buf, item, score, k)
-			var refThr float64
-			ref, refThr = refMergeList(ref, item, score, k)
-			want := EncodeList(ref)
-			if !ok {
-				// Fast path declined: buffer must be unchanged, and the
-				// caller re-encodes via the reference path.
-				buf = want
-				continue
-			}
-			buf = out
-			if !bytes.Equal(buf, want) {
-				t.Fatalf("trial %d op %d (item=%q score=%v k=%d): merge bytes diverge\n got %x\nwant %x",
-					trial, op, item, score, k, buf, want)
-			}
-			if thr != refThr {
-				t.Fatalf("trial %d op %d: threshold = %v, want %v", trial, op, thr, refThr)
-			}
+			step(op, ids[rng.Intn(len(ids))], score)
+		}
+		for op := 0; len(ref) > 0; op++ {
+			step(op, ref[rng.Intn(len(ref))].Item, 0)
 		}
 	}
-}
-
-func TestMergeListEntryDeclines(t *testing.T) {
-	long := string(bytes.Repeat([]byte{'x'}, maxMergeItem+1))
-	buf := EncodeList(List{{Item: "a", Score: 1}})
-	orig := append([]byte(nil), buf...)
-	if _, _, ok := MergeListEntry(buf, long, 2, 5); ok {
-		t.Fatal("expected decline for oversized item")
-	}
-	if !bytes.Equal(buf, orig) {
-		t.Fatal("declined merge mutated the buffer")
-	}
-	if _, _, ok := MergeListEntry(buf, "b", 2, -1); ok {
-		t.Fatal("expected decline for negative k")
-	}
-	if _, _, ok := MergeListEntry([]byte(`{"legacy":"json"}`), "b", 2, 5); ok {
-		t.Fatal("expected decline for legacy encoding")
-	}
-	// n would exceed the single-byte count window.
-	big := make(List, maxFastEntries)
-	for i := range big {
-		big[i] = core.ScoredItem{Item: string(rune('a'+i%26)) + string(rune('a'+i/26)), Score: float64(1000 - i)}
-	}
-	bbuf := EncodeList(big)
-	if _, _, ok := MergeListEntry(bbuf, "zz", 2000, 0); ok {
-		t.Fatal("expected decline when count would exceed the fast window")
+	// A negative k is an empty list, as k = 0 is.
+	out, thr, ok := MergeListEntry(EncodeList(List{{Item: "a", Score: 1}}), "b", 2, -1)
+	if !ok || thr != 0 || !bytes.Equal(out, EncodeList(nil)) {
+		t.Fatalf("k=-1: (%x, %v, %v), want the empty list", out, thr, ok)
 	}
 }
 
@@ -125,7 +178,7 @@ func TestHistoryDeltaEquivalence(t *testing.T) {
 	items := []string{"i1", "i2", "i3", "longitemname4", "i5", "i6", "i7", "i8"}
 	for trial := 0; trial < 300; trial++ {
 		buf := EncodeHistory(nil)
-		ref := History{}
+		ref := &refHistory{h: History{}}
 		for op := 0; op < 40; op++ {
 			item := items[rng.Intn(len(items))]
 			r := Rating{
@@ -135,28 +188,83 @@ func TestHistoryDeltaEquivalence(t *testing.T) {
 			}
 			out, ok := UpsertHistoryEntry(buf, item, r)
 			if !ok {
-				t.Fatalf("trial %d op %d: unexpected upsert decline at %d entries", trial, op, len(ref))
+				t.Fatalf("trial %d op %d: upsert declined at %d entries", trial, op, len(ref.h))
 			}
 			buf = out
-			ref[item] = r
-
-			got, err := DecodeHistory(buf)
-			if err != nil {
-				t.Fatalf("trial %d op %d: decode after upsert: %v", trial, op, err)
-			}
-			if !histEqual(got, ref) {
-				t.Fatalf("trial %d op %d: decoded history diverges\n got %v\nwant %v", trial, op, got, ref)
-			}
-
+			ref.upsert(item, r)
+			ref.same(t, buf, "after upsert")
 			if fr, found, ok := FindHistoryEntry(buf, item); !ok || !found || fr != r {
 				t.Fatalf("trial %d op %d: FindHistoryEntry = (%v,%v,%v), want (%v,true,true)",
 					trial, op, fr, found, ok, r)
 			}
-			if n, ok := HistoryLen(buf); !ok || n != len(ref) {
-				t.Fatalf("trial %d op %d: HistoryLen = (%d,%v), want (%d,true)", trial, op, n, ok, len(ref))
-			}
 		}
 	}
+}
+
+// TestHistoryCountWidthBoundaries walks a history across the counts where
+// the count's uvarint changes width — 0→1, 127→128→127, 16383→16384 and
+// back — comparing with the map reference after every edit. Timestamps
+// repeat, so eviction's tie rule (first in encoded order) is exercised
+// on the way down.
+func TestHistoryCountWidthBoundaries(t *testing.T) {
+	buf := EncodeHistory(nil)
+	ref := &refHistory{h: History{}}
+	for i := 0; i < 130; i++ {
+		item, r := benchItemID(i), Rating{Rating: 1, TS: int64(i % 7), Session: int64(i)}
+		var ok bool
+		if i%2 == 0 {
+			buf, ok = UpsertHistoryEntry(buf, item, r)
+		} else {
+			buf, ok = AppendHistoryEntry(buf, item, r)
+		}
+		if !ok {
+			t.Fatalf("edit declined at %d entries", i)
+		}
+		ref.upsert(item, r)
+		ref.same(t, buf, "growing")
+	}
+	keep := benchItemID(0) // TS 0: the oldest, and protected
+	for len(ref.h) > 1 {
+		want := ref.evict(keep)
+		var ok bool
+		if buf, ok = EvictOldestHistoryEntry(buf, keep); !ok {
+			t.Fatalf("evict declined at %d entries", len(ref.h)+1)
+		}
+		if _, found, _ := FindHistoryEntry(buf, want); found {
+			t.Fatalf("at %d entries: %q should have been evicted", len(ref.h)+1, want)
+		}
+		ref.same(t, buf, "shrinking")
+	}
+	// Only keep is left: nothing to evict, which is not a malformed frame.
+	orig := append([]byte(nil), buf...)
+	if out, ok := EvictOldestHistoryEntry(buf, keep); !ok || !bytes.Equal(out, orig) {
+		t.Fatalf("evict with nothing removable = (%x, %v), want the frame unchanged", out, ok)
+	}
+	if buf, _ = EvictOldestHistoryEntry(buf, ""); len(buf) != len(EncodeHistory(nil)) {
+		t.Fatalf("1→0 left %x", buf)
+	}
+
+	// The two-to-three byte boundary.
+	h := History{}
+	for i := 0; i < 16383; i++ {
+		h[benchItemID(i)] = Rating{Rating: 1, TS: int64(i + 10), Session: 1}
+	}
+	buf = EncodeHistory(h)
+	ref = refHistoryOf(t, buf)
+	r := Rating{Rating: 2, TS: 1, Session: 3}
+	var ok bool
+	if buf, ok = UpsertHistoryEntry(buf, "the 16384th", r); !ok {
+		t.Fatal("upsert declined at 16383 entries")
+	}
+	ref.upsert("the 16384th", r)
+	ref.same(t, buf, "16383→16384")
+	if buf, ok = EvictOldestHistoryEntry(buf, ""); !ok {
+		t.Fatal("evict declined at 16384 entries")
+	}
+	if gone := ref.evict(""); gone != "the 16384th" {
+		t.Fatalf("reference evicted %q", gone)
+	}
+	ref.same(t, buf, "16384→16383")
 }
 
 func TestEvictOldestHistoryEntry(t *testing.T) {
@@ -202,47 +310,77 @@ func TestEvictOldestHistoryEntry(t *testing.T) {
 	}
 }
 
-func TestHistoryCountWidthBoundary(t *testing.T) {
-	// Build a history with exactly 127 entries: the count uvarint is one
-	// byte, and appending the 128th crosses to a two-byte count. The
-	// width-preserving fast path must decline rather than corrupt.
-	buf := EncodeHistory(nil)
-	for i := 0; i < 127; i++ {
-		var ok bool
-		buf, ok = AppendHistoryEntry(buf, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
-		if !ok {
-			t.Fatalf("append %d declined", i)
+// editsAgreeWithDecoder asserts the layer's contract on one frame: every
+// edit reports ok exactly when the decoder accepts the bytes, and an edit
+// that declines leaves them alone.
+func editsAgreeWithDecoder(t *testing.T, name string, data []byte) {
+	t.Helper()
+	_, herr := DecodeHistory(data)
+	_, lerr := DecodeList(data)
+	r := Rating{Rating: 2.5, TS: 42, Session: 7}
+	edits := []struct {
+		name      string
+		decodeErr error
+		run       func(b []byte) ([]byte, bool)
+	}{
+		{"FindHistoryEntry", herr, func(b []byte) ([]byte, bool) { _, _, ok := FindHistoryEntry(b, "probe"); return b, ok }},
+		{"UpsertHistoryEntry", herr, func(b []byte) ([]byte, bool) { return UpsertHistoryEntry(b, "probe", r) }},
+		{"AppendHistoryEntry", herr, func(b []byte) ([]byte, bool) { return AppendHistoryEntry(b, "probe", r) }},
+		{"EvictOldestHistoryEntry", herr, func(b []byte) ([]byte, bool) { return EvictOldestHistoryEntry(b, "keep") }},
+		{"MergeListEntry", lerr, func(b []byte) ([]byte, bool) { out, _, ok := MergeListEntry(b, "probe", 1.5, 300); return out, ok }},
+		{"MergeListEntry/remove", lerr, func(b []byte) ([]byte, bool) { out, _, ok := MergeListEntry(b, "probe", 0, 5); return out, ok }},
+	}
+	for _, e := range edits {
+		cp := append([]byte(nil), data...)
+		_, ok := e.run(cp)
+		if ok != (e.decodeErr == nil) {
+			t.Fatalf("%s: %s ok=%v, decoder error %v (frame %.40x)", name, e.name, ok, e.decodeErr, data)
+		}
+		if !ok && !bytes.Equal(cp, data) {
+			t.Fatalf("%s: declined %s mutated the buffer: %.40x -> %.40x", name, e.name, data, cp)
 		}
 	}
-	orig := append([]byte(nil), buf...)
-	if out, ok := AppendHistoryEntry(buf, "boundary", Rating{Rating: 1, TS: 1, Session: 1}); ok {
-		// Count widths 1→2 may be supported; if so the result must decode.
-		if n, _ := HistoryLen(out); n != 128 {
-			t.Fatalf("append across boundary: len=%d", n)
-		}
-	} else if !bytes.Equal(buf, orig) {
-		t.Fatal("declined append mutated the buffer")
-	}
+}
 
-	// Two-byte counts (128..16383) must keep working in place.
-	h := History{}
-	for i := 0; i < 200; i++ {
-		h[benchItemID(i)] = Rating{Rating: 1, TS: int64(i), Session: 1}
+// TestEditsDeclineExactlyWhatTheDecoderRejects: ok=false ⇔ malformed,
+// over truncations at every length, trailing garbage, wrong tag, type and
+// version, a count the payload cannot hold, an id length that overflows,
+// and a count stored wider than it needs to be (well-formed).
+func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
+	hist := EncodeHistory(nil)
+	for i := 0; i < 3; i++ {
+		hist, _ = AppendHistoryEntry(hist, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
 	}
-	big := EncodeHistory(h)
-	out, ok := UpsertHistoryEntry(big, benchItemID(42), Rating{Rating: 2, TS: 999, Session: 3})
-	if !ok {
-		t.Fatal("in-width upsert on 200-entry history declined")
+	list := EncodeList(List{{Item: "x", Score: 2}, {Item: strings.Repeat("y", 241), Score: 1}})
+	for _, frame := range [][]byte{hist, list} {
+		for cut := 0; cut <= len(frame); cut++ {
+			editsAgreeWithDecoder(t, "truncated", frame[:cut])
+		}
+		editsAgreeWithDecoder(t, "trailing garbage", append(append([]byte(nil), frame...), 0))
+		editsAgreeWithDecoder(t, "trailing entry-like garbage", append(append([]byte(nil), frame...), frame[4:]...))
+		for at := 0; at < 3; at++ {
+			bad := append([]byte(nil), frame...)
+			bad[at] ^= 0x10
+			editsAgreeWithDecoder(t, "header byte flipped", bad)
+		}
 	}
-	got, err := DecodeHistory(out)
-	if err != nil {
-		t.Fatal(err)
+	for _, typ := range []byte{typeHistory, typeList} {
+		editsAgreeWithDecoder(t, "count beyond payload", []byte{tagBinary, typ, version, 127})
+		editsAgreeWithDecoder(t, "ten-byte count", append([]byte{tagBinary, typ, version}, bytes.Repeat([]byte{0xff}, 9)...))
+		// One entry whose id length is 2^64-10: adding the fixed tail to it
+		// wraps around.
+		over := append([]byte{tagBinary, typ, version, 1}, 0xf6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+		editsAgreeWithDecoder(t, "id length overflows", append(over, make([]byte, 40)...))
+		editsAgreeWithDecoder(t, "wide zero count", []byte{tagBinary, typ, version, 0x80, 0x00})
 	}
-	if got[benchItemID(42)] != (Rating{Rating: 2, TS: 999, Session: 3}) {
-		t.Fatalf("upsert lost: %v", got[benchItemID(42)])
-	}
-	if len(got) != 200 {
-		t.Fatalf("len=%d want 200", len(got))
+	editsAgreeWithDecoder(t, "json", []byte(`{"a":{"r":1}}`))
+	editsAgreeWithDecoder(t, "json list", []byte(`[]`))
+	editsAgreeWithDecoder(t, "nil", nil)
+
+	// The wide zero count is a frame like any other: an append narrows it.
+	out, ok := UpsertHistoryEntry([]byte{tagBinary, typeHistory, version, 0x80, 0x00}, "a", Rating{Rating: 1})
+	if h, err := DecodeHistory(out); !ok || err != nil || len(h) != 1 {
+		t.Fatalf("upsert into a wide-count frame = (%x, %v), decode (%v, %v)", out, ok, h, err)
 	}
 }
 
@@ -284,10 +422,7 @@ func TestMergeListEntryZeroAlloc(t *testing.T) {
 }
 
 func TestUpsertHistoryEntryZeroAlloc(t *testing.T) {
-	buf := EncodeHistory(nil)
-	for i := 0; i < 30; i++ {
-		buf, _ = AppendHistoryEntry(buf, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
-	}
+	buf := benchHistoryBuf(30)
 	r := Rating{Rating: 2, TS: 77, Session: 2}
 	allocs := testing.AllocsPerRun(200, func() {
 		out, ok := UpsertHistoryEntry(buf, benchItemID(11), r)
@@ -302,10 +437,7 @@ func TestUpsertHistoryEntryZeroAlloc(t *testing.T) {
 }
 
 func TestFindIterZeroAlloc(t *testing.T) {
-	buf := EncodeHistory(nil)
-	for i := 0; i < 30; i++ {
-		buf, _ = AppendHistoryEntry(buf, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
-	}
+	buf := benchHistoryBuf(30)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, found, ok := FindHistoryEntry(buf, benchItemID(29)); !ok || !found {
 			t.Fatal("find failed")
@@ -332,18 +464,44 @@ func benchHistoryBuf(n int) []byte {
 	return buf
 }
 
+// BenchmarkHistoryUpsertDelta is under scripts/check.sh's zero-alloc
+// gate. "boundary" sits on the 127/128 count-width boundary: every
+// iteration appends a 128th entry (the payload shifts right by a byte)
+// and evicts it again (it shifts back).
 func BenchmarkHistoryUpsertDelta(b *testing.B) {
-	buf := benchHistoryBuf(100)
-	r := Rating{Rating: 2, TS: 5, Session: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, ok := UpsertHistoryEntry(buf, benchItemID(50), r)
-		if !ok {
-			b.Fatal("declined")
+	b.Run("patch", func(b *testing.B) {
+		buf := benchHistoryBuf(100)
+		r := Rating{Rating: 2, TS: 5, Session: 2}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, ok := UpsertHistoryEntry(buf, benchItemID(50), r)
+			if !ok {
+				b.Fatal("declined")
+			}
+			buf = out
 		}
-		buf = out
-	}
+	})
+	b.Run("boundary", func(b *testing.B) {
+		buf := benchHistoryBuf(127)
+		buf = append(buf, make([]byte, 64)...)[:len(buf)] // room for the 128th entry
+		r := Rating{Rating: 2, TS: -1, Session: 2}        // older than every other entry
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, ok := UpsertHistoryEntry(buf, "the 128th", r)
+			if ok {
+				out, ok = EvictOldestHistoryEntry(out, "")
+			}
+			if !ok {
+				b.Fatal("declined")
+			}
+			buf = out
+		}
+		if n, _ := HistoryLen(buf); n != 127 {
+			b.Fatalf("%d entries after the last evict, want 127", n)
+		}
+	})
 }
 
 func BenchmarkHistoryUpsertFull(b *testing.B) {

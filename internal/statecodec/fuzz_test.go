@@ -3,13 +3,16 @@ package statecodec
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
-// The fuzz targets pin two properties of the codecs on arbitrary input:
-// no decoder or delta helper may panic, and a delta helper that reports
-// ok must leave the buffer decodable with the edit applied. Seeds cover
-// the binary frames, legacy JSON, and truncations of both.
+// The fuzz targets pin three properties of the codecs on arbitrary input:
+// no decoder or edit may panic, an edit reports ok exactly when the
+// decoder accepts the same bytes, and an edit that reports ok leaves the
+// buffer decodable with the edit applied. Seeds cover the binary frames on
+// both sides of every count-width boundary, long ids, non-binary bytes,
+// truncations and trailing garbage.
 
 func fuzzSeeds(f *testing.F) {
 	f.Add([]byte(nil))
@@ -32,6 +35,9 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{tagBinary, 'L', 1, 127})
 	// Two-byte count frame.
 	f.Add([]byte{tagBinary, 'H', 1, 0x80, 0x01})
+	// Trailing garbage after a whole frame.
+	f.Add(append(append([]byte(nil), hb...), 0))
+	f.Add(append(append([]byte(nil), lb...), lb[4:]...))
 }
 
 func FuzzDecodeHistory(f *testing.F) {
@@ -92,6 +98,11 @@ func FuzzDecodeProfile(f *testing.F) {
 
 func FuzzHistoryDelta(f *testing.F) {
 	fuzzSeeds(f)
+	// Counts on both sides of each uvarint width boundary: the target's
+	// upsert takes them 0→1, 127→128 and 16383→16384, its evict 128→127.
+	for _, n := range []int{0, 127, 128, 16383} {
+		f.Add(EncodeHistory(benchHistory(n)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every read-side helper must tolerate arbitrary bytes.
 		FindHistoryEntry(data, "probe")
@@ -105,11 +116,17 @@ func FuzzHistoryDelta(f *testing.F) {
 			it.Corrupt()
 		}
 
-		// Write-side helpers: work on a copy (they mutate in place), and
-		// whatever they accept must decode with the edit applied.
+		// Write-side helpers: work on a copy (they mutate in place). They
+		// accept exactly what the decoder accepts, and what they accept must
+		// decode with the edit applied.
+		_, decErr := DecodeHistory(data)
 		r := Rating{Rating: 2.5, TS: 42, Session: 7}
 		cp := append([]byte(nil), data...)
-		if out, ok := UpsertHistoryEntry(cp, "probe", r); ok {
+		out, ok := UpsertHistoryEntry(cp, "probe", r)
+		if ok != (decErr == nil) {
+			t.Fatalf("upsert ok=%v but decoder error %v (in=%x)", ok, decErr, data)
+		}
+		if ok {
 			h, err := DecodeHistory(out)
 			if err != nil {
 				t.Fatalf("upsert produced undecodable frame: %v (in=%x out=%x)", err, data, out)
@@ -122,7 +139,11 @@ func FuzzHistoryDelta(f *testing.F) {
 		}
 
 		cp = append([]byte(nil), data...)
-		if out, ok := EvictOldestHistoryEntry(cp, "keep"); ok {
+		out, ok = EvictOldestHistoryEntry(cp, "keep")
+		if ok != (decErr == nil) {
+			t.Fatalf("evict ok=%v but decoder error %v (in=%x)", ok, decErr, data)
+		}
+		if ok {
 			if _, err := DecodeHistory(out); err != nil {
 				t.Fatalf("evict produced undecodable frame: %v (in=%x out=%x)", err, data, out)
 			}
@@ -132,37 +153,69 @@ func FuzzHistoryDelta(f *testing.F) {
 	})
 }
 
+// descending reports whether every score is at least its successor's
+// (false for any list holding a NaN).
+func descending(l List) bool {
+	for i := 1; i < len(l); i++ {
+		if !(l[i-1].Score >= l[i].Score) {
+			return false
+		}
+	}
+	return len(l) != 1 || l[0].Score == l[0].Score
+}
+
 func FuzzListDelta(f *testing.F) {
 	lb := EncodeList(List{{Item: "x", Score: 2}, {Item: "yy", Score: 1}})
-	f.Add(lb, 1.5, 5)
-	f.Add(lb, 0.0, 2)
-	f.Add(lb[:len(lb)-3], 3.0, 1)
-	f.Add([]byte(`[]`), 1.0, 3)
-	f.Add([]byte{tagBinary, 'L', 1, 127}, 2.0, 0)
-	f.Fuzz(func(t *testing.T, data []byte, score float64, k int) {
+	f.Add(lb, "probe", 1.5, 5)
+	f.Add(lb, "x", 0.0, 2)
+	f.Add(lb[:len(lb)-3], "probe", 3.0, 1)
+	f.Add(append(append([]byte(nil), lb...), 7), "probe", 3.0, 1)
+	f.Add([]byte(`[]`), "probe", 1.0, 3)
+	f.Add([]byte{tagBinary, 'L', 1, 127}, "probe", 2.0, 0)
+	// Lists one short of, at and past the one-byte count, at the k that
+	// fills them; ids whose length prefix takes two bytes.
+	for _, k := range []int{5, 127, 128, 300} {
+		f.Add(benchListBuf(k-1), "probe", 1000.5, k)
+		f.Add(benchListBuf(k), benchItemID(k/2), 0.0, k)
+	}
+	f.Add(lb, strings.Repeat("i", 241), 1.5, 5)
+	f.Add(lb, strings.Repeat("j", 1000), 2.5, 5)
+	f.Fuzz(func(t *testing.T, data []byte, item string, score float64, k int) {
 		if k < -1 {
 			k = -1
 		}
-		if k > 200 {
-			k %= 200
+		if k > 400 {
+			k %= 400
 		}
+		l, decErr := DecodeList(data)
 		cp := append([]byte(nil), data...)
-		out, _, ok := MergeListEntry(cp, "probe", score, k)
+		out, _, ok := MergeListEntry(cp, item, score, k)
+		if ok != (decErr == nil) {
+			t.Fatalf("merge ok=%v but decoder error %v (in=%x)", ok, decErr, data)
+		}
 		if !ok {
 			if !bytes.Equal(cp, data) {
 				t.Fatalf("declined merge mutated buffer: %x -> %x", data, cp)
 			}
 			return
 		}
-		l, err := DecodeList(out)
+		got, err := DecodeList(out)
 		if err != nil {
 			t.Fatalf("merge produced undecodable frame: %v (in=%x out=%x)", err, data, out)
 		}
-		// A positive-score merge bounds the list at k. (Descending order
-		// is only guaranteed for ordered input — the equivalence test
-		// covers it; a fuzzed frame may be valid but unordered.)
-		if k >= 0 && len(l) > k && score > 0 {
-			t.Fatalf("merge exceeded k=%d: %d entries", k, len(l))
+		// A positive-score merge bounds the list at k.
+		if len(got) > max(k, 0) && score > 0 {
+			t.Fatalf("merge exceeded k=%d: %d entries", k, len(got))
+		}
+		// On a descending list — what every writer maintains — the bytes
+		// are the reference's. (A fuzzed frame may be valid but unordered;
+		// there only the bound above is promised.)
+		if descending(l) {
+			want, _ := refMergeList(l, item, score, max(k, 0))
+			if !bytes.Equal(out, EncodeList(want)) {
+				t.Fatalf("merge diverges from the reference (in=%x item=%q score=%v k=%d)\n got %x\nwant %x",
+					data, item, score, k, out, EncodeList(want))
+			}
 		}
 	})
 }

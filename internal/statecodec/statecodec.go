@@ -5,21 +5,21 @@
 // The paper's status store moves billions of values per day (§5), so the
 // wire format matters: JSON encoding of a history or a similar-items
 // list costs an order of magnitude more CPU than a length-prefixed
-// binary layout. This package owns a versioned binary format and keeps a
-// legacy JSON decode path so values written by earlier releases still
-// read back during rollover.
+// binary layout. This package owns that versioned binary format: the
+// Encode/Decode pairs for whole values (delta.go holds the edits that
+// patch one entry of an encoded value in place).
 //
 // Binary layout. Every binary value starts with a three-byte header:
 //
-//	[0] tagBinary (0x01) — distinguishes binary from legacy JSON, whose
-//	    first byte is always '{', '[', whitespace or 'n' (null);
+//	[0] tagBinary (0x01);
 //	[1] a type byte ('H' history, 'L' list, 'P' profile) guarding
 //	    against decoding a value under the wrong key prefix;
 //	[2] a format version, currently 1.
 //
 // The payload uses uvarint-prefixed strings, uvarint counts and 8-byte
-// little-endian IEEE-754 floats. Unknown versions and malformed payloads
-// decode to wrapped errors, never panics.
+// little-endian IEEE-754 floats, and the entries fill the value exactly.
+// Anything else — other bytes, unknown versions, truncated or over-long
+// payloads — decodes to a wrapped error, never a panic.
 //
 // Float scalars are the exception: they keep the historical raw 8-byte
 // little-endian layout (no header) because windowed counters and
@@ -29,7 +29,6 @@ package statecodec
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -37,8 +36,6 @@ import (
 )
 
 // tagBinary is the first byte of every header-carrying binary value.
-// JSON values never start with it, which is what makes the legacy
-// fallback unambiguous.
 const tagBinary = 0x01
 
 // Type bytes, one per stored status-data shape.
@@ -71,9 +68,9 @@ func DecodeFloat(b []byte) (float64, error) {
 
 // Rating is one entry in a stored user behavior history.
 type Rating struct {
-	Rating  float64 `json:"r"`
-	TS      int64   `json:"t"`
-	Session int64   `json:"s"`
+	Rating  float64
+	TS      int64
+	Session int64
 }
 
 // History is the stored form of a user's behavior history: item id to
@@ -86,9 +83,9 @@ type List []core.ScoredItem
 
 // Profile is a stored CB interest or item content profile.
 type Profile struct {
-	Weights   map[string]float64 `json:"w"`
-	UpdatedTS int64              `json:"u,omitempty"`
-	Published int64              `json:"p,omitempty"`
+	Weights   map[string]float64
+	UpdatedTS int64
+	Published int64
 }
 
 // header emits the three-byte binary header.
@@ -101,6 +98,9 @@ func checkHeader(b []byte, typ byte, what string) ([]byte, error) {
 	if len(b) < 3 {
 		return nil, fmt.Errorf("statecodec: %s value truncated (%d bytes)", what, len(b))
 	}
+	if b[0] != tagBinary {
+		return nil, fmt.Errorf("statecodec: %s value is not a binary frame (first byte %#x)", what, b[0])
+	}
 	if b[1] != typ {
 		return nil, fmt.Errorf("statecodec: %s value has type byte %q, want %q", what, b[1], typ)
 	}
@@ -110,10 +110,13 @@ func checkHeader(b []byte, typ byte, what string) ([]byte, error) {
 	return b[3:], nil
 }
 
-// isBinary reports whether b carries the binary header tag. Legacy JSON
-// values (and raw floats) never start with 0x01.
-func isBinary(b []byte) bool {
-	return len(b) > 0 && b[0] == tagBinary
+// checkEnd rejects bytes after the last entry: a well-formed value is
+// filled by its entries exactly.
+func checkEnd(rest []byte, what string) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("statecodec: %s value has %d bytes after its last entry", what, len(rest))
+	}
+	return nil
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -170,16 +173,8 @@ func EncodeHistory(h History) []byte {
 	return buf
 }
 
-// DecodeHistory parses a stored history, accepting both the binary
-// format and legacy JSON.
+// DecodeHistory parses a stored history.
 func DecodeHistory(b []byte) (History, error) {
-	if !isBinary(b) {
-		h := make(History)
-		if err := json.Unmarshal(b, &h); err != nil {
-			return nil, fmt.Errorf("statecodec: bad legacy history: %w", err)
-		}
-		return h, nil
-	}
 	rest, err := checkHeader(b, typeHistory, "history")
 	if err != nil {
 		return nil, err
@@ -206,7 +201,7 @@ func DecodeHistory(b []byte) (History, error) {
 		}
 		h[item] = r
 	}
-	return h, nil
+	return h, checkEnd(rest, "history")
 }
 
 // EncodeList serializes a scored-item list in binary form.
@@ -220,16 +215,8 @@ func EncodeList(l List) []byte {
 	return buf
 }
 
-// DecodeList parses a stored scored list, accepting both the binary
-// format and legacy JSON.
+// DecodeList parses a stored scored list.
 func DecodeList(b []byte) (List, error) {
-	if !isBinary(b) {
-		var l List
-		if err := json.Unmarshal(b, &l); err != nil {
-			return nil, fmt.Errorf("statecodec: bad legacy scored list: %w", err)
-		}
-		return l, nil
-	}
 	rest, err := checkHeader(b, typeList, "list")
 	if err != nil {
 		return nil, err
@@ -249,7 +236,7 @@ func DecodeList(b []byte) (List, error) {
 		}
 		l = append(l, sc)
 	}
-	return l, nil
+	return l, checkEnd(rest, "list")
 }
 
 // EncodeProfile serializes a term-weight profile in binary form.
@@ -265,16 +252,8 @@ func EncodeProfile(p Profile) []byte {
 	return buf
 }
 
-// DecodeProfile parses a stored profile, accepting both the binary
-// format and legacy JSON.
+// DecodeProfile parses a stored profile.
 func DecodeProfile(b []byte) (Profile, error) {
-	if !isBinary(b) {
-		var p Profile
-		if err := json.Unmarshal(b, &p); err != nil {
-			return Profile{}, fmt.Errorf("statecodec: bad legacy profile: %w", err)
-		}
-		return p, nil
-	}
 	rest, err := checkHeader(b, typeProfile, "profile")
 	if err != nil {
 		return Profile{}, err
@@ -302,5 +281,5 @@ func DecodeProfile(b []byte) (Profile, error) {
 		}
 		p.Weights[term] = w
 	}
-	return p, nil
+	return p, checkEnd(rest, "profile")
 }

@@ -1,7 +1,6 @@
 package statecodec
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -62,21 +61,6 @@ func TestHistoryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHistoryLegacyJSONDecode(t *testing.T) {
-	h := History{
-		"item-a": {Rating: 0.75, TS: 123456789, Session: 42},
-		"":       {Rating: 1},
-	}
-	raw, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHistory(raw)
-	if err != nil || !reflect.DeepEqual(got, h) {
-		t.Fatalf("legacy decode = %+v, %v", got, err)
-	}
-}
-
 func TestListRoundTrip(t *testing.T) {
 	f := func(items []string, scores []float64) bool {
 		l := make(List, 0, len(items))
@@ -101,18 +85,6 @@ func TestListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestListLegacyJSONDecode(t *testing.T) {
-	l := List{{Item: "x", Score: 0.9}, {Item: "y", Score: 0.1}}
-	raw, err := json.Marshal(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeList(raw)
-	if err != nil || !reflect.DeepEqual(got, l) {
-		t.Fatalf("legacy decode = %+v, %v", got, err)
-	}
-}
-
 func TestProfileRoundTrip(t *testing.T) {
 	f := func(terms []string, weights []float64, updated, published int64) bool {
 		p := Profile{Weights: make(map[string]float64), UpdatedTS: updated, Published: published}
@@ -128,18 +100,6 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestProfileLegacyJSONDecode(t *testing.T) {
-	p := Profile{Weights: map[string]float64{"term": 0.3}, UpdatedTS: 99, Published: 7}
-	raw, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeProfile(raw)
-	if err != nil || !reflect.DeepEqual(got, p) {
-		t.Fatalf("legacy decode = %+v, %v", got, err)
 	}
 }
 
@@ -202,7 +162,7 @@ func TestCorruptInputsNeverPanic(t *testing.T) {
 	}
 }
 
-// --- BenchmarkStateCodec: binary vs. the legacy JSON path -----------------
+// --- BenchmarkStateCodec: whole-value encode + decode ----------------------
 
 func benchHistory(n int) History {
 	h := make(History, n)
@@ -235,28 +195,10 @@ func BenchmarkStateCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("history-json", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			raw, _ := json.Marshal(hist)
-			h := make(History)
-			if err := json.Unmarshal(raw, &h); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("list-binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			raw := EncodeList(list)
 			if _, err := DecodeList(raw); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("list-json", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			raw, _ := json.Marshal(list)
-			var l List
-			if err := json.Unmarshal(raw, &l); err != nil {
 				b.Fatal(err)
 			}
 		}

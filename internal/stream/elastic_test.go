@@ -422,8 +422,7 @@ func TestQueueDepthKnobValidation(t *testing.T) {
 
 // BenchmarkBurstOverflow measures the burst path end to end: a spike of
 // b.N tuples through a shallow queue into a slow-ish sink with the disk
-// ring enabled. Tracked in BENCH_PR6.json next to the steady-state
-// pipeline numbers.
+// ring enabled.
 func BenchmarkBurstOverflow(b *testing.B) {
 	var executed int64
 	sp := &burstSpout{n: b.N, doneAt: &atomic.Int64{}}

@@ -954,10 +954,12 @@ func (rt *runtime) runTicker(decl *boltDecl) {
 	}
 }
 
-// flushTicks sends one final tick to each ticked bolt in topological order
-// and waits for quiescence after each component, so that combiner bolts
-// flush buffered aggregates downstream before shutdown.
-func (rt *runtime) flushTicks() {
+// flushTicks sends one tick to each ticked bolt in topological order and
+// waits for quiescence after each component, so a combiner's flush
+// cascades through the combiners downstream before theirs fires. final
+// marks the tick as the shutdown flush (Tuple.IsFinalTick); without it
+// the bolts take it for a regular interval tick and keep running.
+func (rt *runtime) flushTicks(final bool) {
 	byName := make(map[string]*boltDecl, len(rt.topo.bolts))
 	for _, b := range rt.topo.bolts {
 		byName[b.name] = b
@@ -967,7 +969,11 @@ func (rt *runtime) flushTicks() {
 		if decl.tick <= 0 {
 			continue
 		}
-		batch := []*Tuple{{Component: name, Stream: TickStream, Values: Values{"final"}}}
+		tick := &Tuple{Component: name, Stream: TickStream}
+		if final {
+			tick.Values = Values{"final"}
+		}
+		batch := []*Tuple{tick}
 		for _, tk := range rt.taskList(name) {
 			rt.pending.Add(1)
 			tk.in <- batch
@@ -1063,7 +1069,7 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 		rt.rebalanceMu.Lock()
 		rt.closed = true
 		rt.rebalanceMu.Unlock()
-		rt.flushTicks() // cascade final combiner flushes
+		rt.flushTicks(true) // cascade final combiner flushes
 		for _, name := range t.Components() {
 			ct := rt.comps[name]
 			if !ct.isSpout {
@@ -1144,25 +1150,9 @@ func (h *RunningTopology) Quiesce(fn func() error) error {
 		time.Sleep(50 * time.Microsecond)
 	}
 	rt.waitQuiescent()
-	// Push buffered combiner aggregates downstream with regular ticks (no
-	// "final" marker — the bolts keep running), in topological order so a
-	// flush cascades through downstream combiners before theirs fires.
-	byName := make(map[string]*boltDecl, len(rt.topo.bolts))
-	for _, b := range rt.topo.bolts {
-		byName[b.name] = b
-	}
-	for _, name := range rt.topo.order {
-		decl := byName[name]
-		if decl == nil || decl.tick <= 0 {
-			continue
-		}
-		batch := []*Tuple{{Component: name, Stream: TickStream}}
-		for _, tk := range rt.taskList(name) {
-			rt.pending.Add(1)
-			tk.in <- batch
-		}
-		rt.waitQuiescent()
-	}
+	// Push buffered combiner aggregates downstream with regular ticks: the
+	// bolts keep running.
+	rt.flushTicks(false)
 	return fn()
 }
 

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -209,11 +208,12 @@ func (b *PretreatmentBolt) DeclareOutputFields() map[string]stream.Fields {
 // downstream — item deltas by item id, pair deltas by pair key, and
 // demographic deltas by group id (the multi-hash of §5.4).
 type UserHistoryBolt struct {
-	p  Params
-	c  stream.Collector
-	st *taskState
-	// keys interns the uh: state keys and downstream pair ids, so the
-	// per-action fast path builds no key strings.
+	p     Params
+	store State
+	c     stream.Collector
+	st    *taskState
+	// keys interns the uh: state keys and downstream pair ids, so an
+	// action builds no key strings.
 	keys *interner
 	// vals chunk-allocates emission payloads; sessVal/weightVal memoize
 	// the interface boxings of the slow-moving session and the small
@@ -240,19 +240,15 @@ type pendingEmit struct {
 // NewUserHistoryBolt returns the bolt factory over the shared store.
 func NewUserHistoryBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &UserHistoryBolt{p: p} }
+	return func() stream.Bolt { return &UserHistoryBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt. The taskState (and its cache) is
 // rebuilt from the durable store on every (re)start — the §3.3 recovery
 // story.
-func (b *UserHistoryBolt) Prepare(ctx stream.TopologyContext, c stream.Collector) error {
+func (b *UserHistoryBolt) Prepare(_ stream.TopologyContext, c stream.Collector) error {
 	b.c = c
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	b.weightVal = make(map[float64]any, 8)
 	return nil
@@ -287,7 +283,12 @@ func (b *UserHistoryBolt) effective(r storedRating, session int64) float64 {
 	return r.Rating
 }
 
-// Execute implements stream.Bolt.
+// Execute implements stream.Bolt: Algorithm 1's rating, co-rating and
+// history steps against the encoded frame. The rating lookup, co-rating
+// scan and upsert all work on the stored bytes through the statecodec
+// edits — no map is materialized and nothing is re-encoded. The lookup
+// validates the whole frame before the first emission is buffered or the
+// first byte changes.
 func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return nil
@@ -310,85 +311,9 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	if !ok {
 		raw = statecodec.EncodeHistory(nil)
 	}
-	// Fast path: patch the encoded history in place and derive the deltas
-	// by iterating the frame — no map materialization, no re-encode.
-	if handled, err := b.executeFast(ukey, raw, user, item, weight, ts, session); handled {
-		return err
-	}
-	// Slow path: legacy JSON values, corrupt frames, and edits that would
-	// change the count's uvarint width (at most once per key per
-	// boundary crossing) take the full decode → mutate → re-encode pair.
-	hist, err := decodeHistory(raw)
-	if err != nil {
-		return err
-	}
-
-	prev, had := hist[item]
-	oldR := 0.0
-	if had {
-		oldR = b.effective(prev, session)
-	}
-	newR := math.Max(oldR, weight)
-	if d := newR - oldR; d > 0 {
-		b.emit(StreamItemDelta, stream.Values{item, d, session})
-	}
-
-	// AR transaction bookkeeping uses the pre-update timestamps.
-	newTouch := !had || (b.p.LinkedTime > 0 && ts-prev.TS > int64(b.p.LinkedTime))
-	if b.p.EnableAR && newTouch {
-		b.emit(StreamARItem, stream.Values{item, session})
-	}
-
-	for j, rj := range hist {
-		if j == item {
-			continue
-		}
-		if b.p.LinkedTime > 0 && ts-rj.TS > int64(b.p.LinkedTime) {
-			continue
-		}
-		rJ := b.effective(rj, session)
-		if rJ <= 0 {
-			continue
-		}
-		deltaCo := math.Min(newR, rJ) - math.Min(oldR, rJ)
-		b.emit(StreamPairDelta, stream.Values{pairID(item, j), deltaCo, session})
-		if b.p.EnableAR && newTouch {
-			b.emit(StreamARPair, stream.Values{pairID(item, j), session})
-		}
-	}
-
-	// Demographic popularity deltas, re-hashed by group id (§5.4). The
-	// global group always accumulates too: it backs recommendations for
-	// users with no profile (§6.4).
-	group := b.p.groupOf(user)
-	b.emit(StreamGroupDelta, stream.Values{group, item, weight, session})
-	if group != demographic.GlobalGroup {
-		b.emit(StreamGroupDelta, stream.Values{demographic.GlobalGroup, item, weight, session})
-	}
-
-	hist[item] = storedRating{Rating: newR, TS: ts, Session: session}
-	b.evict(hist, item)
-	if err := b.st.Put(ukey, encodeHistory(hist)); err != nil {
-		b.emits = b.emits[:0]
-		return err
-	}
-	for _, e := range b.emits {
-		b.c.EmitTo(e.stream, e.values)
-	}
-	b.emits = b.emits[:0]
-	return nil
-}
-
-// executeFast is Execute against the encoded frame: the rating lookup,
-// co-rating scan and history upsert all operate on the stored bytes via
-// the statecodec delta paths. handled=false (nothing emitted, raw
-// unmodified) sends the caller to the decode path. All validation scans
-// run before the first mutation, so a fallback never sees a
-// half-patched frame.
-func (b *UserHistoryBolt) executeFast(ukey string, raw []byte, user, item string, weight float64, ts, session int64) (handled bool, err error) {
 	prev, had, ok := statecodec.FindHistoryEntry(raw, item)
 	if !ok {
-		return false, nil
+		return errBadFrame(ukey, raw)
 	}
 	oldR := 0.0
 	if had {
@@ -403,6 +328,7 @@ func (b *UserHistoryBolt) executeFast(ukey string, raw []byte, user, item string
 	if d := newR - oldR; d > 0 {
 		b.emit(StreamItemDelta, b.vals.v3(itemVal, d, sessVal))
 	}
+	// AR transaction bookkeeping uses the pre-update timestamps.
 	newTouch := !had || (b.p.LinkedTime > 0 && ts-prev.TS > int64(b.p.LinkedTime))
 	if b.p.EnableAR && newTouch {
 		b.emit(StreamARItem, b.vals.v2(itemVal, sessVal))
@@ -431,11 +357,10 @@ func (b *UserHistoryBolt) executeFast(ukey string, raw []byte, user, item string
 			b.emit(StreamARPair, b.vals.v2(pid, sessVal))
 		}
 	}
-	if it.Corrupt() {
-		b.emits = b.emits[:0]
-		return false, nil
-	}
 
+	// Demographic popularity deltas, re-hashed by group id (§5.4). The
+	// global group always accumulates too: it backs recommendations for
+	// users with no profile (§6.4).
 	group := b.p.groupOf(user)
 	weightVal := b.weight(weight)
 	b.emit(StreamGroupDelta, b.vals.v4(b.keys.box(group), itemVal, weightVal, sessVal))
@@ -443,51 +368,24 @@ func (b *UserHistoryBolt) executeFast(ukey string, raw []byte, user, item string
 		b.emit(StreamGroupDelta, b.vals.v4(b.keys.box(demographic.GlobalGroup), itemVal, weightVal, sessVal))
 	}
 
-	out, ok := statecodec.UpsertHistoryEntry(raw, item, storedRating{Rating: newR, TS: ts, Session: session})
-	if !ok {
-		// Count-width boundary: nothing was mutated; retract the
-		// buffered emissions and re-derive on the decode path.
-		b.emits = b.emits[:0]
-		return false, nil
-	}
+	// The frame was validated above, so the edits cannot decline.
+	out, _ := statecodec.UpsertHistoryEntry(raw, item, storedRating{Rating: newR, TS: ts, Session: session})
 	if n, _ := statecodec.HistoryLen(out); n > b.p.MaxUserHistory {
-		// Best-effort, mirroring evict: a width-boundary failure just
-		// leaves the history long until a later boundary-free eviction.
 		out, _ = statecodec.EvictOldestHistoryEntry(out, item)
 	}
-	if err := b.st.Put(ukey, out); err != nil {
-		b.emits = b.emits[:0]
-		return true, err
-	}
-	for _, e := range b.emits {
-		b.c.EmitTo(e.stream, e.values)
+	err = b.st.Put(ukey, out)
+	if err == nil {
+		for _, e := range b.emits {
+			b.c.EmitTo(e.stream, e.values)
+		}
 	}
 	b.emits = b.emits[:0]
-	return true, nil
+	return err
 }
 
 // emit buffers an emission until the history write succeeds.
 func (b *UserHistoryBolt) emit(sid string, values stream.Values) {
 	b.emits = append(b.emits, pendingEmit{stream: sid, values: values})
-}
-
-func (b *UserHistoryBolt) evict(hist storedHistory, keep string) {
-	if len(hist) <= b.p.MaxUserHistory {
-		return
-	}
-	oldest := ""
-	var oldestTS int64
-	for item, r := range hist {
-		if item == keep {
-			continue
-		}
-		if oldest == "" || r.TS < oldestTS {
-			oldest, oldestTS = item, r.TS
-		}
-	}
-	if oldest != "" {
-		delete(hist, oldest)
-	}
 }
 
 // Cleanup implements stream.Bolt.
@@ -507,10 +405,11 @@ func (b *UserHistoryBolt) DeclareOutputFields() map[string]stream.Fields {
 // ItemCountBolt maintains the windowed itemCounts of Eq. 6: grouped by
 // item id, buffered through a combiner, flushed to TDStore on ticks.
 type ItemCountBolt struct {
-	p    Params
-	st   *taskState
-	comb *combiner.Combiner
-	keys *interner
+	p     Params
+	store State
+	st    *taskState
+	comb  *combiner.Combiner
+	keys  *interner
 	// deltas/keyBuf are flush scratch, reused across ticks.
 	deltas []flushedDelta
 	keyBuf []string
@@ -519,16 +418,12 @@ type ItemCountBolt struct {
 // NewItemCountBolt returns the bolt factory.
 func NewItemCountBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &ItemCountBolt{p: p} }
+	return func() stream.Bolt { return &ItemCountBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *ItemCountBolt) Prepare(ctx stream.TopologyContext, _ stream.Collector) error {
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+func (b *ItemCountBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	if !b.p.DisableCombiner {
 		b.comb = combiner.New(combiner.Sum)
@@ -597,11 +492,12 @@ func (b *ItemCountBolt) Cleanup() {}
 // node should operate over a specific item pair at some point. Therefore,
 // the calculation can be safely scaled" (§4.1.3).
 type PairCountBolt struct {
-	p    Params
-	c    stream.Collector
-	st   *taskState
-	comb *combiner.Combiner
-	nCom *combiner.Combiner
+	p     Params
+	store State
+	c     stream.Collector
+	st    *taskState
+	comb  *combiner.Combiner
+	nCom  *combiner.Combiner
 	// pruned caches Algorithm 1's Li membership for this task's pairs;
 	// it reloads lazily from the durable pl: flags after a restart.
 	pruned  map[string]bool
@@ -631,17 +527,13 @@ type PairCountBolt struct {
 // NewPairCountBolt returns the bolt factory.
 func NewPairCountBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &PairCountBolt{p: p} }
+	return func() stream.Bolt { return &PairCountBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *PairCountBolt) Prepare(ctx stream.TopologyContext, c stream.Collector) error {
+func (b *PairCountBolt) Prepare(_ stream.TopologyContext, c stream.Collector) error {
 	b.c = c
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	if !b.p.DisableCombiner {
 		b.comb = combiner.New(combiner.Sum)
 		b.nCom = combiner.New(combiner.Sum)
@@ -839,11 +731,11 @@ func (b *PairCountBolt) apply(sb *stateBatch, pair string, session int64, delta,
 		return err
 	}
 	itemA, itemB := splitPair(pair)
-	icA, err := sb.readCounterSum(b.keys.key2(prefixItemCount, itemA), b.p.WindowSessions, session)
+	icA, err := sb.readCounterSum(b.keys.key2(prefixItemCount, itemA), session)
 	if err != nil {
 		return err
 	}
-	icB, err := sb.readCounterSum(b.keys.key2(prefixItemCount, itemB), b.p.WindowSessions, session)
+	icB, err := sb.readCounterSum(b.keys.key2(prefixItemCount, itemB), session)
 	if err != nil {
 		return err
 	}
@@ -976,6 +868,7 @@ func (b *FilterBolt) DeclareOutputFields() map[string]stream.Fields {
 // message both still imply "written".
 type ResultStorageBolt struct {
 	p      Params
+	store  State
 	st     *taskState
 	prefix string // list key prefix (similar items or AR rules)
 	keys   *interner
@@ -1011,16 +904,12 @@ type stagedList struct {
 // NewResultStorageBolt returns the bolt factory for similar-items lists.
 func NewResultStorageBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &ResultStorageBolt{p: p, prefix: prefixSimilar} }
+	return func() stream.Bolt { return &ResultStorageBolt{p: p, store: store, prefix: prefixSimilar} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *ResultStorageBolt) Prepare(ctx stream.TopologyContext, _ stream.Collector) error {
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+func (b *ResultStorageBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	b.listsCap = max(b.p.CacheSize, 0)
 	b.lists = make(map[string]*stagedList)
@@ -1057,13 +946,7 @@ func (b *ResultStorageBolt) Execute(t *stream.Tuple) error {
 	}
 	out, thr, ok := statecodec.MergeListEntry(e.frame, other, sim, b.p.TopK)
 	if !ok {
-		// Legacy JSON or oversized frame: full decode → update → encode.
-		list, err := decodeList(e.frame)
-		if err != nil {
-			return err
-		}
-		list, thr = updateStoredList(list, other, sim, b.p.TopK)
-		out = encodeList(list)
+		return errBadFrame(b.keys.key2(b.prefix, item), e.frame)
 	}
 	e.frame, e.thr = out, thr
 	if !e.dirty {

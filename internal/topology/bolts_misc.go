@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 
 	"tencentrec/internal/combiner"
@@ -16,10 +15,11 @@ import (
 // group id (the multi-hash of §5.4: without the regrouping, tasks hashed
 // by user id would issue conflicting writes to the same group counter).
 type DBBolt struct {
-	p    Params
-	st   *taskState
-	comb *combiner.Combiner
-	keys *interner
+	p     Params
+	store State
+	st    *taskState
+	comb  *combiner.Combiner
+	keys  *interner
 	// deltas/ownedBuf are flush scratch, reused across ticks.
 	deltas   []flushedDelta
 	ownedBuf []string
@@ -28,16 +28,12 @@ type DBBolt struct {
 // NewDBBolt returns the bolt factory.
 func NewDBBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &DBBolt{p: p} }
+	return func() stream.Bolt { return &DBBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *DBBolt) Prepare(ctx stream.TopologyContext, _ stream.Collector) error {
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+func (b *DBBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	if !b.p.DisableCombiner {
 		b.comb = combiner.New(combiner.Sum)
@@ -122,15 +118,10 @@ func (b *DBBolt) apply(sb *stateBatch, groupItem string, session int64, weight f
 	if !ok {
 		raw = statecodec.EncodeList(nil)
 	}
-	// Merge into the staged frame in place; legacy values re-encode.
-	out, _, fast := statecodec.MergeListEntry(raw, item, sum, b.p.TopK)
-	if !fast {
-		list, err := decodeList(raw)
-		if err != nil {
-			return err
-		}
-		list, _ = updateStoredList(list, item, sum, b.p.TopK)
-		out = encodeList(list)
+	// Merge into the staged frame in place.
+	out, _, ok := statecodec.MergeListEntry(raw, item, sum, b.p.TopK)
+	if !ok {
+		return errBadFrame(hotKey, raw)
 	}
 	sb.put(hotKey, out)
 	return nil
@@ -146,9 +137,10 @@ func (b *DBBolt) Cleanup() {}
 // supports have settled — the same interval-flush discipline as the
 // counter combiners (§5.3).
 type ARBolt struct {
-	p  Params
-	c  stream.Collector
-	st *taskState
+	p     Params
+	store State
+	c     stream.Collector
+	st    *taskState
 	// dirty maps pair -> latest session of a buffered update.
 	dirty map[string]int64
 	keys  *interner
@@ -160,17 +152,13 @@ type ARBolt struct {
 // NewARBolt returns the bolt factory.
 func NewARBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &ARBolt{p: p} }
+	return func() stream.Bolt { return &ARBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *ARBolt) Prepare(ctx stream.TopologyContext, c stream.Collector) error {
+func (b *ARBolt) Prepare(_ stream.TopologyContext, c stream.Collector) error {
 	b.c = c
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.dirty = make(map[string]int64)
 	b.keys = newInterner(b.p.CacheSize)
 	return nil
@@ -213,16 +201,16 @@ func (b *ARBolt) flush() error {
 	}
 	for _, pair := range pairs {
 		session := b.dirty[pair]
-		supp, err := sb.readCounterSum(b.keys.key2(prefixARPair, pair), b.p.WindowSessions, session)
+		supp, err := sb.readCounterSum(b.keys.key2(prefixARPair, pair), session)
 		if err != nil {
 			return err
 		}
 		a, c2 := splitPair(pair)
-		suppA, err := sb.readCounterSum(b.keys.key2(prefixARItem, a), b.p.WindowSessions, session)
+		suppA, err := sb.readCounterSum(b.keys.key2(prefixARItem, a), session)
 		if err != nil {
 			return err
 		}
-		suppB, err := sb.readCounterSum(b.keys.key2(prefixARItem, c2), b.p.WindowSessions, session)
+		suppB, err := sb.readCounterSum(b.keys.key2(prefixARItem, c2), session)
 		if err != nil {
 			return err
 		}
@@ -250,24 +238,21 @@ func (b *ARBolt) DeclareOutputFields() map[string]stream.Fields {
 
 // ARItemBolt maintains per-item transaction supports for AR.
 type ARItemBolt struct {
-	p    Params
-	st   *taskState
-	keys *interner
+	p     Params
+	store State
+	st    *taskState
+	keys  *interner
 }
 
 // NewARItemBolt returns the bolt factory.
 func NewARItemBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &ARItemBolt{p: p} }
+	return func() stream.Bolt { return &ARItemBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *ARItemBolt) Prepare(ctx stream.TopologyContext, _ stream.Collector) error {
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+func (b *ARItemBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	return nil
 }
@@ -290,29 +275,26 @@ func (b *ARItemBolt) Cleanup() {}
 // confidence), reusing the ResultStorage machinery under the al: prefix.
 func NewARListBolt(store State, p Params) stream.BoltFactory {
 	p2 := p.withDefaults()
-	return func() stream.Bolt { return &ResultStorageBolt{p: p2, prefix: prefixARList} }
+	return func() stream.Bolt { return &ResultStorageBolt{p: p2, store: store, prefix: prefixARList} }
 }
 
 // ItemInfoBolt stores item content profiles for the CB algorithm:
 // grouped by item id, it writes the normalized TF vector of each item.
 type ItemInfoBolt struct {
-	p  Params
-	st *taskState
+	p     Params
+	store State
+	st    *taskState
 }
 
 // NewItemInfoBolt returns the bolt factory.
 func NewItemInfoBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &ItemInfoBolt{p: p} }
+	return func() stream.Bolt { return &ItemInfoBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *ItemInfoBolt) Prepare(ctx stream.TopologyContext, _ stream.Collector) error {
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+func (b *ItemInfoBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	return nil
 }
 
@@ -348,9 +330,10 @@ func (b *ItemInfoBolt) Cleanup() {}
 // id, it folds each action's item vector (from the ItemInfo statistics)
 // into the user's decayed term-weight profile.
 type CBBolt struct {
-	p    Params
-	st   *taskState
-	keys *interner
+	p     Params
+	store State
+	st    *taskState
+	keys  *interner
 	// ownedBuf/foreignBuf are the prefetch argument scratch.
 	ownedBuf   []string
 	foreignBuf []string
@@ -359,16 +342,12 @@ type CBBolt struct {
 // NewCBBolt returns the bolt factory.
 func NewCBBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &CBBolt{p: p} }
+	return func() stream.Bolt { return &CBBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *CBBolt) Prepare(ctx stream.TopologyContext, _ stream.Collector) error {
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+func (b *CBBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	return nil
 }
@@ -441,6 +420,7 @@ func (b *CBBolt) Cleanup() {}
 // After each update it emits the cell's smoothed CTR for ranking.
 type CtrStoreBolt struct {
 	p       Params
+	store   State
 	c       stream.Collector
 	st      *taskState
 	cuboids []ctr.Cuboid
@@ -453,17 +433,13 @@ type CtrStoreBolt struct {
 // NewCtrStoreBolt returns the bolt factory.
 func NewCtrStoreBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &CtrStoreBolt{p: p} }
+	return func() stream.Bolt { return &CtrStoreBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *CtrStoreBolt) Prepare(ctx stream.TopologyContext, c stream.Collector) error {
+func (b *CtrStoreBolt) Prepare(_ stream.TopologyContext, c stream.Collector) error {
 	b.c = c
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	b.cuboids = b.p.CtrCuboids
 	if b.cuboids == nil {
@@ -516,7 +492,7 @@ func (b *CtrStoreBolt) Execute(t *stream.Tuple) error {
 			loopErr = err
 			break
 		}
-		read, err := sb.readCounterSum(b.keys.key2(readPre, cell), b.p.WindowSessions, session)
+		read, err := sb.readCounterSum(b.keys.key2(readPre, cell), session)
 		if err != nil {
 			loopErr = err
 			break
@@ -547,24 +523,21 @@ func (b *CtrStoreBolt) DeclareOutputFields() map[string]stream.Fields {
 // CtrBolt maintains the per-situation ad ranking: grouped by situation
 // key, it folds smoothed CTR updates into the situation's top list.
 type CtrBolt struct {
-	p    Params
-	st   *taskState
-	keys *interner
+	p     Params
+	store State
+	st    *taskState
+	keys  *interner
 }
 
 // NewCtrBolt returns the bolt factory.
 func NewCtrBolt(store State, p Params) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &CtrBolt{p: p} }
+	return func() stream.Bolt { return &CtrBolt{p: p, store: store} }
 }
 
 // Prepare implements stream.Bolt.
-func (b *CtrBolt) Prepare(ctx stream.TopologyContext, _ stream.Collector) error {
-	st, ok := ctx.Config["state"].(State)
-	if !ok {
-		return fmt.Errorf("topology: missing state in topology config")
-	}
-	b.st = newTaskState(st, b.p.CacheSize)
+func (b *CtrBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
+	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
 	return nil
 }
@@ -585,15 +558,10 @@ func (b *CtrBolt) Execute(t *stream.Tuple) error {
 	if !ok {
 		raw = statecodec.EncodeList(nil)
 	}
-	// Merge into the cached frame in place; legacy values re-encode.
-	out, _, fast := statecodec.MergeListEntry(raw, item, score, b.p.TopK)
-	if !fast {
-		list, err := decodeList(raw)
-		if err != nil {
-			return err
-		}
-		list, _ = updateStoredList(list, item, score, b.p.TopK)
-		out = encodeList(list)
+	// Merge into the cached frame in place.
+	out, _, ok := statecodec.MergeListEntry(raw, item, score, b.p.TopK)
+	if !ok {
+		return errBadFrame(key, raw)
 	}
 	return b.st.Put(key, out)
 }

@@ -161,7 +161,6 @@ func (b *Builder) Build() (*stream.Topology, error) {
 	}
 	p := b.params
 	tb := stream.NewTopologyBuilder(b.name)
-	tb.SetConfig("state", b.state)
 	if b.acking {
 		tb.SetAcking(true)
 		if b.ackTimeout > 0 {

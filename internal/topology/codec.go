@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"tencentrec/internal/core"
 	"tencentrec/internal/statecodec"
 )
 
@@ -99,23 +98,26 @@ func splitPair(id string) (string, string) {
 }
 
 // The persisted status-data types are owned by package statecodec,
-// which defines their versioned binary wire format (with a JSON-legacy
-// decode path for values written by earlier releases). The aliases keep
-// bolt code reading naturally.
+// which defines their versioned binary wire format. The aliases keep bolt
+// and serving code reading naturally. The writers never decode a history
+// or a list: each patches its encoded frame through the statecodec edits;
+// the decoders below serve the query side.
 type (
 	// storedRating is one entry in a persisted user history.
 	storedRating = statecodec.Rating
-	// storedHistory is the persisted form of a user's behavior history.
+	// storedHistory is the decoded form of a user's behavior history.
 	storedHistory = statecodec.History
-	// storedList is a persisted scored-item list (similar items, hot
+	// storedList is a decoded scored-item list (similar items, hot
 	// items, AR consequents, CTR rankings), descending by score.
 	storedList = statecodec.List
 	// storedProfile is a persisted CB interest or item profile.
 	storedProfile = statecodec.Profile
 )
 
-func encodeHistory(h storedHistory) []byte {
-	return statecodec.EncodeHistory(h)
+// errBadFrame reports a stored history or list the statecodec edits
+// declined, which they do only for bytes the decoder rejects too.
+func errBadFrame(key string, raw []byte) error {
+	return fmt.Errorf("topology: malformed value under %q (%d bytes)", key, len(raw))
 }
 
 func decodeHistory(b []byte) (storedHistory, error) {
@@ -124,10 +126,6 @@ func decodeHistory(b []byte) (storedHistory, error) {
 		return nil, fmt.Errorf("topology: bad user history: %w", err)
 	}
 	return h, nil
-}
-
-func encodeList(l storedList) []byte {
-	return statecodec.EncodeList(l)
 }
 
 func decodeList(b []byte) (storedList, error) {
@@ -148,37 +146,4 @@ func decodeProfile(b []byte) (storedProfile, error) {
 		return storedProfile{}, fmt.Errorf("topology: bad profile: %w", err)
 	}
 	return p, nil
-}
-
-// updateStoredList applies one (item, score) update to a bounded
-// descending list, returning the new list and its threshold (the k-th
-// score when full, else 0). This is ResultStorage's core operation.
-func updateStoredList(l storedList, item string, score float64, k int) (storedList, float64) {
-	// Remove any existing entry.
-	for i := range l {
-		if l[i].Item == item {
-			l = append(l[:i], l[i+1:]...)
-			break
-		}
-	}
-	if score > 0 {
-		// Insert in descending order.
-		pos := len(l)
-		for i := range l {
-			if score > l[i].Score {
-				pos = i
-				break
-			}
-		}
-		l = append(l, core.ScoredItem{})
-		copy(l[pos+1:], l[pos:])
-		l[pos] = core.ScoredItem{Item: item, Score: score}
-		if len(l) > k {
-			l = l[:k]
-		}
-	}
-	if len(l) >= k && k > 0 {
-		return l, l[len(l)-1].Score
-	}
-	return l, 0
 }

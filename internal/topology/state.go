@@ -28,6 +28,7 @@
 package topology
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -255,8 +256,8 @@ func (s *MemState) Len() int {
 // Value ownership on this layer differs from State: a cached Get
 // returns the cache-owned slice with no copy (the read path's single
 // copy happens at the store boundary, on the miss that filled the
-// entry). Because the task is the key's only writer, it may patch that
-// slice in place — the delta-codec fast paths do — provided it
+// entry). Because the task is the key's only writer, it patches that
+// slice in place — that is what the statecodec and window edits do — and
 // immediately re-Puts the key so the cache entry's length and the
 // write-through stay coherent. Values must never escape to another
 // goroutine.
@@ -308,60 +309,34 @@ func (ts *taskState) putBatch(keys []string, values [][]byte) error {
 	return ts.store.BatchPut(keys, values)
 }
 
-// putCounter stores a windowed counter.
-func (ts *taskState) putCounter(key string, c *window.Counter) error {
-	raw, err := c.MarshalBinary()
-	if err != nil {
-		return err
+// addToCounter applies a delta to an encoded windowed counter in place
+// and returns the frame with the new windowed sum; an absent counter
+// starts as the encoding of an empty one. The frame is the caller's own
+// (cached or staged) slice: the task is the key's single writer, and it
+// re-puts the key so cache, staged view and store stay coherent.
+func addToCounter(raw []byte, found bool, w int, session int64, delta float64) ([]byte, float64, error) {
+	if !found {
+		raw, _ = window.NewCounter(w).MarshalBinary() // cannot fail
 	}
-	return ts.Put(key, raw)
+	sum, ok := window.AddEncoded(raw, session, delta)
+	if !ok {
+		return nil, 0, fmt.Errorf("topology: bad counter encoding (%d bytes) for session %d", len(raw), session)
+	}
+	return raw, sum, nil
 }
 
 // addCounter applies a delta to the stored counter and returns the new
-// windowed sum. Existing encodings are patched in place (the cached
-// slice is this task's to mutate; the re-Put keeps cache and store
-// coherent); only absent keys and foreign encodings take the
-// decode/re-encode path.
+// windowed sum.
 func (ts *taskState) addCounter(key string, w int, session int64, delta float64) (float64, error) {
 	raw, ok, err := ts.Get(key)
 	if err != nil {
 		return 0, err
 	}
-	if ok {
-		if sum, patched := window.AddEncoded(raw, session, delta); patched {
-			return sum, ts.Put(key, raw)
-		}
-	}
-	c := window.NewCounter(w)
-	if ok {
-		if err := c.UnmarshalBinary(raw); err != nil {
-			return 0, err
-		}
-	}
-	c.Add(session, delta)
-	if err := ts.putCounter(key, c); err != nil {
+	raw, sum, err := addToCounter(raw, ok, w, session, delta)
+	if err != nil {
 		return 0, err
 	}
-	return c.Sum(session), nil
-}
-
-// readCounterSum returns a foreign counter's windowed sum without
-// modifying it, reading through to the store (the counter belongs to
-// another bolt, whose cache is the authoritative copy). Well-formed
-// encodings are summed in place without decoding.
-func (ts *taskState) readCounterSum(key string, w int, session int64) (float64, error) {
-	raw, ok, err := ts.getForeign(key)
-	if err != nil || !ok {
-		return 0, err
-	}
-	if sum, fast := window.SumEncoded(raw, session); fast {
-		return sum, nil
-	}
-	c := window.NewCounter(w)
-	if err := c.UnmarshalBinary(raw); err != nil {
-		return 0, err
-	}
-	return c.Sum(session), nil
+	return sum, ts.Put(key, raw)
 }
 
 // stateBatch stages one flush interval's (or one tuple's) state access:
@@ -552,9 +527,8 @@ func (sb *stateBatch) flush() error {
 }
 
 // addCounter applies a delta to a staged counter and returns the new
-// windowed sum. Like taskState.addCounter, existing encodings are
-// patched in place; the re-put keeps the staged view, cache and dirty
-// set coherent.
+// windowed sum; the re-put keeps the staged view, cache and dirty set
+// coherent.
 func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64) (float64, error) {
 	i, ok := sb.pos[key]
 	if !ok {
@@ -567,41 +541,26 @@ func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64
 		i = sb.add(key, false)
 		sb.ents[i].val, sb.ents[i].found = raw, found
 	}
-	raw, found := sb.ents[i].val, sb.ents[i].found
-	if found {
-		if sum, patched := window.AddEncoded(raw, session, delta); patched {
-			sb.putAt(i, raw)
-			return sum, nil
-		}
-	}
-	c := window.NewCounter(w)
-	if found {
-		if err := c.UnmarshalBinary(raw); err != nil {
-			return 0, err
-		}
-	}
-	c.Add(session, delta)
-	enc, err := c.MarshalBinary()
+	raw, sum, err := addToCounter(sb.ents[i].val, sb.ents[i].found, w, session, delta)
 	if err != nil {
 		return 0, err
 	}
-	sb.putAt(i, enc)
-	return c.Sum(session), nil
+	sb.putAt(i, raw)
+	return sum, nil
 }
 
 // readCounterSum returns a foreign counter's windowed sum from the batch
-// view. Well-formed encodings are summed in place without decoding.
-func (sb *stateBatch) readCounterSum(key string, w int, session int64) (float64, error) {
+// view, summed in place without decoding (the counter belongs to another
+// bolt, whose cache is the authoritative copy). An absent counter sums
+// to zero.
+func (sb *stateBatch) readCounterSum(key string, session int64) (float64, error) {
 	raw, ok, err := sb.getForeign(key)
 	if err != nil || !ok {
 		return 0, err
 	}
-	if sum, fast := window.SumEncoded(raw, session); fast {
-		return sum, nil
+	sum, ok := window.SumEncoded(raw, session)
+	if !ok {
+		return 0, fmt.Errorf("topology: bad counter encoding (%d bytes) for session %d", len(raw), session)
 	}
-	c := window.NewCounter(w)
-	if err := c.UnmarshalBinary(raw); err != nil {
-		return 0, err
-	}
-	return c.Sum(session), nil
+	return sum, nil
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"tencentrec/internal/core"
+	"tencentrec/internal/statecodec"
 	"tencentrec/internal/stream"
 )
 
@@ -21,10 +23,44 @@ func simTuple(item, other string, sim float64) *stream.Tuple {
 func prepared(t *testing.T, factory stream.BoltFactory, st State) *ResultStorageBolt {
 	t.Helper()
 	b := factory().(*ResultStorageBolt)
-	if err := b.Prepare(stream.TopologyContext{Config: map[string]interface{}{"state": st}}, nil); err != nil {
+	if err := b.Prepare(stream.TopologyContext{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// updateStoredList is the reference for MergeListEntry and every list
+// writer built on it: one (item, score) update applied to a decoded
+// bounded descending list, returning the new list and its threshold (the
+// k-th score when full, else 0).
+func updateStoredList(l storedList, item string, score float64, k int) (storedList, float64) {
+	// Remove any existing entry.
+	for i := range l {
+		if l[i].Item == item {
+			l = append(l[:i], l[i+1:]...)
+			break
+		}
+	}
+	if score > 0 {
+		// Insert in descending order.
+		pos := len(l)
+		for i := range l {
+			if score > l[i].Score {
+				pos = i
+				break
+			}
+		}
+		l = append(l, core.ScoredItem{})
+		copy(l[pos+1:], l[pos:])
+		l[pos] = core.ScoredItem{Item: item, Score: score}
+		if len(l) > k {
+			l = l[:k]
+		}
+	}
+	if len(l) >= k && k > 0 {
+		return l, l[len(l)-1].Score
+	}
+	return l, 0
 }
 
 // perTupleRef is the write path ResultStorage had before write-behind,
@@ -47,7 +83,7 @@ func (r *perTupleRef) apply(t *testing.T, item, other string, sim float64) {
 		}
 	}
 	list, thr := updateStoredList(list, other, sim, r.topK)
-	r.kv[r.prefix+item] = encodeList(list)
+	r.kv[r.prefix+item] = statecodec.EncodeList(list)
 	if r.prefix == prefixSimilar {
 		r.kv[prefixThreshold+item] = encodeFloat(thr)
 	}
@@ -216,7 +252,6 @@ func TestWriteBehindSurvivesTaskRestart(t *testing.T) {
 		}
 	}
 	tb := stream.NewTopologyBuilder("restart-staged")
-	tb.SetConfig("state", State(st))
 	tb.SetSpout(UnitPairCount, func() stream.Spout { return &simSpout{sims: sims} }, 1)
 	tb.SetBolt(UnitResultStorage, NewResultStorageBolt(st, p), 1).FieldsOn(UnitPairCount, StreamSim, "item")
 	topo, err := tb.Build()
@@ -299,7 +334,6 @@ func TestWriteBehindVisibleAtQuiesce(t *testing.T) {
 		ref.apply(t, item, other, sim)
 	}
 	tb := stream.NewTopologyBuilder("quiesce-lists")
-	tb.SetConfig("state", State(st))
 	tb.SetSpout(UnitPairCount, func() stream.Spout { return &simSpout{sims: sims, idle: true} }, 1)
 	tb.SetBolt(UnitResultStorage, NewResultStorageBolt(st, p), 2).FieldsOn(UnitPairCount, StreamSim, "item")
 	topo, err := tb.Build()

@@ -65,8 +65,9 @@ type Registry struct {
 	Spouts map[string]stream.SpoutFactory
 	// Bolts maps class names to bolt factories.
 	Bolts map[string]stream.BoltFactory
-	// Config is attached to the built topology (must include "state"
-	// for the standard units).
+	// Config is attached to the built topology, for application classes
+	// that read TopologyContext.Config (the standard units need nothing
+	// here: their factories hold the State).
 	Config map[string]interface{}
 }
 
@@ -92,7 +93,6 @@ func NewRegistry(st State, p Params) *Registry {
 			"CtrStore":      NewCtrStoreBolt(st, p),
 			"CtrBolt":       NewCtrBolt(st, p),
 		},
-		Config: map[string]interface{}{"state": st},
 	}
 }
 

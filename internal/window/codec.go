@@ -41,17 +41,19 @@ const (
 )
 
 // encWindow validates a marshaled counter and returns its window size.
-// ok=false covers foreign bytes, truncation, and negative bases or
-// sessions (which the slot arithmetic below cannot address).
+// ok=false covers foreign bytes, truncation, and — for a windowed
+// counter — negative bases or sessions, which the slot arithmetic below
+// cannot address. A lifetime sum (w = 0) takes any session.
 func encWindow(data []byte, session int64) (w int, ok bool) {
-	if len(data) < encOffRing || data[0] != counterMagic || data[1] != 1 || session < 0 {
+	if len(data) < encOffRing || data[0] != counterMagic || data[1] != 1 {
 		return 0, false
 	}
 	w = int(int32(binary.LittleEndian.Uint32(data[encOffW:])))
-	if w < 0 || (w > 0 && len(data)-encOffRing != 8*w) {
-		return 0, false
+	if w == 0 {
+		return 0, true
 	}
-	if int64(binary.LittleEndian.Uint64(data[encOffBase:])) < 0 {
+	if w < 0 || len(data)-encOffRing != 8*w || session < 0 ||
+		int64(binary.LittleEndian.Uint64(data[encOffBase:])) < 0 {
 		return 0, false
 	}
 	return w, true

@@ -102,6 +102,15 @@ func TestAddEncodedDeclines(t *testing.T) {
 	if _, ok := AddEncoded(neg, 1, 1); ok {
 		t.Error("negative base: AddEncoded accepted")
 	}
+
+	// A lifetime sum has no slots to address: any session does.
+	life, _ := NewCounter(0).MarshalBinary()
+	if sum, ok := AddEncoded(life, -3, 2); !ok || sum != 2 {
+		t.Errorf("unwindowed counter, negative session: AddEncoded = (%v, %v), want (2, true)", sum, ok)
+	}
+	if sum, ok := SumEncoded(life, -3); !ok || sum != 2 {
+		t.Errorf("unwindowed counter, negative session: SumEncoded = (%v, %v), want (2, true)", sum, ok)
+	}
 }
 
 func TestAddEncodedZeroAlloc(t *testing.T) {
