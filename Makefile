@@ -1,4 +1,4 @@
-.PHONY: build test check bench
+.PHONY: build test check bench loc
 
 build:
 	go build ./...
@@ -14,3 +14,8 @@ check:
 # bench runs the repo benchmark declared in BENCHMARK.json.
 bench:
 	bash benchmark/run.sh
+
+# loc prints Go line counts per package, total and non-test (benchmark/
+# excluded): the number a code-diet PR compares with its parent.
+loc:
+	sh scripts/loc.sh

@@ -44,12 +44,12 @@ func TestBatchPutLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestMGetReportsMisses(t *testing.T) {
+func TestBatchGetReportsMisses(t *testing.T) {
 	_, cl := newTestCluster(t, Options{})
 	if err := cl.Put("present", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	vals, found, err := cl.MGet([]string{"present", "absent"})
+	vals, found, err := cl.BatchGet([]string{"present", "absent"})
 	if err != nil {
 		t.Fatal(err)
 	}

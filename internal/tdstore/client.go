@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tencentrec/internal/obsv"
 	"tencentrec/internal/statecodec"
 	"tencentrec/internal/tdstore/engine"
 )
@@ -27,21 +26,47 @@ const (
 	clientRetryMaxBackoff = 4 * time.Millisecond
 )
 
-// batchFanout bounds how many per-server sub-batches of one BatchGet or
-// BatchPut run concurrently. Sub-batches beyond the bound are picked up
+// batchFanout bounds how many per-server sub-batches of one batched
+// request run concurrently. Sub-batches beyond the bound are picked up
 // by the same small worker set as earlier ones finish.
 const batchFanout = 8
 
-// runGroups runs fn(0..n-1) across at most batchFanout workers and waits
-// for all of them. A single group runs inline — the common case for
-// small batches pays no goroutine — and the worker set never exceeds
+// batchItem is one key of a batched request, tagged with its data
+// instance and its position in the caller's key, value and result
+// slices.
+type batchItem struct {
+	inst InstanceID
+	key  string
+	pos  int
+}
+
+// serverGroup is the sub-batch of one request attempt bound for one data
+// server, and that server's answer.
+type serverGroup struct {
+	ds    *DataServer
+	items []batchItem
+	err   error
+}
+
+// groupSend delivers one server's sub-batch and returns its answer.
+type groupSend func(ds *DataServer, items []batchItem) error
+
+func (g *serverGroup) dispatch(send groupSend) {
+	if g.err == nil { // else the route named a server the cluster does not know
+		g.err = send(g.ds, g.items)
+	}
+}
+
+// runGroups sends every group across at most batchFanout workers and
+// waits for all of them. A single group runs inline — the common case
+// for small batches pays no goroutine — and the worker set never exceeds
 // GOMAXPROCS: data servers are in-process and CPU-bound, so extra
 // goroutines beyond the scheduler's parallelism only add switch cost.
-func runGroups(n int, fn func(i int)) {
-	workers := min(n, batchFanout, runtime.GOMAXPROCS(0))
+func runGroups(groups []serverGroup, send groupSend) {
+	workers := min(len(groups), batchFanout, runtime.GOMAXPROCS(0))
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+		for i := range groups {
+			groups[i].dispatch(send)
 		}
 		return
 	}
@@ -53,10 +78,10 @@ func runGroups(n int, fn func(i int)) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= len(groups) {
 					return
 				}
-				fn(i)
+				groups[i].dispatch(send)
 			}
 		}()
 	}
@@ -173,319 +198,212 @@ func retryable(err error) bool {
 	return err == ErrServerDown || err == ErrNotHost
 }
 
-// Get returns the value stored under key.
-func (cl *Client) Get(key string) ([]byte, bool, error) {
-	if ins := cl.ins; ins != nil {
-		start := obsv.Now()
-		v, ok, err := cl.doGet(key)
-		observe(ins.get, start)
-		return v, ok, err
-	}
-	return cl.doGet(key)
-}
-
-func (cl *Client) doGet(key string) ([]byte, bool, error) {
+// single is the single-key request path: it runs fn against the host of
+// key's instance, and on a retryable answer refreshes the route (backing
+// off while the table has not advanced) and asks again, up to
+// clientRetries times. Any other error returns at once.
+func (cl *Client) single(what, key string, fn func(ds *DataServer, inst InstanceID) error) error {
 	var lastErr error
 	backoff := clientRetryBackoff
 	for attempt := 0; attempt <= clientRetries; attempt++ {
 		ds, inst, err := cl.hostFor(key)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
-		v, ok, err := ds.hostGet(inst, key)
-		if err == nil {
-			return v, ok, nil
+		if err = fn(ds, inst); err == nil || !retryable(err) {
+			return err
 		}
 		lastErr = err
-		if !retryable(err) {
-			return nil, false, err
-		}
 		if backoff, err = cl.retryPause(backoff); err != nil {
-			return nil, false, err
+			return err
 		}
 	}
-	return nil, false, fmt.Errorf("tdstore: get %q: retries exhausted: %w", key, lastErr)
+	return fmt.Errorf("tdstore: %s %q: retries exhausted: %w", what, key, lastErr)
+}
+
+// mutate runs fn on the host engine of key's instance through single.
+func (cl *Client) mutate(what, key string, fn func(eng engine.Engine) (syncOp, error)) error {
+	return cl.single(what, key, func(ds *DataServer, inst InstanceID) error {
+		return ds.hostMutate(inst, fn)
+	})
+}
+
+// Get returns the value stored under key.
+func (cl *Client) Get(key string) (v []byte, ok bool, err error) {
+	defer cl.observe(clientGet, cl.begin())
+	err = cl.single("get", key, func(ds *DataServer, inst InstanceID) (err error) {
+		v, ok, err = ds.hostGet(inst, key)
+		return err
+	})
+	return v, ok, err
 }
 
 // Put stores value under key and replicates to the instance's slaves.
+// The client copies value once: the copy is what the replication queue
+// holds after Put returns, so the caller may reuse its buffer.
 func (cl *Client) Put(key string, value []byte) error {
-	if ins := cl.ins; ins != nil {
-		start := obsv.Now()
-		err := cl.doPut(key, value)
-		observe(ins.put, start)
-		return err
-	}
-	return cl.doPut(key, value)
-}
-
-func (cl *Client) doPut(key string, value []byte) error {
+	defer cl.observe(clientPut, cl.begin())
 	cp := append([]byte(nil), value...)
-	return cl.mutate(key, func(eng engine.Engine, inst InstanceID) ([]syncOp, error) {
-		if err := eng.Put(key, cp); err != nil {
-			return nil, err
-		}
-		return []syncOp{{kind: opPut, instance: inst, key: key, value: cp}}, nil
+	return cl.mutate("put", key, func(eng engine.Engine) (syncOp, error) {
+		return syncOp{kind: opPut, key: key, value: cp}, eng.Put(key, cp)
 	})
 }
 
 // Delete removes key.
 func (cl *Client) Delete(key string) error {
-	if ins := cl.ins; ins != nil {
-		start := obsv.Now()
-		err := cl.doDelete(key)
-		observe(ins.del, start)
-		return err
-	}
-	return cl.doDelete(key)
-}
-
-func (cl *Client) doDelete(key string) error {
-	return cl.mutate(key, func(eng engine.Engine, inst InstanceID) ([]syncOp, error) {
-		if err := eng.Delete(key); err != nil {
-			return nil, err
-		}
-		return []syncOp{{kind: opDelete, instance: inst, key: key}}, nil
+	defer cl.observe(clientDelete, cl.begin())
+	return cl.mutate("delete", key, func(eng engine.Engine) (syncOp, error) {
+		return syncOp{kind: opDelete, key: key}, eng.Delete(key)
 	})
 }
 
-// mutate runs fn on the host engine of key's instance with retry.
-func (cl *Client) mutate(key string, fn func(eng engine.Engine, inst InstanceID) ([]syncOp, error)) error {
-	var lastErr error
-	backoff := clientRetryBackoff
-	for attempt := 0; attempt <= clientRetries; attempt++ {
-		ds, inst, err := cl.hostFor(key)
-		if err != nil {
-			return err
-		}
-		err = ds.hostMutate(inst, func(eng engine.Engine) ([]syncOp, error) {
-			return fn(eng, inst)
-		})
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return err
-		}
-		if backoff, err = cl.retryPause(backoff); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("tdstore: mutate %q: retries exhausted: %w", key, lastErr)
-}
-
 // IncrFloat atomically adds delta to the float64 counter at key and
-// returns the new value. Missing keys start at zero. This is the
-// primitive behind itemCount/pairCount accumulation.
+// returns the new value. Missing keys start at zero.
 func (cl *Client) IncrFloat(key string, delta float64) (float64, error) {
-	if ins := cl.ins; ins != nil {
-		start := obsv.Now()
-		v, err := cl.doIncrFloat(key, delta)
-		observe(ins.incr, start)
-		return v, err
-	}
-	return cl.doIncrFloat(key, delta)
-}
-
-func (cl *Client) doIncrFloat(key string, delta float64) (float64, error) {
+	defer cl.observe(clientIncr, cl.begin())
 	var out float64
-	err := cl.mutate(key, func(eng engine.Engine, inst InstanceID) ([]syncOp, error) {
+	err := cl.mutate("incr", key, func(eng engine.Engine) (syncOp, error) {
 		cur, ok, err := eng.Get(key)
 		if err != nil {
-			return nil, err
+			return syncOp{}, err
 		}
 		v := 0.0
 		if ok {
-			v, err = DecodeFloat(cur)
-			if err != nil {
-				return nil, err
+			if v, err = statecodec.DecodeFloat(cur); err != nil {
+				return syncOp{}, fmt.Errorf("tdstore: %w", err)
 			}
 		}
 		v += delta
 		out = v
-		enc := EncodeFloat(v)
-		if err := eng.Put(key, enc); err != nil {
-			return nil, err
-		}
-		return []syncOp{{kind: opPut, instance: inst, key: key, value: enc}}, nil
+		enc := statecodec.EncodeFloat(v)
+		return syncOp{kind: opPut, key: key, value: enc}, eng.Put(key, enc)
 	})
 	return out, err
 }
 
-// GetFloat reads the float64 counter at key; absent keys read as zero.
-func (cl *Client) GetFloat(key string) (float64, error) {
-	v, ok, err := cl.Get(key)
-	if err != nil || !ok {
-		return 0, err
+// attempt is one pass of the batched request path: it resolves the
+// cached route once, groups the pending positions of keys by target
+// server (the host of each key's instance, or with replica set its first
+// slave where it has one), fans the groups out and collects the answers.
+// It returns the positions whose server gave a retryable answer together
+// with that error; groups that succeeded are done and are never re-sent.
+// Any other error is returned at once, with no positions.
+//
+// send runs on up to batchFanout goroutines at once, one call per group;
+// the groups cover disjoint positions, so a send that only touches its
+// items' positions of shared slices is data-race free by construction.
+func (cl *Client) attempt(keys []string, pending []int, replica bool, send groupSend) ([]int, error) {
+	if len(pending) == 0 {
+		return nil, nil
 	}
-	return DecodeFloat(v)
+	rt := cl.cachedRoute()
+	groups := make(map[string]int)
+	// One allocation holds as many groups as can be in flight at once; a
+	// batch that spans more servers grows it.
+	flat := make([]serverGroup, 0, batchFanout)
+	for _, pos := range pending {
+		inst := rt.InstanceFor(keys[pos])
+		target := rt.Hosts[inst]
+		if replica && len(rt.Slaves[inst]) > 0 {
+			target = rt.Slaves[inst][0]
+		}
+		gi, ok := groups[target]
+		if !ok {
+			gi = len(flat)
+			groups[target] = gi
+			g := serverGroup{}
+			if g.ds, ok = cl.c.server(target); !ok {
+				g.err = fmt.Errorf("tdstore: route names unknown server %q", target)
+			}
+			flat = append(flat, g)
+		}
+		flat[gi].items = append(flat[gi].items, batchItem{inst: inst, key: keys[pos], pos: pos})
+	}
+	runGroups(flat, send)
+	var stale []int
+	var lastErr error
+	for _, g := range flat {
+		if g.err == nil {
+			continue
+		}
+		if !retryable(g.err) {
+			return nil, g.err
+		}
+		lastErr = g.err
+		for _, it := range g.items {
+			stale = append(stale, it.pos)
+		}
+	}
+	return stale, lastErr
 }
 
-// BatchGet returns the values for keys in one pass: keys are grouped by
-// their owning data server via the route table and the per-server
-// sub-batches are fanned out concurrently (bounded by batchFanout), each
-// server handling its whole group in a single call. found[i] reports
-// whether keys[i] exists. A stale route or server failure refreshes the
-// route table once per batch attempt (not once per key) and retries only
-// the failed servers' sub-batches.
-func (cl *Client) BatchGet(keys []string) ([][]byte, []bool, error) {
-	if ins := cl.ins; ins != nil {
-		start := obsv.Now()
-		vals, found, err := cl.doBatchGet(keys)
-		observe(ins.batchGet, start)
-		return vals, found, err
-	}
-	return cl.doBatchGet(keys)
-}
-
-func (cl *Client) doBatchGet(keys []string) ([][]byte, []bool, error) {
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return vals, found, nil
-	}
-	pending := make([]int, len(keys))
-	for i := range keys {
-		pending[i] = i
-	}
+// routed is the batched request path against the hosts: attempt, and
+// while some server's sub-batch came back retryable, one retryPause per
+// attempt (so a stale route refreshes once per batch attempt, not once
+// per key) and another attempt for those positions only, up to
+// clientRetries times.
+func (cl *Client) routed(what string, keys []string, pending []int, send groupSend) error {
+	n := len(pending)
 	var lastErr error
 	backoff := clientRetryBackoff
 	for attempt := 0; attempt <= clientRetries; attempt++ {
-		rt := cl.cachedRoute()
-		groups := make(map[string][]batchGetItem)
-		for _, i := range pending {
-			inst := rt.InstanceFor(keys[i])
-			host := rt.Hosts[inst]
-			groups[host] = append(groups[host], batchGetItem{inst: inst, key: keys[i], pos: i})
-		}
-		type getGroup struct {
-			host  string
-			items []batchGetItem
-			err   error
-		}
-		flat := make([]getGroup, 0, len(groups))
-		for host, items := range groups {
-			flat = append(flat, getGroup{host: host, items: items})
-		}
-		// Each group fills disjoint positions of vals/found, so the
-		// sub-batches are data-race free by construction.
-		runGroups(len(flat), func(i int) {
-			g := &flat[i]
-			ds, ok := cl.c.server(g.host)
-			if !ok {
-				g.err = fmt.Errorf("tdstore: route names unknown server %q", g.host)
-				return
-			}
-			g.err = ds.hostBatchGet(g.items, vals, found)
-		})
-		var stale []int
-		for _, g := range flat {
-			if g.err == nil {
-				continue
-			}
-			if !retryable(g.err) {
-				return nil, nil, g.err
-			}
-			lastErr = g.err
-			for _, it := range g.items {
-				stale = append(stale, it.pos)
-			}
-		}
+		stale, err := cl.attempt(keys, pending, false, send)
 		if len(stale) == 0 {
-			return vals, found, nil
+			return err
 		}
-		pending = stale
-		var err error
+		pending, lastErr = stale, err
 		if backoff, err = cl.retryPause(backoff); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return nil, nil, fmt.Errorf("tdstore: batch get of %d keys: retries exhausted: %w", len(keys), lastErr)
+	return fmt.Errorf("tdstore: %s of %d keys: retries exhausted: %w", what, n, lastErr)
 }
 
-// BatchPut stores values[i] under keys[i], grouping the writes by owning
-// data server so each server applies its group in one call with a single
-// replication sync-op batch; the per-server groups are dispatched
-// concurrently (bounded by batchFanout). Route refresh and retry follow
-// BatchGet: only a failed server's sub-batch is retried.
-func (cl *Client) BatchPut(keys []string, values [][]byte) error {
-	if ins := cl.ins; ins != nil {
-		start := obsv.Now()
-		err := cl.doBatchPut(keys, values)
-		observe(ins.batchPut, start)
-		return err
+// allPositions returns 0..n-1, the pending set of a fresh batch.
+func allPositions(n int) []int {
+	pending := make([]int, n)
+	for i := range pending {
+		pending[i] = i
 	}
-	return cl.doBatchPut(keys, values)
+	return pending
 }
 
-func (cl *Client) doBatchPut(keys []string, values [][]byte) error {
+// readInto is the send of a batched read: each group fills its items'
+// positions of vals and found, from the hosts or (replica) from any
+// resident copy.
+func readInto(vals [][]byte, found []bool, replica bool) groupSend {
+	return func(ds *DataServer, items []batchItem) error {
+		return ds.batchGet(items, vals, found, replica)
+	}
+}
+
+// BatchGet returns the values for keys in one pass through routed: each
+// data server handles its whole group in a single call. found[i] reports
+// whether keys[i] exists.
+func (cl *Client) BatchGet(keys []string) ([][]byte, []bool, error) {
+	defer cl.observe(clientBatchGet, cl.begin())
+	vals, found := make([][]byte, len(keys)), make([]bool, len(keys))
+	if err := cl.routed("batch get", keys, allPositions(len(keys)), readInto(vals, found, false)); err != nil {
+		return nil, nil, err
+	}
+	return vals, found, nil
+}
+
+// BatchPut stores values[i] under keys[i] through routed: each server
+// applies its group in one call with a single replication sync-op batch.
+// The client copies every value once, before the first attempt (see Put).
+func (cl *Client) BatchPut(keys []string, values [][]byte) error {
+	defer cl.observe(clientBatchPut, cl.begin())
 	if len(keys) != len(values) {
 		return fmt.Errorf("tdstore: batch put has %d keys but %d values", len(keys), len(values))
-	}
-	if len(keys) == 0 {
-		return nil
 	}
 	cps := make([][]byte, len(values))
 	for i, v := range values {
 		cps[i] = append([]byte(nil), v...)
 	}
-	pending := make([]int, len(keys))
-	for i := range keys {
-		pending[i] = i
-	}
-	var lastErr error
-	backoff := clientRetryBackoff
-	for attempt := 0; attempt <= clientRetries; attempt++ {
-		rt := cl.cachedRoute()
-		groups := make(map[string][]batchPutItem)
-		groupIdx := make(map[string][]int)
-		for _, i := range pending {
-			inst := rt.InstanceFor(keys[i])
-			host := rt.Hosts[inst]
-			groups[host] = append(groups[host], batchPutItem{inst: inst, key: keys[i], value: cps[i]})
-			groupIdx[host] = append(groupIdx[host], i)
-		}
-		type putGroup struct {
-			host  string
-			items []batchPutItem
-			err   error
-		}
-		flat := make([]putGroup, 0, len(groups))
-		for host, items := range groups {
-			flat = append(flat, putGroup{host: host, items: items})
-		}
-		runGroups(len(flat), func(i int) {
-			g := &flat[i]
-			ds, ok := cl.c.server(g.host)
-			if !ok {
-				g.err = fmt.Errorf("tdstore: route names unknown server %q", g.host)
-				return
-			}
-			g.err = ds.hostBatchPut(g.items)
-		})
-		var stale []int
-		for _, g := range flat {
-			if g.err == nil {
-				continue
-			}
-			if !retryable(g.err) {
-				return g.err
-			}
-			// Only the failed server's sub-batch is retried; groups that
-			// succeeded are done and are not re-sent.
-			lastErr = g.err
-			stale = append(stale, groupIdx[g.host]...)
-		}
-		if len(stale) == 0 {
-			return nil
-		}
-		pending = stale
-		var err error
-		if backoff, err = cl.retryPause(backoff); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("tdstore: batch put of %d keys: retries exhausted: %w", len(keys), lastErr)
+	return cl.routed("batch put", keys, allPositions(len(keys)), func(ds *DataServer, items []batchItem) error {
+		return ds.hostBatchPut(items, cps)
+	})
 }
 
 // ReplicaBatchGet returns the values for keys in one pass, preferring
@@ -493,81 +411,20 @@ func (cl *Client) doBatchPut(keys []string, values [][]byte) error {
 // a hedged read, spreading tail reads off the hot host. Replica copies
 // may lag the host by the in-flight replication queue, so results can
 // be slightly stale; callers (the serving tier) accept that the same
-// way they accept cache-TTL staleness. Keys whose instance has no live
-// reachable replica fall back to the regular host read path with its
-// full retry budget.
+// way they accept cache-TTL staleness.
 func (cl *Client) ReplicaBatchGet(keys []string) ([][]byte, []bool, error) {
-	if ins := cl.ins; ins != nil {
-		start := obsv.Now()
-		vals, found, err := cl.doReplicaBatchGet(keys)
-		observe(ins.replicaGet, start)
-		return vals, found, err
-	}
-	return cl.doReplicaBatchGet(keys)
-}
-
-func (cl *Client) doReplicaBatchGet(keys []string) ([][]byte, []bool, error) {
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return vals, found, nil
-	}
-	rt := cl.cachedRoute()
-	groups := make(map[string][]batchGetItem)
-	for i, key := range keys {
-		inst := rt.InstanceFor(key)
-		target := rt.Hosts[inst]
-		if slaves := rt.Slaves[inst]; len(slaves) > 0 {
-			target = slaves[0]
-		}
-		groups[target] = append(groups[target], batchGetItem{inst: inst, key: key, pos: i})
-	}
-	type replicaGroup struct {
-		server string
-		items  []batchGetItem
-		err    error
-	}
-	flat := make([]replicaGroup, 0, len(groups))
-	for server, items := range groups {
-		flat = append(flat, replicaGroup{server: server, items: items})
-	}
-	runGroups(len(flat), func(i int) {
-		g := &flat[i]
-		ds, ok := cl.c.server(g.server)
-		if !ok {
-			g.err = fmt.Errorf("tdstore: route names unknown server %q", g.server)
-			return
-		}
-		g.err = ds.replicaBatchGet(g.items, vals, found)
-	})
+	defer cl.observe(clientReplicaGet, cl.begin())
+	vals, found := make([][]byte, len(keys)), make([]bool, len(keys))
 	// One attempt against the replicas; anything that failed (replica
 	// down, route stale) is served through the host path, which carries
 	// its own refresh-and-retry budget. The hedge stays useful even
 	// when a replica has just died.
-	var failed []int
-	for _, g := range flat {
-		if g.err == nil {
-			continue
-		}
-		if !retryable(g.err) {
-			return nil, nil, g.err
-		}
-		for _, it := range g.items {
-			failed = append(failed, it.pos)
-		}
-	}
+	failed, err := cl.attempt(keys, allPositions(len(keys)), true, readInto(vals, found, true))
 	if len(failed) > 0 {
-		sub := make([]string, len(failed))
-		for j, pos := range failed {
-			sub[j] = keys[pos]
-		}
-		subVals, subFound, err := cl.doBatchGet(sub)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, pos := range failed {
-			vals[pos], found[pos] = subVals[j], subFound[j]
-		}
+		err = cl.routed("batch get", keys, failed, readInto(vals, found, false))
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	return vals, found, nil
 }
@@ -581,33 +438,10 @@ func (cl *Client) ReadLatencyQuantile(q float64) time.Duration {
 	if ins == nil {
 		return 0
 	}
-	s := ins.get.Snapshot()
-	s.Merge(ins.batchGet.Snapshot())
+	s := ins.ops[clientGet].Snapshot()
+	s.Merge(ins.ops[clientBatchGet].Snapshot())
 	if s.Count == 0 {
 		return 0
 	}
 	return time.Duration(s.Quantile(q))
-}
-
-// MGet returns the values for keys with per-key found flags. It is
-// BatchGet under the historical name: the route table is refreshed at
-// most once per batch attempt, and misses are reported explicitly
-// instead of as silent nil entries.
-func (cl *Client) MGet(keys []string) ([][]byte, []bool, error) {
-	return cl.BatchGet(keys)
-}
-
-// EncodeFloat encodes a float64 counter value. The format is owned by
-// package statecodec; this alias keeps store-level callers local.
-func EncodeFloat(v float64) []byte {
-	return statecodec.EncodeFloat(v)
-}
-
-// DecodeFloat decodes a counter encoded by EncodeFloat.
-func DecodeFloat(b []byte) (float64, error) {
-	v, err := statecodec.DecodeFloat(b)
-	if err != nil {
-		return 0, fmt.Errorf("tdstore: %w", err)
-	}
-	return v, nil
 }

@@ -5,19 +5,32 @@ import (
 	"tencentrec/internal/tdstore/engine"
 )
 
+// clientOp indexes the per-operation latency histograms of an
+// instrumented client.
+type clientOp int
+
+const (
+	clientGet clientOp = iota
+	clientPut
+	clientDelete
+	clientIncr
+	clientBatchGet
+	clientBatchPut
+	clientReplicaGet
+	numClientOps
+)
+
+// clientOpLabels are the op label values of tdstore_op_seconds.
+var clientOpLabels = [numClientOps]string{
+	"get", "put", "delete", "incr", "batch_get", "batch_put", "replica_batch_get",
+}
+
 // clientInstruments holds the pre-resolved instruments of an
 // instrumented Client. The struct is reached through one nil-checked
-// pointer per operation, so an uninstrumented client pays a single
-// predictable branch and an instrumented one never resolves a label on
-// the hot path.
+// pointer, so an uninstrumented client pays a predictable branch and an
+// instrumented one never resolves a label on the hot path.
 type clientInstruments struct {
-	get        *obsv.Histogram
-	put        *obsv.Histogram
-	del        *obsv.Histogram
-	incr       *obsv.Histogram
-	batchGet   *obsv.Histogram
-	batchPut   *obsv.Histogram
-	replicaGet *obsv.Histogram
+	ops [numClientOps]*obsv.Histogram
 
 	retries   *obsv.Counter
 	refreshes *obsv.Counter
@@ -30,25 +43,30 @@ type clientInstruments struct {
 // tdstore_route_refreshes_total (route-table refetches). Call it at
 // setup, before the client is shared across goroutines.
 func (cl *Client) Instrument(r *obsv.Registry) {
-	const opHelp = "TDStore client operation latency by op."
-	cl.ins = &clientInstruments{
-		get:        r.Histogram("tdstore_op_seconds", opHelp, "op", "get"),
-		put:        r.Histogram("tdstore_op_seconds", opHelp, "op", "put"),
-		del:        r.Histogram("tdstore_op_seconds", opHelp, "op", "delete"),
-		incr:       r.Histogram("tdstore_op_seconds", opHelp, "op", "incr"),
-		batchGet:   r.Histogram("tdstore_op_seconds", opHelp, "op", "batch_get"),
-		batchPut:   r.Histogram("tdstore_op_seconds", opHelp, "op", "batch_put"),
-		replicaGet: r.Histogram("tdstore_op_seconds", opHelp, "op", "replica_batch_get"),
-		retries:    r.Counter("tdstore_retries_total", "Operation attempts retried after a retryable server error."),
-		refreshes:  r.Counter("tdstore_route_refreshes_total", "Route table refetches from the config servers."),
+	ins := &clientInstruments{
+		retries:   r.Counter("tdstore_retries_total", "Operation attempts retried after a retryable server error."),
+		refreshes: r.Counter("tdstore_route_refreshes_total", "Route table refetches from the config servers."),
 	}
+	for op, label := range clientOpLabels {
+		ins.ops[op] = r.Histogram("tdstore_op_seconds", "TDStore client operation latency by op.", "op", label)
+	}
+	cl.ins = ins
 }
 
-// observe records one operation's latency when the client is
-// instrumented. start is only meaningful when ins != nil; callers guard
-// the clock read the same way.
-func observe(h *obsv.Histogram, start int64) {
-	h.Observe(obsv.Now() - start)
+// begin and observe bracket one public operation, as
+// `defer cl.observe(op, cl.begin())`. An uninstrumented client reads no
+// clock and records nothing.
+func (cl *Client) begin() int64 {
+	if cl.ins == nil {
+		return 0
+	}
+	return obsv.Now()
+}
+
+func (cl *Client) observe(op clientOp, start int64) {
+	if ins := cl.ins; ins != nil {
+		ins.ops[op].Observe(obsv.Now() - start)
+	}
 }
 
 // Instrument exposes the cluster's durable-engine internals as

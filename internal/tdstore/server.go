@@ -39,7 +39,7 @@ type syncOp struct {
 // hosting is a DataServer's immutable topology snapshot: which instances
 // are resident, which of them this server hosts, where their slaves are,
 // and whether the server is down. The hot path (hostGet, hostMutate,
-// hostBatchGet, hostBatchPut) does a single atomic load of the current
+// batchGet, hostBatchPut) does a single atomic load of the current
 // snapshot and never takes a server-wide lock; topology changes
 // (add/promote/setDown) build a new snapshot and swap it in atomically.
 type hosting struct {
@@ -311,13 +311,14 @@ func (ds *DataServer) hostGet(instance InstanceID, key string) ([]byte, bool, er
 }
 
 // hostMutate serves a write for an instance this server hosts and queues
-// replication. fn runs with exclusive access to the instance (a
-// per-instance mutex, not a server-wide one), enabling atomic
-// read-modify-write (the Incr path). The snapshot is re-loaded after the
-// lock is taken so a concurrent setDown or promotion is honored, and the
-// replication ops are enqueued before the lock is released so
-// fenceWrites+WaitSync observes them.
-func (ds *DataServer) hostMutate(instance InstanceID, fn func(eng engine.Engine) ([]syncOp, error)) error {
+// the mutation fn reports (stamped with the instance) for replication.
+// fn runs with exclusive access to the instance (a per-instance mutex,
+// not a server-wide one), enabling atomic read-modify-write (the Incr
+// path). The snapshot is re-loaded after the lock is taken so a
+// concurrent setDown or promotion is honored, and the replication op is
+// enqueued before the lock is released so fenceWrites+WaitSync observes
+// it.
+func (ds *DataServer) hostMutate(instance InstanceID, fn func(eng engine.Engine) (syncOp, error)) error {
 	h := ds.hosting.Load()
 	if h.down {
 		return ErrServerDown
@@ -335,40 +336,34 @@ func (ds *DataServer) hostMutate(instance InstanceID, fn func(eng engine.Engine)
 	if !h.hostOf[instance] {
 		return ErrNotHost
 	}
-	ops, err := fn(h.instances[instance])
+	op, err := fn(h.instances[instance])
 	if err != nil {
 		return err
 	}
-	ds.enqueueSyncBatch(ops)
+	op.instance = instance
+	ds.enqueueSyncBatch([]syncOp{op})
 	return nil
 }
 
-// batchGetItem is one key of a batched read, tagged with its data
-// instance and its position in the caller's result slices.
-type batchGetItem struct {
-	inst InstanceID
-	key  string
-	pos  int
-}
-
-// batchPutItem is one key/value of a batched write.
-type batchPutItem struct {
-	inst  InstanceID
-	key   string
-	value []byte
-}
-
-// hostBatchGet serves a batched read covering every instance this server
-// hosts for the caller, filling vals/found at each item's position. The
-// liveness and hosting checks run against one snapshot load — no lock
-// and no per-call allocation on this path.
-func (ds *DataServer) hostBatchGet(items []batchGetItem, vals [][]byte, found []bool) error {
+// batchGet serves a batched read, filling vals/found at each item's
+// position. The client's host path asks for instances this server hosts;
+// with replica set any resident copy answers, host or slave alike — the
+// hedged read path. A slave copy may lag the host by the replication
+// queue, so replica reads are only used where bounded staleness is
+// acceptable (the serving tier's hedges). The liveness and residency
+// checks run against one snapshot load — no lock and no per-call
+// allocation on this path.
+func (ds *DataServer) batchGet(items []batchItem, vals [][]byte, found []bool, replica bool) error {
 	h := ds.hosting.Load()
 	if h.down {
 		return ErrServerDown
 	}
 	for _, it := range items {
-		if !h.hostOf[it.inst] {
+		serves := h.hostOf[it.inst]
+		if replica {
+			_, serves = h.instances[it.inst]
+		}
+		if !serves {
 			return ErrNotHost
 		}
 	}
@@ -382,37 +377,12 @@ func (ds *DataServer) hostBatchGet(items []batchGetItem, vals [][]byte, found []
 	return nil
 }
 
-// replicaBatchGet serves a batched read from this server's resident
-// copies of the addressed instances, host or slave alike — the hedged
-// read path. A slave copy may lag the host by the replication queue, so
-// replica reads are only used where bounded staleness is acceptable
-// (the serving tier's hedges). Same lock-free shape as hostBatchGet.
-func (ds *DataServer) replicaBatchGet(items []batchGetItem, vals [][]byte, found []bool) error {
-	h := ds.hosting.Load()
-	if h.down {
-		return ErrServerDown
-	}
-	for _, it := range items {
-		if _, ok := h.instances[it.inst]; !ok {
-			return ErrNotHost
-		}
-	}
-	for _, it := range items {
-		v, ok, err := h.instances[it.inst].Get(it.key)
-		if err != nil {
-			return err
-		}
-		vals[it.pos], found[it.pos] = v, ok
-	}
-	return nil
-}
-
-// hostBatchPut serves a batched write. Items are grouped by instance and
-// each group is applied under that instance's write mutex with its
-// replication ops enqueued before the mutex is released (the same fence
-// contract as hostMutate). Writers of different instances proceed in
-// parallel.
-func (ds *DataServer) hostBatchPut(items []batchPutItem) error {
+// hostBatchPut serves a batched write of values[it.pos] under each
+// item's key. Items are grouped by instance and each group is applied
+// under that instance's write mutex with its replication ops enqueued
+// before the mutex is released (the same fence contract as hostMutate).
+// Writers of different instances proceed in parallel.
+func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 	h := ds.hosting.Load()
 	if h.down {
 		return ErrServerDown
@@ -426,7 +396,7 @@ func (ds *DataServer) hostBatchPut(items []batchPutItem) error {
 	// key-by-key so instances interleave; a stable sort keeps per-key
 	// order within each instance. A batch that is already grouped (one
 	// instance, most often) skips it.
-	byInst := func(a, b batchPutItem) int { return cmp.Compare(a.inst, b.inst) }
+	byInst := func(a, b batchItem) int { return cmp.Compare(a.inst, b.inst) }
 	if !slices.IsSortedFunc(items, byInst) {
 		slices.SortStableFunc(items, byInst)
 	}
@@ -435,7 +405,7 @@ func (ds *DataServer) hostBatchPut(items []batchPutItem) error {
 		for end < len(items) && items[end].inst == items[start].inst {
 			end++
 		}
-		if err := ds.putRun(items[start].inst, items[start:end]); err != nil {
+		if err := ds.putRun(items[start].inst, items[start:end], values); err != nil {
 			// Already-applied runs will be re-applied on retry; Put is
 			// idempotent so partial application is safe.
 			return err
@@ -449,7 +419,7 @@ func (ds *DataServer) hostBatchPut(items []batchPutItem) error {
 
 // putRun applies one instance's slice of a batched write under its write
 // mutex, enqueueing the replication batch before release.
-func (ds *DataServer) putRun(inst InstanceID, run []batchPutItem) error {
+func (ds *DataServer) putRun(inst InstanceID, run []batchItem, values [][]byte) error {
 	h := ds.hosting.Load()
 	mu := h.writeMu[inst]
 	if mu == nil {
@@ -467,10 +437,10 @@ func (ds *DataServer) putRun(inst InstanceID, run []batchPutItem) error {
 	eng := h.instances[inst]
 	ops := make([]syncOp, 0, len(run))
 	for _, it := range run {
-		if err := eng.Put(it.key, it.value); err != nil {
+		if err := eng.Put(it.key, values[it.pos]); err != nil {
 			return err
 		}
-		ops = append(ops, syncOp{kind: opPut, instance: inst, key: it.key, value: it.value})
+		ops = append(ops, syncOp{kind: opPut, instance: inst, key: it.key, value: values[it.pos]})
 	}
 	ds.enqueueSyncBatch(ops)
 	return nil

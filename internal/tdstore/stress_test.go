@@ -126,7 +126,7 @@ func TestStoreConcurrentStressWithFailover(t *testing.T) {
 
 	var sum float64
 	for i := 0; i < counterKeys; i++ {
-		v, err := cl.GetFloat(fmt.Sprintf("stress-ctr-%d", i))
+		v, err := getFloat(cl, fmt.Sprintf("stress-ctr-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}

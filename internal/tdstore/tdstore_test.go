@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"tencentrec/internal/statecodec"
 	"tencentrec/internal/tdstore/engine"
 	"tencentrec/internal/tdstore/engine/ldb"
 )
@@ -24,6 +25,16 @@ func newTestCluster(t *testing.T, opts Options) (*Cluster, *Client) {
 		t.Fatal(err)
 	}
 	return c, cl
+}
+
+// getFloat reads the float64 counter IncrFloat keeps at key; absent keys
+// read as zero.
+func getFloat(cl *Client, key string) (float64, error) {
+	v, ok, err := cl.Get(key)
+	if err != nil || !ok {
+		return 0, err
+	}
+	return statecodec.DecodeFloat(v)
 }
 
 func TestClientBasicOps(t *testing.T) {
@@ -72,11 +83,11 @@ func TestIncrFloat(t *testing.T) {
 	if err != nil || v != 2.0 {
 		t.Fatalf("IncrFloat = %v %v", v, err)
 	}
-	got, err := cl.GetFloat("count:item1")
+	got, err := getFloat(cl, "count:item1")
 	if err != nil || got != 2.0 {
 		t.Fatalf("GetFloat = %v %v", got, err)
 	}
-	if zero, err := cl.GetFloat("count:absent"); err != nil || zero != 0 {
+	if zero, err := getFloat(cl, "count:absent"); err != nil || zero != 0 {
 		t.Fatalf("GetFloat(absent) = %v %v", zero, err)
 	}
 }
@@ -99,7 +110,7 @@ func TestIncrFloatConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	c.WaitSync()
-	got, err := cl.GetFloat("hot")
+	got, err := getFloat(cl, "hot")
 	if err != nil || got != goroutines*perG {
 		t.Fatalf("counter = %v %v, want %d", got, err, goroutines*perG)
 	}
@@ -229,7 +240,7 @@ func TestClusterWithLDBEngine(t *testing.T) {
 
 func TestFloatCodecRoundTripProperty(t *testing.T) {
 	f := func(v float64) bool {
-		got, err := DecodeFloat(EncodeFloat(v))
+		got, err := statecodec.DecodeFloat(statecodec.EncodeFloat(v))
 		return err == nil && (got == v || (v != v && got != got)) // NaN-safe
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -238,7 +249,7 @@ func TestFloatCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeFloatRejectsBadLength(t *testing.T) {
-	if _, err := DecodeFloat([]byte{1, 2, 3}); err == nil {
+	if _, err := statecodec.DecodeFloat([]byte{1, 2, 3}); err == nil {
 		t.Fatal("DecodeFloat accepted a 3-byte value")
 	}
 }

@@ -548,19 +548,24 @@ func (b *PairCountBolt) Prepare(_ stream.TopologyContext, c stream.Collector) er
 }
 
 // isPruned consults the in-memory Li, falling back to the durable flag.
-func (b *PairCountBolt) isPruned(pair string) bool {
+// A failed read leaves the pair unchecked, so the flag is asked for again
+// rather than a durably pruned pair counting until the task restarts.
+func (b *PairCountBolt) isPruned(pair string) (bool, error) {
 	if b.pruned[pair] {
-		return true
+		return true, nil
 	}
 	if b.checked[pair] {
-		return false
+		return false, nil
+	}
+	_, ok, err := b.st.Get(b.keys.key2(prefixPruned, pair))
+	if err != nil {
+		return false, err
 	}
 	b.checked[pair] = true
-	if _, ok, _ := b.st.Get(b.keys.key2(prefixPruned, pair)); ok {
+	if ok {
 		b.pruned[pair] = true
-		return true
 	}
-	return false
+	return ok, nil
 }
 
 // Execute implements stream.Bolt.
@@ -571,8 +576,8 @@ func (b *PairCountBolt) Execute(t *stream.Tuple) error {
 	pair := t.Value("pair").(string)
 	delta := t.Value("delta").(float64)
 	session := t.Value("session").(int64)
-	if b.isPruned(pair) {
-		return nil // Algorithm 1 line 3-5: skip items in Li
+	if pruned, err := b.isPruned(pair); pruned || err != nil {
+		return err // Algorithm 1 line 3-5: skip items in Li
 	}
 	if b.comb != nil {
 		ck := b.keys.comb(pair, session)

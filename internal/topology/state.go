@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"tencentrec/internal/cache"
-	"tencentrec/internal/statecodec"
 	"tencentrec/internal/window"
 )
 
@@ -54,16 +53,11 @@ type State interface {
 	Get(key string) ([]byte, bool, error)
 	// Put stores value under key.
 	Put(key string, value []byte) error
-	// Delete removes key; deleting an absent key is not an error.
-	Delete(key string) error
 	// BatchGet returns the values for keys in one round trip;
 	// found[i] reports whether keys[i] exists.
 	BatchGet(keys []string) (values [][]byte, found []bool, err error)
 	// BatchPut stores values[i] under keys[i] in one round trip.
 	BatchPut(keys []string, values [][]byte) error
-	// IncrFloat atomically adds delta to the float64 scalar at key
-	// (absent keys start at zero) and returns the new value.
-	IncrFloat(key string, delta float64) (float64, error)
 }
 
 // memShards spreads MemState over independent locks, approximating the
@@ -147,15 +141,6 @@ func copyInto(dst, value []byte) []byte {
 	return cp
 }
 
-// Delete implements State.
-func (s *MemState) Delete(key string) error {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
-	return nil
-}
-
 // BatchGet implements State: keys are grouped by shard so each shard's
 // lock is taken once per batch. Ops accounting stays per key, so the
 // cache/combiner ablations keep measuring keys touched.
@@ -208,26 +193,6 @@ func (s *MemState) BatchPut(keys []string, values [][]byte) error {
 	}
 	s.puts.Add(int64(len(keys)))
 	return nil
-}
-
-// IncrFloat implements State with a read-modify-write under the shard
-// lock, mirroring the TDStore client's atomic counter primitive.
-func (s *MemState) IncrFloat(key string, delta float64) (float64, error) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	v := 0.0
-	if cur, ok := sh.m[key]; ok {
-		var err error
-		if v, err = statecodec.DecodeFloat(cur); err != nil {
-			return 0, err
-		}
-	}
-	v += delta
-	sh.m[key] = statecodec.EncodeFloat(v)
-	s.gets.Add(1)
-	s.puts.Add(1)
-	return v, nil
 }
 
 // Ops returns the number of Get and Put calls served, for the cache and

@@ -1,0 +1,108 @@
+package topology
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"tencentrec/internal/tdstore"
+)
+
+// TestStateValueOwnership runs the ownership rule written on State
+// against both implementations: a store keeps nothing the caller passed
+// to Put/BatchPut (bolts patch and reuse those buffers), and hands out
+// nothing it keeps from Get/BatchGet (bolts edit what they read in
+// place).
+func TestStateValueOwnership(t *testing.T) {
+	cluster, err := tdstore.NewCluster(tdstore.Options{DataServers: 3, Instances: 8, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	client, err := cluster.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	impls := []struct {
+		name string
+		st   State
+		// replica, where the store replicates behind the write, settles
+		// replication and reads the copies: they must not alias the
+		// caller's buffers either.
+		replica func(keys []string) ([][]byte, []bool, error)
+	}{
+		{name: "MemState", st: NewMemState()},
+		{name: "tdstore.Client", st: client, replica: func(keys []string) ([][]byte, []bool, error) {
+			cluster.WaitSync()
+			return client.ReplicaBatchGet(keys)
+		}},
+	}
+	for _, impl := range impls {
+		t.Run(impl.name, func(t *testing.T) {
+			st := impl.st
+			const n = 40
+			want := func(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
+			orig := make([]string, n)
+			for i := range orig {
+				orig[i] = fmt.Sprintf("own-%d", i)
+			}
+			// Writes: key 0 through Put, the rest through one BatchPut; then
+			// the caller reuses every buffer it passed.
+			keys := append([]string(nil), orig...)
+			vals := make([][]byte, n)
+			for i := range vals {
+				vals[i] = want(i)
+			}
+			if err := st.Put(keys[0], vals[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.BatchPut(keys[1:], vals[1:]); err != nil {
+				t.Fatal(err)
+			}
+			for i := range vals {
+				for j := range vals[i] {
+					vals[i][j] = 'X'
+				}
+				keys[i], vals[i] = "reused", nil
+			}
+			check := func(when string, got [][]byte, found []bool) {
+				t.Helper()
+				for i := range orig {
+					if !found[i] || !bytes.Equal(got[i], want(i)) {
+						t.Fatalf("%s: %s = %q found=%v, want %q", when, orig[i], got[i], found[i], want(i))
+					}
+				}
+			}
+			got, found, err := st.BatchGet(orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after the caller reused its Put/BatchPut buffers", got, found)
+			if impl.replica != nil {
+				rgot, rfound, err := impl.replica(orig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("replica copies after the caller reused its buffers", rgot, rfound)
+			}
+			// Reads: the caller scribbles over what BatchGet and Get returned.
+			one, ok, err := st.Get(orig[0])
+			if err != nil || !ok {
+				t.Fatalf("Get(%s) = found %v, %v", orig[0], ok, err)
+			}
+			for _, v := range append(got, one) {
+				for j := range v {
+					v[j] = 'Y'
+				}
+			}
+			got, found, err = st.BatchGet(orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after the caller edited the slices Get/BatchGet returned", got, found)
+			if one, _, _ = st.Get(orig[0]); !bytes.Equal(one, want(0)) {
+				t.Fatalf("Get(%s) = %q after the caller edited a returned slice, want %q", orig[0], one, want(0))
+			}
+		})
+	}
+}

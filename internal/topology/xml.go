@@ -126,6 +126,9 @@ func LoadXML(r io.Reader, reg *Registry) (*stream.Topology, error) {
 	}
 	var prev string
 	for _, sp := range doc.Spouts {
+		if sp.Name == "" {
+			return nil, fmt.Errorf("topology: spout of class %q has no name attribute", sp.Class)
+		}
 		factory, ok := reg.Spouts[sp.Class]
 		if !ok {
 			return nil, fmt.Errorf("topology: unknown spout class %q", sp.Class)
@@ -145,6 +148,9 @@ func LoadXML(r io.Reader, reg *Registry) (*stream.Topology, error) {
 		prev = sp.Name
 	}
 	for _, bl := range doc.Bolts {
+		if bl.Name == "" {
+			return nil, fmt.Errorf("topology: bolt of class %q has no name attribute", bl.Class)
+		}
 		factory, ok := reg.Bolts[bl.Class]
 		if !ok {
 			return nil, fmt.Errorf("topology: unknown bolt class %q", bl.Class)

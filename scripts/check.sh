@@ -61,6 +61,13 @@ for target in FuzzDecodeHistory FuzzDecodeList FuzzDecodeProfile \
 	go test -run=NONE -fuzz="^${target}\$" -fuzztime=5s ./internal/statecodec/
 done
 
+# Both start from whole files, and go test spends its default minute
+# minimizing each input that widens coverage before it fuzzes on; bound
+# that so five seconds are spent on new inputs.
+echo "== file-reader fuzz smoke (checkpoint manifest, topology XML)"
+go test -run=NONE -fuzz='^FuzzLoadCheckpoint$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/
+go test -run=NONE -fuzz='^FuzzLoadXML$' -fuzztime=5s -fuzzminimizetime=100x ./internal/topology/
+
 echo "== cluster wire fuzz smoke (frame reader + batch/ack/hello decoders)"
 go test -run=NONE -fuzz='^FuzzWireFrame$' -fuzztime=5s ./internal/cluster/
 
@@ -75,5 +82,8 @@ else
 	echo "check: codec delta path or top-K insert allocates" >&2
 	exit 1
 fi
+
+echo "== Go lines, total and non-test (scripts/loc.sh)"
+sh scripts/loc.sh | tail -n 1
 
 echo "check: OK"
