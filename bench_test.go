@@ -24,6 +24,7 @@ import (
 	"tencentrec/internal/core"
 	"tencentrec/internal/obsv"
 	"tencentrec/internal/sim"
+	"tencentrec/internal/tdaccess"
 	"tencentrec/internal/topology"
 )
 
@@ -207,6 +208,56 @@ func BenchmarkPipelineThroughputAcked(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "actions/s")
 }
+
+// BenchmarkIngestEdge measures one action's trip over the ingest edge and
+// nothing behind it: what System.Publish does (EncodeAction, then
+// Producer.Send), then Consumer.Poll(256) and DecodeAction, on a broker
+// in a temp dir. Its allocs/op is gated in scripts/check.sh and it is the
+// third profile of scripts/profile.sh.
+func BenchmarkIngestEdge(b *testing.B) {
+	broker, err := tdaccess.NewBroker(tdaccess.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer broker.Close()
+	actions := genBenchActions(4096, 100000, 20000)
+	prod := broker.NewProducer()
+	cons := broker.NewConsumer("bench")
+	if err := cons.Subscribe("actions"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	// Publish a poll's worth, then consume it: the log is read while it
+	// is still in the page cache, as a spout that keeps up reads it.
+	for done := 0; done < b.N; {
+		n := min(256, b.N-done)
+		for i := 0; i < n; i++ {
+			a := actions[(done+i)%len(actions)]
+			if _, _, err := prod.Send("actions", a.User, topology.EncodeAction(a)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for got := 0; got < n; {
+			msgs, err := cons.Poll(256)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, m := range msgs {
+				a, err := topology.DecodeAction(m.Payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(a.User)
+			}
+			got += len(msgs)
+		}
+		done += n
+	}
+}
+
+// benchSink keeps a benchmark's result alive.
+var benchSink int
 
 // newMixSystem opens a System populated with enough users and items for
 // a realistic read mix. tier toggles the serving tier for ablation.

@@ -81,12 +81,18 @@ func main() {
 	rng := w.Rand()
 	types := []core.ActionType{core.ActionBrowse, core.ActionClick, core.ActionRead, core.ActionShare, core.ActionPurchase}
 
+	// JSON is what POST /action and a reader of stdout take; the binary
+	// frame of topology.EncodeAction is the TDAccess log's own.
+	marshal := func(raw topology.RawAction) []byte {
+		b, _ := json.Marshal(raw) // struct of plain fields cannot fail
+		return b
+	}
 	var post func(raw topology.RawAction) error
 	if *url == "" {
 		out := bufio.NewWriter(os.Stdout)
 		defer out.Flush()
 		post = func(raw topology.RawAction) error {
-			out.Write(topology.EncodeAction(raw))
+			out.Write(marshal(raw))
 			out.WriteByte('\n')
 			return nil
 		}
@@ -94,7 +100,7 @@ func main() {
 		client := &http.Client{Timeout: 5 * time.Second}
 		endpoint := *url + "/action"
 		post = func(raw topology.RawAction) error {
-			resp, err := client.Post(endpoint, "application/json", bytes.NewReader(topology.EncodeAction(raw)))
+			resp, err := client.Post(endpoint, "application/json", bytes.NewReader(marshal(raw)))
 			if err != nil {
 				return err
 			}

@@ -12,7 +12,8 @@
 // Binary layout. Every binary value starts with a three-byte header:
 //
 //	[0] tagBinary (0x01);
-//	[1] a type byte ('H' history, 'L' list, 'P' profile) guarding
+//	[1] a type byte ('H' history, 'L' list, 'P' profile; 'A' is the
+//	    action record on the TDAccess log, see wirebytes.go) guarding
 //	    against decoding a value under the wrong key prefix;
 //	[2] a format version, currently 1.
 //

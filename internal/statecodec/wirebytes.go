@@ -24,3 +24,16 @@ func ReadFloat(b []byte, what string) (float64, []byte, error) { return readFloa
 // ReadCount decodes a uvarint element count, rejecting counts larger than
 // the remaining payload (each encoded element occupies at least a byte).
 func ReadCount(b []byte, what string) (int, []byte, error) { return readCount(b, what) }
+
+// TypeAction is the type byte of the action record applications publish
+// into TDAccess. Its payload layout belongs to the topology package
+// (topology.EncodeAction); the byte is declared here so it cannot
+// collide with a status-data type.
+const TypeAction = 'A'
+
+// AppendHeader appends the three-byte binary header for typ.
+func AppendHeader(buf []byte, typ byte) []byte { return header(buf, typ) }
+
+// CheckHeader validates the three-byte binary header for typ and returns
+// the payload behind it.
+func CheckHeader(b []byte, typ byte, what string) ([]byte, error) { return checkHeader(b, typ, what) }

@@ -23,18 +23,16 @@ type Message struct {
 	Payload []byte
 }
 
-// encodeMessage frames key and payload for the partition log.
-func encodeMessage(key string, payload []byte) []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(key)+len(payload))
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, key...)
-	buf = append(buf, payload...)
-	return buf
+// appendMessage frames key and payload as one record body,
+// uvarint(len(key)) | key | payload, written straight into the log.
+func appendMessage(l *plog, key string, payload []byte) (int64, error) {
+	var klen [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(klen[:], uint64(len(key)))
+	return l.appendParts(klen[:n], key, payload)
 }
 
-// decodeMessage splits a framed record back into key and payload.
+// decodeMessage splits a record body back into key and payload. The
+// payload aliases body.
 func decodeMessage(body []byte) (key string, payload []byte, err error) {
 	klen, n := binary.Uvarint(body)
 	if n <= 0 || uint64(len(body)-n) < klen {

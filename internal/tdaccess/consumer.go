@@ -26,7 +26,10 @@ type Consumer struct {
 	// positions tracks the next offset to read per assigned partition,
 	// starting from the group's committed offsets.
 	positions map[int]int64
-	closed    bool
+	// bodies is Poll's scratch for one partition's records, cleared
+	// before Poll returns.
+	bodies [][]byte
+	closed bool
 }
 
 // NewConsumer returns a consumer that joins the named group.
@@ -121,7 +124,9 @@ func (c *Consumer) refreshAssignment() error {
 }
 
 // Poll returns up to max messages across this consumer's partitions,
-// advancing its read positions (uncommitted until Commit).
+// advancing its read positions (uncommitted until Commit). Payloads
+// alias the buffers the poll read (see plog.ReadFrom); they are the
+// caller's from here on and the consumer keeps no reference to them.
 func (c *Consumer) Poll(max int) ([]Message, error) {
 	if c.t == nil {
 		return nil, fmt.Errorf("tdaccess: consumer %s polled before Subscribe", c.id)
@@ -129,7 +134,18 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 	if err := c.refreshAssignment(); err != nil {
 		return nil, err
 	}
+	// Size the result once, from what the partitions hold right now.
+	want := 0
+	for _, p := range c.assigned {
+		if ahead := c.t.parts[p].log.NextOffset() - c.positions[p]; ahead > 0 {
+			want += int(min(ahead, int64(max-want)))
+		}
+	}
 	var out []Message
+	if want > 0 {
+		out = make([]Message, 0, want)
+	}
+	defer func() { clear(c.bodies) }()
 	for _, p := range c.assigned {
 		if len(out) >= max {
 			break
@@ -142,11 +158,13 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 		if down {
 			return out, fmt.Errorf("tdaccess: data server %d serving %s/%d is down", ph.server, c.topicName, p)
 		}
-		bodies, err := ph.log.ReadFrom(c.positions[p], max-len(out))
+		pos := c.positions[p]
+		var err error
+		c.bodies, err = ph.log.ReadFrom(c.bodies[:0], pos, max-len(out))
 		if err != nil {
 			return out, err
 		}
-		for i, body := range bodies {
+		for i, body := range c.bodies {
 			key, payload, err := decodeMessage(body)
 			if err != nil {
 				return out, err
@@ -154,21 +172,21 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 			out = append(out, Message{
 				Topic:     c.topicName,
 				Partition: p,
-				Offset:    c.positions[p] + int64(i),
+				Offset:    pos + int64(i),
 				Key:       key,
 				Payload:   payload,
 			})
 		}
-		if ins != nil && len(bodies) > 0 {
-			ins.consumed.Add(int64(len(bodies)))
+		if ins != nil && len(c.bodies) > 0 {
+			ins.consumed.Add(int64(len(c.bodies)))
 			now := obsv.Now()
-			for i := range bodies {
-				if at, ok := ph.stamps.lookup(c.positions[p] + int64(i)); ok {
+			for i := range c.bodies {
+				if at, ok := ph.stamps.lookup(pos + int64(i)); ok {
 					ins.lag.Observe(now - at)
 				}
 			}
 		}
-		c.positions[p] += int64(len(bodies))
+		c.positions[p] = pos + int64(len(c.bodies))
 	}
 	return out, nil
 }

@@ -122,57 +122,85 @@ func openLog(dir string, segmentBytes int64) (*plog, error) {
 	return l, nil
 }
 
+// recordHeader is the fixed prefix of a record on disk:
+// crc32(body) | len(body), both little-endian uint32.
+const recordHeader = 8
+
+// maxMessage bounds a single record body.
+const maxMessage = 64 << 20
+
+// recoverSegment opens a segment file and indexes the records that are
+// whole and CRC-clean from its start; what follows them is a torn tail.
 func recoverSegment(base int64, path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("tdaccess: open segment: %w", err)
 	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("tdaccess: stat segment: %w", err)
+	}
 	seg := &segment{base: base, path: path, f: f}
 	r := bufio.NewReader(f)
-	var pos int64
 	for {
-		n, err := skipRecord(r)
-		if err == io.EOF {
-			break
-		}
+		n, err := skipRecord(r, st.Size()-seg.size)
 		if err != nil {
-			// Torn tail from a crash: keep what was fully written.
-			break
+			f.Close()
+			return nil, fmt.Errorf("tdaccess: recover %s: %w", path, err)
 		}
-		seg.index = append(seg.index, pos)
-		pos += int64(n)
+		if n == 0 {
+			break // torn tail from a crash: keep what was fully written
+		}
+		seg.index = append(seg.index, seg.size)
+		seg.size += n
 	}
-	seg.size = pos
 	return seg, nil
 }
 
-// skipRecord advances past one record, validating its frame, and returns
-// its encoded size.
-func skipRecord(r *bufio.Reader) (int, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, io.EOF
-		}
-		return 0, err
+// skipRecord advances past one record of a file with left bytes to go
+// and returns its encoded size, or 0 when those bytes do not hold a whole
+// CRC-clean record. The body is checksummed through the reader's buffer:
+// a length field is never trusted with an allocation, and one that claims
+// more than the file has left is a torn tail without reading further.
+func skipRecord(r *bufio.Reader, left int64) (int64, error) {
+	if left < recordHeader {
+		return 0, nil
+	}
+	hdr, err := r.Peek(recordHeader)
+	if err != nil {
+		return 0, tornOrErr(err)
 	}
 	want := binary.LittleEndian.Uint32(hdr[0:4])
-	size := binary.LittleEndian.Uint32(hdr[4:8])
-	if size > maxMessage {
-		return 0, fmt.Errorf("tdaccess: record size %d exceeds limit", size)
+	size := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+	if size > maxMessage || size > left-recordHeader {
+		return 0, nil
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, err
+	r.Discard(recordHeader) // cannot fail: just peeked
+	var crc uint32
+	for rem := size; rem > 0; {
+		chunk, err := r.Peek(int(min(rem, int64(r.Size()))))
+		if err != nil {
+			return 0, tornOrErr(err)
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		r.Discard(len(chunk))
+		rem -= int64(len(chunk))
 	}
-	if crc32.ChecksumIEEE(body) != want {
-		return 0, fmt.Errorf("tdaccess: crc mismatch")
+	if crc != want {
+		return 0, nil
 	}
-	return 8 + int(size), nil
+	return recordHeader + size, nil
 }
 
-// maxMessage bounds a single encoded message.
-const maxMessage = 64 << 20
+// tornOrErr maps a file that ended early (it shrank under the scan) to a
+// torn tail and passes a real read error on.
+func tornOrErr(err error) error {
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
 
 // rotateLocked starts a new active segment. Caller holds l.mu.
 func (l *plog) rotateLocked() error {
@@ -198,11 +226,16 @@ func (l *plog) rotateLocked() error {
 	return nil
 }
 
-// Append writes one encoded record and returns its message offset.
+// Append writes one record and returns its message offset.
 // Frame: crc32(body) | len(body) | body.
-func (l *plog) Append(body []byte) (int64, error) {
-	if len(body) > maxMessage {
-		return 0, fmt.Errorf("tdaccess: message of %d bytes exceeds limit", len(body))
+func (l *plog) Append(body []byte) (int64, error) { return l.appendParts(nil, "", body) }
+
+// appendParts is Append for a body given as head, key and tail back to
+// back (the broker's message frame), so Send need not join them first.
+func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) {
+	size := len(head) + len(key) + len(tail)
+	if size > maxMessage {
+		return 0, fmt.Errorf("tdaccess: message of %d bytes exceeds limit", size)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -213,73 +246,105 @@ func (l *plog) Append(body []byte) (int64, error) {
 		}
 		seg = l.segments[len(l.segments)-1]
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("tdaccess: append header: %w", err)
-	}
-	if _, err := l.w.Write(body); err != nil {
-		return 0, fmt.Errorf("tdaccess: append body: %w", err)
+	// Every append ends in Flush, so the writer's buffer is empty here: a
+	// record that fits is assembled in it and Write copies nothing, a
+	// larger one is assembled by append and Write hands it to the file
+	// whole. Either way the record reaches the file in one write.
+	rec := append(l.w.AvailableBuffer(), make([]byte, recordHeader)...)
+	rec = append(rec, head...)
+	rec = append(rec, key...)
+	rec = append(rec, tail...)
+	binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[recordHeader:]))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(size))
+	if _, err := l.w.Write(rec); err != nil {
+		return 0, fmt.Errorf("tdaccess: append: %w", err)
 	}
 	if err := l.w.Flush(); err != nil {
 		return 0, fmt.Errorf("tdaccess: append flush: %w", err)
 	}
 	off := l.nextOffset
 	seg.index = append(seg.index, seg.size)
-	seg.size += int64(8 + len(body))
+	seg.size += int64(len(rec))
 	l.nextOffset++
 	return off, nil
 }
 
 // Read returns the record at the given message offset.
 func (l *plog) Read(offset int64) ([]byte, error) {
+	var one [1][]byte
+	out, err := l.ReadFrom(one[:0], offset, 1)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		return nil, ErrOffsetOutOfRange
+	}
+	return out[0], nil
+}
+
+// ReadFrom appends up to max record bodies starting at offset to dst and
+// returns it; an offset at the tail appends nothing. Each contiguous run
+// of a segment is fetched with one positioned read into one buffer, whose
+// byte range comes from the resident index, and the call carries on into
+// the next segment until max is met. Every record is CRC-checked; on a
+// mismatch the records before it are returned with an error naming the
+// offset. The bodies alias the run's buffer, each clipped to its own
+// capacity so an append to one cannot reach its neighbour; the buffer
+// lives as long as any body read from it is referenced.
+func (l *plog) ReadFrom(dst [][]byte, offset int64, max int) ([][]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if offset < 0 || offset >= l.nextOffset {
-		return nil, ErrOffsetOutOfRange
+	if offset < 0 {
+		return dst, ErrOffsetOutOfRange
+	}
+	if offset >= l.nextOffset {
+		return dst, nil
 	}
 	// Find the owning segment (last one with base <= offset). A trimmed
 	// log's first base may exceed the offset: that record is gone.
 	i := sort.Search(len(l.segments), func(i int) bool { return l.segments[i].base > offset }) - 1
 	if i < 0 {
-		return nil, ErrOffsetOutOfRange
+		return dst, ErrOffsetOutOfRange
 	}
-	seg := l.segments[i]
-	rel := int(offset - seg.base)
-	pos := seg.index[rel]
-	var hdr [8]byte
-	if _, err := seg.f.ReadAt(hdr[:], pos); err != nil {
-		return nil, fmt.Errorf("tdaccess: read header: %w", err)
-	}
-	size := binary.LittleEndian.Uint32(hdr[4:8])
-	body := make([]byte, size)
-	if _, err := seg.f.ReadAt(body, pos+8); err != nil {
-		return nil, fmt.Errorf("tdaccess: read body: %w", err)
-	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[0:4]) {
-		return nil, fmt.Errorf("tdaccess: crc mismatch at offset %d", offset)
-	}
-	return body, nil
-}
-
-// ReadFrom returns up to max records starting at offset.
-func (l *plog) ReadFrom(offset int64, max int) ([][]byte, error) {
-	l.mu.RLock()
-	next := l.nextOffset
-	l.mu.RUnlock()
-	if offset >= next {
-		return nil, nil
-	}
-	var out [][]byte
-	for o := offset; o < next && len(out) < max; o++ {
-		b, err := l.Read(o)
-		if err != nil {
-			return out, err
+	for first := offset; max > 0 && offset < l.nextOffset; i++ {
+		seg := l.segments[i]
+		rel := int(offset - seg.base)
+		if rel < 0 || rel >= len(seg.index) {
+			// A hole: recovery kept only the clean prefix of a segment that
+			// is not the last, and the offsets behind it are gone. What
+			// was read up to the hole is good; the next call reports it.
+			if offset > first {
+				return dst, nil
+			}
+			return dst, ErrOffsetOutOfRange
 		}
-		out = append(out, b)
+		n := min(max, len(seg.index)-rel)
+		bounds := seg.index[rel : rel+n]
+		start, end := bounds[0], seg.size
+		if rel+n < len(seg.index) {
+			end = seg.index[rel+n]
+		}
+		buf := make([]byte, end-start)
+		if _, err := seg.f.ReadAt(buf, start); err != nil {
+			return dst, fmt.Errorf("tdaccess: read %d records at offset %d: %w", n, offset, err)
+		}
+		for k, pos := range bounds {
+			recEnd := end
+			if k+1 < n {
+				recEnd = bounds[k+1]
+			}
+			rec := buf[pos-start : recEnd-start : recEnd-start]
+			if len(rec) < recordHeader ||
+				int(binary.LittleEndian.Uint32(rec[4:8])) != len(rec)-recordHeader ||
+				crc32.ChecksumIEEE(rec[recordHeader:]) != binary.LittleEndian.Uint32(rec[0:4]) {
+				return dst, fmt.Errorf("tdaccess: crc mismatch at offset %d", offset+int64(k))
+			}
+			dst = append(dst, rec[recordHeader:])
+		}
+		offset += int64(n)
+		max -= n
 	}
-	return out, nil
+	return dst, nil
 }
 
 // NextOffset returns the offset the next append will receive.

@@ -34,7 +34,7 @@ func (p *Producer) Send(topicName, key string, payload []byte) (partition int, o
 	if down {
 		return 0, 0, fmt.Errorf("tdaccess: data server %d serving %s/%d is down", ph.server, topicName, part)
 	}
-	off, err := ph.log.Append(encodeMessage(key, payload))
+	off, err := appendMessage(ph.log, key, payload)
 	if err != nil {
 		return 0, 0, err
 	}

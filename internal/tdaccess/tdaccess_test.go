@@ -380,8 +380,21 @@ func TestLag(t *testing.T) {
 }
 
 func TestMessageCodecProperty(t *testing.T) {
+	l, err := openLog(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	f := func(key string, payload []byte) bool {
-		k, p, err := decodeMessage(encodeMessage(key, payload))
+		off, err := appendMessage(l, key, payload)
+		if err != nil {
+			return false
+		}
+		body, err := l.Read(off)
+		if err != nil {
+			return false
+		}
+		k, p, err := decodeMessage(body)
 		if err != nil || k != key || len(p) != len(payload) {
 			return false
 		}

@@ -74,6 +74,24 @@ func BenchmarkStoreParallelBatchGet(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreParallelPut measures the single-key write: the host
+// engine's Put plus the op it leaves on the replication queue, which the
+// sync loop drains beside the writers.
+func BenchmarkStoreParallelPut(b *testing.B) {
+	_, cl, keys := benchCluster(b)
+	val := []byte("0123456789abcdef")
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if err := cl.Put(keys[i&(len(keys)-1)], val); err != nil {
+				b.Fatal(err)
+			}
+			i++
+		}
+	})
+}
+
 // BenchmarkStoreParallelIncr measures the read-modify-write counter path
 // under its per-instance (not server-wide) write exclusivity.
 func BenchmarkStoreParallelIncr(b *testing.B) {

@@ -195,6 +195,11 @@ func (ds *DataServer) fenceWrites() {
 // load, so a hot key replicates once per drain instead of once per write.
 func (ds *DataServer) syncLoop() {
 	defer close(ds.syncDone)
+	// The loop and the writers trade two queue buffers: a drained batch,
+	// cleared, is what the next drain leaves the writers to fill, so the
+	// queue is not regrown from nothing after every drain.
+	var spare []syncOp
+	scratch := make(map[opKey]int, maxScratchOps)
 	for {
 		ds.syncMu.Lock()
 		for len(ds.syncQueue) == 0 && !ds.syncStop {
@@ -205,14 +210,20 @@ func (ds *DataServer) syncLoop() {
 			return
 		}
 		batch := ds.syncQueue
-		ds.syncQueue = nil
+		ds.syncQueue = spare
 		ds.syncMu.Unlock()
 
 		h := ds.hosting.Load()
-		for _, op := range coalesceOps(batch) {
+		for _, op := range coalesceOps(batch, scratch) {
 			for _, slave := range h.slaves[op.instance] {
 				slave.applyReplica(op)
 			}
+		}
+		clear(scratch)
+		spare = nil // a burst's buffer goes back to the collector
+		if cap(batch) <= maxSpareOps {
+			clear(batch) // drop the keys and values it pinned
+			spare = batch[:0]
 		}
 
 		ds.syncMu.Lock()
@@ -224,19 +235,36 @@ func (ds *DataServer) syncLoop() {
 	}
 }
 
+const (
+	// maxSpareOps bounds the queue buffer the sync loop keeps between
+	// drains.
+	maxSpareOps = 1024
+	// maxScratchOps is the largest batch coalesced in the loop's reused
+	// map. Most drains hold a handful of ops; clearing a map costs its
+	// capacity, so a burst gets a map of its own and the reused one stays
+	// small.
+	maxScratchOps = 64
+)
+
+// opKey identifies what a replicated mutation overwrites.
+type opKey struct {
+	inst InstanceID
+	key  string
+}
+
 // coalesceOps collapses a drained sync batch to one op per (instance,
 // key), keeping queue order among survivors. Queue order is host apply
 // order, so the last op for a key — put or delete — is the one that
-// matters; everything earlier is superseded.
-func coalesceOps(batch []syncOp) []syncOp {
+// matters; everything earlier is superseded. scratch is an empty map
+// the caller clears afterwards.
+func coalesceOps(batch []syncOp, scratch map[opKey]int) []syncOp {
 	if len(batch) <= 1 {
 		return batch
 	}
-	type opKey struct {
-		inst InstanceID
-		key  string
+	last := scratch
+	if len(batch) > maxScratchOps {
+		last = make(map[opKey]int, len(batch))
 	}
-	last := make(map[opKey]int, len(batch))
 	for i, op := range batch {
 		last[opKey{op.instance, op.key}] = i
 	}
@@ -271,9 +299,9 @@ func (ds *DataServer) applyReplica(op syncOp) {
 	}
 }
 
-// enqueueSyncBatch schedules mutations for slave catch-up under one lock
+// enqueueSync schedules mutations for slave catch-up under one lock
 // acquisition and one wake-up.
-func (ds *DataServer) enqueueSyncBatch(ops []syncOp) {
+func (ds *DataServer) enqueueSync(ops ...syncOp) {
 	if len(ops) == 0 {
 		return
 	}
@@ -341,7 +369,7 @@ func (ds *DataServer) hostMutate(instance InstanceID, fn func(eng engine.Engine)
 		return err
 	}
 	op.instance = instance
-	ds.enqueueSyncBatch([]syncOp{op})
+	ds.enqueueSync(op)
 	return nil
 }
 
@@ -442,7 +470,7 @@ func (ds *DataServer) putRun(inst InstanceID, run []batchItem, values [][]byte) 
 		}
 		ops = append(ops, syncOp{kind: opPut, instance: inst, key: it.key, value: values[it.pos]})
 	}
-	ds.enqueueSyncBatch(ops)
+	ds.enqueueSync(ops...)
 	return nil
 }
 

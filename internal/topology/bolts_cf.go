@@ -9,6 +9,7 @@ import (
 	"tencentrec/internal/combiner"
 	"tencentrec/internal/core"
 	"tencentrec/internal/demographic"
+	"tencentrec/internal/obsv"
 	"tencentrec/internal/statecodec"
 	"tencentrec/internal/stream"
 )
@@ -123,40 +124,37 @@ type PretreatmentBolt struct {
 	p     Params
 	c     stream.Collector
 	dedup *msgDedup // shared across tasks; nil when disabled
+	// malformed counts payloads parseAction rejected; shared across tasks.
+	malformed *obsv.Counter
 	// vals chunk-allocates emission payloads; acts memoizes the boxing
-	// of the small fixed set of action names.
+	// of the behaviour names Params.Weights knows.
 	vals valArena
 	acts map[string]any
 }
 
-// NewPretreatmentBolt returns the bolt factory.
+// NewPretreatmentBolt returns the bolt factory. Builder uses
+// newPretreatmentBolt to put the malformed-payload count in its registry.
 func NewPretreatmentBolt(p Params) stream.BoltFactory {
+	return newPretreatmentBolt(p, new(obsv.Counter))
+}
+
+func newPretreatmentBolt(p Params, malformed *obsv.Counter) stream.BoltFactory {
 	p = p.withDefaults()
 	var dedup *msgDedup
 	if p.DedupWindow > 0 {
 		dedup = newMsgDedup(p.DedupWindow)
 	}
-	return func() stream.Bolt { return &PretreatmentBolt{p: p, dedup: dedup} }
+	return func() stream.Bolt { return &PretreatmentBolt{p: p, dedup: dedup, malformed: malformed} }
 }
 
 // Prepare implements stream.Bolt.
 func (b *PretreatmentBolt) Prepare(_ stream.TopologyContext, c stream.Collector) error {
 	b.c = c
-	b.acts = make(map[string]any, 8)
+	b.acts = make(map[string]any, len(b.p.Weights))
+	for a := range b.p.Weights {
+		b.acts[string(a)] = string(a)
+	}
 	return nil
-}
-
-// action memoizes the boxing of an action name.
-func (b *PretreatmentBolt) action(a string) any {
-	if v, ok := b.acts[a]; ok {
-		return v
-	}
-	if len(b.acts) >= 64 {
-		clear(b.acts)
-	}
-	v := any(a)
-	b.acts[a] = v
-	return v
 }
 
 // Execute implements stream.Bolt.
@@ -172,21 +170,28 @@ func (b *PretreatmentBolt) Execute(t *stream.Tuple) error {
 		}
 	}
 	raw, _ := t.Value("raw").([]byte)
-	a, err := DecodeAction(raw)
+	a, err := parseAction(raw)
 	if err != nil {
-		return err
+		// Bytes that are not an action frame are an unqualified tuple like
+		// any other: dropped, and counted so the drop is visible. Returning
+		// the error would fail the lineage, and the spout would replay the
+		// same bytes without end.
+		b.malformed.Inc()
+		return nil
 	}
-	if a.User == "" || a.Item == "" || a.Action == "" {
+	if len(a.user) == 0 || len(a.item) == 0 || len(a.action) == 0 {
 		return nil // unqualified tuple: dropped, not an error
 	}
-	switch a.Action {
+	switch string(a.action) {
 	case "impression", "ad_click":
-		b.c.EmitTo(StreamAdEvent, stream.Values{a.Item, a.Action, a.Region, a.Gender, a.Age, a.Position, a.TS})
+		b.c.EmitTo(StreamAdEvent, stream.Values{string(a.item), string(a.action), string(a.region),
+			string(a.gender), string(a.age), string(a.position), a.ts})
 	default:
-		if _, ok := b.p.Weights[core.ActionType(a.Action)]; !ok {
+		action, ok := b.acts[string(a.action)]
+		if !ok {
 			return nil // unknown behaviour type
 		}
-		b.c.EmitTo(StreamUserAction, b.vals.v4(a.User, a.Item, b.action(a.Action), a.TS))
+		b.c.EmitTo(StreamUserAction, b.vals.v4(string(a.user), string(a.item), action, a.ts))
 	}
 	return nil
 }

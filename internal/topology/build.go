@@ -184,7 +184,12 @@ func (b *Builder) Build() (*stream.Topology, error) {
 	}
 
 	tb.SetSpout(UnitSpout, b.spout, b.par.get(b.par.Spout))
-	tb.SetBolt(UnitPretreatment, NewPretreatmentBolt(p), b.par.get(b.par.Pretreatment)).
+	malformed := new(obsv.Counter)
+	if b.registry != nil {
+		malformed = b.registry.Counter("pretreatment_malformed_total",
+			"Payloads Pretreatment dropped because they are not an action frame.")
+	}
+	tb.SetBolt(UnitPretreatment, newPretreatmentBolt(p, malformed), b.par.get(b.par.Pretreatment)).
 		Shuffle(UnitSpout)
 
 	// UserHistory and the DB complement run for every application.

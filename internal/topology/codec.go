@@ -1,7 +1,7 @@
 package topology
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -24,9 +24,11 @@ func decodeFloat(b []byte) (float64, error) {
 	return v, nil
 }
 
-// RawAction is the wire format applications publish into TDAccess: one
-// JSON object per user behaviour, optionally carrying the situation
-// dimensions the CTR algorithm needs.
+// RawAction is one user behaviour as an application publishes it,
+// optionally carrying the situation dimensions the CTR algorithm needs.
+// On the TDAccess log it is the binary frame EncodeAction writes; the
+// JSON tags serve the two places where a person or an HTTP client writes
+// the record (POST /action, cmd/loadgen).
 type RawAction struct {
 	User   string `json:"user"`
 	Item   string `json:"item"`
@@ -40,19 +42,109 @@ type RawAction struct {
 	Position string `json:"position,omitempty"`
 }
 
+// The action frame, version 1. After the three-byte statecodec header
+// (0x01 'A' 0x01) come, in this order and filling the frame exactly,
+//
+//	user | item | action | ts | region | gender | age | position
+//
+// where each string is a uvarint byte length and that many bytes, and ts
+// is the zigzag varint of the event time in Unix nanoseconds. Every
+// varint is minimally encoded, so a frame has one encoding and an
+// accepted frame re-encodes to the same bytes.
+
 // EncodeAction serializes a raw action for TDAccess.
 func EncodeAction(a RawAction) []byte {
-	b, _ := json.Marshal(a) // struct of plain fields cannot fail
-	return b
+	// One length byte per string covers ids below 128 bytes; append
+	// grows the rare longer frame.
+	n := 3 + 7 + binary.MaxVarintLen64 + len(a.User) + len(a.Item) + len(a.Action) +
+		len(a.Region) + len(a.Gender) + len(a.Age) + len(a.Position)
+	buf := statecodec.AppendHeader(make([]byte, 0, n), statecodec.TypeAction)
+	buf = statecodec.AppendString(buf, a.User)
+	buf = statecodec.AppendString(buf, a.Item)
+	buf = statecodec.AppendString(buf, a.Action)
+	buf = binary.AppendVarint(buf, a.TS)
+	buf = statecodec.AppendString(buf, a.Region)
+	buf = statecodec.AppendString(buf, a.Gender)
+	buf = statecodec.AppendString(buf, a.Age)
+	return statecodec.AppendString(buf, a.Position)
+}
+
+// actionView is a validated action frame. Its byte fields alias the
+// frame, so Pretreatment can look the action name up and drop an
+// unqualified tuple without allocating.
+type actionView struct {
+	user, item, action            []byte
+	ts                            int64
+	region, gender, age, position []byte
+}
+
+// parseAction validates a whole action frame (header, every length,
+// nothing after the last field) before it returns any of it.
+func parseAction(b []byte) (actionView, error) {
+	rest, err := statecodec.CheckHeader(b, statecodec.TypeAction, "action")
+	if err != nil {
+		return actionView{}, fmt.Errorf("topology: bad action payload: %w", err)
+	}
+	// A field that fails leaves rest nil, which fails every field after
+	// it, so the last ok speaks for all eight.
+	var v actionView
+	v.user, rest, _ = actionField(rest)
+	v.item, rest, _ = actionField(rest)
+	v.action, rest, _ = actionField(rest)
+	ux, sz := minimalUvarint(rest)
+	if sz == 0 {
+		rest = nil
+	} else {
+		rest = rest[sz:]
+	}
+	v.ts = int64(ux>>1) ^ -int64(ux&1) // zigzag, as binary.Varint
+	v.region, rest, _ = actionField(rest)
+	v.gender, rest, _ = actionField(rest)
+	v.age, rest, _ = actionField(rest)
+	var ok bool
+	if v.position, rest, ok = actionField(rest); !ok {
+		return actionView{}, fmt.Errorf("topology: bad action payload: field length corrupt (%d bytes)", len(b))
+	}
+	if len(rest) != 0 {
+		return actionView{}, fmt.Errorf("topology: bad action payload: %d bytes after the last field", len(rest))
+	}
+	return v, nil
+}
+
+// actionField splits one length-prefixed field off b.
+func actionField(b []byte) (f, rest []byte, ok bool) {
+	n, sz := minimalUvarint(b)
+	if sz == 0 || n > uint64(len(b)-sz) {
+		return nil, nil, false
+	}
+	end := sz + int(n)
+	return b[sz:end], b[end:], true
+}
+
+// minimalUvarint reads a uvarint and reports its width, or 0 when it is
+// truncated, overflows 64 bits or is padded with a zero continuation
+// group (the one way binary.Uvarint accepts two encodings of a value).
+func minimalUvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 || b[sz-1] == 0 {
+		return 0, 0
+	}
+	return n, sz
 }
 
 // DecodeAction parses a TDAccess payload.
 func DecodeAction(b []byte) (RawAction, error) {
-	var a RawAction
-	if err := json.Unmarshal(b, &a); err != nil {
-		return RawAction{}, fmt.Errorf("topology: bad action payload: %w", err)
+	v, err := parseAction(b)
+	if err != nil {
+		return RawAction{}, err
 	}
-	return a, nil
+	return RawAction{
+		User: string(v.user), Item: string(v.item), Action: string(v.action), TS: v.ts,
+		Region: string(v.region), Gender: string(v.gender), Age: string(v.age), Position: string(v.position),
+	}, nil
 }
 
 // Time returns the action's event time.

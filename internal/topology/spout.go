@@ -27,10 +27,16 @@ type spoutMsgID struct {
 }
 
 func (id spoutMsgID) tag() string {
-	return strconv.Itoa(id.Partition) + "/" + strconv.FormatInt(id.Offset, 10)
+	var buf [40]byte // two decimal int64s and the slash
+	b := strconv.AppendInt(buf[:0], int64(id.Partition), 10)
+	b = strconv.AppendInt(append(b, '/'), id.Offset, 10)
+	return string(b)
 }
 
-// pendingMsg is one polled-but-not-committed message.
+// pendingMsg is one polled-but-not-committed message. Its payload
+// aliases the buffer of the poll that read it (tdaccess.Consumer.Poll),
+// so an un-acked message keeps that whole run alive: polling pauses at
+// maxInflight un-acked messages, which bounds the pinned runs too.
 type pendingMsg struct {
 	payload []byte
 	acked   bool
@@ -245,6 +251,7 @@ func (s *TDAccessSpout) Ack(msgID interface{}) {
 		return // unknown or duplicate result (e.g. a pre-restart lineage)
 	}
 	pm.acked = true
+	pm.payload = nil // an acked message is never replayed; unpin its poll buffer
 	s.inflight--
 	advanced := false
 	for {

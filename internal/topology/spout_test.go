@@ -1,10 +1,12 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
+	"tencentrec/internal/obsv"
 	"tencentrec/internal/stream"
 	"tencentrec/internal/tdaccess"
 )
@@ -163,6 +165,61 @@ func TestSpoutAckedFrontierCommit(t *testing.T) {
 		t.Fatal("NextTuple still true after drain + full ack")
 	}
 	sp.Close()
+}
+
+// TestPoisonRecordIsDroppedNotReplayed: a payload that is not an action
+// frame must cost one execution and one count. While Pretreatment
+// returned the decode error, an acked topology failed the lineage, the
+// spout replayed the same bytes, and the partition's commit frontier
+// never passed the record.
+func TestPoisonRecordIsDroppedNotReplayed(t *testing.T) {
+	broker := newSpoutBroker(t, 1)
+	prod := broker.NewProducer()
+	valid := func(i int) []byte {
+		return EncodeAction(RawAction{User: "u", Item: fmt.Sprintf("i%d", i), Action: "click", TS: int64(i + 1)})
+	}
+	for _, payload := range [][]byte{valid(0), []byte(`{"user":"u","item":"i","action":"click"}`), valid(1)} {
+		if _, _, err := prod.Send("acts", "u", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obsv.NewRegistry()
+	spout := NewTDAccessSpout(TDAccessSpoutConfig{
+		Broker: broker, Topic: "acts", Group: "g", StopWhenDrained: true, IdleSleep: 100 * time.Microsecond,
+	})
+	topo, err := NewBuilder("poison", spout, NewMemState(), Params{FlushInterval: time.Hour}).
+		WithAcking(0).
+		WithObservability(reg, nil).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	snap, err := topo.RunWithErrorHandler(ctx, func(c string, err error) {
+		t.Errorf("component %s: %v", c, err)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("topology did not drain: the poison record is being replayed")
+	}
+	if off, err := broker.CommittedOffset("g", "acts", 0); err != nil || off != 3 {
+		t.Fatalf("committed offset = %d, %v; want 3", off, err)
+	}
+	if got := snap.Components[UnitPretreatment].Executed; got != 3 {
+		t.Fatalf("pretreatment executed %d tuples, want 3 (each record once)", got)
+	}
+	if got := snap.Components[UnitSpout].Failed; got != 0 {
+		t.Fatalf("%d lineages failed back to the spout, want 0", got)
+	}
+	if got := reg.Counter("pretreatment_malformed_total", "").Value(); got != 1 {
+		t.Fatalf("pretreatment_malformed_total = %d, want 1", got)
+	}
+	if got := snap.Components[UnitUserHistory].Executed; got != 2 {
+		t.Fatalf("userHistory executed %d tuples, want the 2 valid actions", got)
+	}
 }
 
 func TestPretreatmentDedupDropsReplays(t *testing.T) {

@@ -549,6 +549,30 @@ func TestActionCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeAction([]byte("{broken")); err == nil {
 		t.Fatal("DecodeAction accepted garbage")
 	}
+	// One encoding per action: the frame is validated whole, and each of
+	// these differs from a good frame in one place.
+	frame := EncodeAction(a)
+	padded := append([]byte{}, frame[:3]...) // user length 1 written as 0x81 0x00
+	padded = append(append(padded, 0x81, 0x00), frame[4:]...)
+	for name, bad := range map[string][]byte{
+		"json record":     []byte(`{"user":"u","item":"i","action":"click","ts":12345}`),
+		"truncated":       frame[:len(frame)-1],
+		"trailing byte":   append(append([]byte{}, frame...), 0),
+		"wrong type byte": append([]byte{frame[0], 'H'}, frame[2:]...),
+		"next version":    append([]byte{frame[0], frame[1], 2}, frame[3:]...),
+		"padded varint":   padded,
+		"header only":     frame[:3],
+	} {
+		if got, err := DecodeAction(bad); err == nil {
+			t.Errorf("%s: DecodeAction accepted %x as %+v", name, bad, got)
+		}
+	}
+	for _, ts := range []int64{0, -1, 1, -1 << 63, 1<<63 - 1} {
+		in := RawAction{User: "u", Item: "i", Action: "read", TS: ts}
+		if out, err := DecodeAction(EncodeAction(in)); err != nil || out != in {
+			t.Errorf("ts %d: round trip = %+v, %v", ts, out, err)
+		}
+	}
 }
 
 func TestPairIDRoundTrip(t *testing.T) {

@@ -68,6 +68,10 @@ echo "== file-reader fuzz smoke (checkpoint manifest, topology XML)"
 go test -run=NONE -fuzz='^FuzzLoadCheckpoint$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/
 go test -run=NONE -fuzz='^FuzzLoadXML$' -fuzztime=5s -fuzzminimizetime=100x ./internal/topology/
 
+echo "== ingest edge fuzz smoke (action frame decoder, TDAccess segment recovery)"
+go test -run=NONE -fuzz='^FuzzDecodeAction$' -fuzztime=5s ./internal/topology/
+go test -run=NONE -fuzz='^FuzzRecoverSegment$' -fuzztime=5s ./internal/tdaccess/
+
 echo "== cluster wire fuzz smoke (frame reader + batch/ack/hello decoders)"
 go test -run=NONE -fuzz='^FuzzWireFrame$' -fuzztime=5s ./internal/cluster/
 
@@ -80,6 +84,20 @@ if echo "$zero_out" | awk '/^Benchmark/ { for (i = 1; i <= NF; i++) if ($(i+1) =
 	:
 else
 	echo "check: codec delta path or top-K insert allocates" >&2
+	exit 1
+fi
+
+# Publish -> Poll(256) -> DecodeAction is 5 allocations per action: the
+# encoded frame, the message key, and the user, item and action strings
+# (the poll's buffer and result slice are shared by its 256 messages).
+# With JSON on this edge and one pread pair per message it was 14.
+echo "== ingest edge stays at 5 allocs per action"
+edge_out=$(go test -run=NONE -bench='BenchmarkIngestEdge$' -benchmem -benchtime=100000x .)
+echo "$edge_out"
+if echo "$edge_out" | awk '/^Benchmark/ { for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op" && $i > 5) exit 1 }'; then
+	:
+else
+	echo "check: the ingest edge allocates more than 5 times per action" >&2
 	exit 1
 fi
 

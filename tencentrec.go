@@ -52,7 +52,7 @@ type (
 	Profile = demographic.Profile
 	// AdContext carries the situation dimensions for CTR queries.
 	AdContext = ctr.Context
-	// RawAction is the JSON wire format published into a System.
+	// RawAction is one user behaviour published into a System.
 	RawAction = topology.RawAction
 	// Params configures a System's topology (weights, windows, pruning,
 	// combiner flushing, caching, filters).
