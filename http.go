@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"tencentrec/internal/obsv"
-	"tencentrec/internal/stream"
 )
 
 // maxBodyBytes caps ingestion and control payloads. A single action or
@@ -122,44 +121,7 @@ func (s *System) Handler() http.Handler {
 			return s.TopAds(NewAdContext(q.Get("region"), q.Get("gender"), q.Get("age")), n)
 		})
 	})
-	handle("POST /control/rebalance", "control_rebalance", func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Component   string `json:"component"`
-			Parallelism int    `json:"parallelism"`
-		}
-		// Accept the arguments as JSON body or query parameters, so the
-		// operation is one curl away.
-		q := r.URL.Query()
-		body.Component = q.Get("component")
-		if raw := q.Get("parallelism"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("query parameter parallelism must be an integer, got %q", raw), http.StatusBadRequest)
-				return
-			}
-			body.Parallelism = v
-		}
-		if body.Component == "" || body.Parallelism == 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				http.Error(w, "need component and parallelism, as query parameters or a JSON body", http.StatusBadRequest)
-				return
-			}
-		}
-		if err := s.Rebalance(body.Component, body.Parallelism); err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, stream.ErrUnknownComponent) {
-				status = http.StatusNotFound
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]interface{}{
-			"component":   body.Component,
-			"parallelism": s.Parallelism(body.Component),
-		})
-	})
+	handle("POST /control/rebalance", "control_rebalance", s.running.ServeRebalance)
 	handle("POST /control/checkpoint", "control_checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		// Drain the pipeline and write an offset-anchored store snapshot
 		// to CheckpointDir; a later cold start with -restore resumes from
@@ -184,16 +146,12 @@ func (s *System) Handler() http.Handler {
 	})
 	handle("GET /metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
 		if wantsPrometheus(r) {
-			w.Header().Set("Content-Type", obsv.PrometheusContentType)
-			s.registry.WritePrometheus(w)
+			s.registry.ServePrometheus(w, r)
 			return
 		}
 		fmt.Fprint(w, s.Metrics().String())
 	})
-	handle("GET /debug/vars", "debug_vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		s.registry.WriteJSON(w)
-	})
+	handle("GET /debug/vars", "debug_vars", s.registry.ServeJSON)
 	handle("GET /debug/traces", "debug_traces", func(w http.ResponseWriter, r *http.Request) {
 		traces := s.Traces()
 		if r.URL.Query().Get("format") == "waterfall" {

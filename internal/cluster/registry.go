@@ -2,122 +2,33 @@ package cluster
 
 import (
 	"sort"
-	"sync"
 
 	"tencentrec/internal/stream"
 )
 
-// The kind registry maps Spec component kinds to component factories.
-// Because the supervisor and every worker run the same binary, a kind
-// registered at init time exists identically on both sides: the
-// supervisor uses it to validate specs and resolve declared outputs, the
-// workers to instantiate their local slice of the graph. This is the
-// process-world replacement for passing Go closures to TopologyBuilder.
-
-// SpoutKind builds a spout instance from its spec params. ctx carries the
-// worker-local facilities (params are per-component from the Spec).
-type SpoutKind func(params map[string]string) stream.Spout
-
-// BoltKind builds a bolt instance from its spec params.
-type BoltKind func(params map[string]string) stream.Bolt
-
-var (
-	regMu      sync.RWMutex
-	spoutKinds = map[string]SpoutKind{}
-	boltKinds  = map[string]BoltKind{}
-)
-
-// RegisterSpout registers a spout kind. Panics on duplicates — kinds are
-// package-init wiring, and a silent overwrite would make supervisor and
-// worker disagree about the graph.
-func RegisterSpout(kind string, fn SpoutKind) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := spoutKinds[kind]; dup {
-		panic("cluster: duplicate spout kind " + kind)
-	}
-	spoutKinds[kind] = fn
+// Kinds resolves the kind names of a Spec: the same stream.Registry type
+// a Fig. 7 file's classes resolve through. Because the supervisor and
+// every worker run the same binary, a kind added at init time exists
+// identically on both sides: the supervisor builds the whole graph with
+// it to validate a spec, each worker its slice. It must hold the same
+// kinds, making the same declared outputs from the same params, in both —
+// fill it from init functions only. The names "__in" and "__out" are
+// reserved for the proxies a worker adds to its own copy.
+var Kinds = &stream.Registry{
+	Spouts: map[string]stream.SpoutClass{},
+	Bolts:  map[string]stream.BoltClass{},
 }
 
-// RegisterBolt registers a bolt kind.
-func RegisterBolt(kind string, fn BoltKind) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := boltKinds[kind]; dup {
-		panic("cluster: duplicate bolt kind " + kind)
-	}
-	boltKinds[kind] = fn
-}
-
-// Kinds returns the registered kind names, spouts and bolts, sorted —
-// surfaced by the supervisor's status endpoint for discoverability.
-func Kinds() (spouts, bolts []string) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for k := range spoutKinds {
+// kindNames returns the registered kind names, sorted, for the
+// supervisor's status endpoint.
+func kindNames() (spouts, bolts []string) {
+	for k := range Kinds.Spouts {
 		spouts = append(spouts, k)
 	}
-	for k := range boltKinds {
+	for k := range Kinds.Bolts {
 		bolts = append(bolts, k)
 	}
 	sort.Strings(spouts)
 	sort.Strings(bolts)
 	return spouts, bolts
-}
-
-func spoutKindRegistered(kind string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := spoutKinds[kind]
-	return ok
-}
-
-func boltKindRegistered(kind string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := boltKinds[kind]
-	return ok
-}
-
-func newSpoutOfKind(kind string, params map[string]string) stream.Spout {
-	regMu.RLock()
-	fn := spoutKinds[kind]
-	regMu.RUnlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(params)
-}
-
-func newBoltOfKind(kind string, params map[string]string) stream.Bolt {
-	regMu.RLock()
-	fn := boltKinds[kind]
-	regMu.RUnlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(params)
-}
-
-// kindOutputs resolves a kind's declared output streams by instantiating
-// a throwaway component, mirroring what stream.TopologyBuilder does with
-// its factories.
-func kindOutputs(kind string, params map[string]string) map[string]stream.Fields {
-	regMu.RLock()
-	sk, isSpout := spoutKinds[kind]
-	bk, isBolt := boltKinds[kind]
-	regMu.RUnlock()
-	var inst interface{}
-	switch {
-	case isSpout:
-		inst = sk(params)
-	case isBolt:
-		inst = bk(params)
-	default:
-		return nil
-	}
-	if od, ok := inst.(stream.OutputDeclarer); ok {
-		return od.DeclareOutputFields()
-	}
-	return nil
 }

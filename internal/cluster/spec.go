@@ -9,13 +9,12 @@ import (
 	"tencentrec/internal/stream"
 )
 
-// Spec is the JSON-serializable description of a topology submitted to a
-// cluster: the graph (components by registered kind, with groupings) plus
-// the engine knobs that must agree across every worker. It is the
-// cross-process analog of the XML topology file of the paper's Fig. 7 —
-// the supervisor validates it, plans the component→worker assignment, and
-// every worker rebuilds its local slice of the graph from the same Spec
-// deterministically.
+// Spec is what a cluster is asked to run: a stream.Graph (the same data
+// the Fig. 7 XML file and the Fig. 6 builder produce, in its JSON form),
+// the placement request, and the engine knobs that must agree across every
+// worker. The supervisor builds it once to validate it and plans the
+// component→worker assignment; every worker rebuilds its slice of the
+// graph from the same Spec deterministically.
 type Spec struct {
 	Name string `json:"name"`
 	// Workers is the requested worker-process count. Spouts always land
@@ -37,58 +36,16 @@ type Spec struct {
 	Bolts  []ComponentSpec `json:"bolts"`
 }
 
-// ComponentSpec declares one spout or bolt.
-type ComponentSpec struct {
-	Name string `json:"name"`
-	// Kind names a factory registered with RegisterSpout/RegisterBolt in
-	// both the supervisor and worker binaries.
-	Kind        string            `json:"kind"`
-	Parallelism int               `json:"parallelism,omitempty"`
-	Params      map[string]string `json:"params,omitempty"`
-	// Outputs maps stream id → field names. Optional when the kind's
-	// factory implements stream.OutputDeclarer; required otherwise for
-	// components whose streams cross worker boundaries.
-	Outputs map[string][]string `json:"outputs,omitempty"`
-	// TickMS, for bolts, requests engine tick tuples at this interval.
-	TickMS int64 `json:"tick_ms,omitempty"`
-	// Inputs, for bolts, subscribe to upstream streams.
-	Inputs []InputSpec `json:"inputs,omitempty"`
-}
+// ComponentSpec and InputSpec are the graph's own types; Kind names a
+// class of Kinds.
+type (
+	ComponentSpec = stream.ComponentSpec
+	InputSpec     = stream.InputSpec
+)
 
-// InputSpec is one subscription of a bolt.
-type InputSpec struct {
-	Source string `json:"source"`
-	// Stream defaults to the engine's default stream.
-	Stream string `json:"stream,omitempty"`
-	// Grouping is one of "shuffle", "field", "global", "all" (the XML
-	// names of stream.GroupingKind).
-	Grouping string   `json:"grouping,omitempty"`
-	Fields   []string `json:"fields,omitempty"`
-}
-
-func (in InputSpec) stream() string {
-	if in.Stream == "" {
-		return stream.DefaultStream
-	}
-	return in.Stream
-}
-
-func (in InputSpec) grouping() (stream.Grouping, error) {
-	switch in.Grouping {
-	case "", "shuffle":
-		return stream.Grouping{Kind: stream.ShuffleGrouping}, nil
-	case "field", "fields":
-		if len(in.Fields) == 0 {
-			return stream.Grouping{}, fmt.Errorf("cluster: field grouping on %q needs fields", in.Source)
-		}
-		return stream.Grouping{Kind: stream.FieldsGrouping, Fields: stream.Fields(in.Fields)}, nil
-	case "global":
-		return stream.Grouping{Kind: stream.GlobalGrouping}, nil
-	case "all":
-		return stream.Grouping{Kind: stream.AllGrouping}, nil
-	default:
-		return stream.Grouping{}, fmt.Errorf("cluster: unknown grouping %q", in.Grouping)
-	}
+// graph is the topology description inside the spec.
+func (s *Spec) graph() stream.Graph {
+	return stream.Graph{Name: s.Name, Spouts: s.Spouts, Bolts: s.Bolts}
 }
 
 // ackTimeout returns the spec's ack timeout as a duration (0 = default).
@@ -107,111 +64,39 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// Validate checks the spec against the kind registry and the graph rules
-// the stream builder will later enforce per worker — failing at submit
-// time, with the whole graph in view, rather than inside a worker.
+// Validate builds the whole graph once against Kinds — so a spec is held
+// to exactly the rules the stream builder enforces inside a worker, at
+// submit time and with the whole graph in view — then checks the pins.
 func (s *Spec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("cluster: spec needs a name")
+	_, err := s.build()
+	return err
+}
+
+// build is Validate, returning the whole graph as built.
+func (s *Spec) build() (*stream.Topology, error) {
+	topo, err := s.graph().Build(stream.NewTopologyBuilder(s.Name), Kinds)
+	if err != nil {
+		return nil, err
 	}
-	if len(s.Spouts) == 0 {
-		return fmt.Errorf("cluster: spec %q has no spouts", s.Name)
-	}
-	seen := make(map[string]*ComponentSpec)
+	isSpout := make(map[string]bool, len(s.Spouts)+len(s.Bolts))
 	for i := range s.Spouts {
-		c := &s.Spouts[i]
-		if c.Name == "" || c.Kind == "" {
-			return fmt.Errorf("cluster: spout %d needs name and kind", i)
-		}
-		if _, dup := seen[c.Name]; dup {
-			return fmt.Errorf("cluster: duplicate component %q", c.Name)
-		}
-		if !spoutKindRegistered(c.Kind) {
-			return fmt.Errorf("cluster: unknown spout kind %q", c.Kind)
-		}
-		if len(c.Inputs) > 0 {
-			return fmt.Errorf("cluster: spout %q cannot have inputs", c.Name)
-		}
-		seen[c.Name] = c
+		isSpout[s.Spouts[i].Name] = true
 	}
 	for i := range s.Bolts {
-		c := &s.Bolts[i]
-		if c.Name == "" || c.Kind == "" {
-			return fmt.Errorf("cluster: bolt %d needs name and kind", i)
-		}
-		if _, dup := seen[c.Name]; dup {
-			return fmt.Errorf("cluster: duplicate component %q", c.Name)
-		}
-		if !boltKindRegistered(c.Kind) {
-			return fmt.Errorf("cluster: unknown bolt kind %q", c.Kind)
-		}
-		if len(c.Inputs) == 0 {
-			return fmt.Errorf("cluster: bolt %q has no inputs", c.Name)
-		}
-		seen[c.Name] = c
-	}
-	for i := range s.Bolts {
-		b := &s.Bolts[i]
-		for _, in := range b.Inputs {
-			if _, ok := seen[in.Source]; !ok {
-				return fmt.Errorf("cluster: bolt %q subscribes to unknown component %q", b.Name, in.Source)
-			}
-			if _, err := in.grouping(); err != nil {
-				return err
-			}
-			if fields := s.outputFields(in.Source, in.stream()); fields == nil {
-				return fmt.Errorf("cluster: bolt %q subscribes to undeclared stream %s/%s", b.Name, in.Source, in.stream())
-			}
-		}
+		isSpout[s.Bolts[i].Name] = false
 	}
 	for name, w := range s.Assign {
-		c, ok := seen[name]
-		if !ok {
-			return fmt.Errorf("cluster: assignment for unknown component %q", name)
-		}
-		if w < 0 {
-			return fmt.Errorf("cluster: component %q assigned to negative worker", name)
-		}
-		if c.isSpout(s) && w != 0 {
-			return fmt.Errorf("cluster: spout %q must live on worker 0 (the acker worker)", name)
-		}
-	}
-	return nil
-}
-
-func (c *ComponentSpec) isSpout(s *Spec) bool {
-	for i := range s.Spouts {
-		if &s.Spouts[i] == c || s.Spouts[i].Name == c.Name {
-			return true
+		spout, known := isSpout[name]
+		switch {
+		case !known:
+			return nil, fmt.Errorf("cluster: assignment for unknown component %q", name)
+		case w < 0:
+			return nil, fmt.Errorf("cluster: component %q assigned to negative worker", name)
+		case spout && w != 0:
+			return nil, fmt.Errorf("cluster: spout %q must live on worker 0 (the acker worker)", name)
 		}
 	}
-	return false
-}
-
-// outputFields resolves the field names of a component's stream: explicit
-// Outputs first, then the registered kind's OutputDeclarer.
-func (s *Spec) outputFields(component, streamID string) stream.Fields {
-	var c *ComponentSpec
-	for i := range s.Spouts {
-		if s.Spouts[i].Name == component {
-			c = &s.Spouts[i]
-		}
-	}
-	for i := range s.Bolts {
-		if s.Bolts[i].Name == component {
-			c = &s.Bolts[i]
-		}
-	}
-	if c == nil {
-		return nil
-	}
-	if f, ok := c.Outputs[streamID]; ok {
-		return stream.Fields(f)
-	}
-	if decl := kindOutputs(c.Kind, c.Params); decl != nil {
-		return decl[streamID]
-	}
-	return nil
+	return topo, nil
 }
 
 // Plan is the supervisor's placement decision: which worker hosts each
@@ -231,7 +116,8 @@ type Plan struct {
 // 0, bolts round-robin over all workers in topological order, explicit
 // Assign entries respected.
 func PlanSpec(s *Spec) (*Plan, error) {
-	if err := s.Validate(); err != nil {
+	topo, err := s.build()
+	if err != nil {
 		return nil, err
 	}
 	workers := s.Workers
@@ -245,7 +131,7 @@ func PlanSpec(s *Spec) (*Plan, error) {
 	for i := range s.Spouts {
 		assign[s.Spouts[i].Name] = 0
 	}
-	order := topoOrderBolts(s)
+	order := topo.BoltOrder()
 	next := 1 % workers
 	for _, name := range order {
 		if w, ok := s.Assign[name]; ok {
@@ -261,67 +147,13 @@ func PlanSpec(s *Spec) (*Plan, error) {
 			next = 1 // keep worker 0 for spouts unless pinned there
 		}
 	}
-	return &Plan{Workers: workers, Assign: assign, DrainOrder: drainOrder(s, assign, workers, order)}, nil
-}
-
-// topoOrderBolts returns bolt names sources-first, mirroring the stream
-// builder's ordering so placement is deterministic.
-func topoOrderBolts(s *Spec) []string {
-	isBolt := make(map[string]bool, len(s.Bolts))
-	for i := range s.Bolts {
-		isBolt[s.Bolts[i].Name] = true
-	}
-	indeg := make(map[string]int, len(s.Bolts))
-	adj := make(map[string][]string)
-	for i := range s.Bolts {
-		b := &s.Bolts[i]
-		indeg[b.Name] += 0
-		seen := make(map[string]bool)
-		for _, in := range b.Inputs {
-			if isBolt[in.Source] && !seen[in.Source] && in.Source != b.Name {
-				adj[in.Source] = append(adj[in.Source], b.Name)
-				indeg[b.Name]++
-				seen[in.Source] = true
-			}
-		}
-	}
-	var order, queue []string
-	for i := range s.Bolts {
-		if indeg[s.Bolts[i].Name] == 0 {
-			queue = append(queue, s.Bolts[i].Name)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, m := range adj[n] {
-			if indeg[m]--; indeg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if len(order) < len(s.Bolts) { // cycle: fall back to declaration order
-		for i := range s.Bolts {
-			found := false
-			for _, n := range order {
-				if n == s.Bolts[i].Name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				order = append(order, s.Bolts[i].Name)
-			}
-		}
-	}
-	return order
+	return &Plan{Workers: workers, Assign: assign, DrainOrder: drainOrder(assign, workers, order)}, nil
 }
 
 // drainOrder sorts worker ids upstream-first by the minimum topological
 // position of the components they host (worker 0, the spout worker,
 // always first).
-func drainOrder(s *Spec, assign map[string]int, workers int, boltOrder []string) []int {
+func drainOrder(assign map[string]int, workers int, boltOrder []string) []int {
 	pos := make(map[int]int, workers)
 	for w := 0; w < workers; w++ {
 		pos[w] = len(boltOrder) + 1

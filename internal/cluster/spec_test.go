@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tencentrec/internal/stream"
 )
 
 func soakSpec() *Spec {
@@ -85,7 +87,7 @@ func TestSpecValidateErrors(t *testing.T) {
 	}{
 		{"no name", func(s *Spec) { s.Name = "" }, "needs a name"},
 		{"no spouts", func(s *Spec) { s.Spouts = nil }, "no spouts"},
-		{"unknown kind", func(s *Spec) { s.Bolts[0].Kind = "nope" }, "unknown bolt kind"},
+		{"unknown kind", func(s *Spec) { s.Bolts[0].Kind = "nope" }, "unknown class"},
 		{"dup name", func(s *Spec) { s.Bolts[1].Name = "mid" }, "duplicate component"},
 		{"no inputs", func(s *Spec) { s.Bolts[0].Inputs = nil }, "has no inputs"},
 		{"unknown source", func(s *Spec) { s.Bolts[0].Inputs[0].Source = "ghost" }, "unknown component"},
@@ -124,17 +126,28 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOutputFieldsFromKind: the outputs a worker gives an ingress proxy
+// are the built graph's — the kind's declaration, or the spec's Outputs
+// in its place.
 func TestOutputFieldsFromKind(t *testing.T) {
 	s := soakSpec()
-	f := s.outputFields("src", "default")
-	want := []string{"user", "item", "weight", "msgid"}
-	if !reflect.DeepEqual([]string(f), want) {
-		t.Errorf("outputFields(src) = %v, want %v", f, want)
+	s.Bolts[1].Outputs = map[string]stream.Fields{"side": {"item"}}
+	topo, err := s.build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.outputFields("src", "nope") != nil {
-		t.Error("undeclared stream resolved")
+	g := topo.Graph()
+	want := map[string]stream.Fields{"default": {"user", "item", "weight", "msgid"}}
+	if got := g.Spouts[0].Outputs; !reflect.DeepEqual(got, want) {
+		t.Errorf("outputs of src = %v, want %v", got, want)
 	}
-	if s.outputFields("ghost", "default") != nil {
-		t.Error("unknown component resolved")
+	if got := g.Bolts[1].Outputs; !reflect.DeepEqual(got, s.Bolts[1].Outputs) {
+		t.Errorf("outputs of sink = %v, want the spec's %v", got, s.Bolts[1].Outputs)
+	}
+	// With Outputs on mid it no longer declares "default", and sink's
+	// subscription is refused with the whole graph in view.
+	s.Bolts[0].Outputs = map[string]stream.Fields{"side": {"item"}}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "undeclared stream") {
+		t.Errorf("Validate = %v, want an undeclared-stream error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"tencentrec/internal/stream"
 )
 
 // Supervisor is the cluster master: it accepts a topology Spec, plans
@@ -287,7 +290,7 @@ func (s *Supervisor) peersLocked() []planPeer {
 }
 
 func (s *Supervisor) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	spoutKinds, boltKinds := Kinds()
+	spoutKinds, boltKinds := kindNames()
 	s.mu.Lock()
 	st := map[string]interface{}{
 		"cluster":     s.cfg.Cluster,
@@ -380,38 +383,30 @@ func (s *Supervisor) handleKill(w http.ResponseWriter, r *http.Request) {
 // component, preserving the in-process endpoint's contract (404 for an
 // unknown component, 400 for a bad request).
 func (s *Supervisor) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Component   string `json:"component"`
-		Parallelism int    `json:"parallelism"`
-	}
-	q := r.URL.Query()
-	if q.Get("component") != "" {
-		body.Component = q.Get("component")
-		body.Parallelism, _ = strconv.Atoi(q.Get("parallelism"))
-	} else if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, "need component and parallelism", http.StatusBadRequest)
+	req, ok := stream.DecodeRebalance(w, r)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
 	var target string
-	ok := false
+	ok = false
 	if s.plan != nil {
 		var id int
-		if id, ok = s.plan.Assign[body.Component]; ok {
+		if id, ok = s.plan.Assign[req.Component]; ok {
 			target = s.workers[id].httpAddr
 		}
 	}
 	s.mu.Unlock()
 	if !ok {
-		http.Error(w, "unknown component "+body.Component, http.StatusNotFound)
+		http.Error(w, "unknown component "+req.Component, http.StatusNotFound)
 		return
 	}
 	if target == "" {
 		http.Error(w, "worker not running", http.StatusServiceUnavailable)
 		return
 	}
-	payload, _ := json.Marshal(body)
-	resp, err := s.hc.Post("http://"+target+"/control/rebalance", "application/json", strings.NewReader(string(payload)))
+	payload, _ := json.Marshal(req) // two plain fields: cannot fail
+	resp, err := s.hc.Post("http://"+target+"/control/rebalance", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return

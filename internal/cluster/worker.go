@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -31,9 +33,8 @@ import (
 // Worker 0 hosts every spout and the topology's real acker; other
 // workers run in ack-forward mode, shipping lineage updates to worker 0.
 
-// proxy component name prefixes; names are engine-internal and never
-// collide with user components (the spec validator rejects "/" in names
-// implicitly via kind registration conventions).
+// Proxy component names. A spec component that takes one of them is a
+// duplicate name to the worker's build.
 func proxyInName(src, streamID string) string { return "__in/" + src + "/" + streamID }
 func proxyOutName(src, streamID string, dest int) string {
 	return fmt.Sprintf("__out/%s/%s/w%d", src, streamID, dest)
@@ -280,36 +281,14 @@ func RunWorker(cfg WorkerConfig) error {
 	// Worker HTTP: observability, drain, rebalance proxy target.
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ok") })
-	mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = reg.WritePrometheus(w)
-	})
+	mux.HandleFunc("GET /debug/vars", reg.ServeJSON)
+	mux.HandleFunc("GET /metrics", reg.ServePrometheus)
 	mux.HandleFunc("POST /control/rebalance", func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Component   string `json:"component"`
-			Parallelism int    `json:"parallelism"`
-		}
-		q := r.URL.Query()
-		if q.Get("component") != "" {
-			body.Component = q.Get("component")
-			body.Parallelism, _ = strconv.Atoi(q.Get("parallelism"))
-		} else if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, "need component and parallelism", http.StatusBadRequest)
-			return
-		}
 		if h == nil {
 			http.Error(w, "worker hosts no topology", http.StatusConflict)
 			return
 		}
-		if err := h.Rebalance(body.Component, body.Parallelism); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintf(w, `{"component":%q,"parallelism":%d}`+"\n", body.Component, body.Parallelism)
+		h.ServeRebalance(w, r)
 	})
 	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, _ *http.Request) {
 		if !draining.CompareAndSwap(false, true) {
@@ -372,40 +351,94 @@ func RunWorker(cfg WorkerConfig) error {
 	return <-done
 }
 
-// buildLocal assembles this worker's slice of the spec's graph. Returns
-// a nil topology when the plan assigns the worker nothing (it still
-// serves HTTP and drains trivially).
-func buildLocal(spec *Spec, plan *Plan, workerID int, reg *obsv.Registry, eg *egress, inQueues map[edgeKey]chan []WireTuple) (*stream.Topology, bool, error) {
-	hostsAny, hostsSpout := false, false
+// Reserved classes of a worker's registry: the proxies localGraph adds.
+const (
+	classProxyIn  = "__in"
+	classProxyOut = "__out"
+)
+
+// localGraph cuts the worker's slice out of the spec's graph: the
+// components the plan puts here, an ingress proxy spout in place of every
+// remote source they subscribe to, and an egress proxy bolt for every
+// local stream a remote bolt subscribes to. outputs are the declared
+// outputs of the whole graph as built, by component name.
+func localGraph(spec *Spec, plan *Plan, workerID int, outputs map[string]map[string]stream.Fields) stream.Graph {
+	here := func(name string) bool { return plan.Assign[name] == workerID }
+	g := stream.Graph{Name: spec.Name}
 	for i := range spec.Spouts {
-		if plan.Assign[spec.Spouts[i].Name] == workerID {
-			hostsAny, hostsSpout = true, true
+		if here(spec.Spouts[i].Name) {
+			g.Spouts = append(g.Spouts, spec.Spouts[i])
 		}
 	}
+	var egress []ComponentSpec
+	proxied := make(map[string]bool)
 	for i := range spec.Bolts {
-		if plan.Assign[spec.Bolts[i].Name] == workerID {
-			hostsAny = true
-		}
-	}
-	needsIngress := false
-	for i := range spec.Bolts {
-		b := &spec.Bolts[i]
-		if plan.Assign[b.Name] != workerID {
-			continue
-		}
-		for _, in := range b.Inputs {
-			if plan.Assign[in.Source] != workerID {
-				needsIngress = true
+		b := spec.Bolts[i]
+		b.Inputs = append([]InputSpec(nil), b.Inputs...)
+		for j, in := range b.Inputs {
+			src, streamID := in.Source, in.StreamID()
+			switch {
+			case here(b.Name) && !here(src):
+				name := proxyInName(src, streamID)
+				if !proxied[name] {
+					proxied[name] = true
+					g.Spouts = append(g.Spouts, ComponentSpec{
+						Name: name, Kind: classProxyIn,
+						Params:  map[string]string{"src": src, "stream": streamID},
+						Outputs: map[string]stream.Fields{streamID: outputs[src][streamID]},
+					})
+				}
+				b.Inputs[j].Source = name
+			case !here(b.Name) && here(src):
+				dest := plan.Assign[b.Name]
+				name := proxyOutName(src, streamID, dest)
+				if !proxied[name] {
+					proxied[name] = true
+					egress = append(egress, ComponentSpec{
+						Name: name, Kind: classProxyOut,
+						Params: map[string]string{"src": src, "stream": streamID, "dest": strconv.Itoa(dest)},
+						TickMS: float64(proxyFlushTick) / float64(time.Millisecond),
+						Inputs: []InputSpec{{Source: src, Stream: streamID}},
+					})
+				}
 			}
 		}
+		if here(b.Name) {
+			g.Bolts = append(g.Bolts, b)
+		}
 	}
-	if !hostsAny {
+	g.Bolts = append(g.Bolts, egress...)
+	return g
+}
+
+// buildLocal builds this worker's slice of the spec's graph, through the
+// same stream.Graph.Build the supervisor validated the whole graph with.
+// Returns a nil topology when the plan assigns the worker nothing (it
+// still serves HTTP and drains trivially).
+func buildLocal(spec *Spec, plan *Plan, workerID int, reg *obsv.Registry, eg *egress, inQueues map[edgeKey]chan []WireTuple) (*stream.Topology, bool, error) {
+	// The whole graph, for the declared outputs of remote sources.
+	whole, err := spec.build()
+	if err != nil {
+		return nil, false, err
+	}
+	outputs := make(map[string]map[string]stream.Fields)
+	wg := whole.Graph()
+	for _, c := range slices.Concat(wg.Spouts, wg.Bolts) {
+		outputs[c.Name] = c.Outputs
+	}
+	g := localGraph(spec, plan, workerID, outputs)
+	if len(g.Spouts)+len(g.Bolts) == 0 {
 		return nil, false, nil
 	}
-	if !hostsSpout && !needsIngress {
-		// Unreachable for a validated spec (every bolt descends from a
-		// spout), but guard anyway: a topology needs at least one spout.
-		return nil, false, fmt.Errorf("cluster: worker %d hosts bolts with no inbound edges", workerID)
+	hostsSpout := false
+	for _, sp := range g.Spouts {
+		if sp.Kind == classProxyIn {
+			// 128 batches of slack between the ingress reader and the
+			// proxy spout's task, half a task queue (DefaultQueueDepth).
+			inQueues[edgeKey{sp.Params["src"], sp.Params["stream"]}] = make(chan []WireTuple, 128)
+		} else {
+			hostsSpout = true
+		}
 	}
 
 	tb := stream.NewTopologyBuilder(fmt.Sprintf("%s@w%d", spec.Name, workerID))
@@ -433,81 +466,15 @@ func buildLocal(spec *Spec, plan *Plan, workerID int, reg *obsv.Registry, eg *eg
 	if maxBatch <= 0 {
 		maxBatch = stream.DefaultMaxBatch
 	}
-
-	for i := range spec.Spouts {
-		sp := &spec.Spouts[i]
-		if plan.Assign[sp.Name] != workerID {
-			continue
-		}
-		kind, params := sp.Kind, sp.Params
-		tb.SetSpout(sp.Name, func() stream.Spout { return newSpoutOfKind(kind, params) }, sp.Parallelism)
-		if len(sp.Outputs) > 0 {
-			outs := make(map[string]stream.Fields, len(sp.Outputs))
-			for id, f := range sp.Outputs {
-				outs[id] = stream.Fields(f)
-			}
-			tb.SetSpoutOutputs(sp.Name, outs)
-		}
-	}
-
-	proxied := make(map[string]bool)
-	for i := range spec.Bolts {
-		b := &spec.Bolts[i]
-		if plan.Assign[b.Name] != workerID {
-			continue
-		}
-		kind, params := b.Kind, b.Params
-		decl := tb.SetBolt(b.Name, func() stream.Bolt { return newBoltOfKind(kind, params) }, b.Parallelism)
-		for _, in := range b.Inputs {
-			g, err := in.grouping()
-			if err != nil {
-				return nil, false, err
-			}
-			if plan.Assign[in.Source] == workerID {
-				decl.On(in.Source, in.stream(), g)
-				continue
-			}
-			pname := proxyInName(in.Source, in.stream())
-			if !proxied[pname] {
-				proxied[pname] = true
-				q := make(chan []WireTuple, 128)
-				inQueues[edgeKey{in.Source, in.stream()}] = q
-				streamID := in.stream()
-				tb.SetSpout(pname, func() stream.Spout { return &proxySpout{q: q, streamID: streamID} }, 1)
-				fields := spec.outputFields(in.Source, streamID)
-				tb.SetSpoutOutputs(pname, map[string]stream.Fields{streamID: fields})
-			}
-			decl.On(pname, in.stream(), g)
-		}
-		if b.TickMS > 0 {
-			decl.Tick(time.Duration(b.TickMS) * time.Millisecond)
-		}
-	}
-
-	// Egress proxies for edges leaving this worker.
-	for i := range spec.Bolts {
-		b := &spec.Bolts[i]
-		dest := plan.Assign[b.Name]
-		if dest == workerID {
-			continue
-		}
-		for _, in := range b.Inputs {
-			if plan.Assign[in.Source] != workerID {
-				continue
-			}
-			oname := proxyOutName(in.Source, in.stream(), dest)
-			if proxied[oname] {
-				continue
-			}
-			proxied[oname] = true
-			src, streamID, d := in.Source, in.stream(), dest
-			tb.SetBolt(oname, func() stream.Bolt {
-				return &proxyBolt{eg: eg, dest: d, src: src, streamID: streamID, maxBatch: maxBatch}
-			}, 1).ShuffleOn(src, streamID).Tick(proxyFlushTick)
-		}
-	}
-
-	topo, err := tb.Build()
+	classes := &stream.Registry{Spouts: maps.Clone(Kinds.Spouts), Bolts: maps.Clone(Kinds.Bolts)}
+	classes.Spouts[classProxyIn] = stream.SpoutClassFunc(func(p map[string]string) stream.Spout {
+		return &proxySpout{q: inQueues[edgeKey{p["src"], p["stream"]}], streamID: p["stream"]}
+	})
+	classes.Bolts[classProxyOut] = stream.BoltClassFunc(func(p map[string]string) stream.Bolt {
+		dest, _ := strconv.Atoi(p["dest"]) // localGraph wrote it with Itoa
+		return &proxyBolt{eg: eg, dest: dest, src: p["src"], streamID: p["stream"], maxBatch: maxBatch}
+	})
+	topo, err := g.Build(tb, classes)
 	if err != nil {
 		return nil, false, err
 	}

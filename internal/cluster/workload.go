@@ -22,9 +22,9 @@ import (
 // be checked against a sequential run of GenActions.
 
 func init() {
-	RegisterSpout("actions", func(p map[string]string) stream.Spout { return newActionSpout(p) })
-	RegisterBolt("relay", func(p map[string]string) stream.Bolt { return newRelayBolt(p) })
-	RegisterBolt("count", func(p map[string]string) stream.Bolt { return newCountBolt(p) })
+	Kinds.Spouts["actions"] = stream.SpoutClassFunc(func(p map[string]string) stream.Spout { return newActionSpout(p) })
+	Kinds.Bolts["relay"] = stream.BoltClassFunc(func(p map[string]string) stream.Bolt { return newRelayBolt(p) })
+	Kinds.Bolts["count"] = stream.BoltClassFunc(func(p map[string]string) stream.Bolt { return newCountBolt(p) })
 }
 
 // Action is one synthetic user action.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"strings"
 )
@@ -204,4 +205,18 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// ServePrometheus is WritePrometheus as an HTTP handler, the GET /metrics
+// of every process that owns a registry.
+func (r *Registry) ServePrometheus(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", PrometheusContentType)
+	_ = r.WritePrometheus(w) // the client hung up
+}
+
+// ServeJSON is WriteJSON as an HTTP handler, the GET /debug/vars of every
+// process that owns a registry.
+func (r *Registry) ServeJSON(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = r.WriteJSON(w) // the client hung up
 }

@@ -81,8 +81,8 @@ func (d *BoltDeclarer) All(source string) *BoltDeclarer {
 	return d.add(source, DefaultStream, Grouping{Kind: AllGrouping})
 }
 
-// On subscribes with an explicit grouping and stream, for config-driven
-// topology construction (the XML loader of §5.1).
+// On subscribes with an explicit grouping and stream, for data-driven
+// topology construction (Graph.Build).
 func (d *BoltDeclarer) On(source, stream string, g Grouping) *BoltDeclarer {
 	return d.add(source, stream, g)
 }
@@ -106,7 +106,6 @@ type TopologyBuilder struct {
 	name       string
 	spouts     []*spoutDecl
 	bolts      []*boltDecl
-	config     map[string]interface{}
 	maxBatch   int
 	linger     time.Duration
 	acking     bool
@@ -125,14 +124,7 @@ type TopologyBuilder struct {
 // NewTopologyBuilder returns an empty builder for a topology with the
 // given name.
 func NewTopologyBuilder(name string) *TopologyBuilder {
-	return &TopologyBuilder{name: name, config: make(map[string]interface{})}
-}
-
-// SetConfig stores a topology-level configuration value visible to all
-// components through TopologyContext.Config.
-func (tb *TopologyBuilder) SetConfig(key string, value interface{}) *TopologyBuilder {
-	tb.config[key] = value
-	return tb
+	return &TopologyBuilder{name: name}
 }
 
 // SetMaxBatch overrides the transport's per-destination flush threshold
@@ -243,32 +235,24 @@ func (tb *TopologyBuilder) SetTracer(tr *obsv.Tracer) *TopologyBuilder {
 
 // SetSpout registers a spout with the given parallelism.
 func (tb *TopologyBuilder) SetSpout(name string, factory SpoutFactory, parallelism int) *TopologyBuilder {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if tb.lookup(name) {
-		tb.errs = append(tb.errs, fmt.Errorf("stream: duplicate component name %q", name))
-		return tb
-	}
-	d := &spoutDecl{name: name, factory: factory, parallelism: parallelism}
-	if od, ok := factory().(OutputDeclarer); ok {
-		d.outputs = od.DeclareOutputFields()
-	}
-	tb.spouts = append(tb.spouts, d)
+	tb.addSpout(name, factory, parallelism)
 	return tb
 }
 
-// SetSpoutOutputs overrides the declared outputs of a registered spout,
-// for spouts whose fields are configuration-driven rather than intrinsic.
-func (tb *TopologyBuilder) SetSpoutOutputs(name string, outputs map[string]Fields) *TopologyBuilder {
-	for _, s := range tb.spouts {
-		if s.name == name {
-			s.outputs = outputs
-			return tb
-		}
+func (tb *TopologyBuilder) addSpout(name string, factory SpoutFactory, parallelism int) *spoutDecl {
+	if parallelism < 1 {
+		parallelism = 1
 	}
-	tb.errs = append(tb.errs, fmt.Errorf("stream: SetSpoutOutputs: unknown spout %q", name))
-	return tb
+	d := &spoutDecl{name: name, factory: factory, parallelism: parallelism}
+	if tb.lookup(name) {
+		tb.errs = append(tb.errs, fmt.Errorf("stream: duplicate component name %q", name))
+	} else {
+		if od, ok := factory().(OutputDeclarer); ok {
+			d.outputs = od.DeclareOutputFields()
+		}
+		tb.spouts = append(tb.spouts, d)
+	}
+	return d
 }
 
 // SetBolt registers a bolt with the given parallelism and returns a
@@ -349,7 +333,6 @@ func (tb *TopologyBuilder) Build() (*Topology, error) {
 		Name:       tb.name,
 		spouts:     tb.spouts,
 		bolts:      tb.bolts,
-		config:     tb.config,
 		maxBatch:   tb.maxBatch,
 		linger:     tb.linger,
 		acking:     tb.acking,

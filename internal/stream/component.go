@@ -1,8 +1,7 @@
 package stream
 
 // TopologyContext gives a component instance information about where it
-// runs: which task index it is, how many sibling tasks exist, and the
-// topology-level configuration.
+// runs: which task index it is and how many sibling tasks exist.
 type TopologyContext struct {
 	// Component is the name this component was registered under.
 	Component string
@@ -11,9 +10,6 @@ type TopologyContext struct {
 	TaskIndex int
 	// NumTasks is the component's parallelism.
 	NumTasks int
-	// Config holds arbitrary topology-level configuration values,
-	// e.g. store endpoints, shared by all components.
-	Config map[string]interface{}
 	// Acking reports whether the topology runs with at-least-once
 	// delivery enabled (TopologyBuilder.SetAcking). Spouts use it to
 	// decide whether to hold emitted messages for replay.

@@ -1,6 +1,9 @@
 package stream
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // GroupingKind enumerates the stream groupings supported by the engine,
 // mirroring the Storm groupings TencentRec uses ("stream grouping" in §5.2,
@@ -40,6 +43,27 @@ type Grouping struct {
 	Kind GroupingKind
 	// Fields selects the key fields for FieldsGrouping.
 	Fields Fields
+}
+
+// ParseGrouping is the inverse of GroupingKind.String for every topology
+// description: Fig. 7's <grouping type="field"> and a cluster spec's
+// "grouping" both come through here. "" means shuffle, "fields" is
+// accepted for "field", and a field grouping needs its key fields.
+func ParseGrouping(name string, fields Fields) (Grouping, error) {
+	switch name {
+	case "", "shuffle":
+		return Grouping{Kind: ShuffleGrouping}, nil
+	case "field", "fields":
+		if len(fields) == 0 {
+			return Grouping{}, fmt.Errorf("field grouping needs fields")
+		}
+		return Grouping{Kind: FieldsGrouping, Fields: fields}, nil
+	case "global":
+		return Grouping{Kind: GlobalGrouping}, nil
+	case "all":
+		return Grouping{Kind: AllGrouping}, nil
+	}
+	return Grouping{}, fmt.Errorf("unknown grouping %q", name)
 }
 
 // NumPartitions is the fixed logical-partition count of the routing layer.

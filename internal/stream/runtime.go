@@ -26,7 +26,6 @@ type Topology struct {
 
 	spouts     []*spoutDecl
 	bolts      []*boltDecl
-	config     map[string]interface{}
 	order      []string // bolt names in topological order
 	maxBatch   int
 	linger     time.Duration
@@ -628,7 +627,6 @@ func (rt *runtime) ctx(name string, index, n int) TopologyContext {
 		Component: name,
 		TaskIndex: index,
 		NumTasks:  n,
-		Config:    rt.topo.config,
 		Acking:    rt.ak != nil,
 	}
 }

@@ -1,0 +1,130 @@
+package stream
+
+import (
+	"context"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+func specRegistry() *Registry {
+	sink, _, _ := newSink()
+	return &Registry{
+		Spouts: map[string]SpoutClass{
+			// A class that reads its params, and one that takes none.
+			"range": SpoutClassFunc(func(p map[string]string) Spout {
+				n, _ := strconv.Atoi(p["n"])
+				return &rangeSpout{n: n}
+			}),
+			"ten": SpoutFactory(func() Spout { return &rangeSpout{n: 10} }),
+		},
+		Bolts: map[string]BoltClass{"sink": sink, "split": BoltFactory(func() Bolt { return &splitBolt{} })},
+	}
+}
+
+func specGraph() Graph {
+	return Graph{
+		Name:   "g",
+		Spouts: []ComponentSpec{{Name: "s", Kind: "range", Parallelism: 2, Params: map[string]string{"n": "7"}}},
+		Bolts: []ComponentSpec{
+			{Name: "split", Kind: "split", Inputs: []InputSpec{{Source: "s"}}},
+			{Name: "evens", Kind: "sink", Parallelism: 3, TickMS: 1.5,
+				Inputs: []InputSpec{{Source: "split", Stream: "even", Grouping: "fields", Fields: Fields{"n"}}}},
+			{Name: "all", Kind: "sink", Inputs: []InputSpec{
+				{Source: "split", Stream: "odd", Grouping: "global"}, {Source: "split", Stream: "even", Grouping: "all"}}},
+		},
+	}
+}
+
+// TestGraphBuildIsTheFluentBuilder: a Graph builds the topology the same
+// calls on the fluent builder would, and the built topology describes
+// itself back as that data with defaults filled in.
+func TestGraphBuildIsTheFluentBuilder(t *testing.T) {
+	reg := specRegistry()
+	topo, err := specGraph().Build(NewTopologyBuilder("g"), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := NewTopologyBuilder("g")
+	tb.SetSpout("s", func() Spout { return &rangeSpout{n: 7} }, 2)
+	tb.SetBolt("split", func() Bolt { return &splitBolt{} }, 1).Shuffle("s")
+	tb.SetBolt("evens", reg.Bolts["sink"].(BoltFactory), 3).FieldsOn("split", "even", "n").Tick(1500000)
+	tb.SetBolt("all", reg.Bolts["sink"].(BoltFactory), 1).On("split", "odd", Grouping{Kind: GlobalGrouping}).On("split", "even", Grouping{Kind: AllGrouping})
+	byHand, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := topo.Graph(), byHand.Graph(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Graph.Build made\n%+v\nthe fluent calls make\n%+v", got, want)
+	}
+	if got, want := topo.BoltOrder(), []string{"split", "evens", "all"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("BoltOrder = %v, want %v", got, want)
+	}
+	// The params reached the class: two tasks of 7 tuples each.
+	snap, err := topo.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Components["s"].Emitted; got != 14 {
+		t.Errorf("spout emitted %d tuples, want 14", got)
+	}
+}
+
+func TestGraphBuildOutputsReplaceTheDeclared(t *testing.T) {
+	g := specGraph()
+	g.Spouts[0].Outputs = map[string]Fields{"renamed": {"n"}}
+	if _, err := g.Build(NewTopologyBuilder("g"), specRegistry()); err == nil || !strings.Contains(err.Error(), `undeclared stream "default"`) {
+		t.Fatalf("Build = %v, want split's subscription to s/default refused", err)
+	}
+	g.Bolts[0].Inputs[0].Stream = "renamed"
+	topo, err := g.Build(NewTopologyBuilder("g"), specRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := topo.Graph().Spouts[0].Outputs; !reflect.DeepEqual(got, g.Spouts[0].Outputs) {
+		t.Errorf("spout outputs = %v, want %v", got, g.Spouts[0].Outputs)
+	}
+}
+
+func TestGraphBuildRejects(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Graph)
+		want string
+	}{
+		{"no name", func(g *Graph) { g.Name = "" }, "needs a name"},
+		{"nameless spout", func(g *Graph) { g.Spouts[0].Name = "" }, "has no name"},
+		{"nameless bolt", func(g *Graph) { g.Bolts[1].Name = "" }, "has no name"},
+		{"unknown spout class", func(g *Graph) { g.Spouts[0].Kind = "sink" }, "unknown class"},
+		{"unknown bolt class", func(g *Graph) { g.Bolts[0].Kind = "range" }, "unknown class"},
+		{"spout with inputs", func(g *Graph) { g.Spouts[0].Inputs = []InputSpec{{Source: "split"}} }, "cannot have inputs"},
+		{"spout with tick", func(g *Graph) { g.Spouts[0].TickMS = 5 }, "cannot have inputs or a tick"},
+		{"negative tick", func(g *Graph) { g.Bolts[0].TickMS = -1 }, "out of range"},
+		{"tick past a Duration", func(g *Graph) { g.Bolts[0].TickMS = 1e300 }, "out of range"},
+		{"unknown grouping", func(g *Graph) { g.Bolts[0].Inputs[0].Grouping = "sideways" }, "unknown grouping"},
+		{"field grouping without fields", func(g *Graph) { g.Bolts[1].Inputs[0].Fields = nil }, "needs fields"},
+		// The rest is the fluent builder's validation, reached through Build.
+		{"absent grouping field", func(g *Graph) { g.Bolts[1].Inputs[0].Fields = Fields{"nope"} }, `groups on field "nope"`},
+		{"duplicate name", func(g *Graph) { g.Bolts[2].Name = "s" }, "duplicate component"},
+		{"no spouts", func(g *Graph) { g.Spouts = nil }, "no spouts"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := specGraph()
+			c.mut(&g)
+			if _, err := g.Build(NewTopologyBuilder(g.Name), specRegistry()); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Build = %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+func TestParseGroupingInvertsString(t *testing.T) {
+	for _, k := range []GroupingKind{ShuffleGrouping, FieldsGrouping, GlobalGrouping, AllGrouping} {
+		g, err := ParseGrouping(k.String(), Fields{"f"})
+		if err != nil || g.Kind != k {
+			t.Errorf("ParseGrouping(%q) = %+v, %v", k.String(), g, err)
+		}
+	}
+}

@@ -132,12 +132,8 @@ type PretreatmentBolt struct {
 	acts map[string]any
 }
 
-// NewPretreatmentBolt returns the bolt factory. Builder uses
-// newPretreatmentBolt to put the malformed-payload count in its registry.
-func NewPretreatmentBolt(p Params) stream.BoltFactory {
-	return newPretreatmentBolt(p, new(obsv.Counter))
-}
-
+// newPretreatmentBolt returns the bolt factory; malformed is where it
+// counts the payloads it drops (Builder's is in its metrics registry).
 func newPretreatmentBolt(p Params, malformed *obsv.Counter) stream.BoltFactory {
 	p = p.withDefaults()
 	var dedup *msgDedup

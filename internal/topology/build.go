@@ -37,13 +37,6 @@ type Parallelism struct {
 	Storage, DB, AR, CB, Ctr int
 }
 
-func (p Parallelism) get(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n
-}
-
 // Features selects which algorithm chains a topology includes, the way
 // each production application's XML names only the units it needs.
 type Features struct {
@@ -154,12 +147,109 @@ func (b *Builder) WithAcking(timeout time.Duration) *Builder {
 	return b
 }
 
-// Build wires the units per Fig. 6 and validates the graph.
+// Class names of the application-specific spouts in the graph Builder
+// emits; Fig. 7 files name their spout class the same way.
+const (
+	classActionSpout = "ActionSpout"
+	classItemFeed    = "ItemFeed"
+)
+
+// NewRegistry returns a registry pre-populated with the Fig. 6 units.
+// The caller registers the application's spout classes.
+func NewRegistry(st State, p Params) *stream.Registry {
+	return newRegistry(st, p.withDefaults(), new(obsv.Counter))
+}
+
+// newRegistry is the one list of production units: XML class name →
+// constructor. malformed counts the payloads Pretreatment drops.
+func newRegistry(st State, p Params, malformed *obsv.Counter) *stream.Registry {
+	return &stream.Registry{Spouts: map[string]stream.SpoutClass{}, Bolts: map[string]stream.BoltClass{
+		"Pretreatment":  newPretreatmentBolt(p, malformed),
+		"UserHistory":   NewUserHistoryBolt(st, p),
+		"ItemCount":     NewItemCountBolt(st, p),
+		"PairCount":     NewPairCountBolt(st, p),
+		"Filter":        NewFilterBolt(p),
+		"ResultStorage": NewResultStorageBolt(st, p),
+		"DBBolt":        NewDBBolt(st, p),
+		"ARItemBolt":    NewARItemBolt(st, p),
+		"ARBolt":        NewARBolt(st, p),
+		"ARListBolt":    NewARListBolt(st, p),
+		"ItemInfo":      NewItemInfoBolt(st, p),
+		"CBBolt":        NewCBBolt(st, p),
+		"CtrStore":      NewCtrStoreBolt(st, p),
+		"CtrBolt":       NewCtrBolt(st, p),
+	}}
+}
+
+// graph is the Fig. 6 wiring for the builder's features, parallelism and
+// params, as data.
+func (b *Builder) graph() (stream.Graph, error) {
+	p, par := b.params, b.par
+	g := stream.Graph{Name: b.name}
+	bolt := func(name, class string, parallelism int, tick time.Duration, source, streamID string, key ...string) {
+		in := stream.InputSpec{Source: source, Stream: streamID, Grouping: stream.ShuffleGrouping.String()}
+		if len(key) > 0 {
+			in.Grouping, in.Fields = stream.FieldsGrouping.String(), key
+		}
+		g.Bolts = append(g.Bolts, stream.ComponentSpec{
+			Name: name, Kind: class, Parallelism: parallelism,
+			TickMS: float64(tick) / float64(time.Millisecond),
+			Inputs: []stream.InputSpec{in},
+		})
+	}
+
+	g.Spouts = append(g.Spouts, stream.ComponentSpec{Name: UnitSpout, Kind: classActionSpout, Parallelism: par.Spout})
+	bolt(UnitPretreatment, "Pretreatment", par.Pretreatment, 0, UnitSpout, stream.DefaultStream)
+
+	// UserHistory and the DB complement run for every application.
+	bolt(UnitUserHistory, "UserHistory", par.UserHistory, 0, UnitPretreatment, StreamUserAction, "user")
+	bolt(UnitDB, "DBBolt", par.DB, p.FlushInterval, UnitUserHistory, StreamGroupDelta, "group")
+
+	if b.feats.CF {
+		bolt(UnitItemCount, "ItemCount", par.ItemCount, p.FlushInterval, UnitUserHistory, StreamItemDelta, "item")
+		bolt(UnitPairCount, "PairCount", par.PairCount, p.FlushInterval, UnitUserHistory, StreamPairDelta, "pair")
+		simSource := UnitPairCount
+		if p.Filter != nil {
+			bolt(UnitFilter, "Filter", par.Storage, 0, UnitPairCount, StreamSim)
+			simSource = UnitFilter
+		}
+		bolt(UnitResultStorage, "ResultStorage", par.Storage, 0, simSource, StreamSim, "item")
+	}
+
+	if b.feats.AR {
+		if !p.EnableAR {
+			return g, fmt.Errorf("topology: Features.AR requires Params.EnableAR")
+		}
+		bolt(UnitARItem, "ARItemBolt", par.AR, 0, UnitUserHistory, StreamARItem, "item")
+		bolt(UnitAR, "ARBolt", par.AR, p.FlushInterval, UnitUserHistory, StreamARPair, "pair")
+		bolt(UnitARList, "ARListBolt", par.AR, 0, UnitAR, StreamSim, "item")
+	}
+
+	if b.feats.CB {
+		if b.itemFeed != nil {
+			g.Spouts = append(g.Spouts, stream.ComponentSpec{Name: UnitItemFeed, Kind: classItemFeed, Parallelism: 1})
+			bolt(UnitItemInfo, "ItemInfo", par.CB, 0, UnitItemFeed, StreamItemInfo, "item")
+		}
+		bolt(UnitCB, "CBBolt", par.CB, 0, UnitPretreatment, StreamUserAction, "user")
+	}
+
+	if b.feats.Ctr {
+		bolt(UnitCtrStore, "CtrStore", par.Ctr, 0, UnitPretreatment, StreamAdEvent, "item")
+		bolt(UnitCtr, "CtrBolt", par.Ctr, 0, UnitCtrStore, "ctr_cell", "sit")
+	}
+	return g, nil
+}
+
+// Build emits the Fig. 6 graph and builds it through the same registry
+// and stream.Graph.Build a Fig. 7 file goes through.
 func (b *Builder) Build() (*stream.Topology, error) {
 	if b.state == nil {
 		return nil, fmt.Errorf("topology: Builder requires a State")
 	}
-	p := b.params
+	g, err := b.graph()
+	if err != nil {
+		return nil, err
+	}
 	tb := stream.NewTopologyBuilder(b.name)
 	if b.acking {
 		tb.SetAcking(true)
@@ -183,70 +273,17 @@ func (b *Builder) Build() (*stream.Topology, error) {
 		tb.SetOverflow(b.overflow)
 	}
 
-	tb.SetSpout(UnitSpout, b.spout, b.par.get(b.par.Spout))
 	malformed := new(obsv.Counter)
 	if b.registry != nil {
 		malformed = b.registry.Counter("pretreatment_malformed_total",
 			"Payloads Pretreatment dropped because they are not an action frame.")
 	}
-	tb.SetBolt(UnitPretreatment, newPretreatmentBolt(p, malformed), b.par.get(b.par.Pretreatment)).
-		Shuffle(UnitSpout)
-
-	// UserHistory and the DB complement run for every application.
-	tb.SetBolt(UnitUserHistory, NewUserHistoryBolt(b.state, p), b.par.get(b.par.UserHistory)).
-		FieldsOn(UnitPretreatment, StreamUserAction, "user")
-	tb.SetBolt(UnitDB, NewDBBolt(b.state, p), b.par.get(b.par.DB)).
-		FieldsOn(UnitUserHistory, StreamGroupDelta, "group").
-		Tick(p.FlushInterval)
-
-	if b.feats.CF {
-		tb.SetBolt(UnitItemCount, NewItemCountBolt(b.state, p), b.par.get(b.par.ItemCount)).
-			FieldsOn(UnitUserHistory, StreamItemDelta, "item").
-			Tick(p.FlushInterval)
-		tb.SetBolt(UnitPairCount, NewPairCountBolt(b.state, p), b.par.get(b.par.PairCount)).
-			FieldsOn(UnitUserHistory, StreamPairDelta, "pair").
-			Tick(p.FlushInterval)
-		simSource := UnitPairCount
-		if p.Filter != nil {
-			tb.SetBolt(UnitFilter, NewFilterBolt(p), b.par.get(b.par.Storage)).
-				ShuffleOn(UnitPairCount, StreamSim)
-			simSource = UnitFilter
-		}
-		tb.SetBolt(UnitResultStorage, NewResultStorageBolt(b.state, p), b.par.get(b.par.Storage)).
-			FieldsOn(simSource, StreamSim, "item")
+	reg := newRegistry(b.state, b.params, malformed)
+	reg.Spouts[classActionSpout] = b.spout
+	if b.itemFeed != nil {
+		reg.Spouts[classItemFeed] = b.itemFeed
 	}
-
-	if b.feats.AR {
-		if !p.EnableAR {
-			return nil, fmt.Errorf("topology: Features.AR requires Params.EnableAR")
-		}
-		tb.SetBolt(UnitARItem, NewARItemBolt(b.state, p), b.par.get(b.par.AR)).
-			FieldsOn(UnitUserHistory, StreamARItem, "item")
-		tb.SetBolt(UnitAR, NewARBolt(b.state, p), b.par.get(b.par.AR)).
-			FieldsOn(UnitUserHistory, StreamARPair, "pair").
-			Tick(p.FlushInterval)
-		tb.SetBolt(UnitARList, NewARListBolt(b.state, p), b.par.get(b.par.AR)).
-			FieldsOn(UnitAR, StreamSim, "item")
-	}
-
-	if b.feats.CB {
-		if b.itemFeed != nil {
-			tb.SetSpout(UnitItemFeed, b.itemFeed, 1)
-			tb.SetBolt(UnitItemInfo, NewItemInfoBolt(b.state, p), b.par.get(b.par.CB)).
-				FieldsOn(UnitItemFeed, StreamItemInfo, "item")
-		}
-		tb.SetBolt(UnitCB, NewCBBolt(b.state, p), b.par.get(b.par.CB)).
-			FieldsOn(UnitPretreatment, StreamUserAction, "user")
-	}
-
-	if b.feats.Ctr {
-		tb.SetBolt(UnitCtrStore, NewCtrStoreBolt(b.state, p), b.par.get(b.par.Ctr)).
-			FieldsOn(UnitPretreatment, StreamAdEvent, "item")
-		tb.SetBolt(UnitCtr, NewCtrBolt(b.state, p), b.par.get(b.par.Ctr)).
-			FieldsOn(UnitCtrStore, "ctr_cell", "sit")
-	}
-
-	return tb.Build()
+	return g.Build(tb, reg)
 }
 
 // UnitKind classifies the computation units of Fig. 6 along the paper's

@@ -178,7 +178,10 @@ func (s *TDAccessSpout) NextTuple() bool {
 		time.Sleep(s.idleSleep)
 		return true
 	}
+	// Poll hands back what the partitions before a failing one gave, and
+	// their read positions have already moved past it: emit that first.
 	msgs, err := s.consumer.Poll(s.pollBatch)
+	s.emit(msgs)
 	if err != nil {
 		// Data-server hiccup: capped exponential backoff. TDAccess
 		// retains the data on disk, so nothing is lost by waiting.
@@ -196,7 +199,14 @@ func (s *TDAccessSpout) NextTuple() bool {
 			return false
 		}
 		time.Sleep(s.idleSleep)
-		return true
+	}
+	return true
+}
+
+// emit sends one poll's messages into the topology.
+func (s *TDAccessSpout) emit(msgs []tdaccess.Message) {
+	if len(msgs) == 0 {
+		return
 	}
 	if !s.acking {
 		for _, m := range msgs {
@@ -212,7 +222,7 @@ func (s *TDAccessSpout) NextTuple() bool {
 		// commits instead track the acked frontier (see Ack), which is
 		// what makes a broker-side retry real.
 		_ = s.consumer.Commit()
-		return true
+		return
 	}
 	for _, m := range msgs {
 		pp := s.window(m.Partition, m.Offset)
@@ -230,7 +240,6 @@ func (s *TDAccessSpout) NextTuple() bool {
 			s.emitted.Add(1)
 		}
 	}
-	return true
 }
 
 // Ack implements stream.AckingSpout: the message's whole lineage

@@ -100,6 +100,77 @@ func TestSpoutPollErrorBackoffRecovers(t *testing.T) {
 	}
 }
 
+// TestSpoutEmitsWhatAFailingPollReturned: Poll returns the messages of
+// the partitions before a failing one together with the error, their
+// read positions already advanced. Without acking nothing re-reads them,
+// so a spout that drops them on the error has lost them.
+func TestSpoutEmitsWhatAFailingPollReturned(t *testing.T) {
+	broker := newSpoutBroker(t, 2) // partition p is served by data server p
+	prod := broker.NewProducer()
+	perPartition := map[int][]string{}
+	for i := 0; i < 40; i++ {
+		payload := fmt.Sprintf("m%d", i)
+		part, _, err := prod.Send("acts", fmt.Sprintf("k%d", i), []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		perPartition[part] = append(perPartition[part], payload)
+	}
+	if len(perPartition[0]) == 0 || len(perPartition[1]) == 0 {
+		t.Fatalf("keys did not spread over both partitions: %v", perPartition)
+	}
+	sp := NewTDAccessSpout(TDAccessSpoutConfig{
+		Broker: broker, Topic: "acts", Group: "g", IdleSleep: 50 * time.Microsecond,
+	})().(*TDAccessSpout)
+	col := &stubSpoutCollector{}
+	if err := sp.Open(stream.TopologyContext{}, col); err != nil { // acking off
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	emitted := func() map[string]int {
+		seen := map[string]int{}
+		for _, v := range col.values {
+			seen[string(v[0].([]byte))]++
+		}
+		return seen
+	}
+
+	if err := broker.KillDataServer(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		sp.NextTuple()
+	}
+	if sp.errBackoff == 0 {
+		t.Fatal("the poll of the dead partition did not take the backoff branch")
+	}
+	seen := emitted()
+	for _, m := range perPartition[0] {
+		if seen[m] != 1 {
+			t.Fatalf("healthy partition's %s emitted %d times during the outage, want 1", m, seen[m])
+		}
+	}
+	if len(col.values) != len(perPartition[0]) {
+		t.Fatalf("%d emissions during the outage, want the healthy partition's %d", len(col.values), len(perPartition[0]))
+	}
+
+	if err := broker.ReviveDataServer(1); err != nil {
+		t.Fatal(err)
+	}
+	sp.NextTuple()
+	seen = emitted()
+	for part, msgs := range perPartition {
+		for _, m := range msgs {
+			if seen[m] != 1 {
+				t.Fatalf("partition %d's %s emitted %d times in all, want 1", part, m, seen[m])
+			}
+		}
+	}
+	if len(col.values) != 40 {
+		t.Fatalf("%d emissions in all, want 40", len(col.values))
+	}
+}
+
 func TestSpoutAckedFrontierCommit(t *testing.T) {
 	broker := newSpoutBroker(t, 1)
 	prod := broker.NewProducer()
@@ -223,7 +294,7 @@ func TestPoisonRecordIsDroppedNotReplayed(t *testing.T) {
 }
 
 func TestPretreatmentDedupDropsReplays(t *testing.T) {
-	factory := NewPretreatmentBolt(Params{DedupWindow: 8})
+	factory := newPretreatmentBolt(Params{DedupWindow: 8}, new(obsv.Counter))
 	var got []stream.Values
 	b1 := factory()
 	b2 := factory() // sibling task: the window is shared via the factory

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"tencentrec/internal/stream"
 )
@@ -57,45 +56,6 @@ type xmlGrouping struct {
 	Fields   string `xml:"fields"`
 }
 
-// Registry resolves XML class names to component factories. Build one
-// with NewRegistry for the standard TencentRec units, then add
-// application-specific classes.
-type Registry struct {
-	// Spouts maps class names to spout factories.
-	Spouts map[string]stream.SpoutFactory
-	// Bolts maps class names to bolt factories.
-	Bolts map[string]stream.BoltFactory
-	// Config is attached to the built topology, for application classes
-	// that read TopologyContext.Config (the standard units need nothing
-	// here: their factories hold the State).
-	Config map[string]interface{}
-}
-
-// NewRegistry returns a registry pre-populated with the Fig. 6 units.
-// The caller registers the application's spout classes.
-func NewRegistry(st State, p Params) *Registry {
-	p = p.withDefaults()
-	return &Registry{
-		Spouts: map[string]stream.SpoutFactory{},
-		Bolts: map[string]stream.BoltFactory{
-			"Pretreatment":  NewPretreatmentBolt(p),
-			"UserHistory":   NewUserHistoryBolt(st, p),
-			"ItemCount":     NewItemCountBolt(st, p),
-			"PairCount":     NewPairCountBolt(st, p),
-			"Filter":        NewFilterBolt(p),
-			"ResultStorage": NewResultStorageBolt(st, p),
-			"DBBolt":        NewDBBolt(st, p),
-			"ARItemBolt":    NewARItemBolt(st, p),
-			"ARBolt":        NewARBolt(st, p),
-			"ARListBolt":    NewARListBolt(st, p),
-			"ItemInfo":      NewItemInfoBolt(st, p),
-			"CBBolt":        NewCBBolt(st, p),
-			"CtrStore":      NewCtrStoreBolt(st, p),
-			"CtrBolt":       NewCtrBolt(st, p),
-		},
-	}
-}
-
 // splitFields parses the comma-separated field list of Fig. 7's
 // <fields>user, item, action</fields>.
 func splitFields(s string) stream.Fields {
@@ -109,84 +69,57 @@ func splitFields(s string) stream.Fields {
 	return out
 }
 
-// LoadXML parses an XML topology definition and builds it against the
-// registry.
-func LoadXML(r io.Reader, reg *Registry) (*stream.Topology, error) {
+// DecodeXML reads a Fig. 7 file into the graph it describes. A grouping
+// without a <source> subscribes to the component declared before its
+// bolt, which is how the figure's linear topology reads.
+func DecodeXML(r io.Reader) (stream.Graph, error) {
 	var doc xmlTopology
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("topology: parse xml: %w", err)
+	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
+		return stream.Graph{}, fmt.Errorf("topology: parse xml: %w", err)
 	}
-	if doc.Name == "" {
-		return nil, fmt.Errorf("topology: xml topology has no name attribute")
-	}
-	tb := stream.NewTopologyBuilder(doc.Name)
-	for k, v := range reg.Config {
-		tb.SetConfig(k, v)
-	}
+	g := stream.Graph{Name: doc.Name}
 	var prev string
 	for _, sp := range doc.Spouts {
-		if sp.Name == "" {
-			return nil, fmt.Errorf("topology: spout of class %q has no name attribute", sp.Class)
-		}
-		factory, ok := reg.Spouts[sp.Class]
-		if !ok {
-			return nil, fmt.Errorf("topology: unknown spout class %q", sp.Class)
-		}
-		tb.SetSpout(sp.Name, factory, sp.Parallelism)
+		c := stream.ComponentSpec{Name: sp.Name, Kind: sp.Class, Parallelism: sp.Parallelism}
 		if len(sp.Outputs) > 0 {
-			outputs := make(map[string]stream.Fields, len(sp.Outputs))
-			for _, o := range sp.Outputs {
-				id := o.StreamID
-				if id == "" {
-					id = stream.DefaultStream
-				}
-				outputs[id] = splitFields(o.Fields)
-			}
-			tb.SetSpoutOutputs(sp.Name, outputs)
+			c.Outputs = make(map[string]stream.Fields, len(sp.Outputs))
 		}
+		for _, o := range sp.Outputs {
+			id := o.StreamID
+			if id == "" {
+				id = stream.DefaultStream
+			}
+			c.Outputs[id] = splitFields(o.Fields)
+		}
+		g.Spouts = append(g.Spouts, c)
 		prev = sp.Name
 	}
 	for _, bl := range doc.Bolts {
-		if bl.Name == "" {
-			return nil, fmt.Errorf("topology: bolt of class %q has no name attribute", bl.Class)
+		c := stream.ComponentSpec{
+			Name: bl.Name, Kind: bl.Class, Parallelism: bl.Parallelism,
+			TickMS: bl.TickSeconds * 1000,
 		}
-		factory, ok := reg.Bolts[bl.Class]
-		if !ok {
-			return nil, fmt.Errorf("topology: unknown bolt class %q", bl.Class)
-		}
-		d := tb.SetBolt(bl.Name, factory, bl.Parallelism)
-		if len(bl.Groupings) == 0 {
-			return nil, fmt.Errorf("topology: bolt %q has no groupings", bl.Name)
-		}
-		for _, g := range bl.Groupings {
-			source := g.Source
+		for _, gr := range bl.Groupings {
+			source := gr.Source
 			if source == "" {
 				source = prev
 			}
-			streamID := g.StreamID
-			if streamID == "" {
-				streamID = stream.DefaultStream
-			}
-			var grouping stream.Grouping
-			switch g.Type {
-			case "field", "fields":
-				grouping = stream.Grouping{Kind: stream.FieldsGrouping, Fields: splitFields(g.Fields)}
-			case "shuffle", "":
-				grouping = stream.Grouping{Kind: stream.ShuffleGrouping}
-			case "global":
-				grouping = stream.Grouping{Kind: stream.GlobalGrouping}
-			case "all":
-				grouping = stream.Grouping{Kind: stream.AllGrouping}
-			default:
-				return nil, fmt.Errorf("topology: bolt %q has unknown grouping type %q", bl.Name, g.Type)
-			}
-			d.On(source, streamID, grouping)
+			c.Inputs = append(c.Inputs, stream.InputSpec{
+				Source: source, Stream: gr.StreamID, Grouping: gr.Type, Fields: splitFields(gr.Fields),
+			})
 		}
-		if bl.TickSeconds > 0 {
-			d.Tick(time.Duration(bl.TickSeconds * float64(time.Second)))
-		}
+		g.Bolts = append(g.Bolts, c)
 		prev = bl.Name
 	}
-	return tb.Build()
+	return g, nil
+}
+
+// LoadXML decodes an XML topology definition and builds it against the
+// registry.
+func LoadXML(r io.Reader, reg *stream.Registry) (*stream.Topology, error) {
+	g, err := DecodeXML(r)
+	if err != nil {
+		return nil, err
+	}
+	return g.Build(stream.NewTopologyBuilder(g.Name), reg)
 }

@@ -64,9 +64,9 @@ done
 # Both start from whole files, and go test spends its default minute
 # minimizing each input that widens coverage before it fuzzes on; bound
 # that so five seconds are spent on new inputs.
-echo "== file-reader fuzz smoke (checkpoint manifest, topology XML)"
+echo "== file-reader fuzz smoke (checkpoint manifest, topology description as Fig. 7 XML and as cluster spec JSON)"
 go test -run=NONE -fuzz='^FuzzLoadCheckpoint$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/
-go test -run=NONE -fuzz='^FuzzLoadXML$' -fuzztime=5s -fuzzminimizetime=100x ./internal/topology/
+go test -run=NONE -fuzz='^FuzzSpec$' -fuzztime=5s -fuzzminimizetime=100x ./internal/cluster/
 
 echo "== ingest edge fuzz smoke (action frame decoder, TDAccess segment recovery)"
 go test -run=NONE -fuzz='^FuzzDecodeAction$' -fuzztime=5s ./internal/topology/
