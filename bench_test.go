@@ -3,9 +3,10 @@ package tencentrec_test
 // The benchmark harness behind EXPERIMENTS.md: one bench per paper
 // table/figure (reporting the measured improvement as a custom metric)
 // plus the ablation benches DESIGN.md §6 calls out, the pipeline
-// throughput and scaling sweeps, and the serving mix scripts/profile.sh
-// profiles. Event-to-queryable latency and query latency are measured by
-// the repo benchmark (benchmark/, `make bench`).
+// throughput and scaling sweeps, and the serving mix, ingest edge and
+// pairCount flush scripts/profile.sh profiles. Event-to-queryable latency
+// and query latency are measured by the repo benchmark (benchmark/,
+// `make bench`).
 //
 // Run everything:   go test -bench=. -benchmem
 // One experiment:   go test -bench=BenchmarkFigure10News
@@ -24,6 +25,7 @@ import (
 	"tencentrec/internal/core"
 	"tencentrec/internal/obsv"
 	"tencentrec/internal/sim"
+	"tencentrec/internal/stream"
 	"tencentrec/internal/tdaccess"
 	"tencentrec/internal/topology"
 )
@@ -258,6 +260,67 @@ func BenchmarkIngestEdge(b *testing.B) {
 
 // benchSink keeps a benchmark's result alive.
 var benchSink int
+
+// discardCollector drops a bolt's emissions, counting them.
+type discardCollector struct{ n int }
+
+func (c *discardCollector) Emit(stream.Values)           { c.n++ }
+func (c *discardCollector) EmitTo(string, stream.Values) { c.n++ }
+
+// BenchmarkPairCountFlush measures one PairCountBolt flush of 4096
+// combined pairs over MemState: the batched read of the pair counters and
+// both items' counts, count, score and emit per pair, one batched write.
+// The deltas are buffered off the clock. It is the fourth profile of
+// scripts/profile.sh.
+func BenchmarkPairCountFlush(b *testing.B) {
+	const items, pairs = 128, 4096
+	st := topology.NewMemState()
+	itemDelta := stream.Fields{"item", "delta", "session"}
+	ic := topology.NewItemCountBolt(st, topology.Params{})()
+	if err := ic.Prepare(stream.TopologyContext{}, nil); err != nil {
+		b.Fatal(err)
+	}
+	tick := &stream.Tuple{Stream: stream.TickStream}
+	for i := 0; i < items; i++ {
+		t := stream.NewTuple(topology.UnitUserHistory, topology.StreamItemDelta, itemDelta,
+			stream.Values{fmt.Sprintf("i%03d", i), 50.0, int64(0)})
+		if err := ic.Execute(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ic.Execute(tick); err != nil {
+		b.Fatal(err)
+	}
+	var deltas []*stream.Tuple
+	for i := 0; i < items && len(deltas) < pairs; i++ {
+		for j := i + 1; j < items && len(deltas) < pairs; j++ {
+			pair := fmt.Sprintf("i%03d\x1fi%03d", i, j)
+			deltas = append(deltas, stream.NewTuple(topology.UnitUserHistory, topology.StreamPairDelta,
+				stream.Fields{"pair", "delta", "session"}, stream.Values{pair, 1.0, int64(0)}))
+		}
+	}
+	col := &discardCollector{}
+	pc := topology.NewPairCountBolt(st, topology.Params{})()
+	if err := pc.Prepare(stream.TopologyContext{}, col); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		for _, d := range deltas {
+			if err := pc.Execute(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := pc.Execute(tick); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(col.n)/float64(b.N)/pairs, "sims/pair")
+}
 
 // newMixSystem opens a System populated with enough users and items for
 // a realistic read mix. tier toggles the serving tier for ablation.

@@ -53,7 +53,7 @@ type componentMetrics struct {
 	foldedFlushNanos  int64
 	foldedExec        obsv.HistogramSnapshot
 	// ticksSkipped counts interval ticks dropped because a task queue
-	// was full. Written only by the component's ticker goroutine.
+	// was full. Written only by the topology's ticker goroutine.
 	ticksSkipped atomic.Int64
 	// dropped counts data tuples a task discarded without executing them
 	// (drainInput after a failed restart).

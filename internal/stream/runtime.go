@@ -144,6 +144,7 @@ type runtime struct {
 	edges    map[string]map[string][]*edge // source -> stream -> edges
 	edgeList []*edge                       // all edges by id, for overflow replay
 	fields   map[string]map[string]Fields  // source -> stream -> field names
+	ticked   []*boltDecl                   // bolts with a tick interval, in Topology.order
 	pending  atomic.Int64
 	metrics  *Metrics
 	onError  func(component string, err error)
@@ -158,8 +159,8 @@ type runtime struct {
 	// Rebalance machinery (see rebalance): paused gates the spout loops,
 	// pausedSpouts/activeSpouts let the control plane wait until every
 	// live spout has flushed and parked, rebalanceMu serializes rebalances
-	// against each other and against shutdown, and tickGate excludes the
-	// tick dispatchers during the task-set swap so a ticker never sends to
+	// against each other and against shutdown, and tickGate excludes
+	// tickRound's sends during the task-set swap so a tick is never sent to
 	// a just-closed input channel.
 	paused       atomic.Bool
 	pausedSpouts atomic.Int64
@@ -569,9 +570,16 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 		mkTasks(s.name, s.parallelism, true)
 		rt.fields[s.name] = s.outputs
 	}
+	byName := make(map[string]*boltDecl, len(t.bolts))
 	for _, b := range t.bolts {
 		mkTasks(b.name, b.parallelism, false)
 		rt.fields[b.name] = b.outputs
+		byName[b.name] = b
+	}
+	for _, name := range t.order {
+		if b := byName[name]; b.tick > 0 {
+			rt.ticked = append(rt.ticked, b)
+		}
 	}
 	for _, b := range t.bolts {
 		for _, in := range b.inputs {
@@ -919,64 +927,109 @@ func (rt *runtime) runBoltTask(decl *boltDecl, tk *task) {
 	}
 }
 
-// runTicker delivers tick tuples to every task of a bolt at its interval.
-func (rt *runtime) runTicker(decl *boltDecl) {
+// runTicker is the topology's one periodic ticker: it sleeps until the
+// earliest ticked bolt is due and runs one tickRound over the bolts due by
+// then. A bolt whose next tick came due while the round waited is ticked
+// again at once, and later ones are dropped, as a time.Ticker does for a
+// slow receiver.
+func (rt *runtime) runTicker() {
 	defer rt.tickerWG.Done()
-	cm := rt.metrics.component(decl.name)
-	// One shared single-tuple batch: consumers only read it and the tick
-	// tuple is unpooled, so reuse across tasks and intervals is safe.
-	batch := []*Tuple{{Component: decl.name, Stream: TickStream}}
-	tm := time.NewTicker(decl.tick)
-	defer tm.Stop()
+	next := make(map[*boltDecl]time.Time, len(rt.ticked))
+	start := time.Now()
+	for _, d := range rt.ticked {
+		next[d] = start.Add(d.tick)
+	}
+	untilNext := func() time.Duration {
+		wake := next[rt.ticked[0]]
+		for _, d := range rt.ticked[1:] {
+			if next[d].Before(wake) {
+				wake = next[d]
+			}
+		}
+		return time.Until(wake)
+	}
+	timer := time.NewTimer(untilNext())
+	defer timer.Stop()
 	for {
 		select {
 		case <-rt.tickerStop:
 			return
-		case <-tm.C:
-			// tickGate excludes the rebalance task-set swap, so the task
-			// list loaded here cannot have its channels closed mid-loop.
-			rt.tickGate.RLock()
-			for _, tk := range rt.taskList(decl.name) {
-				rt.pending.Add(1)
-				select {
-				case tk.in <- batch:
-				default:
-					// Queue full: the task is saturated with real
-					// tuples; skip this tick rather than block.
-					rt.pending.Add(-1)
-					cm.ticksSkipped.Add(1)
+		case <-timer.C:
+		}
+		now := time.Now()
+		rt.tickRound(func(d *boltDecl) bool { return !next[d].After(now) }, false, false)
+		end := time.Now()
+		for _, d := range rt.ticked {
+			if !next[d].After(now) {
+				if next[d] = next[d].Add(d.tick); next[d].Before(end) {
+					next[d] = end
 				}
 			}
-			rt.tickGate.RUnlock()
 		}
+		timer.Reset(untilNext())
 	}
 }
 
-// flushTicks sends one tick to each ticked bolt in topological order and
-// waits for quiescence after each component, so a combiner's flush
-// cascades through the combiners downstream before theirs fires. final
-// marks the tick as the shutdown flush (Tuple.IsFinalTick); without it
-// the bolts take it for a regular interval tick and keep running.
-func (rt *runtime) flushTicks(final bool) {
-	byName := make(map[string]*boltDecl, len(rt.topo.bolts))
-	for _, b := range rt.topo.bolts {
-		byName[b.name] = b
-	}
-	for _, name := range rt.topo.order {
-		decl := byName[name]
-		if decl.tick <= 0 {
+// tickRound is the one place ticks are delivered: periodic ticks, Quiesce,
+// the rebalance pre-flush and the shutdown cascade all run it. It sends one
+// tick to every task of each ticked bolt that due selects (nil selects all),
+// walking the bolts in Topology.order, and delivers a component's tick only
+// after every task of the component before it has executed its own. That
+// order is a contract (DESIGN.md §10 "Tick order"): a bolt may read, through
+// the store, keys that a bolt earlier in the order writes in its tick.
+// Nothing is ordered after the last component, so a live round does not
+// wait for it: behind a backlog its ticks queue up, or are skipped, while
+// the components before it keep their interval.
+//
+// A live round (frozen false) never blocks on a full queue: the saturated
+// task's tick is skipped and counted in ticksSkipped, and the round moves
+// on. A tick that was queued but then dropped unexecuted (a failed
+// re-Prepare draining the queue) releases the round too. With the topology
+// frozen — spouts parked or exhausted, the caller serialized against
+// rebalance — sends block, so no tick is ever skipped, and the round waits
+// for quiescence after every component, so what a flush emitted has been
+// executed downstream before the next component's tick fires and before
+// the round returns. final marks the ticks as the shutdown flush
+// (Tuple.IsFinalTick); without it the bolts take them for regular interval
+// ticks and keep running.
+//
+// The wait holds neither tickGate nor rebalanceMu; tickGate is held only
+// around one component's sends, so the task list loaded there cannot have
+// its channels closed mid-loop by a rebalance.
+func (rt *runtime) tickRound(due func(*boltDecl) bool, final, frozen bool) {
+	var executed sync.WaitGroup
+	for _, decl := range rt.ticked {
+		if due != nil && !due(decl) {
 			continue
 		}
-		tick := &Tuple{Component: name, Stream: TickStream}
+		executed.Wait() // the ticks of the component before
+		// One shared single-tuple batch per component: consumers only read
+		// it and the tick tuple is unpooled.
+		tick := &Tuple{Component: decl.name, Stream: TickStream, tickDone: &executed}
 		if final {
 			tick.Values = Values{"final"}
 		}
 		batch := []*Tuple{tick}
-		for _, tk := range rt.taskList(name) {
+		rt.tickGate.RLock()
+		for _, tk := range rt.taskList(decl.name) {
 			rt.pending.Add(1)
-			tk.in <- batch
+			executed.Add(1)
+			if frozen {
+				tk.in <- batch
+				continue
+			}
+			select {
+			case tk.in <- batch:
+			default:
+				rt.pending.Add(-1)
+				executed.Done()
+				rt.metrics.component(decl.name).ticksSkipped.Add(1)
+			}
 		}
-		rt.waitQuiescent()
+		rt.tickGate.RUnlock()
+		if frozen {
+			rt.waitQuiescent()
+		}
 	}
 }
 
@@ -1033,10 +1086,10 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 			rt.taskWG.Add(1)
 			go rt.runBoltTask(b, tk)
 		}
-		if b.tick > 0 {
-			rt.tickerWG.Add(1)
-			go rt.runTicker(b)
-		}
+	}
+	if len(rt.ticked) > 0 {
+		rt.tickerWG.Add(1)
+		go rt.runTicker()
 	}
 	for _, s := range t.spouts {
 		for _, tk := range rt.taskList(s.name) {
@@ -1067,7 +1120,7 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 		rt.rebalanceMu.Lock()
 		rt.closed = true
 		rt.rebalanceMu.Unlock()
-		rt.flushTicks(true) // cascade final combiner flushes
+		rt.tickRound(nil, true, true) // cascade final combiner flushes
 		for _, name := range t.Components() {
 			ct := rt.comps[name]
 			if !ct.isSpout {
@@ -1150,7 +1203,7 @@ func (h *RunningTopology) Quiesce(fn func() error) error {
 	rt.waitQuiescent()
 	// Push buffered combiner aggregates downstream with regular ticks: the
 	// bolts keep running.
-	rt.flushTicks(false)
+	rt.tickRound(nil, false, true)
 	return fn()
 }
 
@@ -1215,14 +1268,7 @@ func (rt *runtime) rebalance(component string, n int) error {
 	// 2. Flush the component's buffered aggregates downstream. A regular
 	// tick (no "final" marker) leaves combiners running; they simply emit
 	// what they hold, which the fresh instances will not have.
-	if decl != nil && decl.tick > 0 {
-		batch := []*Tuple{{Component: component, Stream: TickStream}}
-		for _, tk := range old.tasks {
-			rt.pending.Add(1)
-			tk.in <- batch
-		}
-		rt.waitQuiescent()
-	}
+	rt.tickRound(func(d *boltDecl) bool { return d == decl }, false, true)
 
 	// 3. Retire the old generation under the tick gate.
 	rt.tickGate.Lock()

@@ -1,0 +1,221 @@
+package stream
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// tickLog records, for every tick a bolt executed, the round that sent it
+// (a round's ticks share one tickDone) and where its execution began and
+// ended on one global sequence.
+type tickLog struct {
+	seq atomic.Int64
+	mu  sync.Mutex
+	evs []tickEvent
+}
+
+type tickEvent struct {
+	round      *sync.WaitGroup
+	comp       string
+	start, end int64
+}
+
+// tickLogBolt logs its ticks. A data tuple costs it work (so a small queue
+// saturates and ticks are skipped) when slow is set, and the instance made
+// while failNext is set fails its Prepare.
+type tickLogBolt struct {
+	log      *tickLog
+	comp     string
+	slow     *atomic.Bool
+	failNext *atomic.Bool
+}
+
+func (b *tickLogBolt) Prepare(TopologyContext, Collector) error {
+	if b.failNext != nil && b.failNext.CompareAndSwap(true, false) {
+		return errors.New("prepare failed")
+	}
+	return nil
+}
+
+func (b *tickLogBolt) Cleanup() {}
+
+func (b *tickLogBolt) Execute(tp *Tuple) error {
+	if !tp.IsTick() {
+		if b.slow != nil && b.slow.Load() {
+			time.Sleep(200 * time.Microsecond)
+		}
+		return nil
+	}
+	start := b.log.seq.Add(1)
+	time.Sleep(50 * time.Microsecond) // a flush takes time: widen the window a bad order would show in
+	end := b.log.seq.Add(1)
+	b.log.mu.Lock()
+	b.log.evs = append(b.log.evs, tickEvent{round: tp.tickDone, comp: b.comp, start: start, end: end})
+	b.log.mu.Unlock()
+	return nil
+}
+
+// rounds groups the log by round: for each, how many ticks of "a" were
+// executed and when the last ended, and how many of "b" and when the first
+// began.
+type roundSummary struct {
+	aTicks, bTicks  int
+	aEnd, bStart    int64
+	bStartedTooSoon bool
+}
+
+func (l *tickLog) rounds() map[*sync.WaitGroup]*roundSummary {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[*sync.WaitGroup]*roundSummary)
+	for _, e := range l.evs {
+		r := out[e.round]
+		if r == nil {
+			r = &roundSummary{}
+			out[e.round] = r
+		}
+		if e.comp == "a" {
+			r.aTicks++
+			r.aEnd = max(r.aEnd, e.end)
+		} else {
+			if r.bTicks == 0 || e.start < r.bStart {
+				r.bStart = e.start
+			}
+			r.bTicks++
+		}
+	}
+	for _, r := range out {
+		r.bStartedTooSoon = r.aTicks > 0 && r.bTicks > 0 && r.bStart < r.aEnd
+	}
+	return out
+}
+
+func (l *tickLog) ticksOf(comp string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, e := range l.evs {
+		if e.comp == comp {
+			n++
+		}
+	}
+	return n
+}
+
+// waitTicks blocks until comp has executed n more ticks.
+func (l *tickLog) waitTicks(t *testing.T, comp string, n int) {
+	t.Helper()
+	from := l.ticksOf(comp)
+	deadline := time.Now().Add(10 * time.Second)
+	for l.ticksOf(comp) < from+n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s executed %d ticks in 10s, want %d more", comp, l.ticksOf(comp)-from, n)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// tickRoundTopology is a spout feeding two ticked bolts registered a then b
+// (unconnected, so registration order is the only thing that orders them),
+// two tasks each.
+func tickRoundTopology(t *testing.T, log *tickLog, slow, failNext *atomic.Bool, depth int) *RunningTopology {
+	t.Helper()
+	var emitted atomic.Int64
+	tb := NewTopologyBuilder("tickround")
+	tb.SetQueueDepth(depth)
+	tb.SetSpout("spout", func() Spout { return &tickingSpout{emitted: &emitted} }, 1)
+	tb.SetBolt("a", func() Bolt { return &tickLogBolt{log: log, comp: "a", slow: slow, failNext: failNext} }, 2).
+		Fields("spout", "n").Tick(time.Millisecond)
+	tb.SetBolt("b", func() Bolt { return &tickLogBolt{log: log, comp: "b"} }, 2).
+		Fields("spout", "n").Tick(time.Millisecond)
+	topo, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo.Submit()
+}
+
+// TestTickRoundOrder: in every round — periodic, rebalance pre-flush and
+// shutdown cascade alike — no task of b begins its tick before every task
+// of a has finished its own, across a restart and two rebalances of a.
+func TestTickRoundOrder(t *testing.T) {
+	log := &tickLog{}
+	h := tickRoundTopology(t, log, nil, nil, DefaultQueueDepth)
+	log.waitTicks(t, "b", 20)
+	if err := h.RestartTask("a", 0); err != nil {
+		t.Fatal(err)
+	}
+	log.waitTicks(t, "b", 20)
+	for _, n := range []int{3, 1} {
+		if err := h.Rebalance("a", n); err != nil {
+			t.Fatal(err)
+		}
+		log.waitTicks(t, "b", 20)
+	}
+	h.Stop()
+	h.Wait()
+	full := 0
+	for _, r := range log.rounds() {
+		if r.bStartedTooSoon {
+			t.Fatalf("a task of b began its tick at %d, before a's last tick of the round ended at %d", r.bStart, r.aEnd)
+		}
+		if r.aTicks > 0 && r.bTicks > 0 {
+			full++
+		}
+	}
+	if full < 30 {
+		t.Fatalf("only %d rounds reached both bolts", full)
+	}
+}
+
+// TestTickRoundReleasedBySkipAndDrop: a round is not held by a tick that
+// will never execute. With a's queues full its ticks are skipped and
+// counted; after a failed re-Prepare a task's queued ticks are dropped
+// unexecuted; either way the round still reaches b.
+func TestTickRoundReleasedBySkipAndDrop(t *testing.T) {
+	log := &tickLog{}
+	var slow, failNext atomic.Bool
+	slow.Store(true)
+	h := tickRoundTopology(t, log, &slow, &failNext, 1)
+	deadline := time.Now().Add(10 * time.Second)
+	for h.Metrics().Components["a"].TicksSkipped < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("a's full queues never skipped a tick")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	log.waitTicks(t, "b", 10)
+	skippedRounds := 0
+	for _, r := range log.rounds() {
+		if r.bTicks > 0 && r.aTicks < 2 {
+			skippedRounds++
+		}
+	}
+	if skippedRounds == 0 {
+		t.Fatal("no round with a skipped tick of a reached b")
+	}
+
+	slow.Store(false)
+	failNext.Store(true)
+	if err := h.RestartTask("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	for failNext.Load() {
+		time.Sleep(200 * time.Microsecond)
+	}
+	aBefore := log.ticksOf("a")
+	log.waitTicks(t, "b", 40) // 20 rounds, each also sent to the dead task
+	if got := log.ticksOf("a") - aBefore; got < 10 {
+		t.Fatalf("a's surviving task executed %d ticks while b executed 40", got)
+	}
+	h.Stop()
+	h.Wait()
+	for _, r := range log.rounds() {
+		if r.bStartedTooSoon {
+			t.Fatalf("a task of b began its tick at %d, before a's last tick of the round ended at %d", r.bStart, r.aEnd)
+		}
+	}
+}

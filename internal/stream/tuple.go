@@ -95,6 +95,10 @@ type Tuple struct {
 	// the executing task can attribute queue wait to a span.
 	trace    *obsv.Trace
 	traceEnq int64
+
+	// tickDone, on a tick tuple, is the delivering round's count of ticks
+	// not yet executed (or dropped); see runtime.tickRound.
+	tickDone *sync.WaitGroup
 }
 
 // NewTuple builds a standalone (unpooled) tuple, for driving a component
@@ -115,11 +119,14 @@ func getTuple(component, stream string, values Values, fields Fields) *Tuple {
 	return t
 }
 
-// release records that one delivery of the tuple has been executed and
-// recycles the tuple once no deliveries remain. No-op for unpooled
-// (tick, hand-built) tuples.
+// release records that one delivery of the tuple has been executed (or
+// dropped) and recycles the tuple once no deliveries remain. An unpooled
+// tuple is never recycled; an engine tick reports to the round that sent it.
 func (t *Tuple) release() {
 	if !t.pooled {
+		if t.tickDone != nil {
+			t.tickDone.Done()
+		}
 		return
 	}
 	if t.refs.Add(-1) == 0 {

@@ -63,6 +63,16 @@ func drainCombinerInto(c *combiner.Combiner, buf []flushedDelta) []flushedDelta 
 	return out
 }
 
+// putBack returns drained deltas to the combiner they came from. A flush
+// whose batched read failed has applied nothing, and the tuples behind the
+// deltas were acked when they were buffered; back in the combiner, the
+// interval is flushed by the next tick together with that tick's own.
+func putBack(c *combiner.Combiner, keys *interner, deltas []flushedDelta) {
+	for i := range deltas {
+		c.Add(keys.comb(deltas[i].key, deltas[i].session), deltas[i].value)
+	}
+}
+
 func splitCombKey(ck string) (string, int64) {
 	for i := len(ck) - 1; i >= 0; i-- {
 		if ck[i] == '@' {
@@ -469,6 +479,7 @@ func (b *ItemCountBolt) flush() error {
 	b.keyBuf = keys
 	sb := b.st.batch()
 	if err := sb.prefetch(keys, nil); err != nil {
+		putBack(b.comb, b.keys, deltas)
 		return err
 	}
 	var firstErr error
@@ -492,6 +503,11 @@ func (b *ItemCountBolt) Cleanup() {}
 // it is the single writer of each pair's counters — "only a single worker
 // node should operate over a specific item pair at some point. Therefore,
 // the calculation can be safely scaled" (§4.1.3).
+//
+// A combined pair is counted, scored, emitted and written once per flush
+// interval. The score reads itemCount's keys through the store, so it
+// depends on the engine's tick order (DESIGN.md §10): itemCount's tasks
+// have executed this round's tick before pairCount's tick is delivered.
 type PairCountBolt struct {
 	p     Params
 	store State
@@ -499,30 +515,41 @@ type PairCountBolt struct {
 	st    *taskState
 	comb  *combiner.Combiner
 	nCom  *combiner.Combiner
-	// pruned caches Algorithm 1's Li membership for this task's pairs;
-	// it reloads lazily from the durable pl: flags after a restart.
-	pruned  map[string]bool
-	checked map[string]bool
-	// recheck schedules pairs for one more similarity recomputation on
-	// the next tick: itemCount flushes race pairCount flushes across
-	// independent tasks, so a similarity computed this interval may
-	// have read partially-flushed itemCounts. The recheck converges the
-	// stored value once the counters settle.
-	recheck map[string]int64
-	// owned records every live pair this task has processed with its
-	// latest session. On the engine's final shutdown tick all owned
-	// pairs are recomputed against the fully-settled counters, so a
-	// drained topology stores exact similarities.
-	owned map[string]int64
-	keys  *interner
-	vals  valArena
+	// pairs holds what this task knows about every pair it has seen; arena
+	// chunk-allocates the entries.
+	pairs map[string]*pairState
+	arena []pairState
+	// recheck lists the pairs the zero-count guard deferred (pairState.retry
+	// set): their score is retried on the next tick.
+	recheck []string
+	keys    *interner
+	vals    valArena
 	// Flush scratch, reused across ticks.
 	jobs       []pairJob
 	deltas     []flushedDelta
 	counts     map[string]float64
-	keyBuf     []string
 	ownedBuf   []string
 	foreignBuf []string
+}
+
+// pairState is one pair's in-memory state on the task that owns it. It is
+// rebuilt lazily after a restart: the pl: flag is durable, and a pair is
+// counted again with its next delta.
+type pairState struct {
+	// session is the latest session the pair was counted in, where the
+	// guard's retry and the final tick read its windowed sums.
+	session int64
+	// counted marks a live pair this task has applied: on the engine's
+	// final shutdown tick every such pair is rescored against the
+	// fully-settled counters, so a drained topology stores exact
+	// similarities.
+	counted bool
+	// pruned is Algorithm 1's Li membership. It is known once flagRead is
+	// set: the durable pl: flag is read with the prefetch of the first
+	// flush that applies the pair, not on the tuple path.
+	pruned, flagRead bool
+	// retry marks a pair listed in recheck.
+	retry bool
 }
 
 // NewPairCountBolt returns the bolt factory.
@@ -539,34 +566,24 @@ func (b *PairCountBolt) Prepare(_ stream.TopologyContext, c stream.Collector) er
 		b.comb = combiner.New(combiner.Sum)
 		b.nCom = combiner.New(combiner.Sum)
 	}
-	b.pruned = make(map[string]bool)
-	b.checked = make(map[string]bool)
-	b.recheck = make(map[string]int64)
-	b.owned = make(map[string]int64)
+	b.pairs = make(map[string]*pairState)
 	b.keys = newInterner(b.p.CacheSize)
 	b.counts = make(map[string]float64)
 	return nil
 }
 
-// isPruned consults the in-memory Li, falling back to the durable flag.
-// A failed read leaves the pair unchecked, so the flag is asked for again
-// rather than a durably pruned pair counting until the task restarts.
-func (b *PairCountBolt) isPruned(pair string) (bool, error) {
-	if b.pruned[pair] {
-		return true, nil
+// state returns the pair's entry, creating it on first sight.
+func (b *PairCountBolt) state(pair string) *pairState {
+	ps := b.pairs[pair]
+	if ps == nil {
+		if len(b.arena) == cap(b.arena) {
+			b.arena = make([]pairState, 0, 256)
+		}
+		b.arena = b.arena[:len(b.arena)+1]
+		ps = &b.arena[len(b.arena)-1]
+		b.pairs[pair] = ps
 	}
-	if b.checked[pair] {
-		return false, nil
-	}
-	_, ok, err := b.st.Get(b.keys.key2(prefixPruned, pair))
-	if err != nil {
-		return false, err
-	}
-	b.checked[pair] = true
-	if ok {
-		b.pruned[pair] = true
-	}
-	return ok, nil
+	return ps
 }
 
 // Execute implements stream.Bolt.
@@ -577,8 +594,9 @@ func (b *PairCountBolt) Execute(t *stream.Tuple) error {
 	pair := t.Value("pair").(string)
 	delta := t.Value("delta").(float64)
 	session := t.Value("session").(int64)
-	if pruned, err := b.isPruned(pair); pruned || err != nil {
-		return err // Algorithm 1 line 3-5: skip items in Li
+	ps := b.state(pair)
+	if ps.pruned {
+		return nil // Algorithm 1 line 3-5: skip items in Li
 	}
 	if b.comb != nil {
 		ck := b.keys.comb(pair, session)
@@ -586,42 +604,37 @@ func (b *PairCountBolt) Execute(t *stream.Tuple) error {
 		b.nCom.Add(ck, 1)
 		return nil
 	}
-	b.keyBuf = append(b.keyBuf[:0], pair)
-	sb, err := b.newPairBatch(b.keyBuf)
+	b.jobs = append(b.jobs[:0], pairJob{pair: pair, ps: ps, session: session, delta: delta, n: 1})
+	sb, err := b.newPairBatch()
 	if err != nil {
 		return err
 	}
-	err = b.apply(sb, pair, session, delta, 1)
-	if ferr := sb.flush(); ferr != nil && err == nil {
-		err = ferr
-	}
-	if old, ok := b.recheck[pair]; !ok || session > old {
-		b.recheck[pair] = session
-	}
-	return err
+	return b.applyJobs(sb)
 }
 
-// pairJob is one pending apply of a flush interval.
+// pairJob is one pending apply of a flush interval. A zero delta with zero
+// n is a rescore: it reads the counters and writes nothing.
 type pairJob struct {
 	pair    string
+	ps      *pairState
 	session int64
 	delta   float64
 	n       float64
-	// fromComb schedules the pair for one follow-up recomputation.
-	fromComb bool
 }
 
 func (b *PairCountBolt) flush(final bool) error {
 	jobs := b.jobs[:0]
-	// Recompute last interval's pairs against the now-settled counters.
-	// The pending set is read out before the clear; applies below then
-	// repopulate b.recheck for the next interval.
-	if len(b.recheck) > 0 && !final {
-		for _, pair := range sortedKeysInto(b.recheck, b.keyBuf[:0]) {
-			jobs = append(jobs, pairJob{pair: pair, session: b.recheck[pair]})
+	// Scores the zero-count guard deferred last tick. The final tick
+	// rescores every counted pair below, these among them.
+	for _, pair := range b.recheck {
+		ps := b.pairs[pair]
+		ps.retry = false
+		if !final {
+			jobs = append(jobs, pairJob{pair: pair, ps: ps, session: ps.session})
 		}
-		clear(b.recheck)
 	}
+	retries := jobs
+	b.recheck = b.recheck[:0]
 	if b.comb != nil {
 		clear(b.counts)
 		b.nCom.FlushInto(b.counts)
@@ -629,80 +642,72 @@ func (b *PairCountBolt) flush(final bool) error {
 		for i := range b.deltas {
 			d := &b.deltas[i]
 			jobs = append(jobs, pairJob{
-				pair: d.key, session: d.session, delta: d.value,
-				n: b.counts[b.keys.comb(d.key, d.session)], fromComb: true,
+				pair: d.key, ps: b.state(d.key), session: d.session, delta: d.value,
+				n: b.counts[b.keys.comb(d.key, d.session)],
 			})
 		}
 	}
 	if final {
 		// Shutdown flush: every counter upstream has settled (the engine
-		// flushes components in topological order), so recomputing all
-		// owned pairs leaves exact similarities in the store.
-		clear(b.recheck)
-		for _, pair := range sortedKeysInto(b.owned, b.keyBuf[:0]) {
-			jobs = append(jobs, pairJob{pair: pair, session: b.owned[pair]})
+		// ticks components in topological order), so rescoring every
+		// counted pair leaves exact similarities in the store. Sorted,
+		// because emission order downstream is otherwise at the mercy of
+		// map iteration.
+		first := len(jobs)
+		for pair, ps := range b.pairs {
+			if ps.counted && !ps.pruned {
+				jobs = append(jobs, pairJob{pair: pair, ps: ps, session: ps.session})
+			}
 		}
+		rescored := jobs[first:]
+		sort.Slice(rescored, func(i, j int) bool { return rescored[i].pair < rescored[j].pair })
 	}
 	b.jobs = jobs
 	if len(jobs) == 0 {
 		return nil
 	}
-	// One batched read covers every pair counter plus the foreign
-	// itemCounts and thresholds the whole interval needs; applies run
-	// against the staged view and one batched write lands the results.
-	pairs := b.keyBuf[:0]
-	for i := range jobs {
-		pairs = append(pairs, jobs[i].pair)
-	}
-	b.keyBuf = pairs
-	sb, err := b.newPairBatch(pairs)
+	sb, err := b.newPairBatch()
 	if err != nil {
-		return err
-	}
-	var firstErr error
-	for i := range jobs {
-		j := &jobs[i]
-		if err := b.apply(sb, j.pair, j.session, j.delta, j.n); err != nil && firstErr == nil {
-			firstErr = err
+		// Nothing was applied, and the source tuples were acked when they
+		// were buffered: the interval goes back where it came from and the
+		// next tick flushes it with its own.
+		for _, j := range retries {
+			b.retry(j.pair, j.ps)
 		}
-		if j.fromComb && !final {
-			if old, ok := b.recheck[j.pair]; !ok || j.session > old {
-				b.recheck[j.pair] = j.session
+		if b.comb != nil {
+			putBack(b.comb, b.keys, b.deltas)
+			for ck, n := range b.counts {
+				b.nCom.Add(ck, n)
 			}
 		}
+		return err
 	}
-	if err := sb.flush(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return b.applyJobs(sb)
 }
 
-// sortedKeys returns a map's keys in sorted order, pinning the apply
-// order of map-accumulated work (emission order downstream is otherwise
-// at the mercy of map iteration).
-func sortedKeys(m map[string]int64) []string {
-	return sortedKeysInto(m, nil)
-}
-
-// sortedKeysInto is sortedKeys appending into a reused scratch slice.
-func sortedKeysInto(m map[string]int64, out []string) []string {
-	for k := range m {
-		out = append(out, k)
+// retry lists a pair for one more score on the next tick.
+func (b *PairCountBolt) retry(pair string, ps *pairState) {
+	if !ps.retry {
+		ps.retry = true
+		b.recheck = append(b.recheck, pair)
 	}
-	sort.Strings(out)
-	return out
 }
 
-// newPairBatch stages the state one batch of pair applies touches: the
-// pair counters (owned), and each member item's itemCount and top-K
-// threshold (foreign, read once per interval instead of once per pair).
-func (b *PairCountBolt) newPairBatch(pairs []string) (*stateBatch, error) {
+// newPairBatch stages the state b.jobs touch in one batched read: the pair
+// counters and unread pl: flags (owned), and each member item's itemCount
+// and top-K threshold (foreign, read once per interval instead of once per
+// pair).
+func (b *PairCountBolt) newPairBatch() (*stateBatch, error) {
 	pruning := b.p.PruningDelta > 0 && b.p.PruningDelta < 1
 	owned := b.ownedBuf[:0]
 	foreign := b.foreignBuf[:0]
-	for _, pair := range pairs {
-		if b.pruned[pair] {
+	for i := range b.jobs {
+		pair, ps := b.jobs[i].pair, b.jobs[i].ps
+		if ps.pruned {
 			continue // apply skips it; don't fetch its state
+		}
+		if !ps.flagRead {
+			owned = append(owned, b.keys.key2(prefixPruned, pair))
 		}
 		owned = append(owned, b.keys.key2(prefixPairCount, pair))
 		if pruning {
@@ -722,17 +727,39 @@ func (b *PairCountBolt) newPairBatch(pairs []string) (*stateBatch, error) {
 	return sb, nil
 }
 
+// applyJobs runs b.jobs against the staged view and lands the results in
+// one batched write.
+func (b *PairCountBolt) applyJobs(sb *stateBatch) error {
+	var firstErr error
+	for i := range b.jobs {
+		if err := b.apply(sb, &b.jobs[i]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if err := sb.flush(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
+}
+
 // apply performs Algorithm 1's lines 6-17 for one merged pair update,
 // reading and writing through the interval's staged batch.
-func (b *PairCountBolt) apply(sb *stateBatch, pair string, session int64, delta, n float64) error {
-	if b.pruned[pair] {
-		delete(b.owned, pair)
-		return nil // pruned between buffering and flush
+func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
+	pair, ps, session := j.pair, j.ps, j.session
+	if !ps.flagRead {
+		_, pruned, err := sb.get(b.keys.key2(prefixPruned, pair))
+		if err != nil {
+			return err
+		}
+		ps.flagRead, ps.pruned = true, pruned
 	}
-	if old, ok := b.owned[pair]; !ok || session > old {
-		b.owned[pair] = session
+	if ps.pruned {
+		return nil // pruned before this instance saw it, or since the delta was buffered
 	}
-	pcSum, err := sb.addCounter(b.keys.key2(prefixPairCount, pair), b.p.WindowSessions, session, delta)
+	if !ps.counted || session > ps.session {
+		ps.counted, ps.session = true, session
+	}
+	pcSum, err := sb.addCounter(b.keys.key2(prefixPairCount, pair), b.p.WindowSessions, session, j.delta)
 	if err != nil {
 		return err
 	}
@@ -746,12 +773,11 @@ func (b *PairCountBolt) apply(sb *stateBatch, pair string, session int64, delta,
 		return err
 	}
 	if pcSum > 0 && (icA <= 0 || icB <= 0) {
-		// The itemCount flushes have not caught up with this pair's
-		// co-ratings; retry on the next tick rather than publish a
-		// meaningless zero.
-		if old, ok := b.recheck[pair]; !ok || session > old {
-			b.recheck[pair] = session
-		}
+		// An item delta of this pair's co-ratings has not reached the store
+		// (still in transit when itemCount ticked, or itemCount's tick was
+		// skipped on a full queue); retry on the next tick rather than
+		// publish a meaningless zero.
+		b.retry(pair, ps)
 		return nil
 	}
 	sim := core.Similarity(pcSum, icA, icB)
@@ -764,7 +790,7 @@ func (b *PairCountBolt) apply(sb *stateBatch, pair string, session int64, delta,
 	if b.p.PruningDelta <= 0 || b.p.PruningDelta >= 1 {
 		return nil
 	}
-	nTotal, err := sb.addCounter(b.keys.key2(prefixPairN, pair), 0, 0, n)
+	nTotal, err := sb.addCounter(b.keys.key2(prefixPairN, pair), 0, 0, j.n)
 	if err != nil {
 		return err
 	}
@@ -779,7 +805,7 @@ func (b *PairCountBolt) apply(sb *stateBatch, pair string, session int64, delta,
 	thr := math.Min(t1, t2)
 	eps := core.HoeffdingEpsilon(1, b.p.PruningDelta, int(nTotal))
 	if eps < thr-sim {
-		b.pruned[pair] = true
+		ps.pruned = true
 		sb.put(b.keys.key2(prefixPruned, pair), []byte{1})
 		// Withdraw the pair from both lists.
 		zero := any(0.0)

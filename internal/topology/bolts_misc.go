@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"sort"
 
 	"tencentrec/internal/combiner"
 	"tencentrec/internal/core"
@@ -89,6 +90,7 @@ func (b *DBBolt) flush() error {
 	b.ownedBuf = owned
 	sb := b.st.batch()
 	if err := sb.prefetch(owned, nil); err != nil {
+		putBack(b.comb, b.keys, deltas)
 		return err
 	}
 	var firstErr error
@@ -224,6 +226,17 @@ func (b *ARBolt) flush() error {
 	}
 	clear(b.dirty)
 	return nil
+}
+
+// sortedKeysInto appends a map's keys to a reused scratch slice in sorted
+// order, pinning the apply order of map-accumulated work (emission order
+// downstream is otherwise at the mercy of map iteration).
+func sortedKeysInto(m map[string]int64, out []string) []string {
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Cleanup implements stream.Bolt.

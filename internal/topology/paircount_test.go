@@ -2,39 +2,41 @@ package topology
 
 import (
 	"errors"
-	"strings"
+	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"tencentrec/internal/core"
 	"tencentrec/internal/stream"
 )
 
-// failOnceState fails the first Get of a key under prefix.
-type failOnceState struct {
+// failBatchGetState fails the next `fail` BatchGet calls.
+type failBatchGetState struct {
 	*MemState
-	prefix string
-	failed bool
+	fail atomic.Int64
 }
 
-func (s *failOnceState) Get(key string) ([]byte, bool, error) {
-	if !s.failed && strings.HasPrefix(key, s.prefix) {
-		s.failed = true
-		return nil, false, errors.New("store unavailable")
+func (s *failBatchGetState) BatchGet(keys []string) ([][]byte, []bool, error) {
+	if s.fail.Add(-1) >= 0 {
+		return nil, nil, errors.New("store unavailable")
 	}
-	return s.MemState.Get(key)
+	return s.MemState.BatchGet(keys)
 }
 
-// TestPairCountPrunedFlagReadError: a failed read of a pair's durable
-// pl: flag is the tuple's error and settles nothing, so the next tuple of
-// the pair asks again and a durably pruned pair stays out of the counts.
-func TestPairCountPrunedFlagReadError(t *testing.T) {
-	p := Params{}.withDefaults()
-	st := &failOnceState{MemState: NewMemState(), prefix: prefixPruned}
-	pair := pairID("a", "b")
-	if err := st.Put(prefixPruned+pair, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, item := range []string{"a", "b"} {
-		raw, _, err := addToCounter(nil, false, p.WindowSessions, 0, 3)
+var tickTuple = &stream.Tuple{Component: UnitPairCount, Stream: stream.TickStream}
+
+func pairDelta(pair string, delta float64) *stream.Tuple {
+	return stream.NewTuple(UnitUserHistory, StreamPairDelta,
+		stream.Fields{"pair", "delta", "session"}, stream.Values{pair, delta, int64(0)})
+}
+
+// putItemCounts stores an itemCount of n for every item.
+func putItemCounts(t *testing.T, st State, p Params, n float64, items ...string) {
+	t.Helper()
+	for _, item := range items {
+		raw, _, err := addToCounter(nil, false, p.WindowSessions, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,26 +44,298 @@ func TestPairCountPrunedFlagReadError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var out []stream.Values
+}
+
+func preparedPairCount(t *testing.T, st State, p Params, out *[]stream.Values) *PairCountBolt {
+	t.Helper()
 	b := NewPairCountBolt(st, p)().(*PairCountBolt)
-	if err := b.Prepare(stream.TopologyContext{}, &stubCollector{out: &out}); err != nil {
+	if err := b.Prepare(stream.TopologyContext{}, &stubCollector{out: out}); err != nil {
 		t.Fatal(err)
 	}
-	delta := stream.NewTuple(UnitUserHistory, StreamPairDelta,
-		stream.Fields{"pair", "delta", "session"}, stream.Values{pair, 1.0, int64(0)})
-	if err := b.Execute(delta); err == nil {
-		t.Fatal("Execute swallowed the failed read of the pruned flag")
-	}
-	if err := b.Execute(delta); err != nil {
-		t.Fatalf("Execute after the store recovered: %v", err)
-	}
-	if err := b.Execute(&stream.Tuple{Component: UnitPairCount, Stream: stream.TickStream}); err != nil {
+	return b
+}
+
+// TestPairCountPrunedFlagReadError: a pair's durable pl: flag is read with
+// the flush's batched prefetch, never on the tuple path. A failed read is
+// the flush's error and settles nothing: the interval's deltas are kept,
+// the flag is asked for again on the next tick, the durably pruned pair is
+// never counted and never emitted, and its live neighbour is counted once.
+func TestPairCountPrunedFlagReadError(t *testing.T) {
+	p := Params{}.withDefaults()
+	st := &failBatchGetState{MemState: NewMemState()}
+	pruned, live := pairID("a", "b"), pairID("a", "c")
+	if err := st.Put(prefixPruned+pruned, []byte{1}); err != nil {
 		t.Fatal(err)
+	}
+	putItemCounts(t, st, p, 3, "a", "b", "c")
+	var out []stream.Values
+	b := preparedPairCount(t, st, p, &out)
+	gets0, _ := st.Ops()
+	for _, pair := range []string{pruned, live} {
+		if err := b.Execute(pairDelta(pair, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gets, _ := st.Ops(); gets != gets0 {
+		t.Fatalf("the tuple path read the store %d times", gets-gets0)
+	}
+	st.fail.Store(1)
+	if err := b.Execute(tickTuple); err == nil {
+		t.Fatal("flush swallowed the failed batched read")
 	}
 	if len(out) != 0 {
-		t.Fatalf("durably pruned pair emitted %v", out)
+		t.Fatalf("a flush that read nothing emitted %v", out)
 	}
-	if _, counted, _ := st.MemState.Get(prefixPairCount + pair); counted {
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatalf("flush after the store recovered: %v", err)
+	}
+	for _, v := range out {
+		if v[0] == "b" || v[1] == "b" {
+			t.Fatalf("durably pruned pair emitted %v", v)
+		}
+	}
+	if len(out) != 2 {
+		t.Fatalf("live pair emitted %d sim tuples, want 2: %v", len(out), out)
+	}
+	if _, counted, _ := st.MemState.Get(prefixPairCount + pruned); counted {
 		t.Fatal("durably pruned pair was counted")
+	}
+	if got := readStateCounter(t, st, prefixPairCount+live, 0, 0); got != 1 {
+		t.Fatalf("live pair counted %v across the failed flush, want 1", got)
+	}
+	// The pruned pair is now known: its next delta is dropped unread.
+	gets1, _ := st.Ops()
+	if err := b.Execute(pairDelta(pruned, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatal(err)
+	}
+	if gets, _ := st.Ops(); gets != gets1 {
+		t.Fatalf("a known-pruned pair cost %d store reads", gets-gets1)
+	}
+}
+
+// TestPairCountWritesOncePerPair: N combined pairs in one flush are N
+// pair-counter writes and 2N sim tuples; nothing is rescored on the next
+// tick, and the final tick's rescore of the same pairs reads the counters
+// and writes none of them.
+func TestPairCountWritesOncePerPair(t *testing.T) {
+	p := Params{}.withDefaults()
+	st := NewMemState()
+	const n = 50
+	items := []string{"hub"}
+	for i := 0; i < n; i++ {
+		items = append(items, fmt.Sprintf("i%d", i))
+	}
+	putItemCounts(t, st, p, 4, items...)
+	var out []stream.Values
+	b := preparedPairCount(t, st, p, &out)
+	for round := 0; round < 3; round++ { // three deltas per pair, combined
+		for _, item := range items[1:] {
+			if err := b.Execute(pairDelta(pairID("hub", item), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, puts0 := st.Ops()
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatal(err)
+	}
+	_, puts1 := st.Ops()
+	if puts1-puts0 != n || len(out) != 2*n {
+		t.Fatalf("flush of %d combined pairs: %d writes, %d sim tuples; want %d and %d", n, puts1-puts0, len(out), n, 2*n)
+	}
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatal(err)
+	}
+	if _, puts := st.Ops(); puts != puts1 || len(out) != 2*n {
+		t.Fatalf("idle tick: %d writes, %d more sim tuples; want none", puts-puts1, len(out)-2*n)
+	}
+	final := &stream.Tuple{Component: UnitPairCount, Stream: stream.TickStream, Values: stream.Values{"final"}}
+	if err := b.Execute(final); err != nil {
+		t.Fatal(err)
+	}
+	if _, puts := st.Ops(); puts != puts1 {
+		t.Fatalf("final tick over unchanged pairs wrote %d counters", puts-puts1)
+	}
+	if len(out) != 4*n {
+		t.Fatalf("final tick rescored %d pairs, want %d", (len(out)-2*n)/2, n)
+	}
+	want := 3.0 / 4.0 // pc 3 over sqrt(4·4)
+	for _, v := range out {
+		if math.Abs(v[2].(float64)-want) > 1e-12 {
+			t.Fatalf("sim %v, want %v", v, want)
+		}
+	}
+}
+
+// TestPairCountZeroCountGuardWritesNothing: a pair whose item count has
+// not landed is counted once, published never, and retried by a rescore
+// that leaves the store alone until the count is there.
+func TestPairCountZeroCountGuardWritesNothing(t *testing.T) {
+	p := Params{}.withDefaults()
+	st := NewMemState()
+	putItemCounts(t, st, p, 2, "a")
+	var out []stream.Values
+	b := preparedPairCount(t, st, p, &out)
+	pair := pairID("a", "b")
+	if err := b.Execute(pairDelta(pair, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatal(err)
+	}
+	_, puts := st.Ops()
+	for i := 0; i < 3; i++ {
+		if err := b.Execute(tickTuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, again := st.Ops(); again != puts || len(out) != 0 {
+		t.Fatalf("guard retries wrote %d values and emitted %v", again-puts, out)
+	}
+	putItemCounts(t, st, p, 2, "b")
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatal(err)
+	}
+	_, after := st.Ops()
+	if len(out) != 2 || math.Abs(out[0][2].(float64)-0.5) > 1e-12 || after != puts+1 { // +1: the test's own put of ic:b
+		t.Fatalf("retry after the count landed: emitted %v, %d bolt writes", out, after-puts-1)
+	}
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 {
+		t.Fatalf("a scored pair stayed in the retry set: %v", out)
+	}
+}
+
+// TestItemCountFlushReadError: one failing BatchGet costs an error, not an
+// interval of counts. The deltas the failed flush drained go back into the
+// combiner and land with the next tick, so the final counts are the
+// library's.
+func TestItemCountFlushReadError(t *testing.T) {
+	actions := genActions(71, 800, 20, 16)
+	p := Params{}
+	st := &failBatchGetState{MemState: NewMemState()}
+	b := NewItemCountBolt(st, p)().(*ItemCountBolt)
+	if err := b.Prepare(stream.TopologyContext{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	cf := libEngine(p.withDefaults(), actions)
+	now := time.Unix(0, actions[len(actions)-1].TS)
+	// Feed the item deltas the library implies: one per first (user, item)
+	// rating and per weight increase, which is what userHistory emits.
+	best := make(map[string]float64)
+	weights := p.withDefaults().Weights
+	feed := func(as []RawAction) {
+		for _, a := range as {
+			k := a.User + "\x00" + a.Item
+			w := weights[core.ActionType(a.Action)]
+			if d := w - best[k]; d > 0 {
+				best[k] = w
+				tup := stream.NewTuple(UnitUserHistory, StreamItemDelta,
+					stream.Fields{"item", "delta", "session"}, stream.Values{a.Item, d, int64(0)})
+				if err := b.Execute(tup); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	feed(actions[:400])
+	st.fail.Store(1)
+	if err := b.Execute(tickTuple); err == nil {
+		t.Fatal("flush swallowed the failed batched read")
+	}
+	feed(actions[400:])
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatalf("flush after the store recovered: %v", err)
+	}
+	for i := 0; i < 16; i++ {
+		item := fmt.Sprintf("i%d", i)
+		want := cf.ItemCount(item, now)
+		if got := readStateCounter(t, st, prefixItemCount+item, 0, 0); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("itemCount(%s) = %v after a failed flush, library %v", item, got, want)
+		}
+	}
+}
+
+// TestFirstTickRoundScoresExactly: one wave of actions through a
+// long-running topology, all of it buffered in the combiners before the
+// first interval tick. The engine ticks itemCount before pairCount and
+// waits for the first to have executed, so after that one periodic round —
+// no Quiesce, no final tick — every stored similarity is the library's.
+// (With free-running per-bolt tickers a score could read item counts that
+// were half flushed or not flushed at all, and was only repaired one
+// interval later.)
+func TestFirstTickRoundScoresExactly(t *testing.T) {
+	actions := genActions(59, 400, 15, 12)
+	cf := libEngine(Params{}.withDefaults(), actions)
+	now := time.Unix(0, actions[len(actions)-1].TS)
+	const interval = 250 * time.Millisecond
+	par := Parallelism{ItemCount: 2, PairCount: 2}
+	for run := 0; run < 4; run++ {
+		st := NewMemState()
+		p := Params{FlushInterval: interval}
+		release := make(chan struct{}, 1)
+		var emitted atomic.Int64
+		// One action more than is ever released keeps the spout idling.
+		spout := func() stream.Spout {
+			return &roundSpout{actions: append(actions[:len(actions):len(actions)], RawAction{}), round: len(actions), release: release, emitted: &emitted}
+		}
+		topo, err := NewBuilder("firstround", spout, st, p).WithParallelism(par).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		h := topo.SubmitWithErrorHandler(func(c string, err error) { t.Errorf("component %s: %v", c, err) })
+		release <- struct{}{}
+		for emitted.Load() < int64(len(actions)) || h.InFlight() != 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		before := h.Metrics().Components[UnitPairCount]
+		if time.Since(start) >= interval-interval/10 || before.Emitted != 0 {
+			h.Stop()
+			h.Wait()
+			t.Skipf("the wave took %v, past the first %v tick", time.Since(start), interval)
+		}
+		// The round is over when both pairCount tasks have executed its tick
+		// and what they emitted has been executed and written.
+		for h.Metrics().Components[UnitPairCount].Executed < before.Executed+int64(par.PairCount) || h.InFlight() != 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		srv := NewServing(st, p)
+		checked := 0
+		for i := 0; i < 12; i++ {
+			item := fmt.Sprintf("i%d", i)
+			list, err := srv.SimilarItems(item, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[string]float64, len(list))
+			for _, s := range list {
+				got[s.Item] = s.Score
+			}
+			for j := 0; j < 12; j++ {
+				other := fmt.Sprintf("i%d", j)
+				want := cf.Similarity(item, other, now)
+				if i == j || want == 0 {
+					continue
+				}
+				checked++
+				if math.Abs(got[other]-want) > 1e-9 {
+					t.Errorf("run %d: sim(%s,%s) = %v after the first round, library %v", run, item, other, got[other], want)
+				}
+			}
+		}
+		h.Stop()
+		h.Wait()
+		if t.Failed() {
+			return
+		}
+		if checked < 60 {
+			t.Fatalf("only %d similarities checked; workload too thin", checked)
+		}
 	}
 }

@@ -340,13 +340,16 @@ type stagedKey struct {
 // batch returns the task's pooled stateBatch, reset for a new interval.
 // A task executes one tuple or one tick at a time, so a single reusable
 // instance suffices; pooling keeps a flush from reallocating the staging
-// map per tick (or per tuple on the unbatched bolts).
+// map per tick (or per tuple on the unbatched bolts). The pool follows the
+// load down as well as up: a slab that one burst's flush grew, and the
+// interval just ended used under a quarter of, is dropped rather than
+// kept for the life of the task (a map's buckets never shrink).
 func (ts *taskState) batch() *stateBatch {
-	if ts.pool == nil {
-		ts.pool = &stateBatch{ts: ts, pos: make(map[string]int)}
-		return ts.pool
+	if sb := ts.pool; sb != nil && (cap(sb.ents) <= 1024 || len(sb.ents) >= cap(sb.ents)/4) {
+		sb.reset()
+		return sb
 	}
-	ts.pool.reset()
+	ts.pool = &stateBatch{ts: ts, pos: make(map[string]int)}
 	return ts.pool
 }
 
@@ -493,7 +496,8 @@ func (sb *stateBatch) flush() error {
 
 // addCounter applies a delta to a staged counter and returns the new
 // windowed sum; the re-put keeps the staged view, cache and dirty set
-// coherent.
+// coherent. A zero delta changes nothing, so it is a read: the counter is
+// neither created nor marked dirty, and the flush does not write it.
 func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64) (float64, error) {
 	i, ok := sb.pos[key]
 	if !ok {
@@ -506,6 +510,9 @@ func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64
 		i = sb.add(key, false)
 		sb.ents[i].val, sb.ents[i].found = raw, found
 	}
+	if delta == 0 {
+		return counterSum(sb.ents[i].val, sb.ents[i].found, session)
+	}
 	raw, sum, err := addToCounter(sb.ents[i].val, sb.ents[i].found, w, session, delta)
 	if err != nil {
 		return 0, err
@@ -515,13 +522,21 @@ func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64
 }
 
 // readCounterSum returns a foreign counter's windowed sum from the batch
-// view, summed in place without decoding (the counter belongs to another
-// bolt, whose cache is the authoritative copy). An absent counter sums
-// to zero.
+// view (the counter belongs to another bolt, whose cache is the
+// authoritative copy).
 func (sb *stateBatch) readCounterSum(key string, session int64) (float64, error) {
 	raw, ok, err := sb.getForeign(key)
-	if err != nil || !ok {
+	if err != nil {
 		return 0, err
+	}
+	return counterSum(raw, ok, session)
+}
+
+// counterSum sums an encoded windowed counter in place, without decoding.
+// An absent counter sums to zero.
+func counterSum(raw []byte, found bool, session int64) (float64, error) {
+	if !found {
+		return 0, nil
 	}
 	sum, ok := window.SumEncoded(raw, session)
 	if !ok {

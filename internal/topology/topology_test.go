@@ -435,7 +435,7 @@ func (s *roundSpout) DeclareOutputFields() map[string]stream.Fields {
 func TestPipelinePruningReducesSimWork(t *testing.T) {
 	actions := genActions(23, 6000, 60, 32)
 
-	// The default path: combiner on, pairs applied and rechecked on ticks.
+	// The default path: combiner on, pairs applied on ticks.
 	// How many similarity updates a run emits depends on where the ticks
 	// fall in the input (with free-running 1 ms ticks it swings between
 	// 4 600 and 13 000 for this input), so the ticks are driven by hand:

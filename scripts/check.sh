@@ -16,14 +16,14 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== go test -race elastic parallelism (rebalance, backpressure, overflow, restart stress, write-behind flush hook)"
-go test -race -run 'TestRebalance|TestBurst|TestBackpressure|TestOverflow|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher' ./internal/stream/
+echo "== go test -race elastic parallelism (rebalance, backpressure, overflow, restart stress, write-behind flush hook, ordered tick round)"
+go test -race -run 'TestRebalance|TestBurst|TestBackpressure|TestOverflow|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound' ./internal/stream/
 
 echo "== go test -race serving tier (singleflight, TTL, negative cache, hedged reads)"
 go test -race -run 'TestSingleflight|TestCoalesced|TestCache|TestNegativeCache|TestInvalidate|TestLRU|TestGetBatch|TestHedge|TestConcurrentMixedLoad' ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart) and write-behind result lists"
-go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestWriteBehind' \
+echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), write-behind result lists, pairCount store ops, failed flush reads, first-round scores"
+go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestWriteBehind|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore, serving, obsv)"

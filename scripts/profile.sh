@@ -1,13 +1,14 @@
 #!/bin/sh
-# profile.sh - capture CPU and allocation profiles of the three headline
-# hot paths (the CF pipeline, the serving-tier read mix and the ingest
-# edge: publish, poll, decode) into profiles/, plus a text top-25 of
-# each so a diff review doesn't need pprof installed.
+# profile.sh - capture CPU and allocation profiles of the four headline
+# hot paths (the CF pipeline, the serving-tier read mix, the ingest
+# edge: publish, poll, decode, and one pairCount flush) into profiles/,
+# plus a text top-25 of each so a diff review doesn't need pprof installed.
 #
 # Usage: scripts/profile.sh [iterations]
 #   iterations: -benchtime=Nx for the pipeline bench (default 20000);
-#               the serving mix runs at 2.5x that and the ingest edge
-#               at 25x, matching their lighter per-op cost.
+#               the serving mix runs at 2.5x that, the ingest edge at
+#               25x and the 4096-pair flush at 1/40, matching their
+#               per-op cost.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,5 +35,6 @@ profile() {
 profile pipeline 'BenchmarkPipelineThroughput$' "$iters"
 profile serving_mix 'BenchmarkHTTPServingMix' "$((iters * 5 / 2))"
 profile ingest_edge 'BenchmarkIngestEdge$' "$((iters * 25))"
+profile paircount_flush 'BenchmarkPairCountFlush$' "$((iters / 40))"
 
 echo "profile: wrote CPU/alloc profiles and top-25 summaries to profiles/"

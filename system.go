@@ -389,47 +389,37 @@ func (s *System) AddItem(id string, terms []string, published time.Time) error {
 // everything published before the call. Use it in tests and batch loads;
 // live deployments simply query whenever, accepting sub-second staleness.
 //
-// "Processed" is the engine's in-flight count reading zero across two
-// consecutive flush intervals once the spout has consumed everything. A
-// zero count alone is not completion — the combiner bolts hold deltas
-// until their next tick, and a pair's similarity is recomputed once more
-// on the tick after that — but any window of two intervals contains both
-// ticks, and their consequences (sim tuples, write-behind list flushes)
-// hold the count above zero until they are done. A store write that
-// failed on the way is not waited for: it shows in the component's
-// errors column of Metrics, as it always has, and the bolt retries it
-// with its next input.
+// "Processed" is one ordered tick round over a drained pipeline: once the
+// spout has emitted everything published, the topology is quiesced (spouts
+// parked, in-flight count zero), every combiner bolt is ticked in
+// topological order — itemCount's flush lands before pairCount's scores
+// read it — and each flush's consequences (sim tuples, write-behind list
+// flushes) drain before the next fires. A store write that failed on the
+// way is not waited for: it shows in the component's errors column of
+// Metrics, as it always has, and the bolt retries it with its next input.
 func (s *System) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	flush := s.cfg.Params.FlushInterval
-	if flush <= 0 {
-		flush = 100 * time.Millisecond
-	}
-	quietFor := 2*flush + 30*time.Millisecond // the margin covers ticker jitter
-	var quietSince time.Time
 	for {
-		now := time.Now()
 		consumed := s.running.Metrics().Components[topology.UnitSpout].Emitted
-		switch {
-		case consumed < s.published.Load() || s.running.InFlight() != 0:
-			quietSince = time.Time{}
-		case quietSince.IsZero():
-			quietSince = now
-		case now.Sub(quietSince) >= quietFor:
-			s.cluster.WaitSync()
-			// Drained means "queries now see everything published", so the
-			// serving tier must not hand out results cached before the sync.
-			if s.reader != nil {
-				s.reader.Invalidate()
-			}
-			return nil
+		if consumed >= s.published.Load() {
+			break
 		}
-		if now.After(deadline) {
+		if time.Now().After(deadline) {
 			return fmt.Errorf("tencentrec: drain timed out with %d/%d consumed, %d tuples in flight",
 				consumed, s.published.Load(), s.running.InFlight())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	if err := s.running.Quiesce(func() error { return nil }); err != nil {
+		return err
+	}
+	s.cluster.WaitSync()
+	// Drained means "queries now see everything published", so the
+	// serving tier must not hand out results cached before the sync.
+	if s.reader != nil {
+		s.reader.Invalidate()
+	}
+	return nil
 }
 
 // Recommend serves the user's CF slate with the DB complement.
