@@ -70,29 +70,6 @@ func (c *Combiner) Flush(emit func(key string, value float64)) int {
 	return n
 }
 
-// Drain returns the buffered (key, merged value) map and resets the
-// buffer — the batched counterpart of Flush. The caller owns the
-// returned map; handing the whole interval over at once lets a bolt
-// turn one tick's worth of merged updates into a single batched store
-// write instead of N singles.
-func (c *Combiner) Drain() map[string]float64 {
-	out := c.buf
-	c.buf = make(map[string]float64, len(out))
-	return out
-}
-
-// FlushInto copies the buffered (key, merged value) pairs into dst and
-// clears the buffer — Drain without surrendering the map, for callers
-// that reuse one destination map across intervals.
-func (c *Combiner) FlushInto(dst map[string]float64) int {
-	n := len(c.buf)
-	for k, v := range c.buf {
-		dst[k] = v
-	}
-	clear(c.buf)
-	return n
-}
-
 // Stats reports how many updates were offered and how many were merged
 // away (never reached the store). MergeRatio = merged/offered.
 func (c *Combiner) Stats() (offered, merged int64) { return c.offered, c.merged }

@@ -56,8 +56,8 @@ func frameBody(b []byte, typ byte) (n int, base int, ok bool) {
 	if len(b) < 4 || b[0] != tagBinary || b[1] != typ || b[2] != version {
 		return 0, 0, false
 	}
-	c, sz := binary.Uvarint(b[3:])
-	if sz <= 0 || c > uint64(len(b)-3-sz) {
+	c, sz := readUvarint(b[3:])
+	if sz == 0 || c > uint64(len(b)-3-sz) {
 		return 0, 0, false
 	}
 	return int(c), 3 + sz, true
@@ -75,8 +75,7 @@ func setCount(b []byte, base, n int) []byte {
 }
 
 // resizeCount is setCount for a count whose uvarint width may change
-// (127↔128, 16383↔16384, or a non-minimal stored width): the payload
-// shifts by the difference.
+// (127↔128, 16383↔16384): the payload shifts by the difference.
 func resizeCount(b []byte, base, n int) []byte {
 	if d := 3 + uvarintLen(uint64(n)) - base; d > 0 {
 		b = append(b, make([]byte, d)...)
@@ -119,8 +118,8 @@ func (it *HistoryIter) Next() (item []byte, r Rating, ok bool) {
 		}
 		return nil, Rating{}, false
 	}
-	l, sz := binary.Uvarint(it.rest)
-	if sz <= 0 || l > uint64(len(it.rest)-sz) || uint64(len(it.rest)-sz)-l < ratingBytes {
+	l, sz := readUvarint(it.rest)
+	if sz == 0 || l > uint64(len(it.rest)-sz) || uint64(len(it.rest)-sz)-l < ratingBytes {
 		it.corrupt = true
 		return nil, Rating{}, false
 	}
@@ -288,8 +287,8 @@ func MergeListEntry(b []byte, item string, score float64, k int) (out []byte, th
 	foundIdx := -1
 	for i := 0; i < n; i++ {
 		offs[i] = int32(off)
-		l, sz := binary.Uvarint(rest)
-		if sz <= 0 || l > uint64(len(rest)-sz) || uint64(len(rest)-sz)-l < 8 {
+		l, sz := readUvarint(rest)
+		if sz == 0 || l > uint64(len(rest)-sz) || uint64(len(rest)-sz)-l < 8 {
 			return b, 0, false
 		}
 		step := sz + int(l) + 8

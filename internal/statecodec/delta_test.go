@@ -345,7 +345,8 @@ func editsAgreeWithDecoder(t *testing.T, name string, data []byte) {
 // TestEditsDeclineExactlyWhatTheDecoderRejects: ok=false ⇔ malformed,
 // over truncations at every length, trailing garbage, wrong tag, type and
 // version, a count the payload cannot hold, an id length that overflows,
-// and a count stored wider than it needs to be (well-formed).
+// and a count or an id length stored wider than it needs to be (malformed:
+// a value has one encoding).
 func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 	hist := EncodeHistory(nil)
 	for i := 0; i < 3; i++ {
@@ -372,15 +373,23 @@ func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 		over := append([]byte{tagBinary, typ, version, 1}, 0xf6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
 		editsAgreeWithDecoder(t, "id length overflows", append(over, make([]byte, 40)...))
 		editsAgreeWithDecoder(t, "wide zero count", []byte{tagBinary, typ, version, 0x80, 0x00})
+		editsAgreeWithDecoder(t, "wide id length", append([]byte{tagBinary, typ, version, 1, 0x80, 0x00}, make([]byte, 24)...))
 	}
 	editsAgreeWithDecoder(t, "json", []byte(`{"a":{"r":1}}`))
 	editsAgreeWithDecoder(t, "json list", []byte(`[]`))
 	editsAgreeWithDecoder(t, "nil", nil)
 
-	// The wide zero count is a frame like any other: an append narrows it.
-	out, ok := UpsertHistoryEntry([]byte{tagBinary, typeHistory, version, 0x80, 0x00}, "a", Rating{Rating: 1})
-	if h, err := DecodeHistory(out); !ok || err != nil || len(h) != 1 {
-		t.Fatalf("upsert into a wide-count frame = (%x, %v), decode (%v, %v)", out, ok, h, err)
+	// No writer pads a uvarint, so a padded one is damage and not a second
+	// spelling: decoder and edits both decline it.
+	for _, padded := range [][]byte{
+		{tagBinary, typeHistory, version, 0x80, 0x00},
+		append([]byte{tagBinary, typeList, version, 1, 0x80, 0x00}, EncodeFloat(2)...),
+	} {
+		_, herr := DecodeHistory(padded)
+		_, lerr := DecodeList(padded)
+		if herr == nil || lerr == nil {
+			t.Fatalf("padded uvarint accepted: frame %x, history %v, list %v", padded, herr, lerr)
+		}
 	}
 }
 

@@ -18,9 +18,12 @@
 //	[2] a format version, currently 1.
 //
 // The payload uses uvarint-prefixed strings, uvarint counts and 8-byte
-// little-endian IEEE-754 floats, and the entries fill the value exactly.
-// Anything else — other bytes, unknown versions, truncated or over-long
-// payloads — decodes to a wrapped error, never a panic.
+// little-endian IEEE-754 floats, every uvarint in its shortest form, and
+// the entries fill the value exactly: a value has one encoding, so an
+// in-place edit and decode → update → encode agree byte for byte.
+// Anything else — other bytes, unknown versions, padded uvarints,
+// truncated or over-long payloads — decodes to a wrapped error, never a
+// panic.
 //
 // Float scalars are the exception: they keep the historical raw 8-byte
 // little-endian layout (no header) because windowed counters and
@@ -125,9 +128,24 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func readString(b []byte, what string) (string, []byte, error) {
+// readUvarint reads a uvarint and reports its width, or 0 when it is
+// truncated, overflows 64 bits or is padded with a zero continuation
+// group (the one way binary.Uvarint accepts two encodings of a value;
+// every writer emits the shortest).
+func readUvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
+	if sz <= 0 || b[sz-1] == 0 {
+		return 0, 0
+	}
+	return n, sz
+}
+
+func readString(b []byte, what string) (string, []byte, error) {
+	n, sz := readUvarint(b)
+	if sz == 0 || n > uint64(len(b)-sz) {
 		return "", nil, fmt.Errorf("statecodec: %s string length corrupt", what)
 	}
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
@@ -152,10 +170,10 @@ func readInt64(b []byte, what string) (int64, []byte, error) {
 }
 
 func readCount(b []byte, what string) (int, []byte, error) {
-	n, sz := binary.Uvarint(b)
+	n, sz := readUvarint(b)
 	// Each encoded entry occupies at least one byte, so a count beyond
 	// the remaining payload is corruption, not a big value.
-	if sz <= 0 || n > uint64(len(b)-sz) {
+	if sz == 0 || n > uint64(len(b)-sz) {
 		return 0, nil, fmt.Errorf("statecodec: %s count corrupt", what)
 	}
 	return int(n), b[sz:], nil

@@ -15,6 +15,10 @@ func AppendString(buf []byte, s string) []byte { return appendString(buf, s) }
 // remaining bytes, and an error naming `what` on corruption.
 func ReadString(b []byte, what string) (string, []byte, error) { return readString(b, what) }
 
+// ReadUvarint reads a uvarint in its shortest form and reports its width,
+// or 0 when it is truncated, overflows 64 bits or is padded.
+func ReadUvarint(b []byte) (uint64, int) { return readUvarint(b) }
+
 // AppendFloat appends v as little-endian IEEE-754 bits.
 func AppendFloat(buf []byte, v float64) []byte { return appendFloat(buf, v) }
 

@@ -37,6 +37,67 @@ func TestBatchPutGetRoundTrip(t *testing.T) {
 	c.WaitSync()
 }
 
+// TestBatchPutKeepsBatchOrderWithinAnInstance: a batch whose keys
+// interleave across instances is applied instance by instance, each
+// instance's keys in batch order, so of two writes to one key in a batch
+// the later wins, on the host and (the replication ops being queued in the
+// same order) on the slave.
+func TestBatchPutKeepsBatchOrderWithinAnInstance(t *testing.T) {
+	c, cl := newTestCluster(t, Options{DataServers: 2, Instances: 8, Replicas: 2})
+	var keys []string
+	var vals [][]byte
+	want := make(map[string]string)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 64; i++ {
+			k, v := fmt.Sprintf("ok-%d", i), fmt.Sprintf("v-%d", i)
+			if i%7 == 0 {
+				v = fmt.Sprintf("v-%d-round-%d", i, round) // rewritten every round
+			} else if round > 0 {
+				continue
+			}
+			keys, vals = append(keys, k), append(vals, []byte(v))
+			want[k] = v
+		}
+	}
+	rt, err := c.RouteTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[InstanceID]bool)
+	for _, k := range keys {
+		seen[rt.InstanceFor(k)] = true
+	}
+	if len(seen) < 4 {
+		t.Fatalf("keys fall on %d instances; the batch does not interleave", len(seen))
+	}
+	if err := cl.BatchPut(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	probe := make([]string, 0, len(want))
+	for k := range want {
+		probe = append(probe, k)
+	}
+	check := func(where string, got [][]byte, found []bool) {
+		t.Helper()
+		for i, k := range probe {
+			if !found[i] || string(got[i]) != want[k] {
+				t.Fatalf("%s: %s = %q found=%v, want %q", where, k, got[i], found[i], want[k])
+			}
+		}
+	}
+	got, found, err := cl.BatchGet(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("host", got, found)
+	c.WaitSync()
+	got, found, err = cl.ReplicaBatchGet(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("slave", got, found)
+}
+
 func TestBatchPutLengthMismatch(t *testing.T) {
 	_, cl := newTestCluster(t, Options{})
 	if err := cl.BatchPut([]string{"a", "b"}, [][]byte{[]byte("x")}); err == nil {

@@ -1,7 +1,6 @@
 package tdstore
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -299,15 +298,11 @@ func (ds *DataServer) applyReplica(op syncOp) {
 	}
 }
 
-// enqueueSync schedules mutations for slave catch-up under one lock
-// acquisition and one wake-up.
-func (ds *DataServer) enqueueSync(ops ...syncOp) {
-	if len(ops) == 0 {
-		return
-	}
+// enqueueSync schedules one mutation for slave catch-up.
+func (ds *DataServer) enqueueSync(op syncOp) {
 	ds.syncMu.Lock()
-	ds.syncQueue = append(ds.syncQueue, ops...)
-	ds.lag += len(ops)
+	ds.syncQueue = append(ds.syncQueue, op)
+	ds.lag++
 	ds.workCond.Signal()
 	ds.syncMu.Unlock()
 }
@@ -415,25 +410,37 @@ func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 	if h.down {
 		return ErrServerDown
 	}
+	var last InstanceID
 	for _, it := range items {
 		if !h.hostOf[it.inst] {
 			return ErrNotHost
 		}
+		last = max(last, it.inst)
 	}
-	// Group items into contiguous per-instance runs. Batches are built
-	// key-by-key so instances interleave; a stable sort keeps per-key
-	// order within each instance. A batch that is already grouped (one
-	// instance, most often) skips it.
-	byInst := func(a, b batchItem) int { return cmp.Compare(a.inst, b.inst) }
-	if !slices.IsSortedFunc(items, byInst) {
-		slices.SortStableFunc(items, byInst)
+	// Batches are built key-by-key, so instances interleave. Instance ids
+	// are a small dense range: one counting pass lists each instance's
+	// items in batch order (a key written twice keeps its later value),
+	// without comparing or moving the items themselves.
+	ends := make([]int32, last+1)
+	for _, it := range items {
+		ends[it.inst]++
 	}
-	for start := 0; start < len(items); {
-		end := start + 1
-		for end < len(items) && items[end].inst == items[start].inst {
-			end++
+	var sum int32
+	for inst, n := range ends {
+		ends[inst] = sum // where the instance's run starts
+		sum += n
+	}
+	order := make([]int32, len(items))
+	for i, it := range items {
+		order[ends[it.inst]] = int32(i)
+		ends[it.inst]++ // in the end, where its run ends
+	}
+	start := int32(0)
+	for inst, end := range ends {
+		if end == start {
+			continue
 		}
-		if err := ds.putRun(items[start].inst, items[start:end], values); err != nil {
+		if err := ds.putRun(InstanceID(inst), items, order[start:end], values); err != nil {
 			// Already-applied runs will be re-applied on retry; Put is
 			// idempotent so partial application is safe.
 			return err
@@ -445,9 +452,10 @@ func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 	return nil
 }
 
-// putRun applies one instance's slice of a batched write under its write
-// mutex, enqueueing the replication batch before release.
-func (ds *DataServer) putRun(inst InstanceID, run []batchItem, values [][]byte) error {
+// putRun applies one instance's items of a batched write (items[i] for i
+// in run) under its write mutex, appending their replication ops to the
+// queue before release.
+func (ds *DataServer) putRun(inst InstanceID, items []batchItem, run []int32, values [][]byte) error {
 	h := ds.hosting.Load()
 	mu := h.writeMu[inst]
 	if mu == nil {
@@ -463,14 +471,19 @@ func (ds *DataServer) putRun(inst InstanceID, run []batchItem, values [][]byte) 
 		return ErrNotHost
 	}
 	eng := h.instances[inst]
-	ops := make([]syncOp, 0, len(run))
-	for _, it := range run {
-		if err := eng.Put(it.key, values[it.pos]); err != nil {
+	for _, i := range run {
+		if err := eng.Put(items[i].key, values[items[i].pos]); err != nil {
 			return err
 		}
-		ops = append(ops, syncOp{kind: opPut, instance: inst, key: it.key, value: values[it.pos]})
 	}
-	ds.enqueueSync(ops...)
+	ds.syncMu.Lock()
+	ds.syncQueue = slices.Grow(ds.syncQueue, len(run))
+	for _, i := range run {
+		ds.syncQueue = append(ds.syncQueue, syncOp{kind: opPut, instance: inst, key: items[i].key, value: values[items[i].pos]})
+	}
+	ds.lag += len(run)
+	ds.workCond.Signal()
+	ds.syncMu.Unlock()
 	return nil
 }
 

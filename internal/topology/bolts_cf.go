@@ -470,8 +470,6 @@ func (b *ItemCountBolt) flush() error {
 	// One batched read of every touched counter, the merged deltas
 	// applied in session order against the staged view, one batched
 	// write back — the tick costs two store round-trips, not 2N.
-	// (prefetch compacts the key scratch in place; the apply loop
-	// re-interns each key instead of indexing into it.)
 	keys := b.keyBuf[:0]
 	for i := range deltas {
 		keys = append(keys, b.keys.key2(prefixItemCount, deltas[i].key))
@@ -485,7 +483,7 @@ func (b *ItemCountBolt) flush() error {
 	var firstErr error
 	for i := range deltas {
 		d := &deltas[i]
-		if _, err := sb.addCounter(b.keys.key2(prefixItemCount, d.key), b.p.WindowSessions, d.session, d.value); err != nil && firstErr == nil {
+		if _, err := sb.addCounter(keys[i], b.p.WindowSessions, d.session, d.value); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -508,49 +506,91 @@ func (b *ItemCountBolt) Cleanup() {}
 // interval. The score reads itemCount's keys through the store, so it
 // depends on the engine's tick order (DESIGN.md §10): itemCount's tasks
 // have executed this round's tick before pairCount's tick is delivered.
+//
+// A pair is looked up by string once per delta, in pairs; everything else
+// about it — its open job, its state keys, its items, where a flush staged
+// them — hangs off the entry that probe returns.
 type PairCountBolt struct {
 	p     Params
 	store State
 	c     stream.Collector
 	st    *taskState
-	comb  *combiner.Combiner
-	nCom  *combiner.Combiner
-	// pairs holds what this task knows about every pair it has seen; arena
+	// pairs holds what this task knows about every pair it has seen, keyed
+	// by pair id (the suffix of the entry's own pc: key); arena
 	// chunk-allocates the entries.
 	pairs map[string]*pairState
 	arena []pairState
+	// items is the member items of those pairs, pairState.a/b indexing it;
+	// itemIdx finds a row by item id when a new pair is entered.
+	items   []pairItem
+	itemIdx map[string]uint32
+	// jobs is the interval's combiner (§5.3): one job per pair and session
+	// with a delta since the last flush, in first-touch order, each pair's
+	// entry remembering where its latest one is. A flush appends its
+	// rescores and applies the list.
+	jobs []pairJob
 	// recheck lists the pairs the zero-count guard deferred (pairState.retry
 	// set): their score is retried on the next tick.
-	recheck []string
-	keys    *interner
-	vals    valArena
-	// Flush scratch, reused across ticks.
-	jobs       []pairJob
-	deltas     []flushedDelta
-	counts     map[string]float64
-	ownedBuf   []string
-	foreignBuf []string
+	recheck []*pairState
+	// epoch numbers the staged batches; an entry stamped with it has its
+	// keys staged in the current one.
+	epoch uint32
+	// keys interns the pl:, pn: and th: keys: read once in a pair's life,
+	// or only with pruning on.
+	keys *interner
+	vals valArena
 }
 
 // pairState is one pair's in-memory state on the task that owns it. It is
 // rebuilt lazily after a restart: the pl: flag is durable, and a pair is
-// counted again with its next delta.
+// counted again with its next delta. A task holds one for every pair it
+// ever saw, so it stays within 64 bytes.
 type pairState struct {
+	// pcKey is the pair's counter key, "pc:"+pair id.
+	pcKey string
 	// session is the latest session the pair was counted in, where the
 	// guard's retry and the final tick read its windowed sums.
 	session int64
+	// job is the index in PairCountBolt.jobs of the pair's latest job of
+	// this interval, noJob when it has none.
+	job int32
+	// pos is where the batch numbered epoch staged pcKey.
+	pos   int32
+	epoch uint32
+	// a, b index PairCountBolt.items.
+	a, b uint32
 	// counted marks a live pair this task has applied: on the engine's
 	// final shutdown tick every such pair is rescored against the
 	// fully-settled counters, so a drained topology stores exact
 	// similarities.
 	counted bool
 	// pruned is Algorithm 1's Li membership. It is known once flagRead is
-	// set: the durable pl: flag is read with the prefetch of the first
-	// flush that applies the pair, not on the tuple path.
+	// set: the durable pl: flag is read with the load of the first flush
+	// that applies the pair, not on the tuple path.
 	pruned, flagRead bool
 	// retry marks a pair listed in recheck.
 	retry bool
 }
+
+const noJob = -1
+
+// pair returns the pair id.
+func (ps *pairState) pair() string { return ps.pcKey[len(prefixPairCount):] }
+
+// pairItem is one member item of the pairs a task owns.
+type pairItem struct {
+	// icKey is the item's itemCount key, "ic:"+item id.
+	icKey string
+	// val is the item id boxed for emission.
+	val any
+	// icPos, and thPos with pruning on, are where the batch numbered epoch
+	// staged the item's count and top-K threshold.
+	icPos, thPos int32
+	epoch        uint32
+}
+
+// id returns the item id.
+func (it *pairItem) id() string { return it.icKey[len(prefixItemCount):] }
 
 // NewPairCountBolt returns the bolt factory.
 func NewPairCountBolt(store State, p Params) stream.BoltFactory {
@@ -562,28 +602,41 @@ func NewPairCountBolt(store State, p Params) stream.BoltFactory {
 func (b *PairCountBolt) Prepare(_ stream.TopologyContext, c stream.Collector) error {
 	b.c = c
 	b.st = newTaskState(b.store, b.p.CacheSize)
-	if !b.p.DisableCombiner {
-		b.comb = combiner.New(combiner.Sum)
-		b.nCom = combiner.New(combiner.Sum)
-	}
 	b.pairs = make(map[string]*pairState)
+	b.itemIdx = make(map[string]uint32)
 	b.keys = newInterner(b.p.CacheSize)
-	b.counts = make(map[string]float64)
 	return nil
 }
 
-// state returns the pair's entry, creating it on first sight.
+// state returns the pair's entry, creating it on first sight. The entry's
+// pc: key is the one string a pair costs: the map key is its suffix.
 func (b *PairCountBolt) state(pair string) *pairState {
-	ps := b.pairs[pair]
-	if ps == nil {
-		if len(b.arena) == cap(b.arena) {
-			b.arena = make([]pairState, 0, 256)
-		}
-		b.arena = b.arena[:len(b.arena)+1]
-		ps = &b.arena[len(b.arena)-1]
-		b.pairs[pair] = ps
+	if ps := b.pairs[pair]; ps != nil {
+		return ps
 	}
+	if len(b.arena) == cap(b.arena) {
+		b.arena = make([]pairState, 0, 256)
+	}
+	b.arena = b.arena[:len(b.arena)+1]
+	ps := &b.arena[len(b.arena)-1]
+	ps.pcKey, ps.job = prefixPairCount+pair, noJob
+	itemA, itemB := splitPair(ps.pair())
+	ps.a, ps.b = b.item(itemA), b.item(itemB)
+	b.pairs[ps.pair()] = ps
 	return ps
+}
+
+// item returns the row of b.items for an item id, adding it on first sight.
+func (b *PairCountBolt) item(id string) uint32 {
+	if i, ok := b.itemIdx[id]; ok {
+		return i
+	}
+	it := pairItem{icKey: prefixItemCount + id}
+	it.val = it.id()
+	i := uint32(len(b.items))
+	b.items = append(b.items, it)
+	b.itemIdx[it.id()] = i
+	return i
 }
 
 // Execute implements stream.Bolt.
@@ -598,24 +651,34 @@ func (b *PairCountBolt) Execute(t *stream.Tuple) error {
 	if ps.pruned {
 		return nil // Algorithm 1 line 3-5: skip items in Li
 	}
-	if b.comb != nil {
-		ck := b.keys.comb(pair, session)
-		b.comb.Add(ck, delta)
-		b.nCom.Add(ck, 1)
-		return nil
+	if b.p.DisableCombiner {
+		// Every tuple is an interval of one job. A failed read fails the
+		// tuple, which the spout replays: nothing of it is kept for a tick.
+		b.jobs = append(b.jobs[:0], pairJob{ps: ps, session: session, delta: delta, n: 1})
+		sb, err := b.newPairBatch()
+		if err != nil {
+			b.jobs = b.jobs[:0]
+			return err
+		}
+		return b.applyJobs(sb)
 	}
-	b.jobs = append(b.jobs[:0], pairJob{pair: pair, ps: ps, session: session, delta: delta, n: 1})
-	sb, err := b.newPairBatch()
-	if err != nil {
-		return err
+	if ps.job != noJob {
+		if j := &b.jobs[ps.job]; j.session == session {
+			j.delta += delta
+			j.n++
+			return nil
+		}
+		// Another session: deltas of different sessions never merge.
 	}
-	return b.applyJobs(sb)
+	ps.job = int32(len(b.jobs))
+	b.jobs = append(b.jobs, pairJob{ps: ps, session: session, delta: delta, n: 1})
+	return nil
 }
 
-// pairJob is one pending apply of a flush interval. A zero delta with zero
-// n is a rescore: it reads the counters and writes nothing.
+// pairJob is one pending apply of a flush interval: the merged deltas of
+// one pair in one session. A zero delta with zero n is a rescore: it reads
+// the counters and writes nothing.
 type pairJob struct {
-	pair    string
 	ps      *pairState
 	session int64
 	delta   float64
@@ -623,131 +686,138 @@ type pairJob struct {
 }
 
 func (b *PairCountBolt) flush(final bool) error {
-	jobs := b.jobs[:0]
-	// Scores the zero-count guard deferred last tick. The final tick
-	// rescores every counted pair below, these among them.
-	for _, pair := range b.recheck {
-		ps := b.pairs[pair]
+	// b.jobs holds the interval's deltas in first-touch order, which per
+	// pair is arrival order: the order internal/core applies them in.
+	deltas := len(b.jobs)
+	for _, ps := range b.recheck {
+		// Scores the zero-count guard deferred last tick. The final tick
+		// rescores every counted pair below, these among them.
 		ps.retry = false
 		if !final {
-			jobs = append(jobs, pairJob{pair: pair, ps: ps, session: ps.session})
+			b.jobs = append(b.jobs, pairJob{ps: ps, session: ps.session})
 		}
 	}
-	retries := jobs
 	b.recheck = b.recheck[:0]
-	if b.comb != nil {
-		clear(b.counts)
-		b.nCom.FlushInto(b.counts)
-		b.deltas = drainCombinerInto(b.comb, b.deltas)
-		for i := range b.deltas {
-			d := &b.deltas[i]
-			jobs = append(jobs, pairJob{
-				pair: d.key, ps: b.state(d.key), session: d.session, delta: d.value,
-				n: b.counts[b.keys.comb(d.key, d.session)],
-			})
-		}
-	}
 	if final {
 		// Shutdown flush: every counter upstream has settled (the engine
 		// ticks components in topological order), so rescoring every
 		// counted pair leaves exact similarities in the store. Sorted,
 		// because emission order downstream is otherwise at the mercy of
 		// map iteration.
-		first := len(jobs)
-		for pair, ps := range b.pairs {
+		for _, ps := range b.pairs {
 			if ps.counted && !ps.pruned {
-				jobs = append(jobs, pairJob{pair: pair, ps: ps, session: ps.session})
+				b.jobs = append(b.jobs, pairJob{ps: ps, session: ps.session})
 			}
 		}
-		rescored := jobs[first:]
-		sort.Slice(rescored, func(i, j int) bool { return rescored[i].pair < rescored[j].pair })
+		rescored := b.jobs[deltas:]
+		sort.Slice(rescored, func(i, j int) bool { return rescored[i].ps.pair() < rescored[j].ps.pair() })
 	}
-	b.jobs = jobs
-	if len(jobs) == 0 {
+	if len(b.jobs) == 0 {
 		return nil
 	}
 	sb, err := b.newPairBatch()
 	if err != nil {
-		// Nothing was applied, and the source tuples were acked when they
-		// were buffered: the interval goes back where it came from and the
-		// next tick flushes it with its own.
-		for _, j := range retries {
-			b.retry(j.pair, j.ps)
-		}
-		if b.comb != nil {
-			putBack(b.comb, b.keys, b.deltas)
-			for ck, n := range b.counts {
-				b.nCom.Add(ck, n)
+		// Nothing was applied, and the deltas' source tuples were acked when
+		// they were buffered: their jobs stay where they are and the next
+		// tick applies them with its own. The deferred scores go back on
+		// their list.
+		if !final {
+			for _, j := range b.jobs[deltas:] {
+				b.retry(j.ps)
 			}
 		}
+		b.jobs = b.jobs[:deltas]
 		return err
 	}
 	return b.applyJobs(sb)
 }
 
 // retry lists a pair for one more score on the next tick.
-func (b *PairCountBolt) retry(pair string, ps *pairState) {
+func (b *PairCountBolt) retry(ps *pairState) {
 	if !ps.retry {
 		ps.retry = true
-		b.recheck = append(b.recheck, pair)
+		b.recheck = append(b.recheck, ps)
 	}
 }
 
-// newPairBatch stages the state b.jobs touch in one batched read: the pair
-// counters and unread pl: flags (owned), and each member item's itemCount
-// and top-K threshold (foreign, read once per interval instead of once per
-// pair).
-func (b *PairCountBolt) newPairBatch() (*stateBatch, error) {
-	pruning := b.p.PruningDelta > 0 && b.p.PruningDelta < 1
-	owned := b.ownedBuf[:0]
-	foreign := b.foreignBuf[:0]
-	for i := range b.jobs {
-		pair, ps := b.jobs[i].pair, b.jobs[i].ps
-		if ps.pruned {
-			continue // apply skips it; don't fetch its state
-		}
-		if !ps.flagRead {
-			owned = append(owned, b.keys.key2(prefixPruned, pair))
-		}
-		owned = append(owned, b.keys.key2(prefixPairCount, pair))
-		if pruning {
-			owned = append(owned, b.keys.key2(prefixPairN, pair))
-		}
-		itemA, itemB := splitPair(pair)
-		foreign = append(foreign, b.keys.key2(prefixItemCount, itemA), b.keys.key2(prefixItemCount, itemB))
-		if pruning {
-			foreign = append(foreign, b.keys.key2(prefixThreshold, itemA), b.keys.key2(prefixThreshold, itemB))
-		}
-	}
-	b.ownedBuf, b.foreignBuf = owned, foreign
-	sb := b.st.batch()
-	if err := sb.prefetch(owned, foreign); err != nil {
-		return nil, err
-	}
-	return sb, nil
-}
-
-// applyJobs runs b.jobs against the staged view and lands the results in
-// one batched write.
+// applyJobs runs b.jobs against the staged view, lands the results in one
+// batched write and leaves the list empty for the next interval.
 func (b *PairCountBolt) applyJobs(sb *stateBatch) error {
 	var firstErr error
 	for i := range b.jobs {
-		if err := b.apply(sb, &b.jobs[i]); err != nil && firstErr == nil {
+		j := &b.jobs[i]
+		j.ps.job = noJob
+		if err := b.apply(sb, j); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	b.jobs = b.jobs[:0]
 	if err := sb.flush(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
 }
 
+// newPairBatch stages the state b.jobs touch and loads it in one batched
+// read: each pair's counter and unread pl: flag (owned), each member item's
+// itemCount and top-K threshold (foreign). A pair is staged once however
+// many sessions it has jobs in, an item once however many pairs it is in;
+// the positions are left in their entries for apply.
+func (b *PairCountBolt) newPairBatch() (*stateBatch, error) {
+	pruning := b.p.PruningDelta > 0 && b.p.PruningDelta < 1
+	sb := b.st.batch()
+	b.epoch++
+	if b.epoch == 0 {
+		// Wrapped: no stamp of 2^32 batches ago may pass for this batch's.
+		for _, ps := range b.pairs {
+			ps.epoch = 0
+		}
+		for i := range b.items {
+			b.items[i].epoch = 0
+		}
+		b.epoch = 1
+	}
+	for i := range b.jobs {
+		ps := b.jobs[i].ps
+		if ps.pruned || ps.epoch == b.epoch {
+			continue // apply skips a pruned pair; don't fetch its state
+		}
+		ps.epoch = b.epoch
+		if !ps.flagRead {
+			sb.stage(b.keys.key2(prefixPruned, ps.pair()), false)
+		}
+		ps.pos = int32(sb.stageAt(ps.pcKey, false))
+		if pruning {
+			sb.stage(b.keys.key2(prefixPairN, ps.pair()), false)
+		}
+		b.stageItem(sb, &b.items[ps.a], pruning)
+		b.stageItem(sb, &b.items[ps.b], pruning)
+	}
+	if err := sb.load(); err != nil {
+		return nil, err
+	}
+	return sb, nil
+}
+
+// stageItem stages an item's count, and with pruning on its threshold,
+// unless an earlier pair of this batch already has.
+func (b *PairCountBolt) stageItem(sb *stateBatch, it *pairItem, pruning bool) {
+	if it.epoch == b.epoch {
+		return
+	}
+	it.epoch = b.epoch
+	it.icPos = int32(sb.stageAt(it.icKey, true))
+	if pruning {
+		it.thPos = int32(sb.stage(b.keys.key2(prefixThreshold, it.id()), true))
+	}
+}
+
 // apply performs Algorithm 1's lines 6-17 for one merged pair update,
 // reading and writing through the interval's staged batch.
 func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
-	pair, ps, session := j.pair, j.ps, j.session
+	ps, session := j.ps, j.session
 	if !ps.flagRead {
-		_, pruned, err := sb.get(b.keys.key2(prefixPruned, pair))
+		_, pruned, err := sb.get(b.keys.key2(prefixPruned, ps.pair()))
 		if err != nil {
 			return err
 		}
@@ -759,16 +829,16 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 	if !ps.counted || session > ps.session {
 		ps.counted, ps.session = true, session
 	}
-	pcSum, err := sb.addCounter(b.keys.key2(prefixPairCount, pair), b.p.WindowSessions, session, j.delta)
+	pcSum, err := sb.addCounterAt(int(ps.pos), b.p.WindowSessions, session, j.delta)
 	if err != nil {
 		return err
 	}
-	itemA, itemB := splitPair(pair)
-	icA, err := sb.readCounterSum(b.keys.key2(prefixItemCount, itemA), session)
+	itemA, itemB := &b.items[ps.a], &b.items[ps.b]
+	icA, err := sb.counterSumAt(int(itemA.icPos), session)
 	if err != nil {
 		return err
 	}
-	icB, err := sb.readCounterSum(b.keys.key2(prefixItemCount, itemB), session)
+	icB, err := sb.counterSumAt(int(itemB.icPos), session)
 	if err != nil {
 		return err
 	}
@@ -777,28 +847,27 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 		// (still in transit when itemCount ticked, or itemCount's tick was
 		// skipped on a full queue); retry on the next tick rather than
 		// publish a meaningless zero.
-		b.retry(pair, ps)
+		b.retry(ps)
 		return nil
 	}
 	sim := core.Similarity(pcSum, icA, icB)
 	simVal := any(sim)
-	aVal, bVal := b.keys.box(itemA), b.keys.box(itemB)
-	b.c.EmitTo(StreamSim, b.vals.v3(aVal, bVal, simVal))
-	b.c.EmitTo(StreamSim, b.vals.v3(bVal, aVal, simVal))
+	b.c.EmitTo(StreamSim, b.vals.v3(itemA.val, itemB.val, simVal))
+	b.c.EmitTo(StreamSim, b.vals.v3(itemB.val, itemA.val, simVal))
 
 	// Hoeffding pruning.
 	if b.p.PruningDelta <= 0 || b.p.PruningDelta >= 1 {
 		return nil
 	}
-	nTotal, err := sb.addCounter(b.keys.key2(prefixPairN, pair), 0, 0, j.n)
+	nTotal, err := sb.addCounter(b.keys.key2(prefixPairN, ps.pair()), 0, 0, j.n)
 	if err != nil {
 		return err
 	}
-	t1, err := b.threshold(sb, itemA)
+	t1, err := itemA.threshold(sb)
 	if err != nil {
 		return err
 	}
-	t2, err := b.threshold(sb, itemB)
+	t2, err := itemB.threshold(sb)
 	if err != nil {
 		return err
 	}
@@ -806,27 +875,23 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 	eps := core.HoeffdingEpsilon(1, b.p.PruningDelta, int(nTotal))
 	if eps < thr-sim {
 		ps.pruned = true
-		sb.put(b.keys.key2(prefixPruned, pair), []byte{1})
+		sb.put(b.keys.key2(prefixPruned, ps.pair()), []byte{1})
 		// Withdraw the pair from both lists.
 		zero := any(0.0)
-		b.c.EmitTo(StreamSim, b.vals.v3(aVal, bVal, zero))
-		b.c.EmitTo(StreamSim, b.vals.v3(bVal, aVal, zero))
+		b.c.EmitTo(StreamSim, b.vals.v3(itemA.val, itemB.val, zero))
+		b.c.EmitTo(StreamSim, b.vals.v3(itemB.val, itemA.val, zero))
 	}
 	return nil
 }
 
-// threshold reads an item's top-K list threshold maintained by
+// threshold reads the item's staged top-K list threshold, maintained by
 // ResultStorage (a foreign key: never cached here).
-func (b *PairCountBolt) threshold(sb *stateBatch, item string) (float64, error) {
-	raw, ok, err := sb.getForeign(b.keys.key2(prefixThreshold, item))
-	if err != nil || !ok {
-		return 0, err
+func (it *pairItem) threshold(sb *stateBatch) (float64, error) {
+	raw, ok := sb.valAt(int(it.thPos))
+	if !ok {
+		return 0, nil
 	}
-	f, err := decodeFloat(raw)
-	if err != nil {
-		return 0, err
-	}
-	return f, nil
+	return decodeFloat(raw)
 }
 
 // Cleanup implements stream.Bolt.

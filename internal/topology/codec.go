@@ -91,7 +91,7 @@ func parseAction(b []byte) (actionView, error) {
 	v.user, rest, _ = actionField(rest)
 	v.item, rest, _ = actionField(rest)
 	v.action, rest, _ = actionField(rest)
-	ux, sz := minimalUvarint(rest)
+	ux, sz := statecodec.ReadUvarint(rest)
 	if sz == 0 {
 		rest = nil
 	} else {
@@ -113,26 +113,12 @@ func parseAction(b []byte) (actionView, error) {
 
 // actionField splits one length-prefixed field off b.
 func actionField(b []byte) (f, rest []byte, ok bool) {
-	n, sz := minimalUvarint(b)
+	n, sz := statecodec.ReadUvarint(b)
 	if sz == 0 || n > uint64(len(b)-sz) {
 		return nil, nil, false
 	}
 	end := sz + int(n)
 	return b[sz:end], b[end:], true
-}
-
-// minimalUvarint reads a uvarint and reports its width, or 0 when it is
-// truncated, overflows 64 bits or is padded with a zero continuation
-// group (the one way binary.Uvarint accepts two encodings of a value).
-func minimalUvarint(b []byte) (uint64, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || b[sz-1] == 0 {
-		return 0, 0
-	}
-	return n, sz
 }
 
 // DecodeAction parses a TDAccess payload.

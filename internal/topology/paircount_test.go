@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,8 +29,12 @@ func (s *failBatchGetState) BatchGet(keys []string) ([][]byte, []bool, error) {
 var tickTuple = &stream.Tuple{Component: UnitPairCount, Stream: stream.TickStream}
 
 func pairDelta(pair string, delta float64) *stream.Tuple {
+	return pairDeltaAt(pair, delta, 0)
+}
+
+func pairDeltaAt(pair string, delta float64, session int64) *stream.Tuple {
 	return stream.NewTuple(UnitUserHistory, StreamPairDelta,
-		stream.Fields{"pair", "delta", "session"}, stream.Values{pair, delta, int64(0)})
+		stream.Fields{"pair", "delta", "session"}, stream.Values{pair, delta, session})
 }
 
 // putItemCounts stores an itemCount of n for every item.
@@ -113,6 +118,220 @@ func TestPairCountPrunedFlagReadError(t *testing.T) {
 	}
 	if gets, _ := st.Ops(); gets != gets1 {
 		t.Fatalf("a known-pruned pair cost %d store reads", gets-gets1)
+	}
+}
+
+// TestPairCountJobListMatchesReference: the interval's job list is the pair
+// stage's combiner. A seeded interleaving of deltas over a few hundred pairs
+// and three sessions — a session change in the middle of an interval, late
+// deltas of the session before it, one failing batched read followed by a
+// good tick — leaves every pc: counter equal, session by session, to the
+// plain sums of what was offered, every pn: total equal to the number of
+// deltas offered, and two sim tuples per applied job: nothing is lost or
+// counted twice across the failed read, and sessions never merge. A pair
+// whose durable pl: flag is set is never counted or emitted; with pruning
+// on, a pair the Hoeffding test prunes on its first job of an interval is
+// withdrawn there and its second job of that interval is dropped.
+func TestPairCountJobListMatchesReference(t *testing.T) {
+	for _, combine := range []bool{true, false} {
+		for _, pruning := range []bool{false, true} {
+			t.Run(fmt.Sprintf("combiner=%v/pruning=%v", combine, pruning), func(t *testing.T) {
+				testPairCountJobList(t, combine, pruning)
+			})
+		}
+	}
+}
+
+func testPairCountJobList(t *testing.T, combine, pruning bool) {
+	const window = 4 // holds all three sessions
+	p := Params{WindowSessions: window, DisableCombiner: !combine}
+	if pruning {
+		p.PruningDelta = 0.5
+	}
+	p = p.withDefaults()
+	st := &failBatchGetState{MemState: NewMemState()}
+	var items []string
+	for i := 0; i < 24; i++ {
+		items = append(items, fmt.Sprintf("i%02d", i))
+	}
+	var pairs []string
+	for i := range items {
+		for j := i + 1; j < len(items); j++ {
+			pairs = append(pairs, pairID(items[i], items[j]))
+		}
+	}
+	putItemCounts(t, st, p, 50, items...)
+	// dead is pruned durably before the bolt ever sees it. doomed has items
+	// so popular, and list thresholds so high, that with pruning on its first
+	// score fails the Hoeffding test.
+	dead, doomed := pairID("dx", "dy"), pairID("hx", "hy")
+	putItemCounts(t, st, p, 1e6, "dx", "dy", "hx", "hy")
+	if err := st.Put(prefixPruned+dead, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range []string{"hx", "hy"} {
+		if err := st.Put(prefixThreshold+item, encodeFloat(0.9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []stream.Values
+	b := preparedPairCount(t, st, p, &out)
+
+	ref := make(map[string]map[int64]float64) // pair -> session -> sum of deltas
+	offered := make(map[string]float64)       // pair -> deltas offered
+	open := make(map[string]int64)            // pair -> session of its latest job this interval
+	jobs := 0
+	failNext := false
+	offer := func(pair string, delta float64, session int64) {
+		t.Helper()
+		tup := pairDeltaAt(pair, delta, session)
+		if failNext {
+			failNext = false
+			st.fail.Store(1)
+			if err := b.Execute(tup); err == nil {
+				t.Fatal("the tuple path swallowed the failed batched read")
+			}
+			// The failed tuple is replayed, as the spout would.
+		}
+		if err := b.Execute(tup); err != nil {
+			t.Fatal(err)
+		}
+		if pair == dead || (pruning && pair == doomed) {
+			return
+		}
+		if ref[pair] == nil {
+			ref[pair] = make(map[int64]float64)
+		}
+		ref[pair][session] += delta
+		offered[pair]++
+		if s, ok := open[pair]; !combine || !ok || s != session {
+			jobs++
+			open[pair] = session
+		}
+	}
+	tick := func() {
+		t.Helper()
+		if err := b.Execute(tickTuple); err != nil {
+			t.Fatal(err)
+		}
+		clear(open)
+	}
+	rng := rand.New(rand.NewSource(25))
+	random := func(n int, sessions ...int64) {
+		for i := 0; i < n; i++ {
+			offer(pairs[rng.Intn(len(pairs))], float64(1+rng.Intn(8))/4, sessions[rng.Intn(len(sessions))])
+		}
+	}
+
+	// Interval 1: every pair's first delta is in session 0, so the late
+	// session-0 deltas below land in their own session.
+	for _, i := range rng.Perm(len(pairs)) {
+		offer(pairs[i], 0.5, 0)
+	}
+	offer(dead, 1, 0)
+	random(300, 0)
+	tick()
+	// Interval 2: the session changes in the middle of it, with stragglers.
+	random(200, 0)
+	offer(doomed, 0.5, 0)
+	offer(doomed, 0.5, 0)
+	offer(doomed, 0.5, 1)
+	random(600, 0, 1)
+	if combine {
+		// Its flush cannot read: the jobs stay and interval 3 merges into them.
+		st.fail.Store(1)
+		before := len(out)
+		if err := b.Execute(tickTuple); err == nil {
+			t.Fatal("flush swallowed the failed batched read")
+		}
+		if len(out) != before {
+			t.Fatalf("a flush that read nothing emitted %v", out[before:])
+		}
+	} else {
+		failNext = true
+	}
+	random(400, 1)
+	tick()
+	// Interval 4.
+	offer(dead, 1, 2)
+	offer(doomed, 0.5, 2)
+	random(500, 1, 2)
+	tick()
+
+	for _, pair := range pairs {
+		key := prefixPairCount + pair
+		var below float64
+		for s := int64(0); s <= 2; s++ {
+			upTo := readStateCounter(t, st, key, window, s)
+			if got, want := upTo-below, ref[pair][s]; math.Abs(got-want) > 1e-9 {
+				t.Fatalf("%q session %d counted %v, offered %v", pair, s, got, want)
+			}
+			below = upTo
+		}
+		if pruning {
+			if got := readStateCounter(t, st, prefixPairN+pair, 0, 0); got != offered[pair] {
+				t.Fatalf("%q: pn %v, %v deltas offered", pair, got, offered[pair])
+			}
+		}
+	}
+	if _, counted, _ := st.MemState.Get(prefixPairCount + dead); counted {
+		t.Fatal("durably pruned pair was counted")
+	}
+	var live, doomedOut []stream.Values
+	for _, v := range out {
+		switch v[0] {
+		case "dx", "dy":
+			t.Fatalf("durably pruned pair emitted %v", v)
+		case "hx", "hy":
+			if pruning {
+				doomedOut = append(doomedOut, v)
+				continue
+			}
+		}
+		live = append(live, v)
+	}
+	if len(live) != 2*jobs {
+		t.Fatalf("%d sim tuples for %d applied jobs, want two each", len(live), jobs)
+	}
+	if !pruning {
+		return
+	}
+	// doomed's first job is two deltas combined, one uncombined; the rest of
+	// what it was offered is dropped.
+	first := 1.0
+	if !combine {
+		first = 0.5
+	}
+	if got := readStateCounter(t, st, prefixPairCount+doomed, window, 2); got != first {
+		t.Fatalf("pruned pair counted %v, want its first job's %v", got, first)
+	}
+	if got := readStateCounter(t, st, prefixPairN+doomed, 0, 0); got != first/0.5 {
+		t.Fatalf("pruned pair's pn %v, want its first job's %v", got, first/0.5)
+	}
+	if _, flagged, _ := st.MemState.Get(prefixPruned + doomed); !flagged {
+		t.Fatal("pruned pair has no pl: flag")
+	}
+	if len(doomedOut) != 4 || doomedOut[0][2].(float64) <= 0 || doomedOut[2][2].(float64) != 0 || doomedOut[3][2].(float64) != 0 {
+		t.Fatalf("pruned pair emitted %v, want one score and its withdrawal", doomedOut)
+	}
+}
+
+// TestPairCountSeenPairExecuteAllocatesNothing: a delta for a pair the task
+// has an entry for is one map probe and an add into the pair's job.
+func TestPairCountSeenPairExecuteAllocatesNothing(t *testing.T) {
+	var out []stream.Values
+	b := preparedPairCount(t, NewMemState(), Params{}.withDefaults(), &out)
+	tup := pairDelta(pairID("a", "b"), 1)
+	if err := b.Execute(tup); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := b.Execute(tup); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Execute of a delta for a seen pair: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -305,24 +305,33 @@ func (ts *taskState) addCounter(key string, w int, session int64, delta float64)
 }
 
 // stateBatch stages one flush interval's (or one tuple's) state access:
-// the key set is prefetched in bulk — owned keys through the cache,
+// the key set is staged and loaded in bulk — owned keys through the cache,
 // foreign keys store-direct — reads and writes then run against the
 // staged view, and flush issues a single BatchPut for everything
 // written. Read-your-writes holds within the batch, so applying merged
 // combiner deltas in order is byte-identical to the key-by-key path.
+//
+// Every read and write is implemented once, by entry position (stageAt,
+// valAt, putAt, addCounterAt, counterSumAt). A caller that keeps its own
+// per-key entries holds the positions itself and never hashes a key
+// (PairCountBolt); the string-keyed methods the other bolts call are a pos
+// lookup in front of the positional ones.
 // A stateBatch belongs to one task and is not safe for concurrent use.
 type stateBatch struct {
 	ts *taskState
-	// pos maps a key that was prefetched or written to its entry in ents;
-	// reads of other keys fall back to single-key access. One map of
-	// positions (not one map per attribute) keeps a staged read or write
-	// at a single string-map probe.
+	// pos maps a key staged or written through the string-keyed methods to
+	// its entry in ents; reads of other keys fall back to single-key
+	// access. One map of positions (not one map per attribute) keeps a
+	// string-keyed read or write at a single map probe.
 	pos  map[string]int
 	ents []stagedKey
 	// order lists the dirty entries in first-write order.
 	order []int
-	// flushKeys/flushVals are the BatchPut argument scratch, reused
-	// across flushes (State.BatchPut must not retain them).
+	// loadKeys/loadIdx are load's BatchGet argument scratch and
+	// flushKeys/flushVals the BatchPut's, reused across intervals (State
+	// must not retain them).
+	loadKeys  []string
+	loadIdx   []int
 	flushKeys []string
 	flushVals [][]byte
 }
@@ -335,6 +344,8 @@ type stagedKey struct {
 	// foreign marks a key that must never enter the task cache.
 	foreign bool
 	dirty   bool
+	// pending marks an entry staged for the next load and not yet read.
+	pending bool
 }
 
 // batch returns the task's pooled stateBatch, reset for a new interval.
@@ -362,79 +373,83 @@ func (sb *stateBatch) reset() {
 	sb.order = sb.order[:0]
 }
 
-// prefetch loads the given owned and foreign keys in bulk. Owned keys go
-// through the cache (one batched store read for the misses); foreign
-// keys go straight to the store. Duplicate keys are deduplicated.
-func (sb *stateBatch) prefetch(owned, foreign []string) error {
-	// stage appends entries in key order, so each deduplicated slice maps
-	// onto a contiguous run of ents and the runs are adjacent.
-	first := len(sb.ents)
-	owned = sb.stage(owned, false)
-	foreign = sb.stage(foreign, true)
-	if sb.ts.cache != nil && len(owned) > 0 {
-		vals, found, err := sb.ts.cache.GetBatch(owned)
-		if err != nil {
-			return err
-		}
-		sb.fill(first, vals, found)
-		first += len(owned)
-		owned = nil
-	}
-	// Cache disabled (or no owned keys): one combined store read covers
-	// both owned misses and foreign keys.
-	all := foreign
-	if len(owned) > 0 {
-		all = append(owned, foreign...)
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	vals, found, err := sb.ts.store.BatchGet(all)
-	if err != nil {
-		return err
-	}
-	sb.fill(first, vals, found)
-	return nil
+// stageAt appends an (absent, clean) entry for key, to be read by the next
+// load, and returns its position. The key is not entered in pos: the
+// caller keeps the position, and must not stage one key twice in a batch.
+func (sb *stateBatch) stageAt(key string, foreign bool) int {
+	sb.ents = append(sb.ents, stagedKey{key: key, foreign: foreign, pending: true})
+	return len(sb.ents) - 1
 }
 
-// stage filters keys already known to the batch and gives each of the
-// rest an (absent, clean) entry, compacting keys in place.
-func (sb *stateBatch) stage(keys []string, foreign bool) []string {
-	out := keys[:0]
-	for _, k := range keys {
-		if _, ok := sb.pos[k]; ok {
-			continue
-		}
-		sb.add(k, foreign)
-		out = append(out, k)
+// stage is stageAt by key: a key the batch already knows keeps its entry.
+func (sb *stateBatch) stage(key string, foreign bool) int {
+	i, ok := sb.pos[key]
+	if !ok {
+		i = sb.stageAt(key, foreign)
+		sb.pos[key] = i
 	}
-	return out
-}
-
-// add appends an (absent, clean) entry for a key not yet in the batch and
-// returns its position.
-func (sb *stateBatch) add(key string, foreign bool) int {
-	i := len(sb.ents)
-	sb.pos[key] = i
-	sb.ents = append(sb.ents, stagedKey{key: key, foreign: foreign})
 	return i
 }
 
-// fill records fetched values for the run of entries starting at first.
-func (sb *stateBatch) fill(first int, vals [][]byte, found []bool) {
-	for i := range vals {
-		if found[i] {
-			e := &sb.ents[first+i]
-			e.val, e.found = vals[i], true
+// prefetch stages the given owned and foreign keys and loads them.
+func (sb *stateBatch) prefetch(owned, foreign []string) error {
+	for _, k := range owned {
+		sb.stage(k, false)
+	}
+	for _, k := range foreign {
+		sb.stage(k, true)
+	}
+	return sb.load()
+}
+
+// load reads every pending entry in bulk: owned keys through the cache
+// (one batched store read for the misses), foreign keys straight from the
+// store; with the cache disabled one store read covers both.
+func (sb *stateBatch) load() error {
+	if c := sb.ts.cache; c != nil {
+		if err := sb.loadFrom(c.GetBatch, true); err != nil {
+			return err
 		}
 	}
+	return sb.loadFrom(sb.ts.store.BatchGet, false)
+}
+
+// loadFrom fills pending entries from one batched read: the owned ones
+// only, or whatever is still pending.
+func (sb *stateBatch) loadFrom(get func([]string) ([][]byte, []bool, error), ownedOnly bool) error {
+	keys, idx := sb.loadKeys[:0], sb.loadIdx[:0]
+	for i := range sb.ents {
+		if e := &sb.ents[i]; e.pending && !(ownedOnly && e.foreign) {
+			keys, idx = append(keys, e.key), append(idx, i)
+		}
+	}
+	sb.loadKeys, sb.loadIdx = keys, idx
+	if len(keys) == 0 {
+		return nil
+	}
+	vals, found, err := get(keys)
+	clear(sb.loadKeys) // drop key references; capacity stays
+	if err != nil {
+		return err
+	}
+	for j, i := range idx {
+		e := &sb.ents[i]
+		e.val, e.found, e.pending = vals[j], found[j], false
+	}
+	return nil
+}
+
+// valAt returns the staged value at position i and whether the key exists.
+func (sb *stateBatch) valAt(i int) ([]byte, bool) {
+	return sb.ents[i].val, sb.ents[i].found
 }
 
 // get reads an owned key from the staged view, falling back to the
-// task's cached single-key path for keys outside the prefetched set.
+// task's cached single-key path for keys outside the staged set.
 func (sb *stateBatch) get(key string) ([]byte, bool, error) {
 	if i, ok := sb.pos[key]; ok {
-		return sb.ents[i].val, sb.ents[i].found, nil
+		val, found := sb.valAt(i)
+		return val, found, nil
 	}
 	return sb.ts.Get(key)
 }
@@ -443,26 +458,23 @@ func (sb *stateBatch) get(key string) ([]byte, bool, error) {
 // the store-direct single-key path.
 func (sb *stateBatch) getForeign(key string) ([]byte, bool, error) {
 	if i, ok := sb.pos[key]; ok {
-		return sb.ents[i].val, sb.ents[i].found, nil
+		val, found := sb.valAt(i)
+		return val, found, nil
 	}
 	return sb.ts.getForeign(key)
 }
 
-// put stages a write. The task cache is updated immediately (the same
-// write-through ordering as taskState.Put); the store write happens at
-// flush.
+// put stages a write of an owned key.
 func (sb *stateBatch) put(key string, value []byte) {
-	i, ok := sb.pos[key]
-	if !ok {
-		i = sb.add(key, false)
-	}
-	sb.putAt(i, value)
+	sb.putAt(sb.stage(key, false), value)
 }
 
-// putAt is put for a key whose entry position is already in hand.
+// putAt stages a write at position i. The task cache is updated
+// immediately (the same write-through ordering as taskState.Put); the
+// store write happens at flush.
 func (sb *stateBatch) putAt(i int, value []byte) {
 	e := &sb.ents[i]
-	e.val, e.found = value, true
+	e.val, e.found, e.pending = value, true, false
 	if !e.dirty {
 		e.dirty = true
 		sb.order = append(sb.order, i)
@@ -494,24 +506,30 @@ func (sb *stateBatch) flush() error {
 	return err
 }
 
-// addCounter applies a delta to a staged counter and returns the new
-// windowed sum; the re-put keeps the staged view, cache and dirty set
-// coherent. A zero delta changes nothing, so it is a read: the counter is
-// neither created nor marked dirty, and the flush does not write it.
+// addCounter applies a delta to an owned counter by key; one outside the
+// staged set is read through the task's single-key path and staged.
 func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64) (float64, error) {
 	i, ok := sb.pos[key]
 	if !ok {
-		// Outside the prefetched set: read through the task's single-key
-		// path and stage the result.
 		raw, found, err := sb.ts.Get(key)
 		if err != nil {
 			return 0, err
 		}
-		i = sb.add(key, false)
-		sb.ents[i].val, sb.ents[i].found = raw, found
+		i = sb.stage(key, false)
+		e := &sb.ents[i]
+		e.val, e.found, e.pending = raw, found, false
 	}
+	return sb.addCounterAt(i, w, session, delta)
+}
+
+// addCounterAt applies a delta to the staged counter at position i and
+// returns the new windowed sum; the re-put keeps the staged view, cache and
+// dirty set coherent. A zero delta changes nothing, so it is a read: the
+// counter is neither created nor marked dirty, and the flush does not write
+// it.
+func (sb *stateBatch) addCounterAt(i int, w int, session int64, delta float64) (float64, error) {
 	if delta == 0 {
-		return counterSum(sb.ents[i].val, sb.ents[i].found, session)
+		return sb.counterSumAt(i, session)
 	}
 	raw, sum, err := addToCounter(sb.ents[i].val, sb.ents[i].found, w, session, delta)
 	if err != nil {
@@ -525,11 +543,19 @@ func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64
 // view (the counter belongs to another bolt, whose cache is the
 // authoritative copy).
 func (sb *stateBatch) readCounterSum(key string, session int64) (float64, error) {
-	raw, ok, err := sb.getForeign(key)
+	if i, ok := sb.pos[key]; ok {
+		return sb.counterSumAt(i, session)
+	}
+	raw, ok, err := sb.ts.getForeign(key)
 	if err != nil {
 		return 0, err
 	}
 	return counterSum(raw, ok, session)
+}
+
+// counterSumAt returns the windowed sum of the staged counter at position i.
+func (sb *stateBatch) counterSumAt(i int, session int64) (float64, error) {
+	return counterSum(sb.ents[i].val, sb.ents[i].found, session)
 }
 
 // counterSum sums an encoded windowed counter in place, without decoding.

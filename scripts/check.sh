@@ -22,7 +22,7 @@ go test -race -run 'TestRebalance|TestBurst|TestBackpressure|TestOverflow|TestSt
 echo "== go test -race serving tier (singleflight, TTL, negative cache, hedged reads)"
 go test -race -run 'TestSingleflight|TestCoalesced|TestCache|TestNegativeCache|TestInvalidate|TestLRU|TestGetBatch|TestHedge|TestConcurrentMixedLoad' ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), write-behind result lists, pairCount store ops, failed flush reads, first-round scores"
+echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), write-behind result lists, pairCount store ops and job list against its reference, failed flush reads, first-round scores"
 go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestWriteBehind|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
@@ -98,6 +98,21 @@ if echo "$edge_out" | awk '/^Benchmark/ { for (i = 1; i <= NF; i++) if ($(i+1) =
 	:
 else
 	echo "check: the ingest edge allocates more than 5 times per action" >&2
+	exit 1
+fi
+
+# What one flush of 4,096 combined pairs still allocates is each pair's
+# boxed score and chunks many pairs share (value arena, batch slices, the
+# store's copies of the 128 item counts): 4,814 in all, 1.2 per pair. With
+# the pair stage building its keys through the interner it was 17,108; a
+# key string or a map entry per pair would cross two per pair again.
+echo "== pairCount flush stays at or under 2 allocs per pair, 2 sim tuples per pair"
+flush_out=$(go test -run=NONE -bench='BenchmarkPairCountFlush$' -benchmem -benchtime=200x .)
+echo "$flush_out"
+if echo "$flush_out" | awk '/^Benchmark/ { ok = 0; for (i = 1; i <= NF; i++) { if ($(i+1) == "allocs/op" && $i > 8192) exit 1; if ($(i+1) == "sims/pair" && $i == 2) ok = 1 }; if (!ok) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
+	:
+else
+	echo "check: a pairCount flush allocates more than twice per pair, or does not emit two sim tuples per pair" >&2
 	exit 1
 fi
 
