@@ -261,16 +261,26 @@ func BenchmarkIngestEdge(b *testing.B) {
 // benchSink keeps a benchmark's result alive.
 var benchSink int
 
-// discardCollector drops a bolt's emissions, counting them.
+// discardCollector drops a bolt's emissions, counting their rows as the
+// engine's Emitted does: a run's rows, one for a plain tuple.
 type discardCollector struct{ n int }
 
-func (c *discardCollector) Emit(stream.Values)           { c.n++ }
-func (c *discardCollector) EmitTo(string, stream.Values) { c.n++ }
+func (c *discardCollector) Emit(v stream.Values) { c.EmitTo(stream.DefaultStream, v) }
+func (c *discardCollector) EmitTo(_ string, v stream.Values) {
+	for _, x := range v {
+		if run, ok := x.(stream.Run); ok {
+			c.n += len(run)
+			return
+		}
+	}
+	c.n++
+}
 
 // BenchmarkPairCountFlush measures one PairCountBolt flush of 4096
 // combined pairs over MemState: the batched read of the pair counters and
-// both items' counts, count, score and emit per pair, one batched write.
-// The deltas are buffered off the clock. It is the fourth profile of
+// both items' counts, count and score per pair, one sim run, one batched
+// write. The deltas (runs of up to 20 rows, an action's worth) are buffered
+// off the clock. It is the fourth profile of
 // scripts/profile.sh.
 func BenchmarkPairCountFlush(b *testing.B) {
 	const items, pairs = 128, 4096
@@ -292,12 +302,15 @@ func BenchmarkPairCountFlush(b *testing.B) {
 		b.Fatal(err)
 	}
 	var deltas []*stream.Tuple
-	for i := 0; i < items && len(deltas) < pairs; i++ {
-		for j := i + 1; j < items && len(deltas) < pairs; j++ {
-			pair := fmt.Sprintf("i%03d\x1fi%03d", i, j)
-			deltas = append(deltas, stream.NewTuple(topology.UnitUserHistory, topology.StreamPairDelta,
-				stream.Fields{"pair", "delta", "session"}, stream.Values{pair, 1.0, int64(0)}))
+	var rows stream.Run
+	for i := 0; i < items && len(rows) < pairs; i++ {
+		for j := i + 1; j < items && len(rows) < pairs; j++ {
+			rows = append(rows, stream.Row{Key: fmt.Sprintf("i%03d\x1fi%03d", i, j), Num: 1})
 		}
+	}
+	for ; len(rows) > 0; rows = rows[min(20, len(rows)):] {
+		deltas = append(deltas, stream.NewTuple(topology.UnitUserHistory, topology.StreamPairDelta,
+			stream.Fields{"pair", "session"}, stream.Values{rows[:min(20, len(rows))], int64(0)}))
 	}
 	col := &discardCollector{}
 	pc := topology.NewPairCountBolt(st, topology.Params{})()

@@ -101,6 +101,7 @@ func FuzzWireFrame(f *testing.F) {
 	seed.Reset()
 	_ = WriteFrame(&seed, EncodeBatch(nil, "spout", "default", []WireTuple{
 		{Root: 3, ID: 4, Values: stream.Values{"u1", int64(9), 1.5, true, nil, []byte{7}}},
+		{Root: 3, ID: 5, Values: stream.Values{stream.Run{{Key: "i1\x1fi2", Num: 0.25}, {Key: "i1", Str: "i2", Num: 0.5}}, int64(2)}},
 	}))
 	f.Add(append([]byte(nil), seed.Bytes()...))
 	f.Add(append([]byte(nil), seed.Bytes()[:seed.Len()-3]...)) // torn tail

@@ -70,6 +70,9 @@ const (
 	valFalse  byte = 5
 	valBytes  byte = 6
 	valInt    byte = 7
+	// valRun is a stream.Run: a row count, then key, str and num per row.
+	// A keyed run crosses the wire as this one value of one tuple.
+	valRun byte = 8
 )
 
 // ErrFrameCorrupt reports a frame whose header or checksum is invalid.
@@ -310,9 +313,10 @@ func DecodeAcks(payload []byte, dst []stream.AckUpdate) ([]stream.AckUpdate, err
 }
 
 // appendValue encodes one tuple value. The scalar types the engine's
-// grouping hash knows (tuple.go hashValue) are the types the wire knows;
-// anything else is rejected at send time so the error surfaces at the
-// component that emitted it, not at a remote decoder.
+// grouping hash knows (tuple.go hashValue), and a run of rows keyed by
+// them (stream.Run), are the types the wire knows; anything else is
+// rejected at send time so the error surfaces at the component that
+// emitted it, not at a remote decoder.
 func appendValue(buf []byte, v interface{}) []byte {
 	switch x := v.(type) {
 	case nil:
@@ -334,9 +338,17 @@ func appendValue(buf []byte, v interface{}) []byte {
 		buf = append(buf, valBytes)
 		buf = binary.AppendUvarint(buf, uint64(len(x)))
 		return append(buf, x...)
+	case stream.Run:
+		buf = binary.AppendUvarint(append(buf, valRun), uint64(len(x)))
+		for i := range x {
+			buf = statecodec.AppendString(buf, x[i].Key)
+			buf = statecodec.AppendString(buf, x[i].Str)
+			buf = statecodec.AppendFloat(buf, x[i].Num)
+		}
+		return buf
 	default:
 		panic(fmt.Sprintf("cluster: value type %T cannot cross a process boundary "+
-			"(wire types: nil, string, int, int64, float64, bool, []byte)", v))
+			"(wire types: nil, string, int, int64, float64, bool, []byte, stream.Run)", v))
 	}
 }
 
@@ -379,6 +391,30 @@ func readValue(b []byte) (interface{}, []byte, error) {
 		out := make([]byte, n)
 		copy(out, b[sz:sz+int(n)])
 		return out, b[sz+int(n):], nil
+	case valRun:
+		n, b, err := statecodec.ReadCount(b, "run rows")
+		if err != nil {
+			return nil, nil, err
+		}
+		// A row is two length prefixes and a float at least: the count is
+		// checked against that before it sizes an allocation.
+		if n > len(b)/10 {
+			return nil, nil, fmt.Errorf("%w: run of %d rows in %d bytes", ErrFrameCorrupt, n, len(b))
+		}
+		run := make(stream.Run, n)
+		for i := range run {
+			row := &run[i]
+			if row.Key, b, err = statecodec.ReadString(b, "run row key"); err != nil {
+				return nil, nil, err
+			}
+			if row.Str, b, err = statecodec.ReadString(b, "run row str"); err != nil {
+				return nil, nil, err
+			}
+			if row.Num, b, err = statecodec.ReadFloat(b, "run row num"); err != nil {
+				return nil, nil, err
+			}
+		}
+		return run, b, nil
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown value tag %#x", ErrFrameCorrupt, tag)
 	}

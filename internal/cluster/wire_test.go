@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tencentrec/internal/stream"
@@ -17,7 +18,7 @@ func randomValues(rng *rand.Rand) stream.Values {
 	n := rng.Intn(6)
 	vals := make(stream.Values, 0, n)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0:
 			vals = append(vals, nil)
 		case 1:
@@ -38,6 +39,15 @@ func randomValues(rng *rand.Rand) stream.Values {
 			vals = append(vals, b)
 		case 7:
 			vals = append(vals, math.Float64frombits(rng.Uint64())) // incl. NaN/Inf bit patterns
+		case 8:
+			run := make(stream.Run, rng.Intn(5)) // a run of no rows included
+			for r := range run {
+				key, str := make([]byte, rng.Intn(12)), make([]byte, rng.Intn(6))
+				rng.Read(key)
+				rng.Read(str)
+				run[r] = stream.Row{Key: string(key), Str: string(str), Num: math.Float64frombits(rng.Uint64())}
+			}
+			vals = append(vals, run)
 		}
 	}
 	return vals
@@ -51,6 +61,18 @@ func valuesEqual(a, b stream.Values) bool {
 		af, aok := a[i].(float64)
 		bf, bok := b[i].(float64)
 		if aok && bok && math.IsNaN(af) && math.IsNaN(bf) {
+			continue
+		}
+		if ar, ok := a[i].(stream.Run); ok {
+			br, ok := b[i].(stream.Run)
+			if !ok || len(ar) != len(br) {
+				return false
+			}
+			for r := range ar {
+				if ar[r].Key != br[r].Key || ar[r].Str != br[r].Str || math.Float64bits(ar[r].Num) != math.Float64bits(br[r].Num) {
+					return false
+				}
+			}
 			continue
 		}
 		if !reflect.DeepEqual(a[i], b[i]) {
@@ -163,6 +185,7 @@ func TestHelloRoundTrip(t *testing.T) {
 func TestFrameTornAndCorrupt(t *testing.T) {
 	payload := EncodeBatch(nil, "src", "default", []WireTuple{
 		{Root: 1, ID: 2, Values: stream.Values{"user", int64(7), 3.5, true, []byte{1, 2}}},
+		{Root: 1, ID: 3, Values: stream.Values{stream.Run{{Key: "a\x1fb", Num: 0.5}, {Key: "a", Str: "b", Num: 1}}, int64(0)}},
 	})
 	var full bytes.Buffer
 	if err := WriteFrame(&full, payload); err != nil {
@@ -208,6 +231,26 @@ func TestDecodeBatchTrailingAndLying(t *testing.T) {
 	}
 	if _, err := DecodeAcks([]byte{FrameAcks, 0xFF, 0xFF, 0xFF, 0x7F}, nil); err == nil {
 		t.Fatal("lying ack count accepted")
+	}
+	// A run is one value of one tuple; its truncations are covered above
+	// once it is in the payload, and its row count may not promise more
+	// rows than the bytes behind it can hold.
+	run := EncodeBatch(nil, "a", "b", []WireTuple{{Values: stream.Values{stream.Run{{Key: "k", Str: "o", Num: 1}, {Key: "k2"}}}}})
+	if _, _, tuples, err := DecodeBatch(run, nil); err != nil || len(tuples) != 1 || len(tuples[0].Values) != 1 {
+		t.Fatalf("a run did not decode as one value of one tuple: %v, %v", tuples, err)
+	}
+	for cut := 1; cut < len(run); cut++ {
+		if _, _, _, err := DecodeBatch(run[:cut], nil); err == nil {
+			t.Fatalf("run payload truncation at %d accepted", cut)
+		}
+	}
+	lying := EncodeBatch(nil, "a", "b", nil)
+	lying[len(lying)-1] = 1                      // one tuple
+	lying = append(lying, make([]byte, 16)...)   // unanchored
+	lying = append(lying, 1, valRun, 9)          // one value: a run of nine rows
+	lying = append(lying, make([]byte, 9+10)...) // in bytes enough for one row and a byte each for the rest
+	if _, _, _, err := DecodeBatch(lying, nil); !errors.Is(err, ErrFrameCorrupt) || !strings.Contains(err.Error(), "run of 9 rows") {
+		t.Fatalf("lying run row count: %v", err)
 	}
 }
 

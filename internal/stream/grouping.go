@@ -111,6 +111,9 @@ func newAssignment(tasks []*task) *assignment {
 func (g Grouping) route(t *Tuple, a *assignment, rng *rand.Rand, scratch []int) []int {
 	switch g.Kind {
 	case FieldsGrouping:
+		if len(a.tasks) == 1 {
+			return append(scratch, 0) // one task owns every partition: nothing to hash
+		}
 		part := hashValues(t, g.Fields) & partMask
 		return append(scratch, int(a.parts[part]))
 	case GlobalGrouping:

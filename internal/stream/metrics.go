@@ -139,9 +139,13 @@ func (m *Metrics) shard(name string, task int) *metricsShard {
 
 // ComponentStats is a snapshot of one component's counters.
 type ComponentStats struct {
-	// Emitted counts tuples the component emitted on any stream.
+	// Emitted counts the rows the component emitted on any stream: a plain
+	// tuple is one row, a Run as many as it holds, whether or not anything
+	// subscribes.
 	Emitted int64
-	// Executed counts tuples processed by the component's Execute.
+	// Executed counts Execute calls, ticks included: a tuple is one call
+	// however many rows its Run holds, and it is the count of the Execute
+	// histogram behind AvgExecute.
 	Executed int64
 	// Errors counts Execute calls that returned an error.
 	Errors int64
@@ -179,8 +183,8 @@ type ComponentStats struct {
 
 // MetricsSnapshot is a point-in-time view of topology metrics.
 type MetricsSnapshot struct {
-	// Transferred counts tuple deliveries across all edges
-	// (a tuple replicated to n tasks counts n times).
+	// Transferred counts tuple deliveries across all edges: a tuple
+	// replicated to n tasks, or a Run split over n tasks, counts n times.
 	Transferred int64
 	// Uptime is the time since the topology started.
 	Uptime time.Duration

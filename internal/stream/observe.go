@@ -18,7 +18,7 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 	for name, cm := range rt.metrics.components {
 		cm := cm
 		r.CounterFunc("stream_emitted_total",
-			"Tuples emitted by the component on any stream.",
+			"Rows emitted by the component on any stream (a plain tuple is one row, a run as many as it holds).",
 			func() int64 {
 				return cm.sum(
 					func(c *componentMetrics) int64 { return c.foldedEmitted },
@@ -26,7 +26,7 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 			},
 			"component", name)
 		r.CounterFunc("stream_executed_total",
-			"Tuples processed by the component's Execute.",
+			"Execute calls of the component, ticks included (one per delivered tuple, whatever its run holds).",
 			func() int64 {
 				return cm.sum(
 					func(c *componentMetrics) int64 { return c.foldedExecuted },
@@ -62,12 +62,12 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 			},
 			"component", name)
 		r.HistogramFunc("stream_execute_seconds",
-			"Per-tuple Execute latency, merged across the component's tasks.",
+			"Per-call Execute latency, merged across the component's tasks.",
 			cm.execSnapshot,
 			"component", name)
 	}
 	r.CounterFunc("stream_transferred_total",
-		"Tuple deliveries across all edges (replication counted per copy).",
+		"Tuple deliveries across all edges (a replicated tuple or a split run counted per destination task).",
 		func() int64 {
 			var n int64
 			for _, cm := range rt.metrics.components {

@@ -22,8 +22,8 @@ import (
 //
 // The ring is burst absorption, not a durability log: it lives in a
 // fresh temp directory per run and is removed on shutdown. Spilled
-// tuples stay counted in the runtime's pending gauge from the moment
-// they are diverted (flushDest counts the batch before spilling), so
+// tuples stay counted in the runtime's pending gauge (a spout's tuple
+// enters it when it is emitted, long before the batch is diverted), so
 // quiescence detection, rebalance drains and acking semantics are
 // identical whether a tuple travelled through memory or disk. Lineage
 // roots and ack ids survive the disk round-trip; sampled traces do not
@@ -68,7 +68,10 @@ func init() {
 	// Concrete types that may appear in spilled tuple values. A value of
 	// an unregistered type makes the gob encode fail, which flushDest
 	// handles by falling back to the blocking send — correctness is never
-	// gated on encodability.
+	// gated on encodability. Run is not registered: only spout collectors
+	// spill, and runs are emitted by bolts (the one spout that could
+	// re-emit one, a cluster worker's ingress proxy, runs without a ring),
+	// so a batch holding one would take that fallback.
 	gob.Register(time.Time{})
 	gob.Register([]byte(nil))
 	gob.Register([]string(nil))

@@ -1,0 +1,437 @@
+package stream
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// runKeys are the grouping keys of the run tests: enough of them to reach
+// every task at parallelism 8.
+func runKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("pair-%03d\x1fitem-%d", i*7, i)
+	}
+	return keys
+}
+
+// TestRunSplitMatchesSingleTupleRouting is the split rule on the collector
+// alone: at every parallelism a row of a run is buffered for the task a
+// plain tuple holding its key would be, in emit order; one destination task
+// gets the emitter's own slices; a run of no rows emits nothing.
+func TestRunSplitMatchesSingleTupleRouting(t *testing.T) {
+	keys := runKeys(64)
+	for _, par := range []int{1, 3, 4, 8} {
+		tb := NewTopologyBuilder("split")
+		tb.SetSpout("src", func() Spout { return &rangeSpout{} }, 1)
+		tb.SetBolt("fan", func() Bolt {
+			return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }, Output: Fields{"key", "seq"}}
+		}, 1).Shuffle("src")
+		tb.SetBolt("sink", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, par).Fields("fan", "key")
+		topo, err := tb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := newRuntime(topo, nil)
+		col := newCollector(rt.taskList("fan")[0], rt)
+		a := rt.comps["sink"].assign.Load()
+
+		run := make(Run, len(keys))
+		want := make([][]string, par)
+		for i, k := range keys {
+			run[i] = Row{Key: k, Num: float64(i)}
+			single := Tuple{Values: Values{k, 7}, fields: Fields{"key", "seq"}}
+			d := a.parts[hashValues(&single, Fields{"key"})&partMask]
+			want[d] = append(want[d], k)
+		}
+		values := Values{run, 7}
+		col.Emit(values)
+		col.Emit(Values{Run{}, 7})
+		eb := col.outs[DefaultStream].edges[0]
+		dests := 0
+		for d := range want {
+			if len(want[d]) == 0 {
+				if len(eb.bufs[d]) != 0 {
+					t.Fatalf("par %d: task %d got a tuple and owns no key", par, d)
+				}
+				continue
+			}
+			dests++
+			if len(eb.bufs[d]) != 1 {
+				t.Fatalf("par %d: task %d got %d tuples for one run, want 1", par, d, len(eb.bufs[d]))
+			}
+			tup := eb.bufs[d][0]
+			got := tup.Run("key")
+			if len(got) != len(want[d]) || tup.Value("seq") != 7 {
+				t.Fatalf("par %d: task %d got %d rows (seq %v), want %d", par, d, len(got), tup.Value("seq"), len(want[d]))
+			}
+			for i, row := range got {
+				if row.Key != want[d][i] {
+					t.Fatalf("par %d: task %d row %d is %q, a single tuple's order gives %q", par, d, i, row.Key, want[d][i])
+				}
+			}
+			if par == 1 && &tup.Values[0] != &values[0] {
+				t.Fatal("one destination task: the run was copied")
+			}
+		}
+		if col.emitted != int64(len(run)) || col.transferred != int64(dests) {
+			t.Fatalf("par %d: emitted %d transferred %d, want %d rows and %d deliveries", par, col.emitted, col.transferred, len(run), dests)
+		}
+	}
+}
+
+// gatedSpout emits 0..n-1, counting them in emitted, and stops emitting
+// while hold is set.
+type gatedSpout struct {
+	n       int
+	hold    *atomic.Bool
+	emitted *atomic.Int64
+	next    int
+	c       SpoutCollector
+}
+
+func (s *gatedSpout) Open(_ TopologyContext, c SpoutCollector) error { s.c = c; return nil }
+func (s *gatedSpout) Close()                                         {}
+func (s *gatedSpout) NextTuple() bool {
+	if s.next == s.n {
+		return false
+	}
+	if s.hold.Load() {
+		time.Sleep(50 * time.Microsecond)
+		return true
+	}
+	s.c.Emit(Values{s.next})
+	s.next++
+	s.emitted.Add(1)
+	if s.next%32 == 0 {
+		time.Sleep(100 * time.Microsecond) // long enough for faults to land mid-run
+	}
+	return true
+}
+func (s *gatedSpout) DeclareOutputFields() map[string]Fields {
+	return map[string]Fields{DefaultStream: {"n"}}
+}
+
+// runFanBolt emits, for input n, the same keyed rows twice: as one run on
+// "run" and as a tuple each on "single".
+type runFanBolt struct {
+	keys []string
+	c    Collector
+}
+
+func (b *runFanBolt) Prepare(_ TopologyContext, c Collector) error { b.c = c; return nil }
+func (b *runFanBolt) Cleanup()                                     {}
+func (b *runFanBolt) Execute(t *Tuple) error {
+	if t.IsTick() {
+		return nil
+	}
+	n := t.Value("n").(int)
+	var run Run
+	for j, k := range b.keys {
+		if (n+j)%3 != 0 {
+			run = append(run, Row{Key: k, Num: float64(n)})
+		}
+	}
+	for _, row := range run {
+		b.c.EmitTo("single", Values{row.Key, row.Num})
+	}
+	b.c.EmitTo("run", Values{run, n})
+	return nil
+}
+func (b *runFanBolt) DeclareOutputFields() map[string]Fields {
+	return map[string]Fields{"run": {"key", "n"}, "single": {"key", "seq"}}
+}
+
+// arrival is one row as a sink saw it.
+type arrival struct {
+	seq  float64
+	task int
+}
+
+// arrivalLog is what a sink component saw, per key, in arrival order.
+type arrivalLog struct {
+	mu   sync.Mutex
+	seen map[string][]arrival
+}
+
+type arrivalSink struct {
+	log  *arrivalLog
+	task int
+}
+
+func (b *arrivalSink) Prepare(ctx TopologyContext, _ Collector) error {
+	b.task = ctx.TaskIndex
+	return nil
+}
+func (b *arrivalSink) Cleanup() {}
+func (b *arrivalSink) Execute(t *Tuple) error {
+	if t.IsTick() {
+		return nil
+	}
+	b.log.mu.Lock()
+	defer b.log.mu.Unlock()
+	if run := t.Run("key"); run != nil {
+		for _, row := range run {
+			b.log.seen[row.Key] = append(b.log.seen[row.Key], arrival{row.Num, b.task})
+		}
+		return nil
+	}
+	key := t.Str("key")
+	b.log.seen[key] = append(b.log.seen[key], arrival{t.Value("seq").(float64), b.task})
+	return nil
+}
+
+// TestRunRoutingEqualsSingleTuples: the same keyed rows sent as one run and
+// as single tuples reach the same task in the same per-key order, exactly
+// once, at parallelism 1, 3, 4 and 8, across a rebalance of both sinks from
+// each to the next and with tasks of all three bolts restarted under load.
+// Run under -race by scripts/check.sh.
+func TestRunRoutingEqualsSingleTuples(t *testing.T) {
+	keys := runKeys(20)
+	const n = 3000
+	for _, pars := range [][2]int{{1, 3}, {3, 4}, {4, 8}, {8, 1}} {
+		t.Run(fmt.Sprintf("%dto%d", pars[0], pars[1]), func(t *testing.T) {
+			var hold atomic.Bool
+			var emitted atomic.Int64
+			byRun := &arrivalLog{seen: make(map[string][]arrival)}
+			bySingle := &arrivalLog{seen: make(map[string][]arrival)}
+			tb := NewTopologyBuilder("run-equiv")
+			tb.SetSpout("spout", func() Spout { return &gatedSpout{n: n, hold: &hold, emitted: &emitted} }, 1)
+			tb.SetBolt("fan", func() Bolt { return &runFanBolt{keys: keys} }, 1).Shuffle("spout")
+			tb.SetBolt("runSink", func() Bolt { return &arrivalSink{log: byRun} }, pars[0]).FieldsOn("fan", "run", "key")
+			tb.SetBolt("singleSink", func() Bolt { return &arrivalSink{log: bySingle} }, pars[0]).FieldsOn("fan", "single", "key")
+			topo, err := tb.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := topo.SubmitWithErrorHandler(func(c string, err error) { t.Errorf("component %s: %v", c, err) })
+			restart := func(round int) {
+				for _, c := range []string{"fan", "runSink", "singleSink"} {
+					_ = h.RestartTask(c, round%h.Parallelism(c)) // an error only means it already shut down
+				}
+			}
+			for i := 0; i < 4; i++ {
+				time.Sleep(time.Millisecond)
+				restart(i)
+			}
+			// Both sinks change parallelism with nothing in flight between
+			// the two rebalances, so a row and its twin are always routed
+			// under the same table.
+			hold.Store(true)
+			if emitted.Load() >= n {
+				t.Fatal("the run was over before the rebalance; the test did not exercise what it is for")
+			}
+			for h.InFlight() != 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			for _, c := range []string{"runSink", "singleSink"} {
+				if err := h.Rebalance(c, pars[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hold.Store(false)
+			for i := 0; i < 4; i++ {
+				time.Sleep(time.Millisecond)
+				restart(i)
+			}
+			h.Wait()
+			for j, k := range keys {
+				run, single := byRun.seen[k], bySingle.seen[k]
+				want := 0
+				for i := 0; i < n; i++ {
+					if (i+j)%3 != 0 {
+						want++
+					}
+				}
+				if len(run) != want || len(single) != want {
+					t.Fatalf("key %q: %d rows by run, %d by single tuples, want %d each", k, len(run), len(single), want)
+				}
+				for i := range run {
+					if run[i] != single[i] {
+						t.Fatalf("key %q arrival %d: by run seq %v on task %d, by single tuple seq %v on task %d",
+							k, i, run[i].seq, run[i].task, single[i].seq, single[i].task)
+					}
+					if i > 0 && run[i].seq <= run[i-1].seq {
+						t.Fatalf("key %q: seq %v arrived after %v", k, run[i].seq, run[i-1].seq)
+					}
+				}
+			}
+		})
+	}
+}
+
+// failOnceSink fails the first Execute whose run holds the key it is told to
+// and records every run it executed, per message.
+type failOnceSink struct {
+	failKey string
+	failed  *atomic.Bool
+	mu      *sync.Mutex
+	got     map[int][]Run // message -> the runs delivered for it, replays included
+}
+
+func (b *failOnceSink) Prepare(TopologyContext, Collector) error { return nil }
+func (b *failOnceSink) Cleanup()                                 {}
+func (b *failOnceSink) Execute(t *Tuple) error {
+	if t.IsTick() {
+		return nil
+	}
+	run := t.Run("key")
+	b.mu.Lock()
+	b.got[t.Value("n").(int)] = append(b.got[t.Value("n").(int)], run)
+	b.mu.Unlock()
+	for _, row := range run {
+		if row.Key == b.failKey && b.failed.CompareAndSwap(false, true) {
+			return errors.New("row rejected")
+		}
+	}
+	return nil
+}
+
+// TestRunAckedPerDelivery: a run split over k tasks is k anchored
+// deliveries. An Execute error on one of them fails the root once, the
+// replay recomputes the same rows for every task, and the message is then
+// acked; a message whose run has no rows emits nothing downstream and is
+// acked all the same.
+func TestRunAckedPerDelivery(t *testing.T) {
+	keys := runKeys(24)
+	const par, msgs, emptyMsg = 4, 40, 7
+	a := newAssignment(make([]*task, par))
+	tasksOfRun := make(map[int32]bool)
+	for _, k := range keys {
+		probe := Tuple{Values: Values{k}, fields: Fields{"key"}}
+		tasksOfRun[a.parts[hashValues(&probe, Fields{"key"})&partMask]] = true
+	}
+	k := len(tasksOfRun)
+	if k < 2 {
+		t.Fatalf("the fixture's keys reach %d task, the run is never split", k)
+	}
+
+	sp := &ackRangeSpout{n: msgs}
+	var failed atomic.Bool
+	mu := &sync.Mutex{}
+	got := make(map[int][]Run)
+	tb := NewTopologyBuilder("run-ack")
+	tb.SetAcking(true)
+	tb.SetSpout("spout", func() Spout { return sp }, 1)
+	tb.SetBolt("fan", func() Bolt {
+		return &BoltFunc{
+			Fn: func(tp *Tuple, c Collector) error {
+				n := tp.Value("n").(int)
+				var run Run
+				if n != emptyMsg {
+					for _, key := range keys {
+						run = append(run, Row{Key: key, Num: float64(n)})
+					}
+				}
+				c.Emit(Values{run, n})
+				return nil
+			},
+			Output: Fields{"key", "n"},
+		}
+	}, 1).Shuffle("spout")
+	tb.SetBolt("sink", func() Bolt {
+		return &failOnceSink{failKey: keys[3], failed: &failed, mu: mu, got: got}
+	}, par).Fields("fan", "key")
+	topo, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs atomic.Int64
+	h := topo.SubmitWithErrorHandler(func(string, error) { errs.Add(1) })
+	h.Wait()
+	if sp.ackedN.Load() != msgs || sp.failedN.Load() != 1 || errs.Load() != 1 {
+		t.Fatalf("acked %d failed %d errors %d, want %d, 1 (the rejected row's root, once) and 1", sp.ackedN.Load(), sp.failedN.Load(), errs.Load(), msgs)
+	}
+	m := h.Metrics()
+	// msgs-1 runs and one replay, k deliveries each, on top of the spout's.
+	if want := int64(msgs + 1 + msgs*k); m.Transferred != want {
+		t.Fatalf("transferred %d, want %d: %d deliveries per split run", m.Transferred, want, k)
+	}
+	if fan := m.Components["fan"]; fan.Emitted != int64(msgs*len(keys)) {
+		t.Fatalf("fan emitted %d rows, want %d", fan.Emitted, msgs*len(keys))
+	}
+	if sink := m.Components["sink"]; sink.Executed != int64(msgs*k) {
+		t.Fatalf("sink executed %d tuples, want %d", sink.Executed, msgs*k)
+	}
+	rowsOf := func(runs []Run) map[string]int {
+		out := make(map[string]int)
+		for _, run := range runs {
+			for _, row := range run {
+				out[row.Key]++
+			}
+		}
+		return out
+	}
+	// Message 0 is the first to reach the rejecting task: its root failed and
+	// every task got its rows again; everybody else's arrived once.
+	for n := 0; n < msgs; n++ {
+		want := 1
+		if n == 0 {
+			want = 2
+		}
+		if n == emptyMsg {
+			want = 0
+		}
+		if len(got[n]) != want*k {
+			t.Fatalf("message %d: %d deliveries, want %d", n, len(got[n]), want*k)
+		}
+		rows := rowsOf(got[n])
+		for _, key := range keys {
+			if rows[key] != want {
+				t.Fatalf("message %d: key %q delivered %d times, want %d", n, key, rows[key], want)
+			}
+		}
+	}
+}
+
+// BenchmarkEmitRun measures one emission of a 20-row run, an action's
+// co-rating deltas, through the collector to 1 and to 4 destination tasks.
+// What it may allocate is the run's own slices: the emitter's rows, values
+// and boxed run, and for a split the rows and values of the parts and a
+// boxed run per part; nothing per row, and a tuple only when the free list
+// is empty because the emitter ran ahead of the drainers.
+func BenchmarkEmitRun(b *testing.B) {
+	keys := runKeys(20)
+	for _, par := range []int{1, 4} {
+		b.Run(fmt.Sprintf("tasks=%d", par), func(b *testing.B) {
+			tb := NewTopologyBuilder("bench")
+			tb.SetSpout("src", func() Spout { return &rangeSpout{} }, 1)
+			tb.SetBolt("fan", func() Bolt {
+				return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }, Output: Fields{"key", "session"}}
+			}, 1).Shuffle("src")
+			tb.SetBolt("sink", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, par).Fields("fan", "key")
+			topo, err := tb.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt := newRuntime(topo, nil)
+			stop := drainTasks(b, rt, "sink")
+			col := newCollector(rt.taskList("fan")[0], rt)
+			session := interface{}(int64(0))
+			emit := func() {
+				run := make(Run, len(keys))
+				for i, k := range keys {
+					run[i] = Row{Key: k, Num: 1}
+				}
+				col.Emit(Values{run, session})
+			}
+			for i := 0; i < 4*DefaultMaxBatch; i++ {
+				emit()
+			}
+			col.flushAll()
+			time.Sleep(10 * time.Millisecond) // let the drainers recycle tuples
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				emit()
+			}
+			col.flushAll()
+			b.StopTimer()
+			stop()
+		})
+	}
+}

@@ -227,8 +227,9 @@ type collector struct {
 	outs     map[string]*streamOut
 	list     []*streamOut
 	routeBuf []int
-	spanBuf  []int // routeBuf prefix lengths per edge, multi-edge emits
-	buffered int   // tuples currently sitting in edge buffers
+	spanBuf  []int   // routeBuf prefix lengths per edge, multi-edge emits
+	rowDest  []int32 // destination task of each row of the Run being split
+	buffered int     // tuples currently sitting in edge buffers
 
 	// Acking state (see ack.go). anchorOK marks a spout collector whose
 	// spout can receive Ack/Fail; curRoot/curXor are the lineage root
@@ -300,7 +301,16 @@ func (c *collector) Emit(values Values) { c.EmitTo(DefaultStream, values) }
 func (c *collector) EmitTo(stream string, values Values) { c.emitTo(stream, values) }
 
 func (c *collector) emitTo(stream string, values Values) {
-	c.emitted++
+	// Emitted counts rows: a plain tuple is a run of one.
+	ri, run := findRun(values)
+	switch {
+	case ri < 0:
+		c.emitted++
+	case len(run) == 0:
+		return
+	default:
+		c.emitted += int64(len(run))
+	}
 	out := c.outs[stream]
 	if out == nil || len(out.edges) == 0 {
 		return // no subscribers: dropped, as before
@@ -311,6 +321,10 @@ func (c *collector) emitTo(stream string, values Values) {
 	tr := c.curTrace
 	if tr == nil && c.tracer != nil {
 		tr = c.tracer.Sample()
+	}
+	if ri >= 0 {
+		c.emitRun(out, stream, values, ri, run, tr)
+		return
 	}
 	if c.curRoot != 0 {
 		c.emitAnchoredTuples(out, stream, values, tr)
@@ -373,24 +387,24 @@ func (c *collector) emitAnchoredTuples(out *streamOut, stream string, values Val
 	pos := 0
 	for k, eb := range out.edges {
 		for _, i := range c.routeBuf[pos:c.spanBuf[k]] {
-			t := getTuple(c.task.component, stream, values, out.fields)
-			t.root = c.curRoot
-			t.ackID = c.newAckID()
-			t.refs.Store(1)
-			if tr != nil {
-				t.trace, t.traceEnq = tr, enq
-			}
-			c.curXor ^= t.ackID
-			c.deliver(eb, i, t)
+			c.send(eb, i, stream, values, out.fields, tr, enq)
 		}
 		pos = c.spanBuf[k]
 	}
 }
 
 // deliver appends one routed tuple to a destination buffer, flushing the
-// buffer if it reached the batch threshold.
+// buffer if it reached the batch threshold. A spout's emission is in flight
+// from here on: nothing else covers it while it waits in the buffer (a
+// bolt's is covered by the input tuple that caused it, which leaves the
+// in-flight count only after the buffers have been flushed), and without
+// that a pipeline fast enough to finish everything handed over so far
+// reads as drained between two spout flushes.
 func (c *collector) deliver(eb *edgeBuf, i int, t *Tuple) {
 	c.transferred++
+	if c.task.isSpout {
+		c.rt.pending.Add(1)
+	}
 	eb.bufs[i] = append(eb.bufs[i], t)
 	c.buffered++
 	if len(eb.bufs[i]) >= c.maxBatch {
@@ -399,9 +413,10 @@ func (c *collector) deliver(eb *edgeBuf, i int, t *Tuple) {
 }
 
 // flushDest hands one destination's buffered tuples to its task as a
-// single batch. Pending is bumped once per batch, before the send (and
-// before a spill — spilled tuples are still in flight), so quiescence
-// detection never undercounts in-flight tuples.
+// single batch. A bolt's batch enters the in-flight count here, once per
+// batch, before the send; a spout's entered it tuple by tuple in deliver
+// (spilled tuples are still in flight), so quiescence detection never
+// undercounts in-flight tuples.
 //
 // On a spout collector with the overflow ring enabled, a send that would
 // block diverts the batch to the disk ring instead, and the collector
@@ -416,7 +431,9 @@ func (c *collector) flushDest(eb *edgeBuf, i int) {
 	}
 	eb.bufs[i] = make([]*Tuple, 0, c.maxBatch)
 	c.buffered -= len(buf)
-	c.rt.pending.Add(int64(len(buf)))
+	if !c.task.isSpout {
+		c.rt.pending.Add(int64(len(buf)))
+	}
 	if c.ovf != nil {
 		if c.spilling {
 			if !c.ovf.empty() {
@@ -450,17 +467,7 @@ func (c *collector) flushDest(eb *edgeBuf, i int) {
 // no tuple, consequence or unwritten effect is anywhere in flight.
 func (c *collector) flushAll() {
 	c.flushBolt()
-	if c.buffered > 0 {
-		for _, so := range c.list {
-			for _, eb := range so.edges {
-				for i := range eb.bufs {
-					if len(eb.bufs[i]) > 0 {
-						c.flushDest(eb, i)
-					}
-				}
-			}
-		}
-	}
+	c.flushEmits()
 	if c.emitted != 0 {
 		c.sm.emitted.Add(c.emitted)
 		c.emitted = 0
@@ -485,6 +492,22 @@ func (c *collector) flushAll() {
 		c.flushAcks()
 	}
 	c.lastFlush = time.Now()
+}
+
+// flushEmits hands every buffered emission to its destination task.
+func (c *collector) flushEmits() {
+	if c.buffered == 0 {
+		return
+	}
+	for _, so := range c.list {
+		for _, eb := range so.edges {
+			for i := range eb.bufs {
+				if len(eb.bufs[i]) > 0 {
+					c.flushDest(eb, i)
+				}
+			}
+		}
+	}
 }
 
 // flushBolt runs the bolt's BatchFlusher hook, if it has one. Every path
@@ -755,7 +778,7 @@ func (rt *runtime) execBatch(decl *boltDecl, b Bolt, col *collector, batch []*Tu
 				col.errors++
 				rt.onError(decl.name, err)
 			}
-			tup.release()
+			col.releaseExecuted(tup)
 			now = end
 		}
 		col.curTrace = nil
@@ -796,10 +819,22 @@ func (rt *runtime) execBatchAcked(decl *boltDecl, b Bolt, col *collector, batch 
 			col.errors++
 			rt.onError(decl.name, err)
 		}
-		tup.release()
+		col.releaseExecuted(tup)
 		now = end
 	}
 	col.curTrace = nil
+}
+
+// releaseExecuted releases a tuple the bolt has executed. A tick's
+// emissions leave with the tick: they are handed downstream before the
+// round is told the tick has executed (Tuple.release), so the next
+// component's tick, and under backlog this task's next sixteen batches,
+// come after what the flush produced.
+func (c *collector) releaseExecuted(tup *Tuple) {
+	if tup.tickDone != nil {
+		c.flushEmits()
+	}
+	tup.release()
 }
 
 // dropBatch disposes of one unexecuted batch: tuples are released, the

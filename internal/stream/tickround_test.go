@@ -219,3 +219,100 @@ func TestTickRoundReleasedBySkipAndDrop(t *testing.T) {
 		}
 	}
 }
+
+// idleSpout never emits.
+type idleSpout struct{}
+
+func (idleSpout) Open(TopologyContext, SpoutCollector) error { return nil }
+func (idleSpout) Close()                                     {}
+func (idleSpout) NextTuple() bool                            { time.Sleep(100 * time.Microsecond); return true }
+func (idleSpout) DeclareOutputFields() map[string]Fields {
+	return map[string]Fields{DefaultStream: {"gate"}}
+}
+
+// gateTuple is a data tuple whose Execute blocks until gate is closed.
+func gateTuple(gate chan struct{}) []*Tuple {
+	return []*Tuple{{Component: "spout", Stream: DefaultStream, Values: Values{gate}, fields: Fields{"gate"}}}
+}
+
+// TestTickEmissionsLeaveWithTheTick: what a bolt emits in its tick is in the
+// downstream queues before the round is told the tick has executed. Bolt a
+// is backlogged (a batch waits behind its tick, so its collector is not
+// flushed by an empty queue) and emits in its tick; b, next in the round and
+// subscribed to a, must find a's emission ahead of its own tick. Without
+// the flush the emission waits in a's collector for up to sixteen batches
+// while b's tick overtakes it.
+func TestTickEmissionsLeaveWithTheTick(t *testing.T) {
+	var mu sync.Mutex
+	gotFlush, flushBeforeTick := false, false
+	ticked := make(chan struct{})
+	var tickedOnce sync.Once
+	tb := NewTopologyBuilder("tick-flush")
+	tb.SetSpout("spout", func() Spout { return idleSpout{} }, 1)
+	tb.SetBolt("a", func() Bolt {
+		return &BoltFunc{Output: Fields{"what"}, Fn: func(tp *Tuple, c Collector) error {
+			if tp.IsTick() {
+				c.Emit(Values{"flushed"})
+			} else {
+				<-tp.Value("gate").(chan struct{})
+			}
+			return nil
+		}}
+	}, 1).Shuffle("spout").Tick(time.Hour)
+	tb.SetBolt("b", func() Bolt {
+		return &BoltFunc{Fn: func(tp *Tuple, _ Collector) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if !tp.IsTick() {
+				gotFlush = true
+				return nil
+			}
+			tickedOnce.Do(func() {
+				flushBeforeTick = gotFlush
+				close(ticked)
+			})
+			return nil
+		}}
+	}, 1).Shuffle("a").Tick(time.Hour)
+	topo, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := topo.Submit()
+	rt := h.rt
+	a := rt.taskList("a")[0]
+	inject := func(batch []*Tuple) {
+		rt.pending.Add(int64(len(batch)))
+		a.in <- batch
+	}
+	first, behind := make(chan struct{}), make(chan struct{})
+	inject(gateTuple(first)) // a is held in this Execute while the round starts
+	for len(a.in) != 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	round := make(chan struct{})
+	go func() {
+		rt.tickRound(nil, false, false)
+		close(round)
+	}()
+	for len(a.in) != 1 { // a's tick is queued
+		time.Sleep(50 * time.Microsecond)
+	}
+	inject(gateTuple(behind)) // the backlog behind the tick
+	close(first)
+	select {
+	case <-ticked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the round never reached b")
+	}
+	close(behind)
+	<-round
+	mu.Lock()
+	ok := flushBeforeTick
+	mu.Unlock()
+	if !ok {
+		t.Fatal("b executed its tick of the round before it had what a emitted in its own")
+	}
+	h.Stop()
+	h.Wait()
+}

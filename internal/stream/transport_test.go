@@ -26,20 +26,7 @@ func BenchmarkEmitRoute(b *testing.B) {
 		b.Fatal(err)
 	}
 	rt := newRuntime(topo, nil)
-
-	var wg sync.WaitGroup
-	for _, tk := range rt.taskList("sink") {
-		wg.Add(1)
-		go func(tk *task) {
-			defer wg.Done()
-			for batch := range tk.in {
-				for _, tup := range batch {
-					tup.release()
-				}
-				rt.pending.Add(-int64(len(batch)))
-			}
-		}(tk)
-	}
+	stop := drainTasks(b, rt, "sink")
 
 	// Pre-boxed keys so interface conversion does not allocate per emit.
 	const nKeys = 256
@@ -63,12 +50,35 @@ func BenchmarkEmitRoute(b *testing.B) {
 	}
 	col.flushAll()
 	b.StopTimer()
-	for _, tk := range rt.taskList("sink") {
-		close(tk.in)
+	stop()
+}
+
+// drainTasks stands in for the component's bolt tasks in a collector
+// benchmark: goroutines recycle delivered tuples to the free list the way
+// runBoltTask does. The returned stop closes the queues, waits for them to
+// drain and requires that nothing is left in flight.
+func drainTasks(b *testing.B, rt *runtime, component string) (stop func()) {
+	var wg sync.WaitGroup
+	for _, tk := range rt.taskList(component) {
+		wg.Add(1)
+		go func(tk *task) {
+			defer wg.Done()
+			for batch := range tk.in {
+				for _, tup := range batch {
+					tup.release()
+				}
+				rt.pending.Add(-int64(len(batch)))
+			}
+		}(tk)
 	}
-	wg.Wait()
-	if got := rt.pending.Load(); got != 0 {
-		b.Fatalf("pending = %d after drain, want 0", got)
+	return func() {
+		for _, tk := range rt.taskList(component) {
+			close(tk.in)
+		}
+		wg.Wait()
+		if got := rt.pending.Load(); got != 0 {
+			b.Fatalf("pending = %d after drain, want 0", got)
+		}
 	}
 }
 

@@ -345,6 +345,9 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 		b.emit(StreamARItem, b.vals.v2(itemVal, sessVal))
 	}
 
+	// The action's co-rating deltas leave as one run (a row per co-rated
+	// history entry: pair id, delta), which the engine owns once emitted.
+	var pairs stream.Run
 	it, _ := statecodec.IterHistory(raw)
 	for {
 		j, rj, more := it.Next()
@@ -361,11 +364,19 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 		if rJ <= 0 {
 			continue
 		}
-		deltaCo := math.Min(newR, rJ) - math.Min(oldR, rJ)
-		pid := b.keys.box(b.keys.pairBytes(item, j))
-		b.emit(StreamPairDelta, b.vals.v3(pid, deltaCo, sessVal))
+		if pairs == nil {
+			n, _ := statecodec.HistoryLen(raw)
+			pairs = make(stream.Run, 0, n)
+		}
+		pairs = append(pairs, stream.Row{Key: b.keys.pairBytes(item, j), Num: math.Min(newR, rJ) - math.Min(oldR, rJ)})
+	}
+	if len(pairs) > 0 {
+		run := any(pairs)
+		b.emit(StreamPairDelta, b.vals.v2(run, sessVal))
 		if b.p.EnableAR && newTouch {
-			b.emit(StreamARPair, b.vals.v2(pid, sessVal))
+			// The same rows: ARBolt counts a transaction per pair and
+			// ignores the deltas.
+			b.emit(StreamARPair, b.vals.v2(run, sessVal))
 		}
 	}
 
@@ -406,10 +417,10 @@ func (b *UserHistoryBolt) Cleanup() {}
 func (b *UserHistoryBolt) DeclareOutputFields() map[string]stream.Fields {
 	return map[string]stream.Fields{
 		StreamItemDelta:  {"item", "delta", "session"},
-		StreamPairDelta:  {"pair", "delta", "session"},
+		StreamPairDelta:  {"pair", "session"}, // pair: a stream.Run of {pair id, "", co-rating delta}
 		StreamGroupDelta: {"group", "item", "weight", "session"},
 		StreamARItem:     {"item", "session"},
-		StreamARPair:     {"pair", "session"},
+		StreamARPair:     {"pair", "session"}, // pair: a stream.Run keyed by pair id
 	}
 }
 
@@ -535,10 +546,12 @@ type PairCountBolt struct {
 	// epoch numbers the staged batches; an entry stamped with it has its
 	// keys staged in the current one.
 	epoch uint32
+	// sims collects the rows applyJobs' applies produce (item, other,
+	// similarity), emitted as one run when the list has been applied.
+	sims stream.Run
 	// keys interns the pl:, pn: and th: keys: read once in a pair's life,
 	// or only with pruning on.
 	keys *interner
-	vals valArena
 }
 
 // pairState is one pair's in-memory state on the task that owns it. It is
@@ -581,8 +594,6 @@ func (ps *pairState) pair() string { return ps.pcKey[len(prefixPairCount):] }
 type pairItem struct {
 	// icKey is the item's itemCount key, "ic:"+item id.
 	icKey string
-	// val is the item id boxed for emission.
-	val any
 	// icPos, and thPos with pruning on, are where the batch numbered epoch
 	// staged the item's count and top-K threshold.
 	icPos, thPos int32
@@ -632,47 +643,54 @@ func (b *PairCountBolt) item(id string) uint32 {
 		return i
 	}
 	it := pairItem{icKey: prefixItemCount + id}
-	it.val = it.id()
 	i := uint32(len(b.items))
 	b.items = append(b.items, it)
 	b.itemIdx[it.id()] = i
 	return i
 }
 
-// Execute implements stream.Bolt.
+// Execute implements stream.Bolt: it adds a run's rows to the interval's
+// job list.
 func (b *PairCountBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return b.flush(t.IsFinalTick())
 	}
-	pair := t.Value("pair").(string)
-	delta := t.Value("delta").(float64)
 	session := t.Value("session").(int64)
+	for _, row := range t.Run("pair") {
+		b.add(row.Key, session, row.Num)
+	}
+	if !b.p.DisableCombiner || len(b.jobs) == 0 {
+		return nil
+	}
+	// Every run is an interval of its rows. A failed read fails the tuple,
+	// which the spout replays: nothing of it is kept for a tick.
+	sb, err := b.newPairBatch()
+	if err != nil {
+		for i := range b.jobs {
+			b.jobs[i].ps.job = noJob
+		}
+		b.jobs = b.jobs[:0]
+		return err
+	}
+	return b.applyJobs(sb)
+}
+
+// add merges one pair delta into the interval's job list.
+func (b *PairCountBolt) add(pair string, session int64, delta float64) {
 	ps := b.state(pair)
 	if ps.pruned {
-		return nil // Algorithm 1 line 3-5: skip items in Li
-	}
-	if b.p.DisableCombiner {
-		// Every tuple is an interval of one job. A failed read fails the
-		// tuple, which the spout replays: nothing of it is kept for a tick.
-		b.jobs = append(b.jobs[:0], pairJob{ps: ps, session: session, delta: delta, n: 1})
-		sb, err := b.newPairBatch()
-		if err != nil {
-			b.jobs = b.jobs[:0]
-			return err
-		}
-		return b.applyJobs(sb)
+		return // Algorithm 1 line 3-5: skip items in Li
 	}
 	if ps.job != noJob {
 		if j := &b.jobs[ps.job]; j.session == session {
 			j.delta += delta
 			j.n++
-			return nil
+			return
 		}
 		// Another session: deltas of different sessions never merge.
 	}
 	ps.job = int32(len(b.jobs))
 	b.jobs = append(b.jobs, pairJob{ps: ps, session: session, delta: delta, n: 1})
-	return nil
 }
 
 // pairJob is one pending apply of a flush interval: the merged deltas of
@@ -744,6 +762,7 @@ func (b *PairCountBolt) retry(ps *pairState) {
 // batched write and leaves the list empty for the next interval.
 func (b *PairCountBolt) applyJobs(sb *stateBatch) error {
 	var firstErr error
+	b.sims = make(stream.Run, 0, 2*len(b.jobs))
 	for i := range b.jobs {
 		j := &b.jobs[i]
 		j.ps.job = noJob
@@ -752,6 +771,12 @@ func (b *PairCountBolt) applyJobs(sb *stateBatch) error {
 		}
 	}
 	b.jobs = b.jobs[:0]
+	if len(b.sims) > 0 {
+		// One run per flush, bounded by the job list that produced it (two
+		// rows per job, four for one that prunes). The engine owns it now.
+		b.c.EmitTo(StreamSim, stream.Values{b.sims})
+	}
+	b.sims = nil
 	if err := sb.flush(); err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -851,9 +876,9 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 		return nil
 	}
 	sim := core.Similarity(pcSum, icA, icB)
-	simVal := any(sim)
-	b.c.EmitTo(StreamSim, b.vals.v3(itemA.val, itemB.val, simVal))
-	b.c.EmitTo(StreamSim, b.vals.v3(itemB.val, itemA.val, simVal))
+	b.sims = append(b.sims,
+		stream.Row{Key: itemA.id(), Str: itemB.id(), Num: sim},
+		stream.Row{Key: itemB.id(), Str: itemA.id(), Num: sim})
 
 	// Hoeffding pruning.
 	if b.p.PruningDelta <= 0 || b.p.PruningDelta >= 1 {
@@ -877,9 +902,9 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 		ps.pruned = true
 		sb.put(b.keys.key2(prefixPruned, ps.pair()), []byte{1})
 		// Withdraw the pair from both lists.
-		zero := any(0.0)
-		b.c.EmitTo(StreamSim, b.vals.v3(itemA.val, itemB.val, zero))
-		b.c.EmitTo(StreamSim, b.vals.v3(itemB.val, itemA.val, zero))
+		b.sims = append(b.sims,
+			stream.Row{Key: itemA.id(), Str: itemB.id()},
+			stream.Row{Key: itemB.id(), Str: itemA.id()})
 	}
 	return nil
 }
@@ -900,15 +925,19 @@ func (b *PairCountBolt) Cleanup() {}
 // DeclareOutputFields implements stream.OutputDeclarer.
 func (b *PairCountBolt) DeclareOutputFields() map[string]stream.Fields {
 	return map[string]stream.Fields{
-		StreamSim: {"item", "other", "sim"},
+		StreamSim: simFields,
 	}
 }
+
+// simFields declares the sim stream: one field, a stream.Run whose rows are
+// {item, other, similarity}, keyed (and grouped downstream) by item.
+var simFields = stream.Fields{"item"}
 
 // FilterBolt is the storage layer's application-specific filter: results
 // whose candidate item fails the predicate never reach storage
 // ("the recommended items should be of one specific category or of price
-// within a certain range", §5.1). It passes sim tuples through on the
-// same stream id.
+// within a certain range", §5.1). It passes sim runs through on the same
+// stream id, without the rows it rejects.
 type FilterBolt struct {
 	p Params
 	c stream.Collector
@@ -931,12 +960,19 @@ func (b *FilterBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return nil
 	}
-	other := t.Value("other").(string)
-	sim := t.Value("sim").(float64)
-	if b.p.Filter != nil && !b.p.Filter(other) && sim > 0 {
-		return nil // withdrawals (sim 0) always pass
+	if b.p.Filter == nil {
+		b.c.EmitTo(StreamSim, stream.Values{t.Value("item")})
+		return nil
 	}
-	b.c.EmitTo(StreamSim, stream.Values{t.Value("item"), other, sim})
+	in := t.Run("item")
+	// The received run is read-only: the rows that pass are copied.
+	out := make(stream.Run, 0, len(in))
+	for _, row := range in {
+		if row.Num <= 0 || b.p.Filter(row.Str) { // withdrawals (sim 0) always pass
+			out = append(out, row)
+		}
+	}
+	b.c.EmitTo(StreamSim, stream.Values{out})
 	return nil
 }
 
@@ -946,7 +982,7 @@ func (b *FilterBolt) Cleanup() {}
 // DeclareOutputFields implements stream.OutputDeclarer.
 func (b *FilterBolt) DeclareOutputFields() map[string]stream.Fields {
 	return map[string]stream.Fields{
-		StreamSim: {"item", "other", "sim"},
+		StreamSim: simFields,
 	}
 }
 
@@ -955,20 +991,23 @@ func (b *FilterBolt) DeclareOutputFields() map[string]stream.Fields {
 // publishes the list's threshold for the pruning test.
 //
 // Writes are write-behind (stream.BatchFlusher): Execute merges a sim
-// tuple into the item's encoded frame in memory and marks the item dirty;
+// run's rows into the items' encoded frames in memory and marks them dirty;
 // FlushBatch, which the engine calls whenever the task's input queue
-// empties (and at least every 16 batches), lands every dirty list and
-// threshold in one BatchPut. N updates to one item inside one drained
-// input run therefore cost one store write, the §5.3 combiner argument
-// applied to the last hop of Fig. 4. The engine flushes before it counts
-// the tuples as done or acks them, so a drained topology and an acked
-// message both still imply "written".
+// empties (and at least every 16 batches), lands every dirty list in one
+// BatchPut. A pairCount flush reaches this task as one tuple, so the N
+// updates a tick round makes to one item cost one store write, the §5.3
+// combiner argument applied to the last hop of Fig. 4. The engine flushes
+// before it counts the tuples as done or acks them, so a drained topology
+// and an acked message both still imply "written".
 type ResultStorageBolt struct {
 	p      Params
 	store  State
 	st     *taskState
 	prefix string // list key prefix (similar items or AR rules)
-	keys   *interner
+	// thresholds is set when something reads the lists' th: keys: pairCount's
+	// pruning test, so similar-items lists with PruningDelta in (0,1).
+	thresholds bool
+	keys       *interner
 	// lists holds the encoded list frames of the items this task owns
 	// (fields grouping makes it the only writer): it is both the cache
 	// that lets a sim update merge into the stored bytes in place instead
@@ -992,10 +1031,13 @@ type stagedList struct {
 	item  string
 	frame []byte
 	thr   float64
-	// thrEnc is the threshold's encoded scalar, patched in place at flush
-	// (similar-items lists only).
-	thrEnc []byte
-	dirty  bool
+	// thrEnc is the threshold's encoded scalar, patched in place at flush;
+	// thrPut is the value the list's th: key holds, once thrKnown says this
+	// instance has written it (thresholds only).
+	thrEnc   []byte
+	thrPut   float64
+	thrKnown bool
+	dirty    bool
 }
 
 // NewResultStorageBolt returns the bolt factory for similar-items lists.
@@ -1010,18 +1052,29 @@ func (b *ResultStorageBolt) Prepare(_ stream.TopologyContext, _ stream.Collector
 	b.keys = newInterner(b.p.CacheSize)
 	b.listsCap = max(b.p.CacheSize, 0)
 	b.lists = make(map[string]*stagedList)
+	b.thresholds = b.prefix == prefixSimilar && b.p.PruningDelta > 0 && b.p.PruningDelta < 1
 	return nil
 }
 
-// Execute implements stream.Bolt: it merges one sim tuple into the
-// item's staged frame. Nothing reaches the store before FlushBatch.
+// Execute implements stream.Bolt: it merges a sim run's rows into the
+// items' staged frames. Nothing reaches the store before FlushBatch. A row
+// that cannot be merged fails the tuple and the rows after it still merge;
+// a replayed run merges to the same frames.
 func (b *ResultStorageBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return nil
 	}
-	item := t.Value("item").(string)
-	other := t.Value("other").(string)
-	sim := t.Value("sim").(float64)
+	var firstErr error
+	for _, row := range t.Run("item") {
+		if err := b.merge(row.Key, row.Str, row.Num); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// merge stages one (item, other, sim) update.
+func (b *ResultStorageBolt) merge(item, other string, sim float64) error {
 	e := b.lists[item]
 	if e == nil {
 		if b.listsCap > 0 && len(b.lists) >= b.listsCap {
@@ -1054,10 +1107,11 @@ func (b *ResultStorageBolt) Execute(t *stream.Tuple) error {
 }
 
 // FlushBatch implements stream.BatchFlusher: every list merged since the
-// last flush, and for similar-items lists its threshold beside it, lands
-// in one batched write — readers of the pruning test never observe a list
-// without its threshold. On an error the lists stay dirty and the next
-// flush retries them.
+// last flush lands in one batched write, and with thresholds on its th: key
+// beside it whenever the threshold is not the one last written, so the th:
+// key the pruning test reads is always the threshold of the list stored
+// beside it. On an error the lists stay dirty and the next flush retries
+// them.
 func (b *ResultStorageBolt) FlushBatch() error {
 	if len(b.dirty) == 0 {
 		return nil
@@ -1066,7 +1120,7 @@ func (b *ResultStorageBolt) FlushBatch() error {
 	for _, e := range b.dirty {
 		keys = append(keys, b.keys.key2(b.prefix, e.item))
 		vals = append(vals, e.frame)
-		if b.prefix == prefixSimilar {
+		if b.thresholds && (!e.thrKnown || e.thr != e.thrPut) {
 			if !statecodec.PatchFloat(e.thrEnc, e.thr) {
 				e.thrEnc = encodeFloat(e.thr)
 			}
@@ -1081,7 +1135,7 @@ func (b *ResultStorageBolt) FlushBatch() error {
 		return err
 	}
 	for _, e := range b.dirty {
-		e.dirty = false
+		e.dirty, e.thrPut, e.thrKnown = false, e.thr, true
 	}
 	clear(b.dirty)
 	b.dirty = b.dirty[:0]

@@ -171,15 +171,21 @@ func (b *ARBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return b.flush()
 	}
-	pair := t.Value("pair").(string)
 	session := t.Value("session").(int64)
-	if _, err := b.st.addCounter(b.keys.key2(prefixARPair, pair), b.p.WindowSessions, session, 1); err != nil {
-		return err
+	var firstErr error
+	for _, row := range t.Run("pair") {
+		pair := row.Key
+		if _, err := b.st.addCounter(b.keys.key2(prefixARPair, pair), b.p.WindowSessions, session, 1); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if old, ok := b.dirty[pair]; !ok || session > old {
+			b.dirty[pair] = session
+		}
 	}
-	if old, ok := b.dirty[pair]; !ok || session > old {
-		b.dirty[pair] = session
-	}
-	return nil
+	return firstErr
 }
 
 // flush recomputes the rules of every pair updated since the last tick.
@@ -201,6 +207,8 @@ func (b *ARBolt) flush() error {
 	if err := sb.prefetch(nil, foreign); err != nil {
 		return err
 	}
+	// The interval's rules leave as one run: two rows per pair at most.
+	rules := make(stream.Run, 0, 2*len(pairs))
 	for _, pair := range pairs {
 		session := b.dirty[pair]
 		supp, err := sb.readCounterSum(b.keys.key2(prefixARPair, pair), session)
@@ -218,11 +226,14 @@ func (b *ARBolt) flush() error {
 		}
 		// Rule a→c2 with confidence supp/supp(a), and the reverse.
 		if suppA > 0 {
-			b.c.EmitTo(StreamSim, stream.Values{a, c2, supp / suppA})
+			rules = append(rules, stream.Row{Key: a, Str: c2, Num: supp / suppA})
 		}
 		if suppB > 0 {
-			b.c.EmitTo(StreamSim, stream.Values{c2, a, supp / suppB})
+			rules = append(rules, stream.Row{Key: c2, Str: a, Num: supp / suppB})
 		}
+	}
+	if len(rules) > 0 {
+		b.c.EmitTo(StreamSim, stream.Values{rules})
 	}
 	clear(b.dirty)
 	return nil
@@ -245,7 +256,7 @@ func (b *ARBolt) Cleanup() {}
 // DeclareOutputFields implements stream.OutputDeclarer.
 func (b *ARBolt) DeclareOutputFields() map[string]stream.Fields {
 	return map[string]stream.Fields{
-		StreamSim: {"item", "other", "sim"},
+		StreamSim: simFields,
 	}
 }
 

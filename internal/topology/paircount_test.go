@@ -33,8 +33,23 @@ func pairDelta(pair string, delta float64) *stream.Tuple {
 }
 
 func pairDeltaAt(pair string, delta float64, session int64) *stream.Tuple {
+	return pairDeltaRun(stream.Run{{Key: pair, Num: delta}}, session)
+}
+
+// pairDeltaRun is a pair_delta tuple: a run of {pair, "", delta} rows that
+// share a session.
+func pairDeltaRun(rows stream.Run, session int64) *stream.Tuple {
 	return stream.NewTuple(UnitUserHistory, StreamPairDelta,
-		stream.Fields{"pair", "delta", "session"}, stream.Values{pair, delta, session})
+		stream.Fields{"pair", "session"}, stream.Values{rows, session})
+}
+
+// simRows flattens the sim runs a bolt emitted into their rows.
+func simRows(out []stream.Values) stream.Run {
+	var rows stream.Run
+	for _, v := range out {
+		rows = append(rows, v[0].(stream.Run)...)
+	}
+	return rows
 }
 
 // putItemCounts stores an itemCount of n for every item.
@@ -94,13 +109,13 @@ func TestPairCountPrunedFlagReadError(t *testing.T) {
 	if err := b.Execute(tickTuple); err != nil {
 		t.Fatalf("flush after the store recovered: %v", err)
 	}
-	for _, v := range out {
-		if v[0] == "b" || v[1] == "b" {
-			t.Fatalf("durably pruned pair emitted %v", v)
+	for _, r := range simRows(out) {
+		if r.Key == "b" || r.Str == "b" {
+			t.Fatalf("durably pruned pair emitted %v", r)
 		}
 	}
-	if len(out) != 2 {
-		t.Fatalf("live pair emitted %d sim tuples, want 2: %v", len(out), out)
+	if len(out) != 1 || len(simRows(out)) != 2 {
+		t.Fatalf("live pair emitted %d sim rows in %d tuples, want 2 in one run: %v", len(simRows(out)), len(out), out)
 	}
 	if _, counted, _ := st.MemState.Get(prefixPairCount + pruned); counted {
 		t.Fatal("durably pruned pair was counted")
@@ -123,12 +138,15 @@ func TestPairCountPrunedFlagReadError(t *testing.T) {
 
 // TestPairCountJobListMatchesReference: the interval's job list is the pair
 // stage's combiner. A seeded interleaving of deltas over a few hundred pairs
-// and three sessions — a session change in the middle of an interval, late
-// deltas of the session before it, one failing batched read followed by a
-// good tick — leaves every pc: counter equal, session by session, to the
-// plain sums of what was offered, every pn: total equal to the number of
-// deltas offered, and two sim tuples per applied job: nothing is lost or
-// counted twice across the failed read, and sessions never merge. A pair
+// and three sessions, offered in runs of one to six rows — a session change
+// in the middle of an interval, late deltas of the session before it, one
+// failing batched read followed by a good tick — leaves every pc: counter
+// equal, session by session, to the plain sums of what was offered, every
+// pn: total equal to the number of deltas offered, and two sim rows per
+// applied job: nothing is lost or counted twice across the failed read, and
+// sessions never merge. With the combiner off a run is an interval of its
+// rows: one batched read and one batched write per run, and a failed read
+// fails the tuple, whose replay counts every row once. A pair
 // whose durable pl: flag is set is never counted or emitted; with pruning
 // on, a pair the Hoeffding test prunes on its first job of an interval is
 // withdrawn there and its second job of that interval is dropped.
@@ -182,9 +200,9 @@ func testPairCountJobList(t *testing.T, combine, pruning bool) {
 	open := make(map[string]int64)            // pair -> session of its latest job this interval
 	jobs := 0
 	failNext := false
-	offer := func(pair string, delta float64, session int64) {
+	offerRun := func(rows stream.Run, session int64) {
 		t.Helper()
-		tup := pairDeltaAt(pair, delta, session)
+		tup := pairDeltaRun(rows, session)
 		if failNext {
 			failNext = false
 			st.fail.Store(1)
@@ -193,21 +211,35 @@ func testPairCountJobList(t *testing.T, combine, pruning bool) {
 			}
 			// The failed tuple is replayed, as the spout would.
 		}
+		gets0, puts0 := st.Ops()
 		if err := b.Execute(tup); err != nil {
 			t.Fatal(err)
 		}
-		if pair == dead || (pruning && pair == doomed) {
-			return
+		if gets, puts := st.Ops(); combine && (gets != gets0 || puts != puts0) {
+			t.Fatalf("a buffered run cost %d reads and %d writes", gets-gets0, puts-puts0)
 		}
-		if ref[pair] == nil {
-			ref[pair] = make(map[int64]float64)
+		for _, row := range rows {
+			pair := row.Key
+			if pair == dead || (pruning && pair == doomed) {
+				continue
+			}
+			if ref[pair] == nil {
+				ref[pair] = make(map[int64]float64)
+			}
+			ref[pair][session] += row.Num
+			offered[pair]++
+			if s, ok := open[pair]; !ok || s != session {
+				jobs++
+				open[pair] = session
+			}
 		}
-		ref[pair][session] += delta
-		offered[pair]++
-		if s, ok := open[pair]; !combine || !ok || s != session {
-			jobs++
-			open[pair] = session
+		if !combine {
+			clear(open) // the run was its own interval
 		}
+	}
+	offer := func(pair string, delta float64, session int64) {
+		t.Helper()
+		offerRun(stream.Run{{Key: pair, Num: delta}}, session)
 	}
 	tick := func() {
 		t.Helper()
@@ -218,8 +250,13 @@ func testPairCountJobList(t *testing.T, combine, pruning bool) {
 	}
 	rng := rand.New(rand.NewSource(25))
 	random := func(n int, sessions ...int64) {
-		for i := 0; i < n; i++ {
-			offer(pairs[rng.Intn(len(pairs))], float64(1+rng.Intn(8))/4, sessions[rng.Intn(len(sessions))])
+		for n > 0 {
+			rows := make(stream.Run, min(n, 1+rng.Intn(6)))
+			for i := range rows {
+				rows[i] = stream.Row{Key: pairs[rng.Intn(len(pairs))], Num: float64(1+rng.Intn(8)) / 4}
+			}
+			offerRun(rows, sessions[rng.Intn(len(sessions))])
+			n -= len(rows)
 		}
 	}
 
@@ -277,21 +314,21 @@ func testPairCountJobList(t *testing.T, combine, pruning bool) {
 	if _, counted, _ := st.MemState.Get(prefixPairCount + dead); counted {
 		t.Fatal("durably pruned pair was counted")
 	}
-	var live, doomedOut []stream.Values
-	for _, v := range out {
-		switch v[0] {
+	var live, doomedOut stream.Run
+	for _, r := range simRows(out) {
+		switch r.Key {
 		case "dx", "dy":
-			t.Fatalf("durably pruned pair emitted %v", v)
+			t.Fatalf("durably pruned pair emitted %v", r)
 		case "hx", "hy":
 			if pruning {
-				doomedOut = append(doomedOut, v)
+				doomedOut = append(doomedOut, r)
 				continue
 			}
 		}
-		live = append(live, v)
+		live = append(live, r)
 	}
 	if len(live) != 2*jobs {
-		t.Fatalf("%d sim tuples for %d applied jobs, want two each", len(live), jobs)
+		t.Fatalf("%d sim rows for %d applied jobs, want two each", len(live), jobs)
 	}
 	if !pruning {
 		return
@@ -311,7 +348,7 @@ func testPairCountJobList(t *testing.T, combine, pruning bool) {
 	if _, flagged, _ := st.MemState.Get(prefixPruned + doomed); !flagged {
 		t.Fatal("pruned pair has no pl: flag")
 	}
-	if len(doomedOut) != 4 || doomedOut[0][2].(float64) <= 0 || doomedOut[2][2].(float64) != 0 || doomedOut[3][2].(float64) != 0 {
+	if len(doomedOut) != 4 || doomedOut[0].Num <= 0 || doomedOut[2].Num != 0 || doomedOut[3].Num != 0 {
 		t.Fatalf("pruned pair emitted %v, want one score and its withdrawal", doomedOut)
 	}
 }
@@ -336,7 +373,7 @@ func TestPairCountSeenPairExecuteAllocatesNothing(t *testing.T) {
 }
 
 // TestPairCountWritesOncePerPair: N combined pairs in one flush are N
-// pair-counter writes and 2N sim tuples; nothing is rescored on the next
+// pair-counter writes and one sim run of 2N rows; nothing is rescored on the next
 // tick, and the final tick's rescore of the same pairs reads the counters
 // and writes none of them.
 func TestPairCountWritesOncePerPair(t *testing.T) {
@@ -362,14 +399,15 @@ func TestPairCountWritesOncePerPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, puts1 := st.Ops()
-	if puts1-puts0 != n || len(out) != 2*n {
-		t.Fatalf("flush of %d combined pairs: %d writes, %d sim tuples; want %d and %d", n, puts1-puts0, len(out), n, 2*n)
+	if puts1-puts0 != n || len(out) != 1 || len(simRows(out)) != 2*n {
+		t.Fatalf("flush of %d combined pairs: %d writes, %d sim rows in %d tuples; want %d and %d in one run",
+			n, puts1-puts0, len(simRows(out)), len(out), n, 2*n)
 	}
 	if err := b.Execute(tickTuple); err != nil {
 		t.Fatal(err)
 	}
-	if _, puts := st.Ops(); puts != puts1 || len(out) != 2*n {
-		t.Fatalf("idle tick: %d writes, %d more sim tuples; want none", puts-puts1, len(out)-2*n)
+	if _, puts := st.Ops(); puts != puts1 || len(out) != 1 {
+		t.Fatalf("idle tick: %d writes, %d more sim tuples; want none", puts-puts1, len(out)-1)
 	}
 	final := &stream.Tuple{Component: UnitPairCount, Stream: stream.TickStream, Values: stream.Values{"final"}}
 	if err := b.Execute(final); err != nil {
@@ -378,13 +416,13 @@ func TestPairCountWritesOncePerPair(t *testing.T) {
 	if _, puts := st.Ops(); puts != puts1 {
 		t.Fatalf("final tick over unchanged pairs wrote %d counters", puts-puts1)
 	}
-	if len(out) != 4*n {
-		t.Fatalf("final tick rescored %d pairs, want %d", (len(out)-2*n)/2, n)
+	if rows := simRows(out); len(out) != 2 || len(rows) != 4*n {
+		t.Fatalf("final tick rescored %d pairs in %d tuples, want %d in one run", (len(rows)-2*n)/2, len(out)-1, n)
 	}
 	want := 3.0 / 4.0 // pc 3 over sqrt(4·4)
-	for _, v := range out {
-		if math.Abs(v[2].(float64)-want) > 1e-12 {
-			t.Fatalf("sim %v, want %v", v, want)
+	for _, r := range simRows(out) {
+		if math.Abs(r.Num-want) > 1e-12 {
+			t.Fatalf("sim %v, want %v", r, want)
 		}
 	}
 }
@@ -419,13 +457,13 @@ func TestPairCountZeroCountGuardWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, after := st.Ops()
-	if len(out) != 2 || math.Abs(out[0][2].(float64)-0.5) > 1e-12 || after != puts+1 { // +1: the test's own put of ic:b
+	if rows := simRows(out); len(rows) != 2 || math.Abs(rows[0].Num-0.5) > 1e-12 || after != puts+1 { // +1: the test's own put of ic:b
 		t.Fatalf("retry after the count landed: emitted %v, %d bolt writes", out, after-puts-1)
 	}
 	if err := b.Execute(tickTuple); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
+	if len(simRows(out)) != 2 {
 		t.Fatalf("a scored pair stayed in the retry set: %v", out)
 	}
 }

@@ -125,12 +125,28 @@ func TestUserHistoryDeltasMatchLibraryPast127Items(t *testing.T) {
 		}
 		cf.Observe(core.Action{User: "u", Item: item, Type: core.ActionType(action), Time: at})
 		var groups []stream.Values
+		pairRuns, had := 0, 0
+		for _, j := range items {
+			if j == item {
+				had = 1
+			}
+		}
 		for _, e := range c.out {
 			switch e.stream {
 			case StreamItemDelta:
 				itemCount[e.values[0].(string)] += e.values[1].(float64)
 			case StreamPairDelta:
-				pairCount[e.values[0].(string)] += e.values[1].(float64)
+				// One run per action, a row per co-rated history entry.
+				if pairRuns++; pairRuns > 1 {
+					t.Fatalf("step %d: %d pair_delta tuples for one action", step, pairRuns)
+				}
+				run := e.values[0].(stream.Run)
+				if len(run) != len(items)-had {
+					t.Fatalf("step %d: pair_delta run of %d rows, %d co-rated items", step, len(run), len(items)-had)
+				}
+				for _, row := range run {
+					pairCount[row.Key] += row.Num
+				}
 			case StreamGroupDelta:
 				groups = append(groups, e.values)
 			default:

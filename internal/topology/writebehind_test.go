@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,11 +14,19 @@ import (
 	"tencentrec/internal/stream"
 )
 
-var simFields = stream.Fields{"item", "other", "sim"}
+// simRun is one similarity as the sim stream carries it: a run of one row.
+func simRun(item, other string, sim float64) stream.Values {
+	return stream.Values{stream.Run{{Key: item, Str: other, Num: sim}}}
+}
 
 func simTuple(item, other string, sim float64) *stream.Tuple {
-	return stream.NewTuple(UnitPairCount, StreamSim, simFields, stream.Values{item, other, sim})
+	return stream.NewTuple(UnitPairCount, StreamSim, simFields, simRun(item, other, sim))
 }
+
+// pruningOn is a PruningDelta under which ResultStorage publishes the
+// lists' thresholds: with pruning off nothing reads them and none is
+// written.
+const pruningOn = 0.05
 
 // prepared returns a list-storage bolt from factory, prepared over st.
 func prepared(t *testing.T, factory stream.BoltFactory, st State) *ResultStorageBolt {
@@ -65,12 +74,13 @@ func updateStoredList(l storedList, item string, score float64, k int) (storedLi
 
 // perTupleRef is the write path ResultStorage had before write-behind,
 // spelled with the plain codec: every sim tuple reads the list, applies
-// the update and writes the list (and, for similar-items lists, the
-// threshold) back.
+// the update and writes the list (and, for similar-items lists under
+// pruning, the threshold) back.
 type perTupleRef struct {
-	prefix string
-	topK   int
-	kv     map[string][]byte
+	prefix  string
+	topK    int
+	pruning bool
+	kv      map[string][]byte
 }
 
 func (r *perTupleRef) apply(t *testing.T, item, other string, sim float64) {
@@ -84,7 +94,7 @@ func (r *perTupleRef) apply(t *testing.T, item, other string, sim float64) {
 	}
 	list, thr := updateStoredList(list, other, sim, r.topK)
 	r.kv[r.prefix+item] = statecodec.EncodeList(list)
-	if r.prefix == prefixSimilar {
+	if r.prefix == prefixSimilar && r.pruning {
 		r.kv[prefixThreshold+item] = encodeFloat(thr)
 	}
 }
@@ -107,28 +117,31 @@ func (r *perTupleRef) sameAs(t *testing.T, st *MemState, when string) {
 // fall in a stream of sim tuples, the store's list and threshold bytes
 // after a flush are the ones the per-tuple write path would have left —
 // through withdrawals (sim 0), top-K truncation, the cache-full clear and
-// with the cache off, for similar-items lists and AR rule lists alike.
+// with the cache off, for similar-items lists (pruning on, so thresholds
+// are written, and off) and AR rule lists alike.
 func TestWriteBehindMatchesPerTupleReference(t *testing.T) {
 	variants := []struct {
 		name    string
 		factory func(State, Params) stream.BoltFactory
 		prefix  string
 		cache   int
+		pruning float64
 	}{
-		{"similar", NewResultStorageBolt, prefixSimilar, 0},
-		{"similar/cache-full-clear", NewResultStorageBolt, prefixSimilar, 3},
-		{"similar/cache-off", NewResultStorageBolt, prefixSimilar, -1},
-		{"ar-rules", NewARListBolt, prefixARList, 0},
-		{"ar-rules/cache-full-clear", NewARListBolt, prefixARList, 3},
+		{"similar", NewResultStorageBolt, prefixSimilar, 0, pruningOn},
+		{"similar/cache-full-clear", NewResultStorageBolt, prefixSimilar, 3, pruningOn},
+		{"similar/cache-off", NewResultStorageBolt, prefixSimilar, -1, pruningOn},
+		{"similar/pruning-off", NewResultStorageBolt, prefixSimilar, 0, 0},
+		{"ar-rules", NewARListBolt, prefixARList, 0, pruningOn},
+		{"ar-rules/cache-full-clear", NewARListBolt, prefixARList, 3, pruningOn},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				p := Params{TopK: 5, CacheSize: v.cache}
+				p := Params{TopK: 5, CacheSize: v.cache, PruningDelta: v.pruning}
 				st := NewMemState()
 				b := prepared(t, v.factory(st, p), st)
-				ref := &perTupleRef{prefix: v.prefix, topK: p.TopK, kv: make(map[string][]byte)}
+				ref := &perTupleRef{prefix: v.prefix, topK: p.TopK, pruning: v.pruning > 0, kv: make(map[string][]byte)}
 				for i := 0; i < 3000; i++ {
 					item := fmt.Sprintf("i%d", rng.Intn(8))
 					other := fmt.Sprintf("o%d", rng.Intn(12))
@@ -177,7 +190,7 @@ func (s *batchCountingState) BatchPut(keys []string, values [][]byte) error {
 // one BatchPut of two keys (list and threshold), not N.
 func TestWriteBehindOneWritePerDrainedRun(t *testing.T) {
 	st := &batchCountingState{MemState: NewMemState()}
-	b := prepared(t, NewResultStorageBolt(st, Params{}), st)
+	b := prepared(t, NewResultStorageBolt(st, Params{PruningDelta: pruningOn}), st)
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := b.Execute(simTuple("hot", fmt.Sprintf("o%d", i%30), float64(1+i%7)/8)); err != nil {
@@ -241,13 +254,13 @@ func (s *simSpout) DeclareOutputFields() map[string]stream.Fields {
 func TestWriteBehindSurvivesTaskRestart(t *testing.T) {
 	const items, others = 40, 300
 	st := &batchCountingState{MemState: NewMemState(), putDelay: 500 * time.Microsecond}
-	p := Params{TopK: others} // no truncation: the final lists do not depend on arrival order
-	ref := &perTupleRef{prefix: prefixSimilar, topK: others, kv: make(map[string][]byte)}
+	p := Params{TopK: others, PruningDelta: pruningOn} // no truncation: the final lists do not depend on arrival order
+	ref := &perTupleRef{prefix: prefixSimilar, topK: others, pruning: true, kv: make(map[string][]byte)}
 	var sims []stream.Values
 	for o := 0; o < others; o++ {
 		for i := 0; i < items; i++ {
 			item, other, sim := fmt.Sprintf("i%d", i), fmt.Sprintf("o%d", o), float64(1+o)/float64(others+1)
-			sims = append(sims, stream.Values{item, other, sim})
+			sims = append(sims, simRun(item, other, sim))
 			ref.apply(t, item, other, sim)
 		}
 	}
@@ -281,8 +294,8 @@ func TestWriteBehindSurvivesTaskRestart(t *testing.T) {
 // the staged lists stay dirty and the next flush lands them.
 func TestWriteBehindFlushErrorKeepsListsDirty(t *testing.T) {
 	st := &failingPutState{MemState: NewMemState()}
-	b := prepared(t, NewResultStorageBolt(st, Params{CacheSize: -1}), st)
-	ref := &perTupleRef{prefix: prefixSimilar, topK: Params{}.withDefaults().TopK, kv: make(map[string][]byte)}
+	b := prepared(t, NewResultStorageBolt(st, Params{CacheSize: -1, PruningDelta: pruningOn}), st)
+	ref := &perTupleRef{prefix: prefixSimilar, topK: Params{}.withDefaults().TopK, pruning: true, kv: make(map[string][]byte)}
 	for i := 0; i < 10; i++ {
 		item, other, sim := fmt.Sprintf("i%d", i%3), fmt.Sprintf("o%d", i), float64(i+1)/16
 		if err := b.Execute(simTuple(item, other, sim)); err != nil {
@@ -325,12 +338,12 @@ func (s *failingPutState) BatchPut(keys []string, values [][]byte) error {
 func TestWriteBehindVisibleAtQuiesce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	st := NewMemState()
-	p := Params{TopK: 5}
-	ref := &perTupleRef{prefix: prefixSimilar, topK: p.TopK, kv: make(map[string][]byte)}
+	p := Params{TopK: 5, PruningDelta: pruningOn}
+	ref := &perTupleRef{prefix: prefixSimilar, topK: p.TopK, pruning: true, kv: make(map[string][]byte)}
 	var sims []stream.Values
 	for i := 0; i < 20000; i++ {
 		item, other, sim := fmt.Sprintf("i%d", rng.Intn(50)), fmt.Sprintf("o%d", rng.Intn(30)), float64(rng.Intn(40))/40
-		sims = append(sims, stream.Values{item, other, sim})
+		sims = append(sims, simRun(item, other, sim))
 		ref.apply(t, item, other, sim)
 	}
 	tb := stream.NewTopologyBuilder("quiesce-lists")
@@ -354,5 +367,137 @@ func TestWriteBehindVisibleAtQuiesce(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// keyCountingState counts the keys written, by their three-byte prefix.
+type keyCountingState struct {
+	*MemState
+	mu       sync.Mutex
+	byPrefix map[string]int
+}
+
+func (s *keyCountingState) count(keys ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range keys {
+		s.byPrefix[k[:3]]++
+	}
+}
+
+func (s *keyCountingState) written(prefix string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.byPrefix[prefix]
+}
+
+func (s *keyCountingState) Put(key string, value []byte) error {
+	s.count(key)
+	return s.MemState.Put(key, value)
+}
+
+func (s *keyCountingState) BatchPut(keys []string, values [][]byte) error {
+	s.count(keys...)
+	return s.MemState.BatchPut(keys, values)
+}
+
+// TestThresholdsWrittenOnlyForPruning: a list's th: key has one reader,
+// pairCount's pruning test. With pruning off no flush writes one; with it
+// on, a flush writes a list's threshold when it is not the one this
+// instance last wrote, and the bytes in the store are the list's current
+// threshold all the same.
+func TestThresholdsWrittenOnlyForPruning(t *testing.T) {
+	merge := func(t *testing.T, b *ResultStorageBolt, other string, sim float64) {
+		t.Helper()
+		if err := b.Execute(simTuple("a", other, sim)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.FlushBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("off", func(t *testing.T) {
+		st := &keyCountingState{MemState: NewMemState(), byPrefix: make(map[string]int)}
+		b := prepared(t, NewResultStorageBolt(st, Params{TopK: 2}), st)
+		for i := 0; i < 6; i++ {
+			merge(t, b, fmt.Sprintf("o%d", i), float64(i+1)/8)
+		}
+		if sl, th := st.written(prefixSimilar), st.written(prefixThreshold); sl != 6 || th != 0 {
+			t.Fatalf("pruning off: %d sl: and %d th: keys written, want 6 and 0", sl, th)
+		}
+	})
+	t.Run("on", func(t *testing.T) {
+		st := &keyCountingState{MemState: NewMemState(), byPrefix: make(map[string]int)}
+		b := prepared(t, NewResultStorageBolt(st, Params{TopK: 2, PruningDelta: pruningOn}), st)
+		threshold := func() float64 {
+			raw, ok, _ := st.Get(prefixThreshold + "a")
+			if !ok {
+				t.Fatal("no th: key")
+			}
+			thr, err := decodeFloat(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return thr
+		}
+		merge(t, b, "o1", 0.5) // list not full: threshold 0, written because never written
+		merge(t, b, "o2", 0.7) // full: threshold 0.5
+		if th := st.written(prefixThreshold); th != 2 || threshold() != 0.5 {
+			t.Fatalf("%d th: writes, threshold %v; want 2 and 0.5", th, threshold())
+		}
+		merge(t, b, "o2", 0.9) // reorders the list above its tail: threshold unchanged
+		merge(t, b, "o3", 0.1) // below the tail: list and threshold unchanged
+		if sl, th := st.written(prefixSimilar), st.written(prefixThreshold); sl != 4 || th != 2 {
+			t.Fatalf("%d sl: and %d th: writes after two merges that kept the threshold, want 4 and 2", sl, th)
+		}
+		merge(t, b, "o4", 0.6) // pushes o1 out: threshold 0.6
+		if th := st.written(prefixThreshold); th != 3 || threshold() != 0.6 {
+			t.Fatalf("%d th: writes, threshold %v; want 3 and 0.6", th, threshold())
+		}
+	})
+}
+
+// TestResultListsLandOncePerRound: a tick round's similarities reach
+// resultStorage as one run, so the round writes each touched list once: N
+// actions over M items cost at most M sl: writes (and no th:, pruning being
+// off), where a sim tuple per row and a flush per drained batch of them
+// wrote a hot item's list many times over.
+func TestResultListsLandOncePerRound(t *testing.T) {
+	const items = 12
+	actions := genActions(59, 400, 15, items)
+	st := &keyCountingState{MemState: NewMemState(), byPrefix: make(map[string]int)}
+	release := make(chan struct{}, 1)
+	var emitted atomic.Int64
+	// One action more than is ever released keeps the spout idling; no
+	// interval tick fires: the round is Quiesce's.
+	spout := func() stream.Spout {
+		return &roundSpout{actions: append(actions[:len(actions):len(actions)], RawAction{}), round: len(actions), release: release, emitted: &emitted}
+	}
+	topo, err := NewBuilder("once-per-round", spout, st, Params{FlushInterval: time.Hour}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := topo.SubmitWithErrorHandler(func(c string, err error) { t.Errorf("component %s: %v", c, err) })
+	defer func() { h.Stop(); h.Wait() }()
+	release <- struct{}{}
+	for emitted.Load() < int64(len(actions)) || h.InFlight() != 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if sl := st.written(prefixSimilar); sl != 0 {
+		t.Fatalf("%d lists written before any tick", sl)
+	}
+	if err := h.Quiesce(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	m := h.Metrics()
+	sims := m.Components[UnitPairCount].Emitted
+	if sims < 8*items {
+		t.Fatalf("the round scored %d similarities; workload too thin", sims)
+	}
+	if sl, th := st.written(prefixSimilar), st.written(prefixThreshold); sl == 0 || sl > items || th != 0 {
+		t.Fatalf("one round of %d similarities over %d items wrote %d sl: and %d th: keys, want at most %d and 0", sims, items, sl, th, items)
+	}
+	if got := m.Components[UnitResultStorage].Executed; got != 1 {
+		t.Fatalf("resultStorage executed %d tuples for one pairCount flush, want 1", got)
 	}
 }
