@@ -64,6 +64,11 @@ func (s *System) Handler() http.Handler {
 		if !decodeBody(w, r, &a) {
 			return
 		}
+		// Pretreatment drops a record without these uncounted; a client
+		// whose field mapping is broken must not read that as success.
+		if !requireField(w, "user", a.User) || !requireField(w, "item", a.Item) || !requireField(w, "action", a.Action) {
+			return
+		}
 		if a.TS == 0 {
 			a.TS = time.Now().UnixNano()
 		}
@@ -188,6 +193,14 @@ func requireParam(w http.ResponseWriter, r *http.Request, name string) (string, 
 		return "", false
 	}
 	return v, true
+}
+
+// requireField answers 400 when a mandatory field of a JSON body is empty.
+func requireField(w http.ResponseWriter, name, v string) bool {
+	if v == "" {
+		http.Error(w, fmt.Sprintf("missing required field %q", name), http.StatusBadRequest)
+	}
+	return v != ""
 }
 
 func serveList(w http.ResponseWriter, r *http.Request, fn func(n int) ([]ScoredItem, error)) {

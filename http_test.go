@@ -286,30 +286,43 @@ func TestHTTPQueryValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		path string
+		body string // non-empty: POST it as JSON
 		want int
+		says string // substring a refusal must contain
 	}{
-		{"recommend without user", "/recommend", http.StatusBadRequest},
-		{"similar without item", "/similar?n=5", http.StatusBadRequest},
-		{"hot without user", "/hot", http.StatusBadRequest},
-		{"recommend with non-numeric n", "/recommend?user=u1&n=abc", http.StatusBadRequest},
-		{"recommend with negative n", "/recommend?user=u1&n=-3", http.StatusBadRequest},
-		{"similar with zero n", "/similar?item=i1&n=0", http.StatusBadRequest},
-		{"recommend with oversized n", "/recommend?user=u1&n=1001", http.StatusBadRequest},
-		{"hot at the n cap", "/hot?user=u1&n=1000", http.StatusOK},
-		{"recommend well-formed", "/recommend?user=u1&n=5", http.StatusOK},
-		{"similar well-formed", "/similar?item=i1", http.StatusOK},
-		{"hot well-formed", "/hot?user=u1&n=3", http.StatusOK},
-		{"ads tolerates empty context", "/ads", http.StatusOK},
+		{"action without user", "/action", `{"item":"i1","action":"click"}`, http.StatusBadRequest, `"user"`},
+		{"action with empty item", "/action", `{"user":"u1","item":"","action":"click"}`, http.StatusBadRequest, `"item"`},
+		{"action without action", "/action", `{"user":"u1","item":"i1"}`, http.StatusBadRequest, `"action"`},
+		{"action well-formed", "/action", `{"user":"u1","item":"i1","action":"click"}`, http.StatusAccepted, ""},
+		{"recommend without user", "/recommend", "", http.StatusBadRequest, ""},
+		{"similar without item", "/similar?n=5", "", http.StatusBadRequest, ""},
+		{"hot without user", "/hot", "", http.StatusBadRequest, ""},
+		{"recommend with non-numeric n", "/recommend?user=u1&n=abc", "", http.StatusBadRequest, ""},
+		{"recommend with negative n", "/recommend?user=u1&n=-3", "", http.StatusBadRequest, ""},
+		{"similar with zero n", "/similar?item=i1&n=0", "", http.StatusBadRequest, ""},
+		{"recommend with oversized n", "/recommend?user=u1&n=1001", "", http.StatusBadRequest, ""},
+		{"hot at the n cap", "/hot?user=u1&n=1000", "", http.StatusOK, ""},
+		{"recommend well-formed", "/recommend?user=u1&n=5", "", http.StatusOK, ""},
+		{"similar well-formed", "/similar?item=i1", "", http.StatusOK, ""},
+		{"hot well-formed", "/hot?user=u1&n=3", "", http.StatusOK, ""},
+		{"ads tolerates empty context", "/ads", "", http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Get(srv.URL + tc.path)
+			var resp *http.Response
+			var err error
+			if tc.body != "" {
+				resp, err = http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			} else {
+				resp, err = http.Get(srv.URL + tc.path)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.want {
-				t.Errorf("GET %s = %d, want %d", tc.path, resp.StatusCode, tc.want)
+			defer resp.Body.Close()
+			msg, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != tc.want || !strings.Contains(string(msg), tc.says) {
+				t.Errorf("%s = %d %q, want %d naming %s", tc.path, resp.StatusCode, msg, tc.want, tc.says)
 			}
 		})
 	}

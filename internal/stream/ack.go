@@ -17,9 +17,8 @@ import (
 // zero has probability 2^-64 per tuple, which Storm — and this engine —
 // accepts.
 //
-// Acking is optional and off by default: with acking disabled the emit
-// path is unchanged (shared pooled tuples, no per-delivery ids), so the
-// batched-transport throughput of DESIGN.md §10 is preserved.
+// Acking is optional and off by default: with acking disabled no delivery
+// is anchored, so none carries an id and no task sends the acker anything.
 
 // DefaultAckTimeout is how long the acker waits for a root's lineage to
 // complete before failing it back to the spout, unless overridden with

@@ -117,8 +117,8 @@ func (o *overflow) empty() bool { return o.backlog() == 0 }
 // spill diverts one routed batch to the disk ring. It returns false —
 // leaving the batch untouched, for the caller's blocking-send fallback —
 // if the values cannot be encoded. On success the batch's tuples are
-// released (the ring now owns the data; reconstruction mints fresh
-// single-reference tuples) and the drainer is woken.
+// released (the ring now owns the data; replay draws fresh tuples) and the
+// drainer is woken.
 //
 // Record layout: 4-byte little-endian tuple count, then the gob frame.
 // The redundant count lets a decode failure still repair the pending
@@ -217,7 +217,6 @@ func (o *overflow) replay(off int64) (int, bool) {
 		t := getTuple(e.src, e.stream, Values(vals), fields)
 		t.root = fr.Roots[i]
 		t.ackID = fr.AckIDs[i]
-		t.refs.Store(1)
 		batch[i] = t
 	}
 	// The slot was routed under an assignment the ring outlived only if a

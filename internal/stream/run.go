@@ -1,7 +1,5 @@
 package stream
 
-import "tencentrec/internal/obsv"
-
 // Row is one row of a Run: its own grouping key and a small fixed payload.
 type Row struct {
 	// Key stands where the Run stands in the tuple when the row is routed:
@@ -70,84 +68,52 @@ func hashRow(t *Tuple, fields Fields, key string) uint64 {
 	return h
 }
 
-// emitRun is emitTo for a tuple whose values[ri] is run, not empty. Every
-// delivery gets a tuple of its own (anchored when the collector is
-// executing an anchored tuple), so nothing is shared across the appends.
-func (c *collector) emitRun(out *streamOut, stream string, values Values, ri int, run Run, tr *obsv.Trace) {
-	probe := Tuple{Component: c.task.component, Stream: stream, Values: values, fields: out.fields}
-	var enq int64
-	if tr != nil {
-		enq = obsv.Now()
+// splitRun is emitTo's routing for an edge whose fields grouping names the
+// run's field and has several tasks: probe.Values[ri] is run, not empty, and
+// each task that owns a row gets one tuple holding its rows.
+func (c *collector) splitRun(eb *edgeBuf, probe *Tuple, ri int, run Run) {
+	values, a := probe.Values, eb.a
+	// A counting sort of the rows by destination task: stable, so a key's
+	// rows keep their emit order.
+	ends := c.routeBuf[:0]
+	for range a.tasks {
+		ends = append(ends, 0)
 	}
-	for _, eb := range out.edges {
-		eb.sync()
-		g, a := &eb.edge.group, eb.a
-		if g.Kind != FieldsGrouping || len(a.tasks) == 1 || ri >= len(out.fields) || g.Fields.index(out.fields[ri]) < 0 {
-			c.routeBuf = g.route(&probe, a, c.task.rng, c.routeBuf[:0])
-			for _, i := range c.routeBuf {
-				c.send(eb, i, stream, values, out.fields, tr, enq)
-			}
+	c.routeBuf = ends
+	c.rowDest = c.rowDest[:0]
+	for r := range run {
+		d := a.parts[hashRow(probe, eb.edge.group.Fields, run[r].Key)&partMask]
+		c.rowDest = append(c.rowDest, d)
+		ends[d]++
+	}
+	dests, pos := 0, 0
+	for d, n := range ends {
+		if n > 0 {
+			dests++
+		}
+		ends[d] = pos // the segment's start, advanced to its end below
+		pos += n
+	}
+	if dests == 1 {
+		c.send(eb, int(c.rowDest[0]), probe, values)
+		return
+	}
+	rows := make(Run, len(run))
+	for r, d := range c.rowDest {
+		rows[ends[d]] = run[r]
+		ends[d]++
+	}
+	vals := make(Values, dests*len(values))
+	start := 0
+	for d, end := range ends {
+		if end == start {
 			continue
 		}
-		// A counting sort of the rows by destination task: stable, so a
-		// key's rows keep their emit order.
-		ends := c.routeBuf[:0]
-		for range a.tasks {
-			ends = append(ends, 0)
-		}
-		c.routeBuf = ends
-		c.rowDest = c.rowDest[:0]
-		for r := range run {
-			d := a.parts[hashRow(&probe, g.Fields, run[r].Key)&partMask]
-			c.rowDest = append(c.rowDest, d)
-			ends[d]++
-		}
-		dests, pos := 0, 0
-		for d, n := range ends {
-			if n > 0 {
-				dests++
-			}
-			ends[d] = pos // the segment's start, advanced to its end below
-			pos += n
-		}
-		if dests == 1 {
-			c.send(eb, int(c.rowDest[0]), stream, values, out.fields, tr, enq)
-			continue
-		}
-		rows := make(Run, len(run))
-		for r, d := range c.rowDest {
-			rows[ends[d]] = run[r]
-			ends[d]++
-		}
-		vals := make(Values, dests*len(values))
-		start := 0
-		for d, end := range ends {
-			if end == start {
-				continue
-			}
-			v := vals[:len(values):len(values)]
-			vals = vals[len(values):]
-			copy(v, values)
-			v[ri] = rows[start:end:end]
-			c.send(eb, d, stream, v, out.fields, tr, enq)
-			start = end
-		}
+		v := vals[:len(values):len(values)]
+		vals = vals[len(values):]
+		copy(v, values)
+		v[ri] = rows[start:end:end]
+		c.send(eb, d, probe, v)
+		start = end
 	}
-}
-
-// send delivers values to one destination task in a tuple of its own,
-// anchored to the lineage root being emitted for, if there is one:
-// per-delivery ids are what the acking protocol counts.
-func (c *collector) send(eb *edgeBuf, i int, stream string, values Values, fields Fields, tr *obsv.Trace, enq int64) {
-	t := getTuple(c.task.component, stream, values, fields)
-	t.refs.Store(1)
-	if c.curRoot != 0 {
-		t.root = c.curRoot
-		t.ackID = c.newAckID()
-		c.curXor ^= t.ackID
-	}
-	if tr != nil {
-		t.trace, t.traceEnq = tr, enq
-	}
-	c.deliver(eb, i, t)
 }

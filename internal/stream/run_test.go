@@ -388,6 +388,204 @@ func TestRunAckedPerDelivery(t *testing.T) {
 	}
 }
 
+// ackObservedSpout is ackRangeSpout telling the test of every Ack it is given.
+type ackObservedSpout struct {
+	*ackRangeSpout
+	onAck func(msg int)
+}
+
+func (s *ackObservedSpout) Ack(msgID interface{}) {
+	s.onAck(msgID.(int))
+	s.ackRangeSpout.Ack(msgID)
+}
+
+// delivered is one Execute of a deliverySink.
+type delivered struct {
+	tup  *Tuple
+	dest string // sink component and task
+	rows string // the keys the tuple carried, in order
+}
+
+// deliveryLog is what the sinks of one TestDeliveryGetsItsOwnTuple case saw.
+type deliveryLog struct {
+	mu       sync.Mutex
+	arrived  *sync.Cond
+	k        int                 // deliveries per emission
+	got      map[int][]delivered // message -> deliveries in arrival order, replays included
+	executed map[int]int         // message -> Execute calls that have returned
+	ackedAt  map[int][]int       // message -> executed[message] at each Ack
+}
+
+// deliverySink records its deliveries and fails the first one of failMsg
+// that reaches failDest.
+type deliverySink struct {
+	log      *deliveryLog
+	dest     string
+	failMsg  int
+	failDest string
+	failed   *atomic.Bool
+}
+
+func (b *deliverySink) Prepare(ctx TopologyContext, _ Collector) error {
+	b.dest = fmt.Sprintf("%s/%d", ctx.Component, ctx.TaskIndex)
+	return nil
+}
+func (b *deliverySink) Cleanup() {}
+func (b *deliverySink) Execute(t *Tuple) error {
+	if t.IsTick() {
+		return nil
+	}
+	n := t.Value("n").(int)
+	rows := ""
+	if run := t.Run("key"); run != nil {
+		for _, row := range run {
+			rows += row.Key + ";"
+		}
+	} else {
+		rows = t.Str("key")
+	}
+	l := b.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.got[n] = append(l.got[n], delivered{t, b.dest, rows})
+	l.arrived.Broadcast()
+	// Hold the tuple until the emission's other deliveries are executing
+	// too: k tuples in use at once cannot be one tuple recycled k times.
+	for whole := (len(l.got[n]) + l.k - 1) / l.k * l.k; len(l.got[n]) < whole; {
+		l.arrived.Wait()
+	}
+	l.executed[n]++
+	if n == b.failMsg && b.dest == b.failDest && b.failed.CompareAndSwap(false, true) {
+		return errors.New("delivery rejected")
+	}
+	return nil
+}
+
+// TestDeliveryGetsItsOwnTuple is the delivery rule over every way an
+// emission fans out: to one subscriber, to two subscribers of one stream
+// (Features.CB's user_action), to the 3 tasks of an All grouping; a plain
+// tuple or a run; anchored or not. Each destination task gets a *Tuple no
+// other Execute of that emission sees, Transferred counts them, one failing
+// Execute among an emission's k fails the root once and the replay is
+// delivered to the same k, and a root is acked once, after the last of its
+// deliveries has executed.
+func TestDeliveryGetsItsOwnTuple(t *testing.T) {
+	const msgs, failMsg = 40, 5
+	keys := runKeys(6)
+	shapes := []struct {
+		name     string
+		k        int
+		failDest string
+		wire     func(tb *TopologyBuilder, sink func() Bolt)
+	}{
+		{"one subscriber", 1, "a/0", func(tb *TopologyBuilder, sink func() Bolt) {
+			tb.SetBolt("a", sink, 1).Fields("fan", "key")
+		}},
+		{"two subscribers", 2, "b/0", func(tb *TopologyBuilder, sink func() Bolt) {
+			tb.SetBolt("a", sink, 1).Fields("fan", "key")
+			tb.SetBolt("b", sink, 1).Fields("fan", "key")
+		}},
+		{"all grouping", 3, "a/2", func(tb *TopologyBuilder, sink func() Bolt) {
+			tb.SetBolt("a", sink, 3).All("fan")
+		}},
+	}
+	for _, shape := range shapes {
+		for _, asRun := range []bool{false, true} {
+			for _, anchored := range []bool{false, true} {
+				name := fmt.Sprintf("%s/run=%v/anchored=%v", shape.name, asRun, anchored)
+				t.Run(name, func(t *testing.T) {
+					k := shape.k
+					log := &deliveryLog{k: k, got: make(map[int][]delivered), executed: make(map[int]int), ackedAt: make(map[int][]int)}
+					log.arrived = sync.NewCond(&log.mu)
+					var failed atomic.Bool
+					sp := &ackRangeSpout{n: msgs}
+					tb := NewTopologyBuilder("delivery")
+					tb.SetAcking(anchored)
+					if anchored {
+						tb.SetSpout("spout", func() Spout {
+							return &ackObservedSpout{sp, func(msg int) {
+								log.mu.Lock()
+								log.ackedAt[msg] = append(log.ackedAt[msg], log.executed[msg])
+								log.mu.Unlock()
+							}}
+						}, 1)
+					} else {
+						tb.SetSpout("spout", func() Spout { return &rangeSpout{n: msgs} }, 1)
+					}
+					tb.SetBolt("fan", func() Bolt {
+						return &BoltFunc{
+							Fn: func(tp *Tuple, c Collector) error {
+								n := tp.Value("n").(int)
+								if !asRun {
+									c.Emit(Values{keys[n%len(keys)], n})
+									return nil
+								}
+								run := make(Run, len(keys))
+								for i, key := range keys {
+									run[i] = Row{Key: key, Num: float64(n)}
+								}
+								c.Emit(Values{run, n})
+								return nil
+							},
+							Output: Fields{"key", "n"},
+						}
+					}, 1).Shuffle("spout")
+					shape.wire(tb, func() Bolt {
+						return &deliverySink{log: log, failMsg: failMsg, failDest: shape.failDest, failed: &failed}
+					})
+					topo, err := tb.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var errs atomic.Int64
+					h := topo.SubmitWithErrorHandler(func(string, error) { errs.Add(1) })
+					h.Wait()
+
+					replays := 0
+					if anchored {
+						replays = 1
+						if sp.ackedN.Load() != msgs || sp.failedN.Load() != 1 {
+							t.Fatalf("acked %d failed %d, want %d and 1: the rejected delivery's root, once", sp.ackedN.Load(), sp.failedN.Load(), msgs)
+						}
+					}
+					if errs.Load() != 1 {
+						t.Fatalf("%d errors, want the 1 rejected delivery", errs.Load())
+					}
+					m := h.Metrics()
+					if want := int64((msgs + replays) * (1 + k)); m.Transferred != want {
+						t.Fatalf("transferred %d, want %d: %d emissions of spout and fan each, %d deliveries per fan emission", m.Transferred, want, msgs+replays, k)
+					}
+					for n := 0; n < msgs; n++ {
+						attempts := 1
+						if n == failMsg {
+							attempts += replays
+						}
+						got := log.got[n]
+						if len(got) != attempts*k {
+							t.Fatalf("message %d: %d deliveries, want %d", n, len(got), attempts*k)
+						}
+						if anchored && (len(log.ackedAt[n]) != 1 || log.ackedAt[n][0] != attempts*k) {
+							t.Fatalf("message %d: acked with this many deliveries executed: %v, want once with %d", n, log.ackedAt[n], attempts*k)
+						}
+						for a := 0; a < attempts; a++ {
+							tuples, dests := make(map[*Tuple]bool), make(map[string]bool)
+							for _, d := range got[a*k : (a+1)*k] {
+								tuples[d.tup], dests[d.dest] = true, true
+								if d.rows != got[0].rows {
+									t.Fatalf("message %d: %s got rows %q, the first delivery %q", n, d.dest, d.rows, got[0].rows)
+								}
+							}
+							if len(tuples) != k || len(dests) != k {
+								t.Fatalf("message %d attempt %d: %d tuples to %d destinations, want %d of each: %v", n, a, len(tuples), len(dests), k, got[a*k:(a+1)*k])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkEmitRun measures one emission of a 20-row run, an action's
 // co-rating deltas, through the collector to 1 and to 4 destination tasks.
 // What it may allocate is the run's own slices: the emitter's rows, values

@@ -227,7 +227,6 @@ type collector struct {
 	outs     map[string]*streamOut
 	list     []*streamOut
 	routeBuf []int
-	spanBuf  []int   // routeBuf prefix lengths per edge, multi-edge emits
 	rowDest  []int32 // destination task of each row of the Run being split
 	buffered int     // tuples currently sitting in edge buffers
 
@@ -322,85 +321,44 @@ func (c *collector) emitTo(stream string, values Values) {
 	if tr == nil && c.tracer != nil {
 		tr = c.tracer.Sample()
 	}
-	if ri >= 0 {
-		c.emitRun(out, stream, values, ri, run, tr)
-		return
-	}
-	if c.curRoot != 0 {
-		c.emitAnchoredTuples(out, stream, values, tr)
-		return
-	}
-	t := getTuple(c.task.component, stream, values, out.fields)
+	// Routing reads the values through the probe, and every destination task
+	// it names gets a tuple of its own copied from it (send): nothing is
+	// shared across the appends, so an append may flush its buffer at once.
+	probe := Tuple{Component: c.task.component, Stream: stream, Values: values, fields: out.fields, trace: tr}
 	if tr != nil {
-		t.trace, t.traceEnq = tr, obsv.Now()
+		probe.traceEnq = obsv.Now()
 	}
-	if len(out.edges) == 1 {
-		eb := out.edges[0]
+	for _, eb := range out.edges {
 		eb.sync()
-		c.routeBuf = eb.edge.group.route(t, eb.a, c.task.rng, c.routeBuf[:0])
-		t.refs.Store(int32(len(c.routeBuf)))
+		g, a := &eb.edge.group, eb.a
+		if ri >= 0 && g.Kind == FieldsGrouping && len(a.tasks) > 1 && ri < len(out.fields) && g.Fields.index(out.fields[ri]) >= 0 {
+			c.splitRun(eb, &probe, ri, run)
+			continue
+		}
+		c.routeBuf = g.route(&probe, a, c.task.rng, c.routeBuf[:0])
 		for _, i := range c.routeBuf {
-			c.deliver(eb, i, t)
+			c.send(eb, i, &probe, values)
 		}
-		return
-	}
-	// Multi-edge emit: route against every edge before the first append,
-	// because an append can flush a full buffer and the tuple must not be
-	// released downstream while deliveries are still being counted.
-	c.routeBuf = c.routeBuf[:0]
-	c.spanBuf = c.spanBuf[:0]
-	for _, eb := range out.edges {
-		eb.sync()
-		c.routeBuf = eb.edge.group.route(t, eb.a, c.task.rng, c.routeBuf)
-		c.spanBuf = append(c.spanBuf, len(c.routeBuf))
-	}
-	t.refs.Store(int32(len(c.routeBuf)))
-	pos := 0
-	for k, eb := range out.edges {
-		for _, i := range c.routeBuf[pos:c.spanBuf[k]] {
-			c.deliver(eb, i, t)
-		}
-		pos = c.spanBuf[k]
 	}
 }
 
-// emitAnchoredTuples is the anchored emit path: instead of sharing one
-// pooled tuple across destinations, every delivery gets its own clone
-// carrying the lineage root and a fresh XOR id, because per-delivery ids
-// are what the acking protocol counts. The Values slice is shared across
-// clones — downstream tasks only read it. Routing runs against a stack
-// probe tuple before any append, for the same release-safety reason as
-// the multi-edge path above.
-func (c *collector) emitAnchoredTuples(out *streamOut, stream string, values Values, tr *obsv.Trace) {
-	probe := Tuple{Component: c.task.component, Stream: stream, Values: values, fields: out.fields}
-	c.routeBuf = c.routeBuf[:0]
-	c.spanBuf = c.spanBuf[:0]
-	for _, eb := range out.edges {
-		eb.sync()
-		c.routeBuf = eb.edge.group.route(&probe, eb.a, c.task.rng, c.routeBuf)
-		c.spanBuf = append(c.spanBuf, len(c.routeBuf))
+// send is one delivery: values go to task i of the edge's destination in a
+// pooled tuple of their own, anchored to the lineage root being emitted for,
+// if there is one (per-delivery ids are what the acking protocol counts),
+// and the destination's buffer is flushed if that fills it. A spout's
+// emission is in flight from here on: nothing else covers it while it waits
+// in the buffer (a bolt's is covered by the input tuple that caused it,
+// which leaves the in-flight count only after the buffers have been
+// flushed), and without that a pipeline fast enough to finish everything
+// handed over so far reads as drained between two spout flushes.
+func (c *collector) send(eb *edgeBuf, i int, probe *Tuple, values Values) {
+	t := getTuple(probe.Component, probe.Stream, values, probe.fields)
+	t.trace, t.traceEnq = probe.trace, probe.traceEnq
+	if c.curRoot != 0 {
+		t.root = c.curRoot
+		t.ackID = c.newAckID()
+		c.curXor ^= t.ackID
 	}
-	var enq int64
-	if tr != nil {
-		enq = obsv.Now()
-	}
-	pos := 0
-	for k, eb := range out.edges {
-		for _, i := range c.routeBuf[pos:c.spanBuf[k]] {
-			c.send(eb, i, stream, values, out.fields, tr, enq)
-		}
-		pos = c.spanBuf[k]
-	}
-}
-
-// deliver appends one routed tuple to a destination buffer, flushing the
-// buffer if it reached the batch threshold. A spout's emission is in flight
-// from here on: nothing else covers it while it waits in the buffer (a
-// bolt's is covered by the input tuple that caused it, which leaves the
-// in-flight count only after the buffers have been flushed), and without
-// that a pipeline fast enough to finish everything handed over so far
-// reads as drained between two spout flushes.
-func (c *collector) deliver(eb *edgeBuf, i int, t *Tuple) {
 	c.transferred++
 	if c.task.isSpout {
 		c.rt.pending.Add(1)
@@ -414,7 +372,7 @@ func (c *collector) deliver(eb *edgeBuf, i int, t *Tuple) {
 
 // flushDest hands one destination's buffered tuples to its task as a
 // single batch. A bolt's batch enters the in-flight count here, once per
-// batch, before the send; a spout's entered it tuple by tuple in deliver
+// batch, before the send; a spout's entered it tuple by tuple in send
 // (spilled tuples are still in flight), so quiescence detection never
 // undercounts in-flight tuples.
 //
@@ -586,7 +544,7 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 	}
 	mkTasks := func(name string, n int, isSpout bool) {
 		ct := &componentTasks{name: name, isSpout: isSpout}
-		ct.assign.Store(newAssignment(rt.newTasks(name, n, isSpout, 0)))
+		ct.assign.Store(newAssignment(rt.newTasks(name, n, isSpout)))
 		rt.comps[name] = ct
 	}
 	for _, s := range t.spouts {
@@ -628,11 +586,10 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 	return rt
 }
 
-// newTasks allocates n fresh task structs for a component, numbered from
-// firstIndex (always 0 today; kept explicit for clarity at call sites).
+// newTasks allocates n fresh task structs for a component, numbered from 0.
 // Each task's private rng is seeded from the runtime's seed sequence, so
 // rebalance-spawned generations keep distinct streams.
-func (rt *runtime) newTasks(name string, n int, isSpout bool, firstIndex int) []*task {
+func (rt *runtime) newTasks(name string, n int, isSpout bool) []*task {
 	depth := rt.topo.queueDepth
 	if depth <= 0 {
 		depth = DefaultQueueDepth
@@ -641,7 +598,7 @@ func (rt *runtime) newTasks(name string, n int, isSpout bool, firstIndex int) []
 	for i := range ts {
 		ts[i] = &task{
 			component: name,
-			index:     firstIndex + i,
+			index:     i,
 			isSpout:   isSpout,
 			in:        make(chan []*Tuple, depth),
 			ctrl:      make(chan ctrlMsg, 4),
@@ -759,39 +716,11 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 // the free list after execution. Timing is chained — the clock is read
 // once per tuple, each read serving as the previous tuple's end and the
 // next one's start — so per-tuple percentiles cost one monotonic clock
-// read plus a lock-free histogram observe per tuple.
+// read plus a lock-free histogram observe per tuple. Around an anchored
+// tuple's Execute the collector accumulates the ids of emitted children,
+// and the input's id plus its children's ids are acked as one update (or
+// the root failed, if Execute errored) on the batch's flush.
 func (rt *runtime) execBatch(decl *boltDecl, b Bolt, col *collector, batch []*Tuple) {
-	if rt.ak != nil {
-		rt.execBatchAcked(decl, b, col, batch)
-	} else {
-		now := obsv.Now()
-		for _, tup := range batch {
-			tr := tup.trace
-			col.curTrace = tr
-			err := b.Execute(tup)
-			end := obsv.Now()
-			col.sm.exec.Observe(end - now)
-			if tr != nil {
-				tr.AddSpan(col.task.component, tup.traceEnq, now, end)
-			}
-			if err != nil {
-				col.errors++
-				rt.onError(decl.name, err)
-			}
-			col.releaseExecuted(tup)
-			now = end
-		}
-		col.curTrace = nil
-	}
-	col.executed += int64(len(batch))
-	col.acked += int64(len(batch))
-}
-
-// execBatchAcked is execBatch with lineage bookkeeping: around each
-// anchored tuple's Execute, the collector accumulates the ids of emitted
-// children, and the input's id plus its children's ids are acked as one
-// update (or the root failed, if Execute errored) on the batch's flush.
-func (rt *runtime) execBatchAcked(decl *boltDecl, b Bolt, col *collector, batch []*Tuple) {
 	now := obsv.Now()
 	for _, tup := range batch {
 		root, id := tup.root, tup.ackID
@@ -819,22 +748,19 @@ func (rt *runtime) execBatchAcked(decl *boltDecl, b Bolt, col *collector, batch 
 			col.errors++
 			rt.onError(decl.name, err)
 		}
-		col.releaseExecuted(tup)
+		// A tick's emissions leave with the tick: they are handed downstream
+		// before the round is told the tick has executed (Tuple.release), so
+		// the next component's tick, and under backlog this task's next
+		// sixteen batches, come after what the flush produced.
+		if tup.tickDone != nil {
+			col.flushEmits()
+		}
+		tup.release()
 		now = end
 	}
 	col.curTrace = nil
-}
-
-// releaseExecuted releases a tuple the bolt has executed. A tick's
-// emissions leave with the tick: they are handed downstream before the
-// round is told the tick has executed (Tuple.release), so the next
-// component's tick, and under backlog this task's next sixteen batches,
-// come after what the flush produced.
-func (c *collector) releaseExecuted(tup *Tuple) {
-	if tup.tickDone != nil {
-		c.flushEmits()
-	}
-	tup.release()
+	col.executed += int64(len(batch))
+	col.acked += int64(len(batch))
 }
 
 // dropBatch disposes of one unexecuted batch: tuples are released, the
@@ -1215,6 +1141,17 @@ func (h *RunningTopology) OverflowStats() (spilled, drained int64) {
 	return h.rt.ovf.spilledBatches.Load(), h.rt.ovf.drainedBatches.Load()
 }
 
+// freeze parks every spout, each flushing its collector first, and waits
+// until nothing is queued or executing. The caller holds rebalanceMu and
+// un-pauses.
+func (rt *runtime) freeze() {
+	rt.paused.Store(true)
+	for rt.pausedSpouts.Load() < rt.activeSpouts.Load() {
+		time.Sleep(50 * time.Microsecond)
+	}
+	rt.waitQuiescent()
+}
+
 // Quiesce parks every spout, drains all in-flight tuples, tick-flushes
 // combiner bolts downstream, runs fn while the pipeline is frozen, and
 // resumes polling when fn returns. While fn runs no spout polls or
@@ -1230,12 +1167,8 @@ func (h *RunningTopology) Quiesce(fn func() error) error {
 	if rt.closed {
 		return fmt.Errorf("stream: topology already shut down")
 	}
-	rt.paused.Store(true)
 	defer rt.paused.Store(false)
-	for rt.pausedSpouts.Load() < rt.activeSpouts.Load() {
-		time.Sleep(50 * time.Microsecond)
-	}
-	rt.waitQuiescent()
+	rt.freeze()
 	// Push buffered combiner aggregates downstream with regular ticks: the
 	// bolts keep running.
 	rt.tickRound(nil, false, true)
@@ -1293,12 +1226,8 @@ func (rt *runtime) rebalance(component string, n int) error {
 	}
 
 	// 1. Park the spouts and drain the pipeline.
-	rt.paused.Store(true)
 	defer rt.paused.Store(false)
-	for rt.pausedSpouts.Load() < rt.activeSpouts.Load() {
-		time.Sleep(50 * time.Microsecond)
-	}
-	rt.waitQuiescent()
+	rt.freeze()
 
 	// 2. Flush the component's buffered aggregates downstream. A regular
 	// tick (no "final" marker) leaves combiners running; they simply emit
@@ -1314,7 +1243,7 @@ func (rt *runtime) rebalance(component string, n int) error {
 		<-tk.done
 	}
 	rt.metrics.component(component).fold(n)
-	next := newAssignment(rt.newTasks(component, n, false, 0))
+	next := newAssignment(rt.newTasks(component, n, false))
 	ct.assign.Store(next)
 	rt.tickGate.Unlock()
 

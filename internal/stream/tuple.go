@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"tencentrec/internal/obsv"
 )
@@ -63,10 +62,11 @@ const TickStream = "__tick"
 
 // Tuple is a single unit of data flowing through a topology.
 //
-// Tuples delivered to a bolt are owned by the engine and recycled after
-// Execute returns: a bolt that needs a field value beyond Execute must
-// copy the value out (values obtained via Value/TryValue are safe to
-// retain; the *Tuple itself and its Values slice are not).
+// A *Tuple is one delivery: each destination task of an emission gets its
+// own, which the engine recycles after Execute returns. A bolt that needs a
+// field value beyond Execute must copy the value out (values obtained via
+// Value/TryValue are safe to retain; the *Tuple itself and its Values slice,
+// which the emission's other deliveries share, are not).
 type Tuple struct {
 	// Component is the name of the component that emitted the tuple.
 	Component string
@@ -77,11 +77,8 @@ type Tuple struct {
 
 	fields Fields
 
-	// refs counts outstanding deliveries of a pooled tuple; the task
-	// that executes the last delivery returns the tuple to the pool.
-	refs atomic.Int32
-	// pooled marks tuples drawn from tuplePool. Tick tuples and
-	// hand-built tuples are never recycled.
+	// pooled marks tuples drawn from tuplePool, which release returns to
+	// it. Tick tuples and hand-built tuples are never recycled.
 	pooled bool
 
 	// root is the lineage root this delivery is anchored to, and ackID
@@ -119,8 +116,7 @@ func getTuple(component, stream string, values Values, fields Fields) *Tuple {
 	return t
 }
 
-// release records that one delivery of the tuple has been executed (or
-// dropped) and recycles the tuple once no deliveries remain. An unpooled
+// release recycles a tuple that has been executed (or dropped). An unpooled
 // tuple is never recycled; an engine tick reports to the round that sent it.
 func (t *Tuple) release() {
 	if !t.pooled {
@@ -129,13 +125,8 @@ func (t *Tuple) release() {
 		}
 		return
 	}
-	if t.refs.Add(-1) == 0 {
-		t.Values = nil
-		t.fields = nil
-		t.root, t.ackID = 0, 0
-		t.trace, t.traceEnq = nil, 0
-		tuplePool.Put(t)
-	}
+	*t = Tuple{}
+	tuplePool.Put(t)
 }
 
 // IsTick reports whether the tuple is an engine-generated tick tuple.
