@@ -91,7 +91,7 @@ func main() {
 	enableCB := flag.Bool("cb", true, "enable the content-based chain")
 	enableCtr := flag.Bool("ctr", true, "enable the situational CTR chain")
 	enableAR := flag.Bool("ar", false, "enable the association-rule chain")
-	flush := flag.Duration("flush", 100*time.Millisecond, "combiner flush interval")
+	flush := flag.Duration("flush", 100*time.Millisecond, "combiner flush interval: the longest a staged delta waits (an idle pipeline flushes at once)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceEvery := flag.Int("trace-every", 0, "sample one tuple trace per N spout emissions (0 = default 1024, negative = off)")
 	queueDepth := flag.Int("queue-depth", 0, "per-task input queue capacity in batches (0 = engine default)")

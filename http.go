@@ -87,6 +87,11 @@ func (s *System) Handler() http.Handler {
 		if !decodeBody(w, r, &body) {
 			return
 		}
+		// An empty id would store a profile under the bare prefix, which no
+		// query can name.
+		if !requireField(w, "id", body.ID) {
+			return
+		}
 		if err := s.AddItem(body.ID, body.Terms, time.Unix(0, body.PublishedNS)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

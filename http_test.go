@@ -294,6 +294,9 @@ func TestHTTPQueryValidation(t *testing.T) {
 		{"action with empty item", "/action", `{"user":"u1","item":"","action":"click"}`, http.StatusBadRequest, `"item"`},
 		{"action without action", "/action", `{"user":"u1","item":"i1"}`, http.StatusBadRequest, `"action"`},
 		{"action well-formed", "/action", `{"user":"u1","item":"i1","action":"click"}`, http.StatusAccepted, ""},
+		{"item without id", "/item", `{"terms":["alpha"],"published_ns":1}`, http.StatusBadRequest, `"id"`},
+		{"item with empty id", "/item", `{"id":"","terms":["alpha"]}`, http.StatusBadRequest, `"id"`},
+		{"item well-formed", "/item", `{"id":"n9","terms":["alpha"],"published_ns":1}`, http.StatusAccepted, ""},
 		{"recommend without user", "/recommend", "", http.StatusBadRequest, ""},
 		{"similar without item", "/similar?n=5", "", http.StatusBadRequest, ""},
 		{"hot without user", "/hot", "", http.StatusBadRequest, ""},

@@ -12,7 +12,11 @@
 // hedged read may observe a replica that has not yet applied the
 // newest replicated write. Both windows are bounded and small (the
 // pipeline itself only publishes on combiner flushes), matching the
-// paper's "accepting sub-second staleness" serving contract.
+// paper's "accepting sub-second staleness" serving contract. A negative
+// entry ("absent") lasts until its key is written, when the writer tells
+// the tier (Reader.DropNegative), and the negative TTL only bounds a miss
+// whose store read raced that write: a key's first write is not hidden
+// behind an answer cached before it.
 package serving
 
 import (
@@ -29,8 +33,8 @@ import (
 const cacheShards = 16
 
 // Default cache geometry. TTL bounds staleness of positive entries;
-// negative entries (key known absent) expire faster so a key written
-// after a miss becomes visible quickly.
+// negative entries (key known absent) expire faster, and a writer that
+// calls Reader.DropNegative removes them at the write.
 const (
 	DefaultCacheTTL    = 500 * time.Millisecond
 	DefaultNegativeTTL = 100 * time.Millisecond
@@ -65,12 +69,16 @@ type Cache struct {
 	negTTL int64 // negative-entry TTL in ns
 
 	len atomic.Int64 // total live entries, maintained on insert/remove
+	// negs counts the live negative entries among them, so a write into a
+	// cache that holds none (dropNegative) costs one atomic load.
+	negs atomic.Int64
 
 	// Instrument wires these; nil-checked on every touch.
-	hits      *obsv.Counter
-	misses    *obsv.Counter
-	negHits   *obsv.Counter
-	evictions *obsv.Counter
+	hits       *obsv.Counter
+	misses     *obsv.Counter
+	negHits    *obsv.Counter
+	negDropped *obsv.Counter
+	evictions  *obsv.Counter
 }
 
 // NewCache builds a cache holding at most maxEntries decoded results
@@ -131,7 +139,7 @@ func (c *Cache) Get(key string) (val any, neg, ok bool) {
 		sh.lru.Remove(el)
 		delete(sh.items, key)
 		sh.mu.Unlock()
-		c.len.Add(-1)
+		c.removed(e.neg)
 		inc(c.misses)
 		return nil, false, false
 	}
@@ -152,9 +160,42 @@ func (c *Cache) Put(key string, val any) {
 	c.put(key, val, false, c.ttl)
 }
 
-// PutNegative records that key does not exist, for NegativeTTL.
+// PutNegative records that key does not exist, for NegativeTTL or until
+// the key is written (dropNegative), whichever comes first. A miss whose
+// store read raced the write is recorded after the drop and lasts the TTL.
 func (c *Cache) PutNegative(key string) {
 	c.put(key, nil, true, c.negTTL)
+}
+
+// dropNegative removes the negative entries under keys: they have just been
+// written, so "absent" is no longer true of them. Positive entries stay (a
+// stale value is bounded by the TTL; a stale "absent" hides the first write
+// of a key for as long). With no live negative entry it is one atomic load.
+func (c *Cache) dropNegative(keys []string) {
+	if c.negs.Load() == 0 {
+		return
+	}
+	for _, key := range keys {
+		sh := c.shardFor(key)
+		sh.mu.Lock()
+		el, ok := sh.items[key]
+		drop := ok && el.Value.(*centry).neg
+		if drop {
+			sh.lru.Remove(el)
+			delete(sh.items, key)
+		}
+		sh.mu.Unlock()
+		if drop {
+			c.removed(true)
+			inc(c.negDropped)
+		}
+	}
+}
+
+// removed accounts for one entry leaving the cache.
+func (c *Cache) removed(neg bool) {
+	c.len.Add(-1)
+	c.negs.Add(-negCount(neg))
 }
 
 func (c *Cache) put(key string, val any, neg bool, ttl int64) {
@@ -163,27 +204,41 @@ func (c *Cache) put(key string, val any, neg bool, ttl int64) {
 	sh.mu.Lock()
 	if el, exists := sh.items[key]; exists {
 		e := el.Value.(*centry)
+		was := e.neg
 		e.val, e.neg, e.exp = val, neg, exp
 		sh.lru.MoveToFront(el)
+		c.negs.Add(negCount(neg) - negCount(was))
 		sh.mu.Unlock()
 		return
 	}
-	evicted := false
+	evicted, evictedNeg := false, false
 	if sh.lru.Len() >= sh.cap {
 		back := sh.lru.Back()
 		if back != nil {
 			sh.lru.Remove(back)
-			delete(sh.items, back.Value.(*centry).key)
-			evicted = true
+			e := back.Value.(*centry)
+			delete(sh.items, e.key)
+			evicted, evictedNeg = true, e.neg
 		}
 	}
 	sh.items[key] = sh.lru.PushFront(&centry{key: key, val: val, neg: neg, exp: exp})
+	// Counted before the shard is unlocked: a drop that finds the entry must
+	// not have read the count without it.
+	c.negs.Add(negCount(neg))
 	sh.mu.Unlock()
 	if evicted {
+		c.negs.Add(-negCount(evictedNeg))
 		inc(c.evictions)
 	} else {
 		c.len.Add(1)
 	}
+}
+
+func negCount(neg bool) int64 {
+	if neg {
+		return 1
+	}
+	return 0
 }
 
 // Invalidate drops every cached entry. System.Drain calls it so the
@@ -194,6 +249,11 @@ func (c *Cache) Invalidate() {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		c.len.Add(int64(-sh.lru.Len()))
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			if el.Value.(*centry).neg {
+				c.negs.Add(-1)
+			}
+		}
 		sh.items = make(map[string]*list.Element)
 		sh.lru.Init()
 		sh.mu.Unlock()

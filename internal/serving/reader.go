@@ -68,8 +68,8 @@ func NewReader(store Store, cfg Config) *Reader {
 }
 
 // Instrument binds the tier's counters to the registry:
-// serving_cache_{hits,misses,negative_hits,evictions}_total and
-// serving_cache_entries for the cache; serving_coalesced_total
+// serving_cache_{hits,misses,negative_hits,negative_dropped,evictions}_total
+// and serving_cache_entries for the cache; serving_coalesced_total
 // (requests that joined an in-flight fetch), serving_batches_total /
 // serving_batch_keys_total (store dispatches) and
 // serving_hedges_total / serving_hedge_wins_total for the fetcher.
@@ -79,6 +79,7 @@ func (r *Reader) Instrument(reg *obsv.Registry) {
 		r.cache.hits = reg.Counter("serving_cache_hits_total", "Serving-tier cache hits on decoded results.")
 		r.cache.misses = reg.Counter("serving_cache_misses_total", "Serving-tier cache misses.")
 		r.cache.negHits = reg.Counter("serving_cache_negative_hits_total", "Serving-tier hits on negative (known-absent) entries.")
+		r.cache.negDropped = reg.Counter("serving_cache_negative_dropped_total", "Serving-tier negative entries dropped because their key was written.")
 		r.cache.evictions = reg.Counter("serving_cache_evictions_total", "Serving-tier cache LRU evictions.")
 		// The result cache shares the decoded-value cache's counters: one
 		// family reports the tier's total hit economy.
@@ -193,6 +194,18 @@ func (r *Reader) GetResult(key string) (any, bool) {
 func (r *Reader) PutResult(key string, v any) {
 	if r.results != nil {
 		r.results.Put(key, v)
+	}
+}
+
+// DropNegative tells the tier that keys have just been written to the
+// store: a cached "absent" for any of them is dropped, so a negative answer
+// is never older than the write that made it wrong (but for a miss whose
+// store read raced the write, which lasts NegativeTTL). Cached values are
+// not touched; they age out by CacheTTL as before. The writer calls it after
+// the write has returned.
+func (r *Reader) DropNegative(keys ...string) {
+	if r.cache != nil {
+		r.cache.dropNegative(keys)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tencentrec/internal/obsv"
 )
 
 // fakeStore is a Store over a fixed map that counts per-key fetches and
@@ -194,6 +196,72 @@ func TestNegativeCache(t *testing.T) {
 	if err != nil || !ok || v.(string) != "v" {
 		t.Fatalf("new key masked past NegativeTTL: v=%v ok=%v err=%v", v, ok, err)
 	}
+
+	t.Run("dropped on write", func(t *testing.T) {
+		st := newFakeStore(map[string][]byte{"pos": []byte("old")})
+		rd := NewReader(st, Config{CacheTTL: time.Hour, NegativeTTL: time.Hour})
+		reg := obsv.NewRegistry()
+		rd.Instrument(reg)
+		rd.DropNegative("neg") // nothing cached, no live negative: the one-load path
+		rd.Get("neg", decodeString)
+		rd.Get("pos", decodeString)
+		if n := rd.cache.negs.Load(); n != 1 {
+			t.Fatalf("%d live negatives after one miss, want 1", n)
+		}
+		st.put("neg", []byte("v"))
+		st.put("pos", []byte("new"))
+		rd.DropNegative("neg", "pos", "never-read")
+		if v, ok, _ := rd.Get("neg", decodeString); !ok || v.(string) != "v" {
+			t.Fatalf("a written key still reads absent: v=%v ok=%v", v, ok)
+		}
+		if v, _, _ := rd.Get("pos", decodeString); v.(string) != "old" {
+			t.Fatalf("a positive entry was dropped by the write: read %v, want the cached value until its TTL", v)
+		}
+		if n := rd.cache.negs.Load(); n != 0 {
+			t.Fatalf("%d live negatives after the drop, want 0", n)
+		}
+		if n := reg.Counter("serving_cache_negative_dropped_total", "").Value(); n != 1 {
+			t.Fatalf("serving_cache_negative_dropped_total = %d, want 1", n)
+		}
+	})
+
+	t.Run("live count", func(t *testing.T) {
+		c := NewCache(time.Hour, 20*time.Millisecond, cacheShards) // one entry per shard
+		negs := func(want int64, when string) {
+			t.Helper()
+			if n := c.negs.Load(); n != want {
+				t.Fatalf("%d live negatives %s, want %d", n, when, want)
+			}
+		}
+		c.PutNegative("a")
+		c.PutNegative("a")
+		negs(1, "after the same miss twice")
+		c.Put("a", 1)
+		negs(0, "after the key was cached with a value")
+		c.PutNegative("a")
+		negs(1, "after the value gave way to a miss")
+		time.Sleep(30 * time.Millisecond)
+		if _, _, ok := c.Get("a"); ok {
+			t.Fatal("expired negative entry served")
+		}
+		negs(0, "after expiry")
+		c.PutNegative("a")
+		sh := c.shardFor("a")
+		for i := 0; ; i++ { // a second key of a's shard evicts it
+			if k := fmt.Sprintf("b%d", i); c.shardFor(k) == sh {
+				c.Put(k, 2)
+				break
+			}
+		}
+		negs(0, "after eviction")
+		c.PutNegative("x")
+		c.PutNegative("y")
+		c.Invalidate()
+		negs(0, "after Invalidate")
+		if c.Len() != 0 {
+			t.Fatalf("%d entries after Invalidate", c.Len())
+		}
+	})
 }
 
 // TestInvalidate: Invalidate makes the next read observe fresh state

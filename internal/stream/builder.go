@@ -87,8 +87,11 @@ func (d *BoltDeclarer) On(source, stream string, g Grouping) *BoltDeclarer {
 	return d.add(source, stream, g)
 }
 
-// Tick requests engine-generated tick tuples on TickStream at the given
-// interval, driving periodic work such as combiner flushes (§5.3).
+// Tick requests engine-generated tick tuples on TickStream, driving work
+// such as combiner flushes (§5.3). The interval is the longest the bolt goes
+// without one: a tick also comes, no sooner than a sixteenth of the interval
+// after the last, when the topology has gone idle over data that entered
+// since (runtime.runTicker). A tick carries no notion of elapsed time.
 func (d *BoltDeclarer) Tick(interval time.Duration) *BoltDeclarer {
 	d.b.tick = interval
 	return d

@@ -112,7 +112,10 @@ type Bolt interface {
 // until the task has more input or retires (it owns no timer). The bolt
 // should therefore keep what it could not flush and retry on the next
 // call, and a caller that reads "drained" as "written" must also see the
-// component's error count unchanged. FlushBatch may be called with nothing
+// component's error count unchanged. The in-flight count reaching zero is
+// also what lets an idle tick round start (runtime.runTicker), so such a
+// round finds everything the tuples before it staged already flushed.
+// FlushBatch may be called with nothing
 // staged, never after Cleanup; tuples it emits are unanchored.
 type BatchFlusher interface {
 	FlushBatch() error

@@ -86,14 +86,31 @@ func (cm *componentMetrics) fold(n int) {
 	}
 }
 
+// tickCause is what started a tick round: a bolt's period running out, the
+// pipeline going idle over new data, or the control plane (Quiesce, the
+// rebalance pre-flush, the shutdown cascade).
+type tickCause int
+
+const (
+	tickPeriod tickCause = iota
+	tickIdle
+	tickControl
+)
+
+var tickCauseNames = [...]string{tickPeriod: "period", tickIdle: "idle", tickControl: "control"}
+
 // Metrics aggregates live counters for a running topology.
 type Metrics struct {
 	components map[string]*componentMetrics
 	started    time.Time
+	// tickRounds counts completed tick rounds by cause and tickRoundTime
+	// observes each one's duration in nanoseconds (runtime.countedRound).
+	tickRounds    [len(tickCauseNames)]atomic.Int64
+	tickRoundTime *obsv.Histogram
 }
 
 func newMetrics(t *Topology) *Metrics {
-	m := &Metrics{components: make(map[string]*componentMetrics), started: time.Now()}
+	m := &Metrics{components: make(map[string]*componentMetrics), started: time.Now(), tickRoundTime: obsv.NewHistogram()}
 	for _, name := range t.Components() {
 		cm := &componentMetrics{shards: make([]metricsShard, t.Parallelism(name))}
 		for i := range cm.shards {

@@ -85,6 +85,16 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 			"component", name)
 		rt.ensureQueueGauges(name, len(ct.tasks()))
 	}
+	for cause, name := range tickCauseNames {
+		n := &rt.metrics.tickRounds[cause]
+		r.CounterFunc("stream_tick_rounds_total",
+			"Tick rounds run, by what started them: a bolt's period running out, the pipeline going idle over new data, or the control plane (quiesce, rebalance, shutdown).",
+			n.Load,
+			"cause", name)
+	}
+	r.HistogramFunc("stream_tick_round_seconds",
+		"Duration of a tick round: until its last component's ticks were sent, for a control round until they had drained.",
+		rt.metrics.tickRoundTime.Snapshot)
 	r.CounterFunc("stream_rebalances_total",
 		"Completed live rebalances on this topology.",
 		func() int64 { return rt.rebalances.Load() })

@@ -92,6 +92,11 @@ const DefaultLinger = time.Millisecond
 // a bolt can have staged: metricsFlushBatches × maxBatch tuples.
 const metricsFlushBatches = 16
 
+// idleTickFraction is the share of its own period a ticked bolt must have
+// gone without a tick before an idle round (see runTicker) may tick it
+// again: one sixteenth, 6.25 ms of the default 100 ms flush interval.
+const idleTickFraction = 16
+
 type ctrlMsg int
 
 const ctrlRestart ctrlMsg = iota
@@ -146,6 +151,13 @@ type runtime struct {
 	fields   map[string]map[string]Fields  // source -> stream -> field names
 	ticked   []*boltDecl                   // bolts with a tick interval, in Topology.order
 	pending  atomic.Int64
+	// entered is set by every spout delivery (an emission or a relayed
+	// ingress; never by what a bolt emits, a flush included) and cleared
+	// when an idle round starts: data has come in since the last one. idle
+	// is the 1-slot nudge that wakes the ticker when pending reaches zero
+	// with entered set.
+	entered  atomic.Bool
+	idle     chan struct{}
 	metrics  *Metrics
 	onError  func(component string, err error)
 	maxBatch int
@@ -361,7 +373,12 @@ func (c *collector) send(eb *edgeBuf, i int, probe *Tuple, values Values) {
 	}
 	c.transferred++
 	if c.task.isSpout {
+		// In this order: a ticker that clears entered and then reads the
+		// count at zero knows every delivery marked before has executed.
 		c.rt.pending.Add(1)
+		if !c.rt.entered.Load() {
+			c.rt.entered.Store(true)
+		}
 	}
 	eb.bufs[i] = append(eb.bufs[i], t)
 	c.buffered++
@@ -443,7 +460,14 @@ func (c *collector) flushAll() {
 		c.errors = 0
 	}
 	if c.acked != 0 {
-		c.rt.pending.Add(-c.acked)
+		// The pipeline has just gone idle over data that came in since the
+		// last round: the ticker need not wait out the period (runTicker).
+		if c.rt.pending.Add(-c.acked) == 0 && c.rt.entered.Load() {
+			select {
+			case c.rt.idle <- struct{}{}:
+			default:
+			}
+		}
 		c.acked = 0
 	}
 	if len(c.ackBuf) > 0 {
@@ -515,6 +539,7 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 		maxBatch:   t.maxBatch,
 		linger:     t.linger,
 		gaugeMax:   make(map[string]int),
+		idle:       make(chan struct{}, 1),
 		spoutStop:  make(chan struct{}),
 		tickerStop: make(chan struct{}),
 	}
@@ -888,26 +913,63 @@ func (rt *runtime) runBoltTask(decl *boltDecl, tk *task) {
 	}
 }
 
-// runTicker is the topology's one periodic ticker: it sleeps until the
-// earliest ticked bolt is due and runs one tickRound over the bolts due by
-// then. A bolt whose next tick came due while the round waited is ticked
-// again at once, and later ones are dropped, as a time.Ticker does for a
-// slow receiver.
+// runTicker is the topology's one ticker. A bolt's tick period is a ceiling,
+// the longest what it staged waits, not a schedule. The ticker sleeps until
+// the earliest ticked bolt's period runs out and runs one tickRound over the
+// bolts due by then (cause "period"); but when the pipeline goes idle first
+// over data that entered since the last idle round (the in-flight count
+// reaches zero and collector.flushAll nudges rt.idle), the round runs at once
+// (cause "idle") over every bolt whose previous tick is at least one
+// idleTickFraction-th of its own period old, provided the count is still
+// zero as the round starts. A nudge that comes sooner than that re-arms the
+// timer for the moment the sixteenth has passed, and an idle tick restarts
+// the bolt's period. "Data" is a spout delivery: what a flush emits does not
+// set rt.entered, so no round feeds the next and an idle topology ticks at
+// its period and no faster. Behind a backlog the count does not reach zero,
+// no idle round runs, and the combiner window stays the period.
+//
+// A bolt whose period ran out again while a round waited is ticked again at
+// once, and later ones are dropped, as a time.Ticker does for a slow
+// receiver.
 func (rt *runtime) runTicker() {
 	defer rt.tickerWG.Done()
+	// next is when each bolt's period runs out: one period after its last
+	// tick (or the start), so early is a sixteenth after that tick.
 	next := make(map[*boltDecl]time.Time, len(rt.ticked))
 	start := time.Now()
 	for _, d := range rt.ticked {
 		next[d] = start.Add(d.tick)
 	}
+	period := func(d *boltDecl) time.Time { return next[d] }
+	early := func(d *boltDecl) time.Time { return next[d].Add(d.tick/idleTickFraction - d.tick) }
+	// passed reports whether the moment at names has come for any bolt.
+	passed := func(at func(*boltDecl) time.Time, now time.Time) bool {
+		for _, d := range rt.ticked {
+			if !at(d).After(now) {
+				return true
+			}
+		}
+		return false
+	}
+	// The next wake-up: the earliest period to run out or, with data waiting
+	// for an idle round, the earliest sixteenth still ahead (one already
+	// passed waits for the nudge).
 	untilNext := func() time.Duration {
+		now := time.Now()
 		wake := next[rt.ticked[0]]
 		for _, d := range rt.ticked[1:] {
 			if next[d].Before(wake) {
 				wake = next[d]
 			}
 		}
-		return time.Until(wake)
+		if rt.entered.Load() {
+			for _, d := range rt.ticked {
+				if e := early(d); e.After(now) && e.Before(wake) {
+					wake = e
+				}
+			}
+		}
+		return wake.Sub(now)
 	}
 	timer := time.NewTimer(untilNext())
 	defer timer.Stop()
@@ -916,13 +978,30 @@ func (rt *runtime) runTicker() {
 		case <-rt.tickerStop:
 			return
 		case <-timer.C:
+		case <-rt.idle:
 		}
 		now := time.Now()
-		rt.tickRound(func(d *boltDecl) bool { return !next[d].After(now) }, false, false)
-		end := time.Now()
-		for _, d := range rt.ticked {
-			if !next[d].After(now) {
-				if next[d] = next[d].Add(d.tick); next[d].Before(end) {
+		limit, cause := period, tickPeriod
+		if passed(early, now) && rt.claimIdle() {
+			limit = early
+			if !passed(period, now) {
+				cause = tickIdle
+			}
+		}
+		if passed(limit, now) {
+			due := func(d *boltDecl) bool { return !limit(d).After(now) }
+			rt.countedRound(cause, due, false, false)
+			end := time.Now()
+			for _, d := range rt.ticked {
+				if !due(d) {
+					continue
+				}
+				if next[d].After(now) {
+					next[d] = now.Add(d.tick) // ticked early: the period restarts here
+				} else {
+					next[d] = next[d].Add(d.tick)
+				}
+				if next[d].Before(end) {
 					next[d] = end
 				}
 			}
@@ -931,8 +1010,27 @@ func (rt *runtime) runTicker() {
 	}
 }
 
-// tickRound is the one place ticks are delivered: periodic ticks, Quiesce,
-// the rebalance pre-flush and the shutdown cascade all run it. It sends one
+// claimIdle reports whether an idle round may start now: data has entered
+// since the last one and nothing is in flight. It clears entered before it
+// reads the count, the reverse of a spout delivery (collector.send), so at
+// zero every delivery marked before the claim has been executed and what it
+// staged is there for the round's ticks to flush; one that comes after marks
+// entered again.
+func (rt *runtime) claimIdle() bool {
+	if !rt.entered.Load() {
+		return false
+	}
+	rt.entered.Store(false)
+	if rt.pending.Load() == 0 {
+		return true
+	}
+	rt.entered.Store(true)
+	return false
+}
+
+// tickRound is the one place ticks are delivered: the ticker's period and
+// idle rounds, Quiesce, the rebalance pre-flush and the shutdown cascade all
+// run it (through countedRound). It sends one
 // tick to every task of each ticked bolt that due selects (nil selects all),
 // walking the bolts in Topology.order, and delivers a component's tick only
 // after every task of the component before it has executed its own. That
@@ -992,6 +1090,17 @@ func (rt *runtime) tickRound(due func(*boltDecl) bool, final, frozen bool) {
 			rt.waitQuiescent()
 		}
 	}
+}
+
+// countedRound is tickRound counted by what started it and timed
+// (stream_tick_rounds_total, stream_tick_round_seconds) as it returns: a
+// live round when its last component's ticks have been sent, a frozen one
+// when they have drained.
+func (rt *runtime) countedRound(cause tickCause, due func(*boltDecl) bool, final, frozen bool) {
+	began := obsv.Now()
+	rt.tickRound(due, final, frozen)
+	rt.metrics.tickRounds[cause].Add(1)
+	rt.metrics.tickRoundTime.Observe(obsv.Now() - began)
 }
 
 // waitQuiescent blocks until no tuples are queued or executing, backing
@@ -1081,7 +1190,7 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 		rt.rebalanceMu.Lock()
 		rt.closed = true
 		rt.rebalanceMu.Unlock()
-		rt.tickRound(nil, true, true) // cascade final combiner flushes
+		rt.countedRound(tickControl, nil, true, true) // cascade final combiner flushes
 		for _, name := range t.Components() {
 			ct := rt.comps[name]
 			if !ct.isSpout {
@@ -1171,7 +1280,7 @@ func (h *RunningTopology) Quiesce(fn func() error) error {
 	rt.freeze()
 	// Push buffered combiner aggregates downstream with regular ticks: the
 	// bolts keep running.
-	rt.tickRound(nil, false, true)
+	rt.countedRound(tickControl, nil, false, true)
 	return fn()
 }
 
@@ -1232,7 +1341,7 @@ func (rt *runtime) rebalance(component string, n int) error {
 	// 2. Flush the component's buffered aggregates downstream. A regular
 	// tick (no "final" marker) leaves combiners running; they simply emit
 	// what they hold, which the fresh instances will not have.
-	rt.tickRound(func(d *boltDecl) bool { return d == decl }, false, true)
+	rt.countedRound(tickControl, func(d *boltDecl) bool { return d == decl }, false, true)
 
 	// 3. Retire the old generation under the tick gate.
 	rt.tickGate.Lock()

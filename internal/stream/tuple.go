@@ -15,8 +15,8 @@
 //     (Nimbus/Supervisor in Storm, Supervisor here), so that all durable
 //     state lives in an external store (TDStore) and a crashed task can
 //     be relaunched "like nothing happened" (§3.1);
-//   - tick tuples delivered at fixed intervals, which drive the combiner
-//     flushes of §5.3.
+//   - tick tuples delivered at least once per interval, which drive the
+//     combiner flushes of §5.3.
 //
 // Workers are goroutines rather than processes, and routing is by channel
 // rather than by network, but the visible semantics — partitioning,

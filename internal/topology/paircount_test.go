@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"tencentrec/internal/core"
+	"tencentrec/internal/obsv"
 	"tencentrec/internal/stream"
 )
 
@@ -518,10 +521,31 @@ func TestItemCountFlushReadError(t *testing.T) {
 	}
 }
 
+// tickRounds is stream_tick_rounds_total summed over its causes.
+func tickRounds(t *testing.T, reg *obsv.Registry) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var families map[string][]struct {
+		Value *int64 `json:"value"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &families); err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, row := range families["stream_tick_rounds_total"] {
+		n += *row.Value
+	}
+	return n
+}
+
 // TestFirstTickRoundScoresExactly: one wave of actions through a
 // long-running topology, all of it buffered in the combiners before the
-// first interval tick. The engine ticks itemCount before pairCount and
-// waits for the first to have executed, so after that one periodic round —
+// first tick round, the idle round that follows the wave. The engine ticks
+// itemCount before pairCount and waits for the first to have executed, so
+// after that one live round —
 // no Quiesce, no final tick — every stored similarity is the library's.
 // (With free-running per-bolt tickers a score could read item counts that
 // were half flushed or not flushed at all, and was only repaired one
@@ -541,7 +565,8 @@ func TestFirstTickRoundScoresExactly(t *testing.T) {
 		spout := func() stream.Spout {
 			return &roundSpout{actions: append(actions[:len(actions):len(actions)], RawAction{}), round: len(actions), release: release, emitted: &emitted}
 		}
-		topo, err := NewBuilder("firstround", spout, st, p).WithParallelism(par).Build()
+		reg := obsv.NewRegistry()
+		topo, err := NewBuilder("firstround", spout, st, p).WithParallelism(par).WithObservability(reg, nil).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,16 +576,20 @@ func TestFirstTickRoundScoresExactly(t *testing.T) {
 		for emitted.Load() < int64(len(actions)) || h.InFlight() != 0 {
 			time.Sleep(100 * time.Microsecond)
 		}
-		before := h.Metrics().Components[UnitPairCount]
-		if time.Since(start) >= interval-interval/10 || before.Emitted != 0 {
+		// The round is over when it has been counted (its last ticks are sent
+		// by then) and what they emitted has been executed and written.
+		for tickRounds(t, reg) == 0 || h.InFlight() != 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		// It scored the whole wave if it began after the wave was in: had any
+		// of it entered later, the pipeline going idle again would have brought
+		// a second round a sixteenth of the interval after the first (and a
+		// wave that outlasts the interval is cut by a period round).
+		time.Sleep(interval / 8)
+		if n := tickRounds(t, reg); n != 1 {
 			h.Stop()
 			h.Wait()
-			t.Skipf("the wave took %v, past the first %v tick", time.Since(start), interval)
-		}
-		// The round is over when both pairCount tasks have executed its tick
-		// and what they emitted has been executed and written.
-		for h.Metrics().Components[UnitPairCount].Executed < before.Executed+int64(par.PairCount) || h.InFlight() != 0 {
-			time.Sleep(100 * time.Microsecond)
+			t.Skipf("%d tick rounds %v after the start: the first began before the whole wave was in", n, time.Since(start))
 		}
 		srv := NewServing(st, p)
 		checked := 0

@@ -36,7 +36,12 @@ type Params struct {
 	// are dropped and the DB complement kicks in (§4.3).
 	MinSimilarity float64
 
-	// FlushInterval is the combiner tick period (§5.3). Default 100ms.
+	// FlushInterval is the combiner tick period (§5.3): the longest a staged
+	// delta waits for its flush. Under backlog it is also how often the
+	// combiners flush; when the pipeline goes idle over new input they are
+	// ticked at once (no sooner than a sixteenth of the interval after the
+	// last tick), so a trickle is queryable a tick round after its work is
+	// done. Default 100ms.
 	FlushInterval time.Duration
 	// CacheSize is the per-task fine-grained cache capacity (§5.2).
 	// Negative disables caching. Default 4096.

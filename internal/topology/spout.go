@@ -68,8 +68,13 @@ type TDAccessSpout struct {
 	group  string
 	// PollBatch bounds messages fetched per NextTuple. Default 256.
 	pollBatch int
-	// idleSleep throttles polling when the topic is drained.
+	// idleSleep throttles polling when the topic is drained: the poll
+	// after an empty one waits this long first. The empty poll itself
+	// returns at once, so the engine hands over what the poll before it
+	// emitted (an idle poll flushes the collector) instead of holding it
+	// in the spout's buffer through the sleep.
 	idleSleep time.Duration
+	drained   bool
 	// stopWhenDrained makes NextTuple return false once the topic is
 	// empty — finite-run mode for tests and benches. Production spouts
 	// keep polling forever.
@@ -178,9 +183,13 @@ func (s *TDAccessSpout) NextTuple() bool {
 		time.Sleep(s.idleSleep)
 		return true
 	}
+	if s.drained {
+		time.Sleep(s.idleSleep)
+	}
 	// Poll hands back what the partitions before a failing one gave, and
 	// their read positions have already moved past it: emit that first.
 	msgs, err := s.consumer.Poll(s.pollBatch)
+	s.drained = false
 	s.emit(msgs)
 	if err != nil {
 		// Data-server hiccup: capped exponential backoff. TDAccess
@@ -198,7 +207,7 @@ func (s *TDAccessSpout) NextTuple() bool {
 		if s.stopWhenDrained && (!s.acking || s.inflight == 0) {
 			return false
 		}
-		time.Sleep(s.idleSleep)
+		s.drained = true
 	}
 	return true
 }

@@ -16,15 +16,28 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== go test -race elastic parallelism (rebalance, backpressure, overflow, restart stress, write-behind flush hook, ordered tick round, keyed runs, one tuple per delivery)"
+echo "== go test -race elastic parallelism (rebalance, backpressure, overflow, restart stress, write-behind flush hook, ordered tick round, idle rounds, keyed runs, one tuple per delivery)"
 go test -race -run 'TestRebalance|TestBurst|TestBackpressure|TestOverflow|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery' ./internal/stream/
 
-echo "== go test -race serving tier (singleflight, TTL, negative cache, hedged reads)"
+echo "== go test -race serving tier (singleflight, TTL, negative cache and its drop on write, hedged reads)"
 go test -race -run 'TestSingleflight|TestCoalesced|TestCache|TestNegativeCache|TestInvalidate|TestLRU|TestGetBatch|TestHedge|TestConcurrentMixedLoad' ./internal/serving/
 
 echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores"
 go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
+
+# The test skips itself unless exactly one tick round had run when it read
+# the lists; a guard that skips every time gates nothing.
+echo "== first tick round scores exactly: at least four of five -race runs assert rather than skip"
+first_out=$(go test -race -count=5 -v -run '^TestFirstTickRoundScoresExactly$' ./internal/topology/ 2>&1) || {
+	echo "$first_out"
+	exit 1
+}
+echo "$first_out" | grep -E '^(--- |ok)'
+if [ "$(echo "$first_out" | grep -c '^--- PASS: TestFirstTickRoundScoresExactly')" -lt 4 ]; then
+	echo "check: TestFirstTickRoundScoresExactly skipped in more than one of five -race runs" >&2
+	exit 1
+fi
 
 echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore, serving, obsv)"
 go test -race ./internal/stream/... ./internal/topology/... ./internal/tdaccess/... ./internal/tdstore/... ./internal/serving/ ./internal/obsv/

@@ -270,28 +270,8 @@ func Open(cfg SystemConfig) (*System, error) {
 	if c.TraceEvery >= 0 {
 		tracer = obsv.NewTracer(c.TraceEvery, obsv.DefaultTraceRing)
 	}
-	spout := topology.NewTDAccessSpout(topology.TDAccessSpoutConfig{
-		Broker:  broker,
-		Topic:   c.Topic,
-		Group:   consumerGroup,
-		Emitted: replayed,
-	})
-	tb := topology.NewBuilder("tencentrec", spout, client, c.Params).
-		WithFeatures(c.Features).
-		WithParallelism(c.Parallelism).
-		WithObservability(registry, tracer).
-		WithQueueDepth(c.QueueDepth).
-		WithBackpressure(c.BackpressureHigh, c.BackpressureLow)
-	if c.OverflowSpill {
-		tb = tb.WithOverflow(filepath.Join(c.DataDir, "overflow"))
-	}
-	topo, err := tb.Build()
-	if err != nil {
-		broker.Close()
-		cluster.Close()
-		return nil, fmt.Errorf("tencentrec: build topology: %w", err)
-	}
 	eng := topology.NewServing(client, c.Params)
+	var state topology.State = client
 	var reader *serving.Reader
 	if !c.DisableServingTier {
 		// The serving tier fronts query reads with a decoded-result cache,
@@ -312,6 +292,28 @@ func Open(cfg SystemConfig) (*System, error) {
 		reader = serving.NewReader(client, scfg)
 		reader.Instrument(registry)
 		eng.WithReader(reader)
+		state = servedState{client, reader}
+	}
+	spout := topology.NewTDAccessSpout(topology.TDAccessSpoutConfig{
+		Broker:  broker,
+		Topic:   c.Topic,
+		Group:   consumerGroup,
+		Emitted: replayed,
+	})
+	tb := topology.NewBuilder("tencentrec", spout, state, c.Params).
+		WithFeatures(c.Features).
+		WithParallelism(c.Parallelism).
+		WithObservability(registry, tracer).
+		WithQueueDepth(c.QueueDepth).
+		WithBackpressure(c.BackpressureHigh, c.BackpressureLow)
+	if c.OverflowSpill {
+		tb = tb.WithOverflow(filepath.Join(c.DataDir, "overflow"))
+	}
+	topo, err := tb.Build()
+	if err != nil {
+		broker.Close()
+		cluster.Close()
+		return nil, fmt.Errorf("tencentrec: build topology: %w", err)
 	}
 	s := &System{
 		cfg:      c,
@@ -328,6 +330,30 @@ func Open(cfg SystemConfig) (*System, error) {
 	}
 	s.running = topo.Submit()
 	return s, nil
+}
+
+// servedState is the topology's State when the serving tier is on: the
+// store client, with every key the topology writes (similar-items lists,
+// user histories, hot lists; counters too, which the tier never holds)
+// dropped from the tier's negative entries once the write has returned. A
+// cached "absent" is then never older than the write that made it wrong, so
+// a new item or user shows a tick round after its first action, not a
+// negative TTL after that.
+type servedState struct {
+	*tdstore.Client
+	reader *serving.Reader
+}
+
+func (s servedState) Put(key string, value []byte) error {
+	err := s.Client.Put(key, value)
+	s.reader.DropNegative(key)
+	return err
+}
+
+func (s servedState) BatchPut(keys []string, values [][]byte) error {
+	err := s.Client.BatchPut(keys, values)
+	s.reader.DropNegative(keys...)
+	return err
 }
 
 // Checkpoint drains the pipeline and writes an offset-anchored store

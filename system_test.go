@@ -2,6 +2,7 @@ package tencentrec
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -364,5 +365,76 @@ func TestDrainIsACompletionPoint(t *testing.T) {
 	}
 	if fmt.Sprint(later) != fmt.Sprint(sims) {
 		t.Errorf("SimilarItems(v0) changed after Drain returned:\n at Drain %v\n later    %v", sims, later)
+	}
+}
+
+// freshnessTrial publishes (u,A),(u,B) for ids nobody has used and polls
+// SimilarItems(A) once a millisecond until B shows, and returns how long
+// after the publish that was. With pollFirst the poll starts before the
+// publish, so the serving tier holds a negative entry for A's list when the
+// write lands.
+func freshnessTrial(t *testing.T, s *System, id string, pollFirst bool) time.Duration {
+	t.Helper()
+	a, b := "fa-"+id, "fb-"+id
+	sees := func() bool {
+		list, err := s.SimilarItems(a, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range list {
+			if it.Item == b {
+				return true
+			}
+		}
+		return false
+	}
+	if pollFirst && sees() {
+		t.Fatalf("%s has a similar-items list before anything was published", a)
+	}
+	start := time.Now()
+	for i, item := range []string{a, b} {
+		if err := s.Publish(RawAction{User: "fu-" + id, Item: item, Action: "click", TS: start.Add(time.Duration(i) * time.Millisecond).UnixNano()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for !sees() {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%s never showed in SimilarItems(%s)", b, a)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return time.Since(start)
+}
+
+// TestFreshnessBoundedByWork: on a default system (100 ms flush interval,
+// serving tier on) an action into an idle pipeline is queryable a tick round
+// after the work is done, not a period and a negative TTL later: the median
+// of twenty trials is under half the interval, no trial exceeds a period plus
+// a negative TTL, and a poll that cached "absent" before the write sees the
+// write as it lands, because the write drops that entry.
+func TestFreshnessBoundedByWork(t *testing.T) {
+	s, err := Open(SystemConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const interval, negTTL = 100 * time.Millisecond, 100 * time.Millisecond
+	for _, pollFirst := range []bool{false, true} {
+		took := make([]time.Duration, 20)
+		for i := range took {
+			took[i] = freshnessTrial(t, s, fmt.Sprintf("%v-%d", pollFirst, i), pollFirst)
+			if took[i] > interval+negTTL {
+				t.Errorf("pollFirst=%v trial %d: visible after %v, past one period plus one negative TTL", pollFirst, i, took[i])
+			}
+		}
+		sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+		t.Logf("pollFirst=%v: min %v median %v max %v", pollFirst, took[0], took[len(took)/2], took[len(took)-1])
+		if med := took[len(took)/2]; med >= interval/2 {
+			t.Errorf("pollFirst=%v: median %v to see the action, want under %v", pollFirst, med, interval/2)
+		}
+	}
+	dropped := s.Registry().Counter("serving_cache_negative_dropped_total", "").Value()
+	if dropped < 20 {
+		t.Errorf("serving_cache_negative_dropped_total = %d, want one per trial that polled before its write", dropped)
 	}
 }
