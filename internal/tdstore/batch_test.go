@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// allPositions returns 0..n-1: a fresh batch's pending set spelled out,
+// where the client passes nil.
+func allPositions(n int) []int {
+	pending := make([]int, n)
+	for i := range pending {
+		pending[i] = i
+	}
+	return pending
+}
+
 func TestBatchPutGetRoundTrip(t *testing.T) {
 	c, cl := newTestCluster(t, Options{DataServers: 4, Instances: 16})
 	var keys []string

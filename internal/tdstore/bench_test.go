@@ -92,6 +92,35 @@ func BenchmarkStoreParallelPut(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreParallelBatchPut measures the batched write: 64 keys of
+// 16 bytes per op, grouped per server and per instance, with the
+// replication ops each sub-batch leaves on its server's queue. It
+// allocates the client's copy of each value and a fixed handful besides,
+// however many servers the 64 keys span.
+func BenchmarkStoreParallelBatchPut(b *testing.B) {
+	_, cl, keys := benchCluster(b)
+	const batch = 64
+	val := []byte("0123456789abcdef")
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		buf := make([]string, batch)
+		vals := make([][]byte, batch)
+		for j := range vals {
+			vals[j] = val
+		}
+		for pb.Next() {
+			for j := range buf {
+				buf[j] = keys[(i+j)&(len(keys)-1)]
+			}
+			if err := cl.BatchPut(buf, vals); err != nil {
+				b.Fatal(err)
+			}
+			i += batch
+		}
+	})
+}
+
 // BenchmarkStoreParallelIncr measures the read-modify-write counter path
 // under its per-instance (not server-wide) write exclusivity.
 func BenchmarkStoreParallelIncr(b *testing.B) {

@@ -43,6 +43,7 @@ type batchItem struct {
 // serverGroup is the sub-batch of one request attempt bound for one data
 // server, and that server's answer.
 type serverGroup struct {
+	id    string // the server's ID as the route names it
 	ds    *DataServer
 	items []batchItem
 	err   error
@@ -62,6 +63,9 @@ func (g *serverGroup) dispatch(send groupSend) {
 // for small batches pays no goroutine — and the worker set never exceeds
 // GOMAXPROCS: data servers are in-process and CPU-bound, so extra
 // goroutines beyond the scheduler's parallelism only add switch cost.
+// The caller is one of the workers, and every worker runs the same
+// closure: a fan-out allocates that closure and its shared counters, the
+// same two allocations however many groups and workers it has.
 func runGroups(groups []serverGroup, send groupSend) {
 	workers := min(len(groups), batchFanout, runtime.GOMAXPROCS(0))
 	if workers <= 1 {
@@ -70,22 +74,26 @@ func runGroups(groups []serverGroup, send groupSend) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
-					return
-				}
-				groups[i].dispatch(send)
-			}
-		}()
+	var shared struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	wg.Wait()
+	shared.wg.Add(workers)
+	work := func() {
+		defer shared.wg.Done()
+		for {
+			i := int(shared.next.Add(1)) - 1
+			if i >= len(groups) {
+				return
+			}
+			groups[i].dispatch(send)
+		}
+	}
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	shared.wg.Wait()
 }
 
 // routeRefreshRetries bounds how many times refreshRoute re-asks the
@@ -239,8 +247,10 @@ func (cl *Client) Get(key string) (v []byte, ok bool, err error) {
 }
 
 // Put stores value under key and replicates to the instance's slaves.
-// The client copies value once: the copy is what the replication queue
-// holds after Put returns, so the caller may reuse its buffer.
+// The client copies value once, and that copy is the stored value: the
+// host's engine keeps it, the replication queue carries it and every
+// slave's engine keeps it too (engines take the slice they are given and
+// never write to it). The caller may reuse its buffer at once.
 func (cl *Client) Put(key string, value []byte) error {
 	defer cl.observe(clientPut, cl.begin())
 	cp := append([]byte(nil), value...)
@@ -281,48 +291,107 @@ func (cl *Client) IncrFloat(key string, delta float64) (float64, error) {
 	return out, err
 }
 
+// maxStackInstances is the largest route whose per-instance counters
+// attempt keeps on its stack; a route with more instances allocates them.
+const maxStackInstances = 64
+
 // attempt is one pass of the batched request path: it resolves the
 // cached route once, groups the pending positions of keys by target
 // server (the host of each key's instance, or with replica set its first
 // slave where it has one), fans the groups out and collects the answers.
-// It returns the positions whose server gave a retryable answer together
-// with that error; groups that succeeded are done and are never re-sent.
-// Any other error is returned at once, with no positions.
+// pending lists the positions to send; nil means all of keys, a fresh
+// batch. It returns the positions whose server gave a retryable answer
+// together with that error; groups that succeeded are done and are never
+// re-sent. Any other error is returned at once, with no positions.
+//
+// Grouping is a counting pass over the instances, which are a small dense
+// range each bound for one server: one slice holds every item, a group is
+// a contiguous part of it, and within a group each instance's items are a
+// contiguous run in batch order, so hostBatchPut takes one mutex per
+// instance and of two writes to one key the later wins. What it allocates
+// (the items, the groups) does not depend on how many servers a batch
+// spans.
 //
 // send runs on up to batchFanout goroutines at once, one call per group;
 // the groups cover disjoint positions, so a send that only touches its
 // items' positions of shared slices is data-race free by construction.
 func (cl *Client) attempt(keys []string, pending []int, replica bool, send groupSend) ([]int, error) {
-	if len(pending) == 0 {
+	n := len(pending)
+	if pending == nil {
+		n = len(keys)
+	}
+	if n == 0 {
 		return nil, nil
 	}
+	position := func(j int) int {
+		if pending == nil {
+			return j
+		}
+		return pending[j]
+	}
 	rt := cl.cachedRoute()
-	groups := make(map[string]int)
-	// One allocation holds as many groups as can be in flight at once; a
-	// batch that spans more servers grows it.
-	flat := make([]serverGroup, 0, batchFanout)
-	for _, pos := range pending {
-		inst := rt.InstanceFor(keys[pos])
+	// Per instance: how many keys it holds, later where its run starts;
+	// and 1 + the index of its group, 0 for an instance with no keys.
+	var stack [2 * maxStackInstances]int32
+	scratch := stack[:]
+	if rt.NumInstances > maxStackInstances {
+		scratch = make([]int32, 2*rt.NumInstances)
+	}
+	runAt, groupOf := scratch[:rt.NumInstances], scratch[rt.NumInstances:2*rt.NumInstances]
+	spanned := 0 // instances with keys, at least as many as the groups
+	for j := 0; j < n; j++ {
+		inst := rt.InstanceFor(keys[position(j)])
+		if runAt[inst] == 0 {
+			spanned++
+		}
+		runAt[inst]++
+	}
+	// One allocation holds the groups, up to as many as can be in flight
+	// at once; a batch that spans more servers grows it.
+	groups := make([]serverGroup, 0, min(spanned, batchFanout))
+	for inst, count := range runAt {
+		if count == 0 {
+			continue
+		}
 		target := rt.Hosts[inst]
 		if replica && len(rt.Slaves[inst]) > 0 {
 			target = rt.Slaves[inst][0]
 		}
-		gi, ok := groups[target]
-		if !ok {
-			gi = len(flat)
-			groups[target] = gi
-			g := serverGroup{}
+		gi := 0
+		for gi < len(groups) && groups[gi].id != target {
+			gi++
+		}
+		if gi == len(groups) {
+			g := serverGroup{id: target}
+			var ok bool
 			if g.ds, ok = cl.c.server(target); !ok {
 				g.err = fmt.Errorf("tdstore: route names unknown server %q", target)
 			}
-			flat = append(flat, g)
+			groups = append(groups, g)
 		}
-		flat[gi].items = append(flat[gi].items, batchItem{inst: inst, key: keys[pos], pos: pos})
+		groupOf[inst] = int32(gi) + 1
 	}
-	runGroups(flat, send)
+	items := make([]batchItem, n)
+	var end int32
+	for gi := range groups {
+		start := end
+		for inst, g := range groupOf {
+			if g == int32(gi)+1 {
+				runAt[inst], end = end, end+runAt[inst]
+			}
+		}
+		groups[gi].items = items[start:end]
+	}
+	for j := 0; j < n; j++ {
+		pos := position(j)
+		inst := rt.InstanceFor(keys[pos])
+		items[runAt[inst]] = batchItem{inst: inst, key: keys[pos], pos: pos}
+		runAt[inst]++
+	}
+	runGroups(groups, send)
 	var stale []int
 	var lastErr error
-	for _, g := range flat {
+	for _, g := range groups {
 		if g.err == nil {
 			continue
 		}
@@ -341,9 +410,12 @@ func (cl *Client) attempt(keys []string, pending []int, replica bool, send group
 // while some server's sub-batch came back retryable, one retryPause per
 // attempt (so a stale route refreshes once per batch attempt, not once
 // per key) and another attempt for those positions only, up to
-// clientRetries times.
+// clientRetries times. pending is attempt's: nil for every key.
 func (cl *Client) routed(what string, keys []string, pending []int, send groupSend) error {
 	n := len(pending)
+	if pending == nil {
+		n = len(keys)
+	}
 	var lastErr error
 	backoff := clientRetryBackoff
 	for attempt := 0; attempt <= clientRetries; attempt++ {
@@ -357,15 +429,6 @@ func (cl *Client) routed(what string, keys []string, pending []int, send groupSe
 		}
 	}
 	return fmt.Errorf("tdstore: %s of %d keys: retries exhausted: %w", what, n, lastErr)
-}
-
-// allPositions returns 0..n-1, the pending set of a fresh batch.
-func allPositions(n int) []int {
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
-	return pending
 }
 
 // readInto is the send of a batched read: each group fills its items'
@@ -383,7 +446,7 @@ func readInto(vals [][]byte, found []bool, replica bool) groupSend {
 func (cl *Client) BatchGet(keys []string) ([][]byte, []bool, error) {
 	defer cl.observe(clientBatchGet, cl.begin())
 	vals, found := make([][]byte, len(keys)), make([]bool, len(keys))
-	if err := cl.routed("batch get", keys, allPositions(len(keys)), readInto(vals, found, false)); err != nil {
+	if err := cl.routed("batch get", keys, nil, readInto(vals, found, false)); err != nil {
 		return nil, nil, err
 	}
 	return vals, found, nil
@@ -391,7 +454,8 @@ func (cl *Client) BatchGet(keys []string) ([][]byte, []bool, error) {
 
 // BatchPut stores values[i] under keys[i] through routed: each server
 // applies its group in one call with a single replication sync-op batch.
-// The client copies every value once, before the first attempt (see Put).
+// The client copies every value once, before the first attempt, and that
+// copy is the stored value on host and slaves alike (see Put).
 func (cl *Client) BatchPut(keys []string, values [][]byte) error {
 	defer cl.observe(clientBatchPut, cl.begin())
 	if len(keys) != len(values) {
@@ -401,7 +465,7 @@ func (cl *Client) BatchPut(keys []string, values [][]byte) error {
 	for i, v := range values {
 		cps[i] = append([]byte(nil), v...)
 	}
-	return cl.routed("batch put", keys, allPositions(len(keys)), func(ds *DataServer, items []batchItem) error {
+	return cl.routed("batch put", keys, nil, func(ds *DataServer, items []batchItem) error {
 		return ds.hostBatchPut(items, cps)
 	})
 }
@@ -419,7 +483,7 @@ func (cl *Client) ReplicaBatchGet(keys []string) ([][]byte, []bool, error) {
 	// down, route stale) is served through the host path, which carries
 	// its own refresh-and-retry budget. The hedge stays useful even
 	// when a replica has just died.
-	failed, err := cl.attempt(keys, allPositions(len(keys)), true, readInto(vals, found, true))
+	failed, err := cl.attempt(keys, nil, true, readInto(vals, found, true))
 	if len(failed) > 0 {
 		err = cl.routed("batch get", keys, failed, readInto(vals, found, false))
 	}

@@ -1,8 +1,10 @@
 package tdstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tencentrec/internal/tdstore/engine"
@@ -251,7 +253,16 @@ func (c *Cluster) KillDataServer(id string) error {
 }
 
 // ReviveDataServer brings a failed server back as a slave for every
-// instance it stores, after a full catch-up copy from each current host.
+// instance it stores, after a catch-up that makes its copy of each
+// instance equal to the current host's.
+//
+// Writes made while it runs are fenced twice. Cluster.mu, held
+// throughout, stalls every client operation at its route lookup
+// (Cluster.server), so the whole store waits for the catch-up. A write
+// already past its lookup is fenced by the host's write mutex of the
+// instance, held from before the copy until the revived server is
+// registered as the instance's slave: a write applied before it is in
+// the copy, and a write applied after it replicates to the revived copy.
 func (c *Cluster) ReviveDataServer(id string) error {
 	ds, ok := c.server(id)
 	if !ok {
@@ -268,20 +279,21 @@ func (c *Cluster) ReviveDataServer(id string) error {
 			continue // still the (possibly only) host
 		}
 		host := c.byID[hostID]
-		if err := catchUp(host, ds, inst); err != nil {
+		registered := slices.Contains(c.route.Slaves[int(inst)], id)
+		err := host.withInstanceFenced(inst, func() error {
+			if err := catchUp(host, ds, inst); err != nil {
+				return err
+			}
+			if !registered {
+				host.addSlave(inst, ds)
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		// Register as a slave if not already present.
-		found := false
-		for _, sid := range c.route.Slaves[int(inst)] {
-			if sid == id {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !registered {
 			c.route.Slaves[int(inst)] = append(c.route.Slaves[int(inst)], id)
-			host.addSlave(inst, ds)
 			changed = true
 		}
 	}
@@ -291,8 +303,14 @@ func (c *Cluster) ReviveDataServer(id string) error {
 	return nil
 }
 
-// catchUp copies an instance's full contents from host to the revived
-// replica.
+// catchUp makes replica's copy of inst equal to host's: every key the
+// host holds, with the host's value, and no key it lacks (a delete made
+// while the replica was down never reached it). The host's Range hands
+// out the slices its engine keeps, so the replica is given clones. It
+// returns the first engine error. The caller fences the host's writes to
+// inst; replication ops queued before the fence may still reach the
+// replica after the copy, but they arrive in host order, so each key's
+// last op is the host's current value and the copies stay equal.
 func catchUp(host, replica *DataServer, inst InstanceID) error {
 	src, ok := host.engineOf(inst)
 	if !ok {
@@ -302,10 +320,30 @@ func catchUp(host, replica *DataServer, inst InstanceID) error {
 	if !ok {
 		return fmt.Errorf("tdstore: replica %s lacks instance %d", replica.ID, inst)
 	}
-	return src.Range(func(k string, v []byte) bool {
-		_ = dst.Put(k, v)
+	absent := make(map[string]struct{}) // replica keys the host has not shown yet
+	if err := dst.Range(func(k string, _ []byte) bool {
+		absent[k] = struct{}{}
 		return true
-	})
+	}); err != nil {
+		return err
+	}
+	var putErr error
+	if err := src.Range(func(k string, v []byte) bool {
+		delete(absent, k)
+		putErr = dst.Put(k, bytes.Clone(v))
+		return putErr == nil
+	}); err != nil {
+		return err
+	}
+	if putErr != nil {
+		return putErr
+	}
+	for k := range absent {
+		if err := dst.Delete(k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WaitSync drains all pending host→slave replication in the cluster.

@@ -21,9 +21,13 @@ import (
 // Engine is the key-value contract a TDStore data server requires of a
 // storage engine. Implementations must be safe for concurrent use.
 type Engine interface {
-	// Get returns the value stored under key, and whether it exists.
+	// Get returns the value stored under key, and whether it exists. The
+	// slice is the caller's: the engine keeps no reference to it.
 	Get(key string) ([]byte, bool, error)
-	// Put stores value under key, replacing any previous value.
+	// Put stores value under key, replacing any previous value. The engine
+	// takes the slice it is given: the caller hands it over and must not
+	// modify it afterwards, and the engine never writes to it, so one
+	// slice may be handed to several engines.
 	Put(key string, value []byte) error
 	// Delete removes key. Deleting an absent key is not an error.
 	Delete(key string) error
@@ -78,7 +82,8 @@ const memShardCount = 16
 // Memory is the MDB engine: a lock-striped in-memory map with optional
 // TTL expiry. Keys spread over memShardCount shards, each guarded by its
 // own RWMutex, so concurrent access to different keys does not serialize
-// on one engine-wide lock. The zero value is not usable; construct with
+// on one engine-wide lock. An entry is the slice Put was given and a
+// deadline; Get copies out. The zero value is not usable; construct with
 // NewMemory or NewMemoryTTL.
 type Memory struct {
 	shards [memShardCount]memShard
@@ -94,9 +99,21 @@ type memShard struct {
 	_ [32]byte
 }
 
+// memEntry is 32 bytes and holds one pointer, the value's: a deadline in
+// nanoseconds rather than a time.Time keeps a map slot at 48 bytes.
 type memEntry struct {
-	value   []byte
-	expires time.Time // zero means never
+	value    []byte
+	deadline int64 // the clock's UnixNano after which the entry is gone; 0 means never
+}
+
+// expired reports whether e is past its deadline at now (UnixNano).
+func (e memEntry) expired(now int64) bool {
+	return e.deadline != 0 && now > e.deadline
+}
+
+// now is the engine clock in UnixNano.
+func (m *Memory) now() int64 {
+	return m.clock().UnixNano()
 }
 
 // NewMemory returns an MDB engine without expiry.
@@ -143,11 +160,11 @@ func (m *Memory) Get(key string) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	if !e.expires.IsZero() && m.clock().After(e.expires) {
+	if e.deadline != 0 && e.expired(m.now()) {
 		sh.mu.Lock()
 		// Recheck under the write lock: the entry may have been
 		// refreshed since the read lock was dropped.
-		if e2, ok2 := sh.data[key]; ok2 && !e2.expires.IsZero() && m.clock().After(e2.expires) {
+		if e2, ok2 := sh.data[key]; ok2 && e2.expired(m.now()) {
 			delete(sh.data, key)
 		}
 		sh.mu.Unlock()
@@ -158,13 +175,11 @@ func (m *Memory) Get(key string) ([]byte, bool, error) {
 	return out, true, nil
 }
 
-// Put implements Engine.
+// Put implements Engine: the entry is value itself, not a copy.
 func (m *Memory) Put(key string, value []byte) error {
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	e := memEntry{value: cp}
+	e := memEntry{value: value}
 	if m.ttl > 0 {
-		e.expires = m.clock().Add(m.ttl)
+		e.deadline = m.clock().Add(m.ttl).UnixNano()
 	}
 	sh := m.shard(key)
 	sh.mu.Lock()
@@ -197,12 +212,12 @@ func (m *Memory) Len() (int, error) {
 		}
 		return n, nil
 	}
-	now := m.clock()
+	now := m.now()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
 		for _, e := range sh.data {
-			if e.expires.IsZero() || !now.After(e.expires) {
+			if !e.expired(now) {
 				n++
 			}
 		}
@@ -214,12 +229,12 @@ func (m *Memory) Len() (int, error) {
 // Range implements Engine. Each shard is visited under its own read
 // lock; like Len, the iteration is a point-in-time view per shard.
 func (m *Memory) Range(fn func(key string, value []byte) bool) error {
-	now := m.clock()
+	now := m.now()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
 		for k, e := range sh.data {
-			if !e.expires.IsZero() && now.After(e.expires) {
+			if e.expired(now) {
 				continue
 			}
 			if !fn(k, e.value) {

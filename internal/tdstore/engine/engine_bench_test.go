@@ -14,19 +14,24 @@ import (
 )
 
 // seedMemory is a faithful copy of the seed MDB engine: a single
-// RWMutex guarding a single map of memEntry values (TTL machinery
-// included, as the original carried it even in non-TTL mode). Every
-// reader and writer of any key serializes on m.mu — the contention
-// point the striped Memory removes.
+// RWMutex guarding a single map of seedEntry values (TTL machinery
+// included, as the original carried it even in non-TTL mode), copying in
+// on Put as well as out on Get. Every reader and writer of any key
+// serializes on m.mu — the contention point the striped Memory removes.
 type seedMemory struct {
 	mu    sync.RWMutex
-	data  map[string]memEntry
+	data  map[string]seedEntry
 	ttl   time.Duration
 	clock func() time.Time
 }
 
+type seedEntry struct {
+	value   []byte
+	expires time.Time // zero means never
+}
+
 func newSeedMemory() *seedMemory {
-	return &seedMemory{data: make(map[string]memEntry), clock: time.Now}
+	return &seedMemory{data: make(map[string]seedEntry), clock: time.Now}
 }
 
 func (m *seedMemory) Get(key string) ([]byte, bool, error) {
@@ -52,7 +57,7 @@ func (m *seedMemory) Get(key string) ([]byte, bool, error) {
 func (m *seedMemory) Put(key string, value []byte) error {
 	cp := make([]byte, len(value))
 	copy(cp, value)
-	e := memEntry{value: cp}
+	e := seedEntry{value: cp}
 	if m.ttl > 0 {
 		e.expires = m.clock().Add(m.ttl)
 	}

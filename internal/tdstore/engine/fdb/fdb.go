@@ -230,23 +230,21 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return out, true, nil
 }
 
-// Put implements engine.Engine.
+// Put implements engine.Engine: the live map keeps value itself.
 func (s *Store) Put(key string, value []byte) error {
 	if err := s.check(); err != nil {
 		return err
 	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
 	b := s.bucketFor(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := writeRecord(b.w, false, key, cp); err != nil {
+	if err := writeRecord(b.w, false, key, value); err != nil {
 		return fmt.Errorf("fdb: append: %w", err)
 	}
 	if err := b.w.Flush(); err != nil {
 		return fmt.Errorf("fdb: flush: %w", err)
 	}
-	b.live[key] = cp
+	b.live[key] = value
 	b.records++
 	return b.maybeCompact()
 }

@@ -615,11 +615,9 @@ func (s *Store) readValue(t *sstable, te tableEntry) ([]byte, error) {
 	return v, nil
 }
 
-// Put implements engine.Engine.
+// Put implements engine.Engine: the memtable keeps value itself.
 func (s *Store) Put(key string, value []byte) error {
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	return s.write(record{key: []byte(key), value: cp})
+	return s.write(record{key: []byte(key), value: value})
 }
 
 // Delete implements engine.Engine.

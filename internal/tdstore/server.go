@@ -186,19 +186,30 @@ func (ds *DataServer) fenceWrites() {
 	}
 }
 
+// withInstanceFenced runs fn holding inst's write mutex on this server:
+// no write applies to the instance here while fn runs, and every write
+// that did has queued its replication ops.
+func (ds *DataServer) withInstanceFenced(inst InstanceID, fn func() error) error {
+	mu := ds.hosting.Load().writeMu[inst]
+	if mu == nil {
+		return fmt.Errorf("tdstore: server %s lacks instance %d", ds.ID, inst)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return fn()
+}
+
 // syncLoop applies queued mutations to slave replicas in the background,
 // reproducing the paper's "the slave data server will update its data when
 // idle" without involving the config server. Each drained batch is
 // coalesced — last write wins per (instance, key), a later delete
 // superseding earlier puts — and applied under a single hosting-snapshot
 // load, so a hot key replicates once per drain instead of once per write.
+// An op's value is the slice the host's engine keeps, and each slave's
+// engine keeps that same slice: a replica costs no copy.
 func (ds *DataServer) syncLoop() {
 	defer close(ds.syncDone)
-	// The loop and the writers trade two queue buffers: a drained batch,
-	// cleared, is what the next drain leaves the writers to fill, so the
-	// queue is not regrown from nothing after every drain.
-	var spare []syncOp
-	scratch := make(map[opKey]int, maxScratchOps)
+	var sc syncScratch
 	for {
 		ds.syncMu.Lock()
 		for len(ds.syncQueue) == 0 && !ds.syncStop {
@@ -209,21 +220,17 @@ func (ds *DataServer) syncLoop() {
 			return
 		}
 		batch := ds.syncQueue
-		ds.syncQueue = spare
+		ds.syncQueue = sc.spare
 		ds.syncMu.Unlock()
 
 		h := ds.hosting.Load()
-		for _, op := range coalesceOps(batch, scratch) {
+		last := sc.coalescer(len(batch))
+		for _, op := range coalesceOps(batch, last) {
 			for _, slave := range h.slaves[op.instance] {
 				slave.applyReplica(op)
 			}
 		}
-		clear(scratch)
-		spare = nil // a burst's buffer goes back to the collector
-		if cap(batch) <= maxSpareOps {
-			clear(batch) // drop the keys and values it pinned
-			spare = batch[:0]
-		}
+		sc.done(batch, last)
 
 		ds.syncMu.Lock()
 		ds.lag -= len(batch)
@@ -235,15 +242,87 @@ func (ds *DataServer) syncLoop() {
 }
 
 const (
-	// maxSpareOps bounds the queue buffer the sync loop keeps between
-	// drains.
-	maxSpareOps = 1024
-	// maxScratchOps is the largest batch coalesced in the loop's reused
-	// map. Most drains hold a handful of ops; clearing a map costs its
-	// capacity, so a burst gets a map of its own and the reused one stays
-	// small.
+	// maxScratchOps is the largest drain of the smallest coalescing class.
+	// Most drains hold a handful of ops.
 	maxScratchOps = 64
+	// scratchClasses is how many coalescing maps a sync loop keeps, one
+	// per factor of eight in drain size: up to 64, 512, 4,096 and 32,768
+	// ops.
+	scratchClasses = 4
+	// maxSpareOps bounds the queue buffer a sync loop keeps between drains
+	// while bursts come (56 bytes an op, 1.8 MB at most), and
+	// maxQuietSpareOps once they have stopped.
+	maxSpareOps      = 1 << 15
+	maxQuietSpareOps = 1 << 10
+	// quietDrains drains in a row of at most maxScratchOps ops mean the
+	// bursts have stopped: what they grew is let go.
+	quietDrains = 256
 )
+
+// syncScratch is what a sync loop keeps from one drain for the next, so
+// that neither the queue nor the coalescing map is regrown from nothing
+// every time. A burst grows both; they are kept while bursts keep coming,
+// and dropped for the collector after quietDrains small drains in a row,
+// so a store whose writes go on in small drains soon keeps only small
+// ones.
+type syncScratch struct {
+	// spare is the queue buffer the writers fill next: the loop and the
+	// writers trade two buffers, and this is the one the last drain
+	// emptied.
+	spare []syncOp
+	// maps holds an empty coalescing map per size class (scratchClass).
+	maps [scratchClasses]map[opKey]int
+	// quiet counts the drains in a row of at most maxScratchOps ops, up
+	// to quietDrains.
+	quiet int
+}
+
+// scratchClass is the class of the coalescing map a drain of n ops uses.
+// Clearing a map costs its capacity, not its length, so past the smallest
+// class a drain never clears a map grown by one more than eight times its
+// size. A class of scratchClasses or more means a drain larger than any
+// kept map.
+func scratchClass(n int) int {
+	c := 0
+	for limit := maxScratchOps; n > limit; limit <<= 3 {
+		c++
+	}
+	return c
+}
+
+// coalescer returns an empty map for coalescing a drain of n ops, or nil
+// for a drain larger than any kept map.
+func (sc *syncScratch) coalescer(n int) map[opKey]int {
+	c := scratchClass(n)
+	if c >= scratchClasses {
+		return nil
+	}
+	if sc.maps[c] == nil {
+		sc.maps[c] = make(map[opKey]int)
+	}
+	return sc.maps[c]
+}
+
+// done readies the scratch for the next drain once batch has been
+// applied, coalesced in m (nil for a map of its own).
+func (sc *syncScratch) done(batch []syncOp, m map[opKey]int) {
+	clear(m)
+	clear(batch) // drop the keys and values it pinned
+	limit := maxSpareOps
+	switch {
+	case len(batch) > maxScratchOps:
+		sc.quiet = 0
+	case sc.quiet < quietDrains:
+		sc.quiet++
+	default:
+		clear(sc.maps[1:])
+		limit = maxQuietSpareOps
+	}
+	sc.spare = nil
+	if cap(batch) <= limit {
+		sc.spare = batch[:0]
+	}
+}
 
 // opKey identifies what a replicated mutation overwrites.
 type opKey struct {
@@ -254,14 +333,13 @@ type opKey struct {
 // coalesceOps collapses a drained sync batch to one op per (instance,
 // key), keeping queue order among survivors. Queue order is host apply
 // order, so the last op for a key — put or delete — is the one that
-// matters; everything earlier is superseded. scratch is an empty map
-// the caller clears afterwards.
-func coalesceOps(batch []syncOp, scratch map[opKey]int) []syncOp {
+// matters; everything earlier is superseded. last is an empty map the
+// caller clears afterwards, or nil for one of the batch's own.
+func coalesceOps(batch []syncOp, last map[opKey]int) []syncOp {
 	if len(batch) <= 1 {
 		return batch
 	}
-	last := scratch
-	if len(batch) > maxScratchOps {
+	if last == nil {
 		last = make(map[opKey]int, len(batch))
 	}
 	for i, op := range batch {
@@ -401,61 +479,46 @@ func (ds *DataServer) batchGet(items []batchItem, vals [][]byte, found []bool, r
 }
 
 // hostBatchPut serves a batched write of values[it.pos] under each
-// item's key. Items are grouped by instance and each group is applied
+// item's key. Each run of consecutive items of one instance is applied
 // under that instance's write mutex with its replication ops enqueued
 // before the mutex is released (the same fence contract as hostMutate).
-// Writers of different instances proceed in parallel.
+// attempt hands a server its items as one run per instance, each in batch
+// order, so a key written twice in a batch keeps its later value, on the
+// host and on the slaves. Writers of different instances proceed in
+// parallel. Nothing is allocated here: the engines keep values[it.pos]
+// as they are, and so does the replication queue.
 func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 	h := ds.hosting.Load()
 	if h.down {
 		return ErrServerDown
 	}
-	var last InstanceID
-	for _, it := range items {
-		if !h.hostOf[it.inst] {
+	for i, it := range items {
+		if (i == 0 || it.inst != items[i-1].inst) && !h.hostOf[it.inst] {
 			return ErrNotHost
 		}
-		last = max(last, it.inst)
 	}
-	// Batches are built key-by-key, so instances interleave. Instance ids
-	// are a small dense range: one counting pass lists each instance's
-	// items in batch order (a key written twice keeps its later value),
-	// without comparing or moving the items themselves.
-	ends := make([]int32, last+1)
-	for _, it := range items {
-		ends[it.inst]++
-	}
-	var sum int32
-	for inst, n := range ends {
-		ends[inst] = sum // where the instance's run starts
-		sum += n
-	}
-	order := make([]int32, len(items))
-	for i, it := range items {
-		order[ends[it.inst]] = int32(i)
-		ends[it.inst]++ // in the end, where its run ends
-	}
-	start := int32(0)
-	for inst, end := range ends {
-		if end == start {
-			continue
+	for rest := items; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].inst == rest[0].inst {
+			n++
 		}
-		if err := ds.putRun(InstanceID(inst), items, order[start:end], values); err != nil {
+		if err := ds.putRun(rest[:n], values); err != nil {
 			// Already-applied runs will be re-applied on retry; Put is
 			// idempotent so partial application is safe.
 			return err
 		}
-		start = end
+		rest = rest[n:]
 	}
 	ds.batchPutCalls.Add(1)
 	ds.batchPutKeys.Add(int64(len(items)))
 	return nil
 }
 
-// putRun applies one instance's items of a batched write (items[i] for i
-// in run) under its write mutex, appending their replication ops to the
-// queue before release.
-func (ds *DataServer) putRun(inst InstanceID, items []batchItem, run []int32, values [][]byte) error {
+// putRun applies a run of one instance's items of a batched write under
+// its write mutex, appending their replication ops to the queue before
+// release.
+func (ds *DataServer) putRun(run []batchItem, values [][]byte) error {
+	inst := run[0].inst
 	h := ds.hosting.Load()
 	mu := h.writeMu[inst]
 	if mu == nil {
@@ -471,15 +534,15 @@ func (ds *DataServer) putRun(inst InstanceID, items []batchItem, run []int32, va
 		return ErrNotHost
 	}
 	eng := h.instances[inst]
-	for _, i := range run {
-		if err := eng.Put(items[i].key, values[items[i].pos]); err != nil {
+	for _, it := range run {
+		if err := eng.Put(it.key, values[it.pos]); err != nil {
 			return err
 		}
 	}
 	ds.syncMu.Lock()
 	ds.syncQueue = slices.Grow(ds.syncQueue, len(run))
-	for _, i := range run {
-		ds.syncQueue = append(ds.syncQueue, syncOp{kind: opPut, instance: inst, key: items[i].key, value: values[items[i].pos]})
+	for _, it := range run {
+		ds.syncQueue = append(ds.syncQueue, syncOp{kind: opPut, instance: inst, key: it.key, value: values[it.pos]})
 	}
 	ds.lag += len(run)
 	ds.workCond.Signal()
