@@ -95,9 +95,6 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceEvery := flag.Int("trace-every", 0, "sample one tuple trace per N spout emissions (0 = default 1024, negative = off)")
 	queueDepth := flag.Int("queue-depth", 0, "per-task input queue capacity in batches (0 = engine default)")
-	bpHigh := flag.Int("bp-high", 0, "backpressure high-water mark in queued batches (0 = throttle off)")
-	bpLow := flag.Int("bp-low", 0, "backpressure low-water mark (required with -bp-high; 0 < low < high)")
-	overflowSpill := flag.Bool("overflow", false, "spill bursts to a disk ring under the data dir instead of stalling ingest")
 	noServing := flag.Bool("no-serving-tier", false, "read TDStore directly on every query, bypassing the serving tier (cache, coalescing, hedged reads)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "serving-tier result cache TTL (0 = default, negative = cache off)")
 	cacheSize := flag.Int("cache-size", 0, "serving-tier result cache capacity in entries (0 = default, negative = cache off)")
@@ -119,7 +116,6 @@ func main() {
 			storeSync: *storeSync, checkpointDir: *checkpointDir, restore: *restore,
 			enableCB: *enableCB, enableCtr: *enableCtr, enableAR: *enableAR, flush: *flush,
 			enablePprof: *enablePprof, traceEvery: *traceEvery, queueDepth: *queueDepth,
-			bpHigh: *bpHigh, bpLow: *bpLow, overflowSpill: *overflowSpill,
 			noServing: *noServing, cacheTTL: *cacheTTL, cacheSize: *cacheSize,
 			negTTL: *negTTL, hedgeDelay: *hedgeDelay,
 		})
@@ -199,8 +195,8 @@ type singleConfig struct {
 	addr, dataDir, storeEngine, storeDir, checkpointDir string
 	storeSync, restore, enableCB, enableCtr, enableAR   bool
 	flush, cacheTTL, negTTL, hedgeDelay                 time.Duration
-	enablePprof, overflowSpill, noServing               bool
-	traceEvery, queueDepth, bpHigh, bpLow, cacheSize    int
+	enablePprof, noServing                              bool
+	traceEvery, queueDepth, cacheSize                   int
 }
 
 func runSingle(c singleConfig) {
@@ -220,12 +216,9 @@ func runSingle(c singleConfig) {
 			FlushInterval: c.flush,
 			EnableAR:      c.enableAR,
 		},
-		Features:         tencentrec.Features{CF: true, CB: c.enableCB, Ctr: c.enableCtr, AR: c.enableAR},
-		TraceEvery:       c.traceEvery,
-		QueueDepth:       c.queueDepth,
-		BackpressureHigh: c.bpHigh,
-		BackpressureLow:  c.bpLow,
-		OverflowSpill:    c.overflowSpill,
+		Features:   tencentrec.Features{CF: true, CB: c.enableCB, Ctr: c.enableCtr, AR: c.enableAR},
+		TraceEvery: c.traceEvery,
+		QueueDepth: c.queueDepth,
 
 		DisableServingTier: c.noServing,
 		ServingCacheTTL:    c.cacheTTL,

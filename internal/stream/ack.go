@@ -30,10 +30,9 @@ const DefaultAckTimeout = 30 * time.Second
 // transport flush.
 const ackerFlushLen = 256
 
-// DefaultAckerQueueDepth bounds the acker's input channel, in batches,
-// unless overridden with TopologyBuilder.SetAckerQueueDepth. A full
-// channel exerts backpressure on the sending tasks.
-const DefaultAckerQueueDepth = 1024
+// ackerQueueDepth bounds the acker's input channel, in batches. A full
+// channel blocks the sending tasks.
+const ackerQueueDepth = 1024
 
 type ackerMsgKind uint8
 
@@ -86,17 +85,14 @@ type acker struct {
 	forward AckForwarder
 }
 
-func newAcker(rt *runtime, timeout time.Duration, depth int) *acker {
+func newAcker(rt *runtime, timeout time.Duration) *acker {
 	if timeout <= 0 {
 		timeout = DefaultAckTimeout
-	}
-	if depth <= 0 {
-		depth = DefaultAckerQueueDepth
 	}
 	return &acker{
 		rt:      rt,
 		timeout: timeout,
-		in:      make(chan []ackerMsg, depth),
+		in:      make(chan []ackerMsg, ackerQueueDepth),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*rootEntry),

@@ -115,10 +115,6 @@ type TopologyBuilder struct {
 	ackTimeout time.Duration
 	ackForward AckForwarder
 	queueDepth int
-	ackerDepth int
-	bpHigh     int
-	bpLow      int
-	overflow   string
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
 	errs       []error
@@ -171,49 +167,6 @@ func (tb *TopologyBuilder) SetQueueDepth(depth int) *TopologyBuilder {
 		return tb
 	}
 	tb.queueDepth = depth
-	return tb
-}
-
-// SetAckerQueueDepth overrides the acker's input-channel capacity, in
-// message slices (DefaultAckerQueueDepth). Depth must be >= 1.
-func (tb *TopologyBuilder) SetAckerQueueDepth(depth int) *TopologyBuilder {
-	if depth < 1 {
-		tb.errs = append(tb.errs, fmt.Errorf("stream: SetAckerQueueDepth: depth must be >= 1, got %d", depth))
-		return tb
-	}
-	tb.ackerDepth = depth
-	return tb
-}
-
-// SetBackpressure enables the credit-based spout throttle: when the
-// aggregate bolt queue depth (in batches, disk-ring backlog included)
-// crosses high, spouts stop polling for input; they resume once it
-// drains to low. Requires 0 < low < high. Off by default — without it
-// full queues exert blocking backpressure at the emitter, as before.
-func (tb *TopologyBuilder) SetBackpressure(high, low int) *TopologyBuilder {
-	if high < 1 || low < 1 || low >= high {
-		tb.errs = append(tb.errs, fmt.Errorf("stream: SetBackpressure: need 0 < low < high, got high=%d low=%d", high, low))
-		return tb
-	}
-	tb.bpHigh = high
-	tb.bpLow = low
-	return tb
-}
-
-// SetOverflow enables the disk-backed overflow ring under dir: a spout
-// emission whose destination queue is full spills to a segment log on
-// disk instead of blocking, and a drainer replays spilled batches in
-// FIFO order as the queues free up. Bursts beyond the high-water mark
-// therefore cost disk, not memory or spout stalls. The ring is cleared
-// on startup — it is burst absorption, not a durability log (spilled
-// tuples are still counted in-flight, so acking and drain semantics are
-// unchanged).
-func (tb *TopologyBuilder) SetOverflow(dir string) *TopologyBuilder {
-	if dir == "" {
-		tb.errs = append(tb.errs, fmt.Errorf("stream: SetOverflow: dir must be non-empty"))
-		return tb
-	}
-	tb.overflow = dir
 	return tb
 }
 
@@ -342,10 +295,6 @@ func (tb *TopologyBuilder) Build() (*Topology, error) {
 		ackTimeout: tb.ackTimeout,
 		ackForward: tb.ackForward,
 		queueDepth: tb.queueDepth,
-		ackerDepth: tb.ackerDepth,
-		bpHigh:     tb.bpHigh,
-		bpLow:      tb.bpLow,
-		overflow:   tb.overflow,
 		registry:   tb.registry,
 		tracer:     tb.tracer,
 	}

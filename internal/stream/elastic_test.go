@@ -177,11 +177,35 @@ func TestRebalanceScalesLiveParallelism(t *testing.T) {
 	}
 }
 
-// TestRebalanceValidation covers the control API's error paths.
+// heldSpout is a rangeSpout that stays open once it has run dry, polling
+// idle until release is closed, so a test can address the live topology
+// for as long as it needs.
+type heldSpout struct {
+	rangeSpout
+	release <-chan struct{}
+}
+
+func (s *heldSpout) NextTuple() bool {
+	if s.rangeSpout.NextTuple() {
+		return true
+	}
+	select {
+	case <-s.release:
+		return false
+	default:
+		time.Sleep(100 * time.Microsecond)
+		return true
+	}
+}
+
+// TestRebalanceValidation covers the control API's error paths. The spout
+// is held open until the no-op rebalance has been checked: a topology that
+// had already shut down would refuse that call too.
 func TestRebalanceValidation(t *testing.T) {
 	sink, _, _ := newSink()
+	release := make(chan struct{})
 	tb := NewTopologyBuilder("t")
-	tb.SetSpout("spout", func() Spout { return &rangeSpout{n: 100} }, 1)
+	tb.SetSpout("spout", func() Spout { return &heldSpout{rangeSpout: rangeSpout{n: 100}, release: release} }, 1)
 	tb.SetBolt("sink", sink, 2).Fields("spout", "n")
 	topo, err := tb.Build()
 	if err != nil {
@@ -203,6 +227,7 @@ func TestRebalanceValidation(t *testing.T) {
 	if err := h.Rebalance("sink", 2); err != nil {
 		t.Fatalf("no-op rebalance to current parallelism errored: %v", err)
 	}
+	close(release)
 	h.Wait()
 	if err := h.Rebalance("sink", 3); err == nil {
 		t.Fatal("rebalance after shutdown succeeded")
@@ -210,13 +235,11 @@ func TestRebalanceValidation(t *testing.T) {
 }
 
 // burstSpout emits a spike of n keyed tuples as fast as the engine lets
-// it and records when it finished handing them all over, so tests can
-// tell a spout that stalled on a full pipeline from one that did not.
+// it and counts the emissions that have returned.
 type burstSpout struct {
 	n        int
 	next     int
 	c        SpoutCollector
-	doneAt   *atomic.Int64
 	emittedN atomic.Int64
 }
 
@@ -233,9 +256,6 @@ func (s *burstSpout) NextTuple() bool {
 	s.c.Emit(Values{fmt.Sprintf("k%d", s.next%97), s.next})
 	s.next++
 	s.emittedN.Add(1)
-	if s.next == s.n {
-		s.doneAt.Store(time.Now().UnixNano())
-	}
 	return true
 }
 
@@ -245,152 +265,77 @@ func (s *burstSpout) DeclareOutputFields() map[string]Fields {
 	return map[string]Fields{DefaultStream: {"key", "n"}}
 }
 
-// burstTopology builds spout → slow sink with a shallow queue, the 10×
-// spike shape: the spout produces instantly, the sink consumes at
-// delay/tuple, so the pipeline must either stall the spout (blocking
-// backpressure), throttle it (credit-based), or spill (overflow ring).
-func burstTopology(t *testing.T, n int, delay time.Duration, configure func(tb *TopologyBuilder)) (*Topology, *burstSpout, *int64) {
+// The burst topology's shallow queue: burstQueueDepth batches of
+// burstMaxBatch tuples.
+const (
+	burstQueueDepth = 4
+	burstMaxBatch   = 8
+)
+
+// burstTopology builds spout → sink with a shallow queue, the spike shape:
+// the spout produces as fast as it is let, and the sink takes nothing
+// until release is closed. seen counts the sink's executions of each of
+// the n tuples; read it after the topology has shut down.
+func burstTopology(t *testing.T, n int, release <-chan struct{}) (topo *Topology, sp *burstSpout, seen []int) {
 	t.Helper()
-	var executed int64
-	sp := &burstSpout{n: n, doneAt: &atomic.Int64{}}
+	seen = make([]int, n)
+	sp = &burstSpout{n: n}
 	tb := NewTopologyBuilder("burst")
-	tb.SetMaxBatch(8)
-	tb.SetQueueDepth(4)
-	tb.SetBolt("slow", func() Bolt {
+	tb.SetMaxBatch(burstMaxBatch)
+	tb.SetQueueDepth(burstQueueDepth)
+	tb.SetBolt("sink", func() Bolt {
 		return &BoltFunc{Fn: func(tp *Tuple, _ Collector) error {
 			if !tp.IsTick() {
-				time.Sleep(delay)
-				atomic.AddInt64(&executed, 1)
+				<-release
+				seen[tp.Value("n").(int)]++
 			}
 			return nil
 		}}
 	}, 1).Fields("spout", "key")
 	tb.SetSpout("spout", func() Spout { return sp }, 1)
-	if configure != nil {
-		configure(tb)
-	}
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return topo, sp, &executed
+	return topo, sp, seen
 }
 
-// TestBurstBlocksWithoutOverflow pins down the baseline the overflow
-// ring exists to fix: with a shallow queue and a slow consumer, the
-// spout cannot finish emitting a spike until the consumer has chewed
-// through most of it — ingest is coupled to the slowest stage.
-func TestBurstBlocksWithoutOverflow(t *testing.T) {
+// TestSpoutStopsAtQueueCapacity pins the engine's one flow control: a
+// spout is never more than the queues ahead of its slowest consumer. With
+// the sink blocked, the spout's emissions stop growing at most at the
+// queue's batches, the batch the sink holds in Execute, the batch blocked
+// in the send and the collector's buffer. Released, the sink then gets
+// every tuple exactly once.
+func TestSpoutStopsAtQueueCapacity(t *testing.T) {
 	const n = 2000
-	topo, sp, executed := burstTopology(t, n, 100*time.Microsecond, nil)
-	start := time.Now()
+	release := make(chan struct{})
+	topo, sp, seen := burstTopology(t, n, release)
 	h := topo.Submit()
-	h.Wait()
-	total := time.Since(start)
-	if got := atomic.LoadInt64(executed); got != n {
-		t.Fatalf("executed %d tuples, want %d", got, n)
+	// The spout has stopped once the sink's queue is full and the count
+	// holds still across 20 polls.
+	in := h.rt.taskList("sink")[0].in
+	stalled, still := sp.emittedN.Load(), 0
+	for still < 20 {
+		time.Sleep(5 * time.Millisecond)
+		if now := sp.emittedN.Load(); now != stalled || len(in) < cap(in) {
+			stalled, still = now, 0
+		} else {
+			still++
+		}
 	}
-	spoutDone := time.Duration(sp.doneAt.Load() - start.UnixNano())
-	// The queue holds 4 batches × 8 tuples; everything beyond that had to
-	// wait for the sink, so the spout finished in the run's final stretch.
-	if spoutDone < total/2 {
-		t.Fatalf("spout exhausted after %v of %v without overflow; expected blocking to couple it to the sink", spoutDone, total)
+	if max := int64((burstQueueDepth + 3) * burstMaxBatch); stalled > max {
+		t.Fatalf("spout emitted %d tuples with the sink blocked, want at most %d", stalled, max)
+	}
+	close(release)
+	h.Wait()
+	for i, k := range seen {
+		if k != 1 {
+			t.Fatalf("tuple %d executed %d times, want exactly once", i, k)
+		}
 	}
 }
 
-// TestBurstAbsorbedByOverflow is the same spike with the disk ring on:
-// the spout's spike lands in the overflow ring and ingest decouples
-// from the slow consumer, with zero tuple loss.
-func TestBurstAbsorbedByOverflow(t *testing.T) {
-	const n = 2000
-	topo, sp, executed := burstTopology(t, n, 100*time.Microsecond, func(tb *TopologyBuilder) {
-		tb.SetOverflow(t.TempDir())
-	})
-	start := time.Now()
-	h := topo.Submit()
-	h.Wait()
-	total := time.Since(start)
-	if got := atomic.LoadInt64(executed); got != n {
-		t.Fatalf("executed %d tuples, want %d (ring lost tuples)", got, n)
-	}
-	spilled, drained := h.OverflowStats()
-	if spilled == 0 {
-		t.Fatal("no batches spilled; the burst never reached the ring")
-	}
-	if spilled != drained {
-		t.Fatalf("spilled %d batches but drained %d", spilled, drained)
-	}
-	spoutDone := time.Duration(sp.doneAt.Load() - start.UnixNano())
-	if spoutDone > total/2 {
-		t.Fatalf("spout exhausted after %v of %v with overflow on; expected ingest to decouple from the sink", spoutDone, total)
-	}
-}
-
-// TestBackpressureThrottlesSpout checks the credit-based throttle: with
-// water marks set, the spout pauses instead of blocking mid-batch, the
-// trip counters record it, and every tuple still arrives.
-func TestBackpressureThrottlesSpout(t *testing.T) {
-	const n = 2000
-	topo, _, executed := burstTopology(t, n, 50*time.Microsecond, func(tb *TopologyBuilder) {
-		tb.SetBackpressure(3, 1)
-	})
-	h := topo.Submit()
-	h.Wait()
-	if got := atomic.LoadInt64(executed); got != n {
-		t.Fatalf("executed %d tuples, want %d", got, n)
-	}
-	pauses, paused := h.BackpressureStats()
-	if pauses == 0 {
-		t.Fatal("backpressure never tripped under a 10x burst")
-	}
-	if paused <= 0 {
-		t.Fatalf("pauses=%d but paused time is %v", pauses, paused)
-	}
-}
-
-// TestOverflowPreservesLineage runs the spike with acking and the ring
-// enabled together: anchored tuples survive the disk round-trip with
-// their lineage intact, so every spout message is acked and none fail.
-func TestOverflowPreservesLineage(t *testing.T) {
-	const n = 1500
-	sp := &ackRangeSpout{n: n}
-	var executed atomic.Int64
-	tb := NewTopologyBuilder("burst-acked")
-	tb.SetMaxBatch(8)
-	tb.SetQueueDepth(4)
-	tb.SetAcking(true)
-	tb.SetOverflow(t.TempDir())
-	tb.SetSpout("spout", func() Spout { return sp }, 1)
-	tb.SetBolt("slow", func() Bolt {
-		return &BoltFunc{Fn: func(tp *Tuple, _ Collector) error {
-			if !tp.IsTick() {
-				time.Sleep(50 * time.Microsecond)
-				executed.Add(1)
-			}
-			return nil
-		}}
-	}, 1).Fields("spout", "n")
-	topo, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := topo.Submit()
-	h.Wait()
-	if got := sp.ackedN.Load(); got != n {
-		t.Fatalf("acked %d messages, want %d", got, n)
-	}
-	if got := sp.failedN.Load(); got != 0 {
-		t.Fatalf("%d messages failed, want 0", got)
-	}
-	if got := executed.Load(); got != n {
-		t.Fatalf("executed %d tuples, want %d", got, n)
-	}
-	if spilled, _ := h.OverflowStats(); spilled == 0 {
-		t.Fatal("no batches spilled; the acked burst never exercised the ring")
-	}
-}
-
-// TestQueueDepthKnobValidation covers the builder knobs' error paths.
+// TestQueueDepthKnobValidation covers SetQueueDepth's error path.
 func TestQueueDepthKnobValidation(t *testing.T) {
 	mk := func(configure func(tb *TopologyBuilder)) error {
 		sink, _, _ := newSink()
@@ -404,51 +349,7 @@ func TestQueueDepthKnobValidation(t *testing.T) {
 	if err := mk(func(tb *TopologyBuilder) { tb.SetQueueDepth(0) }); err == nil {
 		t.Fatal("SetQueueDepth(0) validated")
 	}
-	if err := mk(func(tb *TopologyBuilder) { tb.SetAckerQueueDepth(-1) }); err == nil {
-		t.Fatal("SetAckerQueueDepth(-1) validated")
-	}
-	if err := mk(func(tb *TopologyBuilder) { tb.SetBackpressure(2, 5) }); err == nil {
-		t.Fatal("SetBackpressure(low >= high) validated")
-	}
-	if err := mk(func(tb *TopologyBuilder) { tb.SetOverflow("") }); err == nil {
-		t.Fatal("SetOverflow(\"\") validated")
-	}
-	if err := mk(func(tb *TopologyBuilder) {
-		tb.SetQueueDepth(16).SetAckerQueueDepth(64).SetBackpressure(8, 2)
-	}); err != nil {
-		t.Fatalf("valid knobs rejected: %v", err)
-	}
-}
-
-// BenchmarkBurstOverflow measures the burst path end to end: a spike of
-// b.N tuples through a shallow queue into a slow-ish sink with the disk
-// ring enabled.
-func BenchmarkBurstOverflow(b *testing.B) {
-	var executed int64
-	sp := &burstSpout{n: b.N, doneAt: &atomic.Int64{}}
-	tb := NewTopologyBuilder("burst-bench")
-	tb.SetMaxBatch(8)
-	tb.SetQueueDepth(4)
-	tb.SetOverflow(b.TempDir())
-	tb.SetSpout("spout", func() Spout { return sp }, 1)
-	tb.SetBolt("slow", func() Bolt {
-		return &BoltFunc{Fn: func(tp *Tuple, _ Collector) error {
-			if !tp.IsTick() {
-				atomic.AddInt64(&executed, 1)
-			}
-			return nil
-		}}
-	}, 1).Fields("spout", "key")
-	topo, err := tb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	h := topo.Submit()
-	h.Wait()
-	b.StopTimer()
-	if got := atomic.LoadInt64(&executed); got != int64(b.N) {
-		b.Fatalf("executed %d tuples, want %d", got, b.N)
+	if err := mk(func(tb *TopologyBuilder) { tb.SetQueueDepth(16) }); err != nil {
+		t.Fatalf("valid queue depth rejected: %v", err)
 	}
 }

@@ -98,36 +98,6 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 	r.CounterFunc("stream_rebalances_total",
 		"Completed live rebalances on this topology.",
 		func() int64 { return rt.rebalances.Load() })
-	if rt.bp != nil {
-		r.CounterFunc("stream_backpressure_pauses_total",
-			"Times the spout throttle tripped the high-water mark.",
-			func() int64 { return rt.bp.pauses.Load() })
-		r.CounterFunc("stream_backpressure_paused_nanos_total",
-			"Cumulative nanoseconds spouts spent paused by backpressure.",
-			func() int64 { return rt.bp.pausedNanos.Load() })
-		r.GaugeFunc("stream_backpressure_active",
-			"1 while spouts are paused by the throttle, else 0.",
-			func() int64 {
-				if rt.bp.active.Load() {
-					return 1
-				}
-				return 0
-			})
-	}
-	if rt.ovf != nil {
-		r.CounterFunc("stream_overflow_spilled_batches_total",
-			"Batches diverted to the disk overflow ring.",
-			func() int64 { return rt.ovf.spilledBatches.Load() })
-		r.CounterFunc("stream_overflow_drained_batches_total",
-			"Batches replayed from the disk overflow ring.",
-			func() int64 { return rt.ovf.drainedBatches.Load() })
-		r.CounterFunc("stream_overflow_spilled_tuples_total",
-			"Tuples diverted to the disk overflow ring.",
-			func() int64 { return rt.ovf.spilledTuples.Load() })
-		r.GaugeFunc("stream_overflow_backlog_batches",
-			"Batches currently sitting in the disk overflow ring.",
-			func() int64 { return rt.ovf.backlog() })
-	}
 }
 
 // ensureQueueGauges registers per-task queue-depth gauges for task

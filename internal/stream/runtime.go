@@ -33,10 +33,6 @@ type Topology struct {
 	ackTimeout time.Duration
 	ackForward AckForwarder
 	queueDepth int
-	ackerDepth int
-	bpHigh     int // spout throttle high-water mark, in queued batches
-	bpLow      int // spout throttle low-water mark
-	overflow   string
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
 }
@@ -109,7 +105,6 @@ type edge struct {
 	group  Grouping
 	src    string
 	stream string
-	id     int // index into runtime.edgeList, stable across the run
 	dest   *componentTasks
 }
 
@@ -144,13 +139,12 @@ type task struct {
 
 // runtime is a single execution of a topology.
 type runtime struct {
-	topo     *Topology
-	comps    map[string]*componentTasks
-	edges    map[string]map[string][]*edge // source -> stream -> edges
-	edgeList []*edge                       // all edges by id, for overflow replay
-	fields   map[string]map[string]Fields  // source -> stream -> field names
-	ticked   []*boltDecl                   // bolts with a tick interval, in Topology.order
-	pending  atomic.Int64
+	topo    *Topology
+	comps   map[string]*componentTasks
+	edges   map[string]map[string][]*edge // source -> stream -> edges
+	fields  map[string]map[string]Fields  // source -> stream -> field names
+	ticked  []*boltDecl                   // bolts with a tick interval, in Topology.order
+	pending atomic.Int64
 	// entered is set by every spout delivery (an emission or a relayed
 	// ingress; never by what a bolt emits, a flush included) and cleared
 	// when an idle round starts: data has come in since the last one. idle
@@ -162,10 +156,8 @@ type runtime struct {
 	onError  func(component string, err error)
 	maxBatch int
 	linger   time.Duration
-	ak       *acker        // nil unless the topology was built with SetAcking
-	tracer   *obsv.Tracer  // nil unless the topology was built with SetTracer
-	bp       *backpressure // nil unless built with SetBackpressure
-	ovf      *overflow     // nil unless built with SetOverflow
+	ak       *acker       // nil unless the topology was built with SetAcking
+	tracer   *obsv.Tracer // nil unless the topology was built with SetTracer
 	registry *obsv.Registry
 
 	// Rebalance machinery (see rebalance): paused gates the spout loops,
@@ -262,13 +254,6 @@ type collector struct {
 	tracer   *obsv.Tracer
 	curTrace *obsv.Trace
 
-	// Overflow state: ovf is set on spout collectors of topologies built
-	// with SetOverflow; spilling marks the collector as routing batches
-	// through the disk ring until the drainer has caught up, preserving
-	// FIFO order relative to already-spilled batches.
-	ovf      *overflow
-	spilling bool
-
 	// local counters, folded into sm by flushAll
 	emitted     int64
 	transferred int64
@@ -291,7 +276,6 @@ func newCollector(tk *task, rt *runtime) *collector {
 	}
 	if tk.isSpout {
 		c.tracer = rt.tracer
-		c.ovf = rt.ovf
 	}
 	for stream, fields := range rt.fields[tk.component] {
 		so := &streamOut{fields: fields}
@@ -389,16 +373,9 @@ func (c *collector) send(eb *edgeBuf, i int, probe *Tuple, values Values) {
 
 // flushDest hands one destination's buffered tuples to its task as a
 // single batch. A bolt's batch enters the in-flight count here, once per
-// batch, before the send; a spout's entered it tuple by tuple in send
-// (spilled tuples are still in flight), so quiescence detection never
-// undercounts in-flight tuples.
-//
-// On a spout collector with the overflow ring enabled, a send that would
-// block diverts the batch to the disk ring instead, and the collector
-// stays in spill mode — all subsequent batches take the ring — until the
-// drainer has delivered everything, which preserves delivery order per
-// destination (the ring is FIFO, and a blocked ring-drainer send enqueues
-// ahead of any later direct send on the same channel).
+// batch, before the send; a spout's entered it tuple by tuple in send, so
+// quiescence detection never undercounts in-flight tuples. The send blocks
+// while the task's queue is full (see DefaultQueueDepth).
 func (c *collector) flushDest(eb *edgeBuf, i int) {
 	buf := eb.bufs[i]
 	if len(buf) == 0 {
@@ -408,27 +385,6 @@ func (c *collector) flushDest(eb *edgeBuf, i int) {
 	c.buffered -= len(buf)
 	if !c.task.isSpout {
 		c.rt.pending.Add(int64(len(buf)))
-	}
-	if c.ovf != nil {
-		if c.spilling {
-			if !c.ovf.empty() {
-				if c.ovf.spill(eb.edge, i, buf) {
-					return
-				}
-			} else {
-				c.spilling = false
-			}
-		}
-		select {
-		case eb.a.tasks[i].in <- buf:
-			return
-		default:
-			if c.ovf.spill(eb.edge, i, buf) {
-				c.spilling = true
-				return
-			}
-			// Unencodable values: fall through to the blocking send.
-		}
 	}
 	eb.a.tasks[i].in <- buf
 }
@@ -550,23 +506,10 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 		rt.linger = DefaultLinger
 	}
 	if t.acking {
-		rt.ak = newAcker(rt, t.ackTimeout, t.ackerDepth)
+		rt.ak = newAcker(rt, t.ackTimeout)
 		rt.ak.forward = t.ackForward
 	}
 	rt.tracer = t.tracer
-	if t.bpHigh > 0 {
-		rt.bp = newBackpressure(rt, t.bpHigh, t.bpLow)
-	}
-	if t.overflow != "" {
-		ovf, err := openOverflow(rt, t.overflow)
-		if err != nil {
-			// The ring is an optimization; without it sends fall back to
-			// blocking, which is the engine's pre-overflow behavior.
-			onError("__overflow", err)
-		} else {
-			rt.ovf = ovf
-		}
-	}
 	mkTasks := func(name string, n int, isSpout bool) {
 		ct := &componentTasks{name: name, isSpout: isSpout}
 		ct.assign.Store(newAssignment(rt.newTasks(name, n, isSpout)))
@@ -598,11 +541,9 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 				group:  in.group,
 				src:    in.source,
 				stream: in.stream,
-				id:     len(rt.edgeList),
 				dest:   rt.comps[b.name],
 			}
 			m[in.stream] = append(m[in.stream], e)
-			rt.edgeList = append(rt.edgeList, e)
 		}
 	}
 	if t.registry != nil {
@@ -695,14 +636,6 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 					}
 				}
 				rt.pausedSpouts.Add(-1)
-				continue
-			}
-			if rt.bp != nil && rt.bp.shouldPause() {
-				// Downstream queues are over the high-water mark: stop
-				// polling for new input until they drain to the low-water
-				// mark. Flushing first keeps already-emitted tuples moving.
-				col.flushAll()
-				time.Sleep(200 * time.Microsecond)
 				continue
 			}
 			if col.anchorOK {
@@ -1148,9 +1081,6 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 	if rt.ak != nil {
 		go rt.ak.run()
 	}
-	if rt.ovf != nil {
-		go rt.ovf.run()
-	}
 	for _, b := range t.bolts {
 		for _, tk := range rt.taskList(b.name) {
 			rt.taskWG.Add(1)
@@ -1178,11 +1108,8 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 				}
 			}()
 		}
-		rt.spoutWG.Wait()  // all spouts exhausted or stopped
-		rt.waitQuiescent() // all regular tuples drained (incl. spilled ones)
-		if rt.ovf != nil {
-			rt.ovf.stopDrainer() // ring is empty (pending covered it); drainer idle
-		}
+		rt.spoutWG.Wait()    // all spouts exhausted or stopped
+		rt.waitQuiescent()   // all regular tuples drained
 		close(rt.tickerStop) // no more interval ticks
 		rt.tickerWG.Wait()
 		rt.waitQuiescent()
@@ -1203,9 +1130,6 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 		if rt.ak != nil {
 			// All senders (task goroutines) are done; drain and stop.
 			rt.ak.shutdown()
-		}
-		if rt.ovf != nil {
-			rt.ovf.close()
 		}
 		close(h.done)
 	}()
@@ -1231,24 +1155,6 @@ func (h *RunningTopology) Parallelism(component string) int {
 
 // Rebalances reports how many rebalances have completed on this topology.
 func (h *RunningTopology) Rebalances() int64 { return h.rt.rebalances.Load() }
-
-// BackpressureStats reports the spout throttle's trip count and total
-// paused time. Zeros when backpressure is not enabled.
-func (h *RunningTopology) BackpressureStats() (pauses int64, paused time.Duration) {
-	if h.rt.bp == nil {
-		return 0, 0
-	}
-	return h.rt.bp.pauses.Load(), time.Duration(h.rt.bp.pausedNanos.Load())
-}
-
-// OverflowStats reports the disk ring's spill/drain batch counts. Zeros
-// when the overflow ring is not enabled.
-func (h *RunningTopology) OverflowStats() (spilled, drained int64) {
-	if h.rt.ovf == nil {
-		return 0, 0
-	}
-	return h.rt.ovf.spilledBatches.Load(), h.rt.ovf.drainedBatches.Load()
-}
 
 // freeze parks every spout, each flushing its collector first, and waits
 // until nothing is queued or executing. The caller holds rebalanceMu and

@@ -37,6 +37,32 @@ func flipByte(t *testing.T, l *plog, offset int64) {
 	}
 }
 
+// dropLeadingSegments closes l, deletes its first n segment files and
+// reopens what is left, the state of a log whose head has been reclaimed.
+func dropLeadingSegments(t *testing.T, l *plog, n int) *plog {
+	t.Helper()
+	l.mu.RLock()
+	dir, size, segs := l.dir, l.segmentSize, l.segments[:n]
+	l.mu.RUnlock()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := openLog(dir, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := segs[n-1]
+	if first, want := l.segments[0].base, last.base+int64(len(last.index)); first != want {
+		t.Fatalf("reopened log starts at offset %d, want %d", first, want)
+	}
+	return l
+}
+
 // TestReadFromRuns drives the run reader through the shapes a poll meets.
 // A record is 11 bytes of body behind the 8-byte header, so a 64-byte
 // segment rotates every four records.
@@ -53,6 +79,7 @@ func TestReadFromRuns(t *testing.T) {
 		segBytes int64
 		records  int
 		setup    func(t *testing.T, l *plog)
+		drop     int // leading segment files deleted before the log is reopened
 		offset   int64
 		max      int
 		want     []int  // record numbers returned
@@ -73,27 +100,10 @@ func TestReadFromRuns(t *testing.T) {
 			want:     seq(0, 2),
 			wantText: "crc mismatch at offset 2",
 		},
-		{
-			name: "trimmed first segment", segBytes: 64, records: 20, offset: 0, max: 5,
-			setup: func(t *testing.T, l *plog) {
-				if err := l.TrimTo(10); err != nil {
-					t.Fatal(err)
-				}
-				if l.SegmentCount() >= 5 {
-					t.Fatalf("TrimTo(10) left %d segments", l.SegmentCount())
-				}
-			},
-			wantIs: ErrOffsetOutOfRange,
-		},
-		{
-			name: "behind a trimmed segment", segBytes: 64, records: 20, offset: 12, max: 100,
-			setup: func(t *testing.T, l *plog) {
-				if err := l.TrimTo(10); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: seq(12, 20),
-		},
+		// Segments hold offsets 0-3, 4-7, 8-11, ...: dropping the first two
+		// leaves a log whose first segment starts at 8.
+		{name: "trimmed first segment", segBytes: 64, records: 20, drop: 2, offset: 0, max: 5, wantIs: ErrOffsetOutOfRange},
+		{name: "behind a trimmed segment", segBytes: 64, records: 20, drop: 2, offset: 12, max: 100, want: seq(12, 20)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,7 +111,7 @@ func TestReadFromRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer l.Close()
+			defer func() { l.Close() }()
 			for i := 0; i < tc.records; i++ {
 				if off, err := l.Append(testBody(i)); err != nil || off != int64(i) {
 					t.Fatalf("Append(%d) = %d, %v", i, off, err)
@@ -112,6 +122,9 @@ func TestReadFromRuns(t *testing.T) {
 			}
 			if tc.setup != nil {
 				tc.setup(t, l)
+			}
+			if tc.drop > 0 {
+				l = dropLeadingSegments(t, l, tc.drop)
 			}
 			got, err := l.ReadFrom(nil, tc.offset, tc.max)
 			switch {

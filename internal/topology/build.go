@@ -65,9 +65,6 @@ type Builder struct {
 	acking     bool
 	ackTimeout time.Duration
 	queueDepth int
-	bpHigh     int
-	bpLow      int
-	overflow   string
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
 }
@@ -117,22 +114,6 @@ func (b *Builder) WithObservability(r *obsv.Registry, tr *obsv.Tracer) *Builder 
 // batches (stream.DefaultQueueDepth). Ignored when depth <= 0.
 func (b *Builder) WithQueueDepth(depth int) *Builder {
 	b.queueDepth = depth
-	return b
-}
-
-// WithBackpressure enables the credit-based spout throttle: spouts stop
-// polling for input when aggregate bolt queue depth (in batches) crosses
-// high and resume at low. Requires 0 < low < high; ignored when high <= 0.
-func (b *Builder) WithBackpressure(high, low int) *Builder {
-	b.bpHigh, b.bpLow = high, low
-	return b
-}
-
-// WithOverflow enables the disk-backed overflow ring under dir: spout
-// emissions that would block on a full queue spill to disk and are
-// replayed in order as the queues drain. Ignored when dir is empty.
-func (b *Builder) WithOverflow(dir string) *Builder {
-	b.overflow = dir
 	return b
 }
 
@@ -265,12 +246,6 @@ func (b *Builder) Build() (*stream.Topology, error) {
 	}
 	if b.queueDepth > 0 {
 		tb.SetQueueDepth(b.queueDepth)
-	}
-	if b.bpHigh > 0 {
-		tb.SetBackpressure(b.bpHigh, b.bpLow)
-	}
-	if b.overflow != "" {
-		tb.SetOverflow(b.overflow)
 	}
 
 	malformed := new(obsv.Counter)

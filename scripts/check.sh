@@ -16,8 +16,8 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== go test -race elastic parallelism (rebalance, backpressure, overflow, restart stress, write-behind flush hook, ordered tick round, idle rounds, keyed runs, one tuple per delivery)"
-go test -race -run 'TestRebalance|TestBurst|TestBackpressure|TestOverflow|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery' ./internal/stream/
+echo "== go test -race elastic parallelism (rebalance, a spout stopped by a full queue, restart stress, write-behind flush hook, ordered tick round, idle rounds, keyed runs, one tuple per delivery)"
+go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery' ./internal/stream/
 
 echo "== go test -race serving tier (singleflight, TTL, negative cache and its drop on write, hedged reads)"
 go test -race -run 'TestSingleflight|TestCoalesced|TestCache|TestNegativeCache|TestInvalidate|TestLRU|TestGetBatch|TestHedge|TestConcurrentMixedLoad' ./internal/serving/

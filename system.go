@@ -112,17 +112,6 @@ type SystemConfig struct {
 	// QueueDepth overrides the per-task input queue capacity, in batches
 	// (stream.DefaultQueueDepth). 0 keeps the default.
 	QueueDepth int
-	// BackpressureHigh and BackpressureLow enable the credit-based spout
-	// throttle: spouts stop polling for input when the aggregate bolt
-	// queue depth (in batches) crosses High and resume at Low. Both zero
-	// (the default) disables the throttle; enabling requires
-	// 0 < Low < High.
-	BackpressureHigh, BackpressureLow int
-	// OverflowSpill enables the disk-backed overflow ring under
-	// DataDir/overflow: spout emissions that would block on a full queue
-	// spill to a segment log instead and replay in order as queues drain,
-	// so bursts cost disk rather than memory or ingest stalls.
-	OverflowSpill bool
 	// DisableServingTier turns off the batch-query serving tier (result
 	// cache, request coalescing, hedged replica reads) so queries read
 	// TDStore directly. For ablation benchmarks; leave false in service.
@@ -300,16 +289,12 @@ func Open(cfg SystemConfig) (*System, error) {
 		Group:   consumerGroup,
 		Emitted: replayed,
 	})
-	tb := topology.NewBuilder("tencentrec", spout, state, c.Params).
+	topo, err := topology.NewBuilder("tencentrec", spout, state, c.Params).
 		WithFeatures(c.Features).
 		WithParallelism(c.Parallelism).
 		WithObservability(registry, tracer).
 		WithQueueDepth(c.QueueDepth).
-		WithBackpressure(c.BackpressureHigh, c.BackpressureLow)
-	if c.OverflowSpill {
-		tb = tb.WithOverflow(filepath.Join(c.DataDir, "overflow"))
-	}
-	topo, err := tb.Build()
+		Build()
 	if err != nil {
 		broker.Close()
 		cluster.Close()
