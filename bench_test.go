@@ -3,10 +3,10 @@ package tencentrec_test
 // The benchmark harness behind EXPERIMENTS.md: one bench per paper
 // table/figure (reporting the measured improvement as a custom metric)
 // plus the ablation benches DESIGN.md §6 calls out, the pipeline
-// throughput and scaling sweeps, and the serving mix, ingest edge and
-// pairCount flush scripts/profile.sh profiles. Event-to-queryable latency
-// and query latency are measured by the repo benchmark (benchmark/,
-// `make bench`).
+// throughput and scaling sweeps, and the serving mix, ingest edge,
+// pairCount flush and cached query scripts/profile.sh profiles.
+// Event-to-queryable latency and query latency are measured by the repo
+// benchmark (benchmark/, `make bench`).
 //
 // Run everything:   go test -bench=. -benchmem
 // One experiment:   go test -bench=BenchmarkFigure10News
@@ -335,15 +335,13 @@ func BenchmarkPairCountFlush(b *testing.B) {
 	b.ReportMetric(float64(col.n)/float64(b.N)/pairs, "sims/pair")
 }
 
-// newMixSystem opens a System populated with enough users and items for
-// a realistic read mix. tier toggles the serving tier for ablation.
-func newMixSystem(b *testing.B, tier bool) *tencentrec.System {
+// newMixSystem opens a System with cfg's serving settings, populated with
+// enough users and items for a realistic read mix.
+func newMixSystem(b *testing.B, cfg tencentrec.SystemConfig) *tencentrec.System {
 	b.Helper()
-	sys, err := tencentrec.Open(tencentrec.SystemConfig{
-		DataDir:            b.TempDir(),
-		Params:             tencentrec.Params{FlushInterval: 20 * time.Millisecond},
-		DisableServingTier: !tier,
-	})
+	cfg.DataDir = b.TempDir()
+	cfg.Params = tencentrec.Params{FlushInterval: 20 * time.Millisecond}
+	sys, err := tencentrec.Open(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,6 +361,29 @@ func newMixSystem(b *testing.B, tier bool) *tencentrec.System {
 	return sys
 }
 
+// mixRequests pre-builds 1024 requests of the 60/30/10 /recommend,
+// /similar, /hot mix over Zipf-1.2 keys of newMixSystem's users and items.
+// A loop that cycles them measures the serving path rather than URL
+// parsing and request construction.
+func mixRequests(rng *rand.Rand) []*http.Request {
+	userZ := rand.NewZipf(rng, 1.2, 1, 49)
+	itemZ := rand.NewZipf(rng, 1.2, 1, 39)
+	reqs := make([]*http.Request, 1024)
+	for i := range reqs {
+		var url string
+		switch p := rng.Float64(); {
+		case p < 0.6:
+			url = fmt.Sprintf("/recommend?user=u%d&n=10", userZ.Uint64())
+		case p < 0.9:
+			url = fmt.Sprintf("/similar?item=i%d&n=10", itemZ.Uint64())
+		default:
+			url = fmt.Sprintf("/hot?user=u%d&n=10", userZ.Uint64())
+		}
+		reqs[i] = httptest.NewRequest("GET", url, nil)
+	}
+	return reqs
+}
+
 // BenchmarkHTTPServingMix drives a concurrent Zipf-skewed read mix
 // (60% /recommend, 30% /similar, 10% /hot) through the front end
 // in-process, with the serving tier on and off. It reports QPS, latency
@@ -375,7 +396,7 @@ func BenchmarkHTTPServingMix(b *testing.B) {
 			name = "tier=off"
 		}
 		b.Run(name, func(b *testing.B) {
-			sys := newMixSystem(b, tier)
+			sys := newMixSystem(b, tencentrec.SystemConfig{DisableServingTier: !tier})
 			handler := sys.Handler()
 			reg := sys.Registry()
 			storeGets := func() int64 {
@@ -389,29 +410,9 @@ func BenchmarkHTTPServingMix(b *testing.B) {
 			var seed int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(100 + atomicAdd(&seed)))
-				userZ := rand.NewZipf(rng, 1.2, 1, 49)
-				itemZ := rand.NewZipf(rng, 1.2, 1, 39)
-				// Requests are pre-built from the Zipf draw and cycled, so
-				// the loop measures the serving path rather than URL
-				// parsing and request construction (which dominate
-				// otherwise and hit both configurations identically).
-				const pool = 1024
-				reqs := make([]*http.Request, pool)
-				for i := range reqs {
-					var url string
-					switch p := rng.Float64(); {
-					case p < 0.6:
-						url = fmt.Sprintf("/recommend?user=u%d&n=10", userZ.Uint64())
-					case p < 0.9:
-						url = fmt.Sprintf("/similar?item=i%d&n=10", itemZ.Uint64())
-					default:
-						url = fmt.Sprintf("/hot?user=u%d&n=10", userZ.Uint64())
-					}
-					reqs[i] = httptest.NewRequest("GET", url, nil)
-				}
+				reqs := mixRequests(rand.New(rand.NewSource(100 + atomicAdd(&seed))))
 				for i := 0; pb.Next(); i++ {
-					req := reqs[i%pool]
+					req := reqs[i%len(reqs)]
 					w := httptest.NewRecorder()
 					t0 := obsv.Now()
 					handler.ServeHTTP(w, req)
@@ -437,6 +438,56 @@ func BenchmarkHTTPServingMix(b *testing.B) {
 				b.ReportMetric(float64(reg.Counter("serving_coalesced_total", "").Value())/float64(b.N), "coalesced/req")
 			}
 		})
+	}
+}
+
+// respWriter is a reusable in-process http.ResponseWriter, so a timed
+// query costs the handler's work and not a recorder allocation.
+type respWriter struct {
+	hdr  http.Header
+	code int
+	body []byte
+}
+
+func (w *respWriter) Header() http.Header { return w.hdr }
+func (w *respWriter) WriteHeader(c int)   { w.code = c }
+func (w *respWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// BenchmarkHTTPCachedQuery times one query answered from the serving
+// tier's cache: the 60/30/10 /recommend, /similar, /hot mix over Zipf-1.2
+// keys, on one goroutine with one reused ResponseWriter, against a
+// drained System whose hour-long TTLs keep every pre-warmed answer live.
+// What it measures is the front end's own cost per hit (reading the query,
+// encoding the list); scripts/check.sh holds its allocations to 3.
+func BenchmarkHTTPCachedQuery(b *testing.B) {
+	sys := newMixSystem(b, tencentrec.SystemConfig{ServingCacheTTL: time.Hour, ServingNegativeTTL: time.Hour})
+	reqs := mixRequests(rand.New(rand.NewSource(100)))
+	handler := sys.Handler()
+	w := &respWriter{hdr: make(http.Header, 4)}
+	serve := func(req *http.Request) {
+		clear(w.hdr)
+		w.code, w.body = http.StatusOK, w.body[:0]
+		handler.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("GET %s = %d %s", req.URL, w.code, w.body)
+		}
+	}
+	for _, req := range reqs { // warm the cache: every timed query is a hit
+		serve(req)
+	}
+	misses := sys.Registry().Counter("serving_cache_misses_total", "")
+	misses0 := misses.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(reqs[i%len(reqs)])
+	}
+	b.StopTimer()
+	if n := misses.Value() - misses0; n != 0 {
+		b.Fatalf("%d cache misses in the timed loop, want every query a hit", n)
 	}
 }
 

@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"tencentrec/internal/obsv"
 )
@@ -21,21 +26,41 @@ const maxBodyBytes = 1 << 20
 // work and response size one request can demand.
 const maxListN = 1000
 
-// decodeBody decodes a size-capped JSON request body into v, answering
-// 413 when the cap is exceeded and 400 on malformed JSON. Reports
-// whether decoding succeeded.
+// maxPooledBody caps the list-response buffers bodyPool keeps: a rare
+// large answer (n near maxListN) is dropped rather than pinned.
+const maxPooledBody = 64 << 10
+
+// bodyPool recycles the buffers list responses are encoded into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// errTrailingBody refuses a request body holding anything but whitespace
+// after its value: a second value would be read as accepted and dropped.
+var errTrailingBody = errors.New("request body holds more than one JSON value")
+
+// decodeBody decodes a size-capped JSON request body, which must be
+// exactly one JSON value, into v, answering 413 when the cap is exceeded
+// and 400 on malformed JSON or data after the value. Reports whether
+// decoding succeeded.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			return false
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	trailing := err == nil
+	if trailing {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
 		return false
 	}
-	return true
+	if trailing {
+		err = errTrailingBody
+	}
+	http.Error(w, err.Error(), http.StatusBadRequest)
+	return false
 }
 
 // Handler returns the recommender front end of Fig. 9 as an
@@ -126,9 +151,9 @@ func (s *System) Handler() http.Handler {
 		})
 	})
 	handle("GET /ads", "ads", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
+		q := r.URL.RawQuery
 		serveList(w, r, func(n int) ([]ScoredItem, error) {
-			return s.TopAds(NewAdContext(q.Get("region"), q.Get("gender"), q.Get("age")), n)
+			return s.TopAds(NewAdContext(queryValue(q, "region"), queryValue(q, "gender"), queryValue(q, "age")), n)
 		})
 	})
 	handle("POST /control/rebalance", "control_rebalance", s.running.ServeRebalance)
@@ -137,7 +162,7 @@ func (s *System) Handler() http.Handler {
 		// to CheckpointDir; a later cold start with -restore resumes from
 		// it replaying only the tail (DESIGN.md §16).
 		timeout := 30 * time.Second
-		if raw := r.URL.Query().Get("timeout"); raw != "" {
+		if raw := queryValue(r.URL.RawQuery, "timeout"); raw != "" {
 			d, err := time.ParseDuration(raw)
 			if err != nil || d <= 0 {
 				http.Error(w, fmt.Sprintf("query parameter timeout must be a positive duration, got %q", raw), http.StatusBadRequest)
@@ -164,7 +189,7 @@ func (s *System) Handler() http.Handler {
 	handle("GET /debug/vars", "debug_vars", s.registry.ServeJSON)
 	handle("GET /debug/traces", "debug_traces", func(w http.ResponseWriter, r *http.Request) {
 		traces := s.Traces()
-		if r.URL.Query().Get("format") == "waterfall" {
+		if queryValue(r.URL.RawQuery, "format") == "waterfall" {
 			obsv.WriteWaterfall(w, traces)
 			return
 		}
@@ -181,7 +206,7 @@ func (s *System) Handler() http.Handler {
 // Prometheus text exposition instead of the human-readable table. The
 // table stays the default so a bare curl shows the monitor view.
 func wantsPrometheus(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "prometheus" {
+	if queryValue(r.URL.RawQuery, "format") == "prometheus" {
 		return true
 	}
 	accept := r.Header.Get("Accept")
@@ -189,10 +214,42 @@ func wantsPrometheus(r *http.Request) bool {
 		strings.Contains(accept, "openmetrics")
 }
 
+// queryValue returns what r.URL.Query().Get(name) returns for a request
+// whose RawQuery is rawQuery: the first value of name, skipping a pair
+// that holds a ';' or a bad escape, and "" for a missing name or an empty
+// value. It reads the query in one pass and builds no map of it.
+func queryValue(rawQuery, name string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if key, ok := unescapeQuery(key); !ok || key != name {
+			continue
+		}
+		if value, ok := unescapeQuery(value); ok {
+			return value
+		}
+	}
+	return ""
+}
+
+// unescapeQuery is url.QueryUnescape, called only on a string that holds
+// an escape: a plain one is its own unescaping.
+func unescapeQuery(s string) (string, bool) {
+	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
+}
+
 // requireParam fetches a mandatory query parameter, answering 400 when
 // it is absent.
 func requireParam(w http.ResponseWriter, r *http.Request, name string) (string, bool) {
-	v := r.URL.Query().Get(name)
+	v := queryValue(r.URL.RawQuery, name)
 	if v == "" {
 		http.Error(w, fmt.Sprintf("missing required query parameter %q", name), http.StatusBadRequest)
 		return "", false
@@ -208,9 +265,12 @@ func requireField(w http.ResponseWriter, name, v string) bool {
 	return v != ""
 }
 
+// serveList answers a list endpoint: it reads n, asks fn for the list and
+// writes it as JSON in one Write, answering 500 for a list JSON cannot
+// represent rather than a 200 with no body.
 func serveList(w http.ResponseWriter, r *http.Request, fn func(n int) ([]ScoredItem, error)) {
 	n := 10
-	if raw := r.URL.Query().Get("n"); raw != "" {
+	if raw := queryValue(r.URL.RawQuery, "n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
 			http.Error(w, fmt.Sprintf("query parameter n must be a positive integer, got %q", raw), http.StatusBadRequest)
@@ -227,9 +287,72 @@ func serveList(w http.ResponseWriter, r *http.Request, fn func(n int) ([]ScoredI
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if list == nil {
-		list = []ScoredItem{}
+	buf := bodyPool.Get().(*[]byte)
+	body, err := appendScoredJSON((*buf)[:0], list)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
 	}
-	json.NewEncoder(w).Encode(list)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodyPool.Put(buf)
+	}
+}
+
+// appendScoredJSON appends to dst the bytes json.NewEncoder(w).Encode(list)
+// writes: "[]" for a nil list, the fields Item and Score, encoding/json's
+// number format and a trailing newline. A NaN or infinite score, which JSON
+// cannot represent, is an error naming its item.
+func appendScoredJSON(dst []byte, list []ScoredItem) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, s := range list {
+		if math.IsNaN(s.Score) || math.IsInf(s.Score, 0) {
+			return dst, fmt.Errorf("item %q has score %v, which JSON cannot represent", s.Item, s.Score)
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"Item":`...)
+		dst = appendJSONString(dst, s.Item)
+		dst = append(dst, `,"Score":`...)
+		dst = appendJSONFloat(dst, s.Score)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']', '\n'), nil
+}
+
+// appendJSONString appends s as a JSON string. An s holding any byte
+// encoding/json would escape (a quote, a backslash, a control byte, <>&,
+// or any non-ASCII byte, among which U+2028/9 and invalid UTF-8) goes
+// through json.Marshal, so those rules stay encoding/json's own.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendJSONFloat appends a finite f in encoding/json's format: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 up, with a
+// single-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }

@@ -1,10 +1,14 @@
 package tencentrec
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +83,24 @@ func TestHTTPFrontEnd(t *testing.T) {
 	sims := getList(t, srv.URL+"/similar?item=show-a&n=5")
 	if len(sims) == 0 || sims[0].Item != "show-b" {
 		t.Fatalf("GET /similar = %v", sims)
+	}
+	// The body is encoding/json's encoding of the list the library call
+	// answers, byte for byte.
+	sresp, err := http.Get(srv.URL + "/similar?item=show-a&n=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbody, err := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sys.SimilarItems("show-a", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := encodingJSON(direct); string(sbody) != string(want) {
+		t.Fatalf("GET /similar body = %q, want encoding/json's %q", sbody, want)
 	}
 	hot := getList(t, srv.URL+"/hot?user=anyone&n=5")
 	if len(hot) == 0 {
@@ -294,9 +316,15 @@ func TestHTTPQueryValidation(t *testing.T) {
 		{"action with empty item", "/action", `{"user":"u1","item":"","action":"click"}`, http.StatusBadRequest, `"item"`},
 		{"action without action", "/action", `{"user":"u1","item":"i1"}`, http.StatusBadRequest, `"action"`},
 		{"action well-formed", "/action", `{"user":"u1","item":"i1","action":"click"}`, http.StatusAccepted, ""},
+		{"action twice in one body", "/action", `{"user":"u1","item":"i1","action":"click"}{"user":"u1","item":"i2","action":"click"}`, http.StatusBadRequest, "more than one JSON value"},
+		{"action followed by garbage", "/action", `{"user":"u1","item":"i1","action":"click"} x`, http.StatusBadRequest, "more than one JSON value"},
+		{"action followed by a newline", "/action", "{\"user\":\"u1\",\"item\":\"i1\",\"action\":\"click\"}\n", http.StatusAccepted, ""},
 		{"item without id", "/item", `{"terms":["alpha"],"published_ns":1}`, http.StatusBadRequest, `"id"`},
 		{"item with empty id", "/item", `{"id":"","terms":["alpha"]}`, http.StatusBadRequest, `"id"`},
 		{"item well-formed", "/item", `{"id":"n9","terms":["alpha"],"published_ns":1}`, http.StatusAccepted, ""},
+		{"item twice in one body", "/item", `{"id":"n9","terms":["alpha"]}{"id":"n10","terms":["beta"]}`, http.StatusBadRequest, "more than one JSON value"},
+		{"item followed by garbage", "/item", `{"id":"n9","terms":["alpha"]}]`, http.StatusBadRequest, "more than one JSON value"},
+		{"item followed by a newline", "/item", "{\"id\":\"n9\",\"terms\":[\"alpha\"]}\n", http.StatusAccepted, ""},
 		{"recommend without user", "/recommend", "", http.StatusBadRequest, ""},
 		{"similar without item", "/similar?n=5", "", http.StatusBadRequest, ""},
 		{"hot without user", "/hot", "", http.StatusBadRequest, ""},
@@ -389,5 +417,97 @@ func TestHTTPControlCheckpoint(t *testing.T) {
 	resp = postJSON(t, srv.URL+"/control/checkpoint?timeout=bogus", "")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad timeout = %s, want 400", resp.Status)
+	}
+}
+
+// encodingJSON is what the list endpoints answered before they encoded by
+// appending: encoding/json's Encode of the list, an empty list for nil.
+func encodingJSON(list []ScoredItem) ([]byte, error) {
+	if list == nil {
+		list = []ScoredItem{}
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(list)
+	return buf.Bytes(), err
+}
+
+func TestScoredJSONMatchesEncodingJSON(t *testing.T) {
+	ids := []string{"i1", "", `q"uote`, `back\slash`, "nul\x00", "bs\b", "<a>&b", "ls\u2028ps\u2029",
+		"bad\xffutf8", "café 新闻", "del\x7f", "tab\tnl\n"}
+	scores := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 1e20, 1e21, 0.1, -0.25, 123456789.125,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 3.3e-9}
+	lists := [][]ScoredItem{nil, {}}
+	for _, id := range ids {
+		lists = append(lists, []ScoredItem{{Item: id, Score: 0.5}})
+	}
+	for _, s := range scores {
+		lists = append(lists, []ScoredItem{{Item: "i1", Score: s}})
+	}
+	all := make([]ScoredItem, 0, len(ids)*len(scores))
+	for i, id := range ids {
+		for _, s := range scores {
+			all = append(all, ScoredItem{Item: id + strconv.Itoa(i), Score: s})
+		}
+	}
+	lists = append(lists, all)
+	for _, list := range lists {
+		want, err := encodingJSON(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendScoredJSON([]byte("prefix"), list)
+		if err != nil || string(got) != "prefix"+string(want) {
+			t.Errorf("appendScoredJSON(%#v) = %q, %v; encoding/json writes %q", list, got, err, want)
+		}
+	}
+}
+
+func FuzzScoredJSON(f *testing.F) {
+	f.Add("i1", 0.5)
+	f.Add(`<" ">`, 1e-7)
+	f.Add("\xff", 1e21)
+	f.Add("nan", math.NaN())
+	f.Add("inf", math.Inf(-1))
+	f.Fuzz(func(t *testing.T, id string, score float64) {
+		for _, list := range [][]ScoredItem{
+			{{Item: id, Score: score}},
+			{{Item: "head", Score: 1}, {Item: id, Score: score}},
+		} {
+			want, werr := encodingJSON(list)
+			got, gerr := appendScoredJSON(nil, list)
+			if (werr != nil) != (gerr != nil) {
+				t.Fatalf("errors differ for %#v: encoding/json %v, appendScoredJSON %v", list, werr, gerr)
+			}
+			if werr == nil && string(got) != string(want) {
+				t.Fatalf("appendScoredJSON(%#v) = %q, encoding/json writes %q", list, got, want)
+			}
+		}
+	})
+}
+
+func FuzzQueryValue(f *testing.F) {
+	f.Add("user=u1&n=10", "user")
+	f.Add("n=1;x&n=2&n=3", "n")
+	f.Add("us%65r=a+b&user=c", "user")
+	f.Add("item=%zz&item=ok", "item")
+	f.Add("=v&&x", "")
+	f.Add("format", "format")
+	f.Fuzz(func(t *testing.T, raw, name string) {
+		want := (&url.URL{RawQuery: raw}).Query().Get(name)
+		if got := queryValue(raw, name); got != want {
+			t.Fatalf("queryValue(%q, %q) = %q, url.Values.Get gives %q", raw, name, got, want)
+		}
+	})
+}
+
+func TestServeListRefusesUnencodableScore(t *testing.T) {
+	for _, score := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := httptest.NewRecorder()
+		serveList(w, httptest.NewRequest("GET", "/similar?item=a", nil), func(int) ([]ScoredItem, error) {
+			return []ScoredItem{{Item: "fine", Score: 1}, {Item: "broken", Score: score}}, nil
+		})
+		if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), `"broken"`) {
+			t.Errorf("score %v: %d %q, want 500 naming the item", score, w.Code, w.Body.String())
+		}
 	}
 }

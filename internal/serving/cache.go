@@ -139,7 +139,7 @@ func (c *Cache) Get(key string) (val any, neg, ok bool) {
 		sh.lru.Remove(el)
 		delete(sh.items, key)
 		sh.mu.Unlock()
-		c.removed(e.neg)
+		c.removed(1, negCount(e.neg))
 		inc(c.misses)
 		return nil, false, false
 	}
@@ -186,21 +186,22 @@ func (c *Cache) dropNegative(keys []string) {
 		}
 		sh.mu.Unlock()
 		if drop {
-			c.removed(true)
+			c.removed(1, 1)
 			inc(c.negDropped)
 		}
 	}
 }
 
-// removed accounts for one entry leaving the cache.
-func (c *Cache) removed(neg bool) {
-	c.len.Add(-1)
-	c.negs.Add(-negCount(neg))
+// removed accounts for n entries leaving the cache, negs of them negative.
+func (c *Cache) removed(n, negs int64) {
+	c.len.Add(-n)
+	c.negs.Add(-negs)
 }
 
 func (c *Cache) put(key string, val any, neg bool, ttl int64) {
 	sh := c.shardFor(key)
-	exp := obsv.Now() + ttl
+	now := obsv.Now()
+	exp := now + ttl
 	sh.mu.Lock()
 	if el, exists := sh.items[key]; exists {
 		e := el.Value.(*centry)
@@ -210,6 +211,19 @@ func (c *Cache) put(key string, val any, neg bool, ttl int64) {
 		c.negs.Add(negCount(neg) - negCount(was))
 		sh.mu.Unlock()
 		return
+	}
+	// Reap up to two expired entries from the LRU back, so an entry no one
+	// reads again stops holding memory at its shard's next insert instead
+	// of when LRU pressure reaches it.
+	var reaped, reapedNegs int64
+	for ; reaped < 2; reaped++ {
+		back := sh.lru.Back()
+		if back == nil || now < back.Value.(*centry).exp {
+			break
+		}
+		e := sh.lru.Remove(back).(*centry)
+		delete(sh.items, e.key)
+		reapedNegs += negCount(e.neg)
 	}
 	evicted, evictedNeg := false, false
 	if sh.lru.Len() >= sh.cap {
@@ -226,6 +240,9 @@ func (c *Cache) put(key string, val any, neg bool, ttl int64) {
 	// not have read the count without it.
 	c.negs.Add(negCount(neg))
 	sh.mu.Unlock()
+	if reaped > 0 {
+		c.removed(reaped, reapedNegs)
+	}
 	if evicted {
 		c.negs.Add(-negCount(evictedNeg))
 		inc(c.evictions)

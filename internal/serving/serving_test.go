@@ -264,6 +264,44 @@ func TestNegativeCache(t *testing.T) {
 	})
 }
 
+// TestCacheReapsExpiredOnPut: an expired entry no one reads again leaves
+// at its shard's next insert, which removes at most two such entries from
+// the LRU back and counts none as an eviction.
+func TestCacheReapsExpiredOnPut(t *testing.T) {
+	rd := NewReader(newFakeStore(nil), Config{CacheTTL: 20 * time.Millisecond, NegativeTTL: 20 * time.Millisecond})
+	reg := obsv.NewRegistry()
+	rd.Instrument(reg)
+	c := rd.cache
+	sh := c.shardFor("k0")
+	var keys []string
+	for i := 0; len(keys) < 5; i++ {
+		if k := fmt.Sprintf("k%d", i); c.shardFor(k) == sh {
+			keys = append(keys, k)
+		}
+	}
+	c.Put(keys[0], 0)
+	c.PutNegative(keys[1])
+	c.Put(keys[2], 2)
+	time.Sleep(30 * time.Millisecond)
+	c.Put(keys[3], 3)
+	if n := c.Len(); n != 2 {
+		t.Fatalf("Len = %d after a put past the TTL, want 2 (two of three expired entries reaped)", n)
+	}
+	if n := c.negs.Load(); n != 0 {
+		t.Fatalf("%d live negatives after the expired one was reaped, want 0", n)
+	}
+	c.Put(keys[4], 4)
+	if n := c.Len(); n != 2 {
+		t.Fatalf("Len = %d after a second put, want 2 (the last expired entry reaped)", n)
+	}
+	if _, _, ok := c.Get(keys[3]); !ok {
+		t.Fatal("a live entry was reaped")
+	}
+	if n := reg.Counter("serving_cache_evictions_total", "").Value(); n != 0 {
+		t.Fatalf("serving_cache_evictions_total = %d, want 0: reaping is not eviction", n)
+	}
+}
+
 // TestInvalidate: Invalidate makes the next read observe fresh state
 // regardless of TTL — the Drain contract.
 func TestInvalidate(t *testing.T) {

@@ -121,6 +121,10 @@ go test -run=NONE -fuzz='^FuzzRecoverSegment$' -fuzztime=5s ./internal/tdaccess/
 echo "== cluster wire fuzz smoke (frame reader + batch/ack/hello decoders)"
 go test -run=NONE -fuzz='^FuzzWireFrame$' -fuzztime=5s ./internal/cluster/
 
+echo "== front-end fuzz smoke (list encoder against encoding/json, query reader against url.Values)"
+go test -run=NONE -fuzz='^FuzzScoredJSON$' -fuzztime=5s .
+go test -run=NONE -fuzz='^FuzzQueryValue$' -fuzztime=5s .
+
 echo "== codec append paths and top-K insert stay allocation-free"
 zero_out=$(go test -run=NONE \
 	-bench='BenchmarkHistoryUpsertDelta$|BenchmarkListMergeDelta$|BenchmarkAddEncoded$|BenchmarkTopNHeap$' \
@@ -144,6 +148,20 @@ if echo "$edge_out" | awk '/^Benchmark/ { for (i = 1; i <= NF; i++) if ($(i+1) =
 	:
 else
 	echo "check: the ingest edge allocates more than 5 times per action" >&2
+	exit 1
+fi
+
+# A query the serving tier's cache answers allocates its cache key and
+# its Content-Type header value: the query is read in place and the list
+# is appended into a pooled buffer. With url.Values and encoding/json on
+# this path it was 11.
+echo "== a cached query allocates at most 3 times"
+hit_out=$(go test -run=NONE -bench='BenchmarkHTTPCachedQuery$' -benchmem -benchtime=20000x .)
+echo "$hit_out"
+if echo "$hit_out" | awk '/^Benchmark/ { for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op" && $i > 3) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
+	:
+else
+	echo "check: a cached query allocates more than 3 times" >&2
 	exit 1
 fi
 

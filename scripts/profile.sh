@@ -1,14 +1,15 @@
 #!/bin/sh
-# profile.sh - capture CPU and allocation profiles of the four headline
+# profile.sh - capture CPU and allocation profiles of the five headline
 # hot paths (the CF pipeline, the serving-tier read mix, the ingest
-# edge: publish, poll, decode, and one pairCount flush) into profiles/,
-# plus a text top-25 of each so a diff review doesn't need pprof installed.
+# edge: publish, poll, decode, one pairCount flush, and one query the
+# serving cache answers) into profiles/, plus a text top-25 of each so a
+# diff review doesn't need pprof installed.
 #
 # Usage: scripts/profile.sh [iterations]
 #   iterations: -benchtime=Nx for the pipeline bench (default 20000);
 #               the serving mix runs at 2.5x that, the ingest edge at
-#               25x and the 4096-pair flush at 1/40, matching their
-#               per-op cost.
+#               25x, the 4096-pair flush at 1/40 and the cached query
+#               at 50x, matching their per-op cost.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,5 +37,6 @@ profile pipeline 'BenchmarkPipelineThroughput$' "$iters"
 profile serving_mix 'BenchmarkHTTPServingMix' "$((iters * 5 / 2))"
 profile ingest_edge 'BenchmarkIngestEdge$' "$((iters * 25))"
 profile paircount_flush 'BenchmarkPairCountFlush$' "$((iters / 40))"
+profile cached_query 'BenchmarkHTTPCachedQuery$' "$((iters * 50))"
 
 echo "profile: wrote CPU/alloc profiles and top-25 summaries to profiles/"
