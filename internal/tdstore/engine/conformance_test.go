@@ -70,6 +70,89 @@ func TestEngineBasicOps(t *testing.T) {
 	}
 }
 
+// TestEnginePutBatch covers the empty batch, a key given twice in one
+// batch (the later value wins) and a batch past LDB's flush threshold.
+func TestEnginePutBatch(t *testing.T) {
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			e := mk()
+			defer e.Close()
+			if err := e.PutBatch(nil, nil); err != nil {
+				t.Fatalf("empty batch: %v", err)
+			}
+			if n, err := e.Len(); err != nil || n != 0 {
+				t.Fatalf("Len after an empty batch = %d, %v", n, err)
+			}
+			keys, want := putBatchOf(t, e)
+			for k, v := range want {
+				if got, ok, err := e.Get(k); err != nil || !ok || string(got) != v {
+					t.Fatalf("Get(%s) = %q %v %v, want %q", k, got, ok, err, v)
+				}
+			}
+			if n, err := e.Len(); err != nil || n != len(want) {
+				t.Fatalf("Len = %d, %v; want %d of %d batched", n, err, len(want), len(keys))
+			}
+		})
+	}
+}
+
+// putBatchOf writes one batch of 100 keys to e, the first key given a
+// second time at the end, and returns the keys and what each must hold.
+func putBatchOf(t *testing.T, e engine.Engine) ([]string, map[string]string) {
+	t.Helper()
+	var keys []string
+	var values [][]byte
+	want := make(map[string]string)
+	for i := 0; i < 100; i++ {
+		k, v := fmt.Sprintf("b%03d", i), fmt.Sprintf("v%d", i)
+		keys, values = append(keys, k), append(values, []byte(v))
+		want[k] = v
+	}
+	keys, values = append(keys, "b000"), append(values, []byte("later"))
+	want["b000"] = "later"
+	if err := e.PutBatch(keys, values); err != nil {
+		t.Fatal(err)
+	}
+	return keys, want
+}
+
+// TestDurableEnginePutBatchReopen requires a batch written to a durable
+// engine to read back whole after a reopen.
+func TestDurableEnginePutBatchReopen(t *testing.T) {
+	open := map[string]func(dir string) (engine.Engine, error){
+		"ldb": func(dir string) (engine.Engine, error) {
+			return ldb.Open(dir, ldb.Options{FlushThreshold: 64, MaxTables: 4})
+		},
+		"fdb": func(dir string) (engine.Engine, error) { return fdb.Open(dir) },
+	}
+	for name, open := range open {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want := putBatchOf(t, e)
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, err = open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for k, v := range want {
+				if got, ok, err := e.Get(k); err != nil || !ok || string(got) != v {
+					t.Fatalf("Get(%s) after reopen = %q %v %v, want %q", k, got, ok, err, v)
+				}
+			}
+			if n, err := e.Len(); err != nil || n != len(want) {
+				t.Fatalf("Len after reopen = %d, %v; want %d", n, err, len(want))
+			}
+		})
+	}
+}
+
 func TestEngineLenAndRange(t *testing.T) {
 	for name, mk := range engines(t) {
 		t.Run(name, func(t *testing.T) {

@@ -29,6 +29,11 @@ type Engine interface {
 	// modify it afterwards, and the engine never writes to it, so one
 	// slice may be handed to several engines.
 	Put(key string, value []byte) error
+	// PutBatch stores values[i] under keys[i] for every i, in order, so a
+	// key given twice keeps its later value; the slices have one length.
+	// It takes each value as Put does; the two slices themselves stay the
+	// caller's. A durable engine makes the batch one log append.
+	PutBatch(keys []string, values [][]byte) error
 	// Delete removes key. Deleting an absent key is not an error.
 	Delete(key string) error
 	// Len returns the number of live keys.
@@ -185,6 +190,14 @@ func (m *Memory) Put(key string, value []byte) error {
 	sh.mu.Lock()
 	sh.data[key] = e
 	sh.mu.Unlock()
+	return nil
+}
+
+// PutBatch implements Engine: one Put per key.
+func (m *Memory) PutBatch(keys []string, values [][]byte) error {
+	for i, k := range keys {
+		m.Put(k, values[i])
+	}
 	return nil
 }
 

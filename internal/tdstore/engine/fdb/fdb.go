@@ -249,6 +249,16 @@ func (s *Store) Put(key string, value []byte) error {
 	return b.maybeCompact()
 }
 
+// PutBatch implements engine.Engine: one Put per key.
+func (s *Store) PutBatch(keys []string, values [][]byte) error {
+	for i, k := range keys {
+		if err := s.Put(k, values[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Delete implements engine.Engine.
 func (s *Store) Delete(key string) error {
 	if err := s.check(); err != nil {

@@ -4,36 +4,42 @@
 //
 // Writes go to a write-ahead log and an in-memory memtable; when the
 // memtable grows past a threshold it is flushed to an immutable sorted
-// string table (SSTable) and the log is rotated. Reads consult the
-// memtable first, then a block cache over the tables from newest to
-// oldest. A background compactor merges all tables into one under a
-// token-bucket byte-rate limit when the table count grows past a
-// threshold. All I/O is sequential on the write path, matching the
-// paper's emphasis on sequential operations for disk-backed components
-// (§3.2).
+// string table (SSTable) and the log is rotated. A table's index is its
+// sorted keys and a Bloom filter, built while the table is written. Reads
+// consult the memtable first, then the tables from newest to oldest,
+// binary-searching only those whose filter may hold the key, through a
+// block cache. A background compactor merges all tables into one by
+// streaming their sorted indexes under a token-bucket byte-rate limit when
+// the table count grows past a threshold. All I/O is sequential on the
+// write path, matching the paper's emphasis on sequential operations for
+// disk-backed components (§3.2).
 //
 // Durability contract: with SyncWrites off, a write survives a process
-// crash once the OS has the bytes (every record is pushed to the kernel
-// before Put returns) but not a power loss. With SyncWrites on and
-// SyncInterval zero, every record is fsynced before Put returns. With
-// SyncWrites on and a positive SyncInterval, writers park until the next
-// group fsync covers their record — one fsync amortizes every record
-// appended during the interval. A torn record at the WAL tail (crash
-// mid-append) is detected by CRC/length on reopen, truncated away, and
-// appending continues from the last intact record; an fsynced record is
-// never lost and a partial one is never surfaced.
+// crash once the OS has the bytes (every write, a batch included, is one
+// append handed to the kernel before it returns) but not a power loss.
+// With SyncWrites on and SyncInterval zero, every append is fsynced before
+// its write returns. With SyncWrites on and a positive SyncInterval,
+// writers park until the next group fsync covers their append — one fsync
+// amortizes every append made during the interval. A torn record at the
+// WAL tail (crash mid-append) is detected by CRC/length on reopen,
+// truncated away, and appending continues from the last intact record; an
+// fsynced record is never lost and a partial one is never surfaced.
 package ldb
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,6 +57,12 @@ const (
 	maxRecord             = 64 << 20 // sanity bound on a single record
 	defaultFlushThreshold = 4096
 	defaultMaxTables      = 8
+	// maxWALScratch bounds the encode buffer a store keeps between
+	// appends; a larger batch's buffer is let go after its append.
+	maxWALScratch = 64 << 10
+	// tableWriteBuf is how many encoded bytes a table build gathers
+	// before one write to its file.
+	tableWriteBuf = 64 << 10
 
 	// DefaultBlockCacheBytes is the SSTable read-cache budget when
 	// Options.BlockCacheBytes is zero.
@@ -118,24 +130,189 @@ type entry struct {
 	tomb  bool
 }
 
-// tableEntry locates a record inside an SSTable file.
+// tombBit marks a tombstone in tableEntry.vlen. A value is at most
+// maxRecord bytes on disk, far below it.
+const tombBit = 1 << 31
+
+// tableEntry locates one record of an SSTable in 16 bytes: where its
+// value starts in the file, where its key ends in the table's keys (it
+// starts where the previous entry's ends), and the value's length, whose
+// top bit marks a tombstone.
 type tableEntry struct {
 	offset int64
-	length int // value length
-	tomb   bool
+	keyEnd uint32
+	vlen   uint32
 }
 
-// sstable is an immutable on-disk table with a resident index. lo and hi
-// are the flush-sequence range the table covers: a freshly flushed table
-// has lo == hi, a compacted table spans the sequences of its inputs and
-// supersedes any table whose range it contains (crash recovery after an
-// interrupted compaction cleanup).
+func (te tableEntry) tomb() bool  { return te.vlen&tombBit != 0 }
+func (te tableEntry) length() int { return int(te.vlen &^ tombBit) }
+
+// sstable is an immutable on-disk table with a resident index: its keys
+// back to back in key order, which is file order, one entry and one
+// keyPrefix per key, and a Bloom filter over the keys. lo and hi are the
+// flush-sequence range the
+// table covers: a freshly flushed table has lo == hi, a compacted table
+// spans the sequences of its inputs and supersedes any table whose range
+// it contains (crash recovery after an interrupted compaction cleanup).
 type sstable struct {
-	lo, hi int
-	path   string
-	f      *os.File
-	index  map[string]tableEntry
-	bytes  int64 // on-disk size, for compaction accounting
+	lo, hi   int
+	path     string
+	f        *os.File
+	keys     string
+	ents     []tableEntry
+	prefixes []uint64
+	filter   bloom
+	bytes    int64 // on-disk size, for compaction accounting
+}
+
+// newTable returns the table of an index: keys back to back and their
+// entries, in key order.
+func newTable(lo, hi int, path string, f *os.File, keys []byte, ents []tableEntry, size int64) *sstable {
+	if cap(ents)-len(ents) > len(ents)/8 { // grown by appends, or a merge dropped keys
+		ents = slices.Clone(ents)
+	}
+	t := &sstable{lo: lo, hi: hi, path: path, f: f, keys: string(keys), ents: ents, bytes: size}
+	t.prefixes = make([]uint64, len(ents))
+	for i := range ents {
+		t.prefixes[i] = keyPrefix(t.key(i))
+	}
+	t.filter = newBloom(t)
+	return t
+}
+
+// keyPrefix is a key's first eight bytes as a big-endian integer, short
+// keys padded with zeros. Of two keys whose prefixes differ, the one with
+// the smaller prefix sorts first.
+func keyPrefix(key string) uint64 {
+	if len(key) >= 8 {
+		return uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 | uint64(key[3])<<32 |
+			uint64(key[4])<<24 | uint64(key[5])<<16 | uint64(key[6])<<8 | uint64(key[7])
+	}
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < len(key) {
+			p |= uint64(key[i])
+		}
+	}
+	return p
+}
+
+// lowerBound returns the index of the first prefix not below p. The loop
+// has no branch on the data: its select compiles to a conditional move,
+// so a search costs no mispredictions.
+func lowerBound(prefixes []uint64, p uint64) int {
+	i, n := 0, len(prefixes)
+	for n > 1 {
+		half := n >> 1
+		if prefixes[i+half-1] < p {
+			i += half
+		}
+		n -= half
+	}
+	if n == 1 && prefixes[i] < p {
+		i++
+	}
+	return i
+}
+
+// keyStart is where the i-th key of an index begins in its keys.
+func keyStart(ents []tableEntry, i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return ents[i-1].keyEnd
+}
+
+// key returns the i-th key of the table, a substring of t.keys.
+func (t *sstable) key(i int) string {
+	return t.keys[keyStart(t.ents, i):t.ents[i].keyEnd]
+}
+
+// find returns the entry of key, whose keyHash is h. Only a table whose
+// filter may hold the key is searched: by prefix, then by whole key among
+// the keys that share its prefix, of which there is usually one.
+func (t *sstable) find(key string, h uint64) (tableEntry, bool) {
+	if !t.filter.mayContain(h) {
+		return tableEntry{}, false
+	}
+	p := keyPrefix(key)
+	i := lowerBound(t.prefixes, p)
+	if i == len(t.prefixes) || t.prefixes[i] != p {
+		return tableEntry{}, false
+	}
+	if k := t.key(i); k >= key {
+		return t.ents[i], k == key
+	}
+	j := len(t.prefixes) // the end of the keys sharing p
+	if p != math.MaxUint64 {
+		j = i + lowerBound(t.prefixes[i:], p+1)
+	}
+	for i++; i < j; {
+		m := int(uint(i+j) >> 1)
+		if t.key(m) < key {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i < len(t.ents) && t.key(i) == key {
+		return t.ents[i], true
+	}
+	return tableEntry{}, false
+}
+
+// bloom is a table's Bloom filter: bloomBitsPerKey bits and bloomProbes
+// probes per key, about a 1 % false-positive rate. It lives only in
+// memory, built from the keys whenever a table is written or opened, so
+// its hash needs no fixed seed.
+type bloom []uint64
+
+const (
+	bloomBitsPerKey = 10
+	bloomProbes     = 7
+)
+
+var filterSeed = maphash.MakeSeed()
+
+// keyHash is the hash a filter is built and probed with.
+func keyHash(key string) uint64 { return maphash.String(filterSeed, key) }
+
+// newBloom returns the filter of t's keys.
+func newBloom(t *sstable) bloom {
+	b := make(bloom, (len(t.ents)*bloomBitsPerKey+63)/64+1)
+	for i := range t.ents {
+		b.add(keyHash(t.key(i)))
+	}
+	return b
+}
+
+// bit returns the word and mask of probe g, placed by a multiply rather
+// than a division. A key's probes are double hashing over its hash's two
+// halves: probe i is g+i·delta.
+func (b bloom) bit(g uint32) (int, uint64) {
+	pos := uint64(g) * (uint64(len(b)) * 64) >> 32
+	return int(pos >> 6), 1 << (pos & 63)
+}
+
+func (b bloom) add(h uint64) {
+	g, delta := uint32(h), uint32(h>>32)|1
+	for i := 0; i < bloomProbes; i++ {
+		w, m := b.bit(g)
+		b[w] |= m
+		g += delta
+	}
+}
+
+func (b bloom) mayContain(h uint64) bool {
+	g, delta := uint32(h), uint32(h>>32)|1
+	for i := 0; i < bloomProbes; i++ {
+		if w, m := b.bit(g); b[w]&m == 0 {
+			return false
+		}
+		g += delta
+	}
+	return true
 }
 
 // stats are the engine's observability counters (engine.Stats). All are
@@ -159,8 +336,8 @@ type Store struct {
 	opts    Options
 	walF    *os.File // underlying WAL file (truncate/repair path)
 	wal     wfile    // possibly hook-wrapped view used for writes
-	walBuf  *bufio.Writer
-	walOff  int64 // bytes durably handed to the OS (clean record boundary)
+	walBuf  []byte   // encode buffer: a write's records, appended in one Write
+	walOff  int64    // bytes durably handed to the OS (clean record boundary)
 	mem     map[string]entry
 	nextSeq int
 	closed  bool
@@ -173,10 +350,10 @@ type Store struct {
 	tableMu sync.RWMutex
 	tables  []*sstable // oldest first
 
-	// Group commit: walSeq numbers appended records, syncedSeq is the
-	// highest record covered by an fsync (or made durable by a rotation
-	// into an fsynced table). walGen invalidates an in-flight group sync
-	// when the WAL rotates underneath it.
+	// Group commit: walSeq numbers appends, syncedSeq is the highest
+	// append covered by an fsync (or made durable by a rotation into an
+	// fsynced table). walGen invalidates an in-flight group sync when the
+	// WAL rotates underneath it.
 	walSeq    int64
 	syncedSeq int64
 	walGen    int64
@@ -237,9 +414,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if err := s.replayWAL(); err != nil {
+		s.closeTables()
 		return nil, err
 	}
 	if err := s.openWAL(); err != nil {
+		s.closeTables()
 		return nil, err
 	}
 	s.st.recoveryNanos = time.Since(start).Nanoseconds()
@@ -314,10 +493,11 @@ func (s *Store) loadTables() error {
 		}
 		live = append(live, sn)
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].lo < live[j].lo })
+	slices.SortFunc(live, func(a, b seqName) int { return cmp.Compare(a.lo, b.lo) })
 	for _, sn := range live {
 		t, err := openTable(sn.lo, sn.hi, sn.name)
 		if err != nil {
+			s.closeTables()
 			return err
 		}
 		s.tables = append(s.tables, t)
@@ -328,32 +508,155 @@ func (s *Store) loadTables() error {
 	return nil
 }
 
+// closeTables closes the table files of a store whose Open failed.
+func (s *Store) closeTables() {
+	for _, t := range s.tables {
+		t.f.Close()
+	}
+}
+
+// openTable reads a table written by an earlier run and builds its index.
+// Its keys must come in non-decreasing order; of equal neighbours the
+// later record wins, so a table holding a key twice still opens. A key
+// out of order, like any malformed record, makes the table corrupt.
 func openTable(lo, hi int, path string) (*sstable, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ldb: open table: %w", err)
 	}
-	t := &sstable{lo: lo, hi: hi, path: path, f: f, index: make(map[string]tableEntry)}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("ldb: stat table %s: %w", path, err)
+	}
+	corrupt := func(off int64, err error) (*sstable, error) {
+		f.Close()
+		return nil, fmt.Errorf("ldb: table %s corrupt at offset %d: %w", path, off, err)
+	}
 	r := bufio.NewReader(f)
-	var off int64
+	var (
+		keys []byte
+		ents []tableEntry
+		buf  []byte
+		off  int64
+	)
 	for {
-		rec, n, err := readRecord(r)
+		rec, n, err := readRecord(r, fi.Size()-off, &buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ldb: table %s corrupt at offset %d: %w", path, off, err)
+			return corrupt(off, err)
 		}
-		t.index[string(rec.key)] = tableEntry{
-			offset: off + int64(n) - int64(len(rec.value)),
-			length: len(rec.value),
-			tomb:   rec.tomb,
+		te := tableEntry{offset: off + int64(n-len(rec.value)), vlen: uint32(len(rec.value))}
+		if rec.tomb {
+			te.vlen |= tombBit
 		}
+		if last := len(ents) - 1; last >= 0 {
+			switch c := bytes.Compare(rec.key, keys[keyStart(ents, last):]); {
+			case c < 0:
+				return corrupt(off, fmt.Errorf("%w: key %q sorts before the key ahead of it", errCorrupt, rec.key))
+			case c == 0: // the later record wins
+				te.keyEnd = ents[last].keyEnd
+				ents[last] = te
+				off += int64(n)
+				continue
+			}
+		}
+		if len(keys)+len(rec.key) > math.MaxUint32 {
+			return corrupt(off, fmt.Errorf("%w: keys exceed 4 GiB", errCorrupt))
+		}
+		keys = append(keys, rec.key...)
+		te.keyEnd = uint32(len(keys))
+		ents = append(ents, te)
 		off += int64(n)
 	}
-	t.bytes = off
-	return t, nil
+	return newTable(lo, hi, path, f, keys, ents, off), nil
+}
+
+// tableBuilder writes a table's records in key order to a temporary file
+// and builds the table's index as it goes, so a new table is never read
+// back: the flush and the compaction both produce their table through it.
+type tableBuilder struct {
+	path string
+	f    *os.File
+	buf  []byte // encoded records not yet written
+	off  int64
+	keys []byte
+	ents []tableEntry
+}
+
+// createTable starts a table to be published at path, sized for n keys
+// of keyBytes bytes in all (both hints).
+func createTable(path string, n, keyBytes int) (*tableBuilder, error) {
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return nil, fmt.Errorf("ldb: create table: %w", err)
+	}
+	return &tableBuilder{
+		path: path,
+		f:    f,
+		buf:  make([]byte, 0, tableWriteBuf),
+		keys: make([]byte, 0, keyBytes),
+		ents: make([]tableEntry, 0, n),
+	}, nil
+}
+
+// add appends one record, whose key must sort after the last one's, and
+// returns its encoded size.
+func (b *tableBuilder) add(key string, value []byte, tomb bool) (int, error) {
+	if len(value) > maxRecord || len(b.keys)+len(key) > math.MaxUint32 {
+		return 0, fmt.Errorf("ldb: table %s: record of key %q too large", b.path, key)
+	}
+	start := len(b.buf)
+	b.buf = appendRecord(b.buf, tomb, key, value)
+	n := len(b.buf) - start
+	b.keys = append(b.keys, key...)
+	te := tableEntry{offset: b.off + int64(n-len(value)), keyEnd: uint32(len(b.keys)), vlen: uint32(len(value))}
+	if tomb {
+		te.vlen |= tombBit
+	}
+	b.ents = append(b.ents, te)
+	b.off += int64(n)
+	if len(b.buf) >= tableWriteBuf {
+		if _, err := b.f.Write(b.buf); err != nil {
+			return 0, fmt.Errorf("ldb: write table: %w", err)
+		}
+		b.buf = b.buf[:0]
+	}
+	return n, nil
+}
+
+// finish writes out and fsyncs the table, publishes it by rename and
+// returns it open for reading with its index.
+func (b *tableBuilder) finish(lo, hi int) (*sstable, error) {
+	tmp := b.f.Name()
+	if _, err := b.f.Write(b.buf); err != nil {
+		b.abort()
+		return nil, fmt.Errorf("ldb: write table: %w", err)
+	}
+	if err := b.f.Sync(); err != nil {
+		b.abort()
+		return nil, fmt.Errorf("ldb: sync table: %w", err)
+	}
+	if err := b.f.Close(); err != nil {
+		os.Remove(tmp)
+		return nil, fmt.Errorf("ldb: close table: %w", err)
+	}
+	if err := os.Rename(tmp, b.path); err != nil {
+		return nil, fmt.Errorf("ldb: publish table: %w", err)
+	}
+	f, err := os.Open(b.path)
+	if err != nil {
+		return nil, fmt.Errorf("ldb: open table: %w", err)
+	}
+	return newTable(lo, hi, b.path, f, b.keys, b.ents, b.off), nil
+}
+
+// abort drops an unfinished table.
+func (b *tableBuilder) abort() {
+	b.f.Close()
+	os.Remove(b.f.Name())
 }
 
 // replayWAL rebuilds the memtable from the WAL. A torn tail — a record
@@ -371,11 +674,19 @@ func (s *Store) replayWAL() error {
 	if err != nil {
 		return fmt.Errorf("ldb: open wal: %w", err)
 	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("ldb: stat wal: %w", err)
+	}
 	r := bufio.NewReader(f)
-	var off int64
-	torn := false
+	var (
+		buf  []byte
+		off  int64
+		torn bool
+	)
 	for {
-		rec, n, err := readRecord(r)
+		rec, n, err := readRecord(r, fi.Size()-off, &buf)
 		if err == io.EOF {
 			break
 		}
@@ -384,7 +695,6 @@ func (s *Store) replayWAL() error {
 			// truncation; a genuine read failure (disk I/O error) must
 			// surface, not silently discard the records after it.
 			if !isTornTail(err) {
-				f.Close()
 				return fmt.Errorf("ldb: read wal at offset %d: %w", off, err)
 			}
 			torn = true
@@ -393,12 +703,11 @@ func (s *Store) replayWAL() error {
 		if rec.tomb {
 			s.mem[string(rec.key)] = entry{tomb: true}
 		} else {
-			s.mem[string(rec.key)] = entry{value: rec.value}
+			s.mem[string(rec.key)] = entry{value: bytes.Clone(rec.value)}
 		}
 		off += int64(n)
 		s.st.replayedRecords++
 	}
-	f.Close()
 	if torn {
 		s.st.tornTails++
 		if err := os.Truncate(path, off); err != nil {
@@ -419,7 +728,6 @@ func (s *Store) openWAL() error {
 	if s.opts.walHook != nil {
 		s.wal = s.opts.walHook(f)
 	}
-	s.walBuf = bufio.NewWriter(s.wal)
 	return nil
 }
 
@@ -444,110 +752,89 @@ type record struct {
 	value []byte
 }
 
-// writeRecord appends rec to w and returns the number of bytes written.
-// Layout: crc32(body) | body, body = flags | klen | key | vlen | value.
-func writeRecord(w io.Writer, rec record) (int, error) {
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
-	i := 0
-	if rec.tomb {
-		hdr[i] = flagTomb
-	} else {
-		hdr[i] = 0
+// appendRecord appends one encoded record to dst. Layout:
+// crc32(body) | body, body = flags | klen | vlen | key | value, the
+// lengths uvarints.
+func appendRecord(dst []byte, tomb bool, key string, value []byte) []byte {
+	start := len(dst)
+	var flags byte
+	if tomb {
+		flags = flagTomb
 	}
-	i++
-	i += binary.PutUvarint(hdr[i:], uint64(len(rec.key)))
-	i += binary.PutUvarint(hdr[i:], uint64(len(rec.value)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:i])
-	crc.Write(rec.key)
-	crc.Write(rec.value)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
-	n := 0
-	for _, b := range [][]byte{crcBuf[:], hdr[:i], rec.key, rec.value} {
-		m, err := w.Write(b)
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	dst = append(dst, 0, 0, 0, 0, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	dst = append(dst, key...)
+	dst = append(dst, value...)
+	binary.LittleEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(dst[start+4:]))
+	return dst
 }
 
-// readRecord reads one record and returns it with its encoded size.
-// io.EOF means a clean end of input; any other error (including a record
-// cut short by EOF) marks a torn or corrupt record.
-func readRecord(r *bufio.Reader) (record, int, error) {
+// readRecord reads one record of at most left bytes and returns it with
+// its encoded size. Its key and value are read into *buf, grown as
+// needed, and alias it until the next call. io.EOF means a clean end of
+// input; any other error (including a record cut short by EOF, or one
+// whose lengths run past the bytes left) marks a torn or corrupt record.
+func readRecord(r *bufio.Reader, left int64, buf *[]byte) (record, int, error) {
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			// A few stray bytes where a record should start: torn tail.
-			return record{}, 0, io.ErrUnexpectedEOF
-		}
+		// io.ErrUnexpectedEOF: a few stray bytes where a record should
+		// start, a torn tail.
 		return record{}, 0, err
 	}
 	want := binary.LittleEndian.Uint32(crcBuf[:])
-	crc := crc32.NewIEEE()
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
 	flags, err := r.ReadByte()
 	if err != nil {
 		return record{}, 0, fmt.Errorf("read flags: %w", err)
 	}
-	crc.Write([]byte{flags})
-	klen, err := readUvarintCRC(r, crc)
+	hdr[0] = flags
+	n := 1
+	klen, n, err := readUvarint(r, hdr[:], n)
 	if err != nil {
 		return record{}, 0, fmt.Errorf("read klen: %w", err)
 	}
-	vlen, err := readUvarintCRC(r, crc)
+	vlen, n, err := readUvarint(r, hdr[:], n)
 	if err != nil {
 		return record{}, 0, fmt.Errorf("read vlen: %w", err)
 	}
 	if klen > maxRecord || vlen > maxRecord {
 		return record{}, 0, fmt.Errorf("%w: record too large (klen=%d vlen=%d)", errCorrupt, klen, vlen)
 	}
-	key := make([]byte, klen)
-	if _, err := io.ReadFull(r, key); err != nil {
-		return record{}, 0, fmt.Errorf("read key: %w", err)
+	total := 4 + n + int(klen) + int(vlen)
+	if int64(total) > left {
+		return record{}, 0, fmt.Errorf("%w: a record of %d bytes where %d are left", errCorrupt, total, left)
 	}
-	crc.Write(key)
-	value := make([]byte, vlen)
-	if _, err := io.ReadFull(r, value); err != nil {
-		return record{}, 0, fmt.Errorf("read value: %w", err)
+	body := slices.Grow((*buf)[:0], int(klen+vlen))[:klen+vlen]
+	*buf = body
+	if _, err := io.ReadFull(r, body); err != nil {
+		return record{}, 0, fmt.Errorf("read key and value: %w", err)
 	}
-	crc.Write(value)
-	if crc.Sum32() != want {
+	if crc32.Update(crc32.ChecksumIEEE(hdr[:n]), crc32.IEEETable, body) != want {
 		return record{}, 0, fmt.Errorf("%w: crc mismatch", errCorrupt)
 	}
-	hdrLen := 1 + uvarintLen(klen) + uvarintLen(vlen)
-	total := 4 + hdrLen + int(klen) + int(vlen)
-	return record{tomb: flags&flagTomb != 0, key: key, value: value}, total, nil
+	return record{tomb: flags&flagTomb != 0, key: body[:klen], value: body[klen:]}, total, nil
 }
 
-// readUvarintCRC reads a uvarint byte-by-byte, feeding each byte to crc.
-func readUvarintCRC(r *bufio.Reader, crc io.Writer) (uint64, error) {
+// readUvarint reads a uvarint byte by byte, recording each byte in
+// hdr[n:], and returns it with the new end of hdr.
+func readUvarint(r *bufio.Reader, hdr []byte, n int) (uint64, int, error) {
 	var x uint64
 	var s uint
 	for i := 0; i < binary.MaxVarintLen64; i++ {
 		b, err := r.ReadByte()
 		if err != nil {
-			return 0, err
+			return 0, n, err
 		}
-		crc.Write([]byte{b})
+		hdr[n] = b
+		n++
 		if b < 0x80 {
-			return x | uint64(b)<<s, nil
+			return x | uint64(b)<<s, n, nil
 		}
 		x |= uint64(b&0x7f) << s
 		s += 7
 	}
-	return 0, fmt.Errorf("%w: uvarint overflows 64 bits", errCorrupt)
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return 0, n, fmt.Errorf("%w: uvarint overflows 64 bits", errCorrupt)
 }
 
 // Get implements engine.Engine.
@@ -570,15 +857,16 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	// Table reads run under tableMu's read lock rather than the writer
 	// mutex, so cache misses hitting the disk never serialize the append
 	// path; compaction retires files only under the write lock.
+	h := keyHash(key)
 	s.tableMu.RLock()
 	defer s.tableMu.RUnlock()
 	for i := len(s.tables) - 1; i >= 0; i-- {
 		t := s.tables[i]
-		te, ok := t.index[key]
+		te, ok := t.find(key, h)
 		if !ok {
 			continue
 		}
-		if te.tomb {
+		if te.tomb() {
 			return nil, false, nil
 		}
 		v, err := s.readValue(t, te)
@@ -602,7 +890,7 @@ func (s *Store) readValue(t *sstable, te tableEntry) ([]byte, error) {
 		}
 		s.cacheMiss.Add(1)
 	}
-	v := make([]byte, te.length)
+	v := make([]byte, te.length())
 	if _, err := t.f.ReadAt(v, te.offset); err != nil {
 		return nil, fmt.Errorf("ldb: read table %s: %w", t.path, err)
 	}
@@ -617,28 +905,49 @@ func (s *Store) readValue(t *sstable, te tableEntry) ([]byte, error) {
 
 // Put implements engine.Engine: the memtable keeps value itself.
 func (s *Store) Put(key string, value []byte) error {
-	return s.write(record{key: []byte(key), value: value})
+	return s.write([]string{key}, [][]byte{value}, false)
+}
+
+// PutBatch implements engine.Engine: the batch's records reach the WAL in
+// one append, and the memtable keeps each value itself. If the append
+// fails, no record of the batch is applied.
+func (s *Store) PutBatch(keys []string, values [][]byte) error {
+	return s.write(keys, values, false)
 }
 
 // Delete implements engine.Engine.
 func (s *Store) Delete(key string) error {
-	return s.write(record{key: []byte(key), tomb: true})
+	return s.write([]string{key}, nil, true)
 }
 
-func (s *Store) write(rec record) error {
+// write appends one record per key — values[i] under keys[i], or a
+// tombstone for each key — to the WAL in one Write, then applies them all
+// to the memtable.
+func (s *Store) write(keys []string, values [][]byte, tomb bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	n, err := writeRecord(s.walBuf, rec)
-	if err == nil {
-		err = s.walBuf.Flush()
+	if len(keys) == 0 {
+		return nil
+	}
+	buf := s.walBuf[:0]
+	for i, k := range keys {
+		var v []byte
+		if !tomb {
+			v = values[i]
+		}
+		buf = appendRecord(buf, tomb, k, v)
+	}
+	n, err := s.wal.Write(buf)
+	s.walBuf = nil
+	if cap(buf) <= maxWALScratch {
+		s.walBuf = buf[:0]
 	}
 	if err != nil {
-		// The record may be torn on disk: truncate back to the last
-		// clean boundary and reopen, so the log stays parseable and the
-		// caller can retry.
+		// The batch may be torn on disk: truncate back to where it began
+		// and reopen, so the log stays parseable and the caller can retry.
 		s.repairWALLocked()
 		return fmt.Errorf("ldb: wal append: %w", err)
 	}
@@ -651,10 +960,12 @@ func (s *Store) write(rec record) error {
 	// the flush rotates the WAL away and releases parked writers as
 	// durable, which is only true if the flushed table carried their
 	// records — i.e. if every appended record is already in the memtable.
-	if rec.tomb {
-		s.mem[string(rec.key)] = entry{tomb: true}
-	} else {
-		s.mem[string(rec.key)] = entry{value: rec.value}
+	for i, k := range keys {
+		if tomb {
+			s.mem[k] = entry{tomb: true}
+		} else {
+			s.mem[k] = entry{value: values[i]}
+		}
 	}
 	if s.opts.SyncWrites {
 		if s.opts.SyncInterval > 0 {
@@ -670,7 +981,7 @@ func (s *Store) write(rec record) error {
 		}
 	}
 	if s.closed {
-		// Closed while parked for the group fsync; the record is durable
+		// Closed while parked for the group fsync; the records are durable
 		// (Close syncs before setting the flag) and already applied.
 		return nil
 	}
@@ -690,7 +1001,7 @@ func (s *Store) write(rec record) error {
 	return nil
 }
 
-// waitGroupSyncLocked parks the writer of record seq until a group fsync
+// waitGroupSyncLocked parks the writer of append seq until a group fsync
 // (or a WAL rotation into an fsynced table) covers it. Called with s.mu
 // held; the condition variable releases the lock while parked, so other
 // writers keep appending into the same group.
@@ -705,10 +1016,10 @@ func (s *Store) waitGroupSyncLocked(seq int64) error {
 }
 
 // syncLoop is the group-commit daemon: one fsync per SyncInterval covers
-// every record appended since the last one. The fsync itself runs with
-// s.mu released so writers keep appending; a WAL rotation during the
-// fsync bumps walGen, in which case the result is discarded (rotation
-// already made those records durable in an fsynced table).
+// every append since the last one. The fsync itself runs with s.mu
+// released so writers keep appending; a WAL rotation during the fsync
+// bumps walGen, in which case the result is discarded (rotation already
+// made those records durable in an fsynced table).
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
 	ticker := time.NewTicker(s.opts.SyncInterval)
@@ -758,53 +1069,36 @@ func (s *Store) Flush() error {
 	return s.flushLocked()
 }
 
+// flushLocked writes the memtable out as a table in key order, its index
+// built on the way, and rotates the WAL.
 func (s *Store) flushLocked() error {
 	if len(s.mem) == 0 {
 		return nil
 	}
 	keys := make([]string, 0, len(s.mem))
+	keyBytes := 0
 	for k := range s.mem {
 		keys = append(keys, k)
+		keyBytes += len(k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	seq := s.nextSeq
-	path := filepath.Join(s.dir, tableName(seq, seq))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ldb: create table: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, k := range keys {
-		e := s.mem[k]
-		if _, err := writeRecord(w, record{tomb: e.tomb, key: []byte(k), value: e.value}); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("ldb: write table: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ldb: flush table: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ldb: sync table: %w", err)
-	}
-	s.st.fsyncs++
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ldb: close table: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("ldb: publish table: %w", err)
-	}
-	t, err := openTable(seq, seq, path)
+	b, err := createTable(filepath.Join(s.dir, tableName(seq, seq)), len(keys), keyBytes)
 	if err != nil {
 		return err
 	}
+	for _, k := range keys {
+		e := s.mem[k]
+		if _, err := b.add(k, e.value, e.tomb); err != nil {
+			b.abort()
+			return err
+		}
+	}
+	t, err := b.finish(seq, seq)
+	if err != nil {
+		return err
+	}
+	s.st.fsyncs++
 	s.tableMu.Lock()
 	s.tables = append(s.tables, t)
 	s.tableMu.Unlock()
@@ -813,7 +1107,6 @@ func (s *Store) flushLocked() error {
 	s.st.memtableFlushes++
 	// Rotate the WAL: its contents are now durable in the fsynced table,
 	// so every parked group-commit writer is released too.
-	s.walBuf.Flush()
 	s.wal.Close()
 	if err := os.Remove(filepath.Join(s.dir, walName)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("ldb: remove wal: %w", err)
@@ -854,11 +1147,44 @@ func (s *Store) compactLoop() {
 	}
 }
 
-// compactOnce merges every table present at its start into one,
-// dropping overwritten versions and tombstones, under the byte-rate
-// limit. The merge runs off the write lock: tables are immutable, new
-// flushes only append, and merges are serialized by compactMu, so the
-// captured prefix stays exactly the prefix of s.tables until the swap.
+// mergeTables walks the union of tables' sorted indexes (tables oldest
+// first) in key order and calls fn once per key, with the newest table
+// holding it and the key's index there, until fn returns false.
+func mergeTables(tables []*sstable, fn func(t *sstable, i int) bool) {
+	pos := make([]int, len(tables))
+	for {
+		win, key := -1, ""
+		for j := len(tables) - 1; j >= 0; j-- { // newest first: it keeps a tie
+			if pos[j] == len(tables[j].ents) {
+				continue
+			}
+			if k := tables[j].key(pos[j]); win < 0 || k < key {
+				win, key = j, k
+			}
+		}
+		if win < 0 {
+			return
+		}
+		more := fn(tables[win], pos[win])
+		for j, t := range tables {
+			if pos[j] < len(t.ents) && t.key(pos[j]) == key {
+				pos[j]++
+			}
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// compactOnce merges every table present at its start into one, under
+// the byte-rate limit: a streaming merge of the inputs' sorted indexes in
+// which, for each key, the newest record wins and a winning tombstone
+// drops the key (there is nothing below the oldest table for one to
+// shadow). Only one value is held at a time. The merge runs off the write
+// lock: tables are immutable, new flushes only append, and merges are
+// serialized by compactMu, so the captured prefix stays exactly the
+// prefix of s.tables until the swap.
 func (s *Store) compactOnce() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -876,84 +1202,48 @@ func (s *Store) compactOnce() error {
 		return nil
 	}
 
-	// Newest version wins; tombstones drop the key entirely (there is
-	// nothing below the oldest table for one to shadow).
-	var ioBytes int64
-	live := make(map[string][]byte)
-	seen := make(map[string]bool) // keys already in order: a key deleted
-	// from live by a tombstone and re-added by a later table must not be
-	// appended twice, or the merged table carries duplicate records.
-	var order []string
-	for _, t := range inputs { // oldest first, so later tables overwrite
-		if s.stopping() {
-			return nil
-		}
-		for k, te := range t.index {
-			if te.tomb {
-				delete(live, k)
-				continue
-			}
-			v := make([]byte, te.length)
-			s.rate.wait(te.length)
-			if _, err := t.f.ReadAt(v, te.offset); err != nil {
-				return fmt.Errorf("ldb: compact read %s: %w", t.path, err)
-			}
-			ioBytes += int64(te.length)
-			if !seen[k] {
-				seen[k] = true
-				order = append(order, k)
-			}
-			live[k] = v
-		}
-	}
-	sort.Strings(order)
 	lo, hi := inputs[0].lo, inputs[len(inputs)-1].hi
 	path := filepath.Join(s.dir, tableName(lo, hi))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	b, err := createTable(path, 0, 0)
 	if err != nil {
-		return fmt.Errorf("ldb: create merged table: %w", err)
+		return err
 	}
-	w := bufio.NewWriter(f)
-	for _, k := range order {
-		v, ok := live[k]
-		if !ok {
-			continue // deleted by a newer tombstone
+	var (
+		ioBytes int64
+		val     []byte
+		stopped bool
+	)
+	mergeTables(inputs, func(t *sstable, i int) bool {
+		if s.stopping() {
+			stopped = true
+			return false
 		}
-		n, err := writeRecord(w, record{key: []byte(k), value: v})
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("ldb: write merged table: %w", err)
+		te := t.ents[i]
+		if te.tomb() {
+			return true
+		}
+		val = slices.Grow(val[:0], te.length())[:te.length()]
+		s.rate.wait(te.length())
+		if _, err = t.f.ReadAt(val, te.offset); err != nil {
+			err = fmt.Errorf("ldb: compact read %s: %w", t.path, err)
+			return false
+		}
+		ioBytes += int64(te.length())
+		var n int
+		if n, err = b.add(t.key(i), val, false); err != nil {
+			return false
 		}
 		ioBytes += int64(n)
 		s.rate.wait(n)
-		if s.stopping() {
-			f.Close()
-			os.Remove(tmp)
-			return nil
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ldb: flush merged table: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ldb: sync merged table: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ldb: close merged table: %w", err)
+		return true
+	})
+	if stopped || err != nil {
+		b.abort()
+		return err
 	}
 	// The rename is the commit point: reopening after a crash anywhere
 	// past it sees the merged table superseding its inputs by range.
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("ldb: publish merged table: %w", err)
-	}
-	merged, err := openTable(lo, hi, path)
+	merged, err := b.finish(lo, hi)
 	if err != nil {
 		return err
 	}
@@ -1108,24 +1398,31 @@ func (s *Store) Len() (int, error) {
 		return 0, ErrClosed
 	}
 	n := 0
-	err := s.rangeLocked(func(string, []byte) bool { n++; return true })
-	return n, err
+	for _, e := range s.mem {
+		if !e.tomb {
+			n++
+		}
+	}
+	s.tableMu.RLock()
+	defer s.tableMu.RUnlock()
+	mergeTables(s.tables, func(t *sstable, i int) bool {
+		if _, shadowed := s.mem[t.key(i)]; !shadowed && !t.ents[i].tomb() {
+			n++
+		}
+		return true
+	})
+	return n, nil
 }
 
-// Range implements engine.Engine.
+// Range implements engine.Engine: the memtable's pairs, then the tables'
+// in key order, each key once at its newest version.
 func (s *Store) Range(fn func(key string, value []byte) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	return s.rangeLocked(fn)
-}
-
-func (s *Store) rangeLocked(fn func(key string, value []byte) bool) error {
-	seen := make(map[string]bool, len(s.mem))
 	for k, e := range s.mem {
-		seen[k] = true
 		if e.tomb {
 			continue
 		}
@@ -1135,26 +1432,20 @@ func (s *Store) rangeLocked(fn func(key string, value []byte) bool) error {
 	}
 	s.tableMu.RLock()
 	defer s.tableMu.RUnlock()
-	for i := len(s.tables) - 1; i >= 0; i-- {
-		t := s.tables[i]
-		for k, te := range t.index {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if te.tomb {
-				continue
-			}
-			v := make([]byte, te.length)
-			if _, err := t.f.ReadAt(v, te.offset); err != nil {
-				return fmt.Errorf("ldb: range read %s: %w", t.path, err)
-			}
-			if !fn(k, v) {
-				return nil
-			}
+	var err error
+	mergeTables(s.tables, func(t *sstable, i int) bool {
+		k, te := t.key(i), t.ents[i]
+		if _, shadowed := s.mem[k]; shadowed || te.tomb() {
+			return true
 		}
-	}
-	return nil
+		v := make([]byte, te.length())
+		if _, err = t.f.ReadAt(v, te.offset); err != nil {
+			err = fmt.Errorf("ldb: range read %s: %w", t.path, err)
+			return false
+		}
+		return fn(k, v)
+	})
+	return err
 }
 
 // TableCount returns the number of on-disk SSTables, for tests and
@@ -1215,10 +1506,10 @@ func (s *Store) Crash() {
 	s.tableMu.Unlock()
 }
 
-// Close implements engine.Engine. Buffered WAL bytes are pushed to the
-// OS (and fsynced under SyncWrites) before the store is marked closed,
-// so a clean shutdown followed by Open loses nothing and leaks no file
-// handles.
+// Close implements engine.Engine. Every write's records are with the OS
+// when it returns, so Close fsyncs them under SyncWrites and marks the
+// store closed: a clean shutdown followed by Open loses nothing and leaks
+// no file handles.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1226,9 +1517,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	var first error
-	if err := s.walBuf.Flush(); err != nil && first == nil {
-		first = err
-	}
 	if s.opts.SyncWrites {
 		if err := s.wal.Sync(); err != nil && first == nil {
 			first = err

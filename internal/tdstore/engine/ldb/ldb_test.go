@@ -9,6 +9,12 @@ import (
 	"testing"
 )
 
+// writeRecord writes rec to w in one Write, as a table or the WAL holds
+// it, and returns the bytes written.
+func writeRecord(w io.Writer, rec record) (int, error) {
+	return w.Write(appendRecord(nil, rec.tomb, string(rec.key), rec.value))
+}
+
 func TestReopenRecoversFromWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{FlushThreshold: 1 << 20}) // never flush
@@ -160,10 +166,16 @@ func TestCompactNoDuplicateRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := bufio.NewReader(f)
+	var buf []byte
+	var off int64
 	recs := 0
 	for {
-		rec, _, err := readRecord(r)
+		rec, n, err := readRecord(r, fi.Size()-off, &buf)
 		if err == io.EOF {
 			break
 		}
@@ -173,6 +185,7 @@ func TestCompactNoDuplicateRecords(t *testing.T) {
 		if string(rec.key) != "k" {
 			t.Fatalf("unexpected key %q in merged table", rec.key)
 		}
+		off += int64(n)
 		recs++
 	}
 	if recs != 1 {

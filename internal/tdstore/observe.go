@@ -73,7 +73,9 @@ func (cl *Client) observe(op clientOp, start int64) {
 // tdstore_engine_* series: WAL traffic and fsyncs, memtable flushes,
 // compaction work, block-cache effectiveness, WAL replay volume and the
 // live SSTable count, summed over every resident engine that reports
-// stats (engine.StatsReporter; in-memory engines contribute nothing).
+// stats (engine.StatsReporter; in-memory engines contribute nothing), and
+// counts the replicated mutations slaves failed to apply as
+// tdstore_replica_apply_errors_total.
 // Each engine's one-time recovery cost is recorded into the
 // tdstore_engine_recovery_seconds histogram at call time, so call this
 // after the cluster is built — and after a restore, so the replayed WAL
@@ -113,6 +115,15 @@ func (c *Cluster) Instrument(r *obsv.Registry) {
 		sum(func(s engine.Stats) int64 { return s.TornWALTails }))
 	r.GaugeFunc("tdstore_engine_sstables", "Live SSTables across all resident engines.",
 		sum(func(s engine.Stats) int64 { return s.Tables }))
+	r.CounterFunc("tdstore_replica_apply_errors_total",
+		"Replicated mutations a slave's engine failed to apply, a batch counting once; a revive's catch-up repairs such a copy.",
+		func() int64 {
+			var total int64
+			for _, ds := range c.Servers() {
+				total += ds.replicaErrors.Load()
+			}
+			return total
+		})
 	rec := r.Histogram("tdstore_engine_recovery_seconds",
 		"Per-engine open/recovery wall time (WAL replay included).")
 	for _, ds := range c.Servers() {

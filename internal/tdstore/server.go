@@ -1,6 +1,7 @@
 package tdstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -50,7 +51,42 @@ type hosting struct {
 	// its exclusive read-modify-write window (the Incr path) without a
 	// server-wide lock. The mutex pointers are carried across snapshot
 	// swaps, so an instance's writers always contend on the same lock.
-	writeMu map[InstanceID]*sync.Mutex
+	writeMu map[InstanceID]*instanceLock
+}
+
+// instanceLock is an instance's write mutex and the scratch a batched
+// write fills under it.
+type instanceLock struct {
+	sync.Mutex
+	run runScratch
+}
+
+// maxRunScratch is the largest run a runScratch keeps its slices for: a
+// larger run's are let go after it, so a burst does not pin them.
+const maxRunScratch = 1 << 10
+
+// runScratch holds the keys and values of one run of puts, handed to an
+// engine's PutBatch.
+type runScratch struct {
+	keys   []string
+	values [][]byte
+}
+
+func (r *runScratch) add(key string, value []byte) {
+	r.keys = append(r.keys, key)
+	r.values = append(r.values, value)
+}
+
+// reset empties the scratch for the next run, dropping the keys and
+// values the last one pinned.
+func (r *runScratch) reset() {
+	if cap(r.keys) > maxRunScratch {
+		r.keys, r.values = nil, nil
+		return
+	}
+	clear(r.keys)
+	clear(r.values)
+	r.keys, r.values = r.keys[:0], r.values[:0]
 }
 
 // clone returns a snapshot copy whose maps may be mutated before the
@@ -92,6 +128,10 @@ type DataServer struct {
 	// failure re-sends only the failed sub-batch.
 	batchPutCalls atomic.Int64
 	batchPutKeys  atomic.Int64
+	// replicaErrors counts replicated mutations this server's engines
+	// failed to apply, a batch counting once: such a copy lags its host
+	// until a revive's catch-up rewrites it.
+	replicaErrors atomic.Int64
 }
 
 func newDataServer(id string) *DataServer {
@@ -103,7 +143,7 @@ func newDataServer(id string) *DataServer {
 		instances: make(map[InstanceID]engine.Engine),
 		hostOf:    make(map[InstanceID]bool),
 		slaves:    make(map[InstanceID][]*DataServer),
-		writeMu:   make(map[InstanceID]*sync.Mutex),
+		writeMu:   make(map[InstanceID]*instanceLock),
 	})
 	ds.workCond = sync.NewCond(&ds.syncMu)
 	ds.idleCond = sync.NewCond(&ds.syncMu)
@@ -126,7 +166,7 @@ func (ds *DataServer) mutateHosting(fn func(h *hosting)) {
 func (ds *DataServer) addInstance(inst InstanceID, eng engine.Engine) {
 	ds.mutateHosting(func(h *hosting) {
 		h.instances[inst] = eng
-		h.writeMu[inst] = &sync.Mutex{}
+		h.writeMu[inst] = &instanceLock{}
 	})
 }
 
@@ -205,8 +245,10 @@ func (ds *DataServer) withInstanceFenced(inst InstanceID, fn func() error) error
 // coalesced — last write wins per (instance, key), a later delete
 // superseding earlier puts — and applied under a single hosting-snapshot
 // load, so a hot key replicates once per drain instead of once per write.
-// An op's value is the slice the host's engine keeps, and each slave's
-// engine keeps that same slice: a replica costs no copy.
+// The survivors are grouped by instance, and each slave gets one PutBatch
+// per run of an instance's puts (replicate). An op's value is the slice
+// the host's engine keeps, and each slave's engine keeps that same slice:
+// a replica costs no copy.
 func (ds *DataServer) syncLoop() {
 	defer close(ds.syncDone)
 	var sc syncScratch
@@ -223,13 +265,8 @@ func (ds *DataServer) syncLoop() {
 		ds.syncQueue = sc.spare
 		ds.syncMu.Unlock()
 
-		h := ds.hosting.Load()
 		last := sc.coalescer(len(batch))
-		for _, op := range coalesceOps(batch, last) {
-			for _, slave := range h.slaves[op.instance] {
-				slave.applyReplica(op)
-			}
-		}
+		sc.replicate(ds.hosting.Load(), coalesceOps(batch, last))
 		sc.done(batch, last)
 
 		ds.syncMu.Lock()
@@ -272,6 +309,8 @@ type syncScratch struct {
 	spare []syncOp
 	// maps holds an empty coalescing map per size class (scratchClass).
 	maps [scratchClasses]map[opKey]int
+	// run holds the run of puts replicate hands the slaves.
+	run runScratch
 	// quiet counts the drains in a row of at most maxScratchOps ops, up
 	// to quietDrains.
 	quiet int
@@ -357,22 +396,53 @@ func coalesceOps(batch []syncOp, last map[opKey]int) []syncOp {
 	return out
 }
 
-// applyReplica applies one replicated mutation to this server's copy of
-// the instance. Replication proceeds even while a server is marked down
+// replicate applies a coalesced drain to the slaves of its instances.
+// The ops are grouped by instance, keeping queue order within each, which
+// is all the order replicas need: a key lives in exactly one instance.
+// Each run of an instance's puts reaches each slave as one PutBatch, and
+// a delete applies alone, between the runs around it.
+func (sc *syncScratch) replicate(h *hosting, ops []syncOp) {
+	slices.SortStableFunc(ops, func(a, b syncOp) int { return cmp.Compare(a.instance, b.instance) })
+	for len(ops) > 0 {
+		op, n := ops[0], 1
+		if op.kind == opPut {
+			for n < len(ops) && ops[n].instance == op.instance && ops[n].kind == opPut {
+				n++
+			}
+			for _, o := range ops[:n] {
+				sc.run.add(o.key, o.value)
+			}
+		}
+		for _, slave := range h.slaves[op.instance] {
+			slave.applyReplica(op, sc.run.keys, sc.run.values)
+		}
+		sc.run.reset()
+		ops = ops[n:]
+	}
+}
+
+// applyReplica applies replicated mutations of op's instance to this
+// server's copy of it: op itself if it is a delete, and for a put the run
+// it heads, values[i] under keys[i], as one batch. A failure is counted in
+// replicaErrors. Replication proceeds even while a server is marked down
 // only if the engine still exists; a down server drops updates, which the
 // promotion path tolerates because the new host already has the data it
 // acknowledged.
-func (ds *DataServer) applyReplica(op syncOp) {
+func (ds *DataServer) applyReplica(op syncOp, keys []string, values [][]byte) {
 	h := ds.hosting.Load()
 	eng, ok := h.instances[op.instance]
 	if !ok || h.down {
 		return
 	}
+	var err error
 	switch op.kind {
 	case opPut:
-		_ = eng.Put(op.key, op.value)
+		err = eng.PutBatch(keys, values)
 	case opDelete:
-		_ = eng.Delete(op.key)
+		err = eng.Delete(op.key)
+	}
+	if err != nil {
+		ds.replicaErrors.Add(1)
 	}
 }
 
@@ -485,8 +555,9 @@ func (ds *DataServer) batchGet(items []batchItem, vals [][]byte, found []bool, r
 // attempt hands a server its items as one run per instance, each in batch
 // order, so a key written twice in a batch keeps its later value, on the
 // host and on the slaves. Writers of different instances proceed in
-// parallel. Nothing is allocated here: the engines keep values[it.pos]
-// as they are, and so does the replication queue.
+// parallel. Nothing is allocated here for runs of up to maxRunScratch
+// items: the engines keep values[it.pos] as they are, and so does the
+// replication queue.
 func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 	h := ds.hosting.Load()
 	if h.down {
@@ -515,17 +586,17 @@ func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 }
 
 // putRun applies a run of one instance's items of a batched write under
-// its write mutex, appending their replication ops to the queue before
-// release.
+// its write mutex, as one PutBatch filled in the instance's scratch, and
+// appends their replication ops to the queue before release.
 func (ds *DataServer) putRun(run []batchItem, values [][]byte) error {
 	inst := run[0].inst
 	h := ds.hosting.Load()
-	mu := h.writeMu[inst]
-	if mu == nil {
+	w := h.writeMu[inst]
+	if w == nil {
 		return ErrNotHost
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	w.Lock()
+	defer w.Unlock()
 	h = ds.hosting.Load()
 	if h.down {
 		return ErrServerDown
@@ -533,11 +604,13 @@ func (ds *DataServer) putRun(run []batchItem, values [][]byte) error {
 	if !h.hostOf[inst] {
 		return ErrNotHost
 	}
-	eng := h.instances[inst]
 	for _, it := range run {
-		if err := eng.Put(it.key, values[it.pos]); err != nil {
-			return err
-		}
+		w.run.add(it.key, values[it.pos])
+	}
+	err := h.instances[inst].PutBatch(w.run.keys, w.run.values)
+	w.run.reset()
+	if err != nil {
+		return err
 	}
 	ds.syncMu.Lock()
 	ds.syncQueue = slices.Grow(ds.syncQueue, len(run))

@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -54,11 +55,11 @@ func drainCombinerInto(c *combiner.Combiner, buf []flushedDelta) []flushedDelta 
 		key, session := splitCombKey(ck)
 		out = append(out, flushedDelta{key: key, session: session, value: v})
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].session != out[j].session {
-			return out[i].session < out[j].session
+	slices.SortFunc(out, func(a, b flushedDelta) int {
+		if c := cmp.Compare(a.session, b.session); c != 0 {
+			return c
 		}
-		return out[i].key < out[j].key
+		return cmp.Compare(a.key, b.key)
 	})
 	return out
 }
@@ -728,7 +729,7 @@ func (b *PairCountBolt) flush(final bool) error {
 			}
 		}
 		rescored := b.jobs[deltas:]
-		sort.Slice(rescored, func(i, j int) bool { return rescored[i].ps.pair() < rescored[j].ps.pair() })
+		slices.SortFunc(rescored, func(a, b pairJob) int { return cmp.Compare(a.ps.pair(), b.ps.pair()) })
 	}
 	if len(b.jobs) == 0 {
 		return nil

@@ -22,8 +22,8 @@ go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKn
 echo "== go test -race serving tier (singleflight, TTL, negative cache and its drop on write, hedged reads)"
 go test -race -run 'TestSingleflight|TestCoalesced|TestCache|TestNegativeCache|TestInvalidate|TestLRU|TestGetBatch|TestHedge|TestConcurrentMixedLoad' ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores"
-go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound' \
+echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), a batch as one WAL append, the sorted table index and its merge, failed replica applies counted, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores"
+go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestReplicaApplyErrorsCounted|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 # The test skips itself unless exactly one tick round had run when it read
@@ -110,8 +110,9 @@ done
 # Both start from whole files, and go test spends its default minute
 # minimizing each input that widens coverage before it fuzzes on; bound
 # that so five seconds are spent on new inputs.
-echo "== file-reader fuzz smoke (checkpoint manifest, topology description as Fig. 7 XML and as cluster spec JSON)"
+echo "== file-reader fuzz smoke (checkpoint manifest, LDB WAL and table, topology description as Fig. 7 XML and as cluster spec JSON)"
 go test -run=NONE -fuzz='^FuzzLoadCheckpoint$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/
+go test -run=NONE -fuzz='^FuzzLDBOpen$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/engine/ldb/
 go test -run=NONE -fuzz='^FuzzSpec$' -fuzztime=5s -fuzzminimizetime=100x ./internal/cluster/
 
 echo "== ingest edge fuzz smoke (action frame decoder, TDAccess segment recovery)"
@@ -124,6 +125,21 @@ go test -run=NONE -fuzz='^FuzzWireFrame$' -fuzztime=5s ./internal/cluster/
 echo "== front-end fuzz smoke (list encoder against encoding/json, query reader against url.Values)"
 go test -run=NONE -fuzz='^FuzzScoredJSON$' -fuzztime=5s .
 go test -run=NONE -fuzz='^FuzzQueryValue$' -fuzztime=5s .
+
+# An LDB read of a key in a table allocates the benchmark's key string and
+# the copy-out: the Bloom filter and the search over the table's sorted
+# keys allocate nothing. A million reads, so that the first pass over the
+# 5,000 keys, whose block-cache misses allocate five times each, does not
+# lift the average past 2.
+echo "== an LDB table read allocates at most 2 times"
+ldb_out=$(go test -run=NONE -bench='BenchmarkLDBGet$' -benchmem -benchtime=1000000x ./internal/tdstore/engine/ldb/)
+echo "$ldb_out"
+if echo "$ldb_out" | awk '/^Benchmark/ { for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op" && $i > 2) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
+	:
+else
+	echo "check: an LDB table read allocates more than 2 times" >&2
+	exit 1
+fi
 
 echo "== codec append paths and top-K insert stay allocation-free"
 zero_out=$(go test -run=NONE \
