@@ -388,7 +388,7 @@ func mixRequests(rng *rand.Rand) []*http.Request {
 // (60% /recommend, 30% /similar, 10% /hot) through the front end
 // in-process, with the serving tier on and off. It reports QPS, latency
 // quantiles and the ablation counters behind the tier's claim: store
-// gets per request collapse when the hot head is cached and coalesced.
+// gets per request collapse when the hot head is cached.
 func BenchmarkHTTPServingMix(b *testing.B) {
 	for _, tier := range []bool{true, false} {
 		name := "tier=on"
@@ -402,7 +402,6 @@ func BenchmarkHTTPServingMix(b *testing.B) {
 			storeGets := func() int64 {
 				s := reg.Histogram("tdstore_op_seconds", "", "op", "get").Snapshot()
 				s.Merge(reg.Histogram("tdstore_op_seconds", "", "op", "batch_get").Snapshot())
-				s.Merge(reg.Histogram("tdstore_op_seconds", "", "op", "replica_batch_get").Snapshot())
 				return s.Count
 			}
 			lat := obsv.NewHistogram()
@@ -435,7 +434,6 @@ func BenchmarkHTTPServingMix(b *testing.B) {
 				if hits+misses > 0 {
 					b.ReportMetric(float64(hits)/float64(hits+misses), "cache_hit_rate")
 				}
-				b.ReportMetric(float64(reg.Counter("serving_coalesced_total", "").Value())/float64(b.N), "coalesced/req")
 			}
 		})
 	}

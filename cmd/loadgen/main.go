@@ -174,7 +174,7 @@ func parseMix(spec string) ([]string, error) {
 // runReadMix drives concurrent reads at the server: each worker draws an
 // endpoint from the weighted mix and a user/item by Zipfian popularity
 // rank, so a hot head of keys dominates — the regime the serving tier's
-// cache and coalescer are built for. Latencies aggregate into one shared
+// cache is built for. Latencies aggregate into one shared
 // histogram; the report gives QPS and p50/p99.
 func runReadMix(base, spec string, reads, conc int, zipfS float64, seed int64, users, items int) {
 	slate, err := parseMix(spec)

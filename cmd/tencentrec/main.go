@@ -95,11 +95,10 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceEvery := flag.Int("trace-every", 0, "sample one tuple trace per N spout emissions (0 = default 1024, negative = off)")
 	queueDepth := flag.Int("queue-depth", 0, "per-task input queue capacity in batches (0 = engine default)")
-	noServing := flag.Bool("no-serving-tier", false, "read TDStore directly on every query, bypassing the serving tier (cache, coalescing, hedged reads)")
+	noServing := flag.Bool("no-serving-tier", false, "read TDStore directly on every query, bypassing the serving tier's caches")
 	cacheTTL := flag.Duration("cache-ttl", 0, "serving-tier result cache TTL (0 = default, negative = cache off)")
 	cacheSize := flag.Int("cache-size", 0, "serving-tier result cache capacity in entries (0 = default, negative = cache off)")
 	negTTL := flag.Duration("neg-ttl", 0, "serving-tier negative-cache TTL for absent keys (0 = default)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "delay before hedging a store read to a replica (0 = track live p95, negative = hedging off)")
 
 	// Cluster-mode flags.
 	clusterName := flag.String("cluster", "tencentrec", "cluster name (supervisor/worker modes)")
@@ -117,7 +116,7 @@ func main() {
 			enableCB: *enableCB, enableCtr: *enableCtr, enableAR: *enableAR, flush: *flush,
 			enablePprof: *enablePprof, traceEvery: *traceEvery, queueDepth: *queueDepth,
 			noServing: *noServing, cacheTTL: *cacheTTL, cacheSize: *cacheSize,
-			negTTL: *negTTL, hedgeDelay: *hedgeDelay,
+			negTTL: *negTTL,
 		})
 	case "supervisor":
 		runSupervisor(*addr, *clusterName, *dataDir, *specPath, *workers)
@@ -194,7 +193,7 @@ func runSupervisor(addr, clusterName, dir, specPath string, workers int) {
 type singleConfig struct {
 	addr, dataDir, storeEngine, storeDir, checkpointDir string
 	storeSync, restore, enableCB, enableCtr, enableAR   bool
-	flush, cacheTTL, negTTL, hedgeDelay                 time.Duration
+	flush, cacheTTL, negTTL                             time.Duration
 	enablePprof, noServing                              bool
 	traceEvery, queueDepth, cacheSize                   int
 }
@@ -224,7 +223,6 @@ func runSingle(c singleConfig) {
 		ServingCacheTTL:    c.cacheTTL,
 		ServingCacheSize:   c.cacheSize,
 		ServingNegativeTTL: c.negTTL,
-		ServingHedgeDelay:  c.hedgeDelay,
 	})
 	if err != nil {
 		log.Fatalf("open system: %v", err)

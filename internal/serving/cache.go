@@ -1,22 +1,20 @@
 // Package serving is the batch-query serving tier in front of TDStore:
-// a hot-result cache for decoded top-K lists and user histories, a
-// request coalescer that merges concurrent reads into route-grouped
-// store batches with per-key singleflight, and hedged reads against
-// replicas for tail latency. The shape follows the enhanced batch query
-// architecture of Bilibili's production recommender (arXiv:2409.00400):
-// the front end of Fig. 9 answers billions of point queries a day whose
-// working set is violently skewed, so the read path pays for the store
-// only on cold keys and never more than once per key per moment.
+// a hot-result cache for decoded top-K lists and user histories, with
+// negative caching of absent keys. A miss reads the store on the
+// caller's goroutine, all of a request's missed keys in one BatchGet. The
+// shape follows the enhanced batch query architecture of Bilibili's
+// production recommender (arXiv:2409.00400): the front end of Fig. 9
+// answers billions of point queries a day whose working set is violently
+// skewed, so the read path pays for the store only on cold keys.
 //
-// Consistency: the tier serves results up to the cache TTL stale and a
-// hedged read may observe a replica that has not yet applied the
-// newest replicated write. Both windows are bounded and small (the
-// pipeline itself only publishes on combiner flushes), matching the
-// paper's "accepting sub-second staleness" serving contract. A negative
-// entry ("absent") lasts until its key is written, when the writer tells
-// the tier (Reader.DropNegative), and the negative TTL only bounds a miss
-// whose store read raced that write: a key's first write is not hidden
-// behind an answer cached before it.
+// Consistency: the tier serves results up to the cache TTL stale. The
+// window is bounded and small (the pipeline itself only publishes on
+// combiner flushes), matching the paper's "accepting sub-second
+// staleness" serving contract. A negative entry ("absent") lasts until
+// its key is written, when the writer tells the tier
+// (Reader.DropNegative), and the negative TTL only bounds a miss whose
+// store read raced that write: a key's first write is not hidden behind
+// an answer cached before it.
 package serving
 
 import (
@@ -72,6 +70,10 @@ type Cache struct {
 	// negs counts the live negative entries among them, so a write into a
 	// cache that holds none (dropNegative) costs one atomic load.
 	negs atomic.Int64
+	// gen counts Invalidate calls. A reader loads it before its store read
+	// and put drops the result if it has moved since: a read that began
+	// before an Invalidate must not cache what it read.
+	gen atomic.Uint64
 
 	// Instrument wires these; nil-checked on every touch.
 	hits       *obsv.Counter
@@ -157,14 +159,14 @@ func (c *Cache) Get(key string) (val any, neg, ok bool) {
 // Put stores a decoded value under key, replacing any existing entry
 // and evicting the least-recently-used entry when the shard is full.
 func (c *Cache) Put(key string, val any) {
-	c.put(key, val, false, c.ttl)
+	c.put(key, val, false, c.gen.Load())
 }
 
 // PutNegative records that key does not exist, for NegativeTTL or until
 // the key is written (dropNegative), whichever comes first. A miss whose
 // store read raced the write is recorded after the drop and lasts the TTL.
 func (c *Cache) PutNegative(key string) {
-	c.put(key, nil, true, c.negTTL)
+	c.put(key, nil, true, c.gen.Load())
 }
 
 // dropNegative removes the negative entries under keys: they have just been
@@ -198,11 +200,21 @@ func (c *Cache) removed(n, negs int64) {
 	c.negs.Add(-negs)
 }
 
-func (c *Cache) put(key string, val any, neg bool, ttl int64) {
+// put inserts an entry unless the cache was invalidated after gen was
+// loaded. The check runs under the shard lock: Invalidate bumps gen before
+// it clears the shards, so an entry put under the old gen is cleared.
+func (c *Cache) put(key string, val any, neg bool, gen uint64) {
 	sh := c.shardFor(key)
 	now := obsv.Now()
-	exp := now + ttl
+	exp := now + c.ttl
+	if neg {
+		exp = now + c.negTTL
+	}
 	sh.mu.Lock()
+	if c.gen.Load() != gen {
+		sh.mu.Unlock()
+		return
+	}
 	if el, exists := sh.items[key]; exists {
 		e := el.Value.(*centry)
 		was := e.neg
@@ -262,6 +274,9 @@ func negCount(neg bool) int64 {
 // "drain, then query" contract of tests and batch loads observes fresh
 // state regardless of TTLs.
 func (c *Cache) Invalidate() {
+	// First, so that a store read begun before this call caches nothing
+	// (put).
+	c.gen.Add(1)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

@@ -6,6 +6,14 @@ import (
 	"tencentrec/internal/obsv"
 )
 
+// Store is the read side of the backing store. tdstore.Client and
+// topology's MemState both satisfy it.
+type Store interface {
+	// BatchGet returns the values for keys in one round trip;
+	// found[i] reports whether keys[i] exists.
+	BatchGet(keys []string) (values [][]byte, found []bool, err error)
+}
+
 // DecodeFunc turns a raw stored value into its decoded, cacheable form.
 // The decoded value is shared across cache hits and must be treated as
 // immutable by every caller.
@@ -14,8 +22,7 @@ type DecodeFunc func([]byte) (any, error)
 // Config shapes a Reader.
 type Config struct {
 	// CacheTTL bounds positive-entry staleness. 0 uses DefaultCacheTTL;
-	// negative disables the hot-result cache (coalescing and hedging
-	// stay on).
+	// negative disables the hot-result cache.
 	CacheTTL time.Duration
 	// NegativeTTL bounds how long a known-absent key is served as a
 	// miss without consulting the store. 0 uses DefaultNegativeTTL.
@@ -23,43 +30,25 @@ type Config struct {
 	// MaxEntries bounds the cache size in decoded entries, evicting LRU
 	// beyond it. 0 uses DefaultMaxEntries; negative disables the cache.
 	MaxEntries int
-	// Replica enables hedged reads against replica copies; nil
-	// disables hedging.
-	Replica ReplicaStore
-	// HedgeDelay fixes how long the primary read may run before a
-	// replica read is hedged against it. 0 derives the delay per batch
-	// from HedgeDelayFn (typically the store's observed read p95);
-	// negative disables hedging.
-	HedgeDelay time.Duration
-	// HedgeDelayFn is the live hedge-delay source consulted when
-	// HedgeDelay is 0, clamped to at least MinHedgeDelay. Returning 0
-	// falls back to DefaultHedgeDelay.
-	HedgeDelayFn func() time.Duration
-	// HedgeMaxPct caps hedged batches as a percentage of dispatched
-	// batches. 0 uses DefaultHedgeMaxPct.
-	HedgeMaxPct int
 }
 
 // Reader is the serving tier's read path: a decoded-result cache in
-// front of a coalescing, hedging store fetcher, plus a result cache for
-// fully assembled query answers (a recommend slate for one user is
-// rebuilt at most once per TTL, however hot the user). Safe for
-// concurrent use.
+// front of the store, plus a result cache for fully assembled query
+// answers (a recommend slate for one user is rebuilt at most once per
+// TTL, however hot the user). Safe for concurrent use.
 type Reader struct {
+	store   Store
 	cache   *Cache // decoded store values; nil when disabled
 	results *Cache // assembled query results; nil when disabled
-	co      *Coalescer
+
+	// Instrument wires these; nil-safe.
+	batches   *obsv.Counter
+	batchKeys *obsv.Counter
 }
 
 // NewReader builds the serving read tier over store.
 func NewReader(store Store, cfg Config) *Reader {
-	replica := cfg.Replica
-	if cfg.HedgeDelay < 0 {
-		replica = nil
-	}
-	r := &Reader{
-		co: NewCoalescer(store, replica, max(cfg.HedgeDelay, 0), cfg.HedgeDelayFn, cfg.HedgeMaxPct),
-	}
+	r := &Reader{store: store}
 	if cfg.CacheTTL >= 0 && cfg.MaxEntries >= 0 {
 		r.cache = NewCache(cfg.CacheTTL, cfg.NegativeTTL, cfg.MaxEntries)
 		r.results = NewCache(cfg.CacheTTL, cfg.NegativeTTL, cfg.MaxEntries)
@@ -69,10 +58,8 @@ func NewReader(store Store, cfg Config) *Reader {
 
 // Instrument binds the tier's counters to the registry:
 // serving_cache_{hits,misses,negative_hits,negative_dropped,evictions}_total
-// and serving_cache_entries for the cache; serving_coalesced_total
-// (requests that joined an in-flight fetch), serving_batches_total /
-// serving_batch_keys_total (store dispatches) and
-// serving_hedges_total / serving_hedge_wins_total for the fetcher.
+// and serving_cache_entries for the cache; serving_batches_total /
+// serving_batch_keys_total (store reads of missed keys).
 // Call it at setup, before the reader serves traffic.
 func (r *Reader) Instrument(reg *obsv.Registry) {
 	if r.cache != nil {
@@ -89,63 +76,42 @@ func (r *Reader) Instrument(reg *obsv.Registry) {
 			return int64(r.cache.Len() + r.results.Len())
 		})
 	}
-	r.co.coalesced = reg.Counter("serving_coalesced_total", "Read requests that joined an in-flight fetch for the same key.")
-	r.co.batches = reg.Counter("serving_batches_total", "Coalesced store batches dispatched.")
-	r.co.batchKeys = reg.Counter("serving_batch_keys_total", "Keys carried by coalesced store batches.")
-	r.co.hedges = reg.Counter("serving_hedges_total", "Store batches hedged against a replica.")
-	r.co.hedgeWins = reg.Counter("serving_hedge_wins_total", "Hedged batches where the replica answered first.")
-	r.co.queueDepth = reg.Gauge("serving_coalesce_queue_depth", "Keys queued for the next coalesced batch.")
+	r.batches = reg.Counter("serving_batches_total", "Store batches read for cache misses.")
+	r.batchKeys = reg.Counter("serving_batch_keys_total", "Keys carried by the store batches of cache misses.")
 }
 
 // Get returns the decoded value for key, serving from the cache when
-// live and otherwise fetching through the coalescer and caching the
-// decoded result (negatively when the key does not exist). ok is false
-// when the key does not exist.
+// live and otherwise reading the store and caching the decoded result
+// (negatively when the key does not exist). ok is false when the key
+// does not exist.
 func (r *Reader) Get(key string, decode DecodeFunc) (any, bool, error) {
 	if r.cache != nil {
 		if v, neg, ok := r.cache.Get(key); ok {
-			if neg {
-				return nil, false, nil
-			}
-			return v, true, nil
+			return v, !neg, nil
 		}
 	}
-	raw, ok, err := r.co.Get(key)
+	vals, found, err := r.fetch([]string{key}, decode)
 	if err != nil {
 		return nil, false, err
 	}
-	if !ok {
-		if r.cache != nil {
-			r.cache.PutNegative(key)
-		}
-		return nil, false, nil
-	}
-	v, err := decode(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	if r.cache != nil {
-		r.cache.Put(key, v)
-	}
-	return v, true, nil
+	return vals[0], found[0], nil
 }
 
 // GetBatch is Get over several keys: cache hits are served directly and
-// only the misses go to the coalescer, in one batch. found[i] is false
-// for keys that do not exist.
+// only the misses go to the store, in one batch. found[i] is false for
+// keys that do not exist.
 func (r *Reader) GetBatch(keys []string, decode DecodeFunc) ([]any, []bool, error) {
+	if r.cache == nil {
+		return r.fetch(keys, decode)
+	}
 	out := make([]any, len(keys))
 	found := make([]bool, len(keys))
 	var missKeys []string
 	var missPos []int
 	for i, k := range keys {
-		if r.cache != nil {
-			if v, neg, ok := r.cache.Get(k); ok {
-				if !neg {
-					out[i], found[i] = v, true
-				}
-				continue
-			}
+		if v, neg, ok := r.cache.Get(k); ok {
+			out[i], found[i] = v, !neg
+			continue
 		}
 		missKeys = append(missKeys, k)
 		missPos = append(missPos, i)
@@ -153,25 +119,48 @@ func (r *Reader) GetBatch(keys []string, decode DecodeFunc) ([]any, []bool, erro
 	if len(missKeys) == 0 {
 		return out, found, nil
 	}
-	vals, ok, err := r.co.GetBatch(missKeys)
+	vals, ok, err := r.fetch(missKeys, decode)
 	if err != nil {
 		return nil, nil, err
 	}
 	for j, pos := range missPos {
-		if !ok[j] {
+		out[pos], found[pos] = vals[j], ok[j]
+	}
+	return out, found, nil
+}
+
+// fetch reads keys from the store in one BatchGet on the caller's
+// goroutine, decodes what it finds and caches the outcome of every key,
+// negatively for the absent ones. A store error caches nothing. Neither
+// does a read that an Invalidate overtook: the generation is loaded
+// before the store is.
+func (r *Reader) fetch(keys []string, decode DecodeFunc) ([]any, []bool, error) {
+	var gen uint64
+	if r.cache != nil {
+		gen = r.cache.gen.Load()
+	}
+	inc(r.batches)
+	if r.batchKeys != nil {
+		r.batchKeys.Add(int64(len(keys)))
+	}
+	raw, found, err := r.store.BatchGet(keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]any, len(keys))
+	for i, k := range keys {
+		if !found[i] {
 			if r.cache != nil {
-				r.cache.PutNegative(missKeys[j])
+				r.cache.put(k, nil, true, gen)
 			}
 			continue
 		}
-		v, err := decode(vals[j])
-		if err != nil {
+		if out[i], err = decode(raw[i]); err != nil {
 			return nil, nil, err
 		}
 		if r.cache != nil {
-			r.cache.Put(missKeys[j], v)
+			r.cache.put(k, out[i], false, gen)
 		}
-		out[pos], found[pos] = v, true
 	}
 	return out, found, nil
 }
@@ -209,9 +198,9 @@ func (r *Reader) DropNegative(keys ...string) {
 	}
 }
 
-// Invalidate drops every cached entry; in-flight fetches are
-// unaffected. System.Drain calls it so post-drain queries observe
-// fresh state.
+// Invalidate drops every cached entry, and a store read in flight caches
+// nothing. System.Drain calls it so post-drain queries observe fresh
+// state.
 func (r *Reader) Invalidate() {
 	if r.cache != nil {
 		r.cache.Invalidate()

@@ -5,23 +5,23 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"tencentrec/internal/obsv"
 )
 
-// fakeStore is a Store over a fixed map that counts per-key fetches and
-// can be gated (every BatchGet blocks until Release) or delayed.
+// fakeStore is a Store over a map that counts per-key fetches, fails
+// every BatchGet with err while it is set, and can hold one read.
 type fakeStore struct {
 	mu     sync.Mutex
 	data   map[string][]byte
 	counts map[string]int
-	calls  atomic.Int64
-	gate   chan struct{} // non-nil: BatchGet blocks until closed
-	delay  time.Duration
 	err    error
+	// gate, when set, holds the next BatchGet after it has read its
+	// values: the read signals on read, then waits for gate to close.
+	gate chan struct{}
+	read chan struct{}
 }
 
 func newFakeStore(data map[string][]byte) *fakeStore {
@@ -29,24 +29,24 @@ func newFakeStore(data map[string][]byte) *fakeStore {
 }
 
 func (s *fakeStore) BatchGet(keys []string) ([][]byte, []bool, error) {
-	s.calls.Add(1)
-	if s.gate != nil {
-		<-s.gate
-	}
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
-	if s.err != nil {
-		return nil, nil, s.err
+	s.mu.Lock()
+	if err := s.err; err != nil {
+		s.mu.Unlock()
+		return nil, nil, err
 	}
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
-	s.mu.Lock()
 	for i, k := range keys {
 		s.counts[k]++
 		vals[i], found[i] = s.data[k], s.data[k] != nil
 	}
+	gate := s.gate
+	s.gate = nil
 	s.mu.Unlock()
+	if gate != nil {
+		s.read <- struct{}{}
+		<-gate
+	}
 	return vals, found, nil
 }
 
@@ -62,92 +62,13 @@ func (s *fakeStore) put(key string, val []byte) {
 	s.mu.Unlock()
 }
 
-// fakeReplica is a ReplicaStore with its own data and call count.
-type fakeReplica struct {
-	data  map[string][]byte
-	calls atomic.Int64
-	delay time.Duration
-}
-
-func (r *fakeReplica) ReplicaBatchGet(keys []string) ([][]byte, []bool, error) {
-	r.calls.Add(1)
-	if r.delay > 0 {
-		time.Sleep(r.delay)
-	}
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
-	for i, k := range keys {
-		vals[i], found[i] = r.data[k], r.data[k] != nil
-	}
-	return vals, found, nil
+func (s *fakeStore) setErr(err error) {
+	s.mu.Lock()
+	s.err = err
+	s.mu.Unlock()
 }
 
 func decodeString(b []byte) (any, error) { return string(b), nil }
-
-// TestSingleflight: N concurrent readers of one cold key must cost
-// exactly one store fetch for that key.
-func TestSingleflight(t *testing.T) {
-	st := newFakeStore(map[string][]byte{"k": []byte("v")})
-	st.gate = make(chan struct{})
-	rd := NewReader(st, Config{CacheTTL: -1}) // cache off: isolate the coalescer
-
-	const n = 32
-	var wg sync.WaitGroup
-	results := make([]string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, ok, err := rd.Get("k", decodeString)
-			if err != nil || !ok {
-				t.Errorf("reader %d: ok=%v err=%v", i, ok, err)
-				return
-			}
-			results[i] = v.(string)
-		}(i)
-	}
-	// Let the readers pile onto the flight, then open the store.
-	time.Sleep(20 * time.Millisecond)
-	close(st.gate)
-	wg.Wait()
-
-	if got := st.fetches("k"); got != 1 {
-		t.Fatalf("key fetched %d times, want exactly 1", got)
-	}
-	for i, r := range results {
-		if r != "v" {
-			t.Fatalf("reader %d got %q", i, r)
-		}
-	}
-}
-
-// TestCoalescedBatching: concurrent reads of distinct keys while a batch
-// is in flight are merged into following batches, not one store call
-// per key.
-func TestCoalescedBatching(t *testing.T) {
-	data := make(map[string][]byte)
-	for i := 0; i < 64; i++ {
-		data[fmt.Sprintf("k%02d", i)] = []byte("v")
-	}
-	st := newFakeStore(data)
-	st.delay = 2 * time.Millisecond
-	rd := NewReader(st, Config{CacheTTL: -1})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, ok, err := rd.Get(fmt.Sprintf("k%02d", i), decodeString); !ok || err != nil {
-				t.Errorf("k%02d: ok=%v err=%v", i, ok, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if calls := st.calls.Load(); calls >= 64 {
-		t.Fatalf("64 concurrent distinct reads cost %d store calls, want coalesced batches", calls)
-	}
-}
 
 // TestCacheTTLExpiry: a cached value is served without the store until
 // the TTL elapses, then re-fetched.
@@ -315,6 +236,78 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestInvalidateDuringRead: a store read that began before Invalidate
+// caches nothing, so the first read after Invalidate sees the store as it
+// is then — the Drain contract for a read in flight across the drain.
+func TestInvalidateDuringRead(t *testing.T) {
+	reads := map[string]func(rd *Reader) (any, bool){
+		"Get": func(rd *Reader) (any, bool) {
+			v, ok, _ := rd.Get("k", decodeString)
+			return v, ok
+		},
+		"GetBatch": func(rd *Reader) (any, bool) {
+			vals, found, _ := rd.GetBatch([]string{"k"}, decodeString)
+			return vals[0], found[0]
+		},
+	}
+	for name, read := range reads {
+		for _, before := range []string{"v1", ""} { // a value, then "absent"
+			t.Run(fmt.Sprintf("%s/before=%q", name, before), func(t *testing.T) {
+				st := newFakeStore(map[string][]byte{})
+				if before != "" {
+					st.put("k", []byte(before))
+				}
+				gate := make(chan struct{})
+				st.gate, st.read = gate, make(chan struct{})
+				rd := NewReader(st, Config{CacheTTL: time.Hour, NegativeTTL: time.Hour})
+				done := make(chan any)
+				go func() {
+					v, _ := read(rd)
+					done <- v
+				}()
+				<-st.read // the read holds the old state and has not returned
+				st.put("k", []byte("v2"))
+				rd.Invalidate()
+				close(gate)
+				<-done
+				if v, ok := read(rd); !ok || v.(string) != "v2" {
+					t.Fatalf("read after Invalidate = %v (found %v), want v2: the read that straddled it cached the old state", v, ok)
+				}
+			})
+		}
+	}
+}
+
+// TestStoreErrorCachesNothing: a miss whose store read fails returns the
+// store's error from Get and GetBatch and caches neither a value nor an
+// "absent"; the first reads after the store recovers return what it holds.
+func TestStoreErrorCachesNothing(t *testing.T) {
+	st := newFakeStore(map[string][]byte{"k": []byte("v")})
+	down := errors.New("store down")
+	st.setErr(down)
+	rd := NewReader(st, Config{CacheTTL: time.Hour, NegativeTTL: time.Hour})
+	if _, _, err := rd.Get("k", decodeString); !errors.Is(err, down) {
+		t.Fatalf("Get err = %v, want the store's", err)
+	}
+	if _, _, err := rd.GetBatch([]string{"k", "absent"}, decodeString); !errors.Is(err, down) {
+		t.Fatalf("GetBatch err = %v, want the store's", err)
+	}
+	if n := rd.cache.Len(); n != 0 {
+		t.Fatalf("%d entries cached by failed reads, want 0", n)
+	}
+	st.setErr(nil)
+	if v, ok, err := rd.Get("k", decodeString); err != nil || !ok || v.(string) != "v" {
+		t.Fatalf("Get after recovery = %v %v %v, want v", v, ok, err)
+	}
+	vals, found, err := rd.GetBatch([]string{"k", "absent"}, decodeString)
+	if err != nil || !found[0] || vals[0].(string) != "v" || found[1] {
+		t.Fatalf("GetBatch after recovery = %v %v %v, want [v absent]", vals, found, err)
+	}
+	if n := st.fetches("absent"); n != 1 {
+		t.Fatalf("absent key read %d times after recovery, want 1: a failed read cached it", n)
+	}
+}
+
 // TestLRUBound: the cache never holds more entries than its capacity;
 // evictions make room rather than growing.
 func TestLRUBound(t *testing.T) {
@@ -375,82 +368,6 @@ func TestGetBatchMixed(t *testing.T) {
 	}
 }
 
-// TestHedgedRead: a slow primary triggers a replica hedge; the replica's
-// answer is delivered once and no result is double-counted or corrupted
-// by the late primary.
-func TestHedgedRead(t *testing.T) {
-	st := newFakeStore(map[string][]byte{"k": []byte("primary")})
-	st.delay = 50 * time.Millisecond
-	rep := &fakeReplica{data: map[string][]byte{"k": []byte("replica")}}
-	rd := NewReader(st, Config{
-		CacheTTL:    -1,
-		Replica:     rep,
-		HedgeDelay:  2 * time.Millisecond,
-		HedgeMaxPct: 100,
-	})
-
-	v, ok, err := rd.Get("k", decodeString)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if v.(string) != "replica" {
-		t.Fatalf("got %q, want the faster replica's answer", v)
-	}
-	if rep.calls.Load() != 1 {
-		t.Fatalf("replica called %d times, want 1", rep.calls.Load())
-	}
-	// The slow primary is still in flight; a fresh read must start a new
-	// fetch, not consume the stale losing response.
-	time.Sleep(60 * time.Millisecond)
-	if v, _, _ := rd.Get("k", decodeString); v.(string) == "" {
-		t.Fatalf("read after hedge returned empty value %q", v)
-	}
-}
-
-// TestHedgeRateGuard: hedges stay capped at HedgeMaxPct of dispatches
-// even when every primary read is slow.
-func TestHedgeRateGuard(t *testing.T) {
-	st := newFakeStore(map[string][]byte{"k": []byte("v")})
-	st.delay = 5 * time.Millisecond
-	rep := &fakeReplica{data: map[string][]byte{"k": []byte("v")}}
-	rd := NewReader(st, Config{
-		CacheTTL:    -1,
-		Replica:     rep,
-		HedgeDelay:  time.Millisecond,
-		HedgeMaxPct: 10,
-	})
-	for i := 0; i < 50; i++ {
-		rd.Get("k", decodeString)
-	}
-	d := rd.co.dispatches.Load()
-	h := rd.co.hedged.Load()
-	if h*100 > d*10+100 { // one-over slack: the guard admits the crossing hedge
-		t.Fatalf("%d hedges over %d dispatches exceeds the 10%% guard", h, d)
-	}
-	if h == 0 {
-		t.Fatal("guard admitted no hedges at all under a uniformly slow primary")
-	}
-}
-
-// TestHedgeFallback: when the winning attempt errors and the other is
-// still running, its result is used instead of failing the read.
-func TestHedgeFallback(t *testing.T) {
-	st := newFakeStore(map[string][]byte{})
-	st.delay = 3 * time.Millisecond
-	st.err = errors.New("primary down")
-	rep := &fakeReplica{data: map[string][]byte{"k": []byte("v")}, delay: 10 * time.Millisecond}
-	rd := NewReader(st, Config{
-		CacheTTL:    -1,
-		Replica:     rep,
-		HedgeDelay:  time.Millisecond,
-		HedgeMaxPct: 100,
-	})
-	v, ok, err := rd.Get("k", decodeString)
-	if err != nil || !ok || v.(string) != "v" {
-		t.Fatalf("fallback read: v=%v ok=%v err=%v", v, ok, err)
-	}
-}
-
 // TestConcurrentMixedLoad exercises the full reader under -race: many
 // goroutines over a small hot key set with concurrent invalidations.
 func TestConcurrentMixedLoad(t *testing.T) {
@@ -459,12 +376,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		data[fmt.Sprintf("k%d", i)] = []byte(strings.Repeat("x", 32))
 	}
 	st := newFakeStore(data)
-	rep := &fakeReplica{data: data}
-	rd := NewReader(st, Config{
-		CacheTTL:   5 * time.Millisecond,
-		Replica:    rep,
-		HedgeDelay: MinHedgeDelay,
-	})
+	rd := NewReader(st, Config{CacheTTL: 5 * time.Millisecond})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

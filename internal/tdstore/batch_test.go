@@ -100,10 +100,21 @@ func TestBatchPutKeepsBatchOrderWithinAnInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("host", got, found)
+	// Each key's first slave, read from its engine once replication settles.
 	c.WaitSync()
-	got, found, err = cl.ReplicaBatchGet(probe)
-	if err != nil {
-		t.Fatal(err)
+	for i, k := range probe {
+		inst := rt.InstanceFor(k)
+		if len(rt.Slaves[inst]) == 0 {
+			t.Fatalf("%s's instance has no slave", k)
+		}
+		ds, _ := c.server(rt.Slaves[inst][0])
+		eng, ok := ds.engineOf(inst)
+		if !ok {
+			t.Fatalf("slave %s lacks the instance of %s", rt.Slaves[inst][0], k)
+		}
+		if got[i], found[i], err = eng.Get(k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check("slave", got, found)
 }

@@ -297,8 +297,8 @@ const maxStackInstances = 64
 
 // attempt is one pass of the batched request path: it resolves the
 // cached route once, groups the pending positions of keys by target
-// server (the host of each key's instance, or with replica set its first
-// slave where it has one), fans the groups out and collects the answers.
+// server (the host of each key's instance), fans the groups out and
+// collects the answers.
 // pending lists the positions to send; nil means all of keys, a fresh
 // batch. It returns the positions whose server gave a retryable answer
 // together with that error; groups that succeeded are done and are never
@@ -315,7 +315,7 @@ const maxStackInstances = 64
 // send runs on up to batchFanout goroutines at once, one call per group;
 // the groups cover disjoint positions, so a send that only touches its
 // items' positions of shared slices is data-race free by construction.
-func (cl *Client) attempt(keys []string, pending []int, replica bool, send groupSend) ([]int, error) {
+func (cl *Client) attempt(keys []string, pending []int, send groupSend) ([]int, error) {
 	n := len(pending)
 	if pending == nil {
 		n = len(keys)
@@ -354,9 +354,6 @@ func (cl *Client) attempt(keys []string, pending []int, replica bool, send group
 			continue
 		}
 		target := rt.Hosts[inst]
-		if replica && len(rt.Slaves[inst]) > 0 {
-			target = rt.Slaves[inst][0]
-		}
 		gi := 0
 		for gi < len(groups) && groups[gi].id != target {
 			gi++
@@ -419,7 +416,7 @@ func (cl *Client) routed(what string, keys []string, pending []int, send groupSe
 	var lastErr error
 	backoff := clientRetryBackoff
 	for attempt := 0; attempt <= clientRetries; attempt++ {
-		stale, err := cl.attempt(keys, pending, false, send)
+		stale, err := cl.attempt(keys, pending, send)
 		if len(stale) == 0 {
 			return err
 		}
@@ -432,11 +429,10 @@ func (cl *Client) routed(what string, keys []string, pending []int, send groupSe
 }
 
 // readInto is the send of a batched read: each group fills its items'
-// positions of vals and found, from the hosts or (replica) from any
-// resident copy.
-func readInto(vals [][]byte, found []bool, replica bool) groupSend {
+// positions of vals and found from the hosts.
+func readInto(vals [][]byte, found []bool) groupSend {
 	return func(ds *DataServer, items []batchItem) error {
-		return ds.batchGet(items, vals, found, replica)
+		return ds.batchGet(items, vals, found)
 	}
 }
 
@@ -446,7 +442,7 @@ func readInto(vals [][]byte, found []bool, replica bool) groupSend {
 func (cl *Client) BatchGet(keys []string) ([][]byte, []bool, error) {
 	defer cl.observe(clientBatchGet, cl.begin())
 	vals, found := make([][]byte, len(keys)), make([]bool, len(keys))
-	if err := cl.routed("batch get", keys, nil, readInto(vals, found, false)); err != nil {
+	if err := cl.routed("batch get", keys, nil, readInto(vals, found)); err != nil {
 		return nil, nil, err
 	}
 	return vals, found, nil
@@ -468,44 +464,4 @@ func (cl *Client) BatchPut(keys []string, values [][]byte) error {
 	return cl.routed("batch put", keys, nil, func(ds *DataServer, items []batchItem) error {
 		return ds.hostBatchPut(items, cps)
 	})
-}
-
-// ReplicaBatchGet returns the values for keys in one pass, preferring
-// each instance's first slave replica over its host — the read half of
-// a hedged read, spreading tail reads off the hot host. Replica copies
-// may lag the host by the in-flight replication queue, so results can
-// be slightly stale; callers (the serving tier) accept that the same
-// way they accept cache-TTL staleness.
-func (cl *Client) ReplicaBatchGet(keys []string) ([][]byte, []bool, error) {
-	defer cl.observe(clientReplicaGet, cl.begin())
-	vals, found := make([][]byte, len(keys)), make([]bool, len(keys))
-	// One attempt against the replicas; anything that failed (replica
-	// down, route stale) is served through the host path, which carries
-	// its own refresh-and-retry budget. The hedge stays useful even
-	// when a replica has just died.
-	failed, err := cl.attempt(keys, nil, true, readInto(vals, found, true))
-	if len(failed) > 0 {
-		err = cl.routed("batch get", keys, failed, readInto(vals, found, false))
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return vals, found, nil
-}
-
-// ReadLatencyQuantile estimates the q-th quantile of this client's
-// observed read latencies (point gets merged with batch gets). It
-// returns 0 on an uninstrumented client or before any read has been
-// observed. The serving tier uses the p95 as its live hedge delay.
-func (cl *Client) ReadLatencyQuantile(q float64) time.Duration {
-	ins := cl.ins
-	if ins == nil {
-		return 0
-	}
-	s := ins.ops[clientGet].Snapshot()
-	s.Merge(ins.ops[clientBatchGet].Snapshot())
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Quantile(q))
 }

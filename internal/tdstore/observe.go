@@ -16,13 +16,12 @@ const (
 	clientIncr
 	clientBatchGet
 	clientBatchPut
-	clientReplicaGet
 	numClientOps
 )
 
 // clientOpLabels are the op label values of tdstore_op_seconds.
 var clientOpLabels = [numClientOps]string{
-	"get", "put", "delete", "incr", "batch_get", "batch_put", "replica_batch_get",
+	"get", "put", "delete", "incr", "batch_get", "batch_put",
 }
 
 // clientInstruments holds the pre-resolved instruments of an

@@ -516,25 +516,17 @@ func (ds *DataServer) hostMutate(instance InstanceID, fn func(eng engine.Engine)
 	return nil
 }
 
-// batchGet serves a batched read, filling vals/found at each item's
-// position. The client's host path asks for instances this server hosts;
-// with replica set any resident copy answers, host or slave alike — the
-// hedged read path. A slave copy may lag the host by the replication
-// queue, so replica reads are only used where bounded staleness is
-// acceptable (the serving tier's hedges). The liveness and residency
-// checks run against one snapshot load — no lock and no per-call
-// allocation on this path.
-func (ds *DataServer) batchGet(items []batchItem, vals [][]byte, found []bool, replica bool) error {
+// batchGet serves a batched read of instances this server hosts, filling
+// vals/found at each item's position. The liveness and residency checks
+// run against one snapshot load — no lock and no per-call allocation on
+// this path.
+func (ds *DataServer) batchGet(items []batchItem, vals [][]byte, found []bool) error {
 	h := ds.hosting.Load()
 	if h.down {
 		return ErrServerDown
 	}
 	for _, it := range items {
-		serves := h.hostOf[it.inst]
-		if replica {
-			_, serves = h.instances[it.inst]
-		}
-		if !serves {
+		if !h.hostOf[it.inst] {
 			return ErrNotHost
 		}
 	}

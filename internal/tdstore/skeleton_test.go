@@ -10,16 +10,14 @@ import (
 	"tencentrec/internal/obsv"
 )
 
-// batchOp is one of the three batched operations as the skeleton sees
-// it: where its first attempt is aimed, what a group's send does, and
-// the public call with its result checked.
+// batchOp is one of the two batched operations as the skeleton sees
+// it: what a group's send does, and the public call with its result
+// checked.
 type batchOp struct {
 	name string
 	// what is the operation name an exhausted retry budget reports.
 	what string
-	// replica aims the first attempt at each instance's first slave.
-	replica bool
-	send    func(keys []string, values [][]byte) groupSend
+	send func(keys []string, values [][]byte) groupSend
 	// call runs the public operation and checks what it returned (or,
 	// for the write, what a read afterwards returns) against values.
 	call func(cl *Client, keys []string, values [][]byte) error
@@ -38,7 +36,7 @@ var batchOps = []batchOp{
 	{
 		name: "BatchGet", what: "batch get",
 		send: func(keys []string, _ [][]byte) groupSend {
-			return readInto(make([][]byte, len(keys)), make([]bool, len(keys)), false)
+			return readInto(make([][]byte, len(keys)), make([]bool, len(keys)))
 		},
 		call: func(cl *Client, keys []string, values [][]byte) error {
 			got, found, err := cl.BatchGet(keys)
@@ -64,31 +62,9 @@ var batchOps = []batchOp{
 			return checkRead(keys, values, got, found)
 		},
 	},
-	{
-		name: "ReplicaBatchGet", what: "batch get", replica: true,
-		send: func(keys []string, _ [][]byte) groupSend {
-			return readInto(make([][]byte, len(keys)), make([]bool, len(keys)), true)
-		},
-		call: func(cl *Client, keys []string, values [][]byte) error {
-			got, found, err := cl.ReplicaBatchGet(keys)
-			if err != nil {
-				return err
-			}
-			return checkRead(keys, values, got, found)
-		},
-	},
 }
 
-// firstTarget is the server the skeleton aims a key's first attempt at.
-func firstTarget(rt *RouteTable, key string, replica bool) string {
-	inst := rt.InstanceFor(key)
-	if replica && len(rt.Slaves[inst]) > 0 {
-		return rt.Slaves[inst][0]
-	}
-	return rt.Hosts[inst]
-}
-
-// TestRoutedRequestSkeleton drives the three batched operations through
+// TestRoutedRequestSkeleton drives the two batched operations through
 // the same failure scenarios: they share one route→group→fan-out→retry
 // path, so they must share its behaviour.
 func TestRoutedRequestSkeleton(t *testing.T) {
@@ -104,8 +80,7 @@ func TestRoutedRequestSkeleton(t *testing.T) {
 			// The client's route still names a server that died after it
 			// was cached: only that server's sub-batch fails and is sent
 			// again, and the retry counter moves once per attempt, not
-			// once per key. For the replica read this is "replica down":
-			// its one replica attempt is not a retry and the hosts answer.
+			// once per key.
 			name: "killed server behind a stale route",
 			fault: func(t *testing.T, c *Cluster, _ *Client) {
 				if err := c.KillDataServer(victim); err != nil {
@@ -115,14 +90,14 @@ func TestRoutedRequestSkeleton(t *testing.T) {
 			check: func(t *testing.T, op batchOp, cl *Client, keys []string, values [][]byte, stale *RouteTable) {
 				var want []int
 				for pos, k := range keys {
-					if firstTarget(stale, k, op.replica) == victim {
+					if stale.Hosts[stale.InstanceFor(k)] == victim {
 						want = append(want, pos)
 					}
 				}
 				if len(want) == 0 || len(want) == len(keys) {
 					t.Fatalf("bad fixture: %d of %d keys aimed at the dead server", len(want), len(keys))
 				}
-				failed, err := cl.attempt(keys, allPositions(len(keys)), op.replica, op.send(keys, values))
+				failed, err := cl.attempt(keys, allPositions(len(keys)), op.send(keys, values))
 				slices.Sort(failed)
 				if !errors.Is(err, ErrServerDown) || !slices.Equal(failed, want) {
 					t.Fatalf("attempt left %d positions (%v), want the dead server's %d (ErrServerDown)", len(failed), err, len(want))
@@ -130,12 +105,8 @@ func TestRoutedRequestSkeleton(t *testing.T) {
 				if err := op.call(cl, keys, values); err != nil {
 					t.Fatal(err)
 				}
-				wantRetries := int64(1)
-				if op.replica {
-					wantRetries = 0
-				}
-				if got := cl.ins.retries.Value(); got != wantRetries {
-					t.Fatalf("tdstore_retries_total = %d for %d failed keys, want %d", got, len(want), wantRetries)
+				if got := cl.ins.retries.Value(); got != 1 {
+					t.Fatalf("tdstore_retries_total = %d for %d failed keys, want 1", got, len(want))
 				}
 			},
 		},
@@ -145,7 +116,6 @@ func TestRoutedRequestSkeleton(t *testing.T) {
 				forged := cl.cachedRoute().clone()
 				inst := forged.InstanceFor("sk-0")
 				forged.Hosts[inst] = "ds-ghost"
-				forged.Slaves[inst][0] = "ds-ghost"
 				cl.mu.Lock()
 				cl.route = forged
 				cl.mu.Unlock()

@@ -30,9 +30,9 @@ func NewServing(st State, p Params) *Serving {
 
 // WithReader routes the engine's reads of top-K lists and user
 // histories through the batch-query serving tier: a decoded-result
-// cache with TTL invalidation and negative caching, per-key
-// singleflight coalescing into store batches, and hedged replica reads.
-// Results may then be up to the reader's cache TTL stale. Returns s.
+// cache with TTL invalidation and negative caching, whose misses go to
+// the store in one batch per read. Results may then be up to the
+// reader's cache TTL stale. Returns s.
 func (s *Serving) WithReader(rd *serving.Reader) *Serving {
 	s.rd = rd
 	return s

@@ -26,16 +26,9 @@ func TestStateValueOwnership(t *testing.T) {
 	impls := []struct {
 		name string
 		st   State
-		// replica, where the store replicates behind the write, settles
-		// replication and reads the copies: they must not alias the
-		// caller's buffers either.
-		replica func(keys []string) ([][]byte, []bool, error)
 	}{
 		{name: "MemState", st: NewMemState()},
-		{name: "tdstore.Client", st: client, replica: func(keys []string) ([][]byte, []bool, error) {
-			cluster.WaitSync()
-			return client.ReplicaBatchGet(keys)
-		}},
+		{name: "tdstore.Client", st: client},
 	}
 	for _, impl := range impls {
 		t.Run(impl.name, func(t *testing.T) {
@@ -78,13 +71,6 @@ func TestStateValueOwnership(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("after the caller reused its Put/BatchPut buffers", got, found)
-			if impl.replica != nil {
-				rgot, rfound, err := impl.replica(orig)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("replica copies after the caller reused its buffers", rgot, rfound)
-			}
 			// Reads: the caller scribbles over what BatchGet and Get returned.
 			one, ok, err := st.Get(orig[0])
 			if err != nil || !ok {

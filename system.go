@@ -112,13 +112,13 @@ type SystemConfig struct {
 	// QueueDepth overrides the per-task input queue capacity, in batches
 	// (stream.DefaultQueueDepth). 0 keeps the default.
 	QueueDepth int
-	// DisableServingTier turns off the batch-query serving tier (result
-	// cache, request coalescing, hedged replica reads) so queries read
-	// TDStore directly. For ablation benchmarks; leave false in service.
+	// DisableServingTier turns off the batch-query serving tier (decoded
+	// value and result caches) so queries read TDStore directly. For
+	// ablation benchmarks; leave false in service.
 	DisableServingTier bool
 	// ServingCacheTTL bounds how stale a cached query result may be.
 	// 0 uses the default (serving.DefaultCacheTTL); negative disables the
-	// result cache while keeping request coalescing.
+	// result cache.
 	ServingCacheTTL time.Duration
 	// ServingCacheSize caps the number of cached decoded results. 0 uses
 	// the default (serving.DefaultMaxEntries); negative disables caching.
@@ -126,10 +126,6 @@ type SystemConfig struct {
 	// ServingNegativeTTL bounds how long a known-absent key is served
 	// from the cache. 0 uses the default (serving.DefaultNegativeTTL).
 	ServingNegativeTTL time.Duration
-	// ServingHedgeDelay is how long a store read may run before a hedge
-	// is issued against a replica. 0 derives the delay from the live p95
-	// of tdstore_op_seconds; negative disables hedging.
-	ServingHedgeDelay time.Duration
 }
 
 func (c SystemConfig) withDefaults() SystemConfig {
@@ -263,22 +259,13 @@ func Open(cfg SystemConfig) (*System, error) {
 	var state topology.State = client
 	var reader *serving.Reader
 	if !c.DisableServingTier {
-		// The serving tier fronts query reads with a decoded-result cache,
-		// per-key coalescing into BatchGet, and hedged replica reads. The
-		// hedge delay tracks the live p95 of store reads unless pinned.
-		scfg := serving.Config{
+		// The serving tier fronts query reads with a decoded-result cache;
+		// a query's misses go to the store in one BatchGet.
+		reader = serving.NewReader(client, serving.Config{
 			CacheTTL:    c.ServingCacheTTL,
 			NegativeTTL: c.ServingNegativeTTL,
 			MaxEntries:  c.ServingCacheSize,
-			Replica:     client,
-			HedgeDelay:  c.ServingHedgeDelay,
-		}
-		if c.ServingHedgeDelay == 0 {
-			scfg.HedgeDelayFn = func() time.Duration {
-				return client.ReadLatencyQuantile(0.95)
-			}
-		}
-		reader = serving.NewReader(client, scfg)
+		})
 		reader.Instrument(registry)
 		eng.WithReader(reader)
 		state = servedState{client, reader}
