@@ -386,17 +386,17 @@ func mixRequests(rng *rand.Rand) []*http.Request {
 
 // BenchmarkHTTPServingMix drives a concurrent Zipf-skewed read mix
 // (60% /recommend, 30% /similar, 10% /hot) through the front end
-// in-process, with the serving tier on and off. It reports QPS, latency
+// in-process, with the serving tier's caches on and off. It reports QPS, latency
 // quantiles and the ablation counters behind the tier's claim: store
 // gets per request collapse when the hot head is cached.
 func BenchmarkHTTPServingMix(b *testing.B) {
 	for _, tier := range []bool{true, false} {
-		name := "tier=on"
+		name, cfg := "tier=on", tencentrec.SystemConfig{}
 		if !tier {
-			name = "tier=off"
+			name, cfg.ServingCacheTTL = "tier=off", -1
 		}
 		b.Run(name, func(b *testing.B) {
-			sys := newMixSystem(b, tencentrec.SystemConfig{DisableServingTier: !tier})
+			sys := newMixSystem(b, cfg)
 			handler := sys.Handler()
 			reg := sys.Registry()
 			storeGets := func() int64 {

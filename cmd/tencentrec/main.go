@@ -83,7 +83,7 @@ func main() {
 	mode := flag.String("mode", "single", "run mode: single (in-process system), supervisor (cluster master), worker (cluster worker)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	dataDir := flag.String("data", "", "TDAccess data directory (required in single mode)")
-	storeEngine := flag.String("store-engine", "mdb", "TDStore storage engine: mdb (in-memory), ldb (log-structured, durable) or fdb (file buckets)")
+	storeEngine := flag.String("store-engine", "mdb", "TDStore storage engine: mdb (in-memory) or ldb (log-structured, durable)")
 	storeDir := flag.String("store-dir", "", "directory for durable store engines (default <data>/tdstore)")
 	storeSync := flag.Bool("store-sync", false, "fsync the ldb write-ahead log via group commit (survives power loss, not just crashes)")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for offset-anchored store checkpoints (default <data>/checkpoint)")
@@ -95,7 +95,6 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceEvery := flag.Int("trace-every", 0, "sample one tuple trace per N spout emissions (0 = default 1024, negative = off)")
 	queueDepth := flag.Int("queue-depth", 0, "per-task input queue capacity in batches (0 = engine default)")
-	noServing := flag.Bool("no-serving-tier", false, "read TDStore directly on every query, bypassing the serving tier's caches")
 	cacheTTL := flag.Duration("cache-ttl", 0, "serving-tier result cache TTL (0 = default, negative = cache off)")
 	cacheSize := flag.Int("cache-size", 0, "serving-tier result cache capacity in entries (0 = default, negative = cache off)")
 	negTTL := flag.Duration("neg-ttl", 0, "serving-tier negative-cache TTL for absent keys (0 = default)")
@@ -115,8 +114,7 @@ func main() {
 			storeSync: *storeSync, checkpointDir: *checkpointDir, restore: *restore,
 			enableCB: *enableCB, enableCtr: *enableCtr, enableAR: *enableAR, flush: *flush,
 			enablePprof: *enablePprof, traceEvery: *traceEvery, queueDepth: *queueDepth,
-			noServing: *noServing, cacheTTL: *cacheTTL, cacheSize: *cacheSize,
-			negTTL: *negTTL,
+			cacheTTL: *cacheTTL, cacheSize: *cacheSize, negTTL: *negTTL,
 		})
 	case "supervisor":
 		runSupervisor(*addr, *clusterName, *dataDir, *specPath, *workers)
@@ -193,8 +191,8 @@ func runSupervisor(addr, clusterName, dir, specPath string, workers int) {
 type singleConfig struct {
 	addr, dataDir, storeEngine, storeDir, checkpointDir string
 	storeSync, restore, enableCB, enableCtr, enableAR   bool
+	enablePprof                                         bool
 	flush, cacheTTL, negTTL                             time.Duration
-	enablePprof, noServing                              bool
 	traceEvery, queueDepth, cacheSize                   int
 }
 
@@ -219,7 +217,6 @@ func runSingle(c singleConfig) {
 		TraceEvery: c.traceEvery,
 		QueueDepth: c.queueDepth,
 
-		DisableServingTier: c.noServing,
 		ServingCacheTTL:    c.cacheTTL,
 		ServingCacheSize:   c.cacheSize,
 		ServingNegativeTTL: c.negTTL,

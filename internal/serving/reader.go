@@ -167,22 +167,24 @@ func (r *Reader) fetch(keys []string, decode DecodeFunc) ([]any, []bool, error) 
 
 // GetResult returns a cached assembled query result. Keys are chosen by
 // the caller (query type + arguments); the returned value is shared
-// across hits and must be treated as immutable.
-func (r *Reader) GetResult(key string) (any, bool) {
+// across hits and must be treated as immutable. gen is the cache
+// generation loaded before the lookup: the caller that assembles the
+// missed result hands it to PutResult.
+func (r *Reader) GetResult(key string) (v any, gen uint64, ok bool) {
 	if r.results == nil {
-		return nil, false
+		return nil, 0, false
 	}
+	gen = r.results.gen.Load()
 	v, neg, ok := r.results.Get(key)
-	if !ok || neg {
-		return nil, false
-	}
-	return v, true
+	return v, gen, ok && !neg
 }
 
-// PutResult caches an assembled query result for the cache TTL.
-func (r *Reader) PutResult(key string, v any) {
+// PutResult caches an assembled query result for the cache TTL, unless
+// an Invalidate came after GetResult returned gen: a result assembled
+// from reads that began before it must not be cached.
+func (r *Reader) PutResult(key string, v any, gen uint64) {
 	if r.results != nil {
-		r.results.Put(key, v)
+		r.results.put(key, v, false, gen)
 	}
 }
 

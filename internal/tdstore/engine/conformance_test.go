@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tencentrec/internal/tdstore/engine"
-	"tencentrec/internal/tdstore/engine/fdb"
 	"tencentrec/internal/tdstore/engine/ldb"
 )
 
@@ -20,13 +19,6 @@ func engines(t *testing.T) map[string]func() engine.Engine {
 		"mdb": func() engine.Engine { return engine.NewMemory() },
 		"ldb": func() engine.Engine {
 			s, err := ldb.Open(t.TempDir(), ldb.Options{FlushThreshold: 64, MaxTables: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"fdb": func() engine.Engine {
-			s, err := fdb.Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,38 +111,33 @@ func putBatchOf(t *testing.T, e engine.Engine) ([]string, map[string]string) {
 // TestDurableEnginePutBatchReopen requires a batch written to a durable
 // engine to read back whole after a reopen.
 func TestDurableEnginePutBatchReopen(t *testing.T) {
-	open := map[string]func(dir string) (engine.Engine, error){
-		"ldb": func(dir string) (engine.Engine, error) {
-			return ldb.Open(dir, ldb.Options{FlushThreshold: 64, MaxTables: 4})
-		},
-		"fdb": func(dir string) (engine.Engine, error) { return fdb.Open(dir) },
+	open := func(dir string) (engine.Engine, error) {
+		return ldb.Open(dir, ldb.Options{FlushThreshold: 64, MaxTables: 4})
 	}
-	for name, open := range open {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			e, err := open(dir)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("ldb", func(t *testing.T) {
+		dir := t.TempDir()
+		e, err := open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := putBatchOf(t, e)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e, err = open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for k, v := range want {
+			if got, ok, err := e.Get(k); err != nil || !ok || string(got) != v {
+				t.Fatalf("Get(%s) after reopen = %q %v %v, want %q", k, got, ok, err, v)
 			}
-			_, want := putBatchOf(t, e)
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			e, err = open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			for k, v := range want {
-				if got, ok, err := e.Get(k); err != nil || !ok || string(got) != v {
-					t.Fatalf("Get(%s) after reopen = %q %v %v, want %q", k, got, ok, err, v)
-				}
-			}
-			if n, err := e.Len(); err != nil || n != len(want) {
-				t.Fatalf("Len after reopen = %d, %v; want %d", n, err, len(want))
-			}
-		})
-	}
+		}
+		if n, err := e.Len(); err != nil || n != len(want) {
+			t.Fatalf("Len after reopen = %d, %v; want %d", n, err, len(want))
+		}
+	})
 }
 
 func TestEngineLenAndRange(t *testing.T) {

@@ -10,7 +10,7 @@
 //     with key expiry — is covered by MDB's TTL mode (NewMemoryTTL);
 //   - LDB: a log-structured engine with a write-ahead log, memtable and
 //     sorted string tables (package ldb);
-//   - FDB: a file-backed engine with hashed bucket logs (package fdb).
+//   - FDB: its role — a durable store on disk — is covered by LDB.
 package engine
 
 import (

@@ -496,38 +496,6 @@ func TestBlockCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCompactionRateLimit bounds compaction I/O with a token bucket and
-// checks the merge still completes correctly (timing is not asserted —
-// CI clocks are unreliable — only that limiting is active and harmless).
-func TestCompactionRateLimit(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{
-		FlushThreshold:   8,
-		MaxTables:        2,
-		CompactRateBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 100; i++ {
-		if err := s.Put(fmt.Sprintf("k%03d", i%25), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.WaitCompaction()
-	st := s.EngineStats()
-	if st.Compactions == 0 {
-		t.Fatal("no compactions ran")
-	}
-	if st.CompactionBytes == 0 {
-		t.Fatal("compaction bytes not accounted")
-	}
-	n, _ := s.Len()
-	if n != 25 {
-		t.Fatalf("Len = %d, want 25", n)
-	}
-}
-
 // TestBackgroundCompactionSupersedesInputs crashes "between" publishing
 // a merged table and deleting its inputs by recreating that disk layout,
 // then checks reopen drops the stale inputs.

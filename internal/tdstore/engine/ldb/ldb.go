@@ -9,8 +9,8 @@
 // consult the memtable first, then the tables from newest to oldest,
 // binary-searching only those whose filter may hold the key, through a
 // block cache. A background compactor merges all tables into one by
-// streaming their sorted indexes under a token-bucket byte-rate limit when
-// the table count grows past a threshold. All I/O is sequential on the
+// streaming their sorted indexes when the table count grows past a
+// threshold. All I/O is sequential on the
 // write path, matching the paper's emphasis on sequential operations for
 // disk-backed components (§3.2).
 //
@@ -115,9 +115,6 @@ type Options struct {
 	// BlockCacheBytes caps the SSTable read cache. Zero means
 	// DefaultBlockCacheBytes; negative disables the cache.
 	BlockCacheBytes int
-	// CompactRateBytes bounds compaction I/O (bytes read plus bytes
-	// written per second, token bucket). Zero means unlimited.
-	CompactRateBytes int
 
 	// walHook wraps the WAL file after each open, letting tests inject
 	// faults. Production code leaves it nil.
@@ -370,7 +367,6 @@ type Store struct {
 	compactErr  error // sticky first background-compaction failure
 
 	cache     *blockCache
-	rate      *rateLimiter
 	cacheHits atomic.Int64
 	cacheMiss atomic.Int64
 }
@@ -406,9 +402,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			budget = DefaultBlockCacheBytes
 		}
 		s.cache = newBlockCache(int64(budget))
-	}
-	if opts.CompactRateBytes > 0 {
-		s.rate = newRateLimiter(opts.CompactRateBytes)
 	}
 	if err := s.loadTables(); err != nil {
 		return nil, err
@@ -1177,8 +1170,8 @@ func mergeTables(tables []*sstable, fn func(t *sstable, i int) bool) {
 	}
 }
 
-// compactOnce merges every table present at its start into one, under
-// the byte-rate limit: a streaming merge of the inputs' sorted indexes in
+// compactOnce merges every table present at its start into one: a
+// streaming merge of the inputs' sorted indexes in
 // which, for each key, the newest record wins and a winning tombstone
 // drops the key (there is nothing below the oldest table for one to
 // shadow). Only one value is held at a time. The merge runs off the write
@@ -1223,7 +1216,6 @@ func (s *Store) compactOnce() error {
 			return true
 		}
 		val = slices.Grow(val[:0], te.length())[:te.length()]
-		s.rate.wait(te.length())
 		if _, err = t.f.ReadAt(val, te.offset); err != nil {
 			err = fmt.Errorf("ldb: compact read %s: %w", t.path, err)
 			return false
@@ -1234,7 +1226,6 @@ func (s *Store) compactOnce() error {
 			return false
 		}
 		ioBytes += int64(n)
-		s.rate.wait(n)
 		return true
 	})
 	if stopped || err != nil {

@@ -206,6 +206,12 @@ func TestAutoCompaction(t *testing.T) {
 	if got := s.TableCount(); got > 4 {
 		t.Fatalf("TableCount = %d, auto-compaction did not bound tables", got)
 	}
+	if st := s.EngineStats(); st.Compactions == 0 || st.CompactionBytes == 0 {
+		t.Fatalf("%d compactions moved %d bytes, want both counted", st.Compactions, st.CompactionBytes)
+	}
+	if n, err := s.Len(); err != nil || n != 10 {
+		t.Fatalf("Len = %d, %v; want 10", n, err)
+	}
 }
 
 func TestTornWALTailIsIgnored(t *testing.T) {

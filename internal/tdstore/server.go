@@ -241,14 +241,11 @@ func (ds *DataServer) withInstanceFenced(inst InstanceID, fn func() error) error
 
 // syncLoop applies queued mutations to slave replicas in the background,
 // reproducing the paper's "the slave data server will update its data when
-// idle" without involving the config server. Each drained batch is
-// coalesced — last write wins per (instance, key), a later delete
-// superseding earlier puts — and applied under a single hosting-snapshot
-// load, so a hot key replicates once per drain instead of once per write.
-// The survivors are grouped by instance, and each slave gets one PutBatch
-// per run of an instance's puts (replicate). An op's value is the slice
-// the host's engine keeps, and each slave's engine keeps that same slice:
-// a replica costs no copy.
+// idle" without involving the config server. Each drained batch is applied
+// under a single hosting-snapshot load, grouped by instance, and each slave
+// gets one PutBatch per run of an instance's puts (replicate). An op's
+// value is the slice the host's engine keeps, and each slave's engine
+// keeps that same slice: a replica costs no copy.
 func (ds *DataServer) syncLoop() {
 	defer close(ds.syncDone)
 	var sc syncScratch
@@ -265,9 +262,8 @@ func (ds *DataServer) syncLoop() {
 		ds.syncQueue = sc.spare
 		ds.syncMu.Unlock()
 
-		last := sc.coalescer(len(batch))
-		sc.replicate(ds.hosting.Load(), coalesceOps(batch, last))
-		sc.done(batch, last)
+		sc.replicate(ds.hosting.Load(), batch)
+		sc.done(batch)
 
 		ds.syncMu.Lock()
 		ds.lag -= len(batch)
@@ -279,82 +275,46 @@ func (ds *DataServer) syncLoop() {
 }
 
 const (
-	// maxScratchOps is the largest drain of the smallest coalescing class.
-	// Most drains hold a handful of ops.
-	maxScratchOps = 64
-	// scratchClasses is how many coalescing maps a sync loop keeps, one
-	// per factor of eight in drain size: up to 64, 512, 4,096 and 32,768
-	// ops.
-	scratchClasses = 4
 	// maxSpareOps bounds the queue buffer a sync loop keeps between drains
 	// while bursts come (56 bytes an op, 1.8 MB at most), and
 	// maxQuietSpareOps once they have stopped.
 	maxSpareOps      = 1 << 15
 	maxQuietSpareOps = 1 << 10
-	// quietDrains drains in a row of at most maxScratchOps ops mean the
-	// bursts have stopped: what they grew is let go.
+	// quietDrains drains in a row of at most quietOps ops mean the bursts
+	// have stopped: what they grew is let go. Most drains hold a handful
+	// of ops.
 	quietDrains = 256
+	quietOps    = 64
 )
 
 // syncScratch is what a sync loop keeps from one drain for the next, so
-// that neither the queue nor the coalescing map is regrown from nothing
-// every time. A burst grows both; they are kept while bursts keep coming,
-// and dropped for the collector after quietDrains small drains in a row,
-// so a store whose writes go on in small drains soon keeps only small
-// ones.
+// that the queue is not regrown from nothing every time. A burst grows
+// it; it is kept while bursts keep coming, and dropped for the collector
+// after quietDrains small drains in a row, so a store whose writes go on
+// in small drains soon keeps only a small one.
 type syncScratch struct {
 	// spare is the queue buffer the writers fill next: the loop and the
 	// writers trade two buffers, and this is the one the last drain
 	// emptied.
 	spare []syncOp
-	// maps holds an empty coalescing map per size class (scratchClass).
-	maps [scratchClasses]map[opKey]int
 	// run holds the run of puts replicate hands the slaves.
 	run runScratch
-	// quiet counts the drains in a row of at most maxScratchOps ops, up
-	// to quietDrains.
+	// quiet counts the drains in a row of at most quietOps ops, up to
+	// quietDrains.
 	quiet int
 }
 
-// scratchClass is the class of the coalescing map a drain of n ops uses.
-// Clearing a map costs its capacity, not its length, so past the smallest
-// class a drain never clears a map grown by one more than eight times its
-// size. A class of scratchClasses or more means a drain larger than any
-// kept map.
-func scratchClass(n int) int {
-	c := 0
-	for limit := maxScratchOps; n > limit; limit <<= 3 {
-		c++
-	}
-	return c
-}
-
-// coalescer returns an empty map for coalescing a drain of n ops, or nil
-// for a drain larger than any kept map.
-func (sc *syncScratch) coalescer(n int) map[opKey]int {
-	c := scratchClass(n)
-	if c >= scratchClasses {
-		return nil
-	}
-	if sc.maps[c] == nil {
-		sc.maps[c] = make(map[opKey]int)
-	}
-	return sc.maps[c]
-}
-
 // done readies the scratch for the next drain once batch has been
-// applied, coalesced in m (nil for a map of its own).
-func (sc *syncScratch) done(batch []syncOp, m map[opKey]int) {
-	clear(m)
+// applied.
+func (sc *syncScratch) done(batch []syncOp) {
 	clear(batch) // drop the keys and values it pinned
 	limit := maxSpareOps
 	switch {
-	case len(batch) > maxScratchOps:
+	case len(batch) > quietOps:
 		sc.quiet = 0
 	case sc.quiet < quietDrains:
 		sc.quiet++
 	default:
-		clear(sc.maps[1:])
 		limit = maxQuietSpareOps
 	}
 	sc.spare = nil
@@ -363,44 +323,12 @@ func (sc *syncScratch) done(batch []syncOp, m map[opKey]int) {
 	}
 }
 
-// opKey identifies what a replicated mutation overwrites.
-type opKey struct {
-	inst InstanceID
-	key  string
-}
-
-// coalesceOps collapses a drained sync batch to one op per (instance,
-// key), keeping queue order among survivors. Queue order is host apply
-// order, so the last op for a key — put or delete — is the one that
-// matters; everything earlier is superseded. last is an empty map the
-// caller clears afterwards, or nil for one of the batch's own.
-func coalesceOps(batch []syncOp, last map[opKey]int) []syncOp {
-	if len(batch) <= 1 {
-		return batch
-	}
-	if last == nil {
-		last = make(map[opKey]int, len(batch))
-	}
-	for i, op := range batch {
-		last[opKey{op.instance, op.key}] = i
-	}
-	if len(last) == len(batch) {
-		return batch // nothing to collapse
-	}
-	out := batch[:0]
-	for i, op := range batch {
-		if last[opKey{op.instance, op.key}] == i {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// replicate applies a coalesced drain to the slaves of its instances.
-// The ops are grouped by instance, keeping queue order within each, which
-// is all the order replicas need: a key lives in exactly one instance.
-// Each run of an instance's puts reaches each slave as one PutBatch, and
-// a delete applies alone, between the runs around it.
+// replicate applies a drain to the slaves of its instances. The ops are
+// grouped by instance, keeping queue order within each, which is all the
+// order replicas need: a key lives in exactly one instance, and queue
+// order is host apply order. Each run of an instance's puts reaches each
+// slave as one PutBatch, and a delete applies alone, between the runs
+// around it.
 func (sc *syncScratch) replicate(h *hosting, ops []syncOp) {
 	slices.SortStableFunc(ops, func(a, b syncOp) int { return cmp.Compare(a.instance, b.instance) })
 	for len(ops) > 0 {

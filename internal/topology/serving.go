@@ -20,16 +20,17 @@ import (
 type Serving struct {
 	st State
 	p  Params
-	rd *serving.Reader // optional serving tier; nil reads the state directly
+	rd *serving.Reader // the serving tier its list and history reads go through
 }
 
-// NewServing returns a query engine over the topology's state.
+// NewServing returns a query engine over the topology's state, reading it
+// through an uncached serving tier.
 func NewServing(st State, p Params) *Serving {
-	return &Serving{st: st, p: p.withDefaults()}
+	return &Serving{st: st, p: p.withDefaults(), rd: serving.NewReader(st, serving.Config{CacheTTL: -1})}
 }
 
 // WithReader routes the engine's reads of top-K lists and user
-// histories through the batch-query serving tier: a decoded-result
+// histories through rd, typically a serving tier with a decoded-result
 // cache with TTL invalidation and negative caching, whose misses go to
 // the store in one batch per read. Results may then be up to the
 // reader's cache TTL stale. Returns s.
@@ -50,22 +51,11 @@ func (s *Serving) SimilarItems(item string, n int) ([]core.ScoredItem, error) {
 }
 
 func (s *Serving) readList(key string, n int) ([]core.ScoredItem, error) {
-	var list storedList
-	if s.rd != nil {
-		v, ok, err := s.rd.Get(key, decodeListValue)
-		if err != nil || !ok {
-			return nil, err
-		}
-		list = v.(storedList)
-	} else {
-		raw, ok, err := s.st.Get(key)
-		if err != nil || !ok {
-			return nil, err
-		}
-		if list, err = decodeList(raw); err != nil {
-			return nil, err
-		}
+	v, ok, err := s.rd.Get(key, decodeListValue)
+	if err != nil || !ok {
+		return nil, err
 	}
+	list := v.(storedList)
 	if n > 0 && len(list) > n {
 		list = list[:n]
 	}
@@ -78,36 +68,16 @@ func (s *Serving) readLists(keys []string, n int) ([][]core.ScoredItem, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	out := make([][]core.ScoredItem, len(keys))
-	if s.rd != nil {
-		vs, found, err := s.rd.GetBatch(keys, decodeListValue)
-		if err != nil {
-			return nil, err
-		}
-		for i := range keys {
-			if !found[i] {
-				continue
-			}
-			list := vs[i].(storedList)
-			if n > 0 && len(list) > n {
-				list = list[:n]
-			}
-			out[i] = list
-		}
-		return out, nil
-	}
-	vals, found, err := s.st.BatchGet(keys)
+	vs, found, err := s.rd.GetBatch(keys, decodeListValue)
 	if err != nil {
 		return nil, err
 	}
+	out := make([][]core.ScoredItem, len(keys))
 	for i := range keys {
 		if !found[i] {
 			continue
 		}
-		list, err := decodeList(vals[i])
-		if err != nil {
-			return nil, err
-		}
+		list := vs[i].(storedList)
 		if n > 0 && len(list) > n {
 			list = list[:n]
 		}
@@ -118,18 +88,11 @@ func (s *Serving) readLists(keys []string, n int) ([][]core.ScoredItem, error) {
 
 // history loads a user's stored behavior history.
 func (s *Serving) history(user string) (storedHistory, error) {
-	if s.rd != nil {
-		v, ok, err := s.rd.Get(prefixUserHistory+user, decodeHistoryValue)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return v.(storedHistory), nil
-	}
-	raw, ok, err := s.st.Get(prefixUserHistory + user)
+	v, ok, err := s.rd.Get(prefixUserHistory+user, decodeHistoryValue)
 	if err != nil || !ok {
 		return nil, err
 	}
-	return decodeHistory(raw)
+	return v.(storedHistory), nil
 }
 
 // recentRef orders recentItems selection: time descending, item
@@ -211,12 +174,14 @@ func (s *Serving) RecommendCF(user string, now time.Time, n int, exclude map[str
 	// cache the assembled answer, not just its ingredients. Results are
 	// keyed without now — within the TTL the serving clock is effectively
 	// constant — and only for the plain (no exclusions) query shape.
-	qkey := ""
-	if s.rd != nil && exclude == nil {
+	qkey, gen := "", uint64(0)
+	if exclude == nil {
 		qkey = "cf|" + user + "|" + strconv.Itoa(n)
-		if v, ok := s.rd.GetResult(qkey); ok {
+		v, g, ok := s.rd.GetResult(qkey)
+		if ok {
 			return v.([]core.ScoredItem), nil
 		}
+		gen = g
 	}
 	hist, err := s.history(user)
 	if err != nil {
@@ -286,7 +251,7 @@ func (s *Serving) RecommendCF(user string, now time.Time, n int, exclude map[str
 		}
 	}
 	if qkey != "" {
-		s.rd.PutResult(qkey, out)
+		s.rd.PutResult(qkey, out, gen)
 	}
 	return out, nil
 }
@@ -311,12 +276,10 @@ func (s *Serving) ARRecommend(user string, now time.Time, n int) ([]core.ScoredI
 	if n <= 0 {
 		n = 10
 	}
-	qkey := ""
-	if s.rd != nil {
-		qkey = "ar|" + user + "|" + strconv.Itoa(n)
-		if v, ok := s.rd.GetResult(qkey); ok {
-			return v.([]core.ScoredItem), nil
-		}
+	qkey := "ar|" + user + "|" + strconv.Itoa(n)
+	v, gen, ok := s.rd.GetResult(qkey)
+	if ok {
+		return v.([]core.ScoredItem), nil
 	}
 	hist, err := s.history(user)
 	if err != nil {
@@ -348,9 +311,7 @@ func (s *Serving) ARRecommend(user string, now time.Time, n int) ([]core.ScoredI
 		out = append(out, core.ScoredItem{Item: item, Score: conf})
 	}
 	out = core.TopNScored(out, n)
-	if qkey != "" {
-		s.rd.PutResult(qkey, out)
-	}
+	s.rd.PutResult(qkey, out, gen)
 	return out, nil
 }
 

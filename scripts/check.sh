@@ -22,8 +22,8 @@ go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKn
 echo "== go test -race serving tier (TTL, negative cache and its drop on write, a read that straddles Invalidate, a failed store read, LRU, mixed load)"
 go test -race -run 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), a batch as one WAL append, the sorted table index and its merge, failed replica applies counted, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores"
-go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestReplicaApplyErrorsCounted|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound' \
+echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), a batch as one WAL append, the sorted table index and its merge, failed replica applies counted, replicas applying a drain in the host's order, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
+go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestReplicaApplyErrorsCounted|TestReplicasApplyHostOrder|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 # The test skips itself unless exactly one tick round had run when it read

@@ -15,7 +15,6 @@ import (
 	"tencentrec/internal/tdaccess"
 	"tencentrec/internal/tdstore"
 	"tencentrec/internal/tdstore/engine"
-	"tencentrec/internal/tdstore/engine/fdb"
 	"tencentrec/internal/tdstore/engine/ldb"
 	"tencentrec/internal/topology"
 )
@@ -56,12 +55,8 @@ func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func
 			}
 			return ldb.Open(instDir, opts)
 		}, nil
-	case "fdb":
-		return func(serverID string, inst tdstore.InstanceID) (engine.Engine, error) {
-			return fdb.Open(filepath.Join(dir, serverID, fmt.Sprintf("inst-%d", inst)))
-		}, nil
 	}
-	return nil, fmt.Errorf("tencentrec: unknown store engine %q (mdb, ldb or fdb)", name)
+	return nil, fmt.Errorf("tencentrec: unknown store engine %q (mdb or ldb)", name)
 }
 
 // SystemConfig configures a full TencentRec deployment.
@@ -78,8 +73,8 @@ type SystemConfig struct {
 	// cluster. Defaults 3, 16 and 1.
 	StoreServers, StoreInstances, StoreReplicas int
 	// StoreEngine selects the TDStore storage engine: "mdb" (in-memory,
-	// default), "ldb" (log-structured, durable) or "fdb" (file buckets,
-	// durable). Durable engines persist under StoreDir.
+	// default) or "ldb" (log-structured, durable). The durable engine
+	// persists under StoreDir.
 	StoreEngine string
 	// StoreDir roots the durable engines' files. Default DataDir/tdstore.
 	StoreDir string
@@ -112,10 +107,6 @@ type SystemConfig struct {
 	// QueueDepth overrides the per-task input queue capacity, in batches
 	// (stream.DefaultQueueDepth). 0 keeps the default.
 	QueueDepth int
-	// DisableServingTier turns off the batch-query serving tier (decoded
-	// value and result caches) so queries read TDStore directly. For
-	// ablation benchmarks; leave false in service.
-	DisableServingTier bool
 	// ServingCacheTTL bounds how stale a cached query result may be.
 	// 0 uses the default (serving.DefaultCacheTTL); negative disables the
 	// result cache.
@@ -168,7 +159,7 @@ type System struct {
 	topo     *stream.Topology
 	running  *stream.RunningTopology
 	serving  *topology.Serving
-	reader   *serving.Reader // nil when DisableServingTier
+	reader   *serving.Reader
 	registry *obsv.Registry
 	tracer   *obsv.Tracer // nil when TraceEvery < 0
 
@@ -255,21 +246,16 @@ func Open(cfg SystemConfig) (*System, error) {
 	if c.TraceEvery >= 0 {
 		tracer = obsv.NewTracer(c.TraceEvery, obsv.DefaultTraceRing)
 	}
-	eng := topology.NewServing(client, c.Params)
-	var state topology.State = client
-	var reader *serving.Reader
-	if !c.DisableServingTier {
-		// The serving tier fronts query reads with a decoded-result cache;
-		// a query's misses go to the store in one BatchGet.
-		reader = serving.NewReader(client, serving.Config{
-			CacheTTL:    c.ServingCacheTTL,
-			NegativeTTL: c.ServingNegativeTTL,
-			MaxEntries:  c.ServingCacheSize,
-		})
-		reader.Instrument(registry)
-		eng.WithReader(reader)
-		state = servedState{client, reader}
-	}
+	// The serving tier fronts query reads with a decoded-result cache;
+	// a query's misses go to the store in one BatchGet.
+	reader := serving.NewReader(client, serving.Config{
+		CacheTTL:    c.ServingCacheTTL,
+		NegativeTTL: c.ServingNegativeTTL,
+		MaxEntries:  c.ServingCacheSize,
+	})
+	reader.Instrument(registry)
+	eng := topology.NewServing(client, c.Params).WithReader(reader)
+	state := servedState{client, reader}
 	spout := topology.NewTDAccessSpout(topology.TDAccessSpoutConfig{
 		Broker:  broker,
 		Topic:   c.Topic,
@@ -304,13 +290,13 @@ func Open(cfg SystemConfig) (*System, error) {
 	return s, nil
 }
 
-// servedState is the topology's State when the serving tier is on: the
-// store client, with every key the topology writes (similar-items lists,
-// user histories, hot lists; counters too, which the tier never holds)
-// dropped from the tier's negative entries once the write has returned. A
-// cached "absent" is then never older than the write that made it wrong, so
-// a new item or user shows a tick round after its first action, not a
-// negative TTL after that.
+// servedState is the topology's State: the store client, with every key
+// the topology writes (similar-items lists, user histories, hot lists;
+// counters too, which the tier never holds) dropped from the serving
+// tier's negative entries once the write has returned. A cached "absent"
+// is then never older than the write that made it wrong, so a new item or
+// user shows a tick round after its first action, not a negative TTL
+// after that.
 type servedState struct {
 	*tdstore.Client
 	reader *serving.Reader
@@ -414,9 +400,7 @@ func (s *System) Drain(timeout time.Duration) error {
 	s.cluster.WaitSync()
 	// Drained means "queries now see everything published", so the
 	// serving tier must not hand out results cached before the sync.
-	if s.reader != nil {
-		s.reader.Invalidate()
-	}
+	s.reader.Invalidate()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package tencentrec
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -200,7 +201,7 @@ func TestNewRecommenderDirectUse(t *testing.T) {
 }
 
 func TestSystemWithDurableEngines(t *testing.T) {
-	for _, engine := range []string{"ldb", "fdb"} {
+	for _, engine := range []string{"ldb"} {
 		t.Run(engine, func(t *testing.T) {
 			s, err := Open(SystemConfig{
 				DataDir:     t.TempDir(),
@@ -224,8 +225,11 @@ func TestSystemWithDurableEngines(t *testing.T) {
 			}
 		})
 	}
-	if _, err := Open(SystemConfig{DataDir: t.TempDir(), StoreEngine: "bogus"}); err == nil {
-		t.Fatal("bogus engine accepted")
+	for _, engine := range []string{"bogus", "fdb"} {
+		_, err := Open(SystemConfig{DataDir: t.TempDir(), StoreEngine: engine})
+		if err == nil || !strings.Contains(err.Error(), "unknown store engine") {
+			t.Fatalf("%s engine: Open = %v, want the unknown-engine error", engine, err)
+		}
 	}
 }
 

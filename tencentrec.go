@@ -19,7 +19,7 @@
 //     queries.
 //
 // Everything underneath — the stream engine, the pub/sub layer, the
-// replicated key-value store with its MDB/LDB/FDB engines, the five
+// replicated key-value store with its MDB and LDB engines, the five
 // recommendation algorithms (CF, CB, DB, AR, situational CTR), and the
 // evaluation harness regenerating the paper's Table 1 and Figures
 // 10-14 — is implemented from scratch on the Go standard library.
