@@ -90,13 +90,11 @@ func main() {
 	restore := flag.Bool("restore", false, "cold-start the store from the checkpoint in -checkpoint-dir and replay only the tail (requires -store-engine ldb)")
 	enableCB := flag.Bool("cb", true, "enable the content-based chain")
 	enableCtr := flag.Bool("ctr", true, "enable the situational CTR chain")
-	enableAR := flag.Bool("ar", false, "enable the association-rule chain")
+	enableAR := flag.Bool("ar", false, "enable the association-rule chain (ARItemBolt → ARBolt → ARListBolt)")
 	flush := flag.Duration("flush", 100*time.Millisecond, "combiner flush interval: the longest a staged delta waits (an idle pipeline flushes at once)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceEvery := flag.Int("trace-every", 0, "sample one tuple trace per N spout emissions (0 = default 1024, negative = off)")
-	queueDepth := flag.Int("queue-depth", 0, "per-task input queue capacity in batches (0 = engine default)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "serving-tier result cache TTL (0 = default, negative = cache off)")
-	cacheSize := flag.Int("cache-size", 0, "serving-tier result cache capacity in entries (0 = default, negative = cache off)")
+	cacheTTL := flag.Duration("cache-ttl", 0, "serving-tier cache TTL (0 = default, negative = serve without a cache)")
 	negTTL := flag.Duration("neg-ttl", 0, "serving-tier negative-cache TTL for absent keys (0 = default)")
 
 	// Cluster-mode flags.
@@ -113,8 +111,8 @@ func main() {
 			addr: *addr, dataDir: *dataDir, storeEngine: *storeEngine, storeDir: *storeDir,
 			storeSync: *storeSync, checkpointDir: *checkpointDir, restore: *restore,
 			enableCB: *enableCB, enableCtr: *enableCtr, enableAR: *enableAR, flush: *flush,
-			enablePprof: *enablePprof, traceEvery: *traceEvery, queueDepth: *queueDepth,
-			cacheTTL: *cacheTTL, cacheSize: *cacheSize, negTTL: *negTTL,
+			enablePprof: *enablePprof, traceEvery: *traceEvery,
+			cacheTTL: *cacheTTL, negTTL: *negTTL,
 		})
 	case "supervisor":
 		runSupervisor(*addr, *clusterName, *dataDir, *specPath, *workers)
@@ -193,7 +191,7 @@ type singleConfig struct {
 	storeSync, restore, enableCB, enableCtr, enableAR   bool
 	enablePprof                                         bool
 	flush, cacheTTL, negTTL                             time.Duration
-	traceEvery, queueDepth, cacheSize                   int
+	traceEvery                                          int
 }
 
 func runSingle(c singleConfig) {
@@ -209,17 +207,11 @@ func runSingle(c singleConfig) {
 		StoreSyncWrites:       c.storeSync,
 		CheckpointDir:         c.checkpointDir,
 		RestoreFromCheckpoint: c.restore,
-		Params: tencentrec.Params{
-			FlushInterval: c.flush,
-			EnableAR:      c.enableAR,
-		},
-		Features:   tencentrec.Features{CF: true, CB: c.enableCB, Ctr: c.enableCtr, AR: c.enableAR},
-		TraceEvery: c.traceEvery,
-		QueueDepth: c.queueDepth,
-
-		ServingCacheTTL:    c.cacheTTL,
-		ServingCacheSize:   c.cacheSize,
-		ServingNegativeTTL: c.negTTL,
+		Params:                tencentrec.Params{FlushInterval: c.flush},
+		Features:              tencentrec.Features{CF: true, CB: c.enableCB, Ctr: c.enableCtr, AR: c.enableAR},
+		TraceEvery:            c.traceEvery,
+		ServingCacheTTL:       c.cacheTTL,
+		ServingNegativeTTL:    c.negTTL,
 	})
 	if err != nil {
 		log.Fatalf("open system: %v", err)

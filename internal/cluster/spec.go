@@ -28,9 +28,6 @@ type Spec struct {
 
 	Acking       bool  `json:"acking,omitempty"`
 	AckTimeoutMS int64 `json:"ack_timeout_ms,omitempty"`
-	MaxBatch     int   `json:"max_batch,omitempty"`
-	LingerUS     int64 `json:"linger_us,omitempty"`
-	QueueDepth   int   `json:"queue_depth,omitempty"`
 
 	Spouts []ComponentSpec `json:"spouts"`
 	Bolts  []ComponentSpec `json:"bolts"`
@@ -50,7 +47,6 @@ func (s *Spec) graph() stream.Graph {
 
 // ackTimeout returns the spec's ack timeout as a duration (0 = default).
 func (s *Spec) ackTimeout() time.Duration { return time.Duration(s.AckTimeoutMS) * time.Millisecond }
-func (s *Spec) linger() time.Duration     { return time.Duration(s.LingerUS) * time.Microsecond }
 
 // ParseSpec decodes and validates a JSON spec.
 func ParseSpec(data []byte) (*Spec, error) {

@@ -74,7 +74,6 @@ type proxyBolt struct {
 	dest     int
 	src      string
 	streamID string
-	maxBatch int
 
 	col   stream.Collector
 	batch []WireTuple
@@ -95,7 +94,7 @@ func (b *proxyBolt) Execute(t *stream.Tuple) error {
 	vals := make(stream.Values, len(t.Values))
 	copy(vals, t.Values)
 	b.batch = append(b.batch, WireTuple{Root: root, ID: id, Values: vals})
-	if len(b.batch) >= b.maxBatch {
+	if len(b.batch) >= stream.DefaultMaxBatch {
 		b.flush()
 	}
 	return nil
@@ -443,15 +442,6 @@ func buildLocal(spec *Spec, plan *Plan, workerID int, reg *obsv.Registry, eg *eg
 
 	tb := stream.NewTopologyBuilder(fmt.Sprintf("%s@w%d", spec.Name, workerID))
 	tb.SetMetricsRegistry(reg)
-	if spec.MaxBatch > 0 {
-		tb.SetMaxBatch(spec.MaxBatch)
-	}
-	if spec.QueueDepth > 0 {
-		tb.SetQueueDepth(spec.QueueDepth)
-	}
-	if spec.LingerUS > 0 {
-		tb.SetLinger(spec.linger())
-	}
 	if spec.Acking {
 		tb.SetAcking(true)
 		if spec.AckTimeoutMS > 0 {
@@ -462,17 +452,13 @@ func buildLocal(spec *Spec, plan *Plan, workerID int, reg *obsv.Registry, eg *eg
 		}
 	}
 
-	maxBatch := spec.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = stream.DefaultMaxBatch
-	}
 	classes := &stream.Registry{Spouts: maps.Clone(Kinds.Spouts), Bolts: maps.Clone(Kinds.Bolts)}
 	classes.Spouts[classProxyIn] = stream.SpoutClassFunc(func(p map[string]string) stream.Spout {
 		return &proxySpout{q: inQueues[edgeKey{p["src"], p["stream"]}], streamID: p["stream"]}
 	})
 	classes.Bolts[classProxyOut] = stream.BoltClassFunc(func(p map[string]string) stream.Bolt {
 		dest, _ := strconv.Atoi(p["dest"]) // localGraph wrote it with Itoa
-		return &proxyBolt{eg: eg, dest: dest, src: p["src"], streamID: p["stream"], maxBatch: maxBatch}
+		return &proxyBolt{eg: eg, dest: dest, src: p["src"], streamID: p["stream"]}
 	})
 	topo, err := g.Build(tb, classes)
 	if err != nil {

@@ -27,9 +27,6 @@ type Config struct {
 	// NegativeTTL bounds how long a known-absent key is served as a
 	// miss without consulting the store. 0 uses DefaultNegativeTTL.
 	NegativeTTL time.Duration
-	// MaxEntries bounds the cache size in decoded entries, evicting LRU
-	// beyond it. 0 uses DefaultMaxEntries; negative disables the cache.
-	MaxEntries int
 }
 
 // Reader is the serving tier's read path: a decoded-result cache in
@@ -49,9 +46,9 @@ type Reader struct {
 // NewReader builds the serving read tier over store.
 func NewReader(store Store, cfg Config) *Reader {
 	r := &Reader{store: store}
-	if cfg.CacheTTL >= 0 && cfg.MaxEntries >= 0 {
-		r.cache = NewCache(cfg.CacheTTL, cfg.NegativeTTL, cfg.MaxEntries)
-		r.results = NewCache(cfg.CacheTTL, cfg.NegativeTTL, cfg.MaxEntries)
+	if cfg.CacheTTL >= 0 {
+		r.cache = NewCache(cfg.CacheTTL, cfg.NegativeTTL, DefaultMaxEntries)
+		r.results = NewCache(cfg.CacheTTL, cfg.NegativeTTL, DefaultMaxEntries)
 	}
 	return r
 }

@@ -2,9 +2,7 @@ package tdstore
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tencentrec/internal/statecodec"
@@ -25,11 +23,6 @@ const (
 	clientRetryBackoff    = 250 * time.Microsecond
 	clientRetryMaxBackoff = 4 * time.Millisecond
 )
-
-// batchFanout bounds how many per-server sub-batches of one batched
-// request run concurrently. Sub-batches beyond the bound are picked up
-// by the same small worker set as earlier ones finish.
-const batchFanout = 8
 
 // batchItem is one key of a batched request, tagged with its data
 // instance and its position in the caller's key, value and result
@@ -58,42 +51,11 @@ func (g *serverGroup) dispatch(send groupSend) {
 	}
 }
 
-// runGroups sends every group across at most batchFanout workers and
-// waits for all of them. A single group runs inline — the common case
-// for small batches pays no goroutine — and the worker set never exceeds
-// GOMAXPROCS: data servers are in-process and CPU-bound, so extra
-// goroutines beyond the scheduler's parallelism only add switch cost.
-// The caller is one of the workers, and every worker runs the same
-// closure: a fan-out allocates that closure and its shared counters, the
-// same two allocations however many groups and workers it has.
+// runGroups sends every group in order, on the caller's goroutine.
 func runGroups(groups []serverGroup, send groupSend) {
-	workers := min(len(groups), batchFanout, runtime.GOMAXPROCS(0))
-	if workers <= 1 {
-		for i := range groups {
-			groups[i].dispatch(send)
-		}
-		return
+	for i := range groups {
+		groups[i].dispatch(send)
 	}
-	var shared struct {
-		next atomic.Int64
-		wg   sync.WaitGroup
-	}
-	shared.wg.Add(workers)
-	work := func() {
-		defer shared.wg.Done()
-		for {
-			i := int(shared.next.Add(1)) - 1
-			if i >= len(groups) {
-				return
-			}
-			groups[i].dispatch(send)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	shared.wg.Wait()
 }
 
 // routeRefreshRetries bounds how many times refreshRoute re-asks the
@@ -297,8 +259,8 @@ const maxStackInstances = 64
 
 // attempt is one pass of the batched request path: it resolves the
 // cached route once, groups the pending positions of keys by target
-// server (the host of each key's instance), fans the groups out and
-// collects the answers.
+// server (the host of each key's instance), sends the groups one after
+// another and collects the answers.
 // pending lists the positions to send; nil means all of keys, a fresh
 // batch. It returns the positions whose server gave a retryable answer
 // together with that error; groups that succeeded are done and are never
@@ -311,10 +273,6 @@ const maxStackInstances = 64
 // instance and of two writes to one key the later wins. What it allocates
 // (the items, the groups) does not depend on how many servers a batch
 // spans.
-//
-// send runs on up to batchFanout goroutines at once, one call per group;
-// the groups cover disjoint positions, so a send that only touches its
-// items' positions of shared slices is data-race free by construction.
 func (cl *Client) attempt(keys []string, pending []int, send groupSend) ([]int, error) {
 	n := len(pending)
 	if pending == nil {
@@ -346,9 +304,9 @@ func (cl *Client) attempt(keys []string, pending []int, send groupSend) ([]int, 
 		}
 		runAt[inst]++
 	}
-	// One allocation holds the groups, up to as many as can be in flight
-	// at once; a batch that spans more servers grows it.
-	groups := make([]serverGroup, 0, min(spanned, batchFanout))
+	// One allocation holds the groups: there are no more of them than
+	// instances with keys, nor than data servers.
+	groups := make([]serverGroup, 0, min(spanned, cl.c.opts.DataServers))
 	for inst, count := range runAt {
 		if count == 0 {
 			continue

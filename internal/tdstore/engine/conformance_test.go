@@ -1,11 +1,11 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"tencentrec/internal/tdstore/engine"
 	"tencentrec/internal/tdstore/engine/ldb"
@@ -57,6 +57,35 @@ func TestEngineBasicOps(t *testing.T) {
 			}
 			if err := e.Delete("never-existed"); err != nil {
 				t.Fatalf("Delete(absent) = %v", err)
+			}
+		})
+	}
+}
+
+// TestEngineClosedErrors: after Close, every operation returns
+// ErrClosed, the one value every engine uses, and none panics.
+func TestEngineClosedErrors(t *testing.T) {
+	for name, mk := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			e := mk()
+			if err := e.Put("a", []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ops := map[string]func() error{
+				"Get":      func() error { _, _, err := e.Get("a"); return err },
+				"Put":      func() error { return e.Put("b", []byte("2")) },
+				"PutBatch": func() error { return e.PutBatch([]string{"b"}, [][]byte{[]byte("2")}) },
+				"Delete":   func() error { return e.Delete("a") },
+				"Len":      func() error { _, err := e.Len(); return err },
+				"Range":    func() error { return e.Range(func(string, []byte) bool { return true }) },
+			}
+			for op, f := range ops {
+				if err := f(); !errors.Is(err, engine.ErrClosed) {
+					t.Errorf("%s after Close = %v, want ErrClosed", op, err)
+				}
 			}
 		})
 	}
@@ -400,29 +429,5 @@ func TestLDBCrashReopenResumeConformance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMemoryTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	e := engine.NewMemoryTTL(10*time.Second, clock)
-	e.Put("k", []byte("v"))
-	if _, ok, _ := e.Get("k"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	now = now.Add(11 * time.Second)
-	if _, ok, _ := e.Get("k"); ok {
-		t.Fatal("expired entry still present")
-	}
-	n, _ := e.Len()
-	if n != 0 {
-		t.Fatalf("Len after expiry = %d", n)
-	}
-	// Re-put resets the clock.
-	e.Put("k", []byte("v2"))
-	now = now.Add(5 * time.Second)
-	if v, ok, _ := e.Get("k"); !ok || string(v) != "v2" {
-		t.Fatal("refreshed entry missing")
 	}
 }

@@ -7,16 +7,19 @@
 //
 //   - MDB: a lock-striped in-memory hash table (this package);
 //   - RDB: Redis is external software, so its role — an in-memory store
-//     with key expiry — is covered by MDB's TTL mode (NewMemoryTTL);
+//     — is covered by MDB; nothing the system stores needs key expiry;
 //   - LDB: a log-structured engine with a write-ahead log, memtable and
 //     sorted string tables (package ldb);
 //   - FDB: its role — a durable store on disk — is covered by LDB.
 package engine
 
 import (
+	"errors"
 	"sync"
-	"time"
 )
+
+// ErrClosed is returned by operations on a closed engine.
+var ErrClosed = errors.New("engine: closed")
 
 // Engine is the key-value contract a TDStore data server requires of a
 // storage engine. Implementations must be safe for concurrent use.
@@ -84,58 +87,29 @@ type StatsReporter interface {
 // rarely share a lock.
 const memShardCount = 16
 
-// Memory is the MDB engine: a lock-striped in-memory map with optional
-// TTL expiry. Keys spread over memShardCount shards, each guarded by its
-// own RWMutex, so concurrent access to different keys does not serialize
-// on one engine-wide lock. An entry is the slice Put was given and a
-// deadline; Get copies out. The zero value is not usable; construct with
-// NewMemory or NewMemoryTTL.
+// Memory is the MDB engine: a lock-striped in-memory map. Keys spread
+// over memShardCount shards, each guarded by its own RWMutex, so
+// concurrent access to different keys does not serialize on one
+// engine-wide lock. A shard maps a key to the slice Put was given; Get
+// copies out. The zero value is not usable; construct with NewMemory.
 type Memory struct {
 	shards [memShardCount]memShard
-	ttl    time.Duration
-	clock  func() time.Time
 }
 
 type memShard struct {
-	mu   sync.RWMutex
-	data map[string]memEntry
+	mu sync.RWMutex
+	// data is nil once the engine is closed.
+	data map[string][]byte
 	// Pad the 24-byte RWMutex + 8-byte map header to a full cache line
 	// so neighboring shard locks do not false-share.
 	_ [32]byte
 }
 
-// memEntry is 32 bytes and holds one pointer, the value's: a deadline in
-// nanoseconds rather than a time.Time keeps a map slot at 48 bytes.
-type memEntry struct {
-	value    []byte
-	deadline int64 // the clock's UnixNano after which the entry is gone; 0 means never
-}
-
-// expired reports whether e is past its deadline at now (UnixNano).
-func (e memEntry) expired(now int64) bool {
-	return e.deadline != 0 && now > e.deadline
-}
-
-// now is the engine clock in UnixNano.
-func (m *Memory) now() int64 {
-	return m.clock().UnixNano()
-}
-
-// NewMemory returns an MDB engine without expiry.
+// NewMemory returns an MDB engine.
 func NewMemory() *Memory {
-	return NewMemoryTTL(0, nil)
-}
-
-// NewMemoryTTL returns an MDB engine whose entries expire ttl after each
-// write, standing in for the paper's Redis (RDB) engine. A zero ttl means
-// no expiry. clock may be nil to use time.Now; tests inject a fake clock.
-func NewMemoryTTL(ttl time.Duration, clock func() time.Time) *Memory {
-	if clock == nil {
-		clock = time.Now
-	}
-	m := &Memory{ttl: ttl, clock: clock}
+	m := &Memory{}
 	for i := range m.shards {
-		m.shards[i].data = make(map[string]memEntry)
+		m.shards[i].data = make(map[string][]byte)
 	}
 	return m
 }
@@ -160,43 +134,38 @@ func (m *Memory) shard(key string) *memShard {
 func (m *Memory) Get(key string) ([]byte, bool, error) {
 	sh := m.shard(key)
 	sh.mu.RLock()
-	e, ok := sh.data[key]
+	v, ok := sh.data[key]
+	closed := sh.data == nil
 	sh.mu.RUnlock()
+	if closed {
+		return nil, false, ErrClosed
+	}
 	if !ok {
 		return nil, false, nil
 	}
-	if e.deadline != 0 && e.expired(m.now()) {
-		sh.mu.Lock()
-		// Recheck under the write lock: the entry may have been
-		// refreshed since the read lock was dropped.
-		if e2, ok2 := sh.data[key]; ok2 && e2.expired(m.now()) {
-			delete(sh.data, key)
-		}
-		sh.mu.Unlock()
-		return nil, false, nil
-	}
-	out := make([]byte, len(e.value))
-	copy(out, e.value)
+	out := make([]byte, len(v))
+	copy(out, v)
 	return out, true, nil
 }
 
 // Put implements Engine: the entry is value itself, not a copy.
 func (m *Memory) Put(key string, value []byte) error {
-	e := memEntry{value: value}
-	if m.ttl > 0 {
-		e.deadline = m.clock().Add(m.ttl).UnixNano()
-	}
 	sh := m.shard(key)
 	sh.mu.Lock()
-	sh.data[key] = e
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	if sh.data == nil {
+		return ErrClosed
+	}
+	sh.data[key] = value
 	return nil
 }
 
 // PutBatch implements Engine: one Put per key.
 func (m *Memory) PutBatch(keys []string, values [][]byte) error {
 	for i, k := range keys {
-		m.Put(k, values[i])
+		if err := m.Put(k, values[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -205,36 +174,28 @@ func (m *Memory) PutBatch(keys []string, values [][]byte) error {
 func (m *Memory) Delete(key string) error {
 	sh := m.shard(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.data == nil {
+		return ErrClosed
+	}
 	delete(sh.data, key)
-	sh.mu.Unlock()
 	return nil
 }
 
-// Len implements Engine. Expired entries still resident count as absent.
-// Shards are counted one at a time, so Len is a consistent total only
-// when no writes are concurrent — the same guarantee the engine contract
-// has always given for aggregate reads.
+// Len implements Engine. Shards are counted one at a time, so Len is a
+// consistent total only when no writes are concurrent — the same
+// guarantee the engine contract has always given for aggregate reads.
 func (m *Memory) Len() (int, error) {
 	n := 0
-	if m.ttl <= 0 {
-		for i := range m.shards {
-			sh := &m.shards[i]
-			sh.mu.RLock()
-			n += len(sh.data)
-			sh.mu.RUnlock()
-		}
-		return n, nil
-	}
-	now := m.now()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
-		for _, e := range sh.data {
-			if !e.expired(now) {
-				n++
-			}
-		}
+		closed := sh.data == nil
+		n += len(sh.data)
 		sh.mu.RUnlock()
+		if closed {
+			return 0, ErrClosed
+		}
 	}
 	return n, nil
 }
@@ -242,15 +203,15 @@ func (m *Memory) Len() (int, error) {
 // Range implements Engine. Each shard is visited under its own read
 // lock; like Len, the iteration is a point-in-time view per shard.
 func (m *Memory) Range(fn func(key string, value []byte) bool) error {
-	now := m.now()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
-		for k, e := range sh.data {
-			if e.expired(now) {
-				continue
-			}
-			if !fn(k, e.value) {
+		if sh.data == nil {
+			sh.mu.RUnlock()
+			return ErrClosed
+		}
+		for k, v := range sh.data {
+			if !fn(k, v) {
 				sh.mu.RUnlock()
 				return nil
 			}

@@ -69,8 +69,8 @@ const (
 	DefaultBlockCacheBytes = 8 << 20
 )
 
-// ErrClosed is returned by operations on a closed store.
-var ErrClosed = errors.New("ldb: store is closed")
+// ErrClosed is returned by operations on a closed store: engine.ErrClosed.
+var ErrClosed = engine.ErrClosed
 
 // errCorrupt marks a structurally invalid record — the shapes a torn or
 // partially written tail produces (bad CRC, absurd lengths) — as opposed

@@ -1,15 +1,12 @@
 package engine
 
 // White-box tests of the striped MDB engine: key spread over the lock
-// stripes, and TTL expiry racing concurrent readers and writers. The
-// cross-engine behavioural contract lives in conformance_test.go.
+// stripes. The cross-engine behavioural contract lives in
+// conformance_test.go.
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestStripedShardDistribution(t *testing.T) {
@@ -51,57 +48,5 @@ func TestStripedShardSelectionDeterministic(t *testing.T) {
 		if shardIndex(key) >= memShardCount {
 			t.Fatalf("shardIndex(%q) = %d out of range", key, shardIndex(key))
 		}
-	}
-}
-
-// TestMemoryTTLExpiryUnderConcurrency drives the TTL engine from many
-// goroutines while a shared fake clock advances, exercising Get's
-// expired-entry deletion (read lock dropped, write lock retaken) against
-// concurrent refreshes. Run under -race via the package test suite.
-func TestMemoryTTLExpiryUnderConcurrency(t *testing.T) {
-	var nanos atomic.Int64
-	nanos.Store(time.Unix(1000, 0).UnixNano())
-	clock := func() time.Time { return time.Unix(0, nanos.Load()) }
-	const ttl = 100 * time.Millisecond
-	m := NewMemoryTTL(ttl, clock)
-	defer m.Close()
-
-	const workers, keys, rounds = 8, 32, 200
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				k := fmt.Sprintf("k%d", (g+i)%keys)
-				if i%3 == 0 {
-					if err := m.Put(k, []byte{byte(i)}); err != nil {
-						t.Error(err)
-						return
-					}
-				} else if _, _, err := m.Get(k); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%50 == 0 {
-					// Nudge the clock forward, expiring some early writes
-					// mid-flight.
-					nanos.Add(int64(ttl) / 40)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Jump past every possible expiry: all entries must now read absent
-	// and count as dead.
-	nanos.Add(int64(2 * ttl))
-	for i := 0; i < keys; i++ {
-		if _, ok, err := m.Get(fmt.Sprintf("k%d", i)); ok || err != nil {
-			t.Fatalf("key k%d alive after full expiry (ok=%v err=%v)", i, ok, err)
-		}
-	}
-	if n, err := m.Len(); err != nil || n != 0 {
-		t.Fatalf("Len after full expiry = %d, %v; want 0", n, err)
 	}
 }

@@ -224,6 +224,8 @@ type UserHistoryBolt struct {
 	store State
 	c     stream.Collector
 	st    *taskState
+	// ar emits the AR chain's transaction streams.
+	ar bool
 	// keys interns the uh: state keys and downstream pair ids, so an
 	// action builds no key strings.
 	keys *interner
@@ -251,8 +253,14 @@ type pendingEmit struct {
 
 // NewUserHistoryBolt returns the bolt factory over the shared store.
 func NewUserHistoryBolt(store State, p Params) stream.BoltFactory {
+	return newUserHistoryBolt(store, p, false)
+}
+
+// newUserHistoryBolt is NewUserHistoryBolt whose bolts also emit the AR
+// chain's transaction streams when ar is set.
+func newUserHistoryBolt(store State, p Params, ar bool) stream.BoltFactory {
 	p = p.withDefaults()
-	return func() stream.Bolt { return &UserHistoryBolt{p: p, store: store} }
+	return func() stream.Bolt { return &UserHistoryBolt{p: p, store: store, ar: ar} }
 }
 
 // Prepare implements stream.Bolt. The taskState (and its cache) is
@@ -342,7 +350,7 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	}
 	// AR transaction bookkeeping uses the pre-update timestamps.
 	newTouch := !had || (b.p.LinkedTime > 0 && ts-prev.TS > int64(b.p.LinkedTime))
-	if b.p.EnableAR && newTouch {
+	if b.ar && newTouch {
 		b.emit(StreamARItem, b.vals.v2(itemVal, sessVal))
 	}
 
@@ -374,7 +382,7 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	if len(pairs) > 0 {
 		run := any(pairs)
 		b.emit(StreamPairDelta, b.vals.v2(run, sessVal))
-		if b.p.EnableAR && newTouch {
+		if b.ar && newTouch {
 			// The same rows: ARBolt counts a transaction per pair and
 			// ignores the deltas.
 			b.emit(StreamARPair, b.vals.v2(run, sessVal))

@@ -64,7 +64,6 @@ type Builder struct {
 	feats      Features
 	acking     bool
 	ackTimeout time.Duration
-	queueDepth int
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
 }
@@ -110,13 +109,6 @@ func (b *Builder) WithObservability(r *obsv.Registry, tr *obsv.Tracer) *Builder 
 	return b
 }
 
-// WithQueueDepth overrides the per-task input queue capacity, in
-// batches (stream.DefaultQueueDepth). Ignored when depth <= 0.
-func (b *Builder) WithQueueDepth(depth int) *Builder {
-	b.queueDepth = depth
-	return b
-}
-
 // WithAcking enables at-least-once delivery for the topology: anchored
 // spout emissions are lineage-tracked by the engine's acker and replayed
 // on failure (DESIGN.md §11). timeout is the per-message ack deadline;
@@ -138,15 +130,16 @@ const (
 // NewRegistry returns a registry pre-populated with the Fig. 6 units.
 // The caller registers the application's spout classes.
 func NewRegistry(st State, p Params) *stream.Registry {
-	return newRegistry(st, p.withDefaults(), new(obsv.Counter))
+	return newRegistry(st, p.withDefaults(), true, new(obsv.Counter))
 }
 
 // newRegistry is the one list of production units: XML class name →
-// constructor. malformed counts the payloads Pretreatment drops.
-func newRegistry(st State, p Params, malformed *obsv.Counter) *stream.Registry {
+// constructor. ar has UserHistory emit the AR chain's streams; malformed
+// counts the payloads Pretreatment drops.
+func newRegistry(st State, p Params, ar bool, malformed *obsv.Counter) *stream.Registry {
 	return &stream.Registry{Spouts: map[string]stream.SpoutClass{}, Bolts: map[string]stream.BoltClass{
 		"Pretreatment":  newPretreatmentBolt(p, malformed),
-		"UserHistory":   NewUserHistoryBolt(st, p),
+		"UserHistory":   newUserHistoryBolt(st, p, ar),
 		"ItemCount":     NewItemCountBolt(st, p),
 		"PairCount":     NewPairCountBolt(st, p),
 		"Filter":        NewFilterBolt(p),
@@ -198,9 +191,6 @@ func (b *Builder) graph() (stream.Graph, error) {
 	}
 
 	if b.feats.AR {
-		if !p.EnableAR {
-			return g, fmt.Errorf("topology: Features.AR requires Params.EnableAR")
-		}
 		bolt(UnitARItem, "ARItemBolt", par.AR, 0, UnitUserHistory, StreamARItem, "item")
 		bolt(UnitAR, "ARBolt", par.AR, p.FlushInterval, UnitUserHistory, StreamARPair, "pair")
 		bolt(UnitARList, "ARListBolt", par.AR, 0, UnitAR, StreamSim, "item")
@@ -244,16 +234,13 @@ func (b *Builder) Build() (*stream.Topology, error) {
 	if b.tracer != nil {
 		tb.SetTracer(b.tracer)
 	}
-	if b.queueDepth > 0 {
-		tb.SetQueueDepth(b.queueDepth)
-	}
 
 	malformed := new(obsv.Counter)
 	if b.registry != nil {
 		malformed = b.registry.Counter("pretreatment_malformed_total",
 			"Payloads Pretreatment dropped because they are not an action frame.")
 	}
-	reg := newRegistry(b.state, b.params, malformed)
+	reg := newRegistry(b.state, b.params, b.feats.AR, malformed)
 	reg.Spouts[classActionSpout] = b.spout
 	if b.itemFeed != nil {
 		reg.Spouts[classItemFeed] = b.itemFeed

@@ -58,12 +58,12 @@ func TestBuilderGraphsMatchGolden(t *testing.T) {
 		{"cf-parallel", Features{CF: true}, flush, par, false},
 		{"cf-filter", Features{CF: true}, Params{Filter: func(string) bool { return true }}, par, false},
 		{"none", Features{}, flush, Parallelism{}, false},
-		{"ar", Features{AR: true}, Params{EnableAR: true, FlushInterval: time.Hour}, par, false},
+		{"ar", Features{AR: true}, Params{FlushInterval: time.Hour}, par, false},
 		{"cb", Features{CB: true}, flush, par, false},
 		{"cb-feed", Features{CB: true}, flush, par, true},
 		{"ctr", Features{Ctr: true}, flush, par, false},
 		{"cf-cb-ctr", Features{CF: true, CB: true, Ctr: true}, flush, Parallelism{}, true},
-		{"all", Features{CF: true, AR: true, CB: true, Ctr: true}, Params{EnableAR: true, FlushInterval: 1500 * time.Microsecond}, par, true},
+		{"all", Features{CF: true, AR: true, CB: true, Ctr: true}, Params{FlushInterval: 1500 * time.Microsecond}, par, true},
 	}
 	var got strings.Builder
 	for _, c := range cases {

@@ -62,8 +62,6 @@ type Params struct {
 	ProfileFor func(user string) demographic.Profile
 	// GroupBy selects the demographic clustering properties.
 	GroupBy demographic.GroupBy
-	// EnableAR turns on the association-rule chain.
-	EnableAR bool
 	// CBHalfLife is the CB profile decay half-life. Zero disables decay.
 	CBHalfLife time.Duration
 	// CtrCuboids configures the situational CTR dimension subsets;

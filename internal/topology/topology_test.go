@@ -346,7 +346,7 @@ func TestPipelineCBChain(t *testing.T) {
 }
 
 func TestPipelineARChain(t *testing.T) {
-	p := Params{FlushInterval: time.Hour, EnableAR: true}
+	p := Params{FlushInterval: time.Hour}
 	var actions []RawAction
 	add := func(user, item string, i int) {
 		actions = append(actions, RawAction{User: user, Item: item, Action: "purchase", TS: t0.Add(time.Duration(i) * time.Second).UnixNano()})

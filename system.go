@@ -104,16 +104,10 @@ type SystemConfig struct {
 	// default (one per 1024); negative disables tracing entirely.
 	// Metrics are always on — only tracing is rate-controlled.
 	TraceEvery int
-	// QueueDepth overrides the per-task input queue capacity, in batches
-	// (stream.DefaultQueueDepth). 0 keeps the default.
-	QueueDepth int
 	// ServingCacheTTL bounds how stale a cached query result may be.
 	// 0 uses the default (serving.DefaultCacheTTL); negative disables the
 	// result cache.
 	ServingCacheTTL time.Duration
-	// ServingCacheSize caps the number of cached decoded results. 0 uses
-	// the default (serving.DefaultMaxEntries); negative disables caching.
-	ServingCacheSize int
 	// ServingNegativeTTL bounds how long a known-absent key is served
 	// from the cache. 0 uses the default (serving.DefaultNegativeTTL).
 	ServingNegativeTTL time.Duration
@@ -251,7 +245,6 @@ func Open(cfg SystemConfig) (*System, error) {
 	reader := serving.NewReader(client, serving.Config{
 		CacheTTL:    c.ServingCacheTTL,
 		NegativeTTL: c.ServingNegativeTTL,
-		MaxEntries:  c.ServingCacheSize,
 	})
 	reader.Instrument(registry)
 	eng := topology.NewServing(client, c.Params).WithReader(reader)
@@ -266,7 +259,6 @@ func Open(cfg SystemConfig) (*System, error) {
 		WithFeatures(c.Features).
 		WithParallelism(c.Parallelism).
 		WithObservability(registry, tracer).
-		WithQueueDepth(c.QueueDepth).
 		Build()
 	if err != nil {
 		broker.Close()

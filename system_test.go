@@ -298,7 +298,7 @@ func TestSystemARChain(t *testing.T) {
 	s, err := Open(SystemConfig{
 		DataDir:  t.TempDir(),
 		Features: Features{AR: true},
-		Params:   Params{FlushInterval: 20 * time.Millisecond, EnableAR: true},
+		Params:   Params{FlushInterval: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
