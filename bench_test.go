@@ -196,7 +196,7 @@ func BenchmarkPipelineThroughputAcked(b *testing.B) {
 	actions := genBenchActions(b.N, 200, 100)
 	st := topology.NewMemState()
 	p := topology.Params{FlushInterval: 50 * time.Millisecond}
-	topo, err := topology.NewBuilder("bench", topology.NewAnchoredSliceSpout(actions), st, p).
+	topo, err := topology.NewBuilder("bench", topology.NewSliceSpout(actions), st, p).
 		WithParallelism(topology.Parallelism{UserHistory: 4, ItemCount: 2, PairCount: 4, Storage: 2}).
 		WithAcking(0).
 		Build()

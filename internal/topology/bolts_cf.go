@@ -251,13 +251,8 @@ type pendingEmit struct {
 	values stream.Values
 }
 
-// NewUserHistoryBolt returns the bolt factory over the shared store.
-func NewUserHistoryBolt(store State, p Params) stream.BoltFactory {
-	return newUserHistoryBolt(store, p, false)
-}
-
-// newUserHistoryBolt is NewUserHistoryBolt whose bolts also emit the AR
-// chain's transaction streams when ar is set.
+// newUserHistoryBolt returns the bolt factory over the shared store; its
+// bolts also emit the AR chain's transaction streams when ar is set.
 func newUserHistoryBolt(store State, p Params, ar bool) stream.BoltFactory {
 	p = p.withDefaults()
 	return func() stream.Bolt { return &UserHistoryBolt{p: p, store: store, ar: ar} }

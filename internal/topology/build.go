@@ -157,7 +157,7 @@ func newRegistry(st State, p Params, ar bool, malformed *obsv.Counter) *stream.R
 
 // graph is the Fig. 6 wiring for the builder's features, parallelism and
 // params, as data.
-func (b *Builder) graph() (stream.Graph, error) {
+func (b *Builder) graph() stream.Graph {
 	p, par := b.params, b.par
 	g := stream.Graph{Name: b.name}
 	bolt := func(name, class string, parallelism int, tick time.Duration, source, streamID string, key ...string) {
@@ -208,7 +208,7 @@ func (b *Builder) graph() (stream.Graph, error) {
 		bolt(UnitCtrStore, "CtrStore", par.Ctr, 0, UnitPretreatment, StreamAdEvent, "item")
 		bolt(UnitCtr, "CtrBolt", par.Ctr, 0, UnitCtrStore, "ctr_cell", "sit")
 	}
-	return g, nil
+	return g
 }
 
 // Build emits the Fig. 6 graph and builds it through the same registry
@@ -217,10 +217,7 @@ func (b *Builder) Build() (*stream.Topology, error) {
 	if b.state == nil {
 		return nil, fmt.Errorf("topology: Builder requires a State")
 	}
-	g, err := b.graph()
-	if err != nil {
-		return nil, err
-	}
+	g := b.graph()
 	tb := stream.NewTopologyBuilder(b.name)
 	if b.acking {
 		tb.SetAcking(true)

@@ -183,7 +183,7 @@ func TestBuilderAckingReachesEngine(t *testing.T) {
 	actions := genActions(61, 200, 10, 8)
 	st := NewMemState()
 	p := Params{FlushInterval: time.Hour, DisableCombiner: true, DedupWindow: 1 << 10}
-	topo, err := NewBuilder("acked", NewAnchoredSliceSpout(actions), st, p).
+	topo, err := NewBuilder("acked", NewSliceSpout(actions), st, p).
 		WithParallelism(Parallelism{UserHistory: 2, ItemCount: 2, PairCount: 2}).
 		WithFeatures(Features{CF: true}).
 		WithAcking(5 * time.Second).

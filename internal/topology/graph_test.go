@@ -107,10 +107,7 @@ func TestXMLAndBuilderDescribeOneGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBuilder, err := NewBuilder("cf-full", NewSliceSpout(nil), NewMemState(), Params{}).graph()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromBuilder := NewBuilder("cf-full", NewSliceSpout(nil), NewMemState(), Params{}).graph()
 	shape := func(g stream.Graph) map[string]stream.ComponentSpec {
 		out := map[string]stream.ComponentSpec{}
 		for _, c := range append(append([]stream.ComponentSpec(nil), g.Spouts...), g.Bolts...) {

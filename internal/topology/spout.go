@@ -320,13 +320,19 @@ func (s *TDAccessSpout) DeclareOutputFields() map[string]stream.Fields {
 }
 
 // SliceSpout replays a fixed slice of raw actions — the test and
-// benchmark ingestion path.
+// benchmark ingestion path. With topology acking on, each action is
+// emitted anchored to its slice index, a failed lineage is re-emitted, and
+// the spout exhausts only after every action has been acknowledged; with
+// acking off it emits each action once, unanchored.
 type SliceSpout struct {
 	actions []RawAction
 	next    int
 	c       stream.SpoutCollector
 	task    int
 	tasks   int
+	acking  bool
+	pending map[int]bool
+	replayQ []int
 }
 
 // NewSliceSpout returns a spout factory replaying actions. With
@@ -342,63 +348,13 @@ func (s *SliceSpout) Open(ctx stream.TopologyContext, c stream.SpoutCollector) e
 	s.task = ctx.TaskIndex
 	s.tasks = ctx.NumTasks
 	s.next = s.task
-	return nil
-}
-
-// NextTuple implements stream.Spout.
-func (s *SliceSpout) NextTuple() bool {
-	if s.next >= len(s.actions) {
-		return false
-	}
-	s.c.Emit(stream.Values{EncodeAction(s.actions[s.next])})
-	s.next += s.tasks
-	return true
-}
-
-// Close implements stream.Spout.
-func (s *SliceSpout) Close() {}
-
-// DeclareOutputFields implements stream.OutputDeclarer.
-func (s *SliceSpout) DeclareOutputFields() map[string]stream.Fields {
-	return map[string]stream.Fields{stream.DefaultStream: rawFields}
-}
-
-// AnchoredSliceSpout replays a fixed slice with at-least-once anchoring:
-// each action is emitted anchored to its slice index, failed lineages are
-// re-emitted, and the spout exhausts only after every action has been
-// acknowledged. It measures the acking overhead against SliceSpout and
-// exercises replay without a broker. With topology acking disabled it
-// degrades to plain SliceSpout behaviour.
-type AnchoredSliceSpout struct {
-	actions []RawAction
-	next    int
-	c       stream.SpoutCollector
-	task    int
-	tasks   int
-	acking  bool
-	pending map[int]bool
-	replayQ []int
-}
-
-// NewAnchoredSliceSpout returns a factory for anchored slice replay;
-// task i of n replays the i-th residue class, as NewSliceSpout.
-func NewAnchoredSliceSpout(actions []RawAction) stream.SpoutFactory {
-	return func() stream.Spout { return &AnchoredSliceSpout{actions: actions} }
-}
-
-// Open implements stream.Spout.
-func (s *AnchoredSliceSpout) Open(ctx stream.TopologyContext, c stream.SpoutCollector) error {
-	s.c = c
-	s.task = ctx.TaskIndex
-	s.tasks = ctx.NumTasks
-	s.next = s.task
 	s.acking = ctx.Acking
 	s.pending = make(map[int]bool)
 	return nil
 }
 
 // NextTuple implements stream.Spout.
-func (s *AnchoredSliceSpout) NextTuple() bool {
+func (s *SliceSpout) NextTuple() bool {
 	if len(s.replayQ) > 0 {
 		i := s.replayQ[0]
 		s.replayQ = s.replayQ[1:]
@@ -406,7 +362,7 @@ func (s *AnchoredSliceSpout) NextTuple() bool {
 		return true
 	}
 	if s.next >= len(s.actions) {
-		if s.acking && len(s.pending) > 0 {
+		if len(s.pending) > 0 {
 			time.Sleep(50 * time.Microsecond) // wait for outstanding acks
 			return true
 		}
@@ -414,32 +370,34 @@ func (s *AnchoredSliceSpout) NextTuple() bool {
 	}
 	i := s.next
 	s.next += s.tasks
-	if s.acking {
-		s.pending[i] = true
+	if !s.acking {
+		s.c.Emit(stream.Values{EncodeAction(s.actions[i])})
+		return true
 	}
+	s.pending[i] = true
 	s.c.EmitAnchored(i, stream.Values{EncodeAction(s.actions[i])})
 	return true
 }
 
 // Ack implements stream.AckingSpout.
-func (s *AnchoredSliceSpout) Ack(msgID interface{}) {
+func (s *SliceSpout) Ack(msgID interface{}) {
 	if i, ok := msgID.(int); ok {
 		delete(s.pending, i)
 	}
 }
 
 // Fail implements stream.AckingSpout.
-func (s *AnchoredSliceSpout) Fail(msgID interface{}) {
+func (s *SliceSpout) Fail(msgID interface{}) {
 	if i, ok := msgID.(int); ok && s.pending[i] {
 		s.replayQ = append(s.replayQ, i)
 	}
 }
 
 // Close implements stream.Spout.
-func (s *AnchoredSliceSpout) Close() {}
+func (s *SliceSpout) Close() {}
 
 // DeclareOutputFields implements stream.OutputDeclarer.
-func (s *AnchoredSliceSpout) DeclareOutputFields() map[string]stream.Fields {
+func (s *SliceSpout) DeclareOutputFields() map[string]stream.Fields {
 	return map[string]stream.Fields{stream.DefaultStream: rawFields}
 }
 

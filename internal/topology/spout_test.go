@@ -339,3 +339,55 @@ type stubCollector struct{ out *[]stream.Values }
 
 func (c *stubCollector) Emit(v stream.Values)             { *c.out = append(*c.out, v) }
 func (c *stubCollector) EmitTo(_ string, v stream.Values) { *c.out = append(*c.out, v) }
+
+// TestSliceSpoutReplaysFailedAction: with acking on, every emission is
+// anchored to its slice index, a failed one is re-emitted with the same
+// payload, and the spout exhausts only once every index is acked; with
+// acking off each action goes out once, unanchored.
+func TestSliceSpoutReplaysFailedAction(t *testing.T) {
+	actions := genActions(7, 3, 4, 8)
+	open := func(acking bool) (stream.AckingSpout, *stubSpoutCollector) {
+		sp, ok := NewSliceSpout(actions)().(stream.AckingSpout)
+		if !ok {
+			t.Fatal("SliceSpout does not take acks")
+		}
+		col := &stubSpoutCollector{}
+		if err := sp.Open(stream.TopologyContext{NumTasks: 1, Acking: acking}, col); err != nil {
+			t.Fatal(err)
+		}
+		return sp, col
+	}
+
+	sp, col := open(true)
+	for i := range actions {
+		if !sp.NextTuple() {
+			t.Fatalf("exhausted after %d of %d actions", i, len(actions))
+		}
+	}
+	if len(col.ids) != len(actions) {
+		t.Fatalf("anchored %d of %d emissions", len(col.ids), len(actions))
+	}
+	sp.Fail(col.ids[1])
+	if !sp.NextTuple() || len(col.ids) != len(actions)+1 {
+		t.Fatalf("a failed action was not re-emitted: %d anchored emissions", len(col.ids))
+	}
+	if col.ids[len(actions)] != col.ids[1] || string(col.values[len(actions)][0].([]byte)) != string(col.values[1][0].([]byte)) {
+		t.Fatalf("replay emitted id %v, want the failed %v with its payload", col.ids[len(actions)], col.ids[1])
+	}
+	sp.Ack(col.ids[0])
+	sp.Ack(col.ids[1])
+	if !sp.NextTuple() {
+		t.Fatal("exhausted with an action still unacked")
+	}
+	sp.Ack(col.ids[2])
+	if sp.NextTuple() {
+		t.Fatal("did not exhaust once every action was acked")
+	}
+
+	sp, col = open(false)
+	for sp.NextTuple() {
+	}
+	if len(col.values) != len(actions) || len(col.ids) != 0 {
+		t.Fatalf("acking off: %d emissions, %d anchored; want %d, 0", len(col.values), len(col.ids), len(actions))
+	}
+}

@@ -27,7 +27,7 @@ var actionFields = stream.Fields{"user", "item", "action", "ts"}
 // userHistoryBolt returns a prepared UserHistoryBolt over st.
 func userHistoryBolt(t *testing.T, st State, p Params) (*UserHistoryBolt, *emitCapture) {
 	t.Helper()
-	b := NewUserHistoryBolt(st, p)().(*UserHistoryBolt)
+	b := newUserHistoryBolt(st, p, false)().(*UserHistoryBolt)
 	c := &emitCapture{}
 	if err := b.Prepare(stream.TopologyContext{}, c); err != nil {
 		t.Fatal(err)

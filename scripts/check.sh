@@ -16,6 +16,9 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== the documents name tests, benchmarks and DESIGN.md sections that exist"
+go test -run '^TestDocsNameCodeThatExists$' .
+
 echo "== go test -race elastic parallelism (rebalance, a spout stopped by a full queue, restart stress, write-behind flush hook, ordered tick round, idle rounds, keyed runs, one tuple per delivery)"
 go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery' ./internal/stream/
 
@@ -197,7 +200,8 @@ else
 	exit 1
 fi
 
-echo "== Go lines, total and non-test (scripts/loc.sh)"
+echo "== Go lines, total and non-test (scripts/loc.sh), and the documents' bytes"
 sh scripts/loc.sh | tail -n 1
+wc -c DESIGN.md EXPERIMENTS.md README.md
 
 echo "check: OK"
