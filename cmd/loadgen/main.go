@@ -10,15 +10,6 @@
 //	loadgen -users 500 -items 300 -actions 100000 -rate 5000 -url http://localhost:8080
 //	loadgen -actions 1000 > actions.jsonl
 //	loadgen -url http://localhost:8080 -read-mix recommend:6,similar:3,hot:1 -reads 50000 -conc 16
-//
-// With -target, loadgen drives a remote cluster endpoint instead of an
-// in-process system: pointed at a supervisor control plane it submits a
-// generated actions→count topology, follows the SSE metrics stream while
-// the cluster churns, and verifies the final counts against the
-// sequential reference. Pointed at a plain tencentrec server it behaves
-// like -url.
-//
-//	loadgen -target http://localhost:9090 -actions 20000 -workers 3
 package main
 
 import (
@@ -37,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"tencentrec/internal/cluster"
 	"tencentrec/internal/core"
 	"tencentrec/internal/obsv"
 	"tencentrec/internal/topology"
@@ -55,18 +45,7 @@ func main() {
 	reads := flag.Int("reads", 50000, "number of read requests in -read-mix mode")
 	conc := flag.Int("conc", 16, "concurrent workers in -read-mix mode")
 	zipf := flag.Float64("zipf", 1.1, "Zipf exponent (>1) for user/item popularity in -read-mix mode")
-	target := flag.String("target", "", "remote supervisor/worker base URL: submits a cluster workload and streams its metrics (falls back to -url behavior for a plain server)")
-	workers := flag.Int("workers", 3, "worker-process count for the submitted topology in -target mode")
 	flag.Parse()
-
-	if *target != "" {
-		if driveCluster(*target, *seed, *actions, *users, *items, *workers) {
-			return
-		}
-		// Not a cluster control plane: treat the target as a plain server.
-		log.Printf("target %s has no cluster control plane, posting actions to it instead", *target)
-		*url = *target
-	}
 
 	if *readMix != "" {
 		if *url == "" {
@@ -249,115 +228,4 @@ func runReadMix(base, spec string, reads, conc int, zipfS float64, seed int64, u
 	if errs > 0 {
 		os.Exit(1)
 	}
-}
-
-// driveCluster drives a remote cluster supervisor: probe the control
-// plane, submit a generated actions→count topology, tail the SSE metrics
-// stream, and check the final per-item counts against the sequential
-// reference. Returns false when the target is not a cluster supervisor.
-func driveCluster(target string, seed int64, actions, users, items, workers int) bool {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(target + "/cluster/status")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
-		return false
-	}
-	resp.Body.Close()
-
-	out, err := os.MkdirTemp("", "loadgen-counts-")
-	if err != nil {
-		log.Fatalf("cluster target: %v", err)
-	}
-	defer os.RemoveAll(out)
-
-	spec := cluster.Spec{
-		Name: "loadgen", Workers: workers, Acking: true, AckTimeoutMS: 5000,
-		Spouts: []cluster.ComponentSpec{{
-			Name: "actions", Kind: "actions", Parallelism: 1,
-			Params: map[string]string{
-				"seed":  strconv.FormatInt(seed, 10),
-				"count": strconv.Itoa(actions),
-				"users": strconv.Itoa(users),
-				"items": strconv.Itoa(items),
-			},
-		}},
-		Bolts: []cluster.ComponentSpec{
-			{
-				Name: "relay", Kind: "relay", Parallelism: 2,
-				Inputs: []cluster.InputSpec{{Source: "actions"}},
-			},
-			{
-				Name: "count", Kind: "count", Parallelism: 1, TickMS: 200,
-				Params: map[string]string{"out": out},
-				Inputs: []cluster.InputSpec{{Source: "relay", Grouping: "field", Fields: []string{"item"}}},
-			},
-		},
-	}
-	body, _ := json.Marshal(&spec)
-	resp, err = client.Post(target+"/cluster/submit", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatalf("cluster submit: %v", err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("cluster submit: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	log.Printf("submitted %d actions across %d workers, following %s/cluster/metrics/stream", actions, workers, target)
-
-	start := time.Now()
-	stream, err := (&http.Client{}).Get(target + "/cluster/metrics/stream")
-	if err != nil {
-		log.Fatalf("cluster SSE: %v", err)
-	}
-	defer stream.Body.Close()
-	sc := bufio.NewScanner(stream.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "event: "); ok {
-			event = rest
-			continue
-		}
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			continue
-		}
-		var snap struct {
-			Workers  int                          `json:"workers_polled"`
-			Families map[string][]json.RawMessage `json:"families"`
-		}
-		if json.Unmarshal([]byte(data), &snap) != nil {
-			continue
-		}
-		log.Printf("[%7s] %s: %d workers polled, %d metric families",
-			time.Since(start).Round(100*time.Millisecond), event, snap.Workers, len(snap.Families))
-		if event == "completed" {
-			break
-		}
-	}
-
-	got, delivered, dups, err := cluster.ReadCounts(out)
-	if err != nil {
-		log.Fatalf("cluster counts: %v", err)
-	}
-	want := make(map[string]int64)
-	for _, a := range cluster.GenActions(seed, actions, users, items) {
-		want[a.Item]++
-	}
-	exact := delivered == int64(actions) && len(got) == len(want)
-	for item, n := range want {
-		if got[item] != n {
-			exact = false
-		}
-	}
-	fmt.Fprintf(os.Stderr, "cluster run: %d delivered (%d wire dups filtered) in %v — exact counts: %v\n",
-		delivered, dups, time.Since(start).Round(time.Millisecond), exact)
-	if !exact {
-		os.Exit(1)
-	}
-	return true
 }

@@ -181,6 +181,17 @@ func TestHTTPControlRebalance(t *testing.T) {
 	}
 }
 
+// TestHTTPControlRebalanceRejectsNonInteger: a parallelism that is not an
+// integer is a bad request, not parallelism 0 falling through to the body
+// (which would answer 404).
+func TestHTTPControlRebalanceRejectsNonInteger(t *testing.T) {
+	_, srv := newTestServer(t)
+	resp := postJSON(t, srv.URL+"/control/rebalance?component=c&parallelism=abc", `{"component":"nope","parallelism":2}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("non-integer parallelism = %s, want 400", resp.Status)
+	}
+}
+
 func TestHTTPBadRequests(t *testing.T) {
 	_, srv := newTestServer(t)
 	resp := postJSON(t, srv.URL+"/action", "{not json")

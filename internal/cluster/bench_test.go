@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -46,16 +47,17 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	}
 }
 
-// loopbackPair wires an egress to an ingress over real TCP on loopback.
+// loopbackPair wires an egress to an ingress over real TCP on loopback,
+// the ingress as worker 1 at a fixed address.
 func loopbackPair(b *testing.B, onBatch func(string, string, []WireTuple)) (*egress, func()) {
 	b.Helper()
-	met := newWireMetrics(nil)
-	ig, err := newIngress("bench", 1, 1, met)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	ig := newIngress(ln, "bench", 1, 1)
 	ig.start(onBatch, nil)
-	eg := newEgress("bench", 0, 1, func(int) string { return ig.addr() }, met)
+	eg := newEgress("bench", 0, 1, []string{1: ln.Addr().String()})
 	return eg, func() {
 		eg.close(2 * time.Second)
 		ig.close()

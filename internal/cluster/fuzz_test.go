@@ -2,91 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
-	"maps"
-	"os"
-	"reflect"
 	"testing"
 
 	"tencentrec/internal/stream"
-	"tencentrec/internal/topology"
 )
-
-// FuzzSpec feeds the same bytes to the two front ends that read a topology
-// description a person wrote: Fig. 7's XML (topology.DecodeXML) and the
-// cluster's JSON (ParseSpec). Properties: an error or a spec, never a
-// panic; an accepted spec is named and every component has a name and at
-// least one task; re-marshalled to JSON it parses back to the same JSON
-// and builds the same topology (names, order, parallelism, outputs,
-// ticks, subscriptions).
-func FuzzSpec(f *testing.F) {
-	// One registry for both front ends: the Fig. 6 units join the
-	// workload kinds, as in a cluster that runs production units.
-	maps.Copy(Kinds.Bolts, topology.NewRegistry(topology.NewMemState(), topology.Params{}).Bolts)
-	Kinds.Spouts["ActionSpout"] = topology.NewSliceSpout(nil)
-	Kinds.Spouts["Spout"] = topology.NewSliceSpout(nil)
-
-	for _, path := range []string{"../topology/testdata/cf-topology.xml", "../../testdata/ctr-topology.xml"} {
-		seed, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(seed)
-	}
-	f.Add([]byte(`<topology name="t"><spout class="ActionSpout"/><bolts><bolt name="b" class="Pretreatment"><grouping/></bolt></bolts></topology>`))
-	f.Add([]byte(`<topology name="t"><spout name="s" class="ActionSpout" parallelism="-3"/><bolts><bolt name="b" class="ItemCount"><grouping type="field"><fields>item</fields><stream_id>item_delta</stream_id></grouping><tick_seconds>1e300</tick_seconds></bolt></bolts></topology>`))
-	soak, err := json.Marshal(soakSpec())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(soak)
-	f.Add([]byte(`{"name": "demo", "workers": 2, "acking": true, "ack_timeout_ms": 5000, "assign": {"count": 1},
-		"spouts": [{"name": "actions", "kind": "actions", "params": {"count": "10"}, "outputs": {"default": ["user", "item", "weight", "msgid"]}}],
-		"bolts": [{"name": "count", "kind": "count", "parallelism": 2, "tick_ms": 0.5, "params": {},
-			"inputs": [{"source": "actions", "stream": "default", "grouping": "fields", "fields": ["item"]}]}]}`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var accepted []*Spec
-		if g, err := topology.DecodeXML(bytes.NewReader(data)); err == nil {
-			if s := (&Spec{Name: g.Name, Spouts: g.Spouts, Bolts: g.Bolts}); s.Validate() == nil {
-				accepted = append(accepted, s)
-			}
-		}
-		if s, err := ParseSpec(data); err == nil {
-			accepted = append(accepted, s)
-		}
-		for _, s := range accepted {
-			topo, err := s.build()
-			if err != nil {
-				t.Fatalf("accepted spec does not build: %v", err)
-			}
-			comps := topo.Components()
-			if topo.Name == "" || len(comps) == 0 {
-				t.Fatalf("accepted topology %q with components %v", topo.Name, comps)
-			}
-			for _, c := range comps {
-				if c == "" || topo.Parallelism(c) < 1 {
-					t.Fatalf("accepted component %q with %d tasks", c, topo.Parallelism(c))
-				}
-			}
-			out, err := json.Marshal(s)
-			if err != nil {
-				t.Fatalf("accepted spec does not marshal: %v", err)
-			}
-			again, err := ParseSpec(out)
-			if err != nil {
-				t.Fatalf("re-marshalled spec %s rejected: %v", out, err)
-			}
-			if out2, _ := json.Marshal(again); !bytes.Equal(out, out2) {
-				t.Fatalf("spec %s re-parses as %s", out, out2)
-			}
-			topo2, err := again.build()
-			if err != nil || !reflect.DeepEqual(topo.Graph(), topo2.Graph()) {
-				t.Fatalf("spec %s builds %+v, re-parsed it builds %+v (%v)", out, topo.Graph(), topo2, err)
-			}
-		}
-	})
-}
 
 // FuzzWireFrame feeds arbitrary bytes through the framed read path and
 // the per-type decoders: malformed input must error, never panic, never

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -9,28 +8,41 @@ import (
 	"tencentrec/internal/stream"
 )
 
+// Kinds resolves the kind names of a Spec: the same stream.Registry type
+// a Fig. 7 file's classes resolve through. Because the supervisor and
+// every worker run the same binary, a kind added at init time exists
+// identically on both sides: the supervisor builds the whole graph with
+// it to validate a spec, each worker its slice. It must hold the same
+// kinds, making the same declared outputs from the same params, in both —
+// fill it from init functions only. The names "__in" and "__out" are
+// reserved for the proxies a worker adds to its own copy.
+var Kinds = &stream.Registry{
+	Spouts: map[string]stream.SpoutClass{},
+	Bolts:  map[string]stream.BoltClass{},
+}
+
 // Spec is what a cluster is asked to run: a stream.Graph (the same data
-// the Fig. 7 XML file and the Fig. 6 builder produce, in its JSON form),
-// the placement request, and the engine knobs that must agree across every
-// worker. The supervisor builds it once to validate it and plans the
-// component→worker assignment; every worker rebuilds its slice of the
-// graph from the same Spec deterministically.
+// the Fig. 7 XML file and the Fig. 6 builder produce), the placement
+// request, and the engine knobs that must agree across every worker. The
+// supervisor builds it once to validate it and plans the component→worker
+// assignment; every worker rebuilds its slice of the graph from the same
+// Spec deterministically.
 type Spec struct {
-	Name string `json:"name"`
+	Name string
 	// Workers is the requested worker-process count. Spouts always land
 	// on worker 0 (which hosts the lineage acker); bolts spread over the
 	// remaining workers round-robin in topological order unless Assign
 	// pins them. Clamped to 1+len(Bolts).
-	Workers int `json:"workers"`
+	Workers int
 	// Assign optionally pins components to worker ids. Spouts may only be
 	// pinned to 0.
-	Assign map[string]int `json:"assign,omitempty"`
+	Assign map[string]int
 
-	Acking       bool  `json:"acking,omitempty"`
-	AckTimeoutMS int64 `json:"ack_timeout_ms,omitempty"`
+	Acking       bool
+	AckTimeoutMS int64
 
-	Spouts []ComponentSpec `json:"spouts"`
-	Bolts  []ComponentSpec `json:"bolts"`
+	Spouts []ComponentSpec
+	Bolts  []ComponentSpec
 }
 
 // ComponentSpec and InputSpec are the graph's own types; Kind names a
@@ -47,18 +59,6 @@ func (s *Spec) graph() stream.Graph {
 
 // ackTimeout returns the spec's ack timeout as a duration (0 = default).
 func (s *Spec) ackTimeout() time.Duration { return time.Duration(s.AckTimeoutMS) * time.Millisecond }
-
-// ParseSpec decodes and validates a JSON spec.
-func ParseSpec(data []byte) (*Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("cluster: spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
 
 // Validate builds the whole graph once against Kinds — so a spec is held
 // to exactly the rules the stream builder enforces inside a worker, at
@@ -99,13 +99,13 @@ func (s *Spec) build() (*stream.Topology, error) {
 // component, and the worker drain order for graceful shutdown.
 type Plan struct {
 	// Workers is the effective worker count after clamping.
-	Workers int `json:"workers"`
+	Workers int
 	// Assign maps component name → worker id.
-	Assign map[string]int `json:"assign"`
+	Assign map[string]int
 	// DrainOrder lists worker ids upstream-first: a worker appears after
 	// every worker hosting components it consumes from, so draining in
 	// order never strands in-flight tuples.
-	DrainOrder []int `json:"drain_order"`
+	DrainOrder []int
 }
 
 // PlanSpec computes the placement for a validated spec: spouts on worker

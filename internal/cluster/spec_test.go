@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -108,21 +108,31 @@ func TestSpecValidateErrors(t *testing.T) {
 	}
 }
 
-func TestParseSpecRoundTrip(t *testing.T) {
-	s := soakSpec()
-	data, err := json.Marshal(s)
+// TestSubmitRejectsAbsentGroupingField: a field grouping on a field the
+// source stream does not declare is the stream builder's to refuse, and
+// the supervisor asks it at submit time. While the spec validator had its
+// own copy of the graph rules without this one, the spec was accepted,
+// tb.Build failed inside the hosting worker, and the supervisor respawned
+// that worker for ever.
+func TestSubmitRejectsAbsentGroupingField(t *testing.T) {
+	dir := t.TempDir()
+	sup, err := NewSupervisor(SupervisorConfig{Cluster: "reject", Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseSpec(data)
-	if err != nil {
-		t.Fatal(err)
+	defer sup.Close()
+
+	err = sup.Submit(&Spec{
+		Name: "reject", Workers: 2,
+		Spouts: []ComponentSpec{{Name: "actions", Kind: "actions"}},
+		Bolts: []ComponentSpec{{Name: "count", Kind: "count",
+			Inputs: []InputSpec{{Source: "actions", Grouping: "field", Fields: []string{"nope"}}}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), `groups on field "nope" absent from actions/default`) {
+		t.Errorf("Submit = %v, want the stream builder's message", err)
 	}
-	if !reflect.DeepEqual(got, s) {
-		t.Errorf("spec round trip mismatch:\n%+v\n%+v", got, s)
-	}
-	if _, err := ParseSpec([]byte(`{"name":"x"}`)); err == nil {
-		t.Error("spoutless spec parsed without error")
+	if logs, _ := filepath.Glob(filepath.Join(dir, "worker-*.log")); len(logs) != 0 {
+		t.Errorf("worker processes were started: %v", logs)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tencentrec/internal/obsv"
 	"tencentrec/internal/stream"
 )
 
@@ -24,54 +24,20 @@ import (
 // retransmit window — a frame lost to a dying peer is recovered by the
 // acker timeout and spout replay, exactly like an in-process drop.
 
-// wireMetrics are the transport's obsv counters, registered per worker.
-type wireMetrics struct {
-	txFrames   *obsv.Counter
-	txBytes    *obsv.Counter
-	rxFrames   *obsv.Counter
-	rxBytes    *obsv.Counter
-	reconnects *obsv.Counter
-	txDropped  *obsv.Counter
-	rxCorrupt  *obsv.Counter
-}
-
-func newWireMetrics(reg *obsv.Registry) *wireMetrics {
-	if reg == nil {
-		reg = obsv.NewRegistry() // unregistered sink; keeps call sites nil-safe
-	}
-	return &wireMetrics{
-		txFrames:   reg.Counter("cluster_wire_tx_frames_total", "Frames sent to peer workers."),
-		txBytes:    reg.Counter("cluster_wire_tx_bytes_total", "Bytes sent to peer workers."),
-		rxFrames:   reg.Counter("cluster_wire_rx_frames_total", "Frames received from peer workers."),
-		rxBytes:    reg.Counter("cluster_wire_rx_bytes_total", "Bytes received from peer workers."),
-		reconnects: reg.Counter("cluster_wire_reconnects_total", "Egress reconnect attempts after a connection failure."),
-		txDropped:  reg.Counter("cluster_wire_tx_dropped_total", "Frames dropped at egress close with the peer unreachable."),
-		rxCorrupt:  reg.Counter("cluster_wire_rx_corrupt_total", "Inbound frames rejected by CRC or decode."),
-	}
-}
-
-// resolveFunc returns the current data address of a peer worker, blocking
-// briefly at most; it returns "" when the peer has no live address yet
-// (crashed, not yet registered) so the sender backs off and retries.
-type resolveFunc func(peer int) string
-
 // egress owns one sender per remote peer, created lazily.
 type egress struct {
 	cluster string
 	worker  int
 	incarn  uint64
-	resolve resolveFunc
-	met     *wireMetrics
+	addrs   []string // data address by worker id
 
 	mu      sync.Mutex
 	senders map[int]*sender
-	closed  bool
 }
 
-func newEgress(cluster string, worker int, incarn uint64, resolve resolveFunc, met *wireMetrics) *egress {
+func newEgress(cluster string, worker int, incarn uint64, addrs []string) *egress {
 	return &egress{
-		cluster: cluster, worker: worker, incarn: incarn,
-		resolve: resolve, met: met,
+		cluster: cluster, worker: worker, incarn: incarn, addrs: addrs,
 		senders: make(map[int]*sender),
 	}
 }
@@ -101,7 +67,6 @@ func (e *egress) to(peer int) *sender {
 // undeliverable frames before dropping them (the acker replays).
 func (e *egress) close(deadline time.Duration) {
 	e.mu.Lock()
-	e.closed = true
 	senders := make([]*sender, 0, len(e.senders))
 	for _, s := range e.senders {
 		senders = append(senders, s)
@@ -112,9 +77,9 @@ func (e *egress) close(deadline time.Duration) {
 	}
 }
 
-// sender ships frames to one peer over one connection, reconnecting (and
-// re-resolving the peer's address — a restarted worker has a new port)
-// on failure.
+// sender ships frames to one peer over one connection, reconnecting on
+// failure. A restarted peer inherits its predecessor's listener, so the
+// address never changes.
 type sender struct {
 	e       *egress
 	peer    int
@@ -147,7 +112,7 @@ func (s *sender) enqueue(payload []byte) {
 	select {
 	case s.ch <- payload:
 	case <-s.done:
-		s.e.met.txDropped.Inc()
+		s.dropped()
 	}
 }
 
@@ -201,7 +166,7 @@ func (s *sender) write(payload []byte) {
 	for {
 		if s.conn == nil {
 			if !s.connect() {
-				s.e.met.txDropped.Inc()
+				s.dropped()
 				return // closing and unreachable: drop, acker replays
 			}
 		}
@@ -209,10 +174,13 @@ func (s *sender) write(payload []byte) {
 			s.dropConn()
 			continue // retry on a fresh connection
 		}
-		s.e.met.txFrames.Inc()
-		s.e.met.txBytes.Add(int64(frameHeaderLen + len(payload)))
 		return
 	}
+}
+
+// dropped logs a frame given up with the peer unreachable.
+func (s *sender) dropped() {
+	log.Printf("cluster worker %d: tx_dropped: a frame to worker %d, peer unreachable at close", s.e.worker, s.peer)
 }
 
 func (s *sender) dropConn() {
@@ -222,40 +190,26 @@ func (s *sender) dropConn() {
 	s.conn, s.bw = nil, nil
 }
 
-// connect dials the peer's current address with backoff until it
-// succeeds, the sender is closing, or (while closing) attempts run out.
-// The handshake exchanges hellos both ways so either side rejects a
-// version or cluster mismatch before any tuple crosses.
+// connect dials the peer with backoff until it succeeds or the sender is
+// closing (which allows one attempt). The handshake exchanges hellos both
+// ways so either side rejects a version or cluster mismatch before any
+// tuple crosses.
 func (s *sender) connect() bool {
 	backoff := 20 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		if s.closing.Load() && attempt > 0 {
 			return false
 		}
-		addr := s.e.resolve(s.peer)
-		if addr == "" {
-			time.Sleep(backoff)
-			backoff = minDuration(backoff*2, 500*time.Millisecond)
-			continue
-		}
-		if attempt > 0 {
-			s.e.met.reconnects.Inc()
-		}
-		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			time.Sleep(backoff)
-			backoff = minDuration(backoff*2, 500*time.Millisecond)
-			continue
-		}
-		if err := s.handshake(conn); err != nil {
+		conn, err := net.DialTimeout("tcp", s.e.addrs[s.peer], 2*time.Second)
+		if err == nil {
+			if err = s.handshake(conn); err == nil {
+				s.conn, s.bw = conn, bufio.NewWriterSize(conn, 64<<10)
+				return true
+			}
 			_ = conn.Close()
-			time.Sleep(backoff)
-			backoff = minDuration(backoff*2, 500*time.Millisecond)
-			continue
 		}
-		s.conn = conn
-		s.bw = bufio.NewWriterSize(conn, 64<<10)
-		return true
+		time.Sleep(backoff)
+		backoff = min(backoff*2, 500*time.Millisecond)
 	}
 }
 
@@ -287,20 +241,12 @@ func (s *sender) handshake(conn net.Conn) error {
 	return nil
 }
 
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ingress accepts peer connections and dispatches their frames.
 type ingress struct {
 	ln      net.Listener
 	cluster string
 	worker  int
 	incarn  uint64
-	met     *wireMetrics
 
 	// ready gates frame dispatch until the worker's topology is running.
 	ready chan struct{}
@@ -316,21 +262,16 @@ type ingress struct {
 	quit  bool
 }
 
-func newIngress(cluster string, worker int, incarn uint64, met *wireMetrics) (*ingress, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
+// newIngress serves peer connections accepted on ln.
+func newIngress(ln net.Listener, cluster string, worker int, incarn uint64) *ingress {
 	ig := &ingress{
-		ln: ln, cluster: cluster, worker: worker, incarn: incarn, met: met,
+		ln: ln, cluster: cluster, worker: worker, incarn: incarn,
 		ready: make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
 	go ig.accept()
-	return ig, nil
+	return ig
 }
-
-func (ig *ingress) addr() string { return ig.ln.Addr().String() }
 
 // start opens the dispatch gate once handlers are bound.
 func (ig *ingress) start(onBatch func(string, string, []WireTuple), onAcks func([]stream.AckUpdate)) {
@@ -397,8 +338,11 @@ func (ig *ingress) serve(conn net.Conn) {
 		return
 	}
 	peer, err := DecodeHello(payload)
-	if err != nil || peer.Cluster != ig.cluster {
-		ig.met.rxCorrupt.Inc()
+	if err == nil && peer.Cluster != ig.cluster {
+		err = fmt.Errorf("peer cluster %q, want %q", peer.Cluster, ig.cluster)
+	}
+	if err != nil {
+		ig.corrupt("hello", err)
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
@@ -415,32 +359,35 @@ func (ig *ingress) serve(conn net.Conn) {
 		payload, err := fr.Next()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				ig.met.rxCorrupt.Inc()
+				ig.corrupt("frame", err)
 			}
 			return
 		}
-		ig.met.rxFrames.Inc()
-		ig.met.rxBytes.Add(int64(frameHeaderLen + len(payload)))
 		switch payload[0] {
 		case FrameBatch:
 			src, streamID, tuples, err := DecodeBatch(payload, nil)
 			if err != nil {
-				ig.met.rxCorrupt.Inc()
+				ig.corrupt("batch", err)
 				return
 			}
 			ig.onBatch(src, streamID, tuples)
 		case FrameAcks:
 			updates, err := DecodeAcks(payload, nil)
 			if err != nil {
-				ig.met.rxCorrupt.Inc()
+				ig.corrupt("acks", err)
 				return
 			}
 			if ig.onAcks != nil {
 				ig.onAcks(updates)
 			}
 		default:
-			ig.met.rxCorrupt.Inc()
+			ig.corrupt("frame", fmt.Errorf("unknown frame type %d", payload[0]))
 			return
 		}
 	}
+}
+
+// corrupt logs an inbound connection dropped for a frame it cannot read.
+func (ig *ingress) corrupt(what string, err error) {
+	log.Printf("cluster worker %d: rx_corrupt: %s: %v", ig.worker, what, err)
 }

@@ -1,11 +1,14 @@
 // Package cluster is the out-of-process runtime for the stream engine: a
 // supervisor process spawns worker processes, each hosting a partition of
 // a topology's components, connected by a binary tuple protocol over TCP.
+// It runs the synthetic actions → relay → count kinds, not the
+// recommender, and exists to show the wire and supervisor semantics under
+// kill -9.
 //
 // The paper's TencentRec runs on a real Storm cluster — Nimbus scheduling
 // topologies across ~1500 machines of supervised workers (§3.1). This
 // package is that shape in miniature: the supervisor plays Nimbus (spawn,
-// monitor, restart with backoff, control plane), workers play Storm
+// monitor, restart with backoff), workers play Storm
 // supervisors+executors (a stream.Topology slice per process), and the
 // wire protocol plays the tuple transport. Cross-process edges reuse the
 // in-process engine's micro-batch discipline (PR 2) and the statecodec

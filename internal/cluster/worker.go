@@ -1,19 +1,17 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
+	"bufio"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"maps"
 	"net"
-	"net/http"
 	"os"
 	"slices"
 	"strconv"
-	"sync/atomic"
 	"time"
 
-	"tencentrec/internal/obsv"
 	"tencentrec/internal/stream"
 )
 
@@ -114,152 +112,61 @@ func (b *proxyBolt) Cleanup() { b.flush() }
 // waits at most this long, the wire analog of stream.DefaultLinger.
 const proxyFlushTick = 2 * time.Millisecond
 
-// WorkerConfig configures one worker process.
-type WorkerConfig struct {
-	Cluster       string
-	ID            int
-	SupervisorURL string
-}
-
-// Env var names used to spawn workers as re-executions of the current
-// binary (see Supervisor and MaybeWorker).
-const (
-	envWorkerFlag = "TR_CLUSTER_WORKER"
-	envSupervisor = "TR_SUPERVISOR"
-	envWorkerID   = "TR_WORKER_ID"
-	envCluster    = "TR_CLUSTER_NAME"
-)
+// envWorkerFlag marks a process as a cluster worker (see MaybeWorker).
+const envWorkerFlag = "TR_CLUSTER_WORKER"
 
 // MaybeWorker runs the worker main and returns true when the process was
 // spawned as a cluster worker (TR_CLUSTER_WORKER=1). Call it first thing
-// in main() of any binary used as a worker command — including TestMain
+// in main() of any binary that creates a Supervisor — including TestMain
 // of process-spawning tests.
 func MaybeWorker() bool {
 	if os.Getenv(envWorkerFlag) != "1" {
 		return false
 	}
-	id, _ := strconv.Atoi(os.Getenv(envWorkerID))
-	cfg := WorkerConfig{
-		Cluster:       os.Getenv(envCluster),
-		ID:            id,
-		SupervisorURL: os.Getenv(envSupervisor),
-	}
-	if err := RunWorker(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "cluster worker %d: %v\n", cfg.ID, err)
+	if err := runWorker(os.Stdin, os.NewFile(3, "data listener")); err != nil {
+		fmt.Fprintf(os.Stderr, "cluster worker: %v\n", err)
 		os.Exit(1)
 	}
 	return true
 }
 
-// registerReq/registerResp are the worker↔supervisor registration
-// exchange; the response carries everything the worker needs to build
-// its topology slice.
-type registerReq struct {
-	Worker   int    `json:"worker"`
-	PID      int    `json:"pid"`
-	DataAddr string `json:"data_addr"`
-	HTTPAddr string `json:"http_addr"`
-}
-
-type registerResp struct {
-	Incarnation uint64 `json:"incarnation"`
-	Spec        *Spec  `json:"spec"`
-	Plan        *Plan  `json:"plan"`
-}
-
-// planPeer is one worker's connectivity info in GET /cluster/plan.
-type planPeer struct {
-	ID          int    `json:"id"`
-	State       string `json:"state"`
-	DataAddr    string `json:"data_addr"`
-	HTTPAddr    string `json:"http_addr"`
-	Incarnation uint64 `json:"incarnation"`
-	PID         int    `json:"pid"`
-	Restarts    int    `json:"restarts"`
-}
-
-type planResp struct {
-	Version int        `json:"version"`
-	Peers   []planPeer `json:"peers"`
-}
-
-// RunWorker is the worker main: register, build the local topology
-// slice, serve ingress, and run until exhaustion (source worker) or a
-// supervisor-initiated drain. Returns once the worker's part is done.
-func RunWorker(cfg WorkerConfig) error {
-	if cfg.SupervisorURL == "" {
-		return fmt.Errorf("cluster: worker needs a supervisor URL")
+// runWorker is the worker main: read the assignment, build the local
+// topology slice, serve ingress on the inherited listener, and run until
+// the spouts exhaust (source worker) or stdin ends (drain). Returns once
+// the worker's part is done; the process then exits 0.
+func runWorker(stdin io.Reader, lnFile *os.File) error {
+	in := bufio.NewReader(stdin)
+	var a assignment
+	if err := gob.NewDecoder(in).Decode(&a); err != nil {
+		return fmt.Errorf("cluster: read assignment: %w", err)
 	}
-	reg := obsv.NewRegistry()
-	met := newWireMetrics(reg)
+	ln, err := net.FileListener(lnFile)
+	lnFile.Close()
+	if err != nil {
+		return err
+	}
 	incarn := uint64(os.Getpid())
-
-	ig, err := newIngress(cfg.Cluster, cfg.ID, incarn, met)
-	if err != nil {
-		return err
-	}
+	ig := newIngress(ln, a.Cluster, a.ID, incarn)
 	defer ig.close()
-
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer httpLn.Close()
-
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	// Register: the supervisor replies with the spec and the plan.
-	body, _ := json.Marshal(registerReq{
-		Worker: cfg.ID, PID: os.Getpid(),
-		DataAddr: ig.addr(), HTTPAddr: httpLn.Addr().String(),
-	})
-	resp, err := client.Post(cfg.SupervisorURL+"/cluster/register", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("cluster: register: %w", err)
-	}
-	var rr registerResp
-	err = json.NewDecoder(resp.Body).Decode(&rr)
-	resp.Body.Close()
-	if err != nil || rr.Spec == nil || rr.Plan == nil {
-		return fmt.Errorf("cluster: register response invalid (%v)", err)
-	}
-	spec, plan := rr.Spec, rr.Plan
-
-	// Resolver consulted by egress senders (re-queried after failures, so
-	// a restarted peer's fresh port is picked up).
-	resolve := func(peer int) string {
-		resp, err := client.Get(cfg.SupervisorURL + "/cluster/plan")
-		if err != nil {
-			return ""
-		}
-		defer resp.Body.Close()
-		var pr planResp
-		if json.NewDecoder(resp.Body).Decode(&pr) != nil {
-			return ""
-		}
-		for _, p := range pr.Peers {
-			if p.ID == peer && p.State == "running" {
-				return p.DataAddr
-			}
-		}
-		return ""
-	}
-	eg := newEgress(cfg.Cluster, cfg.ID, incarn, resolve, met)
+	eg := newEgress(a.Cluster, a.ID, incarn, a.Addrs)
 
 	inQueues := make(map[edgeKey]chan []WireTuple)
-	topo, hostsSpout, err := buildLocal(spec, plan, cfg.ID, reg, eg, inQueues)
+	topo, hostsSpout, err := buildLocal(a.Spec, a.Plan, a.ID, eg, inQueues)
 	if err != nil {
 		return err
 	}
 
+	// A source worker is done once its spouts exhaust and every lineage
+	// resolves; any other topology only ever stops on a drain.
 	var h *stream.RunningTopology
-	var draining atomic.Bool
-	done := make(chan error, 2)
-
+	var exhausted <-chan struct{}
 	if topo != nil {
 		h = topo.SubmitWithErrorHandler(func(component string, err error) {
-			fmt.Fprintf(os.Stderr, "worker %d: component %s: %v\n", cfg.ID, component, err)
+			fmt.Fprintf(os.Stderr, "worker %d: component %s: %v\n", a.ID, component, err)
 		})
+		if hostsSpout {
+			exhausted = h.Done()
+		}
 		ig.start(
 			func(src, streamID string, tuples []WireTuple) {
 				if q, ok := inQueues[edgeKey{src, streamID}]; ok {
@@ -268,7 +175,7 @@ func RunWorker(cfg WorkerConfig) error {
 				// Unknown edge: a stale sender; drop, the acker replays.
 			},
 			func(updates []stream.AckUpdate) {
-				if cfg.ID == 0 {
+				if a.ID == 0 {
 					_ = h.InjectAcks(updates) // post-shutdown injection is moot
 				}
 			},
@@ -277,25 +184,19 @@ func RunWorker(cfg WorkerConfig) error {
 		ig.start(func(string, string, []WireTuple) {}, nil)
 	}
 
-	// Worker HTTP: observability, drain, rebalance proxy target.
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ok") })
-	mux.HandleFunc("GET /debug/vars", reg.ServeJSON)
-	mux.HandleFunc("GET /metrics", reg.ServePrometheus)
-	mux.HandleFunc("POST /control/rebalance", func(w http.ResponseWriter, r *http.Request) {
-		if h == nil {
-			http.Error(w, "worker hosts no topology", http.StatusConflict)
-			return
-		}
-		h.ServeRebalance(w, r)
-	})
-	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, _ *http.Request) {
-		if !draining.CompareAndSwap(false, true) {
-			fmt.Fprintln(w, "already draining")
-			return
-		}
-		// Upstream workers have exited by the time the supervisor sends
-		// /drain; wait for their connections to finish delivering.
+	// The end of stdin is the supervisor's drain (or its death).
+	eof := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(io.Discard, in)
+		close(eof)
+	}()
+
+	select {
+	case <-exhausted:
+		// Exit 0 reports the exhaustion; the supervisor drains downstream.
+	case <-eof:
+		// Upstream workers have exited by the time the supervisor drains
+		// this one; wait for their connections to finish delivering.
 		deadline := time.Now().Add(20 * time.Second)
 		for ig.openConns() > 0 && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
@@ -304,50 +205,9 @@ func RunWorker(cfg WorkerConfig) error {
 			h.Stop()
 			h.Wait()
 		}
-		eg.close(2 * time.Second)
-		fmt.Fprintln(w, "drained")
-		done <- nil
-	})
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(httpLn) }()
-	defer srv.Close()
-
-	// Source workers finish on their own once spouts exhaust and every
-	// lineage resolves; report exhaustion so the supervisor cascades the
-	// drain downstream.
-	if hostsSpout && h != nil {
-		go func() {
-			h.Wait()
-			if draining.CompareAndSwap(false, true) {
-				eg.close(2 * time.Second)
-				resp, err := client.Post(fmt.Sprintf("%s/cluster/exhausted?worker=%d", cfg.SupervisorURL, cfg.ID), "", nil)
-				if err == nil {
-					resp.Body.Close()
-				}
-				done <- nil
-			}
-		}()
 	}
-
-	// Orphan guard: a worker whose supervisor vanished must not linger.
-	go func() {
-		fails := 0
-		for {
-			time.Sleep(2 * time.Second)
-			resp, err := client.Get(cfg.SupervisorURL + "/cluster/status")
-			if err != nil {
-				if fails++; fails >= 5 {
-					done <- fmt.Errorf("cluster: supervisor unreachable, exiting")
-					return
-				}
-				continue
-			}
-			resp.Body.Close()
-			fails = 0
-		}
-	}()
-
-	return <-done
+	eg.close(2 * time.Second)
+	return nil
 }
 
 // Reserved classes of a worker's registry: the proxies localGraph adds.
@@ -413,8 +273,8 @@ func localGraph(spec *Spec, plan *Plan, workerID int, outputs map[string]map[str
 // buildLocal builds this worker's slice of the spec's graph, through the
 // same stream.Graph.Build the supervisor validated the whole graph with.
 // Returns a nil topology when the plan assigns the worker nothing (it
-// still serves HTTP and drains trivially).
-func buildLocal(spec *Spec, plan *Plan, workerID int, reg *obsv.Registry, eg *egress, inQueues map[edgeKey]chan []WireTuple) (*stream.Topology, bool, error) {
+// still drains trivially).
+func buildLocal(spec *Spec, plan *Plan, workerID int, eg *egress, inQueues map[edgeKey]chan []WireTuple) (*stream.Topology, bool, error) {
 	// The whole graph, for the declared outputs of remote sources.
 	whole, err := spec.build()
 	if err != nil {
@@ -441,7 +301,6 @@ func buildLocal(spec *Spec, plan *Plan, workerID int, reg *obsv.Registry, eg *eg
 	}
 
 	tb := stream.NewTopologyBuilder(fmt.Sprintf("%s@w%d", spec.Name, workerID))
-	tb.SetMetricsRegistry(reg)
 	if spec.Acking {
 		tb.SetAcking(true)
 		if spec.AckTimeoutMS > 0 {

@@ -15,8 +15,8 @@ import (
 // Built-in workload kinds, registered for every cluster binary: a
 // deterministic user-action generator spout, a pass-through relay bolt
 // (something to kill), and a deduplicating per-item counter sink. They
-// exist so the examples, the README quickstart, and the process-kill soak
-// all exercise the same exactness contract: generator output is a pure
+// exist so the process tests, the kill -9 soak among them, exercise one
+// exactness contract: generator output is a pure
 // function of (seed, count, users, items), and the sink's msgid dedup
 // turns the transport's at-least-once into exactly-once counts that can
 // be checked against a sequential run of GenActions.

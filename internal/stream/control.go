@@ -8,8 +8,7 @@ import (
 	"strconv"
 )
 
-// RebalanceRequest is what POST /control/rebalance carries, on the
-// single-process server, a cluster worker and the supervisor's proxy alike.
+// RebalanceRequest is what POST /control/rebalance carries.
 type RebalanceRequest struct {
 	Component   string `json:"component"`
 	Parallelism int    `json:"parallelism"`
@@ -19,11 +18,11 @@ type RebalanceRequest struct {
 // dozen bytes.
 const maxRebalanceBody = 1 << 20
 
-// DecodeRebalance reads a rebalance request from the query parameters
+// decodeRebalance reads a rebalance request from the query parameters
 // component and parallelism or, when they do not name both, from a JSON
 // body. It answers 400 itself and reports false when the parallelism
 // parameter is not an integer or the body does not decode.
-func DecodeRebalance(w http.ResponseWriter, r *http.Request) (req RebalanceRequest, ok bool) {
+func decodeRebalance(w http.ResponseWriter, r *http.Request) (req RebalanceRequest, ok bool) {
 	q := r.URL.Query()
 	req.Component = q.Get("component")
 	if raw := q.Get("parallelism"); raw != "" {
@@ -48,7 +47,7 @@ func DecodeRebalance(w http.ResponseWriter, r *http.Request) (req RebalanceReque
 // 404 for a component it does not contain, 400 for any other refusal, and
 // on success the component's live parallelism as JSON.
 func (h *RunningTopology) ServeRebalance(w http.ResponseWriter, r *http.Request) {
-	req, ok := DecodeRebalance(w, r)
+	req, ok := decodeRebalance(w, r)
 	if !ok {
 		return
 	}

@@ -46,9 +46,9 @@ type Grouping struct {
 }
 
 // ParseGrouping is the inverse of GroupingKind.String for every topology
-// description: Fig. 7's <grouping type="field"> and a cluster spec's
-// "grouping" both come through here. "" means shuffle, "fields" is
-// accepted for "field", and a field grouping needs its key fields.
+// description: Fig. 7's <grouping type="field"> and a Graph's
+// InputSpec.Grouping both come through here. "" means shuffle, "fields"
+// is accepted for "field", and a field grouping needs its key fields.
 func ParseGrouping(name string, fields Fields) (Grouping, error) {
 	switch name {
 	case "", "shuffle":

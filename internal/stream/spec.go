@@ -9,41 +9,41 @@ import (
 // Graph is a topology as plain data: which spouts and bolts it needs, by
 // class name, and the ways to compose them (§5.1, Fig. 7). Every
 // description of a topology in this tree — the paper's XML file, the
-// Fig. 6 builder's Features, a cluster spec — is a front end that
-// produces a Graph; Build is the one place a Graph becomes a Topology.
+// Fig. 6 builder's Features — is a front end that produces a Graph (a
+// cluster Spec carries one as it is); Build is the one place a Graph
+// becomes a Topology.
 type Graph struct {
 	Name   string
 	Spouts []ComponentSpec
 	Bolts  []ComponentSpec
 }
 
-// ComponentSpec declares one spout or bolt. The JSON keys are the cluster
-// spec's wire format.
+// ComponentSpec declares one spout or bolt.
 type ComponentSpec struct {
-	Name string `json:"name"`
+	Name string
 	// Kind is the component's class: the name a Registry resolves (the
 	// class attribute of Fig. 7).
-	Kind        string            `json:"kind"`
-	Parallelism int               `json:"parallelism,omitempty"`
-	Params      map[string]string `json:"params,omitempty"`
+	Kind        string
+	Parallelism int
+	Params      map[string]string
 	// Outputs maps stream id to field names. When present it replaces
 	// what the class declares through OutputDeclarer.
-	Outputs map[string]Fields `json:"outputs,omitempty"`
+	Outputs map[string]Fields
 	// TickMS, for bolts, requests engine tick tuples at this interval, in
 	// milliseconds.
-	TickMS float64 `json:"tick_ms,omitempty"`
+	TickMS float64
 	// Inputs, for bolts, subscribe to upstream streams.
-	Inputs []InputSpec `json:"inputs,omitempty"`
+	Inputs []InputSpec
 }
 
 // InputSpec is one subscription of a bolt.
 type InputSpec struct {
-	Source string `json:"source"`
+	Source string
 	// Stream defaults to DefaultStream.
-	Stream string `json:"stream,omitempty"`
+	Stream string
 	// Grouping is a name ParseGrouping accepts; Fields are its keys.
-	Grouping string `json:"grouping,omitempty"`
-	Fields   Fields `json:"fields,omitempty"`
+	Grouping string
+	Fields   Fields
 }
 
 // StreamID returns the subscribed stream with the default filled in.

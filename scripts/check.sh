@@ -45,8 +45,16 @@ fi
 echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore, serving, obsv)"
 go test -race ./internal/stream/... ./internal/topology/... ./internal/tdaccess/... ./internal/tdstore/... ./internal/serving/ ./internal/obsv/
 
-echo "== go test -race cluster runtime (wire codecs, planning, supervisor + 2 real worker processes, kill -9 soak)"
+echo "== go test -race cluster relay runtime (wire codecs, planning, a supervisor's worker processes on inherited listeners, kill -9 soak)"
 go test -race ./internal/cluster/
+
+# The relay runtime talks to its workers through their stdin, exit status
+# and inherited listeners; an HTTP control plane is what it replaced.
+echo "== internal/cluster imports no net/http outside its tests"
+if go list -f '{{join .Imports "\n"}}' ./internal/cluster/ | grep '^net/http'; then
+	echo "check: a non-test file in internal/cluster imports net/http" >&2
+	exit 1
+fi
 
 # The benchmark is its own module (benchmark/go.mod): the root go vet and
 # go test neither compile nor run it, and it measures the runtime above.
@@ -113,10 +121,10 @@ done
 # Both start from whole files, and go test spends its default minute
 # minimizing each input that widens coverage before it fuzzes on; bound
 # that so five seconds are spent on new inputs.
-echo "== file-reader fuzz smoke (checkpoint manifest, LDB WAL and table, topology description as Fig. 7 XML and as cluster spec JSON)"
+echo "== file-reader fuzz smoke (checkpoint manifest, LDB WAL and table, topology description as Fig. 7 XML)"
 go test -run=NONE -fuzz='^FuzzLoadCheckpoint$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/
 go test -run=NONE -fuzz='^FuzzLDBOpen$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/engine/ldb/
-go test -run=NONE -fuzz='^FuzzSpec$' -fuzztime=5s -fuzzminimizetime=100x ./internal/cluster/
+go test -run=NONE -fuzz='^FuzzDecodeXML$' -fuzztime=5s -fuzzminimizetime=100x ./internal/topology/
 
 echo "== ingest edge fuzz smoke (action frame decoder, TDAccess segment recovery)"
 go test -run=NONE -fuzz='^FuzzDecodeAction$' -fuzztime=5s ./internal/topology/
