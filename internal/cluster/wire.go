@@ -1,20 +1,10 @@
-// Package cluster is the out-of-process runtime for the stream engine: a
-// supervisor process spawns worker processes, each hosting a partition of
-// a topology's components, connected by a binary tuple protocol over TCP.
-// It runs the synthetic actions → relay → count kinds, not the
-// recommender, and exists to show the wire and supervisor semantics under
-// kill -9.
-//
-// The paper's TencentRec runs on a real Storm cluster — Nimbus scheduling
-// topologies across ~1500 machines of supervised workers (§3.1). This
-// package is that shape in miniature: the supervisor plays Nimbus (spawn,
-// monitor, restart with backoff), workers play Storm
-// supervisors+executors (a stream.Topology slice per process), and the
-// wire protocol plays the tuple transport. Cross-process edges reuse the
-// in-process engine's micro-batch discipline (PR 2) and the statecodec
-// byte conventions, and lineage acking spans processes through the relay
-// hooks of internal/stream/relay.go, so at-least-once delivery survives
-// kill -9 of any worker. See DESIGN.md §18.
+// Package cluster is the stream engine's wire codec: a CRC-checked frame
+// and a micro-batch of tuples for one (source component, stream) edge,
+// in the statecodec byte conventions. Nothing in the system sends it
+// between processes; the repo benchmark's probes measure what a
+// process boundary would cost a batch (encode, decode, loopback TCP).
+// The recommender's process-level recovery is LDB cold restart plus
+// checkpoint replay: see DESIGN.md §18.
 package cluster
 
 import (
@@ -42,24 +32,9 @@ const (
 	MaxFrame = 8 << 20
 )
 
-// Frame types.
-const (
-	// FrameHello opens every connection, both directions: magic, protocol
-	// version, cluster name, sender worker id, sender incarnation.
-	FrameHello byte = 1
-	// FrameBatch carries one micro-batch of tuples for a single
-	// (source component, stream) edge.
-	FrameBatch byte = 2
-	// FrameAcks carries lineage updates toward the acker worker.
-	FrameAcks byte = 3
-)
-
-// WireMagic and WireVersion open the hello payload; a peer speaking a
-// different protocol revision is rejected at handshake, never mid-stream.
-const (
-	WireMagic   = "TRCW"
-	WireVersion = 1
-)
+// FrameBatch is the type byte of a payload carrying one micro-batch of
+// tuples for a single (source component, stream) edge.
+const FrameBatch byte = 2
 
 // Value type tags. int and int64 are distinct so a tuple round-trips with
 // the exact dynamic types the in-process engine would deliver (fields
@@ -81,16 +56,8 @@ const (
 // ErrFrameCorrupt reports a frame whose header or checksum is invalid.
 var ErrFrameCorrupt = errors.New("cluster: frame corrupt")
 
-// Hello identifies a connecting peer.
-type Hello struct {
-	Cluster     string
-	Worker      int
-	Incarnation uint64
-}
-
 // WireTuple is one tuple crossing a process boundary: its payload plus
-// the lineage pair minted by the sender's AnchorRemote (zero when
-// unanchored).
+// a lineage pair (root, id), zero when unanchored.
 type WireTuple struct {
 	Root   uint64
 	ID     uint64
@@ -156,48 +123,6 @@ func (fr *FrameReader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrFrameCorrupt)
 	}
 	return body, nil
-}
-
-// EncodeHello appends a hello payload to buf.
-func EncodeHello(buf []byte, h Hello) []byte {
-	buf = append(buf, FrameHello)
-	buf = append(buf, WireMagic...)
-	buf = append(buf, WireVersion)
-	buf = statecodec.AppendString(buf, h.Cluster)
-	buf = binary.AppendUvarint(buf, uint64(h.Worker))
-	buf = binary.AppendUvarint(buf, h.Incarnation)
-	return buf
-}
-
-// DecodeHello parses a hello payload, rejecting wrong magic or version.
-func DecodeHello(payload []byte) (Hello, error) {
-	var h Hello
-	if len(payload) < 1+len(WireMagic)+1 || payload[0] != FrameHello {
-		return h, fmt.Errorf("%w: not a hello frame", ErrFrameCorrupt)
-	}
-	b := payload[1:]
-	if string(b[:len(WireMagic)]) != WireMagic {
-		return h, fmt.Errorf("cluster: bad wire magic %q", b[:len(WireMagic)])
-	}
-	b = b[len(WireMagic):]
-	if b[0] != WireVersion {
-		return h, fmt.Errorf("cluster: wire version %d, want %d", b[0], WireVersion)
-	}
-	b = b[1:]
-	var err error
-	if h.Cluster, b, err = statecodec.ReadString(b, "hello cluster"); err != nil {
-		return h, err
-	}
-	worker, n := binary.Uvarint(b)
-	if n <= 0 || worker > math.MaxInt32 {
-		return h, fmt.Errorf("%w: hello worker id", ErrFrameCorrupt)
-	}
-	h.Worker = int(worker)
-	b = b[n:]
-	if h.Incarnation, n = binary.Uvarint(b); n <= 0 {
-		return h, fmt.Errorf("%w: hello incarnation", ErrFrameCorrupt)
-	}
-	return h, nil
 }
 
 // EncodeBatch appends a batch payload for one (src, stream) edge to buf.
@@ -267,52 +192,6 @@ func DecodeBatch(payload []byte, dst []WireTuple) (src, streamID string, tuples 
 		return "", "", nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrFrameCorrupt, len(b))
 	}
 	return src, streamID, tuples, nil
-}
-
-// EncodeAcks appends an acks payload to buf.
-func EncodeAcks(buf []byte, updates []stream.AckUpdate) []byte {
-	buf = append(buf, FrameAcks)
-	buf = binary.AppendUvarint(buf, uint64(len(updates)))
-	for _, u := range updates {
-		flags := byte(0)
-		if u.Fail {
-			flags = 1
-		}
-		buf = append(buf, flags)
-		buf = binary.LittleEndian.AppendUint64(buf, u.Root)
-		buf = binary.LittleEndian.AppendUint64(buf, u.Xor)
-	}
-	return buf
-}
-
-// DecodeAcks parses an acks payload, appending to dst.
-func DecodeAcks(payload []byte, dst []stream.AckUpdate) ([]stream.AckUpdate, error) {
-	if len(payload) < 1 || payload[0] != FrameAcks {
-		return nil, fmt.Errorf("%w: not an acks frame", ErrFrameCorrupt)
-	}
-	b := payload[1:]
-	count, b, err := statecodec.ReadCount(b, "ack updates")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < count; i++ {
-		if len(b) < 17 {
-			return nil, fmt.Errorf("%w: ack update truncated", ErrFrameCorrupt)
-		}
-		if b[0] > 1 {
-			return nil, fmt.Errorf("%w: ack flags %#x", ErrFrameCorrupt, b[0])
-		}
-		dst = append(dst, stream.AckUpdate{
-			Fail: b[0] == 1,
-			Root: binary.LittleEndian.Uint64(b[1:]),
-			Xor:  binary.LittleEndian.Uint64(b[9:]),
-		})
-		b = b[17:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after acks", ErrFrameCorrupt, len(b))
-	}
-	return dst, nil
 }
 
 // appendValue encodes one tuple value. The scalar types the engine's

@@ -127,58 +127,6 @@ func TestBatchRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestAcksRoundTripProperty round-trips randomized ack update batches.
-func TestAcksRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 200; iter++ {
-		n := rng.Intn(50)
-		in := make([]stream.AckUpdate, 0, n)
-		for i := 0; i < n; i++ {
-			in = append(in, stream.AckUpdate{
-				Fail: rng.Intn(4) == 0,
-				Root: rng.Uint64(),
-				Xor:  rng.Uint64(),
-			})
-		}
-		out, err := DecodeAcks(EncodeAcks(nil, in), nil)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if len(out) != len(in) {
-			t.Fatalf("iter %d: %d updates, want %d", iter, len(out), len(in))
-		}
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("iter %d update %d: got %+v want %+v", iter, i, out[i], in[i])
-			}
-		}
-	}
-}
-
-// TestHelloRoundTrip covers the handshake payload, and rejection of wrong
-// magic and versions.
-func TestHelloRoundTrip(t *testing.T) {
-	in := Hello{Cluster: "soak-42", Worker: 3, Incarnation: 9}
-	out, err := DecodeHello(EncodeHello(nil, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("got %+v want %+v", out, in)
-	}
-
-	bad := EncodeHello(nil, in)
-	bad[1] = 'X' // magic
-	if _, err := DecodeHello(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	bad = EncodeHello(nil, in)
-	bad[1+len(WireMagic)] = WireVersion + 1
-	if _, err := DecodeHello(bad); err == nil {
-		t.Fatal("future version accepted")
-	}
-}
-
 // TestFrameTornAndCorrupt enumerates every truncation of a valid frame
 // and a byte flip at every position: all must error, none may panic, and
 // flips must be CRC errors.
@@ -229,8 +177,10 @@ func TestDecodeBatchTrailingAndLying(t *testing.T) {
 			t.Fatalf("payload truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecodeAcks([]byte{FrameAcks, 0xFF, 0xFF, 0xFF, 0x7F}, nil); err == nil {
-		t.Fatal("lying ack count accepted")
+	lyingCount := EncodeBatch(nil, "a", "b", nil)
+	lyingCount = append(lyingCount[:len(lyingCount)-1], 0xFF, 0xFF, 0xFF, 0x7F) // a tuple count no payload holds
+	if _, _, _, err := DecodeBatch(lyingCount, nil); err == nil {
+		t.Fatal("lying tuple count accepted")
 	}
 	// A run is one value of one tuple; its truncations are covered above
 	// once it is in the payload, and its row count may not promise more

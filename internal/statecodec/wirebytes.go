@@ -1,6 +1,6 @@
 package statecodec
 
-// Exported wire-byte primitives. The cluster tuple transport
+// Exported wire-byte primitives. The cluster wire codec
 // (internal/cluster) frames its payloads with the same conventions as the
 // state codecs in this package — uvarint-prefixed strings, little-endian
 // 64-bit floats, payload-bounded counts — so the primitives are exported

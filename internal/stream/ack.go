@@ -77,12 +77,6 @@ type acker struct {
 	stop    chan struct{}
 	done    chan struct{}
 	pending map[uint64]*rootEntry
-	// forward, when set, turns the acker into a relay (see relay.go):
-	// updates are translated to AckUpdates and handed to the callback
-	// instead of being resolved here. Used by cluster worker runtimes,
-	// whose lineage state lives with the acker of the spout-hosting
-	// process.
-	forward AckForwarder
 }
 
 func newAcker(rt *runtime, timeout time.Duration) *acker {
@@ -139,23 +133,6 @@ func (a *acker) shutdown() {
 }
 
 func (a *acker) process(batch []ackerMsg) {
-	if a.forward != nil {
-		updates := make([]AckUpdate, 0, len(batch))
-		for _, m := range batch {
-			switch m.kind {
-			case ackerAck:
-				updates = append(updates, AckUpdate{Root: m.root, Xor: m.xor})
-			case ackerFail:
-				updates = append(updates, AckUpdate{Fail: true, Root: m.root})
-			}
-			// ackerInit never happens here: anchorOK is forced off on
-			// forwarding runtimes, so spouts degrade to plain emits.
-		}
-		if len(updates) > 0 {
-			a.forward(updates)
-		}
-		return
-	}
 	for _, m := range batch {
 		e := a.pending[m.root]
 		if e == nil {

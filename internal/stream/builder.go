@@ -113,7 +113,6 @@ type TopologyBuilder struct {
 	linger     time.Duration
 	acking     bool
 	ackTimeout time.Duration
-	ackForward AckForwarder
 	queueDepth int
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
@@ -293,7 +292,6 @@ func (tb *TopologyBuilder) Build() (*Topology, error) {
 		linger:     tb.linger,
 		acking:     tb.acking,
 		ackTimeout: tb.ackTimeout,
-		ackForward: tb.ackForward,
 		queueDepth: tb.queueDepth,
 		registry:   tb.registry,
 		tracer:     tb.tracer,

@@ -31,7 +31,6 @@ type Topology struct {
 	linger     time.Duration
 	acking     bool
 	ackTimeout time.Duration
-	ackForward AckForwarder
 	queueDepth int
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
@@ -145,11 +144,10 @@ type runtime struct {
 	fields  map[string]map[string]Fields  // source -> stream -> field names
 	ticked  []*boltDecl                   // bolts with a tick interval, in Topology.order
 	pending atomic.Int64
-	// entered is set by every spout delivery (an emission or a relayed
-	// ingress; never by what a bolt emits, a flush included) and cleared
-	// when an idle round starts: data has come in since the last one. idle
-	// is the 1-slot nudge that wakes the ticker when pending reaches zero
-	// with entered set.
+	// entered is set by every spout emission (never by what a bolt emits,
+	// a flush included) and cleared when an idle round starts: data has
+	// come in since the last one. idle is the 1-slot nudge that wakes the
+	// ticker when pending reaches zero with entered set.
 	entered  atomic.Bool
 	idle     chan struct{}
 	metrics  *Metrics
@@ -507,7 +505,6 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 	}
 	if t.acking {
 		rt.ak = newAcker(rt, t.ackTimeout)
-		rt.ak.forward = t.ackForward
 	}
 	rt.tracer = t.tracer
 	mkTasks := func(name string, n int, isSpout bool) {
@@ -599,7 +596,7 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 	}
 	defer func() { sp.Close() }()
 	as, canAck := sp.(AckingSpout)
-	col.anchorOK = rt.ak != nil && canAck && rt.ak.forward == nil
+	col.anchorOK = rt.ak != nil && canAck
 	var ackScratch []ackResult
 	for {
 		select {
@@ -616,7 +613,7 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 					return
 				}
 				as, canAck = sp.(AckingSpout)
-				col.anchorOK = rt.ak != nil && canAck && rt.ak.forward == nil
+				col.anchorOK = rt.ak != nil && canAck
 			}
 		default:
 			if rt.paused.Load() {

@@ -9,9 +9,8 @@ import (
 // Graph is a topology as plain data: which spouts and bolts it needs, by
 // class name, and the ways to compose them (§5.1, Fig. 7). Every
 // description of a topology in this tree — the paper's XML file, the
-// Fig. 6 builder's Features — is a front end that produces a Graph (a
-// cluster Spec carries one as it is); Build is the one place a Graph
-// becomes a Topology.
+// Fig. 6 builder's Features — is a front end that produces a Graph;
+// Build is the one place a Graph becomes a Topology.
 type Graph struct {
 	Name   string
 	Spouts []ComponentSpec
@@ -25,7 +24,6 @@ type ComponentSpec struct {
 	// class attribute of Fig. 7).
 	Kind        string
 	Parallelism int
-	Params      map[string]string
 	// Outputs maps stream id to field names. When present it replaces
 	// what the class declares through OutputDeclarer.
 	Outputs map[string]Fields
@@ -54,38 +52,10 @@ func (in InputSpec) StreamID() string {
 	return in.Stream
 }
 
-// SpoutClass makes the spouts of one class from a component's params.
-type SpoutClass interface {
-	NewSpout(params map[string]string) Spout
-}
-
-// BoltClass makes the bolts of one class from a component's params.
-type BoltClass interface {
-	NewBolt(params map[string]string) Bolt
-}
-
-// NewSpout makes a SpoutFactory a class that takes no params.
-func (f SpoutFactory) NewSpout(map[string]string) Spout { return f() }
-
-// NewBolt makes a BoltFactory a class that takes no params.
-func (f BoltFactory) NewBolt(map[string]string) Bolt { return f() }
-
-// SpoutClassFunc adapts a function of the params to a SpoutClass.
-type SpoutClassFunc func(params map[string]string) Spout
-
-// NewSpout calls f.
-func (f SpoutClassFunc) NewSpout(params map[string]string) Spout { return f(params) }
-
-// BoltClassFunc adapts a function of the params to a BoltClass.
-type BoltClassFunc func(params map[string]string) Bolt
-
-// NewBolt calls f.
-func (f BoltClassFunc) NewBolt(params map[string]string) Bolt { return f(params) }
-
-// Registry resolves the class names of a Graph to component constructors.
+// Registry resolves the class names of a Graph to component factories.
 type Registry struct {
-	Spouts map[string]SpoutClass
-	Bolts  map[string]BoltClass
+	Spouts map[string]SpoutFactory
+	Bolts  map[string]BoltFactory
 }
 
 // maxTickMS is the largest TickMS a time.Duration holds.
@@ -103,30 +73,28 @@ func (g Graph) Build(tb *TopologyBuilder, reg *Registry) (*Topology, error) {
 	}
 	for i := range g.Spouts {
 		c := &g.Spouts[i]
-		class := reg.Spouts[c.Kind]
-		if err := c.check("spout", i, class != nil); err != nil {
+		factory := reg.Spouts[c.Kind]
+		if err := c.check("spout", i, factory != nil); err != nil {
 			return nil, err
 		}
 		if len(c.Inputs) > 0 || c.TickMS != 0 {
 			return nil, fmt.Errorf("stream: spout %q cannot have inputs or a tick", c.Name)
 		}
-		params := c.Params
-		d := tb.addSpout(c.Name, func() Spout { return class.NewSpout(params) }, c.Parallelism)
+		d := tb.addSpout(c.Name, factory, c.Parallelism)
 		if len(c.Outputs) > 0 {
 			d.outputs = c.Outputs
 		}
 	}
 	for i := range g.Bolts {
 		c := &g.Bolts[i]
-		class := reg.Bolts[c.Kind]
-		if err := c.check("bolt", i, class != nil); err != nil {
+		factory := reg.Bolts[c.Kind]
+		if err := c.check("bolt", i, factory != nil); err != nil {
 			return nil, err
 		}
 		if !(c.TickMS >= 0 && c.TickMS <= maxTickMS) {
 			return nil, fmt.Errorf("stream: bolt %q has tick_ms %v out of range", c.Name, c.TickMS)
 		}
-		params := c.Params
-		d := tb.SetBolt(c.Name, func() Bolt { return class.NewBolt(params) }, c.Parallelism)
+		d := tb.SetBolt(c.Name, factory, c.Parallelism)
 		if len(c.Outputs) > 0 {
 			d.b.outputs = c.Outputs
 		}
@@ -156,8 +124,7 @@ func (c *ComponentSpec) check(role string, i int, known bool) error {
 
 // Graph describes the built topology as data: every component's name,
 // parallelism, declared outputs, tick and subscriptions, in registration
-// order. Kind and Params are empty — a Topology holds factories, not
-// class names.
+// order. Kind is empty — a Topology holds factories, not class names.
 func (t *Topology) Graph() Graph {
 	g := Graph{Name: t.Name}
 	for _, s := range t.spouts {
@@ -178,7 +145,3 @@ func (t *Topology) Graph() Graph {
 	}
 	return g
 }
-
-// BoltOrder returns the bolt names in topological order, sources first:
-// the order ticks cascade in and a cluster drains its workers in.
-func (t *Topology) BoltOrder() []string { return append([]string(nil), t.order...) }

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,22 +10,17 @@ import (
 func specRegistry() *Registry {
 	sink, _, _ := newSink()
 	return &Registry{
-		Spouts: map[string]SpoutClass{
-			// A class that reads its params, and one that takes none.
-			"range": SpoutClassFunc(func(p map[string]string) Spout {
-				n, _ := strconv.Atoi(p["n"])
-				return &rangeSpout{n: n}
-			}),
-			"ten": SpoutFactory(func() Spout { return &rangeSpout{n: 10} }),
+		Spouts: map[string]SpoutFactory{
+			"seven": func() Spout { return &rangeSpout{n: 7} },
 		},
-		Bolts: map[string]BoltClass{"sink": sink, "split": BoltFactory(func() Bolt { return &splitBolt{} })},
+		Bolts: map[string]BoltFactory{"sink": sink, "split": func() Bolt { return &splitBolt{} }},
 	}
 }
 
 func specGraph() Graph {
 	return Graph{
 		Name:   "g",
-		Spouts: []ComponentSpec{{Name: "s", Kind: "range", Parallelism: 2, Params: map[string]string{"n": "7"}}},
+		Spouts: []ComponentSpec{{Name: "s", Kind: "seven", Parallelism: 2}},
 		Bolts: []ComponentSpec{
 			{Name: "split", Kind: "split", Inputs: []InputSpec{{Source: "s"}}},
 			{Name: "evens", Kind: "sink", Parallelism: 3, TickMS: 1.5,
@@ -49,8 +43,8 @@ func TestGraphBuildIsTheFluentBuilder(t *testing.T) {
 	tb := NewTopologyBuilder("g")
 	tb.SetSpout("s", func() Spout { return &rangeSpout{n: 7} }, 2)
 	tb.SetBolt("split", func() Bolt { return &splitBolt{} }, 1).Shuffle("s")
-	tb.SetBolt("evens", reg.Bolts["sink"].(BoltFactory), 3).FieldsOn("split", "even", "n").Tick(1500000)
-	tb.SetBolt("all", reg.Bolts["sink"].(BoltFactory), 1).On("split", "odd", Grouping{Kind: GlobalGrouping}).On("split", "even", Grouping{Kind: AllGrouping})
+	tb.SetBolt("evens", reg.Bolts["sink"], 3).FieldsOn("split", "even", "n").Tick(1500000)
+	tb.SetBolt("all", reg.Bolts["sink"], 1).On("split", "odd", Grouping{Kind: GlobalGrouping}).On("split", "even", Grouping{Kind: AllGrouping})
 	byHand, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -58,10 +52,7 @@ func TestGraphBuildIsTheFluentBuilder(t *testing.T) {
 	if got, want := topo.Graph(), byHand.Graph(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Graph.Build made\n%+v\nthe fluent calls make\n%+v", got, want)
 	}
-	if got, want := topo.BoltOrder(), []string{"split", "evens", "all"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("BoltOrder = %v, want %v", got, want)
-	}
-	// The params reached the class: two tasks of 7 tuples each.
+	// The class's factory made the spouts: two tasks of 7 tuples each.
 	snap, err := topo.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +62,10 @@ func TestGraphBuildIsTheFluentBuilder(t *testing.T) {
 	}
 }
 
+// TestGraphBuildOutputsReplaceTheDeclared: a component's Outputs, on a
+// spout or a bolt, replace what its class declares; a component without
+// them keeps the declaration; and a subscription to a stream the
+// replacement no longer declares is refused.
 func TestGraphBuildOutputsReplaceTheDeclared(t *testing.T) {
 	g := specGraph()
 	g.Spouts[0].Outputs = map[string]Fields{"renamed": {"n"}}
@@ -78,12 +73,20 @@ func TestGraphBuildOutputsReplaceTheDeclared(t *testing.T) {
 		t.Fatalf("Build = %v, want split's subscription to s/default refused", err)
 	}
 	g.Bolts[0].Inputs[0].Stream = "renamed"
+	g.Bolts[1].Outputs = map[string]Fields{"side": {"n"}}
 	topo, err := g.Build(NewTopologyBuilder("g"), specRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo.Graph().Spouts[0].Outputs; !reflect.DeepEqual(got, g.Spouts[0].Outputs) {
+	built := topo.Graph()
+	if got := built.Spouts[0].Outputs; !reflect.DeepEqual(got, g.Spouts[0].Outputs) {
 		t.Errorf("spout outputs = %v, want %v", got, g.Spouts[0].Outputs)
+	}
+	if got := built.Bolts[1].Outputs; !reflect.DeepEqual(got, g.Bolts[1].Outputs) {
+		t.Errorf("evens outputs = %v, want %v", got, g.Bolts[1].Outputs)
+	}
+	if got, want := built.Bolts[0].Outputs, (&splitBolt{}).DeclareOutputFields(); !reflect.DeepEqual(got, want) {
+		t.Errorf("split outputs = %v, want its declaration %v", got, want)
 	}
 }
 
@@ -97,7 +100,7 @@ func TestGraphBuildRejects(t *testing.T) {
 		{"nameless spout", func(g *Graph) { g.Spouts[0].Name = "" }, "has no name"},
 		{"nameless bolt", func(g *Graph) { g.Bolts[1].Name = "" }, "has no name"},
 		{"unknown spout class", func(g *Graph) { g.Spouts[0].Kind = "sink" }, "unknown class"},
-		{"unknown bolt class", func(g *Graph) { g.Bolts[0].Kind = "range" }, "unknown class"},
+		{"unknown bolt class", func(g *Graph) { g.Bolts[0].Kind = "seven" }, "unknown class"},
 		{"spout with inputs", func(g *Graph) { g.Spouts[0].Inputs = []InputSpec{{Source: "split"}} }, "cannot have inputs"},
 		{"spout with tick", func(g *Graph) { g.Spouts[0].TickMS = 5 }, "cannot have inputs or a tick"},
 		{"negative tick", func(g *Graph) { g.Bolts[0].TickMS = -1 }, "out of range"},

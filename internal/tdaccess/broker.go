@@ -282,6 +282,21 @@ func (b *Broker) CommittedOffset(group, topicName string, partition int) (int64,
 	return gs.offsets[partition], nil
 }
 
+// EndOffset reports the offset the next message appended to one
+// partition of a topic will get: everything below it is in the log.
+func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t, ok := b.topics[topicName]
+	if !ok {
+		return 0, fmt.Errorf("tdaccess: unknown topic %q", topicName)
+	}
+	if partition < 0 || partition >= len(t.parts) {
+		return 0, fmt.Errorf("tdaccess: topic %s has no partition %d", topicName, partition)
+	}
+	return t.parts[partition].log.NextOffset(), nil
+}
+
 // SeedCommittedOffsets installs a group's committed offsets for a topic
 // before any consumer joins — the cold-restart path: the broker's group
 // state is in-memory and dies with the process, so a restore replants

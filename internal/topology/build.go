@@ -137,7 +137,7 @@ func NewRegistry(st State, p Params) *stream.Registry {
 // constructor. ar has UserHistory emit the AR chain's streams; malformed
 // counts the payloads Pretreatment drops.
 func newRegistry(st State, p Params, ar bool, malformed *obsv.Counter) *stream.Registry {
-	return &stream.Registry{Spouts: map[string]stream.SpoutClass{}, Bolts: map[string]stream.BoltClass{
+	return &stream.Registry{Spouts: map[string]stream.SpoutFactory{}, Bolts: map[string]stream.BoltFactory{
 		"Pretreatment":  newPretreatmentBolt(p, malformed),
 		"UserHistory":   newUserHistoryBolt(st, p, ar),
 		"ItemCount":     NewItemCountBolt(st, p),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,78 @@ func TestLoadXMLErrors(t *testing.T) {
 				t.Fatal("LoadXML succeeded, want error")
 			}
 		})
+	}
+}
+
+// ctrChainXML is Fig. 7's spout and first two bolts, without the spout's
+// <output_fields>: the spout's outputs are its class's declaration.
+const ctrChainXML = `
+<topology name="ctr-chain">
+  <spout name="spout" class="ActionSpout"/>
+  <bolts>
+    <bolt name="pretreatment" class="Pretreatment">
+      <grouping type="shuffle"/>
+    </bolt>
+    <bolt name="ctrStore" class="CtrStore">
+      <grouping type="field">
+        <fields>item</fields>
+        <stream_id>ad_event</stream_id>
+      </grouping>
+    </bolt>
+  </bolts>
+</topology>`
+
+// TestOutputFieldsFromKind: the outputs a loaded topology reports are its
+// classes' declarations, or the description's outputs in their place; a
+// subscription to a stream the replacement no longer declares is refused
+// with the whole graph in view.
+func TestOutputFieldsFromKind(t *testing.T) {
+	reg := NewRegistry(NewMemState(), Params{})
+	reg.Spouts["ActionSpout"] = NewSliceSpout(nil)
+	g, err := DecodeXML(strings.NewReader(ctrChainXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaced := map[string]stream.Fields{StreamAdEvent: {"item"}}
+	g.Bolts[1].Outputs = map[string]stream.Fields{"side": {"item"}}
+	topo, err := g.Build(stream.NewTopologyBuilder(g.Name), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := topo.Graph()
+	if got, want := built.Spouts[0].Outputs, map[string]stream.Fields{stream.DefaultStream: rawFields}; !reflect.DeepEqual(got, want) {
+		t.Errorf("outputs of spout = %v, want its class's %v", got, want)
+	}
+	if got, want := built.Bolts[0].Outputs, (&PretreatmentBolt{}).DeclareOutputFields(); !reflect.DeepEqual(got, want) {
+		t.Errorf("outputs of pretreatment = %v, want its class's %v", got, want)
+	}
+	if got := built.Bolts[1].Outputs; !reflect.DeepEqual(got, g.Bolts[1].Outputs) {
+		t.Errorf("outputs of ctrStore = %v, want the description's %v", got, g.Bolts[1].Outputs)
+	}
+	// Replaced, pretreatment keeps ad_event but no longer declares
+	// user_action; a bolt subscribing to it is refused.
+	g.Bolts[0].Outputs = replaced
+	g.Bolts = append(g.Bolts, stream.ComponentSpec{Name: "history", Kind: "UserHistory",
+		Inputs: []stream.InputSpec{{Source: "pretreatment", Stream: StreamUserAction, Grouping: "field", Fields: stream.Fields{"user"}}}})
+	if _, err := g.Build(stream.NewTopologyBuilder(g.Name), reg); err == nil || !strings.Contains(err.Error(), "undeclared stream") {
+		t.Errorf("Build = %v, want an undeclared-stream error", err)
+	}
+}
+
+// TestSubmitRejectsAbsentGroupingField: a field grouping on a field the
+// source stream does not declare is the stream builder's to refuse, and
+// loading a topology description asks it, so no runnable topology comes
+// back.
+func TestSubmitRejectsAbsentGroupingField(t *testing.T) {
+	reg := NewRegistry(NewMemState(), Params{})
+	reg.Spouts["ActionSpout"] = NewSliceSpout(nil)
+	xml := strings.Replace(ctrChainXML, "<fields>item</fields>", "<fields>nope</fields>", 1)
+	topo, err := LoadXML(strings.NewReader(xml), reg)
+	if err == nil || !strings.Contains(err.Error(), `groups on field "nope" absent from pretreatment/ad_event`) {
+		t.Errorf("LoadXML = %v, want the stream builder's message", err)
+	}
+	if topo != nil {
+		t.Error("LoadXML returned a topology that could be run")
 	}
 }
 

@@ -45,14 +45,15 @@ fi
 echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore, serving, obsv)"
 go test -race ./internal/stream/... ./internal/topology/... ./internal/tdaccess/... ./internal/tdstore/... ./internal/serving/ ./internal/obsv/
 
-echo "== go test -race cluster relay runtime (wire codecs, planning, a supervisor's worker processes on inherited listeners, kill -9 soak)"
+echo "== go test -race the recommender killed -9 mid-tail and restored from its checkpoint, the wire codec"
+go test -race -run '^TestSystemKill9RestoreSoak$' .
 go test -race ./internal/cluster/
 
-# The relay runtime talks to its workers through their stdin, exit status
-# and inherited listeners; an HTTP control plane is what it replaced.
-echo "== internal/cluster imports no net/http outside its tests"
-if go list -f '{{join .Imports "\n"}}' ./internal/cluster/ | grep '^net/http'; then
-	echo "check: a non-test file in internal/cluster imports net/http" >&2
+# internal/cluster is a codec, not a runtime: it opens no sockets, starts
+# no processes and speaks no gob.
+echo "== internal/cluster imports no net, os/exec or encoding/gob outside its tests"
+if go list -f '{{join .Imports "\n"}}' ./internal/cluster/ | grep -E '^(net(/.*)?|os/exec|encoding/gob)$'; then
+	echo "check: a non-test file in internal/cluster imports net, os/exec or encoding/gob" >&2
 	exit 1
 fi
 
@@ -130,7 +131,7 @@ echo "== ingest edge fuzz smoke (action frame decoder, TDAccess segment recovery
 go test -run=NONE -fuzz='^FuzzDecodeAction$' -fuzztime=5s ./internal/topology/
 go test -run=NONE -fuzz='^FuzzRecoverSegment$' -fuzztime=5s ./internal/tdaccess/
 
-echo "== cluster wire fuzz smoke (frame reader + batch/ack/hello decoders)"
+echo "== cluster wire fuzz smoke (frame reader + batch decoder)"
 go test -run=NONE -fuzz='^FuzzWireFrame$' -fuzztime=5s ./internal/cluster/
 
 echo "== front-end fuzz smoke (list encoder against encoding/json, query reader against url.Values)"

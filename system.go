@@ -33,7 +33,8 @@ const defaultGroupCommit = 2 * time.Millisecond
 // so replicas never share files. When restore is non-empty it names a
 // checkpoint directory: each instance directory is wiped and re-seeded
 // from the snapshot before its engine opens (LDB only — the other
-// engines have no snapshot format).
+// engines have no snapshot format). Without a restore, an LDB instance
+// that already holds keys is refused.
 func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func(string, tdstore.InstanceID) (engine.Engine, error), error) {
 	if restore != "" && name != "ldb" {
 		return nil, fmt.Errorf("tencentrec: checkpoint restore requires the ldb store engine, not %q", name)
@@ -52,8 +53,26 @@ func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func
 				if err := tdstore.SeedInstanceDir(restore, int(inst), instDir); err != nil {
 					return nil, err
 				}
+				return ldb.Open(instDir, opts)
 			}
-			return ldb.Open(instDir, opts)
+			eng, err := ldb.Open(instDir, opts)
+			if err != nil {
+				return nil, err
+			}
+			// The consumer group's offsets live in broker memory, so
+			// without a restore the spout reads the log from offset 0 and
+			// would apply every action a second time to this state.
+			n, err := eng.Len()
+			if err == nil && n > 0 {
+				err = fmt.Errorf("tencentrec: store directory %s already holds state: "+
+					"open with RestoreFromCheckpoint (-restore) to resume from the last checkpoint, "+
+					"or empty StoreDir to rebuild the state from the action log", dir)
+			}
+			if err != nil {
+				eng.Close()
+				return nil, err
+			}
+			return eng, nil
 		}, nil
 	}
 	return nil, fmt.Errorf("tencentrec: unknown store engine %q (mdb or ldb)", name)
@@ -77,6 +96,9 @@ type SystemConfig struct {
 	// persists under StoreDir.
 	StoreEngine string
 	// StoreDir roots the durable engines' files. Default DataDir/tdstore.
+	// Open refuses an ldb StoreDir that already holds state unless
+	// RestoreFromCheckpoint is set: the spout would replay the whole
+	// action log into it.
 	StoreDir string
 	// StoreSyncWrites fsyncs the LDB write-ahead log via group commit
 	// (batched fsyncs, one per ~2ms covering every record in the window),
@@ -157,7 +179,6 @@ type System struct {
 	registry *obsv.Registry
 	tracer   *obsv.Tracer // nil when TraceEvery < 0
 
-	published atomic.Int64
 	// replayed counts spout emissions this run. After a checkpoint
 	// restore it is exactly the replayed tail
 	// (tencentrec_replayed_tail_records).
@@ -347,11 +368,8 @@ func (s *System) ReplayedTailRecords() int64 { return s.replayed.Load() }
 // Publish sends one action into the pipeline, keyed by user so per-user
 // order is preserved.
 func (s *System) Publish(a RawAction) error {
-	if _, _, err := s.producer.Send(s.cfg.Topic, a.User, topology.EncodeAction(a)); err != nil {
-		return err
-	}
-	s.published.Add(1)
-	return nil
+	_, _, err := s.producer.Send(s.cfg.Topic, a.User, topology.EncodeAction(a))
+	return err
 }
 
 // AddItem registers an item's content metadata for the CB chain and the
@@ -360,14 +378,21 @@ func (s *System) AddItem(id string, terms []string, published time.Time) error {
 	return topology.PutItemProfile(s.client, id, terms, published)
 }
 
-// Drain blocks until every published action has been consumed and fully
-// processed, or the timeout elapses: after it returns, queries see
-// everything published before the call. Use it in tests and batch loads;
-// live deployments simply query whenever, accepting sub-second staleness.
+// Drain blocks until every action in the broker when it is called has
+// been consumed and fully processed, or the timeout elapses: after it
+// returns, queries see everything published before the call. Use it in
+// tests and batch loads; live deployments simply query whenever,
+// accepting sub-second staleness.
+//
+// "Consumed" is read from the broker, not from this process's Publish
+// calls: every partition's committed offset for the topology's group has
+// reached that partition's end offset as it stood at the call. A System
+// opened with RestoreFromCheckpoint therefore waits for the tail past the
+// checkpoint frontier, though it has published nothing itself.
 //
 // "Processed" is one ordered tick round over a drained pipeline: once the
-// spout has emitted everything published, the topology is quiesced (spouts
-// parked, in-flight count zero), every combiner bolt is ticked in
+// spout has emitted everything in the log, the topology is quiesced
+// (spouts parked, in-flight count zero), every combiner bolt is ticked in
 // topological order — itemCount's flush lands before pairCount's scores
 // read it — and each flush's consequences (sim tuples, write-behind list
 // flushes) drain before the next fires. A store write that failed on the
@@ -375,14 +400,30 @@ func (s *System) AddItem(id string, terms []string, published time.Time) error {
 // Metrics, as it always has, and the bolt retries it with its next input.
 func (s *System) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
+	parts := s.broker.TopicPartitions(s.cfg.Topic)
+	end := make([]int64, parts)
+	for p := range end {
+		off, err := s.broker.EndOffset(s.cfg.Topic, p)
+		if err != nil {
+			return fmt.Errorf("tencentrec: drain: %w", err)
+		}
+		end[p] = off
+	}
 	for {
-		consumed := s.running.Metrics().Components[topology.UnitSpout].Emitted
-		if consumed >= s.published.Load() {
+		behind := int64(0)
+		for p, e := range end {
+			off, err := s.broker.CommittedOffset(consumerGroup, s.cfg.Topic, p)
+			if err != nil {
+				return fmt.Errorf("tencentrec: drain: %w", err)
+			}
+			behind += max(e-off, 0)
+		}
+		if behind == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("tencentrec: drain timed out with %d/%d consumed, %d tuples in flight",
-				consumed, s.published.Load(), s.running.InFlight())
+			return fmt.Errorf("tencentrec: drain timed out with %d records not consumed, %d tuples in flight",
+				behind, s.running.InFlight())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
