@@ -188,29 +188,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "actions/s")
 }
 
-// BenchmarkPipelineThroughputAcked is BenchmarkPipelineThroughput with
-// at-least-once delivery on: every spout emission is lineage-tracked by
-// the acker and committed back. The delta against the plain benchmark is
-// the cost of the delivery guarantee.
-func BenchmarkPipelineThroughputAcked(b *testing.B) {
-	actions := genBenchActions(b.N, 200, 100)
-	st := topology.NewMemState()
-	p := topology.Params{FlushInterval: 50 * time.Millisecond}
-	topo, err := topology.NewBuilder("bench", topology.NewSliceSpout(actions), st, p).
-		WithParallelism(topology.Parallelism{UserHistory: 4, ItemCount: 2, PairCount: 4, Storage: 2}).
-		WithAcking(0).
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if _, err := topo.Run(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "actions/s")
-}
-
 // BenchmarkIngestEdge measures one action's trip over the ingest edge and
 // nothing behind it: what System.Publish does (EncodeAction, then
 // Producer.Send), then Consumer.Poll(256) and DecodeAction, on a broker

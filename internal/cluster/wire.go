@@ -57,7 +57,8 @@ const (
 var ErrFrameCorrupt = errors.New("cluster: frame corrupt")
 
 // WireTuple is one tuple crossing a process boundary: its payload plus
-// a lineage pair (root, id), zero when unanchored.
+// a lineage pair (root, id) the frame format carries and the in-process
+// engine, which tracks no lineage, leaves zero.
 type WireTuple struct {
 	Root   uint64
 	ID     uint64

@@ -125,9 +125,6 @@ func NewItemCF(cfg Config) *ItemCF {
 	}
 }
 
-// Config returns the engine's effective configuration.
-func (cf *ItemCF) Config() Config { return cf.cfg }
-
 // Stats returns the engine's work counters.
 func (cf *ItemCF) Stats() Stats { return cf.stats }
 

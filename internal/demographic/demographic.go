@@ -177,11 +177,6 @@ func (e *Engine) HotItems(user string, now time.Time, n int) []core.ScoredItem {
 	return out
 }
 
-// HotItemsForGroup returns the hottest items of an explicit group key.
-func (e *Engine) HotItemsForGroup(group string, now time.Time, n int) []core.ScoredItem {
-	return e.hotFor(group, now, n)
-}
-
 func (e *Engine) hotFor(key string, now time.Time, n int) []core.ScoredItem {
 	g, ok := e.groups[key]
 	if !ok {
@@ -211,9 +206,6 @@ func (e *Engine) Complement(now func() time.Time) func(user string, n int) []cor
 		return e.HotItems(user, now(), n)
 	}
 }
-
-// Groups returns the number of non-empty demographic groups.
-func (e *Engine) Groups() int { return len(e.groups) }
 
 // MatrixDensity quantifies Fig. 5's sparsity argument: given the set of
 // observed (user, item) interaction pairs and the engine's profiles, it

@@ -117,9 +117,6 @@ func NewTracer(every, ring int) *Tracer {
 	return &Tracer{every: uint64(every), ring: make([]*Trace, 0, ring)}
 }
 
-// Every reports the sampling interval.
-func (tr *Tracer) Every() int { return int(tr.every) }
-
 // Sample returns a new Trace on every N-th call and nil otherwise.
 // Callers attach the returned trace to the sampled unit of work.
 func (tr *Tracer) Sample() *Trace {

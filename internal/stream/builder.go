@@ -44,9 +44,7 @@ type boltDecl struct {
 // BoltDeclarer configures the subscriptions of a bolt being registered,
 // in the style of Storm's fluent topology builder.
 type BoltDeclarer struct {
-	b   *boltDecl
-	tb  *TopologyBuilder
-	err error
+	b *boltDecl
 }
 
 // Shuffle subscribes the bolt to the source's default stream with shuffle
@@ -111,8 +109,6 @@ type TopologyBuilder struct {
 	bolts      []*boltDecl
 	maxBatch   int
 	linger     time.Duration
-	acking     bool
-	ackTimeout time.Duration
 	queueDepth int
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
@@ -137,22 +133,6 @@ func (tb *TopologyBuilder) SetMaxBatch(n int) *TopologyBuilder {
 // buffers below the batch threshold.
 func (tb *TopologyBuilder) SetLinger(d time.Duration) *TopologyBuilder {
 	tb.linger = d
-	return tb
-}
-
-// SetAcking enables Storm-style at-least-once delivery: anchored spout
-// emissions are tracked by an XOR-lineage acker and acknowledged or
-// failed back to the spout (see ack.go). Off by default; with acking off
-// the transport's shared-tuple fast path is unchanged.
-func (tb *TopologyBuilder) SetAcking(on bool) *TopologyBuilder {
-	tb.acking = on
-	return tb
-}
-
-// SetAckTimeout overrides the per-root ack timeout (DefaultAckTimeout)
-// after which an incomplete lineage is failed back to its spout.
-func (tb *TopologyBuilder) SetAckTimeout(d time.Duration) *TopologyBuilder {
-	tb.ackTimeout = d
 	return tb
 }
 
@@ -225,7 +205,7 @@ func (tb *TopologyBuilder) SetBolt(name string, factory BoltFactory, parallelism
 		}
 		tb.bolts = append(tb.bolts, d)
 	}
-	return &BoltDeclarer{b: d, tb: tb}
+	return &BoltDeclarer{b: d}
 }
 
 func (tb *TopologyBuilder) lookup(name string) bool {
@@ -290,8 +270,6 @@ func (tb *TopologyBuilder) Build() (*Topology, error) {
 		bolts:      tb.bolts,
 		maxBatch:   tb.maxBatch,
 		linger:     tb.linger,
-		acking:     tb.acking,
-		ackTimeout: tb.ackTimeout,
 		queueDepth: tb.queueDepth,
 		registry:   tb.registry,
 		tracer:     tb.tracer,

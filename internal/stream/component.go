@@ -10,10 +10,6 @@ type TopologyContext struct {
 	TaskIndex int
 	// NumTasks is the component's parallelism.
 	NumTasks int
-	// Acking reports whether the topology runs with at-least-once
-	// delivery enabled (TopologyBuilder.SetAcking). Spouts use it to
-	// decide whether to hold emitted messages for replay.
-	Acking bool
 }
 
 // Collector is how bolts emit tuples downstream.
@@ -26,37 +22,10 @@ type Collector interface {
 	EmitTo(stream string, values Values)
 }
 
-// SpoutCollector is how spouts emit tuples into the topology.
-type SpoutCollector interface {
-	Collector
-	// EmitAnchored sends values on the default stream anchored to the
-	// given spout message id: the engine tracks the tuple and everything
-	// transitively emitted while processing it, and eventually reports
-	// exactly one of Ack(id) or Fail(id) back to the spout. When acking
-	// is disabled, or the spout does not implement AckingSpout, it
-	// behaves exactly like Emit.
-	EmitAnchored(msgID interface{}, values Values)
-	// EmitAnchoredTo is EmitAnchored on a named stream.
-	EmitAnchoredTo(stream string, msgID interface{}, values Values)
-}
-
-// AckingSpout is a Spout that participates in at-least-once delivery:
-// messages it emits with EmitAnchored are either acknowledged once fully
-// processed or failed (on drop or ack timeout), in which case the spout
-// is expected to replay the message by re-emitting it. Both callbacks run
-// on the spout task's goroutine, between NextTuple calls, and must
-// tolerate ids the instance does not know (a restarted instance may
-// receive results for its predecessor's messages).
-type AckingSpout interface {
-	Spout
-	// Ack reports that the message anchored with this id — and every
-	// tuple transitively derived from it — was executed.
-	Ack(msgID interface{})
-	// Fail reports that some tuple derived from the message was dropped
-	// without execution, or that the lineage did not complete within the
-	// ack timeout.
-	Fail(msgID interface{})
-}
+// SpoutCollector is how spouts emit tuples into the topology: the same
+// emissions a bolt makes. A spout commits its input once a poll's batch is
+// emitted; recovery across processes is checkpoint replay (DESIGN.md §11).
+type SpoutCollector = Collector
 
 // Spout produces the input streams of a topology (§5.1: "A spout is
 // responsible for producing the input stream for a Storm cluster").
@@ -100,23 +69,19 @@ type Bolt interface {
 // backlog, and before Cleanup on a restart or task exit.
 //
 // Ordering contract: FlushBatch returns before the tuples executed since
-// the previous flush are subtracted from the in-flight count and before
-// their acks leave for the acker. A drained topology (Quiesce, Rebalance,
-// shutdown) and an acked spout message therefore both imply that every
+// the previous flush are subtracted from the in-flight count. A drained
+// topology (Quiesce, Rebalance, shutdown) therefore implies that every
 // staged effect has been flushed — as long as no flush has failed. A
-// returned error is counted and reported like an Execute error; with
-// acking on, the acks still buffered — exactly the tuples staged since the
-// last successful flush — become fails, so their spout messages replay.
-// Without acking the tuples leave the in-flight count all the same, as a
-// tuple whose Execute failed does, and the engine does not call again
-// until the task has more input or retires (it owns no timer). The bolt
-// should therefore keep what it could not flush and retry on the next
-// call, and a caller that reads "drained" as "written" must also see the
-// component's error count unchanged. The in-flight count reaching zero is
-// also what lets an idle tick round start (runtime.runTicker), so such a
-// round finds everything the tuples before it staged already flushed.
-// FlushBatch may be called with nothing
-// staged, never after Cleanup; tuples it emits are unanchored.
+// returned error is counted and reported like an Execute error; the tuples
+// leave the in-flight count all the same, as a tuple whose Execute failed
+// does, and the engine does not call again until the task has more input
+// or retires (it owns no timer). The bolt should therefore keep what it
+// could not flush and retry on the next call, and a caller that reads
+// "drained" as "written" must also see the component's error count
+// unchanged. The in-flight count reaching zero is also what lets an idle
+// tick round start (runtime.runTicker), so such a round finds everything
+// the tuples before it staged already flushed. FlushBatch may be called
+// with nothing staged, never after Cleanup.
 type BatchFlusher interface {
 	FlushBatch() error
 }

@@ -19,21 +19,12 @@ type stagingLog struct {
 	// uncounted counts flushes that ran after the engine had already
 	// subtracted their tuples from the in-flight count.
 	uncounted int
-	// failOn makes the failOn-th non-empty flush (1-based) return an error
-	// and lose what it staged; 0 never fails.
-	failOn int
 }
 
 func (l *stagingLog) writtenCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.written)
-}
-
-func (l *stagingLog) has(id int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.written[id]
 }
 
 // stagingBolt is a write-behind bolt: Execute only stages, FlushBatch
@@ -76,10 +67,6 @@ func (b *stagingBolt) FlushBatch() error {
 	l.flushes = append(l.flushes, len(b.staged))
 	if h := b.h.Load(); h != nil && h.InFlight() < int64(len(b.staged)) {
 		l.uncounted++
-	}
-	if len(l.flushes) == l.failOn {
-		b.staged = b.staged[:0]
-		return errors.New("staging store unavailable")
 	}
 	for _, id := range b.staged {
 		l.written[id] = true
@@ -192,12 +179,12 @@ func TestBatchFlusherCadence(t *testing.T) {
 	}
 }
 
-// TestBatchFlusherErrorWithoutAcking pins what a failed flush means when
-// no acks can carry it: it is counted and reported like an Execute error,
-// the tuples still leave the in-flight count (as a tuple whose Execute
-// failed does), so "in flight == 0 implies written" holds only while the
-// component's error count has not moved; and the flush the engine runs
-// before Cleanup reports its failure the same way instead of dropping it.
+// TestBatchFlusherErrorWithoutAcking pins what a failed flush means: it is
+// counted and reported like an Execute error, the tuples still leave the
+// in-flight count (as a tuple whose Execute failed does), so "in flight ==
+// 0 implies written" holds only while the component's error count has not
+// moved; and the flush the engine runs before Cleanup reports its failure
+// the same way instead of dropping it.
 func TestBatchFlusherErrorWithoutAcking(t *testing.T) {
 	const n = 3 * DefaultMaxBatch
 	var emitted atomic.Int64
@@ -237,89 +224,5 @@ func TestBatchFlusherErrorWithoutAcking(t *testing.T) {
 	h.Wait()
 	if reported.Load() != idle+1 {
 		t.Errorf("%d flush errors reported after shutdown, want %d: the failed final flush must be reported", reported.Load(), idle+1)
-	}
-}
-
-// flushCheckSpout is ackRangeSpout that also checks, at the moment an ack
-// arrives, that the bolt had flushed the message.
-type flushCheckSpout struct {
-	ackRangeSpout
-	log     *stagingLog
-	emitted *atomic.Int64
-	early   atomic.Int64 // acks that arrived before the write
-}
-
-func (s *flushCheckSpout) NextTuple() bool {
-	more := s.ackRangeSpout.NextTuple()
-	s.emitted.Store(int64(s.next))
-	return more
-}
-
-func (s *flushCheckSpout) Ack(msgID interface{}) {
-	if id, ok := msgID.(int); ok && !s.log.has(id) {
-		s.early.Add(1)
-	}
-	s.ackRangeSpout.Ack(msgID)
-}
-
-// TestBatchFlusherAckOrderingAndFailure runs the hook under acking with a
-// backlog, where acks leave through pushAckerMsg's buffer-full flush as
-// well as through flushAll: no ack may reach the spout before the write
-// it stands for, and a failed flush fails exactly the roots it covered,
-// which replay and land.
-func TestBatchFlusherAckOrderingAndFailure(t *testing.T) {
-	const n = 40 * DefaultMaxBatch
-	var emitted atomic.Int64
-	var handle atomic.Pointer[RunningTopology]
-	log := &stagingLog{written: make(map[int]bool), failOn: 2}
-	sp := &flushCheckSpout{ackRangeSpout: ackRangeSpout{n: n}, log: log, emitted: &emitted}
-	gate := openGateWhen(func() bool { return emitted.Load() == n })
-
-	var errMu sync.Mutex
-	var errs []string
-	tb := NewTopologyBuilder("flush-acked")
-	tb.SetAcking(true)
-	tb.SetLinger(time.Hour)
-	tb.SetSpout("spout", func() Spout { return sp }, 1)
-	tb.SetBolt("stage", func() Bolt { return &stagingBolt{log: log, gate: gate, h: &handle} }, 1).Shuffle("spout")
-	topo, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := topo.SubmitWithErrorHandler(func(component string, err error) {
-		errMu.Lock()
-		errs = append(errs, component+": "+err.Error())
-		errMu.Unlock()
-	})
-	handle.Store(h)
-	h.Wait() // the spout exhausts once every message is acked
-
-	if got := sp.ackedN.Load(); got != n {
-		t.Errorf("acked %d messages, want %d", got, n)
-	}
-	if got := sp.early.Load(); got != 0 {
-		t.Errorf("%d acks reached the spout before their write was flushed", got)
-	}
-	// With the whole input queued, the ack buffer fills (ackerFlushLen)
-	// before 16 batches have gone by, so the first flushes are its.
-	if len(log.flushes) < 2 || log.flushes[0] != ackerFlushLen || log.flushes[1] != ackerFlushLen {
-		t.Fatalf("flush sizes %v, want the first two at the ack buffer's %d", log.flushes, ackerFlushLen)
-	}
-	if got := sp.failedN.Load(); got != ackerFlushLen {
-		t.Errorf("failed %d messages, want the %d the failed flush covered", got, ackerFlushLen)
-	}
-	if log.writtenCount() != n {
-		t.Errorf("%d/%d messages written after replay", log.writtenCount(), n)
-	}
-	if log.uncounted != 0 {
-		t.Errorf("%d flushes ran after their tuples had left the in-flight count", log.uncounted)
-	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	if len(errs) != 1 || errs[0] != "stage: staging store unavailable" {
-		t.Errorf("error handler saw %q, want the one flush error from stage", errs)
-	}
-	if got := h.Metrics().Components["stage"].Errors; got != 1 {
-		t.Errorf("stage errors = %d, want 1", got)
 	}
 }

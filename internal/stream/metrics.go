@@ -58,10 +58,6 @@ type componentMetrics struct {
 	// dropped counts data tuples a task discarded without executing them
 	// (drainInput after a failed restart).
 	dropped atomic.Int64
-	// failed counts anchored spout messages reported back to this
-	// (spout) component as failed, by drop or by ack timeout. Written by
-	// the acker goroutine.
-	failed atomic.Int64
 }
 
 // fold retires the current shard generation into the accumulators and
@@ -189,10 +185,6 @@ type ComponentStats struct {
 	// failed to restart and drained its queue. Always zero on a healthy
 	// run.
 	Dropped int64
-	// Failed counts anchored spout messages failed back to this spout
-	// (a tuple in the lineage was dropped, or the ack timeout fired).
-	// Only ever non-zero on spouts, and only with acking enabled.
-	Failed int64
 	// Tasks is the component's live task count at snapshot time, which a
 	// Rebalance may have changed from the build-time parallelism.
 	Tasks int
@@ -218,7 +210,6 @@ func (m *Metrics) snapshot() *MetricsSnapshot {
 		st := ComponentStats{
 			TicksSkipped: cm.ticksSkipped.Load(),
 			Dropped:      cm.dropped.Load(),
-			Failed:       cm.failed.Load(),
 		}
 		cm.mu.RLock()
 		st.Tasks = len(cm.shards)
@@ -257,10 +248,10 @@ func (s *MetricsSnapshot) String() string {
 	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "uptime=%v transferred=%d\n", s.Uptime.Round(time.Millisecond), s.Transferred)
-	fmt.Fprintf(&b, "%-24s %5s %12s %12s %8s %12s %12s %12s %10s %8s %8s\n", "component", "tasks", "emitted", "executed", "errors", "avg-exec", "p50-exec", "p99-exec", "ticks-skip", "dropped", "failed")
+	fmt.Fprintf(&b, "%-24s %5s %12s %12s %8s %12s %12s %12s %10s %8s\n", "component", "tasks", "emitted", "executed", "errors", "avg-exec", "p50-exec", "p99-exec", "ticks-skip", "dropped")
 	for _, n := range names {
 		c := s.Components[n]
-		fmt.Fprintf(&b, "%-24s %5d %12d %12d %8d %12v %12v %12v %10d %8d %8d\n", n, c.Tasks, c.Emitted, c.Executed, c.Errors, c.AvgExecute, c.P50Execute, c.P99Execute, c.TicksSkipped, c.Dropped, c.Failed)
+		fmt.Fprintf(&b, "%-24s %5d %12d %12d %8d %12v %12v %12v %10d %8d\n", n, c.Tasks, c.Emitted, c.Executed, c.Errors, c.AvgExecute, c.P50Execute, c.P99Execute, c.TicksSkipped, c.Dropped)
 	}
 	return b.String()
 }

@@ -45,10 +45,6 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 			"Data tuples discarded without execution (failed restart drain).",
 			func() int64 { return cm.dropped.Load() },
 			"component", name)
-		r.CounterFunc("stream_failed_total",
-			"Anchored spout messages failed back to this spout.",
-			func() int64 { return cm.failed.Load() },
-			"component", name)
 		r.CounterFunc("stream_ticks_skipped_total",
 			"Interval ticks dropped because a task queue was full.",
 			func() int64 { return cm.ticksSkipped.Load() },

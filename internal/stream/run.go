@@ -24,7 +24,7 @@ type Row struct {
 //     partition is bit-identical to the one hashValues gives a plain tuple
 //     with Row.Key in that field; with one destination task no row is
 //     hashed. Every other grouping routes the tuple whole.
-//   - Each delivered tuple is one anchored delivery, one trace span and one
+//   - Each delivered tuple is one delivery, one trace span and one
 //     Execute, however many rows it holds. Emitted counts rows (a plain
 //     tuple is a run of one), Transferred deliveries, Executed calls.
 //   - The emitter gives up the run's and the Values' backing arrays at

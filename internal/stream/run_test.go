@@ -264,141 +264,6 @@ func TestRunRoutingEqualsSingleTuples(t *testing.T) {
 	}
 }
 
-// failOnceSink fails the first Execute whose run holds the key it is told to
-// and records every run it executed, per message.
-type failOnceSink struct {
-	failKey string
-	failed  *atomic.Bool
-	mu      *sync.Mutex
-	got     map[int][]Run // message -> the runs delivered for it, replays included
-}
-
-func (b *failOnceSink) Prepare(TopologyContext, Collector) error { return nil }
-func (b *failOnceSink) Cleanup()                                 {}
-func (b *failOnceSink) Execute(t *Tuple) error {
-	if t.IsTick() {
-		return nil
-	}
-	run := t.Run("key")
-	b.mu.Lock()
-	b.got[t.Value("n").(int)] = append(b.got[t.Value("n").(int)], run)
-	b.mu.Unlock()
-	for _, row := range run {
-		if row.Key == b.failKey && b.failed.CompareAndSwap(false, true) {
-			return errors.New("row rejected")
-		}
-	}
-	return nil
-}
-
-// TestRunAckedPerDelivery: a run split over k tasks is k anchored
-// deliveries. An Execute error on one of them fails the root once, the
-// replay recomputes the same rows for every task, and the message is then
-// acked; a message whose run has no rows emits nothing downstream and is
-// acked all the same.
-func TestRunAckedPerDelivery(t *testing.T) {
-	keys := runKeys(24)
-	const par, msgs, emptyMsg = 4, 40, 7
-	a := newAssignment(make([]*task, par))
-	tasksOfRun := make(map[int32]bool)
-	for _, k := range keys {
-		probe := Tuple{Values: Values{k}, fields: Fields{"key"}}
-		tasksOfRun[a.parts[hashValues(&probe, Fields{"key"})&partMask]] = true
-	}
-	k := len(tasksOfRun)
-	if k < 2 {
-		t.Fatalf("the fixture's keys reach %d task, the run is never split", k)
-	}
-
-	sp := &ackRangeSpout{n: msgs}
-	var failed atomic.Bool
-	mu := &sync.Mutex{}
-	got := make(map[int][]Run)
-	tb := NewTopologyBuilder("run-ack")
-	tb.SetAcking(true)
-	tb.SetSpout("spout", func() Spout { return sp }, 1)
-	tb.SetBolt("fan", func() Bolt {
-		return &BoltFunc{
-			Fn: func(tp *Tuple, c Collector) error {
-				n := tp.Value("n").(int)
-				var run Run
-				if n != emptyMsg {
-					for _, key := range keys {
-						run = append(run, Row{Key: key, Num: float64(n)})
-					}
-				}
-				c.Emit(Values{run, n})
-				return nil
-			},
-			Output: Fields{"key", "n"},
-		}
-	}, 1).Shuffle("spout")
-	tb.SetBolt("sink", func() Bolt {
-		return &failOnceSink{failKey: keys[3], failed: &failed, mu: mu, got: got}
-	}, par).Fields("fan", "key")
-	topo, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var errs atomic.Int64
-	h := topo.SubmitWithErrorHandler(func(string, error) { errs.Add(1) })
-	h.Wait()
-	if sp.ackedN.Load() != msgs || sp.failedN.Load() != 1 || errs.Load() != 1 {
-		t.Fatalf("acked %d failed %d errors %d, want %d, 1 (the rejected row's root, once) and 1", sp.ackedN.Load(), sp.failedN.Load(), errs.Load(), msgs)
-	}
-	m := h.Metrics()
-	// msgs-1 runs and one replay, k deliveries each, on top of the spout's.
-	if want := int64(msgs + 1 + msgs*k); m.Transferred != want {
-		t.Fatalf("transferred %d, want %d: %d deliveries per split run", m.Transferred, want, k)
-	}
-	if fan := m.Components["fan"]; fan.Emitted != int64(msgs*len(keys)) {
-		t.Fatalf("fan emitted %d rows, want %d", fan.Emitted, msgs*len(keys))
-	}
-	if sink := m.Components["sink"]; sink.Executed != int64(msgs*k) {
-		t.Fatalf("sink executed %d tuples, want %d", sink.Executed, msgs*k)
-	}
-	rowsOf := func(runs []Run) map[string]int {
-		out := make(map[string]int)
-		for _, run := range runs {
-			for _, row := range run {
-				out[row.Key]++
-			}
-		}
-		return out
-	}
-	// Message 0 is the first to reach the rejecting task: its root failed and
-	// every task got its rows again; everybody else's arrived once.
-	for n := 0; n < msgs; n++ {
-		want := 1
-		if n == 0 {
-			want = 2
-		}
-		if n == emptyMsg {
-			want = 0
-		}
-		if len(got[n]) != want*k {
-			t.Fatalf("message %d: %d deliveries, want %d", n, len(got[n]), want*k)
-		}
-		rows := rowsOf(got[n])
-		for _, key := range keys {
-			if rows[key] != want {
-				t.Fatalf("message %d: key %q delivered %d times, want %d", n, key, rows[key], want)
-			}
-		}
-	}
-}
-
-// ackObservedSpout is ackRangeSpout telling the test of every Ack it is given.
-type ackObservedSpout struct {
-	*ackRangeSpout
-	onAck func(msg int)
-}
-
-func (s *ackObservedSpout) Ack(msgID interface{}) {
-	s.onAck(msgID.(int))
-	s.ackRangeSpout.Ack(msgID)
-}
-
 // delivered is one Execute of a deliverySink.
 type delivered struct {
 	tup  *Tuple
@@ -408,12 +273,10 @@ type delivered struct {
 
 // deliveryLog is what the sinks of one TestDeliveryGetsItsOwnTuple case saw.
 type deliveryLog struct {
-	mu       sync.Mutex
-	arrived  *sync.Cond
-	k        int                 // deliveries per emission
-	got      map[int][]delivered // message -> deliveries in arrival order, replays included
-	executed map[int]int         // message -> Execute calls that have returned
-	ackedAt  map[int][]int       // message -> executed[message] at each Ack
+	mu      sync.Mutex
+	arrived *sync.Cond
+	k       int                 // deliveries per emission
+	got     map[int][]delivered // message -> deliveries in arrival order
 }
 
 // deliverySink records its deliveries and fails the first one of failMsg
@@ -454,7 +317,6 @@ func (b *deliverySink) Execute(t *Tuple) error {
 	for whole := (len(l.got[n]) + l.k - 1) / l.k * l.k; len(l.got[n]) < whole; {
 		l.arrived.Wait()
 	}
-	l.executed[n]++
 	if n == b.failMsg && b.dest == b.failDest && b.failed.CompareAndSwap(false, true) {
 		return errors.New("delivery rejected")
 	}
@@ -464,11 +326,9 @@ func (b *deliverySink) Execute(t *Tuple) error {
 // TestDeliveryGetsItsOwnTuple is the delivery rule over every way an
 // emission fans out: to one subscriber, to two subscribers of one stream
 // (Features.CB's user_action), to the 3 tasks of an All grouping; a plain
-// tuple or a run; anchored or not. Each destination task gets a *Tuple no
-// other Execute of that emission sees, Transferred counts them, one failing
-// Execute among an emission's k fails the root once and the replay is
-// delivered to the same k, and a root is acked once, after the last of its
-// deliveries has executed.
+// tuple or a run. Each destination task gets a *Tuple no other Execute of
+// that emission sees, Transferred counts them, and one failing Execute
+// among an emission's k is reported once and delivers nothing again.
 func TestDeliveryGetsItsOwnTuple(t *testing.T) {
 	const msgs, failMsg = 40, 5
 	keys := runKeys(6)
@@ -491,97 +351,67 @@ func TestDeliveryGetsItsOwnTuple(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		for _, asRun := range []bool{false, true} {
-			for _, anchored := range []bool{false, true} {
-				name := fmt.Sprintf("%s/run=%v/anchored=%v", shape.name, asRun, anchored)
-				t.Run(name, func(t *testing.T) {
-					k := shape.k
-					log := &deliveryLog{k: k, got: make(map[int][]delivered), executed: make(map[int]int), ackedAt: make(map[int][]int)}
-					log.arrived = sync.NewCond(&log.mu)
-					var failed atomic.Bool
-					sp := &ackRangeSpout{n: msgs}
-					tb := NewTopologyBuilder("delivery")
-					tb.SetAcking(anchored)
-					if anchored {
-						tb.SetSpout("spout", func() Spout {
-							return &ackObservedSpout{sp, func(msg int) {
-								log.mu.Lock()
-								log.ackedAt[msg] = append(log.ackedAt[msg], log.executed[msg])
-								log.mu.Unlock()
-							}}
-						}, 1)
-					} else {
-						tb.SetSpout("spout", func() Spout { return &rangeSpout{n: msgs} }, 1)
-					}
-					tb.SetBolt("fan", func() Bolt {
-						return &BoltFunc{
-							Fn: func(tp *Tuple, c Collector) error {
-								n := tp.Value("n").(int)
-								if !asRun {
-									c.Emit(Values{keys[n%len(keys)], n})
-									return nil
-								}
-								run := make(Run, len(keys))
-								for i, key := range keys {
-									run[i] = Row{Key: key, Num: float64(n)}
-								}
-								c.Emit(Values{run, n})
+			name := fmt.Sprintf("%s/run=%v/anchored=false", shape.name, asRun)
+			t.Run(name, func(t *testing.T) {
+				k := shape.k
+				log := &deliveryLog{k: k, got: make(map[int][]delivered)}
+				log.arrived = sync.NewCond(&log.mu)
+				var failed atomic.Bool
+				tb := NewTopologyBuilder("delivery")
+				tb.SetSpout("spout", func() Spout { return &rangeSpout{n: msgs} }, 1)
+				tb.SetBolt("fan", func() Bolt {
+					return &BoltFunc{
+						Fn: func(tp *Tuple, c Collector) error {
+							n := tp.Value("n").(int)
+							if !asRun {
+								c.Emit(Values{keys[n%len(keys)], n})
 								return nil
-							},
-							Output: Fields{"key", "n"},
-						}
-					}, 1).Shuffle("spout")
-					shape.wire(tb, func() Bolt {
-						return &deliverySink{log: log, failMsg: failMsg, failDest: shape.failDest, failed: &failed}
-					})
-					topo, err := tb.Build()
-					if err != nil {
-						t.Fatal(err)
-					}
-					var errs atomic.Int64
-					h := topo.SubmitWithErrorHandler(func(string, error) { errs.Add(1) })
-					h.Wait()
-
-					replays := 0
-					if anchored {
-						replays = 1
-						if sp.ackedN.Load() != msgs || sp.failedN.Load() != 1 {
-							t.Fatalf("acked %d failed %d, want %d and 1: the rejected delivery's root, once", sp.ackedN.Load(), sp.failedN.Load(), msgs)
-						}
-					}
-					if errs.Load() != 1 {
-						t.Fatalf("%d errors, want the 1 rejected delivery", errs.Load())
-					}
-					m := h.Metrics()
-					if want := int64((msgs + replays) * (1 + k)); m.Transferred != want {
-						t.Fatalf("transferred %d, want %d: %d emissions of spout and fan each, %d deliveries per fan emission", m.Transferred, want, msgs+replays, k)
-					}
-					for n := 0; n < msgs; n++ {
-						attempts := 1
-						if n == failMsg {
-							attempts += replays
-						}
-						got := log.got[n]
-						if len(got) != attempts*k {
-							t.Fatalf("message %d: %d deliveries, want %d", n, len(got), attempts*k)
-						}
-						if anchored && (len(log.ackedAt[n]) != 1 || log.ackedAt[n][0] != attempts*k) {
-							t.Fatalf("message %d: acked with this many deliveries executed: %v, want once with %d", n, log.ackedAt[n], attempts*k)
-						}
-						for a := 0; a < attempts; a++ {
-							tuples, dests := make(map[*Tuple]bool), make(map[string]bool)
-							for _, d := range got[a*k : (a+1)*k] {
-								tuples[d.tup], dests[d.dest] = true, true
-								if d.rows != got[0].rows {
-									t.Fatalf("message %d: %s got rows %q, the first delivery %q", n, d.dest, d.rows, got[0].rows)
-								}
 							}
-							if len(tuples) != k || len(dests) != k {
-								t.Fatalf("message %d attempt %d: %d tuples to %d destinations, want %d of each: %v", n, a, len(tuples), len(dests), k, got[a*k:(a+1)*k])
+							run := make(Run, len(keys))
+							for i, key := range keys {
+								run[i] = Row{Key: key, Num: float64(n)}
 							}
-						}
+							c.Emit(Values{run, n})
+							return nil
+						},
+						Output: Fields{"key", "n"},
 					}
+				}, 1).Shuffle("spout")
+				shape.wire(tb, func() Bolt {
+					return &deliverySink{log: log, failMsg: failMsg, failDest: shape.failDest, failed: &failed}
 				})
-			}
+				topo, err := tb.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var errs atomic.Int64
+				h := topo.SubmitWithErrorHandler(func(string, error) { errs.Add(1) })
+				h.Wait()
+
+				if errs.Load() != 1 {
+					t.Fatalf("%d errors, want the 1 rejected delivery", errs.Load())
+				}
+				m := h.Metrics()
+				if want := int64(msgs * (1 + k)); m.Transferred != want {
+					t.Fatalf("transferred %d, want %d: %d emissions of spout and fan each, %d deliveries per fan emission", m.Transferred, want, msgs, k)
+				}
+				for n := 0; n < msgs; n++ {
+					got := log.got[n]
+					if len(got) != k {
+						t.Fatalf("message %d: %d deliveries, want %d", n, len(got), k)
+					}
+					tuples, dests := make(map[*Tuple]bool), make(map[string]bool)
+					for _, d := range got {
+						tuples[d.tup], dests[d.dest] = true, true
+						if d.rows != got[0].rows {
+							t.Fatalf("message %d: %s got rows %q, the first delivery %q", n, d.dest, d.rows, got[0].rows)
+						}
+					}
+					if len(tuples) != k || len(dests) != k {
+						t.Fatalf("message %d: %d tuples to %d destinations, want %d of each: %v", n, len(tuples), len(dests), k, got)
+					}
+				}
+			})
 		}
 	}
 }

@@ -29,8 +29,6 @@ type Topology struct {
 	order      []string // bolt names in topological order
 	maxBatch   int
 	linger     time.Duration
-	acking     bool
-	ackTimeout time.Duration
 	queueDepth int
 	registry   *obsv.Registry
 	tracer     *obsv.Tracer
@@ -129,11 +127,6 @@ type task struct {
 	rng       *rand.Rand
 	rt        *runtime
 	restarts  atomic.Int64
-
-	// ackBox is the spout task's mailbox of resolved roots, filled by
-	// the acker goroutine and drained between NextTuple calls.
-	ackMu  sync.Mutex
-	ackBox []ackResult
 }
 
 // runtime is a single execution of a topology.
@@ -154,7 +147,6 @@ type runtime struct {
 	onError  func(component string, err error)
 	maxBatch int
 	linger   time.Duration
-	ak       *acker       // nil unless the topology was built with SetAcking
 	tracer   *obsv.Tracer // nil unless the topology was built with SetTracer
 	registry *obsv.Registry
 
@@ -195,7 +187,7 @@ type edgeBuf struct {
 
 // sync adopts the destination's current assignment. A rebalance only
 // installs a new assignment while the topology is drained, which — by the
-// enqueue-before-ack invariant (DESIGN.md §10) — implies every collector
+// enqueue-before-release invariant (DESIGN.md §10) — implies every collector
 // buffer is empty, so dropping the old buffers loses nothing and no send
 // to a retired task's closed channel can ever happen.
 func (eb *edgeBuf) sync() {
@@ -214,8 +206,8 @@ type streamOut struct {
 // collector routes a task's emissions to downstream tasks in
 // micro-batches. It also carries the task's batched bookkeeping: local
 // metric counters folded into the task's metrics shard at flush time,
-// and the executed-tuple acks subtracted from the runtime's pending
-// count once the emissions they produced have been enqueued.
+// and the executed tuples subtracted from the runtime's pending count
+// once the emissions they produced have been enqueued.
 //
 // Flush rules (see DESIGN.md): a destination buffer flushes when it
 // reaches maxBatch tuples; everything flushes when a bolt empties its
@@ -232,23 +224,13 @@ type collector struct {
 	rowDest  []int32 // destination task of each row of the Run being split
 	buffered int     // tuples currently sitting in edge buffers
 
-	// Acking state (see ack.go). anchorOK marks a spout collector whose
-	// spout can receive Ack/Fail; curRoot/curXor are the lineage root
-	// and id accumulator of the tuple currently being emitted for.
-	ak       *acker
-	anchorOK bool
-	curRoot  uint64
-	curXor   uint64
-	ackBuf   []ackerMsg
-
 	// flusher is the task's bolt when it stages writes (BatchFlusher);
 	// nil on spout collectors and for bolts without the hook.
 	flusher BatchFlusher
 
-	// Tracing state, mirroring the curRoot anchoring pattern: tracer is
-	// set on spout collectors only and samples new traces at emission;
-	// curTrace is the trace of the tuple a bolt is currently executing,
-	// inherited by everything it emits.
+	// Tracing state: tracer is set on spout collectors only and samples
+	// new traces at emission; curTrace is the trace of the tuple a bolt is
+	// currently executing, inherited by everything it emits.
 	tracer   *obsv.Tracer
 	curTrace *obsv.Trace
 
@@ -257,7 +239,7 @@ type collector struct {
 	transferred int64
 	executed    int64
 	errors      int64
-	acked       int64 // executed input tuples not yet subtracted from pending
+	released    int64 // executed input tuples not yet subtracted from pending
 
 	lastFlush time.Time
 }
@@ -269,7 +251,6 @@ func newCollector(tk *task, rt *runtime) *collector {
 		sm:        rt.metrics.shard(tk.component, tk.index),
 		maxBatch:  rt.maxBatch,
 		outs:      make(map[string]*streamOut),
-		ak:        rt.ak,
 		lastFlush: time.Now(),
 	}
 	if tk.isSpout {
@@ -291,9 +272,7 @@ func newCollector(tk *task, rt *runtime) *collector {
 func (c *collector) Emit(values Values) { c.EmitTo(DefaultStream, values) }
 
 // EmitTo implements Collector.
-func (c *collector) EmitTo(stream string, values Values) { c.emitTo(stream, values) }
-
-func (c *collector) emitTo(stream string, values Values) {
+func (c *collector) EmitTo(stream string, values Values) {
 	// Emitted counts rows: a plain tuple is a run of one.
 	ri, run := findRun(values)
 	switch {
@@ -337,22 +316,16 @@ func (c *collector) emitTo(stream string, values Values) {
 }
 
 // send is one delivery: values go to task i of the edge's destination in a
-// pooled tuple of their own, anchored to the lineage root being emitted for,
-// if there is one (per-delivery ids are what the acking protocol counts),
-// and the destination's buffer is flushed if that fills it. A spout's
-// emission is in flight from here on: nothing else covers it while it waits
-// in the buffer (a bolt's is covered by the input tuple that caused it,
-// which leaves the in-flight count only after the buffers have been
-// flushed), and without that a pipeline fast enough to finish everything
-// handed over so far reads as drained between two spout flushes.
+// pooled tuple of their own, and the destination's buffer is flushed if that
+// fills it. A spout's emission is in flight from here on: nothing else
+// covers it while it waits in the buffer (a bolt's is covered by the input
+// tuple that caused it, which leaves the in-flight count only after the
+// buffers have been flushed), and without that a pipeline fast enough to
+// finish everything handed over so far reads as drained between two spout
+// flushes.
 func (c *collector) send(eb *edgeBuf, i int, probe *Tuple, values Values) {
 	t := getTuple(probe.Component, probe.Stream, values, probe.fields)
 	t.trace, t.traceEnq = probe.trace, probe.traceEnq
-	if c.curRoot != 0 {
-		t.root = c.curRoot
-		t.ackID = c.newAckID()
-		c.curXor ^= t.ackID
-	}
 	c.transferred++
 	if c.task.isSpout {
 		// In this order: a ticker that clears entered and then reads the
@@ -389,11 +362,11 @@ func (c *collector) flushDest(eb *edgeBuf, i int) {
 
 // flushAll lands the bolt's staged writes, drains every destination
 // buffer, folds the local metric counters into the task's shard, and
-// acknowledges executed input tuples. The order matters: staged writes
-// land and emissions enter downstream queues (pending += n) before their
-// causes are acknowledged (pending -= acked, acks to the acker), so the
-// pending count can only reach zero — and a root can only complete — when
-// no tuple, consequence or unwritten effect is anywhere in flight.
+// releases executed input tuples. The order matters: staged writes land
+// and emissions enter downstream queues (pending += n) before their causes
+// are released (pending -= released), so the pending count can only reach
+// zero when no tuple, consequence or unwritten effect is anywhere in
+// flight.
 func (c *collector) flushAll() {
 	c.flushBolt()
 	c.flushEmits()
@@ -413,19 +386,16 @@ func (c *collector) flushAll() {
 		c.sm.errors.Add(c.errors)
 		c.errors = 0
 	}
-	if c.acked != 0 {
+	if c.released != 0 {
 		// The pipeline has just gone idle over data that came in since the
 		// last round: the ticker need not wait out the period (runTicker).
-		if c.rt.pending.Add(-c.acked) == 0 && c.rt.entered.Load() {
+		if c.rt.pending.Add(-c.released) == 0 && c.rt.entered.Load() {
 			select {
 			case c.rt.idle <- struct{}{}:
 			default:
 			}
 		}
-		c.acked = 0
-	}
-	if len(c.ackBuf) > 0 {
-		c.flushAcks()
+		c.released = 0
 	}
 	c.lastFlush = time.Now()
 }
@@ -446,11 +416,9 @@ func (c *collector) flushEmits() {
 	}
 }
 
-// flushBolt runs the bolt's BatchFlusher hook, if it has one. Every path
-// that releases executed tuples — flushAll's pending decrement, any
-// flushAcks — calls it first (see BatchFlusher for the contract). On an
-// error the buffered acks, which cover exactly the tuples staged since
-// the last successful flush, are turned into fails.
+// flushBolt runs the bolt's BatchFlusher hook, if it has one. flushAll,
+// the one path that releases executed tuples, calls it first (see
+// BatchFlusher for the contract); an error is counted and reported.
 func (c *collector) flushBolt() {
 	if c.flusher == nil {
 		return
@@ -463,16 +431,11 @@ func (c *collector) flushBolt() {
 	}
 	c.errors++
 	c.rt.onError(c.task.component, err)
-	for i, m := range c.ackBuf {
-		if m.kind == ackerAck {
-			c.ackBuf[i] = ackerMsg{kind: ackerFail, root: m.root}
-		}
-	}
 }
 
 // retireBolt discards a bolt instance: its staged writes land through
-// the hook first — the one place a failed flush is reported and fails the
-// buffered acks, so Cleanup itself need not (and cannot usefully) flush.
+// the hook first — the one place a failed flush is reported, so Cleanup
+// itself need not (and cannot usefully) flush.
 func (c *collector) retireBolt(b Bolt) {
 	c.flushBolt()
 	c.flusher = nil
@@ -502,9 +465,6 @@ func newRuntime(t *Topology, onError func(string, error)) *runtime {
 	}
 	if rt.linger <= 0 {
 		rt.linger = DefaultLinger
-	}
-	if t.acking {
-		rt.ak = newAcker(rt, t.ackTimeout)
 	}
 	rt.tracer = t.tracer
 	mkTasks := func(name string, n int, isSpout bool) {
@@ -578,7 +538,6 @@ func (rt *runtime) ctx(name string, index, n int) TopologyContext {
 		Component: name,
 		TaskIndex: index,
 		NumTasks:  n,
-		Acking:    rt.ak != nil,
 	}
 }
 
@@ -595,9 +554,6 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 		return
 	}
 	defer func() { sp.Close() }()
-	as, canAck := sp.(AckingSpout)
-	col.anchorOK = rt.ak != nil && canAck
-	var ackScratch []ackResult
 	for {
 		select {
 		case <-rt.spoutStop:
@@ -612,8 +568,6 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 					rt.onError(decl.name, fmt.Errorf("reopen: %w", err))
 					return
 				}
-				as, canAck = sp.(AckingSpout)
-				col.anchorOK = rt.ak != nil && canAck
 			}
 		default:
 			if rt.paused.Load() {
@@ -635,19 +589,6 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 				rt.pausedSpouts.Add(-1)
 				continue
 			}
-			if col.anchorOK {
-				// Deliver resolved roots before polling, so a spout that
-				// replays failed messages sees the failure promptly and a
-				// spout waiting on outstanding messages can exhaust.
-				ackScratch = tk.takeAckResults(ackScratch[:0])
-				for _, r := range ackScratch {
-					if r.failed {
-						as.Fail(r.msgID)
-					} else {
-						as.Ack(r.msgID)
-					}
-				}
-			}
 			e0 := col.emitted
 			if !sp.NextTuple() {
 				return
@@ -657,9 +598,8 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 			// Local counters are folded too even when the buffers are
 			// empty (threshold flushes may have drained them), so
 			// metric readers like System.Drain never see an idle spout
-			// with emissions unaccounted for. Buffered acker updates
-			// (anchoring messages) leave on the same schedule.
-			if (col.buffered > 0 || col.emitted != 0 || len(col.ackBuf) > 0) && (col.emitted == e0 || time.Since(col.lastFlush) >= rt.linger) {
+			// with emissions unaccounted for.
+			if (col.buffered > 0 || col.emitted != 0) && (col.emitted == e0 || time.Since(col.lastFlush) >= rt.linger) {
 				col.flushAll()
 			}
 		}
@@ -671,17 +611,10 @@ func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
 // the free list after execution. Timing is chained — the clock is read
 // once per tuple, each read serving as the previous tuple's end and the
 // next one's start — so per-tuple percentiles cost one monotonic clock
-// read plus a lock-free histogram observe per tuple. Around an anchored
-// tuple's Execute the collector accumulates the ids of emitted children,
-// and the input's id plus its children's ids are acked as one update (or
-// the root failed, if Execute errored) on the batch's flush.
+// read plus a lock-free histogram observe per tuple.
 func (rt *runtime) execBatch(decl *boltDecl, b Bolt, col *collector, batch []*Tuple) {
 	now := obsv.Now()
 	for _, tup := range batch {
-		root, id := tup.root, tup.ackID
-		if root != 0 {
-			col.curRoot, col.curXor = root, id
-		}
 		tr := tup.trace
 		col.curTrace = tr
 		err := b.Execute(tup)
@@ -689,15 +622,6 @@ func (rt *runtime) execBatch(decl *boltDecl, b Bolt, col *collector, batch []*Tu
 		col.sm.exec.Observe(end - now)
 		if tr != nil {
 			tr.AddSpan(col.task.component, tup.traceEnq, now, end)
-		}
-		if root != 0 {
-			xor := col.curXor
-			col.curRoot = 0
-			if err != nil {
-				col.pushAckerMsg(ackerMsg{kind: ackerFail, root: root})
-			} else {
-				col.pushAckerMsg(ackerMsg{kind: ackerAck, root: root, xor: xor})
-			}
 		}
 		if err != nil {
 			col.errors++
@@ -715,29 +639,19 @@ func (rt *runtime) execBatch(decl *boltDecl, b Bolt, col *collector, batch []*Tu
 	}
 	col.curTrace = nil
 	col.executed += int64(len(batch))
-	col.acked += int64(len(batch))
+	col.released += int64(len(batch))
 }
 
-// dropBatch disposes of one unexecuted batch: tuples are released, the
-// dropped data tuples are counted per component, and with acking enabled
-// each anchored tuple fails its lineage root so the spout replays the
-// message instead of losing it. Fails leave immediately, not on some
-// larger schedule: the spouts replaying them are what lets the topology
-// drain and shut down.
+// dropBatch disposes of one unexecuted batch: tuples are released and the
+// dropped data tuples are counted per component. What they carried is lost
+// to this process; checkpoint replay is what recovers it (DESIGN.md §11).
 func (rt *runtime) dropBatch(tk *task, batch []*Tuple) {
 	dropped := 0
-	var fails []ackerMsg
 	for _, tup := range batch {
 		if !tup.IsTick() {
 			dropped++
-			if rt.ak != nil && tup.root != 0 {
-				fails = append(fails, ackerMsg{kind: ackerFail, root: tup.root})
-			}
 		}
 		tup.release()
-	}
-	if len(fails) > 0 {
-		rt.ak.in <- fails
 	}
 	if dropped > 0 {
 		rt.metrics.component(tk.component).dropped.Add(int64(dropped))
@@ -766,7 +680,7 @@ func (rt *runtime) restartBolt(decl *boltDecl, tk *task, col *collector, b Bolt)
 	tk.restarts.Add(1)
 	if err := nb.Prepare(rt.ctx(decl.name, tk.index, len(rt.taskList(decl.name))), col); err != nil {
 		rt.onError(decl.name, fmt.Errorf("re-prepare: %w", err))
-		col.flushAll() // do not strand pre-crash emissions or acks
+		col.flushAll() // do not strand pre-crash emissions
 		return nil, false
 	}
 	col.flusher, _ = nb.(BatchFlusher)
@@ -1075,9 +989,6 @@ func (rt *runtime) run(ctx context.Context) (*MetricsSnapshot, error) {
 // start launches all tasks and returns a handle for supervision.
 func (rt *runtime) start(ctx context.Context) *RunningTopology {
 	t := rt.topo
-	if rt.ak != nil {
-		go rt.ak.run()
-	}
 	for _, b := range t.bolts {
 		for _, tk := range rt.taskList(b.name) {
 			rt.taskWG.Add(1)
@@ -1124,10 +1035,6 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 			}
 		}
 		rt.taskWG.Wait()
-		if rt.ak != nil {
-			// All senders (task goroutines) are done; drain and stop.
-			rt.ak.shutdown()
-		}
 		close(h.done)
 	}()
 	return h
@@ -1192,7 +1099,7 @@ func (h *RunningTopology) Quiesce(fn func() error) error {
 //
 //  1. Pause every spout and wait until each has flushed its collector and
 //     parked, then wait for the topology to drain (pending == 0). By the
-//     enqueue-before-ack invariant (DESIGN.md §10), a drained topology has
+//     enqueue-before-release invariant (DESIGN.md §10), a drained topology has
 //     no tuple in any queue, any collector buffer, or any bolt's hands.
 //  2. Tick-flush the component (combiner bolts push buffered aggregates
 //     downstream on ticks) and drain again, so no in-memory aggregate

@@ -81,11 +81,6 @@ type Tuple struct {
 	// it. Tick tuples and hand-built tuples are never recycled.
 	pooled bool
 
-	// root is the lineage root this delivery is anchored to, and ackID
-	// its own XOR id; both are zero on unanchored tuples (see ack.go).
-	root  uint64
-	ackID uint64
-
 	// trace is the sampled trace this tuple's lineage belongs to (nil on
 	// the vast majority of tuples) and traceEnq the obsv.Now() timestamp
 	// at which the tuple was emitted toward its destination, recorded so
@@ -162,9 +157,6 @@ func (t *Tuple) TryValue(field string) (interface{}, bool) {
 
 // Str returns the value of the named field as a string.
 func (t *Tuple) Str(field string) string { s, _ := t.Value(field).(string); return s }
-
-// Fields returns the field names of the tuple.
-func (t *Tuple) Fields() Fields { return t.fields }
 
 // FNV-1a, inlined so grouping never allocates a hash.Hash.
 const (

@@ -29,7 +29,6 @@ type Consumer struct {
 	// bodies is Poll's scratch for one partition's records, cleared
 	// before Poll returns.
 	bodies [][]byte
-	closed bool
 }
 
 // NewConsumer returns a consumer that joins the named group.

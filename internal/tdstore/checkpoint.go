@@ -17,7 +17,7 @@ import (
 const manifestName = "manifest.json"
 
 // FrontierEntry records one consumer group's committed offsets at
-// checkpoint time — the acking frontier the snapshot is anchored to.
+// checkpoint time — the committed frontier the snapshot is anchored to.
 type FrontierEntry struct {
 	Group   string  `json:"group"`
 	Topic   string  `json:"topic"`

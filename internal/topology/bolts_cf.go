@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 
 	"tencentrec/internal/combiner"
 	"tencentrec/internal/core"
@@ -66,8 +65,9 @@ func drainCombinerInto(c *combiner.Combiner, buf []flushedDelta) []flushedDelta 
 
 // putBack returns drained deltas to the combiner they came from. A flush
 // whose batched read failed has applied nothing, and the tuples behind the
-// deltas were acked when they were buffered; back in the combiner, the
-// interval is flushed by the next tick together with that tick's own.
+// deltas left the in-flight count when they were buffered; back in the
+// combiner, the interval is flushed by the next tick together with that
+// tick's own.
 func putBack(c *combiner.Combiner, keys *interner, deltas []flushedDelta) {
 	for i := range deltas {
 		c.Add(keys.comb(deltas[i].key, deltas[i].session), deltas[i].value)
@@ -84,57 +84,13 @@ func splitCombKey(ck string) (string, int64) {
 	return ck, 0
 }
 
-// msgDedup remembers recently seen spout message ids so Pretreatment can
-// drop at-least-once re-deliveries before they reach the counting bolts.
-// It is shared by every Pretreatment task of a topology (replays are
-// shuffle-grouped, so a duplicate may land on a different task than the
-// original) and survives task restarts, living in the factory closure.
-// Two generations bound memory: when the current generation fills, it
-// becomes the previous one, so an id is remembered for at least cap and
-// at most 2×cap distinct ids.
-type msgDedup struct {
-	mu        sync.Mutex
-	cap       int
-	cur, prev map[string]struct{}
-}
-
-func newMsgDedup(capacity int) *msgDedup {
-	return &msgDedup{
-		cap:  capacity,
-		cur:  make(map[string]struct{}),
-		prev: make(map[string]struct{}),
-	}
-}
-
-// seen records id and reports whether it was already present.
-func (d *msgDedup) seen(id string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.cur[id]; ok {
-		return true
-	}
-	if _, ok := d.prev[id]; ok {
-		return true
-	}
-	if len(d.cur) >= d.cap {
-		d.prev = d.cur
-		d.cur = make(map[string]struct{}, d.cap)
-	}
-	d.cur[id] = struct{}{}
-	return false
-}
-
 // PretreatmentBolt is the preprocessing layer: it parses raw TDAccess
 // payloads, filters unqualified tuples and routes behaviour tuples to the
 // algorithm layer ("gets data from TDAccess, parses the raw message,
-// filters the unqualified data tuples", §5.1). With Params.DedupWindow
-// set it also drops replayed spout messages whose id was already seen —
-// the guard that keeps at-least-once replay from over-counting on the
-// counting path (DESIGN.md §11).
+// filters the unqualified data tuples", §5.1).
 type PretreatmentBolt struct {
-	p     Params
-	c     stream.Collector
-	dedup *msgDedup // shared across tasks; nil when disabled
+	p Params
+	c stream.Collector
 	// malformed counts payloads parseAction rejected; shared across tasks.
 	malformed *obsv.Counter
 	// vals chunk-allocates emission payloads; acts memoizes the boxing
@@ -147,11 +103,7 @@ type PretreatmentBolt struct {
 // counts the payloads it drops (Builder's is in its metrics registry).
 func newPretreatmentBolt(p Params, malformed *obsv.Counter) stream.BoltFactory {
 	p = p.withDefaults()
-	var dedup *msgDedup
-	if p.DedupWindow > 0 {
-		dedup = newMsgDedup(p.DedupWindow)
-	}
-	return func() stream.Bolt { return &PretreatmentBolt{p: p, dedup: dedup, malformed: malformed} }
+	return func() stream.Bolt { return &PretreatmentBolt{p: p, malformed: malformed} }
 }
 
 // Prepare implements stream.Bolt.
@@ -169,20 +121,12 @@ func (b *PretreatmentBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return nil
 	}
-	if b.dedup != nil {
-		if id, ok := t.TryValue("msgid"); ok {
-			if s, _ := id.(string); s != "" && b.dedup.seen(s) {
-				return nil // replayed message: already processed once
-			}
-		}
-	}
 	raw, _ := t.Value("raw").([]byte)
 	a, err := parseAction(raw)
 	if err != nil {
 		// Bytes that are not an action frame are an unqualified tuple like
-		// any other: dropped, and counted so the drop is visible. Returning
-		// the error would fail the lineage, and the spout would replay the
-		// same bytes without end.
+		// any other: dropped, and counted so the drop is visible, not
+		// reported as a component error.
 		b.malformed.Inc()
 		return nil
 	}
@@ -238,10 +182,9 @@ type UserHistoryBolt struct {
 	weightVal map[float64]any
 	// emits buffers one action's derived deltas until the history write
 	// lands: emitting only after a successful Put means a store failure
-	// replays cleanly under acking (nothing was emitted, the history is
-	// unchanged, the retry recomputes the same deltas) instead of
-	// double-counting deltas that were already in flight. The slice is
-	// reused across Execute calls.
+	// leaves nothing behind (nothing was emitted, the history is
+	// unchanged) instead of deltas in flight for an action whose history
+	// was never written. The slice is reused across Execute calls.
 	emits []pendingEmit
 }
 
@@ -667,7 +610,7 @@ func (b *PairCountBolt) Execute(t *stream.Tuple) error {
 		return nil
 	}
 	// Every run is an interval of its rows. A failed read fails the tuple,
-	// which the spout replays: nothing of it is kept for a tick.
+	// counted as a component error: nothing of it is kept for a tick.
 	sb, err := b.newPairBatch()
 	if err != nil {
 		for i := range b.jobs {
@@ -739,10 +682,10 @@ func (b *PairCountBolt) flush(final bool) error {
 	}
 	sb, err := b.newPairBatch()
 	if err != nil {
-		// Nothing was applied, and the deltas' source tuples were acked when
-		// they were buffered: their jobs stay where they are and the next
-		// tick applies them with its own. The deferred scores go back on
-		// their list.
+		// Nothing was applied, and the deltas' source tuples left the
+		// in-flight count when they were buffered: their jobs stay where
+		// they are and the next tick applies them with its own. The
+		// deferred scores go back on their list.
 		if !final {
 			for _, j := range b.jobs[deltas:] {
 				b.retry(j.ps)
@@ -1001,8 +944,8 @@ func (b *FilterBolt) DeclareOutputFields() map[string]stream.Fields {
 // BatchPut. A pairCount flush reaches this task as one tuple, so the N
 // updates a tick round makes to one item cost one store write, the §5.3
 // combiner argument applied to the last hop of Fig. 4. The engine flushes
-// before it counts the tuples as done or acks them, so a drained topology
-// and an acked message both still imply "written".
+// before it counts the tuples as done, so a drained topology still implies
+// "written".
 type ResultStorageBolt struct {
 	p      Params
 	store  State
@@ -1062,8 +1005,7 @@ func (b *ResultStorageBolt) Prepare(_ stream.TopologyContext, _ stream.Collector
 
 // Execute implements stream.Bolt: it merges a sim run's rows into the
 // items' staged frames. Nothing reaches the store before FlushBatch. A row
-// that cannot be merged fails the tuple and the rows after it still merge;
-// a replayed run merges to the same frames.
+// that cannot be merged fails the tuple and the rows after it still merge.
 func (b *ResultStorageBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return nil

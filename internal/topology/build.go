@@ -55,17 +55,15 @@ type Features struct {
 
 // Builder assembles a TencentRec application topology.
 type Builder struct {
-	name       string
-	spout      stream.SpoutFactory
-	itemFeed   stream.SpoutFactory
-	state      State
-	params     Params
-	par        Parallelism
-	feats      Features
-	acking     bool
-	ackTimeout time.Duration
-	registry   *obsv.Registry
-	tracer     *obsv.Tracer
+	name     string
+	spout    stream.SpoutFactory
+	itemFeed stream.SpoutFactory
+	state    State
+	params   Params
+	par      Parallelism
+	feats    Features
+	registry *obsv.Registry
+	tracer   *obsv.Tracer
 }
 
 // NewBuilder starts a topology for one application.
@@ -106,17 +104,6 @@ func (b *Builder) WithItemFeed(feed stream.SpoutFactory) *Builder {
 func (b *Builder) WithObservability(r *obsv.Registry, tr *obsv.Tracer) *Builder {
 	b.registry = r
 	b.tracer = tr
-	return b
-}
-
-// WithAcking enables at-least-once delivery for the topology: anchored
-// spout emissions are lineage-tracked by the engine's acker and replayed
-// on failure (DESIGN.md §11). timeout is the per-message ack deadline;
-// zero keeps the engine default. Off by default so the benchmark
-// configurations measure the unanchored fast path.
-func (b *Builder) WithAcking(timeout time.Duration) *Builder {
-	b.acking = true
-	b.ackTimeout = timeout
 	return b
 }
 
@@ -219,12 +206,6 @@ func (b *Builder) Build() (*stream.Topology, error) {
 	}
 	g := b.graph()
 	tb := stream.NewTopologyBuilder(b.name)
-	if b.acking {
-		tb.SetAcking(true)
-		if b.ackTimeout > 0 {
-			tb.SetAckTimeout(b.ackTimeout)
-		}
-	}
 	if b.registry != nil {
 		tb.SetMetricsRegistry(b.registry)
 	}

@@ -11,22 +11,25 @@ import (
 	"tencentrec/internal/tdstore"
 )
 
-// TestChaosSoakAtLeastOnce is the delivery-guarantee soak: the full CF
-// topology runs over a real TDAccess broker and TDStore cluster while a
-// chaos goroutine restarts tasks of every component, rebalances bolt
-// parallelism live, and injects broker and store faults. With acking on,
-// offset-anchored replay plus the Pretreatment dedup guard must leave
-// the item counts EXACTLY equal to the sequential library's — zero lost
-// actions, zero double counts — and the topology must still quiesce on
-// its own.
+// TestChaosSoakLosesNothing is the delivery soak: the full CF topology
+// runs over a real TDAccess broker and TDStore cluster while a chaos
+// goroutine restarts tasks of every component, rebalances bolt
+// parallelism live, and injects broker and store faults. On the one
+// delivery path — the spout commits each poll once it is emitted, a
+// restarted task keeps its queue, and the store holds the state (§3.1,
+// §3.3) — the item counts must stay EXACTLY equal to the sequential
+// library's (zero lost actions, zero double counts), and the topology
+// must still quiesce on its own.
 //
-// Fault orchestration rules (what keeps replay loss-free, DESIGN.md §11):
-//   - the combiner is disabled so an ack implies the delta is durable;
+// Fault orchestration rules (what a crash inside one process cannot
+// recover, DESIGN.md §11):
+//   - the combiner is disabled: a crash-restarted combiner bolt loses its
+//     buffered deltas, with or without an acker (combiner on, 3 of 5 runs
+//     of this schedule ended 11 to 23 of the 24 item counts short);
 //   - store faults are healed one at a time within the client's retry
-//     budget, so bolts never return execute errors and no tuple is
-//     dropped after Pretreatment recorded its message id;
+//     budget, so bolts never return execute errors;
 //   - the two config servers are never down simultaneously.
-func TestChaosSoakAtLeastOnce(t *testing.T) {
+func TestChaosSoakLosesNothing(t *testing.T) {
 	broker, err := tdaccess.NewBroker(tdaccess.Options{Dir: t.TempDir(), Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +57,6 @@ func TestChaosSoakAtLeastOnce(t *testing.T) {
 	p := Params{
 		FlushInterval:   time.Hour,
 		DisableCombiner: true,
-		DedupWindow:     1 << 16,
 	}
 	spout := NewTDAccessSpout(TDAccessSpoutConfig{
 		Broker:          broker,
@@ -67,7 +69,6 @@ func TestChaosSoakAtLeastOnce(t *testing.T) {
 	topo, err := NewBuilder("chaos", spout, client, p).
 		WithParallelism(Parallelism{Spout: 2, Pretreatment: 2, UserHistory: 3, ItemCount: 2, PairCount: 2, Storage: 2}).
 		WithFeatures(Features{CF: true}).
-		WithAcking(0).
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func TestChaosSoakAtLeastOnce(t *testing.T) {
 	cluster.WaitSync()
 
 	// Every restart must have handed its queue to the fresh instance:
-	// nothing discarded anywhere, and no lineage left unresolved.
+	// nothing discarded anywhere.
 	for name, c := range h.Metrics().Components {
 		if c.Dropped != 0 {
 			t.Errorf("component %s dropped %d tuples", name, c.Dropped)
@@ -160,7 +161,7 @@ func TestChaosSoakAtLeastOnce(t *testing.T) {
 	}
 
 	// Zero lost actions: the store's item counts equal the sequential
-	// library's, exactly, despite restarts, replays and failovers.
+	// library's, exactly, despite restarts, rebalances and failovers.
 	cf := libEngine(p.withDefaults(), actions)
 	now := time.Unix(0, actions[len(actions)-1].TS)
 	for i := 0; i < items; i++ {
@@ -168,43 +169,6 @@ func TestChaosSoakAtLeastOnce(t *testing.T) {
 		got := readStateCounter(t, client, prefixItemCount+item, 0, 0)
 		want := cf.ItemCount(item, now)
 		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("itemCount(%s) = %v, library %v", item, got, want)
-		}
-	}
-}
-
-// TestKillDownstreamLossWithChain is the loss demonstration at topology
-// level: publishing through the builder with acking OFF, a mid-run task
-// restart of a counting bolt may lose whatever sat in its input queue if
-// the restart fails; with acking ON the same schedule must stay exact.
-// The engine-level equivalent (forced drops) lives in internal/stream;
-// here we only pin that the builder's acking toggle reaches the engine.
-func TestBuilderAckingReachesEngine(t *testing.T) {
-	actions := genActions(61, 200, 10, 8)
-	st := NewMemState()
-	p := Params{FlushInterval: time.Hour, DisableCombiner: true, DedupWindow: 1 << 10}
-	topo, err := NewBuilder("acked", NewSliceSpout(actions), st, p).
-		WithParallelism(Parallelism{UserHistory: 2, ItemCount: 2, PairCount: 2}).
-		WithFeatures(Features{CF: true}).
-		WithAcking(5 * time.Second).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := topo.SubmitWithErrorHandler(func(c string, err error) {
-		t.Errorf("component %s: %v", c, err)
-	})
-	select {
-	case <-h.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("acked run did not quiesce")
-	}
-	cf := libEngine(p.withDefaults(), actions)
-	now := time.Unix(0, actions[len(actions)-1].TS)
-	for i := 0; i < 8; i++ {
-		item := fmt.Sprintf("i%d", i)
-		got := readStateCounter(t, st, prefixItemCount+item, 0, 0)
-		if want := cf.ItemCount(item, now); math.Abs(got-want) > 1e-9 {
 			t.Errorf("itemCount(%s) = %v, library %v", item, got, want)
 		}
 	}

@@ -72,7 +72,6 @@ func TestColdRestartChaosSoak(t *testing.T) {
 	p := Params{
 		FlushInterval:   time.Hour,
 		DisableCombiner: true,
-		DedupWindow:     1 << 16,
 	}
 	runTopo := func(broker *tdaccess.Broker, client *tdstore.Client, emitted *atomic.Int64, kill time.Duration) {
 		t.Helper()
@@ -88,7 +87,6 @@ func TestColdRestartChaosSoak(t *testing.T) {
 		topo, err := NewBuilder("cold", spout, client, p).
 			WithParallelism(Parallelism{Spout: 2, Pretreatment: 2, UserHistory: 3, ItemCount: 2, PairCount: 2, Storage: 2}).
 			WithFeatures(Features{CF: true}).
-			WithAcking(0).
 			Build()
 		if err != nil {
 			t.Fatal(err)

@@ -49,13 +49,6 @@ type Params struct {
 	// DisableCombiner routes every counter update straight to the store,
 	// for the §5.3 ablation.
 	DisableCombiner bool
-	// DedupWindow, when positive, enables the Pretreatment dedup guard
-	// for at-least-once replay: spout message ids are remembered (two
-	// generations of up to DedupWindow ids, shared across Pretreatment
-	// tasks) and re-deliveries of a seen id are dropped before they reach
-	// the counting bolts. Zero disables it. See DESIGN.md §11 for when
-	// the guard is safe.
-	DedupWindow int
 
 	// ProfileFor resolves a user's demographic profile for the DB
 	// statistics; nil files everyone under the global group.

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -11,57 +10,18 @@ import (
 )
 
 // rawFields is the default-stream schema every action spout emits: the
-// raw message bytes, parsed downstream by Pretreatment, plus the spout
-// message id ("" or absent when the spout has none) used by the
-// Pretreatment dedup guard. Spouts without ids may emit just the raw
-// value; TryValue("msgid") then reports absent.
-var rawFields = stream.Fields{"raw", "msgid"}
-
-// spoutMsgID identifies one TDAccess message held in the spout's pending
-// window. It is comparable, so ids survive a spout-task restart: the
-// replacement instance re-polls the same (partition, offset) pairs and
-// late ack results for the old instance's emissions still resolve.
-type spoutMsgID struct {
-	Partition int
-	Offset    int64
-}
-
-func (id spoutMsgID) tag() string {
-	var buf [40]byte // two decimal int64s and the slash
-	b := strconv.AppendInt(buf[:0], int64(id.Partition), 10)
-	b = strconv.AppendInt(append(b, '/'), id.Offset, 10)
-	return string(b)
-}
-
-// pendingMsg is one polled-but-not-committed message. Its payload
-// aliases the buffer of the poll that read it (tdaccess.Consumer.Poll),
-// so an un-acked message keeps that whole run alive: polling pauses at
-// maxInflight un-acked messages, which bounds the pinned runs too.
-type pendingMsg struct {
-	payload []byte
-	acked   bool
-}
-
-// partPending is one partition's pending window: the contiguous acked
-// frontier (everything below next is committed broker-side) plus the
-// in-flight and out-of-order-acked messages at or beyond it.
-type partPending struct {
-	next int64
-	msgs map[int64]*pendingMsg
-}
+// raw message bytes, parsed downstream by Pretreatment.
+var rawFields = stream.Fields{"raw"}
 
 // TDAccessSpout consumes an application's action topic from TDAccess and
 // feeds the topology — the production ingestion path of Fig. 9
 // ("TDProcess gets data streams from various applications with the help
 // of TDAccess").
 //
-// With topology acking enabled (TopologyBuilder.SetAcking) the spout is
-// an at-least-once source: polled messages are held in a pending window
-// keyed by (partition, offset), emissions are anchored, failed lineages
-// are re-emitted from the retained payload, and the consumer offset is
-// committed only up to the contiguous acked frontier — so a crash
-// anywhere downstream replays from the broker instead of losing data.
-// Without acking it commits right after emit (at-most-once).
+// It commits each poll once the poll's messages are emitted. A crash
+// inside the process loses nothing a restarted task's queue still holds;
+// across processes, recovery is checkpoint replay from the committed
+// offsets the checkpoint recorded (DESIGN.md §11).
 type TDAccessSpout struct {
 	broker *tdaccess.Broker
 	topic  string
@@ -82,17 +42,6 @@ type TDAccessSpout struct {
 
 	c        stream.SpoutCollector
 	consumer *tdaccess.Consumer
-
-	// acking reports whether the enclosing topology tracks lineages; the
-	// pending window is only maintained (and NextTuple only waits for
-	// outstanding acks before exhausting) when it does.
-	acking bool
-	// pending is the per-partition replay window.
-	pending map[int]*partPending
-	// inflight counts messages emitted but not yet acked; polling pauses
-	// at maxInflight so a stalled topology bounds spout memory.
-	inflight    int
-	maxInflight int
 
 	// emitted, when set, counts messages this spout emitted — all tasks
 	// of a group share one counter. After a checkpoint restore it reads
@@ -149,11 +98,8 @@ func NewTDAccessSpout(cfg TDAccessSpoutConfig) stream.SpoutFactory {
 }
 
 // Open implements stream.Spout.
-func (s *TDAccessSpout) Open(ctx stream.TopologyContext, c stream.SpoutCollector) error {
+func (s *TDAccessSpout) Open(_ stream.TopologyContext, c stream.SpoutCollector) error {
 	s.c = c
-	s.acking = ctx.Acking
-	s.pending = make(map[int]*partPending)
-	s.maxInflight = 4 * s.pollBatch
 	s.consumer = s.broker.NewConsumer(s.group)
 	if err := s.consumer.Subscribe(s.topic); err != nil {
 		return fmt.Errorf("topology: spout subscribe: %w", err)
@@ -161,28 +107,8 @@ func (s *TDAccessSpout) Open(ctx stream.TopologyContext, c stream.SpoutCollector
 	return nil
 }
 
-// window returns (lazily creating) the pending window of a partition.
-// A partition first seen at offset off — right after Subscribe or a
-// group rebalance — starts its frontier there: the consumer resumes from
-// the group's committed offsets, so off is exactly the first uncommitted
-// message.
-func (s *TDAccessSpout) window(partition int, off int64) *partPending {
-	pp := s.pending[partition]
-	if pp == nil {
-		pp = &partPending{next: off, msgs: make(map[int64]*pendingMsg)}
-		s.pending[partition] = pp
-	}
-	return pp
-}
-
 // NextTuple implements stream.Spout.
 func (s *TDAccessSpout) NextTuple() bool {
-	if s.acking && s.inflight >= s.maxInflight {
-		// The topology is behind; wait for acks (delivered between
-		// NextTuple calls) before polling more.
-		time.Sleep(s.idleSleep)
-		return true
-	}
 	if s.drained {
 		time.Sleep(s.idleSleep)
 	}
@@ -204,7 +130,7 @@ func (s *TDAccessSpout) NextTuple() bool {
 	}
 	s.errBackoff = 0
 	if len(msgs) == 0 {
-		if s.stopWhenDrained && (!s.acking || s.inflight == 0) {
+		if s.stopWhenDrained {
 			return false
 		}
 		s.drained = true
@@ -212,99 +138,21 @@ func (s *TDAccessSpout) NextTuple() bool {
 	return true
 }
 
-// emit sends one poll's messages into the topology.
+// emit sends one poll's messages into the topology and commits the poll.
+// The in-memory read positions advanced at Poll, so an emitted batch is
+// never re-read by this consumer whether or not the commit lands — a
+// commit error only means a replacement group member would re-read it.
 func (s *TDAccessSpout) emit(msgs []tdaccess.Message) {
 	if len(msgs) == 0 {
 		return
 	}
-	if !s.acking {
-		for _, m := range msgs {
-			s.c.Emit(stream.Values{m.Payload, spoutMsgID{m.Partition, m.Offset}.tag()})
-			if s.emitted != nil {
-				s.emitted.Add(1)
-			}
-		}
-		// At-most-once: the in-memory read positions advanced at Poll,
-		// so an emitted batch is never re-read by this consumer whether
-		// or not the commit lands — a commit error only means a
-		// replacement group member would re-read it. With acking on,
-		// commits instead track the acked frontier (see Ack), which is
-		// what makes a broker-side retry real.
-		_ = s.consumer.Commit()
-		return
-	}
 	for _, m := range msgs {
-		pp := s.window(m.Partition, m.Offset)
-		if m.Offset < pp.next {
-			continue // already committed: a rebalance re-read
-		}
-		if _, dup := pp.msgs[m.Offset]; dup {
-			continue // already in flight
-		}
-		pp.msgs[m.Offset] = &pendingMsg{payload: m.Payload}
-		s.inflight++
-		id := spoutMsgID{m.Partition, m.Offset}
-		s.c.EmitAnchored(id, stream.Values{m.Payload, id.tag()})
+		s.c.Emit(stream.Values{m.Payload})
 		if s.emitted != nil {
 			s.emitted.Add(1)
 		}
 	}
-}
-
-// Ack implements stream.AckingSpout: the message's whole lineage
-// executed. The contiguous acked frontier advances past every acked
-// prefix and is committed broker-side, so a replacement consumer resumes
-// exactly at the first message not fully processed.
-func (s *TDAccessSpout) Ack(msgID interface{}) {
-	id, ok := msgID.(spoutMsgID)
-	if !ok {
-		return
-	}
-	pp := s.pending[id.Partition]
-	if pp == nil {
-		return
-	}
-	pm := pp.msgs[id.Offset]
-	if pm == nil || pm.acked {
-		return // unknown or duplicate result (e.g. a pre-restart lineage)
-	}
-	pm.acked = true
-	pm.payload = nil // an acked message is never replayed; unpin its poll buffer
-	s.inflight--
-	advanced := false
-	for {
-		pm, ok := pp.msgs[pp.next]
-		if !ok || !pm.acked {
-			break
-		}
-		delete(pp.msgs, pp.next)
-		pp.next++
-		advanced = true
-	}
-	if advanced {
-		// Commit errors leave the frontier where it was; a replacement
-		// would replay a little more, which at-least-once permits.
-		_ = s.consumer.CommitTo(id.Partition, pp.next)
-	}
-}
-
-// Fail implements stream.AckingSpout: some tuple of the message's
-// lineage was dropped or timed out, so the retained payload is replayed
-// under the same id.
-func (s *TDAccessSpout) Fail(msgID interface{}) {
-	id, ok := msgID.(spoutMsgID)
-	if !ok {
-		return
-	}
-	pp := s.pending[id.Partition]
-	if pp == nil {
-		return
-	}
-	pm := pp.msgs[id.Offset]
-	if pm == nil || pm.acked {
-		return // already committed by an earlier duplicate lineage
-	}
-	s.c.EmitAnchored(id, stream.Values{pm.payload, id.tag()})
+	_ = s.consumer.Commit()
 }
 
 // Close implements stream.Spout.
@@ -320,19 +168,13 @@ func (s *TDAccessSpout) DeclareOutputFields() map[string]stream.Fields {
 }
 
 // SliceSpout replays a fixed slice of raw actions — the test and
-// benchmark ingestion path. With topology acking on, each action is
-// emitted anchored to its slice index, a failed lineage is re-emitted, and
-// the spout exhausts only after every action has been acknowledged; with
-// acking off it emits each action once, unanchored.
+// benchmark ingestion path — emitting each action once.
 type SliceSpout struct {
 	actions []RawAction
 	next    int
 	c       stream.SpoutCollector
 	task    int
 	tasks   int
-	acking  bool
-	pending map[int]bool
-	replayQ []int
 }
 
 // NewSliceSpout returns a spout factory replaying actions. With
@@ -348,49 +190,17 @@ func (s *SliceSpout) Open(ctx stream.TopologyContext, c stream.SpoutCollector) e
 	s.task = ctx.TaskIndex
 	s.tasks = ctx.NumTasks
 	s.next = s.task
-	s.acking = ctx.Acking
-	s.pending = make(map[int]bool)
 	return nil
 }
 
 // NextTuple implements stream.Spout.
 func (s *SliceSpout) NextTuple() bool {
-	if len(s.replayQ) > 0 {
-		i := s.replayQ[0]
-		s.replayQ = s.replayQ[1:]
-		s.c.EmitAnchored(i, stream.Values{EncodeAction(s.actions[i])})
-		return true
-	}
 	if s.next >= len(s.actions) {
-		if len(s.pending) > 0 {
-			time.Sleep(50 * time.Microsecond) // wait for outstanding acks
-			return true
-		}
 		return false
 	}
-	i := s.next
+	s.c.Emit(stream.Values{EncodeAction(s.actions[s.next])})
 	s.next += s.tasks
-	if !s.acking {
-		s.c.Emit(stream.Values{EncodeAction(s.actions[i])})
-		return true
-	}
-	s.pending[i] = true
-	s.c.EmitAnchored(i, stream.Values{EncodeAction(s.actions[i])})
 	return true
-}
-
-// Ack implements stream.AckingSpout.
-func (s *SliceSpout) Ack(msgID interface{}) {
-	if i, ok := msgID.(int); ok {
-		delete(s.pending, i)
-	}
-}
-
-// Fail implements stream.AckingSpout.
-func (s *SliceSpout) Fail(msgID interface{}) {
-	if i, ok := msgID.(int); ok && s.pending[i] {
-		s.replayQ = append(s.replayQ, i)
-	}
 }
 
 // Close implements stream.Spout.

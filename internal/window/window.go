@@ -53,9 +53,6 @@ func NewCounter(w int) *Counter {
 	return c
 }
 
-// W returns the configured window size in sessions.
-func (c *Counter) W() int { return c.w }
-
 // advance slides the window forward so that session fits in it,
 // zeroing slots that fall out of range.
 func (c *Counter) advance(session int64) {

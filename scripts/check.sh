@@ -19,8 +19,14 @@ fi
 echo "== the documents name tests, benchmarks and DESIGN.md sections that exist"
 go test -run '^TestDocsNameCodeThatExists$' .
 
-echo "== go test -race elastic parallelism (rebalance, a spout stopped by a full queue, restart stress, write-behind flush hook, ordered tick round, idle rounds, keyed runs, one tuple per delivery)"
-go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery' ./internal/stream/
+echo "== go test -race elastic parallelism and delivery (rebalance of a keyed stream, a spout stopped by a full queue, restart stress, write-behind flush hook and its failed flush, ordered tick round, idle rounds, keyed runs, one tuple per delivery, a failed re-Prepare's counted drops)"
+go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedRePrepareDrainsAndCountsDrops' ./internal/stream/
+
+# One delivery path: the spout commits after every poll, a restarted task
+# keeps its queue, and checkpoint replay recovers across processes. These
+# two soaks are the proof that restarts, rebalances and faults lose nothing.
+echo "== go test -race -count=5 the chaos soak and the cold-restart soak"
+go test -race -count=5 -run '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak)$' ./internal/topology/
 
 echo "== go test -race serving tier (TTL, negative cache and its drop on write, a read that straddles Invalidate, a failed store read, LRU, mixed load)"
 go test -race -run 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' ./internal/serving/
