@@ -209,15 +209,15 @@ func (cl *Client) Get(key string) (v []byte, ok bool, err error) {
 }
 
 // Put stores value under key and replicates to the instance's slaves.
-// The client copies value once, and that copy is the stored value: the
-// host's engine keeps it, the replication queue carries it and every
-// slave's engine keeps it too (engines take the slice they are given and
-// never write to it). The caller may reuse its buffer at once.
+// The client builds the version's KV once, and that KV is the stored
+// version: the host's engine keeps it, the replication queue carries it
+// and every slave's engine keeps it too. The caller may reuse its buffer
+// at once.
 func (cl *Client) Put(key string, value []byte) error {
 	defer cl.observe(clientPut, cl.begin())
-	cp := append([]byte(nil), value...)
+	kv := engine.MakeKV(key, value)
 	return cl.mutate("put", key, func(eng engine.Engine) (syncOp, error) {
-		return syncOp{kind: opPut, key: key, value: cp}, eng.Put(key, cp)
+		return syncOp{kv: kv}, eng.PutKV(kv)
 	})
 }
 
@@ -225,7 +225,7 @@ func (cl *Client) Put(key string, value []byte) error {
 func (cl *Client) Delete(key string) error {
 	defer cl.observe(clientDelete, cl.begin())
 	return cl.mutate("delete", key, func(eng engine.Engine) (syncOp, error) {
-		return syncOp{kind: opDelete, key: key}, eng.Delete(key)
+		return syncOp{key: key}, eng.Delete(key)
 	})
 }
 
@@ -247,8 +247,9 @@ func (cl *Client) IncrFloat(key string, delta float64) (float64, error) {
 		}
 		v += delta
 		out = v
-		enc := statecodec.EncodeFloat(v)
-		return syncOp{kind: opPut, key: key, value: enc}, eng.Put(key, enc)
+		var enc [8]byte
+		kv := engine.MakeKV(key, statecodec.AppendFloat(enc[:0], v))
+		return syncOp{kv: kv}, eng.PutKV(kv)
 	})
 	return out, err
 }
@@ -408,18 +409,18 @@ func (cl *Client) BatchGet(keys []string) ([][]byte, []bool, error) {
 
 // BatchPut stores values[i] under keys[i] through routed: each server
 // applies its group in one call with a single replication sync-op batch.
-// The client copies every value once, before the first attempt, and that
-// copy is the stored value on host and slaves alike (see Put).
+// The client builds every KV once, before the first attempt, and that KV
+// is the stored version on host and slaves alike (see Put).
 func (cl *Client) BatchPut(keys []string, values [][]byte) error {
 	defer cl.observe(clientBatchPut, cl.begin())
 	if len(keys) != len(values) {
 		return fmt.Errorf("tdstore: batch put has %d keys but %d values", len(keys), len(values))
 	}
-	cps := make([][]byte, len(values))
+	kvs := make([]engine.KV, len(values))
 	for i, v := range values {
-		cps[i] = append([]byte(nil), v...)
+		kvs[i] = engine.MakeKV(keys[i], v)
 	}
 	return cl.routed("batch put", keys, nil, func(ds *DataServer, items []batchItem) error {
-		return ds.hostBatchPut(items, cps)
+		return ds.hostBatchPut(items, kvs)
 	})
 }

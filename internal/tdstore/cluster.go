@@ -1,7 +1,6 @@
 package tdstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -305,9 +304,9 @@ func (c *Cluster) ReviveDataServer(id string) error {
 
 // catchUp makes replica's copy of inst equal to host's: every key the
 // host holds, with the host's value, and no key it lacks (a delete made
-// while the replica was down never reached it). The host's Range hands
-// out the slices its engine keeps, so the replica is given clones. It
-// returns the first engine error. The caller fences the host's writes to
+// while the replica was down never reached it). The replica keeps the
+// KVs the host's Range yields, as it keeps a replicated put's. It returns
+// the first engine error. The caller fences the host's writes to
 // inst; replication ops queued before the fence may still reach the
 // replica after the copy, but they arrive in host order, so each key's
 // last op is the host's current value and the copies stay equal.
@@ -321,16 +320,16 @@ func catchUp(host, replica *DataServer, inst InstanceID) error {
 		return fmt.Errorf("tdstore: replica %s lacks instance %d", replica.ID, inst)
 	}
 	absent := make(map[string]struct{}) // replica keys the host has not shown yet
-	if err := dst.Range(func(k string, _ []byte) bool {
-		absent[k] = struct{}{}
+	if err := dst.Range(func(kv engine.KV) bool {
+		absent[kv.Key()] = struct{}{}
 		return true
 	}); err != nil {
 		return err
 	}
 	var putErr error
-	if err := src.Range(func(k string, v []byte) bool {
-		delete(absent, k)
-		putErr = dst.Put(k, bytes.Clone(v))
+	if err := src.Range(func(kv engine.KV) bool {
+		delete(absent, kv.Key())
+		putErr = dst.PutKV(kv)
 		return putErr == nil
 	}); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tencentrec/internal/tdstore/engine"
 	"tencentrec/internal/tdstore/engine/ldb"
@@ -35,14 +36,14 @@ func TestEngineBasicOps(t *testing.T) {
 			if _, ok, _ := e.Get("missing"); ok {
 				t.Fatal("Get(missing) reported present")
 			}
-			if err := e.Put("a", []byte("1")); err != nil {
+			if err := e.PutKV(engine.MakeKV("a", []byte("1"))); err != nil {
 				t.Fatal(err)
 			}
 			v, ok, err := e.Get("a")
 			if err != nil || !ok || string(v) != "1" {
 				t.Fatalf("Get(a) = %q %v %v", v, ok, err)
 			}
-			if err := e.Put("a", []byte("2")); err != nil {
+			if err := e.PutKV(engine.MakeKV("a", []byte("2"))); err != nil {
 				t.Fatal(err)
 			}
 			v, _, _ = e.Get("a")
@@ -68,7 +69,7 @@ func TestEngineClosedErrors(t *testing.T) {
 	for name, mk := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			e := mk()
-			if err := e.Put("a", []byte("1")); err != nil {
+			if err := e.PutKV(engine.MakeKV("a", []byte("1"))); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.Close(); err != nil {
@@ -76,11 +77,11 @@ func TestEngineClosedErrors(t *testing.T) {
 			}
 			ops := map[string]func() error{
 				"Get":      func() error { _, _, err := e.Get("a"); return err },
-				"Put":      func() error { return e.Put("b", []byte("2")) },
-				"PutBatch": func() error { return e.PutBatch([]string{"b"}, [][]byte{[]byte("2")}) },
+				"Put":      func() error { return e.PutKV(engine.MakeKV("b", []byte("2"))) },
+				"PutBatch": func() error { return e.PutBatch([]engine.KV{engine.MakeKV("b", []byte("2"))}) },
 				"Delete":   func() error { return e.Delete("a") },
 				"Len":      func() error { _, err := e.Len(); return err },
-				"Range":    func() error { return e.Range(func(string, []byte) bool { return true }) },
+				"Range":    func() error { return e.Range(func(engine.KV) bool { return true }) },
 			}
 			for op, f := range ops {
 				if err := f(); !errors.Is(err, engine.ErrClosed) {
@@ -98,7 +99,7 @@ func TestEnginePutBatch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := mk()
 			defer e.Close()
-			if err := e.PutBatch(nil, nil); err != nil {
+			if err := e.PutBatch(nil); err != nil {
 				t.Fatalf("empty batch: %v", err)
 			}
 			if n, err := e.Len(); err != nil || n != 0 {
@@ -122,16 +123,16 @@ func TestEnginePutBatch(t *testing.T) {
 func putBatchOf(t *testing.T, e engine.Engine) ([]string, map[string]string) {
 	t.Helper()
 	var keys []string
-	var values [][]byte
+	var kvs []engine.KV
 	want := make(map[string]string)
 	for i := 0; i < 100; i++ {
 		k, v := fmt.Sprintf("b%03d", i), fmt.Sprintf("v%d", i)
-		keys, values = append(keys, k), append(values, []byte(v))
+		keys, kvs = append(keys, k), append(kvs, engine.MakeKV(k, []byte(v)))
 		want[k] = v
 	}
-	keys, values = append(keys, "b000"), append(values, []byte("later"))
+	keys, kvs = append(keys, "b000"), append(kvs, engine.MakeKV("b000", []byte("later")))
 	want["b000"] = "later"
-	if err := e.PutBatch(keys, values); err != nil {
+	if err := e.PutBatch(kvs); err != nil {
 		t.Fatal(err)
 	}
 	return keys, want
@@ -176,7 +177,7 @@ func TestEngineLenAndRange(t *testing.T) {
 			defer e.Close()
 			const n = 200
 			for i := 0; i < n; i++ {
-				if err := e.Put(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				if err := e.PutKV(engine.MakeKV(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%d", i)))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -190,8 +191,9 @@ func TestEngineLenAndRange(t *testing.T) {
 				t.Fatalf("Len = %d, %v; want %d", got, err, n/2)
 			}
 			seen := make(map[string]string)
-			if err := e.Range(func(k string, v []byte) bool {
-				seen[k] = string(v)
+			if err := e.Range(func(kv engine.KV) bool {
+				k, v := kv.Split()
+				seen[k] = v
 				return true
 			}); err != nil {
 				t.Fatal(err)
@@ -215,10 +217,10 @@ func TestEngineRangeEarlyStop(t *testing.T) {
 			e := mk()
 			defer e.Close()
 			for i := 0; i < 50; i++ {
-				e.Put(fmt.Sprintf("k%d", i), []byte("v"))
+				e.PutKV(engine.MakeKV(fmt.Sprintf("k%d", i), []byte("v")))
 			}
 			count := 0
-			e.Range(func(string, []byte) bool {
+			e.Range(func(engine.KV) bool {
 				count++
 				return count < 10
 			})
@@ -230,29 +232,42 @@ func TestEngineRangeEarlyStop(t *testing.T) {
 }
 
 func TestEngineValueIsolation(t *testing.T) {
-	// An engine takes the slice Put is given and never writes to it, and
-	// mutating a returned value must not corrupt the store.
+	// A KV is built from the caller's buffer, not on it; an engine keeps
+	// the KV it is given, and mutating a returned value must not corrupt
+	// the store.
 	for name, mk := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			e := mk()
 			defer e.Close()
 			src := []byte("hello")
-			e.Put("k", src)
-			// The one slice is handed to many keys and lives through
-			// overwrites, deletes, a Range and (for LDB, past its flush
-			// threshold of 64) a memtable flush.
+			given := engine.MakeKV("k", src)
+			e.PutKV(given)
+			var kept engine.KV
+			e.Range(func(kv engine.KV) bool {
+				if kv.Key() == "k" {
+					kept = kv
+				}
+				return kept == ""
+			})
+			if kept != given || unsafe.StringData(string(kept)) != unsafe.StringData(string(given)) {
+				t.Fatalf("the engine keeps %q in a copy of its own, not the KV it was given", kept)
+			}
+			// The caller's buffer is reused for many keys, which live
+			// through overwrites, deletes, a Range and (for LDB, past its
+			// flush threshold of 64) a memtable flush.
 			for i := 0; i < 100; i++ {
 				k := fmt.Sprintf("shared-%d", i)
-				e.Put(k, src)
+				copy(src, fmt.Sprintf("%05d", i))
+				e.PutKV(engine.MakeKV(k, src))
 				if i%3 == 0 {
-					e.Put(k, []byte("other"))
+					e.PutKV(engine.MakeKV(k, []byte("other")))
 				} else if i%3 == 1 {
 					e.Delete(k)
 				}
 			}
-			e.Range(func(string, []byte) bool { return true })
-			if string(src) != "hello" {
-				t.Fatalf("the engine wrote to a slice it was given: %q", src)
+			e.Range(func(engine.KV) bool { return true })
+			if v, _, _ := e.Get("shared-98"); string(v) != "00098" {
+				t.Fatalf("Get(shared-98) = %q, want 00098", v)
 			}
 			v1, _, _ := e.Get("k")
 			if string(v1) != "hello" {
@@ -279,7 +294,7 @@ func TestEngineConcurrentAccess(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < 200; i++ {
 						k := fmt.Sprintf("g%d-k%d", g, i%20)
-						if err := e.Put(k, []byte(fmt.Sprintf("%d", i))); err != nil {
+						if err := e.PutKV(engine.MakeKV(k, []byte(fmt.Sprintf("%d", i)))); err != nil {
 							t.Error(err)
 							return
 						}
@@ -317,7 +332,7 @@ func TestEngineModelProperty(t *testing.T) {
 					k := fmt.Sprintf("key-%d", o.Key%32)
 					switch o.Kind % 3 {
 					case 0:
-						if err := e.Put(k, o.Value); err != nil {
+						if err := e.PutKV(engine.MakeKV(k, o.Value)); err != nil {
 							return false
 						}
 						model[k] = append([]byte(nil), o.Value...)
@@ -372,9 +387,9 @@ func TestLDBCrashReopenResumeConformance(t *testing.T) {
 		defer mdb.Close()
 		agree := func() bool {
 			want := make(map[string]string)
-			mdb.Range(func(k string, v []byte) bool { want[k] = string(v); return true })
+			mdb.Range(func(kv engine.KV) bool { k, v := kv.Split(); want[k] = v; return true })
 			got := make(map[string]string)
-			if err := s.Range(func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
+			if err := s.Range(func(kv engine.KV) bool { k, v := kv.Split(); got[k] = v; return true }); err != nil {
 				return false
 			}
 			if len(got) != len(want) {
@@ -401,7 +416,7 @@ func TestLDBCrashReopenResumeConformance(t *testing.T) {
 			k := fmt.Sprintf("key-%d", o.Key%32)
 			switch o.Kind % 3 {
 			case 0:
-				if s.Put(k, o.Value) != nil || mdb.Put(k, o.Value) != nil {
+				if s.PutKV(engine.MakeKV(k, o.Value)) != nil || mdb.PutKV(engine.MakeKV(k, o.Value)) != nil {
 					s.Close()
 					return false
 				}

@@ -3,6 +3,8 @@ package ldb
 import (
 	"fmt"
 	"testing"
+
+	"tencentrec/internal/tdstore/engine"
 )
 
 // countingFile counts the Write calls that reach the WAL file.
@@ -28,6 +30,15 @@ func batchOf(prefix string, n int) ([]string, [][]byte) {
 	return keys, values
 }
 
+// kvsOf returns the KVs of values[i] under keys[i].
+func kvsOf(keys []string, values [][]byte) []engine.KV {
+	kvs := make([]engine.KV, len(keys))
+	for i, k := range keys {
+		kvs[i] = engine.MakeKV(k, values[i])
+	}
+	return kvs
+}
+
 // TestPutBatchIsOneWALWrite pins that a batch reaches the WAL file in one
 // Write, all of it, and survives a reopen.
 func TestPutBatchIsOneWALWrite(t *testing.T) {
@@ -44,7 +55,7 @@ func TestPutBatchIsOneWALWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, values := batchOf("b", 64)
-	if err := s.PutBatch(keys, values); err != nil {
+	if err := s.PutBatch(kvsOf(keys, values)); err != nil {
 		t.Fatal(err)
 	}
 	if cf.writes != 1 {
@@ -95,7 +106,7 @@ func TestPutBatchFailedAppendAppliesNothing(t *testing.T) {
 	if err := s.Put("before", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutBatch(keys, values); err == nil {
+	if err := s.PutBatch(kvsOf(keys, values)); err == nil {
 		t.Fatal("a torn batch append did not fail")
 	}
 	absent := func(s *Store, when string) {

@@ -401,7 +401,7 @@ func TestFailpointCrash(t *testing.T) {
 	if v, ok, _ := s2.Get("key-00"); !ok || string(v) != "payload" {
 		t.Fatalf("key-00 lost or corrupt after crash: %q %v", v, ok)
 	}
-	err = s2.Range(func(k string, v []byte) bool {
+	err = rangePairs(s2, func(k string, v []byte) bool {
 		if !bytes.Equal(v, []byte("payload")) {
 			t.Errorf("corrupt value for %s: %q", k, v)
 		}

@@ -16,7 +16,7 @@ func FuzzLDBOpen(f *testing.F) {
 	var wal []byte
 	wal = appendRecord(wal, false, "alpha", []byte("one"))
 	wal = appendRecord(wal, false, "beta", []byte("two"))
-	wal = appendRecord(wal, true, "alpha", nil)
+	wal = appendRecord(wal, true, "alpha", "")
 	var table []byte
 	for _, k := range []string{"a", "b", "c"} {
 		table = appendRecord(table, false, k, []byte("v-"+k))
@@ -47,7 +47,7 @@ func FuzzLDBOpen(f *testing.F) {
 		}
 		defer s.Close()
 		got := make(map[string][]byte)
-		if err := s.Range(func(k string, v []byte) bool {
+		if err := rangePairs(s, func(k string, v []byte) bool {
 			if _, twice := got[k]; twice {
 				t.Errorf("Range showed %q twice", k)
 			}

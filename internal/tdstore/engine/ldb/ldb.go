@@ -121,12 +121,6 @@ type Options struct {
 	walHook func(wfile) wfile
 }
 
-// entry is a memtable cell; nil value with tomb set marks a deletion.
-type entry struct {
-	value []byte
-	tomb  bool
-}
-
 // tombBit marks a tombstone in tableEntry.vlen. A value is at most
 // maxRecord bytes on disk, far below it.
 const tombBit = 1 << 31
@@ -331,11 +325,11 @@ type Store struct {
 	mu      sync.Mutex
 	dir     string
 	opts    Options
-	walF    *os.File // underlying WAL file (truncate/repair path)
-	wal     wfile    // possibly hook-wrapped view used for writes
-	walBuf  []byte   // encode buffer: a write's records, appended in one Write
-	walOff  int64    // bytes durably handed to the OS (clean record boundary)
-	mem     map[string]entry
+	walF    *os.File             // underlying WAL file (truncate/repair path)
+	wal     wfile                // possibly hook-wrapped view used for writes
+	walBuf  []byte               // encode buffer: a write's records, appended in one Write
+	walOff  int64                // bytes durably handed to the OS (clean record boundary)
+	mem     map[string]engine.KV // newest version of each key, "" a deletion
 	nextSeq int
 	closed  bool
 	st      stats
@@ -388,7 +382,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:         dir,
 		opts:        opts,
-		mem:         make(map[string]entry),
+		mem:         make(map[string]engine.KV),
 		syncStop:    make(chan struct{}),
 		syncDone:    make(chan struct{}),
 		compactCh:   make(chan struct{}, 1),
@@ -595,9 +589,9 @@ func createTable(path string, n, keyBytes int) (*tableBuilder, error) {
 	}, nil
 }
 
-// add appends one record, whose key must sort after the last one's, and
-// returns its encoded size.
-func (b *tableBuilder) add(key string, value []byte, tomb bool) (int, error) {
+// addRecord appends one record to b, whose key must sort after the last
+// one's, and returns its encoded size.
+func addRecord[V string | []byte](b *tableBuilder, key string, value V, tomb bool) (int, error) {
 	if len(value) > maxRecord || len(b.keys)+len(key) > math.MaxUint32 {
 		return 0, fmt.Errorf("ldb: table %s: record of key %q too large", b.path, key)
 	}
@@ -694,9 +688,10 @@ func (s *Store) replayWAL() error {
 			break
 		}
 		if rec.tomb {
-			s.mem[string(rec.key)] = entry{tomb: true}
+			s.mem[string(rec.key)] = ""
 		} else {
-			s.mem[string(rec.key)] = entry{value: bytes.Clone(rec.value)}
+			kv := engine.MakeKV(string(rec.key), rec.value)
+			s.mem[kv.Key()] = kv
 		}
 		off += int64(n)
 		s.st.replayedRecords++
@@ -748,7 +743,7 @@ type record struct {
 // appendRecord appends one encoded record to dst. Layout:
 // crc32(body) | body, body = flags | klen | vlen | key | value, the
 // lengths uvarints.
-func appendRecord(dst []byte, tomb bool, key string, value []byte) []byte {
+func appendRecord[V string | []byte](dst []byte, tomb bool, key string, value V) []byte {
 	start := len(dst)
 	var flags byte
 	if tomb {
@@ -837,14 +832,12 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	if e, ok := s.mem[key]; ok {
-		defer s.mu.Unlock()
-		if e.tomb {
+	if kv, ok := s.mem[key]; ok {
+		s.mu.Unlock()
+		if kv == "" {
 			return nil, false, nil
 		}
-		out := make([]byte, len(e.value))
-		copy(out, e.value)
-		return out, true, nil
+		return []byte(kv.Value()), true, nil
 	}
 	s.mu.Unlock()
 	// Table reads run under tableMu's read lock rather than the writer
@@ -896,42 +889,47 @@ func (s *Store) readValue(t *sstable, te tableEntry) ([]byte, error) {
 	return v, nil
 }
 
-// Put implements engine.Engine: the memtable keeps value itself.
+// Put stores value under key: it builds the KV and hands it to PutKV.
 func (s *Store) Put(key string, value []byte) error {
-	return s.write([]string{key}, [][]byte{value}, false)
+	return s.PutKV(engine.MakeKV(key, value))
+}
+
+// PutKV implements engine.Engine: the memtable keeps kv itself.
+func (s *Store) PutKV(kv engine.KV) error {
+	return s.write([]engine.KV{kv}, "")
 }
 
 // PutBatch implements engine.Engine: the batch's records reach the WAL in
-// one append, and the memtable keeps each value itself. If the append
-// fails, no record of the batch is applied.
-func (s *Store) PutBatch(keys []string, values [][]byte) error {
-	return s.write(keys, values, false)
+// one append, and the memtable keeps each KV itself. If the append fails,
+// no record of the batch is applied.
+func (s *Store) PutBatch(kvs []engine.KV) error {
+	if len(kvs) == 0 {
+		return nil
+	}
+	return s.write(kvs, "")
 }
 
 // Delete implements engine.Engine.
 func (s *Store) Delete(key string) error {
-	return s.write([]string{key}, nil, true)
+	return s.write(nil, key)
 }
 
-// write appends one record per key — values[i] under keys[i], or a
-// tombstone for each key — to the WAL in one Write, then applies them all
-// to the memtable.
-func (s *Store) write(keys []string, values [][]byte, tomb bool) error {
+// write appends one record per KV of kvs, or with no kvs a tombstone for
+// deleted, to the WAL in one Write, then applies them all to the
+// memtable.
+func (s *Store) write(kvs []engine.KV, deleted string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if len(keys) == 0 {
-		return nil
-	}
 	buf := s.walBuf[:0]
-	for i, k := range keys {
-		var v []byte
-		if !tomb {
-			v = values[i]
-		}
-		buf = appendRecord(buf, tomb, k, v)
+	if len(kvs) == 0 {
+		buf = appendRecord(buf, true, deleted, "")
+	}
+	for _, kv := range kvs {
+		k, v := kv.Split()
+		buf = appendRecord(buf, false, k, v)
 	}
 	n, err := s.wal.Write(buf)
 	s.walBuf = nil
@@ -953,12 +951,11 @@ func (s *Store) write(keys []string, values [][]byte, tomb bool) error {
 	// the flush rotates the WAL away and releases parked writers as
 	// durable, which is only true if the flushed table carried their
 	// records — i.e. if every appended record is already in the memtable.
-	for i, k := range keys {
-		if tomb {
-			s.mem[k] = entry{tomb: true}
-		} else {
-			s.mem[k] = entry{value: values[i]}
-		}
+	if len(kvs) == 0 {
+		s.mem[deleted] = ""
+	}
+	for _, kv := range kvs {
+		s.mem[kv.Key()] = kv
 	}
 	if s.opts.SyncWrites {
 		if s.opts.SyncInterval > 0 {
@@ -1081,8 +1078,8 @@ func (s *Store) flushLocked() error {
 		return err
 	}
 	for _, k := range keys {
-		e := s.mem[k]
-		if _, err := b.add(k, e.value, e.tomb); err != nil {
+		kv := s.mem[k]
+		if _, err := addRecord(b, k, kv.Value(), kv == ""); err != nil {
 			b.abort()
 			return err
 		}
@@ -1096,7 +1093,7 @@ func (s *Store) flushLocked() error {
 	s.tables = append(s.tables, t)
 	s.tableMu.Unlock()
 	s.nextSeq++
-	s.mem = make(map[string]entry)
+	s.mem = make(map[string]engine.KV)
 	s.st.memtableFlushes++
 	// Rotate the WAL: its contents are now durable in the fsynced table,
 	// so every parked group-commit writer is released too.
@@ -1222,7 +1219,7 @@ func (s *Store) compactOnce() error {
 		}
 		ioBytes += int64(te.length())
 		var n int
-		if n, err = b.add(t.key(i), val, false); err != nil {
+		if n, err = addRecord(b, t.key(i), val, false); err != nil {
 			return false
 		}
 		ioBytes += int64(n)
@@ -1389,8 +1386,8 @@ func (s *Store) Len() (int, error) {
 		return 0, ErrClosed
 	}
 	n := 0
-	for _, e := range s.mem {
-		if !e.tomb {
+	for _, kv := range s.mem {
+		if kv != "" {
 			n++
 		}
 	}
@@ -1405,36 +1402,37 @@ func (s *Store) Len() (int, error) {
 	return n, nil
 }
 
-// Range implements engine.Engine: the memtable's pairs, then the tables'
-// in key order, each key once at its newest version.
-func (s *Store) Range(fn func(key string, value []byte) bool) error {
+// Range implements engine.Engine: the memtable's KVs, then the tables'
+// versions in key order, each key once at its newest version. A table's
+// version is built into a fresh KV.
+func (s *Store) Range(fn func(kv engine.KV) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	for k, e := range s.mem {
-		if e.tomb {
-			continue
-		}
-		if !fn(k, e.value) {
+	for _, kv := range s.mem {
+		if kv != "" && !fn(kv) {
 			return nil
 		}
 	}
 	s.tableMu.RLock()
 	defer s.tableMu.RUnlock()
-	var err error
+	var (
+		err error
+		val []byte
+	)
 	mergeTables(s.tables, func(t *sstable, i int) bool {
 		k, te := t.key(i), t.ents[i]
 		if _, shadowed := s.mem[k]; shadowed || te.tomb() {
 			return true
 		}
-		v := make([]byte, te.length())
-		if _, err = t.f.ReadAt(v, te.offset); err != nil {
+		val = slices.Grow(val[:0], te.length())[:te.length()]
+		if _, err = t.f.ReadAt(val, te.offset); err != nil {
 			err = fmt.Errorf("ldb: range read %s: %w", t.path, err)
 			return false
 		}
-		return fn(k, v)
+		return fn(engine.MakeKV(k, val))
 	})
 	return err
 }

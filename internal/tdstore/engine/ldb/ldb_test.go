@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tencentrec/internal/tdstore/engine"
 )
 
 // writeRecord writes rec to w in one Write, as a table or the WAL holds
@@ -300,6 +302,15 @@ func BenchmarkLDBGet(b *testing.B) {
 	}
 }
 
+// rangePairs calls fn with the key and value of every version s.Range
+// yields.
+func rangePairs(s *Store, fn func(k string, v []byte) bool) error {
+	return s.Range(func(kv engine.KV) bool {
+		k, v := kv.Split()
+		return fn(k, []byte(v))
+	})
+}
+
 func TestRangeMergesAllLevels(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{FlushThreshold: 4, MaxTables: 1 << 20})
 	if err != nil {
@@ -316,7 +327,7 @@ func TestRangeMergesAllLevels(t *testing.T) {
 	}
 	s.Delete("k15")
 	got := make(map[string]string)
-	if err := s.Range(func(k string, v []byte) bool {
+	if err := rangePairs(s, func(k string, v []byte) bool {
 		got[k] = string(v)
 		return true
 	}); err != nil {

@@ -41,7 +41,7 @@ func TestTableDuplicateKeyLaterWins(t *testing.T) {
 		t.Fatalf("Get(b) = %q %v %v, want the later value", v, ok, err)
 	}
 	got := make(map[string]string)
-	if err := s.Range(func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
+	if err := rangePairs(s, func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got["a"] != "1" || got["b"] != "new" || got["c"] != "3" {

@@ -83,8 +83,8 @@ type failingWrites struct{ engine.Engine }
 
 var errInjected = errors.New("injected engine fault")
 
-func (failingWrites) Put(string, []byte) error          { return errInjected }
-func (failingWrites) PutBatch([]string, [][]byte) error { return errInjected }
+func (failingWrites) PutKV(engine.KV) error      { return errInjected }
+func (failingWrites) PutBatch([]engine.KV) error { return errInjected }
 
 // TestReplicaApplyErrorsCounted gives every slave an engine that fails
 // its writes: a client write succeeds on the host, and the failed

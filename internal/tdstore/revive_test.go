@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tencentrec/internal/tdstore/engine"
 )
 
 // TestReviveDropsKeysDeletedWhileDown: a delete made while a slave is
@@ -50,8 +52,9 @@ func engineContents(t *testing.T, ds *DataServer, inst InstanceID) map[string]st
 		t.Fatalf("%s lacks instance %d", ds.ID, inst)
 	}
 	out := make(map[string]string)
-	if err := eng.Range(func(k string, v []byte) bool {
-		out[k] = string(v)
+	if err := eng.Range(func(kv engine.KV) bool {
+		k, v := kv.Split()
+		out[k] = v
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -20,20 +20,12 @@ var ErrServerDown = errors.New("tdstore: data server is down")
 // longer hosts the target instance (a stale route).
 var ErrNotHost = errors.New("tdstore: server is not the host of this instance")
 
-// opKind enumerates replicated mutations.
-type opKind int
-
-const (
-	opPut opKind = iota
-	opDelete
-)
-
-// syncOp is one mutation queued for host→slave synchronization.
+// syncOp is one mutation queued for host→slave synchronization: a put
+// carries the KV the host's engine keeps, a delete only its key.
 type syncOp struct {
-	kind     opKind
 	instance InstanceID
-	key      string
-	value    []byte
+	kv       engine.KV // "" for a delete
+	key      string    // the deleted key
 }
 
 // hosting is a DataServer's immutable topology snapshot: which instances
@@ -65,28 +57,23 @@ type instanceLock struct {
 // larger run's are let go after it, so a burst does not pin them.
 const maxRunScratch = 1 << 10
 
-// runScratch holds the keys and values of one run of puts, handed to an
-// engine's PutBatch.
+// runScratch holds the KVs of one run of puts, handed to an engine's
+// PutBatch.
 type runScratch struct {
-	keys   []string
-	values [][]byte
+	kvs []engine.KV
 }
 
-func (r *runScratch) add(key string, value []byte) {
-	r.keys = append(r.keys, key)
-	r.values = append(r.values, value)
-}
+func (r *runScratch) add(kv engine.KV) { r.kvs = append(r.kvs, kv) }
 
-// reset empties the scratch for the next run, dropping the keys and
-// values the last one pinned.
+// reset empties the scratch for the next run, dropping the KVs the last
+// one pinned.
 func (r *runScratch) reset() {
-	if cap(r.keys) > maxRunScratch {
-		r.keys, r.values = nil, nil
+	if cap(r.kvs) > maxRunScratch {
+		r.kvs = nil
 		return
 	}
-	clear(r.keys)
-	clear(r.values)
-	r.keys, r.values = r.keys[:0], r.values[:0]
+	clear(r.kvs)
+	r.kvs = r.kvs[:0]
 }
 
 // clone returns a snapshot copy whose maps may be mutated before the
@@ -244,8 +231,8 @@ func (ds *DataServer) withInstanceFenced(inst InstanceID, fn func() error) error
 // idle" without involving the config server. Each drained batch is applied
 // under a single hosting-snapshot load, grouped by instance, and each slave
 // gets one PutBatch per run of an instance's puts (replicate). An op's
-// value is the slice the host's engine keeps, and each slave's engine
-// keeps that same slice: a replica costs no copy.
+// KV is the one the host's engine keeps, and each slave's engine keeps
+// that same KV: a replica costs no copy.
 func (ds *DataServer) syncLoop() {
 	defer close(ds.syncDone)
 	var sc syncScratch
@@ -276,7 +263,7 @@ func (ds *DataServer) syncLoop() {
 
 const (
 	// maxSpareOps bounds the queue buffer a sync loop keeps between drains
-	// while bursts come (56 bytes an op, 1.8 MB at most), and
+	// while bursts come (40 bytes an op, 1.3 MB at most), and
 	// maxQuietSpareOps once they have stopped.
 	maxSpareOps      = 1 << 15
 	maxQuietSpareOps = 1 << 10
@@ -307,7 +294,7 @@ type syncScratch struct {
 // done readies the scratch for the next drain once batch has been
 // applied.
 func (sc *syncScratch) done(batch []syncOp) {
-	clear(batch) // drop the keys and values it pinned
+	clear(batch) // drop the KVs and keys it pinned
 	limit := maxSpareOps
 	switch {
 	case len(batch) > quietOps:
@@ -333,16 +320,16 @@ func (sc *syncScratch) replicate(h *hosting, ops []syncOp) {
 	slices.SortStableFunc(ops, func(a, b syncOp) int { return cmp.Compare(a.instance, b.instance) })
 	for len(ops) > 0 {
 		op, n := ops[0], 1
-		if op.kind == opPut {
-			for n < len(ops) && ops[n].instance == op.instance && ops[n].kind == opPut {
+		if op.kv != "" {
+			for n < len(ops) && ops[n].instance == op.instance && ops[n].kv != "" {
 				n++
 			}
 			for _, o := range ops[:n] {
-				sc.run.add(o.key, o.value)
+				sc.run.add(o.kv)
 			}
 		}
 		for _, slave := range h.slaves[op.instance] {
-			slave.applyReplica(op, sc.run.keys, sc.run.values)
+			slave.applyReplica(op, sc.run.kvs)
 		}
 		sc.run.reset()
 		ops = ops[n:]
@@ -351,22 +338,21 @@ func (sc *syncScratch) replicate(h *hosting, ops []syncOp) {
 
 // applyReplica applies replicated mutations of op's instance to this
 // server's copy of it: op itself if it is a delete, and for a put the run
-// it heads, values[i] under keys[i], as one batch. A failure is counted in
-// replicaErrors. Replication proceeds even while a server is marked down
-// only if the engine still exists; a down server drops updates, which the
-// promotion path tolerates because the new host already has the data it
+// of KVs it heads, as one batch. A failure is counted in replicaErrors.
+// Replication proceeds even while a server is marked down only if the
+// engine still exists; a down server drops updates, which the promotion
+// path tolerates because the new host already has the data it
 // acknowledged.
-func (ds *DataServer) applyReplica(op syncOp, keys []string, values [][]byte) {
+func (ds *DataServer) applyReplica(op syncOp, kvs []engine.KV) {
 	h := ds.hosting.Load()
 	eng, ok := h.instances[op.instance]
 	if !ok || h.down {
 		return
 	}
 	var err error
-	switch op.kind {
-	case opPut:
-		err = eng.PutBatch(keys, values)
-	case opDelete:
+	if op.kv != "" {
+		err = eng.PutBatch(kvs)
+	} else {
 		err = eng.Delete(op.key)
 	}
 	if err != nil {
@@ -468,17 +454,17 @@ func (ds *DataServer) batchGet(items []batchItem, vals [][]byte, found []bool) e
 	return nil
 }
 
-// hostBatchPut serves a batched write of values[it.pos] under each
-// item's key. Each run of consecutive items of one instance is applied
-// under that instance's write mutex with its replication ops enqueued
-// before the mutex is released (the same fence contract as hostMutate).
+// hostBatchPut serves a batched write of kvs[it.pos] for each item. Each
+// run of consecutive items of one instance is applied under that
+// instance's write mutex with its replication ops enqueued before the
+// mutex is released (the same fence contract as hostMutate).
 // attempt hands a server its items as one run per instance, each in batch
 // order, so a key written twice in a batch keeps its later value, on the
 // host and on the slaves. Writers of different instances proceed in
 // parallel. Nothing is allocated here for runs of up to maxRunScratch
-// items: the engines keep values[it.pos] as they are, and so does the
+// items: the engines keep kvs[it.pos] as they are, and so does the
 // replication queue.
-func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
+func (ds *DataServer) hostBatchPut(items []batchItem, kvs []engine.KV) error {
 	h := ds.hosting.Load()
 	if h.down {
 		return ErrServerDown
@@ -493,7 +479,7 @@ func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 		for n < len(rest) && rest[n].inst == rest[0].inst {
 			n++
 		}
-		if err := ds.putRun(rest[:n], values); err != nil {
+		if err := ds.putRun(rest[:n], kvs); err != nil {
 			// Already-applied runs will be re-applied on retry; Put is
 			// idempotent so partial application is safe.
 			return err
@@ -508,7 +494,7 @@ func (ds *DataServer) hostBatchPut(items []batchItem, values [][]byte) error {
 // putRun applies a run of one instance's items of a batched write under
 // its write mutex, as one PutBatch filled in the instance's scratch, and
 // appends their replication ops to the queue before release.
-func (ds *DataServer) putRun(run []batchItem, values [][]byte) error {
+func (ds *DataServer) putRun(run []batchItem, kvs []engine.KV) error {
 	inst := run[0].inst
 	h := ds.hosting.Load()
 	w := h.writeMu[inst]
@@ -525,9 +511,9 @@ func (ds *DataServer) putRun(run []batchItem, values [][]byte) error {
 		return ErrNotHost
 	}
 	for _, it := range run {
-		w.run.add(it.key, values[it.pos])
+		w.run.add(kvs[it.pos])
 	}
-	err := h.instances[inst].PutBatch(w.run.keys, w.run.values)
+	err := h.instances[inst].PutBatch(w.run.kvs)
 	w.run.reset()
 	if err != nil {
 		return err
@@ -535,7 +521,7 @@ func (ds *DataServer) putRun(run []batchItem, values [][]byte) error {
 	ds.syncMu.Lock()
 	ds.syncQueue = slices.Grow(ds.syncQueue, len(run))
 	for _, it := range run {
-		ds.syncQueue = append(ds.syncQueue, syncOp{kind: opPut, instance: inst, key: it.key, value: values[it.pos]})
+		ds.syncQueue = append(ds.syncQueue, syncOp{instance: inst, kv: kvs[it.pos]})
 	}
 	ds.lag += len(run)
 	ds.workCond.Signal()

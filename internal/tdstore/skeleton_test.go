@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tencentrec/internal/obsv"
+	"tencentrec/internal/tdstore/engine"
 )
 
 // batchOp is one of the two batched operations as the skeleton sees
@@ -48,8 +49,12 @@ var batchOps = []batchOp{
 	},
 	{
 		name: "BatchPut", what: "batch put",
-		send: func(_ []string, values [][]byte) groupSend {
-			return func(ds *DataServer, items []batchItem) error { return ds.hostBatchPut(items, values) }
+		send: func(keys []string, values [][]byte) groupSend {
+			kvs := make([]engine.KV, len(keys))
+			for i, k := range keys {
+				kvs[i] = engine.MakeKV(k, values[i])
+			}
+			return func(ds *DataServer, items []batchItem) error { return ds.hostBatchPut(items, kvs) }
 		},
 		call: func(cl *Client, keys []string, values [][]byte) error {
 			if err := cl.BatchPut(keys, values); err != nil {

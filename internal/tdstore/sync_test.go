@@ -21,7 +21,7 @@ func TestSyncScratchKeepsBurstsBounded(t *testing.T) {
 	var queue []syncOp // the writers' buffer
 	drain := func(n int) {
 		for i := 0; i < n; i++ {
-			queue = append(queue, syncOp{kind: opPut, key: fmt.Sprintf("k%d", i%4000)})
+			queue = append(queue, syncOp{key: fmt.Sprintf("k%d", i%4000)})
 		}
 		batch := queue
 		queue = sc.spare
@@ -69,14 +69,14 @@ type gatedReplica struct {
 	g *replicaGate
 }
 
-func (r gatedReplica) Put(key string, value []byte) error {
+func (r gatedReplica) PutKV(kv engine.KV) error {
 	r.g.wait()
-	return r.Engine.Put(key, value)
+	return r.Engine.PutKV(kv)
 }
 
-func (r gatedReplica) PutBatch(keys []string, values [][]byte) error {
+func (r gatedReplica) PutBatch(kvs []engine.KV) error {
 	r.g.wait()
-	return r.Engine.PutBatch(keys, values)
+	return r.Engine.PutBatch(kvs)
 }
 
 func (r gatedReplica) Delete(key string) error {
@@ -184,8 +184,9 @@ func TestReplicasApplyHostOrder(t *testing.T) {
 	contents := func(eng engine.Engine) map[string]string {
 		t.Helper()
 		m := make(map[string]string)
-		if err := eng.Range(func(k string, v []byte) bool {
-			m[k] = string(v)
+		if err := eng.Range(func(kv engine.KV) bool {
+			k, v := kv.Split()
+			m[k] = v
 			return true
 		}); err != nil {
 			t.Fatal(err)
