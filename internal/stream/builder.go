@@ -8,9 +8,9 @@ import (
 )
 
 // SpoutFactory creates fresh spout instances. The engine calls it once per
-// task at startup and again whenever the supervisor restarts the task, so
-// instances must not share mutable state through the factory's closure
-// unless that state is itself safe to share.
+// task at startup (and BoltFactory once per task of each generation a
+// Rebalance spawns), so instances must not share mutable state through
+// the factory's closure unless that state is itself safe to share.
 type SpoutFactory func() Spout
 
 // BoltFactory creates fresh bolt instances; see SpoutFactory.

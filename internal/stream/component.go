@@ -66,7 +66,7 @@ type Bolt interface {
 // engine calls FlushBatch on the task's goroutine, between Execute calls,
 // at every point where the task's collector flushes — when the input
 // queue momentarily empties, after every 16 consecutive batches under
-// backlog, and before Cleanup on a restart or task exit.
+// backlog, and before Cleanup when the task exits.
 //
 // Ordering contract: FlushBatch returns before the tuples executed since
 // the previous flush are subtracted from the in-flight count. A drained

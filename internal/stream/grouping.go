@@ -92,7 +92,7 @@ type assignment struct {
 }
 
 // newAssignment builds the round-robin partition table over tasks. With
-// all of a component's tasks restarted fresh on rebalance (state lives in
+// all of a component's tasks replaced fresh on rebalance (state lives in
 // the external store), partition affinity carries no value, so the table
 // simply spreads partitions as evenly as possible.
 func newAssignment(tasks []*task) *assignment {

@@ -56,7 +56,7 @@ type componentMetrics struct {
 	// was full. Written only by the topology's ticker goroutine.
 	ticksSkipped atomic.Int64
 	// dropped counts data tuples a task discarded without executing them
-	// (drainInput after a failed restart).
+	// (drainInput after a failed Prepare).
 	dropped atomic.Int64
 }
 
@@ -181,9 +181,9 @@ type ComponentStats struct {
 	// TicksSkipped counts interval ticks dropped because the task's
 	// input queue was full at tick time.
 	TicksSkipped int64
-	// Dropped counts data tuples discarded without execution when a task
-	// failed to restart and drained its queue. Always zero on a healthy
-	// run.
+	// Dropped counts data tuples discarded without execution when a
+	// task's Prepare failed and it drained its queue. Always zero on a
+	// healthy run.
 	Dropped int64
 	// Tasks is the component's live task count at snapshot time, which a
 	// Rebalance may have changed from the build-time parallelism.

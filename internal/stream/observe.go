@@ -42,7 +42,7 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 			},
 			"component", name)
 		r.CounterFunc("stream_dropped_total",
-			"Data tuples discarded without execution (failed restart drain).",
+			"Data tuples discarded without execution (a task whose Prepare failed drains its queue).",
 			func() int64 { return cm.dropped.Load() },
 			"component", name)
 		r.CounterFunc("stream_ticks_skipped_total",

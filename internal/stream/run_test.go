@@ -188,8 +188,7 @@ func (b *arrivalSink) Execute(t *Tuple) error {
 // TestRunRoutingEqualsSingleTuples: the same keyed rows sent as one run and
 // as single tuples reach the same task in the same per-key order, exactly
 // once, at parallelism 1, 3, 4 and 8, across a rebalance of both sinks from
-// each to the next and with tasks of all three bolts restarted under load.
-// Run under -race by scripts/check.sh.
+// each to the next under load. Run under -race by scripts/check.sh.
 func TestRunRoutingEqualsSingleTuples(t *testing.T) {
 	keys := runKeys(20)
 	const n = 3000
@@ -209,15 +208,7 @@ func TestRunRoutingEqualsSingleTuples(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := topo.SubmitWithErrorHandler(func(c string, err error) { t.Errorf("component %s: %v", c, err) })
-			restart := func(round int) {
-				for _, c := range []string{"fan", "runSink", "singleSink"} {
-					_ = h.RestartTask(c, round%h.Parallelism(c)) // an error only means it already shut down
-				}
-			}
-			for i := 0; i < 4; i++ {
-				time.Sleep(time.Millisecond)
-				restart(i)
-			}
+			time.Sleep(4 * time.Millisecond) // rows flow under the first table
 			// Both sinks change parallelism with nothing in flight between
 			// the two rebalances, so a row and its twin are always routed
 			// under the same table.
@@ -234,10 +225,6 @@ func TestRunRoutingEqualsSingleTuples(t *testing.T) {
 				}
 			}
 			hold.Store(false)
-			for i := 0; i < 4; i++ {
-				time.Sleep(time.Millisecond)
-				restart(i)
-			}
 			h.Wait()
 			for j, k := range keys {
 				run, single := byRun.seen[k], bySingle.seen[k]

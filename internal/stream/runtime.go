@@ -90,10 +90,6 @@ const metricsFlushBatches = 16
 // again: one sixteenth, 6.25 ms of the default 100 ms flush interval.
 const idleTickFraction = 16
 
-type ctrlMsg int
-
-const ctrlRestart ctrlMsg = iota
-
 // edge is one compiled subscription: a (source, stream) pair routed to a
 // destination bolt's tasks under a grouping. The destination's live task
 // set is reached through the component's atomic assignment, so a rebalance
@@ -122,11 +118,8 @@ type task struct {
 	index     int
 	isSpout   bool
 	in        chan []*Tuple
-	ctrl      chan ctrlMsg
 	done      chan struct{} // closed when the task goroutine has exited
 	rng       *rand.Rand
-	rt        *runtime
-	restarts  atomic.Int64
 }
 
 // runtime is a single execution of a topology.
@@ -433,15 +426,6 @@ func (c *collector) flushBolt() {
 	c.rt.onError(c.task.component, err)
 }
 
-// retireBolt discards a bolt instance: its staged writes land through
-// the hook first — the one place a failed flush is reported, so Cleanup
-// itself need not (and cannot usefully) flush.
-func (c *collector) retireBolt(b Bolt) {
-	c.flushBolt()
-	c.flusher = nil
-	b.Cleanup()
-}
-
 func newRuntime(t *Topology, onError func(string, error)) *runtime {
 	if onError == nil {
 		onError = func(string, error) {}
@@ -524,10 +508,8 @@ func (rt *runtime) newTasks(name string, n int, isSpout bool) []*task {
 			index:     i,
 			isSpout:   isSpout,
 			in:        make(chan []*Tuple, depth),
-			ctrl:      make(chan ctrlMsg, 4),
 			done:      make(chan struct{}),
 			rng:       rand.New(rand.NewSource(rt.seedSeq.Add(1))),
-			rt:        rt,
 		}
 	}
 	return ts
@@ -541,67 +523,48 @@ func (rt *runtime) ctx(name string, index, n int) TopologyContext {
 	}
 }
 
-// runSpoutTask drives one spout instance until exhaustion or stop.
-func (rt *runtime) runSpoutTask(decl *spoutDecl, tk *task) {
+// runSpoutTask drives one opened spout instance until exhaustion or stop.
+func (rt *runtime) runSpoutTask(sp Spout, col *collector) {
 	defer rt.spoutWG.Done()
-	rt.activeSpouts.Add(1)
 	defer rt.activeSpouts.Add(-1)
-	col := newCollector(tk, rt)
 	defer col.flushAll() // buffered emissions leave on every return path
-	sp := decl.factory()
-	if err := sp.Open(rt.ctx(decl.name, tk.index, decl.parallelism), col); err != nil {
-		rt.onError(decl.name, fmt.Errorf("open: %w", err))
-		return
-	}
-	defer func() { sp.Close() }()
+	defer sp.Close()
 	for {
 		select {
 		case <-rt.spoutStop:
 			return
-		case m := <-tk.ctrl:
-			if m == ctrlRestart {
-				col.flushAll() // the old instance's emissions leave first
-				sp.Close()
-				sp = decl.factory()
-				tk.restarts.Add(1)
-				if err := sp.Open(rt.ctx(decl.name, tk.index, decl.parallelism), col); err != nil {
-					rt.onError(decl.name, fmt.Errorf("reopen: %w", err))
-					return
-				}
-			}
 		default:
-			if rt.paused.Load() {
-				// A rebalance is draining the topology: flush everything,
-				// report this spout parked, and idle until resumed. The
-				// loop re-enters the select each iteration so stop and
-				// restart signals are still honored while parked.
-				col.flushAll()
-				rt.pausedSpouts.Add(1)
-				for rt.paused.Load() {
-					select {
-					case <-rt.spoutStop:
-						rt.pausedSpouts.Add(-1)
-						return
-					default:
-						time.Sleep(50 * time.Microsecond)
-					}
+		}
+		if rt.paused.Load() {
+			// A rebalance is draining the topology: flush everything,
+			// report this spout parked, and idle until resumed, still
+			// honouring stop while parked.
+			col.flushAll()
+			rt.pausedSpouts.Add(1)
+			for rt.paused.Load() {
+				select {
+				case <-rt.spoutStop:
+					rt.pausedSpouts.Add(-1)
+					return
+				default:
+					time.Sleep(50 * time.Microsecond)
 				}
-				rt.pausedSpouts.Add(-1)
-				continue
 			}
-			e0 := col.emitted
-			if !sp.NextTuple() {
-				return
-			}
-			// Idle poll (nothing emitted) or linger expiry: hand over
-			// whatever is buffered so trickle traffic is not delayed.
-			// Local counters are folded too even when the buffers are
-			// empty (threshold flushes may have drained them), so
-			// metric readers like System.Drain never see an idle spout
-			// with emissions unaccounted for.
-			if (col.buffered > 0 || col.emitted != 0) && (col.emitted == e0 || time.Since(col.lastFlush) >= rt.linger) {
-				col.flushAll()
-			}
+			rt.pausedSpouts.Add(-1)
+			continue
+		}
+		e0 := col.emitted
+		if !sp.NextTuple() {
+			return
+		}
+		// Idle poll (nothing emitted) or linger expiry: hand over
+		// whatever is buffered so trickle traffic is not delayed.
+		// Local counters are folded too even when the buffers are
+		// empty (threshold flushes may have drained them), so
+		// metric readers like System.Drain never see an idle spout
+		// with emissions unaccounted for.
+		if (col.buffered > 0 || col.emitted != 0) && (col.emitted == e0 || time.Since(col.lastFlush) >= rt.linger) {
+			col.flushAll()
 		}
 	}
 }
@@ -659,38 +622,20 @@ func (rt *runtime) dropBatch(tk *task, batch []*Tuple) {
 	rt.pending.Add(-int64(len(batch)))
 }
 
-// drainInput unblocks upstream senders after a failed Prepare: batches
-// are consumed and dropped without execution until the queue closes.
+// drainInput unblocks upstream senders after a failed Prepare (of a fresh
+// generation that Rebalance spawned, say): batches are consumed and
+// dropped without execution until the queue closes.
 func (rt *runtime) drainInput(tk *task) {
 	for batch := range tk.in {
 		rt.dropBatch(tk, batch)
 	}
 }
 
-// restartBolt swaps in a fresh bolt instance after simulated worker
-// failure: the instance and all its in-memory state are discarded; a
-// fresh stateless instance resumes from the same queue (§3.1, §3.3).
-// On a failed re-Prepare the caller must dispose of any batch it holds
-// and then drain the queue; restartBolt cannot drain itself, because a
-// batch still in the caller's hands would keep the topology from ever
-// quiescing.
-func (rt *runtime) restartBolt(decl *boltDecl, tk *task, col *collector, b Bolt) (Bolt, bool) {
-	col.retireBolt(b)
-	nb := decl.factory()
-	tk.restarts.Add(1)
-	if err := nb.Prepare(rt.ctx(decl.name, tk.index, len(rt.taskList(decl.name))), col); err != nil {
-		rt.onError(decl.name, fmt.Errorf("re-prepare: %w", err))
-		col.flushAll() // do not strand pre-crash emissions
-		return nil, false
-	}
-	col.flusher, _ = nb.(BatchFlusher)
-	return nb, true
-}
-
 // runBoltTask drives one bolt instance until its input channel closes.
 // It iterates whole batches per channel receive and keeps consuming as
 // long as input is immediately available, flushing its own emissions
-// when the queue momentarily empties.
+// when the queue momentarily empties. A task is never restarted in place:
+// the process is the unit of failure (DESIGN.md §11).
 func (rt *runtime) runBoltTask(decl *boltDecl, tk *task) {
 	defer rt.taskWG.Done()
 	defer close(tk.done) // after the flushAll below: retirement waits on it
@@ -704,56 +649,32 @@ func (rt *runtime) runBoltTask(decl *boltDecl, tk *task) {
 	}
 	col.flusher, _ = b.(BatchFlusher)
 	defer func() {
-		if b != nil { // nil after a failed restart; the old instance was cleaned up
-			col.retireBolt(b)
-		}
+		// The instance retires: its staged writes land through the hook
+		// first, the one place a failed flush is reported, so Cleanup
+		// need not (and cannot usefully) flush.
+		col.flushBolt()
+		col.flusher = nil
+		b.Cleanup()
 	}()
-	for {
-		select {
-		case m := <-tk.ctrl:
-			if m == ctrlRestart {
-				var ok bool
-				if b, ok = rt.restartBolt(decl, tk, col, b); !ok {
-					rt.drainInput(tk)
-					return
-				}
+	for batch := range tk.in {
+		streak := 0
+		for batch != nil {
+			rt.execBatch(decl, b, col, batch)
+			if streak++; streak >= metricsFlushBatches {
+				col.flushAll()
+				streak = 0
 			}
-		case batch, ok := <-tk.in:
-			if !ok {
-				return
+			var ok bool
+			select {
+			case batch, ok = <-tk.in:
+				if !ok {
+					return // defer flushes metrics; buffers are empty at close
+				}
+			default:
+				batch = nil
 			}
-			streak := 0
-			for batch != nil {
-				// Poll for a restart between batches so fault injection
-				// is not starved while the queue stays busy.
-				select {
-				case m := <-tk.ctrl:
-					if m == ctrlRestart {
-						var okr bool
-						if b, okr = rt.restartBolt(decl, tk, col, b); !okr {
-							rt.dropBatch(tk, batch) // the batch in hand is dropped too
-							rt.drainInput(tk)
-							return
-						}
-					}
-				default:
-				}
-				rt.execBatch(decl, b, col, batch)
-				if streak++; streak >= metricsFlushBatches {
-					col.flushAll()
-					streak = 0
-				}
-				select {
-				case batch, ok = <-tk.in:
-					if !ok {
-						return // defer flushes metrics; buffers are empty at close
-					}
-				default:
-					batch = nil
-				}
-			}
-			col.flushAll()
 		}
+		col.flushAll()
 	}
 }
 
@@ -887,7 +808,7 @@ func (rt *runtime) claimIdle() bool {
 // A live round (frozen false) never blocks on a full queue: the saturated
 // task's tick is skipped and counted in ticksSkipped, and the round moves
 // on. A tick that was queued but then dropped unexecuted (a failed
-// re-Prepare draining the queue) releases the round too. With the topology
+// Prepare draining the queue) releases the round too. With the topology
 // frozen — spouts parked or exhausted, the caller serialized against
 // rebalance — sends block, so no tick is ever skipped, and the round waits
 // for quiescence after every component, so what a flush emitted has been
@@ -999,11 +920,30 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 		rt.tickerWG.Add(1)
 		go rt.runTicker()
 	}
+	// Every spout task opens before any polls. Open joins the input's
+	// consumer group (TDAccessSpout), and a member that polled before a
+	// later one joined would read partitions the group then hands to that
+	// member, which reads them again from the committed offset.
+	type opened struct {
+		sp  Spout
+		col *collector
+	}
+	var spouts []opened
 	for _, s := range t.spouts {
 		for _, tk := range rt.taskList(s.name) {
-			rt.spoutWG.Add(1)
-			go rt.runSpoutTask(s, tk)
+			col := newCollector(tk, rt)
+			sp := s.factory()
+			if err := sp.Open(rt.ctx(s.name, tk.index, s.parallelism), col); err != nil {
+				rt.onError(s.name, fmt.Errorf("open: %w", err))
+				continue
+			}
+			spouts = append(spouts, opened{sp, col})
 		}
+	}
+	for _, o := range spouts {
+		rt.spoutWG.Add(1)
+		rt.activeSpouts.Add(1)
+		go rt.runSpoutTask(o.sp, o.col)
 	}
 	h := &RunningTopology{rt: rt, done: make(chan struct{})}
 	go func() {
@@ -1177,8 +1117,7 @@ func (rt *runtime) rebalance(component string, n int) error {
 }
 
 // RunningTopology is a handle to an executing topology: it supports
-// waiting for completion, early stop, and supervisor-style fault
-// injection (task restarts).
+// waiting for completion, early stop, rebalance and quiescence.
 type RunningTopology struct {
 	rt       *runtime
 	done     chan struct{}
@@ -1195,41 +1134,6 @@ func (h *RunningTopology) Done() <-chan struct{} { return h.done }
 // normal completion.
 func (h *RunningTopology) Stop() {
 	h.stopOnce.Do(func() { close(h.rt.spoutStop) })
-}
-
-// RestartTask simulates a worker crash-and-restart of one task of the
-// named component: the current instance is discarded with all in-memory
-// state and a fresh instance from the factory takes over the same queue.
-// This reproduces the paper's fail-fast, state-free worker model (§3.1).
-func (h *RunningTopology) RestartTask(component string, index int) error {
-	ct, ok := h.rt.comps[component]
-	if !ok {
-		return fmt.Errorf("%w %q", ErrUnknownComponent, component)
-	}
-	tasks := ct.tasks()
-	if index < 0 || index >= len(tasks) {
-		return fmt.Errorf("stream: component %q has no task %d", component, index)
-	}
-	select {
-	case tasks[index].ctrl <- ctrlRestart:
-		return nil
-	case <-h.done:
-		return fmt.Errorf("stream: topology already shut down")
-	}
-}
-
-// Restarts reports how many times the given task has been restarted.
-// Counts reset when a rebalance replaces the component's tasks.
-func (h *RunningTopology) Restarts(component string, index int) int64 {
-	ct, ok := h.rt.comps[component]
-	if !ok {
-		return 0
-	}
-	tasks := ct.tasks()
-	if index < 0 || index >= len(tasks) {
-		return 0
-	}
-	return tasks[index].restarts.Load()
 }
 
 // InFlight reports how many tuples (interval ticks included) are queued

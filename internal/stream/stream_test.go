@@ -374,39 +374,56 @@ func (b *bufferBolt) DeclareOutputFields() map[string]Fields {
 	return map[string]Fields{DefaultStream: {"n"}}
 }
 
-func TestRestartTaskDiscardsState(t *testing.T) {
-	// A stateful counting bolt loses its in-memory count on restart,
-	// demonstrating that workers are state-free and that durable state
-	// must live in the external store.
-	var lastCount atomic.Int64
+// openOrderSpout counts, across its tasks, the Opens that have returned
+// and the polls that ran before every task had opened. Task 1 opens
+// slowly, as a consumer-group join can.
+type openOrderSpout struct {
+	tasks         int
+	opened, early *atomic.Int64
+	polls         int
+}
+
+func (s *openOrderSpout) Open(ctx TopologyContext, _ SpoutCollector) error {
+	if ctx.TaskIndex == 1 {
+		time.Sleep(20 * time.Millisecond)
+	}
+	s.opened.Add(1)
+	return nil
+}
+
+func (s *openOrderSpout) NextTuple() bool {
+	if s.opened.Load() < int64(s.tasks) {
+		s.early.Add(1)
+	}
+	s.polls++
+	return s.polls < 100
+}
+
+func (s *openOrderSpout) Close() {}
+
+func (s *openOrderSpout) DeclareOutputFields() map[string]Fields {
+	return map[string]Fields{DefaultStream: {"n"}}
+}
+
+// TestSpoutsOpenBeforeAnyPolls: no spout task polls until every spout task
+// has opened. A TDAccessSpout's Open joins the consumer group, and a task
+// that polled before a later task joined would read records that the
+// group then hands to the later task, which reads them again.
+func TestSpoutsOpenBeforeAnyPolls(t *testing.T) {
+	var opened, early atomic.Int64
+	sink, _, _ := newSink()
 	tb := NewTopologyBuilder("t")
-	tb.SetSpout("spout", func() Spout { return &slowSpout{n: 40, delay: time.Millisecond} }, 1)
-	tb.SetBolt("count", func() Bolt {
-		n := 0
-		return &BoltFunc{Fn: func(tp *Tuple, _ Collector) error {
-			if tp.IsTick() {
-				return nil
-			}
-			n++
-			lastCount.Store(int64(n))
-			return nil
-		}}
-	}, 1).Shuffle("spout")
+	tb.SetSpout("spout", func() Spout { return &openOrderSpout{tasks: 2, opened: &opened, early: &early} }, 2)
+	tb.SetBolt("sink", sink, 1).Shuffle("spout")
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := topo.Submit()
-	time.Sleep(15 * time.Millisecond)
-	if err := h.RestartTask("count", 0); err != nil {
+	if _, err := topo.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	h.Wait()
-	if got := h.Restarts("count", 0); got != 1 {
-		t.Fatalf("restarts = %d, want 1", got)
-	}
-	if lastCount.Load() >= 40 {
-		t.Fatalf("final in-memory count %d survived restart, want < 40", lastCount.Load())
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d NextTuple calls ran before every spout task had opened", n)
 	}
 }
 

@@ -140,14 +140,10 @@ func tickRoundTopology(t *testing.T, log *tickLog, slow, failNext *atomic.Bool, 
 
 // TestTickRoundOrder: in every round — periodic, rebalance pre-flush and
 // shutdown cascade alike — no task of b begins its tick before every task
-// of a has finished its own, across a restart and two rebalances of a.
+// of a has finished its own, across two rebalances of a.
 func TestTickRoundOrder(t *testing.T) {
 	log := &tickLog{}
 	h := tickRoundTopology(t, log, nil, nil, DefaultQueueDepth)
-	log.waitTicks(t, "b", 20)
-	if err := h.RestartTask("a", 0); err != nil {
-		t.Fatal(err)
-	}
 	log.waitTicks(t, "b", 20)
 	for _, n := range []int{3, 1} {
 		if err := h.Rebalance("a", n); err != nil {
@@ -173,8 +169,9 @@ func TestTickRoundOrder(t *testing.T) {
 
 // TestTickRoundReleasedBySkipAndDrop: a round is not held by a tick that
 // will never execute. With a's queues full its ticks are skipped and
-// counted; after a failed re-Prepare a task's queued ticks are dropped
-// unexecuted; either way the round still reaches b.
+// counted; when a task of the generation a rebalance spawns fails its
+// Prepare, its queued ticks are dropped unexecuted; either way the round
+// still reaches b.
 func TestTickRoundReleasedBySkipAndDrop(t *testing.T) {
 	log := &tickLog{}
 	var slow, failNext atomic.Bool
@@ -200,7 +197,7 @@ func TestTickRoundReleasedBySkipAndDrop(t *testing.T) {
 
 	slow.Store(false)
 	failNext.Store(true)
-	if err := h.RestartTask("a", 1); err != nil {
+	if err := h.Rebalance("a", 3); err != nil {
 		t.Fatal(err)
 	}
 	for failNext.Load() {
@@ -209,7 +206,7 @@ func TestTickRoundReleasedBySkipAndDrop(t *testing.T) {
 	aBefore := log.ticksOf("a")
 	log.waitTicks(t, "b", 40) // 20 rounds, each also sent to the dead task
 	if got := log.ticksOf("a") - aBefore; got < 10 {
-		t.Fatalf("a's surviving task executed %d ticks while b executed 40", got)
+		t.Fatalf("a's surviving tasks executed %d ticks while b executed 40", got)
 	}
 	h.Stop()
 	h.Wait()

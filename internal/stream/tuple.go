@@ -11,16 +11,16 @@
 //     the paper's "only a single worker node should operate over a
 //     specific item pair at some point" (§4.1.3);
 //   - per-component parallelism with independent tasks;
-//   - stateless, restartable workers supervised by a cluster manager
-//     (Nimbus/Supervisor in Storm, Supervisor here), so that all durable
-//     state lives in an external store (TDStore) and a crashed task can
-//     be relaunched "like nothing happened" (§3.1);
+//   - stateless workers whose durable state all lives in an external
+//     store (TDStore), so that a crashed worker can be relaunched "like
+//     nothing happened" (§3.1); here the worker is the process, restored
+//     from its checkpoint (DESIGN.md §18);
 //   - tick tuples delivered at least once per interval, which drive the
 //     combiner flushes of §5.3.
 //
 // Workers are goroutines rather than processes, and routing is by channel
 // rather than by network, but the visible semantics — partitioning,
-// ordering per key, at-most-one-writer per key, restartability — match.
+// ordering per key, at-most-one-writer per key — match.
 //
 // Tuples move between tasks in micro-batches: the collector accumulates
 // routed tuples into per-destination buffers and hands a whole []*Tuple

@@ -12,8 +12,7 @@ import (
 // master, and each member polls its partitions directly from the data
 // servers. Committed offsets are stored broker-side per group, so a
 // consumer restart (or a replacement member) resumes where the group
-// left off — the disk-cached log also serves "the offline computation
-// requiring the historical data" via SeekToBeginning (§3.2).
+// left off (§3.2).
 type Consumer struct {
 	b     *Broker
 	id    string
@@ -208,59 +207,4 @@ func (c *Consumer) Commit() error {
 		}
 	}
 	return nil
-}
-
-// CommitTo persists offset as the group's committed offset for one
-// partition, if it advances the current one. Unlike Commit it is
-// independent of the consumer's read positions, so a spout that holds
-// polled messages in a pending window can commit exactly the contiguous
-// acknowledged frontier and let a crash replay everything beyond it.
-func (c *Consumer) CommitTo(partition int, offset int64) error {
-	if c.t == nil {
-		return fmt.Errorf("tdaccess: consumer %s committed before Subscribe", c.id)
-	}
-	c.b.mu.Lock()
-	defer c.b.mu.Unlock()
-	gs := c.b.groups[groupKey{c.group, c.topicName}]
-	if gs == nil {
-		return fmt.Errorf("tdaccess: unknown group %q", c.group)
-	}
-	if partition < 0 || partition >= len(gs.offsets) {
-		return fmt.Errorf("tdaccess: topic %s has no partition %d", c.topicName, partition)
-	}
-	if offset > gs.offsets[partition] {
-		gs.offsets[partition] = offset
-	}
-	return nil
-}
-
-// SeekToBeginning rewinds this consumer's positions to offset zero for
-// all assigned partitions, replaying the disk-cached history.
-func (c *Consumer) SeekToBeginning() error {
-	if c.t == nil {
-		return fmt.Errorf("tdaccess: consumer %s sought before Subscribe", c.id)
-	}
-	if err := c.refreshAssignment(); err != nil {
-		return err
-	}
-	for p := range c.positions {
-		c.positions[p] = 0
-	}
-	return nil
-}
-
-// Lag returns the total number of unread messages across this consumer's
-// assigned partitions.
-func (c *Consumer) Lag() (int64, error) {
-	if c.t == nil {
-		return 0, fmt.Errorf("tdaccess: consumer %s has no subscription", c.id)
-	}
-	if err := c.refreshAssignment(); err != nil {
-		return 0, err
-	}
-	var lag int64
-	for _, p := range c.assigned {
-		lag += c.t.parts[p].log.NextOffset() - c.positions[p]
-	}
-	return lag, nil
 }

@@ -72,16 +72,8 @@ func TestSeedCommittedOffsetsResumesTail(t *testing.T) {
 		t.Fatalf("polled %d, want 40", len(msgs))
 	}
 	// Commit everything, then record the frontier.
-	maxByPart := make(map[int]int64)
-	for _, m := range msgs {
-		if m.Offset+1 > maxByPart[m.Partition] {
-			maxByPart[m.Partition] = m.Offset + 1
-		}
-	}
-	for part, off := range maxByPart {
-		if err := c.CommitTo(part, off); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	frontier := make([]int64, 2)
 	for part := 0; part < 2; part++ {
@@ -249,24 +241,6 @@ func TestIndependentGroupsSeeAllData(t *testing.T) {
 	}
 }
 
-func TestSeekToBeginningReplays(t *testing.T) {
-	b := newTestBroker(t, Options{Partitions: 1})
-	p := b.NewProducer()
-	for i := 0; i < 5; i++ {
-		p.Send("t", "", []byte{byte(i)})
-	}
-	c := b.NewConsumer("g")
-	c.Subscribe("t")
-	c.Poll(100)
-	if err := c.SeekToBeginning(); err != nil {
-		t.Fatal(err)
-	}
-	again, _ := c.Poll(100)
-	if len(again) != 5 {
-		t.Fatalf("replay polled %d, want 5", len(again))
-	}
-}
-
 func TestRecoveryAcrossBrokerRestart(t *testing.T) {
 	dir := t.TempDir()
 	b1, err := NewBroker(Options{Dir: dir, Partitions: 2})
@@ -357,25 +331,6 @@ func TestDataServerFailureAndRevival(t *testing.T) {
 	}
 	if len(msgs) != 2 {
 		t.Fatalf("polled %d messages, want 2 (disk cache preserved)", len(msgs))
-	}
-}
-
-func TestLag(t *testing.T) {
-	b := newTestBroker(t, Options{Partitions: 1})
-	p := b.NewProducer()
-	for i := 0; i < 7; i++ {
-		p.Send("t", "", nil)
-	}
-	c := b.NewConsumer("g")
-	c.Subscribe("t")
-	lag, err := c.Lag()
-	if err != nil || lag != 7 {
-		t.Fatalf("Lag = %d %v, want 7", lag, err)
-	}
-	c.Poll(3)
-	lag, _ = c.Lag()
-	if lag != 4 {
-		t.Fatalf("Lag after partial poll = %d, want 4", lag)
 	}
 }
 
@@ -478,53 +433,5 @@ func TestUncommittedMessagesRedeliveredToReplacement(t *testing.T) {
 	redelivered := pollAll(t, c2)
 	if len(redelivered) != 30 {
 		t.Fatalf("replacement re-received %d messages, want all 30", len(redelivered))
-	}
-}
-
-func TestCommitToAdvancesFrontierPerPartition(t *testing.T) {
-	b := newTestBroker(t, Options{Partitions: 2})
-	p := b.NewProducer()
-	perPart := make(map[int]int)
-	for i := 0; i < 20; i++ {
-		part, _, err := p.Send("t", fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		perPart[part]++
-	}
-	c1 := b.NewConsumer("g")
-	if err := c1.Subscribe("t"); err != nil {
-		t.Fatal(err)
-	}
-	if got := pollAll(t, c1); len(got) != 20 {
-		t.Fatalf("polled %d, want 20", len(got))
-	}
-	// Commit only the first 2 offsets of partition 0; partition 1 stays
-	// uncommitted entirely.
-	if err := c1.CommitTo(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Regressing the frontier must be a no-op.
-	if err := c1.CommitTo(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.CommitTo(7, 0); err == nil {
-		t.Fatal("CommitTo accepted an unknown partition")
-	}
-	c1.Unsubscribe()
-
-	c2 := b.NewConsumer("g")
-	if err := c2.Subscribe("t"); err != nil {
-		t.Fatal(err)
-	}
-	got := pollAll(t, c2)
-	want := perPart[0] - 2 + perPart[1]
-	if len(got) != want {
-		t.Fatalf("replacement received %d messages, want %d (all but the 2 committed on partition 0)", len(got), want)
-	}
-	for _, m := range got {
-		if m.Partition == 0 && m.Offset < 2 {
-			t.Fatalf("offset %d of partition 0 redelivered despite being committed", m.Offset)
-		}
 	}
 }

@@ -502,7 +502,7 @@ type PairCountBolt struct {
 }
 
 // pairState is one pair's in-memory state on the task that owns it. It is
-// rebuilt lazily after a restart: the pl: flag is durable, and a pair is
+// rebuilt lazily after a rebalance or a restore: the pl: flag is durable, and a pair is
 // counted again with its next delta. A task holds one for every pair it
 // ever saw, so it stays within 64 bytes.
 type pairState struct {
@@ -962,8 +962,8 @@ type ResultStorageBolt struct {
 	// flushes. A frame is the same slice handed to the task cache and the
 	// store at flush; State.BatchPut must not retain it, so patching it in
 	// place afterwards cannot reach a reader. Bounded by flushing and
-	// clearing when full (with CacheSize <= 0, after every flush); restart
-	// safety comes from the store, not the cache.
+	// clearing when full (with CacheSize <= 0, after every flush); recovery
+	// comes from the store, not the cache.
 	lists    map[string]*stagedList
 	listsCap int
 	// dirty lists the frames merged since the last flush, in first-write
@@ -1092,6 +1092,6 @@ func (b *ResultStorageBolt) FlushBatch() error {
 }
 
 // Cleanup implements stream.Bolt. Nothing is staged by now: the engine
-// calls FlushBatch before it retires an instance (restart, rebalance,
-// shutdown), and reports a failure there.
+// calls FlushBatch before it retires an instance (rebalance, shutdown),
+// and reports a failure there.
 func (b *ResultStorageBolt) Cleanup() {}

@@ -30,17 +30,17 @@ func coldRestartScale() (users, actions int) {
 	return users, actions
 }
 
-// TestColdRestartChaosSoak is the durability soak (ISSUE 8 acceptance):
-// the whole store — broker process state, cluster, every engine — is
-// killed mid-workload and cold-started from disk. Recovery restores the
+// TestColdRestartChaosSoak is the durability soak: the whole store —
+// broker process state, cluster, every engine — is killed mid-workload
+// and cold-started from disk. Recovery restores the
 // LDB checkpoint and replays only the committed-offset tail; afterwards
 // the item counts must equal the sequential library's EXACTLY, with no
 // double-apply of pre-checkpoint records and no lost tail records.
 //
 // Run shape:
 //
-//	phase 1: publish ~90% of the stream, run the acking CF topology to
-//	         quiescence, checkpoint the cluster anchored to the group's
+//	phase 1: publish ~90% of the stream, run the CF topology, combiner
+//	         on, to quiescence, checkpoint the cluster anchored to the group's
 //	         committed offsets;
 //	phase 2: publish the last 10%, start the topology again and kill it
 //	         mid-tail, then discard ALL process state (broker group
@@ -70,8 +70,7 @@ func TestColdRestartChaosSoak(t *testing.T) {
 	clusterOpts := tdstore.Options{DataServers: 3, Instances: 12, Replicas: 2, Engine: factory}
 
 	p := Params{
-		FlushInterval:   time.Hour,
-		DisableCombiner: true,
+		FlushInterval: time.Hour,
 	}
 	runTopo := func(broker *tdaccess.Broker, client *tdstore.Client, emitted *atomic.Int64, kill time.Duration) {
 		t.Helper()
@@ -193,14 +192,12 @@ func TestColdRestartChaosSoak(t *testing.T) {
 	runTopo(broker2, client2, &replayed, 0)
 	cluster2.WaitSync()
 
-	// Recovery must replay ONLY the tail: every record past the frontier
-	// and none below it. A consumer-group rebalance while the two spout
-	// tasks join can re-read a small uncommitted window (downstream dedup
-	// absorbs it), so allow that bounded overlap — but nothing close to a
-	// from-the-beginning replay.
+	// Recovery replays exactly the tail: every record past the frontier,
+	// none below it and none twice. Both spout tasks join the group before
+	// either polls, so no record is read again from a committed offset.
 	tail := int64(total - split)
-	if got := replayed.Load(); got < tail || got > tail+1024 {
-		t.Errorf("replayed_tail_records = %d, want the %d-record tail (+rebalance overlap) of %d total", got, tail, total)
+	if got := replayed.Load(); got != tail {
+		t.Errorf("replayed_tail_records = %d, want exactly the %d-record tail of %d total", got, tail, total)
 	}
 
 	// Exactness: counts equal the sequential library over the FULL stream

@@ -18,10 +18,11 @@ var rawFields = stream.Fields{"raw"}
 // ("TDProcess gets data streams from various applications with the help
 // of TDAccess").
 //
-// It commits each poll once the poll's messages are emitted. A crash
-// inside the process loses nothing a restarted task's queue still holds;
-// across processes, recovery is checkpoint replay from the committed
-// offsets the checkpoint recorded (DESIGN.md §11).
+// It commits each poll once the poll's messages are emitted. Open joins
+// the consumer group, and the engine opens every spout task before any
+// polls, so no task reads a partition the group then hands to another.
+// The process is the unit of failure: recovery is checkpoint replay from
+// the committed offsets the checkpoint recorded (DESIGN.md §11).
 type TDAccessSpout struct {
 	broker *tdaccess.Broker
 	topic  string

@@ -246,50 +246,6 @@ func (s *simSpout) DeclareOutputFields() map[string]stream.Fields {
 	return map[string]stream.Fields{StreamSim: simFields}
 }
 
-// TestWriteBehindSurvivesTaskRestart crash-restarts the resultStorage
-// task over and over while it works through a backlog (a slow store keeps
-// its queue full, so restarts land between batches with lists staged):
-// the engine flushes an instance before discarding it, so no staged list
-// is lost and the final store equals the per-tuple reference.
-func TestWriteBehindSurvivesTaskRestart(t *testing.T) {
-	const items, others = 40, 300
-	st := &batchCountingState{MemState: NewMemState(), putDelay: 500 * time.Microsecond}
-	p := Params{TopK: others, PruningDelta: pruningOn} // no truncation: the final lists do not depend on arrival order
-	ref := &perTupleRef{prefix: prefixSimilar, topK: others, pruning: true, kv: make(map[string][]byte)}
-	var sims []stream.Values
-	for o := 0; o < others; o++ {
-		for i := 0; i < items; i++ {
-			item, other, sim := fmt.Sprintf("i%d", i), fmt.Sprintf("o%d", o), float64(1+o)/float64(others+1)
-			sims = append(sims, simRun(item, other, sim))
-			ref.apply(t, item, other, sim)
-		}
-	}
-	tb := stream.NewTopologyBuilder("restart-staged")
-	tb.SetSpout(UnitPairCount, func() stream.Spout { return &simSpout{sims: sims} }, 1)
-	tb.SetBolt(UnitResultStorage, NewResultStorageBolt(st, p), 1).FieldsOn(UnitPairCount, StreamSim, "item")
-	topo, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := topo.SubmitWithErrorHandler(func(c string, err error) { t.Errorf("component %s: %v", c, err) })
-	for {
-		select {
-		case <-h.Done():
-		case <-time.After(200 * time.Microsecond):
-			_ = h.RestartTask(UnitResultStorage, 0) // an error only means it already shut down
-			continue
-		}
-		break
-	}
-	if n := h.Restarts(UnitResultStorage, 0); n < 5 {
-		t.Fatalf("only %d restarts landed mid-run; the test did not exercise what it is for", n)
-	}
-	ref.sameAs(t, st.MemState, "after the run")
-	if calls := st.batchPuts.Load(); calls >= int64(len(sims)) {
-		t.Errorf("%d BatchPut calls for %d sim tuples: writes were not coalesced", calls, len(sims))
-	}
-}
-
 // TestWriteBehindFlushErrorKeepsListsDirty: a failed flush loses nothing —
 // the staged lists stay dirty and the next flush lands them.
 func TestWriteBehindFlushErrorKeepsListsDirty(t *testing.T) {

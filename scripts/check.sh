@@ -19,12 +19,14 @@ fi
 echo "== the documents name tests, benchmarks and DESIGN.md sections that exist"
 go test -run '^TestDocsNameCodeThatExists$' .
 
-echo "== go test -race elastic parallelism and delivery (rebalance of a keyed stream, a spout stopped by a full queue, restart stress, write-behind flush hook and its failed flush, ordered tick round, idle rounds, keyed runs, one tuple per delivery, a failed re-Prepare's counted drops)"
-go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRestarts|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedRePrepareDrainsAndCountsDrops' ./internal/stream/
+echo "== go test -race elastic parallelism and delivery (rebalance of a keyed stream, a spout stopped by a full queue, rebalance stress, write-behind flush hook and its failed flush, ordered tick round, idle rounds, keyed runs, one tuple per delivery, a failed Prepare's counted drops, spouts opened before any polls)"
+go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRebalance|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedPrepareDrainsAndCountsDrops|TestSpoutsOpenBeforeAnyPolls' ./internal/stream/
 
-# One delivery path: the spout commits after every poll, a restarted task
-# keeps its queue, and checkpoint replay recovers across processes. These
-# two soaks are the proof that restarts, rebalances and faults lose nothing.
+# One delivery path: the spout commits after every poll, a rebalance
+# flushes the retiring tasks, and checkpoint replay recovers across
+# processes, the process being the failure unit. These two soaks, with the
+# combiner on as every System runs it, are the proof that rebalances,
+# broker and store faults and a cold restart lose nothing.
 echo "== go test -race -count=5 the chaos soak and the cold-restart soak"
 go test -race -count=5 -run '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak)$' ./internal/topology/
 

@@ -502,12 +502,6 @@ func (s *System) WriteTraceWaterfall(w io.Writer) {
 // service continues (§3.3). For fault-tolerance demonstrations.
 func (s *System) KillStoreServer(id string) error { return s.cluster.KillDataServer(id) }
 
-// RestartTask crash-restarts one topology task (§3.1's stateless worker
-// recovery). For fault-tolerance demonstrations.
-func (s *System) RestartTask(component string, index int) error {
-	return s.running.RestartTask(component, index)
-}
-
 // Rebalance changes the live parallelism of one bolt without stopping
 // the pipeline or losing in-flight tuples — the Storm `rebalance`
 // operation (§3.1). Spouts cannot be rebalanced.

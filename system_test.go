@@ -108,37 +108,6 @@ func TestSystemSurvivesStoreFailover(t *testing.T) {
 	}
 }
 
-func TestSystemTaskRestart(t *testing.T) {
-	s, err := Open(SystemConfig{
-		DataDir: t.TempDir(),
-		Params:  Params{FlushInterval: 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	publishCluster(t, s)
-	if err := s.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Crash the user-history worker; state lives in TDStore, so
-	// processing continues correctly with a fresh instance.
-	if err := s.RestartTask("userHistory", 0); err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(RawAction{User: "u0", Item: "video-C", Action: "play", TS: t0.Add(2 * time.Hour).UnixNano()})
-	if err := s.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	sims, err := s.SimilarItems("video-C", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sims) == 0 {
-		t.Fatal("no similarity results after task restart")
-	}
-}
-
 func TestSystemCBAndCtrChains(t *testing.T) {
 	s, err := Open(SystemConfig{
 		DataDir:  t.TempDir(),
