@@ -67,18 +67,42 @@ func TestTickRoundFollowsIdlePipeline(t *testing.T) {
 	h.Wait()
 }
 
-// TestTickRoundBacklogKeepsThePeriod: a spout that never stops emitting into
-// a slow bolt with a one-batch queue keeps the in-flight count above zero, so
-// no idle round runs and the rounds come at the period: ten a second, give or
-// take one.
+// backlogSpout emits n tuples as fast as they are taken, then idles.
+type backlogSpout struct {
+	n       int64
+	emitted *atomic.Int64
+	c       SpoutCollector
+}
+
+func (s *backlogSpout) Open(_ TopologyContext, c SpoutCollector) error { s.c = c; return nil }
+func (s *backlogSpout) Close()                                         {}
+func (s *backlogSpout) NextTuple() bool {
+	if s.emitted.Load() < s.n {
+		s.c.Emit(Values{s.emitted.Add(1)})
+	} else {
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+func (s *backlogSpout) DeclareOutputFields() map[string]Fields {
+	return map[string]Fields{DefaultStream: {"n"}}
+}
+
+// TestTickRoundBacklogKeepsThePeriod: two seconds of 200 µs tuples, all
+// queued before the measured second starts, keep the in-flight count above
+// zero whether or not the spout is scheduled again, so no idle round runs
+// and the rounds come at the period: ten a second, give or take one.
 func TestTickRoundBacklogKeepsThePeriod(t *testing.T) {
+	const backlog = 10000
 	var emitted atomic.Int64
+	var draining atomic.Bool
 	tb := NewTopologyBuilder("backlog")
-	tb.SetQueueDepth(1)
-	tb.SetSpout("spout", func() Spout { return &tickingSpout{emitted: &emitted} }, 1)
+	// A batch holds at least one tuple, so the spout never waits for room.
+	tb.SetQueueDepth(backlog)
+	tb.SetSpout("spout", func() Spout { return &backlogSpout{n: backlog, emitted: &emitted} }, 1)
 	tb.SetBolt("a", func() Bolt {
 		return &BoltFunc{Fn: func(tp *Tuple, _ Collector) error {
-			if !tp.IsTick() {
+			if !tp.IsTick() && !draining.Load() {
 				time.Sleep(200 * time.Microsecond)
 			}
 			return nil
@@ -89,10 +113,13 @@ func TestTickRoundBacklogKeepsThePeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := topo.Submit()
-	time.Sleep(20 * time.Millisecond) // the backlog has built
+	for emitted.Load() < backlog {
+		time.Sleep(time.Millisecond) // the backlog has built
+	}
 	idle0, period0 := h.rounds(tickIdle), h.rounds(tickPeriod)
 	time.Sleep(time.Second)
 	idle, period := h.rounds(tickIdle)-idle0, h.rounds(tickPeriod)-period0
+	draining.Store(true) // what is left of the backlog need not take its second
 	h.Stop()
 	h.Wait()
 	if idle != 0 {

@@ -20,12 +20,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrOffsetOutOfRange is returned when reading an offset that has not
@@ -36,17 +38,61 @@ var ErrOffsetOutOfRange = errors.New("tdaccess: offset out of range")
 // past this size, keeping individual files bounded.
 const defaultSegmentBytes = 4 << 20
 
+// maxSegmentBytes caps the rotation size so that a segment, its last
+// record included, stays under 4 GiB and an index entry's 32-bit byte
+// position cannot overflow.
+const maxSegmentBytes = 1 << 30
+
+// indexInterval is the bytes of file written between two entries of a
+// segment's sparse index: a read walks at most this far past an entry
+// to reach the record it wants.
+const indexInterval = 4 << 10
+
+// indexEntry locates one record of a segment: its offset relative to the
+// segment's base and its byte position in the file.
+type indexEntry struct{ rel, pos uint32 }
+
 // segment is one append-only file of a partition log.
 type segment struct {
 	base  int64 // offset of the first message in this segment
 	path  string
 	f     *os.File
 	size  int64
-	index []int64 // byte position of each message, relative to file start
+	count int64 // records held
+	// index holds the record at position 0, then the first record that
+	// starts indexInterval or more bytes past the previous entry.
+	index []indexEntry
+	// hint packs rel<<32 | pos of the record after the last run read, so
+	// a poller caught up with the log starts there without walking.
+	hint atomic.Uint64
+}
+
+// add indexes one record of n bytes written at the segment's end. Appends
+// and recovery both go through it, so a reopened log has the index its
+// appends built.
+func (s *segment) add(n int64) {
+	if len(s.index) == 0 || s.size >= int64(s.index[len(s.index)-1].pos)+indexInterval {
+		s.index = append(s.index, indexEntry{rel: uint32(s.count), pos: uint32(s.size)})
+	}
+	s.count++
+	s.size += n
+}
+
+// walkFrom returns the record at or below rel that a read walks from: the
+// sparse entry's, or the hint's when it lies between that entry and rel.
+// The hint is one word, so a hint another reader stored meanwhile is
+// still a record boundary: losing the race costs a walk, not a wrong read.
+func (s *segment) walkFrom(rel int64) (from, pos int64) {
+	e := s.index[sort.Search(len(s.index), func(j int) bool { return int64(s.index[j].rel) > rel })-1]
+	from, pos = int64(e.rel), int64(e.pos)
+	if h := s.hint.Load(); int64(h>>32) <= rel && int64(h>>32) > from {
+		return int64(h >> 32), int64(uint32(h))
+	}
+	return from, pos
 }
 
 // plog is a partition's segmented on-disk log. All appends are sequential;
-// reads use the resident per-segment index.
+// reads walk the record headers from the resident sparse index.
 type plog struct {
 	mu          sync.RWMutex
 	dir         string
@@ -63,6 +109,7 @@ func openLog(dir string, segmentBytes int64) (*plog, error) {
 	if segmentBytes <= 0 {
 		segmentBytes = defaultSegmentBytes
 	}
+	segmentBytes = min(segmentBytes, maxSegmentBytes)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tdaccess: create log dir: %w", err)
 	}
@@ -91,7 +138,7 @@ func openLog(dir string, segmentBytes int64) (*plog, error) {
 			return nil, err
 		}
 		l.segments = append(l.segments, seg)
-		l.nextOffset = seg.base + int64(len(seg.index))
+		l.nextOffset = seg.base + seg.count
 	}
 	if len(l.segments) == 0 {
 		if err := l.rotateLocked(); err != nil {
@@ -131,6 +178,8 @@ const maxMessage = 64 << 20
 
 // recoverSegment opens a segment file and indexes the records that are
 // whole and CRC-clean from its start; what follows them is a torn tail.
+// No segment this log writes passes 4 GiB; a file that does is refused,
+// not cut.
 func recoverSegment(base int64, path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -152,8 +201,11 @@ func recoverSegment(base int64, path string) (*segment, error) {
 		if n == 0 {
 			break // torn tail from a crash: keep what was fully written
 		}
-		seg.index = append(seg.index, seg.size)
-		seg.size += n
+		if seg.size+n > math.MaxUint32 {
+			f.Close()
+			return nil, fmt.Errorf("tdaccess: recover %s: segment passes 4 GiB", path)
+		}
+		seg.add(n)
 	}
 	return seg, nil
 }
@@ -263,8 +315,7 @@ func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) 
 		return 0, fmt.Errorf("tdaccess: append flush: %w", err)
 	}
 	off := l.nextOffset
-	seg.index = append(seg.index, seg.size)
-	seg.size += int64(len(rec))
+	seg.add(int64(len(rec)))
 	l.nextOffset++
 	return off, nil
 }
@@ -284,13 +335,18 @@ func (l *plog) Read(offset int64) ([]byte, error) {
 
 // ReadFrom appends up to max record bodies starting at offset to dst and
 // returns it; an offset at the tail appends nothing. Each contiguous run
-// of a segment is fetched with one positioned read into one buffer, whose
-// byte range comes from the resident index, and the call carries on into
-// the next segment until max is met. Every record is CRC-checked; on a
-// mismatch the records before it are returned with an error naming the
-// offset. The bodies alias the run's buffer, each clipped to its own
-// capacity so an append to one cannot reach its neighbour; the buffer
-// lives as long as any body read from it is referenced.
+// of a segment is fetched with one positioned read into one buffer, from
+// the index entry (or the segment's hint) at or below the run's first
+// record to the entry past its last (or the segment's end), and the call
+// carries on into the next segment until max is met. The record headers
+// before the run are walked, not checked; every record returned has its
+// length and CRC checked, and on a mismatch the records before it are
+// returned with an error naming its offset. A skipped record whose length
+// field is corrupt leads the walk astray: the call returns no records and
+// an error naming the requested offset.
+// The bodies alias the run's buffer, each clipped to its own capacity so
+// an append to one cannot reach its neighbour; the buffer lives as long
+// as any body read from it is referenced.
 func (l *plog) ReadFrom(dst [][]byte, offset int64, max int) ([][]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -308,8 +364,8 @@ func (l *plog) ReadFrom(dst [][]byte, offset int64, max int) ([][]byte, error) {
 	}
 	for first := offset; max > 0 && offset < l.nextOffset; i++ {
 		seg := l.segments[i]
-		rel := int(offset - seg.base)
-		if rel < 0 || rel >= len(seg.index) {
+		rel := offset - seg.base
+		if rel < 0 || rel >= seg.count {
 			// A hole: recovery kept only the clean prefix of a segment that
 			// is not the last, and the offsets behind it are gone. What
 			// was read up to the hole is good; the next call reports it.
@@ -318,33 +374,50 @@ func (l *plog) ReadFrom(dst [][]byte, offset int64, max int) ([][]byte, error) {
 			}
 			return dst, ErrOffsetOutOfRange
 		}
-		n := min(max, len(seg.index)-rel)
-		bounds := seg.index[rel : rel+n]
-		start, end := bounds[0], seg.size
-		if rel+n < len(seg.index) {
-			end = seg.index[rel+n]
+		n := min(int64(max), seg.count-rel)
+		from, start := seg.walkFrom(rel)
+		end := seg.size
+		if j := sort.Search(len(seg.index), func(j int) bool { return int64(seg.index[j].rel) >= rel+n }); j < len(seg.index) {
+			end = int64(seg.index[j].pos)
 		}
 		buf := make([]byte, end-start)
 		if _, err := seg.f.ReadAt(buf, start); err != nil {
 			return dst, fmt.Errorf("tdaccess: read %d records at offset %d: %w", n, offset, err)
 		}
-		for k, pos := range bounds {
-			recEnd := end
-			if k+1 < n {
-				recEnd = bounds[k+1]
+		p := 0
+		for ; from < rel; from++ {
+			size := bodyLen(buf, p)
+			if size < 0 {
+				return dst, fmt.Errorf("tdaccess: corrupt record before offset %d", offset)
 			}
-			rec := buf[pos-start : recEnd-start : recEnd-start]
-			if len(rec) < recordHeader ||
-				int(binary.LittleEndian.Uint32(rec[4:8])) != len(rec)-recordHeader ||
-				crc32.ChecksumIEEE(rec[recordHeader:]) != binary.LittleEndian.Uint32(rec[0:4]) {
-				return dst, fmt.Errorf("tdaccess: crc mismatch at offset %d", offset+int64(k))
-			}
-			dst = append(dst, rec[recordHeader:])
+			p += recordHeader + size
 		}
-		offset += int64(n)
-		max -= n
+		for k := int64(0); k < n; k++ {
+			size := bodyLen(buf, p)
+			if size < 0 || crc32.ChecksumIEEE(buf[p+recordHeader:p+recordHeader+size]) != binary.LittleEndian.Uint32(buf[p:p+4]) {
+				return dst, fmt.Errorf("tdaccess: crc mismatch at offset %d", offset+k)
+			}
+			p += recordHeader + size
+			dst = append(dst, buf[p-size:p:p])
+		}
+		seg.hint.Store(uint64(rel+n)<<32 | uint64(start+int64(p)))
+		offset += n
+		max -= int(n)
 	}
 	return dst, nil
+}
+
+// bodyLen returns the length field of the record header at buf[p:], or -1
+// when the header or the body it claims runs past the end of buf.
+func bodyLen(buf []byte, p int) int {
+	if len(buf)-p < recordHeader {
+		return -1
+	}
+	size := int(binary.LittleEndian.Uint32(buf[p+4 : p+8]))
+	if size > len(buf)-p-recordHeader {
+		return -1
+	}
+	return size
 }
 
 // NextOffset returns the offset the next append will receive.

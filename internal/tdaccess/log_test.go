@@ -20,7 +20,7 @@ func flipByte(t *testing.T, l *plog, offset int64) {
 	t.Helper()
 	l.mu.RLock()
 	seg := l.segments[0]
-	pos := seg.index[offset-seg.base] + recordHeader + 2
+	pos := decodeSegment(t, seg.path)[offset-seg.base].pos + recordHeader + 2
 	l.mu.RUnlock()
 	f, err := os.OpenFile(seg.path, os.O_RDWR, 0)
 	if err != nil {
@@ -57,7 +57,7 @@ func dropLeadingSegments(t *testing.T, l *plog, n int) *plog {
 		t.Fatal(err)
 	}
 	last := segs[n-1]
-	if first, want := l.segments[0].base, last.base+int64(len(last.index)); first != want {
+	if first, want := l.segments[0].base, last.base+last.count; first != want {
 		t.Fatalf("reopened log starts at offset %d, want %d", first, want)
 	}
 	return l

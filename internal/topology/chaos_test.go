@@ -4,12 +4,41 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"tencentrec/internal/stream"
 	"tencentrec/internal/tdaccess"
 	"tencentrec/internal/tdstore"
 )
+
+// heldSpout keeps a spout that stops when drained polling until release
+// is closed, so a fault schedule runs to its end against a live topology.
+// polls counts its NextTuple calls.
+type heldSpout struct {
+	stream.Spout
+	release <-chan struct{}
+	polls   *atomic.Int64
+}
+
+func (s *heldSpout) NextTuple() bool {
+	s.polls.Add(1)
+	if s.Spout.NextTuple() {
+		return true
+	}
+	select {
+	case <-s.release:
+		return false
+	default:
+		time.Sleep(500 * time.Microsecond)
+		return true
+	}
+}
+
+func (s *heldSpout) DeclareOutputFields() map[string]stream.Fields {
+	return s.Spout.(stream.OutputDeclarer).DeclareOutputFields()
+}
 
 // TestChaosSoakLosesNothing is the delivery soak: the full CF topology,
 // combiner on as every System runs it, works over a real TDAccess broker
@@ -19,6 +48,11 @@ import (
 // retiring tasks, and the store holds the state (§3.3) — the item counts
 // must stay EXACTLY equal to the sequential library's (zero lost actions,
 // zero double counts), and the topology must still quiesce on its own.
+//
+// The faults must land: the spout is held until the schedule is done,
+// the actions are published in chunks ahead of each round's rebalances
+// and broker kill, every rebalance issued must be counted, and the spout
+// must poll while each broker data server is down.
 //
 // Fault orchestration rules:
 //   - store faults are healed one at a time within the client's retry
@@ -40,19 +74,30 @@ func TestChaosSoakLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const items = 24
+	const items, rounds = 24, 3
 	actions := genActions(59, 6000, 30, items)
 	prod := broker.NewProducer()
-	for _, a := range actions {
-		if _, _, err := prod.Send("user-actions", a.User, EncodeAction(a)); err != nil {
-			t.Fatal(err)
+	// One chunk before the topology starts, then two per round.
+	chunks := make([][]RawAction, 1+2*rounds)
+	for i := range chunks {
+		chunks[i] = actions[i*len(actions)/len(chunks) : (i+1)*len(actions)/len(chunks)]
+	}
+	publish := func(as []RawAction) error {
+		for _, a := range as {
+			if _, _, err := prod.Send("user-actions", a.User, EncodeAction(a)); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	if err := publish(chunks[0]); err != nil {
+		t.Fatal(err)
 	}
 
 	p := Params{
 		FlushInterval: time.Hour,
 	}
-	spout := NewTDAccessSpout(TDAccessSpoutConfig{
+	inner := NewTDAccessSpout(TDAccessSpoutConfig{
 		Broker:          broker,
 		Topic:           "user-actions",
 		Group:           "chaos",
@@ -60,6 +105,9 @@ func TestChaosSoakLosesNothing(t *testing.T) {
 		PollBatch:       64,
 		IdleSleep:       500 * time.Microsecond,
 	})
+	release := make(chan struct{})
+	var polls atomic.Int64
+	spout := func() stream.Spout { return &heldSpout{Spout: inner(), release: release, polls: &polls} }
 	topo, err := NewBuilder("chaos", spout, client, p).
 		WithParallelism(Parallelism{Spout: 2, Pretreatment: 2, UserHistory: 3, ItemCount: 2, PairCount: 2, Storage: 2}).
 		WithFeatures(Features{CF: true}).
@@ -73,31 +121,48 @@ func TestChaosSoakLosesNothing(t *testing.T) {
 		t.Logf("component %s: %v", c, err)
 	})
 
+	var rebalances int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(release)
 		pause := func() { time.Sleep(2 * time.Millisecond) }
+		// Every rebalance changes the unit's parallelism, so each is counted.
+		rebalance := func(unit string, n int) {
+			if err := h.Rebalance(unit, n); err != nil {
+				t.Errorf("rebalance %s to %d: %v", unit, n, err)
+			}
+			rebalances++
+		}
 		broker.KillMasterActive() // the standby serves for the whole run
-		for round := 0; round < 3; round++ {
+		for round := 0; round < rounds; round++ {
+			if err := publish(chunks[1+2*round]); err != nil {
+				t.Errorf("publish: %v", err)
+			}
 			pause()
 
 			// Live rebalances mid-chaos: the elastic data plane must keep
-			// the exactness guarantee through task-set swaps too. Errors
-			// only mean the topology already quiesced.
-			if err := h.Rebalance(UnitUserHistory, 2+round%2); err != nil {
-				t.Logf("rebalance %s: %v", UnitUserHistory, err)
-			}
-			if err := h.Rebalance(UnitItemCount, 1+(round+1)%3); err != nil {
-				t.Logf("rebalance %s: %v", UnitItemCount, err)
-			}
+			// the exactness guarantee through task-set swaps too.
+			rebalance(UnitUserHistory, 2+round%2) // 3 → 2 → 3 → 2
+			rebalance(UnitItemCount, 1+round%3)   // 2 → 1 → 2 → 3
 			pause()
 
-			// Broker data-server blip: spout polls error and back off
-			// until the revive.
+			// Broker data-server blip while the spout reads a fresh chunk:
+			// its polls error and back off until the revive.
+			if err := publish(chunks[2+2*round]); err != nil {
+				t.Errorf("publish: %v", err)
+			}
 			bs := round % 2
 			if err := broker.KillDataServer(bs); err != nil {
 				t.Errorf("broker kill %d: %v", bs, err)
+			}
+			before := polls.Load()
+			for deadline := time.Now().Add(10 * time.Second); polls.Load() < before+2 && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if polled := polls.Load() - before; polled < 2 {
+				t.Errorf("round %d: the spout polled %d times while broker data server %d was down", round, polled, bs)
 			}
 			pause()
 			if err := broker.ReviveDataServer(bs); err != nil {
@@ -130,6 +195,9 @@ func TestChaosSoakLosesNothing(t *testing.T) {
 	}
 	wg.Wait()
 	cluster.WaitSync()
+	if got := h.Rebalances(); got != rebalances {
+		t.Errorf("%d rebalances counted, %d issued", got, rebalances)
+	}
 
 	// Every rebalance must have handed its queues over: nothing discarded
 	// anywhere.
