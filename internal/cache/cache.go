@@ -41,8 +41,6 @@ type Cache struct {
 	capacity int
 	entries  map[string]*list.Element
 	order    *list.List // front = most recent
-
-	hits, misses int64
 }
 
 type entry struct {
@@ -68,11 +66,9 @@ func New(store Store, capacity int) *Cache {
 // Store values are cached on read.
 func (c *Cache) Get(key string) ([]byte, bool, error) {
 	if el, ok := c.entries[key]; ok {
-		c.hits++
 		c.order.MoveToFront(el)
 		return el.Value.(*entry).value, true, nil
 	}
-	c.misses++
 	if c.store == nil {
 		return nil, false, nil
 	}
@@ -95,12 +91,10 @@ func (c *Cache) GetBatch(keys []string) ([][]byte, []bool, error) {
 	var missPos []int
 	for i, k := range keys {
 		if el, ok := c.entries[k]; ok {
-			c.hits++
 			c.order.MoveToFront(el)
 			vals[i], found[i] = el.Value.(*entry).value, true
 			continue
 		}
-		c.misses++
 		if c.store != nil {
 			missKeys = append(missKeys, k)
 			missPos = append(missPos, i)
@@ -167,6 +161,3 @@ func (c *Cache) insert(key string, value []byte) {
 
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return c.order.Len() }
-
-// Stats returns hit and miss counts since creation.
-func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }

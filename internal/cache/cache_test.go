@@ -29,10 +29,6 @@ func TestReadThroughAndHit(t *testing.T) {
 	if st.reads != 1 {
 		t.Fatalf("store reads = %d, want 1 (cache misses)", st.reads)
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses", hits, misses)
-	}
 }
 
 func TestMissingKey(t *testing.T) {
@@ -122,8 +118,7 @@ func TestBurstLocality(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Get(fmt.Sprintf("k%d", i%5)) // burst concentrated on 5 keys
 	}
-	hits, misses := c.Stats()
-	if hits < 990 || misses > 10 {
-		t.Fatalf("burst hit rate too low: %d hits, %d misses", hits, misses)
+	if st.reads > 10 {
+		t.Fatalf("burst hit rate too low: %d of 1000 reads missed", st.reads)
 	}
 }

@@ -14,7 +14,6 @@ package cb
 import (
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"tencentrec/internal/core"
@@ -84,15 +83,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 }
 
-// Tokenize lower-cases and splits content on non-letter/digit boundaries.
-// Exposed so workloads and tests share the engine's notion of a term.
-func Tokenize(content string) []string {
-	return strings.FieldsFunc(strings.ToLower(content), func(r rune) bool {
-		letter := r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r >= 0x4e00 // CJK passthrough
-		return !letter
-	})
-}
-
 // AddItem registers (or replaces) an item with its content terms.
 // New items are immediately recommendable — the CB answer to item
 // cold-start.
@@ -141,9 +131,6 @@ func (e *Engine) RemoveItem(id string) {
 	delete(e.items, id)
 	e.numItems--
 }
-
-// NumItems returns the recommendable pool size.
-func (e *Engine) NumItems() int { return e.numItems }
 
 // idf returns the inverse document frequency of a term.
 func (e *Engine) idf(term string) float64 {
@@ -324,6 +311,3 @@ func (m *Model) Recommend(user string, now time.Time, n int, exclude map[string]
 	// Freshness filtering still applies at serve time.
 	return m.engine.match(p.weights, now, n, exclude)
 }
-
-// NumItems returns the frozen pool size.
-func (m *Model) NumItems() int { return m.engine.numItems }

@@ -2,6 +2,7 @@ package cb
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,20 +12,7 @@ import (
 var t0 = time.Date(2015, 5, 31, 0, 0, 0, 0, time.UTC)
 
 func addNews(e *Engine, id, content string, published time.Time) {
-	e.AddItem(id, Tokenize(content), published)
-}
-
-func TestTokenize(t *testing.T) {
-	got := Tokenize("Breaking: GPU prices FALL 30%!")
-	want := []string{"breaking", "gpu", "prices", "fall", "30"}
-	if len(got) != len(want) {
-		t.Fatalf("Tokenize = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Tokenize = %v, want %v", got, want)
-		}
-	}
+	e.AddItem(id, strings.Fields(content), published)
 }
 
 func TestRecommendMatchesInterests(t *testing.T) {
@@ -94,8 +82,8 @@ func TestRemoveItem(t *testing.T) {
 	addNews(e, "n2", "alpha gamma", t0)
 	e.Observe(core.Action{User: "u", Item: "n1", Type: core.ActionRead, Time: t0})
 	e.RemoveItem("n2")
-	if e.NumItems() != 1 {
-		t.Fatalf("NumItems = %d", e.NumItems())
+	if e.numItems != 1 {
+		t.Fatalf("NumItems = %d", e.numItems)
 	}
 	recs := e.Recommend("u", t0.Add(time.Minute), 5, nil)
 	for _, r := range recs {
@@ -109,8 +97,8 @@ func TestReplacingItemUpdatesIndex(t *testing.T) {
 	e := NewEngine(Config{})
 	addNews(e, "n1", "alpha beta", t0)
 	addNews(e, "n1", "gamma delta", t0) // replace content
-	if e.NumItems() != 1 {
-		t.Fatalf("NumItems = %d after replace", e.NumItems())
+	if e.numItems != 1 {
+		t.Fatalf("NumItems = %d after replace", e.numItems)
 	}
 	if e.df["alpha"] != 0 {
 		t.Fatalf("df[alpha] = %d after replace, want 0", e.df["alpha"])
@@ -132,8 +120,8 @@ func TestSnapshotServesStale(t *testing.T) {
 	e.Observe(core.Action{User: "u", Item: "c", Type: core.ActionShare, Time: t0.Add(3 * time.Minute)})
 
 	// The live engine sees c; the frozen model cannot.
-	if m.NumItems() != 2 {
-		t.Fatalf("snapshot NumItems = %d, want 2", m.NumItems())
+	if m.engine.numItems != 2 {
+		t.Fatalf("snapshot NumItems = %d, want 2", m.engine.numItems)
 	}
 	recs := m.Recommend("u", t0.Add(4*time.Minute), 5, map[string]bool{"a": true})
 	for _, r := range recs {

@@ -17,26 +17,11 @@ type MergeFunc func(old, new float64) float64
 // Sum merges by addition — the itemCount/pairCount case.
 func Sum(old, new float64) float64 { return old + new }
 
-// Max merges by maximization — the max-weight rating case.
-func Max(old, new float64) float64 {
-	if new > old {
-		return new
-	}
-	return old
-}
-
-// Count ignores values and counts occurrences.
-func Count(old, _ float64) float64 { return old + 1 }
-
 // Combiner buffers keyed float64 updates and flushes merged values.
 // It is not safe for concurrent use; each pipeline task owns one.
 type Combiner struct {
 	merge MergeFunc
 	buf   map[string]float64
-
-	// stats
-	offered int64
-	merged  int64
 }
 
 // New returns a combiner with the given merge function.
@@ -46,9 +31,7 @@ func New(merge MergeFunc) *Combiner {
 
 // Add buffers one update for key.
 func (c *Combiner) Add(key string, value float64) {
-	c.offered++
 	if old, ok := c.buf[key]; ok {
-		c.merged++
 		c.buf[key] = c.merge(old, value)
 		return
 	}
@@ -69,7 +52,3 @@ func (c *Combiner) Flush(emit func(key string, value float64)) int {
 	clear(c.buf)
 	return n
 }
-
-// Stats reports how many updates were offered and how many were merged
-// away (never reached the store). MergeRatio = merged/offered.
-func (c *Combiner) Stats() (offered, merged int64) { return c.offered, c.merged }

@@ -24,8 +24,10 @@ func TestSumMerge(t *testing.T) {
 	}
 }
 
+// TestMaxMerge: the combiner merges with the function it is given, here
+// the max-weight rating's maximization.
 func TestMaxMerge(t *testing.T) {
-	c := New(Max)
+	c := New(func(old, new float64) float64 { return max(old, new) })
 	c.Add("rating", 1)
 	c.Add("rating", 3)
 	c.Add("rating", 2)
@@ -36,15 +38,15 @@ func TestMaxMerge(t *testing.T) {
 	}
 }
 
+// TestCountMerge: a key's first Add is stored as given and only later Adds
+// go through the merge function, here one that ignores the value.
 func TestCountMerge(t *testing.T) {
-	c := New(Count)
+	c := New(func(old, _ float64) float64 { return old + 1 })
 	for i := 0; i < 5; i++ {
-		c.Add("k", 99) // value ignored after first
+		c.Add("k", 99)
 	}
 	var got float64
 	c.Flush(func(_ string, v float64) { got = v })
-	// First Add stores 99; each subsequent Add counts. This matches the
-	// combiner being seeded with an initial value then incremented.
 	if got != 99+4 {
 		t.Fatalf("count merge = %v, want 103", got)
 	}
@@ -60,10 +62,6 @@ func TestHotKeyReductionGrowsWithSkew(t *testing.T) {
 	writes := c.Flush(func(string, float64) {})
 	if writes != 1 {
 		t.Fatalf("1000 hot updates flushed as %d writes, want 1", writes)
-	}
-	offered, merged := c.Stats()
-	if offered != 1000 || merged != 999 {
-		t.Fatalf("stats = %d offered, %d merged", offered, merged)
 	}
 }
 

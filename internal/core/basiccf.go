@@ -35,9 +35,6 @@ func (b *BatchCF) Rate(user, item string, rating float64) {
 	m[item] = rating
 }
 
-// Users returns the number of users with ratings.
-func (b *BatchCF) Users() int { return len(b.ratings) }
-
 // Train computes all pairwise cosine similarities (Eq. 1) and returns a
 // static model. Cost is O(Σ_u |I_u|²) — the work the incremental engine
 // avoids re-doing per observation.

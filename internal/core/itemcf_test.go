@@ -219,6 +219,26 @@ func TestWindowedRecountAfterExpiry(t *testing.T) {
 	}
 }
 
+// TestObserveBeforeTheEpoch: a windowed engine counts an action stamped
+// before 1970 in session 0, as it counts one at the epoch itself.
+func TestObserveBeforeTheEpoch(t *testing.T) {
+	epoch := time.Unix(0, 0)
+	early := NewItemCF(Config{WindowSessions: 3, SessionDuration: time.Hour})
+	early.Observe(Action{User: "u", Item: "a", Type: ActionClick, Time: time.Unix(-7200, 0)})
+	early.Observe(Action{User: "u", Item: "b", Type: ActionClick, Time: epoch})
+	atEpoch := NewItemCF(Config{WindowSessions: 3, SessionDuration: time.Hour})
+	atEpoch.Observe(Action{User: "u", Item: "a", Type: ActionClick, Time: epoch})
+	atEpoch.Observe(Action{User: "u", Item: "b", Type: ActionClick, Time: epoch})
+	for _, item := range []string{"a", "b"} {
+		if got, want := early.ItemCount(item, epoch), atEpoch.ItemCount(item, epoch); got != want || got == 0 {
+			t.Fatalf("itemCount(%s) = %v, want %v as at the epoch", item, got, want)
+		}
+	}
+	if got, want := early.PairCount("a", "b", epoch), atEpoch.PairCount("a", "b", epoch); got != want || got == 0 {
+		t.Fatalf("pairCount(a, b) = %v, want %v as at the epoch", got, want)
+	}
+}
+
 // pruningWorkload builds two strong item clusters with a trickle of weak
 // cross-cluster co-occurrences. Pruning should learn that the weak
 // cross-pairs (e.g. a0–b0) can never enter either side's top-2 list:

@@ -88,15 +88,6 @@ func (t *TopK) Threshold() float64 {
 	return t.items[len(t.items)-1].Score
 }
 
-// Score returns item's current score and whether it is in the list.
-func (t *TopK) Score(item string) (float64, bool) {
-	i, ok := t.pos[item]
-	if !ok {
-		return 0, false
-	}
-	return t.items[i].Score, true
-}
-
 // Len returns the number of entries.
 func (t *TopK) Len() int { return len(t.items) }
 

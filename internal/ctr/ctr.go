@@ -83,8 +83,7 @@ func (cb Cuboid) Key(ctx Context) string {
 type Config struct {
 	// Cuboids are the dimension subsets to materialize, broadest first;
 	// prediction backs off from the last (narrowest) to the first.
-	// Nil selects {}, {gender,age}, {region,gender,age} — the paper's
-	// query shape.
+	// Nil selects DefaultCuboids.
 	Cuboids []Cuboid
 	// WindowSessions and SessionDuration window the counts. The
 	// defaults (10 sessions of 1s) answer "during last ten seconds".
@@ -99,13 +98,17 @@ type Config struct {
 	MinImpressions float64
 }
 
+// DefaultCuboids returns the dimension subsets materialized when none are
+// configured, broadest first: {}, {gender,age}, {region,gender,age} — the
+// paper's query shape. The engine, the topology's CtrStoreBolt and its
+// serving reads all default to this one list.
+func DefaultCuboids() []Cuboid {
+	return []Cuboid{{}, {DimGender, DimAge}, {DimRegion, DimGender, DimAge}}
+}
+
 func (c Config) withDefaults() Config {
 	if c.Cuboids == nil {
-		c.Cuboids = []Cuboid{
-			{},
-			{DimGender, DimAge},
-			{DimRegion, DimGender, DimAge},
-		}
+		c.Cuboids = DefaultCuboids()
 	}
 	if c.WindowSessions == 0 {
 		c.WindowSessions = 10
@@ -191,39 +194,6 @@ func (e *Engine) Click(item string, ctx Context, tm time.Time) {
 	}
 }
 
-// CTR answers the paper's motivating query exactly: the raw windowed
-// click-through rate of item in the given situation, under the
-// narrowest materialized cuboid that the context fully populates.
-// The second return is the windowed impression count (0 means no data).
-func (e *Engine) CTR(item string, ctx Context, now time.Time) (float64, float64) {
-	s := e.clock.SessionOf(now)
-	for i := len(e.cfg.Cuboids) - 1; i >= 0; i-- {
-		cb := e.cfg.Cuboids[i]
-		if !cuboidCovered(cb, ctx) {
-			continue
-		}
-		m := e.cells[i][cb.Key(ctx)]
-		if m == nil {
-			continue
-		}
-		c := m[item]
-		if c == nil {
-			continue
-		}
-		imp := c.impressions.Sum(s)
-		if imp <= 0 {
-			return 0, 0
-		}
-		return c.clicks.Sum(s) / imp, imp
-	}
-	return 0, 0
-}
-
-// cuboidCovered reports whether ctx has a value for every dimension of cb.
-func cuboidCovered(cb Cuboid, ctx Context) bool {
-	return ctx.Covers(cb)
-}
-
 // Covers reports whether the context has a value for every dimension of
 // the cuboid, i.e. whether the cuboid's cell key is fully specified.
 func (c Context) Covers(cb Cuboid) bool {
@@ -243,7 +213,7 @@ func (e *Engine) Predict(item string, ctx Context, now time.Time) float64 {
 	var clicks, imps float64
 	for i := len(e.cfg.Cuboids) - 1; i >= 0; i-- {
 		cb := e.cfg.Cuboids[i]
-		if !cuboidCovered(cb, ctx) {
+		if !ctx.Covers(cb) {
 			continue
 		}
 		m := e.cells[i][cb.Key(ctx)]

@@ -10,72 +10,69 @@ var t0 = time.Date(2015, 5, 31, 12, 0, 0, 0, time.UTC)
 
 var beijingM25 = Context{Region: "beijing", Gender: "m", AgeGroup: "20-30"}
 
+// The tests below predict with the default Beta prior of 1 click in 20
+// impressions: a cell's prediction is (clicks+1)/(impressions+20).
+func smoothed(clicks, imps float64) float64 { return (clicks + 1) / (imps + 20) }
+
 func TestMotivatingQuery(t *testing.T) {
 	// "During last ten seconds, what is the CTR of an advertisement
 	// among the male users in Beijing, whose age is from twenty to
 	// thirty" — the §1 query, verbatim.
-	e := NewEngine(Config{}) // defaults: 10 × 1s window, region+gender+age cuboid
+	e := NewEngine(Config{MinImpressions: 1}) // 10 × 1s window, region+gender+age cuboid
 	for i := 0; i < 10; i++ {
 		e.Impression("ad-1", beijingM25, t0.Add(time.Duration(i)*time.Second))
 	}
 	e.Click("ad-1", beijingM25, t0.Add(5*time.Second))
 	e.Click("ad-1", beijingM25, t0.Add(6*time.Second))
 
-	ctr, imps := e.CTR("ad-1", beijingM25, t0.Add(9*time.Second))
-	if imps != 10 {
-		t.Fatalf("impressions = %v, want 10", imps)
-	}
-	if math.Abs(ctr-0.2) > 1e-9 {
-		t.Fatalf("CTR = %v, want 0.2", ctr)
+	if got, want := e.Predict("ad-1", beijingM25, t0.Add(9*time.Second)), smoothed(2, 10); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("Predict = %v, want %v", got, want)
 	}
 }
 
 func TestWindowExpiresOldTraffic(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine(Config{MinImpressions: 1})
 	for i := 0; i < 10; i++ {
 		e.Impression("ad-1", beijingM25, t0)
 	}
 	e.Click("ad-1", beijingM25, t0)
-	// 30 seconds later the 10-second window has rolled past everything.
-	_, imps := e.CTR("ad-1", beijingM25, t0.Add(30*time.Second))
-	if imps != 0 {
-		t.Fatalf("expired impressions = %v, want 0", imps)
+	// 30 seconds later the 10-second window has rolled past everything:
+	// only the prior is left.
+	if got, want := e.Predict("ad-1", beijingM25, t0.Add(30*time.Second)), smoothed(0, 0); got != want {
+		t.Fatalf("Predict of expired traffic = %v, want the prior %v", got, want)
 	}
 }
 
 func TestSituationsAreIndependent(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine(Config{MinImpressions: 1})
 	shanghaiF := Context{Region: "shanghai", Gender: "f", AgeGroup: "20-30"}
 	e.Impression("ad-1", beijingM25, t0)
 	e.Impression("ad-1", beijingM25, t0)
 	e.Click("ad-1", beijingM25, t0)
 	e.Impression("ad-1", shanghaiF, t0)
 
-	ctrB, _ := e.CTR("ad-1", beijingM25, t0)
-	ctrS, impsS := e.CTR("ad-1", shanghaiF, t0)
-	if math.Abs(ctrB-0.5) > 1e-9 {
-		t.Fatalf("beijing CTR = %v, want 0.5", ctrB)
+	if got, want := e.Predict("ad-1", beijingM25, t0), smoothed(1, 2); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("beijing Predict = %v, want %v", got, want)
 	}
-	if ctrS != 0 || impsS != 1 {
-		t.Fatalf("shanghai CTR = %v/%v, want 0/1", ctrS, impsS)
+	if got, want := e.Predict("ad-1", shanghaiF, t0), smoothed(0, 1); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("shanghai Predict = %v, want %v", got, want)
 	}
 }
 
 func TestUnknownContextFallsToBroadCuboid(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine(Config{MinImpressions: 1})
 	e.Impression("ad-1", beijingM25, t0)
 	e.Click("ad-1", beijingM25, t0)
+	e.Impression("ad-1", Context{Region: "shanghai", Gender: "f", AgeGroup: "20-30"}, t0)
 	// A context with no region cannot use the narrowest cuboid but
 	// still answers from gender×age.
 	partial := Context{Gender: "m", AgeGroup: "20-30"}
-	ctr, imps := e.CTR("ad-1", partial, t0)
-	if imps != 1 || ctr != 1 {
-		t.Fatalf("partial-context CTR = %v/%v", ctr, imps)
+	if got, want := e.Predict("ad-1", partial, t0), smoothed(1, 1); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("partial-context Predict = %v, want %v", got, want)
 	}
 	// A fully unknown context answers from the global cuboid.
-	ctr, imps = e.CTR("ad-1", Context{}, t0)
-	if imps != 1 || ctr != 1 {
-		t.Fatalf("global CTR = %v/%v", ctr, imps)
+	if got, want := e.Predict("ad-1", Context{}, t0), smoothed(1, 2); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("global Predict = %v, want %v", got, want)
 	}
 }
 

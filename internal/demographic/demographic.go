@@ -199,14 +199,6 @@ func (e *Engine) hotFor(key string, now time.Time, n int) []core.ScoredItem {
 	return out
 }
 
-// Complement adapts the engine to core.Config.Complement: it returns the
-// user's group hot list at the supplied query time.
-func (e *Engine) Complement(now func() time.Time) func(user string, n int) []core.ScoredItem {
-	return func(user string, n int) []core.ScoredItem {
-		return e.HotItems(user, now(), n)
-	}
-}
-
 // MatrixDensity quantifies Fig. 5's sparsity argument: given the set of
 // observed (user, item) interaction pairs and the engine's profiles, it
 // returns the density of the global user-item matrix and the mean

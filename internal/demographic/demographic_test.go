@@ -101,17 +101,6 @@ func TestWindowedScoresRefreshRanking(t *testing.T) {
 	}
 }
 
-func TestComplementAdapter(t *testing.T) {
-	e := NewEngine(Config{})
-	e.Observe(core.Action{User: "u", Item: "hot", Type: core.ActionClick, Time: t0})
-	now := t0.Add(time.Minute)
-	fn := e.Complement(func() time.Time { return now })
-	got := fn("someone", 5)
-	if len(got) != 1 || got[0].Item != "hot" {
-		t.Fatalf("Complement = %v", got)
-	}
-}
-
 func TestMatrixDensityGroupsDenser(t *testing.T) {
 	// Fig. 5: per-group matrices are denser than the global matrix when
 	// groups have disjoint tastes.

@@ -32,8 +32,6 @@ func (s *series) value() int64 {
 	switch {
 	case s.c != nil:
 		return s.c.Value()
-	case s.g != nil:
-		return s.g.Value()
 	case s.cf != nil:
 		return s.cf()
 	case s.gf != nil:

@@ -1,5 +1,5 @@
 // Package obsv is the repo's observability substrate: a metrics registry
-// with allocation-free hot-path instruments (Counter, Gauge, a lock-free
+// with allocation-free hot-path instruments (Counter, a lock-free
 // power-of-two-bucketed Histogram), a sampled tuple Tracer, and
 // exposition in Prometheus text format 0.0.4 and an expvar-style JSON
 // dump.
@@ -50,20 +50,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an int64 instrument that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // kind is the exposition type of a metric family.
 type kind uint8
 
@@ -92,7 +78,6 @@ type series struct {
 	labelStr string   // pre-rendered {k="v",...}, "" when unlabelled
 
 	c  *Counter
-	g  *Gauge
 	h  *Histogram
 	cf func() int64
 	gf func() int64
@@ -198,17 +183,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 		s.c = &Counter{}
 	}
 	return s.c
-}
-
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.getSeries(name, help, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
 }
 
 // Histogram returns the histogram for name+labels, creating it on first

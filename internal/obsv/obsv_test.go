@@ -21,11 +21,11 @@ func TestCounterGauge(t *testing.T) {
 	if again := r.Counter("hits_total", "hits"); again != c {
 		t.Fatal("re-registering the same counter returned a new instrument")
 	}
-	g := r.Gauge("depth", "queue depth", "q", "a")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	// Re-registering a callback gauge replaces its callback.
+	r.GaugeFunc("depth", "queue depth", func() int64 { return 7 }, "q", "a")
+	r.GaugeFunc("depth", "queue depth", func() int64 { return 5 }, "q", "a")
+	if s := r.families["depth"].series; len(s) != 1 || s[0].value() != 5 {
+		t.Fatalf("gauge series = %d, want one reading 5", len(s))
 	}
 	// Label order must not split series.
 	h1 := r.Histogram("lat_seconds", "", "a", "1", "b", "2")
@@ -43,7 +43,7 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() int64 { return 0 })
 }
 
 func TestHistogramBucketing(t *testing.T) {
@@ -143,7 +143,7 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_events_total", "events seen", "kind", "click").Add(3)
-	r.Gauge("app_depth", "queue depth").Set(9)
+	r.GaugeFunc("app_depth", "queue depth", func() int64 { return 9 })
 	h := r.Histogram("app_latency_seconds", "request latency", "path", "/x")
 	h.Observe(1500)    // 1.5µs
 	h.Observe(3 * 1e9) // 3s
@@ -312,14 +312,10 @@ func TestNowMonotonic(t *testing.T) {
 func TestObserveAllocs(t *testing.T) {
 	h := NewHistogram()
 	var c Counter
-	var g Gauge
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Fatalf("Counter.Add allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(1) }); n != 0 {
-		t.Fatalf("Gauge.Set allocates %v per op", n)
 	}
 }

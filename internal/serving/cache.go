@@ -162,13 +162,6 @@ func (c *Cache) Put(key string, val any) {
 	c.put(key, val, false, c.gen.Load())
 }
 
-// PutNegative records that key does not exist, for NegativeTTL or until
-// the key is written (dropNegative), whichever comes first. A miss whose
-// store read raced the write is recorded after the drop and lasts the TTL.
-func (c *Cache) PutNegative(key string) {
-	c.put(key, nil, true, c.gen.Load())
-}
-
 // dropNegative removes the negative entries under keys: they have just been
 // written, so "absent" is no longer true of them. Positive entries stay (a
 // stale value is bounded by the TTL; a stale "absent" hides the first write
@@ -202,7 +195,11 @@ func (c *Cache) removed(n, negs int64) {
 
 // put inserts an entry unless the cache was invalidated after gen was
 // loaded. The check runs under the shard lock: Invalidate bumps gen before
-// it clears the shards, so an entry put under the old gen is cleared.
+// it clears the shards, so an entry put under the old gen is cleared. A
+// negative entry (neg) records that key does not exist, for NegativeTTL or
+// until the key is written (dropNegative), whichever comes first; a miss
+// whose store read raced the write is recorded after the drop and lasts
+// the TTL.
 func (c *Cache) put(key string, val any, neg bool, gen uint64) {
 	sh := c.shardFor(key)
 	now := obsv.Now()

@@ -98,6 +98,10 @@ func TestCacheTTLExpiry(t *testing.T) {
 // TestNegativeCache: a missing key is answered from the negative cache
 // within NegativeTTL, and a key written afterwards becomes visible once
 // the negative entry expires.
+// putNegative records that key does not exist, as a read that finds it
+// absent does.
+func putNegative(c *Cache, key string) { c.put(key, nil, true, c.gen.Load()) }
+
 func TestNegativeCache(t *testing.T) {
 	st := newFakeStore(map[string][]byte{})
 	rd := NewReader(st, Config{NegativeTTL: 30 * time.Millisecond})
@@ -154,19 +158,19 @@ func TestNegativeCache(t *testing.T) {
 				t.Fatalf("%d live negatives %s, want %d", n, when, want)
 			}
 		}
-		c.PutNegative("a")
-		c.PutNegative("a")
+		putNegative(c, "a")
+		putNegative(c, "a")
 		negs(1, "after the same miss twice")
 		c.Put("a", 1)
 		negs(0, "after the key was cached with a value")
-		c.PutNegative("a")
+		putNegative(c, "a")
 		negs(1, "after the value gave way to a miss")
 		time.Sleep(30 * time.Millisecond)
 		if _, _, ok := c.Get("a"); ok {
 			t.Fatal("expired negative entry served")
 		}
 		negs(0, "after expiry")
-		c.PutNegative("a")
+		putNegative(c, "a")
 		sh := c.shardFor("a")
 		for i := 0; ; i++ { // a second key of a's shard evicts it
 			if k := fmt.Sprintf("b%d", i); c.shardFor(k) == sh {
@@ -175,8 +179,8 @@ func TestNegativeCache(t *testing.T) {
 			}
 		}
 		negs(0, "after eviction")
-		c.PutNegative("x")
-		c.PutNegative("y")
+		putNegative(c, "x")
+		putNegative(c, "y")
 		c.Invalidate()
 		negs(0, "after Invalidate")
 		if c.Len() != 0 {
@@ -201,7 +205,7 @@ func TestCacheReapsExpiredOnPut(t *testing.T) {
 		}
 	}
 	c.Put(keys[0], 0)
-	c.PutNegative(keys[1])
+	putNegative(c, keys[1])
 	c.Put(keys[2], 2)
 	time.Sleep(30 * time.Millisecond)
 	c.Put(keys[3], 3)

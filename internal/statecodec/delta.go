@@ -193,18 +193,6 @@ func appendHistoryEntry(b []byte, item string, r Rating) []byte {
 	return b
 }
 
-// AppendHistoryEntry appends a new entry to an encoded binary history
-// and bumps the count. The caller asserts item is not already present
-// (use UpsertHistoryEntry otherwise). ok=false — buffer unchanged — when
-// the frame is malformed: appending to a torn frame would compound the
-// corruption.
-func AppendHistoryEntry(b []byte, item string, r Rating) ([]byte, bool) {
-	if _, _, _, ok := findHistoryEntry(b, item); !ok {
-		return b, false
-	}
-	return appendHistoryEntry(b, item, r), true
-}
-
 // UpsertHistoryEntry sets item's rating in an encoded binary history:
 // an existing entry is patched in place (same bytes, new rating block),
 // a new one is appended. ok=false — buffer unchanged — when the frame is

@@ -212,12 +212,7 @@ func TestHistoryCountWidthBoundaries(t *testing.T) {
 	for i := 0; i < 130; i++ {
 		item, r := benchItemID(i), Rating{Rating: 1, TS: int64(i % 7), Session: int64(i)}
 		var ok bool
-		if i%2 == 0 {
-			buf, ok = UpsertHistoryEntry(buf, item, r)
-		} else {
-			buf, ok = AppendHistoryEntry(buf, item, r)
-		}
-		if !ok {
+		if buf, ok = UpsertHistoryEntry(buf, item, r); !ok {
 			t.Fatalf("edit declined at %d entries", i)
 		}
 		ref.upsert(item, r)
@@ -275,7 +270,7 @@ func TestEvictOldestHistoryEntry(t *testing.T) {
 	}{{"a", 50}, {"b", 10}, {"c", 30}, {"d", 20}}
 	for _, e := range entries {
 		var ok bool
-		buf, ok = AppendHistoryEntry(buf, e.item, Rating{Rating: 1, TS: e.ts, Session: 1})
+		buf, ok = UpsertHistoryEntry(buf, e.item, Rating{Rating: 1, TS: e.ts, Session: 1})
 		if !ok {
 			t.Fatalf("append %q declined", e.item)
 		}
@@ -325,7 +320,6 @@ func editsAgreeWithDecoder(t *testing.T, name string, data []byte) {
 	}{
 		{"FindHistoryEntry", herr, func(b []byte) ([]byte, bool) { _, _, ok := FindHistoryEntry(b, "probe"); return b, ok }},
 		{"UpsertHistoryEntry", herr, func(b []byte) ([]byte, bool) { return UpsertHistoryEntry(b, "probe", r) }},
-		{"AppendHistoryEntry", herr, func(b []byte) ([]byte, bool) { return AppendHistoryEntry(b, "probe", r) }},
 		{"EvictOldestHistoryEntry", herr, func(b []byte) ([]byte, bool) { return EvictOldestHistoryEntry(b, "keep") }},
 		{"MergeListEntry", lerr, func(b []byte) ([]byte, bool) { out, _, ok := MergeListEntry(b, "probe", 1.5, 300); return out, ok }},
 		{"MergeListEntry/remove", lerr, func(b []byte) ([]byte, bool) { out, _, ok := MergeListEntry(b, "probe", 0, 5); return out, ok }},
@@ -350,7 +344,7 @@ func editsAgreeWithDecoder(t *testing.T, name string, data []byte) {
 func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 	hist := EncodeHistory(nil)
 	for i := 0; i < 3; i++ {
-		hist, _ = AppendHistoryEntry(hist, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
+		hist, _ = UpsertHistoryEntry(hist, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
 	}
 	list := EncodeList(List{{Item: "x", Score: 2}, {Item: strings.Repeat("y", 241), Score: 1}})
 	for _, frame := range [][]byte{hist, list} {
@@ -468,7 +462,7 @@ func TestFindIterZeroAlloc(t *testing.T) {
 func benchHistoryBuf(n int) []byte {
 	buf := EncodeHistory(nil)
 	for i := 0; i < n; i++ {
-		buf, _ = AppendHistoryEntry(buf, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
+		buf, _ = UpsertHistoryEntry(buf, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
 	}
 	return buf
 }

@@ -53,32 +53,6 @@ func (d *BoltDeclarer) Shuffle(source string) *BoltDeclarer {
 	return d.add(source, DefaultStream, Grouping{Kind: ShuffleGrouping})
 }
 
-// ShuffleOn subscribes to a named stream with shuffle grouping.
-func (d *BoltDeclarer) ShuffleOn(source, stream string) *BoltDeclarer {
-	return d.add(source, stream, Grouping{Kind: ShuffleGrouping})
-}
-
-// Fields subscribes to the source's default stream with fields grouping on
-// the given key fields.
-func (d *BoltDeclarer) Fields(source string, fields ...string) *BoltDeclarer {
-	return d.add(source, DefaultStream, Grouping{Kind: FieldsGrouping, Fields: fields})
-}
-
-// FieldsOn subscribes to a named stream with fields grouping.
-func (d *BoltDeclarer) FieldsOn(source, stream string, fields ...string) *BoltDeclarer {
-	return d.add(source, stream, Grouping{Kind: FieldsGrouping, Fields: fields})
-}
-
-// Global subscribes to the source's default stream with global grouping.
-func (d *BoltDeclarer) Global(source string) *BoltDeclarer {
-	return d.add(source, DefaultStream, Grouping{Kind: GlobalGrouping})
-}
-
-// All subscribes to the source's default stream with all grouping.
-func (d *BoltDeclarer) All(source string) *BoltDeclarer {
-	return d.add(source, DefaultStream, Grouping{Kind: AllGrouping})
-}
-
 // On subscribes with an explicit grouping and stream, for data-driven
 // topology construction (Graph.Build).
 func (d *BoltDeclarer) On(source, stream string, g Grouping) *BoltDeclarer {

@@ -21,7 +21,7 @@ func (b *countingSink) Execute(tp *Tuple) error {
 		return nil
 	}
 	b.mu.Lock()
-	b.counts[tp.Str("key")]++
+	b.counts[tp.Value("key").(string)]++
 	b.mu.Unlock()
 	return nil
 }
@@ -53,8 +53,8 @@ func TestRebalanceScalesLiveParallelism(t *testing.T) {
 			},
 			Output: Fields{"key", "seq"},
 		}
-	}, 2).Fields("spout", "key")
-	tb.SetBolt("sink", func() Bolt { return sink }, 2).Fields("mid", "key")
+	}, 2).On("spout", DefaultStream, byFields("key"))
+	tb.SetBolt("sink", func() Bolt { return sink }, 2).On("mid", DefaultStream, byFields("key"))
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRebalanceValidation(t *testing.T) {
 	release := make(chan struct{})
 	tb := NewTopologyBuilder("t")
 	tb.SetSpout("spout", func() Spout { return &heldSpout{rangeSpout: rangeSpout{n: 100}, release: release} }, 1)
-	tb.SetBolt("sink", sink, 2).Fields("spout", "n")
+	tb.SetBolt("sink", sink, 2).On("spout", DefaultStream, byFields("n"))
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func burstTopology(t *testing.T, n int, release <-chan struct{}) (topo *Topology
 			}
 			return nil
 		}}
-	}, 1).Fields("spout", "key")
+	}, 1).On("spout", DefaultStream, byFields("key"))
 	tb.SetSpout("spout", func() Spout { return sp }, 1)
 	topo, err := tb.Build()
 	if err != nil {

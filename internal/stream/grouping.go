@@ -17,10 +17,6 @@ const (
 	// every tuple with the same key reaches the same task. This is the
 	// guarantee behind the paper's single-writer-per-item-pair claim.
 	FieldsGrouping
-	// GlobalGrouping sends every tuple to task 0.
-	GlobalGrouping
-	// AllGrouping replicates every tuple to all tasks.
-	AllGrouping
 )
 
 // String returns the XML/config name of the grouping.
@@ -30,10 +26,6 @@ func (k GroupingKind) String() string {
 		return "shuffle"
 	case FieldsGrouping:
 		return "field"
-	case GlobalGrouping:
-		return "global"
-	case AllGrouping:
-		return "all"
 	}
 	return "unknown"
 }
@@ -58,10 +50,6 @@ func ParseGrouping(name string, fields Fields) (Grouping, error) {
 			return Grouping{}, fmt.Errorf("field grouping needs fields")
 		}
 		return Grouping{Kind: FieldsGrouping, Fields: fields}, nil
-	case "global":
-		return Grouping{Kind: GlobalGrouping}, nil
-	case "all":
-		return Grouping{Kind: AllGrouping}, nil
 	}
 	return Grouping{}, fmt.Errorf("unknown grouping %q", name)
 }
@@ -86,8 +74,7 @@ const partMask = NumPartitions - 1
 type assignment struct {
 	tasks []*task
 	// parts maps logical partition → index into tasks. Only fields
-	// grouping consults it; the other groupings derive destinations from
-	// len(tasks) alone.
+	// grouping consults it; shuffle picks from len(tasks) alone.
 	parts [NumPartitions]int32
 }
 
@@ -104,26 +91,15 @@ func newAssignment(tasks []*task) *assignment {
 	return a
 }
 
-// route returns the destination task indices for a tuple under an
-// assignment. For AllGrouping the returned slice has length
-// len(a.tasks); otherwise length 1. rng is the per-dispatcher random
-// source used by shuffle grouping.
-func (g Grouping) route(t *Tuple, a *assignment, rng *rand.Rand, scratch []int) []int {
-	switch g.Kind {
-	case FieldsGrouping:
-		if len(a.tasks) == 1 {
-			return append(scratch, 0) // one task owns every partition: nothing to hash
-		}
-		part := hashValues(t, g.Fields) & partMask
-		return append(scratch, int(a.parts[part]))
-	case GlobalGrouping:
-		return append(scratch, 0)
-	case AllGrouping:
-		for i := range a.tasks {
-			scratch = append(scratch, i)
-		}
-		return scratch
-	default: // ShuffleGrouping
-		return append(scratch, rng.Intn(len(a.tasks)))
+// route returns the task a tuple goes to under an assignment: one task,
+// whatever the grouping. rng is the per-dispatcher random source used by
+// shuffle grouping.
+func (g Grouping) route(t *Tuple, a *assignment, rng *rand.Rand) int {
+	if g.Kind == ShuffleGrouping {
+		return rng.Intn(len(a.tasks))
 	}
+	if len(a.tasks) == 1 {
+		return 0 // one task owns every partition: nothing to hash
+	}
+	return int(a.parts[hashValues(t, g.Fields)&partMask])
 }

@@ -33,9 +33,9 @@ func fedTopology(t *testing.T, log *tickLog, feed <-chan int, aTick, bTick time.
 	t.Helper()
 	tb := NewTopologyBuilder("fed")
 	tb.SetSpout("spout", func() Spout { return &feedSpout{feed: feed} }, 1)
-	tb.SetBolt("a", func() Bolt { return &tickLogBolt{log: log, comp: "a"} }, 2).Fields("spout", "n").Tick(aTick)
+	tb.SetBolt("a", func() Bolt { return &tickLogBolt{log: log, comp: "a"} }, 2).On("spout", DefaultStream, byFields("n")).Tick(aTick)
 	if bTick > 0 {
-		tb.SetBolt("b", func() Bolt { return &tickLogBolt{log: log, comp: "b"} }, 2).Fields("spout", "n").Tick(bTick)
+		tb.SetBolt("b", func() Bolt { return &tickLogBolt{log: log, comp: "b"} }, 2).On("spout", DefaultStream, byFields("n")).Tick(bTick)
 	}
 	topo, err := tb.Build()
 	if err != nil {

@@ -192,8 +192,8 @@ type ComponentStats struct {
 
 // MetricsSnapshot is a point-in-time view of topology metrics.
 type MetricsSnapshot struct {
-	// Transferred counts tuple deliveries across all edges: a tuple
-	// replicated to n tasks, or a Run split over n tasks, counts n times.
+	// Transferred counts tuple deliveries across all edges: a tuple once
+	// per subscribed edge, a Run split over n tasks n times.
 	Transferred int64
 	// Uptime is the time since the topology started.
 	Uptime time.Duration

@@ -63,7 +63,7 @@ func (rt *runtime) registerObservability(r *obsv.Registry) {
 			"component", name)
 	}
 	r.CounterFunc("stream_transferred_total",
-		"Tuple deliveries across all edges (a replicated tuple or a split run counted per destination task).",
+		"Tuple deliveries across all edges (a tuple once per subscribed edge, a split run once per destination task).",
 		func() int64 {
 			var n int64
 			for _, cm := range rt.metrics.components {

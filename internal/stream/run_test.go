@@ -31,7 +31,7 @@ func TestRunSplitMatchesSingleTupleRouting(t *testing.T) {
 		tb.SetBolt("fan", func() Bolt {
 			return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }, Output: Fields{"key", "seq"}}
 		}, 1).Shuffle("src")
-		tb.SetBolt("sink", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, par).Fields("fan", "key")
+		tb.SetBolt("sink", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, par).On("fan", DefaultStream, byFields("key"))
 		topo, err := tb.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func (b *arrivalSink) Execute(t *Tuple) error {
 		}
 		return nil
 	}
-	key := t.Str("key")
+	key := t.Value("key").(string)
 	b.log.seen[key] = append(b.log.seen[key], arrival{t.Value("seq").(float64), b.task})
 	return nil
 }
@@ -201,8 +201,8 @@ func TestRunRoutingEqualsSingleTuples(t *testing.T) {
 			tb := NewTopologyBuilder("run-equiv")
 			tb.SetSpout("spout", func() Spout { return &gatedSpout{n: n, hold: &hold, emitted: &emitted} }, 1)
 			tb.SetBolt("fan", func() Bolt { return &runFanBolt{keys: keys} }, 1).Shuffle("spout")
-			tb.SetBolt("runSink", func() Bolt { return &arrivalSink{log: byRun} }, pars[0]).FieldsOn("fan", "run", "key")
-			tb.SetBolt("singleSink", func() Bolt { return &arrivalSink{log: bySingle} }, pars[0]).FieldsOn("fan", "single", "key")
+			tb.SetBolt("runSink", func() Bolt { return &arrivalSink{log: byRun} }, pars[0]).On("fan", "run", byFields("key"))
+			tb.SetBolt("singleSink", func() Bolt { return &arrivalSink{log: bySingle} }, pars[0]).On("fan", "single", byFields("key"))
 			topo, err := tb.Build()
 			if err != nil {
 				t.Fatal(err)
@@ -292,7 +292,7 @@ func (b *deliverySink) Execute(t *Tuple) error {
 			rows += row.Key + ";"
 		}
 	} else {
-		rows = t.Str("key")
+		rows = t.Value("key").(string)
 	}
 	l := b.log
 	l.mu.Lock()
@@ -312,7 +312,7 @@ func (b *deliverySink) Execute(t *Tuple) error {
 
 // TestDeliveryGetsItsOwnTuple is the delivery rule over every way an
 // emission fans out: to one subscriber, to two subscribers of one stream
-// (Features.CB's user_action), to the 3 tasks of an All grouping; a plain
+// (Features.CB's user_action), to three, one of them shuffled; a plain
 // tuple or a run. Each destination task gets a *Tuple no other Execute of
 // that emission sees, Transferred counts them, and one failing Execute
 // among an emission's k is reported once and delivers nothing again.
@@ -326,14 +326,16 @@ func TestDeliveryGetsItsOwnTuple(t *testing.T) {
 		wire     func(tb *TopologyBuilder, sink func() Bolt)
 	}{
 		{"one subscriber", 1, "a/0", func(tb *TopologyBuilder, sink func() Bolt) {
-			tb.SetBolt("a", sink, 1).Fields("fan", "key")
+			tb.SetBolt("a", sink, 1).On("fan", DefaultStream, byFields("key"))
 		}},
 		{"two subscribers", 2, "b/0", func(tb *TopologyBuilder, sink func() Bolt) {
-			tb.SetBolt("a", sink, 1).Fields("fan", "key")
-			tb.SetBolt("b", sink, 1).Fields("fan", "key")
+			tb.SetBolt("a", sink, 1).On("fan", DefaultStream, byFields("key"))
+			tb.SetBolt("b", sink, 1).On("fan", DefaultStream, byFields("key"))
 		}},
-		{"all grouping", 3, "a/2", func(tb *TopologyBuilder, sink func() Bolt) {
-			tb.SetBolt("a", sink, 3).All("fan")
+		{"three subscribers", 3, "c/0", func(tb *TopologyBuilder, sink func() Bolt) {
+			tb.SetBolt("a", sink, 1).On("fan", DefaultStream, byFields("key"))
+			tb.SetBolt("b", sink, 1).Shuffle("fan")
+			tb.SetBolt("c", sink, 1).On("fan", DefaultStream, byFields("key"))
 		}},
 	}
 	for _, shape := range shapes {
@@ -418,7 +420,7 @@ func BenchmarkEmitRun(b *testing.B) {
 			tb.SetBolt("fan", func() Bolt {
 				return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }, Output: Fields{"key", "session"}}
 			}, 1).Shuffle("src")
-			tb.SetBolt("sink", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, par).Fields("fan", "key")
+			tb.SetBolt("sink", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, par).On("fan", DefaultStream, byFields("key"))
 			topo, err := tb.Build()
 			if err != nil {
 				b.Fatal(err)

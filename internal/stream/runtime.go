@@ -213,7 +213,7 @@ type collector struct {
 	maxBatch int
 	outs     map[string]*streamOut
 	list     []*streamOut
-	routeBuf []int
+	routeBuf []int   // splitRun's per-task segment ends
 	rowDest  []int32 // destination task of each row of the Run being split
 	buffered int     // tuples currently sitting in edge buffers
 
@@ -287,8 +287,8 @@ func (c *collector) EmitTo(stream string, values Values) {
 	if tr == nil && c.tracer != nil {
 		tr = c.tracer.Sample()
 	}
-	// Routing reads the values through the probe, and every destination task
-	// it names gets a tuple of its own copied from it (send): nothing is
+	// Routing reads the values through the probe, and the task each edge
+	// routes to gets a tuple of its own copied from it (send): nothing is
 	// shared across the appends, so an append may flush its buffer at once.
 	probe := Tuple{Component: c.task.component, Stream: stream, Values: values, fields: out.fields, trace: tr}
 	if tr != nil {
@@ -301,10 +301,7 @@ func (c *collector) EmitTo(stream string, values Values) {
 			c.splitRun(eb, &probe, ri, run)
 			continue
 		}
-		c.routeBuf = g.route(&probe, a, c.task.rng, c.routeBuf[:0])
-		for _, i := range c.routeBuf {
-			c.send(eb, i, &probe, values)
-		}
+		c.send(eb, g.route(&probe, a, c.task.rng), &probe, values)
 	}
 }
 

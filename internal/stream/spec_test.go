@@ -25,8 +25,8 @@ func specGraph() Graph {
 			{Name: "split", Kind: "split", Inputs: []InputSpec{{Source: "s"}}},
 			{Name: "evens", Kind: "sink", Parallelism: 3, TickMS: 1.5,
 				Inputs: []InputSpec{{Source: "split", Stream: "even", Grouping: "fields", Fields: Fields{"n"}}}},
-			{Name: "all", Kind: "sink", Inputs: []InputSpec{
-				{Source: "split", Stream: "odd", Grouping: "global"}, {Source: "split", Stream: "even", Grouping: "all"}}},
+			{Name: "both", Kind: "sink", Inputs: []InputSpec{
+				{Source: "split", Stream: "odd"}, {Source: "split", Stream: "even", Grouping: "shuffle"}}},
 		},
 	}
 }
@@ -43,8 +43,8 @@ func TestGraphBuildIsTheFluentBuilder(t *testing.T) {
 	tb := NewTopologyBuilder("g")
 	tb.SetSpout("s", func() Spout { return &rangeSpout{n: 7} }, 2)
 	tb.SetBolt("split", func() Bolt { return &splitBolt{} }, 1).Shuffle("s")
-	tb.SetBolt("evens", reg.Bolts["sink"], 3).FieldsOn("split", "even", "n").Tick(1500000)
-	tb.SetBolt("all", reg.Bolts["sink"], 1).On("split", "odd", Grouping{Kind: GlobalGrouping}).On("split", "even", Grouping{Kind: AllGrouping})
+	tb.SetBolt("evens", reg.Bolts["sink"], 3).On("split", "even", byFields("n")).Tick(1500000)
+	tb.SetBolt("both", reg.Bolts["sink"], 1).On("split", "odd", Grouping{Kind: ShuffleGrouping}).On("split", "even", Grouping{Kind: ShuffleGrouping})
 	byHand, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestGraphBuildRejects(t *testing.T) {
 }
 
 func TestParseGroupingInvertsString(t *testing.T) {
-	for _, k := range []GroupingKind{ShuffleGrouping, FieldsGrouping, GlobalGrouping, AllGrouping} {
+	for _, k := range []GroupingKind{ShuffleGrouping, FieldsGrouping} {
 		g, err := ParseGrouping(k.String(), Fields{"f"})
 		if err != nil || g.Kind != k {
 			t.Errorf("ParseGrouping(%q) = %+v, %v", k.String(), g, err)

@@ -106,6 +106,9 @@ func TestRunDeliversAllTuples(t *testing.T) {
 	}
 }
 
+// byFields is a fields grouping on keys, for an edge declared with On.
+func byFields(keys ...string) Grouping { return Grouping{Kind: FieldsGrouping, Fields: keys} }
+
 func TestFieldsGroupingRoutesKeyToOneTask(t *testing.T) {
 	sink, mu, seen := newSink()
 	tb := NewTopologyBuilder("t")
@@ -120,7 +123,7 @@ func TestFieldsGroupingRoutesKeyToOneTask(t *testing.T) {
 			Output: Fields{"n"},
 		}
 	}, 2).Shuffle("spout")
-	tb.SetBolt("sink", sink, 5).Fields("keyer", "n")
+	tb.SetBolt("sink", sink, 5).On("keyer", DefaultStream, byFields("n"))
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -142,46 +145,6 @@ func TestFieldsGroupingRoutesKeyToOneTask(t *testing.T) {
 	}
 }
 
-func TestGlobalGroupingUsesTaskZero(t *testing.T) {
-	sink, mu, seen := newSink()
-	tb := NewTopologyBuilder("t")
-	tb.SetSpout("spout", func() Spout { return &rangeSpout{n: 100} }, 1)
-	tb.SetBolt("sink", sink, 4).Global("spout")
-	topo, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, s := range *seen {
-		if s.task != 0 {
-			t.Fatalf("tuple executed on task %d, want 0", s.task)
-		}
-	}
-}
-
-func TestAllGroupingReplicates(t *testing.T) {
-	sink, mu, seen := newSink()
-	tb := NewTopologyBuilder("t")
-	tb.SetSpout("spout", func() Spout { return &rangeSpout{n: 100} }, 1)
-	tb.SetBolt("sink", sink, 3).All("spout")
-	topo, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(*seen) != 300 {
-		t.Fatalf("got %d deliveries, want 300", len(*seen))
-	}
-}
-
 func TestNamedStreams(t *testing.T) {
 	var evens, odds atomic.Int64
 	tb := NewTopologyBuilder("t")
@@ -191,10 +154,10 @@ func TestNamedStreams(t *testing.T) {
 	}, 1).Shuffle("spout")
 	tb.SetBolt("evens", func() Bolt {
 		return &BoltFunc{Fn: func(*Tuple, Collector) error { evens.Add(1); return nil }}
-	}, 2).ShuffleOn("split", "even")
+	}, 2).On("split", "even", Grouping{Kind: ShuffleGrouping})
 	tb.SetBolt("odds", func() Bolt {
 		return &BoltFunc{Fn: func(*Tuple, Collector) error { odds.Add(1); return nil }}
-	}, 2).ShuffleOn("split", "odd")
+	}, 2).On("split", "odd", Grouping{Kind: ShuffleGrouping})
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -243,13 +206,13 @@ func TestBuildValidation(t *testing.T) {
 		{"undeclared stream", func() *TopologyBuilder {
 			tb := NewTopologyBuilder("t")
 			tb.SetSpout("s", func() Spout { return &rangeSpout{n: 1} }, 1)
-			tb.SetBolt("b", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, 1).ShuffleOn("s", "missing")
+			tb.SetBolt("b", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, 1).On("s", "missing", Grouping{Kind: ShuffleGrouping})
 			return tb
 		}},
 		{"missing grouping field", func() *TopologyBuilder {
 			tb := NewTopologyBuilder("t")
 			tb.SetSpout("s", func() Spout { return &rangeSpout{n: 1} }, 1)
-			tb.SetBolt("b", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, 1).Fields("s", "nope")
+			tb.SetBolt("b", func() Bolt { return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }} }, 1).On("s", DefaultStream, byFields("nope"))
 			return tb
 		}},
 		{"duplicate name", func() *TopologyBuilder {
@@ -529,9 +492,9 @@ func TestFieldsGroupingDeterministicProperty(t *testing.T) {
 		tasks := int(n%16) + 1
 		asn := newAssignment(make([]*task, tasks))
 		tu := &Tuple{Values: Values{key}, fields: Fields{"k"}}
-		a := g.route(tu, asn, nil, nil)
-		b := g.route(tu, asn, nil, nil)
-		return len(a) == 1 && len(b) == 1 && a[0] == b[0] && a[0] < tasks
+		a := g.route(tu, asn, nil)
+		b := g.route(tu, asn, nil)
+		return a == b && a < tasks
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -549,7 +512,7 @@ func TestPartitionRoutingStableAcrossScale(t *testing.T) {
 		for i := 0; i < 512; i++ {
 			key := fmt.Sprintf("key-%d", i)
 			tu := &Tuple{Values: Values{key}, fields: Fields{"k"}}
-			got := g.route(tu, asn, nil, nil)[0]
+			got := g.route(tu, asn, nil)
 			want := int(hashValues(tu, g.Fields) % uint64(n))
 			if got != want {
 				t.Fatalf("n=%d key=%s routed to %d, want hash%%n=%d", n, key, got, want)

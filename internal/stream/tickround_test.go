@@ -128,9 +128,9 @@ func tickRoundTopology(t *testing.T, log *tickLog, slow, failNext *atomic.Bool, 
 	tb.SetQueueDepth(depth)
 	tb.SetSpout("spout", func() Spout { return &tickingSpout{emitted: &emitted} }, 1)
 	tb.SetBolt("a", func() Bolt { return &tickLogBolt{log: log, comp: "a", slow: slow, failNext: failNext} }, 2).
-		Fields("spout", "n").Tick(time.Millisecond)
+		On("spout", DefaultStream, byFields("n")).Tick(time.Millisecond)
 	tb.SetBolt("b", func() Bolt { return &tickLogBolt{log: log, comp: "b"} }, 2).
-		Fields("spout", "n").Tick(time.Millisecond)
+		On("spout", DefaultStream, byFields("n")).Tick(time.Millisecond)
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)

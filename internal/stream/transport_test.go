@@ -25,7 +25,7 @@ func BenchmarkEmitRoute(b *testing.B) {
 			for _, sink := range sinks {
 				tb.SetBolt(sink, func() Bolt {
 					return &BoltFunc{Fn: func(*Tuple, Collector) error { return nil }}
-				}, 4).Fields("src", "n")
+				}, 4).On("src", DefaultStream, byFields("n"))
 			}
 			topo, err := tb.Build()
 			if err != nil {
@@ -229,10 +229,10 @@ func TestStressFieldsGroupingUnderRebalance(t *testing.T) {
 			},
 			Output: Fields{"key", "seq"},
 		}
-	}, 4).Fields("spout", "key")
+	}, 4).On("spout", DefaultStream, byFields("key"))
 	tb.SetBolt("sink", func() Bolt {
 		return &taskAwareSink{mu: mu, st: st, errp: &orderErr}
-	}, 4).Fields("mid", "key")
+	}, 4).On("mid", DefaultStream, byFields("key"))
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func (b *taskAwareSink) Execute(tp *Tuple) error {
 	if tp.IsTick() {
 		return nil
 	}
-	key := tp.Str("key")
+	key := tp.Value("key").(string)
 	seq := tp.Value("seq").(int)
 	b.mu.Lock()
 	defer b.mu.Unlock()

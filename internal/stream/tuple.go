@@ -155,9 +155,6 @@ func (t *Tuple) TryValue(field string) (interface{}, bool) {
 	return t.Values[i], true
 }
 
-// Str returns the value of the named field as a string.
-func (t *Tuple) Str(field string) string { s, _ := t.Value(field).(string); return s }
-
 // FNV-1a, inlined so grouping never allocates a hash.Hash.
 const (
 	fnvOffset64 = 14695981039346656037

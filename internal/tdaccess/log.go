@@ -278,12 +278,9 @@ func (l *plog) rotateLocked() error {
 	return nil
 }
 
-// Append writes one record and returns its message offset.
-// Frame: crc32(body) | len(body) | body.
-func (l *plog) Append(body []byte) (int64, error) { return l.appendParts(nil, "", body) }
-
-// appendParts is Append for a body given as head, key and tail back to
-// back (the broker's message frame), so Send need not join them first.
+// appendParts writes one record and returns its message offset. Frame:
+// crc32(body) | len(body) | body, the body given as head, key and tail back
+// to back (the broker's message frame), so Send need not join them first.
 func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) {
 	size := len(head) + len(key) + len(tail)
 	if size > maxMessage {
@@ -318,19 +315,6 @@ func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) 
 	seg.add(int64(len(rec)))
 	l.nextOffset++
 	return off, nil
-}
-
-// Read returns the record at the given message offset.
-func (l *plog) Read(offset int64) ([]byte, error) {
-	var one [1][]byte
-	out, err := l.ReadFrom(one[:0], offset, 1)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, ErrOffsetOutOfRange
-	}
-	return out[0], nil
 }
 
 // ReadFrom appends up to max record bodies starting at offset to dst and

@@ -15,6 +15,22 @@ import (
 
 func testBody(i int) []byte { return []byte(fmt.Sprintf("record-%04d", i)) }
 
+// Append writes one record and returns its message offset.
+func (l *plog) Append(body []byte) (int64, error) { return l.appendParts(nil, "", body) }
+
+// Read returns the record at the given message offset.
+func (l *plog) Read(offset int64) ([]byte, error) {
+	var one [1][]byte
+	out, err := l.ReadFrom(one[:0], offset, 1)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		return nil, ErrOffsetOutOfRange
+	}
+	return out[0], nil
+}
+
 // flipByte inverts one byte inside the body of the record at offset.
 func flipByte(t *testing.T, l *plog, offset int64) {
 	t.Helper()

@@ -3,7 +3,6 @@ package tdstore
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -71,7 +70,7 @@ func (c *Cluster) Checkpoint(dir string, frontier []FrontierEntry) error {
 		if !ok {
 			return fmt.Errorf("tdstore: engine for instance %d does not support checkpoints", inst)
 		}
-		if err := ck.Checkpoint(instanceCheckpointDir(dir, inst)); err != nil {
+		if err := ck.Checkpoint(InstanceCheckpointDir(dir, inst)); err != nil {
 			return fmt.Errorf("tdstore: checkpoint instance %d: %w", inst, err)
 		}
 	}
@@ -107,65 +106,9 @@ func LoadCheckpoint(dir string) (*CheckpointManifest, error) {
 	return &m, nil
 }
 
-// instanceCheckpointDir is where instance inst's snapshot lives inside a
-// checkpoint directory.
-func instanceCheckpointDir(dir string, inst int) string {
+// InstanceCheckpointDir is where instance inst's snapshot lives inside a
+// checkpoint directory: the engine's own checkpoint (for LDB, what
+// ldb.Restore seeds an instance directory from on a cold restart).
+func InstanceCheckpointDir(dir string, inst int) string {
 	return filepath.Join(dir, fmt.Sprintf("inst-%d", inst))
-}
-
-// SeedInstanceDir replaces dstDir with instance inst's snapshot from a
-// checkpoint: the live directory is wiped (its post-checkpoint contents
-// are exactly what tail replay will regenerate — restoring over them
-// would double-apply) and the snapshot's files are hard-linked or copied
-// in. Engine factories call this before opening a disk engine when
-// restoring from a cold start.
-func SeedInstanceDir(checkpointDir string, inst int, dstDir string) error {
-	src := instanceCheckpointDir(checkpointDir, inst)
-	if err := os.RemoveAll(dstDir); err != nil {
-		return fmt.Errorf("tdstore: clear instance dir: %w", err)
-	}
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		return fmt.Errorf("tdstore: create instance dir: %w", err)
-	}
-	ents, err := os.ReadDir(src)
-	if os.IsNotExist(err) {
-		return nil // instance had no state at checkpoint time
-	}
-	if err != nil {
-		return fmt.Errorf("tdstore: read snapshot dir: %w", err)
-	}
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if err := linkOrCopyFile(filepath.Join(src, e.Name()), filepath.Join(dstDir, e.Name())); err != nil {
-			return fmt.Errorf("tdstore: seed %s: %w", e.Name(), err)
-		}
-	}
-	return nil
-}
-
-// linkOrCopyFile hard-links src to dst, copying when links are refused.
-func linkOrCopyFile(src, dst string) error {
-	if err := os.Link(src, dst); err == nil {
-		return nil
-	}
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

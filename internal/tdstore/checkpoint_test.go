@@ -27,7 +27,7 @@ func ldbFactory(root string) func(string, InstanceID) (engine.Engine, error) {
 func restoreFactory(root, ckptDir string) func(string, InstanceID) (engine.Engine, error) {
 	return func(serverID string, inst InstanceID) (engine.Engine, error) {
 		dir := filepath.Join(root, serverID, fmt.Sprintf("inst-%d", inst))
-		if err := SeedInstanceDir(ckptDir, int(inst), dir); err != nil {
+		if err := ldb.Restore(InstanceCheckpointDir(ckptDir, int(inst)), dir); err != nil {
 			return nil, err
 		}
 		return ldb.Open(dir, ldb.Options{FlushThreshold: 32, MaxTables: 4})

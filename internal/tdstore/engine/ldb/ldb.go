@@ -1352,6 +1352,37 @@ func (s *Store) Checkpoint(dir string) error {
 	return nil
 }
 
+// Restore replaces dir with the checkpoint Checkpoint wrote into src, the
+// step before Open on a cold restart: dir is wiped (what it held past the
+// checkpoint is what replaying the log's tail regenerates, and restoring
+// over it would apply that twice) and src's files are hard-linked into it,
+// or copied where the filesystem refuses links. A src that does not exist
+// leaves dir empty: the store held nothing when the checkpoint was taken.
+func Restore(src, dir string) error {
+	if err := os.RemoveAll(dir); err != nil {
+		return fmt.Errorf("ldb: clear store dir: %w", err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("ldb: create store dir: %w", err)
+	}
+	ents, err := os.ReadDir(src)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("ldb: read checkpoint dir: %w", err)
+	}
+	for _, e := range ents {
+		if e.IsDir() {
+			continue
+		}
+		if err := linkOrCopy(filepath.Join(src, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+			return fmt.Errorf("ldb: restore %s: %w", e.Name(), err)
+		}
+	}
+	return nil
+}
+
 // linkOrCopy hard-links src to dst, falling back to a full copy when the
 // filesystem rejects links (e.g. across devices).
 func linkOrCopy(src, dst string) error {

@@ -27,14 +27,6 @@ const (
 	StreamItemInfo   = "item_info"
 )
 
-// combKey packs a counter key with its session for combiner buffering;
-// deltas from different sessions must not merge. It runs on every
-// counter delta, so it formats without fmt's reflection.
-func combKey(key string, session int64) string {
-	var buf [20]byte
-	return key + "@" + string(strconv.AppendInt(buf[:0], session, 10))
-}
-
 // flushedDelta is one combiner output entry, ungrouped for ordered apply.
 type flushedDelta struct {
 	key     string

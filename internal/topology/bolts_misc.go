@@ -330,6 +330,13 @@ func (b *ItemInfoBolt) Execute(t *stream.Tuple) error {
 	item := t.Value("item").(string)
 	terms, _ := t.Value("terms").([]string)
 	published := t.Value("published").(int64)
+	return b.st.Put(prefixItemInfo+item, itemProfile(terms, published))
+}
+
+// itemProfile is the stored value of an item's content profile: the
+// normalized TF vector of its terms and its publication time in Unix
+// nanoseconds. ItemInfoBolt and PutItemProfile both write it.
+func itemProfile(terms []string, published int64) []byte {
 	counts := make(map[string]float64)
 	for _, term := range terms {
 		counts[term]++
@@ -338,13 +345,13 @@ func (b *ItemInfoBolt) Execute(t *stream.Tuple) error {
 	for _, c := range counts {
 		norm += c * c
 	}
-	norm = math.Sqrt(norm)
 	if norm > 0 {
+		norm = math.Sqrt(norm)
 		for term := range counts {
 			counts[term] /= norm
 		}
 	}
-	return b.st.Put(prefixItemInfo+item, encodeProfile(storedProfile{Weights: counts, Published: published}))
+	return encodeProfile(storedProfile{Weights: counts, Published: published})
 }
 
 // Cleanup implements stream.Bolt.
@@ -431,7 +438,9 @@ func (b *CBBolt) Execute(t *stream.Tuple) error {
 	for term, tf := range itemProf.Weights {
 		prof.Weights[term] += weight * tf
 	}
-	prof.UpdatedTS = ts
+	// A late action decays nothing and does not move the profile back in
+	// time: the next decay runs from the latest update, as cb.Engine's does.
+	prof.UpdatedTS = max(prof.UpdatedTS, ts)
 	sb.put(ukey, encodeProfile(prof))
 	return sb.flush()
 }
@@ -443,12 +452,11 @@ func (b *CBBolt) Cleanup() {}
 // grouped by item id, one windowed counter pair per (cuboid cell, item).
 // After each update it emits the cell's smoothed CTR for ranking.
 type CtrStoreBolt struct {
-	p       Params
-	store   State
-	c       stream.Collector
-	st      *taskState
-	cuboids []ctr.Cuboid
-	keys    *interner
+	p     Params
+	store State
+	c     stream.Collector
+	st    *taskState
+	keys  *interner
 	// ownedBuf/foreignBuf are the prefetch argument scratch.
 	ownedBuf   []string
 	foreignBuf []string
@@ -465,10 +473,6 @@ func (b *CtrStoreBolt) Prepare(_ stream.TopologyContext, c stream.Collector) err
 	b.c = c
 	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
-	b.cuboids = b.p.CtrCuboids
-	if b.cuboids == nil {
-		b.cuboids = []ctr.Cuboid{{}, {ctr.DimGender, ctr.DimAge}, {ctr.DimRegion, ctr.DimGender, ctr.DimAge}}
-	}
 	return nil
 }
 
@@ -497,7 +501,7 @@ func (b *CtrStoreBolt) Execute(t *stream.Tuple) error {
 	}
 	owned := b.ownedBuf[:0]
 	foreign := b.foreignBuf[:0]
-	for _, cb := range b.cuboids {
+	for _, cb := range b.p.CtrCuboids {
 		cell := b.keys.joined(cb.Key(cx), item)
 		owned = append(owned, b.keys.key2(addPre, cell))
 		foreign = append(foreign, b.keys.key2(readPre, cell))
@@ -508,7 +512,7 @@ func (b *CtrStoreBolt) Execute(t *stream.Tuple) error {
 		return err
 	}
 	var loopErr error
-	for _, cb := range b.cuboids {
+	for _, cb := range b.p.CtrCuboids {
 		sit := cb.Key(cx)
 		cell := b.keys.joined(sit, item)
 		added, err := sb.addCounter(b.keys.key2(addPre, cell), b.p.WindowSessions, session, 1)

@@ -225,60 +225,3 @@ func (b *Builder) Build() (*stream.Topology, error) {
 	}
 	return g.Build(tb, reg)
 }
-
-// UnitKind classifies the computation units of Fig. 6 along the paper's
-// two axes: application vs. algorithm, common vs. specific. Common units
-// are shared ("multiple applications share the common steps and multiple
-// algorithms share the statistical data"), which is what lets one
-// topology framework serve every production application.
-type UnitKind int
-
-const (
-	// ApplicationCommon units are shared processing steps, "such as the
-	// Pretreatment and the ResultStorage".
-	ApplicationCommon UnitKind = iota
-	// ApplicationSpecific units are unique to an application, "such as
-	// the Spout and FilterBolt".
-	ApplicationSpecific
-	// AlgorithmCommon units are statistics needed by several algorithms,
-	// "such as the ItemCount".
-	AlgorithmCommon
-	// AlgorithmSpecific units are one algorithm's own computation,
-	// "such as the CFBolt and ARBolt".
-	AlgorithmSpecific
-)
-
-// String names the unit kind.
-func (k UnitKind) String() string {
-	switch k {
-	case ApplicationCommon:
-		return "application-common"
-	case ApplicationSpecific:
-		return "application-specific"
-	case AlgorithmCommon:
-		return "algorithm-common"
-	case AlgorithmSpecific:
-		return "algorithm-specific"
-	}
-	return "unknown"
-}
-
-// UnitKinds maps every standard unit to its Fig. 6 classification.
-var UnitKinds = map[string]UnitKind{
-	UnitSpout:         ApplicationSpecific,
-	UnitItemFeed:      ApplicationSpecific,
-	UnitFilter:        ApplicationSpecific,
-	UnitPretreatment:  ApplicationCommon,
-	UnitResultStorage: ApplicationCommon,
-	UnitUserHistory:   AlgorithmCommon,
-	UnitItemCount:     AlgorithmCommon,
-	UnitPairCount:     AlgorithmCommon,
-	UnitItemInfo:      AlgorithmCommon,
-	UnitCtrStore:      AlgorithmCommon,
-	UnitARItem:        AlgorithmCommon,
-	UnitDB:            AlgorithmSpecific,
-	UnitAR:            AlgorithmSpecific,
-	UnitARList:        AlgorithmSpecific,
-	UnitCB:            AlgorithmSpecific,
-	UnitCtr:           AlgorithmSpecific,
-}

@@ -158,15 +158,8 @@ const (
 	prefixCtrTop      = "ctp:" // sit -> items by smoothed CTR
 )
 
-// pairID canonically encodes an item pair as a state key component.
-func pairID(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "\x1f" + b
-}
-
-// splitPair reverses pairID.
+// splitPair reverses the interner's pair: an item pair as a state key
+// component, the lexicographically ordered items joined by 0x1f.
 func splitPair(id string) (string, string) {
 	i := strings.IndexByte(id, 0x1f)
 	if i < 0 {

@@ -174,7 +174,7 @@ func TestColdRestartChaosSoak(t *testing.T) {
 	}
 	restoreFactory := func(serverID string, inst tdstore.InstanceID) (engine.Engine, error) {
 		dir := filepath.Join(storeRoot, serverID, fmt.Sprintf("inst-%d", inst))
-		if err := tdstore.SeedInstanceDir(ckptDir, int(inst), dir); err != nil {
+		if err := ldb.Restore(tdstore.InstanceCheckpointDir(ckptDir, int(inst)), dir); err != nil {
 			return nil, err
 		}
 		return ldb.Open(dir, ldbOpts)

@@ -67,8 +67,8 @@ func (in *interner) key2(a, b string) string {
 	return in.intern()
 }
 
-// pair interns pairID(a, b): the lexicographically ordered pair joined
-// by 0x1f.
+// pair interns the canonical encoding of an item pair as a state key
+// component: the lexicographically ordered pair joined by 0x1f.
 func (in *interner) pair(a, b string) string {
 	if a > b {
 		a, b = b, a
@@ -95,15 +95,16 @@ func (in *interner) joined(a, b string) string {
 	return in.intern()
 }
 
-// comb interns combKey(key, session).
+// comb interns key+"@"+session, a counter key packed with its session for
+// combiner buffering: deltas from different sessions must not merge.
 func (in *interner) comb(key string, session int64) string {
 	in.buf = append(append(in.buf[:0], key...), '@')
 	in.buf = strconv.AppendInt(in.buf, session, 10)
 	return in.intern()
 }
 
-// combJoined interns combKey(a+0x1f+b, session) without building the
-// inner concatenation separately.
+// combJoined interns comb(a+0x1f+b, session) without building the inner
+// concatenation separately.
 func (in *interner) combJoined(a, b string, session int64) string {
 	in.buf = append(append(append(append(in.buf[:0], a...), 0x1f), b...), '@')
 	in.buf = strconv.AppendInt(in.buf, session, 10)

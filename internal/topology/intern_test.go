@@ -1,9 +1,24 @@
 package topology
 
 import (
+	"strconv"
 	"testing"
 	"unsafe"
 )
+
+// pairID is the interner's pair built by concatenation: the reference the
+// tests key item pairs with.
+func pairID(a, b string) string {
+	if a > b {
+		a, b = b, a
+	}
+	return a + "\x1f" + b
+}
+
+// combKey is the interner's comb built by concatenation.
+func combKey(key string, session int64) string {
+	return key + "@" + strconv.FormatInt(session, 10)
+}
 
 func TestInternerShapes(t *testing.T) {
 	in := newInterner(0)

@@ -58,7 +58,7 @@ type Params struct {
 	// CBHalfLife is the CB profile decay half-life. Zero disables decay.
 	CBHalfLife time.Duration
 	// CtrCuboids configures the situational CTR dimension subsets;
-	// nil selects the ctr package defaults.
+	// nil selects ctr.DefaultCuboids.
 	CtrCuboids []ctr.Cuboid
 	// CtrPriorClicks/CtrPriorImpressions smooth CTR scores.
 	// Defaults 1 and 20.
@@ -92,6 +92,9 @@ func (p Params) withDefaults() Params {
 	}
 	if p.CacheSize == 0 {
 		p.CacheSize = 4096
+	}
+	if p.CtrCuboids == nil {
+		p.CtrCuboids = ctr.DefaultCuboids()
 	}
 	if p.CtrPriorClicks <= 0 {
 		p.CtrPriorClicks = 1

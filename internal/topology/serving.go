@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -319,9 +318,6 @@ func (s *Serving) ARRecommend(user string, now time.Time, n int) ([]core.ScoredI
 // configured cuboid the context covers first.
 func (s *Serving) TopAds(cx ctr.Context, n int) ([]core.ScoredItem, error) {
 	cuboids := s.p.CtrCuboids
-	if cuboids == nil {
-		cuboids = []ctr.Cuboid{{}, {ctr.DimGender, ctr.DimAge}, {ctr.DimRegion, ctr.DimGender, ctr.DimAge}}
-	}
 	// Collect covered cuboids narrowest-first, fetch every candidate
 	// ranking in one batched read, and serve the first non-empty one.
 	var keys []string
@@ -397,21 +393,7 @@ func (s *Serving) RecommendCB(user string, candidates []string, n int, exclude m
 // exactly as the ItemInfo bolt would: the path applications use to
 // register catalog metadata without routing it through the stream.
 func PutItemProfile(st State, id string, terms []string, published time.Time) error {
-	counts := make(map[string]float64)
-	for _, t := range terms {
-		counts[t]++
-	}
-	var norm float64
-	for _, c := range counts {
-		norm += c * c
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for t := range counts {
-			counts[t] /= norm
-		}
-	}
-	return st.Put(prefixItemInfo+id, encodeProfile(storedProfile{Weights: counts, Published: published.UnixNano()}))
+	return st.Put(prefixItemInfo+id, itemProfile(terms, published.UnixNano()))
 }
 
 // UserRating exposes a user's current stored rating for an item.

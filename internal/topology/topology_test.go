@@ -345,6 +345,62 @@ func TestPipelineCBChain(t *testing.T) {
 	}
 }
 
+// TestCBBoltDecaysProfiles runs CBBolt's decay: with Params.CBHalfLife
+// set, an action one half-life after the profile's last update halves the
+// weights the profile held before it adds its own item's; an action older
+// than the profile's UpdatedTS decays nothing and leaves UpdatedTS where it
+// was, as the cb library's profile does; and a weight that decays under
+// 1e-6 is dropped. The items' terms are disjoint, so each term's weight is
+// one item's alone.
+func TestCBBoltDecaysProfiles(t *testing.T) {
+	const half = time.Hour
+	st := NewMemState()
+	for item, term := range map[string]string{"a": "alpha", "b": "beta", "c": "gamma"} {
+		if err := PutItemProfile(st, item, []string{term}, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := Params{CBHalfLife: half}
+	b := NewCBBolt(st, p)()
+	if err := b.Prepare(stream.TopologyContext{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	w := p.withDefaults().Weights[core.ActionClick]
+	act := func(item string, at time.Time) storedProfile {
+		t.Helper()
+		if err := b.Execute(stream.NewTuple(UnitPretreatment, StreamUserAction, actionFields,
+			stream.Values{"u", item, "click", at.UnixNano()})); err != nil {
+			t.Fatal(err)
+		}
+		raw, ok, err := st.Get(prefixUserProfile + "u")
+		if err != nil || !ok {
+			t.Fatalf("profile after %s: ok=%v, %v", item, ok, err)
+		}
+		prof, err := decodeProfile(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof
+	}
+	same := func(step string, got storedProfile, want map[string]float64, updated time.Time) {
+		t.Helper()
+		if got.UpdatedTS != updated.UnixNano() || len(got.Weights) != len(want) {
+			t.Fatalf("%s: profile %v updated %d, want %v updated %d", step, got.Weights, got.UpdatedTS, want, updated.UnixNano())
+		}
+		for term, v := range want {
+			if math.Abs(got.Weights[term]-v) > 1e-12 {
+				t.Fatalf("%s: %s = %v, want %v", step, term, got.Weights[term], v)
+			}
+		}
+	}
+	same("first action", act("a", t0), map[string]float64{"alpha": w}, t0)
+	same("one half-life on", act("b", t0.Add(half)), map[string]float64{"alpha": w / 2, "beta": w}, t0.Add(half))
+	same("a late action", act("c", t0), map[string]float64{"alpha": w / 2, "beta": w, "gamma": w}, t0.Add(half))
+	// 2^-40 of a weight of a few units is under 1e-6: everything held
+	// before goes, and only the new action's term is left.
+	same("forty half-lives on", act("a", t0.Add(41*half)), map[string]float64{"alpha": w}, t0.Add(41*half))
+}
+
 func TestPipelineARChain(t *testing.T) {
 	p := Params{FlushInterval: time.Hour}
 	var actions []RawAction

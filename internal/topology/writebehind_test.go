@@ -304,7 +304,7 @@ func TestWriteBehindVisibleAtQuiesce(t *testing.T) {
 	}
 	tb := stream.NewTopologyBuilder("quiesce-lists")
 	tb.SetSpout(UnitPairCount, func() stream.Spout { return &simSpout{sims: sims, idle: true} }, 1)
-	tb.SetBolt(UnitResultStorage, NewResultStorageBolt(st, p), 2).FieldsOn(UnitPairCount, StreamSim, "item")
+	tb.SetBolt(UnitResultStorage, NewResultStorageBolt(st, p), 2).On(UnitPairCount, StreamSim, stream.Grouping{Kind: stream.FieldsGrouping, Fields: stream.Fields{"item"}})
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)

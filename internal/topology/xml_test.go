@@ -251,26 +251,3 @@ func TestLoadXMLFullCFTopologyEndToEnd(t *testing.T) {
 		t.Fatalf("XML topology produced no similar lists: %v %v", list, err)
 	}
 }
-
-func TestUnitKindsCoverAllUnits(t *testing.T) {
-	for _, unit := range []string{
-		UnitSpout, UnitItemFeed, UnitPretreatment, UnitUserHistory,
-		UnitItemCount, UnitPairCount, UnitFilter, UnitResultStorage,
-		UnitDB, UnitARItem, UnitAR, UnitARList, UnitItemInfo, UnitCB,
-		UnitCtrStore, UnitCtr,
-	} {
-		if _, ok := UnitKinds[unit]; !ok {
-			t.Fatalf("unit %q has no Fig. 6 classification", unit)
-		}
-	}
-	kinds := map[UnitKind]bool{}
-	for _, k := range UnitKinds {
-		kinds[k] = true
-		if k.String() == "unknown" {
-			t.Fatalf("kind %d has no name", k)
-		}
-	}
-	if len(kinds) != 4 {
-		t.Fatalf("expected all four Fig. 6 kinds in use, got %d", len(kinds))
-	}
-}

@@ -41,19 +41,20 @@ const (
 )
 
 // encWindow validates a marshaled counter and returns its window size.
-// ok=false covers foreign bytes, truncation, and — for a windowed
-// counter — negative bases or sessions, which the slot arithmetic below
-// cannot address. A lifetime sum (w = 0) takes any session.
+// ok=false covers foreign bytes, truncation, bytes past the ring, an init
+// byte other than 0 or 1 and — for a windowed counter — negative bases or
+// sessions, which the slot arithmetic below cannot address. A lifetime sum
+// (w = 0) takes any session. UnmarshalBinary accepts the same frames, so a
+// frame is never read one way here and another by a round trip.
 func encWindow(data []byte, session int64) (w int, ok bool) {
-	if len(data) < encOffRing || data[0] != counterMagic || data[1] != 1 {
+	if len(data) < encOffRing || data[0] != counterMagic || data[1] != 1 || data[encOffInit] > 1 {
 		return 0, false
 	}
 	w = int(int32(binary.LittleEndian.Uint32(data[encOffW:])))
-	if w == 0 {
-		return 0, true
+	if w < 0 || len(data)-encOffRing != 8*w {
+		return 0, false
 	}
-	if w < 0 || len(data)-encOffRing != 8*w || session < 0 ||
-		int64(binary.LittleEndian.Uint64(data[encOffBase:])) < 0 {
+	if w > 0 && (session < 0 || int64(binary.LittleEndian.Uint64(data[encOffBase:])) < 0) {
 		return 0, false
 	}
 	return w, true
@@ -139,30 +140,23 @@ func sumEncoded(data []byte, w int, base, current int64) float64 {
 	return total
 }
 
-// UnmarshalBinary restores a counter encoded by MarshalBinary.
+// UnmarshalBinary restores a counter encoded by MarshalBinary. It accepts
+// exactly the frames AddEncoded and SumEncoded do (FuzzCounterEncoded).
 func (c *Counter) UnmarshalBinary(data []byte) error {
-	if len(data) < 23 || data[0] != counterMagic || data[1] != 1 {
+	w, ok := encWindow(data, 0)
+	if !ok {
 		return fmt.Errorf("window: bad counter encoding (%d bytes)", len(data))
 	}
-	w := int(binary.LittleEndian.Uint32(data[2:6]))
-	base := int64(binary.LittleEndian.Uint64(data[6:14]))
-	total := math.Float64frombits(binary.LittleEndian.Uint64(data[14:22]))
-	init := data[22] == 1
-	rest := data[23:]
-	if w < 0 || (w > 0 && len(rest) != 8*w) {
-		return fmt.Errorf("window: counter encoding has %d ring bytes, want %d", len(rest), 8*w)
-	}
 	c.w = w
-	c.base = base
-	c.total = total
-	c.init = init
+	c.base = int64(binary.LittleEndian.Uint64(data[encOffBase:]))
+	c.total = encGetF64(data, encOffTot)
+	c.init = data[encOffInit] == 1
+	c.ring = nil
 	if w > 0 {
 		c.ring = make([]float64, w)
 		for i := range c.ring {
-			c.ring[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+			c.ring[i] = encGetF64(data, encOffRing+8*i)
 		}
-	} else {
-		c.ring = nil
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package window
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -162,4 +164,59 @@ func BenchmarkAddDecoded(b *testing.B) {
 		}
 		enc = out
 	}
+}
+
+// FuzzCounterEncoded holds the in-place codec to the decoded counter over
+// arbitrary bytes: UnmarshalBinary accepts a frame exactly when SumEncoded
+// does, SumEncoded equals Sum, AddEncoded's bytes and sum equal those of
+// Unmarshal → Add → Marshal, and a declined frame is left as it was.
+// Sessions come from Clock.SessionOf, which is never negative.
+func FuzzCounterEncoded(f *testing.F) {
+	for _, w := range []int{0, 1, 4} {
+		c := NewCounter(w)
+		c.Add(3, 1.5)
+		enc, _ := c.MarshalBinary()
+		f.Add(enc, int64(5), 2.0)
+	}
+	fresh, _ := NewCounter(3).MarshalBinary()
+	f.Add(fresh, int64(0), 1.0)
+	// A windowed counter whose base is negative: Sum would index its ring
+	// at -1.
+	neg, _ := NewCounter(1).MarshalBinary()
+	binary.LittleEndian.PutUint64(neg[encOffBase:], 1<<63)
+	neg[encOffInit] = 1
+	f.Add(neg, int64(1), 1.0)
+	f.Fuzz(func(t *testing.T, data []byte, session int64, delta float64) {
+		if session < 0 {
+			session = ^session
+		}
+		var c Counter
+		uerr := c.UnmarshalBinary(data)
+		sum, ok := SumEncoded(data, session)
+		if ok != (uerr == nil) {
+			t.Fatalf("UnmarshalBinary error %v, SumEncoded ok=%v (frame %x)", uerr, ok, data)
+		}
+		enc := append([]byte(nil), data...)
+		added, addOK := AddEncoded(enc, session, delta)
+		if addOK != ok {
+			t.Fatalf("AddEncoded ok=%v, SumEncoded ok=%v (frame %x)", addOK, ok, data)
+		}
+		if !ok {
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("declined AddEncoded changed the frame: %x -> %x", data, enc)
+			}
+			return
+		}
+		if want := c.Sum(session); math.Float64bits(sum) != math.Float64bits(want) {
+			t.Fatalf("SumEncoded = %v, Sum = %v (frame %x)", sum, want, data)
+		}
+		c.Add(session, delta)
+		want, _ := c.MarshalBinary()
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("AddEncoded(%d, %v) wrote %x, Add and MarshalBinary %x", session, delta, enc, want)
+		}
+		if s := c.Sum(session); math.Float64bits(added) != math.Float64bits(s) {
+			t.Fatalf("AddEncoded sum = %v, Sum after Add = %v", added, s)
+		}
+	})
 }

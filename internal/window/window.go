@@ -17,12 +17,14 @@ type Clock struct {
 	Session time.Duration
 }
 
-// SessionOf returns the session index containing t.
+// SessionOf returns the session index containing t. Every time before the
+// Unix epoch falls in session 0: a windowed counter addresses its ring by
+// session, so an index is never negative.
 func (c Clock) SessionOf(t time.Time) int64 {
 	if c.Session <= 0 {
 		return 0
 	}
-	return t.UnixNano() / int64(c.Session)
+	return max(t.UnixNano()/int64(c.Session), 0)
 }
 
 // Counter is a float64 accumulator windowed over the last W sessions.

@@ -16,8 +16,8 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== the documents name tests, benchmarks and DESIGN.md sections that exist"
-go test -run '^TestDocsNameCodeThatExists$' .
+echo "== the documents name tests, benchmarks and DESIGN.md sections that exist; every exported name under internal/ has a shipped caller or is a listed test hook"
+go test -run '^(TestDocsNameCodeThatExists|TestInternalAPIHasAShippedCaller)$' .
 
 echo "== go test -race elastic parallelism and delivery (rebalance of a keyed stream, a spout stopped by a full queue, rebalance stress, write-behind flush hook and its failed flush, ordered tick round, idle rounds, keyed runs, one tuple per delivery, a failed Prepare's counted drops, spouts opened before any polls)"
 go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRebalance|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedPrepareDrainsAndCountsDrops|TestSpoutsOpenBeforeAnyPolls' ./internal/stream/
@@ -161,6 +161,9 @@ for target in FuzzDecodeHistory FuzzDecodeList FuzzDecodeProfile \
 	FuzzHistoryDelta FuzzListDelta FuzzDecodeFloat; do
 	go test -run=NONE -fuzz="^${target}\$" -fuzztime=5s ./internal/statecodec/
 done
+
+echo "== windowed counter codec fuzz smoke (in-place AddEncoded/SumEncoded against the decoded Counter)"
+go test -run=NONE -fuzz='^FuzzCounterEncoded$' -fuzztime=5s ./internal/window/
 
 # Both start from whole files, and go test spends its default minute
 # minimizing each input that widens coverage before it fuzzes on; bound

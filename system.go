@@ -50,7 +50,7 @@ func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func
 		return func(serverID string, inst tdstore.InstanceID) (engine.Engine, error) {
 			instDir := filepath.Join(dir, serverID, fmt.Sprintf("inst-%d", inst))
 			if restore != "" {
-				if err := tdstore.SeedInstanceDir(restore, int(inst), instDir); err != nil {
+				if err := ldb.Restore(tdstore.InstanceCheckpointDir(restore, int(inst)), instDir); err != nil {
 					return nil, err
 				}
 				return ldb.Open(instDir, opts)
