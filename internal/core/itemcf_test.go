@@ -404,6 +404,29 @@ func TestRecommendComplementSkipsRatedItems(t *testing.T) {
 	}
 }
 
+func TestRecommendComplementFillsPastRatedItems(t *testing.T) {
+	// The hook returns at most n items, like a stored hot list read to n.
+	var hot []ScoredItem
+	for i := 0; i < 10; i++ {
+		hot = append(hot, ScoredItem{Item: fmt.Sprintf("hot%d", i), Score: float64(10 - i)})
+	}
+	cf := NewItemCF(Config{
+		Complement: func(user string, n int) []ScoredItem { return hot[:min(n, len(hot))] },
+	})
+	cf.Observe(Action{User: "u", Item: "hot0", Type: ActionClick, Time: t0})
+	cf.Observe(Action{User: "u", Item: "hot1", Type: ActionClick, Time: t0})
+	recs := cf.Recommend("u", at(time.Minute), RecommendOptions{N: 3, Exclude: map[string]bool{"hot2": true}})
+	want := []string{"hot3", "hot4", "hot5"}
+	if len(recs) != len(want) {
+		t.Fatalf("Recommend(N=3) = %v, want %v", recs, want)
+	}
+	for i, r := range recs {
+		if r.Item != want[i] {
+			t.Fatalf("Recommend(N=3) = %v, want %v", recs, want)
+		}
+	}
+}
+
 func TestRecentKPersonalizedFiltering(t *testing.T) {
 	// With RecentK=1, only the single most recent item drives candidate
 	// generation: old interests must not contribute.

@@ -85,7 +85,14 @@ func (cf *ItemCF) Recommend(user string, now time.Time, opts RecommendOptions) [
 		for _, s := range out {
 			have[s.Item] = true
 		}
-		for _, s := range cf.cfg.Complement(user, opts.N-len(out)+len(out)) {
+		// The loop skips at most the len(out) chosen, the rated and the
+		// excluded items, so asking for N plus the last two leaves
+		// N-len(out) to keep whenever the hook has that many.
+		want := opts.N + len(opts.Exclude)
+		if uh != nil {
+			want += len(uh.ratings)
+		}
+		for _, s := range cf.cfg.Complement(user, want) {
 			if len(out) >= opts.N {
 				break
 			}

@@ -2,8 +2,11 @@ package statecodec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -182,9 +185,8 @@ func TestHistoryDeltaEquivalence(t *testing.T) {
 		for op := 0; op < 40; op++ {
 			item := items[rng.Intn(len(items))]
 			r := Rating{
-				Rating:  math.Round(rng.Float64()*100) / 100,
-				TS:      rng.Int63n(1 << 40),
-				Session: rng.Int63n(1 << 20),
+				Rating: math.Round(rng.Float64()*100) / 100,
+				TS:     rng.Int63n(1 << 40),
 			}
 			out, ok := UpsertHistoryEntry(buf, item, r)
 			if !ok {
@@ -210,7 +212,7 @@ func TestHistoryCountWidthBoundaries(t *testing.T) {
 	buf := EncodeHistory(nil)
 	ref := &refHistory{h: History{}}
 	for i := 0; i < 130; i++ {
-		item, r := benchItemID(i), Rating{Rating: 1, TS: int64(i % 7), Session: int64(i)}
+		item, r := benchItemID(i), Rating{Rating: 1, TS: int64(i % 7)}
 		var ok bool
 		if buf, ok = UpsertHistoryEntry(buf, item, r); !ok {
 			t.Fatalf("edit declined at %d entries", i)
@@ -242,11 +244,11 @@ func TestHistoryCountWidthBoundaries(t *testing.T) {
 	// The two-to-three byte boundary.
 	h := History{}
 	for i := 0; i < 16383; i++ {
-		h[benchItemID(i)] = Rating{Rating: 1, TS: int64(i + 10), Session: 1}
+		h[benchItemID(i)] = Rating{Rating: 1, TS: int64(i + 10)}
 	}
 	buf = EncodeHistory(h)
 	ref = refHistoryOf(t, buf)
-	r := Rating{Rating: 2, TS: 1, Session: 3}
+	r := Rating{Rating: 2, TS: 1}
 	var ok bool
 	if buf, ok = UpsertHistoryEntry(buf, "the 16384th", r); !ok {
 		t.Fatal("upsert declined at 16383 entries")
@@ -270,7 +272,7 @@ func TestEvictOldestHistoryEntry(t *testing.T) {
 	}{{"a", 50}, {"b", 10}, {"c", 30}, {"d", 20}}
 	for _, e := range entries {
 		var ok bool
-		buf, ok = UpsertHistoryEntry(buf, e.item, Rating{Rating: 1, TS: e.ts, Session: 1})
+		buf, ok = UpsertHistoryEntry(buf, e.item, Rating{Rating: 1, TS: e.ts})
 		if !ok {
 			t.Fatalf("append %q declined", e.item)
 		}
@@ -312,7 +314,7 @@ func editsAgreeWithDecoder(t *testing.T, name string, data []byte) {
 	t.Helper()
 	_, herr := DecodeHistory(data)
 	_, lerr := DecodeList(data)
-	r := Rating{Rating: 2.5, TS: 42, Session: 7}
+	r := Rating{Rating: 2.5, TS: 42}
 	edits := []struct {
 		name      string
 		decodeErr error
@@ -344,7 +346,7 @@ func editsAgreeWithDecoder(t *testing.T, name string, data []byte) {
 func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 	hist := EncodeHistory(nil)
 	for i := 0; i < 3; i++ {
-		hist, _ = UpsertHistoryEntry(hist, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
+		hist, _ = UpsertHistoryEntry(hist, benchItemID(i), Rating{Rating: 1, TS: int64(i)})
 	}
 	list := EncodeList(List{{Item: "x", Score: 2}, {Item: strings.Repeat("y", 241), Score: 1}})
 	for _, frame := range [][]byte{hist, list} {
@@ -359,15 +361,18 @@ func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 			editsAgreeWithDecoder(t, "header byte flipped", bad)
 		}
 	}
+	// Every version a type has been written in: a history's 1 and 2.
 	for _, typ := range []byte{typeHistory, typeList} {
-		editsAgreeWithDecoder(t, "count beyond payload", []byte{tagBinary, typ, version, 127})
-		editsAgreeWithDecoder(t, "ten-byte count", append([]byte{tagBinary, typ, version}, bytes.Repeat([]byte{0xff}, 9)...))
-		// One entry whose id length is 2^64-10: adding the fixed tail to it
-		// wraps around.
-		over := append([]byte{tagBinary, typ, version, 1}, 0xf6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-		editsAgreeWithDecoder(t, "id length overflows", append(over, make([]byte, 40)...))
-		editsAgreeWithDecoder(t, "wide zero count", []byte{tagBinary, typ, version, 0x80, 0x00})
-		editsAgreeWithDecoder(t, "wide id length", append([]byte{tagBinary, typ, version, 1, 0x80, 0x00}, make([]byte, 24)...))
+		for ver := byte(1); ver <= versionOf(typ); ver++ {
+			editsAgreeWithDecoder(t, "count beyond payload", []byte{tagBinary, typ, ver, 127})
+			editsAgreeWithDecoder(t, "ten-byte count", append([]byte{tagBinary, typ, ver}, bytes.Repeat([]byte{0xff}, 9)...))
+			// One entry whose id length is 2^64-10: adding the fixed tail to
+			// it wraps around.
+			over := append([]byte{tagBinary, typ, ver, 1}, 0xf6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+			editsAgreeWithDecoder(t, "id length overflows", append(over, make([]byte, 40)...))
+			editsAgreeWithDecoder(t, "wide zero count", []byte{tagBinary, typ, ver, 0x80, 0x00})
+			editsAgreeWithDecoder(t, "wide id length", append([]byte{tagBinary, typ, ver, 1, 0x80, 0x00}, make([]byte, 24)...))
+		}
 	}
 	editsAgreeWithDecoder(t, "json", []byte(`{"a":{"r":1}}`))
 	editsAgreeWithDecoder(t, "json list", []byte(`[]`))
@@ -385,6 +390,127 @@ func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 			t.Fatalf("padded uvarint accepted: frame %x, history %v, list %v", padded, herr, lerr)
 		}
 	}
+}
+
+// v1History is a version 1 history frame written out by hand, and
+// v2History its version 2 equivalent. Each entry is id | rating | ts,
+// and in version 1 a session after the ts:
+//
+//	01 48 01 03                     header (version 1), 3 entries
+//	02 6931   | 1.0 | ts 100 | session 5
+//	03 693232 | 0.5 | ts 50  | session 3
+//	02 6933   | 2.0 | ts 200 | session 7
+const (
+	v1History = "01480103" +
+		"026931" + "000000000000f03f" + "6400000000000000" + "0500000000000000" +
+		"03693232" + "000000000000e03f" + "3200000000000000" + "0300000000000000" +
+		"026933" + "0000000000000040" + "c800000000000000" + "0700000000000000"
+	v2History = "01480203" +
+		"026931" + "000000000000f03f" + "6400000000000000" +
+		"03693232" + "000000000000e03f" + "3200000000000000" +
+		"026933" + "0000000000000040" + "c800000000000000"
+)
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestVersion1HistoryFrames: every reader takes a version 1 frame as its
+// version 2 equivalent, every edit of one returns the bytes the same edit
+// of the equivalent returns, and a malformed version 1 frame is declined
+// with the buffer unchanged.
+func TestVersion1HistoryFrames(t *testing.T) {
+	v1, v2 := mustHex(t, v1History), mustHex(t, v2History)
+	want := History{"i1": {Rating: 1, TS: 100}, "i22": {Rating: 0.5, TS: 50}, "i3": {Rating: 2, TS: 200}}
+	for name, frame := range map[string][]byte{"v1": v1, "v2": v2} {
+		if h, err := DecodeHistory(frame); err != nil || !reflect.DeepEqual(h, want) {
+			t.Fatalf("DecodeHistory(%s) = %v, %v; want %v", name, h, err, want)
+		}
+		if n, ok := HistoryLen(frame); !ok || n != 3 {
+			t.Fatalf("HistoryLen(%s) = %d, %v", name, n, ok)
+		}
+		it, ok := IterHistory(frame)
+		if !ok {
+			t.Fatalf("IterHistory(%s) declined", name)
+		}
+		for _, item := range []string{"i1", "i22", "i3"} {
+			got, r, more := it.Next()
+			if !more || string(got) != item || r != want[item] {
+				t.Fatalf("IterHistory(%s): (%q, %v, %v), want (%q, %v, true)", name, got, r, more, item, want[item])
+			}
+		}
+		if _, _, more := it.Next(); more || it.Corrupt() {
+			t.Fatalf("IterHistory(%s) did not end cleanly", name)
+		}
+		for _, item := range []string{"i1", "i22", "i3", "absent"} {
+			r, found, ok := FindHistoryEntry(frame, item)
+			if wr, has := want[item]; !ok || found != has || r != wr {
+				t.Fatalf("FindHistoryEntry(%s, %q) = (%v, %v, %v)", name, item, r, found, ok)
+			}
+		}
+	}
+
+	edits := map[string]func([]byte) ([]byte, bool){
+		"upsert existing": func(b []byte) ([]byte, bool) { return UpsertHistoryEntry(b, "i22", Rating{Rating: 3, TS: 300}) },
+		"upsert new":      func(b []byte) ([]byte, bool) { return UpsertHistoryEntry(b, "i4", Rating{Rating: 1, TS: 10}) },
+		"evict oldest":    func(b []byte) ([]byte, bool) { return EvictOldestHistoryEntry(b, "") },
+		"evict keeping":   func(b []byte) ([]byte, bool) { return EvictOldestHistoryEntry(b, "i22") },
+	}
+	for name, edit := range edits {
+		got, ok := edit(mustHex(t, v1History))
+		wantOut, wantOK := edit(mustHex(t, v2History))
+		if !ok || !wantOK || !bytes.Equal(got, wantOut) {
+			t.Fatalf("%s: on v1 (%x, %v), on v2 (%x, %v)", name, got, ok, wantOut, wantOK)
+		}
+	}
+	if got, ok := upgradeHistory(mustHex(t, v1History)); !ok || !bytes.Equal(got, v2) {
+		t.Fatalf("upgradeHistory(v1) = (%x, %v), want (%x, true)", got, ok, v2)
+	}
+
+	// Malformed version 1 frames: every truncation, a trailing byte, and
+	// the version 2 body under a version 1 header (its 16-byte blocks read
+	// as 24-byte ones run off the end).
+	for cut := 0; cut < len(v1); cut++ {
+		editsAgreeWithDecoder(t, "v1 truncated", v1[:cut])
+	}
+	editsAgreeWithDecoder(t, "v1 trailing byte", append(append([]byte(nil), v1...), 0))
+	relabelled := append([]byte(nil), v2...)
+	relabelled[2] = 1
+	if _, err := DecodeHistory(relabelled); err == nil {
+		t.Fatal("DecodeHistory read a version 2 body under a version 1 header")
+	}
+	editsAgreeWithDecoder(t, "v2 body labelled v1", relabelled)
+}
+
+// BenchmarkHistoryEntryBytes reports what a stored history spends per
+// entry: 1,000 upserts of the 5-byte ids i1000 to i1999 into one frame,
+// then the frame's bytes past its header and count over its entries.
+// scripts/check.sh holds B/entry to 1+k+16 for k-byte ids (id_bytes): the
+// length prefix, the id, the rating and the timestamp. Version 1 entries,
+// with a session, took 1+k+24.
+func BenchmarkHistoryEntryBytes(b *testing.B) {
+	ids := make([]string, 1000)
+	for i := range ids {
+		ids[i] = "i" + strconv.Itoa(1000+i)
+	}
+	var buf []byte
+	for i := 0; i < b.N; i++ {
+		buf = EncodeHistory(nil)
+		for j, id := range ids {
+			buf, _ = UpsertHistoryEntry(buf, id, Rating{Rating: 1, TS: int64(j)})
+		}
+	}
+	n, base, ok := frameBody(buf, typeHistory)
+	if !ok || n != len(ids) {
+		b.Fatalf("frame holds %d entries (ok=%v), want %d", n, ok, len(ids))
+	}
+	b.ReportMetric(float64(len(buf)-base)/float64(n), "B/entry")
+	b.ReportMetric(float64(len(ids[0])), "id_bytes")
 }
 
 func TestPatchFloat(t *testing.T) {
@@ -426,7 +552,7 @@ func TestMergeListEntryZeroAlloc(t *testing.T) {
 
 func TestUpsertHistoryEntryZeroAlloc(t *testing.T) {
 	buf := benchHistoryBuf(30)
-	r := Rating{Rating: 2, TS: 77, Session: 2}
+	r := Rating{Rating: 2, TS: 77}
 	allocs := testing.AllocsPerRun(200, func() {
 		out, ok := UpsertHistoryEntry(buf, benchItemID(11), r)
 		if !ok {
@@ -462,7 +588,7 @@ func TestFindIterZeroAlloc(t *testing.T) {
 func benchHistoryBuf(n int) []byte {
 	buf := EncodeHistory(nil)
 	for i := 0; i < n; i++ {
-		buf, _ = UpsertHistoryEntry(buf, benchItemID(i), Rating{Rating: 1, TS: int64(i), Session: 1})
+		buf, _ = UpsertHistoryEntry(buf, benchItemID(i), Rating{Rating: 1, TS: int64(i)})
 	}
 	return buf
 }
@@ -474,7 +600,7 @@ func benchHistoryBuf(n int) []byte {
 func BenchmarkHistoryUpsertDelta(b *testing.B) {
 	b.Run("patch", func(b *testing.B) {
 		buf := benchHistoryBuf(100)
-		r := Rating{Rating: 2, TS: 5, Session: 2}
+		r := Rating{Rating: 2, TS: 5}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -488,7 +614,7 @@ func BenchmarkHistoryUpsertDelta(b *testing.B) {
 	b.Run("boundary", func(b *testing.B) {
 		buf := benchHistoryBuf(127)
 		buf = append(buf, make([]byte, 64)...)[:len(buf)] // room for the 128th entry
-		r := Rating{Rating: 2, TS: -1, Session: 2}        // older than every other entry
+		r := Rating{Rating: 2, TS: -1}                    // older than every other entry
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -509,7 +635,7 @@ func BenchmarkHistoryUpsertDelta(b *testing.B) {
 
 func BenchmarkHistoryUpsertFull(b *testing.B) {
 	buf := benchHistoryBuf(100)
-	r := Rating{Rating: 2, TS: 5, Session: 2}
+	r := Rating{Rating: 2, TS: 5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,7 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{tagBinary})
 	f.Add([]byte(`{"a":{"r":1}}`))
 	f.Add([]byte(`[]`))
-	h := History{"item-a": {Rating: 1.5, TS: 100, Session: 3}, "b": {Rating: 0.5, TS: 7, Session: 1}}
+	h := History{"item-a": {Rating: 1.5, TS: 100}, "b": {Rating: 0.5, TS: 7}}
 	hb := EncodeHistory(h)
 	f.Add(hb)
 	f.Add(hb[:len(hb)/2])
@@ -31,10 +31,16 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(EncodeFloat(3.25))
 	f.Add(EncodeProfile(Profile{Weights: map[string]float64{"k": 1.5}, UpdatedTS: 9, Published: 2}))
 	// Hostile count: claims 127 entries with no body.
-	f.Add([]byte{tagBinary, 'H', 1, 127})
+	f.Add([]byte{tagBinary, 'H', historyVersion, 127})
 	f.Add([]byte{tagBinary, 'L', 1, 127})
 	// Two-byte count frame.
-	f.Add([]byte{tagBinary, 'H', 1, 0x80, 0x01})
+	f.Add([]byte{tagBinary, 'H', historyVersion, 0x80, 0x01})
+	// Version 1 histories, whose entries also held a session: whole,
+	// truncated, and with a hostile count.
+	v1 := mustHex(f, v1History)
+	f.Add(v1)
+	f.Add(v1[:len(v1)-5])
+	f.Add([]byte{tagBinary, 'H', 1, 127})
 	// Trailing garbage after a whole frame.
 	f.Add(append(append([]byte(nil), hb...), 0))
 	f.Add(append(append([]byte(nil), lb...), lb[4:]...))
@@ -58,7 +64,7 @@ func FuzzDecodeHistory(f *testing.F) {
 		}
 		for k, v := range h {
 			v2, has := h2[k]
-			if !has || v.TS != v2.TS || v.Session != v2.Session ||
+			if !has || v.TS != v2.TS ||
 				math.Float64bits(v.Rating) != math.Float64bits(v2.Rating) {
 				t.Fatalf("round trip diverged at %q: %v vs %v", k, v, v2)
 			}
@@ -120,7 +126,7 @@ func FuzzHistoryDelta(f *testing.F) {
 		// accept exactly what the decoder accepts, and what they accept must
 		// decode with the edit applied.
 		_, decErr := DecodeHistory(data)
-		r := Rating{Rating: 2.5, TS: 42, Session: 7}
+		r := Rating{Rating: 2.5, TS: 42}
 		cp := append([]byte(nil), data...)
 		out, ok := UpsertHistoryEntry(cp, "probe", r)
 		if ok != (decErr == nil) {
@@ -133,6 +139,9 @@ func FuzzHistoryDelta(f *testing.F) {
 			}
 			if h["probe"] != r {
 				t.Fatalf("upsert lost entry: %v", h["probe"])
+			}
+			if out[2] != historyVersion {
+				t.Fatalf("upsert wrote a version %d frame", out[2])
 			}
 		} else if !bytes.Equal(cp, data) {
 			t.Fatalf("declined upsert mutated buffer: %x -> %x", data, cp)

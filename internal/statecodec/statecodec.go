@@ -15,7 +15,15 @@
 //	[1] a type byte ('H' history, 'L' list, 'P' profile; 'A' is the
 //	    action record on the TDAccess log, see wirebytes.go) guarding
 //	    against decoding a value under the wrong key prefix;
-//	[2] a format version, currently 1.
+//	[2] the type's format version: 2 for histories, 1 for the others.
+//
+// A history entry is uvarint(len) | item | rating f64 | ts i64. Version
+// 1 entries also carried an 8-byte session after the timestamp; the
+// session is a function of the timestamp under the application's window
+// clock, so version 2 drops it. Every history reader accepts both
+// versions; every history writer emits version 2, and an edit to a
+// version 1 frame converts it first (delta.go), so a stored history
+// upgrades on its first write.
 //
 // The payload uses uvarint-prefixed strings, uvarint counts and 8-byte
 // little-endian IEEE-754 floats, every uvarint in its shortest form, and
@@ -49,10 +57,25 @@ const (
 	typeProfile = 'P'
 )
 
-// version is the current binary format version. Bump it when the
+// Format versions, one per type byte. Bump a type's version when its
 // payload layout changes; decoders must keep reading every version they
 // ever wrote (the store is never migrated in place).
-const version = 1
+const (
+	// version is the format of lists, profiles and the action record.
+	version = 1
+	// historyVersion is the format histories are written in; version 1
+	// histories are still read.
+	historyVersion = 2
+)
+
+// versionOf returns the format version typ is written in. Every type
+// started at version 1, so 1 through versionOf(typ) are the ones read.
+func versionOf(typ byte) byte {
+	if typ == typeHistory {
+		return historyVersion
+	}
+	return version
+}
 
 // EncodeFloat encodes a float64 scalar (counters, thresholds, scores)
 // as 8 little-endian bytes.
@@ -70,15 +93,15 @@ func DecodeFloat(b []byte) (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
-// Rating is one entry in a stored user behavior history.
+// Rating is one entry in a stored user behavior history. Its session is
+// not stored: it is the window clock's session of TS.
 type Rating struct {
-	Rating  float64
-	TS      int64
-	Session int64
+	Rating float64
+	TS     int64
 }
 
 // History is the stored form of a user's behavior history: item id to
-// the max-weight rating with its timestamp and session.
+// the max-weight rating with its timestamp.
 type History map[string]Rating
 
 // List is a stored scored-item list (similar items, hot items, AR
@@ -94,7 +117,7 @@ type Profile struct {
 
 // header emits the three-byte binary header.
 func header(buf []byte, typ byte) []byte {
-	return append(buf, tagBinary, typ, version)
+	return append(buf, tagBinary, typ, versionOf(typ))
 }
 
 // checkHeader validates a binary header and returns the payload.
@@ -108,7 +131,7 @@ func checkHeader(b []byte, typ byte, what string) ([]byte, error) {
 	if b[1] != typ {
 		return nil, fmt.Errorf("statecodec: %s value has type byte %q, want %q", what, b[1], typ)
 	}
-	if b[2] != version {
+	if b[2] < 1 || b[2] > versionOf(typ) {
 		return nil, fmt.Errorf("statecodec: %s value has unknown format version %d", what, b[2])
 	}
 	return b[3:], nil
@@ -181,18 +204,17 @@ func readCount(b []byte, what string) (int, []byte, error) {
 
 // EncodeHistory serializes a behavior history in binary form.
 func EncodeHistory(h History) []byte {
-	buf := header(make([]byte, 0, 3+len(h)*32), typeHistory)
+	buf := header(make([]byte, 0, 3+len(h)*24), typeHistory)
 	buf = binary.AppendUvarint(buf, uint64(len(h)))
 	for item, r := range h {
 		buf = appendString(buf, item)
 		buf = appendFloat(buf, r.Rating)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.TS))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Session))
 	}
 	return buf
 }
 
-// DecodeHistory parses a stored history.
+// DecodeHistory parses a stored history of either version.
 func DecodeHistory(b []byte) (History, error) {
 	rest, err := checkHeader(b, typeHistory, "history")
 	if err != nil {
@@ -215,8 +237,10 @@ func DecodeHistory(b []byte) (History, error) {
 		if r.TS, rest, err = readInt64(rest, "history ts"); err != nil {
 			return nil, err
 		}
-		if r.Session, rest, err = readInt64(rest, "history session"); err != nil {
-			return nil, err
+		if b[2] == 1 {
+			if _, rest, err = readInt64(rest, "history session"); err != nil {
+				return nil, err
+			}
 		}
 		h[item] = r
 	}

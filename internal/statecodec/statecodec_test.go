@@ -49,7 +49,6 @@ func TestHistoryRoundTrip(t *testing.T) {
 			}
 			if i < len(ts) {
 				r.TS = ts[i]
-				r.Session = ts[i] / 7
 			}
 			h[item] = r
 		}
@@ -108,7 +107,7 @@ func TestProfileRoundTrip(t *testing.T) {
 // or a clean value, never a panic.
 func TestCorruptInputsNeverPanic(t *testing.T) {
 	seeds := [][]byte{
-		EncodeHistory(History{"item": {Rating: 1, TS: 2, Session: 3}, "other": {Rating: 0.5}}),
+		EncodeHistory(History{"item": {Rating: 1, TS: 2}, "other": {Rating: 0.5}}),
 		EncodeList(List{{Item: "a", Score: 1}, {Item: "b", Score: 0.25}}),
 		EncodeProfile(Profile{Weights: map[string]float64{"t1": 1, "t2": 2}, UpdatedTS: 5}),
 		[]byte(`{"item":{"r":1,"t":2,"s":3}}`),
@@ -160,6 +159,11 @@ func TestCorruptInputsNeverPanic(t *testing.T) {
 	if _, err := DecodeList(bad); err == nil {
 		t.Fatal("DecodeList accepted an unknown version")
 	}
+	badH := EncodeHistory(History{"a": {Rating: 1}})
+	badH[2] = historyVersion + 1
+	if _, err := DecodeHistory(badH); err == nil {
+		t.Fatal("DecodeHistory accepted an unknown version")
+	}
 }
 
 // --- BenchmarkStateCodec: whole-value encode + decode ----------------------
@@ -167,7 +171,7 @@ func TestCorruptInputsNeverPanic(t *testing.T) {
 func benchHistory(n int) History {
 	h := make(History, n)
 	for i := 0; i < n; i++ {
-		h[benchItemID(i)] = Rating{Rating: float64(i%5) + 0.5, TS: int64(i) * 1e9, Session: int64(i / 8)}
+		h[benchItemID(i)] = Rating{Rating: float64(i%5) + 0.5, TS: int64(i) * 1e9}
 	}
 	return h
 }

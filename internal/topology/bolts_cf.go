@@ -226,8 +226,10 @@ func (b *UserHistoryBolt) weight(w float64) any {
 }
 
 // effective returns the stored rating if still inside the sliding window.
+// The entry's session is its timestamp's under the bolt's clock, the
+// session the write that stored it computed.
 func (b *UserHistoryBolt) effective(r storedRating, session int64) float64 {
-	if b.p.WindowSessions > 0 && r.Session <= session-int64(b.p.WindowSessions) {
+	if b.p.WindowSessions > 0 && b.p.clock().SessionOf(RawAction{TS: r.TS}.Time()) <= session-int64(b.p.WindowSessions) {
 		return 0
 	}
 	return r.Rating
@@ -330,7 +332,7 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	}
 
 	// The frame was validated above, so the edits cannot decline.
-	out, _ := statecodec.UpsertHistoryEntry(raw, item, storedRating{Rating: newR, TS: ts, Session: session})
+	out, _ := statecodec.UpsertHistoryEntry(raw, item, storedRating{Rating: newR, TS: ts})
 	if n, _ := statecodec.HistoryLen(out); n > b.p.MaxUserHistory {
 		out, _ = statecodec.EvictOldestHistoryEntry(out, item)
 	}

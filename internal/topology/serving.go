@@ -227,7 +227,9 @@ func (s *Serving) RecommendCF(user string, now time.Time, n int, exclude map[str
 	}
 	out = core.TopNScored(out, n)
 	if len(out) < n {
-		hot, err := s.HotItems(user, n)
+		// The whole stored list: the loop below skips chosen, rated and
+		// excluded items, so a list read to n would leave the slate short.
+		hot, err := s.HotItems(user, 0)
 		if err != nil {
 			return out, err
 		}

@@ -12,6 +12,7 @@ import (
 	"tencentrec/internal/core"
 	"tencentrec/internal/ctr"
 	"tencentrec/internal/demographic"
+	"tencentrec/internal/statecodec"
 	"tencentrec/internal/stream"
 	"tencentrec/internal/window"
 )
@@ -593,6 +594,40 @@ func TestServingRecommendCFWithComplement(t *testing.T) {
 	}
 	if len(cold) == 0 {
 		t.Fatal("cold user got no complement recommendations")
+	}
+}
+
+// TestServingRecommendCFFillsPastRatedHotItems: a user who clicked the
+// first two items of a ten-item hot list and has no CF candidates gets a
+// full slate from the rest of the list.
+func TestServingRecommendCFFillsPastRatedHotItems(t *testing.T) {
+	st := NewMemState()
+	var hot statecodec.List
+	for i := 0; i < 10; i++ {
+		hot = append(hot, core.ScoredItem{Item: fmt.Sprintf("hot%d", i), Score: float64(10 - i)})
+	}
+	st.Put(prefixHotList+demographic.GlobalGroup, statecodec.EncodeList(hot))
+	st.Put(prefixUserHistory+"u", statecodec.EncodeHistory(statecodec.History{
+		"hot0": {Rating: 1, TS: t0.UnixNano()}, "hot1": {Rating: 1, TS: t0.UnixNano()},
+	}))
+	srv := NewServing(st, Params{})
+	for _, exclude := range []map[string]bool{nil, {"hot2": true}} {
+		recs, err := srv.RecommendCF("u", t0.Add(time.Minute), 3, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"hot2", "hot3", "hot4"}
+		if exclude != nil {
+			want = []string{"hot3", "hot4", "hot5"}
+		}
+		if len(recs) != len(want) {
+			t.Fatalf("exclude %v: RecommendCF(n=3) = %v, want %v", exclude, recs, want)
+		}
+		for i, r := range recs {
+			if r.Item != want[i] {
+				t.Fatalf("exclude %v: RecommendCF(n=3) = %v, want %v", exclude, recs, want)
+			}
+		}
 	}
 }
 

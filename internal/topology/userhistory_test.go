@@ -2,8 +2,11 @@ package topology
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +188,155 @@ func TestUserHistoryDeltasMatchLibraryPast127Items(t *testing.T) {
 	if n := 130 * 129 / 2; len(pairCount) != n {
 		t.Fatalf("%d pairs received deltas, want %d", len(pairCount), n)
 	}
+}
+
+// actMatchesLibrary runs one action through the bolt and the library and
+// fails unless the bolt's deltas are what the action adds to the
+// library's counts: each delta in the action's session, the item delta
+// the move of cf.ItemCount, a pair row for every co-rated item whose
+// cf.PairCount moves and by that much, and one global group delta of
+// the action's weight. items lists every item the user has touched.
+func actMatchesLibrary(t *testing.T, b *UserHistoryBolt, c *emitCapture, cf *core.ItemCF, items []string, item, action string, at time.Time) {
+	t.Helper()
+	session := b.p.clock().SessionOf(at)
+	itemBefore := cf.ItemCount(item, at)
+	pairBefore := map[string]float64{}
+	for _, j := range items {
+		if j != item {
+			pairBefore[pairID(item, j)] = cf.PairCount(item, j, at)
+		}
+	}
+	c.out = c.out[:0]
+	if err := b.Execute(stream.NewTuple(UnitPretreatment, StreamUserAction, actionFields,
+		stream.Values{"u", item, action, at.UnixNano()})); err != nil {
+		t.Fatal(err)
+	}
+	cf.Observe(core.Action{User: "u", Item: item, Type: core.ActionType(action), Time: at})
+
+	var itemDelta float64
+	pairDelta := map[string]float64{}
+	var groups []stream.Values
+	for _, e := range c.out {
+		if got := e.values[len(e.values)-1]; got != session {
+			t.Fatalf("%s %s at %v: %s tuple in session %v, want %d", action, item, at, e.stream, got, session)
+		}
+		switch e.stream {
+		case StreamItemDelta:
+			itemDelta += e.values[1].(float64)
+		case StreamPairDelta:
+			for _, row := range e.values[0].(stream.Run) {
+				pairDelta[row.Key] += row.Num
+			}
+		case StreamGroupDelta:
+			groups = append(groups, e.values)
+		default:
+			t.Fatalf("emission on %q", e.stream)
+		}
+	}
+	if want := cf.ItemCount(item, at) - itemBefore; itemDelta != want {
+		t.Fatalf("%s %s at %v: item delta %v, library moved %v", action, item, at, itemDelta, want)
+	}
+	for pair, before := range pairBefore {
+		x, y := splitPair(pair)
+		if want := cf.PairCount(x, y, at) - before; pairDelta[pair] != want {
+			t.Fatalf("%s %s at %v: pair %q delta %v, library moved %v", action, item, at, pair, pairDelta[pair], want)
+		}
+		delete(pairDelta, pair)
+	}
+	if len(pairDelta) != 0 {
+		t.Fatalf("%s %s at %v: deltas for pairs of items never touched: %v", action, item, at, pairDelta)
+	}
+	weight := b.p.Weights[core.ActionType(action)]
+	if len(groups) != 1 || groups[0][0] != demographic.GlobalGroup || groups[0][1] != item || groups[0][2] != weight {
+		t.Fatalf("%s %s at %v: group deltas %v, want one global (%s, %v)", action, item, at, groups, item, weight)
+	}
+}
+
+// TestUserHistoryWindowExpiryMatchesLibrary: with a two-session window,
+// one user rates items, re-rates them inside the window and after their
+// entry expired, and co-rates entries in and out of the window over five
+// sessions. Every action's deltas are what it adds to core.ItemCF's
+// windowed counts.
+func TestUserHistoryWindowExpiryMatchesLibrary(t *testing.T) {
+	p := Params{WindowSessions: 2, SessionDuration: time.Hour}.withDefaults()
+	b, c := userHistoryBolt(t, NewMemState(), p)
+	cf := libEngine(p, nil)
+	var items []string
+	for _, a := range []struct {
+		after        time.Duration
+		item, action string
+	}{
+		{0, "a", "browse"}, {time.Minute, "b", "click"}, {2 * time.Minute, "c", "browse"},
+		{time.Hour, "a", "purchase"}, // a re-rated inside the window
+		{time.Hour + time.Minute, "d", "read"},
+		{2 * time.Hour, "e", "browse"},
+		{2*time.Hour + time.Minute, "b", "read"}, // b's entry has expired: rated afresh
+		{2*time.Hour + 2*time.Minute, "d", "purchase"},
+		{3 * time.Hour, "a", "browse"}, // a (session 1) has expired; only d and e co-rate
+		{3*time.Hour + time.Minute, "f", "share"},
+		{4 * time.Hour, "c", "click"}, // c (session 0) long expired
+		{4*time.Hour + time.Minute, "e", "purchase"},
+		{4*time.Hour + 2*time.Minute, "a", "browse"}, // same rating, still in window: no item delta
+	} {
+		actMatchesLibrary(t, b, c, cf, items, a.item, a.action, t0.Add(a.after))
+		if !slices.Contains(items, a.item) {
+			items = append(items, a.item)
+		}
+	}
+}
+
+// v1UserHistory writes a user history in the codec's version 1 layout,
+// whose entries carry the session beside the timestamp.
+func v1UserHistory(p Params, entries []storedRating, items []string) []byte {
+	b := []byte{0x01, 'H', 1, byte(len(entries))}
+	for i, r := range entries {
+		b = append(b, byte(len(items[i])))
+		b = append(b, items[i]...)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Rating))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.TS))
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.clock().SessionOf(time.Unix(0, r.TS))))
+	}
+	return b
+}
+
+// TestUserHistoryReadsVersion1Frame: a history stored in version 1 form
+// before the session left the entry serves the next action of its user
+// like the history the library holds, and the write leaves a version 2
+// frame.
+func TestUserHistoryReadsVersion1Frame(t *testing.T) {
+	p := Params{WindowSessions: 2, SessionDuration: time.Hour}.withDefaults()
+	st := NewMemState()
+	cf := libEngine(p, nil)
+	items := []string{"a", "b", "c"}
+	actions := []string{"browse", "purchase", "click"}
+	ats := []time.Time{t0, t0.Add(time.Hour), t0.Add(2 * time.Hour)}
+	var entries []storedRating
+	for i, item := range items {
+		cf.Observe(core.Action{User: "u", Item: item, Type: core.ActionType(actions[i]), Time: ats[i]})
+		entries = append(entries, storedRating{Rating: p.Weights[core.ActionType(actions[i])], TS: ats[i].UnixNano()})
+	}
+	frame := v1UserHistory(p, entries, items)
+	if h, err := statecodec.DecodeHistory(frame); err != nil || len(h) != 3 || h["b"] != entries[1] {
+		t.Fatalf("hand-built version 1 frame decodes to %v, %v", h, err)
+	}
+	st.Put(prefixUserHistory+"u", frame)
+
+	b, c := userHistoryBolt(t, st, p)
+	// Session 2: a (session 0) has expired, b and c co-rate.
+	actMatchesLibrary(t, b, c, cf, items, "d", "read", t0.Add(2*time.Hour+time.Minute))
+	raw, _, _ := st.Get(prefixUserHistory + "u")
+	if len(raw) < 3 || raw[2] != 2 {
+		t.Fatalf("stored frame after the write: %x, want version 2", raw)
+	}
+	want := statecodec.History{"d": {Rating: p.Weights[core.ActionRead], TS: t0.Add(2*time.Hour + time.Minute).UnixNano()}}
+	for i, item := range items {
+		want[item] = entries[i]
+	}
+	if h, err := statecodec.DecodeHistory(raw); err != nil || !reflect.DeepEqual(h, want) {
+		t.Fatalf("stored history %v, %v; want %v", h, err, want)
+	}
+	// The upgraded frame serves the next action as well.
+	actMatchesLibrary(t, b, c, cf, append(items, "d"), "b", "purchase", t0.Add(2*time.Hour+2*time.Minute))
 }
 
 // TestWritersRejectMalformedValues: a stored value the codec's edits

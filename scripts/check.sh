@@ -211,6 +211,20 @@ else
 	exit 1
 fi
 
+# What a stored history spends per entry: 1,000 entries of the 5-byte ids
+# i1000 to i1999 in one frame. An entry is its id's one-byte length, the
+# id, the rating and the timestamp: 1+k+16 bytes for a k-byte id, 22 here.
+# With the session that version 1 entries also held it was 1+k+24.
+echo "== a stored history entry of a k-byte id takes at most 1+k+16 bytes"
+entry_out=$(go test -run=NONE -bench='BenchmarkHistoryEntryBytes$' -benchtime=1x ./internal/statecodec/)
+echo "$entry_out"
+if echo "$entry_out" | awk '/^BenchmarkHistoryEntryBytes/ { b = -1; k = -1; for (i = 1; i <= NF; i++) { if ($(i+1) == "B/entry") b = $i; if ($(i+1) == "id_bytes") k = $i }; if (b < 0 || k < 0 || b > 1 + k + 16) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
+	:
+else
+	echo "check: a stored history entry takes more than 1+k+16 bytes for a k-byte id" >&2
+	exit 1
+fi
+
 # Publish -> Poll(256) -> DecodeAction is 5 allocations per action: the
 # encoded frame, the message key, and the user, item and action strings
 # (the poll's buffer and result slice are shared by its 256 messages).
