@@ -141,14 +141,6 @@ func (c *Cache) Put(key string, value []byte) {
 	c.insert(key, value)
 }
 
-// Invalidate drops a key from the cache.
-func (c *Cache) Invalidate(key string) {
-	if el, ok := c.entries[key]; ok {
-		c.order.Remove(el)
-		delete(c.entries, key)
-	}
-}
-
 func (c *Cache) insert(key string, value []byte) {
 	el := c.order.PushFront(&entry{key: key, value: value})
 	c.entries[key] = el

@@ -83,18 +83,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	st := &mapStore{m: map[string][]byte{"k": []byte("v")}}
-	c := New(st, 10)
-	c.Get("k")
-	c.Invalidate("k")
-	c.Get("k")
-	if st.reads != 2 {
-		t.Fatalf("store reads = %d, invalidation did not evict", st.reads)
-	}
-	c.Invalidate("never-cached") // no-op
-}
-
 func TestNilStore(t *testing.T) {
 	c := New(nil, 4)
 	if _, ok, err := c.Get("k"); ok || err != nil {

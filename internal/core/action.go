@@ -91,11 +91,3 @@ func makePair(p, q string) pairKey {
 	}
 	return pairKey{q, p}
 }
-
-// other returns the element of the pair that is not item.
-func (k pairKey) other(item string) string {
-	if k.a == item {
-		return k.b
-	}
-	return k.a
-}

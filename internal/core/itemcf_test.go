@@ -483,7 +483,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if len(before) != len(after) || before[0] != after[0] {
 		t.Fatal("snapshot changed under live updates")
 	}
-	if snap.ItemCount() == 0 {
+	if len(snap.topk) == 0 {
 		t.Fatal("snapshot has no items")
 	}
 }

@@ -196,6 +196,3 @@ func (m *Model) Recommend(history map[string]float64, opts RecommendOptions) []S
 	}
 	return TopNScored(out, opts.N)
 }
-
-// ItemCount reports the number of items with a similar-items list.
-func (m *Model) ItemCount() int { return len(m.topk) }

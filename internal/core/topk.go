@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // TopK maintains an item's similar-items list: the K most similar items
 // with their scores, sorted descending. Its threshold — the minimum
 // similarity in a full list — feeds the pruning test of Algorithm 1
@@ -109,11 +107,4 @@ func (t *TopK) Clone() *TopK {
 		cp.pos[k] = v
 	}
 	return cp
-}
-
-// sorted asserts descending order; used by tests via IsSorted.
-func (t *TopK) sorted() bool {
-	return sort.SliceIsSorted(t.items, func(i, j int) bool {
-		return t.items[i].Score > t.items[j].Score
-	})
 }

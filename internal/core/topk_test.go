@@ -66,7 +66,7 @@ func TestTopKUpdateMovesBothDirections(t *testing.T) {
 	if items[len(items)-1].Item != "b" {
 		t.Fatalf("b not demoted: %v", items)
 	}
-	if !tk.sorted() {
+	if !sorted(tk) {
 		t.Fatal("list out of order")
 	}
 }
@@ -95,8 +95,8 @@ func TestTopKRemove(t *testing.T) {
 	if _, ok := scoreOf(tk, "b"); ok {
 		t.Fatal("removed entry still present")
 	}
-	if tk.Len() != 2 || !tk.sorted() {
-		t.Fatalf("after remove: len=%d sorted=%v", tk.Len(), tk.sorted())
+	if tk.Len() != 2 || !sorted(tk) {
+		t.Fatalf("after remove: len=%d sorted=%v", tk.Len(), sorted(tk))
 	}
 	tk.Remove("never") // no-op
 	if tk.Len() != 2 {
@@ -129,7 +129,7 @@ func TestTopKAgainstBruteForceProperty(t *testing.T) {
 			// may have evicted entries permanently, so compare TopK's
 			// own invariants instead: sortedness, size bound, and
 			// threshold = min.
-			if tk.Len() > K || !tk.sorted() {
+			if tk.Len() > K || !sorted(tk) {
 				return false
 			}
 			items := tk.Items(0)
@@ -258,4 +258,11 @@ func TestBatchCFRetrainReflectsNewRatings(t *testing.T) {
 	if !found {
 		t.Fatal("retrain did not pick up new ratings")
 	}
+}
+
+// sorted reports whether tk's items are in descending score order.
+func sorted(tk *TopK) bool {
+	return sort.SliceIsSorted(tk.items, func(i, j int) bool {
+		return tk.items[i].Score > tk.items[j].Score
+	})
 }

@@ -1,14 +1,10 @@
 // delta.go — the write side of the codec: edits that touch one entry
 // patch the encoded frame instead of decode-all → mutate → re-encode-all.
 //
-// The edits are total over well-formed frames of every version the
-// decoders read: at any entry count (the payload shifts when the count's
+// The edits are total over well-formed frames: at any entry count (the payload shifts when the count's
 // uvarint changes width), any k and any id length. ok=false means exactly
 // one thing — the frame is malformed, i.e. DecodeHistory/DecodeList
 // return an error for the same bytes — and leaves the buffer unchanged.
-// The frames produced are ordinary frames of the current version: a
-// history edit converts a version 1 frame first (upgradeHistory), and
-// edits a version 2 frame in place.
 //
 // Equivalence contract (pinned by delta_test.go): an edited history
 // decodes to the value a map mutation would have produced, and an edited
@@ -27,12 +23,8 @@ import (
 const stackEntries = 127
 
 // ratingBytes is the fixed-width tail of a history entry: 8-byte
-// rating + 8-byte timestamp. A version 1 entry's tail, ratingBytesV1,
-// adds an 8-byte session.
-const (
-	ratingBytes   = 16
-	ratingBytesV1 = 24
-)
+// rating + 8-byte timestamp.
+const ratingBytes = 16
 
 // PatchFloat overwrites an encoded float scalar in place. It returns
 // false (buffer untouched) unless b is exactly the 8-byte raw layout
@@ -59,7 +51,7 @@ func uvarintLen(n uint64) int {
 // entry count and the payload offset (just past the count). The count is
 // bounded by the payload like readCount's: every entry takes a byte.
 func frameBody(b []byte, typ byte) (n int, base int, ok bool) {
-	if len(b) < 4 || b[0] != tagBinary || b[1] != typ || b[2] < 1 || b[2] > versionOf(typ) {
+	if len(b) < 4 || b[0] != tagBinary || b[1] != typ || b[2] != versionOf(typ) {
 		return 0, 0, false
 	}
 	c, sz := readUvarint(b[3:])
@@ -101,22 +93,17 @@ type HistoryIter struct {
 	rest    []byte
 	n, i    int
 	off     int  // offset of the next entry within the original buffer
-	block   int  // the entries' fixed-width tail: ratingBytes or ratingBytesV1
 	corrupt bool // payload ended early or had trailing garbage
 }
 
-// IterHistory starts an iteration over an encoded binary history of
-// either version. ok=false means the header is malformed.
+// IterHistory starts an iteration over an encoded binary history.
+// ok=false means the header is malformed.
 func IterHistory(b []byte) (HistoryIter, bool) {
 	n, base, ok := frameBody(b, typeHistory)
 	if !ok {
 		return HistoryIter{}, false
 	}
-	block := ratingBytes
-	if b[2] == 1 {
-		block = ratingBytesV1
-	}
-	return HistoryIter{rest: b[base:], n: n, off: base, block: block}, true
+	return HistoryIter{rest: b[base:], n: n, off: base}, true
 }
 
 // Next returns the next entry. ok=false means the iteration is done —
@@ -130,7 +117,7 @@ func (it *HistoryIter) Next() (item []byte, r Rating, ok bool) {
 		return nil, Rating{}, false
 	}
 	l, sz := readUvarint(it.rest)
-	if sz == 0 || l > uint64(len(it.rest)-sz) || uint64(len(it.rest)-sz)-l < uint64(it.block) {
+	if sz == 0 || l > uint64(len(it.rest)-sz) || uint64(len(it.rest)-sz)-l < ratingBytes {
 		it.corrupt = true
 		return nil, Rating{}, false
 	}
@@ -138,7 +125,7 @@ func (it *HistoryIter) Next() (item []byte, r Rating, ok bool) {
 	fixed := it.rest[sz+int(l):]
 	r.Rating = math.Float64frombits(binary.LittleEndian.Uint64(fixed))
 	r.TS = int64(binary.LittleEndian.Uint64(fixed[8:]))
-	step := sz + int(l) + it.block
+	step := sz + int(l) + ratingBytes
 	it.rest = it.rest[step:]
 	it.off += step
 	it.i++
@@ -171,14 +158,14 @@ func findHistoryEntry(b []byte, item string) (fixedOff int, r Rating, found bool
 		}
 		if !found && string(name) == item {
 			found, r = true, rr
-			fixedOff = it.off - it.block
+			fixedOff = it.off - ratingBytes
 		}
 	}
 	return fixedOff, r, found, !it.Corrupt()
 }
 
-// FindHistoryEntry looks up one item in an encoded binary history of
-// either version without decoding it. ok=false means the frame is
+// FindHistoryEntry looks up one item in an encoded binary history
+// without decoding it. ok=false means the frame is
 // malformed.
 func FindHistoryEntry(b []byte, item string) (r Rating, found bool, ok bool) {
 	_, r, found, ok = findHistoryEntry(b, item)
@@ -189,44 +176,6 @@ func FindHistoryEntry(b []byte, item string) (r Rating, found bool, ok bool) {
 func putRating(b []byte, off int, r Rating) {
 	binary.LittleEndian.PutUint64(b[off:], math.Float64bits(r.Rating))
 	binary.LittleEndian.PutUint64(b[off+8:], uint64(r.TS))
-}
-
-// upgradeHistory is the one conversion from a version 1 history frame to
-// the current version, which the history edits run before they edit. A
-// well-formed version 1 frame is rewritten in place, each entry's session
-// dropped, so the frame shrinks by 8 bytes per entry; any other frame is
-// returned as it is, for the edit's own walk to check. ok=false — buffer
-// unchanged — when a version 1 frame is malformed.
-func upgradeHistory(b []byte) ([]byte, bool) {
-	if len(b) < 3 || b[2] != 1 {
-		return b, true
-	}
-	it, ok := IterHistory(b)
-	if !ok {
-		return b, false
-	}
-	for {
-		if _, _, more := it.Next(); !more {
-			break
-		}
-	}
-	if it.Corrupt() {
-		return b, false
-	}
-	// Entries move towards the front only, behind the walk's position.
-	it, _ = IterHistory(b)
-	w := it.off
-	for {
-		start := it.off
-		if _, _, more := it.Next(); !more {
-			break
-		}
-		n := it.off - start - (ratingBytesV1 - ratingBytes)
-		copy(b[w:], b[start:start+n])
-		w += n
-	}
-	b[2] = historyVersion
-	return b[:w], true
 }
 
 // appendHistoryEntry appends an entry to a frame findHistoryEntry has
@@ -243,13 +192,9 @@ func appendHistoryEntry(b []byte, item string, r Rating) []byte {
 
 // UpsertHistoryEntry sets item's rating in an encoded binary history:
 // an existing entry is patched in place (same bytes, new rating block),
-// a new one is appended. A version 1 frame comes back as version 2.
-// ok=false — buffer unchanged — when the frame is malformed.
+// a new one is appended. ok=false — buffer unchanged — when the frame is
+// malformed.
 func UpsertHistoryEntry(b []byte, item string, r Rating) ([]byte, bool) {
-	b, ok := upgradeHistory(b)
-	if !ok {
-		return b, false
-	}
 	fixedOff, _, found, ok := findHistoryEntry(b, item)
 	if !ok {
 		return b, false
@@ -264,13 +209,9 @@ func UpsertHistoryEntry(b []byte, item string, r Rating) ([]byte, bool) {
 // EvictOldestHistoryEntry removes the entry with the smallest timestamp
 // whose item differs from keep (ties keep the first in encoded order),
 // splicing the bytes out and decrementing the count; a history with no
-// such entry is returned as it is. A version 1 frame comes back as
-// version 2. ok=false — buffer unchanged — when the frame is malformed.
+// such entry is returned as it is. ok=false — buffer unchanged — when the
+// frame is malformed.
 func EvictOldestHistoryEntry(b []byte, keep string) ([]byte, bool) {
-	b, ok := upgradeHistory(b)
-	if !ok {
-		return b, false
-	}
 	it, ok := IterHistory(b)
 	if !ok {
 		return b, false

@@ -2,10 +2,8 @@ package statecodec
 
 import (
 	"bytes"
-	"encoding/hex"
 	"math"
 	"math/rand"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -361,19 +359,25 @@ func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 			editsAgreeWithDecoder(t, "header byte flipped", bad)
 		}
 	}
-	// Every version a type has been written in: a history's 1 and 2.
 	for _, typ := range []byte{typeHistory, typeList} {
-		for ver := byte(1); ver <= versionOf(typ); ver++ {
-			editsAgreeWithDecoder(t, "count beyond payload", []byte{tagBinary, typ, ver, 127})
-			editsAgreeWithDecoder(t, "ten-byte count", append([]byte{tagBinary, typ, ver}, bytes.Repeat([]byte{0xff}, 9)...))
-			// One entry whose id length is 2^64-10: adding the fixed tail to
-			// it wraps around.
-			over := append([]byte{tagBinary, typ, ver, 1}, 0xf6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-			editsAgreeWithDecoder(t, "id length overflows", append(over, make([]byte, 40)...))
-			editsAgreeWithDecoder(t, "wide zero count", []byte{tagBinary, typ, ver, 0x80, 0x00})
-			editsAgreeWithDecoder(t, "wide id length", append([]byte{tagBinary, typ, ver, 1, 0x80, 0x00}, make([]byte, 24)...))
-		}
+		ver := versionOf(typ)
+		editsAgreeWithDecoder(t, "count beyond payload", []byte{tagBinary, typ, ver, 127})
+		editsAgreeWithDecoder(t, "ten-byte count", append([]byte{tagBinary, typ, ver}, bytes.Repeat([]byte{0xff}, 9)...))
+		// One entry whose id length is 2^64-10: adding the fixed tail to
+		// it wraps around.
+		over := append([]byte{tagBinary, typ, ver, 1}, 0xf6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+		editsAgreeWithDecoder(t, "id length overflows", append(over, make([]byte, 40)...))
+		editsAgreeWithDecoder(t, "wide zero count", []byte{tagBinary, typ, ver, 0x80, 0x00})
+		editsAgreeWithDecoder(t, "wide id length", append([]byte{tagBinary, typ, ver, 1, 0x80, 0x00}, make([]byte, 24)...))
 	}
+	// A history under the version histories were once written in is
+	// refused, not read as an older layout.
+	retired := append([]byte(nil), hist...)
+	retired[2] = 1
+	if _, err := DecodeHistory(retired); err == nil {
+		t.Fatal("DecodeHistory read a frame under a version 1 header")
+	}
+	editsAgreeWithDecoder(t, "version 1 header", retired)
 	editsAgreeWithDecoder(t, "json", []byte(`{"a":{"r":1}}`))
 	editsAgreeWithDecoder(t, "json list", []byte(`[]`))
 	editsAgreeWithDecoder(t, "nil", nil)
@@ -390,101 +394,6 @@ func TestEditsDeclineExactlyWhatTheDecoderRejects(t *testing.T) {
 			t.Fatalf("padded uvarint accepted: frame %x, history %v, list %v", padded, herr, lerr)
 		}
 	}
-}
-
-// v1History is a version 1 history frame written out by hand, and
-// v2History its version 2 equivalent. Each entry is id | rating | ts,
-// and in version 1 a session after the ts:
-//
-//	01 48 01 03                     header (version 1), 3 entries
-//	02 6931   | 1.0 | ts 100 | session 5
-//	03 693232 | 0.5 | ts 50  | session 3
-//	02 6933   | 2.0 | ts 200 | session 7
-const (
-	v1History = "01480103" +
-		"026931" + "000000000000f03f" + "6400000000000000" + "0500000000000000" +
-		"03693232" + "000000000000e03f" + "3200000000000000" + "0300000000000000" +
-		"026933" + "0000000000000040" + "c800000000000000" + "0700000000000000"
-	v2History = "01480203" +
-		"026931" + "000000000000f03f" + "6400000000000000" +
-		"03693232" + "000000000000e03f" + "3200000000000000" +
-		"026933" + "0000000000000040" + "c800000000000000"
-)
-
-func mustHex(t testing.TB, s string) []byte {
-	t.Helper()
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestVersion1HistoryFrames: every reader takes a version 1 frame as its
-// version 2 equivalent, every edit of one returns the bytes the same edit
-// of the equivalent returns, and a malformed version 1 frame is declined
-// with the buffer unchanged.
-func TestVersion1HistoryFrames(t *testing.T) {
-	v1, v2 := mustHex(t, v1History), mustHex(t, v2History)
-	want := History{"i1": {Rating: 1, TS: 100}, "i22": {Rating: 0.5, TS: 50}, "i3": {Rating: 2, TS: 200}}
-	for name, frame := range map[string][]byte{"v1": v1, "v2": v2} {
-		if h, err := DecodeHistory(frame); err != nil || !reflect.DeepEqual(h, want) {
-			t.Fatalf("DecodeHistory(%s) = %v, %v; want %v", name, h, err, want)
-		}
-		if n, ok := HistoryLen(frame); !ok || n != 3 {
-			t.Fatalf("HistoryLen(%s) = %d, %v", name, n, ok)
-		}
-		it, ok := IterHistory(frame)
-		if !ok {
-			t.Fatalf("IterHistory(%s) declined", name)
-		}
-		for _, item := range []string{"i1", "i22", "i3"} {
-			got, r, more := it.Next()
-			if !more || string(got) != item || r != want[item] {
-				t.Fatalf("IterHistory(%s): (%q, %v, %v), want (%q, %v, true)", name, got, r, more, item, want[item])
-			}
-		}
-		if _, _, more := it.Next(); more || it.Corrupt() {
-			t.Fatalf("IterHistory(%s) did not end cleanly", name)
-		}
-		for _, item := range []string{"i1", "i22", "i3", "absent"} {
-			r, found, ok := FindHistoryEntry(frame, item)
-			if wr, has := want[item]; !ok || found != has || r != wr {
-				t.Fatalf("FindHistoryEntry(%s, %q) = (%v, %v, %v)", name, item, r, found, ok)
-			}
-		}
-	}
-
-	edits := map[string]func([]byte) ([]byte, bool){
-		"upsert existing": func(b []byte) ([]byte, bool) { return UpsertHistoryEntry(b, "i22", Rating{Rating: 3, TS: 300}) },
-		"upsert new":      func(b []byte) ([]byte, bool) { return UpsertHistoryEntry(b, "i4", Rating{Rating: 1, TS: 10}) },
-		"evict oldest":    func(b []byte) ([]byte, bool) { return EvictOldestHistoryEntry(b, "") },
-		"evict keeping":   func(b []byte) ([]byte, bool) { return EvictOldestHistoryEntry(b, "i22") },
-	}
-	for name, edit := range edits {
-		got, ok := edit(mustHex(t, v1History))
-		wantOut, wantOK := edit(mustHex(t, v2History))
-		if !ok || !wantOK || !bytes.Equal(got, wantOut) {
-			t.Fatalf("%s: on v1 (%x, %v), on v2 (%x, %v)", name, got, ok, wantOut, wantOK)
-		}
-	}
-	if got, ok := upgradeHistory(mustHex(t, v1History)); !ok || !bytes.Equal(got, v2) {
-		t.Fatalf("upgradeHistory(v1) = (%x, %v), want (%x, true)", got, ok, v2)
-	}
-
-	// Malformed version 1 frames: every truncation, a trailing byte, and
-	// the version 2 body under a version 1 header (its 16-byte blocks read
-	// as 24-byte ones run off the end).
-	for cut := 0; cut < len(v1); cut++ {
-		editsAgreeWithDecoder(t, "v1 truncated", v1[:cut])
-	}
-	editsAgreeWithDecoder(t, "v1 trailing byte", append(append([]byte(nil), v1...), 0))
-	relabelled := append([]byte(nil), v2...)
-	relabelled[2] = 1
-	if _, err := DecodeHistory(relabelled); err == nil {
-		t.Fatal("DecodeHistory read a version 2 body under a version 1 header")
-	}
-	editsAgreeWithDecoder(t, "v2 body labelled v1", relabelled)
 }
 
 // BenchmarkHistoryEntryBytes reports what a stored history spends per

@@ -35,11 +35,13 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{tagBinary, 'L', 1, 127})
 	// Two-byte count frame.
 	f.Add([]byte{tagBinary, 'H', historyVersion, 0x80, 0x01})
-	// Version 1 histories, whose entries also held a session: whole,
-	// truncated, and with a hostile count.
-	v1 := mustHex(f, v1History)
-	f.Add(v1)
-	f.Add(v1[:len(v1)-5])
+	// Histories under the retired version 1 header, which every reader
+	// refuses: a whole frame relabelled, its truncation, and a hostile
+	// count.
+	retired := append([]byte(nil), hb...)
+	retired[2] = 1
+	f.Add(retired)
+	f.Add(retired[:len(retired)-5])
 	f.Add([]byte{tagBinary, 'H', 1, 127})
 	// Trailing garbage after a whole frame.
 	f.Add(append(append([]byte(nil), hb...), 0))

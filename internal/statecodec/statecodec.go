@@ -20,10 +20,9 @@
 // A history entry is uvarint(len) | item | rating f64 | ts i64. Version
 // 1 entries also carried an 8-byte session after the timestamp; the
 // session is a function of the timestamp under the application's window
-// clock, so version 2 drops it. Every history reader accepts both
-// versions; every history writer emits version 2, and an edit to a
-// version 1 frame converts it first (delta.go), so a stored history
-// upgrades on its first write.
+// clock, so version 2 drops it. A reader reads only the version its type
+// is written in: a store written under an older format is rebuilt from
+// the action log, not read.
 //
 // The payload uses uvarint-prefixed strings, uvarint counts and 8-byte
 // little-endian IEEE-754 floats, every uvarint in its shortest form, and
@@ -58,18 +57,16 @@ const (
 )
 
 // Format versions, one per type byte. Bump a type's version when its
-// payload layout changes; decoders must keep reading every version they
-// ever wrote (the store is never migrated in place).
+// payload layout changes; a decoder refuses every other version, so the
+// store is rebuilt from the action log across a bump, not migrated.
 const (
 	// version is the format of lists, profiles and the action record.
 	version = 1
-	// historyVersion is the format histories are written in; version 1
-	// histories are still read.
+	// historyVersion is the format of histories.
 	historyVersion = 2
 )
 
-// versionOf returns the format version typ is written in. Every type
-// started at version 1, so 1 through versionOf(typ) are the ones read.
+// versionOf returns the format version typ is written and read in.
 func versionOf(typ byte) byte {
 	if typ == typeHistory {
 		return historyVersion
@@ -131,7 +128,7 @@ func checkHeader(b []byte, typ byte, what string) ([]byte, error) {
 	if b[1] != typ {
 		return nil, fmt.Errorf("statecodec: %s value has type byte %q, want %q", what, b[1], typ)
 	}
-	if b[2] < 1 || b[2] > versionOf(typ) {
+	if b[2] != versionOf(typ) {
 		return nil, fmt.Errorf("statecodec: %s value has unknown format version %d", what, b[2])
 	}
 	return b[3:], nil
@@ -214,7 +211,7 @@ func EncodeHistory(h History) []byte {
 	return buf
 }
 
-// DecodeHistory parses a stored history of either version.
+// DecodeHistory parses a stored history.
 func DecodeHistory(b []byte) (History, error) {
 	rest, err := checkHeader(b, typeHistory, "history")
 	if err != nil {
@@ -236,11 +233,6 @@ func DecodeHistory(b []byte) (History, error) {
 		}
 		if r.TS, rest, err = readInt64(rest, "history ts"); err != nil {
 			return nil, err
-		}
-		if b[2] == 1 {
-			if _, rest, err = readInt64(rest, "history session"); err != nil {
-				return nil, err
-			}
 		}
 		h[item] = r
 	}

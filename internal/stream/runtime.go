@@ -1124,9 +1124,6 @@ type RunningTopology struct {
 // Wait blocks until the topology has fully shut down.
 func (h *RunningTopology) Wait() { <-h.done }
 
-// Done returns a channel closed when the topology has shut down.
-func (h *RunningTopology) Done() <-chan struct{} { return h.done }
-
 // Stop asks the spouts to stop; processing drains and flushes as in a
 // normal completion.
 func (h *RunningTopology) Stop() {

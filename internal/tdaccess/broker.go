@@ -57,12 +57,6 @@ type Options struct {
 	SegmentBytes int64
 }
 
-// master is one of the two master servers monitoring the cluster (§3.2).
-type master struct {
-	id   string
-	down bool
-}
-
 // partitionHandle binds a partition log to its owning data server.
 type partitionHandle struct {
 	log    *plog
@@ -91,15 +85,16 @@ type groupState struct {
 }
 
 // Broker is an in-process TDAccess cluster: data servers holding
-// disk-backed partitions, and an active/standby master pair that balances
-// producers and consumers at partition granularity.
+// disk-backed partitions, and the one master that balances producers and
+// consumers at partition granularity. The paper's standby master is left
+// out: the process is the failure unit, and a crashed broker reopens its
+// partitions from disk (DESIGN.md §2).
 type Broker struct {
 	opts Options
 
-	mu      sync.Mutex
-	topics  map[string]*topic
-	groups  map[groupKey]*groupState
-	masters [2]*master
+	mu     sync.Mutex
+	topics map[string]*topic
+	groups map[groupKey]*groupState
 	// serverDown marks failed data servers; their partitions error until
 	// revival (TDAccess replicates via disk, not across servers).
 	serverDown []bool
@@ -126,7 +121,6 @@ func NewBroker(opts Options) (*Broker, error) {
 		opts:       opts,
 		topics:     make(map[string]*topic),
 		groups:     make(map[groupKey]*groupState),
-		masters:    [2]*master{{id: "master-active"}, {id: "master-standby"}},
 		serverDown: make([]bool, opts.DataServers),
 	}
 	// Recover topics persisted by a previous run.
@@ -141,21 +135,6 @@ func NewBroker(opts Options) (*Broker, error) {
 		}
 	}
 	return b, nil
-}
-
-// checkMaster returns an error when no master server is available.
-func (b *Broker) checkMaster() error {
-	if b.masters[0].down && b.masters[1].down {
-		return errors.New("tdaccess: no master server available")
-	}
-	return nil
-}
-
-// KillMasterActive fails the active master; the standby takes over.
-func (b *Broker) KillMasterActive() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.masters[0].down = true
 }
 
 // KillDataServer fails one data server; sends and polls touching its
@@ -194,9 +173,6 @@ func (b *Broker) getOrCreateTopic(name string) (*topic, error) {
 func (b *Broker) getOrCreateTopicLocked(name string) (*topic, error) {
 	if t, ok := b.topics[name]; ok {
 		return t, nil
-	}
-	if err := b.checkMaster(); err != nil {
-		return nil, err
 	}
 	t := &topic{name: name}
 	for p := 0; p < b.opts.Partitions; p++ {

@@ -47,9 +47,6 @@ func (c *Consumer) Subscribe(topicName string) error {
 	}
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
-	if err := c.b.checkMaster(); err != nil {
-		return err
-	}
 	gk := groupKey{c.group, topicName}
 	gs := c.b.groups[gk]
 	if gs == nil {

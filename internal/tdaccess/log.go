@@ -8,9 +8,10 @@
 // traditional message queue, TDAccess "caches the data in disk" so that
 // late-joining or offline consumers can replay history, and it "utilizes
 // sequential operations to accelerate the speed of reads and writes":
-// every partition is a segmented append-only log on disk. An active
-// master server (with a standby) assigns partitions to data servers and
-// balances producers and consumers at partition granularity.
+// every partition is a segmented append-only log on disk. The master
+// assigns partitions to data servers and balances producers and consumers
+// at partition granularity; the paper's standby master is left out, since
+// the process that runs the broker is the failure unit.
 package tdaccess
 
 import (

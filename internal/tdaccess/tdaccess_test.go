@@ -292,15 +292,6 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestMasterFailover(t *testing.T) {
-	b := newTestBroker(t, Options{})
-	b.KillMasterActive()
-	p := b.NewProducer()
-	if _, _, err := p.Send("t", "k", []byte("v")); err != nil {
-		t.Fatalf("send after master failover: %v", err)
-	}
-}
-
 func TestDataServerFailureAndRevival(t *testing.T) {
 	b := newTestBroker(t, Options{DataServers: 2, Partitions: 2})
 	p := b.NewProducer()

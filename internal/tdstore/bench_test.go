@@ -2,7 +2,7 @@ package tdstore
 
 // Store-level microbenchmarks for the contention-free hot path: parallel
 // point reads, batched reads and the Incr counter path through a full
-// cluster (client → route → data server → striped engine). Run with
+// cluster (client → route → instance → striped engine). Run with
 // -cpu 1,4,8 to see scaling:
 //
 //	go test -run=NONE -bench=BenchmarkStore -cpu 1,4,8 ./internal/tdstore/
@@ -13,9 +13,9 @@ import (
 	"testing"
 )
 
-func benchCluster(b *testing.B) (*Cluster, *Client, []string) {
+func benchCluster(b *testing.B) (*Client, []string) {
 	b.Helper()
-	c, err := NewCluster(Options{DataServers: 4, Instances: 16, Replicas: 1})
+	c, err := NewCluster(Options{DataServers: 4, Instances: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,14 +33,13 @@ func benchCluster(b *testing.B) (*Cluster, *Client, []string) {
 	if err := cl.BatchPut(keys, vals); err != nil {
 		b.Fatal(err)
 	}
-	c.WaitSync()
-	return c, cl, keys
+	return cl, keys
 }
 
-// BenchmarkStoreParallelGet measures concurrent point reads: one atomic
-// snapshot load per op, then the engine's striped read path.
+// BenchmarkStoreParallelGet measures concurrent point reads: the key's
+// instance from the fixed route, then the engine's striped read path.
 func BenchmarkStoreParallelGet(b *testing.B) {
-	_, cl, keys := benchCluster(b)
+	cl, keys := benchCluster(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -53,11 +52,10 @@ func BenchmarkStoreParallelGet(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreParallelBatchGet measures the fanned-out batched read:
-// 64 keys per op, grouped per server, sub-batches dispatched
-// concurrently.
+// BenchmarkStoreParallelBatchGet measures the batched read: 64 keys per
+// op, sorted into one run per instance.
 func BenchmarkStoreParallelBatchGet(b *testing.B) {
-	_, cl, keys := benchCluster(b)
+	cl, keys := benchCluster(b)
 	const batch = 64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -75,11 +73,10 @@ func BenchmarkStoreParallelBatchGet(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreParallelPut measures the single-key write: the host
-// engine's Put plus the op it leaves on the replication queue, which the
-// sync loop drains beside the writers.
+// BenchmarkStoreParallelPut measures the single-key write: the engine's
+// Put under the instance's write mutex.
 func BenchmarkStoreParallelPut(b *testing.B) {
-	_, cl, keys := benchCluster(b)
+	cl, keys := benchCluster(b)
 	val := []byte("0123456789abcdef")
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -94,12 +91,11 @@ func BenchmarkStoreParallelPut(b *testing.B) {
 }
 
 // BenchmarkStoreParallelBatchPut measures the batched write: 64 keys of
-// 16 bytes per op, grouped per server and per instance, with the
-// replication ops each sub-batch leaves on its server's queue. It
-// allocates the client's KV of each value and a fixed handful besides,
-// however many servers the 64 keys span.
+// 16 bytes per op, one PutBatch per instance's run. It allocates the
+// client's KV of each value and a fixed handful besides, however many
+// instances the 64 keys span.
 func BenchmarkStoreParallelBatchPut(b *testing.B) {
-	_, cl, keys := benchCluster(b)
+	cl, keys := benchCluster(b)
 	const batch = 64
 	val := []byte("0123456789abcdef")
 	b.ResetTimer()
@@ -125,7 +121,7 @@ func BenchmarkStoreParallelBatchPut(b *testing.B) {
 // BenchmarkStoreParallelIncr measures the read-modify-write counter path
 // under its per-instance (not server-wide) write exclusivity.
 func BenchmarkStoreParallelIncr(b *testing.B) {
-	_, cl, _ := benchCluster(b)
+	cl, _ := benchCluster(b)
 	ctrs := make([]string, 1024)
 	for i := range ctrs {
 		ctrs[i] = fmt.Sprintf("ctr-%d", i)
@@ -144,15 +140,14 @@ func BenchmarkStoreParallelIncr(b *testing.B) {
 
 // BenchmarkStoreResidentBytes reports what the store keeps per key: the
 // heap that survives a collection after 36,000 puts of 175-byte values
-// (an ingest-sparse user history) into 3 servers with one slave per
-// instance, so every key has a host and a slave copy. It counts the
-// stored versions and both copies' indexes, per key, as B/key. 36,000
+// (an ingest-sparse user history) into 3 servers, one copy per key. It
+// counts the stored versions and their index, per key, as B/key. 36,000
 // keys put about 141 in each stripe of each instance's engine, between an
 // MDB table's growth steps at 96 and 192 keys, so the figure does not
 // jump with the run: near a step, some stripes would have doubled and
 // some not.
 func BenchmarkStoreResidentBytes(b *testing.B) {
-	const keys, valueLen, syncEvery = 36000, 175, 500
+	const keys, valueLen = 36000, 175
 	value := make([]byte, valueLen)
 	liveHeap := func() uint64 {
 		runtime.GC()
@@ -162,7 +157,7 @@ func BenchmarkStoreResidentBytes(b *testing.B) {
 	}
 	var perKey float64
 	for range b.N {
-		c, err := NewCluster(Options{DataServers: 3, Instances: 16, Replicas: 1})
+		c, err := NewCluster(Options{DataServers: 3, Instances: 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,11 +171,7 @@ func BenchmarkStoreResidentBytes(b *testing.B) {
 			if err := cl.Put(fmt.Sprintf("uh:%d", i), value); err != nil {
 				b.Fatal(err)
 			}
-			if i%syncEvery == syncEvery-1 {
-				c.WaitSync() // the queues stay short: their buffers are not the store
-			}
 		}
-		c.WaitSync()
 		perKey = float64(liveHeap()-before) / keys
 		if err := c.Close(); err != nil {
 			b.Fatal(err)

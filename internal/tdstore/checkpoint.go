@@ -33,9 +33,8 @@ type CheckpointManifest struct {
 	Frontier  []FrontierEntry `json:"frontier"`
 }
 
-// Checkpoint snapshots every instance's host engine into dir together
-// with the given offset frontier. Pending replication is drained first
-// so hosts and slaves agree; each engine must implement
+// Checkpoint snapshots every instance's engine into dir together with
+// the given offset frontier; each engine must implement
 // engine.Checkpointer (the LDB engine does). The caller is responsible
 // for quiescing writes: the snapshot is exact with respect to the
 // frontier only if every record at or below it has been applied and none
@@ -44,11 +43,6 @@ type CheckpointManifest struct {
 // Layout: dir/inst-<n>/ holds instance n's engine snapshot,
 // dir/manifest.json commits the checkpoint.
 func (c *Cluster) Checkpoint(dir string, frontier []FrontierEntry) error {
-	c.WaitSync()
-	rt, err := c.RouteTable()
-	if err != nil {
-		return err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("tdstore: create checkpoint dir: %w", err)
 	}
@@ -57,16 +51,8 @@ func (c *Cluster) Checkpoint(dir string, frontier []FrontierEntry) error {
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("tdstore: clear old manifest: %w", err)
 	}
-	for inst := 0; inst < rt.NumInstances; inst++ {
-		ds, ok := c.server(rt.Hosts[inst])
-		if !ok {
-			return fmt.Errorf("tdstore: checkpoint: unknown host %q for instance %d", rt.Hosts[inst], inst)
-		}
-		eng, ok := ds.engineOf(InstanceID(inst))
-		if !ok {
-			return fmt.Errorf("tdstore: checkpoint: host %s lacks instance %d", ds.ID, inst)
-		}
-		ck, ok := eng.(engine.Checkpointer)
+	for inst, in := range c.instances {
+		ck, ok := in.eng.(engine.Checkpointer)
 		if !ok {
 			return fmt.Errorf("tdstore: engine for instance %d does not support checkpoints", inst)
 		}
@@ -74,7 +60,7 @@ func (c *Cluster) Checkpoint(dir string, frontier []FrontierEntry) error {
 			return fmt.Errorf("tdstore: checkpoint instance %d: %w", inst, err)
 		}
 	}
-	m := CheckpointManifest{Version: 1, Instances: rt.NumInstances, Frontier: frontier}
+	m := CheckpointManifest{Version: 1, Instances: len(c.instances), Frontier: frontier}
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

@@ -12,8 +12,8 @@ import (
 	"tencentrec/internal/tdstore/engine/ldb"
 )
 
-// ldbFactory builds per-instance LDB engines under root. Host and slave
-// copies of an instance get distinct directories keyed by server ID.
+// ldbFactory builds per-instance LDB engines under root, in directories
+// keyed by server ID and instance.
 func ldbFactory(root string) func(string, InstanceID) (engine.Engine, error) {
 	return func(serverID string, inst InstanceID) (engine.Engine, error) {
 		return ldb.Open(filepath.Join(root, serverID, fmt.Sprintf("inst-%d", inst)),
@@ -21,8 +21,8 @@ func ldbFactory(root string) func(string, InstanceID) (engine.Engine, error) {
 	}
 }
 
-// restoreFactory is ldbFactory plus checkpoint seeding: each host/slave
-// instance directory is wiped and re-linked from the checkpoint before
+// restoreFactory is ldbFactory plus checkpoint seeding: each instance
+// directory is wiped and re-linked from the checkpoint before
 // the engine opens — the cold-restart path.
 func restoreFactory(root, ckptDir string) func(string, InstanceID) (engine.Engine, error) {
 	return func(serverID string, inst InstanceID) (engine.Engine, error) {
@@ -39,7 +39,7 @@ func restoreFactory(root, ckptDir string) func(string, InstanceID) (engine.Engin
 // the reopen must not trip over leaked WAL handles or stale locks.
 func TestClusterLDBCloseReopen(t *testing.T) {
 	root := t.TempDir()
-	opts := Options{DataServers: 3, Instances: 6, Replicas: 1, Engine: ldbFactory(root)}
+	opts := Options{DataServers: 3, Instances: 6, Engine: ldbFactory(root)}
 	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,6 @@ func TestClusterLDBCloseReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.WaitSync()
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -84,7 +83,7 @@ func TestClusterLDBCloseReopen(t *testing.T) {
 func TestClusterCheckpointRestore(t *testing.T) {
 	root := t.TempDir()
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	opts := Options{DataServers: 3, Instances: 6, Replicas: 1, Engine: ldbFactory(root)}
+	opts := Options{DataServers: 3, Instances: 6, Engine: ldbFactory(root)}
 	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,7 @@ func TestClusterCheckpointRestore(t *testing.T) {
 	}
 
 	root2 := t.TempDir()
-	c2, err := NewCluster(Options{DataServers: 3, Instances: 6, Replicas: 1,
+	c2, err := NewCluster(Options{DataServers: 3, Instances: 6,
 		Engine: restoreFactory(root2, ckpt)})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +170,7 @@ func TestLoadCheckpointMissingManifest(t *testing.T) {
 // registry and checks they move with real work.
 func TestClusterInstrumentEngineStats(t *testing.T) {
 	root := t.TempDir()
-	c, err := NewCluster(Options{DataServers: 2, Instances: 4, Replicas: 1, Engine: ldbFactory(root)})
+	c, err := NewCluster(Options{DataServers: 2, Instances: 4, Engine: ldbFactory(root)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,6 @@ func TestClusterInstrumentEngineStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.WaitSync()
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -203,18 +201,12 @@ func TestClusterInstrumentEngineStats(t *testing.T) {
 			t.Fatalf("metric %s missing from exposition:\n%s", want, text)
 		}
 	}
-	walBytes := func() int64 {
-		var total int64
-		for _, ds := range c.Servers() {
-			h := ds.hosting.Load()
-			for _, eng := range h.instances {
-				if sr, ok := eng.(engine.StatsReporter); ok {
-					total += sr.EngineStats().WALBytes
-				}
-			}
+	var walBytes int64
+	c.engines(func(eng engine.Engine) {
+		if sr, ok := eng.(engine.StatsReporter); ok {
+			walBytes += sr.EngineStats().WALBytes
 		}
-		return total
-	}()
+	})
 	if walBytes == 0 {
 		t.Fatal("engine WAL byte counters did not move under writes")
 	}
@@ -234,12 +226,12 @@ func TestNewClusterEngineErrorCleansUp(t *testing.T) {
 		return ldb.Open(filepath.Join(root, serverID, fmt.Sprintf("inst-%d", inst)),
 			ldb.Options{})
 	}
-	if _, err := NewCluster(Options{DataServers: 2, Instances: 8, Replicas: 1, Engine: factory}); err == nil {
+	if _, err := NewCluster(Options{DataServers: 2, Instances: 8, Engine: factory}); err == nil {
 		t.Fatal("NewCluster succeeded despite factory failure")
 	}
 	// All five created engines must be closed: reopening their dirs works
 	// and a fresh cluster over the same root comes up clean.
-	c, err := NewCluster(Options{DataServers: 2, Instances: 8, Replicas: 1, Engine: ldbFactory(root)})
+	c, err := NewCluster(Options{DataServers: 2, Instances: 8, Engine: ldbFactory(root)})
 	if err != nil {
 		t.Fatalf("reopen after failed construction: %v", err)
 	}

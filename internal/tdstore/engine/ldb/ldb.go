@@ -411,7 +411,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.st.recoveryNanos = time.Since(start).Nanoseconds()
 	go s.compactLoop()
 	if opts.SyncWrites && opts.SyncInterval > 0 {
-		go s.syncLoop()
+		go s.groupCommitLoop()
 	} else {
 		close(s.syncDone)
 	}
@@ -1005,12 +1005,12 @@ func (s *Store) waitGroupSyncLocked(seq int64) error {
 	return nil
 }
 
-// syncLoop is the group-commit daemon: one fsync per SyncInterval covers
-// every append since the last one. The fsync itself runs with s.mu
+// groupCommitLoop is the group-commit daemon: one fsync per
+// SyncInterval covers every append since the last one. The fsync itself runs with s.mu
 // released so writers keep appending; a WAL rotation during the fsync
 // bumps walGen, in which case the result is discarded (rotation already
 // made those records durable in an fsynced table).
-func (s *Store) syncLoop() {
+func (s *Store) groupCommitLoop() {
 	defer close(s.syncDone)
 	ticker := time.NewTicker(s.opts.SyncInterval)
 	defer ticker.Stop()

@@ -30,22 +30,14 @@ var clientOpLabels = [numClientOps]string{
 // instrumented one never resolves a label on the hot path.
 type clientInstruments struct {
 	ops [numClientOps]*obsv.Histogram
-
-	retries   *obsv.Counter
-	refreshes *obsv.Counter
 }
 
-// Instrument binds the client's operation latencies and retry counters
-// to the registry: tdstore_op_seconds{op} per-operation histograms
-// (nanosecond observations exposed in seconds), tdstore_retries_total
-// (operation attempts that hit a retryable server error) and
-// tdstore_route_refreshes_total (route-table refetches). Call it at
-// setup, before the client is shared across goroutines.
+// Instrument binds the client's operation latencies to the registry as
+// tdstore_op_seconds{op} per-operation histograms (nanosecond
+// observations exposed in seconds). Call it at setup, before the client
+// is shared across goroutines.
 func (cl *Client) Instrument(r *obsv.Registry) {
-	ins := &clientInstruments{
-		retries:   r.Counter("tdstore_retries_total", "Operation attempts retried after a retryable server error."),
-		refreshes: r.Counter("tdstore_route_refreshes_total", "Route table refetches from the config servers."),
-	}
+	ins := &clientInstruments{}
 	for op, label := range clientOpLabels {
 		ins.ops[op] = r.Histogram("tdstore_op_seconds", "TDStore client operation latency by op.", "op", label)
 	}
@@ -72,9 +64,7 @@ func (cl *Client) observe(op clientOp, start int64) {
 // tdstore_engine_* series: WAL traffic and fsyncs, memtable flushes,
 // compaction work, block-cache effectiveness, WAL replay volume and the
 // live SSTable count, summed over every resident engine that reports
-// stats (engine.StatsReporter; in-memory engines contribute nothing), and
-// counts the replicated mutations slaves failed to apply as
-// tdstore_replica_apply_errors_total.
+// stats (engine.StatsReporter; in-memory engines contribute nothing).
 // Each engine's one-time recovery cost is recorded into the
 // tdstore_engine_recovery_seconds histogram at call time, so call this
 // after the cluster is built — and after a restore, so the replayed WAL
@@ -83,14 +73,11 @@ func (c *Cluster) Instrument(r *obsv.Registry) {
 	sum := func(pick func(engine.Stats) int64) func() int64 {
 		return func() int64 {
 			var total int64
-			for _, ds := range c.Servers() {
-				h := ds.hosting.Load()
-				for _, eng := range h.instances {
-					if sr, ok := eng.(engine.StatsReporter); ok {
-						total += pick(sr.EngineStats())
-					}
+			c.engines(func(eng engine.Engine) {
+				if sr, ok := eng.(engine.StatsReporter); ok {
+					total += pick(sr.EngineStats())
 				}
-			}
+			})
 			return total
 		}
 	}
@@ -112,25 +99,13 @@ func (c *Cluster) Instrument(r *obsv.Registry) {
 		sum(func(s engine.Stats) int64 { return s.ReplayedWALRecords }))
 	r.CounterFunc("tdstore_engine_torn_wal_tails_total", "Torn WAL tails truncated at engine open.",
 		sum(func(s engine.Stats) int64 { return s.TornWALTails }))
-	r.GaugeFunc("tdstore_engine_sstables", "Live SSTables across all resident engines.",
+	r.GaugeFunc("tdstore_engine_sstables", "Live SSTables across all engines.",
 		sum(func(s engine.Stats) int64 { return s.Tables }))
-	r.CounterFunc("tdstore_replica_apply_errors_total",
-		"Replicated mutations a slave's engine failed to apply, a batch counting once; a revive's catch-up repairs such a copy.",
-		func() int64 {
-			var total int64
-			for _, ds := range c.Servers() {
-				total += ds.replicaErrors.Load()
-			}
-			return total
-		})
 	rec := r.Histogram("tdstore_engine_recovery_seconds",
 		"Per-engine open/recovery wall time (WAL replay included).")
-	for _, ds := range c.Servers() {
-		h := ds.hosting.Load()
-		for _, eng := range h.instances {
-			if sr, ok := eng.(engine.StatsReporter); ok {
-				rec.Observe(sr.EngineStats().RecoveryNanos)
-			}
+	c.engines(func(eng engine.Engine) {
+		if sr, ok := eng.(engine.StatsReporter); ok {
+			rec.Observe(sr.EngineStats().RecoveryNanos)
 		}
-	}
+	})
 }

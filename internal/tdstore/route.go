@@ -4,49 +4,28 @@
 // pair counts, similarity lists and CTR statistics — outside the stateless
 // stream workers.
 //
-// The store is composed of config servers and data servers. The config
-// servers (a host and a backup) manage the route table and track data
-// server liveness; data servers hold the data instances. Replication is at
-// the granularity of a data instance: a server may be the host of some
-// instances and the slave of others, so "almost all the data servers are
-// providing service simultaneously" while each instance has a single
-// serving host. Host→slave synchronization runs in the background, applied
-// by the slave "when idle". On a data server failure the config server
-// promotes a slave, and clients refresh their cached route table and retry.
+// The key space is divided into data instances, and NewCluster assigns
+// each instance to one data server, whose engine holds the instance's only
+// copy. The route table that records the assignment is fixed for the
+// cluster's life, and clients use it to reach an instance's engine
+// directly.
 //
-// Servers here are in-process objects rather than networked daemons; the
-// visible behaviours — routing, promotion, stale-route retry, asynchronous
-// replica catch-up — mirror the paper's design.
+// The paper's slave copies, its backup config server and the failover
+// between them are left out: every server runs inside one process, so the
+// process is the failure unit and a fault takes every copy at once. A
+// durable engine's checkpoint and the replay of the action log's tail past
+// it (Cluster.Checkpoint) are what recover the store.
 package tdstore
 
 // InstanceID identifies a data instance (a shard of the key space).
 type InstanceID int
 
-// RouteTable maps every data instance to its serving host and its slaves.
-// Clients cache it and refresh on version mismatch or server failure.
+// RouteTable maps every data instance to the data server that holds it.
 type RouteTable struct {
-	// Version increases whenever an assignment changes.
-	Version int64
 	// NumInstances is the number of data instances (key-space shards).
 	NumInstances int
-	// Hosts maps instance -> id of the data server currently serving it.
+	// Hosts maps instance -> id of the data server holding it.
 	Hosts []string
-	// Slaves maps instance -> ids of its backup data servers.
-	Slaves [][]string
-}
-
-// clone returns a deep copy so cached tables are immutable to callers.
-func (rt *RouteTable) clone() *RouteTable {
-	cp := &RouteTable{
-		Version:      rt.Version,
-		NumInstances: rt.NumInstances,
-		Hosts:        append([]string(nil), rt.Hosts...),
-		Slaves:       make([][]string, len(rt.Slaves)),
-	}
-	for i, s := range rt.Slaves {
-		cp.Slaves[i] = append([]string(nil), s...)
-	}
-	return cp
 }
 
 // InstanceFor returns the data instance owning key. The hash is FNV-1a

@@ -67,7 +67,7 @@ func TestColdRestartChaosSoak(t *testing.T) {
 	factory := func(serverID string, inst tdstore.InstanceID) (engine.Engine, error) {
 		return ldb.Open(filepath.Join(storeRoot, serverID, fmt.Sprintf("inst-%d", inst)), ldbOpts)
 	}
-	clusterOpts := tdstore.Options{DataServers: 3, Instances: 12, Replicas: 2, Engine: factory}
+	clusterOpts := tdstore.Options{DataServers: 3, Instances: 12, Engine: factory}
 
 	p := Params{
 		FlushInterval: time.Hour,
@@ -97,9 +97,7 @@ func TestColdRestartChaosSoak(t *testing.T) {
 			time.Sleep(kill)
 			h.Stop() // the process is "killed" mid-tail
 		}
-		select {
-		case <-h.Done():
-		case <-time.After(300 * time.Second):
+		if !stopped(h, 300*time.Second) {
 			t.Fatal("topology did not quiesce")
 		}
 	}
@@ -124,7 +122,6 @@ func TestColdRestartChaosSoak(t *testing.T) {
 		}
 	}
 	runTopo(broker, client, nil, 0)
-	cluster.WaitSync()
 
 	frontier := make([]int64, parts)
 	var committed int64
@@ -179,7 +176,7 @@ func TestColdRestartChaosSoak(t *testing.T) {
 		}
 		return ldb.Open(dir, ldbOpts)
 	}
-	cluster2, err := tdstore.NewCluster(tdstore.Options{DataServers: 3, Instances: 12, Replicas: 2, Engine: restoreFactory})
+	cluster2, err := tdstore.NewCluster(tdstore.Options{DataServers: 3, Instances: 12, Engine: restoreFactory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +187,6 @@ func TestColdRestartChaosSoak(t *testing.T) {
 	}
 	var replayed atomic.Int64
 	runTopo(broker2, client2, &replayed, 0)
-	cluster2.WaitSync()
 
 	// Recovery replays exactly the tail: every record past the frontier,
 	// none below it and none twice. Both spout tasks join the group before

@@ -67,19 +67,10 @@ func (in *interner) key2(a, b string) string {
 	return in.intern()
 }
 
-// pair interns the canonical encoding of an item pair as a state key
-// component: the lexicographically ordered pair joined by 0x1f.
-func (in *interner) pair(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	in.buf = append(append(append(in.buf[:0], a...), 0x1f), b...)
-	return in.intern()
-}
-
-// pairBytes is pair with the second component still aliasing an encoded
-// buffer (e.g. a history iterator's item slice) — no intermediate
-// string is materialized.
+// pairBytes interns the canonical encoding of an item pair as a state
+// key component: the lexicographically ordered pair joined by 0x1f. The
+// second component may still alias an encoded buffer (e.g. a history
+// iterator's item slice): no intermediate string is materialized.
 func (in *interner) pairBytes(a string, b []byte) string {
 	if a > string(b) {
 		in.buf = append(append(append(in.buf[:0], b...), 0x1f), a...)

@@ -25,9 +25,6 @@ func TestInternerShapes(t *testing.T) {
 	if got := in.key2("uh:", "alice"); got != "uh:alice" {
 		t.Fatalf("key2 = %q", got)
 	}
-	if got, want := in.pair("b", "a"), pairID("b", "a"); got != want {
-		t.Fatalf("pair = %q want %q", got, want)
-	}
 	if got, want := in.pairBytes("b", []byte("a")), pairID("b", "a"); got != want {
 		t.Fatalf("pairBytes = %q want %q", got, want)
 	}

@@ -397,12 +397,3 @@ func (s *Serving) RecommendCB(user string, candidates []string, n int, exclude m
 func PutItemProfile(st State, id string, terms []string, published time.Time) error {
 	return st.Put(prefixItemInfo+id, itemProfile(terms, published.UnixNano()))
 }
-
-// UserRating exposes a user's current stored rating for an item.
-func (s *Serving) UserRating(user, item string) (float64, error) {
-	hist, err := s.history(user)
-	if err != nil || hist == nil {
-		return 0, err
-	}
-	return hist[item].Rating, nil
-}

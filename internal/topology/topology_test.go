@@ -582,8 +582,9 @@ func TestServingRecommendCFWithComplement(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no recommendations for an active user")
 	}
+	lib := libEngine(p.withDefaults(), actions)
 	for _, r := range recs {
-		if rt, _ := srv.UserRating("u3", r.Item); rt > 0 {
+		if lib.UserRating("u3", r.Item) > 0 {
 			t.Fatalf("recommended already-rated item %s", r.Item)
 		}
 	}

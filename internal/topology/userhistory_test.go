@@ -2,10 +2,8 @@ package topology
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -283,60 +281,6 @@ func TestUserHistoryWindowExpiryMatchesLibrary(t *testing.T) {
 			items = append(items, a.item)
 		}
 	}
-}
-
-// v1UserHistory writes a user history in the codec's version 1 layout,
-// whose entries carry the session beside the timestamp.
-func v1UserHistory(p Params, entries []storedRating, items []string) []byte {
-	b := []byte{0x01, 'H', 1, byte(len(entries))}
-	for i, r := range entries {
-		b = append(b, byte(len(items[i])))
-		b = append(b, items[i]...)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Rating))
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.TS))
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.clock().SessionOf(time.Unix(0, r.TS))))
-	}
-	return b
-}
-
-// TestUserHistoryReadsVersion1Frame: a history stored in version 1 form
-// before the session left the entry serves the next action of its user
-// like the history the library holds, and the write leaves a version 2
-// frame.
-func TestUserHistoryReadsVersion1Frame(t *testing.T) {
-	p := Params{WindowSessions: 2, SessionDuration: time.Hour}.withDefaults()
-	st := NewMemState()
-	cf := libEngine(p, nil)
-	items := []string{"a", "b", "c"}
-	actions := []string{"browse", "purchase", "click"}
-	ats := []time.Time{t0, t0.Add(time.Hour), t0.Add(2 * time.Hour)}
-	var entries []storedRating
-	for i, item := range items {
-		cf.Observe(core.Action{User: "u", Item: item, Type: core.ActionType(actions[i]), Time: ats[i]})
-		entries = append(entries, storedRating{Rating: p.Weights[core.ActionType(actions[i])], TS: ats[i].UnixNano()})
-	}
-	frame := v1UserHistory(p, entries, items)
-	if h, err := statecodec.DecodeHistory(frame); err != nil || len(h) != 3 || h["b"] != entries[1] {
-		t.Fatalf("hand-built version 1 frame decodes to %v, %v", h, err)
-	}
-	st.Put(prefixUserHistory+"u", frame)
-
-	b, c := userHistoryBolt(t, st, p)
-	// Session 2: a (session 0) has expired, b and c co-rate.
-	actMatchesLibrary(t, b, c, cf, items, "d", "read", t0.Add(2*time.Hour+time.Minute))
-	raw, _, _ := st.Get(prefixUserHistory + "u")
-	if len(raw) < 3 || raw[2] != 2 {
-		t.Fatalf("stored frame after the write: %x, want version 2", raw)
-	}
-	want := statecodec.History{"d": {Rating: p.Weights[core.ActionRead], TS: t0.Add(2*time.Hour + time.Minute).UnixNano()}}
-	for i, item := range items {
-		want[item] = entries[i]
-	}
-	if h, err := statecodec.DecodeHistory(raw); err != nil || !reflect.DeepEqual(h, want) {
-		t.Fatalf("stored history %v, %v; want %v", h, err, want)
-	}
-	// The upgraded frame serves the next action as well.
-	actMatchesLibrary(t, b, c, cf, append(items, "d"), "b", "purchase", t0.Add(2*time.Hour+2*time.Minute))
 }
 
 // TestWritersRejectMalformedValues: a stored value the codec's edits

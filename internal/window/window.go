@@ -116,12 +116,3 @@ func (c *Counter) Sum(current int64) float64 {
 	}
 	return total
 }
-
-// Reset clears the counter.
-func (c *Counter) Reset() {
-	c.total = 0
-	c.init = false
-	for i := range c.ring {
-		c.ring[i] = 0
-	}
-}

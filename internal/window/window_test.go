@@ -64,19 +64,6 @@ func TestLateEventsLandInOldestSession(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := NewCounter(3)
-	c.Add(1, 5)
-	c.Reset()
-	if got := c.Sum(1); got != 0 {
-		t.Fatalf("Sum after Reset = %v", got)
-	}
-	c.Add(2, 1)
-	if got := c.Sum(2); got != 1 {
-		t.Fatalf("Sum after Reset+Add = %v, want 1", got)
-	}
-}
-
 func TestClockSessionOf(t *testing.T) {
 	c := Clock{Session: time.Hour}
 	t0 := time.Unix(0, 0)

@@ -107,7 +107,6 @@ func TestPrometheusFamilyCoverage(t *testing.T) {
 		`stream_execute_seconds_count{component="userHistory"}`,
 		// TDStore client
 		"# TYPE tdstore_op_seconds histogram",
-		"tdstore_retries_total",
 		// TDAccess broker
 		"# TYPE tdaccess_published_total counter",
 		"# TYPE tdaccess_consume_lag_seconds histogram",

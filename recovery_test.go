@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -225,9 +226,9 @@ type soakResult struct {
 // TestSystemKill9RestoreSoak proves process-level recovery on the
 // recommender itself (DESIGN.md §18). The test binary re-executes itself
 // twice. The first child opens a default System on the ldb engine,
-// publishes the head, checkpoints, publishes the tail with the spout
-// parked, and reports the spout's progress through the tail; the parent
-// SIGKILLs it once that progress is under way. The second child reopens
+// publishes the head, checkpoints, publishes the tail, holds the spout
+// part way through it and reports its progress from inside the hold; the
+// parent SIGKILLs it there. The second child reopens
 // with RestoreFromCheckpoint and drains: it must replay exactly the tail,
 // and end with every item's counters equal to the sequential reference
 // over the whole stream.
@@ -340,21 +341,30 @@ func soakChild(t *testing.T, role, dir string) {
 		t.Fatal(err)
 	}
 	fmt.Println("soak checkpointed")
-	// The whole tail goes into the log before the spout reads any of it.
-	if err := s.running.Quiesce(func() error {
-		for _, a := range actions[soakHead:] {
+	// The first half of the tail goes into the log and the spout starts on
+	// it. Once it has consumed part of it, the child holds it (Quiesce:
+	// spouts parked, in-flight tuples drained, one tick round), publishes
+	// the second half behind it, reports its progress from inside the hold
+	// and waits there to be killed. So the kill lands with the whole tail
+	// in the log and at most half of it consumed, by construction.
+	tail := actions[soakHead:]
+	for _, a := range tail[:soakTail/2] {
+		if err := s.Publish(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s.ReplayedTailRecords() == soakHead {
+		time.Sleep(100 * time.Microsecond)
+	}
+	err = s.running.Quiesce(func() error {
+		for _, a := range tail[soakTail/2:] {
 			if err := s.Publish(a); err != nil {
 				return err
 			}
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for last := int64(-1); ; time.Sleep(100 * time.Microsecond) {
-		if n := s.ReplayedTailRecords() - soakHead; n != last {
-			fmt.Printf("soak consumed %d\n", n)
-			last = n
-		}
-	}
+		fmt.Printf("soak consumed %d\n", s.ReplayedTailRecords()-soakHead)
+		time.Sleep(time.Hour)
+		return errors.New("the held child was not killed")
+	})
+	t.Fatal(err)
 }

@@ -26,15 +26,15 @@ go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKn
 # flushes the retiring tasks, and checkpoint replay recovers across
 # processes, the process being the failure unit. These two soaks, with the
 # combiner on as every System runs it, are the proof that rebalances,
-# broker and store faults and a cold restart lose nothing.
+# broker data-server faults and a cold restart lose nothing.
 echo "== go test -race -count=5 the chaos soak and the cold-restart soak"
 go test -race -count=5 -run '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak)$' ./internal/topology/
 
 echo "== go test -race serving tier (TTL, negative cache and its drop on write, a read that straddles Invalidate, a failed store read, LRU, mixed load)"
 go test -race -run 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), a batch as one WAL append, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, failed replica applies counted, replicas applying a drain in the host's order, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
-go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestReplicaApplyErrorsCounted|TestReplicasApplyHostOrder|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
+echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), a batch as one WAL append, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
+go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 # The test skips itself unless exactly one tick round had run when it read
@@ -107,13 +107,14 @@ echo "== store benchmarks (smoke)"
 go test -run=NONE -bench='BenchmarkMDBConcurrent|BenchmarkStoreParallel' -benchtime=100x ./internal/tdstore/...
 
 # A Put allocates the client's KV of the value (the key's length, the key
-# and the value in one string) and nothing else: the host's engine, the
-# replication queue and every slave's engine keep that one KV. A 64-key
-# batch allocates its 64 KVs (a BatchGet, the engine's 64 copy-outs) and
-# at most 5 more however many servers it spans: the items, the groups,
-# the client's KV slice or a BatchGet's two result slices. The groups go out one after another on the caller's
-# goroutine, so the send does not escape. With a copy per engine, a map of
-# groups and a slice grown per group they were 2 to 3, 93 and 227.
+# and the value in one string) and nothing else: the instance's engine
+# keeps that one KV. A 64-key batch allocates its 64 KVs (a BatchGet, the
+# engine's 64 copy-outs) and at most 5 more however many instances it
+# spans: the items, the client's KV slice or a BatchGet's two result
+# slices (it measured 2 and 3). The runs go out one after another on the
+# caller's goroutine, so the send does not escape. With a copy per
+# engine, a map of groups and a slice grown per group they were 2 to 3, 93
+# and 227.
 echo "== store write and batch paths: one copy per value, a fixed handful per batch"
 store_out=$(go test -run=NONE -bench='BenchmarkStoreParallel(Put|BatchGet|BatchPut)$' -benchmem -benchtime=5000x ./internal/tdstore/)
 echo "$store_out"
@@ -124,19 +125,20 @@ else
 	exit 1
 fi
 
-# What the store keeps per key, host and slave copy together, after a
-# collection: 36,000 puts of 175-byte values into 3 servers with one slave
-# per instance. It measured 256.0 B/key: one shared 192-byte KV and two
-# MDB index entries of 17-byte slots at a little over half full. With a
-# map[string][]byte per stripe, the key string and the value copy apart,
-# it was 369.7. The bound is the measured value plus a tenth.
-echo "== what the store keeps per key stays at or under 282 bytes"
+# What the store keeps per key after a collection: 36,000 puts of
+# 175-byte values into 3 servers, one copy per key. It measured 223.0
+# B/key: one 192-byte KV and one MDB index entry of 17-byte slots at a
+# little over half full. With a slave copy per instance, its index entry
+# beside the host's, it was 256.0; with a map[string][]byte per stripe as
+# well, the key string and the value copy apart, it was 369.7. The bound
+# is the measured value plus a tenth.
+echo "== what the store keeps per key stays at or under 245 bytes"
 resident_out=$(go test -run=NONE -bench='BenchmarkStoreResidentBytes$' -benchtime=1x ./internal/tdstore/)
 echo "$resident_out"
-if echo "$resident_out" | awk '/^BenchmarkStoreResidentBytes/ { for (i = 1; i <= NF; i++) if ($(i+1) == "B/key" && $i > 282) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
+if echo "$resident_out" | awk '/^BenchmarkStoreResidentBytes/ { for (i = 1; i <= NF; i++) if ($(i+1) == "B/key" && $i > 245) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
 	:
 else
-	echo "check: the store keeps more than 282 bytes per key" >&2
+	echo "check: the store keeps more than 245 bytes per key" >&2
 	exit 1
 fi
 

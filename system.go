@@ -29,12 +29,12 @@ const consumerGroup = "tencentrec"
 const defaultGroupCommit = 2 * time.Millisecond
 
 // storeEngineFactory maps a StoreEngine name to a per-instance engine
-// constructor. Durable engines get one directory per (server, instance)
-// so replicas never share files. When restore is non-empty it names a
-// checkpoint directory: each instance directory is wiped and re-seeded
-// from the snapshot before its engine opens (LDB only — the other
-// engines have no snapshot format). Without a restore, an LDB instance
-// that already holds keys is refused.
+// constructor. Durable engines get one directory per (server,
+// instance). When restore is non-empty it names a checkpoint directory:
+// each instance directory is wiped and re-seeded from the snapshot before
+// its engine opens (LDB only — the other engines have no snapshot
+// format). Without a restore, an LDB instance that already holds keys is
+// refused.
 func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func(string, tdstore.InstanceID) (engine.Engine, error), error) {
 	if restore != "" && name != "ldb" {
 		return nil, fmt.Errorf("tencentrec: checkpoint restore requires the ldb store engine, not %q", name)
@@ -88,9 +88,9 @@ type SystemConfig struct {
 	Topic string
 	// BrokerPartitions is the action topic's partition count. Default 4.
 	BrokerPartitions int
-	// StoreServers, StoreInstances and StoreReplicas shape the TDStore
-	// cluster. Defaults 3, 16 and 1.
-	StoreServers, StoreInstances, StoreReplicas int
+	// StoreServers and StoreInstances shape the TDStore cluster: each
+	// instance is one engine on one of the servers. Defaults 3 and 16.
+	StoreServers, StoreInstances int
 	// StoreEngine selects the TDStore storage engine: "mdb" (in-memory,
 	// default) or "ldb" (log-structured, durable). The durable engine
 	// persists under StoreDir.
@@ -147,9 +147,6 @@ func (c SystemConfig) withDefaults() SystemConfig {
 	}
 	if c.StoreInstances <= 0 {
 		c.StoreInstances = 16
-	}
-	if c.StoreReplicas <= 0 {
-		c.StoreReplicas = 1
 	}
 	if !c.Features.CF && !c.Features.AR && !c.Features.CB && !c.Features.Ctr {
 		c.Features.CF = true
@@ -222,7 +219,6 @@ func Open(cfg SystemConfig) (*System, error) {
 	cluster, err := tdstore.NewCluster(tdstore.Options{
 		DataServers: c.StoreServers,
 		Instances:   c.StoreInstances,
-		Replicas:    c.StoreReplicas,
 		Engine:      engineFactory,
 	})
 	if err != nil {
@@ -430,9 +426,8 @@ func (s *System) Drain(timeout time.Duration) error {
 	if err := s.running.Quiesce(func() error { return nil }); err != nil {
 		return err
 	}
-	s.cluster.WaitSync()
 	// Drained means "queries now see everything published", so the
-	// serving tier must not hand out results cached before the sync.
+	// serving tier must not hand out results cached before the drain.
 	s.reader.Invalidate()
 	return nil
 }
@@ -497,10 +492,6 @@ func (s *System) Traces() []obsv.TraceSnapshot {
 func (s *System) WriteTraceWaterfall(w io.Writer) {
 	obsv.WriteWaterfall(w, s.Traces())
 }
-
-// KillStoreServer fails a TDStore data server; a slave is promoted and
-// service continues (§3.3). For fault-tolerance demonstrations.
-func (s *System) KillStoreServer(id string) error { return s.cluster.KillDataServer(id) }
 
 // Rebalance changes the live parallelism of one bolt without stopping
 // the pipeline or losing in-flight tuples — the Storm `rebalance`

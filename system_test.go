@@ -78,36 +78,6 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSystemSurvivesStoreFailover(t *testing.T) {
-	s, err := Open(SystemConfig{
-		DataDir:       t.TempDir(),
-		StoreReplicas: 2,
-		Params:        Params{FlushInterval: 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	publishCluster(t, s)
-	if err := s.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.SimilarItems("video-A", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.KillStoreServer("ds-0"); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.SimilarItems("video-A", 3)
-	if err != nil {
-		t.Fatalf("query after failover: %v", err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("failover lost results: %d vs %d", len(after), len(before))
-	}
-}
-
 func TestSystemCBAndCtrChains(t *testing.T) {
 	s, err := Open(SystemConfig{
 		DataDir:  t.TempDir(),
