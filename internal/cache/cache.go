@@ -10,7 +10,10 @@
 // first and write through to the store, and reads prefer the cache.
 package cache
 
-import "container/list"
+import (
+	"container/list"
+	"strings"
+)
 
 // Store is the backing read interface (a TDStore client in production).
 type Store interface {
@@ -35,7 +38,8 @@ type BatchStore interface {
 // key's single writer and immediately Puts the key back (keeping the
 // entry's slice header current); values must never escape to another
 // goroutine or outlive the next write to the key. Put stores the
-// caller's slice as-is and never copies.
+// caller's slice as-is and never copies; an entry keeps its own copy of
+// its key.
 type Cache struct {
 	store    Store
 	capacity int
@@ -141,7 +145,11 @@ func (c *Cache) Put(key string, value []byte) {
 	c.insert(key, value)
 }
 
+// insert enters a key the cache does not hold. It keeps a copy of the key:
+// a caller's key may be a slice of a larger string that it built many keys
+// into, which an entry must not keep alive.
 func (c *Cache) insert(key string, value []byte) {
+	key = strings.Clone(key)
 	el := c.order.PushFront(&entry{key: key, value: value})
 	c.entries[key] = el
 	if c.order.Len() > c.capacity {

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // mapStore is a Store backed by a map, counting reads.
@@ -108,5 +110,30 @@ func TestBurstLocality(t *testing.T) {
 	}
 	if st.reads > 10 {
 		t.Fatalf("burst hit rate too low: %d of 1000 reads missed", st.reads)
+	}
+}
+
+// TestEntryKeepsItsOwnKey: an entry keeps a copy of its key, whether a miss
+// or a Put entered it: a caller's key may be a slice of a larger string
+// that the cache must not keep alive.
+func TestEntryKeepsItsOwnKey(t *testing.T) {
+	keys := strings.Repeat("k", 8) + "k1" + "k2"
+	c := New(&mapStore{m: map[string][]byte{"k1": []byte("v")}}, 4)
+	if _, found, err := c.GetBatch([]string{keys[8:10]}); err != nil || !found[0] {
+		t.Fatalf("GetBatch(k1) = %v, %v", found, err)
+	}
+	c.Put(keys[10:12], []byte("w"))
+	base := uintptr(unsafe.Pointer(unsafe.StringData(keys)))
+	inKeys := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= base && p < base+uintptr(len(keys))
+	}
+	for k, el := range c.entries {
+		if inKeys(k) || inKeys(el.Value.(*entry).key) {
+			t.Fatalf("entry %q shares the caller's string", k)
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("%d entries, want 2", c.Len())
 	}
 }

@@ -2,9 +2,12 @@ package topology
 
 import (
 	"cmp"
+	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"tencentrec/internal/combiner"
 	"tencentrec/internal/core"
@@ -459,32 +462,40 @@ func (b *ItemCountBolt) Cleanup() {}
 // depends on the engine's tick order (DESIGN.md §10): itemCount's tasks
 // have executed this round's tick before pairCount's tick is delivered.
 //
-// A pair is looked up by string once per delta, in pairs; everything else
-// about it — its open job, its state keys, its items, where a flush staged
-// them — hangs off the entry that probe returns.
+// A pair is looked up by string once per delta, in the record table. What
+// must outlive an interval is the pair's record; what a flush needs for one
+// interval (the pair's jobs, where the batch staged it, its pc: key) lives
+// in the interval's lists, which the flush empties.
 type PairCountBolt struct {
 	p     Params
 	store State
 	c     stream.Collector
 	st    *taskState
-	// pairs holds what this task knows about every pair it has seen, keyed
-	// by pair id (the suffix of the entry's own pc: key); arena
-	// chunk-allocates the entries.
-	pairs map[string]*pairState
-	arena []pairState
-	// items is the member items of those pairs, pairState.a/b indexing it;
+	// recs holds a record for every pair this task has seen. slots finds
+	// one by pair id: open addressing over maphash with seed, a slot holding
+	// the high half of the id's hash above its record's index plus one, zero
+	// when empty.
+	recs  []pairRec
+	slots []uint64
+	seed  maphash.Seed
+	// items is the member items of those pairs, pairRec.a/b indexing it;
 	// itemIdx finds a row by item id when a new pair is entered.
 	items   []pairItem
 	itemIdx map[string]uint32
-	// jobs is the interval's combiner (§5.3): one job per pair and session
-	// with a delta since the last flush, in first-touch order, each pair's
-	// entry remembering where its latest one is. A flush appends its
+	// The interval's combiner (§5.3). touched lists the pairs with a job
+	// since the last flush, in first-touch order, and touchOf finds the
+	// entry of a pair with a delta by its record; touchPeak is the most
+	// entries touchOf has held since it was made. jobs is one job per pair
+	// and session with a delta, in first-touch order. A flush appends its
 	// rescores and applies the list.
-	jobs []pairJob
-	// recheck lists the pairs the zero-count guard deferred (pairState.retry
+	touched   []pairTouch
+	touchOf   map[uint32]int32
+	touchPeak int
+	jobs      []pairJob
+	// recheck lists the records the zero-count guard deferred (recRetry
 	// set): their score is retried on the next tick.
-	recheck []*pairState
-	// epoch numbers the staged batches; an entry stamped with it has its
+	recheck []uint32
+	// epoch numbers the staged batches; an item row stamped with it has its
 	// keys staged in the current one.
 	epoch uint32
 	// sims collects the rows applyJobs' applies produce (item, other,
@@ -495,41 +506,61 @@ type PairCountBolt struct {
 	keys *interner
 }
 
-// pairState is one pair's in-memory state on the task that owns it. It is
-// rebuilt lazily after a rebalance or a restore: the pl: flag is durable, and a pair is
-// counted again with its next delta. A task holds one for every pair it
-// ever saw, so it stays within 64 bytes.
-type pairState struct {
-	// pcKey is the pair's counter key, "pc:"+pair id.
-	pcKey string
-	// session is the latest session the pair was counted in, where the
-	// guard's retry and the final tick read its windowed sums.
-	session int64
-	// job is the index in PairCountBolt.jobs of the pair's latest job of
-	// this interval, noJob when it has none.
-	job int32
-	// pos is where the batch numbered epoch staged pcKey.
-	pos   int32
-	epoch uint32
-	// a, b index PairCountBolt.items.
+// pairRec is what a task keeps about a pair from one interval to the next:
+// 16 bytes and no pointer, so the collector never scans the table. It is
+// rebuilt lazily after a rebalance or a restore: the pl: flag is durable,
+// and a pair is counted again with its next delta.
+type pairRec struct {
+	// a, b index PairCountBolt.items: the pair id is the two item ids
+	// joined by 0x1f.
 	a, b uint32
-	// counted marks a live pair this task has applied: on the engine's
+	// state packs the latest session the pair was counted in (the high
+	// 64-recFlagBits bits, signed), where the guard's retry and the final
+	// tick read its windowed sums, with the rec* flags (the low bits).
+	state uint64
+}
+
+// The flags of pairRec.state.
+const (
+	// recCounted marks a live pair this task has applied: on the engine's
 	// final shutdown tick every such pair is rescored against the
 	// fully-settled counters, so a drained topology stores exact
 	// similarities.
-	counted bool
-	// pruned is Algorithm 1's Li membership. It is known once flagRead is
-	// set: the durable pl: flag is read with the load of the first flush
-	// that applies the pair, not on the tuple path.
-	pruned, flagRead bool
-	// retry marks a pair listed in recheck.
-	retry bool
+	recCounted uint64 = 1 << iota
+	// recPruned is Algorithm 1's Li membership. It is known once
+	// recFlagRead is set: the durable pl: flag is read with the load of the
+	// first flush that applies the pair, not on the tuple path.
+	recPruned
+	recFlagRead
+	// recRetry marks a pair listed in recheck.
+	recRetry
+)
+
+// recFlagBits is the width of the flags below a pairRec's session: a
+// session packs if it is under 2^59 in magnitude, which a session of
+// SessionDuration 16 ns or more is until the year 2262.
+const recFlagBits = 4
+
+func (r *pairRec) is(flag uint64) bool { return r.state&flag != 0 }
+func (r *pairRec) set(flag uint64)     { r.state |= flag }
+func (r *pairRec) unset(flag uint64)   { r.state &^= flag }
+func (r *pairRec) session() int64      { return int64(r.state) >> recFlagBits }
+
+func (r *pairRec) setSession(s int64) {
+	r.state = uint64(s)<<recFlagBits | r.state&(1<<recFlagBits-1)
+}
+
+// pairTouch is a pair's part of one interval.
+type pairTouch struct {
+	rec uint32
+	// job is the index in PairCountBolt.jobs of the pair's latest delta job,
+	// noJob when it has none.
+	job int32
+	// pos is where the interval's batch staged the pair's pc: key.
+	pos int32
 }
 
 const noJob = -1
-
-// pair returns the pair id.
-func (ps *pairState) pair() string { return ps.pcKey[len(prefixPairCount):] }
 
 // pairItem is one member item of the pairs a task owns.
 type pairItem struct {
@@ -554,28 +585,68 @@ func NewPairCountBolt(store State, p Params) stream.BoltFactory {
 func (b *PairCountBolt) Prepare(_ stream.TopologyContext, c stream.Collector) error {
 	b.c = c
 	b.st = newTaskState(b.store, b.p.CacheSize)
-	b.pairs = make(map[string]*pairState)
+	b.seed = maphash.MakeSeed()
 	b.itemIdx = make(map[string]uint32)
+	b.touchOf = make(map[uint32]int32)
 	b.keys = newInterner(b.p.CacheSize)
 	return nil
 }
 
-// state returns the pair's entry, creating it on first sight. The entry's
-// pc: key is the one string a pair costs: the map key is its suffix.
-func (b *PairCountBolt) state(pair string) *pairState {
-	if ps := b.pairs[pair]; ps != nil {
-		return ps
+// pair returns the index of the pair's record, entering it on first sight.
+// The id is hashed once; a slot whose hash half matches is checked against
+// its record's item ids, so no string is kept per pair. ok is false for an
+// id with no 0x1f.
+func (b *PairCountBolt) pair(id string) (r uint32, ok bool) {
+	if 4*len(b.recs) >= 3*len(b.slots) {
+		b.growSlots()
 	}
-	if len(b.arena) == cap(b.arena) {
-		b.arena = make([]pairState, 0, 256)
+	mask := uint64(len(b.slots) - 1)
+	h := maphash.String(b.seed, id)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if s := b.slots[i]; s != 0 {
+			if s>>32 == h>>32 && b.isPair(uint32(s)-1, id) {
+				return uint32(s) - 1, true
+			}
+			continue
+		}
+		itemA, itemB := splitPair(id)
+		if len(itemA) == len(id) {
+			return 0, false
+		}
+		r = uint32(len(b.recs))
+		b.recs = append(b.recs, pairRec{a: b.item(itemA), b: b.item(itemB)})
+		b.slots[i] = h>>32<<32 | uint64(r+1)
+		return r, true
 	}
-	b.arena = b.arena[:len(b.arena)+1]
-	ps := &b.arena[len(b.arena)-1]
-	ps.pcKey, ps.job = prefixPairCount+pair, noJob
-	itemA, itemB := splitPair(ps.pair())
-	ps.a, ps.b = b.item(itemA), b.item(itemB)
-	b.pairs[ps.pair()] = ps
-	return ps
+}
+
+// isPair reports whether record r is the pair id.
+func (b *PairCountBolt) isPair(r uint32, id string) bool {
+	x, y := b.items[b.recs[r].a].id(), b.items[b.recs[r].b].id()
+	return len(id) == len(x)+1+len(y) && id[len(x)] == 0x1f && id[:len(x)] == x && id[len(x)+1:] == y
+}
+
+// growSlots doubles the index and enters every record again, hashing its
+// id from its item ids.
+func (b *PairCountBolt) growSlots() {
+	slots := make([]uint64, max(2*len(b.slots), 64))
+	mask := uint64(len(slots) - 1)
+	var h maphash.Hash
+	h.SetSeed(b.seed)
+	for r := range b.recs {
+		rec := &b.recs[r]
+		h.Reset()
+		h.WriteString(b.items[rec.a].id())
+		h.WriteByte(0x1f)
+		h.WriteString(b.items[rec.b].id())
+		sum := h.Sum64()
+		i := sum & mask
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = sum>>32<<32 | uint64(r+1)
+	}
+	b.slots = slots
 }
 
 // item returns the row of b.items for an item id, adding it on first sight.
@@ -597,48 +668,71 @@ func (b *PairCountBolt) Execute(t *stream.Tuple) error {
 		return b.flush(t.IsFinalTick())
 	}
 	session := t.Value("session").(int64)
+	if session != session<<recFlagBits>>recFlagBits {
+		return fmt.Errorf("topology: session %d is past pairCount's range (a SessionDuration under 16ns)", session)
+	}
+	var bad error
 	for _, row := range t.Run("pair") {
-		b.add(row.Key, session, row.Num)
+		r, ok := b.pair(row.Key)
+		if !ok {
+			bad = fmt.Errorf("topology: pair id %q joins no two items", row.Key)
+			continue
+		}
+		b.add(r, session, row.Num)
 	}
 	if !b.p.DisableCombiner || len(b.jobs) == 0 {
-		return nil
+		return bad
 	}
 	// Every run is an interval of its rows. A failed read fails the tuple,
 	// counted as a component error: nothing of it is kept for a tick.
 	sb, err := b.newPairBatch()
 	if err != nil {
-		for i := range b.jobs {
-			b.jobs[i].ps.job = noJob
-		}
-		b.jobs = b.jobs[:0]
+		b.endInterval()
 		return err
 	}
-	return b.applyJobs(sb)
+	if err := b.applyJobs(sb); err != nil {
+		return err
+	}
+	return bad
 }
 
 // add merges one pair delta into the interval's job list.
-func (b *PairCountBolt) add(pair string, session int64, delta float64) {
-	ps := b.state(pair)
-	if ps.pruned {
+func (b *PairCountBolt) add(r uint32, session int64, delta float64) {
+	if b.recs[r].is(recPruned) {
 		return // Algorithm 1 line 3-5: skip items in Li
 	}
-	if ps.job != noJob {
-		if j := &b.jobs[ps.job]; j.session == session {
+	ti := b.touch(r)
+	t := &b.touched[ti]
+	if t.job != noJob {
+		if j := &b.jobs[t.job]; j.session == session {
 			j.delta += delta
 			j.n++
 			return
 		}
 		// Another session: deltas of different sessions never merge.
 	}
-	ps.job = int32(len(b.jobs))
-	b.jobs = append(b.jobs, pairJob{ps: ps, session: session, delta: delta, n: 1})
+	t.job = int32(len(b.jobs))
+	b.jobs = append(b.jobs, pairJob{touch: ti, session: session, delta: delta, n: 1})
+}
+
+// touch returns the record's entry in the interval's touched list, adding
+// one on its first delta of the interval.
+func (b *PairCountBolt) touch(r uint32) int32 {
+	if t, ok := b.touchOf[r]; ok {
+		return t
+	}
+	t := int32(len(b.touched))
+	b.touched = append(b.touched, pairTouch{rec: r, job: noJob})
+	b.touchOf[r] = t
+	return t
 }
 
 // pairJob is one pending apply of a flush interval: the merged deltas of
 // one pair in one session. A zero delta with zero n is a rescore: it reads
 // the counters and writes nothing.
 type pairJob struct {
-	ps      *pairState
+	// touch indexes PairCountBolt.touched.
+	touch   int32
 	session int64
 	delta   float64
 	n       float64
@@ -647,29 +741,25 @@ type pairJob struct {
 func (b *PairCountBolt) flush(final bool) error {
 	// b.jobs holds the interval's deltas in first-touch order, which per
 	// pair is arrival order: the order internal/core applies them in.
-	deltas := len(b.jobs)
-	for _, ps := range b.recheck {
+	deltas, touched := len(b.jobs), len(b.touched)
+	for _, r := range b.recheck {
 		// Scores the zero-count guard deferred last tick. The final tick
 		// rescores every counted pair below, these among them.
-		ps.retry = false
+		b.recs[r].unset(recRetry)
 		if !final {
-			b.jobs = append(b.jobs, pairJob{ps: ps, session: ps.session})
+			b.rescore(r)
 		}
 	}
 	b.recheck = b.recheck[:0]
 	if final {
 		// Shutdown flush: every counter upstream has settled (the engine
 		// ticks components in topological order), so rescoring every
-		// counted pair leaves exact similarities in the store. Sorted,
-		// because emission order downstream is otherwise at the mercy of
-		// map iteration.
-		for _, ps := range b.pairs {
-			if ps.counted && !ps.pruned {
-				b.jobs = append(b.jobs, pairJob{ps: ps, session: ps.session})
+		// counted pair leaves exact similarities in the store.
+		for r := range b.recs {
+			if rec := &b.recs[r]; rec.is(recCounted) && !rec.is(recPruned) {
+				b.rescore(uint32(r))
 			}
 		}
-		rescored := b.jobs[deltas:]
-		slices.SortFunc(rescored, func(a, b pairJob) int { return cmp.Compare(a.ps.pair(), b.ps.pair()) })
 	}
 	if len(b.jobs) == 0 {
 		return nil
@@ -682,36 +772,55 @@ func (b *PairCountBolt) flush(final bool) error {
 		// deferred scores go back on their list.
 		if !final {
 			for _, j := range b.jobs[deltas:] {
-				b.retry(j.ps)
+				b.retry(b.touched[j.touch].rec)
 			}
 		}
-		b.jobs = b.jobs[:deltas]
+		b.jobs, b.touched = b.jobs[:deltas], b.touched[:touched]
 		return err
+	}
+	if final {
+		// Sorted by pair id, the suffix of the staged pc: key, so emission
+		// order downstream does not follow the order the task first saw
+		// its pairs in. A rescored pair is unpruned, so staged.
+		slices.SortFunc(b.jobs[deltas:], func(x, y pairJob) int {
+			return strings.Compare(sb.keyAt(int(b.touched[x.touch].pos)), sb.keyAt(int(b.touched[y.touch].pos)))
+		})
 	}
 	return b.applyJobs(sb)
 }
 
+// rescore appends a job that scores record r again at its latest counted
+// session. It shares the pair's touched entry if the pair has a delta job;
+// a new entry is not entered in touchOf, since no delta is added after a
+// flush's rescores.
+func (b *PairCountBolt) rescore(r uint32) {
+	t, ok := b.touchOf[r]
+	if !ok {
+		t = int32(len(b.touched))
+		b.touched = append(b.touched, pairTouch{rec: r, job: noJob})
+	}
+	b.jobs = append(b.jobs, pairJob{touch: t, session: b.recs[r].session()})
+}
+
 // retry lists a pair for one more score on the next tick.
-func (b *PairCountBolt) retry(ps *pairState) {
-	if !ps.retry {
-		ps.retry = true
-		b.recheck = append(b.recheck, ps)
+func (b *PairCountBolt) retry(r uint32) {
+	if rec := &b.recs[r]; !rec.is(recRetry) {
+		rec.set(recRetry)
+		b.recheck = append(b.recheck, r)
 	}
 }
 
 // applyJobs runs b.jobs against the staged view, lands the results in one
-// batched write and leaves the list empty for the next interval.
+// batched write and leaves the interval's lists empty for the next one.
 func (b *PairCountBolt) applyJobs(sb *stateBatch) error {
 	var firstErr error
 	b.sims = make(stream.Run, 0, 2*len(b.jobs))
 	for i := range b.jobs {
-		j := &b.jobs[i]
-		j.ps.job = noJob
-		if err := b.apply(sb, j); err != nil && firstErr == nil {
+		if err := b.apply(sb, &b.jobs[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	b.jobs = b.jobs[:0]
+	b.endInterval()
 	if len(b.sims) > 0 {
 		// One run per flush, bounded by the job list that produced it (two
 		// rows per job, four for one that prunes). The engine owns it now.
@@ -724,45 +833,94 @@ func (b *PairCountBolt) applyJobs(sb *stateBatch) error {
 	return firstErr
 }
 
-// newPairBatch stages the state b.jobs touch and loads it in one batched
-// read: each pair's counter and unread pl: flag (owned), each member item's
-// itemCount and top-K threshold (foreign). A pair is staged once however
-// many sessions it has jobs in, an item once however many pairs it is in;
-// the positions are left in their entries for apply.
+// endInterval empties the interval's lists. Like taskState.batch's pool, a
+// list follows the load down as well as up: one that a burst grew past
+// 1,024 entries, and the interval just ended used under a quarter of, is
+// dropped rather than kept for the life of the task.
+func (b *PairCountBolt) endInterval() {
+	b.jobs = reuse(b.jobs)
+	b.touched = reuse(b.touched)
+	n := len(b.touchOf)
+	b.touchPeak = max(b.touchPeak, n)
+	if b.touchPeak > 1024 && n < b.touchPeak/4 {
+		b.touchOf, b.touchPeak = make(map[uint32]int32), 0 // a map's buckets never shrink
+	} else {
+		clear(b.touchOf)
+	}
+}
+
+// reuse empties s for the next interval, or drops a backing array of over
+// 1,024 entries that s used under a quarter of.
+func reuse[T any](s []T) []T {
+	if cap(s) > 1024 && len(s) < cap(s)/4 {
+		return nil
+	}
+	return s[:0]
+}
+
+// newPairBatch stages the state the interval's jobs touch and loads it in
+// one batched read: each pair's counter and unread pl: flag (owned), each
+// member item's itemCount and top-K threshold (foreign). A pair is staged
+// once however many sessions it has jobs in, an item once however many pairs
+// it is in; the positions are left in the touched list and the item rows for
+// apply. The pc: keys are built into one string, one allocation per flush.
 func (b *PairCountBolt) newPairBatch() (*stateBatch, error) {
 	pruning := b.p.PruningDelta > 0 && b.p.PruningDelta < 1
 	sb := b.st.batch()
 	b.epoch++
 	if b.epoch == 0 {
 		// Wrapped: no stamp of 2^32 batches ago may pass for this batch's.
-		for _, ps := range b.pairs {
-			ps.epoch = 0
-		}
 		for i := range b.items {
 			b.items[i].epoch = 0
 		}
 		b.epoch = 1
 	}
-	for i := range b.jobs {
-		ps := b.jobs[i].ps
-		if ps.pruned || ps.epoch == b.epoch {
-			continue // apply skips a pruned pair; don't fetch its state
+	// apply skips a pruned pair: its state is not fetched.
+	n := 0
+	for _, t := range b.touched {
+		if rec := &b.recs[t.rec]; !rec.is(recPruned) {
+			n += b.pcKeyLen(rec)
 		}
-		ps.epoch = b.epoch
-		if !ps.flagRead {
-			sb.stage(b.keys.key2(prefixPruned, ps.pair()), false)
+	}
+	var kb strings.Builder
+	kb.Grow(n)
+	for _, t := range b.touched {
+		if rec := &b.recs[t.rec]; !rec.is(recPruned) {
+			kb.WriteString(prefixPairCount)
+			kb.WriteString(b.items[rec.a].id())
+			kb.WriteByte(0x1f)
+			kb.WriteString(b.items[rec.b].id())
 		}
-		ps.pos = int32(sb.stageAt(ps.pcKey, false))
+	}
+	keys := kb.String()
+	for i := range b.touched {
+		t := &b.touched[i]
+		rec := &b.recs[t.rec]
+		if rec.is(recPruned) {
+			continue
+		}
+		key := keys[:b.pcKeyLen(rec)]
+		keys = keys[len(key):]
+		pair := key[len(prefixPairCount):]
+		if !rec.is(recFlagRead) {
+			sb.stage(b.keys.key2(prefixPruned, pair), false)
+		}
+		t.pos = int32(sb.stageAt(key, false))
 		if pruning {
-			sb.stage(b.keys.key2(prefixPairN, ps.pair()), false)
+			sb.stage(b.keys.key2(prefixPairN, pair), false)
 		}
-		b.stageItem(sb, &b.items[ps.a], pruning)
-		b.stageItem(sb, &b.items[ps.b], pruning)
+		b.stageItem(sb, &b.items[rec.a], pruning)
+		b.stageItem(sb, &b.items[rec.b], pruning)
 	}
 	if err := sb.load(); err != nil {
 		return nil, err
 	}
 	return sb, nil
+}
+
+// pcKeyLen is the length of a pair's pc: key.
+func (b *PairCountBolt) pcKeyLen(rec *pairRec) int {
+	return len(prefixPairCount) + len(b.items[rec.a].id()) + 1 + len(b.items[rec.b].id())
 }
 
 // stageItem stages an item's count, and with pruning on its threshold,
@@ -781,25 +939,34 @@ func (b *PairCountBolt) stageItem(sb *stateBatch, it *pairItem, pruning bool) {
 // apply performs Algorithm 1's lines 6-17 for one merged pair update,
 // reading and writing through the interval's staged batch.
 func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
-	ps, session := j.ps, j.session
-	if !ps.flagRead {
-		_, pruned, err := sb.get(b.keys.key2(prefixPruned, ps.pair()))
+	t := &b.touched[j.touch]
+	rec, session := &b.recs[t.rec], j.session
+	if rec.is(recPruned) {
+		return nil // pruned before the batch was staged, or since by an earlier job
+	}
+	// Not pruned when the batch was staged, so staged: the pair id is the
+	// suffix of its pc: key.
+	pair := sb.keyAt(int(t.pos))[len(prefixPairCount):]
+	if !rec.is(recFlagRead) {
+		_, pruned, err := sb.get(b.keys.key2(prefixPruned, pair))
 		if err != nil {
 			return err
 		}
-		ps.flagRead, ps.pruned = true, pruned
+		rec.set(recFlagRead)
+		if pruned {
+			rec.set(recPruned)
+			return nil // pruned before this instance saw it
+		}
 	}
-	if ps.pruned {
-		return nil // pruned before this instance saw it, or since the delta was buffered
+	if !rec.is(recCounted) || session > rec.session() {
+		rec.set(recCounted)
+		rec.setSession(session)
 	}
-	if !ps.counted || session > ps.session {
-		ps.counted, ps.session = true, session
-	}
-	pcSum, err := sb.addCounterAt(int(ps.pos), b.p.WindowSessions, session, j.delta)
+	pcSum, err := sb.addCounterAt(int(t.pos), b.p.WindowSessions, session, j.delta)
 	if err != nil {
 		return err
 	}
-	itemA, itemB := &b.items[ps.a], &b.items[ps.b]
+	itemA, itemB := &b.items[rec.a], &b.items[rec.b]
 	icA, err := sb.counterSumAt(int(itemA.icPos), session)
 	if err != nil {
 		return err
@@ -813,7 +980,7 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 		// (still in transit when itemCount ticked, or itemCount's tick was
 		// skipped on a full queue); retry on the next tick rather than
 		// publish a meaningless zero.
-		b.retry(ps)
+		b.retry(t.rec)
 		return nil
 	}
 	sim := core.Similarity(pcSum, icA, icB)
@@ -825,7 +992,7 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 	if b.p.PruningDelta <= 0 || b.p.PruningDelta >= 1 {
 		return nil
 	}
-	nTotal, err := sb.addCounter(b.keys.key2(prefixPairN, ps.pair()), 0, 0, j.n)
+	nTotal, err := sb.addCounter(b.keys.key2(prefixPairN, pair), 0, 0, j.n)
 	if err != nil {
 		return err
 	}
@@ -840,8 +1007,8 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 	thr := math.Min(t1, t2)
 	eps := core.HoeffdingEpsilon(1, b.p.PruningDelta, int(nTotal))
 	if eps < thr-sim {
-		ps.pruned = true
-		sb.put(b.keys.key2(prefixPruned, ps.pair()), []byte{1})
+		rec.set(recPruned)
+		sb.put(b.keys.key2(prefixPruned, pair), []byte{1})
 		// Withdraw the pair from both lists.
 		b.sims = append(b.sims,
 			stream.Row{Key: itemA.id(), Str: itemB.id()},

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tencentrec/internal/core"
 	"tencentrec/internal/obsv"
@@ -624,4 +628,366 @@ func TestFirstTickRoundScoresExactly(t *testing.T) {
 			t.Fatalf("only %d similarities checked; workload too thin", checked)
 		}
 	}
+}
+
+// pairCountIntervalEmpty fails unless the bolt holds nothing of an interval:
+// no job, no touched pair, no entry in the touched pairs' index.
+func pairCountIntervalEmpty(t *testing.T, b *PairCountBolt) {
+	t.Helper()
+	if len(b.jobs) != 0 || len(b.touched) != 0 || len(b.touchOf) != 0 {
+		t.Fatalf("after the tick: %d jobs, %d touched pairs, %d index entries; want none",
+			len(b.jobs), len(b.touched), len(b.touchOf))
+	}
+}
+
+// TestPairCountTickLeavesOneRecordPerPair: a pair's state past its interval
+// is one 16-byte record, found again by its id however many times the index
+// grew; everything else about an interval is gone when its tick returns.
+func TestPairCountTickLeavesOneRecordPerPair(t *testing.T) {
+	if size := unsafe.Sizeof(pairRec{}); size != 16 {
+		t.Fatalf("pairRec is %d bytes, want 16", size)
+	}
+	p := Params{}.withDefaults()
+	st := NewMemState()
+	var items []string
+	for i := 0; i < 30; i++ {
+		items = append(items, fmt.Sprintf("i%02d", i))
+	}
+	putItemCounts(t, st, p, 50, items...)
+	var out []stream.Values
+	b := preparedPairCount(t, st, p, &out)
+	var pairs []string
+	for i := range items {
+		for j := i + 1; j < len(items); j++ {
+			pairs = append(pairs, pairID(items[i], items[j]))
+		}
+	}
+	for round := 0; round < 3; round++ {
+		// Each round touches a different two thirds of the pairs, twice each.
+		var touched []string
+		for i, pair := range pairs {
+			if i%3 != round {
+				touched = append(touched, pair, pair)
+			}
+		}
+		for i := 0; i < len(touched); i += 7 {
+			rows := make(stream.Run, 0, 7)
+			for _, pair := range touched[i:min(i+7, len(touched))] {
+				rows = append(rows, stream.Row{Key: pair, Num: 1})
+			}
+			if err := b.Execute(pairDeltaRun(rows, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Execute(tickTuple); err != nil {
+			t.Fatal(err)
+		}
+		pairCountIntervalEmpty(t, b)
+	}
+	if len(b.recs) != len(pairs) {
+		t.Fatalf("%d records for %d pairs", len(b.recs), len(pairs))
+	}
+	seen := make(map[uint32]bool)
+	for _, pair := range pairs {
+		r, ok := b.pair(pair)
+		if !ok || seen[r] || !b.isPair(r, pair) {
+			t.Fatalf("pair %q: record %d (ok %v, seen %v)", pair, r, ok, seen[r])
+		}
+		seen[r] = true
+		if rec := &b.recs[r]; !rec.is(recCounted) || rec.is(recPruned|recRetry) {
+			t.Fatalf("pair %q: record flags %04b, want counted only", pair, rec.state&(1<<recFlagBits-1))
+		}
+		if got := readStateCounter(t, st, prefixPairCount+pair, 0, 0); got != 4 {
+			t.Fatalf("pair %q counted %v, want 4", pair, got)
+		}
+	}
+	if len(b.recs) != len(pairs) {
+		t.Fatalf("looking the pairs up again entered %d records", len(b.recs)-len(pairs))
+	}
+}
+
+// TestPairCountSlotHashHalfIsNotThePair: a slot whose hash half matches an
+// id holds that pair only if its record's item ids say so.
+func TestPairCountSlotHashHalfIsNotThePair(t *testing.T) {
+	var out []stream.Values
+	b := preparedPairCount(t, NewMemState(), Params{}.withDefaults(), &out)
+	x, y := pairID("a", "b"), pairID("c", "d")
+	rx, _ := b.pair(x)
+	// Move x's slot to y's first probe, under y's hash half.
+	for i, s := range b.slots {
+		if uint32(s) == rx+1 {
+			b.slots[i] = 0
+		}
+	}
+	hy := maphash.String(b.seed, y)
+	b.slots[hy&uint64(len(b.slots)-1)] = hy>>32<<32 | uint64(rx+1)
+	if ry, ok := b.pair(y); !ok || ry == rx || len(b.recs) != 2 || !b.isPair(ry, y) {
+		t.Fatalf("looking up %q under %q's hash half gave record %d of %d (ok %v)", y, x, ry, len(b.recs), ok)
+	}
+}
+
+// TestPairCountRejectsRowsItCannotKeep: a pair id that joins no two items,
+// and a session too large to pack beside a record's flags, fail their tuple
+// and enter no record; the run's other rows are counted.
+func TestPairCountRejectsRowsItCannotKeep(t *testing.T) {
+	var out []stream.Values
+	b := preparedPairCount(t, NewMemState(), Params{}.withDefaults(), &out)
+	good := pairID("a", "b")
+	if err := b.Execute(pairDeltaRun(stream.Run{{Key: "ab", Num: 1}, {Key: good, Num: 1}}, 0)); err == nil {
+		t.Fatal("a pair id with no separator was taken")
+	}
+	if err := b.Execute(pairDeltaAt(pairID("c", "d"), 1, 1<<59)); err == nil {
+		t.Fatal("a session of 2^59 was taken")
+	}
+	if len(b.recs) != 1 || !b.isPair(0, good) || len(b.jobs) != 1 {
+		t.Fatalf("%d records, %d jobs; want the good row's one each", len(b.recs), len(b.jobs))
+	}
+}
+
+// TestPairCountPairTouchedAgainScoresAsReference: a pair counted in interval
+// 1, left alone in interval 2 and touched again in interval 3 carries
+// nothing of interval 1 but its record, and interval 3 counts on from the
+// stored counter: each session's count is the plain sum of what was offered
+// in it (the reference of TestPairCountJobListMatchesReference), and the
+// score is Eq. 7 over that count.
+func TestPairCountPairTouchedAgainScoresAsReference(t *testing.T) {
+	const window = 4
+	// No cache: every key the flush stages is a store read.
+	p := Params{WindowSessions: window, CacheSize: -1}.withDefaults()
+	st := NewMemState()
+	putItemCounts(t, st, p, 4, "a", "b", "c")
+	var out []stream.Values
+	b := preparedPairCount(t, st, p, &out)
+	x, y := pairID("a", "b"), pairID("b", "c")
+	ref := map[int64]float64{}
+	offer := func(pair string, delta float64, session int64) {
+		t.Helper()
+		if err := b.Execute(pairDeltaAt(pair, delta, session)); err != nil {
+			t.Fatal(err)
+		}
+		if pair == x {
+			ref[session] += delta
+		}
+	}
+	tick := func() stream.Run {
+		t.Helper()
+		out = out[:0]
+		if err := b.Execute(tickTuple); err != nil {
+			t.Fatal(err)
+		}
+		pairCountIntervalEmpty(t, b)
+		return simRows(out)
+	}
+	offer(x, 0.5, 0)
+	offer(x, 0.25, 0)
+	tick()
+	offer(y, 1, 0)
+	if rows := tick(); len(rows) != 2 || rows[0].Key != "b" || rows[0].Str != "c" {
+		t.Fatalf("interval 2 emitted %v, want y's two rows", rows)
+	}
+	gets0, _ := st.Ops()
+	offer(x, 1, 1)
+	rows := tick()
+	gets, _ := st.Ops()
+	// The batched read of x's counter and both item counts, no pl: flag: it
+	// was read in interval 1.
+	if gets-gets0 != 3 {
+		t.Fatalf("interval 3 read %d keys, want 3", gets-gets0)
+	}
+	var below float64
+	for s := int64(0); s <= 1; s++ {
+		upTo := readStateCounter(t, st, prefixPairCount+x, window, s)
+		if got := upTo - below; math.Abs(got-ref[s]) > 1e-12 {
+			t.Fatalf("session %d counted %v, offered %v", s, got, ref[s])
+		}
+		below = upTo
+	}
+	want := core.Similarity(ref[0]+ref[1], 4, 4)
+	if len(rows) != 2 || rows[0].Num != want || rows[1].Num != want {
+		t.Fatalf("interval 3 emitted %v, want sim(a,b) = %v both ways", rows, want)
+	}
+}
+
+// TestPairCountFinalTickRescoresEarlierPairsInIDOrder: the final tick
+// rescores every counted, unpruned pair, however many intervals ago it was
+// last touched, in pair-id order: the order of the ids as strings, not of
+// their first items, where one first item is a prefix of another.
+func TestPairCountFinalTickRescoresEarlierPairsInIDOrder(t *testing.T) {
+	p := Params{}.withDefaults()
+	st := NewMemState()
+	items := []string{"z", "a", "ab", "a\x01", "m", "b"}
+	putItemCounts(t, st, p, 2, items...)
+	var out []stream.Values
+	b := preparedPairCount(t, st, p, &out)
+	var want []string
+	for round, pairs := range [][]string{
+		{pairID("z", "m"), pairID("a", "z")},
+		{pairID("ab", "z"), pairID("a\x01", "z")},
+		{pairID("a", "b")},
+		{},
+	} {
+		for _, pair := range pairs {
+			if err := b.Execute(pairDeltaAt(pair, 1, int64(round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Execute(tickTuple); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, pairs...)
+	}
+	slices.Sort(want)
+	out = out[:0]
+	final := &stream.Tuple{Component: UnitPairCount, Stream: stream.TickStream, Values: stream.Values{"final"}}
+	if err := b.Execute(final); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, r := range simRows(out) {
+		if i%2 == 0 {
+			got = append(got, pairID(r.Key, r.Str))
+		}
+	}
+	if len(out) != 1 || !slices.Equal(got, want) {
+		t.Fatalf("final tick rescored %q in %d runs, want %q in one", got, len(out), want)
+	}
+}
+
+// TestPairCountSeenPairNewIntervalAllocatesNothing: a delta for a pair seen
+// in an earlier interval is a probe of the record table and an entry in the
+// interval's lists, which keep their capacity from one interval to the next.
+func TestPairCountSeenPairNewIntervalAllocatesNothing(t *testing.T) {
+	const n = 500
+	var out []stream.Values
+	b := preparedPairCount(t, NewMemState(), Params{}.withDefaults(), &out)
+	tuples := make([]*stream.Tuple, n)
+	for i := range tuples {
+		tuples[i] = pairDelta(pairID("a", fmt.Sprintf("i%03d", i)), 1)
+		if err := b.Execute(tuples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Execute(tickTuple); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(n-1, func() {
+		if err := b.Execute(tuples[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("first delta of an interval for a seen pair: %v allocs/op, want 0", allocs)
+	}
+	if len(b.touched) != n {
+		t.Fatalf("%d pairs touched, want %d", len(b.touched), n)
+	}
+}
+
+// TestPairCountIntervalListsShrinkAfterBurst: the interval's lists follow
+// the load down: a burst's job list, touched list and index are dropped by
+// the first quiet interval after it, not kept for the life of the task.
+func TestPairCountIntervalListsShrinkAfterBurst(t *testing.T) {
+	p := Params{}.withDefaults()
+	var out []stream.Values
+	st := NewMemState()
+	b := preparedPairCount(t, st, p, &out)
+	tick := func() {
+		t.Helper()
+		if err := b.Execute(tickTuple); err != nil {
+			t.Fatal(err)
+		}
+		out = nil
+	}
+	rows := make(stream.Run, 0, 5000)
+	putItemCounts(t, st, p, 1, "a")
+	for i := 0; i < 5000; i++ {
+		item := fmt.Sprintf("i%04d", i)
+		putItemCounts(t, st, p, 1, item)
+		rows = append(rows, stream.Row{Key: pairID("a", item), Num: 1})
+	}
+	if err := b.Execute(pairDeltaRun(rows, 0)); err != nil {
+		t.Fatal(err)
+	}
+	tick()
+	if cap(b.jobs) < 5000 || cap(b.touched) < 5000 || b.touchPeak != 5000 {
+		t.Fatalf("after the burst: jobs cap %d, touched cap %d, index peak %d", cap(b.jobs), cap(b.touched), b.touchPeak)
+	}
+	if err := b.Execute(pairDeltaRun(rows[:10], 0)); err != nil {
+		t.Fatal(err)
+	}
+	tick()
+	if cap(b.jobs) > 1024 || cap(b.touched) > 1024 || b.touchPeak != 0 {
+		t.Fatalf("after a quiet interval: jobs cap %d, touched cap %d, index peak %d; want the burst's dropped",
+			cap(b.jobs), cap(b.touched), b.touchPeak)
+	}
+}
+
+// BenchmarkPairCountResidentBytes: what a pairCount task keeps per pair it
+// has seen. It is the live heap of a task fed 150,000 distinct pairs of 600
+// items less that of one fed the first 50,000, over the 100,000 pairs
+// between: both have long filled what is bounded (the cache, the interner,
+// the pooled batch). Each runs over its own MemState in 4,096-pair
+// intervals, and a task's heap is the live heap with it less the live heap
+// once it is dropped, its store kept.
+func BenchmarkPairCountResidentBytes(b *testing.B) {
+	const items, small, large, interval = 600, 50000, 150000, 4096
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var runs []stream.Run
+	for i, n := 0, 0; i < items && n < large; i++ {
+		for j := i + 1; j < items && n < large; j, n = j+1, n+1 {
+			if n%20 == 0 {
+				runs = append(runs, make(stream.Run, 0, 20))
+			}
+			runs[len(runs)-1] = append(runs[len(runs)-1], stream.Row{Key: pairID(fmt.Sprintf("i%03d", i), fmt.Sprintf("i%03d", j)), Num: 1})
+		}
+	}
+	feed := func(pairs int) (*PairCountBolt, *MemState) {
+		st := NewMemState()
+		for i := 0; i < items; i++ {
+			raw, _, _ := addToCounter(nil, false, 0, 0, 5)
+			if err := st.Put(prefixItemCount+fmt.Sprintf("i%03d", i), raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var out []stream.Values
+		bolt := NewPairCountBolt(st, Params{})().(*PairCountBolt)
+		if err := bolt.Prepare(stream.TopologyContext{}, &stubCollector{out: &out}); err != nil {
+			b.Fatal(err)
+		}
+		runs := runs[:pairs/20]
+		for i, rows := range runs {
+			if err := bolt.Execute(pairDeltaRun(rows, 0)); err != nil {
+				b.Fatal(err)
+			}
+			if (i+1)%(interval/20) == 0 || i == len(runs)-1 {
+				if err := bolt.Execute(tickTuple); err != nil {
+					b.Fatal(err)
+				}
+				out = nil
+			}
+		}
+		return bolt, st
+	}
+	var perPair float64
+	for range b.N {
+		few, st1 := feed(small)
+		many, st2 := feed(large)
+		both := liveHeap()
+		runtime.KeepAlive(few)
+		one := liveHeap()
+		runtime.KeepAlive(many)
+		none := liveHeap()
+		perPair = (float64(one-none) - float64(both-one)) / (large - small)
+		runtime.KeepAlive(st1)
+		runtime.KeepAlive(st2)
+	}
+	b.ReportMetric(perPair, "B/pair")
 }

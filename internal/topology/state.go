@@ -29,6 +29,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -119,10 +120,24 @@ func (s *MemState) Get(key string) ([]byte, bool, error) {
 func (s *MemState) Put(key string, value []byte) error {
 	sh := s.shard(key)
 	sh.mu.Lock()
-	sh.m[key] = copyInto(sh.m[key], value)
+	sh.set(key, value)
 	sh.mu.Unlock()
 	s.puts.Add(1)
 	return nil
+}
+
+// set stores a copy of value under key. The shard keeps keys of its own: a
+// caller's key may be a slice of a larger string (PairCountBolt builds an
+// interval's pc: keys into one), which the map must not keep alive. So a new
+// key is cloned, and a value that keeps its length is rewritten in place:
+// assigning to a key the map holds would swap its copy for the caller's.
+func (sh *memShard) set(key string, value []byte) {
+	old, ok := sh.m[key]
+	if ok && len(old) == len(value) {
+		copy(old, value)
+		return
+	}
+	sh.m[strings.Clone(key)] = copyInto(old, value)
 }
 
 // copyInto copies value into dst's storage when it fits, else into a
@@ -187,7 +202,7 @@ func (s *MemState) BatchPut(keys []string, values [][]byte) error {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for _, i := range idxs {
-			sh.m[keys[i]] = copyInto(sh.m[keys[i]], values[i])
+			sh.set(keys[i], values[i])
 		}
 		sh.mu.Unlock()
 	}
@@ -312,7 +327,7 @@ func (ts *taskState) addCounter(key string, w int, session int64, delta float64)
 // combiner deltas in order is byte-identical to the key-by-key path.
 //
 // Every read and write is implemented once, by entry position (stageAt,
-// valAt, putAt, addCounterAt, counterSumAt). A caller that keeps its own
+// keyAt, valAt, putAt, addCounterAt, counterSumAt). A caller that keeps its own
 // per-key entries holds the positions itself and never hashes a key
 // (PairCountBolt); the string-keyed methods the other bolts call are a pos
 // lookup in front of the positional ones.
@@ -438,6 +453,9 @@ func (sb *stateBatch) loadFrom(get func([]string) ([][]byte, []bool, error), own
 	}
 	return nil
 }
+
+// keyAt returns the key staged at position i.
+func (sb *stateBatch) keyAt(i int) string { return sb.ents[i].key }
 
 // valAt returns the staged value at position i and whether the key exists.
 func (sb *stateBatch) valAt(i int) ([]byte, bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"tencentrec/internal/tdstore"
 )
@@ -90,5 +91,37 @@ func TestStateValueOwnership(t *testing.T) {
 				t.Fatalf("Get(%s) = %q after the caller edited a returned slice, want %q", orig[0], one, want(0))
 			}
 		})
+	}
+}
+
+// TestMemStateKeepsItsOwnKeys: a stored key is the store's own string, not
+// the caller's, through a first write, a rewrite of the same length and
+// one that changes it: a caller's key may be a slice of a larger string
+// (PairCountBolt builds an interval's pc: keys into one).
+func TestMemStateKeepsItsOwnKeys(t *testing.T) {
+	keys := "pc:a\x1fbpc:a\x1fc"
+	a, b := keys[:7], keys[7:]
+	st := NewMemState()
+	for _, v := range []string{"1", "2", "33"} {
+		if err := st.Put(a, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.BatchPut([]string{b}, [][]byte{[]byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := uintptr(unsafe.Pointer(unsafe.StringData(keys)))
+	for i := range st.shards {
+		for k, v := range st.shards[i].m {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p >= base && p < base+uintptr(len(keys)) {
+				t.Fatalf("stored key %q shares the caller's string", k)
+			}
+			if string(v) != "33" {
+				t.Fatalf("%q = %q, want the last write", k, v)
+			}
+		}
+	}
+	if st.Len() != 2 {
+		t.Fatalf("%d keys, want 2", st.Len())
 	}
 }

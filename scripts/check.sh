@@ -257,7 +257,9 @@ fi
 
 # What one flush of 4,096 combined pairs still allocates is chunks many
 # pairs share (the sim run, batch slices, the store's copies of the 128
-# item counts): 619 in all, 0.15 per pair. With a boxed score per pair and
+# item counts, the one string of the interval's pc: keys): 661 in all,
+# 0.16 per pair, of which about 40 are the first flush's key copies in the
+# task cache and the store, spread over the 200 flushes. With a boxed score per pair and
 # a value arena under the per-sim tuples it was 4,814; anything per pair or
 # per sim row (a box, a key string, a map entry) would cross a quarter per
 # pair again.
@@ -268,6 +270,22 @@ if echo "$flush_out" | awk '/^Benchmark/ { ok = 0; for (i = 1; i <= NF; i++) { i
 	:
 else
 	echo "check: a pairCount flush allocates more than once per four pairs, or does not emit two sim rows per pair" >&2
+	exit 1
+fi
+
+# What a pairCount task keeps per pair it has seen, over the 100,000 pairs
+# between a task fed 50,000 and one fed 150,000: a 16-byte record and its
+# 8-byte index slot, with the slack of both tables. It measured 33.2 B/pair.
+# With a 48-byte entry in a map[string]*pairState it was 105.6, and the
+# pair's pc: key string besides, which the store shared. The bound is the
+# measured value plus a tenth.
+echo "== what pairCount keeps per pair it has seen stays at or under 36 bytes"
+pairs_out=$(go test -run=NONE -bench='BenchmarkPairCountResidentBytes$' -benchtime=1x ./internal/topology/)
+echo "$pairs_out"
+if echo "$pairs_out" | awk '/^BenchmarkPairCountResidentBytes/ { for (i = 1; i <= NF; i++) if ($(i+1) == "B/pair" && $i > 36) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
+	:
+else
+	echo "check: pairCount keeps more than 36 bytes per pair it has seen" >&2
 	exit 1
 fi
 
