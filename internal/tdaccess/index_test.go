@@ -22,7 +22,8 @@ type refRecord struct {
 
 // decodeSegment is the reference decoder: it reads a segment file whole
 // and returns its records from the start up to the first one that is not
-// whole and CRC-clean.
+// whole and CRC-clean, or whose body is empty: no record has one, and the
+// active segment's zero tail begins with such a header.
 func decodeSegment(t testing.TB, path string) []refRecord {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -32,7 +33,7 @@ func decodeSegment(t testing.TB, path string) []refRecord {
 	var out []refRecord
 	for pos := 0; len(data)-pos >= recordHeader; {
 		size := int(binary.LittleEndian.Uint32(data[pos+4:]))
-		if size > len(data)-pos-recordHeader {
+		if size == 0 || size > len(data)-pos-recordHeader {
 			break
 		}
 		body := data[pos+recordHeader : pos+recordHeader+size]

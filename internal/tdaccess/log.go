@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // ErrOffsetOutOfRange is returned when reading an offset that has not
@@ -43,6 +44,10 @@ const defaultSegmentBytes = 4 << 20
 // record included, stays under 4 GiB and an index entry's 32-bit byte
 // position cannot overflow.
 const maxSegmentBytes = 1 << 30
+
+// pageSize is the smallest mapping of an active segment, and a
+// reservation is a whole number of pages.
+var pageSize = int64(os.Getpagesize())
 
 // indexInterval is the bytes of file written between two entries of a
 // segment's sparse index: a read walks at most this far past an entry
@@ -60,6 +65,10 @@ type segment struct {
 	f     *os.File
 	size  int64
 	count int64 // records held
+	// m maps the active segment's file MAP_SHARED over its fallocated
+	// blocks: appends store into it and reads copy out of it, both under
+	// the log's lock. Nil once the segment is sealed.
+	m []byte
 	// index holds the record at position 0, then the first record that
 	// starts indexInterval or more bytes past the previous entry.
 	index []indexEntry
@@ -92,14 +101,13 @@ func (s *segment) walkFrom(rel int64) (from, pos int64) {
 	return from, pos
 }
 
-// plog is a partition's segmented on-disk log. All appends are sequential;
-// reads walk the record headers from the resident sparse index.
+// plog is a partition's segmented on-disk log. All appends are sequential,
+// copies into the active segment's mapping; reads walk the record headers
+// from the resident sparse index.
 type plog struct {
 	mu          sync.RWMutex
 	dir         string
 	segments    []*segment // ascending base offset; last is active
-	appendFile  *os.File
-	w           *bufio.Writer
 	nextOffset  int64
 	segmentSize int64
 }
@@ -133,9 +141,14 @@ func openLog(dir string, segmentBytes int64) (*plog, error) {
 		bns = append(bns, baseName{base, n})
 	}
 	sort.Slice(bns, func(i, j int) bool { return bns[i].base < bns[j].base })
-	for _, bn := range bns {
-		seg, err := recoverSegment(bn.base, bn.name)
+	for i, bn := range bns {
+		flag := os.O_RDONLY
+		if i == len(bns)-1 {
+			flag = os.O_RDWR // the active segment: appends map it
+		}
+		seg, err := recoverSegment(bn.base, bn.name, flag)
 		if err != nil {
+			l.closeFiles()
 			return nil, err
 		}
 		l.segments = append(l.segments, seg)
@@ -145,29 +158,27 @@ func openLog(dir string, segmentBytes int64) (*plog, error) {
 		if err := l.rotateLocked(); err != nil {
 			return nil, err
 		}
-	} else {
-		// Reopen the last segment for append.
-		last := l.segments[len(l.segments)-1]
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			return nil, fmt.Errorf("tdaccess: reopen segment: %w", err)
-		}
-		// Truncate any torn tail so appends resume at a clean boundary.
-		if err := f.Truncate(last.size); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("tdaccess: truncate torn tail: %w", err)
-		}
-		last.f.Close()
-		rf, err := os.Open(last.path)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("tdaccess: reopen segment for read: %w", err)
-		}
-		last.f = rf
-		l.appendFile = f
-		l.w = bufio.NewWriter(f)
+		return l, nil
+	}
+	// Cut the torn tail, or the zero tail of a mapping a crash left, so
+	// appends resume at a clean boundary, then map what is left.
+	last := l.segments[len(l.segments)-1]
+	if err := last.f.Truncate(last.size); err != nil {
+		l.closeFiles()
+		return nil, fmt.Errorf("tdaccess: truncate torn tail: %w", err)
+	}
+	if err := l.reserveLocked(last, last.size); err != nil {
+		l.closeFiles()
+		return nil, err
 	}
 	return l, nil
+}
+
+// closeFiles closes the segment files of a log that failed to open.
+func (l *plog) closeFiles() {
+	for _, s := range l.segments {
+		s.f.Close()
+	}
 }
 
 // recordHeader is the fixed prefix of a record on disk:
@@ -177,12 +188,12 @@ const recordHeader = 8
 // maxMessage bounds a single record body.
 const maxMessage = 64 << 20
 
-// recoverSegment opens a segment file and indexes the records that are
-// whole and CRC-clean from its start; what follows them is a torn tail.
-// No segment this log writes passes 4 GiB; a file that does is refused,
-// not cut.
-func recoverSegment(base int64, path string) (*segment, error) {
-	f, err := os.Open(path)
+// recoverSegment opens a segment file with flag and indexes the records
+// that are whole and CRC-clean from its start; what follows them is a torn
+// tail, or the zero tail of a mapping. No segment this log writes passes
+// 4 GiB; a file that does is refused, not cut.
+func recoverSegment(base int64, path string, flag int) (*segment, error) {
+	f, err := os.OpenFile(path, flag, 0)
 	if err != nil {
 		return nil, fmt.Errorf("tdaccess: open segment: %w", err)
 	}
@@ -213,9 +224,12 @@ func recoverSegment(base int64, path string) (*segment, error) {
 
 // skipRecord advances past one record of a file with left bytes to go
 // and returns its encoded size, or 0 when those bytes do not hold a whole
-// CRC-clean record. The body is checksummed through the reader's buffer:
-// a length field is never trusted with an allocation, and one that claims
-// more than the file has left is a torn tail without reading further.
+// CRC-clean record. No record has an empty body, so a header of length 0
+// is where the data ends: the start of the zero tail that a mapped segment
+// leaves when its process dies before Close cuts it. The body is
+// checksummed through the reader's buffer: a length field is never
+// trusted with an allocation, and one that claims more than the file has
+// left is a torn tail without reading further.
 func skipRecord(r *bufio.Reader, left int64) (int64, error) {
 	if left < recordHeader {
 		return 0, nil
@@ -226,7 +240,7 @@ func skipRecord(r *bufio.Reader, left int64) (int64, error) {
 	}
 	want := binary.LittleEndian.Uint32(hdr[0:4])
 	size := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-	if size > maxMessage || size > left-recordHeader {
+	if size == 0 || size > maxMessage || size > left-recordHeader {
 		return 0, nil
 	}
 	r.Discard(recordHeader) // cannot fail: just peeked
@@ -255,35 +269,88 @@ func tornOrErr(err error) error {
 	return err
 }
 
-// rotateLocked starts a new active segment. Caller holds l.mu.
+// rotateLocked seals the active segment and starts a new one. Caller
+// holds l.mu.
 func (l *plog) rotateLocked() error {
-	if l.w != nil {
-		if err := l.w.Flush(); err != nil {
-			return fmt.Errorf("tdaccess: flush before rotate: %w", err)
+	if len(l.segments) > 0 {
+		if err := l.segments[len(l.segments)-1].seal(); err != nil {
+			return err
 		}
-		l.appendFile.Close()
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("seg-%012d.log", l.nextOffset))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("tdaccess: create segment: %w", err)
 	}
-	rf, err := os.Open(path)
-	if err != nil {
+	seg := &segment{base: l.nextOffset, path: path, f: f}
+	if err := l.reserveLocked(seg, 0); err != nil {
 		f.Close()
-		return fmt.Errorf("tdaccess: open segment for read: %w", err)
+		return err
 	}
-	l.segments = append(l.segments, &segment{base: l.nextOffset, path: path, f: rf})
-	l.appendFile = f
-	l.w = bufio.NewWriter(f)
+	l.segments = append(l.segments, seg)
+	return nil
+}
+
+// reserveLocked maps the active segment over at least need bytes: double
+// the mapping, up to the rotation size, or need if that is more, in whole
+// pages. A log that holds a few records reserves a page, not a segment.
+// fallocate allocates the file's blocks up to the new length first,
+// so a full disk fails here, as an error of the append that asked, and a
+// store into the mapping never meets a hole the disk cannot fill (SIGBUS).
+// Caller holds l.mu for writing, or has not published the log yet.
+func (l *plog) reserveLocked(seg *segment, need int64) error {
+	n := max(need, min(2*int64(len(seg.m)), l.segmentSize), pageSize)
+	n = (n + pageSize - 1) &^ (pageSize - 1)
+	fd := int(seg.f.Fd())
+	err := syscall.Fallocate(fd, 0, 0, n)
+	for err == syscall.EINTR {
+		err = syscall.Fallocate(fd, 0, 0, n)
+	}
+	if err != nil {
+		return fmt.Errorf("tdaccess: reserve %d bytes of %s: %w", n, seg.path, err)
+	}
+	m, err := syscall.Mmap(fd, 0, int(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("tdaccess: map %s: %w", seg.path, err)
+	}
+	old := seg.m
+	seg.m = m
+	if old != nil {
+		if err := syscall.Munmap(old); err != nil {
+			return fmt.Errorf("tdaccess: unmap %s: %w", seg.path, err)
+		}
+	}
+	return nil
+}
+
+// seal unmaps the active segment and cuts the reservation off its file,
+// which then holds exactly its records. The file stays open for reads.
+// Caller holds l.mu for writing.
+func (s *segment) seal() error {
+	if s.m == nil {
+		return nil
+	}
+	if err := syscall.Munmap(s.m); err != nil {
+		return fmt.Errorf("tdaccess: unmap %s: %w", s.path, err)
+	}
+	s.m = nil
+	if err := s.f.Truncate(s.size); err != nil {
+		return fmt.Errorf("tdaccess: seal %s: %w", s.path, err)
+	}
 	return nil
 }
 
 // appendParts writes one record and returns its message offset. Frame:
 // crc32(body) | len(body) | body, the body given as head, key and tail back
 // to back (the broker's message frame), so Send need not join them first.
+// The record is copied into the active segment's mapping, its header last,
+// under the write lock: no system call unless the mapping must grow or the
+// segment rotate. When it returns the record is in the page cache.
 func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) {
 	size := len(head) + len(key) + len(tail)
+	if size == 0 {
+		return 0, errors.New("tdaccess: empty record body")
+	}
 	if size > maxMessage {
 		return 0, fmt.Errorf("tdaccess: message of %d bytes exceeds limit", size)
 	}
@@ -296,22 +363,18 @@ func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) 
 		}
 		seg = l.segments[len(l.segments)-1]
 	}
-	// Every append ends in Flush, so the writer's buffer is empty here: a
-	// record that fits is assembled in it and Write copies nothing, a
-	// larger one is assembled by append and Write hands it to the file
-	// whole. Either way the record reaches the file in one write.
-	rec := append(l.w.AvailableBuffer(), make([]byte, recordHeader)...)
-	rec = append(rec, head...)
-	rec = append(rec, key...)
-	rec = append(rec, tail...)
+	end := seg.size + recordHeader + int64(size)
+	if end > int64(len(seg.m)) {
+		if err := l.reserveLocked(seg, end); err != nil {
+			return 0, err
+		}
+	}
+	rec := seg.m[seg.size:end]
+	p := recordHeader + copy(rec[recordHeader:], head)
+	p += copy(rec[p:], key)
+	copy(rec[p:], tail)
 	binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[recordHeader:]))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(size))
-	if _, err := l.w.Write(rec); err != nil {
-		return 0, fmt.Errorf("tdaccess: append: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		return 0, fmt.Errorf("tdaccess: append flush: %w", err)
-	}
 	off := l.nextOffset
 	seg.add(int64(len(rec)))
 	l.nextOffset++
@@ -320,7 +383,8 @@ func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) 
 
 // ReadFrom appends up to max record bodies starting at offset to dst and
 // returns it; an offset at the tail appends nothing. Each contiguous run
-// of a segment is fetched with one positioned read into one buffer, from
+// of a segment is fetched into one buffer, by one positioned read from a
+// sealed segment or one copy out of the active segment's mapping, from
 // the index entry (or the segment's hint) at or below the run's first
 // record to the entry past its last (or the segment's end), and the call
 // carries on into the next segment until max is met. The record headers
@@ -366,7 +430,9 @@ func (l *plog) ReadFrom(dst [][]byte, offset int64, max int) ([][]byte, error) {
 			end = int64(seg.index[j].pos)
 		}
 		buf := make([]byte, end-start)
-		if _, err := seg.f.ReadAt(buf, start); err != nil {
+		if seg.m != nil {
+			copy(buf, seg.m[start:end])
+		} else if _, err := seg.f.ReadAt(buf, start); err != nil {
 			return dst, fmt.Errorf("tdaccess: read %d records at offset %d: %w", n, offset, err)
 		}
 		p := 0
@@ -419,25 +485,20 @@ func (l *plog) SegmentCount() int {
 	return len(l.segments)
 }
 
-// Close flushes and closes all files.
+// Close seals the active segment, so the files hold exactly their
+// records, and closes all files.
 func (l *plog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var first error
-	if l.w != nil {
-		if err := l.w.Flush(); err != nil {
-			first = err
-		}
-		if err := l.appendFile.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, s := range l.segments {
+		if err := s.seal(); err != nil && first == nil {
+			first = err
+		}
 		if err := s.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	l.segments = nil
-	l.w = nil
 	return first
 }

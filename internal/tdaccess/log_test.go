@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -252,8 +255,9 @@ func TestRecoverDoesNotTrustLength(t *testing.T) {
 // FuzzRecoverSegment hands openLog arbitrary bytes as a segment file, the
 // one decoder that reads this layer's bytes back from disk. Properties:
 // it never panics; what it recovers is a prefix of the file, record for
-// record, that ReadFrom returns CRC-clean; the torn tail is cut off; and
-// appends resume at the boundary.
+// record, that ReadFrom returns CRC-clean; appends resume at the
+// boundary; and after Close the file is that prefix and the appended
+// record, the torn tail cut off.
 func FuzzRecoverSegment(f *testing.F) {
 	seedDir := f.TempDir()
 	l, err := openLog(seedDir, 0)
@@ -282,6 +286,11 @@ func FuzzRecoverSegment(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[4:8], maxMessage) // first length lies
 	f.Add(huge)
 	f.Add([]byte{})
+	// What a process killed with its active segment mapped leaves: the
+	// records, then the zeros of the reservation, whole or torn.
+	zeros := make([]byte, 256)
+	f.Add(append(bytes.Clone(seed), zeros...))
+	f.Add(append(bytes.Clone(seed[:len(seed)-3]), zeros...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -307,15 +316,18 @@ func FuzzRecoverSegment(f *testing.F) {
 			}
 			pos += len(b)
 		}
-		if st, err := os.Stat(path); err != nil || st.Size() != int64(pos) {
-			t.Fatalf("segment is %d bytes after recovery, clean prefix is %d (%v)", st.Size(), pos, err)
-		}
 		off, err := l.Append([]byte("next"))
 		if err != nil || off != n {
 			t.Fatalf("Append after recovery = %d, %v; want offset %d", off, err, n)
 		}
 		if b, err := l.Read(off); err != nil || string(b) != "next" {
 			t.Fatalf("Read(%d) after recovery = %q, %v", off, b, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() != int64(pos+recordHeader+len("next")) {
+			t.Fatalf("segment is %d bytes after Close, clean prefix is %d and the appended record %d (%v)", st.Size(), pos, recordHeader+len("next"), err)
 		}
 	})
 }
@@ -358,5 +370,220 @@ func TestReadFromHole(t *testing.T) {
 	got, err = l.ReadFrom(nil, 4, 100)
 	if err != nil || len(got) != 8 || !bytes.Equal(got[0], testBody(4)) {
 		t.Fatalf("ReadFrom(4) = %d records, %v; want 4..11", len(got), err)
+	}
+}
+
+// encodeLog is the reference encoder: the segment files that one write(2)
+// per record leaves for bodies appended to a log rotating at segBytes,
+// each named for its base offset. A segment rotates before the append
+// that finds it at or past segBytes.
+func encodeLog(bodies [][]byte, segBytes int) map[string][]byte {
+	files := make(map[string][]byte)
+	var name string
+	for i, b := range bodies {
+		if name == "" || len(files[name]) >= segBytes {
+			name = fmt.Sprintf("seg-%012d.log", i)
+		}
+		var hdr [recordHeader]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(b))
+		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(b)))
+		files[name] = append(append(files[name], hdr[:]...), b...)
+	}
+	return files
+}
+
+// readLogDir returns every segment file of dir by name.
+func readLogDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, n := range names {
+		b, err := os.ReadFile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(n)] = b
+	}
+	return files
+}
+
+// sameFiles fails unless got and want hold the same file names and bytes.
+func sameFiles(t *testing.T, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d segment files, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || !bytes.Equal(g, w) {
+			t.Fatalf("%s is %d bytes (present %v), want %d bytes of the reference encoding", name, len(g), ok, len(w))
+		}
+	}
+}
+
+// TestClosedLogMatchesWritePerRecord: appends across rotations of a
+// 256-byte segment leave, once the log is closed, the files a write(2)
+// per record left, byte for byte and boundary for boundary; the sealed
+// segments are those bytes already while the log is open. An empty body
+// is refused, since a zero header is where recovery stops.
+func TestClosedLogMatchesWritePerRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, err := openLog(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var bodies [][]byte
+	for i := 0; i < 40; i++ {
+		b := bytes.Repeat([]byte{byte('a' + i%26)}, 1+i*7%50)
+		if off, err := l.Append(b); err != nil || off != int64(i) {
+			t.Fatalf("Append(%d) = %d, %v", i, off, err)
+		}
+		bodies = append(bodies, b)
+	}
+	if _, err := l.Append(nil); err == nil {
+		t.Fatal("an empty body was appended")
+	}
+	want := encodeLog(bodies, 256)
+	if len(want) < 3 || l.SegmentCount() != len(want) {
+		t.Fatalf("%d segments, the reference has %d: want three or more", l.SegmentCount(), len(want))
+	}
+	open := readLogDir(t, dir)
+	for name, w := range want {
+		if name != filepath.Base(l.segments[len(l.segments)-1].path) && !bytes.Equal(open[name], w) {
+			t.Fatalf("sealed %s differs from the reference while the log is open", name)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, readLogDir(t, dir), want)
+}
+
+// TestLiveCopyRecovers is a crash of the process shape: the directory of
+// an open log, its active segment mapped and its reservation a zero tail
+// on disk, copied and opened as a log of its own. It recovers exactly the
+// records appended, appends resume at the boundary, and Close cuts the
+// file to its records.
+func TestLiveCopyRecovers(t *testing.T) {
+	dir := t.TempDir()
+	l, err := openLog(dir, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var bodies [][]byte
+	for i := 0; i < 150; i++ {
+		if _, err := l.Append(testBody(i)); err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, testBody(i))
+	}
+	live := readLogDir(t, dir)
+	active := filepath.Base(l.segments[len(l.segments)-1].path)
+	if want := encodeLog(bodies, 1024)[active]; len(live[active]) <= len(want) {
+		t.Fatalf("the active segment is %d bytes on disk, its records %d: no zero tail to recover from", len(live[active]), len(want))
+	}
+	cp := t.TempDir()
+	for name, b := range live {
+		if err := os.WriteFile(filepath.Join(cp, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := openLog(cp, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.NextOffset() != l.NextOffset() {
+		t.Fatalf("the copy recovered NextOffset %d, the log has %d", c.NextOffset(), l.NextOffset())
+	}
+	got, err := c.ReadFrom(nil, 0, len(bodies)+1)
+	if err != nil || len(got) != len(bodies) {
+		t.Fatalf("the copy reads %d records, %v; want %d", len(got), err, len(bodies))
+	}
+	for i, b := range got {
+		if !bytes.Equal(b, bodies[i]) {
+			t.Fatalf("record %d of the copy = %q, want %q", i, b, bodies[i])
+		}
+	}
+	next := []byte("after the crash")
+	if off, err := c.Append(next); err != nil || off != int64(len(bodies)) {
+		t.Fatalf("Append on the copy = %d, %v; want offset %d", off, err, len(bodies))
+	}
+	if b, err := c.Read(int64(len(bodies))); err != nil || !bytes.Equal(b, next) {
+		t.Fatalf("Read of the appended record = %q, %v", b, err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameFiles(t, readLogDir(t, cp), encodeLog(append(bodies, next), 1024))
+}
+
+// fullDiskEnv names the directory the child of TestFullDiskIsASendError
+// publishes into.
+const fullDiskEnv = "TDACCESS_FULL_DISK_DIR"
+
+// TestFullDiskIsASendError: a publish that finds no room for the active
+// segment's next reservation is an error returned by Send, and the records
+// before it stay readable; a store into the mapping never meets a block
+// the disk could not give (SIGBUS). A file size limit (RLIMIT_FSIZE) in a
+// child process stands in for the full disk.
+func TestFullDiskIsASendError(t *testing.T) {
+	if dir := os.Getenv(fullDiskEnv); dir != "" {
+		fullDiskChild(t, dir)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFullDiskIsASendError$", "-test.v")
+	cmd.Env = append(os.Environ(), fullDiskEnv+"="+t.TempDir())
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "--- PASS: TestFullDiskIsASendError") {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+}
+
+func fullDiskChild(t *testing.T, dir string) {
+	const limit = 1 << 20
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &syscall.Rlimit{Cur: limit, Max: limit}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBroker(Options{Dir: dir, Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	p := b.NewProducer()
+	payload := bytes.Repeat([]byte("a"), 30)
+	var sent int64
+	for ; sent < 2*limit/47; sent++ {
+		if _, _, err = p.Send("actions", "user-001", payload); err != nil {
+			break
+		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "reserve") {
+		t.Fatalf("%d sends past a %d-byte file limit, last error %v", sent, limit, err)
+	}
+	if sent*47 > limit || sent*47 < limit/2 {
+		t.Fatalf("the first failed send was number %d, %d bytes into a %d-byte limit", sent, sent*47, limit)
+	}
+	c := b.NewConsumer("g")
+	if err := c.Subscribe("actions"); err != nil {
+		t.Fatal(err)
+	}
+	var read int64
+	for {
+		msgs, err := c.Poll(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(msgs) == 0 {
+			break
+		}
+		read += int64(len(msgs))
+	}
+	if read != sent {
+		t.Fatalf("read %d records back, sent %d", read, sent)
 	}
 }

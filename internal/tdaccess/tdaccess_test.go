@@ -1,6 +1,7 @@
 package tdaccess
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -424,5 +425,25 @@ func TestUncommittedMessagesRedeliveredToReplacement(t *testing.T) {
 	redelivered := pollAll(t, c2)
 	if len(redelivered) != 30 {
 		t.Fatalf("replacement re-received %d messages, want all 30", len(redelivered))
+	}
+}
+
+// BenchmarkProducerSend publishes records of the benchmark's action size
+// to one partition: an 8-byte key and a 30-byte payload make a 39-byte
+// body, 47 bytes on disk, as in BenchmarkLogResidentIndex.
+func BenchmarkProducerSend(b *testing.B) {
+	br, err := NewBroker(Options{Dir: b.TempDir(), Partitions: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer br.Close()
+	p := br.NewProducer()
+	payload := bytes.Repeat([]byte("a"), 30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, _, err := p.Send("actions", "user-001", payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

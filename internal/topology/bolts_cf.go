@@ -420,6 +420,7 @@ func (b *ItemCountBolt) flush() error {
 	b.deltas = drainCombinerInto(b.comb, b.deltas)
 	deltas := b.deltas
 	if len(deltas) == 0 {
+		b.st.idle()
 		return nil
 	}
 	// One batched read of every touched counter, the merged deltas
@@ -762,6 +763,8 @@ func (b *PairCountBolt) flush(final bool) error {
 		}
 	}
 	if len(b.jobs) == 0 {
+		b.endInterval()
+		b.st.idle()
 		return nil
 	}
 	sb, err := b.newPairBatch()

@@ -76,6 +76,7 @@ func (b *DBBolt) flush() error {
 	b.deltas = drainCombinerInto(b.comb, b.deltas)
 	deltas := b.deltas
 	if len(deltas) == 0 {
+		b.st.idle()
 		return nil
 	}
 	// One batched read covers every group counter plus the hot lists the

@@ -924,6 +924,89 @@ func TestPairCountIntervalListsShrinkAfterBurst(t *testing.T) {
 	}
 }
 
+// TestEmptyFlushDropsBurstSlabs: a tick with nothing staged applies the
+// quarter rule too. A burst of 5,000 keys grows each flushing bolt's pooled
+// batch (and pairCount's interval lists) past 4,096 entries; the next tick,
+// whose interval staged nothing, leaves none of them over 1,024 entries
+// instead of keeping them for the life of the task.
+func TestEmptyFlushDropsBurstSlabs(t *testing.T) {
+	const burst = 5000
+	p := Params{}.withDefaults()
+	pool := func(ts *taskState) int {
+		if ts.pool == nil {
+			return 0
+		}
+		return cap(ts.pool.ents)
+	}
+	tick := func(t *testing.T, b stream.Bolt) {
+		t.Helper()
+		if err := b.Execute(tickTuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("pairCount", func(t *testing.T) {
+		st := NewMemState()
+		var out []stream.Values
+		b := preparedPairCount(t, st, p, &out)
+		rows := make(stream.Run, 0, burst)
+		putItemCounts(t, st, p, 1, "a")
+		for i := 0; i < burst; i++ {
+			item := fmt.Sprintf("i%04d", i)
+			putItemCounts(t, st, p, 1, item)
+			rows = append(rows, stream.Row{Key: pairID("a", item), Num: 1})
+		}
+		if err := b.Execute(pairDeltaRun(rows, 0)); err != nil {
+			t.Fatal(err)
+		}
+		tick(t, b)
+		if pool(b.st) <= 4096 || cap(b.jobs) <= 4096 || cap(b.touched) <= 4096 || b.touchPeak <= 4096 {
+			t.Fatalf("after the burst: pool %d, jobs %d, touched %d, index peak %d; want each past 4,096",
+				pool(b.st), cap(b.jobs), cap(b.touched), b.touchPeak)
+		}
+		tick(t, b)
+		if pool(b.st) > 1024 || cap(b.jobs) > 1024 || cap(b.touched) > 1024 || b.touchPeak > 1024 {
+			t.Fatalf("after an empty interval: pool %d, jobs %d, touched %d, index peak %d; want each at most 1,024",
+				pool(b.st), cap(b.jobs), cap(b.touched), b.touchPeak)
+		}
+	})
+	itemCount := NewItemCountBolt(NewMemState(), p)().(*ItemCountBolt)
+	db := NewDBBolt(NewMemState(), p)().(*DBBolt)
+	for _, tc := range []struct {
+		name string
+		bolt stream.Bolt
+		st   func() *taskState
+		tup  func(item string) *stream.Tuple
+	}{
+		{"itemCount", itemCount, func() *taskState { return itemCount.st }, func(item string) *stream.Tuple {
+			return stream.NewTuple(UnitUserHistory, StreamItemDelta,
+				stream.Fields{"item", "delta", "session"}, stream.Values{item, 1.0, int64(0)})
+		}},
+		{"db", db, func() *taskState { return db.st }, func(item string) *stream.Tuple {
+			return stream.NewTuple(UnitUserHistory, StreamGroupDelta,
+				stream.Fields{"group", "item", "weight", "session"}, stream.Values{"g", item, 1.0, int64(0)})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.bolt.Prepare(stream.TopologyContext{}, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < burst; i++ {
+				if err := tc.bolt.Execute(tc.tup(fmt.Sprintf("i%04d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tick(t, tc.bolt)
+			if pool(tc.st()) <= 4096 {
+				t.Fatalf("after the burst: pool %d, want past 4,096", pool(tc.st()))
+			}
+			tick(t, tc.bolt)
+			if pool(tc.st()) > 1024 {
+				t.Fatalf("after an empty interval: pool %d, want at most 1,024", pool(tc.st()))
+			}
+		})
+	}
+}
+
 // BenchmarkPairCountResidentBytes: what a pairCount task keeps per pair it
 // has seen. It is the live heap of a task fed 150,000 distinct pairs of 600
 // items less that of one fed the first 50,000, over the 100,000 pairs

@@ -379,6 +379,15 @@ func (ts *taskState) batch() *stateBatch {
 	return ts.pool
 }
 
+// idle is batch's rule for an interval that staged nothing, and so used
+// none of the pool: a slab over 1,024 entries is dropped. A flush that
+// returns early calls it, or a burst's pool would outlive the burst.
+func (ts *taskState) idle() {
+	if sb := ts.pool; sb != nil && cap(sb.ents) > 1024 {
+		ts.pool = nil
+	}
+}
+
 // reset clears the staged view while keeping the map's buckets and the
 // slices' capacity.
 func (sb *stateBatch) reset() {
