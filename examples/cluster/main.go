@@ -29,12 +29,11 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	cfg := tencentrec.SystemConfig{
-		DataDir:      dir,
-		StoreServers: 4,
-		StoreEngine:  "ldb",
-		Params:       tencentrec.Params{FlushInterval: 20 * time.Millisecond},
-		Parallelism:  tencentrec.Parallelism{UserHistory: 3, ItemCount: 2, PairCount: 2},
-		TraceEvery:   1, // trace every tuple so the demo always has waterfalls
+		DataDir:     dir,
+		StoreEngine: "ldb",
+		Params:      tencentrec.Params{FlushInterval: 20 * time.Millisecond},
+		Parallelism: tencentrec.Parallelism{UserHistory: 3, ItemCount: 2, PairCount: 2},
+		TraceEvery:  1, // trace every tuple so the demo always has waterfalls
 	}
 	sys, err := tencentrec.Open(cfg)
 	if err != nil {

@@ -4,9 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Message is one record published through TDAccess.
@@ -47,31 +51,28 @@ func decodeMessage(body []byte) (key string, payload []byte, err error) {
 type Options struct {
 	// Dir is the root directory for partition logs. Required.
 	Dir string
-	// DataServers is the number of simulated data servers partitions are
-	// spread over. Default 2.
-	DataServers int
-	// Partitions is the partition count for newly created topics.
-	// Default 4.
+	// Partitions is the partition count for newly created topics; a topic
+	// found on disk keeps the count it has there. Default 4.
 	Partitions int
 	// SegmentBytes overrides the per-segment size limit (testing).
 	SegmentBytes int64
 }
 
-// partitionHandle binds a partition log to its owning data server.
+// partitionHandle is one partition's log.
 type partitionHandle struct {
-	log    *plog
-	server int // index of the owning data server
+	log *plog
 	// stamps holds recent publish timestamps for lag measurement; nil
 	// until the broker is instrumented (see observe.go).
 	stamps *pubStamps
 }
 
-// topic is a named stream divided into partitions.
+// topic is a named stream divided into partitions. Its partitions are
+// fixed once it is published in the broker's topic table.
 type topic struct {
 	name  string
 	parts []*partitionHandle
 	// rr is the round-robin cursor for keyless sends.
-	rr int
+	rr atomic.Uint64
 }
 
 // groupKey identifies a consumer group's view of one topic.
@@ -84,25 +85,25 @@ type groupState struct {
 	offsets []int64  // committed offset per partition
 }
 
-// Broker is an in-process TDAccess cluster: data servers holding
-// disk-backed partitions, and the one master that balances producers and
-// consumers at partition granularity. The paper's standby master is left
-// out: the process is the failure unit, and a crashed broker reopens its
+// Broker is an in-process TDAccess cluster: disk-backed partition logs,
+// and the one master that balances producers and consumers at partition
+// granularity. The paper's data servers and standby master are left out:
+// the process is the failure unit, and a crashed broker reopens its
 // partitions from disk (DESIGN.md §2).
 type Broker struct {
 	opts Options
 
-	mu     sync.Mutex
-	topics map[string]*topic
-	groups map[groupKey]*groupState
-	// serverDown marks failed data servers; their partitions error until
-	// revival (TDAccess replicates via disk, not across servers).
-	serverDown []bool
-	nextCID    int64
-	closed     bool
-	// ins is set by Instrument (under mu); nil on an uninstrumented
-	// broker.
-	ins *brokerInstruments
+	// topics is the topic table, copied on write under mu: a lookup
+	// takes no lock.
+	topics atomic.Pointer[map[string]*topic]
+	// ins is set by Instrument; nil on an uninstrumented broker.
+	ins atomic.Pointer[brokerInstruments]
+
+	// mu serialises topic creation, the consumer groups and Close.
+	mu      sync.Mutex
+	groups  map[groupKey]*groupState
+	nextCID int64
+	closed  bool
 }
 
 // NewBroker opens a broker rooted at opts.Dir, recovering any existing
@@ -111,90 +112,114 @@ func NewBroker(opts Options) (*Broker, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("tdaccess: Options.Dir is required")
 	}
-	if opts.DataServers <= 0 {
-		opts.DataServers = 2
-	}
 	if opts.Partitions <= 0 {
 		opts.Partitions = 4
 	}
-	b := &Broker{
-		opts:       opts,
-		topics:     make(map[string]*topic),
-		groups:     make(map[groupKey]*groupState),
-		serverDown: make([]bool, opts.DataServers),
-	}
+	b := &Broker{opts: opts, groups: make(map[groupKey]*groupState)}
+	b.topics.Store(&map[string]*topic{})
 	// Recover topics persisted by a previous run.
 	dirs, err := filepath.Glob(filepath.Join(opts.Dir, "*", "p-0"))
 	if err != nil {
 		return nil, fmt.Errorf("tdaccess: scan topics: %w", err)
 	}
 	for _, d := range dirs {
-		name := filepath.Base(filepath.Dir(d))
-		if _, err := b.getOrCreateTopic(name); err != nil {
+		if _, err := b.topic(filepath.Base(filepath.Dir(d))); err != nil {
+			b.Close()
 			return nil, err
 		}
 	}
 	return b, nil
 }
 
-// KillDataServer fails one data server; sends and polls touching its
-// partitions error until ReviveDataServer.
-func (b *Broker) KillDataServer(i int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if i < 0 || i >= len(b.serverDown) {
-		return fmt.Errorf("tdaccess: no data server %d", i)
+// FailPartition arms err on one partition of a topic: its appends and
+// reads return err and change nothing until a call with a nil err.
+func (b *Broker) FailPartition(topicName string, partition int, err error) error {
+	ph, perr := b.partition(topicName, partition)
+	if perr != nil {
+		return perr
 	}
-	b.serverDown[i] = true
+	ph.log.failWith(err)
 	return nil
 }
 
-// ReviveDataServer brings a data server back; its disk-cached partitions
-// resume service with no data loss.
-func (b *Broker) ReviveDataServer(i int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if i < 0 || i >= len(b.serverDown) {
-		return fmt.Errorf("tdaccess: no data server %d", i)
-	}
-	b.serverDown[i] = false
-	return nil
-}
-
-// getOrCreateTopic opens a topic's partition logs, creating them on first
-// use. Partitions are assigned to data servers round-robin, the
-// partition-granular balance the master performs in §3.2.
-func (b *Broker) getOrCreateTopic(name string) (*topic, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.getOrCreateTopicLocked(name)
-}
-
-func (b *Broker) getOrCreateTopicLocked(name string) (*topic, error) {
-	if t, ok := b.topics[name]; ok {
+// topic returns the named topic, opening its partition logs on first use.
+func (b *Broker) topic(name string) (*topic, error) {
+	if t := (*b.topics.Load())[name]; t != nil {
 		return t, nil
 	}
-	t := &topic{name: name}
-	for p := 0; p < b.opts.Partitions; p++ {
-		dir := filepath.Join(b.opts.Dir, name, fmt.Sprintf("p-%d", p))
-		l, err := openLog(dir, b.opts.SegmentBytes)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.topicLocked(name)
+}
+
+// topicLocked is topic under b.mu, checking the table again so that two
+// first users never open a partition twice. A topic found on disk keeps
+// the partitions it has there; a new one gets Options.Partitions.
+func (b *Broker) topicLocked(name string) (*topic, error) {
+	old := *b.topics.Load()
+	if t := old[name]; t != nil {
+		return t, nil
+	}
+	dir := filepath.Join(b.opts.Dir, name)
+	n, err := partitionsOnDisk(dir)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		n = b.opts.Partitions
+	}
+	t := &topic{name: name, parts: make([]*partitionHandle, n)}
+	for p := range t.parts {
+		l, err := openLog(filepath.Join(dir, fmt.Sprintf("p-%d", p)), b.opts.SegmentBytes)
 		if err != nil {
+			for _, ph := range t.parts[:p] {
+				ph.log.Close()
+			}
 			return nil, err
 		}
-		t.parts = append(t.parts, &partitionHandle{log: l, server: p % b.opts.DataServers})
+		t.parts[p] = &partitionHandle{log: l}
 	}
-	b.topics[name] = t
-	if b.ins != nil {
-		b.registerTopicGaugesLocked(t)
+	if ins := b.ins.Load(); ins != nil {
+		b.registerTopicGaugesLocked(ins, t)
 	}
+	next := make(map[string]*topic, len(old)+1)
+	maps.Copy(next, old)
+	next[name] = t
+	b.topics.Store(&next)
 	return t, nil
+}
+
+// partitionsOnDisk counts a topic's p-N directories, which must run from
+// p-0 with no gap: a key's partition is its hash modulo the count.
+func partitionsOnDisk(dir string) (int, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "p-*"))
+	if err != nil {
+		return 0, fmt.Errorf("tdaccess: scan partitions: %w", err)
+	}
+	for p := range names {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("p-%d", p))); err != nil {
+			return 0, fmt.Errorf("tdaccess: %s holds %d partitions but no p-%d", dir, len(names), p)
+		}
+	}
+	return len(names), nil
+}
+
+// partition returns one partition of an existing topic.
+func (b *Broker) partition(topicName string, partition int) (*partitionHandle, error) {
+	t := (*b.topics.Load())[topicName]
+	if t == nil {
+		return nil, fmt.Errorf("tdaccess: unknown topic %q", topicName)
+	}
+	if partition < 0 || partition >= len(t.parts) {
+		return nil, fmt.Errorf("tdaccess: topic %s has no partition %d", topicName, partition)
+	}
+	return t.parts[partition], nil
 }
 
 // partitionFor picks the partition index for a key.
 func (t *topic) partitionFor(key string) int {
 	if key == "" {
-		t.rr++
-		return t.rr % len(t.parts)
+		return int(t.rr.Add(1) % uint64(len(t.parts)))
 	}
 	return int(hashString(key) % uint32(len(t.parts)))
 }
@@ -219,7 +244,7 @@ func (b *Broker) Close() error {
 	}
 	b.closed = true
 	var first error
-	for _, t := range b.topics {
+	for _, t := range *b.topics.Load() {
 		for _, p := range t.parts {
 			if err := p.log.Close(); err != nil && first == nil {
 				first = err
@@ -231,9 +256,7 @@ func (b *Broker) Close() error {
 
 // TopicPartitions reports the partition count of a topic (0 if absent).
 func (b *Broker) TopicPartitions(name string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if t, ok := b.topics[name]; ok {
+	if t := (*b.topics.Load())[name]; t != nil {
 		return len(t.parts)
 	}
 	return 0
@@ -242,15 +265,11 @@ func (b *Broker) TopicPartitions(name string) int {
 // CommittedOffset reports a group's committed offset for one partition
 // of a topic, for monitoring consumer progress without joining the group.
 func (b *Broker) CommittedOffset(group, topicName string, partition int) (int64, error) {
+	if _, err := b.partition(topicName, partition); err != nil {
+		return 0, err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return 0, fmt.Errorf("tdaccess: unknown topic %q", topicName)
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("tdaccess: topic %s has no partition %d", topicName, partition)
-	}
 	gs := b.groups[groupKey{group, topicName}]
 	if gs == nil {
 		return 0, nil
@@ -261,16 +280,11 @@ func (b *Broker) CommittedOffset(group, topicName string, partition int) (int64,
 // EndOffset reports the offset the next message appended to one
 // partition of a topic will get: everything below it is in the log.
 func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return 0, fmt.Errorf("tdaccess: unknown topic %q", topicName)
+	ph, err := b.partition(topicName, partition)
+	if err != nil {
+		return 0, err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("tdaccess: topic %s has no partition %d", topicName, partition)
-	}
-	return t.parts[partition].log.NextOffset(), nil
+	return ph.log.NextOffset(), nil
 }
 
 // SeedCommittedOffsets installs a group's committed offsets for a topic
@@ -283,7 +297,7 @@ func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
 func (b *Broker) SeedCommittedOffsets(group, topicName string, offsets []int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t, err := b.getOrCreateTopicLocked(topicName)
+	t, err := b.topicLocked(topicName)
 	if err != nil {
 		return err
 	}
@@ -305,42 +319,25 @@ func (b *Broker) SeedCommittedOffsets(group, topicName string, offsets []int64) 
 	return nil
 }
 
-// rebalanceLocked recomputes a group's partition assignment after a
-// membership change. Offsets are preserved; the epoch bump tells each
-// consumer to refetch its assignment.
-func (b *Broker) rebalanceLocked(gk groupKey, t *topic) {
-	gs := b.groups[gk]
-	if gs == nil {
-		gs = &groupState{offsets: make([]int64, len(t.parts))}
-		b.groups[gk] = gs
-	}
+// rebalance recomputes a group's partition assignment after a membership
+// change. Offsets are preserved; the epoch bump tells each consumer to
+// refetch its assignment. Caller holds b.mu.
+func (gs *groupState) rebalance() {
 	sort.Strings(gs.members)
 	gs.epoch++
 }
 
-// assignmentLocked returns the partitions owned by consumer cid under the
-// group's current membership: partitions are dealt round-robin over the
-// sorted member list.
-func (b *Broker) assignmentLocked(gk groupKey, cid string, t *topic) []int {
-	gs := b.groups[gk]
-	if gs == nil {
-		return nil
-	}
-	pos := -1
-	for i, m := range gs.members {
-		if m == cid {
-			pos = i
-			break
-		}
-	}
+// assignment returns the partitions, of a topic with n, that consumer cid
+// owns under the group's current membership: partitions are dealt
+// round-robin over the sorted member list. Caller holds b.mu.
+func (gs *groupState) assignment(cid string, n int) []int {
+	pos := slices.Index(gs.members, cid)
 	if pos < 0 {
 		return nil
 	}
 	var out []int
-	for p := range t.parts {
-		if p%len(gs.members) == pos {
-			out = append(out, p)
-		}
+	for p := pos; p < n; p += len(gs.members) {
+		out = append(out, p)
 	}
 	return out
 }

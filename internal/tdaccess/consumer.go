@@ -2,26 +2,24 @@ package tdaccess
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tencentrec/internal/obsv"
 )
 
 // Consumer reads messages from a topic as part of a consumer group.
 // Partitions of the topic are divided among the group's members by the
-// master, and each member polls its partitions directly from the data
-// servers. Committed offsets are stored broker-side per group, so a
-// consumer restart (or a replacement member) resumes where the group
-// left off (§3.2).
+// master, and each member reads its partitions' logs directly. Committed
+// offsets are stored broker-side per group, so a consumer restart (or a
+// replacement member) resumes where the group left off (§3.2).
 type Consumer struct {
 	b     *Broker
 	id    string
 	group string
 
-	topicName string
-	t         *topic
-	epoch     int64
-	assigned  []int
+	t        *topic
+	epoch    int64
+	assigned []int
 	// positions tracks the next offset to read per assigned partition,
 	// starting from the group's committed offsets.
 	positions map[int]int64
@@ -41,7 +39,7 @@ func (b *Broker) NewConsumer(group string) *Consumer {
 
 // Subscribe joins the group for the given topic, triggering a rebalance.
 func (c *Consumer) Subscribe(topicName string) error {
-	t, err := c.b.getOrCreateTopic(topicName)
+	t, err := c.b.topic(topicName)
 	if err != nil {
 		return err
 	}
@@ -53,14 +51,11 @@ func (c *Consumer) Subscribe(topicName string) error {
 		gs = &groupState{offsets: make([]int64, len(t.parts))}
 		c.b.groups[gk] = gs
 	}
-	for _, m := range gs.members {
-		if m == c.id {
-			return nil // already subscribed
-		}
+	if slices.Contains(gs.members, c.id) {
+		return nil // already subscribed
 	}
 	gs.members = append(gs.members, c.id)
-	c.b.rebalanceLocked(gk, t)
-	c.topicName = topicName
+	gs.rebalance()
 	c.t = t
 	c.epoch = -1 // force assignment refresh on next poll
 	return nil
@@ -74,17 +69,11 @@ func (c *Consumer) Unsubscribe() {
 	}
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
-	gk := groupKey{c.group, c.topicName}
+	gk := groupKey{c.group, c.t.name}
 	gs := c.b.groups[gk]
 	if gs != nil {
-		members := gs.members[:0]
-		for _, m := range gs.members {
-			if m != c.id {
-				members = append(members, m)
-			}
-		}
-		gs.members = members
-		c.b.rebalanceLocked(gk, c.t)
+		gs.members = slices.DeleteFunc(gs.members, func(m string) bool { return m == c.id })
+		gs.rebalance()
 	}
 	c.t = nil
 	c.assigned = nil
@@ -95,7 +84,7 @@ func (c *Consumer) Unsubscribe() {
 func (c *Consumer) refreshAssignment() error {
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
-	gk := groupKey{c.group, c.topicName}
+	gk := groupKey{c.group, c.t.name}
 	gs := c.b.groups[gk]
 	if gs == nil {
 		return fmt.Errorf("tdaccess: consumer %s polled before Subscribe", c.id)
@@ -103,8 +92,7 @@ func (c *Consumer) refreshAssignment() error {
 	if gs.epoch == c.epoch {
 		return nil
 	}
-	c.assigned = c.b.assignmentLocked(gk, c.id, c.t)
-	sort.Ints(c.assigned)
+	c.assigned = gs.assignment(c.id, len(c.t.parts))
 	positions := make(map[int]int64, len(c.assigned))
 	for _, p := range c.assigned {
 		if old, ok := c.positions[p]; ok {
@@ -141,18 +129,12 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 		out = make([]Message, 0, want)
 	}
 	defer func() { clear(c.bodies) }()
+	ins := c.b.ins.Load()
 	for _, p := range c.assigned {
 		if len(out) >= max {
 			break
 		}
 		ph := c.t.parts[p]
-		c.b.mu.Lock()
-		down := c.b.serverDown[ph.server]
-		ins := c.b.ins
-		c.b.mu.Unlock()
-		if down {
-			return out, fmt.Errorf("tdaccess: data server %d serving %s/%d is down", ph.server, c.topicName, p)
-		}
 		pos := c.positions[p]
 		var err error
 		c.bodies, err = ph.log.ReadFrom(c.bodies[:0], pos, max-len(out))
@@ -165,7 +147,7 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 				return out, err
 			}
 			out = append(out, Message{
-				Topic:     c.topicName,
+				Topic:     c.t.name,
 				Partition: p,
 				Offset:    pos + int64(i),
 				Key:       key,
@@ -194,7 +176,7 @@ func (c *Consumer) Commit() error {
 	}
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
-	gs := c.b.groups[groupKey{c.group, c.topicName}]
+	gs := c.b.groups[groupKey{c.group, c.t.name}]
 	if gs == nil {
 		return fmt.Errorf("tdaccess: unknown group %q", c.group)
 	}

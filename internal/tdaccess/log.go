@@ -3,15 +3,15 @@
 // production applications) from the data processing systems.
 //
 // Producers publish messages to topics; topics are divided into
-// partitions spread across data servers "to achieve better parallelism";
-// consumers subscribe and read partitions in parallel. Unlike a
-// traditional message queue, TDAccess "caches the data in disk" so that
-// late-joining or offline consumers can replay history, and it "utilizes
-// sequential operations to accelerate the speed of reads and writes":
-// every partition is a segmented append-only log on disk. The master
-// assigns partitions to data servers and balances producers and consumers
-// at partition granularity; the paper's standby master is left out, since
-// the process that runs the broker is the failure unit.
+// partitions "to achieve better parallelism"; consumers subscribe and
+// read partitions in parallel. Unlike a traditional message queue,
+// TDAccess "caches the data in disk" so that late-joining or offline
+// consumers can replay history, and it "utilizes sequential operations to
+// accelerate the speed of reads and writes": every partition is a
+// segmented append-only log on disk. The broker balances producers and
+// consumers at partition granularity. The paper's data servers and
+// standby master are left out, since the process that runs the broker is
+// the failure unit.
 package tdaccess
 
 import (
@@ -110,6 +110,16 @@ type plog struct {
 	segments    []*segment // ascending base offset; last is active
 	nextOffset  int64
 	segmentSize int64
+	// fail, when set (Broker.FailPartition), is what appends and reads
+	// return in place of their work.
+	fail error
+}
+
+// failWith arms err on the log's appends and reads; nil clears it.
+func (l *plog) failWith(err error) {
+	l.mu.Lock()
+	l.fail = err
+	l.mu.Unlock()
 }
 
 // openLog opens (creating if necessary) a partition log in dir and
@@ -345,7 +355,8 @@ func (s *segment) seal() error {
 // to back (the broker's message frame), so Send need not join them first.
 // The record is copied into the active segment's mapping, its header last,
 // under the write lock: no system call unless the mapping must grow or the
-// segment rotate. When it returns the record is in the page cache.
+// segment rotate. When it returns the record is in the page cache. A log
+// failed by Broker.FailPartition returns its error and writes nothing.
 func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) {
 	size := len(head) + len(key) + len(tail)
 	if size == 0 {
@@ -356,6 +367,9 @@ func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) 
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.fail != nil {
+		return 0, l.fail
+	}
 	seg := l.segments[len(l.segments)-1]
 	if seg.size >= l.segmentSize {
 		if err := l.rotateLocked(); err != nil {
@@ -396,9 +410,14 @@ func (l *plog) appendParts(head []byte, key string, tail []byte) (int64, error) 
 // The bodies alias the run's buffer, each clipped to its own capacity so
 // an append to one cannot reach its neighbour; the buffer lives as long
 // as any body read from it is referenced.
+// A log failed by Broker.FailPartition returns its error and reads
+// nothing.
 func (l *plog) ReadFrom(dst [][]byte, offset int64, max int) ([][]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	if l.fail != nil {
+		return dst, l.fail
+	}
 	if offset < 0 {
 		return dst, ErrOffsetOutOfRange
 	}

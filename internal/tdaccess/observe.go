@@ -8,9 +8,8 @@ import (
 )
 
 // brokerInstruments holds an instrumented broker's pre-resolved
-// instruments. Reached through one nil-checked pointer per operation
-// (read under b.mu, which Instrument also takes), so an uninstrumented
-// broker pays nothing beyond the branch.
+// instruments. Reached through one nil-checked atomic pointer per
+// operation, so an uninstrumented broker pays nothing beyond the branch.
 type brokerInstruments struct {
 	reg       *obsv.Registry
 	published *obsv.Counter
@@ -62,27 +61,28 @@ func (s *pubStamps) lookup(off int64) (int64, bool) {
 func (b *Broker) Instrument(r *obsv.Registry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ins = &brokerInstruments{
+	ins := &brokerInstruments{
 		reg:       r,
 		published: r.Counter("tdaccess_published_total", "Messages published through TDAccess."),
 		consumed:  r.Counter("tdaccess_consumed_total", "Messages returned to consumers by Poll."),
 		lag:       r.Histogram("tdaccess_consume_lag_seconds", "Publish-to-consume latency of polled messages."),
 	}
-	for _, t := range b.topics {
-		b.registerTopicGaugesLocked(t)
+	for _, t := range *b.topics.Load() {
+		b.registerTopicGaugesLocked(ins, t)
 	}
+	// Stored after the stamp rings: whoever loads ins finds them.
+	b.ins.Store(ins)
 }
 
 // registerTopicGaugesLocked attaches per-partition backlog gauges and
 // publish-stamp rings to a topic. Caller holds b.mu.
-func (b *Broker) registerTopicGaugesLocked(t *topic) {
+func (b *Broker) registerTopicGaugesLocked(ins *brokerInstruments, t *topic) {
 	name := t.name
 	for p, ph := range t.parts {
 		if ph.stamps == nil {
 			ph.stamps = &pubStamps{}
 		}
-		p := p
-		b.ins.reg.GaugeFunc("tdaccess_backlog_messages",
+		ins.reg.GaugeFunc("tdaccess_backlog_messages",
 			"Messages behind the slowest consumer group (whole log when no group).",
 			func() int64 { return b.partitionBacklog(name, p) },
 			"topic", name, "partition", strconv.Itoa(p))
@@ -93,13 +93,13 @@ func (b *Broker) registerTopicGaugesLocked(t *topic) {
 // consumer group of a topic has not yet committed for one partition.
 // With no consumer groups the whole log is the backlog.
 func (b *Broker) partitionBacklog(topicName string, p int) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t := b.topics[topicName]
-	if t == nil || p < 0 || p >= len(t.parts) {
+	ph, err := b.partition(topicName, p)
+	if err != nil {
 		return 0
 	}
-	next := t.parts[p].log.NextOffset()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	next := ph.log.NextOffset() // under b.mu: no commit passes it meanwhile
 	minOff := int64(0)
 	first := true
 	for gk, gs := range b.groups {

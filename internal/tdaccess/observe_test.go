@@ -32,13 +32,13 @@ func TestBrokerInstrument(t *testing.T) {
 		t.Fatalf("polled %d, want 20", len(msgs))
 	}
 
-	if got := b.ins.published.Value(); got != 20 {
+	if got := b.ins.Load().published.Value(); got != 20 {
 		t.Errorf("published = %d, want 20", got)
 	}
-	if got := b.ins.consumed.Value(); got != 20 {
+	if got := b.ins.Load().consumed.Value(); got != 20 {
 		t.Errorf("consumed = %d, want 20", got)
 	}
-	if lag := b.ins.lag.Snapshot(); lag.Count != 20 {
+	if lag := b.ins.Load().lag.Snapshot(); lag.Count != 20 {
 		t.Errorf("lag samples = %d, want 20 (every polled message was stamped)", lag.Count)
 	}
 

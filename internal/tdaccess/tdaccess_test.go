@@ -2,7 +2,11 @@ package tdaccess
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -279,9 +283,7 @@ func TestSegmentRotation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.Send("t", "", payload)
 	}
-	b.mu.Lock()
-	segs := b.topics["t"].parts[0].log.SegmentCount()
-	b.mu.Unlock()
+	segs := (*b.topics.Load())["t"].parts[0].log.SegmentCount()
 	if segs < 2 {
 		t.Fatalf("SegmentCount = %d, rotation never happened", segs)
 	}
@@ -293,36 +295,216 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestDataServerFailureAndRevival(t *testing.T) {
-	b := newTestBroker(t, Options{DataServers: 2, Partitions: 2})
+var errPartitionDown = errors.New("partition down")
+
+// TestFailedAppendChangesNothing: an append to a failed partition returns
+// the armed error and leaves the log as it was; once cleared, the next
+// append takes the offset the failed one would have had, and the records
+// on both sides of the fault are read back.
+func TestFailedAppendChangesNothing(t *testing.T) {
+	b := newTestBroker(t, Options{Partitions: 2})
 	p := b.NewProducer()
-	if _, _, err := p.Send("t", "k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	b.mu.Lock()
-	part := b.topics["t"].partitionFor("k")
-	server := b.topics["t"].parts[part].server
-	b.mu.Unlock()
-	if err := b.KillDataServer(server); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Send("t", "k", []byte("v2")); err == nil {
-		t.Fatal("send to dead data server succeeded")
-	}
-	if err := b.ReviveDataServer(server); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Send("t", "k", []byte("v3")); err != nil {
-		t.Fatalf("send after revival: %v", err)
-	}
-	c := b.NewConsumer("g")
-	c.Subscribe("t")
-	msgs, err := c.Poll(100)
+	part, _, err := p.Send("t", "k", []byte("v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) != 2 {
-		t.Fatalf("polled %d messages, want 2 (disk cache preserved)", len(msgs))
+	if err := b.FailPartition("t", part, errPartitionDown); err != nil {
+		t.Fatal(err)
+	}
+	l := (*b.topics.Load())["t"].parts[part].log
+	seg := l.segments[len(l.segments)-1]
+	next, size, bytesBefore := l.NextOffset(), seg.size, bytes.Clone(seg.m)
+	if _, _, err := p.Send("t", "k", []byte("v2")); !errors.Is(err, errPartitionDown) {
+		t.Fatalf("send to a failed partition: %v, want %v", err, errPartitionDown)
+	}
+	if l.NextOffset() != next || seg.size != size || !bytes.Equal(seg.m, bytesBefore) {
+		t.Fatalf("failed append moved the log: next %d -> %d, size %d -> %d", next, l.NextOffset(), size, seg.size)
+	}
+	if err := b.FailPartition("t", part, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, off, err := p.Send("t", "k", []byte("v3")); err != nil || off != next {
+		t.Fatalf("send after clearing: offset %d, %v; want %d", off, err, next)
+	}
+	c := b.NewConsumer("g")
+	c.Subscribe("t")
+	msgs := pollAll(t, c)
+	if len(msgs) != 2 || string(msgs[0].Payload) != "v1" || string(msgs[1].Payload) != "v3" {
+		t.Fatalf("polled %v, want v1 and v3", msgs)
+	}
+	if err := b.FailPartition("t", 2, errPartitionDown); err == nil {
+		t.Fatal("FailPartition of a partition the topic lacks succeeded")
+	}
+}
+
+// TestFailedReadKeepsPosition: a poll that meets a failed partition
+// returns what the partitions before it gave, with the error, and does
+// not move the failed partition's position; once cleared, the next poll
+// returns its records, and no record comes back twice.
+func TestFailedReadKeepsPosition(t *testing.T) {
+	b := newTestBroker(t, Options{Partitions: 2})
+	p := b.NewProducer()
+	perPartition := make([]int, 2)
+	for i := 0; i < 40; i++ {
+		part, _, err := p.Send("t", fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("m%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		perPartition[part]++
+	}
+	if perPartition[0] == 0 || perPartition[1] == 0 {
+		t.Fatalf("keys did not spread over both partitions: %v", perPartition)
+	}
+	c := b.NewConsumer("g")
+	if err := c.Subscribe("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.FailPartition("t", 1, errPartitionDown); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for range 2 {
+		msgs, err := c.Poll(100)
+		if !errors.Is(err, errPartitionDown) {
+			t.Fatalf("poll across a failed partition: %v, want %v", err, errPartitionDown)
+		}
+		for _, m := range msgs {
+			if m.Partition != 0 {
+				t.Fatalf("failed partition %d returned offset %d", m.Partition, m.Offset)
+			}
+			seen[string(m.Payload)]++
+		}
+		if c.positions[1] != 0 {
+			t.Fatalf("failed partition's position moved to %d", c.positions[1])
+		}
+	}
+	if len(seen) != perPartition[0] {
+		t.Fatalf("%d records during the fault, want partition 0's %d", len(seen), perPartition[0])
+	}
+	if err := b.FailPartition("t", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range pollAll(t, c) {
+		seen[string(m.Payload)]++
+	}
+	for i := 0; i < 40; i++ {
+		if m := fmt.Sprintf("m%d", i); seen[m] != 1 {
+			t.Fatalf("%s polled %d times, want 1", m, seen[m])
+		}
+	}
+}
+
+// TestFirstUsersOpenATopicOnce: producers and consumers that reach a new
+// topic at the same time share one topic, so each partition directory is
+// opened by one log, and every record is read back once, live and from
+// the files after a reopen.
+func TestFirstUsersOpenATopicOnce(t *testing.T) {
+	dir := t.TempDir()
+	b, err := NewBroker(Options{Dir: dir, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const users, perUser = 8, 50
+	consumers := make([]*Consumer, users)
+	var wg sync.WaitGroup
+	for u := range users {
+		consumers[u] = b.NewConsumer(fmt.Sprintf("g%d", u))
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := consumers[u].Subscribe("t"); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			p := b.NewProducer()
+			for i := range perUser {
+				if _, _, err := p.Send("t", "", []byte(fmt.Sprintf("u%d-%d", u, i))); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	tp := (*b.topics.Load())["t"]
+	countOnce := func(msgs []Message) {
+		t.Helper()
+		seen := map[string]int{}
+		for _, m := range msgs {
+			seen[string(m.Payload)]++
+		}
+		for u := range users {
+			for i := range perUser {
+				if m := fmt.Sprintf("u%d-%d", u, i); seen[m] != 1 {
+					t.Fatalf("%s polled %d times, want 1", m, seen[m])
+				}
+			}
+		}
+	}
+	for _, c := range consumers {
+		if c.t != tp {
+			t.Fatal("two first users opened the topic twice")
+		}
+		countOnce(pollAll(t, c))
+	}
+	b.Close()
+	b2 := newTestBroker(t, Options{Dir: dir})
+	c := b2.NewConsumer("g")
+	c.Subscribe("t")
+	countOnce(pollAll(t, c))
+}
+
+// TestReopenedTopicKeepsItsPartitions: a topic found on disk opens every
+// partition it has there, whatever Options.Partitions says, so its keys
+// stay where they were; a gap among its partitions is an error.
+func TestReopenedTopicKeepsItsPartitions(t *testing.T) {
+	dir := t.TempDir()
+	b1, err := NewBroker(Options{Dir: dir, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := b1.NewProducer()
+	for i := 0; i < 80; i++ {
+		if _, _, err := p.Send("t", fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _, err := p.Send("t", "late", []byte("v80"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1.Close()
+
+	b2, err := NewBroker(Options{Dir: dir, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := b2.TopicPartitions("t"); n != 8 {
+		t.Fatalf("reopened topic has %d partitions, want the 8 on disk", n)
+	}
+	if after, _, err := b2.NewProducer().Send("t", "late", []byte("v81")); err != nil || after != before {
+		t.Fatalf("key sent after the reopen went to partition %d (%v), want %d", after, err, before)
+	}
+	c := b2.NewConsumer("g")
+	c.Subscribe("t")
+	seen := map[string]int{}
+	for _, m := range pollAll(t, c) {
+		seen[string(m.Payload)]++
+	}
+	for i := 0; i < 82; i++ {
+		if m := fmt.Sprintf("v%d", i); seen[m] != 1 {
+			t.Fatalf("%s polled %d times, want 1", m, seen[m])
+		}
+	}
+	b2.Close()
+
+	if err := os.RemoveAll(filepath.Join(dir, "t", "p-5")); err != nil {
+		t.Fatal(err)
+	}
+	if b3, err := NewBroker(Options{Dir: dir}); err == nil {
+		b3.Close()
+		t.Fatal("a topic with a gap among its partitions opened")
 	}
 }
 
@@ -446,4 +628,27 @@ func BenchmarkProducerSend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProducerSendParallel publishes the same records keyless to 4
+// partitions from every P (a 38-byte payload: the same 39-byte body) — the round-robin cursor is the one word the
+// senders share, and each append takes only its partition log's lock.
+func BenchmarkProducerSendParallel(b *testing.B) {
+	br, err := NewBroker(Options{Dir: b.TempDir(), Partitions: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer br.Close()
+	p := br.NewProducer()
+	payload := bytes.Repeat([]byte("a"), 38)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, _, err := p.Send("actions", "", payload); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

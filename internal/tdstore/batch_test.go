@@ -7,7 +7,7 @@ import (
 )
 
 func TestBatchPutGetRoundTrip(t *testing.T) {
-	_, cl := newTestCluster(t, Options{DataServers: 4, Instances: 16})
+	_, cl := newTestCluster(t, Options{Instances: 16})
 	var keys []string
 	var vals [][]byte
 	for i := 0; i < 200; i++ {
@@ -40,7 +40,7 @@ func TestBatchPutGetRoundTrip(t *testing.T) {
 // instance's keys in batch order, so of two writes to one key in a batch
 // the later wins.
 func TestBatchPutKeepsBatchOrderWithinAnInstance(t *testing.T) {
-	c, cl := newTestCluster(t, Options{DataServers: 2, Instances: 8})
+	c, cl := newTestCluster(t, Options{Instances: 8})
 	var keys []string
 	var vals [][]byte
 	want := make(map[string]string)
@@ -108,7 +108,7 @@ func TestBatchGetReportsMisses(t *testing.T) {
 // TestBatchConcurrent exercises the batch paths under -race: concurrent
 // batch readers and writers over keys of every instance.
 func TestBatchConcurrent(t *testing.T) {
-	_, cl := newTestCluster(t, Options{DataServers: 4, Instances: 16})
+	_, cl := newTestCluster(t, Options{Instances: 16})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

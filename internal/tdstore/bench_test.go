@@ -15,7 +15,7 @@ import (
 
 func benchCluster(b *testing.B) (*Client, []string) {
 	b.Helper()
-	c, err := NewCluster(Options{DataServers: 4, Instances: 16})
+	c, err := NewCluster(Options{Instances: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func BenchmarkStoreResidentBytes(b *testing.B) {
 	}
 	var perKey float64
 	for range b.N {
-		c, err := NewCluster(Options{DataServers: 3, Instances: 16})
+		c, err := NewCluster(Options{Instances: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func (c *Cluster) Checkpoint(dir string, frontier []FrontierEntry) error {
 		if !ok {
 			return fmt.Errorf("tdstore: engine for instance %d does not support checkpoints", inst)
 		}
-		if err := ck.Checkpoint(InstanceCheckpointDir(dir, inst)); err != nil {
+		if err := ck.Checkpoint(InstanceDir(dir, inst)); err != nil {
 			return fmt.Errorf("tdstore: checkpoint instance %d: %w", inst, err)
 		}
 	}
@@ -92,9 +92,10 @@ func LoadCheckpoint(dir string) (*CheckpointManifest, error) {
 	return &m, nil
 }
 
-// InstanceCheckpointDir is where instance inst's snapshot lives inside a
-// checkpoint directory: the engine's own checkpoint (for LDB, what
-// ldb.Restore seeds an instance directory from on a cold restart).
-func InstanceCheckpointDir(dir string, inst int) string {
+// InstanceDir is instance inst's directory under dir. A durable store
+// keeps the instance's engine files there, and a checkpoint directory the
+// engine's own snapshot (for LDB, what ldb.Restore seeds the instance's
+// store directory from on a cold restart).
+func InstanceDir(dir string, inst int) string {
 	return filepath.Join(dir, fmt.Sprintf("inst-%d", inst))
 }

@@ -12,22 +12,21 @@ import (
 	"tencentrec/internal/tdstore/engine/ldb"
 )
 
-// ldbFactory builds per-instance LDB engines under root, in directories
-// keyed by server ID and instance.
-func ldbFactory(root string) func(string, InstanceID) (engine.Engine, error) {
-	return func(serverID string, inst InstanceID) (engine.Engine, error) {
-		return ldb.Open(filepath.Join(root, serverID, fmt.Sprintf("inst-%d", inst)),
-			ldb.Options{FlushThreshold: 32, MaxTables: 4})
+// ldbFactory builds per-instance LDB engines under root, one directory
+// per instance.
+func ldbFactory(root string) func(InstanceID) (engine.Engine, error) {
+	return func(inst InstanceID) (engine.Engine, error) {
+		return ldb.Open(InstanceDir(root, int(inst)), ldb.Options{FlushThreshold: 32, MaxTables: 4})
 	}
 }
 
 // restoreFactory is ldbFactory plus checkpoint seeding: each instance
 // directory is wiped and re-linked from the checkpoint before
 // the engine opens — the cold-restart path.
-func restoreFactory(root, ckptDir string) func(string, InstanceID) (engine.Engine, error) {
-	return func(serverID string, inst InstanceID) (engine.Engine, error) {
-		dir := filepath.Join(root, serverID, fmt.Sprintf("inst-%d", inst))
-		if err := ldb.Restore(InstanceCheckpointDir(ckptDir, int(inst)), dir); err != nil {
+func restoreFactory(root, ckptDir string) func(InstanceID) (engine.Engine, error) {
+	return func(inst InstanceID) (engine.Engine, error) {
+		dir := InstanceDir(root, int(inst))
+		if err := ldb.Restore(InstanceDir(ckptDir, int(inst)), dir); err != nil {
 			return nil, err
 		}
 		return ldb.Open(dir, ldb.Options{FlushThreshold: 32, MaxTables: 4})
@@ -39,7 +38,7 @@ func restoreFactory(root, ckptDir string) func(string, InstanceID) (engine.Engin
 // the reopen must not trip over leaked WAL handles or stale locks.
 func TestClusterLDBCloseReopen(t *testing.T) {
 	root := t.TempDir()
-	opts := Options{DataServers: 3, Instances: 6, Engine: ldbFactory(root)}
+	opts := Options{Instances: 6, Engine: ldbFactory(root)}
 	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func TestClusterLDBCloseReopen(t *testing.T) {
 func TestClusterCheckpointRestore(t *testing.T) {
 	root := t.TempDir()
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	opts := Options{DataServers: 3, Instances: 6, Engine: ldbFactory(root)}
+	opts := Options{Instances: 6, Engine: ldbFactory(root)}
 	c, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +117,7 @@ func TestClusterCheckpointRestore(t *testing.T) {
 	}
 
 	root2 := t.TempDir()
-	c2, err := NewCluster(Options{DataServers: 3, Instances: 6,
+	c2, err := NewCluster(Options{Instances: 6,
 		Engine: restoreFactory(root2, ckpt)})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestClusterCheckpointRestore(t *testing.T) {
 // TestCheckpointRequiresCheckpointer rejects checkpointing a cluster
 // whose engines cannot snapshot, rather than silently writing nothing.
 func TestCheckpointRequiresCheckpointer(t *testing.T) {
-	c, err := NewCluster(Options{DataServers: 2, Instances: 2})
+	c, err := NewCluster(Options{Instances: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestLoadCheckpointMissingManifest(t *testing.T) {
 // registry and checks they move with real work.
 func TestClusterInstrumentEngineStats(t *testing.T) {
 	root := t.TempDir()
-	c, err := NewCluster(Options{DataServers: 2, Instances: 4, Engine: ldbFactory(root)})
+	c, err := NewCluster(Options{Instances: 4, Engine: ldbFactory(root)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,20 +217,19 @@ func TestClusterInstrumentEngineStats(t *testing.T) {
 func TestNewClusterEngineErrorCleansUp(t *testing.T) {
 	root := t.TempDir()
 	calls := 0
-	factory := func(serverID string, inst InstanceID) (engine.Engine, error) {
+	factory := func(inst InstanceID) (engine.Engine, error) {
 		calls++
 		if calls > 5 {
 			return nil, fmt.Errorf("boom")
 		}
-		return ldb.Open(filepath.Join(root, serverID, fmt.Sprintf("inst-%d", inst)),
-			ldb.Options{})
+		return ldb.Open(InstanceDir(root, int(inst)), ldb.Options{})
 	}
-	if _, err := NewCluster(Options{DataServers: 2, Instances: 8, Engine: factory}); err == nil {
+	if _, err := NewCluster(Options{Instances: 8, Engine: factory}); err == nil {
 		t.Fatal("NewCluster succeeded despite factory failure")
 	}
 	// All five created engines must be closed: reopening their dirs works
 	// and a fresh cluster over the same root comes up clean.
-	c, err := NewCluster(Options{DataServers: 2, Instances: 8, Engine: ldbFactory(root)})
+	c, err := NewCluster(Options{Instances: 8, Engine: ldbFactory(root)})
 	if err != nil {
 		t.Fatalf("reopen after failed construction: %v", err)
 	}

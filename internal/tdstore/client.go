@@ -15,9 +15,9 @@ type batchItem struct {
 }
 
 // Client provides keyed access to a TDStore cluster. It holds the route
-// table and communicates "directly with the data servers located by the
-// route table" (§3.3): a key's instance is one hash away, and its engine
-// one slice index. The route is fixed for the cluster's life, so a Client
+// table and reaches a key's engine directly, as the paper's client
+// reaches "the data servers located by the route table" (§3.3): a key's
+// instance is one hash away, and its engine one slice index. The route is fixed for the cluster's life, so a Client
 // reads it with no lock and is safe for concurrent use.
 type Client struct {
 	route     *RouteTable

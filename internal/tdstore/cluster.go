@@ -10,39 +10,38 @@ import (
 
 // Options configure a TDStore cluster.
 type Options struct {
-	// DataServers is the number of data servers. Default 4.
+	// DataServers was the number of data servers.
+	//
+	// Deprecated: ignored, as Replicas is. An instance is an engine, and
+	// no server stands between a client and it.
 	DataServers int
 	// Instances is the number of data instances (key-space shards).
 	// Default 16.
 	Instances int
 	// Replicas was the number of slave copies per instance.
 	//
-	// Deprecated: ignored. Each instance has one copy, on the data server
-	// NewCluster assigns it.
+	// Deprecated: ignored. Each instance has one copy, its engine.
 	Replicas int
 	// Engine constructs the storage engine for each data instance.
 	// Default: engine.NewMemory (the MDB engine).
-	Engine func(serverID string, instance InstanceID) (engine.Engine, error)
+	Engine func(instance InstanceID) (engine.Engine, error)
 }
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.DataServers <= 0 {
-		out.DataServers = 4
-	}
 	if out.Instances <= 0 {
 		out.Instances = 16
 	}
 	if out.Engine == nil {
-		out.Engine = func(string, InstanceID) (engine.Engine, error) { return engine.NewMemory(), nil }
+		out.Engine = func(InstanceID) (engine.Engine, error) { return engine.NewMemory(), nil }
 	}
 	return out
 }
 
-// instance is one data instance: the engine that holds it on its data
-// server, and the write mutex under which every write of the instance
-// applies, so that a read-modify-write (IncrFloat) is atomic against the
-// others. run is the scratch a batched write fills under the mutex.
+// instance is one data instance: the engine that holds it, and the write
+// mutex under which every write of the instance applies, so that a
+// read-modify-write (IncrFloat) is atomic against the others. run is the
+// scratch a batched write fills under the mutex.
 type instance struct {
 	eng engine.Engine
 	mu  sync.Mutex
@@ -72,8 +71,8 @@ func (r *runScratch) reset() {
 	r.kvs = r.kvs[:0]
 }
 
-// Cluster is a TDStore deployment: its data instances, each on one data
-// server, and the route table that places them. Use NewCluster to build
+// Cluster is a TDStore deployment: its data instances, one engine each,
+// and the route table that places keys on them. Use NewCluster to build
 // one and NewClient for access. Nothing moves an instance after
 // construction, so the route and the instances are read with no lock.
 type Cluster struct {
@@ -82,17 +81,16 @@ type Cluster struct {
 	closed    atomic.Bool
 }
 
-// NewCluster builds a cluster: instance i goes to data server
-// ds-(i mod DataServers), which opens the instance's engine.
+// NewCluster builds a cluster, opening each instance's engine with
+// Options.Engine.
 func NewCluster(opts Options) (*Cluster, error) {
 	o := opts.withDefaults()
 	c := &Cluster{
-		route:     &RouteTable{NumInstances: o.Instances, Hosts: make([]string, o.Instances)},
+		route:     &RouteTable{NumInstances: o.Instances},
 		instances: make([]*instance, o.Instances),
 	}
 	for inst := range c.instances {
-		server := fmt.Sprintf("ds-%d", inst%o.DataServers)
-		eng, err := o.Engine(server, InstanceID(inst))
+		eng, err := o.Engine(InstanceID(inst))
 		if err != nil {
 			// Close what is already open: disk engines hold WAL handles
 			// and goroutines that would otherwise leak past the failed
@@ -100,7 +98,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 			c.Close()
 			return nil, fmt.Errorf("tdstore: create engine: %w", err)
 		}
-		c.route.Hosts[inst] = server
 		c.instances[inst] = &instance{eng: eng}
 	}
 	return c, nil

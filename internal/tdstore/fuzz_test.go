@@ -15,7 +15,7 @@ import (
 func FuzzLoadCheckpoint(f *testing.F) {
 	// A manifest as Checkpoint writes it, from a live disk-backed cluster.
 	root := f.TempDir()
-	c, err := NewCluster(Options{DataServers: 2, Instances: 4, Engine: ldbFactory(filepath.Join(root, "store"))})
+	c, err := NewCluster(Options{Instances: 4, Engine: ldbFactory(filepath.Join(root, "store"))})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // buffer. Whatever a Get returns is the caller's: editing it changes
 // nothing stored.
 func TestStoredValueIsOneSharedCopy(t *testing.T) {
-	c, cl := newTestCluster(t, Options{DataServers: 3, Instances: 8})
+	c, cl := newTestCluster(t, Options{Instances: 8})
 	want := func(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
 	keys := make([]string, 50)
 	vals := make([][]byte, len(keys))

@@ -4,28 +4,25 @@
 // pair counts, similarity lists and CTR statistics — outside the stateless
 // stream workers.
 //
-// The key space is divided into data instances, and NewCluster assigns
-// each instance to one data server, whose engine holds the instance's only
-// copy. The route table that records the assignment is fixed for the
-// cluster's life, and clients use it to reach an instance's engine
-// directly.
+// The key space is divided into data instances, and each instance is one
+// engine, which holds its only copy. The route table that places keys on
+// instances is fixed for the cluster's life, and clients use it to reach
+// an instance's engine directly.
 //
-// The paper's slave copies, its backup config server and the failover
-// between them are left out: every server runs inside one process, so the
-// process is the failure unit and a fault takes every copy at once. A
-// durable engine's checkpoint and the replay of the action log's tail past
-// it (Cluster.Checkpoint) are what recover the store.
+// The paper's data servers, its slave copies, its backup config server and
+// the failover between them are left out: the store runs inside one
+// process, so the process is the failure unit and a fault takes every copy
+// at once. A durable engine's checkpoint and the replay of the action
+// log's tail past it (Cluster.Checkpoint) are what recover the store.
 package tdstore
 
 // InstanceID identifies a data instance (a shard of the key space).
 type InstanceID int
 
-// RouteTable maps every data instance to the data server that holds it.
+// RouteTable maps every key to the data instance that holds it.
 type RouteTable struct {
 	// NumInstances is the number of data instances (key-space shards).
 	NumInstances int
-	// Hosts maps instance -> id of the data server holding it.
-	Hosts []string
 }
 
 // InstanceFor returns the data instance owning key. The hash is FNV-1a

@@ -13,7 +13,7 @@ import (
 )
 
 func TestStoreConcurrentStress(t *testing.T) {
-	_, cl := newTestCluster(t, Options{DataServers: 4, Instances: 16})
+	_, cl := newTestCluster(t, Options{Instances: 16})
 
 	const (
 		incrWorkers  = 4

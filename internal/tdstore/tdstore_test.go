@@ -54,24 +54,20 @@ func TestClientBasicOps(t *testing.T) {
 }
 
 func TestKeysSpreadAcrossInstances(t *testing.T) {
-	c, cl := newTestCluster(t, Options{DataServers: 4, Instances: 16})
+	c, cl := newTestCluster(t, Options{Instances: 16})
 	for i := 0; i < 500; i++ {
 		if err := cl.Put(fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Every data server should host some instances and store some data.
-	stored := make(map[string]int)
+	// Every instance should store some data.
 	for inst, in := range c.instances {
 		n, err := in.eng.Len()
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored[c.route.Hosts[inst]] += n
-	}
-	for i := 0; i < 4; i++ {
-		if id := fmt.Sprintf("ds-%d", i); stored[id] == 0 {
-			t.Fatalf("server %s stores no keys", id)
+		if n == 0 {
+			t.Fatalf("instance %d stores no keys", inst)
 		}
 	}
 }
@@ -96,7 +92,7 @@ func TestIncrFloat(t *testing.T) {
 }
 
 func TestIncrFloatConcurrent(t *testing.T) {
-	_, cl := newTestCluster(t, Options{DataServers: 3, Instances: 8})
+	_, cl := newTestCluster(t, Options{Instances: 8})
 	var wg sync.WaitGroup
 	const goroutines, perG = 8, 250
 	for g := 0; g < goroutines; g++ {
@@ -121,10 +117,9 @@ func TestIncrFloatConcurrent(t *testing.T) {
 func TestClusterWithLDBEngine(t *testing.T) {
 	dir := t.TempDir()
 	_, cl := newTestCluster(t, Options{
-		DataServers: 2,
-		Instances:   4,
-		Engine: func(serverID string, inst InstanceID) (engine.Engine, error) {
-			return ldb.Open(fmt.Sprintf("%s/%s-%d", dir, serverID, inst), ldb.Options{FlushThreshold: 32})
+		Instances: 4,
+		Engine: func(inst InstanceID) (engine.Engine, error) {
+			return ldb.Open(InstanceDir(dir, int(inst)), ldb.Options{FlushThreshold: 32})
 		},
 	})
 	for i := 0; i < 100; i++ {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -12,6 +13,9 @@ import (
 	"tencentrec/internal/tdaccess"
 	"tencentrec/internal/tdstore"
 )
+
+// errBrokerBlip is the fault the soak arms on broker partitions.
+var errBrokerBlip = errors.New("broker partition blip")
 
 // heldSpout keeps a spout that stops when drained polling until release
 // is closed, so a fault schedule runs to its end against a live topology.
@@ -63,8 +67,8 @@ func stopped(h *stream.RunningTopology, d time.Duration) bool {
 //
 // The faults must land: the spout is held until the schedule is done,
 // the actions are published in chunks ahead of each round's rebalances
-// and broker kill, every rebalance issued must be counted, and the spout
-// must poll while each broker data server is down.
+// and broker fault, every rebalance issued must be counted, and the spout
+// must poll while each round's broker partitions are failed.
 //
 // A store fault is a process fault here: every instance lives in the one
 // process, so TestSystemKill9RestoreSoak and TestColdRestartChaosSoak,
@@ -75,7 +79,7 @@ func TestChaosSoakLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer broker.Close()
-	cluster, err := tdstore.NewCluster(tdstore.Options{DataServers: 3, Instances: 12})
+	cluster, err := tdstore.NewCluster(tdstore.Options{Instances: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,26 +162,29 @@ func TestChaosSoakLosesNothing(t *testing.T) {
 			rebalance(UnitItemCount, 1+round%3)   // 2 → 1 → 2 → 3
 			pause()
 
-			// Broker data-server blip while the spout reads a fresh chunk:
-			// its polls error and back off until the revive.
+			// Broker partition blip while the spout reads a fresh chunk:
+			// its polls error and back off until the fault clears.
 			if err := publish(chunks[2+2*round]); err != nil {
 				t.Errorf("publish: %v", err)
 			}
 			bs := round % 2
-			if err := broker.KillDataServer(bs); err != nil {
-				t.Errorf("broker kill %d: %v", bs, err)
+			failPartitions := func(err error) {
+				for _, p := range []int{bs, bs + 2} {
+					if ferr := broker.FailPartition("user-actions", p, err); ferr != nil {
+						t.Errorf("broker fail partition %d: %v", p, ferr)
+					}
+				}
 			}
+			failPartitions(errBrokerBlip)
 			before := polls.Load()
 			for deadline := time.Now().Add(10 * time.Second); polls.Load() < before+2 && time.Now().Before(deadline); {
 				time.Sleep(100 * time.Microsecond)
 			}
 			if polled := polls.Load() - before; polled < 2 {
-				t.Errorf("round %d: the spout polled %d times while broker data server %d was down", round, polled, bs)
+				t.Errorf("round %d: the spout polled %d times while broker partitions %d and %d were down", round, polled, bs, bs+2)
 			}
 			pause()
-			if err := broker.ReviveDataServer(bs); err != nil {
-				t.Errorf("broker revive %d: %v", bs, err)
-			}
+			failPartitions(nil)
 		}
 	}()
 

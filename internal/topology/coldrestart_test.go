@@ -64,10 +64,10 @@ func TestColdRestartChaosSoak(t *testing.T) {
 	const parts = 4
 
 	ldbOpts := ldb.Options{FlushThreshold: 256, MaxTables: 4}
-	factory := func(serverID string, inst tdstore.InstanceID) (engine.Engine, error) {
-		return ldb.Open(filepath.Join(storeRoot, serverID, fmt.Sprintf("inst-%d", inst)), ldbOpts)
+	factory := func(inst tdstore.InstanceID) (engine.Engine, error) {
+		return ldb.Open(tdstore.InstanceDir(storeRoot, int(inst)), ldbOpts)
 	}
-	clusterOpts := tdstore.Options{DataServers: 3, Instances: 12, Engine: factory}
+	clusterOpts := tdstore.Options{Instances: 12, Engine: factory}
 
 	p := Params{
 		FlushInterval: time.Hour,
@@ -169,14 +169,14 @@ func TestColdRestartChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	restoreFactory := func(serverID string, inst tdstore.InstanceID) (engine.Engine, error) {
-		dir := filepath.Join(storeRoot, serverID, fmt.Sprintf("inst-%d", inst))
-		if err := ldb.Restore(tdstore.InstanceCheckpointDir(ckptDir, int(inst)), dir); err != nil {
+	restoreFactory := func(inst tdstore.InstanceID) (engine.Engine, error) {
+		dir := tdstore.InstanceDir(storeRoot, int(inst))
+		if err := ldb.Restore(tdstore.InstanceDir(ckptDir, int(inst)), dir); err != nil {
 			return nil, err
 		}
 		return ldb.Open(dir, ldbOpts)
 	}
-	cluster2, err := tdstore.NewCluster(tdstore.Options{DataServers: 3, Instances: 12, Engine: restoreFactory})
+	cluster2, err := tdstore.NewCluster(tdstore.Options{Instances: 12, Engine: restoreFactory})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestFullStackTDAccessToTDStore(t *testing.T) {
 	}
 	defer broker.Close()
 
-	cluster, err := tdstore.NewCluster(tdstore.Options{DataServers: 3, Instances: 12})
+	cluster, err := tdstore.NewCluster(tdstore.Options{Instances: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

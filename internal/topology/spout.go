@@ -53,8 +53,8 @@ type TDAccessSpout struct {
 	// idleSleep/4 on the first error, doubles per consecutive error up
 	// to 16×idleSleep, and resets on any successful poll — the same
 	// capped-exponential shape as the engine's waitQuiescent loop, so a
-	// brief broker hiccup costs microseconds while a dead data server
-	// does not spin the task.
+	// brief broker hiccup costs microseconds while a partition that
+	// keeps failing does not spin the task.
 	errBackoff time.Duration
 }
 
@@ -119,8 +119,8 @@ func (s *TDAccessSpout) NextTuple() bool {
 	s.drained = false
 	s.emit(msgs)
 	if err != nil {
-		// Data-server hiccup: capped exponential backoff. TDAccess
-		// retains the data on disk, so nothing is lost by waiting.
+		// A partition that cannot be read: capped exponential backoff.
+		// TDAccess retains the data on disk, so nothing is lost by waiting.
 		if s.errBackoff == 0 {
 			s.errBackoff = s.idleSleep / 4
 		} else if s.errBackoff < 16*s.idleSleep {

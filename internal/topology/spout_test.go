@@ -2,6 +2,7 @@ package topology
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -19,13 +20,11 @@ type stubSpoutCollector struct {
 func (c *stubSpoutCollector) Emit(v stream.Values)             { c.values = append(c.values, v) }
 func (c *stubSpoutCollector) EmitTo(_ string, v stream.Values) { c.values = append(c.values, v) }
 
-const spoutTestServers = 2
+var errPartitionDown = errors.New("partition down")
 
 func newSpoutBroker(t *testing.T, partitions int) *tdaccess.Broker {
 	t.Helper()
-	b, err := tdaccess.NewBroker(tdaccess.Options{
-		Dir: t.TempDir(), Partitions: partitions, DataServers: spoutTestServers,
-	})
+	b, err := tdaccess.NewBroker(tdaccess.Options{Dir: t.TempDir(), Partitions: partitions})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +52,8 @@ func TestSpoutPollErrorBackoffRecovers(t *testing.T) {
 
 	// Take the whole broker down: every poll errors, and the sleep
 	// grows exponentially from idleSleep/4 up to the 16x cap.
-	for i := 0; i < spoutTestServers; i++ {
-		if err := broker.KillDataServer(i); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := broker.FailPartition("acts", i, errPartitionDown); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,8 +77,8 @@ func TestSpoutPollErrorBackoffRecovers(t *testing.T) {
 
 	// The hiccup heals: the very next poll succeeds, delivers the
 	// backlog, and resets the backoff for the next incident.
-	for i := 0; i < spoutTestServers; i++ {
-		if err := broker.ReviveDataServer(i); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := broker.FailPartition("acts", i, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +96,7 @@ func TestSpoutPollErrorBackoffRecovers(t *testing.T) {
 // read positions already advanced. Nothing re-reads them, so a spout that
 // drops them on the error has lost them.
 func TestSpoutEmitsWhatAFailingPollReturned(t *testing.T) {
-	broker := newSpoutBroker(t, 2) // partition p is served by data server p
+	broker := newSpoutBroker(t, 2)
 	prod := broker.NewProducer()
 	perPartition := map[int][]string{}
 	for i := 0; i < 40; i++ {
@@ -127,7 +126,7 @@ func TestSpoutEmitsWhatAFailingPollReturned(t *testing.T) {
 		return seen
 	}
 
-	if err := broker.KillDataServer(1); err != nil {
+	if err := broker.FailPartition("acts", 1, errPartitionDown); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -146,7 +145,7 @@ func TestSpoutEmitsWhatAFailingPollReturned(t *testing.T) {
 		t.Fatalf("%d emissions during the outage, want the healthy partition's %d", len(col.values), len(perPartition[0]))
 	}
 
-	if err := broker.ReviveDataServer(1); err != nil {
+	if err := broker.FailPartition("acts", 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	sp.NextTuple()

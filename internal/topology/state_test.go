@@ -15,7 +15,7 @@ import (
 // nothing it keeps from Get/BatchGet (bolts edit what they read in
 // place).
 func TestStateValueOwnership(t *testing.T) {
-	cluster, err := tdstore.NewCluster(tdstore.Options{DataServers: 3, Instances: 8})
+	cluster, err := tdstore.NewCluster(tdstore.Options{Instances: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

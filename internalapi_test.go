@@ -29,13 +29,12 @@ var implicitMethods = map[string]bool{
 // fuzz target named beside it. Keys are package.Func or package.Type.Method.
 var testHooks = map[string]string{
 	// Fault injectors: the spout's poll-error tests and the chaos soak
-	// fail and revive a broker data server with them.
-	"tdaccess.Broker.KillDataServer":   "TestSpoutPollErrorBackoffRecovers",
-	"tdaccess.Broker.ReviveDataServer": "TestChaosSoakLosesNothing",
-	"ldb.Store.Crash":                  "TestLDBCrashReopenResumeConformance",
-	"ldb.Store.Compact":                "TestCompactMergesAndDropsTombstones",
-	"ldb.Store.WaitCompaction":         "TestAutoCompaction",
-	"ldb.Store.TableCount":             "TestCompactStreamsNewestVersion",
+	// fail a broker partition's appends and reads, and clear it, with it.
+	"tdaccess.Broker.FailPartition": "TestChaosSoakLosesNothing",
+	"ldb.Store.Crash":               "TestLDBCrashReopenResumeConformance",
+	"ldb.Store.Compact":             "TestCompactMergesAndDropsTombstones",
+	"ldb.Store.WaitCompaction":      "TestAutoCompaction",
+	"ldb.Store.TableCount":          "TestCompactStreamsNewestVersion",
 
 	// The store's full interface, which the engine conformance suite
 	// holds every engine to: no shipped path deletes a key or walks an

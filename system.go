@@ -29,13 +29,13 @@ const consumerGroup = "tencentrec"
 const defaultGroupCommit = 2 * time.Millisecond
 
 // storeEngineFactory maps a StoreEngine name to a per-instance engine
-// constructor. Durable engines get one directory per (server,
-// instance). When restore is non-empty it names a checkpoint directory:
+// constructor. Durable engines get one directory per instance,
+// dir/inst-<n>. When restore is non-empty it names a checkpoint directory:
 // each instance directory is wiped and re-seeded from the snapshot before
 // its engine opens (LDB only — the other engines have no snapshot
 // format). Without a restore, an LDB instance that already holds keys is
 // refused.
-func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func(string, tdstore.InstanceID) (engine.Engine, error), error) {
+func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func(tdstore.InstanceID) (engine.Engine, error), error) {
 	if restore != "" && name != "ldb" {
 		return nil, fmt.Errorf("tencentrec: checkpoint restore requires the ldb store engine, not %q", name)
 	}
@@ -47,10 +47,10 @@ func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func
 		if syncWrites {
 			opts.SyncInterval = defaultGroupCommit
 		}
-		return func(serverID string, inst tdstore.InstanceID) (engine.Engine, error) {
-			instDir := filepath.Join(dir, serverID, fmt.Sprintf("inst-%d", inst))
+		return func(inst tdstore.InstanceID) (engine.Engine, error) {
+			instDir := tdstore.InstanceDir(dir, int(inst))
 			if restore != "" {
-				if err := ldb.Restore(tdstore.InstanceCheckpointDir(restore, int(inst)), instDir); err != nil {
+				if err := ldb.Restore(tdstore.InstanceDir(restore, int(inst)), instDir); err != nil {
 					return nil, err
 				}
 				return ldb.Open(instDir, opts)
@@ -88,14 +88,15 @@ type SystemConfig struct {
 	Topic string
 	// BrokerPartitions is the action topic's partition count. Default 4.
 	BrokerPartitions int
-	// StoreServers and StoreInstances shape the TDStore cluster: each
-	// instance is one engine on one of the servers. Defaults 3 and 16.
-	StoreServers, StoreInstances int
+	// StoreInstances is the number of TDStore data instances, one engine
+	// each. Default 16.
+	StoreInstances int
 	// StoreEngine selects the TDStore storage engine: "mdb" (in-memory,
 	// default) or "ldb" (log-structured, durable). The durable engine
 	// persists under StoreDir.
 	StoreEngine string
-	// StoreDir roots the durable engines' files. Default DataDir/tdstore.
+	// StoreDir roots the durable engines' files, instance n's in
+	// StoreDir/inst-<n>. Default DataDir/tdstore.
 	// Open refuses an ldb StoreDir that already holds state unless
 	// RestoreFromCheckpoint is set: the spout would replay the whole
 	// action log into it.
@@ -141,9 +142,6 @@ func (c SystemConfig) withDefaults() SystemConfig {
 	}
 	if c.BrokerPartitions <= 0 {
 		c.BrokerPartitions = 4
-	}
-	if c.StoreServers <= 0 {
-		c.StoreServers = 3
 	}
 	if c.StoreInstances <= 0 {
 		c.StoreInstances = 16
@@ -217,9 +215,8 @@ func Open(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	cluster, err := tdstore.NewCluster(tdstore.Options{
-		DataServers: c.StoreServers,
-		Instances:   c.StoreInstances,
-		Engine:      engineFactory,
+		Instances: c.StoreInstances,
+		Engine:    engineFactory,
 	})
 	if err != nil {
 		broker.Close()
