@@ -34,8 +34,8 @@
 //
 // Float scalars are the exception: they keep the historical raw 8-byte
 // little-endian layout (no header) because windowed counters and
-// thresholds were already binary and the store's IncrFloat primitive
-// depends on the fixed width.
+// thresholds were already binary, and the fixed width tells a bad value
+// by its length alone.
 package statecodec
 
 import (

@@ -47,6 +47,10 @@ func decodeMessage(body []byte) (key string, payload []byte, err error) {
 	return key, payload, nil
 }
 
+// ErrClosed is what a Send, Poll or Subscribe returns once the broker is
+// closed, as does the first use of a topic after Close.
+var ErrClosed = errors.New("tdaccess: broker closed")
+
 // Options configure a Broker.
 type Options struct {
 	// Dir is the root directory for partition logs. Required.
@@ -154,8 +158,12 @@ func (b *Broker) topic(name string) (*topic, error) {
 
 // topicLocked is topic under b.mu, checking the table again so that two
 // first users never open a partition twice. A topic found on disk keeps
-// the partitions it has there; a new one gets Options.Partitions.
+// the partitions it has there; a new one gets Options.Partitions. After
+// Close it opens nothing and returns ErrClosed.
 func (b *Broker) topicLocked(name string) (*topic, error) {
+	if b.closed {
+		return nil, ErrClosed
+	}
 	old := *b.topics.Load()
 	if t := old[name]; t != nil {
 		return t, nil
@@ -235,7 +243,8 @@ func hashString(s string) uint32 {
 	return h
 }
 
-// Close flushes and closes all partition logs.
+// Close flushes and closes all partition logs. A closed log returns
+// ErrClosed to its appends and reads.
 func (b *Broker) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

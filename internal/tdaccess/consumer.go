@@ -45,6 +45,9 @@ func (c *Consumer) Subscribe(topicName string) error {
 	}
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
+	if c.b.closed {
+		return ErrClosed
+	}
 	gk := groupKey{c.group, topicName}
 	gs := c.b.groups[gk]
 	if gs == nil {
@@ -81,9 +84,13 @@ func (c *Consumer) Unsubscribe() {
 }
 
 // refreshAssignment re-reads the group's assignment when the epoch moved.
+// On a closed broker it returns ErrClosed.
 func (c *Consumer) refreshAssignment() error {
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
+	if c.b.closed {
+		return ErrClosed
+	}
 	gk := groupKey{c.group, c.t.name}
 	gs := c.b.groups[gk]
 	if gs == nil {

@@ -115,10 +115,13 @@ type plog struct {
 	fail error
 }
 
-// failWith arms err on the log's appends and reads; nil clears it.
+// failWith arms err on the log's appends and reads; nil clears it. A
+// closed log keeps ErrClosed.
 func (l *plog) failWith(err error) {
 	l.mu.Lock()
-	l.fail = err
+	if l.fail != ErrClosed {
+		l.fail = err
+	}
 	l.mu.Unlock()
 }
 
@@ -505,7 +508,7 @@ func (l *plog) SegmentCount() int {
 }
 
 // Close seals the active segment, so the files hold exactly their
-// records, and closes all files.
+// records, and closes all files. Appends and reads then return ErrClosed.
 func (l *plog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -519,5 +522,6 @@ func (l *plog) Close() error {
 		}
 	}
 	l.segments = nil
+	l.fail = ErrClosed
 	return first
 }

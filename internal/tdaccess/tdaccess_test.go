@@ -394,6 +394,45 @@ func TestFailedReadKeepsPosition(t *testing.T) {
 	}
 }
 
+// TestClosedBrokerRefusesUse: after Close, a Send to a topic it had open
+// or to a new one, a Poll and a Subscribe each return ErrClosed, and none
+// of them creates a directory.
+func TestClosedBrokerRefusesUse(t *testing.T) {
+	dir := t.TempDir()
+	b := newTestBroker(t, Options{Dir: dir})
+	p := b.NewProducer()
+	if _, _, err := p.Send("actions", "u1", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c := b.NewConsumer("g")
+	if err := c.Subscribe("actions"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Send("actions", "u1", []byte("y")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send to an open topic after Close = %v, want ErrClosed", err)
+	}
+	if _, _, err := p.Send("fresh", "u1", []byte("y")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send to a new topic after Close = %v, want ErrClosed", err)
+	}
+	if _, err := c.Poll(10); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Poll after Close = %v, want ErrClosed", err)
+	}
+	if err := b.NewConsumer("g2").Subscribe("actions"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Subscribe after Close = %v, want ErrClosed", err)
+	}
+	if err := b.NewConsumer("g3").Subscribe("other"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Subscribe to a new topic after Close = %v, want ErrClosed", err)
+	}
+	for _, name := range []string{"fresh", "other"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("a use of topic %s after Close made its directory (stat: %v)", name, err)
+		}
+	}
+}
+
 // TestFirstUsersOpenATopicOnce: producers and consumers that reach a new
 // topic at the same time share one topic, so each partition directory is
 // opened by one log, and every record is read back once, live and from

@@ -74,7 +74,7 @@ func BenchmarkStoreParallelBatchGet(b *testing.B) {
 }
 
 // BenchmarkStoreParallelPut measures the single-key write: the engine's
-// Put under the instance's write mutex.
+// PutKV, with no lock above it.
 func BenchmarkStoreParallelPut(b *testing.B) {
 	cl, keys := benchCluster(b)
 	val := []byte("0123456789abcdef")
@@ -114,26 +114,6 @@ func BenchmarkStoreParallelBatchPut(b *testing.B) {
 				b.Fatal(err)
 			}
 			i += batch
-		}
-	})
-}
-
-// BenchmarkStoreParallelIncr measures the read-modify-write counter path
-// under its per-instance (not server-wide) write exclusivity.
-func BenchmarkStoreParallelIncr(b *testing.B) {
-	cl, _ := benchCluster(b)
-	ctrs := make([]string, 1024)
-	for i := range ctrs {
-		ctrs[i] = fmt.Sprintf("ctr-%d", i)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := cl.IncrFloat(ctrs[i&1023], 1); err != nil {
-				b.Fatal(err)
-			}
-			i++
 		}
 	})
 }

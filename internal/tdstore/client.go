@@ -3,7 +3,6 @@ package tdstore
 import (
 	"fmt"
 
-	"tencentrec/internal/statecodec"
 	"tencentrec/internal/tdstore/engine"
 )
 
@@ -49,42 +48,13 @@ func (cl *Client) Get(key string) ([]byte, bool, error) {
 // reuse its buffer at once.
 func (cl *Client) Put(key string, value []byte) error {
 	defer cl.observe(clientPut, cl.begin())
-	kv := engine.MakeKV(key, value)
-	in := cl.instance(key)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.eng.PutKV(kv)
+	return cl.instance(key).eng.PutKV(engine.MakeKV(key, value))
 }
 
 // Delete removes key.
 func (cl *Client) Delete(key string) error {
 	defer cl.observe(clientDelete, cl.begin())
-	in := cl.instance(key)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.eng.Delete(key)
-}
-
-// IncrFloat atomically adds delta to the float64 counter at key and
-// returns the new value. Missing keys start at zero.
-func (cl *Client) IncrFloat(key string, delta float64) (float64, error) {
-	defer cl.observe(clientIncr, cl.begin())
-	in := cl.instance(key)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	cur, ok, err := in.eng.Get(key)
-	if err != nil {
-		return 0, err
-	}
-	v := 0.0
-	if ok {
-		if v, err = statecodec.DecodeFloat(cur); err != nil {
-			return 0, fmt.Errorf("tdstore: %w", err)
-		}
-	}
-	v += delta
-	var enc [8]byte
-	return v, in.eng.PutKV(engine.MakeKV(key, statecodec.AppendFloat(enc[:0], v)))
+	return cl.instance(key).eng.Delete(key)
 }
 
 // maxStackInstances is the largest route whose per-instance counters
@@ -95,8 +65,8 @@ const maxStackInstances = 64
 // calls fn with each run, in instance order, until one returns an error.
 // The sort is a counting pass over the instances, a small dense range:
 // one slice holds every item and a run is a contiguous part of it, so a
-// batched write takes each instance's mutex once, and of two writes to
-// one key the later wins. The items are all it allocates.
+// batched write reaches each instance once, and of two writes to one key
+// the later wins. The items are all it allocates.
 func (cl *Client) runs(keys []string, fn func(in *instance, run []batchItem) error) error {
 	n := cl.route.NumInstances
 	var stack [maxStackInstances]int32
@@ -151,27 +121,21 @@ func (cl *Client) BatchGet(keys []string) ([][]byte, []bool, error) {
 }
 
 // BatchPut stores values[i] under keys[i]: each instance's run applies
-// as one PutBatch under its write mutex. The client builds every KV once,
-// and that KV is the stored version (see Put). An error leaves the runs
-// before it applied; a Put being idempotent, the caller may send the
-// batch again.
+// as one PutBatch. The client builds every KV once, in run order, so a
+// run's KVs are a contiguous part of one slice, and that KV is the stored
+// version (see Put). An error leaves the runs before it applied; a Put
+// being idempotent, the caller may send the batch again.
 func (cl *Client) BatchPut(keys []string, values [][]byte) error {
 	defer cl.observe(clientBatchPut, cl.begin())
 	if len(keys) != len(values) {
 		return fmt.Errorf("tdstore: batch put has %d keys but %d values", len(keys), len(values))
 	}
-	kvs := make([]engine.KV, len(values))
-	for i, v := range values {
-		kvs[i] = engine.MakeKV(keys[i], v)
-	}
+	kvs := make([]engine.KV, 0, len(values))
 	return cl.runs(keys, func(in *instance, run []batchItem) error {
-		in.mu.Lock()
-		defer in.mu.Unlock()
+		from := len(kvs)
 		for _, it := range run {
-			in.run.add(kvs[it.pos])
+			kvs = append(kvs, engine.MakeKV(it.key, values[it.pos]))
 		}
-		err := in.eng.PutBatch(in.run.kvs)
-		in.run.reset()
-		return err
+		return in.eng.PutBatch(kvs[from:len(kvs):len(kvs)])
 	})
 }

@@ -2,11 +2,14 @@ package tdstore
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"tencentrec/internal/tdstore/engine"
 )
+
+// DefaultInstances is the number of data instances when
+// Options.Instances is zero.
+const DefaultInstances = 16
 
 // Options configure a TDStore cluster.
 type Options struct {
@@ -16,7 +19,7 @@ type Options struct {
 	// no server stands between a client and it.
 	DataServers int
 	// Instances is the number of data instances (key-space shards).
-	// Default 16.
+	// Default DefaultInstances.
 	Instances int
 	// Replicas was the number of slave copies per instance.
 	//
@@ -30,7 +33,7 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Instances <= 0 {
-		out.Instances = 16
+		out.Instances = DefaultInstances
 	}
 	if out.Engine == nil {
 		out.Engine = func(InstanceID) (engine.Engine, error) { return engine.NewMemory(), nil }
@@ -38,37 +41,11 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// instance is one data instance: the engine that holds it, and the write
-// mutex under which every write of the instance applies, so that a
-// read-modify-write (IncrFloat) is atomic against the others. run is the
-// scratch a batched write fills under the mutex.
+// instance is one data instance: the engine that holds it. A write goes
+// straight to the engine, which is safe for concurrent writers; each key
+// has one writer (§4.1.3), so no lock above the engine orders them.
 type instance struct {
 	eng engine.Engine
-	mu  sync.Mutex
-	run runScratch
-}
-
-// maxRunScratch is the largest run a runScratch keeps its slice for: a
-// larger run's is let go after it, so a burst does not pin it.
-const maxRunScratch = 1 << 10
-
-// runScratch holds the KVs of one run of puts, handed to an engine's
-// PutBatch.
-type runScratch struct {
-	kvs []engine.KV
-}
-
-func (r *runScratch) add(kv engine.KV) { r.kvs = append(r.kvs, kv) }
-
-// reset empties the scratch for the next run, dropping the KVs the last
-// one pinned.
-func (r *runScratch) reset() {
-	if cap(r.kvs) > maxRunScratch {
-		r.kvs = nil
-		return
-	}
-	clear(r.kvs)
-	r.kvs = r.kvs[:0]
 }
 
 // Cluster is a TDStore deployment: its data instances, one engine each,

@@ -152,14 +152,13 @@ func TestTornWALCorruptEveryByte(t *testing.T) {
 }
 
 // TestGroupCommitBatchesFsyncs runs many concurrent synchronous writers
-// under a group-commit interval and checks every write is durable while
-// fsyncs stay far below one per record.
+// and checks every write is durable while fsyncs stay far below one per
+// record.
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{
 		FlushThreshold: 1 << 20,
 		SyncWrites:     true,
-		SyncInterval:   2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,12 +217,12 @@ func TestGroupCommitFlushPreservesParkedWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed.Close()
-	// SyncInterval of an hour: the group-sync daemon never fires, so only
-	// the flush's rotation can release the parked writer.
+	// A sync interval of an hour: the group-sync daemon never fires, so
+	// only the flush's rotation can release the parked writer.
 	s, err := Open(dir, Options{
 		FlushThreshold: 1 << 20,
 		SyncWrites:     true,
-		SyncInterval:   time.Hour,
+		syncInterval:   time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -642,21 +641,8 @@ func TestRecoveryStats(t *testing.T) {
 	}
 }
 
-func BenchmarkLDBPutSyncEachRecord(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{SyncWrites: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	v := make([]byte, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Put(fmt.Sprintf("k%d", i%4096), v)
-	}
-}
-
 func BenchmarkLDBPutGroupCommit(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{SyncWrites: true, SyncInterval: 2 * time.Millisecond})
+	s, err := Open(b.TempDir(), Options{SyncWrites: true})
 	if err != nil {
 		b.Fatal(err)
 	}

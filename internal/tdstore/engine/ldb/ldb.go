@@ -17,10 +17,9 @@
 // Durability contract: with SyncWrites off, a write survives a process
 // crash once the OS has the bytes (every write, a batch included, is one
 // append handed to the kernel before it returns) but not a power loss.
-// With SyncWrites on and SyncInterval zero, every append is fsynced before
-// its write returns. With SyncWrites on and a positive SyncInterval,
-// writers park until the next group fsync covers their append — one fsync
-// amortizes every append made during the interval. A torn record at the
+// With SyncWrites on, writers park until the next group fsync covers their
+// append: one fsync every 2 ms amortizes every append made during the
+// interval, by however many writers. A torn record at the
 // WAL tail (crash mid-append) is detected by CRC/length on reopen,
 // truncated away, and appending continues from the last intact record; an
 // fsynced record is never lost and a partial one is never surfaced.
@@ -57,6 +56,8 @@ const (
 	maxRecord             = 64 << 20 // sanity bound on a single record
 	defaultFlushThreshold = 4096
 	defaultMaxTables      = 8
+	// defaultSyncInterval is the group-commit interval under SyncWrites.
+	defaultSyncInterval = 2 * time.Millisecond
 	// maxWALScratch bounds the encode buffer a store keeps between
 	// appends; a larger batch's buffer is let go after its append.
 	maxWALScratch = 64 << 10
@@ -104,14 +105,12 @@ type Options struct {
 	// MaxTables is the number of SSTables that triggers a background
 	// compaction. Zero means a default of 8.
 	MaxTables int
-	// SyncWrites fsyncs the WAL before a write returns. Durability
-	// against power loss at the cost of throughput; off by default.
+	// SyncWrites fsyncs the WAL before a write returns, by group commit:
+	// writers park until the next group fsync covers their record, so one
+	// fsync per interval serves every writer that arrived during it.
+	// Durability against power loss at the cost of latency; off by
+	// default.
 	SyncWrites bool
-	// SyncInterval batches fsyncs when SyncWrites is on: writers park
-	// until the next group fsync covers their record, so one fsync per
-	// interval serves every writer that arrived during it. Zero fsyncs
-	// each record individually.
-	SyncInterval time.Duration
 	// BlockCacheBytes caps the SSTable read cache. Zero means
 	// DefaultBlockCacheBytes; negative disables the cache.
 	BlockCacheBytes int
@@ -119,6 +118,9 @@ type Options struct {
 	// walHook wraps the WAL file after each open, letting tests inject
 	// faults. Production code leaves it nil.
 	walHook func(wfile) wfile
+	// syncInterval overrides the group-commit interval (tests). Zero
+	// means defaultSyncInterval.
+	syncInterval time.Duration
 }
 
 // tombBit marks a tombstone in tableEntry.vlen. A value is at most
@@ -376,6 +378,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxTables <= 0 {
 		opts.MaxTables = defaultMaxTables
 	}
+	if opts.syncInterval <= 0 {
+		opts.syncInterval = defaultSyncInterval
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ldb: create dir: %w", err)
 	}
@@ -410,7 +415,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.st.recoveryNanos = time.Since(start).Nanoseconds()
 	go s.compactLoop()
-	if opts.SyncWrites && opts.SyncInterval > 0 {
+	if opts.SyncWrites {
 		go s.groupCommitLoop()
 	} else {
 		close(s.syncDone)
@@ -958,16 +963,8 @@ func (s *Store) write(kvs []engine.KV, deleted string) error {
 		s.mem[kv.Key()] = kv
 	}
 	if s.opts.SyncWrites {
-		if s.opts.SyncInterval > 0 {
-			if err := s.waitGroupSyncLocked(seq); err != nil {
-				return err
-			}
-		} else {
-			if err := s.wal.Sync(); err != nil {
-				return fmt.Errorf("ldb: wal sync: %w", err)
-			}
-			s.st.fsyncs++
-			s.syncedSeq = seq
+		if err := s.waitGroupSyncLocked(seq); err != nil {
+			return err
 		}
 	}
 	if s.closed {
@@ -1005,14 +1002,14 @@ func (s *Store) waitGroupSyncLocked(seq int64) error {
 	return nil
 }
 
-// groupCommitLoop is the group-commit daemon: one fsync per
-// SyncInterval covers every append since the last one. The fsync itself runs with s.mu
+// groupCommitLoop is the group-commit daemon: one fsync per sync
+// interval covers every append since the last one. The fsync itself runs with s.mu
 // released so writers keep appending; a WAL rotation during the fsync
 // bumps walGen, in which case the result is discarded (rotation already
 // made those records durable in an fsynced table).
 func (s *Store) groupCommitLoop() {
 	defer close(s.syncDone)
-	ticker := time.NewTicker(s.opts.SyncInterval)
+	ticker := time.NewTicker(s.opts.syncInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -13,7 +13,6 @@ const (
 	clientGet clientOp = iota
 	clientPut
 	clientDelete
-	clientIncr
 	clientBatchGet
 	clientBatchPut
 	numClientOps
@@ -21,7 +20,7 @@ const (
 
 // clientOpLabels are the op label values of tdstore_op_seconds.
 var clientOpLabels = [numClientOps]string{
-	"get", "put", "delete", "incr", "batch_get", "batch_put",
+	"get", "put", "delete", "batch_get", "batch_put",
 }
 
 // clientInstruments holds the pre-resolved instruments of an

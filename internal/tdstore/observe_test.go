@@ -19,9 +19,6 @@ func TestClientInstrument(t *testing.T) {
 	if _, _, err := cl.Get("k1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.IncrFloat("ctr", 2.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.BatchPut([]string{"a", "b"}, [][]byte{{1}, {2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +34,7 @@ func TestClientInstrument(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, op := range []string{"get", "put", "delete", "incr", "batch_get", "batch_put"} {
+	for _, op := range []string{"get", "put", "delete", "batch_get", "batch_put"} {
 		want := `tdstore_op_seconds_count{op="` + op + `"} 1`
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

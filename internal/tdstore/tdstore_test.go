@@ -26,16 +26,6 @@ func newTestCluster(t *testing.T, opts Options) (*Cluster, *Client) {
 	return c, cl
 }
 
-// getFloat reads the float64 counter IncrFloat keeps at key; absent keys
-// read as zero.
-func getFloat(cl *Client, key string) (float64, error) {
-	v, ok, err := cl.Get(key)
-	if err != nil || !ok {
-		return 0, err
-	}
-	return statecodec.DecodeFloat(v)
-}
-
 func TestClientBasicOps(t *testing.T) {
 	_, cl := newTestCluster(t, Options{})
 	if err := cl.Put("user:1", []byte("alice")); err != nil {
@@ -72,45 +62,45 @@ func TestKeysSpreadAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestIncrFloat(t *testing.T) {
-	_, cl := newTestCluster(t, Options{})
-	v, err := cl.IncrFloat("count:item1", 2.5)
-	if err != nil || v != 2.5 {
-		t.Fatalf("IncrFloat = %v %v", v, err)
-	}
-	v, err = cl.IncrFloat("count:item1", -0.5)
-	if err != nil || v != 2.0 {
-		t.Fatalf("IncrFloat = %v %v", v, err)
-	}
-	got, err := getFloat(cl, "count:item1")
-	if err != nil || got != 2.0 {
-		t.Fatalf("GetFloat = %v %v", got, err)
-	}
-	if zero, err := getFloat(cl, "count:absent"); err != nil || zero != 0 {
-		t.Fatalf("GetFloat(absent) = %v %v", zero, err)
-	}
-}
-
-func TestIncrFloatConcurrent(t *testing.T) {
-	_, cl := newTestCluster(t, Options{Instances: 8})
+// TestSyncWritersShareGroupFsyncs: under SyncWrites, writers of one LDB
+// instance reach its engine with no lock above it, so one group fsync
+// covers the writes of several of them: fewer fsyncs than writes.
+func TestSyncWritersShareGroupFsyncs(t *testing.T) {
+	var eng *ldb.Store
+	_, cl := newTestCluster(t, Options{
+		Instances: 1,
+		Engine: func(InstanceID) (engine.Engine, error) {
+			s, err := ldb.Open(t.TempDir(), ldb.Options{SyncWrites: true})
+			eng = s
+			return s, err
+		},
+	})
+	const writers, perWriter = 8, 20
 	var wg sync.WaitGroup
-	const goroutines, perG = 8, 250
-	for g := 0; g < goroutines; g++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				if _, err := cl.IncrFloat("hot", 1); err != nil {
-					t.Error(err)
+			for i := 0; i < perWriter; i++ {
+				key := fmt.Sprintf("w%d-%d", w, i)
+				var err error
+				if w%2 == 0 {
+					err = cl.Put(key, []byte(key))
+				} else {
+					err = cl.BatchPut([]string{key + "a", key + "b"}, [][]byte{[]byte("a"), []byte("b")})
+				}
+				if err != nil {
+					t.Errorf("write %s: %v", key, err)
 					return
 				}
 			}
-		}()
+		}(w)
 	}
-	wg.Wait()
-	got, err := getFloat(cl, "hot")
-	if err != nil || got != goroutines*perG {
-		t.Fatalf("counter = %v %v, want %d", got, err, goroutines*perG)
+	waitWithTimeout(t, &wg)
+	// Every Put and every BatchPut is one WAL append.
+	writes := int64(writers * perWriter)
+	if fsyncs := eng.EngineStats().WALFsyncs; fsyncs == 0 || fsyncs >= writes {
+		t.Fatalf("%d fsyncs for %d writes of %d writers; want at least one and fewer than the writes", fsyncs, writes, writers)
 	}
 }
 

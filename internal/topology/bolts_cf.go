@@ -391,13 +391,12 @@ func NewItemCountBolt(store State, p Params) stream.BoltFactory {
 func (b *ItemCountBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
 	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
-	if !b.p.DisableCombiner {
-		b.comb = combiner.New(combiner.Sum)
-	}
+	b.comb = combiner.New(combiner.Sum)
 	return nil
 }
 
-// Execute implements stream.Bolt.
+// Execute implements stream.Bolt. With DisableCombiner set, every tuple is
+// flushed as it comes, as a tick flushes an interval.
 func (b *ItemCountBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return b.flush()
@@ -405,18 +404,14 @@ func (b *ItemCountBolt) Execute(t *stream.Tuple) error {
 	item := t.Value("item").(string)
 	delta := t.Value("delta").(float64)
 	session := t.Value("session").(int64)
-	if b.comb != nil {
-		b.comb.Add(b.keys.comb(item, session), delta)
-		return nil
+	b.comb.Add(b.keys.comb(item, session), delta)
+	if b.p.DisableCombiner {
+		return b.flush()
 	}
-	_, err := b.st.addCounter(b.keys.key2(prefixItemCount, item), b.p.WindowSessions, session, delta)
-	return err
+	return nil
 }
 
 func (b *ItemCountBolt) flush() error {
-	if b.comb == nil {
-		return nil
-	}
 	b.deltas = drainCombinerInto(b.comb, b.deltas)
 	deltas := b.deltas
 	if len(deltas) == 0 {

@@ -36,13 +36,12 @@ func NewDBBolt(store State, p Params) stream.BoltFactory {
 func (b *DBBolt) Prepare(_ stream.TopologyContext, _ stream.Collector) error {
 	b.st = newTaskState(b.store, b.p.CacheSize)
 	b.keys = newInterner(b.p.CacheSize)
-	if !b.p.DisableCombiner {
-		b.comb = combiner.New(combiner.Sum)
-	}
+	b.comb = combiner.New(combiner.Sum)
 	return nil
 }
 
-// Execute implements stream.Bolt.
+// Execute implements stream.Bolt. With DisableCombiner set, every tuple is
+// flushed as it comes, as a tick flushes an interval.
 func (b *DBBolt) Execute(t *stream.Tuple) error {
 	if t.IsTick() {
 		return b.flush()
@@ -51,28 +50,14 @@ func (b *DBBolt) Execute(t *stream.Tuple) error {
 	item := t.Value("item").(string)
 	weight := t.Value("weight").(float64)
 	session := t.Value("session").(int64)
-	if b.comb != nil {
-		b.comb.Add(b.keys.combJoined(group, item, session), weight)
-		return nil
+	b.comb.Add(b.keys.combJoined(group, item, session), weight)
+	if b.p.DisableCombiner {
+		return b.flush()
 	}
-	groupItem := b.keys.joined(group, item)
-	owned := append(b.ownedBuf[:0], b.keys.key2(prefixGroupCount, groupItem), b.keys.key2(prefixHotList, group))
-	b.ownedBuf = owned
-	sb := b.st.batch()
-	if err := sb.prefetch(owned, nil); err != nil {
-		return err
-	}
-	err := b.apply(sb, groupItem, session, weight)
-	if ferr := sb.flush(); ferr != nil && err == nil {
-		err = ferr
-	}
-	return err
+	return nil
 }
 
 func (b *DBBolt) flush() error {
-	if b.comb == nil {
-		return nil
-	}
 	b.deltas = drainCombinerInto(b.comb, b.deltas)
 	deltas := b.deltas
 	if len(deltas) == 0 {

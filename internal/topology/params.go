@@ -46,8 +46,8 @@ type Params struct {
 	// CacheSize is the per-task fine-grained cache capacity (§5.2).
 	// Negative disables caching. Default 4096.
 	CacheSize int
-	// DisableCombiner routes every counter update straight to the store,
-	// for the §5.3 ablation.
+	// DisableCombiner flushes every counter update to the store as it
+	// arrives, for the §5.3 ablation.
 	DisableCombiner bool
 
 	// ProfileFor resolves a user's demographic profile for the DB

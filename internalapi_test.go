@@ -47,7 +47,6 @@ var testHooks = map[string]string{
 	"stream.RunningTopology.Rebalances": "TestChaosSoakLosesNothing",
 	"topology.MemState.Ops":             "TestCombinerReducesStoreWrites",
 	"tdaccess.plog.SegmentCount":        "TestSegmentRotation",
-	"tdstore.Client.IncrFloat":          "TestStoreConcurrentStress",
 
 	// The stream engine's test knobs and constructors.
 	"stream.TopologyBuilder.SetQueueDepth":   "TestTickRoundBacklogKeepsThePeriod",

@@ -34,8 +34,8 @@ go test -race -count=5 -run '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoa
 echo "== go test -race serving tier (TTL, negative cache and its drop on write, a read that straddles Invalidate, a failed store read, LRU, mixed load)"
 go test -race -run 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), a batch as one WAL append, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
-go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
+echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), group commit and its fsync shared by the writers of one instance, a batch as one WAL append, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
+go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestSyncWritersShareGroupFsyncs|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
 	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 # The test skips itself unless exactly one tick round had run when it read
@@ -54,7 +54,7 @@ fi
 echo "== go test -race the sparse offset index (every read against a decode of the segment files, the index a reopen recovers, corruption on the way to a record, readers sharing segment hints beside an appender)"
 go test -race -run 'TestSparseIndex|TestReadFrom' ./internal/tdaccess/
 
-echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore, serving, obsv)"
+echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore incl. the store stress of writers and readers with no lock above an engine, serving, obsv)"
 go test -race ./internal/stream/... ./internal/topology/... ./internal/tdaccess/... ./internal/tdstore/... ./internal/serving/ ./internal/obsv/
 
 echo "== go test -race the recommender killed -9 mid-tail and restored from its checkpoint, the wire codec"

@@ -23,10 +23,8 @@ import (
 // manifests anchor to its committed offsets.
 const consumerGroup = "tencentrec"
 
-// defaultGroupCommit is the WAL group-commit interval used when
-// StoreSyncWrites is on: one fsync per interval covers every record
-// appended during it.
-const defaultGroupCommit = 2 * time.Millisecond
+// actionTopic is the TDAccess topic actions are published to.
+const actionTopic = "user-actions"
 
 // storeEngineFactory maps a StoreEngine name to a per-instance engine
 // constructor. Durable engines get one directory per instance,
@@ -44,9 +42,6 @@ func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func
 		return nil, nil // cluster default: in-memory MDB
 	case "ldb":
 		opts := ldb.Options{SyncWrites: syncWrites}
-		if syncWrites {
-			opts.SyncInterval = defaultGroupCommit
-		}
 		return func(inst tdstore.InstanceID) (engine.Engine, error) {
 			instDir := tdstore.InstanceDir(dir, int(inst))
 			if restore != "" {
@@ -83,14 +78,6 @@ type SystemConfig struct {
 	// DataDir is the root directory for TDAccess partition logs.
 	// Required.
 	DataDir string
-	// Topic is the TDAccess topic actions are published to.
-	// Default "user-actions".
-	Topic string
-	// BrokerPartitions is the action topic's partition count. Default 4.
-	BrokerPartitions int
-	// StoreInstances is the number of TDStore data instances, one engine
-	// each. Default 16.
-	StoreInstances int
 	// StoreEngine selects the TDStore storage engine: "mdb" (in-memory,
 	// default) or "ldb" (log-structured, durable). The durable engine
 	// persists under StoreDir.
@@ -137,15 +124,6 @@ type SystemConfig struct {
 }
 
 func (c SystemConfig) withDefaults() SystemConfig {
-	if c.Topic == "" {
-		c.Topic = "user-actions"
-	}
-	if c.BrokerPartitions <= 0 {
-		c.BrokerPartitions = 4
-	}
-	if c.StoreInstances <= 0 {
-		c.StoreInstances = 16
-	}
 	if !c.Features.CF && !c.Features.AR && !c.Features.CB && !c.Features.Ctr {
 		c.Features.CF = true
 	}
@@ -183,10 +161,7 @@ type System struct {
 // Open builds and starts a System. The topology runs until Close.
 func Open(cfg SystemConfig) (*System, error) {
 	c := cfg.withDefaults()
-	broker, err := tdaccess.NewBroker(tdaccess.Options{
-		Dir:        c.DataDir,
-		Partitions: c.BrokerPartitions,
-	})
+	broker, err := tdaccess.NewBroker(tdaccess.Options{Dir: c.DataDir})
 	if err != nil {
 		return nil, fmt.Errorf("tencentrec: open broker: %w", err)
 	}
@@ -201,10 +176,10 @@ func Open(cfg SystemConfig) (*System, error) {
 			broker.Close()
 			return nil, fmt.Errorf("tencentrec: restore: %w", err)
 		}
-		if m.Instances != c.StoreInstances {
+		if m.Instances != tdstore.DefaultInstances {
 			broker.Close()
-			return nil, fmt.Errorf("tencentrec: restore: checkpoint has %d instances, config %d",
-				m.Instances, c.StoreInstances)
+			return nil, fmt.Errorf("tencentrec: restore: checkpoint has %d instances, the store %d",
+				m.Instances, tdstore.DefaultInstances)
 		}
 		manifest = m
 		restoreDir = c.CheckpointDir
@@ -214,10 +189,7 @@ func Open(cfg SystemConfig) (*System, error) {
 		broker.Close()
 		return nil, err
 	}
-	cluster, err := tdstore.NewCluster(tdstore.Options{
-		Instances: c.StoreInstances,
-		Engine:    engineFactory,
-	})
+	cluster, err := tdstore.NewCluster(tdstore.Options{Engine: engineFactory})
 	if err != nil {
 		broker.Close()
 		return nil, fmt.Errorf("tencentrec: open store: %w", err)
@@ -265,7 +237,7 @@ func Open(cfg SystemConfig) (*System, error) {
 	state := servedState{client, reader}
 	spout := topology.NewTDAccessSpout(topology.TDAccessSpoutConfig{
 		Broker:  broker,
-		Topic:   c.Topic,
+		Topic:   actionTopic,
 		Group:   consumerGroup,
 		Emitted: replayed,
 	})
@@ -338,17 +310,17 @@ func (s *System) Checkpoint(timeout time.Duration) error {
 	// captured at one consistent point; actions published meanwhile stay
 	// in the broker above the frontier and replay cleanly.
 	return s.running.Quiesce(func() error {
-		parts := s.broker.TopicPartitions(s.cfg.Topic)
+		parts := s.broker.TopicPartitions(actionTopic)
 		offsets := make([]int64, parts)
 		for p := 0; p < parts; p++ {
-			off, err := s.broker.CommittedOffset(consumerGroup, s.cfg.Topic, p)
+			off, err := s.broker.CommittedOffset(consumerGroup, actionTopic, p)
 			if err != nil {
 				return fmt.Errorf("tencentrec: checkpoint frontier: %w", err)
 			}
 			offsets[p] = off
 		}
 		return s.cluster.Checkpoint(s.cfg.CheckpointDir, []tdstore.FrontierEntry{
-			{Group: consumerGroup, Topic: s.cfg.Topic, Offsets: offsets},
+			{Group: consumerGroup, Topic: actionTopic, Offsets: offsets},
 		})
 	})
 }
@@ -361,7 +333,7 @@ func (s *System) ReplayedTailRecords() int64 { return s.replayed.Load() }
 // Publish sends one action into the pipeline, keyed by user so per-user
 // order is preserved.
 func (s *System) Publish(a RawAction) error {
-	_, _, err := s.producer.Send(s.cfg.Topic, a.User, topology.EncodeAction(a))
+	_, _, err := s.producer.Send(actionTopic, a.User, topology.EncodeAction(a))
 	return err
 }
 
@@ -393,10 +365,10 @@ func (s *System) AddItem(id string, terms []string, published time.Time) error {
 // Metrics, as it always has, and the bolt retries it with its next input.
 func (s *System) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	parts := s.broker.TopicPartitions(s.cfg.Topic)
+	parts := s.broker.TopicPartitions(actionTopic)
 	end := make([]int64, parts)
 	for p := range end {
-		off, err := s.broker.EndOffset(s.cfg.Topic, p)
+		off, err := s.broker.EndOffset(actionTopic, p)
 		if err != nil {
 			return fmt.Errorf("tencentrec: drain: %w", err)
 		}
@@ -405,7 +377,7 @@ func (s *System) Drain(timeout time.Duration) error {
 	for {
 		behind := int64(0)
 		for p, e := range end {
-			off, err := s.broker.CommittedOffset(consumerGroup, s.cfg.Topic, p)
+			off, err := s.broker.CommittedOffset(consumerGroup, actionTopic, p)
 			if err != nil {
 				return fmt.Errorf("tencentrec: drain: %w", err)
 			}
