@@ -58,7 +58,6 @@ func main() {
 	dataDir := flag.String("data", "", "TDAccess data directory (required)")
 	storeEngine := flag.String("store-engine", "mdb", "TDStore storage engine: mdb (in-memory) or ldb (log-structured, durable)")
 	storeDir := flag.String("store-dir", "", "directory for durable store engines (default <data>/tdstore)")
-	storeSync := flag.Bool("store-sync", false, "fsync the ldb write-ahead log via group commit (survives power loss, not just crashes)")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for offset-anchored store checkpoints (default <data>/checkpoint)")
 	restore := flag.Bool("restore", false, "cold-start the store from the checkpoint in -checkpoint-dir and replay only the tail (requires -store-engine ldb)")
 	enableCB := flag.Bool("cb", true, "enable the content-based chain")
@@ -80,7 +79,6 @@ func main() {
 		DataDir:               *dataDir,
 		StoreEngine:           *storeEngine,
 		StoreDir:              *storeDir,
-		StoreSyncWrites:       *storeSync,
 		CheckpointDir:         *checkpointDir,
 		RestoreFromCheckpoint: *restore,
 		Params:                tencentrec.Params{FlushInterval: *flush},

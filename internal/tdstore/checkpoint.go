@@ -56,8 +56,12 @@ func (c *Cluster) Checkpoint(dir string, frontier []FrontierEntry) error {
 		if !ok {
 			return fmt.Errorf("tdstore: engine for instance %d does not support checkpoints", inst)
 		}
-		if err := ck.Checkpoint(InstanceDir(dir, inst)); err != nil {
+		instDir := InstanceDir(dir, inst)
+		if err := ck.Checkpoint(instDir); err != nil {
 			return fmt.Errorf("tdstore: checkpoint instance %d: %w", inst, err)
+		}
+		if err := syncDir(instDir); err != nil {
+			return fmt.Errorf("tdstore: sync checkpoint of instance %d: %w", inst, err)
 		}
 	}
 	m := CheckpointManifest{Version: 1, Instances: len(c.instances), Frontier: frontier}
@@ -65,14 +69,50 @@ func (c *Cluster) Checkpoint(dir string, frontier []FrontierEntry) error {
 	if err != nil {
 		return err
 	}
+	// The manifest is fsynced before its rename and the directory after
+	// it, so a power loss leaves either no manifest or a whole one over
+	// snapshots that are on disk.
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := writeFileSync(tmp, b); err != nil {
 		return fmt.Errorf("tdstore: write manifest: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		return fmt.Errorf("tdstore: commit manifest: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("tdstore: sync checkpoint dir: %w", err)
+	}
 	return nil
+}
+
+// writeFileSync writes b to a new file at path and fsyncs it.
+func writeFileSync(path string, b []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, so the names linked, renamed or removed in
+// it are on disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadCheckpoint reads a committed checkpoint's manifest. A missing

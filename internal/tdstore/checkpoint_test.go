@@ -35,7 +35,7 @@ func restoreFactory(root, ckptDir string) func(InstanceID) (engine.Engine, error
 
 // TestClusterLDBCloseReopen shuts a disk-backed cluster down cleanly and
 // rebuilds it over the same directories: every write must survive, and
-// the reopen must not trip over leaked WAL handles or stale locks.
+// the reopen must not trip over leaked file handles or stale locks.
 func TestClusterLDBCloseReopen(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{Instances: 6, Engine: ldbFactory(root)}
@@ -191,7 +191,7 @@ func TestClusterInstrumentEngineStats(t *testing.T) {
 	}
 	text := sb.String()
 	for _, want := range []string{
-		"tdstore_engine_wal_bytes_total",
+		"tdstore_engine_fsyncs_total",
 		"tdstore_engine_memtable_flushes_total",
 		"tdstore_engine_sstables",
 		"tdstore_engine_recovery_seconds",
@@ -200,20 +200,20 @@ func TestClusterInstrumentEngineStats(t *testing.T) {
 			t.Fatalf("metric %s missing from exposition:\n%s", want, text)
 		}
 	}
-	var walBytes int64
+	var flushes int64
 	c.engines(func(eng engine.Engine) {
 		if sr, ok := eng.(engine.StatsReporter); ok {
-			walBytes += sr.EngineStats().WALBytes
+			flushes += sr.EngineStats().MemtableFlushes
 		}
 	})
-	if walBytes == 0 {
-		t.Fatal("engine WAL byte counters did not move under writes")
+	if flushes == 0 {
+		t.Fatal("engine memtable flush counters did not move under writes")
 	}
 }
 
 // TestNewClusterEngineErrorCleansUp makes the constructor release every
 // engine it created before the failure: the LDB dirs must be reopenable
-// immediately (no goroutine leaks holding WALs).
+// immediately (no goroutine leaks holding table files).
 func TestNewClusterEngineErrorCleansUp(t *testing.T) {
 	root := t.TempDir()
 	calls := 0

@@ -69,7 +69,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	for inst := range c.instances {
 		eng, err := o.Engine(InstanceID(inst))
 		if err != nil {
-			// Close what is already open: disk engines hold WAL handles
+			// Close what is already open: disk engines hold table files
 			// and goroutines that would otherwise leak past the failed
 			// construction.
 			c.Close()

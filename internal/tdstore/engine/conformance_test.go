@@ -365,10 +365,12 @@ func TestEngineModelProperty(t *testing.T) {
 
 // TestLDBCrashReopenResumeConformance drives an LDB store and the MDB
 // engine with the same random operation stream, but crash-kills and
-// reopens the LDB at random points (no flush, no fsync rescue — the
-// directory is exactly what a dead process leaves). After every crash
-// and at the end, the recovered LDB must agree with MDB key-for-key:
-// durable recovery may not change engine semantics.
+// reopens the LDB at random points (no flush — the directory is exactly
+// what a dead process leaves). LDB keeps no write-ahead log, so a crash
+// loses the memtable: the reference after a crash is the MDB model as it
+// stood at the last table publish, which the model resumes from. After
+// every crash and at the end, the recovered LDB must agree with that
+// model key-for-key: durable recovery may not change engine semantics.
 func TestLDBCrashReopenResumeConformance(t *testing.T) {
 	type op struct {
 		Kind  uint8
@@ -376,7 +378,12 @@ func TestLDBCrashReopenResumeConformance(t *testing.T) {
 		Value []byte
 		Crash bool
 	}
-	opts := ldb.Options{FlushThreshold: 16, MaxTables: 3}
+	// Half the ops crash, so a memtable seldom holds more than a few keys:
+	// a threshold of 2 makes most crashes come after a table publish, and
+	// a MaxTables of 2 makes compactions run between them. With 16, no
+	// crash in 20 streams followed a flush, and a store that lost its
+	// tables in a crash passed.
+	opts := ldb.Options{FlushThreshold: 2, MaxTables: 2}
 	f := func(ops []op) bool {
 		dir := t.TempDir()
 		s, err := ldb.Open(dir, opts)
@@ -384,15 +391,16 @@ func TestLDBCrashReopenResumeConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		mdb := engine.NewMemory()
-		defer mdb.Close()
+		defer func() { mdb.Close() }()
+		contents := func(e engine.Engine) (map[string]string, bool) {
+			m := make(map[string]string)
+			err := e.Range(func(kv engine.KV) bool { k, v := kv.Split(); m[k] = v; return true })
+			return m, err == nil
+		}
 		agree := func() bool {
-			want := make(map[string]string)
-			mdb.Range(func(kv engine.KV) bool { k, v := kv.Split(); want[k] = v; return true })
-			got := make(map[string]string)
-			if err := s.Range(func(kv engine.KV) bool { k, v := kv.Split(); got[k] = v; return true }); err != nil {
-				return false
-			}
-			if len(got) != len(want) {
+			want, _ := contents(mdb)
+			got, ok := contents(s)
+			if !ok || len(got) != len(want) {
 				return false
 			}
 			for k, v := range want {
@@ -402,11 +410,21 @@ func TestLDBCrashReopenResumeConformance(t *testing.T) {
 			}
 			return true
 		}
+		// published is the model at the last table publish, flushes the
+		// store's MemtableFlushes count when it was taken.
+		published, _ := contents(mdb)
+		var flushes int64
 		for _, o := range ops {
 			if o.Crash {
 				s.Crash()
 				if s, err = ldb.Open(dir, opts); err != nil {
 					t.Fatal(err)
+				}
+				flushes = 0
+				mdb.Close()
+				mdb = engine.NewMemory()
+				for k, v := range published {
+					mdb.PutKV(engine.MakeKV(k, []byte(v)))
 				}
 				if !agree() {
 					s.Close()
@@ -436,6 +454,12 @@ func TestLDBCrashReopenResumeConformance(t *testing.T) {
 					s.Close()
 					return false
 				}
+			}
+			// A write that fills the memtable flushes it before it
+			// returns: the model now holds what the new table published.
+			if n := s.EngineStats().MemtableFlushes; n != flushes {
+				flushes = n
+				published, _ = contents(mdb)
 			}
 		}
 		ok := agree()

@@ -8,8 +8,8 @@
 //   - MDB: a lock-striped in-memory hash table (this package);
 //   - RDB: Redis is external software, so its role — an in-memory store
 //     — is covered by MDB; nothing the system stores needs key expiry;
-//   - LDB: a log-structured engine with a write-ahead log, memtable and
-//     sorted string tables (package ldb);
+//   - LDB: a log-structured engine of a memtable and sorted string
+//     tables (package ldb);
 //   - FDB: its role — a durable store on disk — is covered by LDB.
 package engine
 
@@ -113,17 +113,14 @@ type Checkpointer interface {
 // the engine was opened except Tables, which is a level gauge, and
 // RecoveryNanos, which is the one-time cost of the last Open.
 type Stats struct {
-	WALBytes           int64 // bytes appended to the write-ahead log
-	WALFsyncs          int64 // fsync calls (WAL group/record syncs + table syncs)
-	MemtableFlushes    int64 // memtable → SSTable flushes
-	Compactions        int64 // completed table merges
-	CompactionBytes    int64 // bytes read + written by compactions
-	BlockCacheHits     int64
-	BlockCacheMisses   int64
-	RecoveryNanos      int64 // wall time of the last Open (replay included)
-	ReplayedWALRecords int64 // records replayed from the WAL at Open
-	TornWALTails       int64 // torn tails truncated at Open
-	Tables             int64 // current SSTable count
+	Fsyncs           int64 // fsync calls, one per table published
+	MemtableFlushes  int64 // memtable → SSTable flushes
+	Compactions      int64 // completed table merges
+	CompactionBytes  int64 // bytes read + written by compactions
+	BlockCacheHits   int64
+	BlockCacheMisses int64
+	RecoveryNanos    int64 // wall time of the last Open (its tables' indexes built)
+	Tables           int64 // current SSTable count
 }
 
 // StatsReporter is implemented by engines that publish Stats.

@@ -2,27 +2,24 @@
 // log-structured key-value store in the spirit of LevelDB, which the paper
 // lists among the engines its data servers support (§3.3).
 //
-// Writes go to a write-ahead log and an in-memory memtable; when the
-// memtable grows past a threshold it is flushed to an immutable sorted
-// string table (SSTable) and the log is rotated. A table's index is its
-// sorted keys and a Bloom filter, built while the table is written. Reads
-// consult the memtable first, then the tables from newest to oldest,
-// binary-searching only those whose filter may hold the key, through a
-// block cache. A background compactor merges all tables into one by
-// streaming their sorted indexes when the table count grows past a
-// threshold. All I/O is sequential on the
-// write path, matching the paper's emphasis on sequential operations for
-// disk-backed components (§3.2).
+// Writes go to an in-memory memtable; when it grows past a threshold it
+// is flushed to an immutable sorted string table (SSTable). A table's
+// index is its sorted keys and a Bloom filter, built while the table is
+// written. Reads consult the memtable first, then the tables from newest
+// to oldest, binary-searching only those whose filter may hold the key,
+// through a block cache. A background compactor merges all tables into
+// one by streaming their sorted indexes when the table count grows past a
+// threshold. All I/O is sequential on the write path, matching the
+// paper's emphasis on sequential operations for disk-backed components
+// (§3.2).
 //
-// Durability contract: with SyncWrites off, a write survives a process
-// crash once the OS has the bytes (every write, a batch included, is one
-// append handed to the kernel before it returns) but not a power loss.
-// With SyncWrites on, writers park until the next group fsync covers their
-// append: one fsync every 2 ms amortizes every append made during the
-// interval, by however many writers. A torn record at the
-// WAL tail (crash mid-append) is detected by CRC/length on reopen,
-// truncated away, and appending continues from the last intact record; an
-// fsynced record is never lost and a partial one is never surfaced.
+// Durability contract: there is no write-ahead log. What survives a crash
+// or a power loss is what a flush, a compaction, a Checkpoint or Close has
+// published as a table, fsynced before its rename; a killed process loses
+// its memtable. TDStore recovers a store from a checkpoint and a replay of
+// the action log past it (DESIGN.md §16), and that replay rebuilds exactly
+// what the memtable held. A wal.log that an earlier version left in the
+// directory is ignored.
 package ldb
 
 import (
@@ -49,18 +46,12 @@ import (
 )
 
 const (
-	walName               = "wal.log"
 	sstPrefix             = "sst-"
 	sstSuffix             = ".tbl"
 	flagTomb              = 1
 	maxRecord             = 64 << 20 // sanity bound on a single record
 	defaultFlushThreshold = 4096
 	defaultMaxTables      = 8
-	// defaultSyncInterval is the group-commit interval under SyncWrites.
-	defaultSyncInterval = 2 * time.Millisecond
-	// maxWALScratch bounds the encode buffer a store keeps between
-	// appends; a larger batch's buffer is let go after its append.
-	maxWALScratch = 64 << 10
 	// tableWriteBuf is how many encoded bytes a table build gathers
 	// before one write to its file.
 	tableWriteBuf = 64 << 10
@@ -73,29 +64,10 @@ const (
 // ErrClosed is returned by operations on a closed store: engine.ErrClosed.
 var ErrClosed = engine.ErrClosed
 
-// errCorrupt marks a structurally invalid record — the shapes a torn or
-// partially written tail produces (bad CRC, absurd lengths) — as opposed
-// to an I/O failure reading an otherwise intact file.
+// errCorrupt marks a structurally invalid record (bad CRC, absurd
+// lengths, keys out of order), as opposed to an I/O failure reading an
+// otherwise intact file.
 var errCorrupt = errors.New("ldb: corrupt record")
-
-// isTornTail reports whether a readRecord error is one a crash
-// mid-append can produce: the record cut short by end-of-file or left
-// structurally invalid. I/O errors (a failing disk mid-file) are not
-// torn tails — truncating on them would silently discard valid records
-// beyond the fault.
-func isTornTail(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errCorrupt)
-}
-
-// wfile is the WAL file contract. It is an interface so tests can
-// interpose a failpoint wrapper (failpoint.go) between the store and the
-// OS and inject errors, short writes, or a simulated crash at a chosen
-// byte offset.
-type wfile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
 
 // Options configure a Store.
 type Options struct {
@@ -105,22 +77,9 @@ type Options struct {
 	// MaxTables is the number of SSTables that triggers a background
 	// compaction. Zero means a default of 8.
 	MaxTables int
-	// SyncWrites fsyncs the WAL before a write returns, by group commit:
-	// writers park until the next group fsync covers their record, so one
-	// fsync per interval serves every writer that arrived during it.
-	// Durability against power loss at the cost of latency; off by
-	// default.
-	SyncWrites bool
 	// BlockCacheBytes caps the SSTable read cache. Zero means
 	// DefaultBlockCacheBytes; negative disables the cache.
 	BlockCacheBytes int
-
-	// walHook wraps the WAL file after each open, letting tests inject
-	// faults. Production code leaves it nil.
-	walHook func(wfile) wfile
-	// syncInterval overrides the group-commit interval (tests). Zero
-	// means defaultSyncInterval.
-	syncInterval time.Duration
 }
 
 // tombBit marks a tombstone in tableEntry.vlen. A value is at most
@@ -312,14 +271,11 @@ func (b bloom) mayContain(h uint64) bool {
 // written under Store.mu except the block-cache pair, which the lock-free
 // read path updates atomically.
 type stats struct {
-	walBytes        int64
 	fsyncs          int64
 	memtableFlushes int64
 	compactions     int64
 	compactionBytes int64
 	recoveryNanos   int64
-	replayedRecords int64
-	tornTails       int64
 }
 
 // Store is an LDB engine instance rooted at a directory.
@@ -327,10 +283,6 @@ type Store struct {
 	mu      sync.Mutex
 	dir     string
 	opts    Options
-	walF    *os.File             // underlying WAL file (truncate/repair path)
-	wal     wfile                // possibly hook-wrapped view used for writes
-	walBuf  []byte               // encode buffer: a write's records, appended in one Write
-	walOff  int64                // bytes durably handed to the OS (clean record boundary)
 	mem     map[string]engine.KV // newest version of each key, "" a deletion
 	nextSeq int
 	closed  bool
@@ -342,18 +294,6 @@ type Store struct {
 	// a closed file. Lock order is always mu before tableMu.
 	tableMu sync.RWMutex
 	tables  []*sstable // oldest first
-
-	// Group commit: walSeq numbers appends, syncedSeq is the highest
-	// append covered by an fsync (or made durable by a rotation into an
-	// fsynced table). walGen invalidates an in-flight group sync when the
-	// WAL rotates underneath it.
-	walSeq    int64
-	syncedSeq int64
-	walGen    int64
-	syncErr   error
-	syncCond  *sync.Cond
-	syncStop  chan struct{}
-	syncDone  chan struct{}
 
 	// Background compaction.
 	compactMu   sync.Mutex // serializes merges (background and manual)
@@ -367,9 +307,8 @@ type Store struct {
 	cacheMiss atomic.Int64
 }
 
-// Open opens (creating if necessary) an LDB store in dir. An existing WAL
-// is replayed into the memtable; a torn record at its tail is truncated
-// away and appending resumes at the last intact record.
+// Open opens (creating if necessary) an LDB store in dir: its state is
+// its tables, and its memtable starts empty.
 func Open(dir string, opts Options) (*Store, error) {
 	start := time.Now()
 	if opts.FlushThreshold <= 0 {
@@ -378,9 +317,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxTables <= 0 {
 		opts.MaxTables = defaultMaxTables
 	}
-	if opts.syncInterval <= 0 {
-		opts.syncInterval = defaultSyncInterval
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ldb: create dir: %w", err)
 	}
@@ -388,13 +324,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:         dir,
 		opts:        opts,
 		mem:         make(map[string]engine.KV),
-		syncStop:    make(chan struct{}),
-		syncDone:    make(chan struct{}),
 		compactCh:   make(chan struct{}, 1),
 		compactStop: make(chan struct{}),
 		compactDone: make(chan struct{}),
 	}
-	s.syncCond = sync.NewCond(&s.mu)
 	if opts.BlockCacheBytes >= 0 {
 		budget := opts.BlockCacheBytes
 		if budget == 0 {
@@ -405,21 +338,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.loadTables(); err != nil {
 		return nil, err
 	}
-	if err := s.replayWAL(); err != nil {
-		s.closeTables()
-		return nil, err
-	}
-	if err := s.openWAL(); err != nil {
-		s.closeTables()
-		return nil, err
-	}
 	s.st.recoveryNanos = time.Since(start).Nanoseconds()
 	go s.compactLoop()
-	if opts.SyncWrites {
-		go s.groupCommitLoop()
-	} else {
-		close(s.syncDone)
-	}
 	return s, nil
 }
 
@@ -651,94 +571,7 @@ func (b *tableBuilder) abort() {
 	os.Remove(b.f.Name())
 }
 
-// replayWAL rebuilds the memtable from the WAL. A torn tail — a record
-// cut short or corrupted by a crash mid-append — is detected by its CRC
-// or truncated frame, the file is truncated back to the last intact
-// record, and the store continues from there. Everything the OS had
-// durably (and with SyncWrites, everything acknowledged) is recovered;
-// no partial record is ever surfaced.
-func (s *Store) replayWAL() error {
-	path := filepath.Join(s.dir, walName)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("ldb: open wal: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("ldb: stat wal: %w", err)
-	}
-	r := bufio.NewReader(f)
-	var (
-		buf  []byte
-		off  int64
-		torn bool
-	)
-	for {
-		rec, n, err := readRecord(r, fi.Size()-off, &buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Only the shapes a crash mid-append produces are repaired by
-			// truncation; a genuine read failure (disk I/O error) must
-			// surface, not silently discard the records after it.
-			if !isTornTail(err) {
-				return fmt.Errorf("ldb: read wal at offset %d: %w", off, err)
-			}
-			torn = true
-			break
-		}
-		if rec.tomb {
-			s.mem[string(rec.key)] = ""
-		} else {
-			kv := engine.MakeKV(string(rec.key), rec.value)
-			s.mem[kv.Key()] = kv
-		}
-		off += int64(n)
-		s.st.replayedRecords++
-	}
-	if torn {
-		s.st.tornTails++
-		if err := os.Truncate(path, off); err != nil {
-			return fmt.Errorf("ldb: truncate torn wal tail: %w", err)
-		}
-	}
-	s.walOff = off
-	return nil
-}
-
-func (s *Store) openWAL() error {
-	f, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ldb: open wal for append: %w", err)
-	}
-	s.walF = f
-	s.wal = f
-	if s.opts.walHook != nil {
-		s.wal = s.opts.walHook(f)
-	}
-	return nil
-}
-
-// repairWALLocked recovers from a failed or short WAL append: the file is
-// truncated back to the last clean record boundary and reopened, so the
-// log never carries a torn record in its middle and the next append
-// starts from a consistent tail. Called with s.mu held.
-func (s *Store) repairWALLocked() {
-	if s.wal != nil {
-		s.wal.Close()
-	}
-	path := filepath.Join(s.dir, walName)
-	_ = os.Truncate(path, s.walOff)
-	_ = s.openWAL() // a failure here resurfaces on the next append
-	s.walGen++
-}
-
-// record is the shared WAL/SSTable on-disk record.
+// record is the SSTable on-disk record.
 type record struct {
 	tomb  bool
 	key   []byte
@@ -767,12 +600,12 @@ func appendRecord[V string | []byte](dst []byte, tomb bool, key string, value V)
 // its encoded size. Its key and value are read into *buf, grown as
 // needed, and alias it until the next call. io.EOF means a clean end of
 // input; any other error (including a record cut short by EOF, or one
-// whose lengths run past the bytes left) marks a torn or corrupt record.
+// whose lengths run past the bytes left) marks a corrupt record.
 func readRecord(r *bufio.Reader, left int64, buf *[]byte) (record, int, error) {
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
 		// io.ErrUnexpectedEOF: a few stray bytes where a record should
-		// start, a torn tail.
+		// start.
 		return record{}, 0, err
 	}
 	want := binary.LittleEndian.Uint32(crcBuf[:])
@@ -846,7 +679,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	}
 	s.mu.Unlock()
 	// Table reads run under tableMu's read lock rather than the writer
-	// mutex, so cache misses hitting the disk never serialize the append
+	// mutex, so cache misses hitting the disk never serialize the write
 	// path; compaction retires files only under the write lock.
 	h := keyHash(key)
 	s.tableMu.RLock()
@@ -904,9 +737,7 @@ func (s *Store) PutKV(kv engine.KV) error {
 	return s.write([]engine.KV{kv}, "")
 }
 
-// PutBatch implements engine.Engine: the batch's records reach the WAL in
-// one append, and the memtable keeps each KV itself. If the append fails,
-// no record of the batch is applied.
+// PutBatch implements engine.Engine: the memtable keeps each KV itself.
 func (s *Store) PutBatch(kvs []engine.KV) error {
 	if len(kvs) == 0 {
 		return nil
@@ -919,58 +750,19 @@ func (s *Store) Delete(key string) error {
 	return s.write(nil, key)
 }
 
-// write appends one record per KV of kvs, or with no kvs a tombstone for
-// deleted, to the WAL in one Write, then applies them all to the
-// memtable.
+// write applies kvs, or with no kvs a tombstone for deleted, to the
+// memtable, and flushes it once it holds FlushThreshold keys.
 func (s *Store) write(kvs []engine.KV, deleted string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	buf := s.walBuf[:0]
-	if len(kvs) == 0 {
-		buf = appendRecord(buf, true, deleted, "")
-	}
-	for _, kv := range kvs {
-		k, v := kv.Split()
-		buf = appendRecord(buf, false, k, v)
-	}
-	n, err := s.wal.Write(buf)
-	s.walBuf = nil
-	if cap(buf) <= maxWALScratch {
-		s.walBuf = buf[:0]
-	}
-	if err != nil {
-		// The batch may be torn on disk: truncate back to where it began
-		// and reopen, so the log stays parseable and the caller can retry.
-		s.repairWALLocked()
-		return fmt.Errorf("ldb: wal append: %w", err)
-	}
-	s.walOff += int64(n)
-	s.st.walBytes += int64(n)
-	s.walSeq++
-	seq := s.walSeq
-	// Apply to the memtable before any durability wait. A writer parked
-	// for the group fsync releases s.mu, so a flush can run underneath it;
-	// the flush rotates the WAL away and releases parked writers as
-	// durable, which is only true if the flushed table carried their
-	// records — i.e. if every appended record is already in the memtable.
 	if len(kvs) == 0 {
 		s.mem[deleted] = ""
 	}
 	for _, kv := range kvs {
 		s.mem[kv.Key()] = kv
-	}
-	if s.opts.SyncWrites {
-		if err := s.waitGroupSyncLocked(seq); err != nil {
-			return err
-		}
-	}
-	if s.closed {
-		// Closed while parked for the group fsync; the records are durable
-		// (Close syncs before setting the flag) and already applied.
-		return nil
 	}
 	if len(s.mem) >= s.opts.FlushThreshold {
 		if err := s.flushLocked(); err != nil {
@@ -988,65 +780,7 @@ func (s *Store) write(kvs []engine.KV, deleted string) error {
 	return nil
 }
 
-// waitGroupSyncLocked parks the writer of append seq until a group fsync
-// (or a WAL rotation into an fsynced table) covers it. Called with s.mu
-// held; the condition variable releases the lock while parked, so other
-// writers keep appending into the same group.
-func (s *Store) waitGroupSyncLocked(seq int64) error {
-	for s.syncedSeq < seq && s.syncErr == nil && !s.closed {
-		s.syncCond.Wait()
-	}
-	if s.syncedSeq < seq && s.syncErr != nil {
-		return fmt.Errorf("ldb: group wal sync: %w", s.syncErr)
-	}
-	return nil
-}
-
-// groupCommitLoop is the group-commit daemon: one fsync per sync
-// interval covers every append since the last one. The fsync itself runs with s.mu
-// released so writers keep appending; a WAL rotation during the fsync
-// bumps walGen, in which case the result is discarded (rotation already
-// made those records durable in an fsynced table).
-func (s *Store) groupCommitLoop() {
-	defer close(s.syncDone)
-	ticker := time.NewTicker(s.opts.syncInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.syncStop:
-			return
-		case <-ticker.C:
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		if s.walSeq == s.syncedSeq {
-			s.mu.Unlock()
-			continue
-		}
-		gen, w, seq := s.walGen, s.wal, s.walSeq
-		s.mu.Unlock()
-		err := w.Sync()
-		s.mu.Lock()
-		if s.walGen == gen {
-			if err != nil {
-				s.syncErr = err
-			} else {
-				s.syncErr = nil
-				if seq > s.syncedSeq {
-					s.syncedSeq = seq
-				}
-				s.st.fsyncs++
-			}
-			s.syncCond.Broadcast()
-		}
-		s.mu.Unlock()
-	}
-}
-
-// Flush forces the memtable to an SSTable and rotates the WAL.
+// Flush forces the memtable to an SSTable.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1057,7 +791,7 @@ func (s *Store) Flush() error {
 }
 
 // flushLocked writes the memtable out as a table in key order, its index
-// built on the way, and rotates the WAL.
+// built on the way, fsynced and published by rename.
 func (s *Store) flushLocked() error {
 	if len(s.mem) == 0 {
 		return nil
@@ -1092,18 +826,7 @@ func (s *Store) flushLocked() error {
 	s.nextSeq++
 	s.mem = make(map[string]engine.KV)
 	s.st.memtableFlushes++
-	// Rotate the WAL: its contents are now durable in the fsynced table,
-	// so every parked group-commit writer is released too.
-	s.wal.Close()
-	if err := os.Remove(filepath.Join(s.dir, walName)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("ldb: remove wal: %w", err)
-	}
-	s.walOff = 0
-	s.walGen++
-	s.syncedSeq = s.walSeq
-	s.syncErr = nil
-	s.syncCond.Broadcast()
-	return s.openWAL()
+	return nil
 }
 
 // kickCompactLocked schedules a background compaction if one is not
@@ -1308,9 +1031,9 @@ func (s *Store) WaitCompaction() {
 	}
 }
 
-// Checkpoint implements engine.Checkpointer: it flushes the memtable,
-// rotates the WAL and publishes the entire table stack into dir as hard
-// links (copies when the filesystem refuses links). The checkpoint is a
+// Checkpoint implements engine.Checkpointer: it flushes the memtable and
+// publishes the entire table stack into dir as hard links (copies when
+// the filesystem refuses links). The checkpoint is a
 // self-contained LDB directory — Open on it yields exactly the state at
 // the moment of the call — and stays intact even after later compactions
 // unlink the source files, because the links pin the inodes.
@@ -1337,7 +1060,6 @@ func (s *Store) Checkpoint(dir string) error {
 			return fmt.Errorf("ldb: clear checkpoint dir: %w", err)
 		}
 	}
-	os.Remove(filepath.Join(dir, walName))
 	s.tableMu.RLock()
 	defer s.tableMu.RUnlock()
 	for _, t := range s.tables {
@@ -1480,23 +1202,20 @@ func (s *Store) EngineStats() engine.Stats {
 	s.tableMu.RLock()
 	defer s.tableMu.RUnlock()
 	return engine.Stats{
-		WALBytes:           s.st.walBytes,
-		WALFsyncs:          s.st.fsyncs,
-		MemtableFlushes:    s.st.memtableFlushes,
-		Compactions:        s.st.compactions,
-		CompactionBytes:    s.st.compactionBytes,
-		BlockCacheHits:     s.cacheHits.Load(),
-		BlockCacheMisses:   s.cacheMiss.Load(),
-		RecoveryNanos:      s.st.recoveryNanos,
-		ReplayedWALRecords: s.st.replayedRecords,
-		TornWALTails:       s.st.tornTails,
-		Tables:             int64(len(s.tables)),
+		Fsyncs:           s.st.fsyncs,
+		MemtableFlushes:  s.st.memtableFlushes,
+		Compactions:      s.st.compactions,
+		CompactionBytes:  s.st.compactionBytes,
+		BlockCacheHits:   s.cacheHits.Load(),
+		BlockCacheMisses: s.cacheMiss.Load(),
+		RecoveryNanos:    s.st.recoveryNanos,
+		Tables:           int64(len(s.tables)),
 	}
 }
 
 // Crash simulates a process death for crash-recovery tests: background
-// goroutines are stopped and file handles dropped with no flush, fsync,
-// or memtable rescue — the next Open sees exactly what a killed process
+// goroutines are stopped and file handles dropped with no flush — the
+// memtable is lost, and the next Open sees exactly what a killed process
 // would have left on disk. Unlike a real kill it does reclaim goroutines
 // and descriptors, so tests can crash the same directory many times.
 func (s *Store) Crash() {
@@ -1506,66 +1225,43 @@ func (s *Store) Crash() {
 		return
 	}
 	s.closed = true
-	s.syncedSeq = s.walSeq // release parked group-commit writers
-	s.syncCond.Broadcast()
 	s.mu.Unlock()
-	close(s.syncStop)
-	close(s.compactStop)
-	<-s.syncDone
-	<-s.compactDone
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wal.Close()
-	s.tableMu.Lock()
-	for _, t := range s.tables {
-		t.f.Close()
-	}
-	s.tableMu.Unlock()
+	s.stopAndCloseTables()
 }
 
-// Close implements engine.Engine. Every write's records are with the OS
-// when it returns, so Close fsyncs them under SyncWrites and marks the
-// store closed: a clean shutdown followed by Open loses nothing and leaks
-// no file handles.
+// Close implements engine.Engine: it publishes the memtable as a table
+// (flushLocked, as Checkpoint does), so a clean shutdown followed by Open
+// loses nothing, and closes every file.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	var first error
-	if s.opts.SyncWrites {
-		if err := s.wal.Sync(); err != nil && first == nil {
-			first = err
-		}
-		s.st.fsyncs++
-	}
-	// Release any writers parked on the group fsync: their records are
-	// durable now.
-	s.syncedSeq = s.walSeq
-	s.closed = true
-	s.syncCond.Broadcast()
-	if s.compactErr != nil && first == nil {
+	first := s.flushLocked()
+	if first == nil {
 		first = s.compactErr
 	}
+	s.closed = true
 	s.mu.Unlock()
-
-	close(s.syncStop)
-	close(s.compactStop)
-	<-s.syncDone
-	<-s.compactDone
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.wal.Close(); err != nil && first == nil {
+	if err := s.stopAndCloseTables(); first == nil {
 		first = err
 	}
+	return first
+}
+
+// stopAndCloseTables stops the compactor of a store marked closed and
+// closes its table files.
+func (s *Store) stopAndCloseTables() error {
+	close(s.compactStop)
+	<-s.compactDone
 	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	var first error
 	for _, t := range s.tables {
 		if err := t.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.tableMu.Unlock()
 	return first
 }

@@ -11,13 +11,15 @@ import (
 	"tencentrec/internal/tdstore/engine"
 )
 
-// writeRecord writes rec to w in one Write, as a table or the WAL holds
-// it, and returns the bytes written.
+// writeRecord writes rec to w in one Write, as a table holds it, and
+// returns the bytes written.
 func writeRecord(w io.Writer, rec record) (int, error) {
 	return w.Write(appendRecord(nil, rec.tomb, string(rec.key), rec.value))
 }
 
-func TestReopenRecoversFromWAL(t *testing.T) {
+// TestReopenRecoversWhatCloseFlushed: a store that never reached its
+// flush threshold publishes its memtable as a table on Close.
+func TestReopenRecoversWhatCloseFlushed(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{FlushThreshold: 1 << 20}) // never flush
 	if err != nil {
@@ -48,6 +50,63 @@ func TestReopenRecoversFromWAL(t *testing.T) {
 	n, _ := s2.Len()
 	if n != 99 {
 		t.Fatalf("Len after reopen = %d, want 99", n)
+	}
+}
+
+// TestWritesTouchNoFileUntilAFlush: a write goes to the memtable and
+// nowhere else, so below the flush threshold the directory stays empty,
+// and a crash loses what no flush published.
+func TestWritesTouchNoFileUntilAFlush(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{FlushThreshold: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	if err := s.Put("a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch([]engine.KV{engine.MakeKV("b", []byte("2")), engine.MakeKV("c", []byte("3"))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if names := files(); len(names) != 0 {
+		t.Fatalf("writes below the flush threshold left files %v", names)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if names := files(); len(names) != 1 {
+		t.Fatalf("a flush left files %v, want one table", names)
+	}
+	if err := s.Put("d", []byte("4")); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+
+	s2, err := Open(dir, Options{FlushThreshold: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for k, want := range map[string]string{"a": "", "b": "2", "c": "3", "d": ""} {
+		v, ok, err := s2.Get(k)
+		if err != nil || ok != (want != "") || string(v) != want {
+			t.Fatalf("after a crash %s = %q %v %v, want %q", k, v, ok, err, want)
+		}
 	}
 }
 
@@ -216,34 +275,6 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
-func TestTornWALTailIsIgnored(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{FlushThreshold: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put("good", []byte("value"))
-	s.Close()
-
-	// Simulate a crash mid-append: garbage half-record at the tail.
-	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xde, 0xad, 0xbe})
-	f.Close()
-
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("Open with torn WAL failed: %v", err)
-	}
-	defer s2.Close()
-	v, ok, _ := s2.Get("good")
-	if !ok || string(v) != "value" {
-		t.Fatalf("record before torn tail lost: %q %v", v, ok)
-	}
-}
-
 func TestEmptyValueRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -381,23 +412,6 @@ func TestCompactSingleTableIsNoop(t *testing.T) {
 	v, ok, _ := s.Get("k")
 	if !ok || string(v) != "v" {
 		t.Fatalf("Get after compact = %q %v", v, ok)
-	}
-}
-
-func TestSyncWritesMode(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{SyncWrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, _ := s.Len()
-	if n != 10 {
-		t.Fatalf("Len = %d", n)
 	}
 }
 

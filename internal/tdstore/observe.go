@@ -60,14 +60,13 @@ func (cl *Client) observe(op clientOp, start int64) {
 }
 
 // Instrument exposes the cluster's durable-engine internals as
-// tdstore_engine_* series: WAL traffic and fsyncs, memtable flushes,
-// compaction work, block-cache effectiveness, WAL replay volume and the
-// live SSTable count, summed over every resident engine that reports
-// stats (engine.StatsReporter; in-memory engines contribute nothing).
-// Each engine's one-time recovery cost is recorded into the
-// tdstore_engine_recovery_seconds histogram at call time, so call this
-// after the cluster is built — and after a restore, so the replayed WAL
-// counters reflect the recovery.
+// tdstore_engine_* series: table fsyncs, memtable flushes, compaction
+// work, block-cache effectiveness and the live SSTable count, summed over
+// every resident engine that reports stats (engine.StatsReporter;
+// in-memory engines contribute nothing). Each engine's one-time open cost
+// is recorded into the tdstore_engine_recovery_seconds histogram at call
+// time, so call this after the cluster is built (after a restore, that
+// cost covers the restored tables).
 func (c *Cluster) Instrument(r *obsv.Registry) {
 	sum := func(pick func(engine.Stats) int64) func() int64 {
 		return func() int64 {
@@ -80,10 +79,8 @@ func (c *Cluster) Instrument(r *obsv.Registry) {
 			return total
 		}
 	}
-	r.CounterFunc("tdstore_engine_wal_bytes_total", "Bytes appended to engine write-ahead logs.",
-		sum(func(s engine.Stats) int64 { return s.WALBytes }))
-	r.CounterFunc("tdstore_engine_fsyncs_total", "Engine fsync calls (WAL syncs and table syncs).",
-		sum(func(s engine.Stats) int64 { return s.WALFsyncs }))
+	r.CounterFunc("tdstore_engine_fsyncs_total", "Engine fsync calls, one per table published.",
+		sum(func(s engine.Stats) int64 { return s.Fsyncs }))
 	r.CounterFunc("tdstore_engine_memtable_flushes_total", "Memtable flushes to SSTables.",
 		sum(func(s engine.Stats) int64 { return s.MemtableFlushes }))
 	r.CounterFunc("tdstore_engine_compactions_total", "Completed SSTable compactions.",
@@ -94,14 +91,10 @@ func (c *Cluster) Instrument(r *obsv.Registry) {
 		sum(func(s engine.Stats) int64 { return s.BlockCacheHits }))
 	r.CounterFunc("tdstore_engine_block_cache_misses_total", "SSTable reads that missed the block cache.",
 		sum(func(s engine.Stats) int64 { return s.BlockCacheMisses }))
-	r.CounterFunc("tdstore_engine_replayed_wal_records_total", "WAL records replayed into memtables at engine open.",
-		sum(func(s engine.Stats) int64 { return s.ReplayedWALRecords }))
-	r.CounterFunc("tdstore_engine_torn_wal_tails_total", "Torn WAL tails truncated at engine open.",
-		sum(func(s engine.Stats) int64 { return s.TornWALTails }))
 	r.GaugeFunc("tdstore_engine_sstables", "Live SSTables across all engines.",
 		sum(func(s engine.Stats) int64 { return s.Tables }))
 	rec := r.Histogram("tdstore_engine_recovery_seconds",
-		"Per-engine open/recovery wall time (WAL replay included).")
+		"Per-engine open wall time: listing its tables and building their indexes.")
 	c.engines(func(eng engine.Engine) {
 		if sr, ok := eng.(engine.StatsReporter); ok {
 			rec.Observe(sr.EngineStats().RecoveryNanos)

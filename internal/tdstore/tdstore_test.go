@@ -3,7 +3,6 @@ package tdstore
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -59,48 +58,6 @@ func TestKeysSpreadAcrossInstances(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("instance %d stores no keys", inst)
 		}
-	}
-}
-
-// TestSyncWritersShareGroupFsyncs: under SyncWrites, writers of one LDB
-// instance reach its engine with no lock above it, so one group fsync
-// covers the writes of several of them: fewer fsyncs than writes.
-func TestSyncWritersShareGroupFsyncs(t *testing.T) {
-	var eng *ldb.Store
-	_, cl := newTestCluster(t, Options{
-		Instances: 1,
-		Engine: func(InstanceID) (engine.Engine, error) {
-			s, err := ldb.Open(t.TempDir(), ldb.Options{SyncWrites: true})
-			eng = s
-			return s, err
-		},
-	})
-	const writers, perWriter = 8, 20
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				key := fmt.Sprintf("w%d-%d", w, i)
-				var err error
-				if w%2 == 0 {
-					err = cl.Put(key, []byte(key))
-				} else {
-					err = cl.BatchPut([]string{key + "a", key + "b"}, [][]byte{[]byte("a"), []byte("b")})
-				}
-				if err != nil {
-					t.Errorf("write %s: %v", key, err)
-					return
-				}
-			}
-		}(w)
-	}
-	waitWithTimeout(t, &wg)
-	// Every Put and every BatchPut is one WAL append.
-	writes := int64(writers * perWriter)
-	if fsyncs := eng.EngineStats().WALFsyncs; fsyncs == 0 || fsyncs >= writes {
-		t.Fatalf("%d fsyncs for %d writes of %d writers; want at least one and fewer than the writes", fsyncs, writes, writers)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -205,6 +206,75 @@ func TestOpenRefusesStatefulStoreWithoutRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkItemCounters(t, got, referenceCounters(actions, items))
+}
+
+// TestOpenAfterKillBeforeFirstFlushRebuildsFromLog: LDB keeps no
+// write-ahead log, so a process killed before any instance flushed its
+// memtable leaves empty store directories. A copy of DataDir taken while
+// the System runs is the disk a kill -9 leaves behind; Open on it, with
+// no restore, accepts the empty store, and the spout rebuilds it from the
+// action log from offset 0.
+func TestOpenAfterKillBeforeFirstFlushRebuildsFromLog(t *testing.T) {
+	const items = 10
+	actions := recoveryStream(7, 300, 50, items)
+	dataDir := t.TempDir()
+	s, err := Open(SystemConfig{DataDir: dataDir, StoreEngine: "ldb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	publishAll(t, s, actions)
+	if err := s.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	killed := t.TempDir()
+	copyTree(t, dataDir, killed)
+	if tables, _ := filepath.Glob(filepath.Join(killed, "tdstore", "inst-*", "sst-*.tbl")); len(tables) > 0 {
+		t.Fatalf("an instance flushed before the copy (%d tables): the stream is too large for this test", len(tables))
+	}
+
+	s2, err := Open(SystemConfig{DataDir: killed, StoreEngine: "ldb"})
+	if err != nil {
+		t.Fatalf("Open on the disk of a process killed before its first flush: %v", err)
+	}
+	defer s2.Close()
+	if err := s2.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readItemCounters(s2, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkItemCounters(t, got, referenceCounters(actions, items))
+}
+
+// copyTree copies the directories and regular files under src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		to := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(to, 0o755)
+		}
+		if !d.Type().IsRegular() {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(to, b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // The kill -9 soak's shape: the head is applied and checkpointed, the

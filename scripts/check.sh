@@ -5,6 +5,42 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# run_tests PATTERN ARG... runs go test -run PATTERN ARG..., after checking
+# that every alternative of PATTERN names a test, fuzz target or example
+# in the packages among ARG (the arguments that begin with "."): go test
+# passes silently when a -run list matches nothing, so a renamed or deleted
+# test would drop out of its step unseen. PATTERN is a|b|c or ^(a|b|c)$
+# with no nested groups; in the anchored form each alternative is anchored.
+run_tests() {
+	pattern=$1
+	shift
+	pkgs=
+	for arg in "$@"; do
+		case $arg in .*) pkgs="$pkgs $arg" ;; esac
+	done
+	names=$(go test -list . $pkgs | grep -E '^(Test|Fuzz|Example)')
+	case $pattern in
+	'^('*')$')
+		alts=${pattern#'^('}
+		alts=${alts%')$'}
+		pre='^('
+		post=')$'
+		;;
+	*)
+		alts=$pattern
+		pre=
+		post=
+		;;
+	esac
+	for alt in $(echo "$alts" | tr '|' ' '); do
+		if ! echo "$names" | grep -qE "$pre$alt$post"; then
+			echo "check: -run alternative $alt matches no test in$pkgs" >&2
+			exit 1
+		fi
+	done
+	go test -run "$pattern" "$@"
+}
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -17,10 +53,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "== the documents name tests, benchmarks and DESIGN.md sections that exist; every exported name under internal/ has a shipped caller or is a listed test hook"
-go test -run '^(TestDocsNameCodeThatExists|TestInternalAPIHasAShippedCaller)$' .
+run_tests '^(TestDocsNameCodeThatExists|TestInternalAPIHasAShippedCaller)$' .
 
 echo "== go test -race elastic parallelism and delivery (rebalance of a keyed stream, a spout stopped by a full queue, rebalance stress, write-behind flush hook and its failed flush, ordered tick round, idle rounds, keyed runs, one tuple per delivery, a failed Prepare's counted drops, spouts opened before any polls)"
-go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRebalance|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedPrepareDrainsAndCountsDrops|TestSpoutsOpenBeforeAnyPolls' ./internal/stream/
+run_tests 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRebalance|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedPrepareDrainsAndCountsDrops|TestSpoutsOpenBeforeAnyPolls' -race ./internal/stream/
 
 # One delivery path: the spout commits after every poll, a rebalance
 # flushes the retiring tasks, and checkpoint replay recovers across
@@ -29,19 +65,19 @@ go test -race -run 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKn
 # faults armed on broker partitions (Broker.FailPartition) and a cold
 # restart lose nothing.
 echo "== go test -race -count=5 the chaos soak and the cold-restart soak"
-go test -race -count=5 -run '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak)$' ./internal/topology/
+run_tests '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak)$' -race -count=5 ./internal/topology/
 
 echo "== go test -race serving tier (TTL, negative cache and its drop on write, a read that straddles Invalidate, a failed store read, LRU, mixed load)"
-go test -race -run 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' ./internal/serving/
+run_tests 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' -race ./internal/serving/
 
-echo "== go test -race ldb crash recovery (torn WAL, failpoints, crash-reopen conformance, cold restart), group commit and its fsync shared by the writers of one instance, a batch as one WAL append, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
-go test -race -run 'TestTornWAL|TestFailpoint|TestGroupCommit|TestSyncWritersShareGroupFsyncs|TestLDBCrashReopenResumeConformance|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestPutBatch|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
-	./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
+echo "== go test -race ldb crash recovery (crash-reopen conformance against the model at the last flush, no file touched until a flush, cold restart), a batch read back whole after a reopen, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
+run_tests 'TestLDBCrashReopenResumeConformance|TestWritesTouchNoFileUntilAFlush|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
+	-race ./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 # The test skips itself unless exactly one tick round had run when it read
 # the lists; a guard that skips every time gates nothing.
 echo "== first tick round scores exactly: at least four of five -race runs assert rather than skip"
-first_out=$(go test -race -count=5 -v -run '^TestFirstTickRoundScoresExactly$' ./internal/topology/ 2>&1) || {
+first_out=$(run_tests '^TestFirstTickRoundScoresExactly$' -race -count=5 -v ./internal/topology/ 2>&1) || {
 	echo "$first_out"
 	exit 1
 }
@@ -52,13 +88,13 @@ if [ "$(echo "$first_out" | grep -c '^--- PASS: TestFirstTickRoundScoresExactly'
 fi
 
 echo "== go test -race the sparse offset index (every read against a decode of the segment files, the index a reopen recovers, corruption on the way to a record, readers sharing segment hints beside an appender)"
-go test -race -run 'TestSparseIndex|TestReadFrom' ./internal/tdaccess/
+run_tests 'TestSparseIndex|TestReadFrom' -race ./internal/tdaccess/
 
 echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore incl. the store stress of writers and readers with no lock above an engine, serving, obsv)"
 go test -race ./internal/stream/... ./internal/topology/... ./internal/tdaccess/... ./internal/tdstore/... ./internal/serving/ ./internal/obsv/
 
 echo "== go test -race the recommender killed -9 mid-tail and restored from its checkpoint, the wire codec"
-go test -race -run '^TestSystemKill9RestoreSoak$' .
+run_tests '^TestSystemKill9RestoreSoak$' -race .
 go test -race ./internal/cluster/
 
 # internal/cluster is a codec, not a runtime: it opens no sockets, starts
@@ -186,7 +222,7 @@ go test -run=NONE -fuzz='^FuzzCounterEncoded$' -fuzztime=5s ./internal/window/
 # Both start from whole files, and go test spends its default minute
 # minimizing each input that widens coverage before it fuzzes on; bound
 # that so five seconds are spent on new inputs.
-echo "== file-reader fuzz smoke (checkpoint manifest, LDB WAL and table, topology description as Fig. 7 XML)"
+echo "== file-reader fuzz smoke (checkpoint manifest, LDB table beside a stray wal.log, topology description as Fig. 7 XML)"
 go test -run=NONE -fuzz='^FuzzLoadCheckpoint$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/
 go test -run=NONE -fuzz='^FuzzLDBOpen$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tdstore/engine/ldb/
 go test -run=NONE -fuzz='^FuzzDecodeXML$' -fuzztime=5s -fuzzminimizetime=100x ./internal/topology/

@@ -33,7 +33,7 @@ const actionTopic = "user-actions"
 // its engine opens (LDB only — the other engines have no snapshot
 // format). Without a restore, an LDB instance that already holds keys is
 // refused.
-func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func(tdstore.InstanceID) (engine.Engine, error), error) {
+func storeEngineFactory(name, dir, restore string) (func(tdstore.InstanceID) (engine.Engine, error), error) {
 	if restore != "" && name != "ldb" {
 		return nil, fmt.Errorf("tencentrec: checkpoint restore requires the ldb store engine, not %q", name)
 	}
@@ -41,16 +41,15 @@ func storeEngineFactory(name, dir string, syncWrites bool, restore string) (func
 	case "", "mdb":
 		return nil, nil // cluster default: in-memory MDB
 	case "ldb":
-		opts := ldb.Options{SyncWrites: syncWrites}
 		return func(inst tdstore.InstanceID) (engine.Engine, error) {
 			instDir := tdstore.InstanceDir(dir, int(inst))
 			if restore != "" {
 				if err := ldb.Restore(tdstore.InstanceDir(restore, int(inst)), instDir); err != nil {
 					return nil, err
 				}
-				return ldb.Open(instDir, opts)
+				return ldb.Open(instDir, ldb.Options{})
 			}
-			eng, err := ldb.Open(instDir, opts)
+			eng, err := ldb.Open(instDir, ldb.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -88,10 +87,6 @@ type SystemConfig struct {
 	// RestoreFromCheckpoint is set: the spout would replay the whole
 	// action log into it.
 	StoreDir string
-	// StoreSyncWrites fsyncs the LDB write-ahead log via group commit
-	// (batched fsyncs, one per ~2ms covering every record in the window),
-	// surviving power loss rather than just process crashes.
-	StoreSyncWrites bool
 	// CheckpointDir is where System.Checkpoint writes offset-anchored
 	// store snapshots and where RestoreFromCheckpoint reads them.
 	// Default DataDir/checkpoint.
@@ -184,7 +179,7 @@ func Open(cfg SystemConfig) (*System, error) {
 		manifest = m
 		restoreDir = c.CheckpointDir
 	}
-	engineFactory, err := storeEngineFactory(c.StoreEngine, c.StoreDir, c.StoreSyncWrites, restoreDir)
+	engineFactory, err := storeEngineFactory(c.StoreEngine, c.StoreDir, restoreDir)
 	if err != nil {
 		broker.Close()
 		return nil, err
