@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -180,20 +181,43 @@ func TestClusterInstrumentEngineStats(t *testing.T) {
 	}
 	reg := obsv.NewRegistry()
 	c.Instrument(reg)
+	exposition := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	tableBytes := func() int64 {
+		t.Helper()
+		const name = "tdstore_engine_table_bytes "
+		for _, line := range strings.Split(exposition(), "\n") {
+			if v, ok := strings.CutPrefix(line, name); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s%s: %v", name, v, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("metric %s missing from exposition", name)
+		return 0
+	}
+	if n := tableBytes(); n != 0 {
+		t.Fatalf("tdstore_engine_table_bytes = %d before any write", n)
+	}
 	for i := 0; i < 300; i++ {
 		if err := cl.Put(fmt.Sprintf("key-%d", i), []byte("value")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := exposition()
 	for _, want := range []string{
 		"tdstore_engine_fsyncs_total",
 		"tdstore_engine_memtable_flushes_total",
 		"tdstore_engine_sstables",
+		"tdstore_engine_table_bytes",
 		"tdstore_engine_recovery_seconds",
 	} {
 		if !strings.Contains(text, want) {
@@ -208,6 +232,20 @@ func TestClusterInstrumentEngineStats(t *testing.T) {
 	})
 	if flushes == 0 {
 		t.Fatal("engine memtable flush counters did not move under writes")
+	}
+	// The puts left keys in memtables: a flush of each engine publishes
+	// them as tables, and the mapped bytes grow.
+	before := tableBytes()
+	if before == 0 {
+		t.Fatal("tdstore_engine_table_bytes is 0 after flushes")
+	}
+	c.engines(func(eng engine.Engine) {
+		if err := eng.(*ldb.Store).Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if after := tableBytes(); after <= before {
+		t.Fatalf("tdstore_engine_table_bytes went %d -> %d over a flush of unflushed keys", before, after)
 	}
 }
 

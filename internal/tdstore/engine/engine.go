@@ -110,17 +110,16 @@ type Checkpointer interface {
 
 // Stats is a point-in-time snapshot of a durable engine's internal
 // counters, exposed for observability. All counters are cumulative since
-// the engine was opened except Tables, which is a level gauge, and
-// RecoveryNanos, which is the one-time cost of the last Open.
+// the engine was opened except Tables and TableBytes, which are level
+// gauges, and RecoveryNanos, which is the one-time cost of the last Open.
 type Stats struct {
-	Fsyncs           int64 // fsync calls, one per table published
-	MemtableFlushes  int64 // memtable → SSTable flushes
-	Compactions      int64 // completed table merges
-	CompactionBytes  int64 // bytes read + written by compactions
-	BlockCacheHits   int64
-	BlockCacheMisses int64
-	RecoveryNanos    int64 // wall time of the last Open (its tables' indexes built)
-	Tables           int64 // current SSTable count
+	Fsyncs          int64 // fsync calls, one per table published
+	MemtableFlushes int64 // memtable → SSTable flushes
+	Compactions     int64 // completed table merges
+	CompactionBytes int64 // bytes read + written by compactions
+	RecoveryNanos   int64 // wall time of the last Open (its tables' indexes built)
+	Tables          int64 // current SSTable count
+	TableBytes      int64 // bytes of the current SSTables, each mapped read-only
 }
 
 // StatsReporter is implemented by engines that publish Stats.

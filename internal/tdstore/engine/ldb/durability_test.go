@@ -4,92 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"tencentrec/internal/tdstore/engine"
 )
-
-// TestBlockCacheServesRepeatReads flushes values to a table and reads
-// them twice: the second pass must be served by the cache.
-func TestBlockCacheServesRepeatReads(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{FlushThreshold: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < 50; i++ {
-			v, ok, err := s.Get(fmt.Sprintf("k%d", i))
-			if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
-				t.Fatalf("pass %d: k%d = %q %v %v", pass, i, v, ok, err)
-			}
-		}
-	}
-	st := s.EngineStats()
-	if st.BlockCacheHits < 50 {
-		t.Fatalf("cache hits = %d, want >= 50", st.BlockCacheHits)
-	}
-	if st.BlockCacheMisses == 0 {
-		t.Fatal("no cache misses recorded on first pass")
-	}
-	// Value isolation through the cache: mutating a returned slice must
-	// not poison later reads.
-	v, _, _ := s.Get("k0")
-	for i := range v {
-		v[i] = 'X'
-	}
-	v2, _, _ := s.Get("k0")
-	if string(v2) != "v0" {
-		t.Fatalf("cache returned aliased value: %q", v2)
-	}
-}
-
-// TestBlockCacheDisabled makes sure a negative budget turns the cache
-// off without breaking reads.
-func TestBlockCacheDisabled(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{FlushThreshold: 1 << 20, BlockCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Put("k", []byte("v"))
-	s.Flush()
-	for i := 0; i < 3; i++ {
-		if v, ok, _ := s.Get("k"); !ok || string(v) != "v" {
-			t.Fatalf("read %d failed: %q %v", i, v, ok)
-		}
-	}
-	st := s.EngineStats()
-	if st.BlockCacheHits != 0 || st.BlockCacheMisses != 0 {
-		t.Fatalf("disabled cache recorded traffic: %d hits %d misses", st.BlockCacheHits, st.BlockCacheMisses)
-	}
-}
-
-// TestBlockCacheEviction keeps the cache byte-bounded under a tiny
-// budget.
-func TestBlockCacheEviction(t *testing.T) {
-	c := newBlockCache(1 << 10)
-	t1 := &sstable{}
-	for i := 0; i < 100; i++ {
-		c.put(t1, int64(i*100), make([]byte, 100))
-	}
-	c.mu.Lock()
-	used := c.used
-	c.mu.Unlock()
-	if used > 1<<10 {
-		t.Fatalf("cache used %d bytes, budget %d", used, 1<<10)
-	}
-	c.dropTable(t1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.used != 0 || c.ll.Len() != 0 {
-		t.Fatalf("dropTable left %d bytes / %d entries", c.used, c.ll.Len())
-	}
-}
 
 // TestBackgroundCompactionSupersedesInputs crashes "between" publishing
 // a merged table and deleting its inputs by recreating that disk layout,
@@ -253,5 +172,169 @@ func BenchmarkLDBRecovery(b *testing.B) {
 		b.StopTimer()
 		s2.Close()
 		b.StartTimer()
+	}
+}
+
+// TestCompactOfTombstonesWritesAnEmptyTable: a full compaction drops
+// tombstones, so merging tables that hold only tombstones over older
+// values writes a table of 0 bytes. It must read as empty and reopen.
+func TestCompactOfTombstonesWritesAnEmptyTable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{FlushThreshold: 1 << 20, MaxTables: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		if err := s.Put(k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := s.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if v, ok, err := s.Get(k); err != nil || ok {
+			t.Fatalf("Get(%s) after the compaction = %q %v %v, want absent", k, v, ok, err)
+		}
+	}
+	tables, err := filepath.Glob(filepath.Join(dir, sstPrefix+"*"+sstSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 {
+		t.Fatalf("the compaction left tables %v, want one", tables)
+	}
+	if fi, err := os.Stat(tables[0]); err != nil || fi.Size() != 0 {
+		t.Fatalf("the merged table: %v, %v; want 0 bytes", fi, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen on an empty table: %v", err)
+	}
+	defer s2.Close()
+	if n, err := s2.Len(); err != nil || n != 0 {
+		t.Fatalf("Len after reopen = %d %v, want 0", n, err)
+	}
+}
+
+// TestReadsRacingCloseAndCompaction reads flushed keys with Get and Range
+// while another goroutine flushes and compacts, and then closes (or
+// crashes) the store under them. Every read gives the value written or
+// ErrClosed: none may read a table whose mapping is gone.
+func TestReadsRacingCloseAndCompaction(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		name := "Close"
+		if crash {
+			name = "Crash"
+		}
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(t.TempDir(), Options{FlushThreshold: 1 << 20, MaxTables: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const nkeys = 400
+			model := make(map[string]string, nkeys)
+			keys := make([]string, 0, nkeys)
+			for i := 0; i < nkeys; i++ {
+				k := fmt.Sprintf("k%04d", i)
+				keys = append(keys, k)
+				model[k] = fmt.Sprintf("value-%d", i)
+			}
+			// Spread the keys over four tables, each overwritten once with
+			// the same value, so a compaction has versions to merge.
+			for tbl := 0; tbl < 4; tbl++ {
+				for i := tbl; i < nkeys; i += 2 {
+					if err := s.Put(keys[i], []byte(model[keys[i]])); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; ; i++ {
+						if i%64 == 0 {
+							err := s.Range(func(kv engine.KV) bool {
+								if k, v := kv.Split(); model[k] != v {
+									t.Errorf("Range: %s = %q, want %q", k, v, model[k])
+									return false
+								}
+								return true
+							})
+							if err == ErrClosed {
+								return
+							}
+							if err != nil {
+								t.Errorf("Range: %v", err)
+								return
+							}
+						}
+						k := keys[i%nkeys]
+						v, ok, err := s.Get(k)
+						if err == ErrClosed {
+							return
+						}
+						if err != nil || !ok || string(v) != model[k] {
+							t.Errorf("Get(%s) = %q %v %v, want %q", k, v, ok, err, model[k])
+							return
+						}
+					}
+				}(g)
+			}
+			// The compactor rewrites a stripe of keys, flushes and merges
+			// until the store is closed under it.
+			merged := make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; ; round++ {
+					if round == 3 {
+						close(merged)
+					}
+					for i := round % 8; i < nkeys; i += 8 {
+						if err := s.Put(keys[i], []byte(model[keys[i]])); err != nil {
+							if err != ErrClosed {
+								t.Errorf("Put: %v", err)
+							}
+							return
+						}
+					}
+					if err := s.Compact(); err != nil {
+						if err != ErrClosed {
+							t.Errorf("Compact: %v", err)
+						}
+						return
+					}
+				}
+			}()
+			<-merged
+			if crash {
+				s.Crash()
+			} else if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+			wg.Wait()
+		})
 	}
 }

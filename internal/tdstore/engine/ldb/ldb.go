@@ -7,9 +7,10 @@
 // index is its sorted keys and a Bloom filter, built while the table is
 // written. Reads consult the memtable first, then the tables from newest
 // to oldest, binary-searching only those whose filter may hold the key,
-// through a block cache. A background compactor merges all tables into
-// one by streaming their sorted indexes when the table count grows past a
-// threshold. All I/O is sequential on the write path, matching the
+// and copy a value out of its table's read-only mapping: the page cache is
+// the only cache of table bytes. A background compactor merges all tables
+// into one by streaming their sorted indexes when the table count grows
+// past a threshold. All I/O is sequential on the write path, matching the
 // paper's emphasis on sequential operations for disk-backed components
 // (§3.2).
 //
@@ -23,7 +24,6 @@
 package ldb
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/binary"
@@ -39,7 +39,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"syscall"
 	"time"
 
 	"tencentrec/internal/tdstore/engine"
@@ -55,10 +55,6 @@ const (
 	// tableWriteBuf is how many encoded bytes a table build gathers
 	// before one write to its file.
 	tableWriteBuf = 64 << 10
-
-	// DefaultBlockCacheBytes is the SSTable read-cache budget when
-	// Options.BlockCacheBytes is zero.
-	DefaultBlockCacheBytes = 8 << 20
 )
 
 // ErrClosed is returned by operations on a closed store: engine.ErrClosed.
@@ -77,9 +73,6 @@ type Options struct {
 	// MaxTables is the number of SSTables that triggers a background
 	// compaction. Zero means a default of 8.
 	MaxTables int
-	// BlockCacheBytes caps the SSTable read cache. Zero means
-	// DefaultBlockCacheBytes; negative disables the cache.
-	BlockCacheBytes int
 }
 
 // tombBit marks a tombstone in tableEntry.vlen. A value is at most
@@ -99,31 +92,30 @@ type tableEntry struct {
 func (te tableEntry) tomb() bool  { return te.vlen&tombBit != 0 }
 func (te tableEntry) length() int { return int(te.vlen &^ tombBit) }
 
-// sstable is an immutable on-disk table with a resident index: its keys
-// back to back in key order, which is file order, one entry and one
-// keyPrefix per key, and a Bloom filter over the keys. lo and hi are the
-// flush-sequence range the
+// sstable is an immutable on-disk table, mapped read-only, with a
+// resident index: its keys back to back in key order, which is file order,
+// one entry and one keyPrefix per key, and a Bloom filter over the keys.
+// lo and hi are the flush-sequence range the
 // table covers: a freshly flushed table has lo == hi, a compacted table
 // spans the sequences of its inputs and supersedes any table whose range
 // it contains (crash recovery after an interrupted compaction cleanup).
 type sstable struct {
 	lo, hi   int
 	path     string
-	f        *os.File
+	data     []byte // the whole file, mapped read-only; nil for a 0-byte table
 	keys     string
 	ents     []tableEntry
 	prefixes []uint64
 	filter   bloom
-	bytes    int64 // on-disk size, for compaction accounting
 }
 
-// newTable returns the table of an index: keys back to back and their
-// entries, in key order.
-func newTable(lo, hi int, path string, f *os.File, keys []byte, ents []tableEntry, size int64) *sstable {
+// newTable returns the table of a mapping and its index: keys back to back
+// and their entries, in key order.
+func newTable(lo, hi int, path string, data, keys []byte, ents []tableEntry) *sstable {
 	if cap(ents)-len(ents) > len(ents)/8 { // grown by appends, or a merge dropped keys
 		ents = slices.Clone(ents)
 	}
-	t := &sstable{lo: lo, hi: hi, path: path, f: f, keys: string(keys), ents: ents, bytes: size}
+	t := &sstable{lo: lo, hi: hi, path: path, data: data, keys: string(keys), ents: ents}
 	t.prefixes = make([]uint64, len(ents))
 	for i := range ents {
 		t.prefixes[i] = keyPrefix(t.key(i))
@@ -179,6 +171,44 @@ func keyStart(ents []tableEntry, i int) uint32 {
 // key returns the i-th key of the table, a substring of t.keys.
 func (t *sstable) key(i int) string {
 	return t.keys[keyStart(t.ents, i):t.ents[i].keyEnd]
+}
+
+// mapTable maps the first size bytes of f read-only. A 0-byte table has
+// no mapping: mmap refuses a length of 0.
+func mapTable(f *os.File, size int64) ([]byte, error) {
+	if size == 0 {
+		return nil, nil
+	}
+	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("ldb: map table %s: %w", f.Name(), err)
+	}
+	return data, nil
+}
+
+// unmap releases t's mapping. Caller holds tableMu for writing, or owns a
+// table no reader has seen.
+func (t *sstable) unmap() error {
+	if t.data == nil {
+		return nil
+	}
+	err := syscall.Munmap(t.data)
+	t.data = nil
+	if err != nil {
+		return fmt.Errorf("ldb: unmap table %s: %w", t.path, err)
+	}
+	return nil
+}
+
+// readValue returns te's value in t's mapping, checked against the
+// mapping's bounds. The bytes are valid while tableMu is held: a caller
+// copies them out before it lets go.
+func (t *sstable) readValue(te tableEntry) ([]byte, error) {
+	end := te.offset + int64(te.length())
+	if te.offset < 0 || end > int64(len(t.data)) {
+		return nil, fmt.Errorf("%w: table %s: a value at %d..%d of %d bytes", errCorrupt, t.path, te.offset, end, len(t.data))
+	}
+	return t.data[te.offset:end], nil
 }
 
 // find returns the entry of key, whose keyHash is h. Only a table whose
@@ -267,9 +297,8 @@ func (b bloom) mayContain(h uint64) bool {
 	return true
 }
 
-// stats are the engine's observability counters (engine.Stats). All are
-// written under Store.mu except the block-cache pair, which the lock-free
-// read path updates atomically.
+// stats are the engine's observability counters (engine.Stats), written
+// under Store.mu.
 type stats struct {
 	fsyncs          int64
 	memtableFlushes int64
@@ -288,12 +317,13 @@ type Store struct {
 	closed  bool
 	st      stats
 
-	// tableMu guards the tables slice and the lifetime of the table file
-	// handles: readers hold RLock across ReadAt, and compaction swaps the
-	// stack and closes retired files under Lock, so a reader never touches
-	// a closed file. Lock order is always mu before tableMu.
+	// tableMu guards the tables slice and the lifetime of the tables'
+	// mappings: readers hold RLock while they copy out of a mapping, and
+	// compaction, Close and Crash unmap only under Lock, so a reader never
+	// touches an unmapped page. Lock order is always compactMu, then mu,
+	// then tableMu.
 	tableMu sync.RWMutex
-	tables  []*sstable // oldest first
+	tables  []*sstable // oldest first; nil once closed
 
 	// Background compaction.
 	compactMu   sync.Mutex // serializes merges (background and manual)
@@ -301,10 +331,6 @@ type Store struct {
 	compactStop chan struct{}
 	compactDone chan struct{}
 	compactErr  error // sticky first background-compaction failure
-
-	cache     *blockCache
-	cacheHits atomic.Int64
-	cacheMiss atomic.Int64
 }
 
 // Open opens (creating if necessary) an LDB store in dir: its state is
@@ -327,13 +353,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		compactCh:   make(chan struct{}, 1),
 		compactStop: make(chan struct{}),
 		compactDone: make(chan struct{}),
-	}
-	if opts.BlockCacheBytes >= 0 {
-		budget := opts.BlockCacheBytes
-		if budget == 0 {
-			budget = DefaultBlockCacheBytes
-		}
-		s.cache = newBlockCache(int64(budget))
 	}
 	if err := s.loadTables(); err != nil {
 		return nil, err
@@ -409,7 +428,9 @@ func (s *Store) loadTables() error {
 	for _, sn := range live {
 		t, err := openTable(sn.lo, sn.hi, sn.name)
 		if err != nil {
-			s.closeTables()
+			for _, t := range s.tables {
+				t.unmap()
+			}
 			return err
 		}
 		s.tables = append(s.tables, t)
@@ -420,14 +441,7 @@ func (s *Store) loadTables() error {
 	return nil
 }
 
-// closeTables closes the table files of a store whose Open failed.
-func (s *Store) closeTables() {
-	for _, t := range s.tables {
-		t.f.Close()
-	}
-}
-
-// openTable reads a table written by an earlier run and builds its index.
+// openTable maps a table written by an earlier run and builds its index.
 // Its keys must come in non-decreasing order; of equal neighbours the
 // later record wins, so a table holding a key twice still opens. A key
 // out of order, like any malformed record, makes the table corrupt.
@@ -436,31 +450,31 @@ func openTable(lo, hi int, path string) (*sstable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ldb: open table: %w", err)
 	}
+	defer f.Close() // the mapping outlives the descriptor
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("ldb: stat table %s: %w", path, err)
 	}
-	corrupt := func(off int64, err error) (*sstable, error) {
-		f.Close()
+	data, err := mapTable(f, fi.Size())
+	if err != nil {
+		return nil, err
+	}
+	corrupt := func(off int, err error) (*sstable, error) {
+		if data != nil {
+			syscall.Munmap(data)
+		}
 		return nil, fmt.Errorf("ldb: table %s corrupt at offset %d: %w", path, off, err)
 	}
-	r := bufio.NewReader(f)
 	var (
 		keys []byte
 		ents []tableEntry
-		buf  []byte
-		off  int64
 	)
-	for {
-		rec, n, err := readRecord(r, fi.Size()-off, &buf)
-		if err == io.EOF {
-			break
-		}
+	for off := 0; off < len(data); {
+		rec, n, err := readRecord(data[off:])
 		if err != nil {
 			return corrupt(off, err)
 		}
-		te := tableEntry{offset: off + int64(n-len(rec.value)), vlen: uint32(len(rec.value))}
+		te := tableEntry{offset: int64(off + n - len(rec.value)), vlen: uint32(len(rec.value))}
 		if rec.tomb {
 			te.vlen |= tombBit
 		}
@@ -471,7 +485,7 @@ func openTable(lo, hi int, path string) (*sstable, error) {
 			case c == 0: // the later record wins
 				te.keyEnd = ents[last].keyEnd
 				ents[last] = te
-				off += int64(n)
+				off += n
 				continue
 			}
 		}
@@ -481,9 +495,9 @@ func openTable(lo, hi int, path string) (*sstable, error) {
 		keys = append(keys, rec.key...)
 		te.keyEnd = uint32(len(keys))
 		ents = append(ents, te)
-		off += int64(n)
+		off += n
 	}
-	return newTable(lo, hi, path, f, keys, ents, off), nil
+	return newTable(lo, hi, path, data, keys, ents), nil
 }
 
 // tableBuilder writes a table's records in key order to a temporary file
@@ -539,8 +553,8 @@ func addRecord[V string | []byte](b *tableBuilder, key string, value V, tomb boo
 	return n, nil
 }
 
-// finish writes out and fsyncs the table, publishes it by rename and
-// returns it open for reading with its index.
+// finish writes out and fsyncs the table, maps it, publishes it by rename
+// and returns it with its index.
 func (b *tableBuilder) finish(lo, hi int) (*sstable, error) {
 	tmp := b.f.Name()
 	if _, err := b.f.Write(b.buf); err != nil {
@@ -551,18 +565,22 @@ func (b *tableBuilder) finish(lo, hi int) (*sstable, error) {
 		b.abort()
 		return nil, fmt.Errorf("ldb: sync table: %w", err)
 	}
+	data, err := mapTable(b.f, b.off)
+	if err != nil {
+		b.abort()
+		return nil, err
+	}
+	t := newTable(lo, hi, b.path, data, b.keys, b.ents)
 	if err := b.f.Close(); err != nil {
+		t.unmap()
 		os.Remove(tmp)
 		return nil, fmt.Errorf("ldb: close table: %w", err)
 	}
 	if err := os.Rename(tmp, b.path); err != nil {
+		t.unmap()
 		return nil, fmt.Errorf("ldb: publish table: %w", err)
 	}
-	f, err := os.Open(b.path)
-	if err != nil {
-		return nil, fmt.Errorf("ldb: open table: %w", err)
-	}
-	return newTable(lo, hi, b.path, f, b.keys, b.ents, b.off), nil
+	return t, nil
 }
 
 // abort drops an unfinished table.
@@ -596,71 +614,38 @@ func appendRecord[V string | []byte](dst []byte, tomb bool, key string, value V)
 	return dst
 }
 
-// readRecord reads one record of at most left bytes and returns it with
-// its encoded size. Its key and value are read into *buf, grown as
-// needed, and alias it until the next call. io.EOF means a clean end of
-// input; any other error (including a record cut short by EOF, or one
-// whose lengths run past the bytes left) marks a corrupt record.
-func readRecord(r *bufio.Reader, left int64, buf *[]byte) (record, int, error) {
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		// io.ErrUnexpectedEOF: a few stray bytes where a record should
-		// start.
-		return record{}, 0, err
+// readRecord parses the record at the start of b and returns it with its
+// encoded size; its key and value alias b. Each length is checked against
+// the bytes left before anything is read past it, then the CRC: a record
+// cut short, one whose lengths run past the end of b, or one whose CRC
+// does not match is corrupt.
+func readRecord(b []byte) (record, int, error) {
+	const fixed = 5 // crc32 | flags
+	if len(b) < fixed {
+		return record{}, 0, fmt.Errorf("%w: %d stray bytes where a record should start", errCorrupt, len(b))
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
-	flags, err := r.ReadByte()
-	if err != nil {
-		return record{}, 0, fmt.Errorf("read flags: %w", err)
+	klen, n := binary.Uvarint(b[fixed:])
+	if n <= 0 {
+		return record{}, 0, fmt.Errorf("%w: bad key length", errCorrupt)
 	}
-	hdr[0] = flags
-	n := 1
-	klen, n, err := readUvarint(r, hdr[:], n)
-	if err != nil {
-		return record{}, 0, fmt.Errorf("read klen: %w", err)
+	hdr := fixed + n
+	vlen, n := binary.Uvarint(b[hdr:])
+	if n <= 0 {
+		return record{}, 0, fmt.Errorf("%w: bad value length", errCorrupt)
 	}
-	vlen, n, err := readUvarint(r, hdr[:], n)
-	if err != nil {
-		return record{}, 0, fmt.Errorf("read vlen: %w", err)
-	}
+	hdr += n
 	if klen > maxRecord || vlen > maxRecord {
 		return record{}, 0, fmt.Errorf("%w: record too large (klen=%d vlen=%d)", errCorrupt, klen, vlen)
 	}
-	total := 4 + n + int(klen) + int(vlen)
-	if int64(total) > left {
-		return record{}, 0, fmt.Errorf("%w: a record of %d bytes where %d are left", errCorrupt, total, left)
+	kend := hdr + int(klen)
+	total := kend + int(vlen)
+	if total > len(b) {
+		return record{}, 0, fmt.Errorf("%w: a record of %d bytes where %d are left", errCorrupt, total, len(b))
 	}
-	body := slices.Grow((*buf)[:0], int(klen+vlen))[:klen+vlen]
-	*buf = body
-	if _, err := io.ReadFull(r, body); err != nil {
-		return record{}, 0, fmt.Errorf("read key and value: %w", err)
-	}
-	if crc32.Update(crc32.ChecksumIEEE(hdr[:n]), crc32.IEEETable, body) != want {
+	if crc32.ChecksumIEEE(b[4:total]) != binary.LittleEndian.Uint32(b) {
 		return record{}, 0, fmt.Errorf("%w: crc mismatch", errCorrupt)
 	}
-	return record{tomb: flags&flagTomb != 0, key: body[:klen], value: body[klen:]}, total, nil
-}
-
-// readUvarint reads a uvarint byte by byte, recording each byte in
-// hdr[n:], and returns it with the new end of hdr.
-func readUvarint(r *bufio.Reader, hdr []byte, n int) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, n, err
-		}
-		hdr[n] = b
-		n++
-		if b < 0x80 {
-			return x | uint64(b)<<s, n, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, n, fmt.Errorf("%w: uvarint overflows 64 bits", errCorrupt)
+	return record{tomb: b[4]&flagTomb != 0, key: b[hdr:kend], value: b[kend:total]}, total, nil
 }
 
 // Get implements engine.Engine.
@@ -677,13 +662,15 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		}
 		return []byte(kv.Value()), true, nil
 	}
-	s.mu.Unlock()
 	// Table reads run under tableMu's read lock rather than the writer
-	// mutex, so cache misses hitting the disk never serialize the write
-	// path; compaction retires files only under the write lock.
-	h := keyHash(key)
+	// mutex, so they never serialize the write path. The read lock is
+	// taken before mu is let go: Close and Crash mark the store closed
+	// under mu before they unmap, so a reader that saw it open reads
+	// mapped pages.
 	s.tableMu.RLock()
+	s.mu.Unlock()
 	defer s.tableMu.RUnlock()
+	h := keyHash(key)
 	for i := len(s.tables) - 1; i >= 0; i-- {
 		t := s.tables[i]
 		te, ok := t.find(key, h)
@@ -693,38 +680,13 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		if te.tomb() {
 			return nil, false, nil
 		}
-		v, err := s.readValue(t, te)
+		v, err := t.readValue(te)
 		if err != nil {
 			return nil, false, err
 		}
-		return v, true, nil
+		return bytes.Clone(v), true, nil
 	}
 	return nil, false, nil
-}
-
-// readValue fetches one table value through the block cache. The
-// returned slice is always a private copy.
-func (s *Store) readValue(t *sstable, te tableEntry) ([]byte, error) {
-	if s.cache != nil {
-		if v, ok := s.cache.get(t, te.offset); ok {
-			s.cacheHits.Add(1)
-			out := make([]byte, len(v))
-			copy(out, v)
-			return out, nil
-		}
-		s.cacheMiss.Add(1)
-	}
-	v := make([]byte, te.length())
-	if _, err := t.f.ReadAt(v, te.offset); err != nil {
-		return nil, fmt.Errorf("ldb: read table %s: %w", t.path, err)
-	}
-	if s.cache != nil {
-		s.cache.put(t, te.offset, v)
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out, nil
-	}
-	return v, nil
 }
 
 // Put stores value under key: it builds the KV and hands it to PutKV.
@@ -894,7 +856,8 @@ func mergeTables(tables []*sstable, fn func(t *sstable, i int) bool) {
 // shadow). Only one value is held at a time. The merge runs off the write
 // lock: tables are immutable, new flushes only append, and merges are
 // serialized by compactMu, so the captured prefix stays exactly the
-// prefix of s.tables until the swap.
+// prefix of s.tables until the swap; Close and Crash take compactMu
+// before they unmap.
 func (s *Store) compactOnce() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -920,7 +883,6 @@ func (s *Store) compactOnce() error {
 	}
 	var (
 		ioBytes int64
-		val     []byte
 		stopped bool
 	)
 	mergeTables(inputs, func(t *sstable, i int) bool {
@@ -932,12 +894,11 @@ func (s *Store) compactOnce() error {
 		if te.tomb() {
 			return true
 		}
-		val = slices.Grow(val[:0], te.length())[:te.length()]
-		if _, err = t.f.ReadAt(val, te.offset); err != nil {
-			err = fmt.Errorf("ldb: compact read %s: %w", t.path, err)
+		var val []byte
+		if val, err = t.readValue(te); err != nil {
 			return false
 		}
-		ioBytes += int64(te.length())
+		ioBytes += int64(len(val))
 		var n int
 		if n, err = addRecord(b, t.key(i), val, false); err != nil {
 			return false
@@ -959,8 +920,7 @@ func (s *Store) compactOnce() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		merged.f.Close()
-		return nil
+		return merged.unmap()
 	}
 	s.tableMu.Lock()
 	s.tables = append([]*sstable{merged}, s.tables[len(inputs):]...)
@@ -969,12 +929,9 @@ func (s *Store) compactOnce() error {
 	s.st.fsyncs++
 	s.mu.Unlock()
 	// Retire inputs under tableMu's write lock: no reader can still hold
-	// an RLock taken against the old stack, so closing is safe.
+	// an RLock taken against the old stack, so unmapping is safe.
 	for _, t := range inputs {
-		if s.cache != nil {
-			s.cache.dropTable(t)
-		}
-		t.f.Close()
+		t.unmap()
 		if t.path != path { // the merged table may reuse an input's name
 			os.Remove(t.path)
 		}
@@ -1154,7 +1111,7 @@ func (s *Store) Len() (int, error) {
 
 // Range implements engine.Engine: the memtable's KVs, then the tables'
 // versions in key order, each key once at its newest version. A table's
-// version is built into a fresh KV.
+// version is copied out of its mapping into a fresh KV.
 func (s *Store) Range(fn func(kv engine.KV) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1168,18 +1125,14 @@ func (s *Store) Range(fn func(kv engine.KV) bool) error {
 	}
 	s.tableMu.RLock()
 	defer s.tableMu.RUnlock()
-	var (
-		err error
-		val []byte
-	)
+	var err error
 	mergeTables(s.tables, func(t *sstable, i int) bool {
 		k, te := t.key(i), t.ents[i]
 		if _, shadowed := s.mem[k]; shadowed || te.tomb() {
 			return true
 		}
-		val = slices.Grow(val[:0], te.length())[:te.length()]
-		if _, err = t.f.ReadAt(val, te.offset); err != nil {
-			err = fmt.Errorf("ldb: range read %s: %w", t.path, err)
+		var val []byte
+		if val, err = t.readValue(te); err != nil {
 			return false
 		}
 		return fn(engine.MakeKV(k, val))
@@ -1201,23 +1154,26 @@ func (s *Store) EngineStats() engine.Stats {
 	defer s.mu.Unlock()
 	s.tableMu.RLock()
 	defer s.tableMu.RUnlock()
+	var tableBytes int64
+	for _, t := range s.tables {
+		tableBytes += int64(len(t.data))
+	}
 	return engine.Stats{
-		Fsyncs:           s.st.fsyncs,
-		MemtableFlushes:  s.st.memtableFlushes,
-		Compactions:      s.st.compactions,
-		CompactionBytes:  s.st.compactionBytes,
-		BlockCacheHits:   s.cacheHits.Load(),
-		BlockCacheMisses: s.cacheMiss.Load(),
-		RecoveryNanos:    s.st.recoveryNanos,
-		Tables:           int64(len(s.tables)),
+		Fsyncs:          s.st.fsyncs,
+		MemtableFlushes: s.st.memtableFlushes,
+		Compactions:     s.st.compactions,
+		CompactionBytes: s.st.compactionBytes,
+		RecoveryNanos:   s.st.recoveryNanos,
+		Tables:          int64(len(s.tables)),
+		TableBytes:      tableBytes,
 	}
 }
 
 // Crash simulates a process death for crash-recovery tests: background
-// goroutines are stopped and file handles dropped with no flush — the
+// goroutines are stopped and tables unmapped with no flush — the
 // memtable is lost, and the next Open sees exactly what a killed process
 // would have left on disk. Unlike a real kill it does reclaim goroutines
-// and descriptors, so tests can crash the same directory many times.
+// and mappings, so tests can crash the same directory many times.
 func (s *Store) Crash() {
 	s.mu.Lock()
 	if s.closed {
@@ -1231,7 +1187,7 @@ func (s *Store) Crash() {
 
 // Close implements engine.Engine: it publishes the memtable as a table
 // (flushLocked, as Checkpoint does), so a clean shutdown followed by Open
-// loses nothing, and closes every file.
+// loses nothing, and unmaps every table.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1250,18 +1206,22 @@ func (s *Store) Close() error {
 	return first
 }
 
-// stopAndCloseTables stops the compactor of a store marked closed and
-// closes its table files.
+// stopAndCloseTables stops the compactor of a store marked closed, waits
+// out a manual Compact, which reads its inputs outside tableMu, and unmaps
+// and drops the tables.
 func (s *Store) stopAndCloseTables() error {
 	close(s.compactStop)
 	<-s.compactDone
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
 	var first error
 	for _, t := range s.tables {
-		if err := t.f.Close(); err != nil && first == nil {
+		if err := t.unmap(); err != nil && first == nil {
 			first = err
 		}
 	}
+	s.tables = nil
 	return first
 }

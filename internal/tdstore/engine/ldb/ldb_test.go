@@ -1,7 +1,6 @@
 package ldb
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -222,32 +221,20 @@ func TestCompactNoDuplicateRecords(t *testing.T) {
 	path := s.tables[0].path
 	s.tableMu.RUnlock()
 	s.Close()
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(f)
-	var buf []byte
-	var off int64
 	recs := 0
-	for {
-		rec, n, err := readRecord(r, fi.Size()-off, &buf)
-		if err == io.EOF {
-			break
-		}
+	for off := 0; off < len(data); recs++ {
+		rec, n, err := readRecord(data[off:])
 		if err != nil {
 			t.Fatalf("merged table corrupt: %v", err)
 		}
 		if string(rec.key) != "k" {
 			t.Fatalf("unexpected key %q in merged table", rec.key)
 		}
-		off += int64(n)
-		recs++
+		off += n
 	}
 	if recs != 1 {
 		t.Fatalf("merged table carries %d records for one live key, want 1", recs)

@@ -61,7 +61,7 @@ func (cl *Client) observe(op clientOp, start int64) {
 
 // Instrument exposes the cluster's durable-engine internals as
 // tdstore_engine_* series: table fsyncs, memtable flushes, compaction
-// work, block-cache effectiveness and the live SSTable count, summed over
+// work, and the live SSTables' count and mapped bytes, summed over
 // every resident engine that reports stats (engine.StatsReporter;
 // in-memory engines contribute nothing). Each engine's one-time open cost
 // is recorded into the tdstore_engine_recovery_seconds histogram at call
@@ -87,12 +87,10 @@ func (c *Cluster) Instrument(r *obsv.Registry) {
 		sum(func(s engine.Stats) int64 { return s.Compactions }))
 	r.CounterFunc("tdstore_engine_compaction_bytes_total", "Bytes read and written by compactions.",
 		sum(func(s engine.Stats) int64 { return s.CompactionBytes }))
-	r.CounterFunc("tdstore_engine_block_cache_hits_total", "SSTable reads served by the block cache.",
-		sum(func(s engine.Stats) int64 { return s.BlockCacheHits }))
-	r.CounterFunc("tdstore_engine_block_cache_misses_total", "SSTable reads that missed the block cache.",
-		sum(func(s engine.Stats) int64 { return s.BlockCacheMisses }))
 	r.GaugeFunc("tdstore_engine_sstables", "Live SSTables across all engines.",
 		sum(func(s engine.Stats) int64 { return s.Tables }))
+	r.GaugeFunc("tdstore_engine_table_bytes", "Bytes of the live SSTables across all engines, each mapped read-only.",
+		sum(func(s engine.Stats) int64 { return s.TableBytes }))
 	rec := r.Histogram("tdstore_engine_recovery_seconds",
 		"Per-engine open wall time: listing its tables and building their indexes.")
 	c.engines(func(eng engine.Engine) {

@@ -70,8 +70,8 @@ run_tests '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak)$' -race -count=
 echo "== go test -race serving tier (TTL, negative cache and its drop on write, a read that straddles Invalidate, a failed store read, LRU, mixed load)"
 run_tests 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' -race ./internal/serving/
 
-echo "== go test -race ldb crash recovery (crash-reopen conformance against the model at the last flush, no file touched until a flush, cold restart), a batch read back whole after a reopen, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
-run_tests 'TestLDBCrashReopenResumeConformance|TestWritesTouchNoFileUntilAFlush|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
+echo "== go test -race ldb crash recovery (crash-reopen conformance against the model at the last flush, no file touched until a flush, cold restart), reads of mapped tables racing Compact, Close and Crash, a batch read back whole after a reopen, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
+run_tests 'TestLDBCrashReopenResumeConformance|TestWritesTouchNoFileUntilAFlush|TestReadsRacingCloseAndCompaction|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
 	-race ./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 # The test skips itself unless exactly one tick round had run when it read
@@ -239,10 +239,10 @@ go test -run=NONE -fuzz='^FuzzScoredJSON$' -fuzztime=5s .
 go test -run=NONE -fuzz='^FuzzQueryValue$' -fuzztime=5s .
 
 # An LDB read of a key in a table allocates the benchmark's key string and
-# the copy-out: the Bloom filter and the search over the table's sorted
-# keys allocate nothing. A million reads, so that the first pass over the
-# 5,000 keys, whose block-cache misses allocate five times each, does not
-# lift the average past 2.
+# the copy-out of the table's mapping: the Bloom filter and the search
+# over the table's sorted keys allocate nothing. With a heap block cache
+# in front of the table, its first pass over the 5,000 keys allocated
+# five times a read.
 echo "== an LDB table read allocates at most 2 times"
 ldb_out=$(go test -run=NONE -bench='BenchmarkLDBGet$' -benchmem -benchtime=1000000x ./internal/tdstore/engine/ldb/)
 echo "$ldb_out"
