@@ -16,8 +16,8 @@
 //	                                   count without stopping the pipeline
 //	POST /control/checkpoint           [?timeout=30s] drain and write an
 //	                                   offset-anchored store snapshot to
-//	                                   -checkpoint-dir; restart with
-//	                                   -restore to resume from it
+//	                                   -checkpoint-dir; an ldb restart
+//	                                   resumes from it
 //	GET  /metrics                      topology metrics snapshot (table);
 //	                                   Prometheus text with
 //	                                   Accept: text/plain; version=0.0.4
@@ -34,9 +34,11 @@
 //	curl 'localhost:8080/recommend?user=u1'
 //
 // SIGINT/SIGTERM shut the server down cleanly: the topology drains, and
-// when -checkpoint-dir is set a final offset-anchored checkpoint is
-// written first, so a supervisor-initiated stop (systemd, k8s) can always
-// resume with -restore.
+// with -store-engine ldb a final offset-anchored checkpoint is written
+// first. An ldb start resumes from the committed checkpoint in
+// -checkpoint-dir when there is one, replaying only the tail past it, so
+// a supervisor-initiated stop (systemd, k8s) needs no flag to resume.
+// Without one it refuses a -store-dir that already holds state.
 package main
 
 import (
@@ -59,7 +61,6 @@ func main() {
 	storeEngine := flag.String("store-engine", "mdb", "TDStore storage engine: mdb (in-memory) or ldb (log-structured, durable)")
 	storeDir := flag.String("store-dir", "", "directory for durable store engines (default <data>/tdstore)")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for offset-anchored store checkpoints (default <data>/checkpoint)")
-	restore := flag.Bool("restore", false, "cold-start the store from the checkpoint in -checkpoint-dir and replay only the tail (requires -store-engine ldb)")
 	enableCB := flag.Bool("cb", true, "enable the content-based chain")
 	enableCtr := flag.Bool("ctr", true, "enable the situational CTR chain")
 	enableAR := flag.Bool("ar", false, "enable the association-rule chain (ARItemBolt → ARBolt → ARListBolt)")
@@ -76,16 +77,15 @@ func main() {
 	}
 
 	sys, err := tencentrec.Open(tencentrec.SystemConfig{
-		DataDir:               *dataDir,
-		StoreEngine:           *storeEngine,
-		StoreDir:              *storeDir,
-		CheckpointDir:         *checkpointDir,
-		RestoreFromCheckpoint: *restore,
-		Params:                tencentrec.Params{FlushInterval: *flush},
-		Features:              tencentrec.Features{CF: true, CB: *enableCB, Ctr: *enableCtr, AR: *enableAR},
-		TraceEvery:            *traceEvery,
-		ServingCacheTTL:       *cacheTTL,
-		ServingNegativeTTL:    *negTTL,
+		DataDir:            *dataDir,
+		StoreEngine:        *storeEngine,
+		StoreDir:           *storeDir,
+		CheckpointDir:      *checkpointDir,
+		Params:             tencentrec.Params{FlushInterval: *flush},
+		Features:           tencentrec.Features{CF: true, CB: *enableCB, Ctr: *enableCtr, AR: *enableAR},
+		TraceEvery:         *traceEvery,
+		ServingCacheTTL:    *cacheTTL,
+		ServingNegativeTTL: *negTTL,
 	})
 	if err != nil {
 		log.Fatalf("open system: %v", err)
@@ -115,10 +115,10 @@ func main() {
 	log.Printf("%v received, shutting down", sig)
 	srv.Close()
 	// Graceful stop: drain in-flight actions so queries and checkpoints
-	// see everything ingested before the signal. With a checkpoint dir
-	// configured, also persist an offset-anchored snapshot so the next
-	// start can -restore instead of replaying the whole log.
-	if *checkpointDir != "" {
+	// see everything ingested before the signal. On the ldb engine, also
+	// persist an offset-anchored snapshot so the next start resumes from
+	// it: without one it would refuse the store this run leaves.
+	if *storeEngine == "ldb" {
 		log.Print("draining and writing final checkpoint")
 		if err := sys.Checkpoint(30 * time.Second); err != nil {
 			log.Printf("final checkpoint: %v", err)

@@ -5,9 +5,10 @@
 // it: all status data lives in TDStore, so the topology's workers keep no
 // state of their own, and the process is the failure unit. A system on
 // the durable LDB engine checkpoints its store anchored to the consumer
-// group's offsets; reopened with RestoreFromCheckpoint, it re-seeds the
-// store from the snapshot, replays only the action log's tail past the
-// checkpoint (DESIGN.md §18), and answers queries exactly as before.
+// group's offsets; reopened over the same directories, it re-seeds the
+// store from the committed snapshot, replays only the action log's tail
+// past the checkpoint (DESIGN.md §18), and answers queries exactly as
+// before.
 //
 //	go run ./examples/cluster
 package main
@@ -71,8 +72,8 @@ func main() {
 	}
 
 	// A new process over the same disk: the store restarts from the
-	// checkpoint and the spout replays the tail.
-	cfg.RestoreFromCheckpoint = true
+	// committed checkpoint Open finds there, and the spout replays the
+	// tail.
 	sys, err = tencentrec.Open(cfg)
 	if err != nil {
 		log.Fatal(err)

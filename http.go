@@ -159,8 +159,8 @@ func (s *System) Handler() http.Handler {
 	handle("POST /control/rebalance", "control_rebalance", s.running.ServeRebalance)
 	handle("POST /control/checkpoint", "control_checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		// Drain the pipeline and write an offset-anchored store snapshot
-		// to CheckpointDir; a later cold start with -restore resumes from
-		// it replaying only the tail (DESIGN.md §16).
+		// to CheckpointDir; a later cold start on the ldb engine resumes
+		// from it replaying only the tail (DESIGN.md §16).
 		timeout := 30 * time.Second
 		if raw := queryValue(r.URL.RawQuery, "timeout"); raw != "" {
 			d, err := time.ParseDuration(raw)

@@ -156,12 +156,6 @@ func (c *Cache) Get(key string) (val any, neg, ok bool) {
 	return val, false, true
 }
 
-// Put stores a decoded value under key, replacing any existing entry
-// and evicting the least-recently-used entry when the shard is full.
-func (c *Cache) Put(key string, val any) {
-	c.put(key, val, false, c.gen.Load())
-}
-
 // dropNegative removes the negative entries under keys: they have just been
 // written, so "absent" is no longer true of them. Positive entries stay (a
 // stale value is bounded by the TTL; a stale "absent" hides the first write

@@ -95,13 +95,16 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestNegativeCache: a missing key is answered from the negative cache
-// within NegativeTTL, and a key written afterwards becomes visible once
-// the negative entry expires.
 // putNegative records that key does not exist, as a read that finds it
 // absent does.
 func putNegative(c *Cache, key string) { c.put(key, nil, true, c.gen.Load()) }
 
+// putValue stores a decoded value under key, as a read that loaded it does.
+func putValue(c *Cache, key string, val any) { c.put(key, val, false, c.gen.Load()) }
+
+// TestNegativeCache: a missing key is answered from the negative cache
+// within NegativeTTL, and a key written afterwards becomes visible once
+// the negative entry expires.
 func TestNegativeCache(t *testing.T) {
 	st := newFakeStore(map[string][]byte{})
 	rd := NewReader(st, Config{NegativeTTL: 30 * time.Millisecond})
@@ -161,7 +164,7 @@ func TestNegativeCache(t *testing.T) {
 		putNegative(c, "a")
 		putNegative(c, "a")
 		negs(1, "after the same miss twice")
-		c.Put("a", 1)
+		putValue(c, "a", 1)
 		negs(0, "after the key was cached with a value")
 		putNegative(c, "a")
 		negs(1, "after the value gave way to a miss")
@@ -174,7 +177,7 @@ func TestNegativeCache(t *testing.T) {
 		sh := c.shardFor("a")
 		for i := 0; ; i++ { // a second key of a's shard evicts it
 			if k := fmt.Sprintf("b%d", i); c.shardFor(k) == sh {
-				c.Put(k, 2)
+				putValue(c, k, 2)
 				break
 			}
 		}
@@ -204,18 +207,18 @@ func TestCacheReapsExpiredOnPut(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	c.Put(keys[0], 0)
+	putValue(c, keys[0], 0)
 	putNegative(c, keys[1])
-	c.Put(keys[2], 2)
+	putValue(c, keys[2], 2)
 	time.Sleep(30 * time.Millisecond)
-	c.Put(keys[3], 3)
+	putValue(c, keys[3], 3)
 	if n := c.Len(); n != 2 {
 		t.Fatalf("Len = %d after a put past the TTL, want 2 (two of three expired entries reaped)", n)
 	}
 	if n := c.negs.Load(); n != 0 {
 		t.Fatalf("%d live negatives after the expired one was reaped, want 0", n)
 	}
-	c.Put(keys[4], 4)
+	putValue(c, keys[4], 4)
 	if n := c.Len(); n != 2 {
 		t.Fatalf("Len = %d after a second put, want 2 (the last expired entry reaped)", n)
 	}
@@ -317,7 +320,7 @@ func TestStoreErrorCachesNothing(t *testing.T) {
 func TestLRUBound(t *testing.T) {
 	c := NewCache(time.Hour, time.Hour, cacheShards*4)
 	for i := 0; i < cacheShards*32; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), i)
+		putValue(c, fmt.Sprintf("key-%d", i), i)
 	}
 	if n := c.Len(); n > cacheShards*4 {
 		t.Fatalf("cache holds %d entries, cap %d", n, cacheShards*4)
@@ -338,10 +341,10 @@ func TestLRUEvictionOrder(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	c.Put(keys[0], 0)
-	c.Put(keys[1], 1)
+	putValue(c, keys[0], 0)
+	putValue(c, keys[1], 1)
 	c.Get(keys[0]) // refresh 0; 1 is now LRU
-	c.Put(keys[2], 2)
+	putValue(c, keys[2], 2)
 	if _, _, ok := c.Get(keys[1]); ok {
 		t.Fatal("LRU entry survived eviction")
 	}

@@ -917,15 +917,6 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 		rt.tickerWG.Add(1)
 		go rt.runTicker()
 	}
-	// Every spout task opens before any polls. Open joins the input's
-	// consumer group (TDAccessSpout), and a member that polled before a
-	// later one joined would read partitions the group then hands to that
-	// member, which reads them again from the committed offset.
-	type opened struct {
-		sp  Spout
-		col *collector
-	}
-	var spouts []opened
 	for _, s := range t.spouts {
 		for _, tk := range rt.taskList(s.name) {
 			col := newCollector(tk, rt)
@@ -934,13 +925,10 @@ func (rt *runtime) start(ctx context.Context) *RunningTopology {
 				rt.onError(s.name, fmt.Errorf("open: %w", err))
 				continue
 			}
-			spouts = append(spouts, opened{sp, col})
+			rt.spoutWG.Add(1)
+			rt.activeSpouts.Add(1)
+			go rt.runSpoutTask(sp, col)
 		}
-	}
-	for _, o := range spouts {
-		rt.spoutWG.Add(1)
-		rt.activeSpouts.Add(1)
-		go rt.runSpoutTask(o.sp, o.col)
 	}
 	h := &RunningTopology{rt: rt, done: make(chan struct{})}
 	go func() {
@@ -1050,7 +1038,8 @@ func (h *RunningTopology) Quiesce(fn func() error) error {
 //  4. Spawn the new tasks and resume the spouts.
 //
 // Spouts cannot be rebalanced: their task count is bound to external
-// input partitioning (consumer-group offsets), not to routing.
+// input partitioning (task i of n reads the input's partitions ≡ i mod
+// n), not to routing.
 func (rt *runtime) rebalance(component string, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("stream: rebalance %q: parallelism must be >= 1, got %d", component, n)

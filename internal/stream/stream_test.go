@@ -337,46 +337,37 @@ func (b *bufferBolt) DeclareOutputFields() map[string]Fields {
 	return map[string]Fields{DefaultStream: {"n"}}
 }
 
-// openOrderSpout counts, across its tasks, the Opens that have returned
-// and the polls that ran before every task had opened. Task 1 opens
-// slowly, as a consumer-group join can.
-type openOrderSpout struct {
-	tasks         int
-	opened, early *atomic.Int64
-	polls         int
+// indexSpout records the context each of its tasks opens with and emits
+// nothing.
+type indexSpout struct {
+	mu     *sync.Mutex
+	opened *[]TopologyContext
 }
 
-func (s *openOrderSpout) Open(ctx TopologyContext, _ SpoutCollector) error {
-	if ctx.TaskIndex == 1 {
-		time.Sleep(20 * time.Millisecond)
-	}
-	s.opened.Add(1)
+func (s *indexSpout) Open(ctx TopologyContext, _ SpoutCollector) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	*s.opened = append(*s.opened, ctx)
 	return nil
 }
 
-func (s *openOrderSpout) NextTuple() bool {
-	if s.opened.Load() < int64(s.tasks) {
-		s.early.Add(1)
-	}
-	s.polls++
-	return s.polls < 100
-}
-
-func (s *openOrderSpout) Close() {}
-
-func (s *openOrderSpout) DeclareOutputFields() map[string]Fields {
+func (s *indexSpout) NextTuple() bool { return false }
+func (s *indexSpout) Close()          {}
+func (s *indexSpout) DeclareOutputFields() map[string]Fields {
 	return map[string]Fields{DefaultStream: {"n"}}
 }
 
-// TestSpoutsOpenBeforeAnyPolls: no spout task polls until every spout task
-// has opened. A TDAccessSpout's Open joins the consumer group, and a task
-// that polled before a later task joined would read records that the
-// group then hands to the later task, which reads them again.
-func TestSpoutsOpenBeforeAnyPolls(t *testing.T) {
-	var opened, early atomic.Int64
+// TestSpoutTasksOpenWithDistinctIndexes: each of a spout's n tasks opens
+// once, with NumTasks n and its own TaskIndex in [0, n). A TDAccessSpout
+// cuts its fixed share of the topic's partitions from these two numbers,
+// so a repeated or missing index would read a partition twice or never.
+func TestSpoutTasksOpenWithDistinctIndexes(t *testing.T) {
+	const tasks = 3
+	var mu sync.Mutex
+	var opened []TopologyContext
 	sink, _, _ := newSink()
 	tb := NewTopologyBuilder("t")
-	tb.SetSpout("spout", func() Spout { return &openOrderSpout{tasks: 2, opened: &opened, early: &early} }, 2)
+	tb.SetSpout("spout", func() Spout { return &indexSpout{mu: &mu, opened: &opened} }, tasks)
 	tb.SetBolt("sink", sink, 1).Shuffle("spout")
 	topo, err := tb.Build()
 	if err != nil {
@@ -385,8 +376,20 @@ func TestSpoutsOpenBeforeAnyPolls(t *testing.T) {
 	if _, err := topo.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if n := early.Load(); n != 0 {
-		t.Fatalf("%d NextTuple calls ran before every spout task had opened", n)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(opened) != tasks {
+		t.Fatalf("%d spout tasks opened, want %d", len(opened), tasks)
+	}
+	seen := make([]bool, tasks)
+	for _, ctx := range opened {
+		if ctx.Component != "spout" || ctx.NumTasks != tasks {
+			t.Fatalf("spout task opened with %+v, want component spout of %d tasks", ctx, tasks)
+		}
+		if ctx.TaskIndex < 0 || ctx.TaskIndex >= tasks || seen[ctx.TaskIndex] {
+			t.Fatalf("spout task indexes %+v are not 0…%d once each", opened, tasks-1)
+		}
+		seen[ctx.TaskIndex] = true
 	}
 }
 

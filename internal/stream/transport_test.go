@@ -144,11 +144,13 @@ func TestWaitQuiescentPrompt(t *testing.T) {
 	rt := newRuntime(topo, nil)
 	rt.pending.Add(1)
 	const hold = 10 * time.Millisecond
+	// start is read before the hold begins, so a pending count that
+	// drops after the hold drops at least hold after start.
+	start := time.Now()
 	go func() {
 		time.Sleep(hold)
 		rt.pending.Add(-1)
 	}()
-	start := time.Now()
 	rt.waitQuiescent()
 	elapsed := time.Since(start)
 	if elapsed < hold {

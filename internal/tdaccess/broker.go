@@ -7,8 +7,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -82,18 +80,12 @@ type topic struct {
 // groupKey identifies a consumer group's view of one topic.
 type groupKey struct{ group, topic string }
 
-// groupState tracks a consumer group's membership and committed offsets.
-type groupState struct {
-	members []string // consumer ids, sorted
-	epoch   int64    // bumped on every rebalance
-	offsets []int64  // committed offset per partition
-}
-
 // Broker is an in-process TDAccess cluster: disk-backed partition logs,
-// and the one master that balances producers and consumers at partition
-// granularity. The paper's data servers and standby master are left out:
-// the process is the failure unit, and a crashed broker reopens its
-// partitions from disk (DESIGN.md §2).
+// and the one master that keeps each consumer group's committed offsets.
+// Producers and consumers work at partition granularity. The paper's
+// data servers and standby master are left out: the process is the
+// failure unit, and a crashed broker reopens its partitions from disk
+// (DESIGN.md §2).
 type Broker struct {
 	opts Options
 
@@ -103,11 +95,11 @@ type Broker struct {
 	// ins is set by Instrument; nil on an uninstrumented broker.
 	ins atomic.Pointer[brokerInstruments]
 
-	// mu serialises topic creation, the consumer groups and Close.
-	mu      sync.Mutex
-	groups  map[groupKey]*groupState
-	nextCID int64
-	closed  bool
+	// mu serialises topic creation, the committed offsets and Close.
+	mu sync.Mutex
+	// groups holds each consumer group's committed offset per partition.
+	groups map[groupKey][]int64
+	closed bool
 }
 
 // NewBroker opens a broker rooted at opts.Dir, recovering any existing
@@ -119,7 +111,7 @@ func NewBroker(opts Options) (*Broker, error) {
 	if opts.Partitions <= 0 {
 		opts.Partitions = 4
 	}
-	b := &Broker{opts: opts, groups: make(map[groupKey]*groupState)}
+	b := &Broker{opts: opts, groups: make(map[groupKey][]int64)}
 	b.topics.Store(&map[string]*topic{})
 	// Recover topics persisted by a previous run.
 	dirs, err := filepath.Glob(filepath.Join(opts.Dir, "*", "p-0"))
@@ -272,18 +264,17 @@ func (b *Broker) TopicPartitions(name string) int {
 }
 
 // CommittedOffset reports a group's committed offset for one partition
-// of a topic, for monitoring consumer progress without joining the group.
+// of a topic, for monitoring consumer progress without subscribing.
 func (b *Broker) CommittedOffset(group, topicName string, partition int) (int64, error) {
 	if _, err := b.partition(topicName, partition); err != nil {
 		return 0, err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	gs := b.groups[groupKey{group, topicName}]
-	if gs == nil {
-		return 0, nil
+	if offsets := b.groups[groupKey{group, topicName}]; offsets != nil {
+		return offsets[partition], nil
 	}
-	return gs.offsets[partition], nil
+	return 0, nil
 }
 
 // EndOffset reports the offset the next message appended to one
@@ -297,10 +288,10 @@ func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
 }
 
 // SeedCommittedOffsets installs a group's committed offsets for a topic
-// before any consumer joins — the cold-restart path: the broker's group
-// state is in-memory and dies with the process, so a restore replants
-// the checkpoint manifest's frontier here and consumers then resume
-// reading right after it. Seeding is monotone per partition (an existing
+// before any of its consumers subscribes — the cold-restart path: the
+// broker's group state is in-memory and dies with the process, so a
+// restore replants the checkpoint manifest's frontier here and consumers
+// then resume reading right after it. Seeding is monotone per partition (an existing
 // higher commit wins), so replaying a stale manifest can never rewind a
 // group. The topic is created if its partitions are not yet open.
 func (b *Broker) SeedCommittedOffsets(group, topicName string, offsets []int64) error {
@@ -314,39 +305,21 @@ func (b *Broker) SeedCommittedOffsets(group, topicName string, offsets []int64) 
 		return fmt.Errorf("tdaccess: seed offsets: %d offsets for %d partitions of %s",
 			len(offsets), len(t.parts), topicName)
 	}
-	gk := groupKey{group, topicName}
-	gs := b.groups[gk]
-	if gs == nil {
-		gs = &groupState{offsets: make([]int64, len(t.parts))}
-		b.groups[gk] = gs
-	}
+	committed := b.groupOffsetsLocked(group, t)
 	for p, off := range offsets {
-		if off > gs.offsets[p] {
-			gs.offsets[p] = off
-		}
+		committed[p] = max(committed[p], off)
 	}
 	return nil
 }
 
-// rebalance recomputes a group's partition assignment after a membership
-// change. Offsets are preserved; the epoch bump tells each consumer to
-// refetch its assignment. Caller holds b.mu.
-func (gs *groupState) rebalance() {
-	sort.Strings(gs.members)
-	gs.epoch++
-}
-
-// assignment returns the partitions, of a topic with n, that consumer cid
-// owns under the group's current membership: partitions are dealt
-// round-robin over the sorted member list. Caller holds b.mu.
-func (gs *groupState) assignment(cid string, n int) []int {
-	pos := slices.Index(gs.members, cid)
-	if pos < 0 {
-		return nil
+// groupOffsetsLocked returns a group's committed offsets for topic t,
+// all 0 for a group that has none yet. Caller holds b.mu.
+func (b *Broker) groupOffsetsLocked(group string, t *topic) []int64 {
+	gk := groupKey{group, t.name}
+	offsets := b.groups[gk]
+	if offsets == nil {
+		offsets = make([]int64, len(t.parts))
+		b.groups[gk] = offsets
 	}
-	var out []int
-	for p := pos; p < n; p += len(gs.members) {
-		out = append(out, p)
-	}
-	return out
+	return offsets
 }

@@ -1,44 +1,53 @@
 package tdaccess
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 
 	"tencentrec/internal/obsv"
 )
 
-// Consumer reads messages from a topic as part of a consumer group.
-// Partitions of the topic are divided among the group's members by the
-// master, and each member reads its partitions' logs directly. Committed
-// offsets are stored broker-side per group, so a consumer restart (or a
-// replacement member) resumes where the group left off (§3.2).
+// Consumer reads messages from a topic on behalf of a consumer group.
+// Each consumer reads a fixed share of the topic's partitions straight
+// from their logs, with no lock above them. Committed offsets are stored
+// broker-side per group, so a consumer that replaces another resumes
+// where the group left off (§3.2).
 type Consumer struct {
 	b     *Broker
-	id    string
 	group string
 
-	t        *topic
-	epoch    int64
-	assigned []int
-	// positions tracks the next offset to read per assigned partition,
-	// starting from the group's committed offsets.
-	positions map[int]int64
+	t *topic
+	// assigned lists the partitions of this consumer's share, and
+	// positions the next offset to read in each, starting from the
+	// group's committed offsets.
+	assigned  []int
+	positions []int64
 	// bodies is Poll's scratch for one partition's records, cleared
 	// before Poll returns.
 	bodies [][]byte
 }
 
-// NewConsumer returns a consumer that joins the named group.
+// errNotSubscribed is what a Poll or Commit before Subscribe returns.
+var errNotSubscribed = errors.New("tdaccess: consumer used before Subscribe")
+
+// NewConsumer returns a consumer of the named group.
 func (b *Broker) NewConsumer(group string) *Consumer {
-	b.mu.Lock()
-	b.nextCID++
-	id := fmt.Sprintf("consumer-%d", b.nextCID)
-	b.mu.Unlock()
-	return &Consumer{b: b, id: id, group: group}
+	return &Consumer{b: b, group: group}
 }
 
-// Subscribe joins the group for the given topic, triggering a rebalance.
+// Subscribe reads every partition of the topic.
 func (c *Consumer) Subscribe(topicName string) error {
+	return c.SubscribeShare(topicName, 0, 1)
+}
+
+// SubscribeShare reads the partitions p of the topic with p ≡ index
+// (mod n), from the group's committed offsets. n consumers with indexes
+// 0…n-1 split the topic between them, each partition read by one; one
+// whose index is not below the partition count reads nothing.
+func (c *Consumer) SubscribeShare(topicName string, index, n int) error {
+	if n < 1 || index < 0 || index >= n {
+		return fmt.Errorf("tdaccess: share %d of %d", index, n)
+	}
 	t, err := c.b.topic(topicName)
 	if err != nil {
 		return err
@@ -48,68 +57,12 @@ func (c *Consumer) Subscribe(topicName string) error {
 	if c.b.closed {
 		return ErrClosed
 	}
-	gk := groupKey{c.group, topicName}
-	gs := c.b.groups[gk]
-	if gs == nil {
-		gs = &groupState{offsets: make([]int64, len(t.parts))}
-		c.b.groups[gk] = gs
+	offsets := c.b.groupOffsetsLocked(c.group, t)
+	c.t, c.assigned, c.positions = t, nil, nil
+	for p := index; p < len(t.parts); p += n {
+		c.assigned = append(c.assigned, p)
+		c.positions = append(c.positions, offsets[p])
 	}
-	if slices.Contains(gs.members, c.id) {
-		return nil // already subscribed
-	}
-	gs.members = append(gs.members, c.id)
-	gs.rebalance()
-	c.t = t
-	c.epoch = -1 // force assignment refresh on next poll
-	return nil
-}
-
-// Unsubscribe removes this consumer from the group, triggering a
-// rebalance among the remaining members.
-func (c *Consumer) Unsubscribe() {
-	if c.t == nil {
-		return
-	}
-	c.b.mu.Lock()
-	defer c.b.mu.Unlock()
-	gk := groupKey{c.group, c.t.name}
-	gs := c.b.groups[gk]
-	if gs != nil {
-		gs.members = slices.DeleteFunc(gs.members, func(m string) bool { return m == c.id })
-		gs.rebalance()
-	}
-	c.t = nil
-	c.assigned = nil
-	c.positions = nil
-}
-
-// refreshAssignment re-reads the group's assignment when the epoch moved.
-// On a closed broker it returns ErrClosed.
-func (c *Consumer) refreshAssignment() error {
-	c.b.mu.Lock()
-	defer c.b.mu.Unlock()
-	if c.b.closed {
-		return ErrClosed
-	}
-	gk := groupKey{c.group, c.t.name}
-	gs := c.b.groups[gk]
-	if gs == nil {
-		return fmt.Errorf("tdaccess: consumer %s polled before Subscribe", c.id)
-	}
-	if gs.epoch == c.epoch {
-		return nil
-	}
-	c.assigned = gs.assignment(c.id, len(c.t.parts))
-	positions := make(map[int]int64, len(c.assigned))
-	for _, p := range c.assigned {
-		if old, ok := c.positions[p]; ok {
-			positions[p] = old
-		} else {
-			positions[p] = gs.offsets[p]
-		}
-	}
-	c.positions = positions
-	c.epoch = gs.epoch
 	return nil
 }
 
@@ -119,15 +72,12 @@ func (c *Consumer) refreshAssignment() error {
 // caller's from here on and the consumer keeps no reference to them.
 func (c *Consumer) Poll(max int) ([]Message, error) {
 	if c.t == nil {
-		return nil, fmt.Errorf("tdaccess: consumer %s polled before Subscribe", c.id)
-	}
-	if err := c.refreshAssignment(); err != nil {
-		return nil, err
+		return nil, errNotSubscribed
 	}
 	// Size the result once, from what the partitions hold right now.
 	want := 0
-	for _, p := range c.assigned {
-		if ahead := c.t.parts[p].log.NextOffset() - c.positions[p]; ahead > 0 {
+	for i, p := range c.assigned {
+		if ahead := c.t.parts[p].log.NextOffset() - c.positions[i]; ahead > 0 {
 			want += int(min(ahead, int64(max-want)))
 		}
 	}
@@ -137,18 +87,18 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 	}
 	defer func() { clear(c.bodies) }()
 	ins := c.b.ins.Load()
-	for _, p := range c.assigned {
+	for i, p := range c.assigned {
 		if len(out) >= max {
 			break
 		}
 		ph := c.t.parts[p]
-		pos := c.positions[p]
+		pos := c.positions[i]
 		var err error
 		c.bodies, err = ph.log.ReadFrom(c.bodies[:0], pos, max-len(out))
 		if err != nil {
 			return out, err
 		}
-		for i, body := range c.bodies {
+		for j, body := range c.bodies {
 			key, payload, err := decodeMessage(body)
 			if err != nil {
 				return out, err
@@ -156,7 +106,7 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 			out = append(out, Message{
 				Topic:     c.t.name,
 				Partition: p,
-				Offset:    pos + int64(i),
+				Offset:    pos + int64(j),
 				Key:       key,
 				Payload:   payload,
 			})
@@ -164,13 +114,13 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 		if ins != nil && len(c.bodies) > 0 {
 			ins.consumed.Add(int64(len(c.bodies)))
 			now := obsv.Now()
-			for i := range c.bodies {
-				if at, ok := ph.stamps.lookup(pos + int64(i)); ok {
+			for j := range c.bodies {
+				if at, ok := ph.stamps.lookup(pos + int64(j)); ok {
 					ins.lag.Observe(now - at)
 				}
 			}
 		}
-		c.positions[p] = pos + int64(len(c.bodies))
+		c.positions[i] = pos + int64(len(c.bodies))
 	}
 	return out, nil
 }
@@ -179,18 +129,13 @@ func (c *Consumer) Poll(max int) ([]Message, error) {
 // offsets for its partitions.
 func (c *Consumer) Commit() error {
 	if c.t == nil {
-		return fmt.Errorf("tdaccess: consumer %s committed before Subscribe", c.id)
+		return errNotSubscribed
 	}
 	c.b.mu.Lock()
 	defer c.b.mu.Unlock()
-	gs := c.b.groups[groupKey{c.group, c.t.name}]
-	if gs == nil {
-		return fmt.Errorf("tdaccess: unknown group %q", c.group)
-	}
-	for p, pos := range c.positions {
-		if pos > gs.offsets[p] {
-			gs.offsets[p] = pos
-		}
+	offsets := c.b.groupOffsetsLocked(c.group, c.t)
+	for i, p := range c.assigned {
+		offsets[p] = max(offsets[p], c.positions[i])
 	}
 	return nil
 }

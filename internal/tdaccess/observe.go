@@ -102,12 +102,12 @@ func (b *Broker) partitionBacklog(topicName string, p int) int64 {
 	next := ph.log.NextOffset() // under b.mu: no commit passes it meanwhile
 	minOff := int64(0)
 	first := true
-	for gk, gs := range b.groups {
-		if gk.topic != topicName || p >= len(gs.offsets) {
+	for gk, offsets := range b.groups {
+		if gk.topic != topicName || p >= len(offsets) {
 			continue
 		}
-		if first || gs.offsets[p] < minOff {
-			minOff = gs.offsets[p]
+		if first || offsets[p] < minOff {
+			minOff = offsets[p]
 			first = false
 		}
 	}

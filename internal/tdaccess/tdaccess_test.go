@@ -159,6 +159,9 @@ func TestKeyedMessagesPreserveOrder(t *testing.T) {
 	}
 }
 
+// TestConsumerGroupSplitsPartitions: two consumers of one group, with
+// shares 0 and 1 of 2, read the whole topic between them and no partition
+// is read by both.
 func TestConsumerGroupSplitsPartitions(t *testing.T) {
 	b := newTestBroker(t, Options{Partitions: 4})
 	p := b.NewProducer()
@@ -167,10 +170,10 @@ func TestConsumerGroupSplitsPartitions(t *testing.T) {
 	}
 	c1 := b.NewConsumer("g")
 	c2 := b.NewConsumer("g")
-	if err := c1.Subscribe("t"); err != nil {
+	if err := c1.SubscribeShare("t", 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Subscribe("t"); err != nil {
+	if err := c2.SubscribeShare("t", 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	m1, err := c1.Poll(1000)
@@ -214,7 +217,6 @@ func TestCommitResumesAcrossConsumers(t *testing.T) {
 	if err := c1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	c1.Unsubscribe()
 
 	c2 := b.NewConsumer("g")
 	c2.Subscribe("t")
@@ -619,8 +621,8 @@ func pollAll(t *testing.T, c *Consumer) []Message {
 }
 
 func TestUncommittedMessagesRedeliveredToReplacement(t *testing.T) {
-	// A consumer that polls but never commits, then leaves the group,
-	// must not advance the group's offsets: its replacement re-receives
+	// A consumer that polls but never commits, then is replaced, must
+	// not advance the group's offsets: its replacement re-receives
 	// everything. This is the broker-side contract the acked-frontier
 	// offset commit in the topology spout relies on.
 	b := newTestBroker(t, Options{Partitions: 3})
@@ -637,8 +639,7 @@ func TestUncommittedMessagesRedeliveredToReplacement(t *testing.T) {
 	if got := pollAll(t, c1); len(got) != 30 {
 		t.Fatalf("c1 polled %d messages, want 30", len(got))
 	}
-	c1.Unsubscribe() // replaced without committing
-
+	// c1 is replaced without committing.
 	c2 := b.NewConsumer("g")
 	if err := c2.Subscribe("t"); err != nil {
 		t.Fatal(err)

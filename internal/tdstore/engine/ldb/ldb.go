@@ -809,14 +809,22 @@ func (s *Store) compactLoop() {
 			return
 		case <-s.compactCh:
 		}
-		if err := s.compactOnce(); err != nil {
-			s.mu.Lock()
-			if s.compactErr == nil {
-				s.compactErr = err
-			}
-			s.mu.Unlock()
-		}
+		s.noteCompactErr(s.compactOnce())
 	}
+}
+
+// noteCompactErr keeps the first failure of a background merge for the
+// next Flush or Close to report. A merge that Close abandoned
+// (ErrClosed) failed nothing.
+func (s *Store) noteCompactErr(err error) {
+	if err == nil || errors.Is(err, ErrClosed) {
+		return
+	}
+	s.mu.Lock()
+	if s.compactErr == nil {
+		s.compactErr = err
+	}
+	s.mu.Unlock()
 }
 
 // mergeTables walks the union of tables' sorted indexes (tables oldest
@@ -857,7 +865,8 @@ func mergeTables(tables []*sstable, fn func(t *sstable, i int) bool) {
 // lock: tables are immutable, new flushes only append, and merges are
 // serialized by compactMu, so the captured prefix stays exactly the
 // prefix of s.tables until the swap; Close and Crash take compactMu
-// before they unmap.
+// before they unmap. A merge on a closed store, or one that Close or
+// Crash stops, returns ErrClosed.
 func (s *Store) compactOnce() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -865,7 +874,7 @@ func (s *Store) compactOnce() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil
+		return ErrClosed
 	}
 	s.tableMu.RLock()
 	inputs := append([]*sstable(nil), s.tables...)
@@ -906,7 +915,10 @@ func (s *Store) compactOnce() error {
 		ioBytes += int64(n)
 		return true
 	})
-	if stopped || err != nil {
+	if stopped {
+		err = ErrClosed
+	}
+	if err != nil {
 		b.abort()
 		return err
 	}
@@ -920,7 +932,7 @@ func (s *Store) compactOnce() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return merged.unmap()
+		return errors.Join(ErrClosed, merged.unmap())
 	}
 	s.tableMu.Lock()
 	s.tables = append([]*sstable{merged}, s.tables[len(inputs):]...)
@@ -951,7 +963,8 @@ func (s *Store) stopping() bool {
 
 // Compact flushes the memtable and merges all SSTables into one,
 // dropping overwritten versions and tombstones. Unlike the background
-// compaction it is synchronous.
+// compaction it is synchronous, and it returns ErrClosed for a merge the
+// store closed under.
 func (s *Store) Compact() error {
 	if err := s.Flush(); err != nil {
 		return err
@@ -967,13 +980,7 @@ func (s *Store) WaitCompaction() {
 	for {
 		select {
 		case <-s.compactCh:
-			if err := s.compactOnce(); err != nil {
-				s.mu.Lock()
-				if s.compactErr == nil {
-					s.compactErr = err
-				}
-				s.mu.Unlock()
-			}
+			s.noteCompactErr(s.compactOnce())
 			continue
 		default:
 		}

@@ -291,6 +291,29 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 }
 
+// TestCompactOnceAfterCloseIsErrClosed: a merge asked of a closed store
+// merges nothing and says so, rather than report a compaction done.
+func TestCompactOnceAfterCloseIsErrClosed(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if err := s.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.compactOnce(); err != ErrClosed {
+		t.Fatalf("compactOnce after Close = %v, want ErrClosed", err)
+	}
+}
+
 func BenchmarkLDBPut(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{FlushThreshold: 10000})
 	if err != nil {

@@ -18,11 +18,12 @@ var rawFields = stream.Fields{"raw"}
 // ("TDProcess gets data streams from various applications with the help
 // of TDAccess").
 //
-// It commits each poll once the poll's messages are emitted. Open joins
-// the consumer group, and the engine opens every spout task before any
-// polls, so no task reads a partition the group then hands to another.
-// The process is the unit of failure: recovery is checkpoint replay from
-// the committed offsets the checkpoint recorded (DESIGN.md §11).
+// It commits each poll once the poll's messages are emitted. Task i of
+// n reads the topic's partitions p ≡ i (mod n), a share fixed when the
+// task opens: spout tasks are neither rebalanced nor restarted, so no
+// partition changes hands mid-run. The process is the unit of failure:
+// recovery is checkpoint replay from the committed offsets the
+// checkpoint recorded (DESIGN.md §11).
 type TDAccessSpout struct {
 	broker *tdaccess.Broker
 	topic  string
@@ -62,8 +63,9 @@ type TDAccessSpout struct {
 type TDAccessSpoutConfig struct {
 	Broker *tdaccess.Broker
 	Topic  string
-	// Group is the consumer group; parallel spout tasks in one group
-	// split the topic's partitions.
+	// Group is the consumer group whose committed offsets the tasks
+	// resume from and advance; parallel tasks split the topic's
+	// partitions by task index.
 	Group string
 	// StopWhenDrained ends the spout once the topic is empty.
 	StopWhenDrained bool
@@ -98,11 +100,12 @@ func NewTDAccessSpout(cfg TDAccessSpoutConfig) stream.SpoutFactory {
 	}
 }
 
-// Open implements stream.Spout.
-func (s *TDAccessSpout) Open(_ stream.TopologyContext, c stream.SpoutCollector) error {
+// Open implements stream.Spout. A context with no task count reads
+// every partition.
+func (s *TDAccessSpout) Open(ctx stream.TopologyContext, c stream.SpoutCollector) error {
 	s.c = c
 	s.consumer = s.broker.NewConsumer(s.group)
-	if err := s.consumer.Subscribe(s.topic); err != nil {
+	if err := s.consumer.SubscribeShare(s.topic, ctx.TaskIndex, max(ctx.NumTasks, 1)); err != nil {
 		return fmt.Errorf("topology: spout subscribe: %w", err)
 	}
 	return nil
@@ -142,7 +145,8 @@ func (s *TDAccessSpout) NextTuple() bool {
 // emit sends one poll's messages into the topology and commits the poll.
 // The in-memory read positions advanced at Poll, so an emitted batch is
 // never re-read by this consumer whether or not the commit lands — a
-// commit error only means a replacement group member would re-read it.
+// commit error only means a restart from the group's offsets would
+// re-read it.
 func (s *TDAccessSpout) emit(msgs []tdaccess.Message) {
 	if len(msgs) == 0 {
 		return
@@ -157,11 +161,7 @@ func (s *TDAccessSpout) emit(msgs []tdaccess.Message) {
 }
 
 // Close implements stream.Spout.
-func (s *TDAccessSpout) Close() {
-	if s.consumer != nil {
-		s.consumer.Unsubscribe()
-	}
-}
+func (s *TDAccessSpout) Close() {}
 
 // DeclareOutputFields implements stream.OutputDeclarer.
 func (s *TDAccessSpout) DeclareOutputFields() map[string]stream.Fields {

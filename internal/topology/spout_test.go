@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +31,102 @@ func newSpoutBroker(t *testing.T, partitions int) *tdaccess.Broker {
 	}
 	t.Cleanup(func() { b.Close() })
 	return b
+}
+
+// taskSpout wraps a spout so that each payload it emits is reported with
+// the index of the task that emitted it.
+type taskSpout struct {
+	stream.Spout
+	record func(task int, payload []byte)
+}
+
+func (s *taskSpout) Open(ctx stream.TopologyContext, c stream.SpoutCollector) error {
+	return s.Spout.Open(ctx, &taskCollector{Collector: c, task: ctx.TaskIndex, record: s.record})
+}
+
+func (s *taskSpout) DeclareOutputFields() map[string]stream.Fields {
+	return s.Spout.(stream.OutputDeclarer).DeclareOutputFields()
+}
+
+type taskCollector struct {
+	stream.Collector
+	task   int
+	record func(task int, payload []byte)
+}
+
+func (c *taskCollector) Emit(v stream.Values) {
+	c.record(c.task, v[0].([]byte))
+	c.Collector.Emit(v)
+}
+
+// TestSpoutTasksOwnPartitionsByIndex: task i of a TDAccessSpout with n
+// tasks reads the topic's partitions p ≡ i (mod n). Over a 4-partition
+// topic, three tasks emit every record exactly once, each only from its
+// own partitions; with five, task 4 owns no partition and the run still
+// ends once the topic is drained.
+func TestSpoutTasksOwnPartitionsByIndex(t *testing.T) {
+	for _, tasks := range []int{3, 5} {
+		t.Run(fmt.Sprintf("spout=%d", tasks), func(t *testing.T) {
+			broker := newSpoutBroker(t, 4)
+			prod := broker.NewProducer()
+			partition := map[string]int{}
+			perPartition := make([]int, 4)
+			for _, a := range genActions(64, 400, 40, 12) {
+				payload := EncodeAction(a)
+				p, _, err := prod.Send("user-actions", a.User, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				partition[string(payload)] = p
+				perPartition[p]++
+			}
+			for p, n := range perPartition {
+				if n == 0 {
+					t.Fatalf("partition %d holds no record: %v", p, perPartition)
+				}
+			}
+			var mu sync.Mutex
+			emitted := map[string]int{}
+			perTask := make([]int, tasks)
+			record := func(task int, payload []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				emitted[string(payload)]++
+				perTask[task]++
+				if p := partition[string(payload)]; p%tasks != task {
+					t.Errorf("task %d of %d emitted a record of partition %d", task, tasks, p)
+				}
+			}
+			inner := NewTDAccessSpout(TDAccessSpoutConfig{
+				Broker: broker, Topic: "user-actions", Group: "g",
+				StopWhenDrained: true, IdleSleep: 200 * time.Microsecond,
+			})
+			spout := func() stream.Spout { return &taskSpout{Spout: inner(), record: record} }
+			topo, err := NewBuilder("share", spout, NewMemState(), Params{}).
+				WithParallelism(Parallelism{Spout: tasks}).
+				WithFeatures(Features{CF: true}).
+				Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := topo.Submit(); !stopped(h, 30*time.Second) {
+				h.Stop()
+				t.Fatal("the run did not end once the topic was drained")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for payload, p := range partition {
+				if n := emitted[payload]; n != 1 {
+					t.Errorf("a record of partition %d was emitted %d times, want once", p, n)
+				}
+			}
+			for task, n := range perTask {
+				if (n > 0) != (task < 4) {
+					t.Errorf("task %d of %d emitted %d records", task, tasks, n)
+				}
+			}
+		})
+	}
 }
 
 func TestSpoutPollErrorBackoffRecovers(t *testing.T) {

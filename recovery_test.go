@@ -139,7 +139,6 @@ func TestDrainWaitsForRestoredTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.RestoreFromCheckpoint = true
 	s2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -159,16 +158,21 @@ func TestDrainWaitsForRestoredTail(t *testing.T) {
 }
 
 // TestOpenRefusesStatefulStoreWithoutRestore: the consumer group's
-// offsets die with the process, so a plain reopen over an ldb store that
-// holds state would replay the whole log into it and double every
-// additive counter. Open refuses, and names the two ways out; emptying
-// StoreDir is one, and rebuilds the same state from the log.
+// offsets die with the process, so a reopen with no checkpoint to restore
+// over an ldb store that holds state would replay the whole log into it
+// and double every additive counter; emptying the store instead would
+// lose the item profiles AddItem wrote, which the log does not hold. Open
+// refuses, touches no table, and names StoreDir; emptying StoreDir
+// rebuilds the counters from the log.
 func TestOpenRefusesStatefulStoreWithoutRestore(t *testing.T) {
 	const items = 10
 	actions := recoveryStream(6, 1000, 100, items)
 	cfg := SystemConfig{DataDir: t.TempDir(), StoreEngine: "ldb"}
 	s, err := Open(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddItem("article", []string{"football", "final"}, time.Unix(1700000000, 0)); err != nil {
 		t.Fatal(err)
 	}
 	publishAll(t, s, actions)
@@ -178,16 +182,27 @@ func TestOpenRefusesStatefulStoreWithoutRestore(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	liveTables := func() []string {
+		tables, _ := filepath.Glob(filepath.Join(cfg.DataDir, "tdstore", "inst-*", "sst-*.tbl"))
+		return tables
+	}
+	before := liveTables()
+	if len(before) == 0 {
+		t.Fatal("the closed store holds no table: the reopen would prove nothing")
+	}
 
 	s2, err := Open(cfg)
 	if err == nil {
 		s2.Close()
-		t.Fatal("Open over an ldb store that holds state, without RestoreFromCheckpoint, succeeded")
+		t.Fatal("Open over an ldb store that holds state, with no checkpoint, succeeded")
 	}
-	for _, want := range []string{"RestoreFromCheckpoint", "-restore", "StoreDir"} {
+	for _, want := range []string{"StoreDir", "checkpoint", "AddItem"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Open error %q does not name %s", err, want)
 		}
+	}
+	if after := liveTables(); len(after) != len(before) {
+		t.Errorf("the refused Open changed the store: %d tables, were %d", len(after), len(before))
 	}
 
 	if err := os.RemoveAll(filepath.Join(cfg.DataDir, "tdstore")); err != nil {
@@ -206,6 +221,50 @@ func TestOpenRefusesStatefulStoreWithoutRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkItemCounters(t, got, referenceCounters(actions, items))
+}
+
+// TestOpenRefusesCheckpointMissingAnInstance: a checkpoint creates every
+// inst-<n> directory its manifest counts, so a committed one without an
+// instance directory is damaged. Open fails and names the directory
+// before it empties any instance of the live store; restoring would open
+// that instance empty and lose its keys.
+func TestOpenRefusesCheckpointMissingAnInstance(t *testing.T) {
+	cfg := SystemConfig{DataDir: t.TempDir(), StoreEngine: "ldb"}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishAll(t, s, recoveryStream(8, 500, 50, 10))
+	if err := s.Checkpoint(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	liveTables := func() []string {
+		tables, _ := filepath.Glob(filepath.Join(cfg.DataDir, "tdstore", "inst-*", "sst-*.tbl"))
+		return tables
+	}
+	before := liveTables()
+	if len(before) == 0 {
+		t.Fatal("the closed store holds no table")
+	}
+	missing := filepath.Join(cfg.DataDir, "checkpoint", "inst-3")
+	if err := os.RemoveAll(missing); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(cfg)
+	if err == nil {
+		s2.Close()
+		t.Fatal("Open restored from a checkpoint with an instance directory missing")
+	}
+	if !strings.Contains(err.Error(), missing) {
+		t.Errorf("Open error %q does not name %s", err, missing)
+	}
+	if after := liveTables(); len(after) != len(before) {
+		t.Errorf("the refused Open changed the live store: %d tables, were %d", len(after), len(before))
+	}
 }
 
 // TestOpenAfterKillBeforeFirstFlushRebuildsFromLog: LDB keeps no
@@ -298,8 +357,8 @@ type soakResult struct {
 // twice. The first child opens a default System on the ldb engine,
 // publishes the head, checkpoints, publishes the tail, holds the spout
 // part way through it and reports its progress from inside the hold; the
-// parent SIGKILLs it there. The second child reopens
-// with RestoreFromCheckpoint and drains: it must replay exactly the tail,
+// parent SIGKILLs it there. The second child reopens over the committed
+// checkpoint and drains: it must replay exactly the tail,
 // and end with every item's counters equal to the sequential reference
 // over the whole stream.
 func TestSystemKill9RestoreSoak(t *testing.T) {
@@ -383,7 +442,7 @@ func TestSystemKill9RestoreSoak(t *testing.T) {
 // soakChild is the body of a soak child process.
 func soakChild(t *testing.T, role, dir string) {
 	actions := recoveryStream(soakSeed, soakHead+soakTail, soakUsers, soakItems)
-	cfg := SystemConfig{DataDir: dir, StoreEngine: "ldb", RestoreFromCheckpoint: role == "restore"}
+	cfg := SystemConfig{DataDir: dir, StoreEngine: "ldb"}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -55,23 +55,23 @@ fi
 echo "== the documents name tests, benchmarks and DESIGN.md sections that exist; every exported name under internal/ has a shipped caller or is a listed test hook"
 run_tests '^(TestDocsNameCodeThatExists|TestInternalAPIHasAShippedCaller)$' .
 
-echo "== go test -race elastic parallelism and delivery (rebalance of a keyed stream, a spout stopped by a full queue, rebalance stress, write-behind flush hook and its failed flush, ordered tick round, idle rounds, keyed runs, one tuple per delivery, a failed Prepare's counted drops, spouts opened before any polls)"
-run_tests 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRebalance|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedPrepareDrainsAndCountsDrops|TestSpoutsOpenBeforeAnyPolls' -race ./internal/stream/
+echo "== go test -race elastic parallelism and delivery (rebalance of a keyed stream, a spout stopped by a full queue, rebalance stress, write-behind flush hook and its failed flush, ordered tick round, idle rounds, keyed runs, one tuple per delivery, a failed Prepare's counted drops, the spout task indexes a partition share is cut from)"
+run_tests 'TestRebalance|TestSpoutStopsAtQueueCapacity|TestQueueDepthKnobValidation|TestStressFieldsGroupingUnderRebalance|TestBatchFlusher|TestTickRound|TestTickEmissions|TestRun|TestDelivery|TestFailedPrepareDrainsAndCountsDrops|TestSpoutTasksOpenWithDistinctIndexes' -race ./internal/stream/
 
-# One delivery path: the spout commits after every poll, a rebalance
-# flushes the retiring tasks, and checkpoint replay recovers across
-# processes, the process being the failure unit. These two soaks, with the
-# combiner on as every System runs it, are the proof that rebalances,
-# faults armed on broker partitions (Broker.FailPartition) and a cold
-# restart lose nothing.
-echo "== go test -race -count=5 the chaos soak and the cold-restart soak"
-run_tests '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak)$' -race -count=5 ./internal/topology/
+# One delivery path: spout task i of n reads the partitions ≡ i (mod n)
+# and commits after every poll, a rebalance flushes the retiring tasks,
+# and checkpoint replay recovers across processes, the process being the
+# failure unit. These two soaks, with the combiner on as every System
+# runs it, are the proof that rebalances, faults armed on broker
+# partitions (Broker.FailPartition) and a cold restart lose nothing.
+echo "== go test -race -count=5 the chaos soak, the cold-restart soak and the spout tasks' partition shares"
+run_tests '^(TestChaosSoakLosesNothing|TestColdRestartChaosSoak|TestSpoutTasksOwnPartitionsByIndex)$' -race -count=5 ./internal/topology/
 
 echo "== go test -race serving tier (TTL, negative cache and its drop on write, a read that straddles Invalidate, a failed store read, LRU, mixed load)"
 run_tests 'TestCache|TestNegativeCache|TestInvalidate|TestInvalidateDuringRead|TestStoreErrorCachesNothing|TestLRU|TestGetBatch|TestConcurrentMixedLoad' -race ./internal/serving/
 
-echo "== go test -race ldb crash recovery (crash-reopen conformance against the model at the last flush, no file touched until a flush, cold restart), reads of mapped tables racing Compact, Close and Crash, a batch read back whole after a reopen, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
-run_tests 'TestLDBCrashReopenResumeConformance|TestWritesTouchNoFileUntilAFlush|TestReadsRacingCloseAndCompaction|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
+echo "== go test -race ldb crash recovery (crash-reopen conformance against the model at the last flush, no file touched until a flush, cold restart), reads of mapped tables racing Compact, Close and Crash, a merge asked of a closed store, a batch read back whole after a reopen, the sorted table index and its merge, the MDB table against a map and its stripes spread within one instance, write-behind result lists and their thresholds, one list write per round, pairCount store ops and job list against its reference, failed flush reads, first-round scores, a result slate read before Invalidate left uncached"
+run_tests 'TestLDBCrashReopenResumeConformance|TestWritesTouchNoFileUntilAFlush|TestReadsRacingCloseAndCompaction|TestCompactOnceAfterCloseIsErrClosed|TestClusterCheckpointRestore|TestColdRestartChaosSoak|TestEnginePutBatch|TestDurableEnginePutBatchReopen|TestTable|TestCompactStreamsNewestVersion|TestMemoryMatchesMapReference|TestStripesSpreadKeysOfOneInstance|TestWriteBehind|TestThresholds|TestResultListsLandOncePerRound|TestPairCount|TestItemCountFlushReadError|TestFirstTickRound|TestResultCacheDropsSlateReadBeforeInvalidate' \
 	-race ./internal/tdstore/engine/... ./internal/tdstore/ ./internal/topology/
 
 # The test skips itself unless exactly one tick round had run when it read
@@ -93,8 +93,8 @@ run_tests 'TestSparseIndex|TestReadFrom' -race ./internal/tdaccess/
 echo "== go test -race (stream, topology incl. chaos soak, tdaccess, tdstore incl. the store stress of writers and readers with no lock above an engine, serving, obsv)"
 go test -race ./internal/stream/... ./internal/topology/... ./internal/tdaccess/... ./internal/tdstore/... ./internal/serving/ ./internal/obsv/
 
-echo "== go test -race the recommender killed -9 mid-tail and restored from its checkpoint, the wire codec"
-run_tests '^TestSystemKill9RestoreSoak$' -race .
+echo "== go test -race the recommender killed -9 mid-tail and restored from its checkpoint, a stateful store refused with no checkpoint, a checkpoint missing an instance refused; the wire codec"
+run_tests '^(TestSystemKill9RestoreSoak|TestOpenRefusesStatefulStoreWithoutRestore|TestOpenRefusesCheckpointMissingAnInstance)$' -race .
 go test -race ./internal/cluster/
 
 # internal/cluster is a codec, not a runtime: it opens no sockets, starts

@@ -1,8 +1,11 @@
 package tencentrec
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -28,23 +31,22 @@ const actionTopic = "user-actions"
 
 // storeEngineFactory maps a StoreEngine name to a per-instance engine
 // constructor. Durable engines get one directory per instance,
-// dir/inst-<n>. When restore is non-empty it names a checkpoint directory:
-// each instance directory is wiped and re-seeded from the snapshot before
-// its engine opens (LDB only — the other engines have no snapshot
-// format). Without a restore, an LDB instance that already holds keys is
-// refused.
-func storeEngineFactory(name, dir, restore string) (func(tdstore.InstanceID) (engine.Engine, error), error) {
-	if restore != "" && name != "ldb" {
-		return nil, fmt.Errorf("tencentrec: checkpoint restore requires the ldb store engine, not %q", name)
-	}
+// dir/inst-<n>. When checkpoint is non-empty it names a committed
+// checkpoint: each instance directory is wiped and re-seeded from its
+// snapshot there before its engine opens. Without one, an LDB instance
+// that already holds keys is refused: the consumer group's offsets die
+// with the process, so the spout would replay the whole action log into
+// it and apply it twice, and emptying it instead would lose the item
+// profiles AddItem wrote, which the log does not hold.
+func storeEngineFactory(name, dir, checkpoint string) (func(tdstore.InstanceID) (engine.Engine, error), error) {
 	switch name {
 	case "", "mdb":
 		return nil, nil // cluster default: in-memory MDB
 	case "ldb":
 		return func(inst tdstore.InstanceID) (engine.Engine, error) {
 			instDir := tdstore.InstanceDir(dir, int(inst))
-			if restore != "" {
-				if err := ldb.Restore(tdstore.InstanceDir(restore, int(inst)), instDir); err != nil {
+			if checkpoint != "" {
+				if err := ldb.Restore(tdstore.InstanceDir(checkpoint, int(inst)), instDir); err != nil {
 					return nil, err
 				}
 				return ldb.Open(instDir, ldb.Options{})
@@ -53,14 +55,11 @@ func storeEngineFactory(name, dir, restore string) (func(tdstore.InstanceID) (en
 			if err != nil {
 				return nil, err
 			}
-			// The consumer group's offsets live in broker memory, so
-			// without a restore the spout reads the log from offset 0 and
-			// would apply every action a second time to this state.
 			n, err := eng.Len()
 			if err == nil && n > 0 {
-				err = fmt.Errorf("tencentrec: store directory %s already holds state: "+
-					"open with RestoreFromCheckpoint (-restore) to resume from the last checkpoint, "+
-					"or empty StoreDir to rebuild the state from the action log", dir)
+				err = fmt.Errorf("tencentrec: store directory %s already holds state and there is no "+
+					"committed checkpoint to resume from: empty StoreDir to rebuild the state from "+
+					"the action log (item profiles from AddItem are not in it)", dir)
 			}
 			if err != nil {
 				eng.Close()
@@ -70,6 +69,29 @@ func storeEngineFactory(name, dir, restore string) (func(tdstore.InstanceID) (en
 		}, nil
 	}
 	return nil, fmt.Errorf("tencentrec: unknown store engine %q (mdb or ldb)", name)
+}
+
+// committedCheckpoint reads the manifest of the checkpoint in dir, nil
+// when dir holds no committed one. A checkpoint that does not fit the
+// store, or lacks an instance directory its manifest counts, is an
+// error: restoring it would lose that instance's keys.
+func committedCheckpoint(dir string) (*tdstore.CheckpointManifest, error) {
+	m, err := tdstore.LoadCheckpoint(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if m.Instances != tdstore.DefaultInstances {
+		return nil, fmt.Errorf("checkpoint has %d instances, the store %d", m.Instances, tdstore.DefaultInstances)
+	}
+	for inst := range m.Instances {
+		if _, err := os.Stat(tdstore.InstanceDir(dir, inst)); err != nil {
+			return nil, fmt.Errorf("checkpoint instance %d: %w", inst, err)
+		}
+	}
+	return m, nil
 }
 
 // SystemConfig configures a full TencentRec deployment.
@@ -82,21 +104,19 @@ type SystemConfig struct {
 	// persists under StoreDir.
 	StoreEngine string
 	// StoreDir roots the durable engines' files, instance n's in
-	// StoreDir/inst-<n>. Default DataDir/tdstore.
-	// Open refuses an ldb StoreDir that already holds state unless
-	// RestoreFromCheckpoint is set: the spout would replay the whole
-	// action log into it.
+	// StoreDir/inst-<n>. Default DataDir/tdstore. Without a committed
+	// checkpoint in CheckpointDir, Open refuses an ldb StoreDir that
+	// already holds state: the spout would replay the whole action log
+	// into it.
 	StoreDir string
 	// CheckpointDir is where System.Checkpoint writes offset-anchored
-	// store snapshots and where RestoreFromCheckpoint reads them.
-	// Default DataDir/checkpoint.
+	// store snapshots. Default DataDir/checkpoint. On the ldb engine,
+	// Open cold-starts from a committed checkpoint there: the instance
+	// directories are re-seeded from the snapshot, the consumer group's
+	// committed offsets are replanted from the manifest, and the
+	// topology replays only the tail past them. Without one the spout
+	// replays the whole log.
 	CheckpointDir string
-	// RestoreFromCheckpoint cold-starts the store from CheckpointDir:
-	// instance directories are wiped and re-seeded from the snapshot, the
-	// consumer group's committed offsets are replanted from the manifest,
-	// and the topology replays only the tail past them. Requires the ldb
-	// engine and a committed checkpoint.
-	RestoreFromCheckpoint bool
 	// Params configures the algorithms. Zero value uses defaults.
 	Params Params
 	// Features selects the algorithm chains. Zero value enables CF
@@ -160,24 +180,20 @@ func Open(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tencentrec: open broker: %w", err)
 	}
-	// A cold restart reads the checkpoint manifest first: the store is
-	// re-seeded from the snapshot and the broker's committed offsets are
-	// replanted from the frontier, so the spout replays only the tail.
+	// An ldb store cold-starts from the committed checkpoint if there is
+	// one: the store is re-seeded from the snapshot and the broker's
+	// committed offsets are replanted from the frontier, so the spout
+	// replays only the tail.
 	var manifest *tdstore.CheckpointManifest
 	restoreDir := ""
-	if c.RestoreFromCheckpoint {
-		m, err := tdstore.LoadCheckpoint(c.CheckpointDir)
-		if err != nil {
+	if c.StoreEngine == "ldb" {
+		if manifest, err = committedCheckpoint(c.CheckpointDir); err != nil {
 			broker.Close()
 			return nil, fmt.Errorf("tencentrec: restore: %w", err)
 		}
-		if m.Instances != tdstore.DefaultInstances {
-			broker.Close()
-			return nil, fmt.Errorf("tencentrec: restore: checkpoint has %d instances, the store %d",
-				m.Instances, tdstore.DefaultInstances)
+		if manifest != nil {
+			restoreDir = c.CheckpointDir
 		}
-		manifest = m
-		restoreDir = c.CheckpointDir
 	}
 	engineFactory, err := storeEngineFactory(c.StoreEngine, c.StoreDir, restoreDir)
 	if err != nil {
@@ -290,7 +306,7 @@ func (s servedState) BatchPut(keys []string, values [][]byte) error {
 // Checkpoint drains the pipeline and writes an offset-anchored store
 // snapshot to CheckpointDir: every instance's engine state plus the
 // consumer group's committed offsets at the quiesce point. A later Open
-// with RestoreFromCheckpoint cold-starts from it and replays only the
+// on the same directories cold-starts from it and replays only the
 // records published after the frontier. Requires a snapshot-capable
 // store engine (ldb).
 func (s *System) Checkpoint(timeout time.Duration) error {
@@ -321,7 +337,7 @@ func (s *System) Checkpoint(timeout time.Duration) error {
 }
 
 // ReplayedTailRecords reports how many records the spout has consumed
-// this run. On a system opened with RestoreFromCheckpoint this is the
+// this run. On a system opened over a committed checkpoint this is the
 // tail replayed past the checkpoint frontier.
 func (s *System) ReplayedTailRecords() int64 { return s.replayed.Load() }
 
@@ -347,7 +363,7 @@ func (s *System) AddItem(id string, terms []string, published time.Time) error {
 // "Consumed" is read from the broker, not from this process's Publish
 // calls: every partition's committed offset for the topology's group has
 // reached that partition's end offset as it stood at the call. A System
-// opened with RestoreFromCheckpoint therefore waits for the tail past the
+// restored from a checkpoint therefore waits for the tail past the
 // checkpoint frontier, though it has published nothing itself.
 //
 // "Processed" is one ordered tick round over a drained pipeline: once the

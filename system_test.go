@@ -195,7 +195,6 @@ func TestSystemCheckpointRestore(t *testing.T) {
 	// Cold restart over the same data directory: the store restores the
 	// snapshot and the spout resumes from the checkpointed frontier, so
 	// only post-checkpoint records replay.
-	cfg.RestoreFromCheckpoint = true
 	s2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,11 +224,6 @@ func TestSystemCheckpointRestore(t *testing.T) {
 	}
 	if len(recs) == 0 || recs[0].Item != "video-B" {
 		t.Fatalf("after restore Recommend(newcomer) = %v, want video-B first", recs)
-	}
-
-	// Restore requires the durable engine.
-	if _, err := Open(SystemConfig{DataDir: dir, StoreEngine: "mdb", RestoreFromCheckpoint: true}); err == nil {
-		t.Fatal("restore with mdb engine accepted")
 	}
 }
 
