@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -414,6 +415,42 @@ func BenchmarkHTTPServingMix(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkStatePathSparse is the per-action state path on the sparse
+// shape: a default MDB System takes b.N actions of 200,000 users over
+// 5,000 uniform items, so the task caches miss on almost every action,
+// publishes them and drains. It reports ns/action and allocs/action, the
+// whole pipeline's; scripts/check.sh holds the allocations and
+// scripts/profile.sh profiles it.
+func BenchmarkStatePathSparse(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	actions := make([]tencentrec.RawAction, b.N)
+	for i := range actions {
+		actions[i] = tencentrec.RawAction{
+			User:   "u" + strconv.Itoa(rng.Intn(200000)),
+			Item:   "i" + strconv.Itoa(rng.Intn(5000)),
+			Action: "click",
+			TS:     benchStart.Add(time.Duration(i) * time.Millisecond).UnixNano(),
+		}
+	}
+	sys, err := tencentrec.Open(tencentrec.SystemConfig{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, a := range actions {
+		if err := sys.Publish(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sys.Drain(5 * time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/action")
 }
 
 // respWriter is a reusable in-process http.ResponseWriter, so a timed

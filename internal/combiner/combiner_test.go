@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"tencentrec/internal/keyhash"
 )
 
 func TestSumMerge(t *testing.T) {
@@ -106,5 +108,48 @@ func TestSumEqualsUnbufferedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddHashedAllocatesNothing is the zero-alloc gate of the combiner's
+// tuple path: once an interval has grown the slab and its index, adding
+// by keyhash, across keys and sessions, and flushing allocate nothing.
+func TestAddHashedAllocatesNothing(t *testing.T) {
+	keys, hs := make([]string, 256), make([]uint64, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("ic:item-%d", i)
+		hs[i] = keyhash.String(keys[i])
+	}
+	c := New(Sum)
+	interval := func() {
+		for i := range keys {
+			c.AddHashed(keys[i], hs[i], int64(i%2), 1)
+			c.AddHashed(keys[i], hs[i], int64(i%2), 1)
+		}
+		c.FlushHashed(func(string, uint64, int64, float64) {})
+	}
+	interval()
+	if allocs := testing.AllocsPerRun(100, interval); allocs != 0 {
+		t.Fatalf("an interval of 512 adds and a flush: %v allocs, want 0", allocs)
+	}
+}
+
+// TestSessionsNeverMerge: one key's deltas of two sessions are two cells,
+// flushed with their sessions, in the order they were first added.
+func TestSessionsNeverMerge(t *testing.T) {
+	c := New(Sum)
+	h := keyhash.String("ic:a")
+	c.AddHashed("ic:a", h, 2, 1)
+	c.AddHashed("ic:a", h, 1, 5)
+	c.AddHashed("ic:a", h, 2, 3)
+	var got []string
+	c.FlushHashed(func(k string, kh uint64, s int64, v float64) {
+		if kh != h {
+			t.Fatalf("flushed hash %#x, added %#x", kh, h)
+		}
+		got = append(got, fmt.Sprintf("%s@%d=%v", k, s, v))
+	})
+	if fmt.Sprint(got) != "[ic:a@2=4 ic:a@1=5]" {
+		t.Fatalf("flushed %v", got)
 	}
 }

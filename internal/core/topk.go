@@ -86,9 +86,6 @@ func (t *TopK) Threshold() float64 {
 	return t.items[len(t.items)-1].Score
 }
 
-// Len returns the number of entries.
-func (t *TopK) Len() int { return len(t.items) }
-
 // Items returns up to n entries in descending score order.
 // n <= 0 returns all.
 func (t *TopK) Items(n int) []ScoredItem {

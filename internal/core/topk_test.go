@@ -95,11 +95,11 @@ func TestTopKRemove(t *testing.T) {
 	if _, ok := scoreOf(tk, "b"); ok {
 		t.Fatal("removed entry still present")
 	}
-	if tk.Len() != 2 || !sorted(tk) {
-		t.Fatalf("after remove: len=%d sorted=%v", tk.Len(), sorted(tk))
+	if len(tk.items) != 2 || !sorted(tk) {
+		t.Fatalf("after remove: len=%d sorted=%v", len(tk.items), sorted(tk))
 	}
 	tk.Remove("never") // no-op
-	if tk.Len() != 2 {
+	if len(tk.items) != 2 {
 		t.Fatal("removing absent entry changed the list")
 	}
 }
@@ -129,7 +129,7 @@ func TestTopKAgainstBruteForceProperty(t *testing.T) {
 			// may have evicted entries permanently, so compare TopK's
 			// own invariants instead: sortedness, size bound, and
 			// threshold = min.
-			if tk.Len() > K || !sorted(tk) {
+			if len(tk.items) > K || !sorted(tk) {
 				return false
 			}
 			items := tk.Items(0)

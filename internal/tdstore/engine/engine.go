@@ -16,10 +16,11 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
-	"hash/maphash"
 	"math/bits"
 	"strings"
 	"sync"
+
+	"tencentrec/internal/keyhash"
 )
 
 // ErrClosed is returned by operations on a closed engine.
@@ -80,13 +81,19 @@ type Engine interface {
 	// Get returns the value stored under key, and whether it exists. The
 	// slice is the caller's: the engine keeps no reference to it.
 	Get(key string) ([]byte, bool, error)
+	// GetHashed is Get of a key whose keyhash the caller has computed.
+	GetHashed(key string, h uint64) ([]byte, bool, error)
 	// PutKV stores kv's value under kv's key, replacing any previous
 	// version. The engine keeps kv itself.
 	PutKV(kv KV) error
+	// PutHashed is PutKV of a KV whose key's keyhash is h.
+	PutHashed(kv KV, h uint64) error
 	// PutBatch stores every KV of kvs, in order, so a key given twice
 	// keeps its later value. It keeps each KV as PutKV does; the slice
 	// stays the caller's. A durable engine makes the batch one log append.
 	PutBatch(kvs []KV) error
+	// PutBatchHashed is PutBatch with hs[i] the keyhash of kvs[i]'s key.
+	PutBatchHashed(kvs []KV, hs []uint64) error
 	// Delete removes key. Deleting an absent key is not an error.
 	Delete(key string) error
 	// Len returns the number of live keys.
@@ -135,21 +142,17 @@ const (
 	stripeCount = 1 << stripeBits
 )
 
-// hashSeed seeds the MDB table hash. The hash is the table's own: the
-// route's FNV-1a picks the engine a key lives in, so its bits are the
-// same for every key of one engine and could spread nothing inside it.
-var hashSeed = maphash.MakeSeed()
-
-// hashKey returns the table hash of key. Its top stripeBits bits pick the
-// stripe, the 7 bits below them the slot's tag, and the rest the key's
-// home slot, so the three do not depend on each other.
-func hashKey(key string) uint64 { return maphash.String(hashSeed, key) }
-
+// An MDB table indexes a key by the high half of its keyhash, the mixed
+// one: the low half is the route's FNV-1a, whose bits below the instance
+// count are the same for every key of one engine. The top stripeBits bits
+// of the high half pick the stripe, and the whole half, its low bit set so
+// that 0 marks an empty slot, is the word a slot keeps: the key's home
+// slot comes from its bits below the stripe's, and a probe compares it
+// before it compares a key.
 func stripeOf(h uint64) uint64 { return h >> (64 - stripeBits) }
 
-// tagOf returns the tag a slot holding a key of hash h carries: 7 bits of
-// the hash with the top bit set, so that 0 marks an empty slot.
-func tagOf(h uint64) uint8 { return uint8(h>>(64-stripeBits-7)) | 0x80 }
+// wordOf returns the word a slot holding a key of keyhash h keeps.
+func wordOf(h uint64) uint32 { return uint32(h>>32) | 1 }
 
 // Memory is the MDB engine: a lock-striped in-memory hash table. Keys
 // spread over stripeCount stripes, each guarded by its own RWMutex, so
@@ -173,8 +176,8 @@ type stripe struct {
 const minSlots = 7
 
 // table is an open-addressing hash table with linear probing. A slot is
-// the 16-byte header of the KV it holds and a 1-byte tag, against a
-// 40-byte map[string][]byte slot. A table has 2^k-1 slots: Go puts an
+// the 16-byte header of the KV it holds and its key's 4-byte word, against
+// a 40-byte map[string][]byte slot. A table has 2^k-1 slots: Go puts an
 // 8-byte header ahead of an object that holds pointers and is larger
 // than 512 bytes, so 2^k 16-byte slots would take the next size class,
 // up to a fifth more. It grows to twice its size when an insert would
@@ -182,15 +185,15 @@ const minSlots = 7
 // has grown, and it always keeps an empty slot to end a probe. A delete
 // shifts the entries behind it back, so no tombstone is left.
 type table struct {
-	kvs  []KV    // "" in an empty slot
-	tags []uint8 // 0 in an empty slot, else tagOf the key's hash
-	n    int     // occupied slots
+	kvs   []KV     // "" in an empty slot
+	words []uint32 // 0 in an empty slot, else wordOf the key's hash
+	n     int      // occupied slots
 }
 
-// home returns the slot a key of hash h starts its probe at: the hash
-// bits that stripe and tag leave, scaled to the table's size.
-func (t *table) home(h uint64) int {
-	hi, _ := bits.Mul64(h<<(stripeBits+7), uint64(len(t.kvs)))
+// home returns the slot a key of word w starts its probe at: the word's
+// bits below the stripe's, scaled to the table's size.
+func (t *table) home(w uint32) int {
+	hi, _ := bits.Mul64(uint64(w)<<(32+stripeBits), uint64(len(t.kvs)))
 	return int(hi)
 }
 
@@ -205,12 +208,12 @@ func (t *table) next(i int) int {
 // find returns the slot holding key and true, or the empty slot that
 // ends key's probe and false. The table must have slots.
 func (t *table) find(key string, h uint64) (int, bool) {
-	tag := tagOf(h)
-	for i := t.home(h); ; i = t.next(i) {
-		switch t.tags[i] {
+	w := wordOf(h)
+	for i := t.home(w); ; i = t.next(i) {
+		switch t.words[i] {
 		case 0:
 			return i, false
-		case tag:
+		case w:
 			if t.kvs[i].Key() == key {
 				return i, true
 			}
@@ -240,26 +243,26 @@ func (t *table) put(kv KV, key string, h uint64) {
 			t.resize(2*len(t.kvs) + 1)
 			i, _ = t.find(key, h)
 		}
-		t.tags[i] = tagOf(h)
+		t.words[i] = wordOf(h)
 		t.n++
 	}
 	t.kvs[i] = kv
 }
 
-// resize moves every entry into a new table of size slots.
+// resize moves every entry into a new table of size slots. A slot's word
+// places it again: no key is hashed.
 func (t *table) resize(size int) {
-	old := t.kvs
-	t.kvs, t.tags = make([]KV, size), make([]uint8, size)
-	for _, kv := range old {
-		if kv == "" {
+	kvs, words := t.kvs, t.words
+	t.kvs, t.words = make([]KV, size), make([]uint32, size)
+	for j, w := range words {
+		if w == 0 {
 			continue
 		}
-		h := hashKey(kv.Key())
-		i := t.home(h)
-		for t.tags[i] != 0 {
+		i := t.home(w)
+		for t.words[i] != 0 {
 			i = t.next(i)
 		}
-		t.kvs[i], t.tags[i] = kv, tagOf(h)
+		t.kvs[i], t.words[i] = kvs[j], w
 	}
 }
 
@@ -276,13 +279,13 @@ func (t *table) delete(key string, h uint64) {
 		return
 	}
 	hole := i
-	for j := t.next(hole); t.tags[j] != 0; j = t.next(j) {
-		if t.behind(t.home(hashKey(t.kvs[j].Key())), j) >= t.behind(hole, j) {
-			t.kvs[hole], t.tags[hole] = t.kvs[j], t.tags[j]
+	for j := t.next(hole); t.words[j] != 0; j = t.next(j) {
+		if t.behind(t.home(t.words[j]), j) >= t.behind(hole, j) {
+			t.kvs[hole], t.words[hole] = t.kvs[j], t.words[j]
 			hole = j
 		}
 	}
-	t.kvs[hole], t.tags[hole] = "", 0
+	t.kvs[hole], t.words[hole] = "", 0
 	t.n--
 }
 
@@ -297,10 +300,14 @@ func (t *table) behind(i, j int) int {
 // NewMemory returns an MDB engine.
 func NewMemory() *Memory { return &Memory{} }
 
-// Get implements Engine. The value is copied out after the stripe's lock
-// is released: a KV never changes.
+// Get implements Engine.
 func (m *Memory) Get(key string) ([]byte, bool, error) {
-	h := hashKey(key)
+	return m.GetHashed(key, keyhash.String(key))
+}
+
+// GetHashed implements Engine. The value is copied out after the stripe's
+// lock is released: a KV never changes.
+func (m *Memory) GetHashed(key string, h uint64) ([]byte, bool, error) {
 	s := &m.stripes[stripeOf(h)]
 	s.mu.RLock()
 	kv, closed := s.get(key, h), s.closed
@@ -314,17 +321,18 @@ func (m *Memory) Get(key string) ([]byte, bool, error) {
 	return []byte(kv.Value()), true, nil
 }
 
-// PutKV implements Engine: the entry is kv itself, not a copy.
-func (m *Memory) PutKV(kv KV) error {
-	key := kv.Key()
-	h := hashKey(key)
+// PutKV implements Engine.
+func (m *Memory) PutKV(kv KV) error { return m.PutHashed(kv, keyhash.String(kv.Key())) }
+
+// PutHashed implements Engine: the entry is kv itself, not a copy.
+func (m *Memory) PutHashed(kv KV, h uint64) error {
 	s := &m.stripes[stripeOf(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.put(kv, key, h)
+	s.put(kv, kv.Key(), h)
 	return nil
 }
 
@@ -338,9 +346,19 @@ func (m *Memory) PutBatch(kvs []KV) error {
 	return nil
 }
 
+// PutBatchHashed implements Engine: one PutHashed per KV.
+func (m *Memory) PutBatchHashed(kvs []KV, hs []uint64) error {
+	for i, kv := range kvs {
+		if err := m.PutHashed(kv, hs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Delete implements Engine.
 func (m *Memory) Delete(key string) error {
-	h := hashKey(key)
+	h := keyhash.String(key)
 	s := &m.stripes[stripeOf(h)]
 	s.mu.Lock()
 	defer s.mu.Unlock()

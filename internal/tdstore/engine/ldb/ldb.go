@@ -689,6 +689,16 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
+// GetHashed implements engine.Engine: the keyhash is not used, since a
+// table's filter and index hash with their own function.
+func (s *Store) GetHashed(key string, _ uint64) ([]byte, bool, error) { return s.Get(key) }
+
+// PutHashed implements engine.Engine as PutKV.
+func (s *Store) PutHashed(kv engine.KV, _ uint64) error { return s.PutKV(kv) }
+
+// PutBatchHashed implements engine.Engine as PutBatch.
+func (s *Store) PutBatchHashed(kvs []engine.KV, _ []uint64) error { return s.PutBatch(kvs) }
+
 // Put stores value under key: it builds the KV and hands it to PutKV.
 func (s *Store) Put(key string, value []byte) error {
 	return s.PutKV(engine.MakeKV(key, value))
@@ -932,7 +942,10 @@ func (s *Store) compactOnce() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errors.Join(ErrClosed, merged.unmap())
+		if err := merged.unmap(); err != nil {
+			return errors.Join(ErrClosed, err)
+		}
+		return ErrClosed
 	}
 	s.tableMu.Lock()
 	s.tables = append([]*sstable{merged}, s.tables[len(inputs):]...)

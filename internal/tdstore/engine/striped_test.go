@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"tencentrec/internal/keyhash"
 )
 
 func TestStripedShardDistribution(t *testing.T) {
@@ -44,11 +46,11 @@ func TestStripedShardDistribution(t *testing.T) {
 
 func TestStripedShardSelectionDeterministic(t *testing.T) {
 	for _, key := range []string{"", "a", "user:42", "pair:i1:i2"} {
-		if a, b := hashKey(key), hashKey(key); a != b {
-			t.Fatalf("hashKey(%q) unstable: %d vs %d", key, a, b)
+		if a, b := keyhash.String(key), keyhash.String(key); a != b {
+			t.Fatalf("keyhash.String(%q) unstable: %d vs %d", key, a, b)
 		}
-		if s := stripeOf(hashKey(key)); s >= stripeCount {
-			t.Fatalf("stripeOf(hashKey(%q)) = %d out of range", key, s)
+		if s := stripeOf(keyhash.String(key)); s >= stripeCount {
+			t.Fatalf("stripeOf(keyhash.String(%q)) = %d out of range", key, s)
 		}
 	}
 }
@@ -94,7 +96,7 @@ func TestStripesSpreadKeysOfOneInstance(t *testing.T) {
 }
 
 // checkTable asserts the table's invariants: n counts its occupied slots,
-// a slot's tag is its key's, every key is found from its home slot
+// a slot's word is its key's, every key is found from its home slot
 // without crossing an empty one, and keys sit on average within a few
 // slots of home (linear probing at 3/4 full averages 1.5), which a home
 // slot taken from bits the stripe fixed would not.
@@ -102,21 +104,21 @@ func checkTable(t *testing.T, tb *table) {
 	t.Helper()
 	occupied, displaced := 0, 0
 	for i, kv := range tb.kvs {
-		if (kv == "") != (tb.tags[i] == 0) {
-			t.Fatalf("slot %d: KV %q with tag %#x", i, kv, tb.tags[i])
+		if (kv == "") != (tb.words[i] == 0) {
+			t.Fatalf("slot %d: KV %q with word %#x", i, kv, tb.words[i])
 		}
 		if kv == "" {
 			continue
 		}
 		occupied++
-		h := hashKey(kv.Key())
-		if tb.tags[i] != tagOf(h) {
-			t.Fatalf("slot %d: tag %#x, its key's is %#x", i, tb.tags[i], tagOf(h))
+		h := keyhash.String(kv.Key())
+		if tb.words[i] != wordOf(h) {
+			t.Fatalf("slot %d: word %#x, its key's is %#x", i, tb.words[i], wordOf(h))
 		}
 		if j, ok := tb.find(kv.Key(), h); !ok || j != i {
 			t.Fatalf("key %q sits in slot %d but find says %d %v", kv.Key(), i, j, ok)
 		}
-		displaced += tb.behind(tb.home(h), i)
+		displaced += tb.behind(tb.home(wordOf(h)), i)
 	}
 	if occupied != tb.n {
 		t.Fatalf("table counts %d entries, holds %d", tb.n, occupied)
@@ -199,10 +201,10 @@ func TestMemoryMatchesMapReference(t *testing.T) {
 			}
 			ref[k] = v
 		case r < putShare+delShare:
-			h := hashKey(k)
+			h := keyhash.String(k)
 			tb := &m.stripes[stripeOf(h)].table
 			if tb.n > 0 {
-				if i, ok := tb.find(k, h); ok && tb.tags[tb.next(i)] != 0 {
+				if i, ok := tb.find(k, h); ok && tb.words[tb.next(i)] != 0 {
 					chainDeletes++
 				}
 			}

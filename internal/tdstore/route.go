@@ -16,6 +16,8 @@
 // log's tail past it (Cluster.Checkpoint) are what recover the store.
 package tdstore
 
+import "tencentrec/internal/keyhash"
+
 // InstanceID identifies a data instance (a shard of the key space).
 type InstanceID int
 
@@ -25,16 +27,17 @@ type RouteTable struct {
 	NumInstances int
 }
 
-// InstanceFor returns the data instance owning key. The hash is FNV-1a
-// inlined so routing a key never allocates (bit-identical to the
-// hash/fnv + Fprint form it replaces, so data placement is unchanged —
-// see TestInstanceForMatchesFNVReference).
+// InstanceFor returns the data instance owning key: FNV-1a-32 of the key
+// modulo the instance count (bit-identical to the hash/fnv + Fprint form
+// of the store's first version, so data placement is unchanged — see
+// TestInstanceForMatchesFNVReference).
 func (rt *RouteTable) InstanceFor(key string) InstanceID {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return InstanceID(h % uint32(rt.NumInstances))
+	return rt.instanceOf(keyhash.String(key))
+}
+
+// instanceOf returns the data instance owning the key whose keyhash is h:
+// the hash's FNV-1a-32 half places it, so a caller that carries the hash
+// routes without reading the key.
+func (rt *RouteTable) instanceOf(h uint64) InstanceID {
+	return InstanceID(keyhash.Route(h) % uint32(rt.NumInstances))
 }

@@ -6,12 +6,12 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 
 	"tencentrec/internal/combiner"
 	"tencentrec/internal/core"
 	"tencentrec/internal/demographic"
+	"tencentrec/internal/keyhash"
 	"tencentrec/internal/obsv"
 	"tencentrec/internal/statecodec"
 	"tencentrec/internal/stream"
@@ -30,9 +30,11 @@ const (
 	StreamItemInfo   = "item_info"
 )
 
-// flushedDelta is one combiner output entry, ungrouped for ordered apply.
+// flushedDelta is one combiner output entry, ungrouped for ordered apply:
+// a state key with its keyhash, and the merged delta of one session.
 type flushedDelta struct {
 	key     string
+	h       uint64
 	session int64
 	value   float64
 }
@@ -45,9 +47,8 @@ type flushedDelta struct {
 // allocates nothing.
 func drainCombinerInto(c *combiner.Combiner, buf []flushedDelta) []flushedDelta {
 	out := buf[:0]
-	c.Flush(func(ck string, v float64) {
-		key, session := splitCombKey(ck)
-		out = append(out, flushedDelta{key: key, session: session, value: v})
+	c.FlushHashed(func(key string, h uint64, session int64, v float64) {
+		out = append(out, flushedDelta{key: key, h: h, session: session, value: v})
 	})
 	slices.SortFunc(out, func(a, b flushedDelta) int {
 		if c := cmp.Compare(a.session, b.session); c != 0 {
@@ -63,20 +64,20 @@ func drainCombinerInto(c *combiner.Combiner, buf []flushedDelta) []flushedDelta 
 // deltas left the in-flight count when they were buffered; back in the
 // combiner, the interval is flushed by the next tick together with that
 // tick's own.
-func putBack(c *combiner.Combiner, keys *interner, deltas []flushedDelta) {
+func putBack(c *combiner.Combiner, deltas []flushedDelta) {
 	for i := range deltas {
-		c.Add(keys.comb(deltas[i].key, deltas[i].session), deltas[i].value)
+		d := &deltas[i]
+		c.AddHashed(d.key, d.h, d.session, d.value)
 	}
 }
 
-func splitCombKey(ck string) (string, int64) {
-	for i := len(ck) - 1; i >= 0; i-- {
-		if ck[i] == '@' {
-			session, _ := strconv.ParseInt(ck[i+1:], 10, 64)
-			return ck[:i], session
-		}
+// stageDeltas stages the owned keys of drained deltas in sb and loads
+// them: the read of one flush interval.
+func stageDeltas(sb *stateBatch, deltas []flushedDelta) error {
+	for i := range deltas {
+		sb.stage(deltas[i].key, deltas[i].h, false)
 	}
-	return ck, 0
+	return sb.load()
 }
 
 // PretreatmentBolt is the preprocessing layer: it parses raw TDAccess
@@ -165,8 +166,8 @@ type UserHistoryBolt struct {
 	st    *taskState
 	// ar emits the AR chain's transaction streams.
 	ar bool
-	// keys interns the uh: state keys and downstream pair ids, so an
-	// action builds no key strings.
+	// keys interns and hashes the uh: state keys, and interns the
+	// downstream pair ids, so an action builds no key strings.
 	keys *interner
 	// vals chunk-allocates emission payloads; sessVal/weightVal memoize
 	// the interface boxings of the slow-moving session and the small
@@ -258,8 +259,8 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	}
 	session := b.p.clock().SessionOf(RawAction{TS: ts}.Time())
 
-	ukey := b.keys.key2(prefixUserHistory, user)
-	raw, ok, err := b.st.Get(ukey)
+	ukey, uh := b.keys.key2(prefixUserHistory, user)
+	raw, ok, err := b.st.Get(ukey, uh)
 	if err != nil {
 		return err
 	}
@@ -276,10 +277,10 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	}
 	newR := math.Max(oldR, weight)
 
-	// Box the values shared by many emissions once per action; the
-	// session and item boxings are memoized across actions.
+	// Box the values shared by many emissions once per action: the session
+	// boxing is memoized across actions, and the item's is the tuple's.
 	sessVal := b.session(session)
-	itemVal := b.keys.box(item)
+	itemVal := t.Value("item")
 	if d := newR - oldR; d > 0 {
 		b.emit(StreamItemDelta, b.vals.v3(itemVal, d, sessVal))
 	}
@@ -329,17 +330,17 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	// users with no profile (§6.4).
 	group := b.p.groupOf(user)
 	weightVal := b.weight(weight)
-	b.emit(StreamGroupDelta, b.vals.v4(b.keys.box(group), itemVal, weightVal, sessVal))
 	if group != demographic.GlobalGroup {
-		b.emit(StreamGroupDelta, b.vals.v4(b.keys.box(demographic.GlobalGroup), itemVal, weightVal, sessVal))
+		b.emit(StreamGroupDelta, b.vals.v4(group, itemVal, weightVal, sessVal))
 	}
+	b.emit(StreamGroupDelta, b.vals.v4(globalGroup, itemVal, weightVal, sessVal))
 
 	// The frame was validated above, so the edits cannot decline.
 	out, _ := statecodec.UpsertHistoryEntry(raw, item, storedRating{Rating: newR, TS: ts})
 	if n, _ := statecodec.HistoryLen(out); n > b.p.MaxUserHistory {
 		out, _ = statecodec.EvictOldestHistoryEntry(out, item)
 	}
-	err = b.st.Put(ukey, out)
+	err = b.st.Put(ukey, uh, out)
 	if err == nil {
 		for _, e := range b.emits {
 			b.c.EmitTo(e.stream, e.values)
@@ -348,6 +349,10 @@ func (b *UserHistoryBolt) Execute(t *stream.Tuple) error {
 	b.emits = b.emits[:0]
 	return err
 }
+
+// globalGroup is the global group's id boxed once: every action's group
+// deltas include it.
+var globalGroup any = demographic.GlobalGroup
 
 // emit buffers an emission until the history write succeeds.
 func (b *UserHistoryBolt) emit(sid string, values stream.Values) {
@@ -376,9 +381,8 @@ type ItemCountBolt struct {
 	st    *taskState
 	comb  *combiner.Combiner
 	keys  *interner
-	// deltas/keyBuf are flush scratch, reused across ticks.
+	// deltas is flush scratch, reused across ticks.
 	deltas []flushedDelta
-	keyBuf []string
 }
 
 // NewItemCountBolt returns the bolt factory.
@@ -404,7 +408,8 @@ func (b *ItemCountBolt) Execute(t *stream.Tuple) error {
 	item := t.Value("item").(string)
 	delta := t.Value("delta").(float64)
 	session := t.Value("session").(int64)
-	b.comb.Add(b.keys.comb(item, session), delta)
+	key, h := b.keys.key2(prefixItemCount, item)
+	b.comb.AddHashed(key, h, session, delta)
 	if b.p.DisableCombiner {
 		return b.flush()
 	}
@@ -421,20 +426,15 @@ func (b *ItemCountBolt) flush() error {
 	// One batched read of every touched counter, the merged deltas
 	// applied in session order against the staged view, one batched
 	// write back — the tick costs two store round-trips, not 2N.
-	keys := b.keyBuf[:0]
-	for i := range deltas {
-		keys = append(keys, b.keys.key2(prefixItemCount, deltas[i].key))
-	}
-	b.keyBuf = keys
 	sb := b.st.batch()
-	if err := sb.prefetch(keys, nil); err != nil {
-		putBack(b.comb, b.keys, deltas)
+	if err := stageDeltas(sb, deltas); err != nil {
+		putBack(b.comb, deltas)
 		return err
 	}
 	var firstErr error
 	for i := range deltas {
 		d := &deltas[i]
-		if _, err := sb.addCounter(keys[i], b.p.WindowSessions, d.session, d.value); err != nil && firstErr == nil {
+		if _, err := sb.addCounter(d.key, d.h, b.p.WindowSessions, d.session, d.value); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -560,8 +560,10 @@ const noJob = -1
 
 // pairItem is one member item of the pairs a task owns.
 type pairItem struct {
-	// icKey is the item's itemCount key, "ic:"+item id.
+	// icKey is the item's itemCount key, "ic:"+item id, and icH its
+	// keyhash.
 	icKey string
+	icH   uint64
 	// icPos, and thPos with pruning on, are where the batch numbered epoch
 	// staged the item's count and top-K threshold.
 	icPos, thPos int32
@@ -651,6 +653,7 @@ func (b *PairCountBolt) item(id string) uint32 {
 		return i
 	}
 	it := pairItem{icKey: prefixItemCount + id}
+	it.icH = keyhash.String(it.icKey)
 	i := uint32(len(b.items))
 	b.items = append(b.items, it)
 	b.itemIdx[it.id()] = i
@@ -861,7 +864,9 @@ func reuse[T any](s []T) []T {
 // member item's itemCount and top-K threshold (foreign). A pair is staged
 // once however many sessions it has jobs in, an item once however many pairs
 // it is in; the positions are left in the touched list and the item rows for
-// apply. The pc: keys are built into one string, one allocation per flush.
+// apply. The pc: keys are built into one string, one allocation per flush,
+// and each is hashed there, once: the cache keeps a copy of its key's
+// bytes, not the string.
 func (b *PairCountBolt) newPairBatch() (*stateBatch, error) {
 	pruning := b.p.PruningDelta > 0 && b.p.PruningDelta < 1
 	sb := b.st.batch()
@@ -901,11 +906,13 @@ func (b *PairCountBolt) newPairBatch() (*stateBatch, error) {
 		keys = keys[len(key):]
 		pair := key[len(prefixPairCount):]
 		if !rec.is(recFlagRead) {
-			sb.stage(b.keys.key2(prefixPruned, pair), false)
+			k, h := b.keys.key2(prefixPruned, pair)
+			sb.stage(k, h, false)
 		}
-		t.pos = int32(sb.stageAt(key, false))
+		t.pos = int32(sb.stageAt(key, keyhash.String(key), false))
 		if pruning {
-			sb.stage(b.keys.key2(prefixPairN, pair), false)
+			k, h := b.keys.key2(prefixPairN, pair)
+			sb.stage(k, h, false)
 		}
 		b.stageItem(sb, &b.items[rec.a], pruning)
 		b.stageItem(sb, &b.items[rec.b], pruning)
@@ -928,9 +935,10 @@ func (b *PairCountBolt) stageItem(sb *stateBatch, it *pairItem, pruning bool) {
 		return
 	}
 	it.epoch = b.epoch
-	it.icPos = int32(sb.stageAt(it.icKey, true))
+	it.icPos = int32(sb.stageAt(it.icKey, it.icH, true))
 	if pruning {
-		it.thPos = int32(sb.stage(b.keys.key2(prefixThreshold, it.id()), true))
+		k, h := b.keys.key2(prefixThreshold, it.id())
+		it.thPos = int32(sb.stage(k, h, true))
 	}
 }
 
@@ -990,7 +998,8 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 	if b.p.PruningDelta <= 0 || b.p.PruningDelta >= 1 {
 		return nil
 	}
-	nTotal, err := sb.addCounter(b.keys.key2(prefixPairN, pair), 0, 0, j.n)
+	nKey, nH := b.keys.key2(prefixPairN, pair)
+	nTotal, err := sb.addCounter(nKey, nH, 0, 0, j.n)
 	if err != nil {
 		return err
 	}
@@ -1006,7 +1015,8 @@ func (b *PairCountBolt) apply(sb *stateBatch, j *pairJob) error {
 	eps := core.HoeffdingEpsilon(1, b.p.PruningDelta, int(nTotal))
 	if eps < thr-sim {
 		rec.set(recPruned)
-		sb.put(b.keys.key2(prefixPruned, pair), []byte{1})
+		k, h := b.keys.key2(prefixPruned, pair)
+		sb.put(k, h, []byte{1})
 		// Withdraw the pair from both lists.
 		b.sims = append(b.sims,
 			stream.Row{Key: itemA.id(), Str: itemB.id()},
@@ -1126,9 +1136,10 @@ type ResultStorageBolt struct {
 	lists    map[string]*stagedList
 	listsCap int
 	// dirty lists the frames merged since the last flush, in first-write
-	// order; fkeys/fvals are the putBatch argument scratch.
+	// order; fkeys/fhs/fvals are the putBatch argument scratch.
 	dirty []*stagedList
 	fkeys []string
+	fhs   []uint64
 	fvals [][]byte
 }
 
@@ -1201,7 +1212,7 @@ func (b *ResultStorageBolt) merge(item, other string, sim float64) error {
 	}
 	out, thr, ok := statecodec.MergeListEntry(e.frame, other, sim, b.p.TopK)
 	if !ok {
-		return errBadFrame(b.keys.key2(b.prefix, item), e.frame)
+		return errBadFrame(b.prefix+item, e.frame)
 	}
 	e.frame, e.thr = out, thr
 	if !e.dirty {
@@ -1221,20 +1232,20 @@ func (b *ResultStorageBolt) FlushBatch() error {
 	if len(b.dirty) == 0 {
 		return nil
 	}
-	keys, vals := b.fkeys[:0], b.fvals[:0]
+	keys, hs, vals := b.fkeys[:0], b.fhs[:0], b.fvals[:0]
 	for _, e := range b.dirty {
-		keys = append(keys, b.keys.key2(b.prefix, e.item))
-		vals = append(vals, e.frame)
+		k, h := b.keys.key2(b.prefix, e.item)
+		keys, hs, vals = append(keys, k), append(hs, h), append(vals, e.frame)
 		if b.thresholds && (!e.thrKnown || e.thr != e.thrPut) {
 			if !statecodec.PatchFloat(e.thrEnc, e.thr) {
 				e.thrEnc = encodeFloat(e.thr)
 			}
-			keys = append(keys, b.keys.key2(prefixThreshold, e.item))
-			vals = append(vals, e.thrEnc)
+			k, h := b.keys.key2(prefixThreshold, e.item)
+			keys, hs, vals = append(keys, k), append(hs, h), append(vals, e.thrEnc)
 		}
 	}
-	b.fkeys, b.fvals = keys, vals
-	err := b.st.putBatch(keys, vals)
+	b.fkeys, b.fhs, b.fvals = keys, hs, vals
+	err := b.st.putBatch(keys, hs, vals)
 	clear(b.fvals) // drop value references; capacity stays
 	if err != nil {
 		return err

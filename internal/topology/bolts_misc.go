@@ -7,6 +7,7 @@ import (
 	"tencentrec/internal/combiner"
 	"tencentrec/internal/core"
 	"tencentrec/internal/ctr"
+	"tencentrec/internal/keyhash"
 	"tencentrec/internal/statecodec"
 	"tencentrec/internal/stream"
 )
@@ -21,9 +22,8 @@ type DBBolt struct {
 	st    *taskState
 	comb  *combiner.Combiner
 	keys  *interner
-	// deltas/ownedBuf are flush scratch, reused across ticks.
-	deltas   []flushedDelta
-	ownedBuf []string
+	// deltas is flush scratch, reused across ticks.
+	deltas []flushedDelta
 }
 
 // NewDBBolt returns the bolt factory.
@@ -50,7 +50,8 @@ func (b *DBBolt) Execute(t *stream.Tuple) error {
 	item := t.Value("item").(string)
 	weight := t.Value("weight").(float64)
 	session := t.Value("session").(int64)
-	b.comb.Add(b.keys.combJoined(group, item, session), weight)
+	key, h := b.keys.key3(prefixGroupCount, group, item)
+	b.comb.AddHashed(key, h, session, weight)
 	if b.p.DisableCombiner {
 		return b.flush()
 	}
@@ -68,21 +69,19 @@ func (b *DBBolt) flush() error {
 	// interval touches (deduplicated per group); staged applies then land
 	// in one batched write. Multiple items of one group fold into the same
 	// staged list via read-your-writes.
-	owned := b.ownedBuf[:0]
-	for i := range deltas {
-		group, _ := splitPair(deltas[i].key)
-		owned = append(owned, b.keys.key2(prefixGroupCount, deltas[i].key), b.keys.key2(prefixHotList, group))
-	}
-	b.ownedBuf = owned
 	sb := b.st.batch()
-	if err := sb.prefetch(owned, nil); err != nil {
-		putBack(b.comb, b.keys, deltas)
+	for i := range deltas {
+		group, _ := splitPair(deltas[i].key[len(prefixGroupCount):])
+		k, h := b.keys.key2(prefixHotList, group)
+		sb.stage(k, h, false)
+	}
+	if err := stageDeltas(sb, deltas); err != nil {
+		putBack(b.comb, deltas)
 		return err
 	}
 	var firstErr error
 	for i := range deltas {
-		d := &deltas[i]
-		if err := b.apply(sb, d.key, d.session, d.value); err != nil && firstErr == nil {
+		if err := b.apply(sb, &deltas[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -92,14 +91,16 @@ func (b *DBBolt) flush() error {
 	return firstErr
 }
 
-func (b *DBBolt) apply(sb *stateBatch, groupItem string, session int64, weight float64) error {
-	group, item := splitPair(groupItem)
-	sum, err := sb.addCounter(b.keys.key2(prefixGroupCount, groupItem), b.p.WindowSessions, session, weight)
+// apply folds one drained delta of a gc: counter into the counter and its
+// group's hot list.
+func (b *DBBolt) apply(sb *stateBatch, d *flushedDelta) error {
+	group, item := splitPair(d.key[len(prefixGroupCount):])
+	sum, err := sb.addCounter(d.key, d.h, b.p.WindowSessions, d.session, d.value)
 	if err != nil {
 		return err
 	}
-	hotKey := b.keys.key2(prefixHotList, group)
-	raw, ok, err := sb.get(hotKey)
+	hotKey, hotH := b.keys.key2(prefixHotList, group)
+	raw, ok, err := sb.get(hotKey, hotH)
 	if err != nil {
 		return err
 	}
@@ -111,7 +112,7 @@ func (b *DBBolt) apply(sb *stateBatch, groupItem string, session int64, weight f
 	if !ok {
 		return errBadFrame(hotKey, raw)
 	}
-	sb.put(hotKey, out)
+	sb.put(hotKey, hotH, out)
 	return nil
 }
 
@@ -132,9 +133,8 @@ type ARBolt struct {
 	// dirty maps pair -> latest session of a buffered update.
 	dirty map[string]int64
 	keys  *interner
-	// keyBuf/foreignBuf are flush scratch, reused across ticks.
-	keyBuf     []string
-	foreignBuf []string
+	// keyBuf is flush scratch, reused across ticks.
+	keyBuf []string
 }
 
 // NewARBolt returns the bolt factory.
@@ -161,7 +161,8 @@ func (b *ARBolt) Execute(t *stream.Tuple) error {
 	var firstErr error
 	for _, row := range t.Run("pair") {
 		pair := row.Key
-		if _, err := b.st.addCounter(b.keys.key2(prefixARPair, pair), b.p.WindowSessions, session, 1); err != nil {
+		k, h := b.keys.key2(prefixARPair, pair)
+		if _, err := b.st.addCounter(k, h, b.p.WindowSessions, session, 1); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -183,30 +184,36 @@ func (b *ARBolt) flush() error {
 	}
 	pairs := sortedKeysInto(b.dirty, b.keyBuf[:0])
 	b.keyBuf = pairs
-	foreign := b.foreignBuf[:0]
+	sb := b.st.batch()
 	for _, pair := range pairs {
 		a, c2 := splitPair(pair)
-		foreign = append(foreign, b.keys.key2(prefixARPair, pair), b.keys.key2(prefixARItem, a), b.keys.key2(prefixARItem, c2))
+		pk, ph := b.keys.key2(prefixARPair, pair)
+		sb.stage(pk, ph, true)
+		ak, ah := b.keys.key2(prefixARItem, a)
+		sb.stage(ak, ah, true)
+		ck, ch := b.keys.key2(prefixARItem, c2)
+		sb.stage(ck, ch, true)
 	}
-	b.foreignBuf = foreign
-	sb := b.st.batch()
-	if err := sb.prefetch(nil, foreign); err != nil {
+	if err := sb.load(); err != nil {
 		return err
 	}
 	// The interval's rules leave as one run: two rows per pair at most.
 	rules := make(stream.Run, 0, 2*len(pairs))
 	for _, pair := range pairs {
 		session := b.dirty[pair]
-		supp, err := sb.readCounterSum(b.keys.key2(prefixARPair, pair), session)
-		if err != nil {
-			return err
-		}
 		a, c2 := splitPair(pair)
-		suppA, err := sb.readCounterSum(b.keys.key2(prefixARItem, a), session)
+		pk, ph := b.keys.key2(prefixARPair, pair)
+		supp, err := sb.readCounterSum(pk, ph, session)
 		if err != nil {
 			return err
 		}
-		suppB, err := sb.readCounterSum(b.keys.key2(prefixARItem, c2), session)
+		ak, ah := b.keys.key2(prefixARItem, a)
+		suppA, err := sb.readCounterSum(ak, ah, session)
+		if err != nil {
+			return err
+		}
+		ck, ch := b.keys.key2(prefixARItem, c2)
+		suppB, err := sb.readCounterSum(ck, ch, session)
 		if err != nil {
 			return err
 		}
@@ -274,7 +281,8 @@ func (b *ARItemBolt) Execute(t *stream.Tuple) error {
 	}
 	item := t.Value("item").(string)
 	session := t.Value("session").(int64)
-	_, err := b.st.addCounter(b.keys.key2(prefixARItem, item), b.p.WindowSessions, session, 1)
+	key, h := b.keys.key2(prefixARItem, item)
+	_, err := b.st.addCounter(key, h, b.p.WindowSessions, session, 1)
 	return err
 }
 
@@ -316,7 +324,8 @@ func (b *ItemInfoBolt) Execute(t *stream.Tuple) error {
 	item := t.Value("item").(string)
 	terms, _ := t.Value("terms").([]string)
 	published := t.Value("published").(int64)
-	return b.st.Put(prefixItemInfo+item, itemProfile(terms, published))
+	key := prefixItemInfo + item
+	return b.st.Put(key, keyhash.String(key), itemProfile(terms, published))
 }
 
 // itemProfile is the stored value of an item's content profile: the
@@ -351,9 +360,6 @@ type CBBolt struct {
 	store State
 	st    *taskState
 	keys  *interner
-	// ownedBuf/foreignBuf are the prefetch argument scratch.
-	ownedBuf   []string
-	foreignBuf []string
 }
 
 // NewCBBolt returns the bolt factory.
@@ -383,15 +389,15 @@ func (b *CBBolt) Execute(t *stream.Tuple) error {
 	}
 	// The item's content vector (foreign: ItemInfo owns it) and the
 	// user's profile (owned) come back in one batched read.
-	ukey := b.keys.key2(prefixUserProfile, user)
-	ikey := b.keys.key2(prefixItemInfo, item)
-	b.ownedBuf = append(b.ownedBuf[:0], ukey)
-	b.foreignBuf = append(b.foreignBuf[:0], ikey)
+	ukey, uh := b.keys.key2(prefixUserProfile, user)
+	ikey, ih := b.keys.key2(prefixItemInfo, item)
 	sb := b.st.batch()
-	if err := sb.prefetch(b.ownedBuf, b.foreignBuf); err != nil {
+	sb.stage(ukey, uh, false)
+	sb.stage(ikey, ih, true)
+	if err := sb.load(); err != nil {
 		return err
 	}
-	rawItem, ok, err := sb.getForeign(ikey)
+	rawItem, ok, err := sb.getForeign(ikey, ih)
 	if err != nil || !ok {
 		return err // unknown item: nothing to learn
 	}
@@ -399,7 +405,7 @@ func (b *CBBolt) Execute(t *stream.Tuple) error {
 	if err != nil {
 		return err
 	}
-	rawUser, ok, err := sb.get(ukey)
+	rawUser, ok, err := sb.get(ukey, uh)
 	if err != nil {
 		return err
 	}
@@ -427,7 +433,7 @@ func (b *CBBolt) Execute(t *stream.Tuple) error {
 	// A late action decays nothing and does not move the profile back in
 	// time: the next decay runs from the latest update, as cb.Engine's does.
 	prof.UpdatedTS = max(prof.UpdatedTS, ts)
-	sb.put(ukey, encodeProfile(prof))
+	sb.put(ukey, uh, encodeProfile(prof))
 	return sb.flush()
 }
 
@@ -443,9 +449,6 @@ type CtrStoreBolt struct {
 	c     stream.Collector
 	st    *taskState
 	keys  *interner
-	// ownedBuf/foreignBuf are the prefetch argument scratch.
-	ownedBuf   []string
-	foreignBuf []string
 }
 
 // NewCtrStoreBolt returns the bolt factory.
@@ -485,28 +488,28 @@ func (b *CtrStoreBolt) Execute(t *stream.Tuple) error {
 	if etype != "impression" {
 		addPre, readPre = prefixCtrClk, prefixCtrImp
 	}
-	owned := b.ownedBuf[:0]
-	foreign := b.foreignBuf[:0]
-	for _, cb := range b.p.CtrCuboids {
-		cell := b.keys.joined(cb.Key(cx), item)
-		owned = append(owned, b.keys.key2(addPre, cell))
-		foreign = append(foreign, b.keys.key2(readPre, cell))
-	}
-	b.ownedBuf, b.foreignBuf = owned, foreign
 	sb := b.st.batch()
-	if err := sb.prefetch(owned, foreign); err != nil {
+	for _, cb := range b.p.CtrCuboids {
+		sit := cb.Key(cx)
+		ak, ah := b.keys.key3(addPre, sit, item)
+		sb.stage(ak, ah, false)
+		rk, rh := b.keys.key3(readPre, sit, item)
+		sb.stage(rk, rh, true)
+	}
+	if err := sb.load(); err != nil {
 		return err
 	}
 	var loopErr error
 	for _, cb := range b.p.CtrCuboids {
 		sit := cb.Key(cx)
-		cell := b.keys.joined(sit, item)
-		added, err := sb.addCounter(b.keys.key2(addPre, cell), b.p.WindowSessions, session, 1)
+		ak, ah := b.keys.key3(addPre, sit, item)
+		added, err := sb.addCounter(ak, ah, b.p.WindowSessions, session, 1)
 		if err != nil {
 			loopErr = err
 			break
 		}
-		read, err := sb.readCounterSum(b.keys.key2(readPre, cell), session)
+		rk, rh := b.keys.key3(readPre, sit, item)
+		read, err := sb.readCounterSum(rk, rh, session)
 		if err != nil {
 			loopErr = err
 			break
@@ -564,8 +567,8 @@ func (b *CtrBolt) Execute(t *stream.Tuple) error {
 	sit := t.Value("sit").(string)
 	item := t.Value("item").(string)
 	score := t.Value("score").(float64)
-	key := b.keys.key2(prefixCtrTop, sit)
-	raw, ok, err := b.st.Get(key)
+	key, h := b.keys.key2(prefixCtrTop, sit)
+	raw, ok, err := b.st.Get(key, h)
 	if err != nil {
 		return err
 	}
@@ -577,7 +580,7 @@ func (b *CtrBolt) Execute(t *stream.Tuple) error {
 	if !ok {
 		return errBadFrame(key, raw)
 	}
-	return b.st.Put(key, out)
+	return b.st.Put(key, h, out)
 }
 
 // Cleanup implements stream.Bolt.

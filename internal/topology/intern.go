@@ -1,26 +1,31 @@
 package topology
 
 import (
-	"strconv"
-
+	"tencentrec/internal/keyhash"
 	"tencentrec/internal/stream"
 )
 
-// interner canonicalizes the composite state keys the hot path builds —
-// `prefix+item`, pair ids, combiner keys — so each distinct key string
-// is allocated once and every later occurrence is a map lookup on a
-// reusable byte scratch (the compiler elides the []byte→string copy in
-// `m[string(buf)]`). Replacing per-tuple concatenation with interning
+// interner builds the composite state keys the hot path uses —
+// `prefix+item`, pair ids, `prefix+group+0x1f+item` — and is where a key
+// is hashed, the one time on its way to the engine: it hands out the key
+// with its keyhash, which the task cache, the combiner, the store client's
+// route and the MDB engine take from there. Each distinct key string is
+// allocated once: a later build of the key hashes the reusable byte
+// scratch and finds the string in an open-addressing table of entry
+// numbers by that hash. Replacing per-tuple concatenation with interning
 // is what keeps the counting bolts' steady state allocation-free.
 //
 // Bounded the same way ResultStorage bounds its list cache: when the
 // table fills, it is cleared and repopulates from live traffic. An
 // interner belongs to one task and is not safe for concurrent use.
 type interner struct {
-	m     map[string]string
-	boxed map[string]any
-	cap   int
-	buf   []byte
+	strs []string
+	hs   []uint64
+	// idx finds an entry by keyhash; it has at least twice the entries'
+	// slots.
+	idx keyhash.Index
+	cap int
+	buf []byte
 }
 
 // newInterner returns an interner bounded at capacity entries
@@ -29,41 +34,47 @@ func newInterner(capacity int) *interner {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &interner{m: make(map[string]string, 64), boxed: make(map[string]any, 64), cap: capacity}
+	return &interner{cap: capacity}
 }
 
-// box returns a cached any-boxing of s. Boxing a string into an
-// interface allocates a header copy every time; item ids and pair keys
-// recur constantly in emissions, so the boxing is cached alongside the
-// interned string (bounded the same way).
-func (in *interner) box(s string) any {
-	if v, ok := in.boxed[s]; ok {
-		return v
+// intern canonicalizes the current scratch contents and returns them with
+// their keyhash.
+func (in *interner) intern() (string, uint64) {
+	h := keyhash.Bytes(in.buf)
+	if in.idx.Len() > 0 {
+		for i := in.idx.Home(h); in.idx.At(i) != 0; i = in.idx.Next(i) {
+			if e := in.idx.At(i) - 1; in.hs[e] == h && in.strs[e] == string(in.buf) {
+				return in.strs[e], h
+			}
+		}
 	}
-	if len(in.boxed) >= in.cap {
-		clear(in.boxed)
+	if len(in.strs) >= in.cap {
+		clear(in.strs) // drop the strings; capacity stays
+		in.strs, in.hs = in.strs[:0], in.hs[:0]
+		in.idx.Clear()
 	}
-	v := any(s)
-	in.boxed[s] = v
-	return v
-}
-
-// intern canonicalizes the current scratch contents.
-func (in *interner) intern() string {
-	if s, ok := in.m[string(in.buf)]; ok {
-		return s
+	if 2*(len(in.strs)+1) > in.idx.Len() {
+		in.idx.Resize(2 * in.idx.Len())
+		for e, eh := range in.hs {
+			in.idx.Add(eh, uint32(e))
+		}
 	}
 	s := string(in.buf)
-	if len(in.m) >= in.cap {
-		clear(in.m)
-	}
-	in.m[s] = s
-	return s
+	in.idx.Add(h, uint32(len(in.strs)))
+	in.strs, in.hs = append(in.strs, s), append(in.hs, h)
+	return s, h
 }
 
 // key2 interns a+b — the `prefix+key` shape of every state key.
-func (in *interner) key2(a, b string) string {
+func (in *interner) key2(a, b string) (string, uint64) {
 	in.buf = append(append(in.buf[:0], a...), b...)
+	return in.intern()
+}
+
+// key3 interns prefix+a+0x1f+b — the group|item and situation|item
+// counter shapes.
+func (in *interner) key3(prefix, a, b string) (string, uint64) {
+	in.buf = append(append(append(append(in.buf[:0], prefix...), a...), 0x1f), b...)
 	return in.intern()
 }
 
@@ -77,29 +88,8 @@ func (in *interner) pairBytes(a string, b []byte) string {
 	} else {
 		in.buf = append(append(append(in.buf[:0], a...), 0x1f), b...)
 	}
-	return in.intern()
-}
-
-// joined interns a+0x1f+b — the group|item and situation|item shapes.
-func (in *interner) joined(a, b string) string {
-	in.buf = append(append(append(in.buf[:0], a...), 0x1f), b...)
-	return in.intern()
-}
-
-// comb interns key+"@"+session, a counter key packed with its session for
-// combiner buffering: deltas from different sessions must not merge.
-func (in *interner) comb(key string, session int64) string {
-	in.buf = append(append(in.buf[:0], key...), '@')
-	in.buf = strconv.AppendInt(in.buf, session, 10)
-	return in.intern()
-}
-
-// combJoined interns comb(a+0x1f+b, session) without building the inner
-// concatenation separately.
-func (in *interner) combJoined(a, b string, session int64) string {
-	in.buf = append(append(append(append(in.buf[:0], a...), 0x1f), b...), '@')
-	in.buf = strconv.AppendInt(in.buf, session, 10)
-	return in.intern()
+	s, _ := in.intern()
+	return s
 }
 
 // valArena chunk-allocates the backing arrays of emitted stream.Values,

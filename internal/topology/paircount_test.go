@@ -16,21 +16,22 @@ import (
 	"unsafe"
 
 	"tencentrec/internal/core"
+	"tencentrec/internal/keyhash"
 	"tencentrec/internal/obsv"
 	"tencentrec/internal/stream"
 )
 
-// failBatchGetState fails the next `fail` BatchGet calls.
+// failBatchGetState fails the next `fail` BatchGetHashed calls.
 type failBatchGetState struct {
 	*MemState
 	fail atomic.Int64
 }
 
-func (s *failBatchGetState) BatchGet(keys []string) ([][]byte, []bool, error) {
+func (s *failBatchGetState) BatchGetHashed(keys []string, hs []uint64) ([][]byte, []bool, error) {
 	if s.fail.Add(-1) >= 0 {
 		return nil, nil, errors.New("store unavailable")
 	}
-	return s.MemState.BatchGet(keys)
+	return s.MemState.BatchGetHashed(keys, hs)
 }
 
 var tickTuple = &stream.Tuple{Component: UnitPairCount, Stream: stream.TickStream}
@@ -67,7 +68,8 @@ func putItemCounts(t *testing.T, st State, p Params, n float64, items ...string)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(prefixItemCount+item, raw); err != nil {
+		key := prefixItemCount + item
+		if err := st.PutHashed(key, keyhash.String(key), raw); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"tencentrec/internal/core"
 	"tencentrec/internal/ctr"
 	"tencentrec/internal/demographic"
+	"tencentrec/internal/keyhash"
 	"tencentrec/internal/serving"
 )
 
@@ -395,5 +396,6 @@ func (s *Serving) RecommendCB(user string, candidates []string, n int, exclude m
 // exactly as the ItemInfo bolt would: the path applications use to
 // register catalog metadata without routing it through the stream.
 func PutItemProfile(st State, id string, terms []string, published time.Time) error {
-	return st.Put(prefixItemInfo+id, itemProfile(terms, published.UnixNano()))
+	key := prefixItemInfo + id
+	return st.PutHashed(key, keyhash.String(key), itemProfile(terms, published.UnixNano()))
 }

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"tencentrec/internal/cache"
+	"tencentrec/internal/keyhash"
 	"tencentrec/internal/window"
 )
 
@@ -41,6 +42,10 @@ import (
 // subset of the TDStore client, including the batched entry points the
 // flush paths depend on. All implementations must be safe for concurrent
 // use (bolts on different tasks share one client).
+//
+// The pipeline's state path reads and writes by key and keyhash: a task's
+// interner hashes a key once, and the store routes and indexes by that
+// hash. The serving tier's reads (Get, BatchGet) go by key.
 //
 // Value ownership: Get and BatchGet return slices the caller owns — the
 // store must not retain or mutate them after returning (every engine
@@ -52,13 +57,18 @@ import (
 type State interface {
 	// Get returns the value stored under key.
 	Get(key string) ([]byte, bool, error)
-	// Put stores value under key.
-	Put(key string, value []byte) error
 	// BatchGet returns the values for keys in one round trip;
 	// found[i] reports whether keys[i] exists.
 	BatchGet(keys []string) (values [][]byte, found []bool, err error)
-	// BatchPut stores values[i] under keys[i] in one round trip.
-	BatchPut(keys []string, values [][]byte) error
+	// GetHashed is Get of a key whose keyhash is h.
+	GetHashed(key string, h uint64) ([]byte, bool, error)
+	// PutHashed stores value under key, whose keyhash is h.
+	PutHashed(key string, h uint64, value []byte) error
+	// BatchGetHashed is BatchGet with hs[i] the keyhash of keys[i].
+	BatchGetHashed(keys []string, hs []uint64) (values [][]byte, found []bool, err error)
+	// BatchPutHashed stores values[i] under keys[i], whose keyhash is
+	// hs[i], in one round trip.
+	BatchPutHashed(keys []string, hs []uint64, values [][]byte) error
 }
 
 // memShards spreads MemState over independent locks, approximating the
@@ -87,24 +97,19 @@ func NewMemState() *MemState {
 	return s
 }
 
-func shardIndex(key string) uint32 {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime
-	}
-	return h % memShards
-}
-
-func (s *MemState) shard(key string) *memShard {
-	return &s.shards[shardIndex(key)]
-}
+// shardIndex returns the shard of a key whose keyhash is h: its route
+// half, as a TDStore client places keys on instances.
+func shardIndex(h uint64) uint32 { return keyhash.Route(h) % memShards }
 
 // Get implements State.
 func (s *MemState) Get(key string) ([]byte, bool, error) {
+	return s.GetHashed(key, keyhash.String(key))
+}
+
+// GetHashed implements State.
+func (s *MemState) GetHashed(key string, h uint64) ([]byte, bool, error) {
 	s.gets.Add(1)
-	sh := s.shard(key)
+	sh := &s.shards[shardIndex(h)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	v, ok := sh.m[key]
@@ -116,9 +121,14 @@ func (s *MemState) Get(key string) ([]byte, bool, error) {
 	return out, true, nil
 }
 
-// Put implements State.
+// Put stores value under key.
 func (s *MemState) Put(key string, value []byte) error {
-	sh := s.shard(key)
+	return s.PutHashed(key, keyhash.String(key), value)
+}
+
+// PutHashed implements State.
+func (s *MemState) PutHashed(key string, h uint64, value []byte) error {
+	sh := &s.shards[shardIndex(h)]
 	sh.mu.Lock()
 	sh.set(key, value)
 	sh.mu.Unlock()
@@ -160,12 +170,17 @@ func copyInto(dst, value []byte) []byte {
 // lock is taken once per batch. Ops accounting stays per key, so the
 // cache/combiner ablations keep measuring keys touched.
 func (s *MemState) BatchGet(keys []string) ([][]byte, []bool, error) {
+	return s.BatchGetHashed(keys, keyhash.Strings(keys))
+}
+
+// BatchGetHashed implements State as BatchGet does.
+func (s *MemState) BatchGetHashed(keys []string, hs []uint64) ([][]byte, []bool, error) {
 	s.gets.Add(int64(len(keys)))
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
 	var byShard [memShards][]int
-	for i, k := range keys {
-		si := shardIndex(k)
+	for i, h := range hs {
+		si := shardIndex(h)
 		byShard[si] = append(byShard[si], i)
 	}
 	for si := range byShard {
@@ -187,11 +202,11 @@ func (s *MemState) BatchGet(keys []string) ([][]byte, []bool, error) {
 	return vals, found, nil
 }
 
-// BatchPut implements State, one lock acquisition per touched shard.
-func (s *MemState) BatchPut(keys []string, values [][]byte) error {
+// BatchPutHashed implements State, one lock acquisition per touched shard.
+func (s *MemState) BatchPutHashed(keys []string, hs []uint64, values [][]byte) error {
 	var byShard [memShards][]int
-	for i, k := range keys {
-		si := shardIndex(k)
+	for i, h := range hs {
+		si := shardIndex(h)
 		byShard[si] = append(byShard[si], i)
 	}
 	for si := range byShard {
@@ -215,17 +230,6 @@ func (s *MemState) BatchPut(keys []string, values [][]byte) error {
 // argue about).
 func (s *MemState) Ops() (gets, puts int64) {
 	return s.gets.Load(), s.puts.Load()
-}
-
-// Len returns the number of stored keys.
-func (s *MemState) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].m)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
 }
 
 // taskState is the per-task view of the store: an LRU cache in front of
@@ -257,36 +261,38 @@ func newTaskState(store State, cacheSize int) *taskState {
 	return &taskState{store: store, cache: cache.New(store, cacheSize)}
 }
 
-func (ts *taskState) Get(key string) ([]byte, bool, error) {
+// Get reads an owned key, whose keyhash is h, through the cache.
+func (ts *taskState) Get(key string, h uint64) ([]byte, bool, error) {
 	if ts.cache == nil {
-		return ts.store.Get(key)
+		return ts.store.GetHashed(key, h)
 	}
-	return ts.cache.Get(key)
+	return ts.cache.GetHashed(key, h)
 }
 
 // getForeign reads a key owned by another bolt's tasks, bypassing the
 // cache: only a key's single writer may cache it (§5.2's consistency
 // argument), so foreign reads always go to the store.
-func (ts *taskState) getForeign(key string) ([]byte, bool, error) {
-	return ts.store.Get(key)
+func (ts *taskState) getForeign(key string, h uint64) ([]byte, bool, error) {
+	return ts.store.GetHashed(key, h)
 }
 
-func (ts *taskState) Put(key string, value []byte) error {
+// Put writes an owned key through the cache to the store.
+func (ts *taskState) Put(key string, h uint64, value []byte) error {
 	if ts.cache != nil {
-		ts.cache.Put(key, value)
+		ts.cache.PutHashed(key, h, value)
 	}
-	return ts.store.Put(key, value)
+	return ts.store.PutHashed(key, h, value)
 }
 
 // putBatch write-throughs several owned keys at once: cache first, then
-// one store BatchPut.
-func (ts *taskState) putBatch(keys []string, values [][]byte) error {
+// one store BatchPutHashed.
+func (ts *taskState) putBatch(keys []string, hs []uint64, values [][]byte) error {
 	if ts.cache != nil {
 		for i := range keys {
-			ts.cache.Put(keys[i], values[i])
+			ts.cache.PutHashed(keys[i], hs[i], values[i])
 		}
 	}
-	return ts.store.BatchPut(keys, values)
+	return ts.store.BatchPutHashed(keys, hs, values)
 }
 
 // addToCounter applies a delta to an encoded windowed counter in place
@@ -307,8 +313,8 @@ func addToCounter(raw []byte, found bool, w int, session int64, delta float64) (
 
 // addCounter applies a delta to the stored counter and returns the new
 // windowed sum.
-func (ts *taskState) addCounter(key string, w int, session int64, delta float64) (float64, error) {
-	raw, ok, err := ts.Get(key)
+func (ts *taskState) addCounter(key string, h uint64, w int, session int64, delta float64) (float64, error) {
+	raw, ok, err := ts.Get(key, h)
 	if err != nil {
 		return 0, err
 	}
@@ -316,7 +322,7 @@ func (ts *taskState) addCounter(key string, w int, session int64, delta float64)
 	if err != nil {
 		return 0, err
 	}
-	return sum, ts.Put(key, raw)
+	return sum, ts.Put(key, h, raw)
 }
 
 // stateBatch stages one flush interval's (or one tuple's) state access:
@@ -328,32 +334,35 @@ func (ts *taskState) addCounter(key string, w int, session int64, delta float64)
 //
 // Every read and write is implemented once, by entry position (stageAt,
 // keyAt, valAt, putAt, addCounterAt, counterSumAt). A caller that keeps its own
-// per-key entries holds the positions itself and never hashes a key
-// (PairCountBolt); the string-keyed methods the other bolts call are a pos
-// lookup in front of the positional ones.
+// per-key entries holds the positions itself and never looks a key up
+// (PairCountBolt); the keyed methods the other bolts call are a lookup by
+// keyhash in front of the positional ones.
 // A stateBatch belongs to one task and is not safe for concurrent use.
 type stateBatch struct {
 	ts *taskState
-	// pos maps a key staged or written through the string-keyed methods to
-	// its entry in ents; reads of other keys fall back to single-key
-	// access. One map of positions (not one map per attribute) keeps a
-	// string-keyed read or write at a single map probe.
-	pos  map[string]int
+	// pos finds the entry in ents of a key staged or written through the
+	// keyed methods by its keyhash; it has at least twice the npos entries'
+	// slots. Reads of other keys fall back to single-key access.
+	pos  keyhash.Index
+	npos int
 	ents []stagedKey
 	// order lists the dirty entries in first-write order.
 	order []int
-	// loadKeys/loadIdx are load's BatchGet argument scratch and
-	// flushKeys/flushVals the BatchPut's, reused across intervals (State
-	// must not retain them).
+	// load* are load's BatchGetHashed argument scratch and flush* the
+	// BatchPutHashed's, reused across intervals (State must not retain
+	// them).
 	loadKeys  []string
+	loadHs    []uint64
 	loadIdx   []int
 	flushKeys []string
+	flushHs   []uint64
 	flushVals [][]byte
 }
 
 // stagedKey is one key's staged state.
 type stagedKey struct {
 	key   string
+	h     uint64
 	val   []byte
 	found bool
 	// foreign marks a key that must never enter the task cache.
@@ -375,7 +384,7 @@ func (ts *taskState) batch() *stateBatch {
 		sb.reset()
 		return sb
 	}
-	ts.pool = &stateBatch{ts: ts, pos: make(map[string]int)}
+	ts.pool = &stateBatch{ts: ts}
 	return ts.pool
 }
 
@@ -388,42 +397,55 @@ func (ts *taskState) idle() {
 	}
 }
 
-// reset clears the staged view while keeping the map's buckets and the
-// slices' capacity.
+// reset clears the staged view while keeping the slices' capacity.
 func (sb *stateBatch) reset() {
-	clear(sb.pos)
+	sb.pos.Clear()
+	sb.npos = 0
 	clear(sb.ents) // drop key and value references
 	sb.ents = sb.ents[:0]
 	sb.order = sb.order[:0]
 }
 
-// stageAt appends an (absent, clean) entry for key, to be read by the next
-// load, and returns its position. The key is not entered in pos: the
-// caller keeps the position, and must not stage one key twice in a batch.
-func (sb *stateBatch) stageAt(key string, foreign bool) int {
-	sb.ents = append(sb.ents, stagedKey{key: key, foreign: foreign, pending: true})
+// stageAt appends an (absent, clean) entry for key, whose keyhash is h, to
+// be read by the next load, and returns its position. The key is not
+// entered in pos: the caller keeps the position, and must not stage one
+// key twice in a batch.
+func (sb *stateBatch) stageAt(key string, h uint64, foreign bool) int {
+	sb.ents = append(sb.ents, stagedKey{key: key, h: h, foreign: foreign, pending: true})
 	return len(sb.ents) - 1
 }
 
 // stage is stageAt by key: a key the batch already knows keeps its entry.
-func (sb *stateBatch) stage(key string, foreign bool) int {
-	i, ok := sb.pos[key]
-	if !ok {
-		i = sb.stageAt(key, foreign)
-		sb.pos[key] = i
+func (sb *stateBatch) stage(key string, h uint64, foreign bool) int {
+	if i, ok := sb.lookup(key, h); ok {
+		return i
 	}
+	if sb.npos++; 2*sb.npos > sb.pos.Len() {
+		// Only keyed entries are in pos: enter the old table's again.
+		old := sb.pos
+		sb.pos.Resize(2 * old.Len())
+		for j := range uint64(old.Len()) {
+			if e := old.At(j); e != 0 {
+				sb.pos.Add(sb.ents[e-1].h, e-1)
+			}
+		}
+	}
+	i := sb.stageAt(key, h, foreign)
+	sb.pos.Add(h, uint32(i))
 	return i
 }
 
-// prefetch stages the given owned and foreign keys and loads them.
-func (sb *stateBatch) prefetch(owned, foreign []string) error {
-	for _, k := range owned {
-		sb.stage(k, false)
+// lookup returns the position of a key staged through stage.
+func (sb *stateBatch) lookup(key string, h uint64) (int, bool) {
+	if sb.npos == 0 {
+		return 0, false
 	}
-	for _, k := range foreign {
-		sb.stage(k, true)
+	for i := sb.pos.Home(h); sb.pos.At(i) != 0; i = sb.pos.Next(i) {
+		if e := sb.pos.At(i) - 1; sb.ents[e].h == h && sb.ents[e].key == key {
+			return int(e), true
+		}
 	}
-	return sb.load()
+	return 0, false
 }
 
 // load reads every pending entry in bulk: owned keys through the cache
@@ -431,27 +453,27 @@ func (sb *stateBatch) prefetch(owned, foreign []string) error {
 // store; with the cache disabled one store read covers both.
 func (sb *stateBatch) load() error {
 	if c := sb.ts.cache; c != nil {
-		if err := sb.loadFrom(c.GetBatch, true); err != nil {
+		if err := sb.loadFrom(c.GetBatchHashed, true); err != nil {
 			return err
 		}
 	}
-	return sb.loadFrom(sb.ts.store.BatchGet, false)
+	return sb.loadFrom(sb.ts.store.BatchGetHashed, false)
 }
 
 // loadFrom fills pending entries from one batched read: the owned ones
 // only, or whatever is still pending.
-func (sb *stateBatch) loadFrom(get func([]string) ([][]byte, []bool, error), ownedOnly bool) error {
-	keys, idx := sb.loadKeys[:0], sb.loadIdx[:0]
+func (sb *stateBatch) loadFrom(get func([]string, []uint64) ([][]byte, []bool, error), ownedOnly bool) error {
+	keys, hs, idx := sb.loadKeys[:0], sb.loadHs[:0], sb.loadIdx[:0]
 	for i := range sb.ents {
 		if e := &sb.ents[i]; e.pending && !(ownedOnly && e.foreign) {
-			keys, idx = append(keys, e.key), append(idx, i)
+			keys, hs, idx = append(keys, e.key), append(hs, e.h), append(idx, i)
 		}
 	}
-	sb.loadKeys, sb.loadIdx = keys, idx
+	sb.loadKeys, sb.loadHs, sb.loadIdx = keys, hs, idx
 	if len(keys) == 0 {
 		return nil
 	}
-	vals, found, err := get(keys)
+	vals, found, err := get(keys, hs)
 	clear(sb.loadKeys) // drop key references; capacity stays
 	if err != nil {
 		return err
@@ -473,27 +495,27 @@ func (sb *stateBatch) valAt(i int) ([]byte, bool) {
 
 // get reads an owned key from the staged view, falling back to the
 // task's cached single-key path for keys outside the staged set.
-func (sb *stateBatch) get(key string) ([]byte, bool, error) {
-	if i, ok := sb.pos[key]; ok {
+func (sb *stateBatch) get(key string, h uint64) ([]byte, bool, error) {
+	if i, ok := sb.lookup(key, h); ok {
 		val, found := sb.valAt(i)
 		return val, found, nil
 	}
-	return sb.ts.Get(key)
+	return sb.ts.Get(key, h)
 }
 
 // getForeign reads a foreign key from the staged view, falling back to
 // the store-direct single-key path.
-func (sb *stateBatch) getForeign(key string) ([]byte, bool, error) {
-	if i, ok := sb.pos[key]; ok {
+func (sb *stateBatch) getForeign(key string, h uint64) ([]byte, bool, error) {
+	if i, ok := sb.lookup(key, h); ok {
 		val, found := sb.valAt(i)
 		return val, found, nil
 	}
-	return sb.ts.getForeign(key)
+	return sb.ts.getForeign(key, h)
 }
 
 // put stages a write of an owned key.
-func (sb *stateBatch) put(key string, value []byte) {
-	sb.putAt(sb.stage(key, false), value)
+func (sb *stateBatch) put(key string, h uint64, value []byte) {
+	sb.putAt(sb.stage(key, h, false), value)
 }
 
 // putAt stages a write at position i. The task cache is updated
@@ -507,7 +529,7 @@ func (sb *stateBatch) putAt(i int, value []byte) {
 		sb.order = append(sb.order, i)
 	}
 	if sb.ts.cache != nil && !e.foreign {
-		sb.ts.cache.Put(e.key, value)
+		sb.ts.cache.PutHashed(e.key, e.h, value)
 	}
 }
 
@@ -518,31 +540,29 @@ func (sb *stateBatch) flush() error {
 	if len(sb.order) == 0 {
 		return nil
 	}
-	keys := sb.flushKeys[:0]
-	vals := sb.flushVals[:0]
+	keys, hs, vals := sb.flushKeys[:0], sb.flushHs[:0], sb.flushVals[:0]
 	for _, i := range sb.order {
 		e := &sb.ents[i]
 		e.dirty = false
-		keys = append(keys, e.key)
-		vals = append(vals, e.val)
+		keys, hs, vals = append(keys, e.key), append(hs, e.h), append(vals, e.val)
 	}
-	sb.flushKeys, sb.flushVals = keys, vals
+	sb.flushKeys, sb.flushHs, sb.flushVals = keys, hs, vals
 	sb.order = sb.order[:0]
-	err := sb.ts.store.BatchPut(keys, vals)
+	err := sb.ts.store.BatchPutHashed(keys, hs, vals)
 	clear(sb.flushVals) // drop value references; capacity stays
 	return err
 }
 
 // addCounter applies a delta to an owned counter by key; one outside the
 // staged set is read through the task's single-key path and staged.
-func (sb *stateBatch) addCounter(key string, w int, session int64, delta float64) (float64, error) {
-	i, ok := sb.pos[key]
+func (sb *stateBatch) addCounter(key string, h uint64, w int, session int64, delta float64) (float64, error) {
+	i, ok := sb.lookup(key, h)
 	if !ok {
-		raw, found, err := sb.ts.Get(key)
+		raw, found, err := sb.ts.Get(key, h)
 		if err != nil {
 			return 0, err
 		}
-		i = sb.stage(key, false)
+		i = sb.stage(key, h, false)
 		e := &sb.ents[i]
 		e.val, e.found, e.pending = raw, found, false
 	}
@@ -569,11 +589,11 @@ func (sb *stateBatch) addCounterAt(i int, w int, session int64, delta float64) (
 // readCounterSum returns a foreign counter's windowed sum from the batch
 // view (the counter belongs to another bolt, whose cache is the
 // authoritative copy).
-func (sb *stateBatch) readCounterSum(key string, session int64) (float64, error) {
-	if i, ok := sb.pos[key]; ok {
+func (sb *stateBatch) readCounterSum(key string, h uint64, session int64) (float64, error) {
+	if i, ok := sb.lookup(key, h); ok {
 		return sb.counterSumAt(i, session)
 	}
-	raw, ok, err := sb.ts.getForeign(key)
+	raw, ok, err := sb.ts.getForeign(key, h)
 	if err != nil {
 		return 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"tencentrec/internal/keyhash"
 	"tencentrec/internal/tdstore"
 )
 
@@ -47,10 +48,10 @@ func TestStateValueOwnership(t *testing.T) {
 			for i := range vals {
 				vals[i] = want(i)
 			}
-			if err := st.Put(keys[0], vals[0]); err != nil {
+			if err := st.PutHashed(keys[0], keyhash.String(keys[0]), vals[0]); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.BatchPut(keys[1:], vals[1:]); err != nil {
+			if err := st.BatchPutHashed(keys[1:], keyhash.Strings(keys[1:]), vals[1:]); err != nil {
 				t.Fatal(err)
 			}
 			for i := range vals {
@@ -106,7 +107,7 @@ func TestMemStateKeepsItsOwnKeys(t *testing.T) {
 		if err := st.Put(a, []byte(v)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.BatchPut([]string{b}, [][]byte{[]byte(v)}); err != nil {
+		if err := st.BatchPutHashed([]string{b}, []uint64{keyhash.String(b)}, [][]byte{[]byte(v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +122,18 @@ func TestMemStateKeepsItsOwnKeys(t *testing.T) {
 			}
 		}
 	}
-	if st.Len() != 2 {
-		t.Fatalf("%d keys, want 2", st.Len())
+	if n := storedKeys(st); n != 2 {
+		t.Fatalf("%d keys, want 2", n)
 	}
+}
+
+// storedKeys returns the number of keys st holds.
+func storedKeys(st *MemState) int {
+	n := 0
+	for i := range st.shards {
+		st.shards[i].mu.RLock()
+		n += len(st.shards[i].m)
+		st.shards[i].mu.RUnlock()
+	}
+	return n
 }

@@ -102,8 +102,8 @@ func (r *perTupleRef) apply(t *testing.T, item, other string, sim float64) {
 // sameAs fails unless st holds exactly the reference's keys and bytes.
 func (r *perTupleRef) sameAs(t *testing.T, st *MemState, when string) {
 	t.Helper()
-	if st.Len() != len(r.kv) {
-		t.Fatalf("%s: store holds %d keys, reference %d", when, st.Len(), len(r.kv))
+	if n := storedKeys(st); n != len(r.kv) {
+		t.Fatalf("%s: store holds %d keys, reference %d", when, n, len(r.kv))
 	}
 	for k, want := range r.kv {
 		got, ok, _ := st.Get(k)
@@ -171,18 +171,18 @@ func TestWriteBehindMatchesPerTupleReference(t *testing.T) {
 	}
 }
 
-// batchCountingState counts BatchPut calls on top of MemState's per-key
-// accounting.
+// batchCountingState counts BatchPutHashed calls on top of MemState's
+// per-key accounting.
 type batchCountingState struct {
 	*MemState
 	batchPuts atomic.Int64
 	putDelay  time.Duration
 }
 
-func (s *batchCountingState) BatchPut(keys []string, values [][]byte) error {
+func (s *batchCountingState) BatchPutHashed(keys []string, hs []uint64, values [][]byte) error {
 	s.batchPuts.Add(1)
 	time.Sleep(s.putDelay)
-	return s.MemState.BatchPut(keys, values)
+	return s.MemState.BatchPutHashed(keys, hs, values)
 }
 
 // TestWriteBehindOneWritePerDrainedRun is the §5.3 cost claim for the
@@ -280,11 +280,11 @@ type failingPutState struct {
 	fail bool
 }
 
-func (s *failingPutState) BatchPut(keys []string, values [][]byte) error {
+func (s *failingPutState) BatchPutHashed(keys []string, hs []uint64, values [][]byte) error {
 	if s.fail {
 		return fmt.Errorf("store unavailable")
 	}
-	return s.MemState.BatchPut(keys, values)
+	return s.MemState.BatchPutHashed(keys, hs, values)
 }
 
 // TestWriteBehindVisibleAtQuiesce ties the bolt to the engine's ordering
@@ -347,14 +347,14 @@ func (s *keyCountingState) written(prefix string) int {
 	return s.byPrefix[prefix]
 }
 
-func (s *keyCountingState) Put(key string, value []byte) error {
+func (s *keyCountingState) PutHashed(key string, h uint64, value []byte) error {
 	s.count(key)
-	return s.MemState.Put(key, value)
+	return s.MemState.PutHashed(key, h, value)
 }
 
-func (s *keyCountingState) BatchPut(keys []string, values [][]byte) error {
+func (s *keyCountingState) BatchPutHashed(keys []string, hs []uint64, values [][]byte) error {
 	s.count(keys...)
-	return s.MemState.BatchPut(keys, values)
+	return s.MemState.BatchPutHashed(keys, hs, values)
 }
 
 // TestThresholdsWrittenOnlyForPruning: a list's th: key has one reader,

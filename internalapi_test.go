@@ -59,6 +59,8 @@ var testHooks = map[string]string{
 	// References and decoders the codec tests and gates compare against.
 	"topology.DecodeAction":          "BenchmarkIngestEdge",
 	"window.Counter.UnmarshalBinary": "FuzzCounterEncoded",
+	// The route by key, the placement the hashed route must keep.
+	"tdstore.RouteTable.InstanceFor": "TestInstanceForMatchesFNVReference",
 
 	// The item feed, until AddItem's write path goes through the log.
 	"topology.Builder.WithItemFeed": "TestPipelineCBChain",

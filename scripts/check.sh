@@ -341,6 +341,25 @@ else
 	exit 1
 fi
 
+# The per-action state path on the sparse shape: 200,000 users over 5,000
+# items, so the task caches miss on almost every action. With each key
+# hashed once, in its task's interner, and the task cache, the combiner and
+# a flush's staged view indexing by that hash over slabs, a System measured
+# 20 allocations per action, where string-keyed maps, a container/list
+# cache and key@session combiner cells measured 25. The bound is the
+# measured value plus one. A task-cache miss that fills and evicts, and a
+# combiner interval added by keyhash, allocate nothing.
+echo "== the sparse state path stays at or under 21 allocs per action; a task-cache miss that fills and evicts and a combiner interval added by keyhash allocate nothing"
+run_tests '^(TestCacheMissFillEvictAllocatesNothing|TestAddHashedAllocatesNothing)$' ./internal/cache/ ./internal/combiner/
+state_out=$(go test -run=NONE -bench='BenchmarkStatePathSparse$' -benchmem -benchtime=50000x .)
+echo "$state_out"
+if echo "$state_out" | awk '/^BenchmarkStatePathSparse/ { for (i = 1; i <= NF; i++) if ($(i+1) == "allocs/op" && $i > 21) exit 1; seen = 1 } END { if (!seen) exit 1 }'; then
+	:
+else
+	echo "check: the sparse state path allocates more than 21 times per action" >&2
+	exit 1
+fi
+
 echo "== Go lines, total and non-test (scripts/loc.sh), and the documents' bytes"
 sh scripts/loc.sh | tail -n 1
 wc -c DESIGN.md EXPERIMENTS.md README.md

@@ -291,14 +291,14 @@ type servedState struct {
 	reader *serving.Reader
 }
 
-func (s servedState) Put(key string, value []byte) error {
-	err := s.Client.Put(key, value)
+func (s servedState) PutHashed(key string, h uint64, value []byte) error {
+	err := s.Client.PutHashed(key, h, value)
 	s.reader.DropNegative(key)
 	return err
 }
 
-func (s servedState) BatchPut(keys []string, values [][]byte) error {
-	err := s.Client.BatchPut(keys, values)
+func (s servedState) BatchPutHashed(keys []string, hs []uint64, values [][]byte) error {
+	err := s.Client.BatchPutHashed(keys, hs, values)
 	s.reader.DropNegative(keys...)
 	return err
 }
